@@ -2,104 +2,40 @@
 
 use crate::rooster::Rooster;
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    membarrier, BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, PtrScratch, Registry, RetiredPtr, ScanParts, SegBag, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    hp_scan, membarrier, BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry,
+    HpSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    Telemetry,
 };
-use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// Per-thread shared record: `K` hazard-pointer slots, written without fences.
-pub(crate) struct CadenceRecord {
-    slots: Box<[AtomicPtr<u8>]>,
-}
-
-impl CadenceRecord {
-    fn new(k: usize) -> Self {
-        Self {
-            slots: (0..k)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-        }
-    }
-
-    /// Publishes a hazard pointer **without a hardware fence** — the defining
-    /// difference from classic HP (paper Algorithm 3, `assign_HP`, lines 8–12:
-    /// "No need for a memory barrier here").
-    #[inline]
-    fn set(&self, index: usize, ptr: *mut u8) {
-        self.slots[index].store(ptr, Ordering::Release);
-        // Only a compiler fence: the store must not be reordered (by the compiler)
-        // after the caller's validation load; hardware-level visibility is provided
-        // by the rooster wake-up + deferred-reclamation age bound.
-        membarrier::light_barrier();
-    }
-
-    fn clear_all(&self) {
-        for slot in self.slots.iter() {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    fn collect_into(&self, out: &mut Vec<*mut u8>) {
-        for slot in self.slots.iter() {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                out.push(p);
-            }
-        }
-    }
-}
 
 /// The Cadence reclamation scheme (the paper's fallback path, usable stand-alone).
+///
+/// A budget-forced scan still honours the `T + ε` age gate — bypassing it would
+/// forfeit exactly the fence-free safety argument Cadence exists for — so under
+/// a very coarse `rooster_interval` the budget can only be met by scanning more
+/// often, never by freeing younger nodes: time is the only thing that makes
+/// Cadence garbage reclaimable.
 pub struct Cadence {
-    config: SmrConfig,
-    registry: Registry<CadenceRecord>,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
+    core: Arc<SchemeCore<PtrScratch>>,
+    registry: Registry<HpSlots>,
     rooster: Mutex<Rooster>,
-    /// Leftovers of exited threads: dying handles park, the next surviving
-    /// handle to flush adopts, and scheme drop drains (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + scratch buffers of exited threads, adopted by the next
-    /// registrant so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<ScanParts>,
-    /// Limbo-byte accounting and the budget escalation ladder. A forced scan
-    /// still honours the `T + ε` age gate — bypassing it would forfeit exactly
-    /// the fence-free safety argument Cadence exists for — so under a very
-    /// coarse `rooster_interval` the budget can only be met by scanning more
-    /// often, never by freeing younger nodes.
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, scan duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl Cadence {
     /// Creates a Cadence scheme, spawning its rooster threads.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        let registry = Registry::new(config.max_threads, |_| {
-            CadenceRecord::new(config.hp_per_thread)
-        });
+        let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
         let rooster = Rooster::spawn(
             config.rooster_threads,
             config.rooster_interval,
             config.use_membarrier,
         );
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
+            core: SchemeCore::new("cadence", config),
             registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
             rooster: Mutex::new(rooster),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -110,7 +46,7 @@ impl Cadence {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     /// Total rooster wake-ups so far (diagnostics / tests).
@@ -120,126 +56,42 @@ impl Cadence {
             .unwrap_or_else(|e| e.into_inner())
             .wakeup_count()
     }
-
-    /// Snapshots every published hazard pointer into `out`. Callers pass a
-    /// reusable scratch buffer sized at registration (`N·K` entries, the maximum
-    /// possible), so steady-state scans never allocate.
-    fn collect_protected(&self, out: &mut Vec<*mut u8>) {
-        self.registry
-            .collect_protected(out, CadenceRecord::collect_into);
-    }
-
-    /// The paper's `scan` (Algorithm 3, lines 14–33): free retired nodes that are
-    /// both *old enough* (deferred reclamation) and not covered by any hazard
-    /// pointer; keep the rest for a later scan. Counters go to `stats` (the
-    /// calling handle's stripe); drained segments return to `pool`.
-    fn scan_into(
-        &self,
-        bag: &mut SegBag,
-        pool: &mut SegPool,
-        scratch: &mut Vec<*mut u8>,
-        stats: &StatStripe,
-        tele_stripe: usize,
-    ) -> usize {
-        stats.add_scan();
-        // Every Cadence scan walks the aged prefix node by node.
-        stats.add_scan_walk();
-        self.collect_protected(scratch);
-        let protected: &[*mut u8] = scratch;
-        let bytes_before = bag.bytes();
-        let now = self.config.clock.now();
-        let min_age = self.config.min_reclaim_age_nanos();
-        let observer = self.telemetry.scan_observer(tele_stripe);
-        // SAFETY (paper Property 1): a node that has been retired for at least
-        // T + ε was unlinked before the most recent rooster wake-up, so any hazard
-        // pointer that could protect it (published, per Condition 1, while the node
-        // was still reachable, i.e. before it was retired) is visible to this scan.
-        // If the snapshot does not contain the node, no thread holds a hazardous
-        // reference to it and freeing is safe.
-        //
-        // The walk stops at the first too-young node: the bag is pushed in
-        // retirement order, so everything behind it is younger still — the scan
-        // is O(aged prefix), not O(bag). (Adopted parked chains spliced behind
-        // younger nodes are only delayed by this, never endangered.)
-        // SAFETY: the bag owns these retired nodes; a node is freed only when aged past `min_age` and absent from the hazard snapshot.
-        let freed = unsafe {
-            bag.reclaim_if_while(
-                pool,
-                |node| node.is_old_enough(now, min_age),
-                |node| {
-                    let free = protected.binary_search(&node.addr()).is_err();
-                    if free {
-                        if let Some(obs) = observer.as_ref() {
-                            obs.note_free(node);
-                        }
-                    }
-                    free
-                },
-            )
-        };
-        stats.add_freed(freed as u64);
-        stats.add_freed_bytes((bytes_before - bag.bytes()) as u64);
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        freed
-    }
-
-    /// One-off allocating snapshot, for tests and diagnostics only.
-    #[cfg(test)]
-    fn protected_snapshot(&self) -> Vec<*mut u8> {
-        let mut out = Vec::new();
-        self.collect_protected(&mut out);
-        out
-    }
 }
 
 impl Smr for Cadence {
     type Handle = CadenceHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<CadenceHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "cadence",
-            capacity: e.capacity,
+        // A fresh workspace: pool and snapshot scratch pre-sized so that neither
+        // the first bag fill nor any scan allocates.
+        let (slot, core) = self.core.register(&self.registry, |config| {
+            let pool = SegPool::for_scan_threshold(config.scan_threshold);
+            (pool, HpSlots::snapshot_scratch(config))
         })?;
-        // Adopt a previous tenant's pool + scratch when available (thread-pool
-        // churn); otherwise pre-warm for the scan threshold (capped) so even
-        // the first bag fill recycles instead of allocating.
-        let parts = self.handle_cache.adopt().unwrap_or_else(|| ScanParts {
-            pool: SegPool::with_node_capacity((self.config.scan_threshold + 1).min(2048)),
-            scratch: PtrScratch::with_capacity(self.config.max_threads * self.config.hp_per_thread),
-        });
         Ok(CadenceHandle {
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
             scheme: Arc::clone(self),
             slot,
+            core,
             retired: SegBag::new(),
-            pool: parts.pool,
-            scratch: parts.scratch,
-            since_last_scan: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "cadence"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let mut snap = self.core.stats();
+        self.registry.merge_shard_counters(&mut snap);
         snap
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
+        Some(self.core.telemetry())
     }
 }
 
@@ -249,12 +101,6 @@ impl Drop for Cadence {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .shutdown();
-        // No handles remain, so nothing can reference a parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
     }
 }
 
@@ -262,47 +108,24 @@ impl Drop for Cadence {
 pub struct CadenceHandle {
     scheme: Arc<Cadence>,
     slot: SlotId,
+    core: HandleCore<PtrScratch>,
     retired: SegBag,
-    /// Recycled segments backing `retired`, pre-warmed for the scan threshold so
-    /// even the first bag fill never allocates.
-    pool: SegPool,
-    /// Reusable buffer for hazard-pointer snapshots, sized for the worst case
-    /// (`N·K` pointers) at registration so scans are allocation-free.
-    scratch: PtrScratch,
-    since_last_scan: usize,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl CadenceHandle {
-    fn record(&self) -> &CadenceRecord {
+    fn record(&self) -> &HpSlots {
         self.scheme.registry.get_mine(self.slot)
     }
 
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
-    }
-
-    /// Scans and then re-reports the post-scan byte total, so the governor's
-    /// estimate credits what the scan just freed. Returns whether the scheme
-    /// is still over budget afterwards.
-    fn scan(&mut self) -> bool {
-        self.scheme.scan_into(
-            &mut self.retired,
-            &mut self.pool,
-            &mut self.scratch,
-            self.scheme.registry.stats(self.slot),
-            self.tele.stripe(),
-        );
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        )
+    /// The paper's `scan` (Algorithm 3, lines 14–33): free retired nodes that are
+    /// both *old enough* (deferred reclamation) and not covered by any hazard
+    /// pointer; keep the rest for a later scan. Returns the bytes still in limbo.
+    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Cadence, retired: &mut SegBag) -> usize {
+        let min_age = core.config().min_reclaim_age_nanos();
+        // SAFETY: `min_age` is T + ε, the bound within which a rooster wake-up
+        // makes every unfenced publication of `protect` visible, and `retired`
+        // holds only nodes protected through this scheme's registry.
+        unsafe { hp_scan(core, &scheme.registry, retired, Some(min_age)) }
     }
 }
 
@@ -311,79 +134,39 @@ impl SmrHandle for CadenceHandle {
 
     fn end_op(&mut self) {}
 
+    /// Publishes a hazard pointer **without a hardware fence** — the defining
+    /// difference from classic HP (paper Algorithm 3, `assign_HP`, lines 8–12:
+    /// "No need for a memory barrier here").
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        assert!(
-            index < self.scheme.config.hp_per_thread,
-            "hazard-pointer index {index} out of range (K = {})",
-            self.scheme.config.hp_per_thread
-        );
         self.record().set(index, ptr);
+        // Only a compiler fence: the store must not be reordered (by the compiler)
+        // after the caller's validation load; hardware-level visibility is provided
+        // by the rooster wake-up + deferred-reclamation age bound.
+        membarrier::light_barrier();
     }
 
     fn clear_protections(&mut self) {
         self.record().clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        let stats = self.stats();
-        stats.add_retired(1);
-        stats.add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            stats.add_size_unknown_retire();
-        }
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+        let (scheme, retired) = (&*self.scheme, &mut self.retired);
         // Timestamp at removal time — the paper's `free_node_later` records
         // `time_created` on the wrapper node.
-        let now = self.scheme.config.clock.now();
+        let now = self.core.config().clock.now();
         // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.retired.push(&mut self.pool, node);
-        self.since_last_scan += 1;
-        if self.since_last_scan >= self.scheme.config.scan_threshold {
-            self.since_last_scan = 0;
-            self.scan();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        ) {
-            // Budget breach: force a scan ahead of the count threshold (rung
-            // 1). The scan still enforces the age gate, so if everything aged
-            // out is freed but young garbage keeps us over budget, take one
-            // bounded backpressure yield (rung 3) — time is the only thing
-            // that makes Cadence garbage reclaimable.
-            self.scheme.governor.count_forced_scan();
-            self.since_last_scan = 0;
-            if self.scan() {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
-            }
-        }
+        unsafe {
+            self.core
+                .retire(retired, ptr, drop_fn, now, birth_era, size_bytes)
+        };
+        self.core
+            .after_retire(retired.bytes(), |core| Self::scan(core, scheme, retired));
     }
 
     fn flush(&mut self) {
-        // Adopt leftovers of exited threads so they rejoin the scan cycle. The
-        // adopted bytes move from the governor's parked counter to this
-        // handle's stripe (the post-scan report picks them up).
-        let before = self.retired.bytes();
-        self.scheme.parked.adopt_into(&mut self.retired);
-        let adopted = self.retired.bytes() - before;
-        self.scheme.governor.note_parked(-(adopted as i64));
-        self.since_last_scan = 0;
-        self.scan();
+        self.core.adopt_parked(&mut self.retired);
+        Self::scan(&mut self.core, &self.scheme, &mut self.retired);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -394,53 +177,24 @@ impl SmrHandle for CadenceHandle {
         self.retired.bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
 impl Drop for CadenceHandle {
     fn drop(&mut self) {
         self.record().clear_all();
-        self.scan();
-        // O(1) chain splice; adopted by the next flushing handle or freed at
-        // scheme drop. The governor's parked counter takes over the byte
-        // accounting so a leaked handle's limbo never goes invisible.
-        let parked_bytes = self.retired.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut self.retired);
+        // Free what has aged out unprotected; park the rest on the scheme.
+        Self::scan(&mut self.core, &self.scheme, &mut self.retired);
+        self.core.park(&mut self.retired);
         self.scheme.registry.release(self.slot);
-        // Recycle the workspace to the next registrant (see `HandleCache`).
-        self.scheme.handle_cache.park(ScanParts {
-            pool: std::mem::take(&mut self.pool),
-            scratch: std::mem::take(&mut self.scratch),
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn record_set_and_collect_without_fence() {
-        let record = CadenceRecord::new(2);
-        record.set(0, 0x42 as *mut u8);
-        let mut out = Vec::new();
-        record.collect_into(&mut out);
-        assert_eq!(out, vec![0x42 as *mut u8]);
-        record.clear_all();
-        out.clear();
-        record.collect_into(&mut out);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn snapshot_merges_all_threads() {
@@ -454,10 +208,11 @@ mod tests {
         let b = scheme.register();
         a.record().set(0, 0x10 as *mut u8);
         b.record().set(0, 0x20 as *mut u8);
-        assert_eq!(
-            scheme.protected_snapshot(),
-            vec![0x10 as *mut u8, 0x20 as *mut u8]
-        );
+        let mut snapshot = Vec::new();
+        scheme
+            .registry
+            .collect_protected(&mut snapshot, HpSlots::collect_into);
+        assert_eq!(snapshot, vec![0x10 as *mut u8, 0x20 as *mut u8]);
         drop(a);
         drop(b);
     }

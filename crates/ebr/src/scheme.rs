@@ -3,14 +3,12 @@
 use crate::pin::PinRecord;
 use qsbr::GlobalEpoch;
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, Registry, RetiredPtr, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, Telemetry, NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, Reclaim, Registry,
+    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A retired node may be freed once the global epoch has advanced this many times
 /// past its **pin-time** tag. Three, not the classic two, because the tag is the
@@ -46,47 +44,26 @@ const LIMBO_BUCKETS: usize = SAFE_EPOCH_GAP as usize + 1;
 ///   scheme remains blocking in the sense that motivates the paper: it is a faster
 ///   point in the same robustness class as QSBR, not a replacement for the fallback
 ///   path.
+///
+/// Unlike QSBR, EBR *can* escalate on a limbo-budget breach mid-operation —
+/// `try_advance` plus a bucket collect are safe at any point — but a thread
+/// stalled inside an operation still caps the epoch at `pin + 1`, so escalation
+/// helps against bursty load and is powerless against a mid-op stall (the
+/// verdict records which).
 pub struct Ebr {
-    config: SmrConfig,
+    core: Arc<SchemeCore>,
     global_epoch: GlobalEpoch,
     registry: Registry<PinRecord>,
-    /// Counter stripe for events with no owning slot (successful epoch advances,
-    /// parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
-    /// Limbo leftovers of threads that deregistered before their nodes became
-    /// reclaimable: the next surviving handle to flush adopts the chain into its
-    /// current-epoch bucket, so the nodes are freed after an ordinary grace
-    /// period instead of waiting for scheme drop (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Segment pools of exited threads, adopted by the next registrant so
-    /// handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<SegPool>,
-    /// Limbo-byte accounting and the budget escalation ladder. Unlike QSBR,
-    /// EBR *can* escalate mid-operation — `try_advance` plus a bucket collect
-    /// are safe at any point — but a thread stalled inside an operation still
-    /// caps the epoch at `pin + 1`, so escalation helps against bursty load
-    /// and is powerless against a mid-op stall (the verdict records which).
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, collect duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl Ebr {
     /// Creates an EBR scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| PinRecord::new());
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
+            core: SchemeCore::new("ebr", config),
             global_epoch: GlobalEpoch::new(),
             registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -97,7 +74,7 @@ impl Ebr {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     /// The current global epoch (exposed for tests and diagnostics).
@@ -115,7 +92,7 @@ impl Ebr {
             .iter_claimed()
             .all(|(_, record)| record.permits_advance_from(global));
         if all_caught_up && self.global_epoch.try_advance(global) {
-            self.scheme_stats.add_quiescent_state();
+            self.core.orphan_stats().add_quiescent_state();
             return true;
         }
         false
@@ -126,60 +103,40 @@ impl Smr for Ebr {
     type Handle = EbrHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "ebr",
-            capacity: e.capacity,
-        })?;
+        let (slot, core) = self
+            .core
+            .register(&self.registry, |_| (SegPool::new(), ()))?;
         // A fresh thread starts unpinned; an unpinned record never blocks advancement.
         self.registry.get_mine(slot).unpin();
         Ok(EbrHandle {
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
             scheme: Arc::clone(self),
             slot,
+            core,
             limbo: std::array::from_fn(|_| EpochChain {
                 epoch: 0,
                 bag: SegBag::new(),
             }),
-            // Adopt a previous tenant's segment pool when available
-            // (thread-pool churn; see `HandleCache`).
-            pool: self.handle_cache.adopt().unwrap_or_default(),
             pin_epoch: self.global_epoch.load(),
             pinned: false,
-            retires_since_advance: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "ebr"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let mut snap = self.core.stats();
+        self.registry.merge_shard_counters(&mut snap);
         snap
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for Ebr {
-    fn drop(&mut self) {
-        // All handles are gone, so nobody can hold a reference to any parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        Some(self.core.telemetry())
     }
 }
 
@@ -189,6 +146,38 @@ impl Drop for Ebr {
 struct EpochChain {
     epoch: u64,
     bag: SegBag,
+}
+
+impl EpochChain {
+    /// Non-empty and at least [`SAFE_EPOCH_GAP`] behind `global`.
+    fn matured(&self, global: u64) -> bool {
+        !self.bag.is_empty() && global >= self.epoch + SAFE_EPOCH_GAP
+    }
+
+    /// Frees the chain wholesale — no per-node tests.
+    ///
+    /// # Safety
+    ///
+    /// The global epoch must have reached `self.epoch + SAFE_EPOCH_GAP`.
+    unsafe fn drain(&mut self, reclaim: &mut Reclaim<'_>) {
+        reclaim.stats().add_scan_wholesale();
+        // SAFETY: every node in this bucket was unlinked while its owner
+        // was pinned at `self.epoch`, i.e. at a global epoch of at most
+        // `self.epoch + 1`. Any thread still holding a reference has
+        // been pinned continuously since before that unlink, so its pin
+        // epoch is at most `self.epoch + 1` — and a continuous pin at
+        // `p` blocks every advance beyond `p + 1`. The global having
+        // reached `self.epoch + 3 >= p + 2` therefore proves each such
+        // thread has unpinned at least once since the unlink, dropping
+        // all references obtained before it (see [`SAFE_EPOCH_GAP`] for
+        // why 3 and not the retire-time-tag gap of 2). The nodes are
+        // unreachable.
+        unsafe { reclaim.free_all(&mut self.bag) };
+    }
+}
+
+fn limbo_bytes(limbo: &[EpochChain; LIMBO_BUCKETS]) -> usize {
+    limbo.iter().map(|chain| chain.bag.bytes()).sum()
 }
 
 /// Per-thread handle for [`Ebr`].
@@ -201,15 +190,14 @@ struct EpochChain {
 /// quadratic work, on top of one shared global-epoch load per retire. Nodes now
 /// land in one of [`LIMBO_BUCKETS`] per-epoch segment chains, tagged with the
 /// **pin-time** epoch the handle already holds, so `retire` touches no shared
-/// state at all and freeing is a whole-chain `reclaim_all` at segment
-/// granularity: each pin checks `LIMBO_BUCKETS` bucket tags, never individual
-/// nodes.
+/// state at all and freeing is a whole-chain drain at segment granularity: each
+/// pin checks `LIMBO_BUCKETS` bucket tags, never individual nodes.
 pub struct EbrHandle {
     scheme: Arc<Ebr>,
     slot: SlotId,
+    /// Its retire counter paces `try_advance` (retires since the last attempt).
+    core: HandleCore,
     limbo: [EpochChain; LIMBO_BUCKETS],
-    /// Recycled segments shared by all limbo buckets.
-    pool: SegPool,
     /// The global epoch observed at the last pin. While pinned, `retire` tags
     /// nodes with this cached value instead of re-loading the (contended)
     /// global epoch: a pin at `pin_epoch` bounds the global at
@@ -223,13 +211,6 @@ pub struct EbrHandle {
     /// not use a stale cached tag — that would free nodes before a real grace
     /// period).
     pinned: bool,
-    retires_since_advance: usize,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl EbrHandle {
@@ -244,116 +225,55 @@ impl EbrHandle {
 
     /// Total stamped bytes across the per-epoch limbo chains.
     pub fn limbo_bytes(&self) -> usize {
-        self.limbo.iter().map(|chain| chain.bag.bytes()).sum()
-    }
-
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
+        limbo_bytes(&self.limbo)
     }
 
     /// Frees every limbo bucket whose tag is at least [`SAFE_EPOCH_GAP`] behind
-    /// `global`, wholesale. Returns the number of nodes freed. O([`LIMBO_BUCKETS`])
-    /// bucket checks regardless of limbo size — this runs on every pin.
-    fn collect(&mut self, global: u64) -> usize {
-        let mut freed = 0usize;
-        let mut freed_bytes = 0usize;
-        // Clone the Arc so the stats/observer borrows are independent of `self`
-        // (the drain below needs `&mut self.limbo` and `&mut self.pool`).
-        let scheme = Arc::clone(&self.scheme);
-        let stats = scheme.registry.stats(self.slot);
-        // This path runs on every pin and usually frees nothing; only pay the
-        // observer's clock reads when some bucket has actually matured.
-        let any_matured = self
-            .limbo
-            .iter()
-            .any(|chain| !chain.bag.is_empty() && global >= chain.epoch + SAFE_EPOCH_GAP);
-        let observer = if any_matured {
-            scheme.telemetry.scan_observer(self.tele.stripe())
-        } else {
-            None
-        };
-        for chain in &mut self.limbo {
-            if chain.bag.is_empty() {
-                continue;
-            }
-            if global >= chain.epoch + SAFE_EPOCH_GAP {
-                // A matured bucket is freed wholesale — no per-node tests.
-                stats.add_scan_wholesale();
-                freed_bytes += chain.bag.bytes();
-                // SAFETY: every node in this bucket was unlinked while its owner
-                // was pinned at `chain.epoch`, i.e. at a global epoch of at most
-                // `chain.epoch + 1`. Any thread still holding a reference has
-                // been pinned continuously since before that unlink, so its pin
-                // epoch is at most `chain.epoch + 1` — and a continuous pin at
-                // `p` blocks every advance beyond `p + 1`. The global having
-                // reached `chain.epoch + 3 >= p + 2` therefore proves each such
-                // thread has unpinned at least once since the unlink, dropping
-                // all references obtained before it (see [`SAFE_EPOCH_GAP`] for
-                // why 3 and not the retire-time-tag gap of 2). The nodes are
-                // unreachable.
-                freed += unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => chain.bag.reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => chain.bag.reclaim_all(&mut self.pool),
-                    }
-                };
-            } else {
+    /// `global`, wholesale. O([`LIMBO_BUCKETS`]) bucket checks regardless of
+    /// limbo size — this runs on every pin, and usually frees nothing: the
+    /// reclaim pass (its clock reads and budget report) runs only when some
+    /// bucket has actually matured.
+    fn collect(core: &mut HandleCore, limbo: &mut [EpochChain; LIMBO_BUCKETS], global: u64) {
+        let mut any_matured = false;
+        for chain in limbo.iter() {
+            if chain.matured(global) {
+                any_matured = true;
+            } else if !chain.bag.is_empty() {
                 // Non-empty but too young: the collect passes it over unexamined.
-                stats.add_scan_skip();
+                core.stats().add_scan_skip();
             }
         }
-        if let Some(obs) = observer {
-            obs.finish();
+        if any_matured {
+            core.scan(|reclaim, _| {
+                for chain in limbo.iter_mut().filter(|chain| chain.matured(global)) {
+                    // SAFETY: `matured` checked the epoch gap.
+                    unsafe { chain.drain(reclaim) };
+                }
+                limbo_bytes(limbo)
+            });
         }
-        if freed > 0 {
-            self.stats().add_freed(freed as u64);
-            self.stats().add_freed_bytes(freed_bytes as u64);
-            self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            );
-        }
-        freed
     }
 
     /// Index of the limbo bucket for nodes tagged `epoch`, retagging (and
     /// draining) it if it still carries an older epoch's tag.
     fn bucket_for(&mut self, epoch: u64) -> usize {
         let b = (epoch % LIMBO_BUCKETS as u64) as usize;
-        let chain = &mut self.limbo[b];
-        if chain.epoch != epoch {
-            if !chain.bag.is_empty() {
+        if self.limbo[b].epoch != epoch {
+            if !self.limbo[b].bag.is_empty() {
                 // A colliding tag differs by >= LIMBO_BUCKETS epochs, and the
                 // owner's epoch tags are monotone, so the old contents are at
                 // least LIMBO_BUCKETS > SAFE_EPOCH_GAP advances old — and the
                 // global epoch has reached at least `epoch` (the owner observed
                 // it) — hence reclaimable wholesale (same argument as `collect`).
-                debug_assert!(epoch >= chain.epoch + LIMBO_BUCKETS as u64);
-                let freed_bytes = chain.bag.bytes();
-                let stats = self.scheme.registry.stats(self.slot);
-                stats.add_scan_wholesale();
-                let observer = self.scheme.telemetry.scan_observer(self.tele.stripe());
-                // SAFETY: the chain is LIMBO_BUCKETS epochs old — every registered thread has crossed at least two epoch boundaries since these nodes were retired, so none can still hold a reference.
-                let freed = unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => chain.bag.reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => chain.bag.reclaim_all(&mut self.pool),
-                    }
-                };
-                if let Some(obs) = observer {
-                    obs.finish();
-                }
-                stats.add_freed(freed as u64);
-                stats.add_freed_bytes(freed_bytes as u64);
+                debug_assert!(epoch >= self.limbo[b].epoch + LIMBO_BUCKETS as u64);
+                let limbo = &mut self.limbo;
+                self.core.scan(|reclaim, _| {
+                    // SAFETY: the chain is LIMBO_BUCKETS > SAFE_EPOCH_GAP epochs behind the epoch its owner observed.
+                    unsafe { limbo[b].drain(reclaim) };
+                    limbo_bytes(limbo)
+                });
             }
-            chain.epoch = epoch;
+            self.limbo[b].epoch = epoch;
         }
         b
     }
@@ -371,7 +291,7 @@ impl SmrHandle for EbrHandle {
         // Pinning is also the natural point to free what previous epoch advances
         // made safe (equivalent to crossbeam's collect-on-pin) — a constant-time
         // bucket-tag check, not a walk of the limbo contents.
-        self.collect(global);
+        Self::collect(&mut self.core, &mut self.limbo, global);
     }
 
     fn end_op(&mut self) {
@@ -386,24 +306,7 @@ impl SmrHandle for EbrHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
         // While pinned (the normal case — retires happen inside operations),
         // tag with the cached pin-time epoch: the pin bounds the global at
         // `pin_epoch + 1`, which is exactly why [`SAFE_EPOCH_GAP`] is 3 rather
@@ -422,38 +325,26 @@ impl SmrHandle for EbrHandle {
         } else {
             self.scheme.global_epoch.load()
         };
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
         let b = self.bucket_for(epoch);
-        self.limbo[b].bag.push(&mut self.pool, node);
-        self.retires_since_advance += 1;
-        if self.retires_since_advance >= self.scheme.config.scan_threshold {
-            self.retires_since_advance = 0;
-            self.scheme.try_advance();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        ) {
+        let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
+        // SAFETY: forwarded from the caller's contract. The epoch tag lives on
+        // the chain; the per-node stamp goes unread.
+        unsafe {
+            self.core
+                .retire(&mut limbo[b].bag, ptr, drop_fn, 0, birth_era, size_bytes)
+        };
+        if self.core.scan_due() {
+            scheme.try_advance();
+        } else {
             // Budget breach: push the epoch forward and collect what aged out
-            // (rung 1 — both are safe mid-operation). If a mid-op stall
-            // elsewhere keeps the epoch capped and us over budget, take one
-            // bounded backpressure yield (rung 3).
-            self.scheme.governor.count_forced_scan();
-            self.retires_since_advance = 0;
-            self.scheme.try_advance();
-            let global = self.scheme.global_epoch.load();
-            self.collect(global);
-            if self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            ) {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
-            }
+            // (both are safe mid-operation). If a mid-op stall elsewhere keeps
+            // the epoch capped and us over budget, the core takes one bounded
+            // backpressure yield.
+            self.core.enforce_budget(limbo_bytes(limbo), |core| {
+                scheme.try_advance();
+                Self::collect(core, limbo, scheme.global_epoch.load());
+                limbo_bytes(limbo)
+            });
         }
     }
 
@@ -461,13 +352,10 @@ impl SmrHandle for EbrHandle {
         // Adopt limbo leftovers of exited threads into the current-epoch bucket:
         // they were unlinked before this adoption, so any reader still holding a
         // reference pinned at an epoch <= global + 1, and the bucket's
-        // `SAFE_EPOCH_GAP` wait covers it. O(1) splices, no allocation.
+        // `SAFE_EPOCH_GAP` wait covers it.
         let global = self.scheme.global_epoch.load();
         let b = self.bucket_for(global);
-        let before = self.limbo[b].bag.bytes();
-        self.scheme.parked.adopt_into(&mut self.limbo[b].bag);
-        let adopted = self.limbo[b].bag.bytes() - before;
-        self.scheme.governor.note_parked(-(adopted as i64));
+        self.core.adopt_parked(&mut self.limbo[b].bag);
         // Make a best-effort attempt to push the epoch far enough forward that every
         // limbo node becomes reclaimable, then free whatever the advances allowed.
         // The thread must not be pinned while doing this (flush is called between
@@ -478,12 +366,7 @@ impl SmrHandle for EbrHandle {
             self.scheme.try_advance();
         }
         let global = self.scheme.global_epoch.load();
-        self.collect(global);
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        );
+        Self::collect(&mut self.core, &mut self.limbo, global);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -494,38 +377,21 @@ impl SmrHandle for EbrHandle {
         self.limbo_bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
 impl Drop for EbrHandle {
     fn drop(&mut self) {
         self.flush();
-        // Whatever is still too young is parked on the scheme with O(1) splices
-        // and adopted by the next flushing handle (or released when the scheme
-        // itself drops; no thread can touch the nodes by then).
+        // Whatever is still too young is parked on the scheme with O(1) splices.
         let mut leftovers = SegBag::new();
         for chain in &mut self.limbo {
             leftovers.splice(&mut chain.bag);
         }
-        // The governor's parked counter takes over the byte accounting so a
-        // leaked handle's limbo never goes invisible.
-        let parked_bytes = leftovers.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut leftovers);
+        self.core.park(&mut leftovers);
         self.scheme.registry.release(self.slot);
-        // Recycle the segment pool to the next registrant.
-        self.scheme
-            .handle_cache
-            .park(std::mem::take(&mut self.pool));
     }
 }
 

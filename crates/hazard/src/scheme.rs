@@ -1,87 +1,32 @@
 //! The hazard-pointer scheme object and per-thread handle.
 
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, PtrScratch, Registry, RetiredPtr, ScanParts, SegBag, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    hp_scan, BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, HpSlots,
+    PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    Telemetry,
 };
-use std::sync::atomic::{fence, AtomicPtr, Ordering};
+use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
-
-/// Per-thread shared record: `K` single-writer multi-reader hazard-pointer slots.
-pub(crate) struct HpRecord {
-    slots: Box<[AtomicPtr<u8>]>,
-}
-
-impl HpRecord {
-    fn new(k: usize) -> Self {
-        Self {
-            slots: (0..k)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
-        }
-    }
-
-    #[inline]
-    fn set(&self, index: usize, ptr: *mut u8) {
-        self.slots[index].store(ptr, Ordering::Release);
-    }
-
-    fn clear_all(&self) {
-        for slot in self.slots.iter() {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    fn collect_into(&self, out: &mut Vec<*mut u8>) {
-        for slot in self.slots.iter() {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                out.push(p);
-            }
-        }
-    }
-}
 
 /// Classic hazard-pointer scheme (the paper's **HP** baseline).
+///
+/// HP scans are hazard-gated and therefore safe at any point of the retire
+/// path, so a limbo-budget breach forces an immediate scan; if hazard pointers
+/// still pin the handle over budget, the retiring thread yields once.
 pub struct Hazard {
-    config: SmrConfig,
-    registry: Registry<HpRecord>,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
-    /// Retired nodes left over by exiting threads that were still protected at
-    /// exit: dying handles park, the next surviving handle to flush adopts, and
-    /// scheme drop drains the remainder (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + scratch buffers of exited threads, adopted by the next
-    /// registrant so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<ScanParts>,
-    /// Limbo-byte accounting and (when `config.limbo_budget` is set) the
-    /// escalation ladder: HP scans are hazard-gated and therefore safe at any
-    /// point of the retire path, so a breach forces an immediate scan.
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, scan duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
+    core: Arc<SchemeCore<PtrScratch>>,
+    registry: Registry<HpSlots>,
 }
 
 impl Hazard {
     /// Creates a hazard-pointer scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        let registry = Registry::new(config.max_threads, |_| HpRecord::new(config.hp_per_thread));
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
+        let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
         Arc::new(Self {
-            config,
+            core: SchemeCore::new("hp", config),
             registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -92,66 +37,7 @@ impl Hazard {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
-    }
-
-    /// Snapshots every currently published hazard pointer into `out` — the
-    /// `get_protected_nodes` step of the paper's Algorithm 3 / Michael's scan
-    /// stage 1. Callers pass a reusable scratch buffer sized at registration
-    /// (`N·K` entries, the maximum possible), so steady-state scans never allocate.
-    fn collect_protected(&self, out: &mut Vec<*mut u8>) {
-        self.registry.collect_protected(out, HpRecord::collect_into);
-    }
-
-    /// Scans `bag` against the hazard pointers gathered into `scratch`, freeing
-    /// every node not covered. Returns the number of nodes freed. The counters go
-    /// to `stats` (the calling handle's stripe); drained segments return to `pool`.
-    fn scan_into(
-        &self,
-        bag: &mut SegBag,
-        pool: &mut SegPool,
-        scratch: &mut Vec<*mut u8>,
-        stats: &StatStripe,
-        tele_stripe: usize,
-    ) -> usize {
-        stats.add_scan();
-        // Every HP scan is a per-node walk against the hazard snapshot.
-        stats.add_scan_walk();
-        self.collect_protected(scratch);
-        let protected: &[*mut u8] = scratch;
-        let bytes_before = bag.bytes();
-        let observer = self.telemetry.scan_observer(tele_stripe);
-        // SAFETY: a node absent from the full hazard-pointer snapshot and already
-        // unlinked (guaranteed by the retire contract) is unreachable by any thread:
-        // Michael's scan argument. The snapshot is taken *after* the node was
-        // retired, so any hazard pointer published before the node became unreachable
-        // is visible to this scan (the publisher's fence in `protect` pairs with the
-        // acquire loads in `collect_protected`).
-        let freed = unsafe {
-            bag.reclaim_if(pool, |node| {
-                let free = protected.binary_search(&node.addr()).is_err();
-                if free {
-                    if let Some(obs) = observer.as_ref() {
-                        obs.note_free(node);
-                    }
-                }
-                free
-            })
-        };
-        stats.add_freed(freed as u64);
-        stats.add_freed_bytes((bytes_before - bag.bytes()) as u64);
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        freed
-    }
-
-    /// One-off allocating snapshot, for tests and diagnostics only.
-    #[cfg(test)]
-    fn protected_snapshot(&self) -> Vec<*mut u8> {
-        let mut out = Vec::new();
-        self.collect_protected(&mut out);
-        out
+        self.core.config()
     }
 }
 
@@ -159,62 +45,37 @@ impl Smr for Hazard {
     type Handle = HazardHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<HazardHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "hp",
-            capacity: e.capacity,
+        // A fresh workspace: pool and snapshot scratch pre-sized so that neither
+        // the first bag fill nor any scan allocates.
+        let (slot, core) = self.core.register(&self.registry, |config| {
+            let pool = SegPool::for_scan_threshold(config.scan_threshold);
+            (pool, HpSlots::snapshot_scratch(config))
         })?;
-        // Adopt a previous tenant's pool + scratch when available (thread-pool
-        // churn); otherwise pre-warm for the scan threshold (capped: a
-        // test-sized huge `R` must not balloon registration) so even the first
-        // bag fill recycles instead of allocating.
-        let parts = self.handle_cache.adopt().unwrap_or_else(|| ScanParts {
-            pool: SegPool::with_node_capacity((self.config.scan_threshold + 1).min(2048)),
-            scratch: PtrScratch::with_capacity(self.config.max_threads * self.config.hp_per_thread),
-        });
         Ok(HazardHandle {
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
             scheme: Arc::clone(self),
             slot,
+            core,
             retired: SegBag::new(),
-            pool: parts.pool,
-            scratch: parts.scratch,
-            since_last_scan: 0,
             local_fences: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "hp"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let mut snap = self.core.stats();
+        self.registry.merge_shard_counters(&mut snap);
         snap
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for Hazard {
-    fn drop(&mut self) {
-        // No handles remain (each holds an Arc<Self>), hence no hazard pointer can be
-        // published and no thread can reach a parked node: free everything.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        Some(self.core.telemetry())
     }
 }
 
@@ -222,55 +83,30 @@ impl Drop for Hazard {
 pub struct HazardHandle {
     scheme: Arc<Hazard>,
     slot: SlotId,
+    core: HandleCore<PtrScratch>,
     retired: SegBag,
-    /// Recycled segments backing `retired`, pre-warmed for the scan threshold so
-    /// even the first bag fill never allocates.
-    pool: SegPool,
-    /// Reusable buffer for hazard-pointer snapshots, sized for the worst case
-    /// (`N·K` pointers) at registration so scans are allocation-free.
-    scratch: PtrScratch,
-    since_last_scan: usize,
     /// Traversal fences issued by this thread since the last flush to shared stats
     /// (kept local so the hot path does not add an extra shared atomic per node).
     local_fences: u64,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl HazardHandle {
-    fn record(&self) -> &HpRecord {
+    fn record(&self) -> &HpSlots {
         self.scheme.registry.get_mine(self.slot)
     }
 
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
-    }
-
-    /// Scans and then re-reports the post-scan byte total, so the governor's
-    /// estimate credits what the scan just freed. Returns whether the scheme
-    /// is still over budget afterwards.
-    fn scan(&mut self) -> bool {
-        self.scheme.scan_into(
-            &mut self.retired,
-            &mut self.pool,
-            &mut self.scratch,
-            self.scheme.registry.stats(self.slot),
-            self.tele.stripe(),
-        );
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        )
+    /// Michael's scan: free every retired node absent from a fresh snapshot
+    /// of all hazard pointers. Returns the bytes still in limbo.
+    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Hazard, retired: &mut SegBag) -> usize {
+        // SAFETY: every publication in `protect` is followed by a `SeqCst`
+        // fence before the caller's validation load, and `retired` holds only
+        // nodes protected through this scheme's registry.
+        unsafe { hp_scan(core, &scheme.registry, retired, None) }
     }
 
     fn publish_fence_count(&mut self) {
         if self.local_fences > 0 {
-            self.stats().add_traversal_fences(self.local_fences);
+            self.core.stats().add_traversal_fences(self.local_fences);
             self.local_fences = 0;
         }
     }
@@ -287,11 +123,6 @@ impl SmrHandle for HazardHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        assert!(
-            index < self.scheme.config.hp_per_thread,
-            "hazard-pointer index {index} out of range (K = {})",
-            self.scheme.config.hp_per_thread
-        );
         self.record().set(index, ptr);
         // The paper's Algorithm 1, line 3: the store above must become visible before
         // the caller's validation load, otherwise the interleaving of Algorithm 2
@@ -305,63 +136,21 @@ impl SmrHandle for HazardHandle {
         self.record().clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        let stats = self.stats();
-        stats.add_retired(1);
-        stats.add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            stats.add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.retired.push(&mut self.pool, node);
-        self.since_last_scan += 1;
-        if self.since_last_scan >= self.scheme.config.scan_threshold {
-            self.since_last_scan = 0;
-            self.scan();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        ) {
-            // Budget breach: force a scan ahead of the count threshold (rung 1);
-            // if hazard pointers still pin us over budget, take one bounded
-            // backpressure yield (rung 3) so stalled readers get CPU time to
-            // move on instead of this thread piling garbage ever faster.
-            self.scheme.governor.count_forced_scan();
-            self.since_last_scan = 0;
-            if self.scan() {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
-            }
-        }
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+        let (scheme, retired) = (&*self.scheme, &mut self.retired);
+        // SAFETY: forwarded from the caller's contract. HP's free rule reads no stamp.
+        unsafe {
+            self.core
+                .retire(retired, ptr, drop_fn, 0, birth_era, size_bytes)
+        };
+        self.core
+            .after_retire(retired.bytes(), |core| Self::scan(core, scheme, retired));
     }
 
     fn flush(&mut self) {
         self.publish_fence_count();
-        // Adopt leftovers of exited threads so they rejoin the scan cycle. The
-        // adopted bytes move from the governor's parked counter to this
-        // handle's stripe (the post-scan report picks them up).
-        let before = self.retired.bytes();
-        self.scheme.parked.adopt_into(&mut self.retired);
-        let adopted = self.retired.bytes() - before;
-        self.scheme.governor.note_parked(-(adopted as i64));
-        self.since_last_scan = 0;
-        self.scan();
+        self.core.adopt_parked(&mut self.retired);
+        Self::scan(&mut self.core, &self.scheme, &mut self.retired);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -372,12 +161,8 @@ impl SmrHandle for HazardHandle {
         self.retired.bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
@@ -386,46 +171,17 @@ impl Drop for HazardHandle {
         self.publish_fence_count();
         // This thread is done traversing: its own protections can go away.
         self.record().clear_all();
-        // Last chance to free what other threads no longer protect.
-        self.scan();
-        // Whatever is still protected by *other* threads is parked on the scheme
-        // (an O(1) chain splice) and either adopted by the next handle to flush or
-        // released when the scheme itself is dropped. The governor's parked
-        // counter takes over the byte accounting so a leaked handle's limbo
-        // never goes invisible.
-        let parked_bytes = self.retired.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut self.retired);
+        // Last chance to free what other threads no longer protect; whatever
+        // they still protect is parked on the scheme.
+        Self::scan(&mut self.core, &self.scheme, &mut self.retired);
+        self.core.park(&mut self.retired);
         self.scheme.registry.release(self.slot);
-        // Recycle the workspace to the next registrant: after the first wave of
-        // handles, registration allocates nothing.
-        self.scheme.handle_cache.park(ScanParts {
-            pool: std::mem::take(&mut self.pool),
-            scratch: std::mem::take(&mut self.scratch),
-        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hp_record_set_clear_collect() {
-        let record = HpRecord::new(3);
-        record.set(0, 0x10 as *mut u8);
-        record.set(2, 0x30 as *mut u8);
-        let mut out = Vec::new();
-        record.collect_into(&mut out);
-        assert_eq!(out.len(), 2);
-        record.clear_all();
-        out.clear();
-        record.collect_into(&mut out);
-        assert!(out.is_empty());
-    }
 
     #[test]
     fn protected_snapshot_is_sorted_and_deduplicated() {
@@ -439,7 +195,10 @@ mod tests {
         h1.record().set(0, 0x300 as *mut u8);
         h1.record().set(1, 0x100 as *mut u8);
         h2.record().set(0, 0x300 as *mut u8);
-        let snapshot = scheme.protected_snapshot();
+        let mut snapshot = Vec::new();
+        scheme
+            .registry
+            .collect_protected(&mut snapshot, HpSlots::collect_into);
         assert_eq!(snapshot, vec![0x100 as *mut u8, 0x300 as *mut u8]);
         drop(h1);
         drop(h2);

@@ -2,15 +2,14 @@
 
 use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, EraAdvancePolicy, EraPacer,
-    HandleCache, HandleTelemetry, ParkedChain, Registry, RetiredPtr, SegBag, SegPool, SlotId, Smr,
-    SmrConfig, SmrHandle, Telemetry,
+    BudgetVerdict, CapacityExhausted, Era, EraAdvancePolicy, EraPacer, HandleCore, HandleTelemetry,
+    Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
+    NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Number of per-retire-era limbo chains a handle keeps. Nodes retired at era
 /// `R` land in chain `R % ERA_BUCKETS`, whose tag is the **maximum** retire era
@@ -19,6 +18,11 @@ use std::time::Instant;
 /// bucket count; more buckets only make the wholesale-free fast path finer
 /// grained.
 const ERA_BUCKETS: usize = 8;
+
+/// The per-handle scan scratch: a snapshot buffer for the `N` era
+/// reservations, sized at registration (or adopted from a previous tenant) so
+/// scans never allocate.
+type Reservations = Vec<(Era, Era)>;
 
 /// One limbo chain: every node in `bag` was retired at an era `<= tag`, so the
 /// chain's conservative lifetime interval is `[birth_of_each_node, tag]`.
@@ -30,7 +34,7 @@ const ERA_BUCKETS: usize = 8;
 /// e.g. unstamped (birth-0) nodes pinned by a stalled reader — from turning
 /// every scan into an O(bag) walk. Both bounds are **recomputed from the
 /// survivors** during the walk a partial reclaim already performs
-/// ([`SegBag::reclaim_if_visit`]), so a chain whose survivors are all old
+/// ([`SegBag::reclaim_walk`]), so a chain whose survivors are all old
 /// takes the skip fast path on the very next scan instead of re-walking the
 /// bag until it fully drains.
 struct EraChain {
@@ -40,11 +44,21 @@ struct EraChain {
     bag: SegBag,
 }
 
-/// The reusable per-handle resources recycled through the scheme's
-/// [`HandleCache`]: the segment pool and the reservation-snapshot scratch.
-struct HeParts {
-    pool: SegPool,
-    reservations: Vec<(Era, Era)>,
+impl EraChain {
+    /// Widens the chain to cover nodes retired at (or before) `retire_era`
+    /// with births in `[min_birth, max_birth]`. A tag collision (eras
+    /// `ERA_BUCKETS` apart) widens the conservative interval instead of
+    /// draining: always safe, and the stale cohabitants free as soon as no
+    /// reservation reaches the merged tag.
+    fn cover(&mut self, retire_era: Era, min_birth: Era, max_birth: Era) {
+        if self.bag.is_empty() {
+            (self.tag, self.min_birth, self.max_birth) = (retire_era, min_birth, max_birth);
+        } else {
+            self.tag = self.tag.max(retire_era);
+            self.min_birth = self.min_birth.min(min_birth);
+            self.max_birth = self.max_birth.max(max_birth);
+        }
+    }
 }
 
 /// Hazard-Eras / interval-based reclamation (2GE-style IBR) — the eighth scheme
@@ -95,57 +109,39 @@ struct HeParts {
 /// The retire path flows through the same [`SegBag`]/[`SegPool`] segment chains
 /// as every other scheme, so steady-state retire/scan/reclaim is
 /// allocation-free, parked leftovers of dying handles are adopted by survivors,
-/// and the pool + scratch are recycled to the next registrant through the
-/// scheme's [`HandleCache`].
+/// and the pool + reservation scratch are recycled to the next registrant
+/// through the shared [`SchemeCore`].
 pub struct He {
-    config: SmrConfig,
+    core: Arc<SchemeCore<Reservations>>,
     /// The global era clock plus the policy that paces its advances
     /// (static interval or limbo-adaptive; see [`EraPacer`]).
     pacer: EraPacer,
     registry: Registry<EraRecord>,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
-    /// Limbo leftovers of exited threads (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + scratch buffers of exited threads, adopted by the next
-    /// registrant so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<HeParts>,
-    /// Limbo-byte accounting and the budget escalation ladder (forced scans
-    /// plus byte-driven pacer boosts; see [`pacer_in_bytes`](Self)).
-    governor: BudgetGovernor,
     /// When true, the pacer's limbo aggregate is denominated in **bytes**
     /// instead of nodes: an adaptive policy combined with a byte budget
     /// re-anchors the pacer's low-water mark at a quarter of the budget, so
-    /// era cadence reacts to the quantity the budget is written in. Off
-    /// (node denomination, the PR 5 behaviour) when either is absent.
+    /// era cadence reacts to the quantity the budget is written in — HE's
+    /// pressure lever on the budget ladder. Off (node denomination) when
+    /// either is absent.
     pacer_in_bytes: bool,
-    /// Telemetry histograms (op latency, scan duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl He {
     /// Creates a Hazard-Eras scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| EraRecord::new());
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
         let pacer = EraPacer::new(config.era_policy);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let pacer_in_bytes =
-            governor.enforcing() && matches!(config.era_policy, EraAdvancePolicy::Adaptive { .. });
+        let adaptive = matches!(config.era_policy, EraAdvancePolicy::Adaptive { .. });
+        let core = SchemeCore::new("he", config);
+        let pacer_in_bytes = core.governor().enforcing() && adaptive;
         if pacer_in_bytes {
-            pacer.set_limbo_low_water(((governor.budget_bytes() / 4) as usize).max(1));
+            pacer.set_limbo_low_water(((core.governor().budget_bytes() / 4) as usize).max(1));
         }
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
+            core,
             pacer,
             registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
             pacer_in_bytes,
-            telemetry,
         })
     }
 
@@ -156,7 +152,7 @@ impl He {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     /// The current global era (tests and diagnostics).
@@ -170,9 +166,13 @@ impl He {
         &self.pacer
     }
 
-    /// Number of handle-resource bundles currently parked for reuse (tests).
-    pub fn cached_handle_parts(&self) -> usize {
-        self.handle_cache.parked()
+    /// The figure the pacer's limbo aggregate is denominated in.
+    fn pacer_units(&self, nodes: usize, bytes: usize) -> usize {
+        if self.pacer_in_bytes {
+            bytes
+        } else {
+            nodes
+        }
     }
 }
 
@@ -180,75 +180,194 @@ impl Smr for He {
     type Handle = HeHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "he",
-            capacity: e.capacity,
+        let (slot, core) = self.core.register(&self.registry, |config| {
+            let pool = SegPool::for_scan_threshold(config.scan_threshold);
+            (pool, Vec::with_capacity(config.max_threads))
         })?;
         // A fresh tenant must not inherit the previous tenant's reservation.
         self.registry.get_mine(slot).deactivate();
-        let parts = self.handle_cache.adopt().unwrap_or_else(|| HeParts {
-            // Pre-warm for the scan threshold (capped, as in the HP family) so
-            // even the first bag fill recycles instead of allocating.
-            pool: SegPool::with_node_capacity((self.config.scan_threshold + 1).min(2048)),
-            reservations: Vec::with_capacity(self.config.max_threads),
-        });
-        let stripe = EraPacer::stripe_for(slot.shard());
         Ok(HeHandle {
             scheme: Arc::clone(self),
             slot,
-            stripe,
-            limbo: std::array::from_fn(|_| EraChain {
-                tag: 0,
-                min_birth: 0,
-                max_birth: 0,
-                bag: SegBag::new(),
-            }),
-            pool: parts.pool,
-            reservations: parts.reservations,
+            core,
+            limbo: EraLimbo {
+                chains: std::array::from_fn(|_| EraChain {
+                    tag: 0,
+                    min_birth: 0,
+                    max_birth: 0,
+                    bag: SegBag::new(),
+                }),
+                allocs_since_tick: 0,
+                pacer_stripe: EraPacer::stripe_for(slot.shard()),
+                pacer_reported: 0,
+                dispatch: (0, 0, 0),
+            },
             active: false,
             announced_upper: 0,
-            allocs_since_tick: 0,
-            retires_since_scan: 0,
-            limbo_reported: 0,
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            scan_wholesale: 0,
-            scan_skips: 0,
-            scan_walks: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
         })
     }
 
     fn name(&self) -> &'static str {
-        "he"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let mut snap = self.core.stats();
+        self.registry.merge_shard_counters(&mut snap);
         snap
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
+        Some(self.core.telemetry())
     }
 }
 
-impl Drop for He {
-    fn drop(&mut self) {
-        // All handles are gone (each holds an Arc<Self>), so no reservation is
-        // announced and no thread can reach a parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+/// A handle's limbo: the era chains plus the cursors of the era pacer, which
+/// every scan feeds.
+struct EraLimbo {
+    chains: [EraChain; ERA_BUCKETS],
+    /// Allocations since the last era tick this handle caused. Reset by every
+    /// scan (whose own era advance *is* a tick) so a partial count never
+    /// carries a phantom tick across a scan, a flush or a handle generation.
+    allocs_since_tick: usize,
+    /// Limbo stripe of the scheme's [`EraPacer`] this handle reports into.
+    pacer_stripe: usize,
+    /// In-limbo figure as last reported to the pacer's striped aggregate
+    /// (adaptive policy only; the pacer keeps this cursor exact across scans
+    /// and retracts it wholesale at handle exit). Denominated in nodes, or in
+    /// bytes when the scheme runs the pacer in byte mode.
+    pacer_reported: usize,
+    /// Diagnostics: chains this handle's scans dispatched as `(wholesale
+    /// frees, skipped walks, node-by-node walks)`.
+    dispatch: (u64, u64, u64),
+}
+
+impl EraLimbo {
+    fn len(&self) -> usize {
+        self.chains.iter().map(|chain| chain.bag.len()).sum()
+    }
+
+    fn bytes(&self) -> usize {
+        self.chains.iter().map(|chain| chain.bag.bytes()).sum()
+    }
+
+    /// One reclamation pass: snapshot the reservations, then walk the era
+    /// buckets freeing whatever no reservation can still reach (see the scheme
+    /// docs for the overlap argument). Returns the bytes still in limbo.
+    fn scan(&mut self, core: &mut HandleCore<Reservations>, scheme: &He) -> usize {
+        core.stats().add_scan();
+        // Advance the era so the generation the current reservations announce
+        // can age out even in allocation-free (pure-remove) workloads; without
+        // this, a retire-only phase would never see `lower > tag` become true.
+        scheme.pacer.advance();
+        // That advance IS this handle's tick: drop any partial allocation
+        // count so the next allocation tick needs a full interval again.
+        // Without the reset, every scan (threshold-triggered, flush or drop)
+        // is followed by a phantom near-complete allocation tick and the era
+        // cadence drifts away from the policy.
+        self.allocs_since_tick = 0;
+        let (chains, dispatch) = (&mut self.chains, &mut self.dispatch);
+        let bytes = core.scan(|reclaim, reservations| {
+            reservations.clear();
+            // Claimed slots only, so wholly-vacant shards cost one bitmap probe:
+            // a vacant slot's record is always inactive (drop deactivates before
+            // the release-ordered bitmap clear publishes the slot), and a
+            // reservation covering any node in this handle's limbo was announced
+            // before that node's unlink — hence its slot's claim bit, set even
+            // earlier, is visible to this walk (the registry's scan-skip
+            // argument).
+            for (_, record) in scheme.registry.iter_claimed() {
+                let (lower, upper) = record.load();
+                if lower != INACTIVE_LOWER {
+                    reservations.push((lower, upper));
+                }
+            }
+            for chain in chains.iter_mut().filter(|chain| !chain.bag.is_empty()) {
+                // Precompute, per chain, the highest announced upper bound among
+                // reservations that reach it (lower <= tag). A node in this chain
+                // is unreachable iff its birth era exceeds that bound: its interval
+                // [birth, tag] then overlaps no reservation.
+                let mut reached = false;
+                let mut max_upper: Era = 0;
+                for &(lower, upper) in reservations.iter() {
+                    if lower <= chain.tag {
+                        reached = true;
+                        max_upper = max_upper.max(upper);
+                    }
+                }
+                // SAFETY (free-time condition of Hazard Eras / IBR): every node in
+                // the chain was unlinked before being retired, and its conservative
+                // lifetime interval is [birth_era, tag]. A thread can only hold a
+                // reference if its reservation — announced before the node's
+                // unlink, per the fence-then-revalidate protocol — overlaps that
+                // interval. The snapshot above was taken after every such retire,
+                // so any covering reservation is visible in it; freeing nodes whose
+                // interval overlaps no snapshot entry is therefore safe.
+                if !reached || chain.min_birth > max_upper {
+                    // Either no active reservation starts at or below this chain's
+                    // newest retire era, or even the chain's *oldest* birth clears
+                    // every reachable upper bound: the whole chain is unreachable.
+                    dispatch.0 += 1;
+                    reclaim.stats().add_scan_wholesale();
+                    // SAFETY: the era scan above proved no reservation can cover any node in this chain; every node is unreachable.
+                    unsafe { reclaim.free_all(&mut chain.bag) };
+                } else if chain.max_birth <= max_upper {
+                    // Even the chain's *youngest* birth is covered by a reachable
+                    // reservation: nothing can free this pass. Skipping the walk
+                    // keeps a blocked bag O(1) per scan instead of O(bag) — the
+                    // Cadence early-stop analogue for era intervals.
+                    dispatch.1 += 1;
+                    reclaim.stats().add_scan_skip();
+                } else {
+                    // Partial reclaim: recompute both birth bounds from the
+                    // survivors the walk already touches, so a chain whose
+                    // survivors are all old takes a fast path next scan instead
+                    // of re-walking until it fully drains (stale bounds also
+                    // blocked the wholesale dispatch when the true survivor
+                    // minimum had risen past every reachable upper bound).
+                    dispatch.2 += 1;
+                    reclaim.stats().add_scan_walk();
+                    let mut new_min = Era::MAX;
+                    let mut new_max = 0;
+                    // SAFETY: the bag owns the nodes; one is freed only when its birth era lies above every reachable reservation upper bound.
+                    unsafe {
+                        reclaim.free_walk(
+                            &mut chain.bag,
+                            |_| true,
+                            |node| node.birth_era() > max_upper,
+                            |survivor| {
+                                let birth = survivor.birth_era();
+                                new_min = new_min.min(birth);
+                                new_max = new_max.max(birth);
+                            },
+                        )
+                    };
+                    if !chain.bag.is_empty() {
+                        chain.min_birth = new_min;
+                        chain.max_birth = new_max;
+                    }
+                }
+            }
+            chains.iter().map(|chain| chain.bag.bytes()).sum()
+        });
+        // Report this handle's in-limbo delta into the pacer's striped
+        // aggregate and let it adapt the tick interval (no-op under the
+        // static policy). Runs after the frees so the estimate tracks the
+        // *residue* — the garbage reservations are actually pinning. In byte
+        // mode the figure is bytes against a low-water mark of budget/4; a
+        // resulting speed-up is a budget escalation and is counted as such.
+        let in_limbo = scheme.pacer_units(self.len(), bytes);
+        let sped_up = scheme
+            .pacer
+            .note_scan(self.pacer_stripe, in_limbo, &mut self.pacer_reported);
+        if sped_up && scheme.pacer_in_bytes {
+            scheme.core.governor().count_pacer_boost();
+        }
+        bytes
     }
 }
 
@@ -256,12 +375,8 @@ impl Drop for He {
 pub struct HeHandle {
     scheme: Arc<He>,
     slot: SlotId,
-    limbo: [EraChain; ERA_BUCKETS],
-    /// Recycled segments shared by all era buckets.
-    pool: SegPool,
-    /// Reusable snapshot buffer for the `N` era reservations, sized at
-    /// registration (or adopted from the handle cache) so scans never allocate.
-    reservations: Vec<(Era, Era)>,
+    core: HandleCore<Reservations>,
+    limbo: EraLimbo,
     /// Whether the owner is inside an operation (handle-local mirror of the
     /// shared reservation, so `protect` can skip the shared load path cheaply
     /// and `retire` never confuses an out-of-op state for an announced one).
@@ -269,31 +384,6 @@ pub struct HeHandle {
     /// The era last published as the reservation's upper bound; `protect`
     /// re-publishes only when the global era moved past it.
     announced_upper: Era,
-    /// Limbo stripe of the scheme's [`EraPacer`] this handle reports into.
-    stripe: usize,
-    /// Allocations since the last era tick this handle caused. Reset on
-    /// `flush` (whose scan just ticked the era) so a partial count never
-    /// carries a phantom tick across a flush or a handle generation.
-    allocs_since_tick: usize,
-    retires_since_scan: usize,
-    /// In-limbo figure as last reported to the pacer's striped aggregate
-    /// (adaptive policy only; the pacer keeps this cursor exact across scans
-    /// and retracts it wholesale at handle exit). Denominated in nodes, or in
-    /// bytes when the scheme runs the pacer in byte mode.
-    limbo_reported: usize,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Diagnostics: chains dispatched wholesale (O(1) `reclaim_all`) by this
-    /// handle's scans.
-    scan_wholesale: u64,
-    /// Diagnostics: chains whose walk was skipped (every birth covered).
-    scan_skips: u64,
-    /// Diagnostics: chains walked node-by-node (O(bag) partial reclaim).
-    scan_walks: u64,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl HeHandle {
@@ -301,18 +391,14 @@ impl HeHandle {
         self.scheme.registry.get_mine(self.slot)
     }
 
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
-    }
-
     /// Total retired-but-unreclaimed nodes across the era buckets.
     pub fn limbo_size(&self) -> usize {
-        self.limbo.iter().map(|chain| chain.bag.len()).sum()
+        self.limbo.len()
     }
 
     /// Total stamped bytes across the era buckets.
     pub fn limbo_bytes(&self) -> usize {
-        self.limbo.iter().map(|chain| chain.bag.bytes()).sum()
+        self.limbo.bytes()
     }
 
     /// Diagnostics: how this handle's scans dispatched era chains, as
@@ -326,7 +412,7 @@ impl HeHandle {
     /// [`StatsSnapshot::scan_skips`] and [`StatsSnapshot::scan_walks`]; this
     /// accessor remains for per-handle assertions.
     pub fn scan_dispatch_counts(&self) -> (u64, u64, u64) {
-        (self.scan_wholesale, self.scan_skips, self.scan_walks)
+        self.limbo.dispatch
     }
 
     /// Publishes (or extends) the reservation to cover `era` and fences, so the
@@ -344,160 +430,10 @@ impl HeHandle {
         self.announced_upper = era;
     }
 
-    /// One reclamation pass: snapshot the reservations, then walk the era
-    /// buckets freeing whatever no reservation can still reach (see the scheme
-    /// docs for the overlap argument).
-    fn scan(&mut self) {
-        self.stats().add_scan();
-        // Advance the era so the generation the current reservations announce
-        // can age out even in allocation-free (pure-remove) workloads; without
-        // this, a retire-only phase would never see `lower > tag` become true.
-        self.scheme.pacer.advance();
-        // That advance IS this handle's tick: drop any partial allocation
-        // count so the next allocation tick needs a full interval again.
-        // Without the reset, every scan (threshold-triggered, flush or drop)
-        // is followed by a phantom near-complete allocation tick and the era
-        // cadence drifts away from the policy.
-        self.allocs_since_tick = 0;
-        self.reservations.clear();
-        // Claimed slots only, so wholly-vacant shards cost one bitmap probe:
-        // a vacant slot's record is always inactive (drop deactivates before
-        // the release-ordered bitmap clear publishes the slot), and a
-        // reservation covering any node in this handle's limbo was announced
-        // before that node's unlink — hence its slot's claim bit, set even
-        // earlier, is visible to this walk (the registry's scan-skip
-        // argument).
-        for (_, record) in self.scheme.registry.iter_claimed() {
-            let (lower, upper) = record.load();
-            if lower != INACTIVE_LOWER {
-                self.reservations.push((lower, upper));
-            }
-        }
-        let bytes_before = self.limbo_bytes();
-        // Clone the Arc so the stats/observer borrows are independent of `self`
-        // (the walk below needs `&mut self.limbo` and `&mut self.pool`).
-        let scheme = Arc::clone(&self.scheme);
-        let stats = scheme.registry.stats(self.slot);
-        let observer = scheme.telemetry.scan_observer(self.tele.stripe());
-        let mut freed = 0usize;
-        for chain in &mut self.limbo {
-            if chain.bag.is_empty() {
-                continue;
-            }
-            let tag = chain.tag;
-            // Precompute, per chain, the highest announced upper bound among
-            // reservations that reach it (lower <= tag). A node in this chain
-            // is unreachable iff its birth era exceeds that bound: its interval
-            // [birth, tag] then overlaps no reservation.
-            let mut reached = false;
-            let mut max_upper: Era = 0;
-            for &(lower, upper) in &self.reservations {
-                if lower <= tag {
-                    reached = true;
-                    max_upper = max_upper.max(upper);
-                }
-            }
-            // SAFETY (free-time condition of Hazard Eras / IBR): every node in
-            // the chain was unlinked before being retired, and its conservative
-            // lifetime interval is [birth_era, tag]. A thread can only hold a
-            // reference if its reservation — announced before the node's
-            // unlink, per the fence-then-revalidate protocol — overlaps that
-            // interval. The snapshot above was taken after every such retire,
-            // so any covering reservation is visible in it; freeing nodes whose
-            // interval overlaps no snapshot entry is therefore safe.
-            freed += if !reached || chain.min_birth > max_upper {
-                // Either no active reservation starts at or below this chain's
-                // newest retire era, or even the chain's *oldest* birth clears
-                // every reachable upper bound: the whole chain is unreachable.
-                self.scan_wholesale += 1;
-                stats.add_scan_wholesale();
-                // SAFETY: the era scan above proved no reservation can cover any node in this chain; every node is unreachable.
-                unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => chain.bag.reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => chain.bag.reclaim_all(&mut self.pool),
-                    }
-                }
-            } else if chain.max_birth <= max_upper {
-                // Even the chain's *youngest* birth is covered by a reachable
-                // reservation: nothing can free this pass. Skipping the walk
-                // keeps a blocked bag O(1) per scan instead of O(bag) — the
-                // Cadence early-stop analogue for era intervals.
-                self.scan_skips += 1;
-                stats.add_scan_skip();
-                0
-            } else {
-                // Partial reclaim: recompute both birth bounds from the
-                // survivors the walk already touches, so a chain whose
-                // survivors are all old takes a fast path next scan instead
-                // of re-walking until it fully drains (stale bounds also
-                // blocked the wholesale dispatch when the true survivor
-                // minimum had risen past every reachable upper bound).
-                self.scan_walks += 1;
-                stats.add_scan_walk();
-                let mut new_min = Era::MAX;
-                let mut new_max = 0;
-                // SAFETY: the bag owns the nodes; one is freed only when its birth era lies above every reachable reservation upper bound.
-                let freed_here = unsafe {
-                    chain.bag.reclaim_if_visit(
-                        &mut self.pool,
-                        |node| {
-                            let free = node.birth_era() > max_upper;
-                            if free {
-                                if let Some(obs) = observer.as_ref() {
-                                    obs.note_free(node);
-                                }
-                            }
-                            free
-                        },
-                        |survivor| {
-                            let birth = survivor.birth_era();
-                            new_min = new_min.min(birth);
-                            new_max = new_max.max(birth);
-                        },
-                    )
-                };
-                if !chain.bag.is_empty() {
-                    chain.min_birth = new_min;
-                    chain.max_birth = new_max;
-                }
-                freed_here
-            };
-        }
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        if freed > 0 {
-            self.stats().add_freed(freed as u64);
-            self.stats()
-                .add_freed_bytes((bytes_before - self.limbo_bytes()) as u64);
-        }
-        // Report this handle's in-limbo delta into the pacer's striped
-        // aggregate and let it adapt the tick interval (no-op under the
-        // static policy). Runs after the frees so the estimate tracks the
-        // *residue* — the garbage reservations are actually pinning. In byte
-        // mode the figure is bytes against a low-water mark of budget/4; a
-        // resulting speed-up is a budget escalation and is counted as such.
-        let in_limbo = if self.scheme.pacer_in_bytes {
-            self.limbo_bytes()
-        } else {
-            self.limbo_size()
-        };
-        let sped_up = self
-            .scheme
-            .pacer
-            .note_scan(self.stripe, in_limbo, &mut self.limbo_reported);
-        if sped_up && self.scheme.pacer_in_bytes {
-            self.scheme.governor.count_pacer_boost();
-        }
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        );
+    /// Withdraws the reservation.
+    fn withdraw(&mut self) {
+        self.record().deactivate();
+        self.active = false;
     }
 }
 
@@ -511,8 +447,7 @@ impl SmrHandle for HeHandle {
     }
 
     fn end_op(&mut self) {
-        self.record().deactivate();
-        self.active = false;
+        self.withdraw();
     }
 
     #[inline]
@@ -533,17 +468,16 @@ impl SmrHandle for HeHandle {
         // Dropping every protection = withdrawing the reservation. Data
         // structures call this when they hold no more shared references
         // (just before `end_op`), which is exactly when it is safe.
-        self.record().deactivate();
-        self.active = false;
+        self.withdraw();
     }
 
     fn alloc_node(&mut self) -> Era {
-        self.allocs_since_tick += 1;
+        self.limbo.allocs_since_tick += 1;
         // The interval is the pacer's current allocations-per-tick: a policy
         // constant (static) or tracking the scheme-wide limbo estimate
         // (adaptive) — one relaxed load of a read-mostly padded line.
-        if self.allocs_since_tick >= self.scheme.pacer.current_interval() {
-            self.allocs_since_tick = 0;
+        if self.limbo.allocs_since_tick >= self.scheme.pacer.current_interval() {
+            self.limbo.allocs_since_tick = 0;
             self.scheme.pacer.advance();
         }
         // The stamp may lag the era at link time (the node is published later),
@@ -552,92 +486,43 @@ impl SmrHandle for HeHandle {
         self.scheme.pacer.current()
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // Unstamped retire: NO_BIRTH_ERA (= 0) makes the node's interval start
-        // before every announced era — maximally conservative, always safe.
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, reclaim_core::NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_with_birth(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, birth_era, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        birth_era: Era,
-        size_bytes: usize,
-    ) {
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+        let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
         // The retire era must be a *fresh* read (see the scheme docs): any
         // reader still holding this node announced its reservation before now,
-        // so monotonicity puts that announcement inside [birth, retire].
-        let retire_era = self.scheme.pacer.current();
-        // SAFETY: forwarded from the caller's contract. `retired_at` carries
-        // the logical retire era — HE never consults wall-clock age.
-        let mut node = unsafe {
-            RetiredPtr::with_birth_sized(ptr, drop_fn, retire_era, birth_era, size_bytes)
+        // so monotonicity puts that announcement inside [birth, retire]. An
+        // unstamped birth (NO_BIRTH_ERA = 0) makes the interval start before
+        // every announced era — maximally conservative, always safe.
+        let retire_era = scheme.pacer.current();
+        let chain = &mut limbo.chains[(retire_era % ERA_BUCKETS as u64) as usize];
+        chain.cover(retire_era, birth_era, birth_era);
+        // SAFETY: forwarded from the caller's contract. The stamp carries the
+        // logical retire era — HE never consults wall-clock age.
+        unsafe {
+            self.core.retire(
+                &mut chain.bag,
+                ptr,
+                drop_fn,
+                retire_era,
+                birth_era,
+                size_bytes,
+            )
         };
-        node.set_retire_tick(self.tele.retire_tick());
-        let chain = &mut self.limbo[(retire_era % ERA_BUCKETS as u64) as usize];
-        if chain.bag.is_empty() {
-            chain.tag = retire_era;
-            chain.min_birth = birth_era;
-            chain.max_birth = birth_era;
-        } else {
-            // A tag collision (eras ERA_BUCKETS apart) widens the chain's
-            // conservative interval instead of draining: always safe, and the
-            // stale cohabitants free as soon as no reservation reaches the
-            // merged tag.
-            chain.tag = chain.tag.max(retire_era);
-            chain.min_birth = chain.min_birth.min(birth_era);
-            chain.max_birth = chain.max_birth.max(birth_era);
-        }
-        chain.bag.push(&mut self.pool, node);
-        self.retires_since_scan += 1;
-        if self.retires_since_scan >= self.scheme.config.scan_threshold {
-            self.retires_since_scan = 0;
-            self.scan();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        ) {
-            // Budget breach: force a scan ahead of the count threshold (rung
-            // 1 — era scans are reservation-gated and safe mid-operation; the
-            // scan's own era advance plus the byte-mode pacer keep ticking,
-            // rung 2a). If a stalled reservation still pins us over budget,
-            // take one bounded backpressure yield (rung 3).
-            self.scheme.governor.count_forced_scan();
-            self.retires_since_scan = 0;
-            self.scan();
-            if self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            ) {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
-            }
-        }
+        // Era scans are reservation-gated and safe mid-operation, so a budget
+        // breach forces one; the scan's own era advance plus the byte-mode
+        // pacer keep ticking (HE's pressure lever).
+        self.core
+            .after_retire(limbo.bytes(), |core| limbo.scan(core, scheme));
     }
 
     fn flush(&mut self) {
         // Flush runs between operations: withdraw our own reservation so it
         // cannot block the scan below (mirror of EBR's defensive unpin).
-        self.record().deactivate();
-        self.active = false;
+        self.withdraw();
         // Adopt limbo leftovers of exited threads into the current era's
         // bucket, tagged with the current era — conservative for every adopted
         // node, whose true retire era can only be older. The era for the tag
-        // is read *after* taking the parked chain: `adopt_into`'s mutex
+        // is read *after* taking the parked chain: the adoption's mutex
         // acquire happens-after every parker's release, and coherence on the
         // monotone era counter then guarantees this load is at least every
         // retire era in the adopted chain. (Reading the era first would race:
@@ -646,19 +531,15 @@ impl SmrHandle for HeHandle {
         // scan's `lower <= tag` reach test could miss a reservation that
         // still covers them — a wholesale free under a live reader.)
         let mut adopted = SegBag::new();
-        self.scheme.parked.adopt_into(&mut adopted);
+        self.core.adopt_parked(&mut adopted);
         if !adopted.is_empty() {
-            // The adopted nodes leave the pacer's (and governor's) parked
-            // counters and re-enter this handle's own limbo reports (the scan
-            // below files the first one) — the hand-off conserves both
-            // scheme-wide estimates. Denominations match what was parked.
-            let pacer_debit = if self.scheme.pacer_in_bytes {
-                adopted.bytes()
-            } else {
-                adopted.len()
-            };
-            self.scheme.pacer.note_parked(-(pacer_debit as i64));
-            self.scheme.governor.note_parked(-(adopted.bytes() as i64));
+            // The adopted nodes leave the pacer's parked counter (the core
+            // moved the governor's) and re-enter this handle's own limbo
+            // reports (the scan below files the first one) — the hand-off
+            // conserves the scheme-wide estimate. Denominations match what
+            // was parked.
+            let debit = self.scheme.pacer_units(adopted.len(), adopted.bytes());
+            self.scheme.pacer.note_parked(-(debit as i64));
             let era = self.scheme.pacer.current();
             // Adopted nodes carry real per-node birth stamps: compute the true
             // birth bounds while splicing (an O(adopted) walk on a churn-only
@@ -671,45 +552,29 @@ impl SmrHandle for HeHandle {
             // walks. Genuinely unstamped nodes still carry NO_BIRTH_ERA per
             // node, which the minimum picks up naturally.
             let mut adopted_min = Era::MAX;
-            let mut adopted_max = reclaim_core::NO_BIRTH_ERA;
+            let mut adopted_max = NO_BIRTH_ERA;
             for node in adopted.iter() {
                 let birth = node.birth_era();
                 adopted_min = adopted_min.min(birth);
                 adopted_max = adopted_max.max(birth);
             }
-            let chain = &mut self.limbo[(era % ERA_BUCKETS as u64) as usize];
-            if chain.bag.is_empty() {
-                chain.tag = era;
-                chain.min_birth = adopted_min;
-                chain.max_birth = adopted_max;
-            } else {
-                chain.tag = chain.tag.max(era);
-                chain.min_birth = chain.min_birth.min(adopted_min);
-                chain.max_birth = chain.max_birth.max(adopted_max);
-            }
+            let chain = &mut self.limbo.chains[(era % ERA_BUCKETS as u64) as usize];
+            chain.cover(era, adopted_min, adopted_max);
             chain.bag.splice(&mut adopted);
         }
-        self.retires_since_scan = 0;
-        // The scan also resets `allocs_since_tick` next to its era advance,
-        // so a flush (and the drop path through it) never leaves a phantom
-        // partial tick behind.
-        self.scan();
+        self.limbo.scan(&mut self.core, &self.scheme);
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.limbo_size()
+        self.limbo.len()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.limbo_bytes()
+        self.limbo.bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
@@ -717,42 +582,25 @@ impl Drop for HeHandle {
     fn drop(&mut self) {
         self.flush();
         // Whatever is still pinned by other readers is parked on the scheme
-        // with O(1) splices and adopted by the next flushing handle (or
-        // released at scheme drop).
+        // with O(1) splices.
         let mut leftovers = SegBag::new();
-        for chain in &mut self.limbo {
+        for chain in &mut self.limbo.chains {
             leftovers.splice(&mut chain.bag);
         }
-        let parked = if self.scheme.pacer_in_bytes {
-            leftovers.bytes()
-        } else {
-            leftovers.len()
-        };
-        let parked_bytes = leftovers.bytes();
-        self.scheme.parked.park(&mut leftovers);
         // Move this handle's limbo contribution from its stripe to the
         // pacer's parked counter: retract the per-handle report (whoever
         // adopts the chain re-reports it as its own delta — leaving both
         // would double count across churn) but keep the parked nodes pressing
         // on the estimate, so the interval cannot decay to the idle floor
         // while real garbage sits in the parking lot waiting for a flush.
-        // The governor's parked counter takes over the byte accounting the
-        // same way, so a leaked handle's limbo never goes invisible.
+        // (The core does the same for the governor's bytes.)
+        let parked = self.scheme.pacer_units(leftovers.len(), leftovers.bytes());
         self.scheme
             .pacer
-            .note_handle_exit(self.stripe, &mut self.limbo_reported);
+            .note_handle_exit(self.limbo.pacer_stripe, &mut self.limbo.pacer_reported);
         self.scheme.pacer.note_parked(parked as i64);
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
+        self.core.park(&mut leftovers);
         self.scheme.registry.release(self.slot);
-        // Recycle the workspace to the next registrant: after the first wave of
-        // handles, registration allocates nothing.
-        self.scheme.handle_cache.park(HeParts {
-            pool: std::mem::take(&mut self.pool),
-            reservations: std::mem::take(&mut self.reservations),
-        });
     }
 }
 
@@ -964,21 +812,6 @@ mod tests {
             1,
             "the survivor adopts and frees the parked node"
         );
-    }
-
-    #[test]
-    fn handle_cache_recycles_pool_and_scratch_across_registrations() {
-        let scheme = He::new(small_config());
-        assert_eq!(scheme.cached_handle_parts(), 0);
-        {
-            let _a = scheme.register();
-        }
-        assert_eq!(scheme.cached_handle_parts(), 1);
-        {
-            let _b = scheme.register(); // adopts the parked parts
-            assert_eq!(scheme.cached_handle_parts(), 0);
-        }
-        assert_eq!(scheme.cached_handle_parts(), 1);
     }
 
     #[test]

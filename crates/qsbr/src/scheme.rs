@@ -4,62 +4,40 @@ use crate::epoch::{
     limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS,
 };
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, Registry, RetiredPtr, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, Telemetry, NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, Registry, SchemeCore,
+    SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Quiescent-state-based reclamation (the paper's **QSBR** baseline and the fast path
 /// of QSense).
+///
+/// Limbo bytes are **tracked only**. QSBR has no escalation ladder to climb:
+/// declaring a quiescent state mid-operation would be unsound, and no
+/// hazard-gated scan exists. Under a stalled reader the estimate exceeds any
+/// budget and the verdict records exactly that — QSBR's non-robustness is the
+/// measurement, not a bug.
 pub struct Qsbr {
-    config: SmrConfig,
+    core: Arc<SchemeCore>,
     global_epoch: GlobalEpoch,
     /// Cooperative epoch-confirmation state: quiescent states contribute bounded
     /// slices of the "has everyone adopted the epoch?" check instead of each
     /// sweeping the whole registry (see [`EpochCursor`]).
     cursor: EpochCursor,
     registry: Registry<EpochRecord>,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
-    /// Limbo leftovers of threads that deregistered before their nodes became
-    /// reclaimable: the next surviving handle to flush adopts the chain into its
-    /// current limbo bucket, so the nodes are freed after an ordinary grace
-    /// period instead of waiting for scheme drop (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Segment pools of exited threads, adopted by the next registrant so
-    /// handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<SegPool>,
-    /// Limbo-byte accounting — **tracking only**. QSBR has no escalation
-    /// ladder to climb: declaring a quiescent state mid-operation would be
-    /// unsound, and no hazard-gated scan exists. Under a stalled reader the
-    /// estimate exceeds any budget and the verdict records exactly that —
-    /// QSBR's non-robustness is the measurement, not a bug.
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, grace-drain duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl Qsbr {
     /// Creates a QSBR scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| EpochRecord::new());
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
+            core: SchemeCore::new("qsbr", config),
             global_epoch: GlobalEpoch::new(),
             cursor: EpochCursor::new(),
             registry,
-            scheme_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -70,7 +48,7 @@ impl Qsbr {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     /// The current global epoch (exposed for tests and diagnostics).
@@ -107,59 +85,40 @@ impl Smr for Qsbr {
     type Handle = QsbrHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<QsbrHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "qsbr",
-            capacity: e.capacity,
-        })?;
+        let (slot, core) = self
+            .core
+            .register(&self.registry, |_| (SegPool::new(), ()))?;
         // Adopt the current global epoch immediately: a freshly registered thread
         // holds no references, so adopting (rather than lagging at a stale value) is
         // always safe and avoids spuriously blocking epoch advancement.
         let epoch = self.global_epoch.load();
         self.registry.get_mine(slot).store(epoch);
         Ok(QsbrHandle {
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
             scheme: Arc::clone(self),
             slot,
+            core,
             limbo: std::array::from_fn(|_| SegBag::new()),
-            // Adopt a previous tenant's segment pool when available
-            // (thread-pool churn; see `HandleCache`).
-            pool: self.handle_cache.adopt().unwrap_or_default(),
             local_epoch: epoch,
             ops_since_quiescence: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "qsbr"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let mut snap = self.core.stats();
+        self.registry.merge_shard_counters(&mut snap);
         snap
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for Qsbr {
-    fn drop(&mut self) {
-        // All handles are gone, so nobody holds references to any parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        Some(self.core.telemetry())
     }
 }
 
@@ -167,22 +126,16 @@ impl Drop for Qsbr {
 pub struct QsbrHandle {
     scheme: Arc<Qsbr>,
     slot: SlotId,
-    /// One limbo list per logical epoch, as in the paper (§3.1).
+    core: HandleCore,
+    /// One limbo list per logical epoch, as in the paper (§3.1). All three
+    /// share the core's segment pool: a bucket freed on epoch adoption feeds
+    /// the segments the next bucket grows into, so the retire path stays
+    /// allocation-free even when one bucket grows past another's high-water
+    /// mark.
     limbo: [SegBag; EPOCH_BUCKETS],
-    /// Recycled segments shared by all three limbo buckets: a bucket freed on
-    /// epoch adoption feeds the segments the next bucket grows into, so the
-    /// retire path stays allocation-free even when one bucket grows past
-    /// another's high-water mark.
-    pool: SegPool,
     /// Cached copy of this thread's published epoch.
     local_epoch: u64,
     ops_since_quiescence: usize,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl QsbrHandle {
@@ -195,7 +148,7 @@ impl QsbrHandle {
     /// * otherwise, if every registered thread has adopted the global epoch, advance
     ///   it.
     pub fn quiesce(&mut self) {
-        self.stats().add_quiescent_state();
+        self.core.stats().add_quiescent_state();
         let global = self.scheme.global_epoch.load();
         if self.local_epoch != global {
             self.adopt(global);
@@ -204,56 +157,27 @@ impl QsbrHandle {
         }
     }
 
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
-    }
-
     fn adopt(&mut self, global: u64) {
         self.scheme.registry.get_mine(self.slot).store(global);
         self.local_epoch = global;
-        let bucket = limbo_index(global);
-        if self.limbo[bucket].is_empty() {
-            // Nothing matured in this bucket: the grace drain passes it over.
-            self.stats().add_scan_skip();
-        } else {
-            // Grace-period drains free the whole bucket without per-node tests.
-            self.stats().add_scan_wholesale();
-        }
-        let bytes_before = self.limbo[bucket].bytes();
-        // Clone the Arc so the observer's borrow is independent of `self` (the
-        // drain below needs `&mut self.limbo` and `&mut self.pool`). An empty
-        // bucket frees nothing — skip the observer's clock reads for it.
-        let tele = Arc::clone(&self.scheme.telemetry);
-        let observer = if self.limbo[bucket].is_empty() {
-            None
-        } else {
-            tele.scan_observer(self.tele.stripe())
-        };
-        // SAFETY: (Lemma 3 of the paper) every node in this bucket was retired three
-        // local-epoch transitions ago; the global epoch has advanced at least twice
-        // since, and each advance requires every registered thread to have passed
-        // through a quiescent state, i.e. a grace period has elapsed. No thread can
-        // therefore still hold a hazardous reference to these nodes.
-        let freed = unsafe {
-            match observer {
-                Some(obs) => {
-                    let freed = self.limbo[bucket].reclaim_if(&mut self.pool, |node| {
-                        obs.note_free(node);
-                        true
-                    });
-                    obs.finish();
-                    freed
-                }
-                None => self.limbo[bucket].reclaim_all(&mut self.pool),
+        let limbo = &mut self.limbo;
+        self.core.scan(|reclaim, _| {
+            let bucket = &mut limbo[limbo_index(global)];
+            if bucket.is_empty() {
+                // Nothing matured in this bucket: the grace drain passes it over.
+                reclaim.stats().add_scan_skip();
+            } else {
+                // Grace-period drains free the whole bucket without per-node tests.
+                reclaim.stats().add_scan_wholesale();
             }
-        };
-        self.stats().add_freed(freed as u64);
-        self.stats().add_freed_bytes(bytes_before as u64);
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        );
+            // SAFETY: (Lemma 3 of the paper) every node in this bucket was retired three
+            // local-epoch transitions ago; the global epoch has advanced at least twice
+            // since, and each advance requires every registered thread to have passed
+            // through a quiescent state, i.e. a grace period has elapsed. No thread can
+            // therefore still hold a hazardous reference to these nodes.
+            unsafe { reclaim.free_all(bucket) };
+            limbo.iter().map(SegBag::bytes).sum()
+        });
     }
 
     /// Total number of retired-but-unreclaimed nodes across the three limbo lists.
@@ -272,7 +196,7 @@ impl SmrHandle for QsbrHandle {
         // The paper batches quiescent states: only every Q-th operation boundary
         // actually declares one (§3.1, "quiescence threshold").
         self.ops_since_quiescence += 1;
-        if self.ops_since_quiescence >= self.scheme.config.quiescence_threshold {
+        if self.ops_since_quiescence >= self.core.config().quiescence_threshold {
             self.ops_since_quiescence = 0;
             self.quiesce();
         }
@@ -286,52 +210,25 @@ impl SmrHandle for QsbrHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        let bucket = limbo_index(self.local_epoch);
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.limbo[bucket].push(&mut self.pool, node);
-        // Track bytes so the estimate (and the over-budget stopwatch) stays
-        // honest, but never escalate: a quiescent state cannot be declared
-        // mid-operation, so the only lever QSBR has is waiting — which is
-        // precisely the non-robustness the verdict exists to record.
-        self.scheme.governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        );
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+        let bucket = &mut self.limbo[limbo_index(self.local_epoch)];
+        // SAFETY: forwarded from the caller's contract. Grace periods read no stamp.
+        unsafe {
+            self.core
+                .retire(bucket, ptr, drop_fn, 0, birth_era, size_bytes)
+        };
+        // Never escalates: a quiescent state cannot be declared mid-operation,
+        // so the only lever QSBR has is waiting — which is precisely the
+        // non-robustness the verdict exists to record.
+        self.core.track(self.limbo_bytes());
     }
 
     fn flush(&mut self) {
         // Adopt limbo leftovers of exited threads into the current bucket: they
         // were retired (unlinked) before the adoption, so freeing them after this
-        // bucket's next full grace period is safe. O(1) splice, no allocation.
-        // The adopted bytes move from the governor's parked counter to this
-        // handle's stripe (the post-quiesce report picks them up).
-        let bucket = limbo_index(self.local_epoch);
-        let before = self.limbo[bucket].bytes();
-        self.scheme.parked.adopt_into(&mut self.limbo[bucket]);
-        let adopted = self.limbo[bucket].bytes() - before;
-        self.scheme.governor.note_parked(-(adopted as i64));
+        // bucket's next full grace period is safe.
+        self.core
+            .adopt_parked(&mut self.limbo[limbo_index(self.local_epoch)]);
         // Cycle through enough quiescent states to let the epoch advance and every
         // limbo bucket be visited, assuming no other thread is blocking advancement.
         // (If one is, this frees whatever a partial cycle allows — same as QSBR's
@@ -339,11 +236,6 @@ impl SmrHandle for QsbrHandle {
         for _ in 0..2 * EPOCH_BUCKETS {
             self.quiesce();
         }
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        );
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -354,38 +246,22 @@ impl SmrHandle for QsbrHandle {
         self.limbo_bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
 impl Drop for QsbrHandle {
     fn drop(&mut self) {
         // Try to reclaim what a final set of quiescent states allows, then park the
-        // rest on the scheme with O(1) splices (adopted by the next flushing handle
-        // or freed at scheme drop, when no thread can touch them).
+        // rest on the scheme with O(1) splices.
         self.flush();
         let mut leftovers = SegBag::new();
         for bag in &mut self.limbo {
             leftovers.splice(bag);
         }
-        // The governor's parked counter takes over the byte accounting so a
-        // leaked handle's limbo never goes invisible.
-        let parked_bytes = leftovers.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut leftovers);
+        self.core.park(&mut leftovers);
         self.scheme.registry.release(self.slot);
-        // Recycle the segment pool to the next registrant.
-        self.scheme
-            .handle_cache
-            .park(std::mem::take(&mut self.pool));
     }
 }
 

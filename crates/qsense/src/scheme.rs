@@ -4,15 +4,14 @@ use crate::path::{FallbackFlag, Path, PresenceFlag};
 use cadence::Rooster;
 use qsbr::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    membarrier, BudgetGovernor, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCache,
-    HandleTelemetry, ParkedChain, PtrScratch, Registry, RetiredPtr, ScanParts, SegBag, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    membarrier, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCore, HandleTelemetry,
+    HpSlots, PtrScratch, Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
+    SmrHandle, Telemetry,
 };
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Per-thread shared record: everything other threads may inspect.
 ///
@@ -22,7 +21,7 @@ use std::time::Instant;
 /// and the epoch record is maintained even on the fallback path so that switching
 /// back to QSBR is immediate.
 pub(crate) struct QsenseRecord {
-    hps: Box<[AtomicPtr<u8>]>,
+    hps: HpSlots,
     epoch: EpochRecord,
     presence: PresenceFlag,
     /// Timestamp (scheme clock) of the owner's last sign of activity; drives the
@@ -46,9 +45,7 @@ pub(crate) struct QsenseRecord {
 impl QsenseRecord {
     fn new(k: usize) -> Self {
         Self {
-            hps: (0..k)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            hps: HpSlots::new(k),
             epoch: EpochRecord::new(),
             presence: PresenceFlag::new(),
             last_active: AtomicU64::new(0),
@@ -89,33 +86,17 @@ impl QsenseRecord {
     fn is_evicted(&self, gen: u64) -> bool {
         self.evicted.load(Ordering::Acquire) == gen
     }
-
-    /// Fence-free hazard-pointer publication, exactly as in Cadence.
-    #[inline]
-    fn set_hp(&self, index: usize, ptr: *mut u8) {
-        self.hps[index].store(ptr, Ordering::Release);
-        membarrier::light_barrier();
-    }
-
-    fn clear_hps(&self) {
-        for slot in self.hps.iter() {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
-    }
-
-    fn collect_hps_into(&self, out: &mut Vec<*mut u8>) {
-        for slot in self.hps.iter() {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                out.push(p);
-            }
-        }
-    }
 }
 
 /// The QSense hybrid reclamation scheme (the paper's primary contribution).
+///
+/// QSense owns the strongest limbo-budget lever of any scheme here: when limbo
+/// bytes cross the budget on the fast path, the hybrid's own fallback switch
+/// is tripped early — QSBR-style grace periods are exactly what a stalled
+/// thread stalls, and the Cadence scan the fallback path runs needs no
+/// cooperation.
 pub struct QSense {
-    config: SmrConfig,
+    core: Arc<SchemeCore<PtrScratch>>,
     registry: Registry<QsenseRecord>,
     global_epoch: GlobalEpoch,
     /// Cooperative epoch-confirmation state (see [`EpochCursor`]): quiescent states
@@ -130,23 +111,7 @@ pub struct QSense {
     /// free through the always-safe Cadence check.
     evicted_threads: CachePadded<AtomicU64>,
     fallback: FallbackFlag,
-    /// Counter stripe for events with no owning slot (parked-bag frees at drop).
-    scheme_stats: CachePadded<StatStripe>,
     rooster: Mutex<Rooster>,
-    /// Limbo leftovers of exited threads: the next surviving handle to flush
-    /// adopts the chain into its current limbo bucket (see [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + scratch buffers of exited threads, adopted by the next
-    /// registrant so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<ScanParts>,
-    /// Byte-denominated limbo budget. QSense owns the strongest escalation
-    /// lever of any scheme here: when limbo bytes cross the budget on the fast
-    /// path, the governor trips the hybrid's own fallback switch early —
-    /// QSBR-style grace periods are exactly what a stalled thread stalls, and
-    /// the Cadence scan the fallback path runs needs no cooperation.
-    governor: BudgetGovernor,
-    /// Telemetry histograms (op latency, scan duration, retire→free delay).
-    telemetry: Arc<Telemetry>,
 }
 
 impl QSense {
@@ -160,22 +125,14 @@ impl QSense {
             config.rooster_interval,
             config.use_membarrier,
         );
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
+            core: SchemeCore::new("qsense", config),
             registry,
             global_epoch: GlobalEpoch::new(),
             cursor: EpochCursor::new(),
             evicted_threads: CachePadded::new(AtomicU64::new(0)),
             fallback: FallbackFlag::new(),
-            scheme_stats: CachePadded::new(StatStripe::new()),
             rooster: Mutex::new(rooster),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -186,7 +143,7 @@ impl QSense {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     /// Which path the scheme is currently on.
@@ -212,7 +169,7 @@ impl QSense {
     /// so steady-state scans never allocate.
     fn protected_snapshot_into(&self, out: &mut Vec<*mut u8>) {
         self.registry
-            .collect_protected(out, QsenseRecord::collect_hps_into);
+            .collect_protected(out, |record, out| record.hps.collect_into(out));
     }
 
     /// Contributes a bounded slice of the "has every registered, non-evicted
@@ -287,7 +244,7 @@ impl QSense {
     /// Marks activity on `record`, balancing the eviction counter if a standing
     /// eviction was lifted.
     fn note_activity(&self, record: &QsenseRecord) {
-        if record.mark_active(self.config.clock.now()) {
+        if record.mark_active(self.config().clock.now()) {
             self.evicted_threads.fetch_sub(1, Ordering::Release);
         }
     }
@@ -301,10 +258,10 @@ impl QSense {
     /// consults for as long as any thread is evicted — it only affects which threads
     /// the progress decisions wait for. Returns the number of threads newly evicted.
     fn evict_unresponsive(&self) -> usize {
-        let Some(timeout) = self.config.eviction_timeout_nanos() else {
+        let Some(timeout) = self.config().eviction_timeout_nanos() else {
             return 0;
         };
-        let now = self.config.clock.now();
+        let now = self.config().clock.now();
         let mut evicted = 0;
         for (i, record) in self.registry.iter_all() {
             // Snapshot the slot's generation *before* the staleness check: the
@@ -381,52 +338,15 @@ impl QSense {
     }
 
     /// A Cadence-style scan over one limbo bag: free nodes that are old enough and
-    /// unprotected; keep the rest. Counters go to `stats` (the calling handle's
-    /// stripe).
-    fn cadence_scan(
-        &self,
-        bag: &mut SegBag,
-        pool: &mut SegPool,
-        protected: &[*mut u8],
-        stats: &StatStripe,
-        tele_stripe: usize,
-    ) -> usize {
-        // Fallback scans walk the aged prefix node by node.
-        stats.add_scan_walk();
-        let now = self.config.clock.now();
-        let min_age = self.config.min_reclaim_age_nanos();
-        let observer = self.telemetry.scan_observer(tele_stripe);
+    /// unprotected; keep the rest.
+    fn cadence_scan(&self, reclaim: &mut Reclaim<'_>, bag: &mut SegBag, protected: &[*mut u8]) {
+        let config = self.config();
+        let age_gate = (config.clock.now(), config.min_reclaim_age_nanos());
         // SAFETY: identical to Cadence's scan (paper Property 1) — QSense maintains
         // hazard pointers at all times, so Condition 1 holds for nodes retired on
         // either path; old-enough + unprotected therefore implies unreachable.
-        //
-        // As in Cadence, the walk stops at the first too-young node: limbo bags
-        // are pushed in retirement order, so the scan touches only the aged
-        // prefix (adopted parked chains behind younger nodes are merely
-        // delayed, never endangered).
-        let bytes_before = bag.bytes();
-        // SAFETY: the bag owns these retired nodes; a node is freed only when aged past `min_age` and absent from the hazard snapshot.
-        let freed = unsafe {
-            bag.reclaim_if_while(
-                pool,
-                |node| node.is_old_enough(now, min_age),
-                |node| {
-                    let free = protected.binary_search(&node.addr()).is_err();
-                    if free {
-                        if let Some(obs) = observer.as_ref() {
-                            obs.note_free(node);
-                        }
-                    }
-                    free
-                },
-            )
-        };
-        stats.add_freed(freed as u64);
-        stats.add_freed_bytes((bytes_before - bag.bytes()) as u64);
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        freed
+        // `protected` is a fresh snapshot and the gate is T + ε.
+        unsafe { reclaim.free_unprotected(bag, protected, Some(age_gate)) };
     }
 }
 
@@ -434,54 +354,40 @@ impl Smr for QSense {
     type Handle = QSenseHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<QSenseHandle, CapacityExhausted> {
-        let slot = self.registry.try_acquire().map_err(|e| CapacityExhausted {
-            scheme: "qsense",
-            capacity: e.capacity,
+        let (slot, core) = self.core.register(&self.registry, |config| {
+            (SegPool::new(), HpSlots::snapshot_scratch(config))
         })?;
         let epoch = self.global_epoch.load();
         let record = self.registry.get_mine(slot);
         record.epoch.store(epoch);
         self.note_activity(record);
-        // Adopt a previous tenant's pool + scratch when available (thread-pool
-        // churn; see `HandleCache`).
-        let parts = self.handle_cache.adopt().unwrap_or_else(|| ScanParts {
-            pool: SegPool::new(),
-            scratch: PtrScratch::with_capacity(self.config.max_threads * self.config.hp_per_thread),
-        });
         Ok(QSenseHandle {
-            tele: HandleTelemetry::attach(&self.telemetry),
             scheme: Arc::clone(self),
-            budget_stripe: BudgetGovernor::stripe_for(slot.shard()),
             slot,
+            core,
             limbo: std::array::from_fn(|_| SegBag::new()),
-            pool: parts.pool,
-            scratch: parts.scratch,
             local_epoch: epoch,
             ops_since_quiescence: 0,
-            retires_since_scan: 0,
-            budget_reported: 0,
             prev_seen_path: Path::Fast,
         })
     }
 
     fn name(&self) -> &'static str {
-        "qsense"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.registry.merge_stats(&mut snap);
-        self.scheme_stats.merge_into(&mut snap);
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let mut snap = self.core.stats();
+        self.registry.merge_shard_counters(&mut snap);
         snap
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
+        Some(self.core.telemetry())
     }
 }
 
@@ -491,51 +397,34 @@ impl Drop for QSense {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .shutdown();
-        // No handles remain, so nothing can reference a parked node.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.scheme_stats.add_freed(freed as u64);
-        self.scheme_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
     }
+}
+
+fn limbo_bytes(limbo: &[SegBag; EPOCH_BUCKETS]) -> usize {
+    limbo.iter().map(SegBag::bytes).sum()
 }
 
 /// Per-thread handle for [`QSense`].
 pub struct QSenseHandle {
     scheme: Arc<QSense>,
     slot: SlotId,
+    /// Its retire counter is `free_node_later_call_count` in Algorithm 5.
+    core: HandleCore<PtrScratch>,
     /// One limbo list per logical epoch (fast path); scanned as a whole by the
     /// fallback path ("QSBR's limbo_list becomes the removed_nodes_list scanned by
-    /// Cadence", paper §5.2).
+    /// Cadence", paper §5.2). All three share the core's segment pool, so a
+    /// bucket growing past another's high-water mark still never allocates.
     limbo: [SegBag; EPOCH_BUCKETS],
-    /// Recycled segments shared by all three limbo buckets, so a bucket growing
-    /// past another's high-water mark still never allocates.
-    pool: SegPool,
-    /// Reusable buffer for hazard-pointer snapshots, sized for the worst case
-    /// (`N·K` pointers) at registration so scans are allocation-free.
-    scratch: PtrScratch,
     local_epoch: u64,
     /// `call_count` in Algorithm 5.
     ops_since_quiescence: usize,
-    /// `free_node_later_call_count` in Algorithm 5.
-    retires_since_scan: usize,
-    /// Governor stripe this handle debits/credits (slot-derived, stable).
-    budget_stripe: usize,
-    /// Limbo-byte figure last reported to the governor (delta cursor).
-    budget_reported: usize,
     /// `prev_seen_fallback_flag` in Algorithm 5.
     prev_seen_path: Path,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
 }
 
 impl QSenseHandle {
     fn record(&self) -> &QsenseRecord {
         self.scheme.registry.get_mine(self.slot)
-    }
-
-    fn stats(&self) -> &StatStripe {
-        self.scheme.registry.stats(self.slot)
     }
 
     /// Total retired-but-unreclaimed nodes across the three limbo lists.
@@ -545,7 +434,7 @@ impl QSenseHandle {
 
     /// Total retired-but-unreclaimed bytes across the three limbo lists.
     pub fn limbo_bytes(&self) -> usize {
-        self.limbo.iter().map(SegBag::bytes).sum()
+        limbo_bytes(&self.limbo)
     }
 
     /// The path this handle last observed (for tests and diagnostics).
@@ -556,89 +445,57 @@ impl QSenseHandle {
     /// QSBR-style quiescent state (fast path): adopt the global epoch — freeing the
     /// limbo bucket the new epoch maps to — or help advance it.
     fn quiescent_state(&mut self) {
-        self.stats().add_quiescent_state();
+        self.core.stats().add_quiescent_state();
         let global = self.scheme.global_epoch.load();
-        if self.local_epoch != global {
-            self.record().epoch.store(global);
-            self.local_epoch = global;
-            let bucket = limbo_index(global);
-            if self.scheme.any_evicted() {
+        if self.local_epoch == global {
+            self.scheme.poll_epoch_confirmation(global);
+            return;
+        }
+        self.record().epoch.store(global);
+        self.local_epoch = global;
+        let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
+        self.core.scan(|reclaim, scratch| {
+            let bucket = &mut limbo[limbo_index(global)];
+            if scheme.any_evicted() {
                 // Eviction extension: grace periods no longer cover evicted threads,
                 // so while any thread is evicted the bucket is freed through the
                 // Cadence condition instead (old enough + not hazard-pointer
                 // protected), which covers evicted and non-evicted threads alike.
-                self.scheme.protected_snapshot_into(&mut self.scratch);
-                let stats = self.scheme.registry.stats(self.slot);
-                self.scheme.cadence_scan(
-                    &mut self.limbo[bucket],
-                    &mut self.pool,
-                    &self.scratch,
-                    stats,
-                    self.tele.stripe(),
-                );
+                scheme.protected_snapshot_into(scratch);
+                scheme.cadence_scan(reclaim, bucket, scratch);
             } else {
-                let observer = if self.limbo[bucket].is_empty() {
-                    // Nothing matured in this bucket: the grace drain passes it
-                    // over, and an empty drain needs no observer clock reads.
-                    self.stats().add_scan_skip();
-                    None
+                if bucket.is_empty() {
+                    // Nothing matured in this bucket: the grace drain passes it over.
+                    reclaim.stats().add_scan_skip();
                 } else {
                     // Grace-period drains free the whole bucket, no per-node tests.
-                    self.stats().add_scan_wholesale();
-                    self.scheme.telemetry.scan_observer(self.tele.stripe())
-                };
+                    reclaim.stats().add_scan_wholesale();
+                }
                 // SAFETY: Lemma 3 / Property 5 of the paper — a full grace period has
                 // elapsed since the nodes in this bucket were retired (counting every
                 // registered thread, since none is evicted), so no thread holds a
                 // hazardous reference to them. Identical argument to the `qsbr` crate.
-                let bytes_before = self.limbo[bucket].bytes();
-                // SAFETY: grace period elapsed — see the Lemma 3 argument above.
-                let freed = unsafe {
-                    match observer.as_ref() {
-                        Some(obs) => self.limbo[bucket].reclaim_if(&mut self.pool, |node| {
-                            obs.note_free(node);
-                            true
-                        }),
-                        None => self.limbo[bucket].reclaim_all(&mut self.pool),
-                    }
-                };
-                if let Some(obs) = observer {
-                    obs.finish();
-                }
-                self.stats().add_freed(freed as u64);
-                self.stats().add_freed_bytes(bytes_before as u64);
+                unsafe { reclaim.free_all(bucket) };
             }
-            self.scheme.governor.report(
-                self.budget_stripe,
-                self.limbo_bytes(),
-                &mut self.budget_reported,
-            );
-        } else {
-            self.scheme.poll_epoch_confirmation(global);
-        }
+            limbo_bytes(limbo)
+        });
     }
 
     /// Cadence-style scan over all three limbo lists (fallback path; paper Algorithm
-    /// 5 lines 45–47 scan every epoch's list). Returns `true` when limbo bytes
-    /// remain over the configured budget even after the scan.
-    fn cadence_scan_all(&mut self) -> bool {
-        self.stats().add_scan();
-        self.scheme.protected_snapshot_into(&mut self.scratch);
-        let stats = self.scheme.registry.stats(self.slot);
-        for bag in &mut self.limbo {
-            self.scheme.cadence_scan(
-                bag,
-                &mut self.pool,
-                &self.scratch,
-                stats,
-                self.tele.stripe(),
-            );
-        }
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        )
+    /// 5 lines 45–47 scan every epoch's list). Returns the bytes still in limbo.
+    fn cadence_scan_all(
+        core: &mut HandleCore<PtrScratch>,
+        scheme: &QSense,
+        limbo: &mut [SegBag; EPOCH_BUCKETS],
+    ) -> usize {
+        core.stats().add_scan();
+        core.scan(|reclaim, scratch| {
+            scheme.protected_snapshot_into(scratch);
+            for bag in limbo.iter_mut() {
+                scheme.cadence_scan(reclaim, bag, scratch);
+            }
+            limbo_bytes(limbo)
+        })
     }
 
     /// The body of `manage_qsense_state` once the batching threshold fires
@@ -662,7 +519,7 @@ impl QSenseHandle {
                 // Try to switch back to the fast path if everyone (still counted) is
                 // active again.
                 if self.scheme.all_processes_active() && self.scheme.fallback.trigger_fast_path() {
-                    self.stats().add_fast_path_switch();
+                    self.core.stats().add_fast_path_switch();
                     // Start a fresh observation window for the next fallback episode.
                     self.scheme.reset_presence();
                     self.prev_seen_path = Path::Fast;
@@ -680,7 +537,7 @@ impl SmrHandle for QSenseHandle {
         // `manage_qsense_state`: batch the real work, once every Q calls
         // (Algorithm 5, lines 13–17).
         self.ops_since_quiescence += 1;
-        if self.ops_since_quiescence >= self.scheme.config.quiescence_threshold {
+        if self.ops_since_quiescence >= self.core.config().quiescence_threshold {
             self.ops_since_quiescence = 0;
             self.manage_state();
         }
@@ -690,118 +547,84 @@ impl SmrHandle for QSenseHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        assert!(
-            index < self.scheme.config.hp_per_thread,
-            "hazard-pointer index {index} out of range (K = {})",
-            self.scheme.config.hp_per_thread
-        );
         // Hazard pointers are maintained on *both* paths, without fences (paper §4.1:
         // protections from the fast path must already be in place when the system
         // switches to the fallback path; §5.1: no fence is needed because rooster
-        // wake-ups + deferred reclamation bound visibility).
-        self.record().set_hp(index, ptr);
+        // wake-ups + deferred reclamation bound visibility) — exactly as in Cadence.
+        self.record().hps.set(index, ptr);
+        membarrier::light_barrier();
     }
 
     fn clear_protections(&mut self) {
-        self.record().clear_hps();
+        self.record().hps.clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+        // `free_node_later` (Algorithm 5, lines 36–61). Timestamps are recorded
+        // regardless of the current path (§5.2).
+        let now = self.core.config().clock.now();
+        let bucket = &mut self.limbo[limbo_index(self.local_epoch)];
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        // `free_node_later` (Algorithm 5, lines 36–61).
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        let bucket = limbo_index(self.local_epoch);
-        // Timestamps are recorded regardless of the current path (§5.2).
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.limbo[bucket].push(&mut self.pool, node);
-        self.retires_since_scan += 1;
+        unsafe {
+            self.core
+                .retire(bucket, ptr, drop_fn, now, birth_era, size_bytes)
+        };
 
         let seen = self.scheme.fallback.load();
-        if seen == Path::Fallback && self.retires_since_scan >= self.scheme.config.scan_threshold {
+        if seen == Path::Fallback && self.core.scan_due() {
             // Running in fallback mode: all three limbo lists are scanned.
-            self.retires_since_scan = 0;
-            self.cadence_scan_all();
+            Self::cadence_scan_all(&mut self.core, &self.scheme, &mut self.limbo);
             self.prev_seen_path = Path::Fallback;
         } else if self.prev_seen_path == Path::Fallback && seen == Path::Fast {
             // Switch back to the fast path was triggered by another thread.
             self.quiescent_state();
             self.prev_seen_path = Path::Fast;
         } else if self.prev_seen_path == Path::Fast
-            && self.limbo_size() >= self.scheme.config.fallback_threshold
+            && self.limbo_size() >= self.core.config().fallback_threshold
         {
             // This thread's limbo list has grown past C: quiescence has not been
             // possible for a while, so trigger the switch to the fallback path.
             if self.scheme.fallback.trigger_fallback() {
-                self.stats().add_fallback_switch();
+                self.core.stats().add_fallback_switch();
                 self.scheme.reset_presence();
             }
             self.prev_seen_path = Path::Fallback;
-            self.cadence_scan_all();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes(),
-            &mut self.budget_reported,
-        ) {
+            Self::cadence_scan_all(&mut self.core, &self.scheme, &mut self.limbo);
+        } else {
             // Over the byte budget before the node-count fallback threshold C
             // fired — typically large payloads behind a stalled grace period.
             // QSense's escalation lever *is* its hybrid switch: trip the
             // fallback path early (the Cadence condition needs no cooperation
-            // from a stalled thread), then scan all three lists right now.
-            if seen == Path::Fast && self.scheme.fallback.trigger_fallback() {
-                self.stats().add_fallback_switch();
-                self.scheme.governor.count_fallback_trip();
-                self.scheme.reset_presence();
-            }
-            self.prev_seen_path = Path::Fallback;
-            self.scheme.governor.count_forced_scan();
-            self.retires_since_scan = 0;
-            if self.cadence_scan_all() {
-                // Still over: the T + ε age gate (or live protections) keep the
-                // bytes pinned. Shed a little retire-side speed so limbo stops
-                // compounding while the clock catches up.
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
-            }
+            // from a stalled thread), then scan all three lists right now. If
+            // the T + ε age gate (or live protections) keep the bytes pinned,
+            // the core sheds a little retire-side speed so limbo stops
+            // compounding while the clock catches up.
+            let (scheme, limbo, prev) = (&*self.scheme, &mut self.limbo, &mut self.prev_seen_path);
+            self.core.enforce_budget(limbo_bytes(limbo), |core| {
+                if seen == Path::Fast && scheme.fallback.trigger_fallback() {
+                    core.stats().add_fallback_switch();
+                    scheme.core.governor().count_fallback_trip();
+                    scheme.reset_presence();
+                }
+                *prev = Path::Fallback;
+                Self::cadence_scan_all(core, scheme, limbo)
+            });
         }
     }
 
     fn flush(&mut self) {
         // Adopt limbo leftovers of exited threads into the current bucket: they
         // were unlinked before the adoption, so both the grace-period argument and
-        // the Cadence age check cover them from here on. O(1) splice. The bytes
-        // move from the governor's parked pool onto this handle's reported
-        // figure, so credit the pool by exactly the adopted amount.
-        let bucket = limbo_index(self.local_epoch);
-        let bytes_before = self.limbo[bucket].bytes();
-        self.scheme.parked.adopt_into(&mut self.limbo[bucket]);
-        let adopted = self.limbo[bucket].bytes() - bytes_before;
-        self.scheme.governor.note_parked(-(adopted as i64));
+        // the Cadence age check cover them from here on.
+        self.core
+            .adopt_parked(&mut self.limbo[limbo_index(self.local_epoch)]);
         // Give both paths a chance: cycle quiescent states (frees whole buckets if
         // the epoch can advance) and run one Cadence scan (frees aged, unprotected
         // nodes even if it cannot).
         for _ in 0..2 * EPOCH_BUCKETS {
             self.quiescent_state();
         }
-        self.retires_since_scan = 0;
-        self.cadence_scan_all();
+        Self::cadence_scan_all(&mut self.core, &self.scheme, &mut self.limbo);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -812,32 +635,20 @@ impl SmrHandle for QSenseHandle {
         self.limbo_bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
 impl Drop for QSenseHandle {
     fn drop(&mut self) {
-        self.record().clear_hps();
+        self.record().hps.clear_all();
         self.flush();
         let mut leftovers = SegBag::new();
         for bag in &mut self.limbo {
             leftovers.splice(bag);
         }
-        // Retire this handle's delta cursor, then move the surviving bytes into
-        // the governor's parked pool so they stay visible to the budget until a
-        // surviving handle adopts (and re-reports) them.
-        let parked_bytes = leftovers.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        self.scheme.parked.park(&mut leftovers);
+        self.core.park(&mut leftovers);
         // Refresh activity and lift any standing eviction *while still the slot
         // owner* — the record must never be touched after `release`, because a
         // successor thread may already own it (clearing a successor's eviction
@@ -863,11 +674,6 @@ impl Drop for QSenseHandle {
         // rebalances flag and counter in one pass, whether the slot is still
         // vacant or already re-claimed) or the slot's next registration.
         self.scheme.registry.release(self.slot);
-        // Recycle the workspace to the next registrant (see `HandleCache`).
-        self.scheme.handle_cache.park(ScanParts {
-            pool: std::mem::take(&mut self.pool),
-            scratch: std::mem::take(&mut self.scratch),
-        });
     }
 }
 
@@ -878,14 +684,14 @@ mod tests {
     #[test]
     fn record_maintains_hps_epoch_and_presence() {
         let record = QsenseRecord::new(2);
-        record.set_hp(0, 0x10 as *mut u8);
-        record.set_hp(1, 0x20 as *mut u8);
+        record.hps.set(0, 0x10 as *mut u8);
+        record.hps.set(1, 0x20 as *mut u8);
         let mut out = Vec::new();
-        record.collect_hps_into(&mut out);
+        record.hps.collect_into(&mut out);
         assert_eq!(out.len(), 2);
-        record.clear_hps();
+        record.hps.clear_all();
         out.clear();
-        record.collect_hps_into(&mut out);
+        record.hps.collect_into(&mut out);
         assert!(out.is_empty());
         record.epoch.store(3);
         assert_eq!(record.epoch.load(), 3);

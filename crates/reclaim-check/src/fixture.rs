@@ -196,7 +196,7 @@ impl<S: Smr> RelinkFixture<S> {
         // resurrected bug a concurrent insert may still re-link it — which is
         // exactly the violation the oracle is here to convict.
         unsafe {
-            handle.retire_sized(
+            handle.retire(
                 target.cast(),
                 drop_fn_for::<FixNode>(),
                 NO_BIRTH_ERA,

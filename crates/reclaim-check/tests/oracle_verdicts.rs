@@ -70,7 +70,7 @@ fn seeded_uaf_scenario() -> Scenario {
             // exactly once — the *seeded* violation is the checkpoint below,
             // not the retire.
             unsafe {
-                handle.retire_sized(
+                handle.retire(
                     node.cast(),
                     drop_fn_for::<u64>(),
                     NO_BIRTH_ERA,

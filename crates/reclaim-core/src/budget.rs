@@ -126,7 +126,7 @@ pub struct BudgetGovernor {
 impl BudgetGovernor {
     /// Creates a governor. `budget` of `None` disables enforcement but keeps
     /// byte tracking (estimate + peak) alive at the idle grain.
-    pub fn new(budget: Option<usize>, clock: Clock) -> Self {
+    pub(crate) fn new(budget: Option<usize>, clock: Clock) -> Self {
         let budget = budget.unwrap_or(0) as u64;
         let grain = if budget > 0 {
             ((budget / 64) as usize).clamp(256, 64 * 1024)
@@ -168,7 +168,7 @@ impl BudgetGovernor {
     /// the governor stripe its handle reports into. Registry-backed schemes
     /// pass [`SlotId::shard`](crate::registry::SlotId::shard) so co-sharded
     /// handles share one accounting line.
-    pub fn stripe_for(shard_index: usize) -> usize {
+    pub(crate) fn stripe_for(shard_index: usize) -> usize {
         shard_index % BUDGET_STRIPES
     }
 
@@ -194,7 +194,7 @@ impl BudgetGovernor {
     /// a compare; otherwise it reports and returns whether the scheme is over
     /// budget. The bool is the ladder's trigger: `true` means "escalate now".
     #[inline]
-    pub fn observe(&self, stripe: usize, bytes_now: usize, reported: &mut usize) -> bool {
+    pub(crate) fn observe(&self, stripe: usize, bytes_now: usize, reported: &mut usize) -> bool {
         if bytes_now.abs_diff(*reported) < self.grain {
             return false;
         }
@@ -205,7 +205,7 @@ impl BudgetGovernor {
     /// stripe (scan/flush boundaries, and `observe` past the grain). Updates
     /// the peak and the over-budget clock; returns `true` iff a budget is set
     /// and the refreshed estimate exceeds it.
-    pub fn report(&self, stripe: usize, bytes_now: usize, reported: &mut usize) -> bool {
+    pub(crate) fn report(&self, stripe: usize, bytes_now: usize, reported: &mut usize) -> bool {
         let delta = bytes_now as i64 - *reported as i64;
         if delta != 0 {
             self.stripes[stripe % BUDGET_STRIPES].fetch_add(delta, Ordering::Relaxed);
@@ -216,7 +216,7 @@ impl BudgetGovernor {
 
     /// Recomputes the estimate, folds it into the peak and the over-budget
     /// stopwatch, and returns whether the scheme is currently over budget.
-    pub fn refresh(&self) -> bool {
+    pub(crate) fn refresh(&self) -> bool {
         let estimate = self.estimate();
         self.peak.fetch_max(estimate, Ordering::Relaxed);
         if self.budget == 0 {
@@ -253,7 +253,7 @@ impl BudgetGovernor {
     /// lot — the byte twin of `EraPacer::note_parked`, but unconditional:
     /// byte conservation is wanted even without enforcement, so leaked
     /// handles can never strand limbo invisibly.
-    pub fn note_parked(&self, delta: i64) {
+    pub(crate) fn note_parked(&self, delta: i64) {
         if delta != 0 {
             self.parked.fetch_add(delta, Ordering::Relaxed);
             self.refresh();
@@ -263,7 +263,7 @@ impl BudgetGovernor {
     /// Retracts a dying handle's entire reported contribution before its
     /// leftovers are parked (the parked counter takes over via
     /// [`note_parked`](Self::note_parked)).
-    pub fn note_handle_exit(&self, stripe: usize, reported: &mut usize) {
+    pub(crate) fn note_handle_exit(&self, stripe: usize, reported: &mut usize) {
         if *reported != 0 {
             self.stripes[stripe % BUDGET_STRIPES].fetch_sub(*reported as i64, Ordering::Relaxed);
             *reported = 0;
@@ -271,7 +271,7 @@ impl BudgetGovernor {
     }
 
     /// Counts a forced retire-path scan (ladder rung 1).
-    pub fn count_forced_scan(&self) {
+    pub(crate) fn count_forced_scan(&self) {
         self.forced_scans.fetch_add(1, Ordering::Relaxed);
     }
 
@@ -286,7 +286,7 @@ impl BudgetGovernor {
     }
 
     /// Counts one bounded retire-side backpressure yield (ladder rung 3).
-    pub fn count_backpressure(&self) {
+    pub(crate) fn count_backpressure(&self) {
         self.backpressure_events.fetch_add(1, Ordering::Relaxed);
     }
 

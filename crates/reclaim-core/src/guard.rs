@@ -15,7 +15,7 @@
 //! | protect, then re-validate reachability | [`Guard::load_protected`] and [`Guard::protect_word`] bundle the publish + re-read + full-word compare; a `Shared` handed out by them was validated under protection |
 //! | stamp the birth era at allocation | [`Owned::new`] routes through [`SmrHandle::alloc_node`] and stores the stamp in a private header — structures never see eras |
 //! | retire only what you unlinked, exactly once | [`Unlinked`] is produced **only** by a successful unlink CAS ([`Atomic::cas_unlink`]) and is the only type with a `retire`; retiring consumes it |
-//! | byte budgets stay exact | [`Unlinked::retire`] always flows through the sized, birth-era-stamped [`SmrHandle::retire_sized`] path — the size-unknown raw retire is unreachable from here |
+//! | byte budgets stay exact | [`Unlinked::retire`] always hands [`SmrHandle::retire`] the node's real size and birth era — a size-unknown (0-byte) retire is unreachable from here |
 //!
 //! Links are [`VersionedAtomic`] words (pointer + mark + 16-bit version, see
 //! [`crate::tagged`]), so a `Shared` doubles as the *validate-on-link* CAS
@@ -331,8 +331,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
 
     /// Retires a raw typed node — the expert escape hatch paired with
     /// [`Guard::protect_ptr`] for structures that manage their own node
-    /// layout. Routes through the sized path (`size_of::<T>()`), keeping the
-    /// byte accounting exact.
+    /// layout. Stamps `size_of::<T>()`, keeping the byte accounting exact.
     ///
     /// # Safety
     ///
@@ -343,7 +342,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
         self.with(|h| {
             // SAFETY: forwarded from the caller's contract.
             unsafe {
-                h.retire_sized(
+                h.retire(
                     ptr.cast::<u8>(),
                     drop_fn_for::<T>(),
                     birth_era,
@@ -768,8 +767,8 @@ impl<T> AsRef<T> for Unlinked<T> {
 
 impl<T> Unlinked<T> {
     /// Hands the node to the scheme for deferred reclamation — always through
-    /// the fully stamped path ([`SmrHandle::retire_sized`]): birth era from
-    /// the allocation-time header, size from the node's layout. The byte
+    /// [`SmrHandle::retire`], fully stamped: birth era from the
+    /// allocation-time header, size from the node's layout. The byte
     /// accounting and the era schemes' lifetime intervals therefore stay
     /// exact for every guard-layer node.
     pub fn retire<H: SmrHandle>(self, guard: &Guard<'_, H>) {
@@ -780,7 +779,7 @@ impl<T> Unlinked<T> {
             // SAFETY: minted by the unlink CAS — the node is unlinked, and
             // consuming `self` makes this the only retirement.
             unsafe {
-                h.retire_sized(
+                h.retire(
                     node.cast::<u8>(),
                     drop_fn_for::<NodeBox<T>>(),
                     birth_era,

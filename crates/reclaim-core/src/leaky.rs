@@ -11,49 +11,36 @@
 //! work is done), but the benchmark process does not permanently leak the memory of
 //! every experiment it has already finished.
 
-use crate::budget::{BudgetGovernor, BudgetVerdict};
+use crate::budget::BudgetVerdict;
+use crate::clock::Era;
 use crate::config::SmrConfig;
-use crate::retired::{DropFn, RetiredPtr};
-use crate::segbag::{ParkedChain, SegBag, SegPool};
+use crate::limbo::{HandleCore, SchemeCore};
+use crate::retired::DropFn;
+use crate::segbag::{SegBag, SegPool};
 use crate::smr::{CapacityExhausted, Smr, SmrHandle};
-use crate::stats::{ShardedStats, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use crate::telemetry::{HandleTelemetry, Telemetry};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// The no-reclamation scheme (paper: *None*).
+///
+/// This is the throughput *baseline*: its whole state is the shared
+/// [`SchemeCore`] — per-handle counter stripes (so `retire` accounting adds
+/// none of the cacheline contention the other schemes are measured against),
+/// the parked chain dying handles splice into, a tracking-only byte estimate
+/// (so `peak_limbo_bytes` and the verdict honestly report the unbounded growth
+/// the baseline exists to demonstrate), and telemetry whose retire→free
+/// histogram stays honestly empty (garbage is never reclaimed, not reclaimed
+/// at delay 0).
 pub struct Leaky {
-    config: SmrConfig,
-    /// Per-handle counter stripes: this is the throughput *baseline*, so its
-    /// `retire` accounting must not introduce the very cacheline contention the
-    /// other schemes are measured against.
-    stats: ShardedStats,
-    /// Nodes retired by all threads, parked until the scheme is dropped (one
-    /// segment chain; dying handles splice into it in O(1)).
-    parked: ParkedChain,
-    /// Byte-budget bookkeeping. Leaky never frees, so there is no escalation
-    /// ladder to climb — the governor only *tracks* limbo bytes so that the
-    /// verdict (and `peak_limbo_bytes`) honestly reports the unbounded growth
-    /// the None baseline exists to demonstrate.
-    governor: BudgetGovernor,
-    /// Telemetry histograms. Leaky never frees, so only the op-latency
-    /// histogram ever fills — the delay distribution of the None baseline is
-    /// honestly empty (garbage is never reclaimed, not reclaimed at delay 0).
-    telemetry: Arc<Telemetry>,
+    core: Arc<SchemeCore>,
 }
 
 impl Leaky {
     /// Creates a leaky scheme instance.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        let stats = ShardedStats::new(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
-            stats,
-            parked: ParkedChain::new(),
-            governor,
-            telemetry,
+            core: SchemeCore::new("none", config),
         })
     }
 
@@ -64,71 +51,41 @@ impl Leaky {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 }
 
 impl Smr for Leaky {
     type Handle = LeakyHandle;
 
-    // Leaky has no slot registry, so registration can never exhaust: stripes
-    // are dealt round-robin and shared past `max_threads` instead of refused.
+    // Leaky has no slot registry, so registration can never exhaust.
     fn try_register(self: &Arc<Self>) -> Result<LeakyHandle, CapacityExhausted> {
-        let stripe = self.stats.assign_stripe();
         Ok(LeakyHandle {
-            stripe,
-            budget_stripe: BudgetGovernor::stripe_for(stripe),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
-            scheme: Arc::clone(self),
-            pool: SegPool::new(),
+            core: self.core.attach(None, |_| (SegPool::new(), ())),
             bag: SegBag::new(),
         })
     }
 
     fn name(&self) -> &'static str {
-        "none"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
-        snap
+        self.core.stats()
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for Leaky {
-    fn drop(&mut self) {
-        // All handles are gone (they hold Arc<Self>), so no thread can reach any
-        // retired node any more: releasing everything is safe.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.stats.stripe(0).add_freed(freed as u64);
-        self.stats.stripe(0).add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        Some(self.core.telemetry())
     }
 }
 
 /// Per-thread handle for [`Leaky`].
 pub struct LeakyHandle {
-    scheme: Arc<Leaky>,
-    /// Index of this handle's counter stripe in the scheme's [`ShardedStats`].
-    stripe: usize,
-    /// This handle's stripe in the scheme's [`BudgetGovernor`].
-    budget_stripe: usize,
-    /// Local-bytes figure last pushed into the governor (delta-report cursor).
-    budget_reported: usize,
-    /// Telemetry recording cursor (stripe + op-sampling counter).
-    tele: HandleTelemetry,
-    pool: SegPool,
+    core: HandleCore,
     bag: SegBag,
 }
 
@@ -141,39 +98,16 @@ impl SmrHandle for LeakyHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
         // SAFETY: forwarded directly from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, crate::clock::NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: crate::clock::Era,
-        size_bytes: usize,
-    ) {
-        let stripe = self.scheme.stats.stripe(self.stripe);
-        stripe.add_retired(1);
-        stripe.add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            stripe.add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        // SAFETY: forwarded directly from the caller's contract.
-        let mut node = unsafe {
-            RetiredPtr::with_birth_sized(ptr, drop_fn, now, crate::clock::NO_BIRTH_ERA, size_bytes)
+        unsafe {
+            self.core
+                .retire(&mut self.bag, ptr, drop_fn, 0, birth_era, size_bytes)
         };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.bag.push(&mut self.pool, node);
         // Track bytes (so peak/verdict are honest) but never escalate: Leaky
         // has no reclamation pass to force, and that is the point of the
         // baseline.
-        self.scheme.governor.observe(
-            self.budget_stripe,
-            self.bag.bytes(),
-            &mut self.budget_reported,
-        );
+        self.core.track(self.bag.bytes());
     }
 
     fn flush(&mut self) {
@@ -188,12 +122,8 @@ impl SmrHandle for LeakyHandle {
         self.bag.bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
@@ -201,12 +131,7 @@ impl Drop for LeakyHandle {
     fn drop(&mut self) {
         // Park this thread's retired nodes on the scheme so they are released when
         // the scheme itself goes away — an O(1) chain splice, no allocation.
-        let parked_bytes = self.bag.bytes();
-        self.scheme.parked.park(&mut self.bag);
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
+        self.core.park(&mut self.bag);
     }
 }
 
@@ -271,20 +196,5 @@ mod tests {
         handle.end_op();
         assert_eq!(handle.local_in_limbo(), 0);
         assert_eq!(scheme.name(), "none");
-    }
-
-    #[test]
-    fn multiple_handles_park_independently() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Leaky::with_defaults();
-        for _ in 0..3 {
-            let mut handle = scheme.register();
-            let ptr = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
-            // SAFETY: the pointer was produced by `tracked`/Box::into_raw above, is no longer reachable, and is retired exactly once.
-            unsafe { retire_box(&mut handle, ptr) };
-        }
-        assert_eq!(scheme.stats().retired, 3);
-        drop(scheme);
-        assert_eq!(drops.load(Ordering::SeqCst), 3);
     }
 }

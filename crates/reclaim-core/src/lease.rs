@@ -4,8 +4,8 @@
 //! handle claims is a slot every scan must consider. A server that spawns a
 //! task per connection must not register a handle per task — thousands of
 //! mostly-idle slots would inflate every scan and exhaust `max_threads` — and
-//! with the PR 3 [`HandleCache`](crate::handle_cache::HandleCache) it does not
-//! have to pay the *allocation* cost either. What was still missing is the
+//! with the workspace recycling of [`SchemeCore`](crate::limbo::SchemeCore) it
+//! does not have to pay the *allocation* cost either. What was still missing is the
 //! *slot* story: a way for `M` tasks to time-share `N` registered handles.
 //!
 //! [`LeasePool`] is that story. It registers `N` handles up front (or adopts
@@ -44,7 +44,7 @@
 //! storage preallocated at construction — allocation-free after warm-up (the
 //! `zero_alloc_steady_state` suite pins this) and O(1) regardless of `M`.
 //! LIFO reuse keeps the hottest handle's pool segments and scratch in cache,
-//! mirroring the `HandleCache`'s policy.
+//! mirroring the scheme core's workspace-recycling policy.
 
 use crate::smr::{CapacityExhausted, Smr};
 use std::error::Error;

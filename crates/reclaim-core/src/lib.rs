@@ -10,10 +10,14 @@
 //! * the [`Smr`] / [`SmrHandle`] traits — the three-function interface the paper
 //!   prescribes (`manage_qsense_state`, `assign_HP`, `free_node_later`) plus the
 //!   plumbing a real library needs (registration, statistics, forced collection)
-//!   and an allocation-side hook ([`SmrHandle::alloc_node`] /
-//!   [`SmrHandle::retire_with_birth`]) that stamps nodes with the birth era the
-//!   interval-based `he` scheme (Hazard Eras / 2GE-IBR) reasons about — a no-op
-//!   for every other scheme;
+//!   and an allocation-side hook ([`SmrHandle::alloc_node`], handed back as
+//!   [`SmrHandle::retire`]'s `birth_era`) that stamps nodes with the birth era
+//!   the interval-based `he` scheme (Hazard Eras / 2GE-IBR) reasons about — a
+//!   no-op for every other scheme;
+//! * the [`limbo`] retire pipeline every scheme shares — a [`SchemeCore`] per
+//!   scheme instance and a [`HandleCore`] per handle (see "What a scheme
+//!   implements vs what the core owns" below) — and the [`HpSlots`] record +
+//!   [`hp_scan`] the hazard-pointer family shares;
 //! * a [`registry::Registry`] of per-thread slots with interior-mutable per-thread
 //!   state that other threads may scan (hazard pointers, epochs, presence flags),
 //!   striped into claim-bitmap **shards** of [`registry::SHARD_SLOTS`] so scans
@@ -26,16 +30,14 @@
 //! * a [`lease::LeasePool`] that time-shares `N` registered handles among `M`
 //!   short-lived tasks (checkout/checkin with wait-or-fail exhaustion policy),
 //!   so task-per-connection runtimes never register per task;
-//! * [`retired::RetiredPtr`] — the timestamped retired-node wrapper (the paper's
-//!   `timestamped_node`, Algorithm 3) — collected in [`segbag::SegBag`]
+//! * [`retired::RetiredPtr`] — the stamped retired-node wrapper (the paper's
+//!   `timestamped_node`, Algorithm 3; the stamp is scheme-defined, so only the
+//!   schemes that age nodes read a clock on retire) — collected in [`segbag::SegBag`]
 //!   segment chains recycled through a per-handle [`segbag::SegPool`], so the
 //!   steady-state retire/scan/reclaim pipeline never touches the allocator;
 //! * a [`clock::Clock`] abstraction (real, monotonic nanoseconds) with a manually
 //!   driven variant for deterministic tests, and the global [`clock::EraClock`]
 //!   logical clock of the era schemes;
-//! * a [`handle_cache::HandleCache`] that recycles dying handles' pools and
-//!   scratch buffers to the next registrant, so thread-pool churn stays
-//!   allocation-free after the first wave;
 //! * low-level utilities: [`pad::CachePadded`], [`backoff::Backoff`], and the
 //!   asymmetric process-wide fence in [`membarrier`];
 //! * the [`leaky::Leaky`] "scheme" (no reclamation at all), the paper's *None*
@@ -45,6 +47,28 @@
 //!
 //! The data structures in `lockfree-ds` are generic over [`Smr`], so any scheme can be
 //! plugged into any structure exactly as in the paper's evaluation.
+//!
+//! ## What a scheme implements vs what the core owns
+//!
+//! A reclamation scheme is its protection protocol plus a "may I free this?"
+//! rule. Everything *around* that — accounting, budgets, telemetry, parking and
+//! handle recycling — is the same in all eight schemes and lives once, in
+//! [`limbo`]: a [`SchemeCore`] per scheme instance and a [`HandleCore`] per
+//! registered handle.
+//!
+//! | the scheme crate implements | the core owns |
+//! |-----------------------------|---------------|
+//! | its reservation record in a [`Registry`] (hazard slots — the shared [`HpSlots`] —, epoch, era interval, pin) and how `protect`/`begin_op` publish and clear it | the [`SmrConfig`], the counter stripes behind [`Smr::stats`], the budget governor, the [`Telemetry`] histograms |
+//! | the limbo *shape*: which [`SegBag`] a retired node goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (removal time for Cadence/QSense, retire era for HE, nothing for the rest) | the **stamp**: retire/byte counters, [`RetiredPtr`] construction, the telemetry tick, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
+//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument | the **observed reclaim**: scan timing, retire→free delays, freed counters, the post-scan budget report — [`HandleCore::scan`] |
+//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**: count threshold → forced scan on a budget crossing → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] |
+//! | clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain with the byte estimate conserved ([`HandleCore::park`], [`HandleCore::adopt_parked`]), the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
+//!
+//! The governor's mutators, the parked chain and the workspace cache are
+//! private to this crate: a scheme cannot report, park or recycle except
+//! through the calls above. A new scheme is a `Registry<Record>`, a limbo
+//! shape, a scan pass and an [`SmrHandle`] impl of a dozen short methods (see
+//! `hazard` for the smallest complete one).
 //!
 //! ## Hot-path cost model
 //!
@@ -59,19 +83,19 @@
 //! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store plus an O(#buckets) bucket-age check (EBR only); one era announcement — an era load plus, on change, a fenced reservation store (HE only) | none (EBR: one release store to an owned padded line; HE: one era store per op to an owned padded line, fenced only when the era moved) |
 //! | per node traversed (`protect`) | hazard-pointer store (HP/Cadence/QSense); era re-announcement only when the global era advanced mid-operation (HE) | one release store to an owned padded slot; classic HP adds the `SeqCst` fence the paper is about; HE's amortized cost here is ~zero (eras advance once per [`clock::EraPacer::current_interval`] allocations, not per node) |
 //! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every [`clock::EraPacer::current_interval`] allocations (HE only; no-op for every other scheme). The interval is a constant under [`clock::EraAdvancePolicy::Static`]; under the adaptive policy it is one extra relaxed load of a read-mostly padded line — the pacer's entire allocation-side cost is amortized zero | one acquire load of the (mostly read-shared) era line |
-//! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the slot's [`stats::StatStripe`], one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
+//! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one clock read for the removal-time stamp (Cadence/QSense only — the other schemes' free rules read no stamp), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
 //! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochCursor`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
 //! | per scan (every `R` retires) | snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge; under the adaptive era policy, one striped limbo report (a single `fetch_add` to the handle's padded stripe) plus an O(#stripes) estimate read to adapt the tick interval ([`clock::EraPacer::note_scan`]) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches** (counted in [`stats::StatsSnapshot::shard_skips`]), so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
-//! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the timestamp the wrapper already carries; raw `retire` keeps a size-unknown 0 path); bump the slot's retired-bytes stripe; one grain-gated [`budget::BudgetGovernor::observe`] — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
+//! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the stamp the wrapper already carries; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe; one grain-gated governor observation ([`limbo::HandleCore::enforce_budget`]) — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's byte-mode [`clock::EraPacer`] boost, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per node allocated ([`guard::Owned::new`]) | one heap allocation of value + one-word birth-era header; the `alloc_node` stamp above written into the header | identical to `alloc_node` |
-//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_raw`]) | exactly the sized retire above: birth era read back from the node header (one thread-local load), size a compile-time constant — the size-unknown 0-byte path is unreachable from the guard layer | identical to [`smr::SmrHandle::retire_sized`] |
-//! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool + scratch on the scheme's [`handle_cache::HandleCache`]; retract the handle's reported byte contribution and move its leftover bytes to the governor's parked counter (two relaxed adds — leaked bytes stay visible, never stranded) | O(1) pointer surgery under a mutex — no allocation |
+//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_raw`]) | exactly the retire above: birth era read back from the node header (one thread-local load), size a compile-time constant — a size-unknown (0-byte) retire is unreachable from the guard layer | identical to [`smr::SmrHandle::retire`] |
+//! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool + scratch on the scheme's [`limbo::SchemeCore`]; retract the handle's reported byte contribution and move its leftover bytes to the governor's parked counter (two relaxed adds — leaked bytes stay visible, never stranded) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one relaxed load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-mostly padded line shared by all record sites |
 //! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`config::SmrConfig::telemetry_sample_shift`] sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
@@ -120,7 +144,7 @@
 //! hand-off at handle drop (an O(1) chain splice; surviving handles re-adopt the
 //! parked chain on their next flush). Handle registration itself allocates only
 //! on the *first* wave: a dying handle parks its pool and scratch buffers on the
-//! scheme's [`handle_cache::HandleCache`] and the next registrant adopts them,
+//! scheme's [`limbo::SchemeCore`] and the next registrant adopts them,
 //! so thread-pool churn (register → work → drop, repeatedly) is allocation-free
 //! after the pool's first generation of handles.
 //!
@@ -259,8 +283,8 @@
 //!
 //! * [`guard::Owned::new`] (and the expert structures' raw `Node::alloc`
 //!   sites) **register** the allocation;
-//! * [`retired::RetiredPtr::with_birth_sized`] — the constructor every
-//!   scheme's retire path funnels through — marks it **Retired**
+//! * [`retired::RetiredPtr::new`] — the constructor every scheme's retire
+//!   path funnels through ([`limbo::HandleCore::retire`]) — marks it **Retired**
 //!   (double-retire and retire-after-free panic);
 //! * [`retired::RetiredPtr::reclaim`] — the single free choke point — marks
 //!   it **Freed**; under the explorer's *quarantine* mode the destructor is
@@ -305,9 +329,10 @@ pub mod budget;
 pub mod clock;
 pub mod config;
 pub mod guard;
-pub mod handle_cache;
+pub mod hp_slots;
 pub mod leaky;
 pub mod lease;
+pub mod limbo;
 pub mod membarrier;
 #[cfg(feature = "check-oracle")]
 pub mod oracle;
@@ -330,14 +355,15 @@ pub use clock::{
 };
 pub use config::SmrConfig;
 pub use guard::{Atomic, Guard, Owned, Shared, Unlinked};
-pub use handle_cache::{HandleCache, ScanParts};
+pub use hp_slots::{hp_scan, HpSlots};
 pub use leaky::{Leaky, LeakyHandle};
 pub use lease::{HandleLease, LeaseExhausted, LeasePolicy, LeasePool};
+pub use limbo::{HandleCore, Reclaim, SchemeCore};
 pub use pad::CachePadded;
 pub use registry::{Registry, RegistryFull, SlotId, SHARD_SLOTS};
 pub use retired::RetiredPtr;
 pub use scratch::PtrScratch;
-pub use segbag::{ParkedChain, SegBag, SegPool, SEG_CAP};
+pub use segbag::{SegBag, SegPool, SEG_CAP};
 pub use smr::{drop_fn_for, CapacityExhausted, Smr, SmrHandle};
 pub use stats::{ShardedStats, StatStripe, StatsSnapshot};
 pub use telemetry::{
@@ -349,14 +375,14 @@ pub use telemetry::{
 ///
 /// Being typed, this knows the node's `Layout` and stamps its size
 /// (`size_of::<T>()`) into the retired record, feeding the limbo byte
-/// accounting; the raw [`SmrHandle::retire`] stays the size-unknown path.
+/// accounting; the birth era is left unstamped ([`NO_BIRTH_ERA`]).
 ///
 /// # Safety
 ///
 /// `ptr` must have been created by `Box::into_raw`, must already be unlinked from the
 /// data structure, and must not be retired more than once.
 pub unsafe fn retire_box<T, H: SmrHandle + ?Sized>(handle: &mut H, ptr: *mut T) {
-    handle.retire_sized(
+    handle.retire(
         ptr.cast::<u8>(),
         drop_fn_for::<T>(),
         NO_BIRTH_ERA,
@@ -366,8 +392,8 @@ pub unsafe fn retire_box<T, H: SmrHandle + ?Sized>(handle: &mut H, ptr: *mut T) 
 
 /// Convenience: retire a typed, heap-allocated pointer together with its
 /// allocation-time birth era (the stamp [`SmrHandle::alloc_node`] produced when
-/// the node was created; see [`SmrHandle::retire_with_birth`]) and its size
-/// (`size_of::<T>()`, for the limbo byte accounting).
+/// the node was created) and its size (`size_of::<T>()`, for the limbo byte
+/// accounting).
 ///
 /// # Safety
 ///
@@ -378,7 +404,7 @@ pub unsafe fn retire_box_with_birth<T, H: SmrHandle + ?Sized>(
     ptr: *mut T,
     birth_era: Era,
 ) {
-    handle.retire_sized(
+    handle.retire(
         ptr.cast::<u8>(),
         drop_fn_for::<T>(),
         birth_era,

@@ -1,0 +1,638 @@
+//! The retire pipeline every scheme shares: [`SchemeCore`] (one per scheme
+//! instance) and [`HandleCore`] (one per registered handle). A scheme is its
+//! protection protocol plus a "may I free this?" rule; everything *around*
+//! that lives here, once — the crate docs ("What a scheme implements vs what
+//! the core owns") draw the line call by call.
+//!
+//! The governor's mutators, the parked chain and the workspace cache are
+//! private to this crate, so the conservation invariant (`estimate == Σ live
+//! handle limbo + parked`) has one author. Everything is generic over closures
+//! and monomorphised per scheme — no `dyn` on the retire path.
+
+use crate::budget::BudgetGovernor;
+use crate::clock::Era;
+use crate::config::SmrConfig;
+use crate::pad::CachePadded;
+use crate::registry::{Registry, SlotId};
+use crate::retired::{DropFn, RetiredPtr};
+use crate::segbag::{ParkedChain, SegBag, SegPool, WorkspaceCache};
+use crate::smr::CapacityExhausted;
+use crate::stats::{ShardedStats, StatStripe, StatsSnapshot};
+use crate::telemetry::{HandleTelemetry, ScanObserver, Telemetry};
+use std::sync::Arc;
+
+/// The scheme-wide half of the retire pipeline (module docs). `W` is the
+/// scheme's per-handle scan scratch (a hazard-pointer or era-reservation
+/// snapshot buffer, `()` for schemes that snapshot nothing); it is recycled
+/// between handle generations together with the segment pool.
+pub struct SchemeCore<W = ()> {
+    name: &'static str,
+    config: SmrConfig,
+    /// One counter stripe per handle: keyed by registry slot index, or dealt
+    /// round-robin for registry-less schemes.
+    stats: ShardedStats,
+    /// Counter stripe for events with no owning handle (parked-chain frees at
+    /// scheme drop, EBR's successful epoch advances).
+    orphan_stats: CachePadded<StatStripe>,
+    /// Limbo leftovers of exited handles, awaiting a survivor's flush.
+    parked: ParkedChain,
+    governor: BudgetGovernor,
+    telemetry: Arc<Telemetry>,
+    /// Pools + scratch buffers of exited handles, for the next registrant.
+    workspaces: WorkspaceCache<W>,
+}
+
+impl<W: Default> SchemeCore<W> {
+    /// Creates the core for a scheme reporting itself as `name`.
+    pub fn new(name: &'static str, config: SmrConfig) -> Arc<Self> {
+        Arc::new(Self {
+            name,
+            stats: ShardedStats::new(config.max_threads),
+            orphan_stats: CachePadded::new(StatStripe::new()),
+            parked: ParkedChain::new(),
+            governor: BudgetGovernor::new(config.limbo_budget, config.clock.clone()),
+            telemetry: Arc::new(Telemetry::from_config(&config)),
+            workspaces: WorkspaceCache::with_capacity(config.max_threads),
+            config,
+        })
+    }
+
+    /// The scheme's short name (`Smr::name`).
+    pub fn name(&self) -> &'static str {
+        self.name
+    }
+
+    /// The configuration the scheme was created with.
+    pub fn config(&self) -> &SmrConfig {
+        &self.config
+    }
+
+    /// `Smr::stats`, short of the registry's shard counters
+    /// ([`Registry::merge_shard_counters`]).
+    pub fn stats(&self) -> StatsSnapshot {
+        let mut snap = self.stats.snapshot();
+        self.orphan_stats.merge_into(&mut snap);
+        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        snap
+    }
+
+    /// The budget governor's read side (`Smr::budget_verdict`), plus the two
+    /// counters that belong to scheme-specific pressure levers.
+    pub fn governor(&self) -> &BudgetGovernor {
+        &self.governor
+    }
+
+    /// `Smr::telemetry`.
+    pub fn telemetry(&self) -> &Telemetry {
+        &self.telemetry
+    }
+
+    /// The counter stripe for scheme-level events no handle owns.
+    pub fn orphan_stats(&self) -> &StatStripe {
+        &self.orphan_stats
+    }
+
+    /// Registers a handle of a registry-backed scheme: claims a slot (a full
+    /// registry becomes the scheme's [`CapacityExhausted`]) and keys the core
+    /// by it. `fresh` builds the workspace when no previous tenant's is parked.
+    pub fn register<R>(
+        self: &Arc<Self>,
+        registry: &Registry<R>,
+        fresh: impl FnOnce(&SmrConfig) -> (SegPool, W),
+    ) -> Result<(SlotId, HandleCore<W>), CapacityExhausted> {
+        let slot = registry.try_acquire().map_err(|e| CapacityExhausted {
+            scheme: self.name,
+            capacity: e.capacity,
+        })?;
+        Ok((slot, self.attach(Some(slot), fresh)))
+    }
+
+    /// Attaches a handle core: keyed by `slot`, or — for the registry-less
+    /// schemes (Leaky, RefCount), whose registration never exhausts — by a
+    /// counter stripe dealt round-robin and shared past `max_threads`.
+    pub fn attach(
+        self: &Arc<Self>,
+        slot: Option<SlotId>,
+        fresh: impl FnOnce(&SmrConfig) -> (SegPool, W),
+    ) -> HandleCore<W> {
+        let stripe = slot.map_or_else(|| self.stats.assign_stripe(), SlotId::index);
+        let workspace = self.workspaces.adopt();
+        let (pool, scratch) = workspace.unwrap_or_else(|| fresh(&self.config));
+        HandleCore {
+            stripe,
+            pool,
+            scratch,
+            budget_stripe: BudgetGovernor::stripe_for(slot.map_or(stripe, SlotId::shard)),
+            budget_reported: 0,
+            tele: HandleTelemetry::attach(&self.telemetry),
+            since_scan: 0,
+            shared: Arc::clone(self),
+        }
+    }
+}
+
+impl<W> Drop for SchemeCore<W> {
+    fn drop(&mut self) {
+        // SAFETY: all handles are gone (each holds an `Arc` to this core), so
+        // no protection of any kind can be published and no thread can reach a
+        // parked node.
+        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
+        self.orphan_stats.add_freed(freed as u64);
+        self.orphan_stats.add_freed_bytes(freed_bytes as u64);
+        self.governor.note_parked(-(freed_bytes as i64));
+    }
+}
+
+/// The per-handle half of the retire pipeline (module docs). Dropping it
+/// recycles the pool and scratch to the scheme's next registrant.
+pub struct HandleCore<W: Default = ()> {
+    shared: Arc<SchemeCore<W>>,
+    /// Index of this handle's counter stripe.
+    stripe: usize,
+    /// Recycled segments backing every bag of this handle.
+    pool: SegPool,
+    /// The scheme's reusable scan scratch, lent to every [`scan`](Self::scan)
+    /// pass; the next registrant adopts whatever it holds at handle drop.
+    pub scratch: W,
+    /// This handle's governor stripe, and the bytes last pushed into it.
+    budget_stripe: usize,
+    budget_reported: usize,
+    /// The telemetry cursor behind `SmrHandle::telemetry_cursor`.
+    pub tele: HandleTelemetry,
+    /// Retires since the count-threshold rung last fired (or a flush reset it).
+    since_scan: usize,
+}
+
+impl<W: Default> HandleCore<W> {
+    /// The scheme's configuration.
+    pub fn config(&self) -> &SmrConfig {
+        &self.shared.config
+    }
+
+    /// This handle's counter stripe, for the protocol's own counters
+    /// (quiescent states, traversal fences, path switches, scan dispatch).
+    pub fn stats(&self) -> &StatStripe {
+        self.shared.stats.stripe(self.stripe)
+    }
+
+    /// The stamp: counts the retire and its bytes, wraps the node in a
+    /// [`RetiredPtr`] carrying the scheme's `stamp` and the telemetry tick, and
+    /// pushes it into `bag` — the limbo bag the scheme's protocol picked.
+    ///
+    /// # Safety
+    ///
+    /// The `SmrHandle::retire` contract for `ptr`, `drop_fn`, `birth_era` and
+    /// `size_bytes`.
+    #[inline]
+    pub unsafe fn retire(
+        &mut self,
+        bag: &mut SegBag,
+        ptr: *mut u8,
+        drop_fn: DropFn,
+        stamp: u64,
+        birth_era: Era,
+        size_bytes: usize,
+    ) {
+        let stats = self.stats();
+        stats.add_retired(1);
+        stats.add_retired_bytes(size_bytes as u64);
+        if size_bytes == 0 {
+            stats.add_size_unknown_retire();
+        }
+        // SAFETY: forwarded from the caller's contract.
+        let mut node = unsafe { RetiredPtr::new(ptr, drop_fn, stamp, birth_era, size_bytes) };
+        node.set_retire_tick(self.tele.retire_tick());
+        bag.push(&mut self.pool, node);
+        self.since_scan += 1;
+    }
+
+    /// Tracking-only budget hook for schemes with no lever that is safe on the
+    /// retire path (QSBR cannot quiesce mid-operation, Leaky never frees):
+    /// keeps the estimate, its peak and the stopwatch honest, never escalates.
+    pub fn track(&mut self, limbo_bytes: usize) {
+        let governor = &self.shared.governor;
+        governor.observe(self.budget_stripe, limbo_bytes, &mut self.budget_reported);
+    }
+
+    /// The ladder's count-threshold rung: true (and the counter restarts) once
+    /// `scan_threshold` retires have accumulated.
+    pub fn scan_due(&mut self) -> bool {
+        let due = self.since_scan >= self.shared.config.scan_threshold;
+        if due {
+            self.since_scan = 0;
+        }
+        due
+    }
+
+    /// The ladder's budget rungs, grain-gated (two subtractions and a compare
+    /// until this handle's limbo drifts a full grain). On a crossing,
+    /// `forced_scan` runs the scheme's pressure lever (if any) and a
+    /// reclamation pass — gated passes are safe anywhere on the retire path —
+    /// and returns the limbo bytes afterwards (rung 1). If still over budget,
+    /// the retiring thread yields once, so stalled readers get CPU time instead
+    /// of this thread piling garbage ever faster (rung 3). Both are counted.
+    #[inline]
+    pub fn enforce_budget(
+        &mut self,
+        limbo_bytes: usize,
+        forced_scan: impl FnOnce(&mut Self) -> usize,
+    ) {
+        let governor = &self.shared.governor;
+        if governor.observe(self.budget_stripe, limbo_bytes, &mut self.budget_reported) {
+            governor.count_forced_scan();
+            self.since_scan = 0;
+            let after = forced_scan(self);
+            let governor = &self.shared.governor;
+            if governor.report(self.budget_stripe, after, &mut self.budget_reported) {
+                governor.count_backpressure();
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// The whole ladder for schemes whose threshold scan and forced scan are
+    /// the same pass: call after every [`retire`](Self::retire) with the
+    /// handle's limbo bytes. `scan` returns the limbo bytes after its pass.
+    #[inline]
+    pub fn after_retire(&mut self, limbo_bytes: usize, mut scan: impl FnMut(&mut Self) -> usize) {
+        if self.scan_due() {
+            scan(self);
+        } else {
+            self.enforce_budget(limbo_bytes, scan);
+        }
+    }
+
+    /// The observed reclaim: `pass` frees from the scheme's bags through the
+    /// [`Reclaim`] it is lent (with the handle's scratch) and returns the
+    /// limbo bytes afterwards. The core times the pass and each freed node's
+    /// retire→free delay (telemetry on), credits the freed counters, and
+    /// reports the post-scan bytes to the governor. Returns those bytes.
+    pub fn scan(&mut self, pass: impl FnOnce(&mut Reclaim<'_>, &mut W) -> usize) -> usize {
+        let shared = &*self.shared;
+        let mut reclaim = Reclaim {
+            pool: &mut self.pool,
+            stats: shared.stats.stripe(self.stripe),
+            tele: &self.tele,
+            observer: None,
+            freed: 0,
+            freed_bytes: 0,
+        };
+        let limbo_bytes = pass(&mut reclaim, &mut self.scratch);
+        if let Some(observer) = reclaim.observer.take() {
+            observer.finish();
+        }
+        if reclaim.freed > 0 {
+            reclaim.stats.add_freed(reclaim.freed as u64);
+            reclaim.stats.add_freed_bytes(reclaim.freed_bytes as u64);
+        }
+        let governor = &shared.governor;
+        governor.report(self.budget_stripe, limbo_bytes, &mut self.budget_reported);
+        limbo_bytes
+    }
+
+    /// Flush-side adoption: splices the parked chain — leftovers of exited
+    /// handles — into `into` (O(1), no allocation) and restarts the retire
+    /// counter. The bytes move from the governor's parked counter to this
+    /// handle's stripe, conserving the estimate whether or not a scan follows.
+    pub fn adopt_parked(&mut self, into: &mut SegBag) {
+        let before = into.bytes();
+        self.shared.parked.adopt_into(into);
+        let adopted = into.bytes() - before;
+        if adopted != 0 {
+            let governor = &self.shared.governor;
+            governor.note_parked(-(adopted as i64));
+            let credited = self.budget_reported + adopted;
+            governor.report(self.budget_stripe, credited, &mut self.budget_reported);
+        }
+        self.since_scan = 0;
+    }
+
+    /// Drop-side parking: what the last pass could not free moves to the
+    /// parked chain (O(1)), adopted by the next handle to flush or released at
+    /// scheme drop. The governor's parked counter takes over the retracted
+    /// bytes, so a departed handle's limbo never goes invisible. Call before
+    /// releasing the registry slot.
+    pub fn park(&mut self, leftovers: &mut SegBag) {
+        let governor = &self.shared.governor;
+        governor.note_handle_exit(self.budget_stripe, &mut self.budget_reported);
+        governor.note_parked(leftovers.bytes() as i64);
+        self.shared.parked.park(leftovers);
+    }
+}
+
+impl<W: Default> Drop for HandleCore<W> {
+    fn drop(&mut self) {
+        let pool = std::mem::take(&mut self.pool);
+        let scratch = std::mem::take(&mut self.scratch);
+        self.shared.workspaces.park(pool, scratch);
+    }
+}
+
+/// The reclaiming side of one [`HandleCore::scan`] pass: frees nodes on the
+/// scheme's predicate, tallying what the core reports when the pass ends. The
+/// observer (scan timer + delay probe) is created at the first non-empty bag,
+/// so passes with nothing to examine pay no clock read.
+pub struct Reclaim<'a> {
+    pool: &'a mut SegPool,
+    stats: &'a StatStripe,
+    tele: &'a HandleTelemetry,
+    observer: Option<ScanObserver<'a>>,
+    freed: usize,
+    freed_bytes: usize,
+}
+
+impl Reclaim<'_> {
+    /// The scanning handle's counter stripe (scan-dispatch counters).
+    #[inline]
+    pub fn stats(&self) -> &StatStripe {
+        self.stats
+    }
+
+    /// Walks `bag` ([`SegBag::reclaim_walk`]): stops for good at the first
+    /// node failing `keep_scanning`, frees every node before that passing
+    /// `can_free`, visits each survivor once. Returns the number freed.
+    ///
+    /// # Safety
+    ///
+    /// `can_free` must only pass nodes no other thread can still access.
+    pub unsafe fn free_walk(
+        &mut self,
+        bag: &mut SegBag,
+        keep_scanning: impl FnMut(&RetiredPtr) -> bool,
+        mut can_free: impl FnMut(&RetiredPtr) -> bool,
+        visit_survivor: impl FnMut(&RetiredPtr),
+    ) -> usize {
+        if bag.is_empty() {
+            return 0;
+        }
+        if self.observer.is_none() {
+            self.observer = self.tele.shared().scan_observer(self.tele.stripe());
+        }
+        let observer = self.observer.as_ref();
+        let bytes_before = bag.bytes();
+        let can_free = |node: &RetiredPtr| {
+            let free = can_free(node);
+            if let (true, Some(observer)) = (free, observer) {
+                observer.note_free(node);
+            }
+            free
+        };
+        // SAFETY: forwarded from the caller's contract.
+        let freed = unsafe { bag.reclaim_walk(self.pool, keep_scanning, can_free, visit_survivor) };
+        self.freed += freed;
+        self.freed_bytes += bytes_before - bag.bytes();
+        freed
+    }
+
+    /// Frees the whole of `bag`, no per-node test (grace-period drains,
+    /// unreachable era chains).
+    ///
+    /// # Safety
+    ///
+    /// No thread may be able to access any node in `bag`.
+    #[inline]
+    pub unsafe fn free_all(&mut self, bag: &mut SegBag) -> usize {
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { self.free_walk(bag, |_| true, |_| true, |_| {}) }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::{Clock, ManualClock, NO_BIRTH_ERA};
+    use crate::smr::drop_fn_for;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::Duration;
+
+    /// A 300-byte node that counts its own destruction.
+    struct Node(Arc<AtomicUsize>, #[allow(dead_code)] [u8; 300 - 8]);
+    const NODE: usize = std::mem::size_of::<Node>();
+
+    impl Drop for Node {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// The trivial in-test protocol: one bag, and a free rule of "everything,
+    /// unless the test has pinned it".
+    struct Handle {
+        core: HandleCore<Vec<u8>>,
+        bag: SegBag,
+        pinned: bool,
+        scans: usize,
+    }
+
+    impl Handle {
+        fn register(scheme: &Arc<SchemeCore<Vec<u8>>>, fresh_calls: &mut usize) -> Self {
+            let core = scheme.attach(None, |config| {
+                *fresh_calls += 1;
+                let pool = SegPool::for_scan_threshold(config.scan_threshold);
+                (pool, Vec::with_capacity(64))
+            });
+            Self {
+                core,
+                bag: SegBag::new(),
+                pinned: false,
+                scans: 0,
+            }
+        }
+
+        fn scan(core: &mut HandleCore<Vec<u8>>, bag: &mut SegBag, pinned: bool) -> usize {
+            core.scan(|reclaim, _| {
+                if !pinned {
+                    // SAFETY: the test owns every node and holds no reference to any.
+                    unsafe { reclaim.free_all(bag) };
+                }
+                bag.bytes()
+            })
+        }
+
+        fn retire(&mut self, drops: &Arc<AtomicUsize>) {
+            let node = Box::into_raw(Box::new(Node(Arc::clone(drops), [0; 300 - 8])));
+            let (bag, pinned, scans) = (&mut self.bag, self.pinned, &mut self.scans);
+            // SAFETY: freshly boxed, never linked anywhere, retired exactly once.
+            unsafe {
+                self.core.retire(
+                    bag,
+                    node.cast(),
+                    drop_fn_for::<Node>(),
+                    0,
+                    NO_BIRTH_ERA,
+                    NODE,
+                )
+            };
+            self.core.after_retire(bag.bytes(), |core| {
+                *scans += 1;
+                Self::scan(core, bag, pinned)
+            });
+        }
+
+        fn flush(&mut self) {
+            self.core.adopt_parked(&mut self.bag);
+            Self::scan(&mut self.core, &mut self.bag, self.pinned);
+        }
+    }
+
+    impl Drop for Handle {
+        fn drop(&mut self) {
+            self.core.park(&mut self.bag);
+        }
+    }
+
+    fn scheme(clock: &ManualClock, budget: Option<usize>) -> Arc<SchemeCore<Vec<u8>>> {
+        let config = SmrConfig::default()
+            .with_max_threads(2)
+            .with_scan_threshold(1_000_000)
+            .with_limbo_budget(budget)
+            .with_clock(Clock::manual(clock.clone()));
+        SchemeCore::new("test", config)
+    }
+
+    #[test]
+    fn a_budget_crossing_forces_one_scan_and_still_over_one_yield() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        // Grain = 256 B (the floor), so every 300-byte retire reports.
+        let scheme = scheme(&clock, Some(1_000));
+        let mut handle = Handle::register(&scheme, &mut 0);
+        handle.pinned = true;
+        for _ in 0..3 {
+            handle.retire(&drops);
+        }
+        let verdict = scheme.governor().verdict();
+        assert_eq!(handle.scans, 0, "under budget: no rung fires");
+        assert_eq!(verdict.escalations(), 0);
+        assert!(verdict.within_budget());
+
+        // The fourth retire crosses the budget. The forced scan frees nothing
+        // (pinned), so the ladder climbs to its last rung — once.
+        handle.retire(&drops);
+        clock.advance(Duration::from_millis(7));
+        let verdict = scheme.governor().verdict();
+        assert_eq!(handle.scans, 1, "exactly one forced scan");
+        assert_eq!(verdict.forced_scans, 1);
+        assert_eq!(verdict.backpressure_events, 1, "exactly one bounded yield");
+        assert_eq!(verdict.current_bytes, 4 * NODE as u64);
+        assert!(!verdict.within_budget());
+        assert!(verdict.time_over_budget >= Duration::from_millis(7));
+
+        // Unpinned, the next crossing's forced scan gets back under budget:
+        // one more scan, no further yield.
+        handle.pinned = false;
+        handle.retire(&drops);
+        let verdict = scheme.governor().verdict();
+        assert_eq!(handle.scans, 2);
+        assert_eq!(verdict.forced_scans, 2);
+        assert_eq!(verdict.backpressure_events, 1);
+        assert_eq!(verdict.current_bytes, 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 5);
+        let stats = scheme.stats();
+        assert_eq!((stats.retired, stats.freed), (5, 5));
+        assert_eq!(stats.freed_bytes, 5 * NODE as u64);
+        assert_eq!(stats.size_unknown_retires, 0);
+    }
+
+    #[test]
+    fn the_count_threshold_fires_before_the_budget_is_consulted() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let config = SmrConfig::default()
+            .with_scan_threshold(4)
+            .with_clock(Clock::manual(clock.clone()));
+        let scheme = SchemeCore::<Vec<u8>>::new("test", config);
+        let mut handle = Handle::register(&scheme, &mut 0);
+        for _ in 0..9 {
+            handle.retire(&drops);
+        }
+        assert_eq!(handle.scans, 2, "one scan per `scan_threshold` retires");
+        assert_eq!(drops.load(Ordering::SeqCst), 8);
+        assert_eq!(scheme.governor().verdict().escalations(), 0);
+    }
+
+    #[test]
+    fn park_then_adopt_conserves_the_estimate_and_scheme_drop_frees_the_rest() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = scheme(&clock, None);
+        let mut survivor = Handle::register(&scheme, &mut 0);
+        survivor.pinned = true;
+        {
+            let mut dying = Handle::register(&scheme, &mut 0);
+            dying.pinned = true;
+            for _ in 0..3 {
+                dying.retire(&drops);
+            }
+            dying.flush();
+            assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
+        } // drop: the leftovers are parked
+        assert_eq!(
+            scheme.governor().estimate(),
+            3 * NODE as u64,
+            "parked limbo keeps pressing on the estimate"
+        );
+        // Adoption alone — before any scan reports — already conserves it.
+        survivor.core.adopt_parked(&mut survivor.bag);
+        assert_eq!(survivor.bag.len(), 3);
+        assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
+        survivor.flush();
+        assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
+        assert_eq!(
+            scheme.governor().peak_bytes(),
+            3 * NODE as u64,
+            "no double count"
+        );
+        survivor.retire(&drops);
+        drop(survivor); // parks all four again
+        assert_eq!(scheme.governor().estimate(), 4 * NODE as u64);
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        let stats = scheme.stats();
+        assert_eq!((stats.retired, stats.freed), (4, 0));
+        drop(scheme);
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            4,
+            "scheme drop drains the parked chain"
+        );
+    }
+
+    #[test]
+    fn a_dying_handles_workspace_is_adopted_by_the_next_registrant() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = scheme(&clock, None);
+        let mut fresh_calls = 0;
+        let (segments, capacity) = {
+            let mut first = Handle::register(&scheme, &mut fresh_calls);
+            for _ in 0..100 {
+                first.retire(&drops);
+            }
+            first.flush();
+            first.core.scratch.reserve(1_000);
+            (
+                first.core.pool.free_segments(),
+                first.core.scratch.capacity(),
+            )
+        };
+        assert_eq!(fresh_calls, 1);
+        assert!(segments >= 100 / crate::segbag::SEG_CAP);
+        let second = Handle::register(&scheme, &mut fresh_calls);
+        assert_eq!(
+            fresh_calls, 1,
+            "the parked workspace was adopted, not rebuilt"
+        );
+        assert_eq!(second.core.pool.free_segments(), segments);
+        assert_eq!(second.core.scratch.capacity(), capacity);
+        // With the cache empty, further registrants build anew; and workspaces
+        // past `max_threads` (2) are dropped at exit, not hoarded.
+        let third = Handle::register(&scheme, &mut fresh_calls);
+        let fourth = Handle::register(&scheme, &mut fresh_calls);
+        assert_eq!(fresh_calls, 3);
+        drop((second, third, fourth));
+        let _next_wave: Vec<Handle> = (0..3)
+            .map(|_| Handle::register(&scheme, &mut fresh_calls))
+            .collect();
+        assert_eq!(fresh_calls, 4, "two adopted, the third rebuilt");
+    }
+}

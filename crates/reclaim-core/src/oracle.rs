@@ -10,7 +10,7 @@
 //! ```text
 //!           register (Owned::new / Node::alloc)
 //!                │
-//!                ▼          on_retire (RetiredPtr::with_birth_sized)
+//!                ▼          on_retire (RetiredPtr::new)
 //!             ┌──────┐             ┌─────────┐  on_free  ┌───────┐
 //!             │ Live │ ───────────▶│ Retired │──────────▶│ Freed │
 //!             └──────┘             └─────────┘ (reclaim) └───────┘
@@ -250,7 +250,7 @@ pub fn deregister(ptr: *const u8) {
         .remove(&addr);
 }
 
-/// Records a retire (called from `RetiredPtr::with_birth_sized`, the choke
+/// Records a retire (called from `RetiredPtr::new`, the choke
 /// point every scheme's `retire` funnels through). Panics on double-retire and
 /// retire-after-free.
 pub fn on_retire(ptr: *const u8, size: usize) {

@@ -15,10 +15,11 @@
 //!
 //! Slots are grouped into shards of [`SHARD_SLOTS`] (= 8). Each shard owns one
 //! cache-padded control line holding a **claim bitmap** (bit `s` set ⇔ slot `s` of
-//! the shard is claimed; its popcount is the shard's occupancy) plus a
-//! *touched* high-water bitmap, and one cache-padded line of **generation words**.
-//! The per-slot record and statistics stripe keep their own padded lines — those
-//! are the owner's single-writer hot-path traffic.
+//! the shard is claimed; its popcount is the shard's occupancy), and one
+//! cache-padded line of **generation words**. The per-slot record keeps its own
+//! padded line — that is the owner's single-writer hot-path traffic. (The
+//! owner's statistics stripe lives in the scheme's
+//! [`SchemeCore`](crate::limbo::SchemeCore), keyed by the slot index.)
 //!
 //! The shard layout buys two things the flat array could not provide:
 //!
@@ -52,7 +53,7 @@
 //! so missing it never frees a node that re-validated successfully.
 
 use crate::pad::CachePadded;
-use crate::stats::{StatStripe, StatsSnapshot};
+use crate::stats::StatsSnapshot;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -109,15 +110,11 @@ impl fmt::Display for RegistryFull {
 
 impl Error for RegistryFull {}
 
-/// One shard's control line: the claim bitmap and the touched high-water bitmap,
-/// both written only at (de)registration, sharing one padded line.
+/// One shard's control line: the claim bitmap, written only at
+/// (de)registration.
 struct ShardControl {
     /// Bit `s` set ⇔ slot `s` of this shard is currently claimed.
     claimed: AtomicU64,
-    /// Bit `s` set ⇔ slot `s` has been claimed at least once (never cleared).
-    /// Lets [`Registry::merge_stats`] skip shards whose stripes were never
-    /// written without forgetting the counts of released slots.
-    touched: AtomicU64,
 }
 
 /// One shard's generation words: 8 × `u64` = one 64-byte line, padded so the
@@ -131,19 +128,10 @@ struct Shard {
     gens: CachePadded<ShardGens>,
 }
 
-struct SlotState<T> {
-    state: CachePadded<T>,
-    /// The slot owner's statistics stripe. Living next to the record the owner
-    /// already writes on its hot path, it turns the per-`retire` /
-    /// per-quiescent-state counter updates into single-writer traffic on a line no
-    /// other thread touches (scheme-wide snapshots sum the stripes lazily).
-    stats: CachePadded<StatStripe>,
-}
-
 /// Fixed-capacity, shard-striped registry of per-thread records (module docs).
 pub struct Registry<T> {
     shards: Box<[Shard]>,
-    slots: Box<[SlotState<T>]>,
+    slots: Box<[CachePadded<T>]>,
     /// Round-robin home-shard seed: each `acquire` starts at a different shard.
     home_seed: CachePadded<AtomicUsize>,
     /// Shards stepped over as wholly vacant by scans and cursor walks.
@@ -161,7 +149,6 @@ impl<T> Registry<T> {
             .map(|_| Shard {
                 control: CachePadded::new(ShardControl {
                     claimed: AtomicU64::new(0),
-                    touched: AtomicU64::new(0),
                 }),
                 gens: CachePadded::new(ShardGens {
                     gens: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -170,10 +157,7 @@ impl<T> Registry<T> {
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let slots = (0..capacity)
-            .map(|i| SlotState {
-                state: CachePadded::new(init(i)),
-                stats: CachePadded::new(StatStripe::new()),
-            })
+            .map(|i| CachePadded::new(init(i)))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         Self {
@@ -264,7 +248,6 @@ impl<T> Registry<T> {
             ) {
                 Ok(_) => {
                     let index = si * SHARD_SLOTS + bit;
-                    control.touched.fetch_or(1 << bit, Ordering::Relaxed);
                     // Only the (unique) winner of the claim CAS bumps, so
                     // generations step by exactly one per ownership transition.
                     // Release pairs with the acquire in `generation`: an observer
@@ -325,39 +308,18 @@ impl<T> Registry<T> {
     /// unclaimed slots hold neutral values (null hazard pointers, quiesced epochs), so
     /// including them is always conservative.
     pub fn get(&self, index: usize) -> &T {
-        &self.slots[index].state
+        &self.slots[index]
     }
 
     /// Returns the record for a claimed slot id (same as [`get`](Self::get), but takes
     /// the typed id the owner holds).
     pub fn get_mine(&self, id: SlotId) -> &T {
-        &self.slots[id.0].state
+        &self.slots[id.0]
     }
 
-    /// The statistics stripe owned by slot `id` — the counters a handle bumps on
-    /// its hot path (`retire`, quiescent states, scans).
-    #[inline]
-    pub fn stats(&self, id: SlotId) -> &StatStripe {
-        &self.slots[id.0].stats
-    }
-
-    /// Sums every touched slot's statistics stripe into `snap`, plus the
-    /// registry's own shard-skip/-walk counters. Stripes of released slots are
-    /// included (their shard stays *touched*): counts survive their writer's
-    /// deregistration. Shards never claimed are stepped over on one bitmap load.
-    pub fn merge_stats(&self, snap: &mut StatsSnapshot) {
-        for (si, shard) in self.shards.iter().enumerate() {
-            let touched = shard.control.touched.load(Ordering::Relaxed);
-            if touched == 0 {
-                continue;
-            }
-            let base = si * SHARD_SLOTS;
-            for bit in 0..SHARD_SLOTS {
-                if touched & (1 << bit) != 0 {
-                    self.slots[base + bit].stats.merge_into(snap);
-                }
-            }
-        }
+    /// Adds the registry's shard-skip/-walk counters to `snap` (the per-slot
+    /// counter stripes live in the scheme's [`SchemeCore`](crate::limbo::SchemeCore)).
+    pub fn merge_shard_counters(&self, snap: &mut StatsSnapshot) {
         snap.shard_skips += self.shard_skips.load(Ordering::Relaxed);
         snap.shard_walks += self.shard_walks.load(Ordering::Relaxed);
     }
@@ -388,7 +350,7 @@ impl<T> Registry<T> {
             let base = si * SHARD_SLOTS;
             let end = (base + SHARD_SLOTS).min(self.slots.len());
             for slot in &self.slots[base..end] {
-                collect(&slot.state, out);
+                collect(slot, out);
             }
         }
         out.sort_unstable();
@@ -420,7 +382,7 @@ impl<T> Registry<T> {
 
     /// Iterates over `(index, record)` for every slot, claimed or not.
     pub fn iter_all(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate().map(|(i, s)| (i, &*s.state))
+        self.slots.iter().enumerate().map(|(i, s)| (i, &**s))
     }
 
     /// Iterates over `(index, record)` for currently claimed slots only, stepping
@@ -444,13 +406,13 @@ impl<T> Registry<T> {
                 .filter(move |&bit| bits & (1 << bit) != 0)
                 .map(move |bit| {
                     let i = base + bit;
-                    (i, &*self.slots[i].state)
+                    (i, &*self.slots[i])
                 })
         })
     }
 
     /// Shards stepped over as wholly vacant so far (diagnostics/tests; also
-    /// merged into [`StatsSnapshot::shard_skips`] by [`merge_stats`](Self::merge_stats)).
+    /// merged into [`StatsSnapshot::shard_skips`] by [`merge_shard_counters`](Self::merge_shard_counters)).
     pub fn shard_skip_count(&self) -> u64 {
         self.shard_skips.load(Ordering::Relaxed)
     }
@@ -661,63 +623,15 @@ mod tests {
     }
 
     #[test]
-    fn per_slot_stats_merge_and_survive_release() {
-        let reg: Registry<AtomicUsize> = Registry::new(3, |_| AtomicUsize::new(0));
-        let a = reg.acquire().unwrap();
-        let b = reg.acquire().unwrap();
-        reg.stats(a).add_retired(5);
-        reg.stats(b).add_retired(2);
-        reg.stats(b).add_freed(1);
-        let mut snap = crate::stats::StatsSnapshot::default();
-        reg.merge_stats(&mut snap);
-        assert_eq!(snap.retired, 7);
-        assert_eq!(snap.freed, 1);
-        // Counts persist after the writer leaves.
-        reg.release(b);
-        let mut snap = crate::stats::StatsSnapshot::default();
-        reg.merge_stats(&mut snap);
-        assert_eq!(snap.retired, 7);
-        reg.release(a);
-    }
-
-    #[test]
-    fn merge_stats_reports_shard_skip_and_walk_counters() {
+    fn merge_shard_counters_reports_skips_and_walks() {
         let reg: Registry<AtomicUsize> = Registry::new(32, |_| AtomicUsize::new(0));
         let a = reg.acquire().unwrap();
         let mut out = Vec::new();
         reg.collect_protected(&mut out, |_, _| {});
         let mut snap = crate::stats::StatsSnapshot::default();
-        reg.merge_stats(&mut snap);
+        reg.merge_shard_counters(&mut snap);
         assert_eq!(snap.shard_skips + snap.shard_walks, 4);
         assert!(snap.shard_walks >= 1);
         reg.release(a);
-    }
-
-    #[test]
-    fn concurrent_striped_registry_stats_lose_nothing() {
-        const THREADS: usize = 8;
-        const OPS: u64 = 5_000;
-        let reg: Arc<Registry<AtomicUsize>> =
-            Arc::new(Registry::new(THREADS, |_| AtomicUsize::new(0)));
-        let workers: Vec<_> = (0..THREADS)
-            .map(|_| {
-                let reg = Arc::clone(&reg);
-                thread::spawn(move || {
-                    let id = reg.acquire().expect("capacity matches thread count");
-                    for _ in 0..OPS {
-                        reg.stats(id).add_retired(1);
-                        reg.stats(id).add_freed(1);
-                    }
-                    reg.release(id);
-                })
-            })
-            .collect();
-        for t in workers {
-            t.join().unwrap();
-        }
-        let mut snap = crate::stats::StatsSnapshot::default();
-        reg.merge_stats(&mut snap);
-        assert_eq!(snap.retired, THREADS as u64 * OPS);
-        assert_eq!(snap.freed, THREADS as u64 * OPS);
     }
 }

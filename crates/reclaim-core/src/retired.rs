@@ -2,38 +2,40 @@
 //!
 //! When a data structure unlinks a node it hands the node to the reclamation scheme
 //! via `retire` (the paper's `free_node_later`). The scheme must hold on to the node —
-//! together with the timestamp of its removal, which Cadence's deferred reclamation
-//! needs — until it can prove no other thread still uses it. [`RetiredPtr`] is the
-//! Rust equivalent of the paper's `timestamped_node` wrapper (Algorithm 3); threads
-//! collect these wrappers in [`crate::segbag::SegBag`] segment chains (a limbo list
-//! in QSBR terms, a removed-nodes list in HP/Cadence terms).
+//! together with whatever stamp its free rule consults, such as the removal time
+//! Cadence's deferred reclamation needs — until it can prove no other thread still
+//! uses it. [`RetiredPtr`] is the Rust equivalent of the paper's `timestamped_node`
+//! wrapper (Algorithm 3); threads collect these wrappers in
+//! [`crate::segbag::SegBag`] segment chains (a limbo list in QSBR terms, a
+//! removed-nodes list in HP/Cadence terms).
 
-use crate::clock::{Era, Nanos, NO_BIRTH_ERA};
+use crate::clock::{Era, Nanos};
 use std::fmt;
 
 /// A type-erased destructor: takes the pointer originally passed to `retire` and
 /// releases the node's memory.
 pub type DropFn = unsafe fn(*mut u8);
 
-/// A retired node awaiting reclamation: pointer, destructor, removal timestamp,
-/// allocation size, and — for the interval-based schemes — the era the node was
-/// allocated in.
+/// A retired node awaiting reclamation: pointer, destructor, the retiring
+/// scheme's stamp, allocation size, and — for the interval-based schemes — the
+/// era the node was allocated in.
 ///
-/// `retired_at` is whatever the retiring scheme's notion of "now" is: wall-clock
-/// nanoseconds for the deferred-reclamation schemes (Cadence, QSense), the
-/// logical retire era for Hazard Eras. `birth_era` is [`NO_BIRTH_ERA`] unless
-/// the allocation site stamped the node through `SmrHandle::alloc_node` — the
-/// era schemes treat an unstamped node as born before every announced era,
-/// which is conservative (wider lifetime interval, never freed early).
-/// `size` is the node's allocation size in bytes, stamped at retire by the
-/// typed `retire_box*` entry points (which know the `Layout`); the raw
-/// `retire` path stamps [`SIZE_UNKNOWN`] and such nodes count zero bytes
+/// `stamp` is **scheme-defined**: wall-clock nanoseconds at removal for the
+/// deferred-reclamation schemes (Cadence, QSense), the logical retire era for
+/// Hazard Eras, and a constant 0 for every scheme whose free rule never reads
+/// it (HP, QSBR, EBR, RefCount, Leaky) — those pay no clock read on retire.
+/// `birth_era` is [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) unless the
+/// allocation site stamped the node through `SmrHandle::alloc_node` — the era
+/// schemes treat an unstamped node as born before every announced era, which
+/// is conservative (wider lifetime interval, never freed early). `size` is the
+/// node's allocation size in bytes, which the typed `retire_box*` / guard
+/// entry points always know; a zero stamp ([`SIZE_UNKNOWN`]) counts zero bytes
 /// toward limbo budgets — byte budgets are only as complete as the callers'
 /// stamping, never *over*-counted.
 pub struct RetiredPtr {
     ptr: *mut u8,
     drop_fn: DropFn,
-    retired_at: Nanos,
+    stamp: u64,
     birth_era: Era,
     size: u32,
     /// Coarse telemetry tick stamped at retire ([`crate::telemetry`]); 0 means
@@ -42,9 +44,9 @@ pub struct RetiredPtr {
     tick: u32,
 }
 
-/// The size stamp of a node retired through the raw, size-unaware `retire`
-/// path (also the honest stamp for zero-sized types). Budget accounting
-/// treats these nodes as zero bytes.
+/// The size stamp of a node whose retire path did not know its size (also the
+/// honest stamp for zero-sized types). Budget accounting treats these nodes as
+/// zero bytes.
 pub const SIZE_UNKNOWN: u32 = 0;
 
 // A RetiredPtr is just a deferred destructor call; the node it points to is already
@@ -53,50 +55,23 @@ pub const SIZE_UNKNOWN: u32 = 0;
 unsafe impl Send for RetiredPtr {}
 
 impl RetiredPtr {
-    /// Wraps a retired node.
+    /// Wraps a retired node with the scheme's `stamp`, its allocation-time
+    /// birth era and its allocation size in bytes. `size_bytes` of zero means
+    /// "unknown" ([`SIZE_UNKNOWN`]); sizes past `u32::MAX` are clamped to
+    /// `u32::MAX` (a single ≥ 4 GiB node is outside this substrate's design
+    /// envelope; the clamp keeps the accounting bounded rather than wrapping).
     ///
     /// # Safety
     ///
     /// `ptr` must be a valid, unlinked node that will not be retired again, and
-    /// `drop_fn(ptr)` must correctly release it.
-    pub unsafe fn new(ptr: *mut u8, drop_fn: DropFn, retired_at: Nanos) -> Self {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { Self::with_birth(ptr, drop_fn, retired_at, NO_BIRTH_ERA) }
-    }
-
-    /// Wraps a retired node together with its allocation-time birth era
-    /// (interval-based schemes).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`new`](Self::new); additionally `birth_era` must be the
-    /// era stamped into the node at allocation (or [`NO_BIRTH_ERA`], which the
-    /// era schemes treat maximally conservatively).
-    pub unsafe fn with_birth(
+    /// `drop_fn(ptr)` must correctly release it; `birth_era` must be the era
+    /// stamped into the node at allocation (or `NO_BIRTH_ERA`, which the era
+    /// schemes treat maximally conservatively); `size_bytes` must not exceed
+    /// the node's actual allocation size.
+    pub unsafe fn new(
         ptr: *mut u8,
         drop_fn: DropFn,
-        retired_at: Nanos,
-        birth_era: Era,
-    ) -> Self {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { Self::with_birth_sized(ptr, drop_fn, retired_at, birth_era, 0) }
-    }
-
-    /// Wraps a retired node with its birth era *and* its allocation size in
-    /// bytes — the fully stamped constructor the typed `retire_box*` entry
-    /// points use. `size_bytes` of zero means "unknown" ([`SIZE_UNKNOWN`]);
-    /// sizes past `u32::MAX` are clamped to `u32::MAX` (a single ≥ 4 GiB node
-    /// is outside this substrate's design envelope; the clamp keeps the
-    /// accounting bounded rather than wrapping).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`with_birth`](Self::with_birth); additionally
-    /// `size_bytes` must not exceed the node's actual allocation size.
-    pub unsafe fn with_birth_sized(
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        retired_at: Nanos,
+        stamp: u64,
         birth_era: Era,
         size_bytes: usize,
     ) -> Self {
@@ -108,7 +83,7 @@ impl RetiredPtr {
         Self {
             ptr,
             drop_fn,
-            retired_at,
+            stamp,
             birth_era,
             size: u32::try_from(size_bytes).unwrap_or(u32::MAX),
             tick: 0,
@@ -116,10 +91,9 @@ impl RetiredPtr {
     }
 
     /// Stamps the coarse telemetry tick taken at retire time
-    /// ([`crate::telemetry::HandleTelemetry::retire_tick`]). Schemes call this
-    /// right after constructing the wrapper; 0 (the default) marks the node as
-    /// unstamped and the free-side delay measurement skips it.
-    pub fn set_retire_tick(&mut self, tick: u32) {
+    /// ([`crate::telemetry::HandleTelemetry::retire_tick`]); 0 (the default)
+    /// marks the node as unstamped and the free-side delay measurement skips it.
+    pub(crate) fn set_retire_tick(&mut self, tick: u32) {
         self.tick = tick;
     }
 
@@ -134,7 +108,7 @@ impl RetiredPtr {
         self.ptr
     }
 
-    /// The era the node was allocated in ([`NO_BIRTH_ERA`] if never stamped).
+    /// The era the node was allocated in (`NO_BIRTH_ERA` if never stamped).
     pub fn birth_era(&self) -> Era {
         self.birth_era
     }
@@ -147,16 +121,17 @@ impl RetiredPtr {
         self.size as usize
     }
 
-    /// Timestamp (scheme clock) at which the node was retired.
-    pub fn retired_at(&self) -> Nanos {
-        self.retired_at
+    /// The retiring scheme's stamp (see the type docs for what each scheme
+    /// stores here).
+    pub fn stamp(&self) -> u64 {
+        self.stamp
     }
 
-    /// `is_old_enough` from the paper (Algorithm 3, lines 36–39): the node may be
-    /// considered for reclamation only once `now - retired_at >= min_age`, where
-    /// `min_age = T + ε`.
+    /// `is_old_enough` from the paper (Algorithm 3, lines 36–39), for schemes
+    /// whose stamp is the removal time: the node may be considered for
+    /// reclamation only once `now - stamp >= min_age`, where `min_age = T + ε`.
     pub fn is_old_enough(&self, now: Nanos, min_age: Nanos) -> bool {
-        now.saturating_sub(self.retired_at) >= min_age
+        now.saturating_sub(self.stamp) >= min_age
     }
 
     /// Runs the destructor, consuming the wrapper.
@@ -183,7 +158,7 @@ impl fmt::Debug for RetiredPtr {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RetiredPtr")
             .field("ptr", &self.ptr)
-            .field("retired_at", &self.retired_at)
+            .field("stamp", &self.stamp)
             .finish()
     }
 }
@@ -191,6 +166,7 @@ impl fmt::Debug for RetiredPtr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::NO_BIRTH_ERA;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -204,7 +180,12 @@ mod tests {
         }
     }
 
-    fn retire_counter(counter: &Arc<AtomicUsize>, at: Nanos) -> RetiredPtr {
+    fn retire_stamped(
+        counter: &Arc<AtomicUsize>,
+        stamp: u64,
+        birth_era: Era,
+        size_bytes: usize,
+    ) -> RetiredPtr {
         let boxed = Box::new(DropCounter {
             counter: Arc::clone(counter),
         });
@@ -218,7 +199,11 @@ mod tests {
             };
         }
         // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-        unsafe { RetiredPtr::new(raw, drop_counter, at) }
+        unsafe { RetiredPtr::new(raw, drop_counter, stamp, birth_era, size_bytes) }
+    }
+
+    fn retire_counter(counter: &Arc<AtomicUsize>, at: Nanos) -> RetiredPtr {
+        retire_stamped(counter, at, NO_BIRTH_ERA, 0)
     }
 
     #[test]
@@ -254,60 +239,20 @@ mod tests {
     }
 
     #[test]
-    fn birth_era_defaults_to_reserved_and_round_trips_when_stamped() {
+    fn stamp_birth_era_and_size_round_trip() {
         let counter = Arc::new(AtomicUsize::new(0));
         let unstamped = retire_counter(&counter, 5);
         assert_eq!(unstamped.birth_era(), NO_BIRTH_ERA);
+        assert_eq!(unstamped.size_bytes(), SIZE_UNKNOWN as usize);
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { unstamped.reclaim() };
 
-        let boxed = Box::new(DropCounter {
-            counter: Arc::clone(&counter),
-        });
-        let raw = Box::into_raw(boxed).cast::<u8>();
-        unsafe fn drop_counter(ptr: *mut u8) {
-            // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-            #[allow(clippy::disallowed_methods)]
-            // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-            unsafe {
-                drop(Box::from_raw(ptr.cast::<DropCounter>()))
-            };
-        }
-        // SAFETY: `raw` was just leaked via Box::into_raw and matches `drop_counter`'s type.
-        let stamped = unsafe { RetiredPtr::with_birth(raw, drop_counter, 9, 42) };
+        let stamped = retire_stamped(&counter, 9, 42, 256);
+        assert_eq!(stamped.stamp(), 9);
         assert_eq!(stamped.birth_era(), 42);
-        assert_eq!(stamped.retired_at(), 9);
+        assert_eq!(stamped.size_bytes(), 256);
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { stamped.reclaim() };
-        assert_eq!(counter.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn size_stamp_defaults_to_unknown_and_round_trips_when_stamped() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let unsized_node = retire_counter(&counter, 1);
-        assert_eq!(unsized_node.size_bytes(), SIZE_UNKNOWN as usize);
-        // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
-        unsafe { unsized_node.reclaim() };
-
-        let boxed = Box::new(DropCounter {
-            counter: Arc::clone(&counter),
-        });
-        let raw = Box::into_raw(boxed).cast::<u8>();
-        unsafe fn drop_counter(ptr: *mut u8) {
-            // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-            #[allow(clippy::disallowed_methods)]
-            // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-            unsafe {
-                drop(Box::from_raw(ptr.cast::<DropCounter>()))
-            };
-        }
-        // SAFETY: `raw` was just leaked via Box::into_raw and matches `drop_counter`'s type.
-        let sized = unsafe { RetiredPtr::with_birth_sized(raw, drop_counter, 2, 7, 256) };
-        assert_eq!(sized.size_bytes(), 256);
-        assert_eq!(sized.birth_era(), 7);
-        // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
-        unsafe { sized.reclaim() };
         assert_eq!(counter.load(Ordering::SeqCst), 2);
     }
 
@@ -328,20 +273,7 @@ mod tests {
     #[test]
     fn oversized_stamp_clamps_instead_of_wrapping() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let boxed = Box::new(DropCounter {
-            counter: Arc::clone(&counter),
-        });
-        let raw = Box::into_raw(boxed).cast::<u8>();
-        unsafe fn drop_counter(ptr: *mut u8) {
-            // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-            #[allow(clippy::disallowed_methods)]
-            // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-            unsafe {
-                drop(Box::from_raw(ptr.cast::<DropCounter>()))
-            };
-        }
-        // SAFETY: `raw` was just leaked via Box::into_raw and matches `drop_counter`'s type.
-        let huge = unsafe { RetiredPtr::with_birth_sized(raw, drop_counter, 0, 0, usize::MAX) };
+        let huge = retire_stamped(&counter, 0, 0, usize::MAX);
         assert_eq!(huge.size_bytes(), u32::MAX as usize);
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { huge.reclaim() };

@@ -30,7 +30,7 @@
 //!   scan shrinks such a chain by one segment until the survivors share one.
 //! * **splice** moves another bag's entire chain in O(1) pointer surgery. This
 //!   is what makes the parked-bag hand-off at handle drop allocation-free: the
-//!   scheme keeps one [`ParkedChain`] and dying handles splice their leftovers
+//!   scheme keeps one parked chain and dying handles splice their leftovers
 //!   into it; surviving handles adopt the parked chain back (another splice) on
 //!   their next flush.
 //!
@@ -140,6 +140,13 @@ impl SegPool {
             unsafe { pool.put(seg) };
         }
         pool
+    }
+
+    /// A pool pre-warmed for a handle that scans every `scan_threshold` retires
+    /// (capped: a test-sized huge `R` must not balloon registration), so even
+    /// the handle's first bag fill recycles instead of allocating.
+    pub fn for_scan_threshold(scan_threshold: usize) -> Self {
+        Self::with_node_capacity((scan_threshold + 1).min(2048))
     }
 
     /// Number of empty segments currently pooled.
@@ -344,70 +351,41 @@ impl SegBag {
     pub unsafe fn reclaim_if(
         &mut self,
         pool: &mut SegPool,
-        mut can_reclaim: impl FnMut(&RetiredPtr) -> bool,
+        can_reclaim: impl FnMut(&RetiredPtr) -> bool,
     ) -> usize {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.reclaim_impl(pool, |_| true, &mut can_reclaim, |_| {}) }
+        unsafe { self.reclaim_walk(pool, |_| true, can_reclaim, |_| {}) }
     }
 
-    /// Like [`reclaim_if`](Self::reclaim_if), but additionally calls
-    /// `visit_survivor` exactly once for every node that *remains* in the bag
-    /// after the pass. The walk already touches every survivor to compact it,
-    /// so the visit is free; callers use it to recompute aggregate bounds
-    /// (e.g. the era chains' min/max birth) that would otherwise go stale
-    /// after a partial reclaim — stale bounds cost O(bag) walks on every
-    /// later scan until the bag fully drains.
+    /// The general form of [`reclaim_if`](Self::reclaim_if), with two extra
+    /// hooks on the same walk:
+    ///
+    /// * the walk **stops for good** at the first node for which
+    ///   `keep_scanning` returns false; later nodes are not examined (and not
+    ///   reclaimed) this pass. This is the age-ordered fast path for
+    ///   deferred-reclamation scans (Cadence, QSense's fallback): a thread
+    ///   pushes in retirement order, so once a node is too young to free,
+    ///   everything behind it is younger still — the scan touches only the
+    ///   reclaimable prefix plus one node, O(freed), instead of walking tens
+    ///   of thousands of still-young survivors. A [`splice`](Self::splice) can
+    ///   append *older* nodes behind younger ones (parked-chain adoption);
+    ///   stopping early merely delays those until the nodes in front of them
+    ///   age too, which is always safe.
+    /// * `visit_survivor` is called exactly once for every node that *remains*
+    ///   in the bag after the pass. The walk already touches every survivor to
+    ///   compact it, so the visit is free; callers use it to recompute
+    ///   aggregate bounds (e.g. the era chains' min/max birth) that would
+    ///   otherwise go stale after a partial reclaim — stale bounds cost O(bag)
+    ///   walks on every later scan until the bag fully drains.
     ///
     /// # Safety
     ///
     /// Same contract as [`reclaim_if`](Self::reclaim_if).
-    pub unsafe fn reclaim_if_visit(
-        &mut self,
-        pool: &mut SegPool,
-        mut can_reclaim: impl FnMut(&RetiredPtr) -> bool,
-        mut visit_survivor: impl FnMut(&RetiredPtr),
-    ) -> usize {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.reclaim_impl(pool, |_| true, &mut can_reclaim, &mut visit_survivor) }
-    }
-
-    /// Like [`reclaim_if`](Self::reclaim_if), but the walk stops for good at
-    /// the first node for which `keep_scanning` returns false; later nodes are
-    /// not examined (and not reclaimed) this pass.
-    ///
-    /// This is the age-ordered fast path for deferred-reclamation scans
-    /// (Cadence, QSense's fallback): a thread pushes in retirement order, so
-    /// once a node is too young to free, everything behind it is younger
-    /// still — the scan touches only the reclaimable prefix plus one node,
-    /// O(freed), instead of walking tens of thousands of still-young
-    /// survivors. A [`splice`](Self::splice) can append *older* nodes behind
-    /// younger ones (parked-chain adoption); stopping early merely delays
-    /// those until the nodes in front of them age too, which is always safe.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`reclaim_if`](Self::reclaim_if).
-    pub unsafe fn reclaim_if_while(
+    pub unsafe fn reclaim_walk(
         &mut self,
         pool: &mut SegPool,
         mut keep_scanning: impl FnMut(&RetiredPtr) -> bool,
         mut can_reclaim: impl FnMut(&RetiredPtr) -> bool,
-    ) -> usize {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.reclaim_impl(pool, &mut keep_scanning, &mut can_reclaim, |_| {}) }
-    }
-
-    /// Shared walk for the two reclaim entry points (see their docs).
-    ///
-    /// # Safety
-    ///
-    /// `can_reclaim` must only return `true` for nodes no other thread can
-    /// still access.
-    unsafe fn reclaim_impl(
-        &mut self,
-        pool: &mut SegPool,
-        mut keep_scanning: impl FnMut(&RetiredPtr) -> bool,
-        can_reclaim: &mut impl FnMut(&RetiredPtr) -> bool,
         mut visit_survivor: impl FnMut(&RetiredPtr),
     ) -> usize {
         let mut freed = 0usize;
@@ -573,10 +551,12 @@ impl Drop for SegBag {
 /// (an O(1) chain splice under the lock, no allocation); the next surviving
 /// handle to flush [`adopt`](Self::adopt_into)s the whole chain back into its
 /// own bag, where the nodes rejoin normal scanning; anything never adopted is
-/// [`drain`](Self::drain_all)ed when the scheme itself drops. Every scheme
-/// embeds one of these — the protocol lives here exactly once instead of being
-/// repeated per scheme crate.
-pub struct ParkedChain {
+/// [`drain`](Self::drain_all)ed when the scheme itself drops. Every
+/// [`SchemeCore`](crate::limbo::SchemeCore) embeds one of these and is the only
+/// way in: scheme crates park and adopt through their
+/// [`HandleCore`](crate::limbo::HandleCore), which keeps the byte accounting
+/// in step.
+pub(crate) struct ParkedChain {
     chain: Mutex<SegBag>,
 }
 
@@ -606,8 +586,8 @@ impl ParkedChain {
         into.splice(&mut parked);
     }
 
-    /// Stamped bytes currently sitting in the parking lot (diagnostics; takes
-    /// the lock).
+    /// Stamped bytes currently sitting in the parking lot (takes the lock).
+    #[cfg(test)]
     pub fn parked_bytes(&self) -> usize {
         self.chain
             .lock()
@@ -647,6 +627,40 @@ impl fmt::Debug for ParkedChain {
             .map(|chain| chain.len())
             .unwrap_or_default();
         f.debug_struct("ParkedChain").field("len", &len).finish()
+    }
+}
+
+/// Scheme-level cache of exited handles' workspaces — the resource-side twin of
+/// [`ParkedChain`]: the chain moves the *work* of a dying handle, this moves
+/// its *workspace* (segment pool + the scheme's scan scratch `W`) to the next
+/// registrant, so after the first wave of handles registration allocates
+/// nothing. LIFO keeps the hottest segments in circulation. The backing
+/// storage is allocated up front at the scheme's `max_threads` — more
+/// workspaces could never be in use — so parking, which runs on the
+/// handle-drop path, never touches the allocator either.
+pub(crate) struct WorkspaceCache<W> {
+    parked: Mutex<Vec<(SegPool, W)>>,
+}
+
+impl<W> WorkspaceCache<W> {
+    pub fn with_capacity(capacity: usize) -> Self {
+        Self {
+            parked: Mutex::new(Vec::with_capacity(capacity)),
+        }
+    }
+
+    /// Takes the most recently parked workspace, if any.
+    pub fn adopt(&self) -> Option<(SegPool, W)> {
+        self.parked.lock().unwrap_or_else(|e| e.into_inner()).pop()
+    }
+
+    /// Parks a dying handle's workspace; past the pre-allocated capacity it
+    /// would be dead weight and is simply dropped.
+    pub fn park(&self, pool: SegPool, scratch: W) {
+        let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
+        if parked.len() < parked.capacity() {
+            parked.push((pool, scratch));
+        }
     }
 }
 
@@ -697,20 +711,7 @@ mod tests {
     }
 
     fn retire_counter(counter: &Arc<AtomicUsize>, at: Nanos) -> RetiredPtr {
-        let boxed = Box::new(DropCounter {
-            counter: Arc::clone(counter),
-        });
-        let raw = Box::into_raw(boxed).cast::<u8>();
-        unsafe fn drop_counter(ptr: *mut u8) {
-            // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-            #[allow(clippy::disallowed_methods)]
-            // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-            unsafe {
-                drop(Box::from_raw(ptr.cast::<DropCounter>()))
-            };
-        }
-        // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-        unsafe { RetiredPtr::new(raw, drop_counter, at) }
+        retire_counter_sized(counter, at, 0)
     }
 
     fn retire_counter_sized(counter: &Arc<AtomicUsize>, at: Nanos, size: usize) -> RetiredPtr {
@@ -727,7 +728,7 @@ mod tests {
             };
         }
         // SAFETY: `raw` was just leaked via Box::into_raw and matches `drop_counter`'s type.
-        unsafe { RetiredPtr::with_birth_sized(raw, drop_counter, at, 0, size) }
+        unsafe { RetiredPtr::new(raw, drop_counter, at, 0, size) }
     }
 
     #[test]
@@ -766,7 +767,7 @@ mod tests {
         assert_eq!(b.bytes(), 0);
         // A partial reclaim subtracts exactly the freed nodes' stamps.
         // SAFETY: the test owns every node in the bag; none is protected.
-        let freed = unsafe { a.reclaim_if(&mut pool, |node| node.retired_at() < 2) };
+        let freed = unsafe { a.reclaim_if(&mut pool, |node| node.stamp() < 2) };
         assert_eq!(freed, 2);
         assert_eq!(a.bytes(), total + 64 - 100 - 200);
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
@@ -828,11 +829,11 @@ mod tests {
                 |t: u64| (t.wrapping_mul(2654435761).wrapping_add(round * 97)).is_multiple_of(3);
             let expected_freed = (0..n).filter(|&t| !keep(t)).count();
             // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-            let freed = unsafe { bag.reclaim_if(&mut pool, |node| !keep(node.retired_at())) };
+            let freed = unsafe { bag.reclaim_if(&mut pool, |node| !keep(node.stamp())) };
             assert_eq!(freed, expected_freed, "round {round}");
             assert_eq!(counter.load(Ordering::SeqCst), expected_freed);
             assert_eq!(bag.len(), n as usize - expected_freed);
-            let survivors: Vec<u64> = bag.iter().map(RetiredPtr::retired_at).collect();
+            let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
             let expected: Vec<u64> = (0..n).filter(|&t| keep(t)).collect();
             assert_eq!(
                 survivors, expected,
@@ -882,12 +883,12 @@ mod tests {
         // the middle segment's survivors stay in place, unmoved.
         let keep = |t: u64| (SEG_CAP as u64..2 * SEG_CAP as u64).contains(&t);
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !keep(n.retired_at())) };
+        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !keep(n.stamp())) };
         assert_eq!(freed, 2 * SEG_CAP);
         assert_eq!(bag.len(), SEG_CAP);
         assert_eq!(bag.segments(), 1, "drained segments must be unlinked");
         assert_eq!(pool.free_segments(), 2);
-        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::retired_at).collect();
+        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         assert_eq!(
             survivors,
             (SEG_CAP as u64..2 * SEG_CAP as u64).collect::<Vec<_>>()
@@ -915,7 +916,7 @@ mod tests {
         // is merged this pass. The move cost stays O(freed) + one bounded merge,
         // never O(bag).
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !n.retired_at().is_multiple_of(3)) };
+        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !n.stamp().is_multiple_of(3)) };
         assert_eq!(freed, 2 * SEG_CAP);
         assert_eq!(bag.len(), SEG_CAP);
         assert_eq!(
@@ -924,7 +925,7 @@ mod tests {
             "exactly one adjacent pair merged this pass"
         );
         assert_eq!(pool.free_segments(), 1, "the merged shell is recycled");
-        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::retired_at).collect();
+        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         let expected: Vec<u64> = (0..3 * SEG_CAP as u64)
             .filter(|t| t.is_multiple_of(3))
             .collect();
@@ -953,7 +954,7 @@ mod tests {
         // Keep exactly one node per segment.
         let keep = |t: u64| t.is_multiple_of(SEG_CAP as u64);
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !keep(n.retired_at())) };
+        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !keep(n.stamp())) };
         assert_eq!(freed, segments * (SEG_CAP - 1));
         // Pass 1 already merged one pair; every further (empty) pass merges one
         // more until a single segment remains.
@@ -965,7 +966,7 @@ mod tests {
             assert_eq!(bag.segments(), remaining);
         }
         assert_eq!(bag.len(), segments);
-        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::retired_at).collect();
+        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         let expected: Vec<u64> = (0..segments as u64).map(|i| i * SEG_CAP as u64).collect();
         assert_eq!(survivors, expected, "merges preserve order");
         // Converged: further passes are no-ops.
@@ -981,7 +982,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_if_visit_sees_every_survivor_exactly_once() {
+    fn reclaim_walk_visits_every_survivor_exactly_once() {
         for round in 0..16u64 {
             let counter = Arc::new(AtomicUsize::new(0));
             let mut pool = SegPool::new();
@@ -995,10 +996,11 @@ mod tests {
             let mut visited = Vec::new();
             // SAFETY: the test owns every node in the bag; none is protected.
             let freed = unsafe {
-                bag.reclaim_if_visit(
+                bag.reclaim_walk(
                     &mut pool,
-                    |node| !keep(node.retired_at()),
-                    |survivor| visited.push(survivor.retired_at()),
+                    |_| true,
+                    |node| !keep(node.stamp()),
+                    |survivor| visited.push(survivor.stamp()),
                 )
             };
             let expected: Vec<u64> = (0..n).filter(|&t| keep(t)).collect();
@@ -1008,7 +1010,7 @@ mod tests {
             );
             assert_eq!(freed, n as usize - expected.len());
             assert_eq!(bag.len(), expected.len());
-            let remaining: Vec<u64> = bag.iter().map(RetiredPtr::retired_at).collect();
+            let remaining: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
             assert_eq!(
                 remaining, expected,
                 "round {round}: visited set matches the bag after merges"
@@ -1019,7 +1021,7 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_if_while_stops_at_the_first_blocking_node() {
+    fn reclaim_walk_stops_at_the_first_blocking_node() {
         let counter = Arc::new(AtomicUsize::new(0));
         let mut pool = SegPool::new();
         let mut bag = SegBag::new();
@@ -1032,10 +1034,11 @@ mod tests {
         let cutoff = SEG_CAP as u64 + 3;
         // SAFETY: the test owns every node in the bag; none is protected.
         let freed = unsafe {
-            bag.reclaim_if_while(
+            bag.reclaim_walk(
                 &mut pool,
-                |node| node.retired_at() < cutoff,
-                |node| node.retired_at() != 7,
+                |node| node.stamp() < cutoff,
+                |node| node.stamp() != 7,
+                |_| {},
             )
         };
         assert_eq!(
@@ -1045,7 +1048,7 @@ mod tests {
         );
         assert_eq!(bag.len(), n as usize - freed);
         // Everything at or past the cutoff was never examined; node 7 survived.
-        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::retired_at).collect();
+        let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         let expected: Vec<u64> = std::iter::once(7).chain(cutoff..n).collect();
         assert_eq!(survivors, expected);
         assert_eq!(counter.load(Ordering::SeqCst), freed);
@@ -1075,7 +1078,7 @@ mod tests {
         assert_eq!(b.segments(), 0);
         // Splicing leaves a partial segment mid-chain; iteration and reclaim
         // must both handle it.
-        let seen: Vec<u64> = a.iter().map(RetiredPtr::retired_at).collect();
+        let seen: Vec<u64> = a.iter().map(RetiredPtr::stamp).collect();
         assert_eq!(seen.len(), total);
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
         let freed = unsafe { a.reclaim_all(&mut pool) };
@@ -1133,7 +1136,7 @@ mod tests {
         let freed = unsafe { a.reclaim_if(&mut pool, |_| false) };
         assert_eq!(freed, 0);
         assert_eq!(a.len(), total);
-        let survivors: Vec<u64> = a.iter().map(RetiredPtr::retired_at).collect();
+        let survivors: Vec<u64> = a.iter().map(RetiredPtr::stamp).collect();
         assert_eq!(survivors, (0..total as u64).collect::<Vec<_>>());
         // Nothing was freed, so all 3 segments (partial one included) remain.
         assert_eq!(a.segments(), 3);

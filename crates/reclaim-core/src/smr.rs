@@ -11,7 +11,7 @@
 //! |------------|--------------|--------------------|
 //! | `manage_qsense_state()` | [`SmrHandle::begin_op`] | call in states where no shared references are held — i.e. at the start of every data-structure operation |
 //! | `assign_HP(node, i)` | [`SmrHandle::protect`] | call before using a reference to a node, then re-validate the reference |
-//! | `free_node_later(node)` | [`SmrHandle::retire`] | call where `free` would be called sequentially, after the node is unlinked |
+//! | `free_node_later(node)` | [`SmrHandle::retire`] — the single retire entry point, carrying the node's birth era and allocation size | call where `free` would be called sequentially, after the node is unlinked |
 //!
 //! ## The allocation-side hook
 //!
@@ -21,18 +21,17 @@
 //! that its lifetime interval `[birth, retire]` can later be tested against
 //! readers' announced eras. [`SmrHandle::alloc_node`] is that hook: data
 //! structures call it at every node allocation site, store the returned stamp
-//! in the node, and pass the stamp back through
-//! [`SmrHandle::retire_with_birth`] when the node is unlinked. For the seven
-//! non-era schemes both are free: `alloc_node` defaults to returning
+//! in the node, and pass the stamp back as [`SmrHandle::retire`]'s `birth_era`
+//! when the node is unlinked. For the seven non-era schemes both are free:
+//! `alloc_node` defaults to returning
 //! [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) without touching shared state,
-//! and `retire_with_birth` defaults to discarding the stamp and delegating to
-//! [`retire`](SmrHandle::retire).
+//! and their `retire` ignores the stamp.
 
 use crate::budget::BudgetVerdict;
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::retired::DropFn;
 use crate::stats::StatsSnapshot;
-use crate::telemetry::Telemetry;
+use crate::telemetry::{HandleTelemetry, Telemetry};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -160,69 +159,37 @@ pub trait SmrHandle: Send {
     /// stalled reader can pin).
     ///
     /// Data structures call this once per node allocation, store the returned
-    /// value in the node, and hand it back via
-    /// [`retire_with_birth`](Self::retire_with_birth) when the node is
-    /// unlinked. The default implementation returns
-    /// [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) and touches nothing — the
-    /// no-op for every non-era scheme.
+    /// value in the node, and hand it back as [`retire`](Self::retire)'s
+    /// `birth_era` when the node is unlinked. The default implementation
+    /// returns [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) and touches
+    /// nothing — the no-op for every non-era scheme.
     fn alloc_node(&mut self) -> Era {
         NO_BIRTH_ERA
     }
 
     /// Hands an unlinked node to the scheme for deferred reclamation — the paper's
-    /// `free_node_later`.
+    /// `free_node_later`, fully stamped: `birth_era` is the value
+    /// [`alloc_node`](Self::alloc_node) returned when the node was created
+    /// (era schemes use it to bound the node's lifetime interval
+    /// `[birth, retire]`; everyone else ignores it) and `size_bytes` its
+    /// allocation size, which feeds the limbo byte accounting. The typed
+    /// [`retire_box`](crate::retire_box) /
+    /// [`retire_box_with_birth`](crate::retire_box_with_birth) helpers and the
+    /// guard layer ([`crate::guard::Unlinked::retire`]) fill both in.
     ///
     /// # Safety
     ///
     /// * `ptr` must have been unlinked from the data structure before the call (the
     ///   node is in the *removed* state);
     /// * the same pointer must not be retired twice;
-    /// * `drop_fn(ptr)` must correctly release the node.
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn);
-
-    /// Like [`retire`](Self::retire), but also passes the node's allocation-time
-    /// birth era (the value [`alloc_node`](Self::alloc_node) returned when the
-    /// node was created). Era schemes use it to bound the node's lifetime
-    /// interval `[birth, retire]`; the default implementation discards the
-    /// stamp and delegates to `retire`.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`retire`](Self::retire). `birth_era` must be the stamp
-    /// `alloc_node` produced for this node, or
-    /// [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) (always safe: the era
-    /// schemes treat an unstamped node as born before every announced era).
-    unsafe fn retire_with_birth(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era) {
-        let _ = birth_era;
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire(ptr, drop_fn) }
-    }
-
-    /// The fully stamped retire: birth era *and* allocation size in bytes.
-    /// The typed [`retire_box`](crate::retire_box) /
-    /// [`retire_box_with_birth`](crate::retire_box_with_birth) entry points
-    /// route through here (they know the `Layout`); schemes that account
-    /// limbo in bytes override this as their primary retire path and route
-    /// the size-unknown variants through it with a zero stamp. The default
-    /// discards the size and delegates to
-    /// [`retire_with_birth`](Self::retire_with_birth).
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`retire_with_birth`](Self::retire_with_birth);
-    /// additionally `size_bytes` must not exceed the node's actual allocation
-    /// size (0 = unknown, never over-stated).
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        birth_era: Era,
-        size_bytes: usize,
-    ) {
-        let _ = size_bytes;
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_with_birth(ptr, drop_fn, birth_era) }
-    }
+    /// * `drop_fn(ptr)` must correctly release the node;
+    /// * `birth_era` must be the stamp `alloc_node` produced for this node, or
+    ///   [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) (always safe: the era
+    ///   schemes treat an unstamped node as born before every announced era);
+    /// * `size_bytes` must not exceed the node's actual allocation size (0 =
+    ///   unknown, never over-stated; counted in
+    ///   [`StatsSnapshot::size_unknown_retires`]).
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize);
 
     /// Forces a best-effort reclamation pass over this thread's retired nodes,
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.
@@ -239,19 +206,23 @@ pub trait SmrHandle: Send {
         0
     }
 
-    /// Telemetry op-bracket entry ([`crate::telemetry::HandleTelemetry::op_begin`]):
-    /// called by [`crate::guard::Guard`] right after [`begin_op`](Self::begin_op).
-    /// Returns the start instant for the 1-in-N sampled ops, `None` otherwise.
-    /// The default (for schemes without telemetry) is a constant `None`, which
-    /// the guard bracket compiles away.
+    /// This handle's telemetry cursor (every in-tree scheme keeps it in its
+    /// [`HandleCore`](crate::limbo::HandleCore)); the op bracket below records
+    /// through it.
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry;
+
+    /// Telemetry op-bracket entry ([`HandleTelemetry::op_begin`]): called by
+    /// [`crate::guard::Guard`] right after [`begin_op`](Self::begin_op).
+    /// Returns the start instant for the 1-in-N sampled ops, `None` otherwise
+    /// (one relaxed load when telemetry is disabled).
     fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        None
+        self.telemetry_cursor().op_begin()
     }
 
     /// Telemetry op-bracket exit: records the sampled op's latency. Called by
     /// the guard's drop with the instant `telemetry_op_begin` returned.
     fn telemetry_op_end(&mut self, started: Instant) {
-        let _ = started;
+        self.telemetry_cursor().op_end(started);
     }
 }
 

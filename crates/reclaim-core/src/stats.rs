@@ -17,10 +17,10 @@
 //! are only summed when somebody asks for a [`StatsSnapshot`]. Writers touch their
 //! own line; readers pay O(#stripes) per snapshot, which is off the measured path.
 //!
-//! Registry-backed schemes (QSBR, EBR, HP, Cadence, QSense) keep one stripe per
-//! registry slot, co-located with the slot record the owning thread already writes
-//! (see [`crate::registry::Registry`]). Registry-less schemes (Leaky, RefCount) use
-//! a standalone [`ShardedStats`] and deal stripes out round-robin at registration.
+//! Every scheme's [`SchemeCore`](crate::limbo::SchemeCore) holds one
+//! [`ShardedStats`]: registry-backed schemes (QSBR, EBR, HP, Cadence, QSense, HE)
+//! key a handle's stripe by its registry slot index, registry-less schemes (Leaky,
+//! RefCount) deal stripes out round-robin at registration.
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -93,7 +93,7 @@ pub struct StatsSnapshot {
     /// (one bitmap load, zero slot lines touched) — the counter that proves
     /// scan cost tracks *active shards*, not registered capacity. Not a stripe
     /// counter: the registry tracks it and injects it at merge time (see
-    /// [`crate::registry::Registry::merge_stats`]).
+    /// [`crate::registry::Registry::merge_shard_counters`]).
     pub shard_skips: u64,
     /// Registry shards actually walked (at least one claimed slot at the
     /// bitmap load). Registry-level, like [`shard_skips`](Self::shard_skips).
@@ -155,7 +155,7 @@ impl StatStripe {
     /// Records one retire that arrived without a byte size (the sealed
     /// size-unknown path; see [`StatsSnapshot::size_unknown_retires`]).
     #[inline]
-    pub fn add_size_unknown_retire(&self) {
+    pub(crate) fn add_size_unknown_retire(&self) {
         self.size_unknown_retires.fetch_add(1, R);
     }
 
@@ -247,12 +247,9 @@ impl StatStripe {
     }
 }
 
-/// Standalone sharded counters for schemes that have no slot registry (Leaky,
-/// RefCount): a fixed array of cache-padded stripes dealt out round-robin.
-///
-/// Registry-backed schemes should use the stripes embedded in
-/// [`crate::registry::Registry`] instead, which co-locates each stripe with the
-/// slot record its owner already touches.
+/// A scheme's sharded counters: a fixed array of cache-padded stripes, one per
+/// handle — indexed by registry slot, or dealt out round-robin by
+/// [`assign_stripe`](Self::assign_stripe) for schemes with no slot registry.
 #[derive(Debug)]
 pub struct ShardedStats {
     stripes: Box<[CachePadded<StatStripe>]>,

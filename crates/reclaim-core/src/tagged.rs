@@ -1,26 +1,22 @@
 //! Marked and **versioned** link words.
 //!
-//! Two link representations live here, one per validation discipline:
+//! Every link in this repository is a [`VersionedAtomic`] holding a
+//! [`LinkWord`]: a 64-bit word packing the pointer, the Harris *logical
+//! deletion* mark (the least-significant bit of a node's `next` pointer), and a
+//! **per-link version counter** that every successful CAS bumps.
 //!
-//! 1. **Marked pointers** ([`marked`] / [`unmarked`] / [`is_marked`] /
-//!    [`decompose`]): the Harris technique — a *logical deletion* mark in the
-//!    least-significant bit of a node's `next` pointer. This is sufficient for
-//!    structures whose validate-then-CAS pattern targets the **same link it
-//!    validated** (the linked list, the hash map's bucket lists): the CAS's
-//!    expected pointer value re-validates the link for free, and hazard-pointer
-//!    protection of the expected node rules out address reuse (ABA), so a stale
-//!    CAS always fails.
-//!
-//! 2. **Versioned link words** ([`VersionedAtomic`] / [`LinkWord`]): a 64-bit
-//!    word packing the pointer, the deletion mark, and a **per-link version
-//!    counter** that every successful CAS bumps. This is what the skip list
-//!    needs: its upper-level link CAS acts on a *different* link (and level)
-//!    than the membership validation (`succs[0] == node`), so pointer equality
-//!    at the CASed link proves nothing about the validated state still holding.
-//!    With versions, "the link looks unchanged" and "the link *is* unchanged
-//!    since my validation" coincide, which makes validate-on-link sound — the
-//!    VBR insight (Sheffi–Morrison–Petrank) applied to exactly the
-//!    validate-then-CAS window the skip list's re-link race lives in.
+//! The mark alone suffices for structures whose validate-then-CAS pattern
+//! targets the **same link it validated** (the linked list, the hash map's
+//! bucket lists): the CAS's expected pointer value re-validates the link for
+//! free, and hazard-pointer protection of the expected node rules out address
+//! reuse (ABA), so a stale CAS always fails. The version is what the skip list
+//! needs: its upper-level link CAS acts on a *different* link (and level) than
+//! the membership validation (`succs[0] == node`), so pointer equality at the
+//! CASed link proves nothing about the validated state still holding. With
+//! versions, "the link looks unchanged" and "the link *is* unchanged since my
+//! validation" coincide, which makes validate-on-link sound — the VBR insight
+//! (Sheffi–Morrison–Petrank) applied to exactly the validate-then-CAS window
+//! the skip list's re-link race lives in.
 //!
 //! ## Word layout
 //!
@@ -66,40 +62,12 @@
 //! the invariant the versions enforce). The wrap arithmetic itself is exact:
 //! [`pack`] masks the version to 16 bits, so `0xFFFF + 1` rolls to `0` without
 //! touching the pointer or mark bits (pinned by a unit test below).
-//!
-//! The legacy helpers keep working on `*mut T` for the single-word structures;
-//! the versioned type is deliberately separate so each structure's file states
-//! which discipline it relies on.
 
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// The logical-deletion mark (bit 0) of both representations.
+/// The logical-deletion mark (bit 0) of a link word.
 const MARK: usize = 1;
-
-/// Returns `ptr` with its mark bit cleared.
-#[inline]
-pub fn unmarked<T>(ptr: *mut T) -> *mut T {
-    ((ptr as usize) & !MARK) as *mut T
-}
-
-/// Returns `ptr` with its mark bit set.
-#[inline]
-pub fn marked<T>(ptr: *mut T) -> *mut T {
-    ((ptr as usize) | MARK) as *mut T
-}
-
-/// True if the mark bit of `ptr` is set.
-#[inline]
-pub fn is_marked<T>(ptr: *mut T) -> bool {
-    (ptr as usize) & MARK == MARK
-}
-
-/// Splits a possibly marked pointer into `(clean_pointer, is_marked)`.
-#[inline]
-pub fn decompose<T>(ptr: *mut T) -> (*mut T, bool) {
-    (unmarked(ptr), is_marked(ptr))
-}
 
 /// Number of version bits in a [`LinkWord`].
 pub const VERSION_BITS: u32 = 16;
@@ -290,35 +258,6 @@ impl<T> VersionedAtomic<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mark_round_trip() {
-        let boxed = Box::new(7_u64);
-        let raw = Box::into_raw(boxed);
-        assert!(!is_marked(raw), "heap pointers start unmarked");
-        let m = marked(raw);
-        assert!(is_marked(m));
-        assert_eq!(unmarked(m), raw);
-        assert_eq!(marked(m), m, "marking twice is idempotent");
-        assert_eq!(unmarked(unmarked(m)), raw);
-        let (clean, flag) = decompose(m);
-        assert_eq!(clean, raw);
-        assert!(flag);
-        // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-        #[allow(clippy::disallowed_methods)]
-        // sanctioned: test teardown balancing this test's Box::into_raw
-        unsafe {
-            drop(Box::from_raw(raw))
-        };
-    }
-
-    #[test]
-    fn null_handling() {
-        let null: *mut u64 = std::ptr::null_mut();
-        assert!(!is_marked(null));
-        assert!(is_marked(marked(null)));
-        assert_eq!(unmarked(marked(null)), null);
-    }
 
     #[test]
     fn versioned_load_round_trips_pointer_mark_and_version() {

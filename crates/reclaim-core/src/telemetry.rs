@@ -433,7 +433,7 @@ impl HandleTelemetry {
         self.shared.record_op_latency(self.stripe, nanos);
     }
 
-    /// The retire-time stamp for [`RetiredPtr::set_retire_tick`]: 0 (one
+    /// The retire-time telemetry tick for a [`RetiredPtr`]: 0 (one
     /// relaxed load) when disabled, otherwise the cached coarse tick. The
     /// cache re-reads the clock every [`TICK_REFRESH`] retires (and whenever
     /// a sampled op refreshes it for free), so the per-retire cost between
@@ -619,11 +619,11 @@ mod tests {
         // An unstamped node (tick 0) is skipped.
         let unstamped =
             // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-            unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0) };
+            unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0, 0, 0) };
         obs.note_free(&unstamped);
         let mut stamped =
             // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-            unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0) };
+            unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0, 0, 0) };
         stamped.set_retire_tick(tele.coarse_now());
         obs.note_free(&stamped);
         obs.finish();

@@ -2,14 +2,12 @@
 
 use crate::table::{CountTable, DEFAULT_BUCKETS};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::{StatStripe, StatsSnapshot};
+use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetGovernor, BudgetVerdict, CapacityExhausted, Era, HandleCache, HandleTelemetry,
-    ParkedChain, PtrScratch, RetiredPtr, ScanParts, SegBag, SegPool, ShardedStats, Smr, SmrConfig,
-    SmrHandle, Telemetry, NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, PtrScratch, RetiredPtr,
+    SchemeCore, SegBag, SegPool, Smr, SmrConfig, SmrHandle, Telemetry,
 };
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Reference-counting reclamation (the paper's related-work baseline, §8
 /// "Reference counting" [9, 12, 15, 30]).
@@ -21,27 +19,15 @@ use std::time::Instant;
 /// why the substitution is faithful). The scheme exists to reproduce the related-work
 /// claim that RC's per-access read-modify-write makes it the slowest of the classic
 /// techniques on read-mostly workloads.
+///
+/// RC has no slot registry (counter stripes are dealt round-robin at
+/// registration, so registration never exhausts). Its counter check is safe at
+/// any point, so a limbo-budget breach forces a sweep on the retire path, then
+/// retire-side backpressure while a referenced (or colliding) node keeps its
+/// bucket pinned above the budget.
 pub struct RefCount {
-    config: SmrConfig,
-    /// Per-handle counter stripes (RefCount has no slot registry, so stripes are
-    /// dealt out round-robin at registration).
-    stats: ShardedStats,
+    core: Arc<SchemeCore<PtrScratch>>,
     table: CountTable,
-    /// Retired nodes left behind by exiting threads while still referenced;
-    /// adopted by the next flushing handle or drained at scheme drop (see
-    /// [`ParkedChain`]).
-    parked: ParkedChain,
-    /// Pools + slot buffers of exited threads, adopted by the next registrant
-    /// so handle churn is allocation-free after the first wave.
-    handle_cache: HandleCache<ScanParts>,
-    /// Byte-denominated limbo budget. RC's counter check is safe at any point,
-    /// so the escalation ladder is the standard one: forced scan on the retire
-    /// path, then retire-side backpressure while a referenced (or colliding)
-    /// node keeps its bucket pinned above the budget.
-    governor: BudgetGovernor,
-    /// Optional latency/delay histograms (op latency, counter-sweep duration,
-    /// retire→free delay); disabled unless the config asks for them.
-    telemetry: Arc<Telemetry>,
 }
 
 impl RefCount {
@@ -53,18 +39,9 @@ impl RefCount {
     /// Creates a scheme with an explicit counter-table size (tests use small tables
     /// to exercise collisions).
     pub fn with_buckets(config: SmrConfig, buckets: usize) -> Arc<Self> {
-        let stats = ShardedStats::new(config.max_threads);
-        let handle_cache = HandleCache::with_capacity(config.max_threads);
-        let governor = BudgetGovernor::new(config.limbo_budget, config.clock.clone());
-        let telemetry = Arc::new(Telemetry::from_config(&config));
         Arc::new(Self {
-            config,
-            stats,
+            core: SchemeCore::new("rc", config),
             table: CountTable::new(buckets),
-            parked: ParkedChain::new(),
-            handle_cache,
-            governor,
-            telemetry,
         })
     }
 
@@ -75,178 +52,87 @@ impl RefCount {
 
     /// The configuration this scheme was created with.
     pub fn config(&self) -> &SmrConfig {
-        &self.config
+        self.core.config()
     }
 
     /// The shared counter table (exposed for tests).
     pub fn table(&self) -> &CountTable {
         &self.table
     }
-
-    /// Frees every node in `bag` whose counter bucket is currently zero. Returns the
-    /// number of nodes freed; counters go to `stats` (the calling handle's stripe),
-    /// drained segments to `pool`.
-    fn scan_into(
-        &self,
-        bag: &mut SegBag,
-        pool: &mut SegPool,
-        stats: &StatStripe,
-        tele_stripe: usize,
-    ) -> usize {
-        stats.add_scan();
-        // Every sweep tests each node's counter bucket individually.
-        stats.add_scan_walk();
-        let observer = self.telemetry.scan_observer(tele_stripe);
-        // SAFETY: a retired node is already unlinked. If its counter bucket is zero
-        // then no thread currently announces a reference that could cover it; a
-        // thread announcing a reference *after* this load must re-validate the node's
-        // reachability (rule 2 of the integration methodology) and will find it
-        // unlinked, so it can never dereference the node. The SeqCst counter
-        // operations on both sides give the total order this argument needs — the
-        // same structure as Michael's hazard-pointer scan proof, with "counter
-        // bucket is non-zero" in place of "a hazard pointer matches".
-        let bytes_before = bag.bytes();
-        // SAFETY: see the counter-scan argument above — a zero bucket means no reader can still reach the node.
-        let freed = unsafe {
-            bag.reclaim_if(pool, |node| {
-                let free = self.table.is_unreferenced(node.addr());
-                if free {
-                    if let Some(obs) = observer.as_ref() {
-                        obs.note_free(node);
-                    }
-                }
-                free
-            })
-        };
-        stats.add_freed(freed as u64);
-        stats.add_freed_bytes((bytes_before - bag.bytes()) as u64);
-        if let Some(obs) = observer {
-            obs.finish();
-        }
-        freed
-    }
 }
 
 impl Smr for RefCount {
     type Handle = RefCountHandle;
 
-    // RefCount is registry-less (stat stripes are shared round-robin past
-    // `max_threads`), so registration can never exhaust capacity.
     fn try_register(self: &Arc<Self>) -> Result<RefCountHandle, CapacityExhausted> {
-        // Adopt a previous tenant's pool + slot buffer when available
-        // (thread-pool churn; see `HandleCache`); otherwise pre-warm for the
-        // scan threshold (capped) so even the first bag fill recycles instead
-        // of allocating.
-        let mut parts = self.handle_cache.adopt().unwrap_or_else(|| ScanParts {
-            pool: SegPool::with_node_capacity((self.config.scan_threshold + 1).min(2048)),
-            scratch: PtrScratch::with_capacity(self.config.hp_per_thread),
+        let k = self.core.config().hp_per_thread;
+        let mut core = self.core.attach(None, |config| {
+            let pool = SegPool::for_scan_threshold(config.scan_threshold);
+            (pool, PtrScratch::with_capacity(k))
         });
-        // Fresh buffers are empty; adopted ones are already all-null with the
-        // right length (the previous owner's drop ran `clear_protections`).
-        // Either way this is in-capacity and allocation-free.
-        parts.scratch.clear();
-        parts
-            .scratch
-            .resize(self.config.hp_per_thread, std::ptr::null_mut());
-        let stripe = self.stats.assign_stripe();
+        // The scratch is this handle's announced-pointer table. Fresh buffers
+        // are empty; adopted ones are already all-null with the right length
+        // (the previous owner's drop ran `clear_protections`). Either way this
+        // is in-capacity and allocation-free.
+        core.scratch.clear();
+        core.scratch.resize(k, std::ptr::null_mut());
         Ok(RefCountHandle {
-            stripe,
-            budget_stripe: BudgetGovernor::stripe_for(stripe),
-            tele: HandleTelemetry::attach(&self.telemetry),
             scheme: Arc::clone(self),
-            slots: parts.scratch,
+            core,
             retired: SegBag::new(),
-            pool: parts.pool,
-            since_last_scan: 0,
-            budget_reported: 0,
         })
     }
 
     fn name(&self) -> &'static str {
-        "rc"
+        self.core.name()
     }
 
     fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.stats.snapshot();
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
-        snap
+        self.core.stats()
     }
 
     fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.governor.verdict())
+        Some(self.core.governor().verdict())
     }
 
     fn telemetry(&self) -> Option<&Telemetry> {
-        Some(&self.telemetry)
-    }
-}
-
-impl Drop for RefCount {
-    fn drop(&mut self) {
-        // No handle remains, so no reference announcement remains either.
-        // SAFETY: parked nodes were retired by departed handles and survive until a scan proves them unprotected.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.stats.stripe(0).add_freed(freed as u64);
-        self.stats.stripe(0).add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
+        Some(self.core.telemetry())
     }
 }
 
 /// Per-thread handle for [`RefCount`].
+///
+/// The core's scratch buffer holds the pointer currently announced through
+/// each protection slot (so the matching decrement can be issued when the slot
+/// is overwritten or cleared); it is all-null whenever it changes hands.
 pub struct RefCountHandle {
     scheme: Arc<RefCount>,
-    /// Index of this handle's counter stripe in the scheme's [`ShardedStats`].
-    stripe: usize,
-    /// The pointer currently announced through each protection slot (so the matching
-    /// decrement can be issued when the slot is overwritten or cleared). Stored
-    /// in a [`PtrScratch`] so the buffer can be recycled through the scheme's
-    /// [`HandleCache`]; it is all-null whenever it changes hands.
-    slots: PtrScratch,
+    core: HandleCore<PtrScratch>,
     retired: SegBag,
-    /// Recycled segments backing `retired`, pre-warmed for the scan threshold so
-    /// even the first bag fill never allocates.
-    pool: SegPool,
-    since_last_scan: usize,
-    /// Governor stripe this handle debits/credits (stats-stripe-derived, stable).
-    budget_stripe: usize,
-    /// Limbo-byte figure last reported to the governor (delta cursor).
-    budget_reported: usize,
-    /// Per-handle telemetry view (sampled op stamps + retire ticks).
-    tele: HandleTelemetry,
 }
 
-// SAFETY: the raw pointers in `slots` are only bookkeeping for which counters to
-// decrement; the handle is used by one thread at a time (all methods take `&mut
-// self`), so moving it between threads is fine.
-unsafe impl Send for RefCountHandle {}
-
 impl RefCountHandle {
-    fn stats(&self) -> &StatStripe {
-        self.scheme.stats.stripe(self.stripe)
-    }
-
-    /// Scans, then reports the surviving bytes to the governor. Returns `true`
-    /// when limbo remains over the configured budget even after the scan.
-    fn scan(&mut self) -> bool {
-        self.scheme.scan_into(
-            &mut self.retired,
-            &mut self.pool,
-            self.scheme.stats.stripe(self.stripe),
-            self.tele.stripe(),
-        );
-        self.scheme.governor.report(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        )
-    }
-
-    fn release_slot(&mut self, index: usize) {
-        let old = self.slots[index];
-        if !old.is_null() {
-            self.scheme.table.release(old);
-            self.slots[index] = std::ptr::null_mut();
-        }
+    /// Frees every retired node whose counter bucket is currently zero.
+    /// Returns the bytes still in limbo.
+    fn scan(core: &mut HandleCore<PtrScratch>, table: &CountTable, retired: &mut SegBag) -> usize {
+        core.stats().add_scan();
+        core.scan(|reclaim, _| {
+            // Every sweep tests each node's counter bucket individually.
+            reclaim.stats().add_scan_walk();
+            // SAFETY: a retired node is already unlinked. If its counter bucket is zero
+            // then no thread currently announces a reference that could cover it; a
+            // thread announcing a reference *after* this load must re-validate the node's
+            // reachability (rule 2 of the integration methodology) and will find it
+            // unlinked, so it can never dereference the node. The SeqCst counter
+            // operations on both sides give the total order this argument needs — the
+            // same structure as Michael's hazard-pointer scan proof, with "counter
+            // bucket is non-zero" in place of "a hazard pointer matches".
+            unsafe {
+                let unreferenced = |node: &RetiredPtr| table.is_unreferenced(node.addr());
+                reclaim.free_walk(retired, |_| true, unreferenced, |_| {})
+            };
+            retired.bytes()
+        })
     }
 }
 
@@ -263,12 +149,13 @@ impl SmrHandle for RefCountHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
+        let slots = &mut self.core.scratch;
         assert!(
-            index < self.slots.len(),
+            index < slots.len(),
             "protection index {index} out of range (K = {})",
-            self.slots.len()
+            slots.len()
         );
-        let old = self.slots[index];
+        let old = slots[index];
         if old == ptr {
             return;
         }
@@ -281,70 +168,32 @@ impl SmrHandle for RefCountHandle {
         if !old.is_null() {
             self.scheme.table.release(old);
         }
-        self.slots[index] = ptr;
+        slots[index] = ptr;
     }
 
     fn clear_protections(&mut self) {
-        for index in 0..self.slots.len() {
-            self.release_slot(index);
-        }
-    }
-
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn) {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.retire_sized(ptr, drop_fn, NO_BIRTH_ERA, 0) }
-    }
-
-    unsafe fn retire_sized(
-        &mut self,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        _birth_era: Era,
-        size_bytes: usize,
-    ) {
-        self.stats().add_retired(1);
-        self.stats().add_retired_bytes(size_bytes as u64);
-        if size_bytes == 0 {
-            self.stats().add_size_unknown_retire();
-        }
-        let now = self.scheme.config.clock.now();
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::with_birth_sized(ptr, drop_fn, now, NO_BIRTH_ERA, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
-        self.retired.push(&mut self.pool, node);
-        self.since_last_scan += 1;
-        if self.since_last_scan >= self.scheme.config.scan_threshold {
-            self.since_last_scan = 0;
-            self.scan();
-        } else if self.scheme.governor.observe(
-            self.budget_stripe,
-            self.retired.bytes(),
-            &mut self.budget_reported,
-        ) {
-            // Over the byte budget before the node-count threshold fired —
-            // large payloads. The counter check is safe at any point, so scan
-            // right now; if the bytes stay pinned (a referenced or colliding
-            // node), shed a little retire-side speed.
-            self.scheme.governor.count_forced_scan();
-            self.since_last_scan = 0;
-            if self.scan() {
-                self.scheme.governor.count_backpressure();
-                std::thread::yield_now();
+        for slot in self.core.scratch.iter_mut() {
+            if !slot.is_null() {
+                self.scheme.table.release(*slot);
+                *slot = std::ptr::null_mut();
             }
         }
     }
 
+    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+        let (table, retired) = (&self.scheme.table, &mut self.retired);
+        // SAFETY: forwarded from the caller's contract. RC's free rule reads no stamp.
+        unsafe {
+            self.core
+                .retire(retired, ptr, drop_fn, 0, birth_era, size_bytes)
+        };
+        self.core
+            .after_retire(retired.bytes(), |core| Self::scan(core, table, retired));
+    }
+
     fn flush(&mut self) {
-        // Adopt leftovers of exited threads so they rejoin the scan cycle; the
-        // bytes move from the governor's parked pool onto this handle's
-        // reported figure, so credit the pool by exactly the adopted amount.
-        let bytes_before = self.retired.bytes();
-        self.scheme.parked.adopt_into(&mut self.retired);
-        let adopted = self.retired.bytes() - bytes_before;
-        self.scheme.governor.note_parked(-(adopted as i64));
-        self.since_last_scan = 0;
-        self.scan();
+        self.core.adopt_parked(&mut self.retired);
+        Self::scan(&mut self.core, &self.scheme.table, &mut self.retired);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -355,36 +204,17 @@ impl SmrHandle for RefCountHandle {
         self.retired.bytes()
     }
 
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.tele.op_begin()
-    }
-
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.tele.op_end(started);
+    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+        &mut self.core.tele
     }
 }
 
 impl Drop for RefCountHandle {
     fn drop(&mut self) {
+        // Leaves the slot buffer all-null for the next registrant.
         self.clear_protections();
-        self.scan();
-        // Retire this handle's delta cursor, then move the surviving bytes into
-        // the governor's parked pool so they stay visible to the budget until a
-        // surviving handle adopts (and re-reports) them.
-        let parked_bytes = self.retired.bytes();
-        self.scheme
-            .governor
-            .note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        self.scheme.governor.note_parked(parked_bytes as i64);
-        // O(1) chain splice; adopted by the next flushing handle or freed at
-        // scheme drop.
-        self.scheme.parked.park(&mut self.retired);
-        // Recycle the pool + (all-null, post-`clear_protections`) slot buffer
-        // to the next registrant.
-        self.scheme.handle_cache.park(ScanParts {
-            pool: std::mem::take(&mut self.pool),
-            scratch: std::mem::take(&mut self.slots),
-        });
+        Self::scan(&mut self.core, &self.scheme.table, &mut self.retired);
+        self.core.park(&mut self.retired);
     }
 }
 

@@ -50,9 +50,9 @@ pub mod smr {
     pub use reclaim_core::{
         retire_box, retire_box_with_birth, Atomic, BudgetGovernor, BudgetVerdict,
         CapacityExhausted, Clock, CountingAllocator, Era, EraAdvancePolicy, EraClock, EraPacer,
-        Guard, HandleCache, HandleLease, Leaky, LeakyHandle, LeaseExhausted, LeasePolicy,
-        LeasePool, LogHistogram, ManualClock, Owned, ShardedStats, Shared, Smr, SmrConfig,
-        SmrHandle, StatStripe, Telemetry, TelemetrySummary, Unlinked, DEFAULT_ERA_ADVANCE_INTERVAL,
+        Guard, HandleLease, Leaky, LeakyHandle, LeaseExhausted, LeasePolicy, LeasePool,
+        LogHistogram, ManualClock, Owned, ShardedStats, Shared, Smr, SmrConfig, SmrHandle,
+        StatStripe, Telemetry, TelemetrySummary, Unlinked, DEFAULT_ERA_ADVANCE_INTERVAL,
         NO_BIRTH_ERA, SHARD_SLOTS,
     };
     pub use refcount::{RefCount, RefCountHandle};

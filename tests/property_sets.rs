@@ -119,7 +119,7 @@ proptest! {
         #[allow(clippy::disallowed_methods)] // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
         unsafe fn drop_u64(p: *mut u8) { unsafe { drop(Box::from_raw(p.cast::<u64>())) } }
         // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-        let node = unsafe { RetiredPtr::new(raw.cast(), drop_u64, retired_at) };
+        let node = unsafe { RetiredPtr::new(raw.cast(), drop_u64, retired_at, 0, 0) };
         let early = retired_at.saturating_add(dt1.min(dt2));
         let late = retired_at.saturating_add(dt1.max(dt2));
         if node.is_old_enough(early, min_age) {

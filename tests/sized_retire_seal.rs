@@ -2,8 +2,8 @@
 //! retires exclusively through the sized, birth-era-stamped path.
 //!
 //! The guard layer (`reclaim_core::guard`) stamps the allocation size into every
-//! retire ([`Unlinked::retire`] and [`Guard::retire_raw`] both route
-//! `retire_sized` with a non-zero size), and the schemes count any retire that
+//! retire ([`Unlinked::retire`] and [`Guard::retire_raw`] both call
+//! `SmrHandle::retire` with a non-zero size), and the schemes count any retire that
 //! arrives without a size (`size_bytes == 0`) in
 //! [`StatsSnapshot::size_unknown_retires`]. These tests churn each structure on
 //! each of the eight schemes and pin that counter at zero — a regression here

@@ -18,7 +18,7 @@
 //!   flush (adopt) are O(1) chain splices that allocate nothing;
 //! * register/drop/register churn (the thread-pool pattern) allocates only the
 //!   retired nodes once the first wave of handles has parked its pool and
-//!   scratch buffers on the scheme's `HandleCache` for successors to adopt.
+//!   scratch buffers on the scheme's `SchemeCore` for successors to adopt.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test case can disturb
 //! the global allocation counters. The assertions are *exact*; because the
@@ -167,8 +167,9 @@ fn assert_growth_allocates_nodes_only<H: SmrHandle>(
 }
 
 /// Register → retire a batch → flush → drop, repeatedly: after the first
-/// (unmeasured) wave parks its pool and scratch on the scheme's `HandleCache`,
-/// the measured cycles must allocate exactly the retired nodes and nothing for
+/// (unmeasured) wave parks its pool and scratch on the scheme's `SchemeCore`,
+/// a bare re-registration must allocate nothing at all, and the measured
+/// cycles must allocate exactly the retired nodes and nothing for
 /// registration, scanning, or the drop-time hand-off. `before_flush` runs
 /// between the retires and the flush of every cycle (the Cadence-family
 /// schemes advance their manual clock there so the nodes age past `T + ε`);
@@ -179,7 +180,7 @@ fn churn_allocates_nodes_only<S: Smr>(
     mut before_flush: impl FnMut(),
 ) {
     // First wave: builds the pool + scratch at their steady-state capacity,
-    // then parks them in the scheme's handle cache at drop.
+    // then parks them on the scheme's core at drop.
     {
         let mut first = scheme.register();
         for _ in 0..GROWTH_BATCH {
@@ -191,6 +192,16 @@ fn churn_allocates_nodes_only<S: Smr>(
         first.flush();
         assert_eq!(first.local_in_limbo(), 0, "{scheme_name}: warm-up drains");
     }
+    // The recycled workspace makes the second registration allocation-free.
+    assert_alloc_delta(
+        &format!("{scheme_name}: re-registration adopts the parked workspace"),
+        0,
+        || {
+            let before_alloc = ALLOC.allocated_bytes();
+            drop(scheme.register());
+            ALLOC.allocated_bytes() - before_alloc
+        },
+    );
     let node_bytes = (GROWTH_CYCLES * GROWTH_BATCH * std::mem::size_of::<u64>()) as u64;
     assert_alloc_delta(
         &format!("{scheme_name}: register/drop/register churn (nodes only)"),
@@ -480,7 +491,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // --- handle churn (register / drop / register) --------------------------
     // Thread-pool pattern: each cycle registers a fresh handle, retires a
     // batch, flushes and drops the handle. After the unmeasured first wave has
-    // stocked the scheme's HandleCache, every later registration adopts the
+    // stocked the scheme's workspace cache, every later registration adopts the
     // parked pool (+ scratch), so churn cycles allocate only the retired nodes
     // themselves.
     churn_allocates_nodes_only("hp", Hazard::new(config(&ManualClock::new())), || {});
