@@ -5,11 +5,12 @@
 //! stalled reservation's era) against shared `fetch_add` traffic — and the
 //! right constant depends on the workload. The adaptive policy
 //! (`EraAdvancePolicy::Adaptive`, `reclaim_core::EraPacer`) replaces the
-//! constant with a limbo-driven interval. This sweep runs the `stall-churn`
-//! scenario (one reader repeatedly stalls mid-operation while a writer
-//! burst-allocates and handle churn runs — `workload::stall_churn`) over
-//! static intervals bracketing the default against the adaptive policy,
-//! measuring the limbo the stalls pin and the per-retire cost.
+//! constant with an interval driven by the scheme-wide limbo bytes. This sweep
+//! runs the `stall-churn` scenario (one reader repeatedly stalls mid-operation
+//! while a writer burst-allocates and handle churn runs —
+//! `workload::stall_churn`) over static intervals bracketing the default
+//! against the adaptive policy, measuring the limbo the stalls pin and the
+//! per-retire cost.
 //!
 //! Besides the text table, the run emits **`BENCH_ablation_era_advance.json`**
 //! in the workspace root (shared `bench::json` envelope): one row per policy.
@@ -36,8 +37,8 @@ fn label_for(policy: EraAdvancePolicy) -> String {
         EraAdvancePolicy::Adaptive {
             min_interval,
             max_interval,
-            limbo_low_water,
-        } => format!("adaptive:{min_interval},{max_interval},{limbo_low_water}"),
+            limbo_low_water_bytes,
+        } => format!("adaptive:{min_interval},{max_interval},{limbo_low_water_bytes}B"),
     }
 }
 
@@ -83,13 +84,14 @@ fn main() {
         EraAdvancePolicy::Static(8),
         EraAdvancePolicy::Static(64),
         EraAdvancePolicy::Static(512),
-        // Low-water below the per-episode pinned count, so the sweep shows
-        // the pacer holding the limbo near the mark with a fraction of the
-        // era traffic the equivalent static interval needs.
+        // Low-water (64 of the scenario's 8-byte nodes) below the per-episode
+        // pinned bytes, so the sweep shows the pacer holding the limbo near
+        // the mark with a fraction of the era traffic the equivalent static
+        // interval needs.
         EraAdvancePolicy::Adaptive {
             min_interval: 8,
             max_interval: 512,
-            limbo_low_water: 64,
+            limbo_low_water_bytes: 64 * 8,
         },
     ];
 

@@ -1,6 +1,7 @@
 //! **Figure 5, top-right**: scalability of memory reclamation on the binary search
-//! tree (paper: 2 000 000 keys; default here 200 000 — see DESIGN.md §3 — and the
-//! full range with `QSENSE_BENCH_FULL=1`), 50% updates — None, QSBR, QSense, HP.
+//! tree (paper: 2 000 000 keys; default here 200 000, scaled down to fit the
+//! container, and the full range with `QSENSE_BENCH_FULL=1`), 50% updates — None,
+//! QSBR, QSense, HP.
 //!
 //! Expected shape (paper): same ordering as the other structures; the BST uses 6
 //! hazard pointers and short (logarithmic) traversals.

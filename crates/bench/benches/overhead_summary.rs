@@ -249,8 +249,8 @@ fn main() {
     run_scheme("qsbr", |t| qsbr::Qsbr::new(config(t)), &mut entries);
     run_scheme("ebr", |t| ebr::Ebr::new(config(t)), &mut entries);
     // HE runs the adaptive era policy so the CI gate covers the pacer's hot
-    // path (the striped limbo report per scan + the interval load per alloc),
-    // not just the static constant it replaces as the bench default.
+    // path (the estimate read per scan + the interval load per alloc), not
+    // just the static constant it replaces as the bench default.
     run_scheme(
         "he",
         |t| he::He::new(config(t).with_era_policy(reclaim_core::EraAdvancePolicy::adaptive())),

@@ -65,7 +65,7 @@ fn main() {
         for fault in FaultKind::all() {
             let plan = FaultPlan::new(fault);
             let result = run_fault_for(scheme, default_fault_config(Some(budget)), &plan);
-            let verdict = result.verdict.unwrap_or_default();
+            let verdict = result.verdict;
             let bounded = result.peak_limbo_bytes <= HEADROOM * budget as u64;
             println!(
                 "{:<8} {:<15} {:>12.1} {:>12} {:>10} {:>12.2} {:>8}",

@@ -1,10 +1,9 @@
 //! # bench — shared plumbing for the figure-reproduction benchmarks
 //!
 //! Each benchmark target under `benches/` regenerates one figure or in-text claim of
-//! the paper's evaluation (§7.3); DESIGN.md §4 maps paper figure → bench target and
-//! EXPERIMENTS.md records paper-reported vs. measured values. This library holds the
-//! pieces the targets share: environment-variable configuration, the thread sweep
-//! and the series runner.
+//! the paper's evaluation (§7.3; each target's header names its figure). This library
+//! holds the pieces the targets share: environment-variable configuration, the thread
+//! sweep and the series runner.
 //!
 //! ## Environment knobs
 //!
@@ -17,8 +16,8 @@
 //! | `QSENSE_BENCH_FULL` | unset | set to `1` to use the paper's full parameters (32 threads, 100 s timelines, 2 000 000-key BST) |
 //!
 //! The container this reproduction runs in has a single CPU, so the default sweep is
-//! short; the shapes (scheme ordering and ratios) are what EXPERIMENTS.md compares
-//! against the paper, not absolute Mops/s.
+//! short; the shapes (scheme ordering and ratios) are what compares against the
+//! paper, not absolute Mops/s.
 
 #![warn(missing_docs)]
 

@@ -4,10 +4,11 @@
 //! whose only job is to sleep for `T`, wake up (forcing a context switch that acts as
 //! a memory barrier for whatever worker was running on the core), and go back to
 //! sleep. This module provides the equivalent background threads for this
-//! reproduction: each wake-up optionally issues a process-wide asymmetric barrier
-//! (`membarrier(2)`), which provides the same guarantee the paper derives from the
-//! context switch — all hazard-pointer stores issued before the wake-up are globally
-//! visible afterwards.
+//! reproduction: each wake-up issues a process-wide asymmetric barrier
+//! (`membarrier(2)` where the kernel offers it, see `reclaim_core::membarrier`),
+//! which provides the same guarantee the paper derives from the context switch —
+//! all hazard-pointer stores issued before the wake-up are globally visible
+//! afterwards.
 //!
 //! Rooster threads are the *synchronous* part of the paper's model: workers may be
 //! delayed arbitrarily, but roosters are assumed to keep ticking. They never touch
@@ -40,7 +41,7 @@ impl Rooster {
     /// Spawns `count` rooster threads with the given sleep interval. With
     /// `count == 0` no threads are spawned (useful for deterministic tests that
     /// drive a manual clock instead).
-    pub fn spawn(count: usize, interval: Duration, use_membarrier: bool) -> Self {
+    pub fn spawn(count: usize, interval: Duration) -> Self {
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             wakeups: AtomicU64::new(0),
@@ -52,7 +53,7 @@ impl Rooster {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("rooster-{i}"))
-                    .spawn(move || rooster_loop(&shared, interval, use_membarrier))
+                    .spawn(move || rooster_loop(&shared, interval))
                     .expect("failed to spawn rooster thread")
             })
             .collect();
@@ -99,7 +100,7 @@ impl Drop for Rooster {
     }
 }
 
-fn rooster_loop(shared: &Shared, interval: Duration, use_membarrier: bool) {
+fn rooster_loop(shared: &Shared, interval: Duration) {
     loop {
         if shared.stop.load(Ordering::Acquire) {
             return;
@@ -116,11 +117,7 @@ fn rooster_loop(shared: &Shared, interval: Duration, use_membarrier: bool) {
         // Wake-up: this is the moment the paper's context switch would occur. The
         // asymmetric barrier makes every worker's outstanding hazard-pointer stores
         // globally visible, which is exactly what the safety proof needs.
-        if use_membarrier {
-            membarrier::heavy_barrier();
-        } else {
-            std::sync::atomic::fence(Ordering::SeqCst);
-        }
+        membarrier::heavy_barrier();
         shared.wakeups.fetch_add(1, Ordering::AcqRel);
     }
 }
@@ -131,7 +128,7 @@ mod tests {
 
     #[test]
     fn zero_threads_is_a_valid_configuration() {
-        let mut rooster = Rooster::spawn(0, Duration::from_millis(1), false);
+        let mut rooster = Rooster::spawn(0, Duration::from_millis(1));
         assert_eq!(rooster.thread_count(), 0);
         assert_eq!(rooster.wakeup_count(), 0);
         rooster.shutdown();
@@ -139,8 +136,13 @@ mod tests {
 
     #[test]
     fn roosters_wake_up_and_count() {
-        let rooster = Rooster::spawn(2, Duration::from_millis(2), false);
-        std::thread::sleep(Duration::from_millis(30));
+        let rooster = Rooster::spawn(2, Duration::from_millis(2));
+        // A wake-up costs a process-wide barrier whose latency is the
+        // kernel's, not ours, so poll under a generous deadline.
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while rooster.wakeup_count() < 4 && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         assert!(
             rooster.wakeup_count() >= 4,
             "wakeups = {}",
@@ -153,7 +155,7 @@ mod tests {
     #[test]
     fn shutdown_is_prompt_even_with_a_long_interval() {
         let start = std::time::Instant::now();
-        let mut rooster = Rooster::spawn(1, Duration::from_secs(3600), true);
+        let mut rooster = Rooster::spawn(1, Duration::from_secs(3600));
         rooster.shutdown();
         assert!(
             start.elapsed() < Duration::from_secs(5),
@@ -163,7 +165,7 @@ mod tests {
 
     #[test]
     fn double_shutdown_is_harmless() {
-        let mut rooster = Rooster::spawn(1, Duration::from_millis(1), false);
+        let mut rooster = Rooster::spawn(1, Duration::from_millis(1));
         rooster.shutdown();
         rooster.shutdown();
     }

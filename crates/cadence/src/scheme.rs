@@ -27,11 +27,7 @@ impl Cadence {
     /// Creates a Cadence scheme, spawning its rooster threads.
     pub fn new(config: SmrConfig) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
-        let rooster = Rooster::spawn(
-            config.rooster_threads,
-            config.rooster_interval,
-            config.use_membarrier,
-        );
+        let rooster = Rooster::spawn(config.rooster_threads, config.rooster_interval);
         Arc::new(Self {
             core: SchemeCore::new("cadence", config),
             registry,
@@ -86,12 +82,12 @@ impl Smr for Cadence {
         snap
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -119,8 +115,8 @@ impl CadenceHandle {
 
     /// The paper's `scan` (Algorithm 3, lines 14–33): free retired nodes that are
     /// both *old enough* (deferred reclamation) and not covered by any hazard
-    /// pointer; keep the rest for a later scan. Returns the bytes still in limbo.
-    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Cadence, retired: &mut SegBag) -> usize {
+    /// pointer; keep the rest for a later scan.
+    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Cadence, retired: &mut SegBag) {
         let min_age = core.config().min_reclaim_age_nanos();
         // SAFETY: `min_age` is T + ε, the bound within which a rooster wake-up
         // makes every unfenced publication of `protect` visible, and `retired`
@@ -161,7 +157,7 @@ impl SmrHandle for CadenceHandle {
                 .retire(retired, ptr, drop_fn, now, birth_era, size_bytes)
         };
         self.core
-            .after_retire(retired.bytes(), |core| Self::scan(core, scheme, retired));
+            .after_retire(|core| Self::scan(core, scheme, retired));
     }
 
     fn flush(&mut self) {
@@ -170,11 +166,11 @@ impl SmrHandle for CadenceHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.retired.len()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.retired.bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {

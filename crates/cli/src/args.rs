@@ -157,8 +157,9 @@ OPTIONS:
     --era-policy <static:N | adaptive[:MIN,MAX,LOW]>
                                               era-advance policy of the era schemes (he):
                                               a fixed allocations-per-tick interval, or an
-                                              interval adapting between MIN and MAX driven
-                                              by the LOW in-limbo low-water mark
+                                              interval adapting between MIN and MAX, faster
+                                              while more than LOW bytes sit in limbo (a
+                                              quarter of --limbo-budget when that is set)
     --fault <stalled-reader|silent-thread|leaked-handle|random-delay|all>
                                               run the fault-injection matrix instead of a
                                               throughput experiment: inject this fault (or
@@ -205,14 +206,14 @@ fn parse_era_policy(value: &str) -> Result<EraAdvancePolicy, String> {
         }
         let min_interval: usize = parse_number("--era-policy adaptive MIN", parts[0])?;
         let max_interval: usize = parse_number("--era-policy adaptive MAX", parts[1])?;
-        let limbo_low_water: usize = parse_number("--era-policy adaptive LOW", parts[2])?;
+        let limbo_low_water_bytes: usize = parse_number("--era-policy adaptive LOW", parts[2])?;
         if min_interval == 0 || min_interval > max_interval {
             return Err("--era-policy adaptive requires 0 < MIN <= MAX".to_string());
         }
         return Ok(EraAdvancePolicy::Adaptive {
             min_interval,
             max_interval,
-            limbo_low_water,
+            limbo_low_water_bytes,
         });
     }
     Err(format!(
@@ -468,7 +469,7 @@ mod tests {
             Some(EraAdvancePolicy::Adaptive {
                 min_interval: 4,
                 max_interval: 256,
-                limbo_low_water: 512,
+                limbo_low_water_bytes: 512,
             })
         );
         assert_eq!(options.effective_key_range(), 5_000);

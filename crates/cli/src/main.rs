@@ -97,7 +97,7 @@ fn run_fault_matrix(options: &CliOptions, faults: &[workload::FaultKind]) {
         for &fault in faults {
             let plan = FaultPlan::new(fault);
             let result = run_fault_for(scheme, build_fault_config(options), &plan);
-            let verdict = result.verdict.unwrap_or_default();
+            let verdict = result.verdict;
             println!(
                 "{:<8} {:<15} {:>12.1} {:>12} {:>10} {:>12.2} {:>8}",
                 result.scheme,
@@ -122,7 +122,7 @@ fn run_fault_matrix(options: &CliOptions, faults: &[workload::FaultKind]) {
 /// of all three histograms plus the scan-dispatch class counters, flat so the
 /// shared `BENCH_*.json` scanner can parse it (keyed by `"scheme"`).
 fn telemetry_json_row(result: &RunResult) -> JsonObject {
-    let summary = result.telemetry.unwrap_or_default();
+    let summary = result.telemetry;
     let (op50, op90, op99, op999) = summary.op_latency_ns.quantiles();
     let (sc50, sc90, sc99, sc999) = summary.scan_ns.quantiles();
     let (rd50, rd90, rd99, rd999) = summary.reclaim_delay_us.quantiles();
@@ -301,9 +301,7 @@ fn main() {
             result.stats.fast_path_switches,
         );
         if options.limbo_budget.is_some() {
-            if let Some(row) = report::budget_row(&result) {
-                println!("{row}");
-            }
+            println!("{}", report::budget_row(&result));
         }
         if options.telemetry {
             for row in report::telemetry_rows(&result) {

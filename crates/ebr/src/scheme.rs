@@ -131,12 +131,12 @@ impl Smr for Ebr {
         snap
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -176,10 +176,6 @@ impl EpochChain {
     }
 }
 
-fn limbo_bytes(limbo: &[EpochChain; LIMBO_BUCKETS]) -> usize {
-    limbo.iter().map(|chain| chain.bag.bytes()).sum()
-}
-
 /// Per-thread handle for [`Ebr`].
 ///
 /// The limbo state is the heart of EBR's retire-path cost model. A previous
@@ -198,11 +194,11 @@ pub struct EbrHandle {
     /// Its retire counter paces `try_advance` (retires since the last attempt).
     core: HandleCore,
     limbo: [EpochChain; LIMBO_BUCKETS],
-    /// The global epoch observed at the last pin. While pinned, `retire` tags
-    /// nodes with this cached value instead of re-loading the (contended)
-    /// global epoch: a pin at `pin_epoch` bounds the global at
-    /// `pin_epoch + 1`, and the grace-period argument below covers the
-    /// difference.
+    /// The global epoch observed once the last pin was visible
+    /// ([`pin_at`](Self::pin_at)). While pinned, `retire` tags nodes with this
+    /// cached value instead of re-loading the (contended) global epoch: the
+    /// pin bounds the global at `pin_epoch + 1`, and the grace-period argument
+    /// below covers the difference.
     pin_epoch: u64,
     /// Whether the owner is currently inside an operation. Handle-local mirror
     /// of the shared active flag: it decides, without a shared load, whether
@@ -218,14 +214,29 @@ impl EbrHandle {
         self.scheme.registry.get_mine(self.slot)
     }
 
-    /// Number of retired-but-unreclaimed nodes held by this thread.
-    pub fn limbo_size(&self) -> usize {
-        self.limbo.iter().map(|chain| chain.bag.len()).sum()
-    }
-
-    /// Total stamped bytes across the per-epoch limbo chains.
-    pub fn limbo_bytes(&self) -> usize {
-        limbo_bytes(&self.limbo)
+    /// Publishes the pin at `observed` — the global epoch `begin_op` loaded —
+    /// and only then reads the epoch this operation's retires are tagged with.
+    /// The two loads differ when the thread was held up between the first and
+    /// the pin's stores: until the pin is visible nothing stops the epoch, so
+    /// `observed` can be arbitrarily stale, and tagging with it would let the
+    /// very next `collect` free a node a current reader still holds. Once the
+    /// pin *is* visible the epoch can move at most once more — advancers that
+    /// had already passed this record may finish one CAS; every later scan
+    /// finds a pinned record that has not observed the global epoch and stops
+    /// — so the second load is the tag the [`SAFE_EPOCH_GAP`] argument needs:
+    /// the global stays within `pin_epoch + 1` for the whole operation. (The
+    /// record keeps announcing the stale `observed`, which merely blocks
+    /// advances until `end_op`.) [`PinRecord::pin`]'s `SeqCst` stores order the
+    /// second load after the pin.
+    fn pin_at(&mut self, observed: u64) {
+        self.record().pin(observed);
+        let global = self.scheme.global_epoch.load();
+        self.pin_epoch = global;
+        self.pinned = true;
+        // Pinning is also the natural point to free what previous epoch advances
+        // made safe (equivalent to crossbeam's collect-on-pin) — a constant-time
+        // bucket-tag check, not a walk of the limbo contents.
+        Self::collect(&mut self.core, &mut self.limbo, global);
     }
 
     /// Frees every limbo bucket whose tag is at least [`SAFE_EPOCH_GAP`] behind
@@ -249,7 +260,6 @@ impl EbrHandle {
                     // SAFETY: `matured` checked the epoch gap.
                     unsafe { chain.drain(reclaim) };
                 }
-                limbo_bytes(limbo)
             });
         }
     }
@@ -270,7 +280,6 @@ impl EbrHandle {
                 self.core.scan(|reclaim, _| {
                     // SAFETY: the chain is LIMBO_BUCKETS > SAFE_EPOCH_GAP epochs behind the epoch its owner observed.
                     unsafe { limbo[b].drain(reclaim) };
-                    limbo_bytes(limbo)
                 });
             }
             self.limbo[b].epoch = epoch;
@@ -282,16 +291,8 @@ impl EbrHandle {
 impl SmrHandle for EbrHandle {
     fn begin_op(&mut self) {
         // Pin: observe the global epoch and announce it together with the active
-        // flag. This store-per-operation is EBR's hot-path cost; the loaded epoch
-        // is cached so `retire` never touches the shared counter.
-        let global = self.scheme.global_epoch.load();
-        self.record().pin(global);
-        self.pin_epoch = global;
-        self.pinned = true;
-        // Pinning is also the natural point to free what previous epoch advances
-        // made safe (equivalent to crossbeam's collect-on-pin) — a constant-time
-        // bucket-tag check, not a walk of the limbo contents.
-        Self::collect(&mut self.core, &mut self.limbo, global);
+        // flag. This store-per-operation is EBR's hot-path cost.
+        self.pin_at(self.scheme.global_epoch.load());
     }
 
     fn end_op(&mut self) {
@@ -340,10 +341,9 @@ impl SmrHandle for EbrHandle {
             // (both are safe mid-operation). If a mid-op stall elsewhere keeps
             // the epoch capped and us over budget, the core takes one bounded
             // backpressure yield.
-            self.core.enforce_budget(limbo_bytes(limbo), |core| {
+            self.core.enforce_budget(|core| {
                 scheme.try_advance();
                 Self::collect(core, limbo, scheme.global_epoch.load());
-                limbo_bytes(limbo)
             });
         }
     }
@@ -370,11 +370,11 @@ impl SmrHandle for EbrHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.limbo_size()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.limbo_bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
@@ -606,6 +606,47 @@ mod tests {
         assert_eq!(idle.local_in_limbo(), 1);
         reader.end_op();
         idle.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+    }
+
+    /// A thread held up between loading the global epoch and publishing its
+    /// pin pins late, at an epoch the global has long left. Nodes it retires in
+    /// that operation must not carry the stale epoch as their tag: they would
+    /// look a full grace period old the moment they are retired.
+    #[test]
+    fn a_pin_published_late_does_not_tag_retires_with_the_stale_epoch() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = Ebr::new(
+            SmrConfig::default()
+                .with_max_threads(2)
+                .with_scan_threshold(1_000_000),
+        );
+        let mut late = scheme.register();
+        let mut reader = scheme.register();
+        // `late` loads the epoch and stalls; nothing is pinned, so the epoch
+        // runs ahead of what it saw.
+        let observed = scheme.current_epoch();
+        for _ in 0..SAFE_EPOCH_GAP + 1 {
+            assert!(scheme.try_advance());
+        }
+        // A current reader pins and holds the node `late` then unlinks.
+        reader.begin_op();
+        late.pin_at(observed);
+        // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+        unsafe { retire_box(&mut late, tracked(&drops)) };
+        late.end_op();
+        // `late` moves on; each of these collects what looks matured.
+        late.begin_op();
+        late.end_op();
+        late.flush();
+        assert_eq!(
+            drops.load(Ordering::SeqCst),
+            0,
+            "freed under a reader pinned since before the unlink"
+        );
+        assert_eq!(late.local_in_limbo(), 1);
+        reader.end_op();
+        late.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
 

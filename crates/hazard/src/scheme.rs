@@ -70,12 +70,12 @@ impl Smr for Hazard {
         snap
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -96,8 +96,8 @@ impl HazardHandle {
     }
 
     /// Michael's scan: free every retired node absent from a fresh snapshot
-    /// of all hazard pointers. Returns the bytes still in limbo.
-    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Hazard, retired: &mut SegBag) -> usize {
+    /// of all hazard pointers.
+    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Hazard, retired: &mut SegBag) {
         // SAFETY: every publication in `protect` is followed by a `SeqCst`
         // fence before the caller's validation load, and `retired` holds only
         // nodes protected through this scheme's registry.
@@ -144,7 +144,7 @@ impl SmrHandle for HazardHandle {
                 .retire(retired, ptr, drop_fn, 0, birth_era, size_bytes)
         };
         self.core
-            .after_retire(retired.bytes(), |core| Self::scan(core, scheme, retired));
+            .after_retire(|core| Self::scan(core, scheme, retired));
     }
 
     fn flush(&mut self) {
@@ -154,11 +154,11 @@ impl SmrHandle for HazardHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.retired.len()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.retired.bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {

@@ -4,9 +4,8 @@ use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, EraAdvancePolicy, EraPacer, HandleCore, HandleTelemetry,
-    Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
-    NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, EraPacer, HandleCore, HandleTelemetry, Registry,
+    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -113,35 +112,20 @@ impl EraChain {
 /// through the shared [`SchemeCore`].
 pub struct He {
     core: Arc<SchemeCore<Reservations>>,
-    /// The global era clock plus the policy that paces its advances
-    /// (static interval or limbo-adaptive; see [`EraPacer`]).
+    /// The global era clock plus the policy that paces its advances: a static
+    /// interval, or one adapting to the governor's scheme-wide limbo-byte
+    /// estimate (see [`EraPacer`]) — HE's pressure lever on the budget ladder.
     pacer: EraPacer,
     registry: Registry<EraRecord>,
-    /// When true, the pacer's limbo aggregate is denominated in **bytes**
-    /// instead of nodes: an adaptive policy combined with a byte budget
-    /// re-anchors the pacer's low-water mark at a quarter of the budget, so
-    /// era cadence reacts to the quantity the budget is written in — HE's
-    /// pressure lever on the budget ladder. Off (node denomination) when
-    /// either is absent.
-    pacer_in_bytes: bool,
 }
 
 impl He {
     /// Creates a Hazard-Eras scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        let registry = Registry::new(config.max_threads, |_| EraRecord::new());
-        let pacer = EraPacer::new(config.era_policy);
-        let adaptive = matches!(config.era_policy, EraAdvancePolicy::Adaptive { .. });
-        let core = SchemeCore::new("he", config);
-        let pacer_in_bytes = core.governor().enforcing() && adaptive;
-        if pacer_in_bytes {
-            pacer.set_limbo_low_water(((core.governor().budget_bytes() / 4) as usize).max(1));
-        }
         Arc::new(Self {
-            core,
-            pacer,
-            registry,
-            pacer_in_bytes,
+            pacer: EraPacer::new(config.era_policy, config.limbo_budget),
+            registry: Registry::new(config.max_threads, |_| EraRecord::new()),
+            core: SchemeCore::new("he", config),
         })
     }
 
@@ -161,18 +145,9 @@ impl He {
     }
 
     /// The era pacer (tests and diagnostics): exposes the current
-    /// allocations-per-tick interval and the scheme-wide limbo estimate.
+    /// allocations-per-tick interval.
     pub fn pacer(&self) -> &EraPacer {
         &self.pacer
-    }
-
-    /// The figure the pacer's limbo aggregate is denominated in.
-    fn pacer_units(&self, nodes: usize, bytes: usize) -> usize {
-        if self.pacer_in_bytes {
-            bytes
-        } else {
-            nodes
-        }
     }
 }
 
@@ -198,9 +173,6 @@ impl Smr for He {
                     bag: SegBag::new(),
                 }),
                 allocs_since_tick: 0,
-                pacer_stripe: EraPacer::stripe_for(slot.shard()),
-                pacer_reported: 0,
-                dispatch: (0, 0, 0),
             },
             active: false,
             announced_upper: 0,
@@ -217,48 +189,29 @@ impl Smr for He {
         snap
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
-/// A handle's limbo: the era chains plus the cursors of the era pacer, which
-/// every scan feeds.
+/// A handle's limbo: the era chains plus its share of the era cadence.
 struct EraLimbo {
     chains: [EraChain; ERA_BUCKETS],
     /// Allocations since the last era tick this handle caused. Reset by every
     /// scan (whose own era advance *is* a tick) so a partial count never
     /// carries a phantom tick across a scan, a flush or a handle generation.
     allocs_since_tick: usize,
-    /// Limbo stripe of the scheme's [`EraPacer`] this handle reports into.
-    pacer_stripe: usize,
-    /// In-limbo figure as last reported to the pacer's striped aggregate
-    /// (adaptive policy only; the pacer keeps this cursor exact across scans
-    /// and retracts it wholesale at handle exit). Denominated in nodes, or in
-    /// bytes when the scheme runs the pacer in byte mode.
-    pacer_reported: usize,
-    /// Diagnostics: chains this handle's scans dispatched as `(wholesale
-    /// frees, skipped walks, node-by-node walks)`.
-    dispatch: (u64, u64, u64),
 }
 
 impl EraLimbo {
-    fn len(&self) -> usize {
-        self.chains.iter().map(|chain| chain.bag.len()).sum()
-    }
-
-    fn bytes(&self) -> usize {
-        self.chains.iter().map(|chain| chain.bag.bytes()).sum()
-    }
-
     /// One reclamation pass: snapshot the reservations, then walk the era
     /// buckets freeing whatever no reservation can still reach (see the scheme
-    /// docs for the overlap argument). Returns the bytes still in limbo.
-    fn scan(&mut self, core: &mut HandleCore<Reservations>, scheme: &He) -> usize {
+    /// docs for the overlap argument).
+    fn scan(&mut self, core: &mut HandleCore<Reservations>, scheme: &He) {
         core.stats().add_scan();
         // Advance the era so the generation the current reservations announce
         // can age out even in allocation-free (pure-remove) workloads; without
@@ -270,8 +223,8 @@ impl EraLimbo {
         // is followed by a phantom near-complete allocation tick and the era
         // cadence drifts away from the policy.
         self.allocs_since_tick = 0;
-        let (chains, dispatch) = (&mut self.chains, &mut self.dispatch);
-        let bytes = core.scan(|reclaim, reservations| {
+        let chains = &mut self.chains;
+        core.scan(|reclaim, reservations| {
             reservations.clear();
             // Claimed slots only, so wholly-vacant shards cost one bitmap probe:
             // a vacant slot's record is always inactive (drop deactivates before
@@ -311,7 +264,6 @@ impl EraLimbo {
                     // Either no active reservation starts at or below this chain's
                     // newest retire era, or even the chain's *oldest* birth clears
                     // every reachable upper bound: the whole chain is unreachable.
-                    dispatch.0 += 1;
                     reclaim.stats().add_scan_wholesale();
                     // SAFETY: the era scan above proved no reservation can cover any node in this chain; every node is unreachable.
                     unsafe { reclaim.free_all(&mut chain.bag) };
@@ -320,7 +272,6 @@ impl EraLimbo {
                     // reservation: nothing can free this pass. Skipping the walk
                     // keeps a blocked bag O(1) per scan instead of O(bag) — the
                     // Cadence early-stop analogue for era intervals.
-                    dispatch.1 += 1;
                     reclaim.stats().add_scan_skip();
                 } else {
                     // Partial reclaim: recompute both birth bounds from the
@@ -329,7 +280,6 @@ impl EraLimbo {
                     // of re-walking until it fully drains (stale bounds also
                     // blocked the wholesale dispatch when the true survivor
                     // minimum had risen past every reachable upper bound).
-                    dispatch.2 += 1;
                     reclaim.stats().add_scan_walk();
                     let mut new_min = Era::MAX;
                     let mut new_max = 0;
@@ -352,22 +302,16 @@ impl EraLimbo {
                     }
                 }
             }
-            chains.iter().map(|chain| chain.bag.bytes()).sum()
         });
-        // Report this handle's in-limbo delta into the pacer's striped
-        // aggregate and let it adapt the tick interval (no-op under the
-        // static policy). Runs after the frees so the estimate tracks the
-        // *residue* — the garbage reservations are actually pinning. In byte
-        // mode the figure is bytes against a low-water mark of budget/4; a
-        // resulting speed-up is a budget escalation and is counted as such.
-        let in_limbo = scheme.pacer_units(self.len(), bytes);
-        let sped_up = scheme
-            .pacer
-            .note_scan(self.pacer_stripe, in_limbo, &mut self.pacer_reported);
-        if sped_up && scheme.pacer_in_bytes {
-            scheme.core.governor().count_pacer_boost();
+        // The core has just reported this handle's post-scan bytes, so the
+        // governor's estimate tracks the *residue* — the garbage reservations
+        // are actually pinning — and the pacer adapts the tick interval to it
+        // (a static policy never asks). Under an enforced budget a speed-up
+        // is an escalation and is counted as such.
+        let governor = scheme.core.governor();
+        if scheme.pacer.adapt(|| governor.estimate()) && governor.enforcing() {
+            governor.count_pacer_boost();
         }
-        bytes
     }
 }
 
@@ -389,30 +333,6 @@ pub struct HeHandle {
 impl HeHandle {
     fn record(&self) -> &EraRecord {
         self.scheme.registry.get_mine(self.slot)
-    }
-
-    /// Total retired-but-unreclaimed nodes across the era buckets.
-    pub fn limbo_size(&self) -> usize {
-        self.limbo.len()
-    }
-
-    /// Total stamped bytes across the era buckets.
-    pub fn limbo_bytes(&self) -> usize {
-        self.limbo.bytes()
-    }
-
-    /// Diagnostics: how this handle's scans dispatched era chains, as
-    /// `(wholesale frees, skipped walks, node-by-node walks)`. The first two
-    /// are the O(1) fast paths; the third is the O(bag) partial reclaim. Used
-    /// by the tests that pin the cost class of blocked bags (a chain whose
-    /// survivors are all old must take a fast path, not re-walk every scan).
-    ///
-    /// The same three classes are also reported scheme-wide — by every scheme,
-    /// not just HE — through [`StatsSnapshot::scan_wholesale`],
-    /// [`StatsSnapshot::scan_skips`] and [`StatsSnapshot::scan_walks`]; this
-    /// accessor remains for per-handle assertions.
-    pub fn scan_dispatch_counts(&self) -> (u64, u64, u64) {
-        self.limbo.dispatch
     }
 
     /// Publishes (or extends) the reservation to cover `era` and fences, so the
@@ -509,10 +429,9 @@ impl SmrHandle for HeHandle {
             )
         };
         // Era scans are reservation-gated and safe mid-operation, so a budget
-        // breach forces one; the scan's own era advance plus the byte-mode
-        // pacer keep ticking (HE's pressure lever).
-        self.core
-            .after_retire(limbo.bytes(), |core| limbo.scan(core, scheme));
+        // breach forces one; the scan's own era advance plus the pacer's
+        // reaction to the estimate keep the era ticking (HE's pressure lever).
+        self.core.after_retire(|core| limbo.scan(core, scheme));
     }
 
     fn flush(&mut self) {
@@ -533,13 +452,6 @@ impl SmrHandle for HeHandle {
         let mut adopted = SegBag::new();
         self.core.adopt_parked(&mut adopted);
         if !adopted.is_empty() {
-            // The adopted nodes leave the pacer's parked counter (the core
-            // moved the governor's) and re-enter this handle's own limbo
-            // reports (the scan below files the first one) — the hand-off
-            // conserves the scheme-wide estimate. Denominations match what
-            // was parked.
-            let debit = self.scheme.pacer_units(adopted.len(), adopted.bytes());
-            self.scheme.pacer.note_parked(-(debit as i64));
             let era = self.scheme.pacer.current();
             // Adopted nodes carry real per-node birth stamps: compute the true
             // birth bounds while splicing (an O(adopted) walk on a churn-only
@@ -566,11 +478,11 @@ impl SmrHandle for HeHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.limbo.len()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.limbo.bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
@@ -587,18 +499,6 @@ impl Drop for HeHandle {
         for chain in &mut self.limbo.chains {
             leftovers.splice(&mut chain.bag);
         }
-        // Move this handle's limbo contribution from its stripe to the
-        // pacer's parked counter: retract the per-handle report (whoever
-        // adopts the chain re-reports it as its own delta — leaving both
-        // would double count across churn) but keep the parked nodes pressing
-        // on the estimate, so the interval cannot decay to the idle floor
-        // while real garbage sits in the parking lot waiting for a flush.
-        // (The core does the same for the governor's bytes.)
-        let parked = self.scheme.pacer_units(leftovers.len(), leftovers.bytes());
-        self.scheme
-            .pacer
-            .note_handle_exit(self.limbo.pacer_stripe, &mut self.limbo.pacer_reported);
-        self.scheme.pacer.note_parked(parked as i64);
         self.core.park(&mut leftovers);
         self.scheme.registry.release(self.slot);
     }
@@ -622,6 +522,15 @@ mod tests {
 
     fn tracked(drops: &Arc<AtomicUsize>) -> *mut Tracked {
         Box::into_raw(Box::new(Tracked(Arc::clone(drops))))
+    }
+
+    /// How `handle`'s own scans have dispatched era chains so far, as
+    /// `(wholesale frees, skipped walks, node-by-node walks)`: the first two
+    /// are the O(1) fast paths, the third the O(bag) partial reclaim. Read from
+    /// the handle's counter stripe, which outlives a tenancy — compare deltas.
+    fn dispatch(handle: &HeHandle) -> (u64, u64, u64) {
+        let snap = handle.core.stats().snapshot();
+        (snap.scan_wholesale, snap.scan_skips, snap.scan_walks)
     }
 
     fn small_config() -> SmrConfig {
@@ -851,17 +760,22 @@ mod tests {
         // First scan: a partial walk frees the young nodes (born after the
         // stalled reservation) and must recompute the chain bounds from the
         // old survivors.
+        let (wholesale_start, _, walks_start) = dispatch(&writer);
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 3, "young nodes freed");
         assert_eq!(writer.local_in_limbo(), 3, "old nodes pinned");
-        let (_, skips_before, walks_before) = writer.scan_dispatch_counts();
-        assert_eq!(walks_before, 1, "the mixed chain was walked once");
+        let (_, skips_before, walks_before) = dispatch(&writer);
+        assert_eq!(
+            walks_before,
+            walks_start + 1,
+            "the mixed chain was walked once"
+        );
 
         // Second scan: the survivors are all old (birth <= the stalled
         // reader's upper bound), so with recomputed bounds the chain takes
         // the O(1) skip fast path instead of another O(bag) walk.
         writer.flush();
-        let (_, skips_after, walks_after) = writer.scan_dispatch_counts();
+        let (_, skips_after, walks_after) = dispatch(&writer);
         assert_eq!(
             walks_after, walks_before,
             "a chain of all-old survivors must not be re-walked"
@@ -873,8 +787,11 @@ mod tests {
         reader.end_op();
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 6);
-        let (wholesale, _, walks_final) = writer.scan_dispatch_counts();
-        assert!(wholesale >= 1, "the drained chain went wholesale");
+        let (wholesale, _, walks_final) = dispatch(&writer);
+        assert!(
+            wholesale > wholesale_start,
+            "the drained chain went wholesale"
+        );
         assert_eq!(walks_final, walks_before);
     }
 
@@ -919,15 +836,20 @@ mod tests {
         // look born-before-every-era: one churn event under a stalled reader
         // degraded it to an O(bag) walk on every scan.)
         let mut survivor = scheme.register();
+        let (wholesale_before, _, walks_before) = dispatch(&survivor);
         survivor.flush();
         assert_eq!(
             drops.load(Ordering::SeqCst),
             3,
             "young adopted nodes must free despite the stalled reader"
         );
-        let (wholesale, _, walks) = survivor.scan_dispatch_counts();
-        assert_eq!(wholesale, 1, "adoption frees wholesale, not via a walk");
-        assert_eq!(walks, 0);
+        let (wholesale, _, walks) = dispatch(&survivor);
+        assert_eq!(
+            wholesale,
+            wholesale_before + 1,
+            "adoption frees wholesale, not via a walk"
+        );
+        assert_eq!(walks, walks_before);
         stalled.end_op();
     }
 
@@ -1012,18 +934,28 @@ mod tests {
         assert_eq!(scheme.current_era(), e0 + 2);
     }
 
+    /// The governor's scheme-wide limbo-byte estimate — what the pacer adapts to.
+    fn estimate(scheme: &He) -> u64 {
+        scheme.budget_verdict().current_bytes
+    }
+
+    const TRACKED: u64 = std::mem::size_of::<Tracked>() as u64;
+
+    fn adaptive(limbo_low_water_bytes: usize) -> reclaim_core::EraAdvancePolicy {
+        reclaim_core::EraAdvancePolicy::Adaptive {
+            min_interval: 2,
+            max_interval: 16,
+            limbo_low_water_bytes,
+        }
+    }
+
     #[test]
     fn parked_leftovers_keep_pressing_on_the_adaptive_estimate() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let policy = reclaim_core::EraAdvancePolicy::Adaptive {
-            min_interval: 2,
-            max_interval: 16,
-            limbo_low_water: 8,
-        };
         let scheme = He::new(
             small_config()
                 .with_scan_threshold(1_000_000)
-                .with_era_policy(policy),
+                .with_era_policy(adaptive(8 * TRACKED as usize)),
         );
         let mut reader = scheme.register();
         reader.begin_op();
@@ -1037,36 +969,43 @@ mod tests {
         }
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         assert_eq!(
-            scheme.pacer().limbo_estimate(),
-            32,
+            estimate(&scheme),
+            32 * TRACKED,
             "parked limbo must stay visible with no live reporter"
         );
-        // Adoption hands the contribution over without a dip or a double count.
+        // Adoption hands the contribution over without a dip or a double
+        // count, and the adopter's scan finds the pressure still on.
         let mut survivor = scheme.register();
         survivor.flush();
+        assert_eq!(survivor.local_in_limbo(), 32);
         assert_eq!(
-            scheme.pacer().limbo_estimate(),
-            32,
-            "the adopter's report replaces the parked counter exactly"
+            estimate(&scheme),
+            32 * TRACKED,
+            "the adopter's ledger replaces the parked counter exactly"
+        );
+        assert_eq!(
+            scheme.pacer().current_interval(),
+            2,
+            "still at the fast end"
         );
         reader.end_op();
         survivor.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 32);
-        assert_eq!(scheme.pacer().limbo_estimate(), 0);
+        assert_eq!(estimate(&scheme), 0);
+        assert_eq!(
+            scheme.pacer().current_interval(),
+            4,
+            "dry: creeping back up"
+        );
     }
 
     #[test]
     fn adaptive_policy_ticks_faster_under_limbo_pressure() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let policy = reclaim_core::EraAdvancePolicy::Adaptive {
-            min_interval: 2,
-            max_interval: 16,
-            limbo_low_water: 8,
-        };
         let scheme = He::new(
             small_config()
                 .with_scan_threshold(16)
-                .with_era_policy(policy),
+                .with_era_policy(adaptive(8 * TRACKED as usize)),
         );
         let mut reader = scheme.register();
         let mut writer = scheme.register();
@@ -1083,11 +1022,16 @@ mod tests {
             unsafe { retire_box(&mut writer, tracked(&drops)) };
         }
         assert_eq!(drops.load(Ordering::SeqCst), 0);
-        assert!(scheme.pacer().limbo_estimate() >= 48, "pressure reported");
+        assert_eq!(estimate(&scheme), 64 * TRACKED, "pressure reported");
         assert!(
             scheme.pacer().current_interval() <= 4,
             "interval shrank under pressure (got {})",
             scheme.pacer().current_interval()
+        );
+        assert_eq!(
+            scheme.budget_verdict().pacer_boosts,
+            0,
+            "no budget, no escalation to count"
         );
         // Draining the limbo decays the cadence back to the idle floor.
         reader.end_op();
@@ -1095,8 +1039,53 @@ mod tests {
             writer.flush();
         }
         assert_eq!(drops.load(Ordering::SeqCst), 64);
-        assert_eq!(scheme.pacer().limbo_estimate(), 0);
+        assert_eq!(estimate(&scheme), 0);
         assert_eq!(scheme.pacer().current_interval(), 16);
+    }
+
+    #[test]
+    fn adaptive_without_a_budget_reacts_to_bytes_not_node_counts() {
+        struct Fat(#[allow(dead_code)] [u8; 512]);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = He::new(
+            small_config()
+                .with_scan_threshold(16)
+                .with_era_policy(adaptive(1_024)),
+        );
+        let mut reader = scheme.register();
+        let mut writer = scheme.register();
+        for _ in 0..8 {
+            writer.flush();
+        }
+        assert_eq!(scheme.pacer().current_interval(), 16, "idle floor");
+        reader.begin_op();
+        // Many pinned nodes that weigh nothing: four threshold scans, all dry.
+        for _ in 0..64 {
+            let ptr = tracked(&drops).cast::<u8>();
+            // SAFETY: fresh from Box::into_raw, retired exactly once; a size of
+            // 0 (unknown) never over-states the allocation.
+            unsafe { writer.retire(ptr, reclaim_core::drop_fn_for::<Tracked>(), NO_BIRTH_ERA, 0) };
+        }
+        assert_eq!(writer.local_in_limbo(), 64);
+        assert_eq!(estimate(&scheme), 0);
+        assert_eq!(
+            scheme.pacer().current_interval(),
+            16,
+            "a node count alone is no pressure"
+        );
+        // Three fat ones cross the byte mark: the next scan speeds up.
+        for _ in 0..3 {
+            let fat = Box::into_raw(Box::new(Fat([0; 512])));
+            // SAFETY: fresh from Box::into_raw, retired exactly once.
+            unsafe { retire_box(&mut writer, fat) };
+        }
+        writer.flush();
+        assert_eq!(estimate(&scheme), 3 * 512);
+        assert_eq!(scheme.pacer().current_interval(), 8);
+        reader.end_op();
+        writer.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 64);
+        assert_eq!(estimate(&scheme), 0);
     }
 
     #[test]

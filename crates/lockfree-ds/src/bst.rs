@@ -33,7 +33,7 @@
 //! chains of tagged edges; this implementation sidesteps chains by restarting
 //! traversals at dirty edges (writers help first), which keeps reclamation exact in
 //! all tested scenarios at the cost of the pure reader occasionally retrying while a
-//! cleanup is in flight (a progress, never a safety, concern — see DESIGN.md).
+//! cleanup is in flight (a progress, never a safety, concern).
 
 use crate::keyspace::KeySlot;
 use rand as _; // keep the workspace dependency graph uniform; randomness is not needed here

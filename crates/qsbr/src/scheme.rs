@@ -113,12 +113,12 @@ impl Smr for Qsbr {
         snap
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -176,18 +176,7 @@ impl QsbrHandle {
             // through a quiescent state, i.e. a grace period has elapsed. No thread can
             // therefore still hold a hazardous reference to these nodes.
             unsafe { reclaim.free_all(bucket) };
-            limbo.iter().map(SegBag::bytes).sum()
         });
-    }
-
-    /// Total number of retired-but-unreclaimed nodes across the three limbo lists.
-    pub fn limbo_size(&self) -> usize {
-        self.limbo.iter().map(SegBag::len).sum()
-    }
-
-    /// Total stamped bytes across the three limbo lists.
-    pub fn limbo_bytes(&self) -> usize {
-        self.limbo.iter().map(SegBag::bytes).sum()
     }
 }
 
@@ -220,7 +209,7 @@ impl SmrHandle for QsbrHandle {
         // Never escalates: a quiescent state cannot be declared mid-operation,
         // so the only lever QSBR has is waiting — which is precisely the
         // non-robustness the verdict exists to record.
-        self.core.track(self.limbo_bytes());
+        self.core.track();
     }
 
     fn flush(&mut self) {
@@ -239,11 +228,11 @@ impl SmrHandle for QsbrHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.limbo_size()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.limbo_bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
@@ -315,7 +304,7 @@ mod tests {
         let ptr = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
         // SAFETY: the pointer was produced by `tracked`/Box::into_raw above, is no longer reachable, and is retired exactly once.
         unsafe { retire_box(&mut handle, ptr) };
-        assert_eq!(handle.limbo_size(), 1);
+        assert_eq!(handle.local_in_limbo(), 1);
         assert_eq!(handle.limbo[limbo_index(handle.local_epoch)].len(), 1);
         handle.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 1);

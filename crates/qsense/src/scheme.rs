@@ -120,11 +120,7 @@ impl QSense {
         let registry = Registry::new(config.max_threads, |_| {
             QsenseRecord::new(config.hp_per_thread)
         });
-        let rooster = Rooster::spawn(
-            config.rooster_threads,
-            config.rooster_interval,
-            config.use_membarrier,
-        );
+        let rooster = Rooster::spawn(config.rooster_threads, config.rooster_interval);
         Arc::new(Self {
             core: SchemeCore::new("qsense", config),
             registry,
@@ -382,12 +378,12 @@ impl Smr for QSense {
         snap
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -398,10 +394,6 @@ impl Drop for QSense {
             .unwrap_or_else(|e| e.into_inner())
             .shutdown();
     }
-}
-
-fn limbo_bytes(limbo: &[SegBag; EPOCH_BUCKETS]) -> usize {
-    limbo.iter().map(SegBag::bytes).sum()
 }
 
 /// Per-thread handle for [`QSense`].
@@ -425,16 +417,6 @@ pub struct QSenseHandle {
 impl QSenseHandle {
     fn record(&self) -> &QsenseRecord {
         self.scheme.registry.get_mine(self.slot)
-    }
-
-    /// Total retired-but-unreclaimed nodes across the three limbo lists.
-    pub fn limbo_size(&self) -> usize {
-        self.limbo.iter().map(SegBag::len).sum()
-    }
-
-    /// Total retired-but-unreclaimed bytes across the three limbo lists.
-    pub fn limbo_bytes(&self) -> usize {
-        limbo_bytes(&self.limbo)
     }
 
     /// The path this handle last observed (for tests and diagnostics).
@@ -477,25 +459,23 @@ impl QSenseHandle {
                 // hazardous reference to them. Identical argument to the `qsbr` crate.
                 unsafe { reclaim.free_all(bucket) };
             }
-            limbo_bytes(limbo)
         });
     }
 
     /// Cadence-style scan over all three limbo lists (fallback path; paper Algorithm
-    /// 5 lines 45–47 scan every epoch's list). Returns the bytes still in limbo.
+    /// 5 lines 45–47 scan every epoch's list).
     fn cadence_scan_all(
         core: &mut HandleCore<PtrScratch>,
         scheme: &QSense,
         limbo: &mut [SegBag; EPOCH_BUCKETS],
-    ) -> usize {
+    ) {
         core.stats().add_scan();
         core.scan(|reclaim, scratch| {
             scheme.protected_snapshot_into(scratch);
             for bag in limbo.iter_mut() {
                 scheme.cadence_scan(reclaim, bag, scratch);
             }
-            limbo_bytes(limbo)
-        })
+        });
     }
 
     /// The body of `manage_qsense_state` once the batching threshold fires
@@ -580,7 +560,7 @@ impl SmrHandle for QSenseHandle {
             self.quiescent_state();
             self.prev_seen_path = Path::Fast;
         } else if self.prev_seen_path == Path::Fast
-            && self.limbo_size() >= self.core.config().fallback_threshold
+            && self.core.in_limbo() >= self.core.config().fallback_threshold
         {
             // This thread's limbo list has grown past C: quiescence has not been
             // possible for a while, so trigger the switch to the fallback path.
@@ -600,7 +580,7 @@ impl SmrHandle for QSenseHandle {
             // the core sheds a little retire-side speed so limbo stops
             // compounding while the clock catches up.
             let (scheme, limbo, prev) = (&*self.scheme, &mut self.limbo, &mut self.prev_seen_path);
-            self.core.enforce_budget(limbo_bytes(limbo), |core| {
+            self.core.enforce_budget(|core| {
                 if seen == Path::Fast && scheme.fallback.trigger_fallback() {
                     core.stats().add_fallback_switch();
                     scheme.core.governor().count_fallback_trip();
@@ -628,11 +608,11 @@ impl SmrHandle for QSenseHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.limbo_size()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.limbo_bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {

@@ -2,21 +2,21 @@
 //!
 //! The paper's robustness claim is about *memory*, not node counts: a scheme
 //! is robust when the garbage a stalled, silent or dead thread pins stays
-//! bounded in bytes. PR 5 left the repo measuring limbo in nodes and enforcing
-//! nothing; this module closes that gap. Every scheme embeds one
-//! [`BudgetGovernor`] that
+//! bounded in bytes. Every scheme embeds one [`BudgetGovernor`] — the only
+//! scheme-wide limbo estimate there is — that
 //!
-//! 1. **tracks** a scheme-wide limbo-byte estimate the same way
-//!    [`EraPacer`](crate::clock::EraPacer) tracks node counts — striped
-//!    cache-padded counters fed delta-reports by each handle at a bounded
-//!    *grain*, plus a parked counter so a dying handle's leftovers never go
-//!    invisible — and records the high-water mark ([`peak`](BudgetGovernor::peak_bytes));
+//! 1. **tracks** the scheme-wide limbo bytes: striped cache-padded counters,
+//!    fed delta-reports of each handle's ledger
+//!    ([`HandleCore`](crate::limbo::HandleCore)) at a bounded *grain*, plus a
+//!    parked counter so a dying handle's leftovers never go invisible — and
+//!    records the high-water mark ([`peak`](BudgetGovernor::peak_bytes));
 //! 2. **enforces** an optional budget ([`SmrConfig::limbo_budget`]
 //!    (crate::config::SmrConfig::limbo_budget)): when the estimate crosses it,
 //!    the retire path escalates in a fixed ladder — force an immediate scan,
-//!    scheme-specific boosts (the HE pacer switches to byte-driven ticks,
-//!    QSense trips its fallback path early), and as a last resort one bounded
-//!    retire-side backpressure yield — with every rung counted;
+//!    scheme-specific boosts (the HE era pacer, which adapts to this
+//!    estimate, ticks faster; QSense trips its fallback path early), and as a
+//!    last resort one bounded retire-side backpressure yield — with every
+//!    rung counted;
 //! 3. **answers** for itself: [`BudgetGovernor::verdict`] returns a
 //!    [`BudgetVerdict`] (peak bytes, time spent over budget, escalations
 //!    taken) that benches, the CLI fault matrix and CI assert against.
@@ -49,11 +49,10 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Stripes of the governor's byte estimate; handles map in by registry
-/// *shard* ([`SlotId::shard`](crate::registry::SlotId::shard)), mirroring the
-/// `EraPacer` striping: handles sharing a registry shard already share
-/// registration-time lines, so shard-keyed striping aligns accounting
-/// locality with scan locality. Registry-less schemes key by their assigned
-/// stats stripe instead.
+/// *shard* ([`SlotId::shard`](crate::registry::SlotId::shard)): handles
+/// sharing a registry shard already share registration-time lines, so
+/// shard-keyed striping aligns accounting locality with scan locality.
+/// Registry-less schemes key by their assigned stats stripe instead.
 const BUDGET_STRIPES: usize = 8;
 
 /// Queryable outcome of running a scheme under a limbo budget: the evidence a
@@ -70,8 +69,8 @@ pub struct BudgetVerdict {
     pub time_over_budget: Duration,
     /// Escalation rung 1: scans forced on the retire path by a budget breach.
     pub forced_scans: u64,
-    /// Escalation rung 2a: era-pacer speed-ups attributed to byte pressure
-    /// (HE only).
+    /// Escalation rung 2a: era-pacer speed-ups under an enforced budget (HE
+    /// only).
     pub pacer_boosts: u64,
     /// Escalation rung 2b: early fallback-path trips (QSense only).
     pub fallback_trips: u64,
@@ -104,8 +103,8 @@ pub struct BudgetGovernor {
     /// Minimum per-handle byte drift between reports (see module docs).
     grain: usize,
     clock: Clock,
-    /// Striped limbo-byte estimate. Signed for the same reason as the pacer's
-    /// stripes: delta reports can transiently drive a shared stripe negative.
+    /// Striped limbo-byte estimate. Signed: two handles sharing a stripe can
+    /// interleave their delta reports below zero.
     stripes: [CachePadded<AtomicI64>; BUDGET_STRIPES],
     /// Bytes parked by dying handles, awaiting adoption — kept out of the
     /// stripes so the hand-off conserves the estimate exactly.
@@ -173,7 +172,8 @@ impl BudgetGovernor {
     }
 
     /// The scheme-wide limbo-byte estimate (stripes + parked, clamped at 0).
-    /// O(#stripes) relaxed loads — report/diagnostic paths only.
+    /// O(#stripes) relaxed loads — report, scan-time era pacing
+    /// ([`EraPacer::adapt`](crate::clock::EraPacer::adapt)) and diagnostics.
     pub fn estimate(&self) -> u64 {
         let total: i64 = self
             .stripes
@@ -250,9 +250,8 @@ impl BudgetGovernor {
 
     /// Accounts bytes entering (`delta > 0`, handle drop parks leftovers) or
     /// leaving (`delta < 0`, a flush adopts the chain) the scheme's parking
-    /// lot — the byte twin of `EraPacer::note_parked`, but unconditional:
-    /// byte conservation is wanted even without enforcement, so leaked
-    /// handles can never strand limbo invisibly.
+    /// lot. Unconditional: byte conservation is wanted even without
+    /// enforcement, so leaked handles can never strand limbo invisibly.
     pub(crate) fn note_parked(&self, delta: i64) {
         if delta != 0 {
             self.parked.fetch_add(delta, Ordering::Relaxed);
@@ -275,7 +274,8 @@ impl BudgetGovernor {
         self.forced_scans.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a byte-pressure era-pacer speed-up (ladder rung 2a, HE).
+    /// Counts an era-pacer speed-up under an enforced budget (ladder rung 2a,
+    /// HE).
     pub fn count_pacer_boost(&self) {
         self.pacer_boosts.fetch_add(1, Ordering::Relaxed);
     }

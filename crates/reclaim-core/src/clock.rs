@@ -22,13 +22,13 @@
 //! *When* the era ticks is a policy, not a constant: [`EraPacer`] co-locates
 //! the clock with an [`EraAdvancePolicy`] that either fixes the
 //! allocations-per-tick interval (the classic `epoch_freq` cadence) or adapts
-//! it to a striped scheme-wide limbo estimate — faster ticks while garbage
-//! accumulates behind a stalled reader, decaying to an idle floor when scans
-//! run dry (the DEBRA/Hyaline observation that advancement should follow
-//! *reclamation pressure*, not allocation count).
+//! it to the scheme-wide limbo-byte estimate the budget governor keeps —
+//! faster ticks while garbage accumulates behind a stalled reader, decaying to
+//! an idle floor when scans run dry (the DEBRA/Hyaline observation that
+//! advancement should follow *reclamation pressure*, not allocation count).
 
 use crate::pad::CachePadded;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -195,16 +195,15 @@ pub enum EraAdvancePolicy {
     /// the original Hazard-Eras / IBR `epoch_freq` cadence. The garbage a
     /// stalled reader pins is bounded only as tightly as this constant.
     Static(usize),
-    /// Advance on a variable interval driven by the scheme-wide limbo
-    /// estimate: each scan reports its handle's in-limbo delta into a striped
-    /// aggregate, and the interval adapts AIMD-style — it *halves* (down to
-    /// `min_interval`) while the estimate sits above `limbo_low_water`, and
-    /// creeps back up by `min_interval` per dry scan (up to `max_interval`,
-    /// the idle floor). The asymmetry reacts to a stall within one scan but
-    /// does not forget it within one quiet episode. Stalled-reader garbage is
-    /// then bounded by *work retired*, not by an allocation count: the more
-    /// limbo accumulates, the faster fresh allocations age past any stalled
-    /// reservation.
+    /// Advance on a variable interval driven by the scheme-wide limbo-byte
+    /// estimate: after each scan the interval adapts AIMD-style — it *halves*
+    /// (down to `min_interval`) while the estimate sits above the low-water
+    /// mark, and creeps back up by `min_interval` per dry scan (up to
+    /// `max_interval`, the idle floor). The asymmetry reacts to a stall within
+    /// one scan but does not forget it within one quiet episode.
+    /// Stalled-reader garbage is then bounded by *bytes retired*, not by an
+    /// allocation count: the more limbo accumulates, the faster fresh
+    /// allocations age past any stalled reservation.
     Adaptive {
         /// Fastest tick: era advances at least every `min_interval` allocations
         /// under limbo pressure.
@@ -212,8 +211,10 @@ pub enum EraAdvancePolicy {
         /// Idle floor: with no limbo pressure the interval decays up to this,
         /// bounding steady-state shared `fetch_add` traffic.
         max_interval: usize,
-        /// Scheme-wide in-limbo node count above which the pacer speeds up.
-        limbo_low_water: usize,
+        /// Scheme-wide in-limbo bytes above which the pacer speeds up. Under
+        /// an enforced `limbo_budget` a quarter of the budget takes its place,
+        /// so the cadence tightens well before the budget trips.
+        limbo_low_water_bytes: usize,
     },
 }
 
@@ -223,129 +224,89 @@ pub const DEFAULT_ERA_ADVANCE_INTERVAL: usize = 64;
 
 impl EraAdvancePolicy {
     /// The adaptive policy with default bounds: ticks between every 8 and
-    /// every 512 allocations, speeding up once more than 1024 nodes sit in
-    /// limbo scheme-wide.
+    /// every 512 allocations, speeding up once more than 64 KiB sit in limbo
+    /// scheme-wide.
     pub fn adaptive() -> Self {
         EraAdvancePolicy::Adaptive {
             min_interval: 8,
             max_interval: 512,
-            limbo_low_water: 1024,
+            limbo_low_water_bytes: 64 * 1024,
+        }
+    }
+
+    /// The policy as `(min_interval, max_interval, limbo_low_water_bytes)`: a
+    /// static policy is the single-point range `[n, n]`, whose mark is moot.
+    fn bounds(&self) -> (usize, usize, usize) {
+        match *self {
+            EraAdvancePolicy::Static(interval) => (interval, interval, 0),
+            EraAdvancePolicy::Adaptive {
+                min_interval,
+                max_interval,
+                limbo_low_water_bytes,
+            } => (min_interval, max_interval, limbo_low_water_bytes),
         }
     }
 
     /// Panics unless the policy's parameters are coherent (positive intervals,
     /// `min <= max`). Called by [`EraPacer::new`] and the config builder.
     pub fn validate(&self) {
-        match *self {
-            EraAdvancePolicy::Static(interval) => {
-                assert!(interval > 0, "era advance interval must be positive");
-            }
-            EraAdvancePolicy::Adaptive {
-                min_interval,
-                max_interval,
-                ..
-            } => {
-                assert!(min_interval > 0, "min_interval must be positive");
-                assert!(
-                    min_interval <= max_interval,
-                    "min_interval must not exceed max_interval"
-                );
-            }
-        }
+        let (min_interval, max_interval, _) = self.bounds();
+        assert!(min_interval > 0, "era advance interval must be positive");
+        assert!(
+            min_interval <= max_interval,
+            "min_interval must not exceed max_interval"
+        );
     }
 }
 
 impl Default for EraAdvancePolicy {
-    /// The static cadence at [`DEFAULT_ERA_ADVANCE_INTERVAL`] — the behaviour
-    /// every pre-policy release shipped.
+    /// The static cadence at [`DEFAULT_ERA_ADVANCE_INTERVAL`].
     fn default() -> Self {
         EraAdvancePolicy::Static(DEFAULT_ERA_ADVANCE_INTERVAL)
     }
 }
 
-/// Stripes of the pacer's limbo aggregate. Handles map to a stripe by registry
-/// slot, so up to this many concurrent reporters never share a line; beyond it
-/// the stripes are shared (contended but still exact).
-const LIMBO_STRIPES: usize = 8;
-
 /// The era clock plus the policy state that decides *when* it ticks.
 ///
 /// [`EraClock`] answers "what era is it"; `EraPacer` co-locates the answer to
-/// "how often should allocations move it forward". Under the
-/// [`Static`](EraAdvancePolicy::Static) policy it is a constant; under the
-/// [`Adaptive`](EraAdvancePolicy::Adaptive) policy the interval tracks a
-/// scheme-wide limbo estimate fed by per-scan reports.
+/// "how often should allocations move it forward": an interval inside the
+/// policy's `[min_interval, max_interval]` range, re-chosen after every scan
+/// from the scheme-wide limbo-byte estimate ([`adapt`](Self::adapt)). The
+/// pacer keeps no estimate of its own — the scheme hands it the one its budget
+/// governor already maintains — and a static policy is the range `[n, n]`,
+/// which never moves and never asks.
 ///
-/// ## Invariants
-///
-/// * The tick interval always stays inside the policy's `[min_interval,
-///   max_interval]` range (a static policy's range is a single point).
-/// * The limbo estimate is **advisory**: it only modulates reclamation
-///   *latency*, never the free-time safety condition, so torn reads, racing
-///   interval stores and transiently negative stripes are all harmless.
-/// * The estimate is conserved across handle churn: a scan reports the delta
-///   since the handle's previous report; a dying handle retracts its whole
-///   contribution ([`note_handle_exit`](Self::note_handle_exit)) and moves
-///   the parked leftovers to the dedicated parked counter
-///   ([`note_parked`](Self::note_parked)), which the adopting handle debits
-///   when it splices the chain back in (the nodes then re-enter its own
-///   reports). Parked nodes are never double counted — and never invisible:
-///   limbo sitting in the scheme's parking lot keeps pressing on the
-///   interval even if no surviving handle flushes for a long time.
-/// * Nothing here allocates after construction: the stripes are a fixed
-///   inline array and every report is one `fetch_add` to a cache-padded line.
+/// The estimate is **advisory**: it only modulates reclamation *latency*,
+/// never the free-time safety condition, so stale reads and racing interval
+/// stores are harmless.
 #[derive(Debug)]
 pub struct EraPacer {
     clock: EraClock,
     policy: EraAdvancePolicy,
+    /// Scheme-wide limbo bytes above which the interval halves.
+    low_water_bytes: u64,
     /// Current allocations-per-tick interval (read on every `alloc_node`;
-    /// written only by scans, and only under the adaptive policy).
+    /// written only by scans, and only when the range is not a point).
     interval: CachePadded<AtomicUsize>,
-    /// Striped scheme-wide in-limbo estimate. Signed: deltas may transiently
-    /// drive an individual stripe negative (reporter and retractor on
-    /// different stripes is impossible — a handle always uses its own — but a
-    /// stripe shared by two handles can interleave below zero).
-    limbo: [CachePadded<AtomicI64>; LIMBO_STRIPES],
-    /// Nodes currently sitting in the scheme's parking lot (dying handles'
-    /// leftovers awaiting adoption). Folded into the estimate so parked limbo
-    /// keeps pressing on the interval even while no handle has adopted it.
-    parked: CachePadded<AtomicI64>,
-    /// When non-zero, replaces the adaptive policy's `limbo_low_water`. This
-    /// is how the HE scheme re-denominates the pacer in **bytes** under a
-    /// limbo budget: the scheme feeds byte totals (instead of node counts)
-    /// into `note_scan`/`note_parked` and sets the low-water mark to a byte
-    /// threshold derived from the budget. The estimate's *unit* is whatever
-    /// the reporters feed it — the pacer only compares it against this mark.
-    low_water_override: CachePadded<AtomicUsize>,
 }
 
 impl EraPacer {
-    /// Creates a pacer at era 1. The adaptive policy starts at `min_interval`
-    /// (the robust end): a fresh scheme cannot know whether a reader is about
-    /// to stall, and the idle decay recovers the cheap cadence within a few
-    /// dry scans.
-    pub fn new(policy: EraAdvancePolicy) -> Self {
+    /// Creates a pacer at era 1, running `policy` under the scheme's
+    /// `limbo_budget`. With a budget, the low-water mark is a quarter of it
+    /// (the pacer is the era schemes' lever on the budget ladder); without
+    /// one, the policy's own `limbo_low_water_bytes`. The interval starts at
+    /// `min_interval` (the robust end): a fresh scheme cannot know whether a
+    /// reader is about to stall, and the idle decay recovers the cheap cadence
+    /// within a few dry scans.
+    pub fn new(policy: EraAdvancePolicy, limbo_budget: Option<usize>) -> Self {
         policy.validate();
-        let start = match policy {
-            EraAdvancePolicy::Static(interval) => interval,
-            EraAdvancePolicy::Adaptive { min_interval, .. } => min_interval,
-        };
+        let (min_interval, _, policy_mark) = policy.bounds();
         Self {
             clock: EraClock::new(),
             policy,
-            interval: CachePadded::new(AtomicUsize::new(start)),
-            limbo: std::array::from_fn(|_| CachePadded::new(AtomicI64::new(0))),
-            parked: CachePadded::new(AtomicI64::new(0)),
-            low_water_override: CachePadded::new(AtomicUsize::new(0)),
+            low_water_bytes: limbo_budget.map_or(policy_mark, |budget| budget / 4) as u64,
+            interval: CachePadded::new(AtomicUsize::new(min_interval)),
         }
-    }
-
-    /// Replaces the adaptive policy's `limbo_low_water` with `mark` (0 clears
-    /// the override). Set once at scheme construction when a limbo budget
-    /// re-denominates the pacer in bytes; see the field docs. No effect under
-    /// the static policy.
-    pub fn set_limbo_low_water(&self, mark: usize) {
-        self.low_water_override.store(mark, Ordering::Relaxed);
     }
 
     /// The policy this pacer runs.
@@ -372,66 +333,18 @@ impl EraPacer {
         self.interval.load(Ordering::Relaxed)
     }
 
-    /// Maps a registry slot to the limbo stripe its handle reports into.
-    pub fn stripe_for(slot_index: usize) -> usize {
-        slot_index % LIMBO_STRIPES
-    }
-
-    /// The scheme-wide in-limbo estimate (sum of the stripes, clamped at 0).
-    /// O(`LIMBO_STRIPES`) relaxed loads; diagnostics and scan-time adaptation
-    /// only, never on a per-op path.
-    pub fn limbo_estimate(&self) -> usize {
-        let total: i64 = self
-            .limbo
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .sum::<i64>()
-            + self.parked.load(Ordering::Relaxed);
-        total.max(0) as usize
-    }
-
-    /// Accounts nodes entering (`delta > 0`, handle drop parks leftovers) or
-    /// leaving (`delta < 0`, a flush adopts the chain) the scheme's parking
-    /// lot. Adopted nodes re-enter the adopter's own scan reports, so the
-    /// hand-off conserves the estimate. No-op under the static policy.
-    pub fn note_parked(&self, delta: i64) {
-        if !matches!(self.policy, EraAdvancePolicy::Adaptive { .. }) {
-            return;
-        }
-        if delta != 0 {
-            self.parked.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    /// Scan-time hook: reports the delta between the handle's current in-limbo
-    /// count and its last report into the handle's stripe, then adapts the
-    /// tick interval. `last_reported` is the handle-owned cursor this pacer
-    /// maintains. No-op under the static policy.
-    ///
-    /// Returns `true` when this call *sped the pacer up* (halved the
-    /// interval under limbo pressure) — the signal the budget subsystem
-    /// counts as a pacer boost when the pacer runs byte-denominated.
-    pub fn note_scan(&self, stripe: usize, in_limbo_now: usize, last_reported: &mut usize) -> bool {
-        let EraAdvancePolicy::Adaptive {
-            min_interval,
-            max_interval,
-            limbo_low_water,
-        } = self.policy
-        else {
+    /// Scan-time hook: re-chooses the tick interval from the scheme-wide
+    /// limbo-byte estimate, which `limbo_estimate` reads only when the range
+    /// leaves a choice. Call after the scan's frees were reported, so the
+    /// estimate tracks the *residue* — the garbage reservations are actually
+    /// pinning. Returns `true` when this call sped the pacer up.
+    pub fn adapt(&self, limbo_estimate: impl FnOnce() -> u64) -> bool {
+        let (min_interval, max_interval, _) = self.policy.bounds();
+        if min_interval == max_interval {
             return false;
-        };
-        let delta = in_limbo_now as i64 - *last_reported as i64;
-        if delta != 0 {
-            self.limbo[stripe % LIMBO_STRIPES].fetch_add(delta, Ordering::Relaxed);
-            *last_reported = in_limbo_now;
         }
-        let low_water = match self.low_water_override.load(Ordering::Relaxed) {
-            0 => limbo_low_water,
-            mark => mark,
-        };
-        let estimate = self.limbo_estimate();
         let current = self.interval.load(Ordering::Relaxed);
-        let next = if estimate > low_water {
+        let next = if limbo_estimate() > self.low_water_bytes {
             // Pressure: halve toward the fast end so fresh allocations age
             // past any stalled reservation sooner.
             (current / 2).max(min_interval)
@@ -445,29 +358,10 @@ impl EraPacer {
         };
         if next != current {
             // A racing store from a concurrent scan is fine: both values are
-            // inside [min, max] and the estimate re-converges next scan.
+            // inside [min, max] and the next scan re-converges.
             self.interval.store(next, Ordering::Relaxed);
         }
         next < current
-    }
-
-    /// Retracts a dying handle's entire limbo contribution before its
-    /// leftovers are parked, so the adopting handle's next scan can re-report
-    /// them without double counting. No-op under the static policy.
-    pub fn note_handle_exit(&self, stripe: usize, last_reported: &mut usize) {
-        if !matches!(self.policy, EraAdvancePolicy::Adaptive { .. }) {
-            return;
-        }
-        if *last_reported != 0 {
-            self.limbo[stripe % LIMBO_STRIPES].fetch_sub(*last_reported as i64, Ordering::Relaxed);
-            *last_reported = 0;
-        }
-    }
-}
-
-impl Default for EraPacer {
-    fn default() -> Self {
-        Self::new(EraAdvancePolicy::default())
     }
 }
 
@@ -538,142 +432,86 @@ mod tests {
     }
 
     #[test]
-    fn static_pacer_keeps_a_constant_interval_and_ignores_reports() {
-        let pacer = EraPacer::new(EraAdvancePolicy::Static(32));
-        assert_eq!(pacer.current_interval(), 32);
-        let mut cursor = 0usize;
-        pacer.note_scan(0, 10_000, &mut cursor);
-        assert_eq!(cursor, 0, "static policy must not track reports");
-        assert_eq!(pacer.current_interval(), 32);
-        assert_eq!(pacer.limbo_estimate(), 0);
-        pacer.note_handle_exit(0, &mut cursor);
-        pacer.note_parked(123);
-        assert_eq!(pacer.limbo_estimate(), 0, "parked is a no-op when static");
-        assert_eq!(pacer.current_interval(), 32);
-        assert_eq!(pacer.current(), 1);
-        pacer.advance();
-        assert_eq!(pacer.current(), 2, "clock delegation works");
+    fn a_point_range_never_moves_and_never_reads_the_estimate() {
+        let point_ranges = [
+            EraAdvancePolicy::Static(32),
+            EraAdvancePolicy::Adaptive {
+                min_interval: 32,
+                max_interval: 32,
+                limbo_low_water_bytes: 0,
+            },
+        ];
+        for policy in point_ranges {
+            let pacer = EraPacer::new(policy, Some(1 << 20));
+            assert_eq!(pacer.policy(), policy);
+            assert_eq!(pacer.current_interval(), 32);
+            for _ in 0..3 {
+                assert!(!pacer.adapt(|| panic!("a point range has nothing to decide")));
+                assert_eq!(pacer.current_interval(), 32);
+            }
+            assert_eq!(pacer.current(), 1);
+            pacer.advance();
+            assert_eq!(pacer.current(), 2, "clock delegation works");
+        }
     }
 
     #[test]
     fn adaptive_pacer_speeds_up_under_pressure_and_decays_when_dry() {
-        let policy = EraAdvancePolicy::Adaptive {
-            min_interval: 4,
-            max_interval: 64,
-            limbo_low_water: 100,
-        };
-        let pacer = EraPacer::new(policy);
+        let pacer = EraPacer::new(
+            EraAdvancePolicy::Adaptive {
+                min_interval: 4,
+                max_interval: 64,
+                limbo_low_water_bytes: 100,
+            },
+            None,
+        );
         assert_eq!(
             pacer.current_interval(),
             4,
             "adaptive starts at the robust (fast) end"
         );
-        let mut cursor = 0usize;
         // Dry scans creep toward the idle floor (+min per scan), never past it.
         for scans in 1..=15 {
-            pacer.note_scan(0, 0, &mut cursor);
+            assert!(!pacer.adapt(|| 0));
             assert_eq!(pacer.current_interval(), (4 + 4 * scans).min(64));
         }
         assert_eq!(pacer.current_interval(), 64, "idle floor reached");
-        pacer.note_scan(0, 0, &mut cursor);
+        assert!(!pacer.adapt(|| 100), "at the mark is not above it");
         assert_eq!(pacer.current_interval(), 64, "never past the floor");
-        // Limbo past the low-water mark halves the interval down to the
-        // minimum and no further.
-        pacer.note_scan(0, 500, &mut cursor);
-        assert_eq!(cursor, 500);
-        assert_eq!(pacer.limbo_estimate(), 500);
+        // Limbo past the low-water mark halves the interval — and says so —
+        // down to the minimum and no further.
+        assert!(pacer.adapt(|| 101), "speed-up must be signalled");
         assert_eq!(pacer.current_interval(), 32);
-        for _ in 0..10 {
-            pacer.note_scan(0, 500, &mut cursor);
+        for _ in 0..3 {
+            assert!(pacer.adapt(|| 500));
         }
-        assert_eq!(pacer.current_interval(), 4, "clamped at min_interval");
+        assert_eq!(pacer.current_interval(), 4);
+        assert!(!pacer.adapt(|| 500), "clamped at min_interval: no speed-up");
+        assert_eq!(pacer.current_interval(), 4);
         // Draining the limbo lets the interval creep up again (additively:
         // one quiet scan must not undo the speed-up the stall earned).
-        pacer.note_scan(0, 0, &mut cursor);
-        assert_eq!(pacer.limbo_estimate(), 0);
+        assert!(!pacer.adapt(|| 0));
         assert_eq!(pacer.current_interval(), 8);
     }
 
     #[test]
-    fn low_water_override_redenominates_the_pacer() {
-        let pacer = EraPacer::new(EraAdvancePolicy::Adaptive {
-            min_interval: 4,
-            max_interval: 64,
-            limbo_low_water: 1_000_000,
-        });
-        let mut cursor = 0usize;
+    fn a_limbo_budget_puts_the_low_water_mark_at_a_quarter_of_it() {
+        let pacer = EraPacer::new(
+            EraAdvancePolicy::Adaptive {
+                min_interval: 4,
+                max_interval: 64,
+                limbo_low_water_bytes: 1_000_000,
+            },
+            Some(1_024),
+        );
         for _ in 0..15 {
-            pacer.note_scan(0, 0, &mut cursor);
+            pacer.adapt(|| 0);
         }
         assert_eq!(pacer.current_interval(), 64, "idle floor reached");
-        // 500 units sit far below the node-denominated policy mark: dry.
-        assert!(!pacer.note_scan(0, 500, &mut cursor));
-        assert_eq!(pacer.current_interval(), 64);
-        // Re-denominate: the same 500 now reads as bytes against a 256-byte
-        // mark, so the pacer speeds up and says so.
-        pacer.set_limbo_low_water(256);
-        assert!(
-            pacer.note_scan(0, 500, &mut cursor),
-            "speed-up must be signalled"
-        );
+        // Far below the policy's own mark, but over budget / 4.
+        assert!(!pacer.adapt(|| 256));
+        assert!(pacer.adapt(|| 257));
         assert_eq!(pacer.current_interval(), 32);
-        // Clearing the override restores the policy mark.
-        pacer.set_limbo_low_water(0);
-        assert!(!pacer.note_scan(0, 500, &mut cursor));
-        assert_eq!(pacer.current_interval(), 36, "dry creep resumed");
-    }
-
-    #[test]
-    fn adaptive_reports_are_deltas_and_handle_exit_retracts_them() {
-        let policy = EraAdvancePolicy::Adaptive {
-            min_interval: 4,
-            max_interval: 64,
-            limbo_low_water: 100,
-        };
-        let pacer = EraPacer::new(policy);
-        let mut a = 0usize;
-        let mut b = 0usize;
-        pacer.note_scan(0, 300, &mut a);
-        pacer.note_scan(1, 200, &mut b);
-        assert_eq!(pacer.limbo_estimate(), 500);
-        // A shrinking handle count reports a negative delta.
-        pacer.note_scan(0, 50, &mut a);
-        assert_eq!(pacer.limbo_estimate(), 250);
-        // Handle exit retracts the whole remaining contribution (the parked
-        // leftovers are re-reported by whichever handle adopts them).
-        pacer.note_handle_exit(0, &mut a);
-        assert_eq!(a, 0);
-        assert_eq!(pacer.limbo_estimate(), 200);
-        pacer.note_handle_exit(1, &mut b);
-        assert_eq!(pacer.limbo_estimate(), 0);
-    }
-
-    #[test]
-    fn parked_nodes_stay_visible_to_the_estimate_until_adopted() {
-        let policy = EraAdvancePolicy::Adaptive {
-            min_interval: 4,
-            max_interval: 64,
-            limbo_low_water: 100,
-        };
-        let pacer = EraPacer::new(policy);
-        let mut cursor = 0usize;
-        pacer.note_scan(0, 300, &mut cursor);
-        // Handle exit: the contribution moves from the handle's stripe to the
-        // parked counter — the estimate must not dip while the leftovers sit
-        // in the parking lot with no live reporter.
-        pacer.note_handle_exit(0, &mut cursor);
-        pacer.note_parked(300);
-        assert_eq!(
-            pacer.limbo_estimate(),
-            300,
-            "parked limbo keeps pressing on the estimate"
-        );
-        // Adoption debits the parked counter; the adopter's own report takes
-        // over — net conservation across the hand-off.
-        pacer.note_parked(-300);
-        let mut adopter = 0usize;
-        pacer.note_scan(1, 300, &mut adopter);
-        assert_eq!(pacer.limbo_estimate(), 300);
     }
 
     #[test]
@@ -681,32 +519,24 @@ mod tests {
         let policy = EraAdvancePolicy::Adaptive {
             min_interval: 2,
             max_interval: 128,
-            limbo_low_water: 10,
+            limbo_low_water_bytes: 10,
         };
-        let pacer = Arc::new(EraPacer::new(policy));
+        let pacer = Arc::new(EraPacer::new(policy, None));
         let handles: Vec<_> = (0..4)
-            .map(|stripe| {
+            .map(|_| {
                 let pacer = Arc::clone(&pacer);
                 thread::spawn(move || {
-                    let mut cursor = 0usize;
-                    for round in 0..1_000usize {
-                        let limbo = if round % 2 == 0 { 100 } else { 0 };
-                        pacer.note_scan(stripe, limbo, &mut cursor);
+                    for round in 0..1_000u64 {
+                        pacer.adapt(|| if round % 2 == 0 { 100 } else { 0 });
                         let interval = pacer.current_interval();
                         assert!((2..=128).contains(&interval), "interval {interval}");
                     }
-                    pacer.note_handle_exit(stripe, &mut cursor);
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(
-            pacer.limbo_estimate(),
-            0,
-            "every contribution was retracted"
-        );
     }
 
     #[test]
@@ -721,11 +551,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "min_interval must not exceed max_interval")]
     fn inverted_adaptive_bounds_are_rejected() {
-        EraPacer::new(EraAdvancePolicy::Adaptive {
-            min_interval: 64,
-            max_interval: 8,
-            limbo_low_water: 0,
-        });
+        EraPacer::new(
+            EraAdvancePolicy::Adaptive {
+                min_interval: 64,
+                max_interval: 8,
+                limbo_low_water_bytes: 0,
+            },
+            None,
+        );
     }
 
     #[test]

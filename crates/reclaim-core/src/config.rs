@@ -42,12 +42,6 @@ pub struct SmrConfig {
     /// Number of rooster threads to spawn. The paper pins one per core; the default
     /// here is one per available CPU (at least one).
     pub rooster_threads: usize,
-    /// Use the Linux `membarrier` system call (when available) from rooster wake-ups
-    /// to force outstanding hazard-pointer stores to become visible, mirroring the
-    /// paper's "context switch implies memory barrier" assumption. When unavailable
-    /// or disabled, visibility falls back to the Rust memory model's finite-visibility
-    /// guarantee together with the deferred-reclamation wait of `T + ε`.
-    pub use_membarrier: bool,
     /// **Extension (paper §5.2, future work).** If set, QSense *evicts* a registered
     /// thread that has shown no activity for this long: the evicted thread stops
     /// counting towards the all-processes-active check (so the system can switch back
@@ -61,8 +55,8 @@ pub struct SmrConfig {
     /// set, every scheme tracks its limbo-byte estimate through a
     /// [`crate::budget::BudgetGovernor`] and, on crossing the budget,
     /// escalates along a fixed ladder on the retire path: forced scan →
-    /// scheme-specific boost (HE drives its era pacer by bytes, QSense trips
-    /// its fallback path early) → one bounded backpressure yield. `None` (the
+    /// scheme-specific boost (HE's era pacer ticks faster, QSense trips its
+    /// fallback path early) → one bounded backpressure yield. `None` (the
     /// default) keeps byte *tracking* alive (peaks still show up in
     /// [`crate::stats::StatsSnapshot::peak_limbo_bytes`]) but never escalates.
     /// Schemes without a safe retire-path lever (QSBR; Leaky by design) will
@@ -73,8 +67,8 @@ pub struct SmrConfig {
     /// crate): a fixed allocations-per-tick interval
     /// ([`EraAdvancePolicy::Static`], the default — the IBR literature's
     /// `epoch_freq` ballpark) or an interval that adapts to the scheme-wide
-    /// limbo estimate ([`EraAdvancePolicy::Adaptive`]), bounding
-    /// stalled-reader garbage by work retired instead of a constant. See
+    /// limbo-byte estimate ([`EraAdvancePolicy::Adaptive`]), bounding
+    /// stalled-reader garbage by bytes retired instead of a constant. See
     /// [`crate::clock::EraPacer`].
     pub era_policy: EraAdvancePolicy,
     /// **Extension (observability).** Enables the telemetry histograms
@@ -156,12 +150,6 @@ impl SmrConfig {
     /// Sets the number of rooster threads.
     pub fn with_rooster_threads(mut self, n: usize) -> Self {
         self.rooster_threads = n;
-        self
-    }
-
-    /// Enables or disables the `membarrier`-based asymmetric fence.
-    pub fn with_membarrier(mut self, enabled: bool) -> Self {
-        self.use_membarrier = enabled;
         self
     }
 
@@ -264,7 +252,6 @@ impl Default for SmrConfig {
             rooster_interval: Duration::from_millis(10),
             rooster_epsilon: Duration::from_millis(1),
             rooster_threads: cpus.max(1),
-            use_membarrier: true,
             eviction_timeout: None,
             limbo_budget: None,
             era_policy: EraAdvancePolicy::default(),
@@ -328,7 +315,7 @@ mod tests {
         let _ = SmrConfig::default().with_era_policy(EraAdvancePolicy::Adaptive {
             min_interval: 9,
             max_interval: 3,
-            limbo_low_water: 0,
+            limbo_low_water_bytes: 0,
         });
     }
 
@@ -344,7 +331,6 @@ mod tests {
             .with_rooster_interval(Duration::from_millis(5))
             .with_rooster_epsilon(Duration::from_millis(2))
             .with_rooster_threads(2)
-            .with_membarrier(false)
             .with_eviction_timeout(Some(Duration::from_millis(50)))
             .with_limbo_budget(Some(1 << 20))
             .with_era_advance_interval(16)
@@ -359,7 +345,6 @@ mod tests {
         assert_eq!(cfg.rooster_interval, Duration::from_millis(5));
         assert_eq!(cfg.rooster_epsilon, Duration::from_millis(2));
         assert_eq!(cfg.rooster_threads, 2);
-        assert!(!cfg.use_membarrier);
         assert_eq!(cfg.eviction_timeout_nanos(), Some(50_000_000));
         assert_eq!(cfg.limbo_budget, Some(1 << 20));
         assert_eq!(cfg.era_policy, EraAdvancePolicy::Static(16));

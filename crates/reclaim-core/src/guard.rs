@@ -69,117 +69,6 @@
 //! // another task/thread; finish (drop) it first, then move the lease.
 //! crosses_a_task_boundary(guard);
 //! ```
-//!
-//! ## Migration guide: raw protocol → guard API
-//!
-//! One before/after per integration rule, in the order a structure method
-//! meets them. "Before" is the hand-written protocol the pre-guard structures
-//! carried; "after" is the only spelling the lint gate accepts outside this
-//! module.
-//!
-//! **Rule 1 — bracket every operation.** Every early return used to need the
-//! teardown pair repeated by hand:
-//!
-//! ```text
-//! handle.begin_op();
-//! /* traversal; every `return` must remember both calls below */
-//! handle.clear_protections();
-//! handle.end_op();
-//! ```
-//!
-//! After: construction opens, drop closes — early returns are just `return`.
-//!
-//! ```
-//! # use reclaim_core::{Guard, Leaky, Smr};
-//! # let scheme = Leaky::with_defaults();
-//! # let mut handle = scheme.register();
-//! let guard = Guard::new(&mut handle);
-//! // traversal; dropping the guard clears the slots and ends the op
-//! ```
-//!
-//! **Rule 2 — protect, then re-validate before dereferencing.** The publish /
-//! re-read / compare loop was copied at every advance:
-//!
-//! ```text
-//! let mut curr = pred_next.load(Acquire);
-//! loop {
-//!     handle.protect(HP_CURR, curr.ptr().cast());
-//!     let reread = pred_next.load(Acquire);
-//!     if reread == curr { break; }          // protection validated
-//!     curr = reread;
-//! }
-//! let node = unsafe { &*curr.ptr() };        // raw deref, unchecked
-//! ```
-//!
-//! After: [`Guard::load_protected`] is that loop; the `Shared` it returns is
-//! tied to the guard's lifetime, and the one remaining obligation (the link
-//! was rooted) is [`Shared::as_ref`]'s documented contract:
-//!
-//! ```
-//! # use reclaim_core::{Atomic, Guard, Leaky, Owned, Smr};
-//! # let scheme = Leaky::with_defaults();
-//! # let mut handle = scheme.register();
-//! # let link = Atomic::new(Owned::sentinel(7_u64));
-//! # const HP_CURR: usize = 0;
-//! let guard = Guard::new(&mut handle);
-//! let curr = guard.load_protected(HP_CURR, &link);
-//! // SAFETY: validated protection on a rooted link.
-//! let value = unsafe { curr.as_ref() };
-//! # assert_eq!(value, Some(&7));
-//! # drop(guard);
-//! # let mut link = link; unsafe { link.take() };
-//! ```
-//!
-//! **Rule 3 — stamp the birth era at allocation.** Structures used to carry an
-//! era field in their node layout and thread it to the retire site:
-//!
-//! ```text
-//! let node = Box::into_raw(Box::new(Node {
-//!     birth_era: handle.alloc_node(),   // easy to forget ⇒ HE over-pins
-//!     key, value, next: ...,
-//! }));
-//! ```
-//!
-//! After: [`Owned::new`] stamps a private header the structure never sees
-//! (and [`Owned::sentinel`] covers pre-handle construction):
-//!
-//! ```
-//! # use reclaim_core::{Guard, Leaky, Owned, Smr};
-//! # struct Node { key: u64 }
-//! # let scheme = Leaky::with_defaults();
-//! # let mut handle = scheme.register();
-//! let guard = Guard::new(&mut handle);
-//! let node = Owned::new(Node { key: 7 }, &guard);
-//! # drop(node);
-//! ```
-//!
-//! **Rule 4 — retire only what you unlinked, exactly once, with exact bytes.**
-//! The unlink CAS and the retire used to be two separate acts whose pairing
-//! (once, and only after success) was a reviewer obligation:
-//!
-//! ```text
-//! if pred_next.compare_exchange(curr, succ, ...).is_ok() {
-//!     unsafe { retire_box_with_birth(handle, curr.ptr(), (*curr.ptr()).birth_era) };
-//!     // double-retire on a second path? sized or size-unknown? — convention only
-//! }
-//! ```
-//!
-//! After: success of [`Atomic::cas_unlink`] *is* the retire capability — an
-//! [`Unlinked`] that must be consumed ([`#[must_use]`](Unlinked)) and always
-//! flows through the sized, birth-stamped path:
-//!
-//! ```
-//! # use reclaim_core::{Atomic, Guard, Leaky, Owned, Shared, Smr};
-//! # let scheme = Leaky::with_defaults();
-//! # let mut handle = scheme.register();
-//! # let link = Atomic::new(Owned::sentinel(9_u64));
-//! let guard = Guard::new(&mut handle);
-//! let curr = guard.load_protected(0, &link);
-//! // SAFETY: this link is the sole remaining path to the node.
-//! if let Ok((unlinked, _now)) = unsafe { link.cas_unlink(curr, Shared::null()) } {
-//!     unlinked.retire(&guard); // consumed: exactly once, sized, era-stamped
-//! }
-//! ```
 
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::smr::{drop_fn_for, SmrHandle};

@@ -125,10 +125,9 @@ impl Reclaim<'_> {
 /// One whole-bag hazard-pointer scan, as HP and Cadence run it: count the
 /// scan, snapshot every published pointer into the handle's scratch
 /// (`get_protected_nodes`, Algorithm 3 / Michael's stage 1 — the buffer is
-/// sized `N·K` at registration, so steady-state scans never allocate), free
-/// what the snapshot does not cover, and report the post-scan bytes to the
-/// budget. `min_age` is Cadence's `T + ε` gate; `None` is classic HP. Returns
-/// the bag's bytes after the scan.
+/// sized `N·K` at registration, so steady-state scans never allocate) and free
+/// what the snapshot does not cover. `min_age` is Cadence's `T + ε` gate;
+/// `None` is classic HP.
 ///
 /// # Safety
 ///
@@ -140,7 +139,7 @@ pub unsafe fn hp_scan(
     registry: &Registry<HpSlots>,
     bag: &mut SegBag,
     min_age: Option<Nanos>,
-) -> usize {
+) {
     core.stats().add_scan();
     // Read before the snapshot: an earlier `now` only makes nodes look younger.
     let age_gate = min_age.map(|age| (core.config().clock.now(), age));
@@ -149,8 +148,7 @@ pub unsafe fn hp_scan(
         // SAFETY: forwarded from the caller's contract; the snapshot was taken
         // just above, after every retire into `bag`.
         unsafe { reclaim.free_unprotected(bag, scratch, age_gate) };
-        bag.bytes()
-    })
+    });
 }
 
 #[cfg(test)]

@@ -74,12 +74,12 @@ impl Smr for Leaky {
         self.core.stats()
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -107,7 +107,7 @@ impl SmrHandle for LeakyHandle {
         // Track bytes (so peak/verdict are honest) but never escalate: Leaky
         // has no reclamation pass to force, and that is the point of the
         // baseline.
-        self.core.track(self.bag.bytes());
+        self.core.track();
     }
 
     fn flush(&mut self) {
@@ -115,11 +115,11 @@ impl SmrHandle for LeakyHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.bag.len()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.bag.bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {

@@ -15,7 +15,7 @@
 //! let pool = LeasePool::for_scheme(&scheme, 8, LeasePolicy::Wait)?;
 //! // per task:
 //! let mut lease = pool.checkout()?;       // borrow one of the 8 handles
-//! let guard = Guard::enter(&mut *lease);  // normal op bracket
+//! let guard = Guard::new(&mut *lease);    // normal op bracket
 //! drop(guard);
 //! drop(lease);                            // handle returns to the pool
 //! ```

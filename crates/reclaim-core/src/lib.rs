@@ -56,13 +56,25 @@
 //! [`limbo`]: a [`SchemeCore`] per scheme instance and a [`HandleCore`] per
 //! registered handle.
 //!
+//! How much a handle holds in limbo is one of those things. The core is handed
+//! every node that enters a handle's limbo ([`HandleCore::retire`],
+//! [`HandleCore::adopt_parked`]) and every node that leaves it (the
+//! [`Reclaim`] of a scan pass, [`HandleCore::park`]), so it keeps the
+//! **ledger** — node and byte totals, [`HandleCore::in_limbo`] /
+//! [`HandleCore::limbo_bytes`] — and no scheme sums its bags, passes a total
+//! into the core or returns one from a scan. The ledger is what
+//! [`SmrHandle::local_in_limbo`] / [`SmrHandle::local_limbo_bytes`] answer
+//! from, what the handle reports to the scheme's [`BudgetGovernor`], and — via
+//! the governor's scheme-wide estimate, the only one there is — what HE's
+//! [`EraPacer`] adapts to.
+//!
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
 //! | its reservation record in a [`Registry`] (hazard slots — the shared [`HpSlots`] —, epoch, era interval, pin) and how `protect`/`begin_op` publish and clear it | the [`SmrConfig`], the counter stripes behind [`Smr::stats`], the budget governor, the [`Telemetry`] histograms |
-//! | the limbo *shape*: which [`SegBag`] a retired node goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (removal time for Cadence/QSense, retire era for HE, nothing for the rest) | the **stamp**: retire/byte counters, [`RetiredPtr`] construction, the telemetry tick, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
-//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument | the **observed reclaim**: scan timing, retire→free delays, freed counters, the post-scan budget report — [`HandleCore::scan`] |
-//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**: count threshold → forced scan on a budget crossing → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] |
-//! | clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain with the byte estimate conserved ([`HandleCore::park`], [`HandleCore::adopt_parked`]), the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
+//! | the limbo *shape*: which [`SegBag`] a retired node goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (removal time for Cadence/QSense, retire era for HE, nothing for the rest) | the **stamp** and the ledger entry: retire/byte counters, [`RetiredPtr`] construction, the telemetry tick, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
+//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument | the **observed reclaim**: scan timing, retire→free delays, freed counters, the ledger debit, the post-scan budget report — [`HandleCore::scan`] |
+//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold → forced scan on a budget crossing → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
+//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain with ledger and byte estimate conserved ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]), the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
 //!
 //! The governor's mutators, the parked chain and the workspace cache are
 //! private to this crate: a scheme cannot report, park or recycle except
@@ -82,20 +94,20 @@
 //! |-----------|------|--------------------|
 //! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store plus an O(#buckets) bucket-age check (EBR only); one era announcement — an era load plus, on change, a fenced reservation store (HE only) | none (EBR: one release store to an owned padded line; HE: one era store per op to an owned padded line, fenced only when the era moved) |
 //! | per node traversed (`protect`) | hazard-pointer store (HP/Cadence/QSense); era re-announcement only when the global era advanced mid-operation (HE) | one release store to an owned padded slot; classic HP adds the `SeqCst` fence the paper is about; HE's amortized cost here is ~zero (eras advance once per [`clock::EraPacer::current_interval`] allocations, not per node) |
-//! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every [`clock::EraPacer::current_interval`] allocations (HE only; no-op for every other scheme). The interval is a constant under [`clock::EraAdvancePolicy::Static`]; under the adaptive policy it is one extra relaxed load of a read-mostly padded line — the pacer's entire allocation-side cost is amortized zero | one acquire load of the (mostly read-shared) era line |
+//! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every [`clock::EraPacer::current_interval`] allocations (HE only; no-op for every other scheme). The interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] — the pacer's entire allocation-side cost | one acquire load of the (mostly read-shared) era line |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one clock read for the removal-time stamp (Cadence/QSense only — the other schemes' free rules read no stamp), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
 //! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochCursor`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
-//! | per scan (every `R` retires) | snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge; under the adaptive era policy, one striped limbo report (a single `fetch_add` to the handle's padded stripe) plus an O(#stripes) estimate read to adapt the tick interval ([`clock::EraPacer::note_scan`]) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
+//! | per scan (every `R` retires) | snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge; the ledger debit and one delta report of the handle's post-scan bytes to its governor stripe ([`limbo::HandleCore::scan`]); under the adaptive era policy (HE), one more O(#stripes) read of the governor's estimate to re-choose the tick interval ([`clock::EraPacer::adapt`] — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches** (counted in [`stats::StatsSnapshot::shard_skips`]), so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
-//! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the stamp the wrapper already carries; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe; one grain-gated governor observation ([`limbo::HandleCore::enforce_budget`]) — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
-//! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's byte-mode [`clock::EraPacer`] boost, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
+//! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the stamp the wrapper already carries; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated governor observation of the ledger ([`limbo::HandleCore::enforce_budget`]) — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
+//! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's [`clock::EraPacer`] speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per node allocated ([`guard::Owned::new`]) | one heap allocation of value + one-word birth-era header; the `alloc_node` stamp above written into the header | identical to `alloc_node` |
 //! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_raw`]) | exactly the retire above: birth era read back from the node header (one thread-local load), size a compile-time constant — a size-unknown (0-byte) retire is unreachable from the guard layer | identical to [`smr::SmrHandle::retire`] |
-//! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool + scratch on the scheme's [`limbo::SchemeCore`]; retract the handle's reported byte contribution and move its leftover bytes to the governor's parked counter (two relaxed adds — leaked bytes stay visible, never stranded) | O(1) pointer surgery under a mutex — no allocation |
+//! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool + scratch on the scheme's [`limbo::SchemeCore`]; retract the handle's reported byte contribution and move its ledger's bytes to the governor's parked counter (two relaxed adds — leaked bytes stay visible, never stranded) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one relaxed load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-mostly padded line shared by all record sites |
 //! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`config::SmrConfig::telemetry_sample_shift`] sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
@@ -151,8 +163,9 @@
 //! ## Robustness verdicts
 //!
 //! With [`config::SmrConfig::with_limbo_budget`] set, every scheme runs its
-//! limbo *bytes* (stamped at retire, summed per chain, adjusted at adoption
-//! and handle drop) against the same [`budget::BudgetGovernor`], and answers
+//! limbo *bytes* (stamped at retire, kept per handle in the [`HandleCore`]
+//! ledger, moved at adoption and handle drop) against the same
+//! [`budget::BudgetGovernor`], and answers
 //! for the run through [`Smr::budget_verdict`]: the peak byte estimate, the
 //! wall-clock time spent over budget, and a counter per escalation rung
 //! actually pulled. The ladder, in order:
@@ -160,9 +173,10 @@
 //! 1. **forced scan** — a budget crossing on the retire path forces a
 //!    reclamation pass on the retiring handle, threshold counters
 //!    notwithstanding;
-//! 2. **scheme-specific pressure lever** — HE switches its [`clock::EraPacer`]
-//!    into byte mode and tightens the era cadence; QSense trips its hybrid
-//!    fallback switch *early* (before the node-count threshold `C` would);
+//! 2. **scheme-specific pressure lever** — HE's [`clock::EraPacer`] (under the
+//!    adaptive policy) takes a quarter of the budget as its low-water mark and
+//!    tightens the era cadence; QSense trips its hybrid fallback switch
+//!    *early* (before the node-count threshold `C` would);
 //! 3. **bounded backpressure** — when the forced scan could not get back
 //!    under budget (everything left is protected or too young), the retiring
 //!    thread takes one `yield_now`, slowing the producer instead of the

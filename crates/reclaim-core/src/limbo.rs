@@ -4,10 +4,16 @@
 //! that lives here, once — the crate docs ("What a scheme implements vs what
 //! the core owns") draw the line call by call.
 //!
-//! The governor's mutators, the parked chain and the workspace cache are
-//! private to this crate, so the conservation invariant (`estimate == Σ live
-//! handle limbo + parked`) has one author. Everything is generic over closures
-//! and monomorphised per scheme — no `dyn` on the retire path.
+//! A handle's limbo totals are kept here too — the **ledger**: the core is
+//! handed every node that enters a handle's limbo ([`HandleCore::retire`],
+//! [`HandleCore::adopt_parked`]) and every node that leaves it (the
+//! [`Reclaim`] of a [`HandleCore::scan`] pass, [`HandleCore::park`]), so it
+//! counts them once and no scheme sums its bags or passes a total in. The
+//! governor's mutators, the parked chain and the workspace cache are private
+//! to this crate, so the conservation invariant (`estimate == Σ live handle
+//! ledgers + parked`, exact at every scan, flush and handle drop) has one
+//! author. Everything is generic over closures and monomorphised per scheme —
+//! no `dyn` on the retire path.
 
 use crate::budget::BudgetGovernor;
 use crate::clock::Era;
@@ -122,6 +128,8 @@ impl<W: Default> SchemeCore<W> {
             stripe,
             pool,
             scratch,
+            limbo_nodes: 0,
+            limbo_bytes: 0,
             budget_stripe: BudgetGovernor::stripe_for(slot.map_or(stripe, SlotId::shard)),
             budget_reported: 0,
             tele: HandleTelemetry::attach(&self.telemetry),
@@ -154,6 +162,10 @@ pub struct HandleCore<W: Default = ()> {
     /// The scheme's reusable scan scratch, lent to every [`scan`](Self::scan)
     /// pass; the next registrant adopts whatever it holds at handle drop.
     pub scratch: W,
+    /// The ledger: nodes and stamped bytes this handle holds in limbo, across
+    /// all of its bags.
+    limbo_nodes: usize,
+    limbo_bytes: usize,
     /// This handle's governor stripe, and the bytes last pushed into it.
     budget_stripe: usize,
     budget_reported: usize,
@@ -173,6 +185,17 @@ impl<W: Default> HandleCore<W> {
     /// (quiescent states, traversal fences, path switches, scan dispatch).
     pub fn stats(&self) -> &StatStripe {
         self.shared.stats.stripe(self.stripe)
+    }
+
+    /// Nodes this handle has retired (or adopted) and not yet freed or parked
+    /// — `SmrHandle::local_in_limbo`.
+    pub fn in_limbo(&self) -> usize {
+        self.limbo_nodes
+    }
+
+    /// Stamped bytes of those nodes — `SmrHandle::local_limbo_bytes`.
+    pub fn limbo_bytes(&self) -> usize {
+        self.limbo_bytes
     }
 
     /// The stamp: counts the retire and its bytes, wraps the node in a
@@ -203,15 +226,40 @@ impl<W: Default> HandleCore<W> {
         let mut node = unsafe { RetiredPtr::new(ptr, drop_fn, stamp, birth_era, size_bytes) };
         node.set_retire_tick(self.tele.retire_tick());
         bag.push(&mut self.pool, node);
+        self.limbo_nodes += 1;
+        self.limbo_bytes += size_bytes;
         self.since_scan += 1;
     }
 
     /// Tracking-only budget hook for schemes with no lever that is safe on the
     /// retire path (QSBR cannot quiesce mid-operation, Leaky never frees):
     /// keeps the estimate, its peak and the stopwatch honest, never escalates.
-    pub fn track(&mut self, limbo_bytes: usize) {
+    pub fn track(&mut self) {
+        self.observe();
+    }
+
+    /// Reports the ledger's bytes to the governor once they have drifted a
+    /// full grain from the last report; true when that found the scheme over
+    /// budget.
+    #[inline]
+    fn observe(&mut self) -> bool {
         let governor = &self.shared.governor;
-        governor.observe(self.budget_stripe, limbo_bytes, &mut self.budget_reported);
+        governor.observe(
+            self.budget_stripe,
+            self.limbo_bytes,
+            &mut self.budget_reported,
+        )
+    }
+
+    /// Reports the ledger's bytes to the governor unconditionally; true when
+    /// the scheme is over budget.
+    fn report(&mut self) -> bool {
+        let governor = &self.shared.governor;
+        governor.report(
+            self.budget_stripe,
+            self.limbo_bytes,
+            &mut self.budget_reported,
+        )
     }
 
     /// The ladder's count-threshold rung: true (and the counter restarts) once
@@ -227,47 +275,40 @@ impl<W: Default> HandleCore<W> {
     /// The ladder's budget rungs, grain-gated (two subtractions and a compare
     /// until this handle's limbo drifts a full grain). On a crossing,
     /// `forced_scan` runs the scheme's pressure lever (if any) and a
-    /// reclamation pass — gated passes are safe anywhere on the retire path —
-    /// and returns the limbo bytes afterwards (rung 1). If still over budget,
-    /// the retiring thread yields once, so stalled readers get CPU time instead
-    /// of this thread piling garbage ever faster (rung 3). Both are counted.
+    /// reclamation pass — gated passes are safe anywhere on the retire path
+    /// (rung 1). If still over budget, the retiring thread yields once, so
+    /// stalled readers get CPU time instead of this thread piling garbage ever
+    /// faster (rung 3). Both are counted.
     #[inline]
-    pub fn enforce_budget(
-        &mut self,
-        limbo_bytes: usize,
-        forced_scan: impl FnOnce(&mut Self) -> usize,
-    ) {
-        let governor = &self.shared.governor;
-        if governor.observe(self.budget_stripe, limbo_bytes, &mut self.budget_reported) {
-            governor.count_forced_scan();
+    pub fn enforce_budget(&mut self, forced_scan: impl FnOnce(&mut Self)) {
+        if self.observe() {
+            self.shared.governor.count_forced_scan();
             self.since_scan = 0;
-            let after = forced_scan(self);
-            let governor = &self.shared.governor;
-            if governor.report(self.budget_stripe, after, &mut self.budget_reported) {
-                governor.count_backpressure();
+            forced_scan(self);
+            if self.report() {
+                self.shared.governor.count_backpressure();
                 std::thread::yield_now();
             }
         }
     }
 
     /// The whole ladder for schemes whose threshold scan and forced scan are
-    /// the same pass: call after every [`retire`](Self::retire) with the
-    /// handle's limbo bytes. `scan` returns the limbo bytes after its pass.
+    /// the same pass: call after every [`retire`](Self::retire).
     #[inline]
-    pub fn after_retire(&mut self, limbo_bytes: usize, mut scan: impl FnMut(&mut Self) -> usize) {
+    pub fn after_retire(&mut self, scan: impl FnOnce(&mut Self)) {
         if self.scan_due() {
             scan(self);
         } else {
-            self.enforce_budget(limbo_bytes, scan);
+            self.enforce_budget(scan);
         }
     }
 
     /// The observed reclaim: `pass` frees from the scheme's bags through the
-    /// [`Reclaim`] it is lent (with the handle's scratch) and returns the
-    /// limbo bytes afterwards. The core times the pass and each freed node's
-    /// retire→free delay (telemetry on), credits the freed counters, and
-    /// reports the post-scan bytes to the governor. Returns those bytes.
-    pub fn scan(&mut self, pass: impl FnOnce(&mut Reclaim<'_>, &mut W) -> usize) -> usize {
+    /// [`Reclaim`] it is lent (with the handle's scratch). The core times the
+    /// pass and each freed node's retire→free delay (telemetry on), credits
+    /// the freed counters, takes what was freed off the ledger, and reports
+    /// the post-scan bytes to the governor.
+    pub fn scan(&mut self, pass: impl FnOnce(&mut Reclaim<'_>, &mut W)) {
         let shared = &*self.shared;
         let mut reclaim = Reclaim {
             pool: &mut self.pool,
@@ -277,7 +318,7 @@ impl<W: Default> HandleCore<W> {
             freed: 0,
             freed_bytes: 0,
         };
-        let limbo_bytes = pass(&mut reclaim, &mut self.scratch);
+        pass(&mut reclaim, &mut self.scratch);
         if let Some(observer) = reclaim.observer.take() {
             observer.finish();
         }
@@ -285,37 +326,49 @@ impl<W: Default> HandleCore<W> {
             reclaim.stats.add_freed(reclaim.freed as u64);
             reclaim.stats.add_freed_bytes(reclaim.freed_bytes as u64);
         }
-        let governor = &shared.governor;
-        governor.report(self.budget_stripe, limbo_bytes, &mut self.budget_reported);
-        limbo_bytes
+        self.limbo_nodes -= reclaim.freed;
+        self.limbo_bytes -= reclaim.freed_bytes;
+        self.report();
     }
 
     /// Flush-side adoption: splices the parked chain — leftovers of exited
-    /// handles — into `into` (O(1), no allocation) and restarts the retire
-    /// counter. The bytes move from the governor's parked counter to this
-    /// handle's stripe, conserving the estimate whether or not a scan follows.
+    /// handles — into `into` (O(1), no allocation), enters it in the ledger
+    /// and restarts the retire counter. The bytes move from the governor's
+    /// parked counter to this handle's stripe, conserving the estimate whether
+    /// or not a scan follows.
     pub fn adopt_parked(&mut self, into: &mut SegBag) {
-        let before = into.bytes();
+        let (nodes_before, bytes_before) = (into.len(), into.bytes());
         self.shared.parked.adopt_into(into);
-        let adopted = into.bytes() - before;
-        if adopted != 0 {
+        let adopted_bytes = into.bytes() - bytes_before;
+        self.limbo_nodes += into.len() - nodes_before;
+        self.limbo_bytes += adopted_bytes;
+        if adopted_bytes != 0 {
             let governor = &self.shared.governor;
-            governor.note_parked(-(adopted as i64));
-            let credited = self.budget_reported + adopted;
+            governor.note_parked(-(adopted_bytes as i64));
+            // Credit exactly what left the parked counter: the hand-off moves
+            // the estimate by nothing, and any grain drift this handle has not
+            // reported yet waits for its next report as before.
+            let credited = self.budget_reported + adopted_bytes;
             governor.report(self.budget_stripe, credited, &mut self.budget_reported);
         }
         self.since_scan = 0;
     }
 
-    /// Drop-side parking: what the last pass could not free moves to the
-    /// parked chain (O(1)), adopted by the next handle to flush or released at
-    /// scheme drop. The governor's parked counter takes over the retracted
-    /// bytes, so a departed handle's limbo never goes invisible. Call before
-    /// releasing the registry slot.
+    /// Drop-side parking: `leftovers` — everything the handle still holds,
+    /// spliced into one bag — moves to the parked chain (O(1)), adopted by the
+    /// next handle to flush or released at scheme drop. The governor's parked
+    /// counter takes over the retracted bytes, so a departed handle's limbo
+    /// never goes invisible. Call before releasing the registry slot.
     pub fn park(&mut self, leftovers: &mut SegBag) {
+        debug_assert_eq!(
+            (leftovers.len(), leftovers.bytes()),
+            (self.limbo_nodes, self.limbo_bytes),
+            "the ledger must match what the handle still holds"
+        );
         let governor = &self.shared.governor;
         governor.note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        governor.note_parked(leftovers.bytes() as i64);
+        governor.note_parked(self.limbo_bytes as i64);
+        (self.limbo_nodes, self.limbo_bytes) = (0, 0);
         self.shared.parked.park(leftovers);
     }
 }
@@ -439,13 +492,12 @@ mod tests {
             }
         }
 
-        fn scan(core: &mut HandleCore<Vec<u8>>, bag: &mut SegBag, pinned: bool) -> usize {
+        fn scan(core: &mut HandleCore<Vec<u8>>, bag: &mut SegBag, pinned: bool) {
             core.scan(|reclaim, _| {
                 if !pinned {
                     // SAFETY: the test owns every node and holds no reference to any.
                     unsafe { reclaim.free_all(bag) };
                 }
-                bag.bytes()
             })
         }
 
@@ -463,7 +515,7 @@ mod tests {
                     NODE,
                 )
             };
-            self.core.after_retire(bag.bytes(), |core| {
+            self.core.after_retire(|core| {
                 *scans += 1;
                 Self::scan(core, bag, pinned)
             });
@@ -527,6 +579,7 @@ mod tests {
         assert_eq!(verdict.forced_scans, 2);
         assert_eq!(verdict.backpressure_events, 1);
         assert_eq!(verdict.current_bytes, 0);
+        assert_eq!((handle.core.in_limbo(), handle.core.limbo_bytes()), (0, 0));
         assert_eq!(drops.load(Ordering::SeqCst), 5);
         let stats = scheme.stats();
         assert_eq!((stats.retired, stats.freed), (5, 5));
@@ -566,15 +619,25 @@ mod tests {
             }
             dying.flush();
             assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
-        } // drop: the leftovers are parked
+            assert_eq!(
+                (dying.core.in_limbo(), dying.core.limbo_bytes()),
+                (3, 3 * NODE)
+            );
+        } // drop: the leftovers are parked (and checked against the ledger)
         assert_eq!(
             scheme.governor().estimate(),
             3 * NODE as u64,
             "parked limbo keeps pressing on the estimate"
         );
         // Adoption alone — before any scan reports — already conserves it.
+        assert_eq!(survivor.core.in_limbo(), 0);
         survivor.core.adopt_parked(&mut survivor.bag);
         assert_eq!(survivor.bag.len(), 3);
+        assert_eq!(
+            (survivor.core.in_limbo(), survivor.core.limbo_bytes()),
+            (3, 3 * NODE),
+            "adopted nodes enter the adopter's ledger"
+        );
         assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
         survivor.flush();
         assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);

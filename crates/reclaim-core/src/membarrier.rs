@@ -16,12 +16,11 @@
 //!    issued by the rooster thread once per wake-up, so its cost (an RCU grace period,
 //!    tens of microseconds to a few milliseconds) is amortized over every operation
 //!    performed during `T`, exactly like the paper's context switches.
-//! 2. **Fallback** (non-Linux, unsupported kernels, or `use_membarrier = false`): a
+//! 2. **Fallback** (non-Linux or unsupported kernels, probed once at run time): a
 //!    plain `SeqCst` fence on the rooster thread plus the language-level guarantee
 //!    that atomic stores become visible to other threads in finite time. On x86-TSO
 //!    store buffers drain in nanoseconds while `T` is milliseconds, so the deferred
-//!    reclamation wait of `T + ε` dominates by orders of magnitude. DESIGN.md §3
-//!    documents this substitution.
+//!    reclamation wait of `T + ε` dominates by orders of magnitude.
 //!
 //! The syscall is issued directly (no `libc` dependency) on x86-64 and aarch64 Linux.
 

@@ -1,11 +1,8 @@
 //! Segment-chain retired-node bags: the allocation-free steady-state retire path.
 //!
-//! `RetiredBag` (the previous generation of this module's job) stored retired
-//! nodes in a `Vec<RetiredPtr>`. That left two allocation sites *on* the retire
-//! path — `Vec` doubling when a bag grew past its high-water mark, and a fresh
-//! `Vec` per parked bag at handle drop — plus an O(n) copy at every doubling.
-//! [`SegBag`] removes all of them by storing nodes in fixed-size **segments**
-//! linked into a chain:
+//! [`SegBag`] stores retired nodes in fixed-size **segments** linked into a
+//! chain, so neither bag growth nor the parked-bag hand-off at handle drop
+//! allocates or copies:
 //!
 //! * **push** writes into the tail segment; when it fills, the next segment is
 //!   popped from a per-handle free list ([`SegPool`]) in O(1). The allocator is
@@ -18,9 +15,7 @@
 //! * **reclaim** compacts survivors in place *within their segment* and
 //!   unlinks drained segments back to the pool — zero heap traffic, O(freed)
 //!   moves (survivors never migrate across segments, with one bounded
-//!   exception: at most one *adjacent-segment merge* per pass, see below), same
-//!   cost class as the old `swap_remove` partition but with segment recycling
-//!   instead of a retained `Vec` capacity.
+//!   exception: at most one *adjacent-segment merge* per pass, see below).
 //! * **adjacent-segment merge**: when a pass leaves two neighbouring segments
 //!   whose combined survivors fit one segment, the later segment's survivors
 //!   are appended to the earlier one and the drained shell is pooled. At most

@@ -102,20 +102,14 @@ pub trait Smr: Send + Sync + 'static {
     fn stats(&self) -> StatsSnapshot;
 
     /// The scheme's limbo-budget verdict so far (peak bytes, time over
-    /// budget, escalations taken) — `None` for schemes that carry no budget
-    /// governor. Schemes that do return a verdict even without a configured
-    /// budget (tracking-only: `budget_bytes == 0`, always within budget).
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        None
-    }
+    /// budget, escalations taken). Without a configured budget it is
+    /// tracking-only: `budget_bytes == 0`, always within budget.
+    fn budget_verdict(&self) -> BudgetVerdict;
 
     /// The scheme's telemetry state ([`crate::telemetry`]): histograms of op
-    /// latency, scan duration and retire→free delay. `None` for schemes that
-    /// carry no telemetry; every in-tree scheme returns `Some` (recording is
-    /// still gated on [`Telemetry::is_enabled`], off by default).
-    fn telemetry(&self) -> Option<&Telemetry> {
-        None
-    }
+    /// latency, scan duration and retire→free delay (recording is gated on
+    /// [`Telemetry::is_enabled`], off by default).
+    fn telemetry(&self) -> &Telemetry;
 }
 
 /// Per-thread handle to a reclamation scheme.
@@ -195,13 +189,13 @@ pub trait SmrHandle: Send {
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.
     fn flush(&mut self);
 
-    /// Number of nodes this thread has retired but not yet freed (its limbo /
-    /// removed-nodes list length).
+    /// Number of nodes this thread has retired (or adopted from an exited
+    /// thread) but not yet freed — its limbo / removed-nodes list length, read
+    /// from the handle's [`HandleCore`](crate::limbo::HandleCore) ledger.
     fn local_in_limbo(&self) -> usize;
 
-    /// Stamped bytes this thread has retired but not yet freed. Defaults to 0
-    /// for schemes that do not account bytes; byte-accounting schemes return
-    /// their local bags' O(1) byte totals.
+    /// Stamped bytes of those nodes, from the same ledger (0 for a handle
+    /// that accounts no bytes; every in-tree scheme does).
     fn local_limbo_bytes(&self) -> usize {
         0
     }

@@ -14,7 +14,7 @@
 //! the interface is type-erased (nodes carry no scheme-specific fields), the
 //! per-node counters are kept in a shared address-indexed table rather than inside
 //! the nodes; see [`table`] for why this preserves both the safety argument and the
-//! cost profile. DESIGN.md records the substitution.
+//! cost profile.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -91,12 +91,12 @@ impl Smr for RefCount {
         self.core.stats()
     }
 
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
-        Some(self.core.governor().verdict())
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core.governor().verdict()
     }
 
-    fn telemetry(&self) -> Option<&Telemetry> {
-        Some(self.core.telemetry())
+    fn telemetry(&self) -> &Telemetry {
+        self.core.telemetry()
     }
 }
 
@@ -113,8 +113,7 @@ pub struct RefCountHandle {
 
 impl RefCountHandle {
     /// Frees every retired node whose counter bucket is currently zero.
-    /// Returns the bytes still in limbo.
-    fn scan(core: &mut HandleCore<PtrScratch>, table: &CountTable, retired: &mut SegBag) -> usize {
+    fn scan(core: &mut HandleCore<PtrScratch>, table: &CountTable, retired: &mut SegBag) {
         core.stats().add_scan();
         core.scan(|reclaim, _| {
             // Every sweep tests each node's counter bucket individually.
@@ -131,7 +130,6 @@ impl RefCountHandle {
                 let unreferenced = |node: &RetiredPtr| table.is_unreferenced(node.addr());
                 reclaim.free_walk(retired, |_| true, unreferenced, |_| {})
             };
-            retired.bytes()
         })
     }
 }
@@ -188,7 +186,7 @@ impl SmrHandle for RefCountHandle {
                 .retire(retired, ptr, drop_fn, 0, birth_era, size_bytes)
         };
         self.core
-            .after_retire(retired.bytes(), |core| Self::scan(core, table, retired));
+            .after_retire(|core| Self::scan(core, table, retired));
     }
 
     fn flush(&mut self) {
@@ -197,11 +195,11 @@ impl SmrHandle for RefCountHandle {
     }
 
     fn local_in_limbo(&self) -> usize {
-        self.retired.len()
+        self.core.in_limbo()
     }
 
     fn local_limbo_bytes(&self) -> usize {
-        self.retired.bytes()
+        self.core.limbo_bytes()
     }
 
     fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {

@@ -139,8 +139,8 @@ pub struct FaultResult {
     pub end_limbo: u64,
     /// In-limbo byte count after the final cleanup flush.
     pub end_limbo_bytes: u64,
-    /// The scheme's budget verdict, when it runs a governor (all schemes do).
-    pub verdict: Option<BudgetVerdict>,
+    /// The scheme's budget verdict.
+    pub verdict: BudgetVerdict,
 }
 
 impl FaultResult {
@@ -319,7 +319,8 @@ pub fn run_fault<S: Smr>(scheme: &Arc<S>, plan: &FaultPlan) -> FaultResult {
 
 /// The reclamation configuration the fault matrix runs under: prompt rooster
 /// ticks so age gates resolve within an episode pause, an adaptive era policy
-/// so HE's byte-mode pacer can engage, and the given limbo budget.
+/// so HE's pacer can react to limbo pressure, and the given limbo budget
+/// (without one the pacer's mark is 16 Ki payloads, far above any plan here).
 pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
     SmrConfig::default()
         .with_max_threads(8)
@@ -332,7 +333,7 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
         .with_era_policy(EraAdvancePolicy::Adaptive {
             min_interval: 16,
             max_interval: 256,
-            limbo_low_water: 1 << 14,
+            limbo_low_water_bytes: (1 << 14) * PAYLOAD_BYTES,
         })
         .with_limbo_budget(budget)
 }
@@ -433,9 +434,8 @@ mod tests {
         // cleanup drains everything — nothing may be lost track of.
         assert_eq!(result.end_limbo, 0, "parked leftovers must be adopted");
         assert_eq!(result.end_limbo_bytes, 0);
-        let verdict = result.verdict.expect("every scheme runs a governor");
         assert_eq!(
-            verdict.current_bytes, 0,
+            result.verdict.current_bytes, 0,
             "the governor's estimate must conserve bytes across the leak"
         );
     }
@@ -465,7 +465,7 @@ mod tests {
             .with_scan_threshold(1 << 20)
             .with_rooster_threads(0);
         let result = run_fault_for(SchemeKind::Hp, config, &plan);
-        let verdict = result.verdict.expect("hp runs a governor");
+        let verdict = result.verdict;
         assert_eq!(verdict.budget_bytes, budget as u64);
         assert!(
             verdict.escalations() > 0,

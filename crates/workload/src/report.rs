@@ -3,8 +3,7 @@
 //! Every figure/table of the paper is regenerated as a text table: one row per
 //! (scheme, x-value) pair for the scalability plots, one row per time sample for the
 //! delay timelines, plus aggregate overhead summaries. Keeping the output textual
-//! makes `cargo bench` logs directly comparable with the numbers quoted in the paper
-//! and in EXPERIMENTS.md.
+//! makes `cargo bench` logs directly comparable with the numbers quoted in the paper.
 
 use crate::runner::RunResult;
 
@@ -69,12 +68,10 @@ pub fn print_timeline(result: &RunResult) {
 
 /// Formats the telemetry percentile lines for one run: one row per histogram
 /// (guard-bracket op latency, scan duration, retire→free delay) with the
-/// p50/p90/p99/p99.9 quadruple. Empty when the run carried no telemetry or a
-/// histogram recorded nothing (e.g. the delay histogram of a leaky run).
+/// p50/p90/p99/p99.9 quadruple, skipping histograms that recorded nothing
+/// (all three without telemetry; the delay histogram of a leaky run).
 pub fn telemetry_rows(result: &RunResult) -> Vec<String> {
-    let Some(summary) = &result.telemetry else {
-        return Vec::new();
-    };
+    let summary = &result.telemetry;
     let mut rows = Vec::new();
     for (label, unit, hist) in [
         ("op-latency", "ns", &summary.op_latency_ns),
@@ -112,11 +109,11 @@ pub fn dispatch_row(result: &RunResult) -> String {
     )
 }
 
-/// Formats the limbo-budget verdict line, or `None` when the run carried no
-/// verdict. Printed by the CLI whenever a `--limbo-budget` is set.
-pub fn budget_row(result: &RunResult) -> Option<String> {
-    let verdict = result.budget_verdict.as_ref()?;
-    Some(format!(
+/// Formats the limbo-budget verdict line. Printed by the CLI whenever a
+/// `--limbo-budget` is set.
+pub fn budget_row(result: &RunResult) -> String {
+    let verdict = &result.budget_verdict;
+    format!(
         "{:<12} budget {:>10} B  peak: {:>10} B  over-budget: {:>8.3}s  forced-scans: {}  pacer-boosts: {}  fallback-trips: {}  backpressure: {}",
         result.scheme,
         verdict.budget_bytes,
@@ -126,7 +123,7 @@ pub fn budget_row(result: &RunResult) -> Option<String> {
         verdict.pacer_boosts,
         verdict.fallback_trips,
         verdict.backpressure_events,
-    ))
+    )
 }
 
 /// Geometric-mean overhead (in percent) of `results` relative to the paired
@@ -167,8 +164,8 @@ mod tests {
             elapsed: Duration::from_secs(1),
             samples: Vec::new(),
             stats: StatsSnapshot::default(),
-            budget_verdict: None,
-            telemetry: None,
+            budget_verdict: Default::default(),
+            telemetry: Default::default(),
             aborted_at: None,
         }
     }
@@ -195,7 +192,7 @@ mod tests {
     fn telemetry_rows_print_percentiles_and_skip_empty_histograms() {
         let mut run = result("qsense", 1.0);
         assert!(telemetry_rows(&run).is_empty(), "no telemetry, no rows");
-        run.telemetry = Some(reclaim_core::TelemetrySummary {
+        run.telemetry = reclaim_core::TelemetrySummary {
             op_latency_ns: {
                 let hist = reclaim_core::LogHistogram::new();
                 hist.record(0, 100);
@@ -203,7 +200,7 @@ mod tests {
                 hist.snapshot()
             },
             ..Default::default()
-        });
+        };
         let rows = telemetry_rows(&run);
         assert_eq!(rows.len(), 1, "empty histograms are skipped: {rows:?}");
         assert!(rows[0].contains("op-latency"), "row = {}", rows[0]);
@@ -224,8 +221,7 @@ mod tests {
         assert!(row.contains('7') && row.contains('3'), "row = {row}");
         assert!(row.contains("shard-skips:"), "row = {row}");
         assert!(row.contains("31"), "row = {row}");
-        assert!(budget_row(&run).is_none(), "no verdict, no row");
-        run.budget_verdict = Some(reclaim_core::BudgetVerdict {
+        run.budget_verdict = reclaim_core::BudgetVerdict {
             budget_bytes: 4096,
             current_bytes: 128,
             peak_bytes: 8192,
@@ -234,8 +230,8 @@ mod tests {
             pacer_boosts: 1,
             fallback_trips: 0,
             backpressure_events: 1,
-        });
-        let row = budget_row(&run).expect("verdict present");
+        };
+        let row = budget_row(&run);
         assert!(row.contains("4096"), "row = {row}");
         assert!(row.contains("forced-scans: 2"), "row = {row}");
         assert!(row.contains("0.250"), "row = {row}");

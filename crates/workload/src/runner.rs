@@ -96,12 +96,11 @@ pub struct RunResult {
     pub samples: Vec<Sample>,
     /// Reclamation counters at the end of the run.
     pub stats: reclaim_core::stats::StatsSnapshot,
-    /// The scheme's limbo-budget verdict at the end of the run (present
-    /// whenever the scheme runs a governor, which all schemes do).
-    pub budget_verdict: Option<reclaim_core::BudgetVerdict>,
+    /// The scheme's limbo-budget verdict at the end of the run.
+    pub budget_verdict: reclaim_core::BudgetVerdict,
     /// Latency/delay histograms at the end of the run (empty histograms
     /// unless the configuration enabled telemetry).
-    pub telemetry: Option<reclaim_core::TelemetrySummary>,
+    pub telemetry: reclaim_core::TelemetrySummary,
     /// Time at which the run hit the unreclaimed-memory cap, if it did.
     pub aborted_at: Option<Duration>,
 }

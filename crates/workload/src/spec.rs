@@ -107,7 +107,7 @@ impl Structure {
     }
 
     /// The key range this reproduction uses by default (the BST is scaled down so
-    /// that initialization fits the container; see DESIGN.md §3).
+    /// that initialization fits the container).
     pub fn default_key_range(&self) -> u64 {
         match self {
             Structure::List => 2_000,

@@ -11,7 +11,7 @@ use lockfree_ds::{
     TreiberStack, HASHMAP_HP_SLOTS, SKIPLIST_HP_SLOTS,
 };
 use reclaim_core::stats::StatsSnapshot;
-use reclaim_core::{BudgetVerdict, Leaky, Smr, SmrConfig, SmrHandle, Telemetry, TelemetrySummary};
+use reclaim_core::{BudgetVerdict, Leaky, Smr, SmrConfig, SmrHandle, TelemetrySummary};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -110,11 +110,11 @@ pub trait BenchSet: Send + Sync {
     }
     /// Reclamation counters of the underlying scheme.
     fn smr_stats(&self) -> StatsSnapshot;
-    /// The scheme's limbo-budget verdict, when it runs a governor.
-    fn budget_verdict(&self) -> Option<BudgetVerdict>;
-    /// Latency/delay histograms, when the scheme was built with telemetry
-    /// support (empty histograms when telemetry was not enabled in the config).
-    fn telemetry_summary(&self) -> Option<TelemetrySummary>;
+    /// The scheme's limbo-budget verdict.
+    fn budget_verdict(&self) -> BudgetVerdict;
+    /// Latency/delay histograms (empty when telemetry was not enabled in the
+    /// config).
+    fn telemetry_summary(&self) -> TelemetrySummary;
     /// Scheme name ("none", "qsbr", "hp", "cadence", "qsense").
     fn scheme_name(&self) -> &'static str;
     /// Structure name ("linked-list", "skip-list", "bst").
@@ -169,11 +169,11 @@ macro_rules! impl_bench_set {
             fn smr_stats(&self) -> StatsSnapshot {
                 Smr::stats(&*self.scheme)
             }
-            fn budget_verdict(&self) -> Option<BudgetVerdict> {
+            fn budget_verdict(&self) -> BudgetVerdict {
                 Smr::budget_verdict(&*self.scheme)
             }
-            fn telemetry_summary(&self) -> Option<TelemetrySummary> {
-                Smr::telemetry(&*self.scheme).map(Telemetry::summary)
+            fn telemetry_summary(&self) -> TelemetrySummary {
+                Smr::telemetry(&*self.scheme).summary()
             }
             fn scheme_name(&self) -> &'static str {
                 Smr::name(&*self.scheme)
@@ -237,11 +237,11 @@ impl<S: Smr> BenchSet for HashMapSet<S> {
     fn smr_stats(&self) -> StatsSnapshot {
         Smr::stats(&*self.scheme)
     }
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
+    fn budget_verdict(&self) -> BudgetVerdict {
         Smr::budget_verdict(&*self.scheme)
     }
-    fn telemetry_summary(&self) -> Option<TelemetrySummary> {
-        Smr::telemetry(&*self.scheme).map(Telemetry::summary)
+    fn telemetry_summary(&self) -> TelemetrySummary {
+        Smr::telemetry(&*self.scheme).summary()
     }
     fn scheme_name(&self) -> &'static str {
         Smr::name(&*self.scheme)
@@ -302,11 +302,11 @@ impl<S: Smr> BenchSet for QueueSet<S> {
     fn smr_stats(&self) -> StatsSnapshot {
         Smr::stats(&*self.scheme)
     }
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
+    fn budget_verdict(&self) -> BudgetVerdict {
         Smr::budget_verdict(&*self.scheme)
     }
-    fn telemetry_summary(&self) -> Option<TelemetrySummary> {
-        Smr::telemetry(&*self.scheme).map(Telemetry::summary)
+    fn telemetry_summary(&self) -> TelemetrySummary {
+        Smr::telemetry(&*self.scheme).summary()
     }
     fn scheme_name(&self) -> &'static str {
         Smr::name(&*self.scheme)
@@ -362,11 +362,11 @@ impl<S: Smr> BenchSet for StackSet<S> {
     fn smr_stats(&self) -> StatsSnapshot {
         Smr::stats(&*self.scheme)
     }
-    fn budget_verdict(&self) -> Option<BudgetVerdict> {
+    fn budget_verdict(&self) -> BudgetVerdict {
         Smr::budget_verdict(&*self.scheme)
     }
-    fn telemetry_summary(&self) -> Option<TelemetrySummary> {
-        Smr::telemetry(&*self.scheme).map(Telemetry::summary)
+    fn telemetry_summary(&self) -> TelemetrySummary {
+        Smr::telemetry(&*self.scheme).summary()
     }
     fn scheme_name(&self) -> &'static str {
         Smr::name(&*self.scheme)

@@ -5,12 +5,21 @@
 //! equal the number of keys that ever entered a node (inserted nodes that are still
 //! live are dropped by the structure's `Drop`, removed nodes by the scheme). A
 //! double free would panic or over-count; a use-after-free would crash.
+//!
+//! The last test follows the *unreclaimed* side of the same books: what each
+//! handle says it holds in limbo, what the scheme's counters say is in limbo,
+//! and what the budget governor estimates, through retire, flush, handle drop
+//! and adoption.
 
 use qsense_repro::ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList};
-use qsense_repro::smr::{Cadence, Hazard, QSense, Qsbr, Smr, SmrConfig};
+use qsense_repro::smr::{
+    retire_box, Cadence, Clock, Ebr, Hazard, He, Leaky, ManualClock, QSense, Qsbr, RefCount, Smr,
+    SmrConfig, SmrHandle,
+};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
 /// A key whose clones and drops are counted. Ordering ignores the counter handle.
 #[derive(Clone)]
@@ -211,4 +220,163 @@ fn bst_accounting_is_exact_without_contention_and_safe_with_it() {
     });
     let stats = scheme.stats();
     assert!(stats.freed <= stats.retired);
+}
+
+/// A 1 KiB node that counts its own destruction.
+struct FatNode(Arc<AtomicUsize>, #[allow(dead_code)] [u8; NODE_BYTES - 8]);
+const NODE_BYTES: usize = 1024;
+
+impl Drop for FatNode {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// Nodes and bytes, as a pair.
+type Totals = (u64, u64);
+
+/// The conservation law at one step of the script: what the live handles'
+/// ledgers hold plus what sits parked is what the scheme's counters say is
+/// unreclaimed (`retired - freed`, kept independently of the ledgers) — and,
+/// whenever every report is in, what the governor estimates.
+fn assert_conserved<S: Smr>(step: &str, scheme: &S, live: &[&S::Handle], parked: Totals) {
+    let name = scheme.name();
+    let stats = scheme.stats();
+    let nodes = parked.0 + live.iter().map(|h| h.local_in_limbo() as u64).sum::<u64>();
+    let bytes = parked.1
+        + live
+            .iter()
+            .map(|h| h.local_limbo_bytes() as u64)
+            .sum::<u64>();
+    assert_eq!(nodes, stats.in_limbo(), "{name}, {step}: nodes");
+    assert_eq!(bytes, stats.limbo_bytes(), "{name}, {step}: bytes");
+    assert_eq!(nodes * NODE_BYTES as u64, bytes, "{name}, {step}");
+    assert_eq!(
+        bytes,
+        scheme.budget_verdict().current_bytes,
+        "{name}, {step}: governor estimate"
+    );
+}
+
+fn retire_nodes<H: SmrHandle>(handle: &mut H, nodes: &[*mut FatNode]) {
+    for &node in nodes {
+        handle.begin_op();
+        // SAFETY: boxed by the caller, never linked anywhere, retired once.
+        unsafe { retire_box(handle, node) };
+        handle.end_op();
+    }
+}
+
+/// Drops `handle` and moves what its final pass could not free to `parked`
+/// (a dying handle may first adopt what was parked before it; all of it is
+/// parked again).
+fn drop_and_park<S: Smr>(scheme: &S, handle: S::Handle, parked: &mut Totals) {
+    let before = scheme.stats();
+    let held = (
+        handle.local_in_limbo() as u64,
+        handle.local_limbo_bytes() as u64,
+    );
+    drop(handle);
+    let after = scheme.stats();
+    parked.0 += held.0 - (after.freed - before.freed);
+    parked.1 += held.1 - (after.freed_bytes - before.freed_bytes);
+}
+
+// Sanctioned raw-protocol site: the script pins nodes through the scheme's own
+// `protect`, below the guard layer, to hold them in limbo on purpose.
+#[allow(clippy::disallowed_methods)]
+fn ledger_is_conserved<S: Smr>(new: impl FnOnce(SmrConfig) -> Arc<S>) {
+    let clock = ManualClock::new();
+    let drops = Arc::new(AtomicUsize::new(0));
+    let fresh = |n: usize| -> Vec<*mut FatNode> {
+        (0..n)
+            .map(|_| Box::into_raw(Box::new(FatNode(Arc::clone(&drops), [0; NODE_BYTES - 8]))))
+            .collect()
+    };
+    // The budget is never reached (the script retires 19 nodes), but it sets
+    // the governor's reporting grain to budget / 64 = one node, so the
+    // estimate is exact after every retire and not only after a scan.
+    let scheme = new(SmrConfig::default()
+        .with_max_threads(4)
+        .with_hp_per_thread(2)
+        .with_quiescence_threshold(4)
+        .with_scan_threshold(8)
+        .with_rooster_threads(0)
+        .with_limbo_budget(Some(64 * NODE_BYTES))
+        .with_clock(Clock::manual(clock.clone())));
+    let name = scheme.name();
+    let mut parked: Totals = (0, 0);
+
+    // A reader stalls mid-operation holding two nodes: the op pins everything
+    // under QSBR, EBR and HE, the two protections pin those two under the
+    // hazard-pointer family and RC.
+    let mut reader = scheme.register();
+    let mut a = scheme.register();
+    let mut b = scheme.register();
+    let a_nodes = fresh(10);
+    reader.begin_op();
+    reader.protect(0, a_nodes[0].cast());
+    reader.protect(1, a_nodes[1].cast());
+
+    retire_nodes(&mut a, &a_nodes);
+    assert_conserved("a retired 10", &*scheme, &[&reader, &a, &b], parked);
+    retire_nodes(&mut b, &fresh(6));
+    assert_conserved("b retired 6", &*scheme, &[&reader, &a, &b], parked);
+
+    clock.advance(Duration::from_secs(1)); // past Cadence's and QSense's age gate
+    a.flush();
+    assert_conserved("a flushed", &*scheme, &[&reader, &a, &b], parked);
+    b.flush();
+    assert_conserved("b flushed", &*scheme, &[&reader, &a, &b], parked);
+    assert!(a.local_in_limbo() >= 2, "{name}: the reader pins two nodes");
+
+    drop_and_park(&*scheme, a, &mut parked);
+    assert!(parked.0 >= 2, "{name}: the pinned nodes were parked");
+    assert_conserved("a dropped", &*scheme, &[&reader, &b], parked);
+
+    let mut c = scheme.register();
+    retire_nodes(&mut c, &fresh(3));
+    assert_conserved("c retired 3", &*scheme, &[&reader, &b, &c], parked);
+    clock.advance(Duration::from_secs(1));
+    c.flush();
+    // Every flush but the leaky baseline's (a no-op) adopts all that is parked.
+    if name != "none" {
+        assert!(
+            c.local_in_limbo() as u64 >= parked.0,
+            "{name}: adopted nodes enter the adopter's ledger"
+        );
+        parked = (0, 0);
+    }
+    assert_conserved("c adopted", &*scheme, &[&reader, &b, &c], parked);
+
+    // The reader leaves; a few rounds let the epoch schemes advance.
+    reader.clear_protections();
+    reader.end_op();
+    drop_and_park(&*scheme, reader, &mut parked);
+    for _ in 0..4 {
+        b.flush();
+        c.flush();
+    }
+    assert_conserved("drained", &*scheme, &[&b, &c], parked);
+    let left = if name == "none" { 19 } else { 0 };
+    assert_eq!(scheme.stats().in_limbo(), left, "{name}: drained");
+
+    drop_and_park(&*scheme, b, &mut parked);
+    drop_and_park(&*scheme, c, &mut parked);
+    assert_conserved("all handles gone", &*scheme, &[], parked);
+    assert_eq!(scheme.budget_verdict().escalations(), 0, "{name}");
+    drop(scheme);
+    assert_eq!(drops.load(Ordering::SeqCst), 19, "{name}: nothing leaked");
+}
+
+#[test]
+fn the_limbo_ledger_is_conserved_through_retire_flush_drop_and_adoption() {
+    ledger_is_conserved(Leaky::new);
+    ledger_is_conserved(Qsbr::new);
+    ledger_is_conserved(Ebr::new);
+    ledger_is_conserved(He::new);
+    ledger_is_conserved(Hazard::new);
+    ledger_is_conserved(Cadence::new);
+    ledger_is_conserved(QSense::new);
+    ledger_is_conserved(RefCount::new);
 }

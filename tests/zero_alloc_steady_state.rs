@@ -426,10 +426,10 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     }
 
     // --- Hazard Eras, adaptive era policy ------------------------------------
-    // The pacer's machinery — the striped limbo report each scan files, the
-    // interval adaptation, the per-alloc interval load — runs on a fixed
-    // inline array built at scheme creation, so switching HE to the adaptive
-    // policy must add exactly zero steady-state allocations: growth cycles
+    // The pacer's machinery — the governor-estimate read each scan makes, the
+    // interval adaptation, the per-alloc interval load — touches only state
+    // built at scheme creation, so switching HE to the adaptive policy must
+    // add exactly zero steady-state allocations: growth cycles
     // still allocate the nodes alone, and keep-path scans under a stalled
     // reservation (the exact state that drives the adaptation hardest, with
     // limbo far past the low-water mark) still allocate nothing at all.
@@ -438,7 +438,8 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         let scheme = He::new(config(&clock).with_era_policy(EraAdvancePolicy::Adaptive {
             min_interval: 8,
             max_interval: 64,
-            limbo_low_water: 32,
+            // 32 of this test's 8-byte nodes.
+            limbo_low_water_bytes: 32 * std::mem::size_of::<u64>(),
         }));
         let mut blocker = scheme.register();
         let mut writer = scheme.register();
@@ -475,7 +476,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             },
         );
         assert!(
-            scheme.pacer().limbo_estimate() >= GROWTH_BATCH,
+            scheme.budget_verdict().current_bytes >= node_bytes,
             "the measured scans reported the limbo pressure"
         );
         assert_eq!(
@@ -611,8 +612,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             clock: &ManualClock,
         ) {
             let mut writer = scheme.register();
-            let telemetry =
-                Smr::telemetry(&*scheme).expect("telemetry is enabled for this section");
+            let telemetry = Smr::telemetry(&*scheme);
             let cycle = |writer: &mut S::Handle| {
                 for _ in 0..GROWTH_BATCH {
                     let started = writer.telemetry_op_begin();
@@ -681,7 +681,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             let clock = ManualClock::new();
             let scheme = Leaky::new(tele_config(&clock));
             let mut handle = scheme.register();
-            let telemetry = Smr::telemetry(&*scheme).expect("telemetry is enabled");
+            let telemetry = Smr::telemetry(&*scheme);
             // Warm-up: first bracket and snapshot.
             let started = handle.telemetry_op_begin();
             handle.begin_op();
