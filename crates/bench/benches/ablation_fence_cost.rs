@@ -1,18 +1,21 @@
 //! **Ablation A3** (§3.2): the cost of the per-node memory fence.
 //!
 //! A microbenchmark of the protection primitive itself: publishing one hazard
-//! pointer and re-validating, in a tight loop, under classic HP (store + `mfence`),
-//! Cadence (store + compiler fence) and QSense (same as Cadence, plus the epoch
-//! bookkeeping at operation boundaries). This isolates the instruction-level
-//! difference that produces the figure-level gaps.
+//! pointer and re-validating, in a tight loop, under classic HP in both of its
+//! protocols (store + `mfence`; store + compiler fence, the fence run by the
+//! scanner's barrier instead), Cadence (store + compiler fence) and QSense (same
+//! as Cadence, plus the epoch bookkeeping at operation boundaries). This isolates
+//! the instruction-level difference that produces the figure-level gaps.
 //!
 //! Besides the text table, the run emits **`BENCH_ablation_fence.json`** in the
 //! workspace root (same envelope as `BENCH_overhead.json`): one row per scheme
-//! with the mean cost of one publish+validate round.
+//! and variant with the mean cost of one publish+validate round, and — as
+//! `fence_strategy` — which of HP's two rows is the protocol `Hazard::new` runs
+//! on the machine that produced the file.
 
 use bench::json::{self, JsonObject};
 use bench::point_seconds;
-use reclaim_core::{Smr, SmrConfig, SmrHandle};
+use reclaim_core::{FenceStrategy, Smr, SmrConfig, SmrHandle};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -43,7 +46,7 @@ fn measure<H: SmrHandle>(label: &str, handle: &mut H) -> f64 {
         total_rounds += ROUNDS;
     }
     let ns_per_round = start.elapsed().as_nanos() as f64 / total_rounds as f64;
-    println!("{label:<26} {ns_per_round:8.2} ns/protect");
+    println!("{label:<30} {ns_per_round:8.2} ns/protect");
     ns_per_round
 }
 
@@ -60,9 +63,14 @@ fn main() {
     let config = SmrConfig::default().with_rooster_threads(1);
     let mut rows = Vec::new();
 
-    let hp = hazard::Hazard::new(config.clone());
-    let ns = measure("hp_store_plus_mfence", &mut hp.register());
-    rows.push(row("hp", "store_plus_mfence", ns));
+    for (strategy, variant) in [
+        (FenceStrategy::ReaderFenced, "store_plus_mfence"),
+        (FenceStrategy::ScannerBarrier, "store_plus_scanner_barrier"),
+    ] {
+        let hp = hazard::Hazard::with_fence_strategy(config.clone(), strategy);
+        let ns = measure(&format!("hp_{variant}"), &mut hp.register());
+        rows.push(row("hp", variant, ns));
+    }
 
     let cadence = cadence::Cadence::new(config.clone());
     let ns = measure("cadence_store_only", &mut cadence.register());
@@ -78,6 +86,7 @@ fn main() {
 
     let meta = [
         ("point_seconds", format!("{}", point_seconds())),
+        ("fence_strategy", bench::fence_strategy_json()),
         ("unit", "\"nanoseconds per protect round\"".to_string()),
     ];
     let path = json::workspace_file("BENCH_ablation_fence.json");

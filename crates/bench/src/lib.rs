@@ -82,6 +82,12 @@ pub fn key_range(structure: Structure) -> u64 {
     }
 }
 
+/// The `fence_strategy` metadata value of the reports whose HP numbers depend
+/// on it: the protocol `Hazard::new` detected on this machine, as a JSON string.
+pub fn fence_strategy_json() -> String {
+    format!("\"{}\"", reclaim_core::FenceStrategy::detect().name())
+}
+
 /// Runs one (structure, scheme, threads) cell of a scalability experiment.
 pub fn run_point(
     structure: Structure,
@@ -187,6 +193,7 @@ pub fn write_series_json(
         ("point_seconds", format!("{}", point_seconds())),
         ("threads", format!("[{threads_list}]")),
         ("structure", format!("\"{}\"", structure.name())),
+        ("fence_strategy", fence_strategy_json()),
         ("unit", "\"million operations per second\"".to_string()),
     ];
     let path = json::workspace_file(file_name);

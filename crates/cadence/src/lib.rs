@@ -12,7 +12,7 @@
 //!   forces a context switch, which drains the store buffer of whichever worker was
 //!   running there; in this reproduction the rooster wake-up issues a process-wide
 //!   asymmetric barrier (`membarrier(2)` where available — see
-//!   `reclaim_core::membarrier` for the substitution argument).
+//!   `reclaim_core::fence::process_barrier`).
 //!   Either way, every hazard-pointer store issued before time `t` is globally
 //!   visible by `t + T`.
 //! * **Deferred reclamation**: every retired node is timestamped; a scan may only

@@ -5,17 +5,18 @@
 //! a memory barrier for whatever worker was running on the core), and go back to
 //! sleep. This module provides the equivalent background threads for this
 //! reproduction: each wake-up issues a process-wide asymmetric barrier
-//! (`membarrier(2)` where the kernel offers it, see `reclaim_core::membarrier`),
-//! which provides the same guarantee the paper derives from the context switch —
-//! all hazard-pointer stores issued before the wake-up are globally visible
-//! afterwards.
+//! (`reclaim_core::fence::process_barrier`: an expedited `membarrier(2)` where
+//! the kernel offers one — microseconds, so a rooster keeps its period — else
+//! the global command, else a plain fence), which provides the same guarantee
+//! the paper derives from the context switch — all hazard-pointer stores issued
+//! before the wake-up are globally visible afterwards.
 //!
 //! Rooster threads are the *synchronous* part of the paper's model: workers may be
 //! delayed arbitrarily, but roosters are assumed to keep ticking. They never touch
 //! the data structure and never fail (their loop cannot panic), matching the paper's
 //! assumption 3.
 
-use reclaim_core::membarrier;
+use reclaim_core::fence;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -117,7 +118,7 @@ fn rooster_loop(shared: &Shared, interval: Duration) {
         // Wake-up: this is the moment the paper's context switch would occur. The
         // asymmetric barrier makes every worker's outstanding hazard-pointer stores
         // globally visible, which is exactly what the safety proof needs.
-        membarrier::heavy_barrier();
+        fence::process_barrier();
         shared.wakeups.fetch_add(1, Ordering::AcqRel);
     }
 }
@@ -134,22 +135,39 @@ mod tests {
         rooster.shutdown();
     }
 
+    /// Polls until the pool has woken `wakeups` times or `deadline` passes.
+    fn wakeups_within(rooster: &Rooster, wakeups: u64, deadline: Duration) -> u64 {
+        let deadline = std::time::Instant::now() + deadline;
+        while rooster.wakeup_count() < wakeups && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        rooster.wakeup_count()
+    }
+
     #[test]
     fn roosters_wake_up_and_count() {
         let rooster = Rooster::spawn(2, Duration::from_millis(2));
-        // A wake-up costs a process-wide barrier whose latency is the
-        // kernel's, not ours, so poll under a generous deadline.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while rooster.wakeup_count() < 4 && std::time::Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        assert!(
-            rooster.wakeup_count() >= 4,
-            "wakeups = {}",
-            rooster.wakeup_count()
-        );
+        // Without the expedited command a wake-up costs a global barrier
+        // whose latency is the kernel's, not ours: a generous deadline.
+        let wakeups = wakeups_within(&rooster, 4, Duration::from_secs(5));
+        assert!(wakeups >= 4, "wakeups = {wakeups}");
         assert_eq!(rooster.thread_count(), 2);
         assert_eq!(rooster.interval(), Duration::from_millis(2));
+    }
+
+    #[test]
+    fn an_expedited_rooster_keeps_its_period() {
+        use fence::ProcessBarrier;
+        if ProcessBarrier::detected() != ProcessBarrier::Expedited {
+            println!("skipped: no expedited membarrier on this kernel");
+            return;
+        }
+        // A 2 ms rooster behind `MEMBARRIER_CMD_GLOBAL` (8-20 ms a call) ticked
+        // every 10-20 ms; behind the expedited command, 1 s is hundreds of
+        // periods and ten wake-ups need a few tens of milliseconds.
+        let rooster = Rooster::spawn(1, Duration::from_millis(2));
+        let wakeups = wakeups_within(&rooster, 10, Duration::from_secs(1));
+        assert!(wakeups >= 10, "wakeups = {wakeups}");
     }
 
     #[test]

@@ -4,9 +4,9 @@ use crate::rooster::Rooster;
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    hp_scan, membarrier, BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry,
-    HpSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
-    Telemetry,
+    fence, hp_scan, BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, HpSlots,
+    PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    SnapshotProof, Telemetry,
 };
 use std::sync::{Arc, Mutex};
 
@@ -117,11 +117,11 @@ impl CadenceHandle {
     /// both *old enough* (deferred reclamation) and not covered by any hazard
     /// pointer; keep the rest for a later scan.
     fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Cadence, retired: &mut SegBag) {
-        let min_age = core.config().min_reclaim_age_nanos();
-        // SAFETY: `min_age` is T + ε, the bound within which a rooster wake-up
-        // makes every unfenced publication of `protect` visible, and `retired`
-        // holds only nodes protected through this scheme's registry.
-        unsafe { hp_scan(core, &scheme.registry, retired, Some(min_age)) }
+        let aged = SnapshotProof::Aged(core.config().min_reclaim_age_nanos());
+        // SAFETY: the aged proof — the bound is T + ε, within which a rooster
+        // wake-up makes every unfenced publication of `protect` visible — and
+        // `retired` holds only nodes protected through this scheme's registry.
+        unsafe { hp_scan(core, &scheme.registry, retired, aged) }
     }
 }
 
@@ -139,7 +139,7 @@ impl SmrHandle for CadenceHandle {
         // Only a compiler fence: the store must not be reordered (by the compiler)
         // after the caller's validation load; hardware-level visibility is provided
         // by the rooster wake-up + deferred-reclamation age bound.
-        membarrier::light_barrier();
+        fence::compiler_only();
     }
 
     fn clear_protections(&mut self) {

@@ -3,11 +3,10 @@
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    hp_scan, BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, HpSlots,
-    PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    hp_scan, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
+    HpSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
     Telemetry,
 };
-use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
 
 /// Classic hazard-pointer scheme (the paper's **HP** baseline).
@@ -18,16 +17,34 @@ use std::sync::Arc;
 pub struct Hazard {
     core: Arc<SchemeCore<PtrScratch>>,
     registry: Registry<HpSlots>,
+    strategy: FenceStrategy,
 }
 
 impl Hazard {
-    /// Creates a hazard-pointer scheme with the given configuration.
+    /// Creates a hazard-pointer scheme with the given configuration, running
+    /// the protocol this process's kernel supports
+    /// ([`FenceStrategy::detect`]).
     pub fn new(config: SmrConfig) -> Arc<Self> {
+        Self::with_fence_strategy(config, FenceStrategy::detect())
+    }
+
+    /// [`new`](Self::new) with the protocol named instead of detected: for
+    /// tests, which run both on every kernel, and for the fence ablation.
+    /// Naming [`FenceStrategy::ScannerBarrier`] on a kernel without the
+    /// expedited barrier is safe and useless: every scan is refused and frees
+    /// nothing.
+    pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
         Arc::new(Self {
-            core: SchemeCore::new("hp", config),
+            core: SchemeCore::with_scan_batch("hp", config, strategy.scan_batch()),
             registry,
+            strategy,
         })
+    }
+
+    /// The protocol this scheme's readers and scans run.
+    pub fn fence_strategy(&self) -> FenceStrategy {
+        self.strategy
     }
 
     /// Creates a hazard-pointer scheme with default configuration.
@@ -45,10 +62,12 @@ impl Smr for Hazard {
     type Handle = HazardHandle;
 
     fn try_register(self: &Arc<Self>) -> Result<HazardHandle, CapacityExhausted> {
-        // A fresh workspace: pool and snapshot scratch pre-sized so that neither
-        // the first bag fill nor any scan allocates.
+        // A fresh workspace: pool (one scan batch of retires) and snapshot
+        // scratch pre-sized so that neither the first bag fill nor any scan
+        // allocates.
+        let scan_every = self.core.scan_every();
         let (slot, core) = self.core.register(&self.registry, |config| {
-            let pool = SegPool::for_scan_threshold(config.scan_threshold);
+            let pool = SegPool::for_scan_threshold(scan_every);
             (pool, HpSlots::snapshot_scratch(config))
         })?;
         Ok(HazardHandle {
@@ -56,6 +75,7 @@ impl Smr for Hazard {
             slot,
             core,
             retired: SegBag::new(),
+            strategy: self.strategy,
             local_fences: 0,
         })
     }
@@ -85,6 +105,8 @@ pub struct HazardHandle {
     slot: SlotId,
     core: HandleCore<PtrScratch>,
     retired: SegBag,
+    /// The scheme's protocol, by value: `protect` branches on it per node.
+    strategy: FenceStrategy,
     /// Traversal fences issued by this thread since the last flush to shared stats
     /// (kept local so the hot path does not add an extra shared atomic per node).
     local_fences: u64,
@@ -98,10 +120,13 @@ impl HazardHandle {
     /// Michael's scan: free every retired node absent from a fresh snapshot
     /// of all hazard pointers.
     fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Hazard, retired: &mut SegBag) {
-        // SAFETY: every publication in `protect` is followed by a `SeqCst`
-        // fence before the caller's validation load, and `retired` holds only
-        // nodes protected through this scheme's registry.
-        unsafe { hp_scan(core, &scheme.registry, retired, None) }
+        // SAFETY: the proof is the one `protect` upholds, both read from the
+        // scheme's one `FenceStrategy` — reader-fenced: every publication is
+        // followed by a `SeqCst` fence before the caller's validation load;
+        // scanner-barrier: nothing is owed by `protect`, `hp_scan` issues the
+        // barrier itself. `retired` holds only nodes protected through this
+        // scheme's registry.
+        unsafe { hp_scan(core, &scheme.registry, retired, scheme.strategy.proof()) }
     }
 
     fn publish_fence_count(&mut self) {
@@ -126,10 +151,13 @@ impl SmrHandle for HazardHandle {
         self.record().set(index, ptr);
         // The paper's Algorithm 1, line 3: the store above must become visible before
         // the caller's validation load, otherwise the interleaving of Algorithm 2
-        // frees a node the reader is about to use. This fence is exactly the per-node
-        // cost that Cadence removes.
-        fence(Ordering::SeqCst);
-        self.local_fences += 1;
+        // frees a node the reader is about to use. Reader-fenced, that is a `SeqCst`
+        // fence here — exactly the per-node cost that Cadence removes;
+        // scanner-barrier, every scan runs that fence on this thread's CPU instead
+        // and this is a compiler fence (and no counter update).
+        if self.strategy.publication_fence() {
+            self.local_fences += 1;
+        }
     }
 
     fn clear_protections(&mut self) {

@@ -352,7 +352,8 @@ where
             // Protect the node *before* publishing it. The protection is issued
             // while the node is still private — hence before any possible retire —
             // so every scan that could free it is guaranteed to observe the hazard
-            // pointer (for HP via the publication fence, for Cadence/QSense via the
+            // pointer (for HP via the publication fence — the reader's own, or the
+            // one the scan's barrier runs for it —, for Cadence/QSense via the
             // rooster visibility bound, which the deferred-reclamation age always
             // outwaits). Protecting only *after* the CAS below would leave a window
             // in which a concurrent remover unlinks, retires and frees the node.

@@ -6,7 +6,7 @@ use qsbr::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOC
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    membarrier, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCore, HandleTelemetry,
+    fence, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCore, HandleTelemetry,
     HpSlots, PtrScratch, Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
     SmrHandle, Telemetry,
 };
@@ -338,10 +338,11 @@ impl QSense {
     fn cadence_scan(&self, reclaim: &mut Reclaim<'_>, bag: &mut SegBag, protected: &[*mut u8]) {
         let config = self.config();
         let age_gate = (config.clock.now(), config.min_reclaim_age_nanos());
-        // SAFETY: identical to Cadence's scan (paper Property 1) — QSense maintains
-        // hazard pointers at all times, so Condition 1 holds for nodes retired on
-        // either path; old-enough + unprotected therefore implies unreachable.
-        // `protected` is a fresh snapshot and the gate is T + ε.
+        // SAFETY: identical to Cadence's scan (paper Property 1, the aged proof)
+        // — QSense maintains hazard pointers at all times, so Condition 1 holds
+        // for nodes retired on either path; old-enough + unprotected therefore
+        // implies unreachable. `protected` is a fresh snapshot and the gate is
+        // T + ε.
         unsafe { reclaim.free_unprotected(bag, protected, Some(age_gate)) };
     }
 }
@@ -532,7 +533,7 @@ impl SmrHandle for QSenseHandle {
         // switches to the fallback path; §5.1: no fence is needed because rooster
         // wake-ups + deferred reclamation bound visibility) — exactly as in Cadence.
         self.record().hps.set(index, ptr);
-        membarrier::light_barrier();
+        fence::compiler_only();
     }
 
     fn clear_protections(&mut self) {

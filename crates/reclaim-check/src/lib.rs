@@ -13,6 +13,11 @@
 //! * [`suites`] — small deterministic scenarios for every structure
 //!   (list/skiplist/bst unlink windows, queue/stack ABA windows) under every
 //!   reclamation scheme: 5 × 8 cells the CI `check` job explores clean.
+//! * [`litmus`] — what the explorer, sequentially consistent as it is, cannot
+//!   see: the hazard-pointer publish/scan race on an abstract two-thread
+//!   machine with store buffers, enumerated exhaustively. It is the check
+//!   behind classic HP's choice of where to pay its fence
+//!   (`reclaim_core::fence`).
 //! * [`fixture`] *(feature `check-oracle`)* — the pre-versioned-link skip
 //!   list linking bug resurrected in a two-level model, proving the explorer
 //!   finds the historical re-link UAF without a hand-written schedule.
@@ -30,6 +35,7 @@
 pub mod explorer;
 #[cfg(feature = "check-oracle")]
 pub mod fixture;
+pub mod litmus;
 pub mod suites;
 
 pub use explorer::{

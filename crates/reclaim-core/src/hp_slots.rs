@@ -3,39 +3,72 @@
 //! The three schemes publish protections the same way — `K` single-writer
 //! multi-reader pointer slots per registered thread — and free by the same
 //! rule: a retired node absent from a full snapshot of those slots is
-//! unreachable. They differ only in the **fence** after a publication (classic
-//! HP issues `SeqCst`, Cadence and QSense a compiler fence — left to the
-//! caller of [`HpSlots::set`]) and in the **age gate** on the scan (none for
-//! HP, `T + ε` for the deferred-reclamation pair).
+//! unreachable. They differ only in *why the snapshot is complete*
+//! ([`SnapshotProof`]): classic HP fences every publication or, where the
+//! kernel offers an expedited `membarrier`, has the scan run that fence for its
+//! readers; Cadence and QSense wait out `T + ε`. The fence after a publication
+//! is left to the caller of [`HpSlots::set`]; what the scan owes its proof is
+//! [`hp_scan`]'s.
 
 use crate::clock::Nanos;
 use crate::config::SmrConfig;
+use crate::fence::{self, SnapshotProof};
 use crate::limbo::{HandleCore, Reclaim};
+use crate::pad::CachePadded;
 use crate::registry::Registry;
 use crate::retired::RetiredPtr;
 use crate::scratch::PtrScratch;
 use crate::segbag::SegBag;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
+/// Slots per storage block: 128 bytes' worth, the unit [`CachePadded`] keeps
+/// apart (a cache-line pair).
+const BLOCK_SLOTS: usize = 128 / std::mem::size_of::<AtomicPtr<u8>>();
+
 /// Per-thread shared record: `K` single-writer multi-reader hazard-pointer slots.
 pub struct HpSlots {
-    slots: Box<[AtomicPtr<u8>]>,
+    /// Slot `i` is `blocks[i / BLOCK_SLOTS][i % BLOCK_SLOTS]`. The storage is
+    /// whole 128-byte-aligned blocks, so no two records ever have slots in one
+    /// 128-byte block: the registry pads the *record* (this pointer), which
+    /// does nothing for the array behind it — as plain `Box<[AtomicPtr]>`s,
+    /// the `K = 2` arrays of neighbouring records sat 32 bytes apart and every
+    /// per-node hazard store of one thread invalidated its neighbour's line.
+    blocks: Box<[CachePadded<[AtomicPtr<u8>; BLOCK_SLOTS]>]>,
+    k: usize,
 }
 
 impl HpSlots {
     /// Creates `k` null slots.
     pub fn new(k: usize) -> Self {
         Self {
-            slots: (0..k)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
+            blocks: (0..k.div_ceil(BLOCK_SLOTS))
+                .map(|_| {
+                    CachePadded::new(std::array::from_fn(
+                        |_| AtomicPtr::new(std::ptr::null_mut()),
+                    ))
+                })
                 .collect(),
+            k,
+        }
+    }
+
+    /// Visits the `k` slots in index order (and none of the last block's
+    /// unused tail). Runs per operation, in `clear_all`: two plain loops.
+    #[inline]
+    fn for_each_slot<'a>(&'a self, mut visit: impl FnMut(&'a AtomicPtr<u8>)) {
+        let mut remaining = self.k;
+        for block in self.blocks.iter() {
+            let used = remaining.min(BLOCK_SLOTS);
+            block[..used].iter().for_each(&mut visit);
+            remaining -= used;
         }
     }
 
     /// Publishes `ptr` in slot `index` with a release store and **no fence**:
     /// the caller issues whatever its scheme needs before the validation load
-    /// (HP: `fence(SeqCst)`; Cadence/QSense: a compiler fence, with hardware
-    /// visibility bounded by the rooster).
+    /// (HP: its [`FenceStrategy`](crate::fence::FenceStrategy)'s; Cadence and
+    /// QSense: a compiler fence, with hardware visibility bounded by the
+    /// rooster).
     ///
     /// # Panics
     ///
@@ -43,11 +76,11 @@ impl HpSlots {
     #[inline]
     pub fn set(&self, index: usize, ptr: *mut u8) {
         assert!(
-            index < self.slots.len(),
+            index < self.k,
             "hazard-pointer index {index} out of range (K = {})",
-            self.slots.len()
+            self.k
         );
-        self.slots[index].store(ptr, Ordering::Release);
+        self.blocks[index / BLOCK_SLOTS][index % BLOCK_SLOTS].store(ptr, Ordering::Release);
     }
 
     /// A snapshot buffer sized for the `N·K` worst case — every slot of every
@@ -58,20 +91,18 @@ impl HpSlots {
 
     /// Nulls every slot.
     pub fn clear_all(&self) {
-        for slot in self.slots.iter() {
-            slot.store(std::ptr::null_mut(), Ordering::Release);
-        }
+        self.for_each_slot(|slot| slot.store(std::ptr::null_mut(), Ordering::Release));
     }
 
     /// Appends every non-null slot to `out` (one record's share of
     /// [`Registry::collect_protected`]).
     pub fn collect_into(&self, out: &mut Vec<*mut u8>) {
-        for slot in self.slots.iter() {
+        self.for_each_slot(|slot| {
             let p = slot.load(Ordering::Acquire);
             if !p.is_null() {
                 out.push(p);
             }
-        }
+        });
     }
 }
 
@@ -85,10 +116,12 @@ impl Reclaim<'_> {
     ///
     /// # Safety
     ///
-    /// `protected` must be a sorted, complete snapshot of the scheme's hazard
-    /// pointers taken after every node in `bag` was retired. Without an age
-    /// gate every publication must be fenced before its validation load
-    /// (classic HP); with one, `min_age` must be at least the scheme's
+    /// `protected` must be a sorted snapshot of the scheme's hazard pointers
+    /// taken after every node in `bag` was retired, and complete by one of the
+    /// three [`SnapshotProof`]s: without an age gate, reader-fenced (every
+    /// publication fenced before its validation load) or scanner-barrier (a
+    /// successful [`fence::expedited_barrier`] between the last retire and the
+    /// snapshot); with one, aged — `min_age` at least the scheme's
     /// store-visibility bound `T + ε`.
     pub unsafe fn free_unprotected(
         &mut self,
@@ -101,19 +134,24 @@ impl Reclaim<'_> {
         match age_gate {
             // SAFETY: (Michael's scan argument) a node absent from the full
             // hazard-pointer snapshot and already unlinked (guaranteed by the
-            // retire contract) is unreachable by any thread. The snapshot is
-            // taken *after* the node was retired, so any hazard pointer
-            // published before the node became unreachable is visible to this
-            // scan (the publisher's fence pairs with the acquire loads of the
-            // snapshot).
+            // retire contract) is unreachable by any thread: the snapshot was
+            // taken *after* the node was retired, and a hazard pointer that
+            // validated — was published while the node was still reachable —
+            // is in it. That last step is the caller's proof. Reader-fenced:
+            // the publisher's `SeqCst` fence precedes its validation load, so
+            // the store is visible before the unlink it did not see.
+            // Scanner-barrier: the barrier drained, on every sibling, each
+            // publication issued before it; one issued after it is validated
+            // after it too, against a link the barrier's caller had already
+            // unlinked, and fails.
             None => unsafe { self.free_walk(bag, |_| true, unprotected, |_| {}) },
-            // SAFETY: (paper Property 1) a node that has been retired for at
-            // least T + ε was unlinked before the most recent rooster wake-up,
-            // so any hazard pointer that could protect it (published, per
-            // Condition 1, while the node was still reachable, i.e. before it
-            // was retired) is visible to this scan. If the snapshot does not
-            // contain the node, no thread holds a hazardous reference to it
-            // and freeing is safe.
+            // SAFETY: (paper Property 1, the aged proof) a node that has been
+            // retired for at least T + ε was unlinked before the most recent
+            // rooster wake-up, so any hazard pointer that could protect it
+            // (published, per Condition 1, while the node was still reachable,
+            // i.e. before it was retired) is visible to this scan. If the
+            // snapshot does not contain the node, no thread holds a hazardous
+            // reference to it and freeing is safe.
             Some((now, min_age)) => unsafe {
                 let aged = |node: &RetiredPtr| node.is_old_enough(now, min_age);
                 self.free_walk(bag, aged, unprotected, |_| {})
@@ -122,31 +160,53 @@ impl Reclaim<'_> {
     }
 }
 
-/// One whole-bag hazard-pointer scan, as HP and Cadence run it: count the
-/// scan, snapshot every published pointer into the handle's scratch
-/// (`get_protected_nodes`, Algorithm 3 / Michael's stage 1 — the buffer is
-/// sized `N·K` at registration, so steady-state scans never allocate) and free
-/// what the snapshot does not cover. `min_age` is Cadence's `T + ε` gate;
-/// `None` is classic HP.
+/// One whole-bag hazard-pointer scan, as HP and Cadence run it — threshold
+/// scans, budget-forced scans, `flush` and handle `Drop` alike: count the scan,
+/// do what `proof` calls for, snapshot every published pointer into the
+/// handle's scratch (`get_protected_nodes`, Algorithm 3 / Michael's stage 1 —
+/// the buffer is sized `N·K` at registration, so steady-state scans never
+/// allocate) and free what the snapshot does not cover.
+///
+/// Under [`SnapshotProof::ScannerBarrier`] a pass over a non-empty bag issues
+/// exactly one [`fence::expedited_barrier`], after every retire into `bag` and
+/// before the snapshot (counted in `heavy_barriers`). If the kernel refuses
+/// it the pass frees nothing (`heavy_barrier_failures`): keeping the bag is
+/// always safe, and scans run in `Drop`, where there is no one to tell.
 ///
 /// # Safety
 ///
-/// The contract of [`Reclaim::free_unprotected`], for the scheme's publication
-/// protocol and `min_age`; `registry` must be the one `bag`'s nodes were
-/// protected through.
+/// `proof` must be true of the scheme's `protect` (a `SeqCst` fence after every
+/// publication for `ReaderFenced`; `Aged`'s bound at least `T + ε`), and
+/// `registry` must be the one `bag`'s nodes were protected through.
 pub unsafe fn hp_scan(
     core: &mut HandleCore<PtrScratch>,
     registry: &Registry<HpSlots>,
     bag: &mut SegBag,
-    min_age: Option<Nanos>,
+    proof: SnapshotProof,
 ) {
-    core.stats().add_scan();
-    // Read before the snapshot: an earlier `now` only makes nodes look younger.
-    let age_gate = min_age.map(|age| (core.config().clock.now(), age));
+    let stats = core.stats();
+    stats.add_scan();
+    let age_gate = match proof {
+        SnapshotProof::ReaderFenced => None,
+        SnapshotProof::ScannerBarrier => {
+            if !bag.is_empty() {
+                stats.add_heavy_barrier();
+                if !fence::expedited_barrier() {
+                    stats.add_heavy_barrier_failure();
+                    return;
+                }
+            }
+            None
+        }
+        // Read before the snapshot: an earlier `now` only makes nodes look younger.
+        SnapshotProof::Aged(min_age) => Some((core.config().clock.now(), min_age)),
+    };
     core.scan(|reclaim, scratch| {
         registry.collect_protected(scratch, HpSlots::collect_into);
-        // SAFETY: forwarded from the caller's contract; the snapshot was taken
-        // just above, after every retire into `bag`.
+        // SAFETY: the snapshot was taken just above, after every retire into
+        // `bag`, and is complete by `proof`: reader-fenced and aged are the
+        // caller's contract; for scanner-barrier the barrier succeeded just
+        // before the snapshot (or the bag is empty and nothing is freed).
         unsafe { reclaim.free_unprotected(bag, scratch, age_gate) };
     });
 }
@@ -154,15 +214,27 @@ pub unsafe fn hp_scan(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::NO_BIRTH_ERA;
+    use crate::limbo::SchemeCore;
+    use crate::segbag::SegPool;
+    use crate::smr::drop_fn_for;
+    use std::collections::HashSet;
 
     #[test]
     fn set_clear_collect_round_trip() {
-        let record = HpSlots::new(3);
-        record.set(0, 0x10 as *mut u8);
-        record.set(2, 0x30 as *mut u8);
+        // 20 slots span two storage blocks; 15 | 16 is the boundary.
+        let record = HpSlots::new(BLOCK_SLOTS + 4);
+        let published = [0, 2, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 3];
+        for index in published {
+            record.set(index, (0x10 * (index + 1)) as *mut u8);
+        }
         let mut out = Vec::new();
         record.collect_into(&mut out);
-        assert_eq!(out, vec![0x10 as *mut u8, 0x30 as *mut u8]);
+        let expected: Vec<_> = published
+            .iter()
+            .map(|index| (0x10 * (index + 1)) as *mut u8)
+            .collect();
+        assert_eq!(out, expected);
         record.clear_all();
         out.clear();
         record.collect_into(&mut out);
@@ -172,6 +244,134 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn set_rejects_an_out_of_range_slot() {
+        // Slot 2 exists in the storage block, but not in a `K = 2` record.
         HpSlots::new(2).set(2, std::ptr::null_mut());
+    }
+
+    #[test]
+    fn no_two_records_of_a_registry_share_a_128_byte_block() {
+        for k in [1, 2, 6, 16, 17, 34] {
+            let registry = Registry::new(4, |_| HpSlots::new(k));
+            let mut owner_of_block = HashSet::new();
+            for (_, record) in registry.iter_all() {
+                let mut slots = Vec::new();
+                record.for_each_slot(|slot| slots.push(std::ptr::from_ref(slot) as usize));
+                assert_eq!(slots.len(), k);
+                let blocks: HashSet<usize> = slots.iter().map(|slot| slot / 128).collect();
+                for block in blocks {
+                    assert!(
+                        owner_of_block.insert(block),
+                        "K = {k}: two records have slots in block {:#x}",
+                        block * 128
+                    );
+                }
+            }
+        }
+    }
+
+    /// One registered handle with `retired` nodes in its bag.
+    fn handle_with_garbage(retired: usize) -> (Registry<HpSlots>, HandleCore<PtrScratch>, SegBag) {
+        let config = SmrConfig::default().with_max_threads(2);
+        let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
+        let scheme = SchemeCore::<PtrScratch>::new("test", config);
+        let (_slot, mut core) = scheme
+            .register(&registry, |config| {
+                (SegPool::new(), HpSlots::snapshot_scratch(config))
+            })
+            .expect("two free slots");
+        let mut bag = SegBag::new();
+        for _ in 0..retired {
+            let node = Box::into_raw(Box::new(0u64));
+            // SAFETY: freshly boxed, never linked anywhere, retired exactly once.
+            unsafe {
+                core.retire(
+                    &mut bag,
+                    node.cast(),
+                    drop_fn_for::<u64>(),
+                    0,
+                    NO_BIRTH_ERA,
+                    8,
+                )
+            };
+        }
+        (registry, core, bag)
+    }
+
+    fn scan(
+        core: &mut HandleCore<PtrScratch>,
+        registry: &Registry<HpSlots>,
+        bag: &mut SegBag,
+        proof: SnapshotProof,
+    ) {
+        // SAFETY: these tests never publish a slot, so any proof holds.
+        unsafe { hp_scan(core, registry, bag, proof) }
+    }
+
+    #[test]
+    fn a_refused_barrier_frees_nothing_and_is_counted() {
+        let (registry, mut core, mut bag) = handle_with_garbage(5);
+        fence::REFUSE_EXPEDITED.set(true);
+        scan(
+            &mut core,
+            &registry,
+            &mut bag,
+            SnapshotProof::ScannerBarrier,
+        );
+        fence::REFUSE_EXPEDITED.set(false);
+        let stats = core.stats().snapshot();
+        assert_eq!(
+            (
+                stats.scans,
+                stats.heavy_barriers,
+                stats.heavy_barrier_failures
+            ),
+            (1, 1, 1)
+        );
+        assert_eq!((stats.freed, stats.scan_walks), (0, 0));
+        assert_eq!((core.in_limbo(), core.limbo_bytes()), (5, 40), "ledger");
+        assert_eq!(bag.len(), 5);
+
+        // The fenced proof needs no barrier and frees the lot.
+        scan(&mut core, &registry, &mut bag, SnapshotProof::ReaderFenced);
+        assert_eq!(core.stats().snapshot().freed, 5);
+        core.park(&mut bag);
+    }
+
+    #[test]
+    fn only_the_scanner_barrier_proof_issues_a_barrier_and_exactly_one_per_pass() {
+        let (registry, mut core, mut bag) = handle_with_garbage(3);
+        let barriers = |core: &HandleCore<PtrScratch>| {
+            let stats = core.stats().snapshot();
+            (stats.heavy_barriers, stats.heavy_barrier_failures)
+        };
+        scan(
+            &mut core,
+            &registry,
+            &mut bag,
+            SnapshotProof::Aged(u64::MAX),
+        );
+        assert_eq!((bag.len(), barriers(&core)), (3, (0, 0)), "aged: too young");
+        scan(
+            &mut core,
+            &registry,
+            &mut bag,
+            SnapshotProof::ScannerBarrier,
+        );
+        // Where the kernel has no expedited command, the one barrier fails.
+        let refused = u64::from(!fence::expedited_barrier());
+        assert_eq!(barriers(&core), (1, refused), "one barrier for the pass");
+        assert_eq!(bag.len(), if refused == 1 { 3 } else { 0 });
+        // With nothing left to free there is nothing to prove: no barrier.
+        scan(&mut core, &registry, &mut bag, SnapshotProof::ReaderFenced);
+        assert!(bag.is_empty());
+        scan(
+            &mut core,
+            &registry,
+            &mut bag,
+            SnapshotProof::ScannerBarrier,
+        );
+        assert_eq!(barriers(&core), (1, refused));
+        assert_eq!(core.stats().snapshot().scans, 4);
+        core.park(&mut bag);
     }
 }

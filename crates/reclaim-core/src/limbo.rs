@@ -34,6 +34,9 @@ use std::sync::Arc;
 pub struct SchemeCore<W = ()> {
     name: &'static str,
     config: SmrConfig,
+    /// Retires between a handle's count-threshold scans: `scan_threshold`
+    /// times the scheme's scan batch.
+    scan_every: usize,
     /// One counter stripe per handle: keyed by registry slot index, or dealt
     /// round-robin for registry-less schemes.
     stats: ShardedStats,
@@ -49,10 +52,21 @@ pub struct SchemeCore<W = ()> {
 }
 
 impl<W: Default> SchemeCore<W> {
-    /// Creates the core for a scheme reporting itself as `name`.
+    /// Creates the core for a scheme reporting itself as `name`, whose handles
+    /// scan every `scan_threshold` retires.
     pub fn new(name: &'static str, config: SmrConfig) -> Arc<Self> {
+        Self::with_scan_batch(name, config, 1)
+    }
+
+    /// [`new`](Self::new) for a scheme whose scans carry a fixed cost worth
+    /// amortising (HP's scanner-side barrier): its handles run a
+    /// count-threshold scan every `scan_threshold × scan_batch` retires. The
+    /// ladder's budget rungs are untouched — a limbo-budget crossing forces a
+    /// scan at once, wherever in the batch it lands.
+    pub fn with_scan_batch(name: &'static str, config: SmrConfig, scan_batch: usize) -> Arc<Self> {
         Arc::new(Self {
             name,
+            scan_every: config.scan_threshold.saturating_mul(scan_batch),
             stats: ShardedStats::new(config.max_threads),
             orphan_stats: CachePadded::new(StatStripe::new()),
             parked: ParkedChain::new(),
@@ -71,6 +85,12 @@ impl<W: Default> SchemeCore<W> {
     /// The configuration the scheme was created with.
     pub fn config(&self) -> &SmrConfig {
         &self.config
+    }
+
+    /// Retires between a handle's count-threshold scans (`scan_threshold` ×
+    /// the scan batch) — what a scheme pre-sizes its handles' pools for.
+    pub fn scan_every(&self) -> usize {
+        self.scan_every
     }
 
     /// `Smr::stats`, short of the registry's shard counters
@@ -134,6 +154,7 @@ impl<W: Default> SchemeCore<W> {
             budget_reported: 0,
             tele: HandleTelemetry::attach(&self.telemetry),
             since_scan: 0,
+            scan_every: self.scan_every,
             shared: Arc::clone(self),
         }
     }
@@ -173,6 +194,8 @@ pub struct HandleCore<W: Default = ()> {
     pub tele: HandleTelemetry,
     /// Retires since the count-threshold rung last fired (or a flush reset it).
     since_scan: usize,
+    /// The count threshold, fixed at attach ([`SchemeCore::with_scan_batch`]).
+    scan_every: usize,
 }
 
 impl<W: Default> HandleCore<W> {
@@ -263,9 +286,10 @@ impl<W: Default> HandleCore<W> {
     }
 
     /// The ladder's count-threshold rung: true (and the counter restarts) once
-    /// `scan_threshold` retires have accumulated.
+    /// `scan_threshold` retires — times the scheme's scan batch — have
+    /// accumulated.
     pub fn scan_due(&mut self) -> bool {
-        let due = self.since_scan >= self.shared.config.scan_threshold;
+        let due = self.since_scan >= self.scan_every;
         if due {
             self.since_scan = 0;
         }
@@ -602,6 +626,40 @@ mod tests {
         assert_eq!(handle.scans, 2, "one scan per `scan_threshold` retires");
         assert_eq!(drops.load(Ordering::SeqCst), 8);
         assert_eq!(scheme.governor().verdict().escalations(), 0);
+    }
+
+    #[test]
+    fn a_scan_batch_stretches_the_count_threshold_and_leaves_the_budget_rungs_alone() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let batched = |budget| {
+            let config = SmrConfig::default()
+                .with_scan_threshold(4)
+                .with_limbo_budget(budget)
+                .with_clock(Clock::manual(clock.clone()));
+            SchemeCore::<Vec<u8>>::with_scan_batch("test", config, 8)
+        };
+        let scheme = batched(None);
+        let mut handle = Handle::register(&scheme, &mut 0);
+        for _ in 0..31 {
+            handle.retire(&drops);
+        }
+        assert_eq!(handle.scans, 0, "the count threshold is 4 x 8 retires");
+        handle.retire(&drops);
+        assert_eq!((handle.scans, drops.load(Ordering::SeqCst)), (1, 32));
+
+        // Under a 20-node budget the 21st retire crosses it: the forced scan
+        // runs at once, 11 retires short of the batch.
+        let scheme = batched(Some(20 * NODE));
+        let mut handle = Handle::register(&scheme, &mut 0);
+        for _ in 0..20 {
+            handle.retire(&drops);
+        }
+        assert_eq!(handle.scans, 0);
+        handle.retire(&drops);
+        assert_eq!(handle.scans, 1, "a crossing does not wait for the batch");
+        assert_eq!(scheme.governor().verdict().forced_scans, 1);
+        assert_eq!(drops.load(Ordering::SeqCst), 32 + 21);
     }
 
     #[test]

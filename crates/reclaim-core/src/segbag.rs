@@ -141,7 +141,7 @@ impl SegPool {
     /// (capped: a test-sized huge `R` must not balloon registration), so even
     /// the handle's first bag fill recycles instead of allocating.
     pub fn for_scan_threshold(scan_threshold: usize) -> Self {
-        Self::with_node_capacity((scan_threshold + 1).min(2048))
+        Self::with_node_capacity(scan_threshold.saturating_add(1).min(2048))
     }
 
     /// Number of empty segments currently pooled.

@@ -48,6 +48,8 @@ pub struct StatStripe {
     scan_walks: AtomicU64,
     quiescent_states: AtomicU64,
     traversal_fences: AtomicU64,
+    heavy_barriers: AtomicU64,
+    heavy_barrier_failures: AtomicU64,
     fallback_switches: AtomicU64,
     fast_path_switches: AtomicU64,
 }
@@ -100,9 +102,17 @@ pub struct StatsSnapshot {
     pub shard_walks: u64,
     /// Quiescent states declared (QSBR / QSense fast path).
     pub quiescent_states: u64,
-    /// Memory fences issued on the traversal path (classic HP only; Cadence's whole
-    /// point is to keep this at zero).
+    /// Hardware memory fences issued by readers on the traversal path: one per
+    /// `protect` under classic HP's reader-fenced protocol, zero under its
+    /// scanner-barrier protocol (see [`crate::fence`]) and for Cadence, whose
+    /// whole point is to keep this at zero.
     pub traversal_fences: u64,
+    /// Expedited `membarrier` calls issued by scans — one per hazard-pointer
+    /// scan pass over a non-empty bag under HP's scanner-barrier protocol,
+    /// zero everywhere else.
+    pub heavy_barriers: u64,
+    /// Of those, the calls the kernel refused; such a pass frees nothing.
+    pub heavy_barrier_failures: u64,
     /// Fast-path → fallback-path switches (QSense).
     pub fallback_switches: u64,
     /// Fallback-path → fast-path switches (QSense).
@@ -207,6 +217,17 @@ impl StatStripe {
         self.traversal_fences.fetch_add(n, R);
     }
 
+    /// Records one scan-side expedited barrier.
+    #[inline]
+    pub fn add_heavy_barrier(&self) {
+        self.heavy_barriers.fetch_add(1, R);
+    }
+
+    /// Records that the kernel refused a scan-side barrier.
+    pub fn add_heavy_barrier_failure(&self) {
+        self.heavy_barrier_failures.fetch_add(1, R);
+    }
+
     /// Records a switch to the fallback path.
     pub fn add_fallback_switch(&self) {
         self.fallback_switches.fetch_add(1, R);
@@ -235,6 +256,8 @@ impl StatStripe {
         snap.scan_walks += self.scan_walks.load(R);
         snap.quiescent_states += self.quiescent_states.load(R);
         snap.traversal_fences += self.traversal_fences.load(R);
+        snap.heavy_barriers += self.heavy_barriers.load(R);
+        snap.heavy_barrier_failures += self.heavy_barrier_failures.load(R);
         snap.fallback_switches += self.fallback_switches.load(R);
         snap.fast_path_switches += self.fast_path_switches.load(R);
     }
@@ -329,6 +352,9 @@ mod tests {
         stats.add_scan_walk();
         stats.add_quiescent_state();
         stats.add_traversal_fences(7);
+        stats.add_heavy_barrier();
+        stats.add_heavy_barrier();
+        stats.add_heavy_barrier_failure();
         stats.add_fallback_switch();
         stats.add_fast_path_switch();
         let snap = stats.snapshot();
@@ -345,6 +371,7 @@ mod tests {
         assert_eq!(snap.scan_walks, 3);
         assert_eq!(snap.quiescent_states, 1);
         assert_eq!(snap.traversal_fences, 7);
+        assert_eq!((snap.heavy_barriers, snap.heavy_barrier_failures), (2, 1));
         assert_eq!(snap.fallback_switches, 1);
         assert_eq!(snap.fast_path_switches, 1);
     }

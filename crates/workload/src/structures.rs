@@ -24,7 +24,8 @@ pub enum SchemeKind {
     None,
     /// Quiescent-state-based reclamation.
     Qsbr,
-    /// Classic hazard pointers with per-node fences.
+    /// Classic hazard pointers: a fence per node traversed, paid by the reader
+    /// or, where the kernel offers an expedited `membarrier`, by the scanner.
     Hp,
     /// Cadence stand-alone (fence-free hazard pointers + rooster threads).
     Cadence,

@@ -42,7 +42,7 @@
 pub mod smr {
     pub use cadence::{Cadence, CadenceHandle, Rooster};
     pub use ebr::{Ebr, EbrHandle};
-    pub use hazard::{Hazard, HazardHandle};
+    pub use hazard::{FenceStrategy, Hazard, HazardHandle};
     pub use he::{He, HeHandle};
     pub use qsbr::{Qsbr, QsbrHandle};
     pub use qsense::{Path, QSense, QSenseHandle};

@@ -6,8 +6,8 @@
 //! their gate.)
 
 use qsense_repro::smr::{
-    retire_box, Clock, Ebr, Hazard, Leaky, ManualClock, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
-    StatsSnapshot,
+    retire_box, Clock, Ebr, FenceStrategy, Hazard, Leaky, ManualClock, Qsbr, RefCount, Smr,
+    SmrConfig, SmrHandle, StatsSnapshot,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -74,7 +74,11 @@ fn assert_clock_free<S: Smr>(name: &str, new: impl Fn(SmrConfig) -> Arc<S>) {
 
 #[test]
 fn stampless_schemes_reclaim_identically_under_a_frozen_and_a_moving_clock() {
+    // HP under the protocol this kernel selects, and under the paper's.
     assert_clock_free("hp", Hazard::new);
+    assert_clock_free("hp", |config| {
+        Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced)
+    });
     assert_clock_free("qsbr", Qsbr::new);
     assert_clock_free("ebr", Ebr::new);
     assert_clock_free("rc", RefCount::new);

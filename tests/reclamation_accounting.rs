@@ -13,8 +13,8 @@
 
 use qsense_repro::ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList};
 use qsense_repro::smr::{
-    retire_box, Cadence, Clock, Ebr, Hazard, He, Leaky, ManualClock, QSense, Qsbr, RefCount, Smr,
-    SmrConfig, SmrHandle,
+    retire_box, Cadence, Clock, Ebr, FenceStrategy, Hazard, He, Leaky, ManualClock, QSense, Qsbr,
+    RefCount, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -124,7 +124,12 @@ macro_rules! accounting_test {
     };
 }
 
+// HP under the protocol this kernel selects, and under the paper's.
 accounting_test!(list_accounting_under_hp, Hazard::new(config()));
+accounting_test!(
+    list_accounting_under_reader_fenced_hp,
+    Hazard::with_fence_strategy(config(), FenceStrategy::ReaderFenced)
+);
 accounting_test!(list_accounting_under_qsbr, Qsbr::new(config()));
 accounting_test!(list_accounting_under_cadence, Cadence::new(config()));
 accounting_test!(list_accounting_under_qsense, QSense::new(config()));
@@ -376,6 +381,7 @@ fn the_limbo_ledger_is_conserved_through_retire_flush_drop_and_adoption() {
     ledger_is_conserved(Ebr::new);
     ledger_is_conserved(He::new);
     ledger_is_conserved(Hazard::new);
+    ledger_is_conserved(|config| Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced));
     ledger_is_conserved(Cadence::new);
     ledger_is_conserved(QSense::new);
     ledger_is_conserved(RefCount::new);

@@ -13,13 +13,14 @@
 //!   thread never comes back — end to end, with the real clock and real structures.
 
 use qsense_repro::bench::{
-    default_fault_config, make_set, run_experiment, run_fault_for, run_stall_churn, DelaySchedule,
-    Experiment, FaultKind, FaultPlan, OpMix, SchemeKind, StallChurnSpec, Structure, WorkloadSpec,
-    PAYLOAD_BYTES,
+    default_fault_config, make_set, run_experiment, run_fault, run_fault_for, run_stall_churn,
+    DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, OpMix, SchemeKind,
+    StallChurnSpec, Structure, WorkloadSpec, PAYLOAD_BYTES,
 };
 use qsense_repro::ds::HarrisMichaelList;
 use qsense_repro::smr::{
-    Cadence, Ebr, EraAdvancePolicy, He, Path, QSense, Qsbr, Smr, SmrConfig, SmrHandle,
+    Cadence, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, Path, QSense, Qsbr, Smr, SmrConfig,
+    SmrHandle,
 };
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -323,6 +324,15 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
     assert_eq!(adaptive_run.end_limbo, 0);
 }
 
+/// HP's row of the fault matrix under the paper's reader-fenced protocol;
+/// `run_fault_for(SchemeKind::Hp, ..)` runs whichever this kernel selects.
+fn run_reader_fenced_hp(config: SmrConfig, plan: &FaultPlan) -> FaultResult {
+    run_fault(
+        &Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced),
+        plan,
+    )
+}
+
 /// The CI robustness verdict: under an enforced byte budget, the robust
 /// schemes (HP, Cadence, QSense, HE) keep `peak_limbo_bytes` within constant
 /// headroom of the budget — *and* the escalation counters show the governor
@@ -351,13 +361,15 @@ fn byte_budgets_bound_the_robust_schemes_but_not_qsbr_under_faults() {
             _ => 1,
         };
         let bound = (2 * retiring_handles * plan.episode_bytes() + 4 * BUDGET) as u64;
-        for scheme in [
+        let robust = [
             SchemeKind::Hp,
             SchemeKind::Cadence,
             SchemeKind::QSense,
             SchemeKind::He,
-        ] {
-            let result = run_fault_for(scheme, default_fault_config(Some(BUDGET)), &plan);
+        ]
+        .map(|scheme| run_fault_for(scheme, default_fault_config(Some(BUDGET)), &plan));
+        let fenced_hp = run_reader_fenced_hp(default_fault_config(Some(BUDGET)), &plan);
+        for result in robust.into_iter().chain([fenced_hp]) {
             let verdict = result.verdict;
             assert!(
                 verdict.escalations() > 0,
@@ -381,7 +393,7 @@ fn byte_budgets_bound_the_robust_schemes_but_not_qsbr_under_faults() {
             );
             // QSense's escalation lever is the hybrid switch itself: the byte
             // budget must trip the Cadence fallback before the node-count C.
-            if scheme == SchemeKind::QSense {
+            if result.scheme == "qsense" {
                 assert!(
                     verdict.fallback_trips >= 1,
                     "QSense under {}: the budget breach must trip the fallback early ({verdict:?})",
@@ -435,9 +447,12 @@ fn byte_budgets_bound_the_robust_schemes_but_not_qsbr_under_faults() {
 #[test]
 fn a_leaked_handle_strands_no_bytes_in_any_scheme() {
     let plan = FaultPlan::new(FaultKind::LeakedHandle);
-    for scheme in SchemeKind::extended() {
-        let result = run_fault_for(scheme, default_fault_config(None), &plan);
-        if scheme == SchemeKind::None {
+    let matrix = SchemeKind::extended()
+        .into_iter()
+        .map(|scheme| run_fault_for(scheme, default_fault_config(None), &plan))
+        .chain([run_reader_fenced_hp(default_fault_config(None), &plan)]);
+    for result in matrix {
+        if result.scheme == "none" {
             assert_eq!(
                 result.end_limbo, result.total_retired,
                 "the leaky baseline frees nothing until scheme drop"

@@ -32,8 +32,8 @@
 #![cfg(not(feature = "check-oracle"))]
 
 use qsense_repro::smr::{
-    Cadence, Clock, CountingAllocator, Ebr, EraAdvancePolicy, Hazard, He, Leaky, ManualClock,
-    QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
+    Cadence, Clock, CountingAllocator, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, Leaky,
+    ManualClock, QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -242,6 +242,35 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         reader.clear_protections();
         writer.flush();
         assert_eq!(writer.local_in_limbo(), 0, "hp: release frees the residue");
+    }
+
+    // --- threshold scans on a fresh handle (hazard, both protocols) --------
+    // Nothing above lets a count-threshold scan fire. Here `R = 16`, so a
+    // handle scans every 16 retires (reader-fenced) or every 16 x 8
+    // (scanner-barrier), and its pool was sized for that batch at
+    // registration: from the first retire on — no warm-up scan — three batches
+    // of retires allocate the nodes and nothing else.
+    for strategy in [FenceStrategy::detect(), FenceStrategy::ReaderFenced] {
+        let retires = 3 * 16 * strategy.scan_batch();
+        assert_alloc_delta(
+            &format!("hp ({}): three batches from registration", strategy.name()),
+            (retires * std::mem::size_of::<u64>()) as u64,
+            || {
+                let config = config(&ManualClock::new()).with_scan_threshold(16);
+                let scheme = Hazard::with_fence_strategy(config, strategy);
+                let mut handle = scheme.register();
+                let before_alloc = ALLOC.allocated_bytes();
+                for _ in 0..retires {
+                    let ptr = Box::into_raw(Box::new(0u64));
+                    // SAFETY: freshly boxed, unlinked by construction, retired once.
+                    unsafe { qsense_repro::smr::retire_box(&mut handle, ptr) };
+                }
+                let delta = ALLOC.allocated_bytes() - before_alloc;
+                assert_eq!(scheme.stats().scans, 3, "{strategy:?}");
+                assert_eq!(handle.local_in_limbo(), 0);
+                delta
+            },
+        );
     }
 
     // --- park / adopt hand-off (hazard) ------------------------------------
