@@ -4,58 +4,68 @@
 //! to ignore: QSBR waits for every registered thread to pass through an explicit
 //! quiescent state, whereas EBR tracks whether a thread is currently *inside* an
 //! operation (pinned). A thread that is registered but idle (not pinned) never blocks
-//! the epoch from advancing. The cost is one extra shared store per operation (the
-//! pin) that QSBR's batched quiescence avoids — exactly the trade-off the paper's
-//! related-work section ([13, 14]) attributes to epoch-based techniques.
+//! the epoch from advancing. The cost is two shared stores per operation (the pin
+//! and the unpin) that QSBR's batched quiescence avoids — exactly the trade-off the
+//! paper's related-work section ([13, 14]) attributes to epoch-based techniques.
+//! Who pays for the *fence* behind the pin is the scheme's
+//! [`FenceStrategy`], as for a hazard pointer.
 
-use reclaim_core::CachePadded;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use reclaim_core::{CachePadded, FenceStrategy};
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Per-thread shared record scanned by threads attempting to advance the global
-/// epoch: whether the owner is currently pinned and, if so, which epoch it observed
-/// when it pinned.
+/// Low bit of the record word: set while the owner is pinned.
+const PINNED: u64 = 1;
+
+/// Per-thread shared record read by threads attempting to advance the global
+/// epoch: `0` while the owner is outside an operation, `epoch << 1 | 1` while it
+/// is pinned at `epoch`. One word on one line, so an advancer reads activity
+/// and epoch in a single load that cannot tear between two pins.
 #[derive(Debug, Default)]
 pub struct PinRecord {
-    /// True while the owning thread is inside a data-structure operation.
-    active: CachePadded<AtomicBool>,
-    /// The global epoch the owner observed when it last pinned.
-    epoch: CachePadded<AtomicU64>,
+    word: CachePadded<AtomicU64>,
 }
 
 impl PinRecord {
-    /// Creates an unpinned record at epoch 0.
+    /// Creates an unpinned record.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Marks the owner as pinned at `epoch`.
+    /// Marks the owner as pinned at `epoch` and issues the reader's half of
+    /// `strategy`: what follows in program order is the owner's first load of
+    /// the operation (the tag load of `EbrHandle::pin_at`).
     ///
-    /// The epoch is published before the active flag so that a scanner that sees
-    /// `active == true` is guaranteed to also see an epoch at least as recent as the
-    /// one the owner adopted; both stores are `SeqCst` so they are totally ordered
-    /// with the global-epoch loads performed by advancing threads.
+    /// * The store is `Relaxed`: it publishes no other data. An advancer that
+    ///   reads it learns only that an operation is in flight at `epoch`.
+    /// * The fence carries the **pin-before-tag** invariant — an advance whose
+    ///   record walk misses this store started its walk before the owner's
+    ///   next load. Reader-fenced it is a `SeqCst` fence, ordered against the
+    ///   `SeqCst` fence the advancer issues between its epoch load and its
+    ///   walk. Scanner-barrier it is a compiler fence, and the hardware half
+    ///   is the advancer's `membarrier`: a store that barrier did not drain
+    ///   was issued after it, and so was every later load of this thread.
     #[inline]
-    pub fn pin(&self, epoch: u64) {
-        self.epoch.store(epoch, Ordering::SeqCst);
-        self.active.store(true, Ordering::SeqCst);
+    pub fn pin(&self, epoch: u64, strategy: FenceStrategy) {
+        self.word.store(epoch << 1 | PINNED, Ordering::Relaxed);
+        strategy.publication_fence();
     }
 
-    /// Marks the owner as no longer pinned.
+    /// Marks the owner as no longer pinned. `Release` carries the
+    /// **accesses-before-unpin** invariant: an advancer whose (`Acquire`) walk
+    /// reads this store, or any later one, has every access of the operation
+    /// it ended happen-before its epoch CAS — and so before any free that CAS
+    /// justifies.
     #[inline]
     pub fn unpin(&self) {
-        self.active.store(false, Ordering::SeqCst);
+        self.word.store(0, Ordering::Release);
     }
 
-    /// True if the owner is currently pinned.
+    /// The epoch the owner is pinned at, if it is: one `Acquire` load (the
+    /// other end of [`unpin`](Self::unpin)'s `Release`).
     #[inline]
-    pub fn is_pinned(&self) -> bool {
-        self.active.load(Ordering::SeqCst)
-    }
-
-    /// The epoch the owner observed at its last pin.
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::SeqCst)
+    pub fn pinned_epoch(&self) -> Option<u64> {
+        let word = self.word.load(Ordering::Acquire);
+        (word & PINNED != 0).then_some(word >> 1)
     }
 
     /// True if this record does not prevent the global epoch from advancing past
@@ -63,7 +73,7 @@ impl PinRecord {
     /// `global`.
     #[inline]
     pub fn permits_advance_from(&self, global: u64) -> bool {
-        !self.is_pinned() || self.epoch() == global
+        self.pinned_epoch().is_none_or(|epoch| epoch == global)
     }
 }
 
@@ -71,11 +81,14 @@ impl PinRecord {
 mod tests {
     use super::*;
 
+    /// Both reader halves: the record's contents do not depend on the fence.
+    const STRATEGIES: [FenceStrategy; 2] =
+        [FenceStrategy::ReaderFenced, FenceStrategy::ScannerBarrier];
+
     #[test]
-    fn starts_unpinned_at_epoch_zero() {
+    fn starts_unpinned() {
         let r = PinRecord::new();
-        assert!(!r.is_pinned());
-        assert_eq!(r.epoch(), 0);
+        assert_eq!(r.pinned_epoch(), None);
         assert!(r.permits_advance_from(0));
         assert!(
             r.permits_advance_from(17),
@@ -84,28 +97,48 @@ mod tests {
     }
 
     #[test]
-    fn pin_publishes_epoch_and_activity() {
+    fn pin_publishes_epoch_and_activity_in_one_word() {
+        for strategy in STRATEGIES {
+            let r = PinRecord::new();
+            r.pin(4, strategy);
+            assert_eq!(r.pinned_epoch(), Some(4));
+            assert!(r.permits_advance_from(4));
+            assert!(
+                !r.permits_advance_from(5),
+                "a pinned thread at an older epoch blocks"
+            );
+            r.unpin();
+            assert_eq!(r.pinned_epoch(), None);
+            assert!(r.permits_advance_from(5));
+        }
+    }
+
+    #[test]
+    fn a_pin_at_epoch_zero_is_not_an_unpinned_record() {
         let r = PinRecord::new();
-        r.pin(4);
-        assert!(r.is_pinned());
-        assert_eq!(r.epoch(), 4);
-        assert!(r.permits_advance_from(4));
-        assert!(
-            !r.permits_advance_from(5),
-            "a pinned thread at an older epoch blocks"
-        );
-        r.unpin();
-        assert!(!r.is_pinned());
-        assert!(r.permits_advance_from(5));
+        r.pin(0, FenceStrategy::ReaderFenced);
+        assert_eq!(r.pinned_epoch(), Some(0));
+        assert!(!r.permits_advance_from(1));
+    }
+
+    #[test]
+    fn the_epoch_round_trips_through_the_shift() {
+        let r = PinRecord::new();
+        for epoch in [1, 2, 3, u64::from(u32::MAX) + 1, (1 << 63) - 1] {
+            r.pin(epoch, FenceStrategy::ScannerBarrier);
+            assert_eq!(r.pinned_epoch(), Some(epoch));
+            assert!(r.permits_advance_from(epoch));
+            assert!(!r.permits_advance_from(epoch - 1));
+        }
     }
 
     #[test]
     fn repinning_adopts_the_new_epoch() {
         let r = PinRecord::new();
-        r.pin(1);
+        r.pin(1, FenceStrategy::ReaderFenced);
         r.unpin();
-        r.pin(3);
-        assert_eq!(r.epoch(), 3);
+        r.pin(3, FenceStrategy::ReaderFenced);
+        assert_eq!(r.pinned_epoch(), Some(3));
         assert!(r.permits_advance_from(3));
     }
 }

@@ -5,9 +5,10 @@ use qsbr::GlobalEpoch;
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, Reclaim, Registry,
-    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
+    fence, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
+    Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
 };
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A retired node may be freed once the global epoch has advanced this many times
@@ -38,8 +39,9 @@ const LIMBO_BUCKETS: usize = SAFE_EPOCH_GAP as usize + 1;
 /// * protection is the *operation* (a thread pins on `begin_op` and unpins on
 ///   `end_op`), so an idle registered thread never blocks reclamation — under QSBR an
 ///   idle thread that stops calling `manage_qsense_state` blocks everyone;
-/// * the price is one shared store per operation on the hot path (the pin) instead
-///   of one per `Q` operations;
+/// * the price is two plain stores to an owned line per operation (pin and unpin)
+///   instead of one per `Q` operations — and the fence behind the pin, which is
+///   the reader's or the advancer's by [`FenceStrategy`], as for classic HP;
 /// * a thread *delayed in the middle of an operation* still blocks the epoch, so the
 ///   scheme remains blocking in the sense that motivates the paper: it is a faster
 ///   point in the same robustness class as QSBR, not a replacement for the fallback
@@ -54,17 +56,34 @@ pub struct Ebr {
     core: Arc<SchemeCore>,
     global_epoch: GlobalEpoch,
     registry: Registry<PinRecord>,
+    strategy: FenceStrategy,
 }
 
 impl Ebr {
-    /// Creates an EBR scheme with the given configuration.
+    /// Creates an EBR scheme with the given configuration, running the
+    /// protocol this process's kernel supports ([`FenceStrategy::detect`]).
     pub fn new(config: SmrConfig) -> Arc<Self> {
+        Self::with_fence_strategy(config, FenceStrategy::detect())
+    }
+
+    /// [`new`](Self::new) with the protocol named instead of detected: for
+    /// tests, which run both on every kernel. Naming
+    /// [`FenceStrategy::ScannerBarrier`] on a kernel without the expedited
+    /// barrier is safe and useless: every advance is refused and nothing is
+    /// ever freed.
+    pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| PinRecord::new());
         Arc::new(Self {
-            core: SchemeCore::new("ebr", config),
+            core: SchemeCore::with_scan_batch("ebr", config, strategy.scan_batch()),
             global_epoch: GlobalEpoch::new(),
             registry,
+            strategy,
         })
+    }
+
+    /// The protocol this scheme's pins and epoch advances run.
+    pub fn fence_strategy(&self) -> FenceStrategy {
+        self.strategy
     }
 
     /// Creates an EBR scheme with default configuration.
@@ -85,14 +104,43 @@ impl Ebr {
     /// Attempts to advance the global epoch by one. Succeeds only if every *pinned*
     /// thread has already observed the current epoch; idle (unpinned) threads are
     /// ignored — the defining difference from QSBR.
+    ///
+    /// This is the scanner's half of the pin protocol ([`PinRecord::pin`] is the
+    /// reader's): **epoch load, fence, record walk, CAS**, in that order. The
+    /// fence — the advancer's own `SeqCst` fence against reader-fenced pins, one
+    /// process-wide [`fence::scanner_barrier`] against compiler-fenced ones —
+    /// splits every pin in two cases. Either its store is drained before the
+    /// walk, which then reads it: the advance goes through only if the pin
+    /// announces `global`, and no later walk can miss it. Or it was issued after
+    /// the fence, and then so was the tag load that follows it, which therefore
+    /// reads `global` or newer. Either way a successful advance leaves the epoch
+    /// at most one past the tag of every operation in flight — the bound
+    /// `SAFE_EPOCH_GAP` is derived from. With the fence *after* the walk the
+    /// second case loses a step (`reclaim-check`'s epoch litmus prints the
+    /// schedule). A refused barrier proves nothing and advances nothing.
     pub fn try_advance(&self) -> bool {
         let global = self.global_epoch.load();
-        let all_caught_up = self
-            .registry
-            .iter_claimed()
-            .all(|(_, record)| record.permits_advance_from(global));
-        if all_caught_up && self.global_epoch.try_advance(global) {
-            self.core.orphan_stats().add_quiescent_state();
+        let all_caught_up = || {
+            self.registry
+                .iter_claimed()
+                .all(|(_, record)| record.permits_advance_from(global))
+        };
+        let orphan = self.core.orphan_stats();
+        match self.strategy {
+            FenceStrategy::ReaderFenced => std::sync::atomic::fence(Ordering::SeqCst),
+            // Look before the barrier: a pin that is visible now and blocks
+            // this advance stays visible until its owner unpins, so the walk
+            // after the barrier could only find the same. A sibling stalled
+            // mid-operation thus costs its peers a shard walk per attempt, not
+            // a syscall.
+            FenceStrategy::ScannerBarrier => {
+                if !all_caught_up() || !fence::scanner_barrier(orphan) {
+                    return false;
+                }
+            }
+        }
+        if all_caught_up() && self.global_epoch.try_advance(global) {
+            orphan.add_quiescent_state();
             return true;
         }
         false
@@ -108,6 +156,7 @@ impl Smr for Ebr {
             .register(&self.registry, |_| (SegPool::new(), ()))?;
         // A fresh thread starts unpinned; an unpinned record never blocks advancement.
         self.registry.get_mine(slot).unpin();
+        let epoch = self.global_epoch.load();
         Ok(EbrHandle {
             scheme: Arc::clone(self),
             slot,
@@ -116,8 +165,10 @@ impl Smr for Ebr {
                 epoch: 0,
                 bag: SegBag::new(),
             }),
-            pin_epoch: self.global_epoch.load(),
+            pin_epoch: epoch,
             pinned: false,
+            collected_at: epoch,
+            strategy: self.strategy,
         })
     }
 
@@ -186,8 +237,9 @@ impl EpochChain {
 /// quadratic work, on top of one shared global-epoch load per retire. Nodes now
 /// land in one of [`LIMBO_BUCKETS`] per-epoch segment chains, tagged with the
 /// **pin-time** epoch the handle already holds, so `retire` touches no shared
-/// state at all and freeing is a whole-chain drain at segment granularity: each
-/// pin checks `LIMBO_BUCKETS` bucket tags, never individual nodes.
+/// state at all and freeing is a whole-chain drain at segment granularity: a
+/// pin that finds the epoch moved checks `LIMBO_BUCKETS` bucket tags, never
+/// individual nodes, and every other pin checks nothing.
 pub struct EbrHandle {
     scheme: Arc<Ebr>,
     slot: SlotId,
@@ -207,6 +259,12 @@ pub struct EbrHandle {
     /// not use a stale cached tag — that would free nodes before a real grace
     /// period).
     pinned: bool,
+    /// The epoch of the last pin-time [`collect`](Self::collect). A chain can
+    /// only mature when the epoch moves, so pins that find it unchanged skip
+    /// the bucket checks (and their skip counters) altogether.
+    collected_at: u64,
+    /// The scheme's protocol, by value: `begin_op` branches on it per operation.
+    strategy: FenceStrategy,
 }
 
 impl EbrHandle {
@@ -217,33 +275,47 @@ impl EbrHandle {
     /// Publishes the pin at `observed` — the global epoch `begin_op` loaded —
     /// and only then reads the epoch this operation's retires are tagged with.
     /// The two loads differ when the thread was held up between the first and
-    /// the pin's stores: until the pin is visible nothing stops the epoch, so
+    /// the pin's store: until the pin is published nothing stops the epoch, so
     /// `observed` can be arbitrarily stale, and tagging with it would let the
-    /// very next `collect` free a node a current reader still holds. Once the
-    /// pin *is* visible the epoch can move at most once more — advancers that
-    /// had already passed this record may finish one CAS; every later scan
-    /// finds a pinned record that has not observed the global epoch and stops
-    /// — so the second load is the tag the [`SAFE_EPOCH_GAP`] argument needs:
-    /// the global stays within `pin_epoch + 1` for the whole operation. (The
-    /// record keeps announcing the stale `observed`, which merely blocks
-    /// advances until `end_op`.) [`PinRecord::pin`]'s `SeqCst` stores order the
-    /// second load after the pin.
+    /// very next `collect` free a node a current reader still holds. The
+    /// second load is the tag the [`SAFE_EPOCH_GAP`] argument needs — the
+    /// global stays within `pin_epoch + 1` for the whole operation — by the
+    /// case split of [`Ebr::try_advance`], one ordering per step:
+    ///
+    /// * the pin's fence ([`PinRecord::pin`]) keeps the tag load after the pin
+    ///   store — **pin-before-tag**: an advance from `g` that misses the pin
+    ///   fenced before the tag load, which therefore reads `g` or newer, so
+    ///   that advance ends at most one past the tag;
+    /// * an advance that reads the pin goes through only from `observed`, and
+    ///   `observed <= pin_epoch` because both are loads of one monotone
+    ///   counter, in program order (coherence; no ordering needed);
+    /// * the tag load is `Acquire` ([`GlobalEpoch::load`]), pairing with the
+    ///   advancing CAS's `Release` — **walk-before-epoch**: reading epoch `e`
+    ///   makes visible every unpin the advance to `e` relied on, and with it
+    ///   (`Release` in [`PinRecord::unpin`]) every access of the operations
+    ///   those unpins ended, before this operation frees or reuses anything.
+    ///
+    /// (The record keeps announcing the possibly stale `observed`, which merely
+    /// blocks advances until `end_op`.)
     fn pin_at(&mut self, observed: u64) {
-        self.record().pin(observed);
+        self.record().pin(observed, self.strategy);
         let global = self.scheme.global_epoch.load();
         self.pin_epoch = global;
         self.pinned = true;
         // Pinning is also the natural point to free what previous epoch advances
-        // made safe (equivalent to crossbeam's collect-on-pin) — a constant-time
-        // bucket-tag check, not a walk of the limbo contents.
-        Self::collect(&mut self.core, &mut self.limbo, global);
+        // made safe (equivalent to crossbeam's collect-on-pin). Whatever entered
+        // limbo since the last collect is tagged with that collect's epoch or a
+        // newer one, so nothing can have matured while the epoch stood still.
+        if global != self.collected_at {
+            self.collected_at = global;
+            Self::collect(&mut self.core, &mut self.limbo, global);
+        }
     }
 
     /// Frees every limbo bucket whose tag is at least [`SAFE_EPOCH_GAP`] behind
     /// `global`, wholesale. O([`LIMBO_BUCKETS`]) bucket checks regardless of
-    /// limbo size — this runs on every pin, and usually frees nothing: the
-    /// reclaim pass (its clock reads and budget report) runs only when some
-    /// bucket has actually matured.
+    /// limbo size, and usually frees nothing: the reclaim pass (its clock reads
+    /// and budget report) runs only when some bucket has actually matured.
     fn collect(core: &mut HandleCore, limbo: &mut [EpochChain; LIMBO_BUCKETS], global: u64) {
         let mut any_matured = false;
         for chain in limbo.iter() {
@@ -290,8 +362,8 @@ impl EbrHandle {
 
 impl SmrHandle for EbrHandle {
     fn begin_op(&mut self) {
-        // Pin: observe the global epoch and announce it together with the active
-        // flag. This store-per-operation is EBR's hot-path cost.
+        // Pin: observe the global epoch and announce it. This store per
+        // operation (and `end_op`'s) is EBR's hot-path cost.
         self.pin_at(self.scheme.global_epoch.load());
     }
 
@@ -362,8 +434,16 @@ impl SmrHandle for EbrHandle {
         // operations), so unpin defensively.
         self.record().unpin();
         self.pinned = false;
-        for _ in 0..2 * SAFE_EPOCH_GAP {
-            self.scheme.try_advance();
+        // As far as the youngest chain needs and no further: with nothing in
+        // limbo there is nothing to prove, and an advance may cost a barrier.
+        let held = self.limbo.iter().filter(|chain| !chain.bag.is_empty());
+        if let Some(youngest) = held.map(|chain| chain.epoch).max() {
+            for _ in 0..2 * SAFE_EPOCH_GAP {
+                if self.scheme.global_epoch.load() >= youngest + SAFE_EPOCH_GAP {
+                    break;
+                }
+                self.scheme.try_advance();
+            }
         }
         let global = self.scheme.global_epoch.load();
         Self::collect(&mut self.core, &mut self.limbo, global);
@@ -398,6 +478,7 @@ impl Drop for EbrHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::under_both_protocols;
     use reclaim_core::retire_box;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -412,157 +493,313 @@ mod tests {
         Box::into_raw(Box::new(Tracked(Arc::clone(drops))))
     }
 
+    /// (`heavy_barriers`, `heavy_barrier_failures`) of the scheme so far.
+    fn barriers(scheme: &Ebr) -> (u64, u64) {
+        let snap = scheme.stats();
+        (snap.heavy_barriers, snap.heavy_barrier_failures)
+    }
+
+    #[test]
+    fn new_runs_the_detected_protocol() {
+        let scheme = Ebr::with_defaults();
+        println!("ebr fence strategy: {}", scheme.fence_strategy().name());
+        assert_eq!(scheme.fence_strategy(), FenceStrategy::detect());
+    }
+
+    #[test]
+    fn an_advance_pays_one_barrier_and_a_refused_one_advances_nothing() {
+        // Named, not detected: where the kernel has no expedited command every
+        // barrier is refused, and this is the refusal test.
+        let scheme = Ebr::with_fence_strategy(SmrConfig::default(), FenceStrategy::ScannerBarrier);
+        let works = fence::expedited_barrier();
+        let mut handle = scheme.register();
+        // SAFETY: the pointer comes fresh from `Box::into_raw` and is retired exactly once.
+        unsafe { retire_box(&mut handle, Box::into_raw(Box::new(0u64))) };
+        assert_eq!(scheme.try_advance(), works);
+        assert_eq!(scheme.current_epoch(), u64::from(works));
+        assert_eq!(barriers(&scheme), (1, u64::from(!works)));
+        handle.flush();
+        let snap = scheme.stats();
+        assert_eq!(snap.freed, u64::from(works), "refused: nothing is freed");
+        assert_eq!(
+            snap.heavy_barrier_failures,
+            if works { 0 } else { snap.heavy_barriers }
+        );
+    }
+
+    #[test]
+    fn reader_fenced_advances_issue_no_barrier_and_run_at_the_unbatched_cadence() {
+        use reclaim_core::fence::ProcessBarrier;
+        // What `new` selects when the probe or the registration fails.
+        for refused in [ProcessBarrier::Global, ProcessBarrier::LocalFence] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let strategy = FenceStrategy::for_barrier(refused);
+            let config = SmrConfig::default().with_scan_threshold(10);
+            let scheme = Ebr::with_fence_strategy(config, strategy);
+            let mut handle = scheme.register();
+            for _ in 0..30 {
+                handle.begin_op();
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+                handle.end_op();
+            }
+            assert_eq!(scheme.current_epoch(), 3, "an advance every 10 retires");
+            drop(handle);
+            assert_eq!(barriers(&scheme), (0, 0));
+            assert_eq!(drops.load(Ordering::SeqCst), 30);
+        }
+    }
+
+    #[test]
+    fn a_visibly_stale_pin_blocks_advances_before_they_reach_the_barrier() {
+        under_both_protocols(|strategy| {
+            let scheme =
+                Ebr::with_fence_strategy(SmrConfig::default().with_max_threads(2), strategy);
+            let mut stalled = scheme.register();
+            stalled.begin_op();
+            assert!(scheme.try_advance(), "the pin has observed this epoch");
+            let before = barriers(&scheme);
+            for _ in 0..100 {
+                assert!(!scheme.try_advance());
+            }
+            assert_eq!(
+                barriers(&scheme),
+                before,
+                "{strategy:?}: a walk each, no syscall"
+            );
+            stalled.end_op();
+            assert!(scheme.try_advance());
+        });
+    }
+
+    #[test]
+    fn a_flush_with_nothing_in_limbo_advances_nothing() {
+        under_both_protocols(|strategy| {
+            let scheme = Ebr::with_fence_strategy(SmrConfig::default(), strategy);
+            let mut handle = scheme.register();
+            handle.begin_op();
+            handle.end_op();
+            handle.flush();
+            drop(handle);
+            assert_eq!(scheme.current_epoch(), 0);
+            assert_eq!(barriers(&scheme), (0, 0));
+        });
+    }
+
+    #[test]
+    fn pins_at_an_unchanged_epoch_check_no_bucket_and_a_moved_epoch_drains_on_the_next_pin() {
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let config = SmrConfig::default().with_scan_threshold(1_000_000);
+            let scheme = Ebr::with_fence_strategy(config, strategy);
+            let mut handle = scheme.register();
+            handle.begin_op();
+            for _ in 0..10 {
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+            }
+            handle.end_op();
+            let dispatch = |scheme: &Ebr| {
+                let snap = scheme.stats();
+                (snap.scans, snap.scan_skips, snap.scan_wholesale)
+            };
+            let before = dispatch(&scheme);
+            for _ in 0..1_000 {
+                handle.begin_op();
+                handle.end_op();
+            }
+            assert_eq!(
+                dispatch(&scheme),
+                before,
+                "{strategy:?}: a non-empty young bucket"
+            );
+            // Each moved epoch is looked at once, by the next pin.
+            for advance in 1..=SAFE_EPOCH_GAP {
+                assert!(scheme.try_advance());
+                handle.begin_op();
+                handle.end_op();
+                let matured = advance == SAFE_EPOCH_GAP;
+                assert_eq!(drops.load(Ordering::SeqCst), if matured { 10 } else { 0 });
+            }
+            let (scans, skips, wholesale) = dispatch(&scheme);
+            assert_eq!(
+                (scans, skips, wholesale),
+                (before.0, before.1 + SAFE_EPOCH_GAP - 1, before.2 + 1)
+            );
+        });
+    }
+
     #[test]
     fn epoch_advances_even_with_an_idle_registered_thread() {
-        let scheme = Ebr::new(SmrConfig::default().with_max_threads(2));
-        let mut a = scheme.register();
-        let _b = scheme.register(); // registered but idle: must not block
-        let start = scheme.current_epoch();
-        for _ in 0..4 {
-            a.begin_op();
-            a.end_op();
-            scheme.try_advance();
-        }
-        assert!(scheme.current_epoch() > start);
+        under_both_protocols(|strategy| {
+            let scheme =
+                Ebr::with_fence_strategy(SmrConfig::default().with_max_threads(2), strategy);
+            let mut a = scheme.register();
+            let _b = scheme.register(); // registered but idle: must not block
+            let start = scheme.current_epoch();
+            for _ in 0..4 {
+                a.begin_op();
+                a.end_op();
+                scheme.try_advance();
+            }
+            assert!(scheme.current_epoch() > start);
+        });
     }
 
     #[test]
     fn a_thread_pinned_at_an_old_epoch_blocks_advancement() {
-        let scheme = Ebr::new(SmrConfig::default().with_max_threads(2));
-        let mut stuck = scheme.register();
-        let mut active = scheme.register();
-        stuck.begin_op(); // pins at the current epoch and never unpins
-        let pinned_epoch = scheme.current_epoch();
-        // The active thread can advance at most once (past the epoch the stuck
-        // thread has already observed), then stalls.
-        for _ in 0..10 {
-            active.begin_op();
-            active.end_op();
-            scheme.try_advance();
-        }
-        assert!(scheme.current_epoch() <= pinned_epoch + 1);
-        stuck.end_op();
-        for _ in 0..4 {
-            active.begin_op();
-            active.end_op();
-            scheme.try_advance();
-        }
-        assert!(scheme.current_epoch() > pinned_epoch + 1);
+        under_both_protocols(|strategy| {
+            let scheme =
+                Ebr::with_fence_strategy(SmrConfig::default().with_max_threads(2), strategy);
+            let mut stuck = scheme.register();
+            let mut active = scheme.register();
+            stuck.begin_op(); // pins at the current epoch and never unpins
+            let pinned_epoch = scheme.current_epoch();
+            // The active thread can advance at most once (past the epoch the stuck
+            // thread has already observed), then stalls.
+            for _ in 0..10 {
+                active.begin_op();
+                active.end_op();
+                scheme.try_advance();
+            }
+            assert!(scheme.current_epoch() <= pinned_epoch + 1);
+            stuck.end_op();
+            for _ in 0..4 {
+                active.begin_op();
+                active.end_op();
+                scheme.try_advance();
+            }
+            assert!(scheme.current_epoch() > pinned_epoch + 1);
+        });
     }
 
     #[test]
     fn single_thread_reclaims_everything_on_flush() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(SmrConfig::default().with_scan_threshold(4));
-        let mut handle = scheme.register();
-        for _ in 0..100 {
-            handle.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut handle, tracked(&drops)) };
-            handle.end_op();
-        }
-        handle.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 100);
-        let snap = scheme.stats();
-        assert_eq!(snap.retired, 100);
-        assert_eq!(snap.freed, 100);
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme =
+                Ebr::with_fence_strategy(SmrConfig::default().with_scan_threshold(4), strategy);
+            let mut handle = scheme.register();
+            for _ in 0..100 {
+                handle.begin_op();
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+                handle.end_op();
+            }
+            handle.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 100);
+            let snap = scheme.stats();
+            assert_eq!(snap.retired, 100);
+            assert_eq!(snap.freed, 100);
+        });
     }
 
     #[test]
     fn an_idle_registered_thread_does_not_block_reclamation() {
-        // The behavioural difference from QSBR: a registered thread that never
-        // operates (and therefore never quiesces in QSBR terms) does not stop EBR
-        // from reclaiming.
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(
-            SmrConfig::default()
-                .with_max_threads(2)
-                .with_scan_threshold(1),
-        );
-        let _idle = scheme.register();
-        let mut worker = scheme.register();
-        for _ in 0..100 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        worker.flush();
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            100,
-            "an idle thread must not block EBR"
-        );
+        under_both_protocols(|strategy| {
+            // The behavioural difference from QSBR: a registered thread that never
+            // operates (and therefore never quiesces in QSBR terms) does not stop EBR
+            // from reclaiming.
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = Ebr::with_fence_strategy(
+                SmrConfig::default()
+                    .with_max_threads(2)
+                    .with_scan_threshold(1),
+                strategy,
+            );
+            let _idle = scheme.register();
+            let mut worker = scheme.register();
+            for _ in 0..100 {
+                worker.begin_op();
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut worker, tracked(&drops)) };
+                worker.end_op();
+            }
+            worker.flush();
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                100,
+                "an idle thread must not block EBR"
+            );
+        });
     }
 
     #[test]
     fn a_thread_stalled_mid_operation_blocks_reclamation() {
-        // ... but a thread delayed *inside* an operation does block it — EBR is not
-        // robust in the paper's sense, which is why QSense still needs Cadence.
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(
-            SmrConfig::default()
-                .with_max_threads(2)
-                .with_scan_threshold(1),
-        );
-        let mut stalled = scheme.register();
-        stalled.begin_op(); // never ends its operation
-        let mut worker = scheme.register();
-        for _ in 0..100 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        worker.flush();
-        // The epoch can advance at most once past the stalled pin, so nothing the
-        // worker retired can have aged by the required two epochs.
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
-            "a mid-operation stall must block reclamation"
-        );
-        assert_eq!(worker.local_in_limbo(), 100);
-        stalled.end_op();
-        worker.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 100);
+        under_both_protocols(|strategy| {
+            // ... but a thread delayed *inside* an operation does block it — EBR is not
+            // robust in the paper's sense, which is why QSense still needs Cadence.
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = Ebr::with_fence_strategy(
+                SmrConfig::default()
+                    .with_max_threads(2)
+                    .with_scan_threshold(1),
+                strategy,
+            );
+            let mut stalled = scheme.register();
+            stalled.begin_op(); // never ends its operation
+            let mut worker = scheme.register();
+            for _ in 0..100 {
+                worker.begin_op();
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut worker, tracked(&drops)) };
+                worker.end_op();
+            }
+            worker.flush();
+            // The epoch can advance at most once past the stalled pin, so nothing the
+            // worker retired can have aged by the required three (`SAFE_EPOCH_GAP`).
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                0,
+                "a mid-operation stall must block reclamation"
+            );
+            assert_eq!(worker.local_in_limbo(), 100);
+            stalled.end_op();
+            worker.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 100);
+        });
     }
 
     #[test]
     fn nodes_are_never_freed_before_three_epoch_advances_past_their_pin_tag() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(SmrConfig::default().with_scan_threshold(1_000_000));
-        let mut handle = scheme.register();
-        handle.begin_op();
-        let tag = scheme.current_epoch();
-        for _ in 0..10 {
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut handle, tracked(&drops)) };
-        }
-        // Still pinned, no advance attempted: nothing may have been freed.
-        assert_eq!(drops.load(Ordering::SeqCst), 0);
-        assert_eq!(handle.local_in_limbo(), 10);
-        handle.end_op();
-        // Nodes are tagged with the *pin-time* epoch, which can lag the global
-        // at unlink time by one — so even two advances are not enough: a reader
-        // pinned at `tag + 1` since before the unlink never blocks them (the
-        // use-after-free a SAFE_EPOCH_GAP of 2 would reintroduce).
-        for expected_gap in 1..SAFE_EPOCH_GAP {
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = Ebr::with_fence_strategy(
+                SmrConfig::default().with_scan_threshold(1_000_000),
+                strategy,
+            );
+            let mut handle = scheme.register();
+            handle.begin_op();
+            let tag = scheme.current_epoch();
+            for _ in 0..10 {
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+            }
+            // Still pinned, no advance attempted: nothing may have been freed.
+            assert_eq!(drops.load(Ordering::SeqCst), 0);
+            assert_eq!(handle.local_in_limbo(), 10);
+            handle.end_op();
+            // Nodes are tagged with the *pin-time* epoch, which can lag the global
+            // at unlink time by one — so even two advances are not enough: a reader
+            // pinned at `tag + 1` since before the unlink never blocks them (the
+            // use-after-free a SAFE_EPOCH_GAP of 2 would reintroduce).
+            for expected_gap in 1..SAFE_EPOCH_GAP {
+                assert!(scheme.try_advance());
+                handle.begin_op();
+                handle.end_op();
+                assert_eq!(
+                    drops.load(Ordering::SeqCst),
+                    0,
+                    "freed after only {expected_gap} advance(s) past the pin tag"
+                );
+            }
+            // The third advance completes the grace period.
             assert!(scheme.try_advance());
+            assert_eq!(scheme.current_epoch(), tag + SAFE_EPOCH_GAP);
             handle.begin_op();
             handle.end_op();
-            assert_eq!(
-                drops.load(Ordering::SeqCst),
-                0,
-                "freed after only {expected_gap} advance(s) past the pin tag"
-            );
-        }
-        // The third advance completes the grace period.
-        assert!(scheme.try_advance());
-        assert_eq!(scheme.current_epoch(), tag + SAFE_EPOCH_GAP);
-        handle.begin_op();
-        handle.end_op();
-        assert_eq!(drops.load(Ordering::SeqCst), 10);
+            assert_eq!(drops.load(Ordering::SeqCst), 10);
+        });
     }
 
     /// The `SmrHandle::retire` contract allows retiring outside an operation;
@@ -570,43 +807,46 @@ mod tests {
     /// epoch (which would free them while a current reader is still pinned).
     #[test]
     fn out_of_op_retires_use_a_fresh_epoch_tag() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(
-            SmrConfig::default()
-                .with_max_threads(2)
-                .with_scan_threshold(1_000_000),
-        );
-        let mut idle = scheme.register();
-        // Cache a pin epoch, then go idle while the epoch moves far past it.
-        idle.begin_op();
-        idle.end_op();
-        let stale_tag = scheme.current_epoch();
-        let mut reader = scheme.register();
-        for _ in 0..SAFE_EPOCH_GAP + 1 {
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = Ebr::with_fence_strategy(
+                SmrConfig::default()
+                    .with_max_threads(2)
+                    .with_scan_threshold(1_000_000),
+                strategy,
+            );
+            let mut idle = scheme.register();
+            // Cache a pin epoch, then go idle while the epoch moves far past it.
+            idle.begin_op();
+            idle.end_op();
+            let stale_tag = scheme.current_epoch();
+            let mut reader = scheme.register();
+            for _ in 0..SAFE_EPOCH_GAP + 1 {
+                reader.begin_op();
+                reader.end_op();
+                assert!(scheme.try_advance());
+            }
+            assert!(scheme.current_epoch() > stale_tag + SAFE_EPOCH_GAP);
+            // The reader pins at the current epoch and keeps holding references.
             reader.begin_op();
+            // Out-of-op retire on the idle handle (legal per the trait contract).
+            // Tagging with the stale cached epoch would make the node immediately
+            // "old enough" and free it under the still-pinned reader.
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(&mut idle, tracked(&drops)) };
+            idle.begin_op();
+            idle.end_op();
+            idle.flush();
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                0,
+                "out-of-op retire must not be freed while a current reader is pinned"
+            );
+            assert_eq!(idle.local_in_limbo(), 1);
             reader.end_op();
-            assert!(scheme.try_advance());
-        }
-        assert!(scheme.current_epoch() > stale_tag + SAFE_EPOCH_GAP);
-        // The reader pins at the current epoch and keeps holding references.
-        reader.begin_op();
-        // Out-of-op retire on the idle handle (legal per the trait contract).
-        // Tagging with the stale cached epoch would make the node immediately
-        // "old enough" and free it under the still-pinned reader.
-        // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-        unsafe { retire_box(&mut idle, tracked(&drops)) };
-        idle.begin_op();
-        idle.end_op();
-        idle.flush();
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
-            "out-of-op retire must not be freed while a current reader is pinned"
-        );
-        assert_eq!(idle.local_in_limbo(), 1);
-        reader.end_op();
-        idle.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+            idle.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
     }
 
     /// A thread held up between loading the global epoch and publishing its
@@ -615,79 +855,87 @@ mod tests {
     /// look a full grace period old the moment they are retired.
     #[test]
     fn a_pin_published_late_does_not_tag_retires_with_the_stale_epoch() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(
-            SmrConfig::default()
-                .with_max_threads(2)
-                .with_scan_threshold(1_000_000),
-        );
-        let mut late = scheme.register();
-        let mut reader = scheme.register();
-        // `late` loads the epoch and stalls; nothing is pinned, so the epoch
-        // runs ahead of what it saw.
-        let observed = scheme.current_epoch();
-        for _ in 0..SAFE_EPOCH_GAP + 1 {
-            assert!(scheme.try_advance());
-        }
-        // A current reader pins and holds the node `late` then unlinks.
-        reader.begin_op();
-        late.pin_at(observed);
-        // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-        unsafe { retire_box(&mut late, tracked(&drops)) };
-        late.end_op();
-        // `late` moves on; each of these collects what looks matured.
-        late.begin_op();
-        late.end_op();
-        late.flush();
-        assert_eq!(
-            drops.load(Ordering::SeqCst),
-            0,
-            "freed under a reader pinned since before the unlink"
-        );
-        assert_eq!(late.local_in_limbo(), 1);
-        reader.end_op();
-        late.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = Ebr::with_fence_strategy(
+                SmrConfig::default()
+                    .with_max_threads(2)
+                    .with_scan_threshold(1_000_000),
+                strategy,
+            );
+            let mut late = scheme.register();
+            let mut reader = scheme.register();
+            // `late` loads the epoch and stalls; nothing is pinned, so the epoch
+            // runs ahead of what it saw.
+            let observed = scheme.current_epoch();
+            for _ in 0..SAFE_EPOCH_GAP + 1 {
+                assert!(scheme.try_advance());
+            }
+            // A current reader pins and holds the node `late` then unlinks.
+            reader.begin_op();
+            late.pin_at(observed);
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(&mut late, tracked(&drops)) };
+            late.end_op();
+            // `late` moves on; each of these collects what looks matured.
+            late.begin_op();
+            late.end_op();
+            late.flush();
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                0,
+                "freed under a reader pinned since before the unlink"
+            );
+            assert_eq!(late.local_in_limbo(), 1);
+            reader.end_op();
+            late.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
     }
 
     #[test]
     fn concurrent_workers_reclaim_everything_by_scheme_drop() {
-        use std::thread;
-        let drops = Arc::new(AtomicUsize::new(0));
-        let total = Arc::new(AtomicUsize::new(0));
-        let scheme = Ebr::new(
-            SmrConfig::default()
-                .with_max_threads(4)
-                .with_scan_threshold(16),
-        );
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let scheme = Arc::clone(&scheme);
-                let drops = Arc::clone(&drops);
-                let total = Arc::clone(&total);
-                thread::spawn(move || {
-                    let mut handle = scheme.register();
-                    for _ in 0..500 {
-                        handle.begin_op();
-                        // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-                        unsafe { retire_box(&mut handle, tracked(&drops)) };
-                        total.fetch_add(1, Ordering::SeqCst);
-                        handle.end_op();
-                    }
+        under_both_protocols(|strategy| {
+            use std::thread;
+            let drops = Arc::new(AtomicUsize::new(0));
+            let total = Arc::new(AtomicUsize::new(0));
+            let scheme = Ebr::with_fence_strategy(
+                SmrConfig::default()
+                    .with_max_threads(4)
+                    .with_scan_threshold(16),
+                strategy,
+            );
+            let threads: Vec<_> = (0..4)
+                .map(|_| {
+                    let scheme = Arc::clone(&scheme);
+                    let drops = Arc::clone(&drops);
+                    let total = Arc::clone(&total);
+                    thread::spawn(move || {
+                        let mut handle = scheme.register();
+                        for _ in 0..500 {
+                            handle.begin_op();
+                            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                            unsafe { retire_box(&mut handle, tracked(&drops)) };
+                            total.fetch_add(1, Ordering::SeqCst);
+                            handle.end_op();
+                        }
+                    })
                 })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        drop(scheme);
-        assert_eq!(drops.load(Ordering::SeqCst), total.load(Ordering::SeqCst));
+                .collect();
+            for t in threads {
+                t.join().unwrap();
+            }
+            drop(scheme);
+            assert_eq!(drops.load(Ordering::SeqCst), total.load(Ordering::SeqCst));
+        });
     }
 
     #[test]
     fn scheme_reports_name_and_config() {
-        let scheme = Ebr::with_defaults();
-        assert_eq!(scheme.name(), "ebr");
-        assert!(scheme.config().max_threads >= 1);
+        under_both_protocols(|strategy| {
+            let scheme = Ebr::with_fence_strategy(SmrConfig::default(), strategy);
+            assert_eq!(scheme.name(), "ebr");
+            assert!(scheme.config().max_threads >= 1);
+        });
     }
 }

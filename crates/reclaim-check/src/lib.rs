@@ -14,10 +14,11 @@
 //!   (list/skiplist/bst unlink windows, queue/stack ABA windows) under every
 //!   reclamation scheme: 5 × 8 cells the CI `check` job explores clean.
 //! * [`litmus`] — what the explorer, sequentially consistent as it is, cannot
-//!   see: the hazard-pointer publish/scan race on an abstract two-thread
-//!   machine with store buffers, enumerated exhaustively. It is the check
-//!   behind classic HP's choice of where to pay its fence
-//!   (`reclaim_core::fence`).
+//!   see: the race between publishing a reservation and the scan that reads
+//!   it, on abstract machines with store buffers, enumerated exhaustively —
+//!   one row for the hazard-pointer publish/scan race, one for EBR's pin
+//!   against the epoch advance. It is the check behind where classic HP and
+//!   EBR pay their fence (`reclaim_core::fence`).
 //! * [`fixture`] *(feature `check-oracle`)* — the pre-versioned-link skip
 //!   list linking bug resurrected in a two-level model, proving the explorer
 //!   finds the historical re-link UAF without a hand-written schedule.

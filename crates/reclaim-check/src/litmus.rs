@@ -1,16 +1,20 @@
-//! Store-buffer litmus for the hazard-pointer publish/scan race.
+//! Store-buffer litmus for the reservation publish/scan races.
 //!
 //! The [`explorer`](crate::explorer) runs real code under a sequentially
 //! consistent scheduler, so it cannot see the one failure classic hazard
-//! pointers are built around: a publication still sitting in the reader's
-//! store buffer when the scanner takes its snapshot. This module checks that
-//! window on an abstract machine instead — two threads, one node, total store
-//! order:
+//! pointers — and epoch pins — are built around: a publication still sitting
+//! in the reader's store buffer when the scanner reads the reservations. This
+//! module checks that window on abstract machines instead, one row per
+//! protocol `reclaim_core::fence` serves, all under total store order and the
+//! same four fence placements ([`Protocol`]). This file holds the driver
+//! ([`Model`], [`explore`]) and the hazard-pointer row — two threads, one node:
 //!
 //! ```text
 //! reader:   load link → publish hp → [fence] → validate link → use node → clear hp
 //! scanner:  unlink → retire → [barrier] → snapshot hp → [barrier] → free if absent
 //! ```
+//!
+//! [`epoch`] holds EBR's pin/advance row.
 //!
 //! Each thread has a FIFO store buffer: a store enters its own thread's buffer
 //! and reaches memory in a later, separately schedulable *flush* step; loads
@@ -29,25 +33,32 @@
 //! the reader uses the node after the scanner freed it.
 //!
 //! What this does not cover: memory models weaker than TSO (a relaxed mode is
-//! ROADMAP item 4's next slice), more than one reader or node, and whether the
-//! code issues the instructions the model says it does.
+//! ROADMAP direction 2's next slice), more than one reader or node, and whether
+//! the code issues the instructions the model says it does.
+
+pub mod epoch;
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;
+use std::hash::Hash;
 
-/// Where the scanner issues its process-wide barrier, if at all.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// Where the scanner issues its process-wide barrier, if at all. "Snapshot" is
+/// the scanner's read of the reservations: HP's hazard-pointer snapshot, EBR's
+/// walk over the pin records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ScannerBarrier {
     /// No barrier: the scan relies on the readers' own fences.
     None,
-    /// Between the retire and the snapshot — the scanner-barrier protocol.
+    /// Between the scanner's own store or load (HP's retire, EBR's epoch load)
+    /// and the snapshot — the scanner-barrier protocol.
     BeforeSnapshot,
-    /// Between the snapshot and the free — the tempting wrong place.
+    /// After the snapshot, before acting on it — the tempting wrong place.
     AfterSnapshot,
 }
 
-/// One way of paying for the fence between publication and validation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// One way of paying for the fence between a publication and the publisher's
+/// next load.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Protocol {
     /// The reader issues a full fence after publishing (the paper's protocol).
     pub reader_fence: bool,
@@ -110,11 +121,36 @@ impl fmt::Display for Step {
     }
 }
 
-/// The machine. `Option<Step>` program counters: `None` is "finished". The
-/// scanner buffers nothing — its only shared store is the CAS — so only the
-/// reader's buffer is state.
+/// The violation every row looks for: the reader dereferenced the node after it
+/// was freed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UseAfterFree;
+
+/// An abstract machine [`explore`] can enumerate: a state, the steps
+/// schedulable in it, and the two outcomes a verdict counts.
+pub trait Model: Clone + Eq + Hash {
+    /// One schedulable step.
+    type Step: Copy;
+
+    /// Every step schedulable in this state; none when the run is finished.
+    fn enabled(&self) -> impl Iterator<Item = Self::Step> + '_;
+
+    /// Executes `step`.
+    fn execute(&mut self, step: Self::Step) -> Result<(), UseAfterFree>;
+
+    /// The reader dereferenced the node.
+    fn used(&self) -> bool;
+
+    /// The node was freed.
+    fn freed(&self) -> bool;
+}
+
+/// The hazard-pointer machine. `Option<Step>` program counters: `None` is
+/// "finished". The scanner buffers nothing — its only shared store is the CAS —
+/// so only the reader's buffer is state.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct Machine {
+    protocol: Protocol,
     /// Memory: the link still points at the node; the slot holds the node.
     linked: bool,
     hp_in_memory: bool,
@@ -131,8 +167,9 @@ struct Machine {
 }
 
 impl Machine {
-    fn start() -> Self {
+    fn start(protocol: Protocol) -> Self {
         Self {
+            protocol,
             linked: true,
             hp_in_memory: false,
             freed: false,
@@ -145,7 +182,16 @@ impl Machine {
         }
     }
 
-    /// Every step schedulable in this state.
+    fn flush_one(&mut self) {
+        if let Some(value) = self.reader_buffer.pop_front() {
+            self.hp_in_memory = value;
+        }
+    }
+}
+
+impl Model for Machine {
+    type Step = Step;
+
     fn enabled(&self) -> impl Iterator<Item = Step> + '_ {
         let reader = self
             .reader_next
@@ -158,15 +204,9 @@ impl Machine {
         [reader, scanner, flush, interrupt].into_iter().flatten()
     }
 
-    fn flush_one(&mut self) {
-        if let Some(value) = self.reader_buffer.pop_front() {
-            self.hp_in_memory = value;
-        }
-    }
-
-    /// Executes `step`. Err: the reader used freed memory.
-    fn execute(&mut self, step: Step, protocol: Protocol) -> Result<(), ()> {
+    fn execute(&mut self, step: Step) -> Result<(), UseAfterFree> {
         use ScannerBarrier::{AfterSnapshot, BeforeSnapshot};
+        let protocol = self.protocol;
         match step {
             Step::LoadLink => {
                 self.reader_next = self.linked.then_some(Step::Publish);
@@ -185,7 +225,7 @@ impl Machine {
             }
             Step::Use => {
                 if self.freed {
-                    return Err(());
+                    return Err(UseAfterFree);
                 }
                 self.used = true;
                 self.reader_next = Some(Step::Clear);
@@ -236,19 +276,23 @@ impl Machine {
         Ok(())
     }
 
-    fn finished(&self) -> bool {
-        self.enabled().next().is_none()
+    fn used(&self) -> bool {
+        self.used
+    }
+
+    fn freed(&self) -> bool {
+        self.freed
     }
 }
 
-/// What [`check`] found.
+/// What [`explore`] found.
 #[derive(Clone, Debug)]
-pub struct Verdict {
+pub struct Verdict<S = Step> {
     /// Distinct machine states reached.
     pub states: usize,
-    /// The shortest schedule in which the reader uses the node after the
-    /// scanner freed it; `None` is a clean verdict.
-    pub violation: Option<Vec<Step>>,
+    /// The shortest schedule in which the reader uses the node after it was
+    /// freed; `None` is a clean verdict.
+    pub violation: Option<Vec<S>>,
     /// Finished executions (as distinct final states) in which the reader
     /// used the node, and in which the scanner freed it. A clean verdict in
     /// which either is zero would be a model that cannot fail.
@@ -257,7 +301,7 @@ pub struct Verdict {
     pub finished_with_free: usize,
 }
 
-impl Verdict {
+impl<S: fmt::Display> Verdict<S> {
     /// No interleaving reaches a use after free.
     pub fn is_clean(&self) -> bool {
         self.violation.is_none()
@@ -272,12 +316,19 @@ impl Verdict {
     }
 }
 
-/// Enumerates every interleaving of `protocol`'s reader and scanner.
+/// Enumerates every interleaving of `protocol`'s hazard-pointer reader and
+/// scanner.
 pub fn check(protocol: Protocol) -> Verdict {
-    // Breadth-first, with the step and predecessor that first reached each
+    explore(Machine::start(protocol))
+}
+
+/// Enumerates every schedule of `start`'s machine.
+pub fn explore<M: Model>(start: M) -> Verdict<M::Step> {
+    // Breadth-first, with the predecessor and step that first reached each
     // state, so a violation's schedule can be read back and is a shortest one.
-    let mut reached: Vec<(Machine, Option<(usize, Step)>)> = vec![(Machine::start(), None)];
-    let mut seen: HashSet<Machine> = HashSet::from([Machine::start()]);
+    let mut seen: HashSet<M> = HashSet::from([start.clone()]);
+    let mut reached: Vec<M> = vec![start];
+    let mut reached_by: Vec<Option<(usize, M::Step)>> = vec![None];
     let mut verdict = Verdict {
         states: 0,
         violation: None,
@@ -286,17 +337,17 @@ pub fn check(protocol: Protocol) -> Verdict {
     };
     let mut next = 0;
     while next < reached.len() {
-        let machine = reached[next].0.clone();
-        if machine.finished() {
-            verdict.finished_with_use += usize::from(machine.used);
-            verdict.finished_with_free += usize::from(machine.freed);
+        let machine = reached[next].clone();
+        if machine.enabled().next().is_none() {
+            verdict.finished_with_use += usize::from(machine.used());
+            verdict.finished_with_free += usize::from(machine.freed());
         }
         for step in machine.enabled() {
             let mut successor = machine.clone();
-            if successor.execute(step, protocol).is_err() {
+            if successor.execute(step).is_err() {
                 let mut schedule = vec![step];
                 let mut at = next;
-                while let Some((previous, step)) = reached[at].1 {
+                while let Some((previous, step)) = reached_by[at] {
                     schedule.push(step);
                     at = previous;
                 }
@@ -306,7 +357,8 @@ pub fn check(protocol: Protocol) -> Verdict {
                 return verdict;
             }
             if seen.insert(successor.clone()) {
-                reached.push((successor, Some((next, step))));
+                reached.push(successor);
+                reached_by.push(Some((next, step)));
             }
         }
         next += 1;
@@ -325,22 +377,22 @@ mod tests {
             reader_fence: true,
             scanner_barrier: ScannerBarrier::BeforeSnapshot,
         };
-        let mut machine = Machine::start();
-        machine.execute(Step::LoadLink, protocol).unwrap();
-        machine.execute(Step::Publish, protocol).unwrap();
+        let mut machine = Machine::start(protocol);
+        machine.execute(Step::LoadLink).unwrap();
+        machine.execute(Step::Publish).unwrap();
         assert!(!machine.hp_in_memory, "the store is buffered");
         assert!(
             !machine.enabled().any(|step| step == Step::ReaderFence),
             "the fence cannot pass a non-empty buffer"
         );
         for step in [Step::Unlink, Step::Retire, Step::BarrierEnter] {
-            machine.execute(step, protocol).unwrap();
+            machine.execute(step).unwrap();
         }
         assert!(
             !machine.enabled().any(|step| step == Step::BarrierReturn),
             "the barrier cannot return before its interrupt landed"
         );
-        machine.execute(Step::Interrupt, protocol).unwrap();
+        machine.execute(Step::Interrupt).unwrap();
         assert!(machine.hp_in_memory && machine.reader_buffer.is_empty());
         let enabled: Vec<Step> = machine.enabled().collect();
         assert_eq!(enabled, [Step::ReaderFence, Step::BarrierReturn]);
@@ -354,7 +406,7 @@ mod tests {
         };
         // Reader first, buffer flushed as it goes: the scanner sees the slot
         // cleared again and frees after the use.
-        let mut machine = Machine::start();
+        let mut machine = Machine::start(protocol);
         for step in [
             Step::LoadLink,
             Step::Publish,
@@ -369,8 +421,8 @@ mod tests {
             Step::FreeIfAbsent,
         ] {
             assert!(machine.enabled().any(|enabled| enabled == step), "{step}");
-            machine.execute(step, protocol).unwrap();
+            machine.execute(step).unwrap();
         }
-        assert!(machine.finished() && machine.used && machine.freed);
+        assert!(machine.enabled().next().is_none() && machine.used && machine.freed);
     }
 }

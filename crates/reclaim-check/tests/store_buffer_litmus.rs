@@ -1,22 +1,35 @@
-//! Acceptance for classic HP's fence placement (`reclaim_core::fence`): the
-//! four verdicts of the store-buffer litmus. The two protocols `hazard` runs
-//! must be clean; the protocol with no fence anywhere, and the one with the
-//! scanner's barrier on the wrong side of its snapshot, must be convicted —
-//! so a clean verdict is not the model being unable to fail.
+//! Acceptance for where classic HP and EBR pay the fence behind a reservation
+//! (`reclaim_core::fence`): the four verdicts of each row of the store-buffer
+//! litmus. The two protocols the schemes run must be clean; the protocol with
+//! no fence anywhere, and the one with the scanner's barrier on the wrong side
+//! of its read of the reservations, must be convicted — so a clean verdict is
+//! not the model being unable to fail.
 
-use reclaim_check::litmus::{check, Protocol, ScannerBarrier, Step};
+use reclaim_check::litmus::{self, epoch, Protocol, ScannerBarrier, Step, Verdict};
 use reclaim_core::fence::{FenceStrategy, ProcessBarrier};
+use std::fmt::Display;
 
-fn verdict_for(
+/// `ebr`'s `SAFE_EPOCH_GAP`.
+const EBR_GAP: u64 = 3;
+
+/// The two placements the schemes run, by `FenceStrategy`.
+const SHIPPED: [(bool, ScannerBarrier); 2] = [
+    (true, ScannerBarrier::None),
+    (false, ScannerBarrier::BeforeSnapshot),
+];
+
+fn verdict_for<S: Display>(
+    row: &str,
     reader_fence: bool,
     scanner_barrier: ScannerBarrier,
-) -> reclaim_check::litmus::Verdict {
+    check: impl Fn(Protocol) -> Verdict<S>,
+) -> Verdict<S> {
     let verdict = check(Protocol {
         reader_fence,
         scanner_barrier,
     });
     println!(
-        "reader fence: {reader_fence}, scanner barrier: {scanner_barrier:?} -> {} ({} states)\n{}",
+        "{row}: reader fence: {reader_fence}, scanner barrier: {scanner_barrier:?} -> {} ({} states)\n{}",
         if verdict.is_clean() {
             "clean"
         } else {
@@ -28,17 +41,25 @@ fn verdict_for(
     verdict
 }
 
+fn assert_clean_with_both_outcomes<S: Display>(verdict: &Verdict<S>) {
+    assert!(verdict.is_clean(), "{}", verdict.schedule());
+    assert!(
+        verdict.finished_with_use > 0 && verdict.finished_with_free > 0,
+        "clean because both outcomes were explored, not because neither can happen"
+    );
+}
+
 #[test]
 fn the_four_fence_placements_get_their_verdicts() {
-    // Which of the two clean protocols this runner's HP actually executes —
-    // in the log, so a CI runner that silently falls back is visible.
+    // Which of the two clean protocols this runner's HP and EBR actually
+    // execute — in the log, so a CI runner that silently falls back is visible.
     println!(
-        "this kernel: {} -> hp fence strategy: {}",
+        "this kernel: {} -> hp and ebr fence strategy: {}",
         ProcessBarrier::detected().name(),
         FenceStrategy::detect().name()
     );
 
-    let unfenced = verdict_for(false, ScannerBarrier::None);
+    let unfenced = verdict_for("hp", false, ScannerBarrier::None, litmus::check);
     assert_eq!(
         unfenced.violation.as_deref(),
         Some(
@@ -56,19 +77,12 @@ fn the_four_fence_placements_get_their_verdicts() {
         "the shortest schedule: the publication never leaves the store buffer"
     );
 
-    for (reader_fence, scanner_barrier) in [
-        (true, ScannerBarrier::None),
-        (false, ScannerBarrier::BeforeSnapshot),
-    ] {
-        let verdict = verdict_for(reader_fence, scanner_barrier);
-        assert!(verdict.is_clean(), "{}", verdict.schedule());
-        assert!(
-            verdict.finished_with_use > 0 && verdict.finished_with_free > 0,
-            "clean because both outcomes were explored, not because neither can happen"
-        );
+    for (reader_fence, scanner_barrier) in SHIPPED {
+        let verdict = verdict_for("hp", reader_fence, scanner_barrier, litmus::check);
+        assert_clean_with_both_outcomes(&verdict);
     }
 
-    let late = verdict_for(false, ScannerBarrier::AfterSnapshot);
+    let late = verdict_for("hp", false, ScannerBarrier::AfterSnapshot, litmus::check);
     let schedule = late
         .violation
         .expect("a barrier after the snapshot proves nothing about it");
@@ -78,4 +92,59 @@ fn the_four_fence_placements_get_their_verdicts() {
         "the snapshot missed a publication the barrier then drained: {schedule:?}"
     );
     assert_eq!(schedule.last(), Some(&Step::Use));
+}
+
+#[test]
+fn the_four_fence_placements_of_an_epoch_pin_get_their_verdicts() {
+    use epoch::Step::{Advance, Flush, Free, Interrupt, Pin, Use, Walk};
+    use epoch::Thread::{Reader, Writer};
+    let ebr = |protocol| epoch::check(protocol, EBR_GAP);
+
+    let unfenced = verdict_for("ebr", false, ScannerBarrier::None, ebr);
+    let schedule = unfenced.violation.expect("nothing orders pin and walk");
+    assert!(
+        !schedule.contains(&Flush(Reader)),
+        "the shortest schedule: the reader's pin never leaves the store buffer: {schedule:?}"
+    );
+    let advances = schedule.iter().filter(|&&step| step == Advance).count();
+    assert_eq!(advances as u64, EBR_GAP, "{schedule:?}");
+    assert_eq!(schedule[schedule.len() - 2..], [Free, Use]);
+
+    for (reader_fence, scanner_barrier) in SHIPPED {
+        let verdict = verdict_for("ebr", reader_fence, scanner_barrier, ebr);
+        assert_clean_with_both_outcomes(&verdict);
+    }
+
+    // The barrier after the walk: each advance's barrier serves the *next*
+    // advance's walk, so a pin published since the previous barrier is missed
+    // once more than the bound allows — by the writer (its tag then lags the
+    // epoch at unlink time by two) and then by the reader.
+    let late = verdict_for("ebr", false, ScannerBarrier::AfterSnapshot, ebr);
+    let schedule = late
+        .violation
+        .expect("a barrier after the walk proves nothing about it");
+    let buffered_through_a_walk = |thread| {
+        let pinned = schedule.iter().position(|&step| step == Pin(thread));
+        schedule[pinned.expect("both threads pin")..]
+            .iter()
+            .take_while(|&&step| step != Flush(thread) && step != Interrupt(thread))
+            .any(|&step| step == Walk)
+    };
+    assert!(
+        buffered_through_a_walk(Writer) && buffered_through_a_walk(Reader),
+        "each pin was published after one advance's interrupt and missed by the next one's walk: {schedule:?}"
+    );
+    assert_eq!(schedule[schedule.len() - 2..], [Free, Use]);
+}
+
+#[test]
+fn a_gap_of_two_is_convicted_under_both_shipped_protocols() {
+    // The tag is read at pin time and can lag the epoch at unlink time by one:
+    // the textbook two-epoch wait frees under a reader pinned in between.
+    for (reader_fence, scanner_barrier) in SHIPPED {
+        let verdict = verdict_for("ebr, gap 2", reader_fence, scanner_barrier, |protocol| {
+            epoch::check(protocol, EBR_GAP - 1)
+        });
+        assert!(!verdict.is_clean());
+    }
 }

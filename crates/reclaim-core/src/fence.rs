@@ -1,42 +1,47 @@
-//! Where the fence of a hazard-pointer publication is paid.
+//! Where the fence of a reservation publication is paid.
 //!
-//! A reader that publishes a hazard pointer and then re-validates the link it
-//! read races with a scanner that unlinks the node and then snapshots the
-//! hazard pointers. One side's store must be visible to the other side's load,
+//! A reader that publishes a reservation — a hazard pointer, an epoch pin — and
+//! then loads what the reservation is about (the link it re-validates, the
+//! global epoch it tags its retires with) races with a scanner that does the
+//! mirror image: it unlinks a node or loads the epoch, and then reads the
+//! reservations. One side's store must be visible to the other side's load,
 //! and on every machine with store buffers that takes a full fence between the
-//! store and the load — on *both* sides. The scanner's is free (its unlink is a
-//! `SeqCst` read-modify-write and it runs once per `R` retires); the reader's
-//! is the cost the paper is about, paid once per node traversed (Algorithm 1,
-//! line 3). This module holds the three ways this workspace pays it, as the
-//! reason a scan may trust its snapshot ([`SnapshotProof`]):
+//! store and the load — on *both* sides. The scanner's is cheap (it runs once
+//! per `R` retires); the reader's is the cost the paper is about, paid once per
+//! node traversed by classic HP (Algorithm 1, line 3) and once per operation by
+//! EBR. This module holds the three ways this workspace pays it, as the reason
+//! a scan may trust what it reads ([`SnapshotProof`]):
 //!
 //! * **reader-fenced** — the paper's protocol: `SeqCst` fence after every
 //!   publication. Runs everywhere.
 //! * **scanner-barrier** — the asymmetric form of the same protocol: readers
 //!   issue a compiler fence only, and the scanner runs the reader's fence *for*
 //!   it, on every CPU a sibling thread occupies, with one
-//!   `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)` between its last retire and
-//!   its snapshot ([`expedited_barrier`]). A publication is then either drained
-//!   before the snapshot, or was issued after the barrier — in which case its
-//!   validation load also follows the barrier, sees the unlink and fails.
-//!   `reclaim-check`'s store-buffer litmus enumerates both cases (and convicts
-//!   the protocol with the barrier moved *after* the snapshot). Needs Linux
+//!   `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)` between its own store or
+//!   load and its read of the reservations ([`scanner_barrier`]). A publication
+//!   is then either drained before that read, or was issued after the barrier —
+//!   in which case the publisher's own load also follows the barrier: HP's
+//!   validation sees the unlink and fails, EBR's tag load sees an epoch at
+//!   least as new as the one being advanced from. `reclaim-check`'s
+//!   store-buffer litmus enumerates both cases for both schemes (and convicts
+//!   each protocol with the barrier moved *after* the read). Needs Linux
 //!   ≥ 4.14 and a seccomp profile that lets `membarrier` through (Docker's
 //!   default does not).
 //! * **aged `T + ε`** — Cadence and QSense: compiler fence on the reader, a
 //!   rooster thread issuing [`process_barrier`] every `T`, and a scan that only
 //!   frees nodes retired at least `T + ε` ago (paper Property 1).
 //!
-//! Classic HP chooses between the first two **once per process, from what the
-//! kernel answers** ([`FenceStrategy::detect`]): no configuration field, flag,
-//! environment variable or cargo feature selects. The reader's fence, the
-//! scanner's barrier and the scan batch that amortises it are one
+//! Classic HP and EBR choose between the first two **once per process, from
+//! what the kernel answers** ([`FenceStrategy::detect`]): no configuration
+//! field, flag, environment variable or cargo feature selects. The reader's
+//! fence, the scanner's barrier and the scan batch that amortises it are one
 //! [`FenceStrategy`] value, so they cannot disagree.
 //!
 //! The syscall is issued directly (no `libc` dependency) on x86-64 and aarch64
 //! Linux; everywhere else it reports `ENOSYS` and the fallbacks run.
 
 use crate::clock::Nanos;
+use crate::stats::StatStripe;
 use std::sync::atomic::{compiler_fence, fence, Ordering};
 use std::sync::OnceLock;
 
@@ -183,6 +188,20 @@ pub fn expedited_barrier() -> bool {
         && sys_membarrier(CMD_PRIVATE_EXPEDITED) == 0
 }
 
+/// [`expedited_barrier`] as a scan issues it — the one author of the scanner's
+/// half, for [`hp_scan`](crate::hp_scan) and EBR's epoch advance alike: counted
+/// in `heavy_barriers` on `stats`, a refusal also in `heavy_barrier_failures`.
+/// On `false` the caller frees nothing and advances nothing.
+#[must_use]
+pub fn scanner_barrier(stats: &StatStripe) -> bool {
+    stats.add_heavy_barrier();
+    let ran = expedited_barrier();
+    if !ran {
+        stats.add_heavy_barrier_failure();
+    }
+    ran
+}
+
 /// One process-wide barrier with the strongest mechanism that works —
 /// expedited, else global, else a `SeqCst` fence on the caller alone — and
 /// which one ran. This is the rooster's wake-up: callers that get
@@ -209,8 +228,9 @@ pub fn compiler_only() {
 }
 
 /// How far [`FenceStrategy::ScannerBarrier`] stretches the count threshold: a
-/// handle scans every `scan_threshold × 8` retires (a limbo-budget crossing
-/// still forces a scan at once).
+/// handle scans — HP — or tries to advance the epoch — EBR — every
+/// `scan_threshold × 8` retires (a limbo-budget crossing still forces a scan
+/// at once).
 ///
 /// The barrier is cheap for the machine and dear for its caller, which waits
 /// out an inter-processor interrupt. On this repository's benchmark host (2
@@ -240,16 +260,35 @@ pub fn compiler_only() {
 /// 2 % — what it read here is inside the spread between runs — and doubles the
 /// unreclaimed batch and the pre-sized pool. Where interrupts are cheaper the
 /// factor matters less, not differently.
+///
+/// EBR's epoch advance took the same seam a PR later, and the same table —
+/// `mops.ebr`, same workload, seeds and interleaving, one barrier per advance
+/// attempt that no visible pin blocks:
+///
+/// | protocol, an attempt every | `mops.ebr`, the three runs | median |
+/// |---|---|---|
+/// | two `SeqCst` pin stores, `R` (parent commit) | 4.79, 4.70, 4.81 | 4.79 |
+/// | scanner-barrier, `R` | 4.11, 4.66, 4.51 | 4.51 |
+/// | scanner-barrier, `4 R` | 5.07, 4.88, 5.13 | 5.07 |
+/// | scanner-barrier, `8 R` | 5.22, 5.42, 5.25 | 5.25 |
+/// | scanner-barrier, `16 R` | 5.66, 5.35, 5.49 | 5.49 |
+///
+/// The same shape — a loss un-amortised (−6 %), ahead from ×4 — so EBR shares
+/// the constant. ×16 read 4.6 % above ×8 here (two seeds of three) where HP's
+/// read 2 %: an EBR node waits out three advances, not one scan, so the
+/// factor multiplies a limbo three deep (`limbo_peak_kib.ebr` 131, 136, 235 →
+/// 243, 308, 317 KiB at ×8 over three traced runs of this workload). A second
+/// constant would buy that 4.6 % with twice that memory again; not taken.
 pub const SCANNER_BARRIER_SCAN_BATCH: usize = 8;
 
-/// Classic HP's protocol choice: the reader's fence, the scanner's barrier and
-/// the scan batch, as one value (module docs).
+/// Classic HP's and EBR's protocol choice: the reader's fence, the scanner's
+/// barrier and the scan batch, as one value (module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FenceStrategy {
     /// The paper's protocol (Algorithm 1): `SeqCst` fence per publication,
-    /// nothing extra per scan, a scan every `scan_threshold` retires.
+    /// no barrier per scan, a scan every `scan_threshold` retires.
     ReaderFenced,
-    /// Compiler fence per publication, one [`expedited_barrier`] per scan, a
+    /// Compiler fence per publication, one [`scanner_barrier`] per scan, a
     /// scan every `scan_threshold ×` [`SCANNER_BARRIER_SCAN_BATCH`] retires.
     ScannerBarrier,
 }
@@ -277,8 +316,9 @@ impl FenceStrategy {
         }
     }
 
-    /// The fence between a publication and its validation load. True when it
-    /// was a hardware fence (what `traversal_fences` counts).
+    /// The fence between a publication and the publisher's next load (HP's
+    /// validation, EBR's tag). True when it was a hardware fence (what HP
+    /// counts in `traversal_fences`).
     #[inline]
     pub fn publication_fence(self) -> bool {
         match self {
@@ -399,6 +439,22 @@ mod tests {
         // answered the probe does not refuse the same command later.
         assert_eq!(process_barrier(), detected);
         assert_eq!(process_barrier(), detected);
+    }
+
+    #[test]
+    fn the_scanners_barrier_is_counted_and_a_refusal_reported() {
+        let stats = StatStripe::new();
+        let counted = || {
+            let snap = stats.snapshot();
+            (snap.heavy_barriers, snap.heavy_barrier_failures)
+        };
+        REFUSE_EXPEDITED.set(true);
+        assert!(!scanner_barrier(&stats));
+        REFUSE_EXPEDITED.set(false);
+        assert_eq!(counted(), (1, 1));
+        let works = ProcessBarrier::detected() == ProcessBarrier::Expedited;
+        assert_eq!(scanner_barrier(&stats), works);
+        assert_eq!(counted(), (2, 1 + u64::from(!works)));
     }
 
     #[test]

@@ -168,10 +168,10 @@ impl Reclaim<'_> {
 /// allocate) and free what the snapshot does not cover.
 ///
 /// Under [`SnapshotProof::ScannerBarrier`] a pass over a non-empty bag issues
-/// exactly one [`fence::expedited_barrier`], after every retire into `bag` and
-/// before the snapshot (counted in `heavy_barriers`). If the kernel refuses
-/// it the pass frees nothing (`heavy_barrier_failures`): keeping the bag is
-/// always safe, and scans run in `Drop`, where there is no one to tell.
+/// exactly one [`fence::scanner_barrier`], after every retire into `bag` and
+/// before the snapshot. If the kernel refuses it the pass frees nothing:
+/// keeping the bag is always safe, and scans run in `Drop`, where there is no
+/// one to tell.
 ///
 /// # Safety
 ///
@@ -189,12 +189,8 @@ pub unsafe fn hp_scan(
     let age_gate = match proof {
         SnapshotProof::ReaderFenced => None,
         SnapshotProof::ScannerBarrier => {
-            if !bag.is_empty() {
-                stats.add_heavy_barrier();
-                if !fence::expedited_barrier() {
-                    stats.add_heavy_barrier_failure();
-                    return;
-                }
+            if !bag.is_empty() && !fence::scanner_barrier(stats) {
+                return;
             }
             None
         }

@@ -71,9 +71,9 @@
 //!
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
-//! | its reservation record in a [`Registry`] (hazard slots — the shared [`HpSlots`] —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family one of [`fence`]'s three — HP names a [`FenceStrategy`] (detected, never configured), Cadence and QSense issue [`fence::compiler_only`] and keep a rooster | the [`SmrConfig`], the counter stripes behind [`Smr::stats`], the budget governor, the [`Telemetry`] histograms |
+//! | its reservation record in a [`Registry`] (hazard slots — the shared [`HpSlots`] —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three — HP and EBR name a [`FenceStrategy`] (detected, never configured), Cadence and QSense issue [`fence::compiler_only`] and keep a rooster | the [`SmrConfig`], the counter stripes behind [`Smr::stats`], the budget governor, the [`Telemetry`] histograms |
 //! | the limbo *shape*: which [`SegBag`] a retired node goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (removal time for Cadence/QSense, retire era for HE, nothing for the rest) | the **stamp** and the ledger entry: retire/byte counters, [`RetiredPtr`] construction, the telemetry tick, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
-//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family shares both ([`hp_scan`]) and hands over only the [`SnapshotProof`] — reader-fenced, scanner-barrier or aged `T + ε` — that makes its snapshot complete | the **observed reclaim**: scan timing, retire→free delays, freed counters, the ledger debit, the post-scan budget report — [`HandleCore::scan`]; for the hazard-pointer family also what the proof calls for, in one place for threshold scans, forced scans, `flush` and `Drop`: under scanner-barrier, one [`fence::expedited_barrier`] between the last retire and the snapshot, and nothing freed if the kernel refuses it |
+//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family shares both ([`hp_scan`]) and hands over only the [`SnapshotProof`] — reader-fenced, scanner-barrier or aged `T + ε` — that makes its snapshot complete | the **observed reclaim**: scan timing, retire→free delays, freed counters, the ledger debit, the post-scan budget report — [`HandleCore::scan`]; for the hazard-pointer family also what the proof calls for, in one place for threshold scans, forced scans, `flush` and `Drop`: under scanner-barrier, one [`fence::scanner_barrier`] between the last retire and the snapshot, and nothing freed if the kernel refuses it |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer); an optional scan batch ([`SchemeCore::with_scan_batch`]: HP's scanner-barrier protocol scans every `8 R` retires to amortise its barrier) | the **ladder**, fed from the ledger: count threshold (`scan_threshold` × the scheme's batch, fixed per handle at attach) → forced scan on a budget crossing, wherever in the batch it lands → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
 //! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain with ledger and byte estimate conserved ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]), the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
 //!
@@ -93,13 +93,13 @@
 //!
 //! | frequency | work | shared-memory cost |
 //! |-----------|------|--------------------|
-//! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store plus an O(#buckets) bucket-age check (EBR only); one era announcement — an era load plus, on change, a fenced reservation store (HE only) | none (EBR: one release store to an owned padded line; HE: one era store per op to an owned padded line, fenced only when the era moved) |
+//! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, an O(#buckets) bucket-age check (EBR only); one era announcement — an era load plus, on change, a fenced reservation store (HE only) | none (EBR: one relaxed store on `begin_op` and one release store on `end_op`, to one owned padded line; HE: one era store per op to an owned padded line, fenced only when the era moved) |
 //! | per node traversed (`protect`) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one release store to an owned slot in a 128-byte block no other thread's slots share ([`HpSlots`]); HE's amortized cost here is ~zero (eras advance once per [`clock::EraPacer::current_interval`] allocations, not per node) |
 //! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every [`clock::EraPacer::current_interval`] allocations (HE only; no-op for every other scheme). The interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] — the pacer's entire allocation-side cost | one acquire load of the (mostly read-shared) era line |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one clock read for the removal-time stamp (Cadence/QSense only — the other schemes' free rules read no stamp), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
 //! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochCursor`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
-//! | per scan (every `R` retires; every `8 R` for HP under its scanner-barrier protocol, whose pool is pre-sized to match) | under that protocol, first one expedited `membarrier` — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host, which is what the ×8 amortises (measurements: [`fence::SCANNER_BARRIER_SCAN_BATCH`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when the bag is empty; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge; the ledger debit and one delta report of the handle's post-scan bytes to its governor stripe ([`limbo::HandleCore::scan`]); under the adaptive era policy (HE), one more O(#stripes) read of the governor's estimate to re-choose the tick interval ([`clock::EraPacer::adapt`] — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
+//! | per scan (every `R` retires; every `8 R` for HP, whose pool is pre-sized to match, and for EBR's epoch-advance attempts, under their scanner-barrier protocol) | under that protocol, first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host, which is what the ×8 amortises (measurements: [`fence::SCANNER_BARRIER_SCAN_BATCH`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty or a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge; the ledger debit and one delta report of the handle's post-scan bytes to its governor stripe ([`limbo::HandleCore::scan`]); under the adaptive era policy (HE), one more O(#stripes) read of the governor's estimate to re-choose the tick interval ([`clock::EraPacer::adapt`] — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches** (counted in [`stats::StatsSnapshot::shard_skips`]), so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
 //! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the stamp the wrapper already carries; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated governor observation of the ledger ([`limbo::HandleCore::enforce_budget`]) — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |

@@ -107,11 +107,14 @@ pub struct StatsSnapshot {
     /// scanner-barrier protocol (see [`crate::fence`]) and for Cadence, whose
     /// whole point is to keep this at zero.
     pub traversal_fences: u64,
-    /// Expedited `membarrier` calls issued by scans — one per hazard-pointer
-    /// scan pass over a non-empty bag under HP's scanner-barrier protocol,
-    /// zero everywhere else.
+    /// Expedited `membarrier` calls issued by scans
+    /// ([`fence::scanner_barrier`](crate::fence::scanner_barrier)) under the
+    /// scanner-barrier protocol: one per HP scan pass over a non-empty bag,
+    /// one per EBR epoch-advance attempt that no visible pin already blocks.
+    /// Zero under the reader-fenced protocol and for every other scheme.
     pub heavy_barriers: u64,
-    /// Of those, the calls the kernel refused; such a pass frees nothing.
+    /// Of those, the calls the kernel refused; such a pass frees nothing and
+    /// advances no epoch.
     pub heavy_barrier_failures: u64,
     /// Fast-path → fallback-path switches (QSense).
     pub fallback_switches: u64,

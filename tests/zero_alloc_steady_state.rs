@@ -350,15 +350,16 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         assert_eq!(writer.local_in_limbo(), 0);
     }
 
-    // --- EBR (per-epoch segment chains) ------------------------------------
-    {
+    // --- EBR (per-epoch segment chains), both protocols --------------------
+    for strategy in [FenceStrategy::detect(), FenceStrategy::ReaderFenced] {
+        let ebr = &format!("ebr ({})", strategy.name());
         let clock = ManualClock::new();
-        let scheme = Ebr::new(config(&clock));
+        let scheme = Ebr::with_fence_strategy(config(&clock), strategy);
         let mut blocker = scheme.register();
         let mut writer = scheme.register();
         // Growth cycles with a free-running epoch: every flush advances far
         // enough to drain the chains wholesale, so the pool feeds each regrowth.
-        assert_growth_allocates_nodes_only("ebr", &mut writer, 0, || {});
+        assert_growth_allocates_nodes_only(ebr, &mut writer, 0, || {});
 
         // Keep path: a thread pinned at an old epoch blocks reclamation, so
         // flushes must retain the limbo chains — checking bucket tags only,
@@ -366,37 +367,41 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         // attempt drains the previous attempt's limbo first so the pool feeds
         // every regrowth.
         let node_bytes = (GROWTH_BATCH * std::mem::size_of::<u64>()) as u64;
-        assert_alloc_delta("ebr: stuck-epoch retires (nodes only)", node_bytes, || {
-            blocker.end_op();
-            writer.flush();
-            assert_eq!(writer.local_in_limbo(), 0);
-            blocker.begin_op();
-
-            let before_alloc = ALLOC.allocated_bytes();
-            for _ in 0..GROWTH_BATCH {
-                writer.begin_op();
-                let ptr = Box::into_raw(Box::new(0u64));
-                // SAFETY: freshly boxed, unlinked by construction, retired once.
-                unsafe { qsense_repro::smr::retire_box(&mut writer, ptr) };
-                writer.end_op();
-            }
-            for _ in 0..MEASURED_SCANS {
+        assert_alloc_delta(
+            &format!("{ebr}: stuck-epoch retires (nodes only)"),
+            node_bytes,
+            || {
+                blocker.end_op();
                 writer.flush();
-            }
-            let delta = ALLOC.allocated_bytes() - before_alloc;
-            assert_eq!(
-                writer.local_in_limbo(),
-                GROWTH_BATCH,
-                "ebr: a pinned thread must keep the limbo chains intact"
-            );
-            delta
-        });
+                assert_eq!(writer.local_in_limbo(), 0);
+                blocker.begin_op();
+
+                let before_alloc = ALLOC.allocated_bytes();
+                for _ in 0..GROWTH_BATCH {
+                    writer.begin_op();
+                    let ptr = Box::into_raw(Box::new(0u64));
+                    // SAFETY: freshly boxed, unlinked by construction, retired once.
+                    unsafe { qsense_repro::smr::retire_box(&mut writer, ptr) };
+                    writer.end_op();
+                }
+                for _ in 0..MEASURED_SCANS {
+                    writer.flush();
+                }
+                let delta = ALLOC.allocated_bytes() - before_alloc;
+                assert_eq!(
+                    writer.local_in_limbo(),
+                    GROWTH_BATCH,
+                    "{ebr}: a pinned thread must keep the limbo chains intact"
+                );
+                delta
+            },
+        );
         blocker.end_op();
         writer.flush();
         assert_eq!(
             writer.local_in_limbo(),
             0,
-            "ebr: unpinning drains the limbo"
+            "{ebr}: unpinning drains the limbo"
         );
     }
 
