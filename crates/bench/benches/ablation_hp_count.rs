@@ -8,8 +8,10 @@
 //! (as a traversal of a `K`-pointer structure would), and the per-operation cost is
 //! measured for every scheme. QSBR is flat in `K` (protection is a no-op), the
 //! fence-free schemes grow with a small slope (one local store per slot), classic HP
-//! grows with a steep slope (one fence per slot), and reference counting grows with
-//! the steepest slope (one shared read-modify-write per slot).
+//! grows with theirs where its scans run the readers' fence and with a steep one
+//! (one fence per slot) where the readers do — the JSON's `fence_strategy` says
+//! which this run measured —, and reference counting grows with the steepest slope
+//! (one shared read-modify-write per slot).
 //!
 //! Besides the text table, the run emits **`BENCH_ablation_hp_count.json`** in
 //! the workspace root (shared `bench::json` envelope): one row per
@@ -102,13 +104,15 @@ fn main() {
 
     println!();
     println!("# qsbr/ebr are flat in K; qsense/cadence grow by one local store per slot;");
-    println!("# hp grows by one fence per slot; rc grows by one shared RMW per slot.");
+    println!("# hp likewise under the scanner-barrier protocol, by one fence per slot under the");
+    println!("# reader-fenced one (fence_strategy in the JSON); rc by one shared RMW per slot.");
     println!("# This slope difference is why the skip list (large K) shows the paper's");
     println!("# largest QSBR-to-QSense gap and its largest QSense-to-HP win.");
 
     let meta = [
         ("ops_per_cell", format!("{OPS}")),
         ("unit", "\"nanoseconds per operation\"".to_string()),
+        ("fence_strategy", bench::fence_strategy_json()),
     ];
     let path = json::workspace_file("BENCH_ablation_hp_count.json");
     match json::write_report(

@@ -5,8 +5,8 @@ use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
     fence, hp_scan, BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, HpSlots,
-    PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
-    SnapshotProof, Telemetry,
+    OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
+    SmrHandle, SnapshotProof, Telemetry,
 };
 use std::sync::{Arc, Mutex};
 
@@ -65,6 +65,8 @@ impl Smr for Cadence {
             (pool, HpSlots::snapshot_scratch(config))
         })?;
         Ok(CadenceHandle {
+            // SAFETY: the handle's `Arc<Cadence>` keeps the registry alive.
+            slots: unsafe { self.registry.get_mine(slot).owner() },
             scheme: Arc::clone(self),
             slot,
             core,
@@ -104,15 +106,13 @@ impl Drop for Cadence {
 pub struct CadenceHandle {
     scheme: Arc<Cadence>,
     slot: SlotId,
+    /// This handle's hazard pointers: the writer's view of `registry[slot]`.
+    slots: OwnedSlots,
     core: HandleCore<PtrScratch>,
     retired: SegBag,
 }
 
 impl CadenceHandle {
-    fn record(&self) -> &HpSlots {
-        self.scheme.registry.get_mine(self.slot)
-    }
-
     /// The paper's `scan` (Algorithm 3, lines 14–33): free retired nodes that are
     /// both *old enough* (deferred reclamation) and not covered by any hazard
     /// pointer; keep the rest for a later scan.
@@ -135,7 +135,7 @@ impl SmrHandle for CadenceHandle {
     /// "No need for a memory barrier here").
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        self.record().set(index, ptr);
+        self.slots.set(index, ptr);
         // Only a compiler fence: the store must not be reordered (by the compiler)
         // after the caller's validation load; hardware-level visibility is provided
         // by the rooster wake-up + deferred-reclamation age bound.
@@ -143,7 +143,7 @@ impl SmrHandle for CadenceHandle {
     }
 
     fn clear_protections(&mut self) {
-        self.record().clear_all();
+        self.slots.clear_all();
     }
 
     unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
@@ -180,7 +180,7 @@ impl SmrHandle for CadenceHandle {
 
 impl Drop for CadenceHandle {
     fn drop(&mut self) {
-        self.record().clear_all();
+        self.slots.clear_all();
         // Free what has aged out unprotected; park the rest on the scheme.
         Self::scan(&mut self.core, &self.scheme, &mut self.retired);
         self.core.park(&mut self.retired);
@@ -202,8 +202,8 @@ mod tests {
         );
         let a = scheme.register();
         let b = scheme.register();
-        a.record().set(0, 0x10 as *mut u8);
-        b.record().set(0, 0x20 as *mut u8);
+        a.slots.set(0, 0x10 as *mut u8);
+        b.slots.set(0, 0x20 as *mut u8);
         let mut snapshot = Vec::new();
         scheme
             .registry

@@ -4,8 +4,8 @@ use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
     hp_scan, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
-    HpSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
-    Telemetry,
+    HpSlots, OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
+    SmrHandle, Telemetry,
 };
 use std::sync::Arc;
 
@@ -71,6 +71,8 @@ impl Smr for Hazard {
             (pool, HpSlots::snapshot_scratch(config))
         })?;
         Ok(HazardHandle {
+            // SAFETY: the handle's `Arc<Hazard>` keeps the registry alive.
+            slots: unsafe { self.registry.get_mine(slot).owner() },
             scheme: Arc::clone(self),
             slot,
             core,
@@ -103,6 +105,8 @@ impl Smr for Hazard {
 pub struct HazardHandle {
     scheme: Arc<Hazard>,
     slot: SlotId,
+    /// This handle's hazard pointers: the writer's view of `registry[slot]`.
+    slots: OwnedSlots,
     core: HandleCore<PtrScratch>,
     retired: SegBag,
     /// The scheme's protocol, by value: `protect` branches on it per node.
@@ -113,10 +117,6 @@ pub struct HazardHandle {
 }
 
 impl HazardHandle {
-    fn record(&self) -> &HpSlots {
-        self.scheme.registry.get_mine(self.slot)
-    }
-
     /// Michael's scan: free every retired node absent from a fresh snapshot
     /// of all hazard pointers.
     fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Hazard, retired: &mut SegBag) {
@@ -148,7 +148,7 @@ impl SmrHandle for HazardHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        self.record().set(index, ptr);
+        self.slots.set(index, ptr);
         // The paper's Algorithm 1, line 3: the store above must become visible before
         // the caller's validation load, otherwise the interleaving of Algorithm 2
         // frees a node the reader is about to use. Reader-fenced, that is a `SeqCst`
@@ -161,7 +161,7 @@ impl SmrHandle for HazardHandle {
     }
 
     fn clear_protections(&mut self) {
-        self.record().clear_all();
+        self.slots.clear_all();
     }
 
     unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
@@ -198,7 +198,7 @@ impl Drop for HazardHandle {
     fn drop(&mut self) {
         self.publish_fence_count();
         // This thread is done traversing: its own protections can go away.
-        self.record().clear_all();
+        self.slots.clear_all();
         // Last chance to free what other threads no longer protect; whatever
         // they still protect is parked on the scheme.
         Self::scan(&mut self.core, &self.scheme, &mut self.retired);
@@ -220,9 +220,9 @@ mod tests {
         );
         let h1 = scheme.register();
         let h2 = scheme.register();
-        h1.record().set(0, 0x300 as *mut u8);
-        h1.record().set(1, 0x100 as *mut u8);
-        h2.record().set(0, 0x300 as *mut u8);
+        h1.slots.set(0, 0x300 as *mut u8);
+        h1.slots.set(1, 0x100 as *mut u8);
+        h2.slots.set(0, 0x300 as *mut u8);
         let mut snapshot = Vec::new();
         scheme
             .registry

@@ -11,7 +11,8 @@
 //!
 //! Reclamation integration is identical to the linked list — and, like the list,
 //! the module is built entirely on the safe guard layer (`reclaim_core::guard`):
-//! two protection slots per thread (predecessor and current node),
+//! two protection slots per thread (predecessor and current node, the roles
+//! alternating hand over hand as the walk steps: one publication per node),
 //! protect-then-revalidate via [`Guard::load_protected`] / [`Guard::protect_word`],
 //! and retirement only through the [`reclaim_core::Unlinked`] capability minted by
 //! the unlink CAS, so `K = 2` regardless of the number of buckets.
@@ -21,11 +22,6 @@ use std::cmp::Ordering as CmpOrdering;
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Protection slot for the predecessor during traversal.
-const HP_PREV: usize = 0;
-/// Protection slot for the current node during traversal.
-const HP_CURR: usize = 1;
 
 /// Number of protection slots the hash map needs per thread (`K` in the paper).
 pub const HASHMAP_HP_SLOTS: usize = 2;
@@ -44,7 +40,8 @@ struct Node<K, V> {
 
 /// Result of a bucket traversal: `curr` is the validated, protected word of the
 /// first node with key ≥ the search key (or null) and `prev` the link holding it
-/// (the bucket head or the `next` link of the node protected by slot 0).
+/// (the bucket head or the `next` link of the predecessor, which stays protected
+/// in the slot `curr` does not occupy until the next walk under the same guard).
 struct Search<'g, K, V> {
     prev: &'g Atomic<Node<K, V>>,
     curr: Shared<'g, Node<K, V>>,
@@ -130,14 +127,17 @@ where
         let head = self.bucket_head(key);
         'retry: loop {
             let mut prev: &'g Atomic<Node<K, V>> = head;
+            // The slot `curr` is protected in; the predecessor, once there is
+            // one, holds the other (`slot ^ 1`).
+            let mut slot = 0;
             // The bucket link is rooted in `self`, so the protection validated
             // against it is honoured from the start.
-            let mut curr = guard.load_protected(HP_CURR, prev);
+            let mut curr = guard.load_protected(slot, prev);
             loop {
                 let Some(node) = (
-                    // SAFETY: `curr` carries a validated protection against
-                    // `prev` (the bucket head, or a link of the node protected
-                    // by slot HP_PREV).
+                    // SAFETY: `curr` carries a validated protection in `slot`
+                    // against `prev` (the bucket head, or a link of the
+                    // predecessor protected in the other slot).
                     unsafe { curr.as_ref() }
                 ) else {
                     return Search { prev, curr };
@@ -151,7 +151,7 @@ where
                     match unsafe { prev.cas_unlink(curr, next.unmarked()) } {
                         Ok((unlinked, after)) => {
                             unlinked.retire(guard);
-                            match guard.protect_word(HP_CURR, prev, after) {
+                            match guard.protect_word(slot, prev, after) {
                                 Ok(sh) => curr = sh,
                                 Err(_) => continue 'retry,
                             }
@@ -162,9 +162,12 @@ where
                 }
                 match node.key.cmp(key) {
                     CmpOrdering::Less => {
-                        guard.protect_shared(HP_PREV, curr);
+                        // Step: `curr` is the predecessor now, protected
+                        // where it stands; the successor takes the slot of
+                        // the predecessor it replaces.
                         prev = &node.next;
-                        match guard.protect_word(HP_CURR, prev, next) {
+                        slot ^= 1;
+                        match guard.protect_word(slot, prev, next) {
                             Ok(sh) => curr = sh,
                             Err(_) => continue 'retry,
                         }

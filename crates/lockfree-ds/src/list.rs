@@ -21,17 +21,15 @@
 //!    [`reclaim_core::Unlinked`] capability minted by whichever thread wins the
 //!    physical unlink CAS.
 //!
-//! Two protection slots are used (`K = 2`, matching the paper): slot 0 for the
-//! predecessor, slot 1 for the current node.
+//! Two protection slots are used (`K = 2`, matching the paper), and their
+//! roles alternate hand over hand, as in Michael's traversal: the current node
+//! is published into the slot that does not hold the predecessor, and when the
+//! walk steps onto it, it *is* the predecessor — protected where it stands —
+//! and the other slot takes the next node. One publication per node visited.
 
 use reclaim_core::{Atomic, Guard, Owned, Shared, Smr};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::Arc;
-
-/// Hazard-pointer slot protecting the predecessor during traversal.
-const HP_PREV: usize = 0;
-/// Hazard-pointer slot protecting the current node during traversal.
-const HP_CURR: usize = 1;
 
 /// Number of protection slots the list needs per thread (`K` in the paper).
 pub const LIST_HP_SLOTS: usize = 2;
@@ -43,8 +41,10 @@ struct Node<K> {
 
 /// Result of a traversal: `curr` is the (validated, protected) word of the first
 /// node with key ≥ the search key (or null at the end of the list) and `prev` is
-/// the link that holds it — the head link or the `next` link of a node protected
-/// by slot 0. `curr` doubles as the CAS expected value for `prev`.
+/// the link that holds it — the head link or the `next` link of the predecessor,
+/// which stays protected in the slot `curr` does not occupy until the next
+/// traversal under the same guard. `curr` doubles as the CAS expected value for
+/// `prev`.
 struct Search<'g, K> {
     prev: &'g Atomic<Node<K>>,
     curr: Shared<'g, Node<K>>,
@@ -91,15 +91,20 @@ where
     fn search<'g>(&'g self, key: &K, guard: &'g Guard<'_, S::Handle>) -> Search<'g, K> {
         'retry: loop {
             let mut prev: &'g Atomic<Node<K>> = &self.head;
+            // The node `prev` is a link of (null: the head), and the slot
+            // `curr` is protected in; the predecessor holds the other
+            // (`slot ^ 1`).
+            let mut pred = Shared::null();
+            let mut slot = 0;
             // The head link is rooted in `self`, so the protection validated
             // against it is honoured from the start.
-            let mut curr = guard.load_protected(HP_CURR, prev);
+            let mut curr = guard.load_protected(slot, prev);
             loop {
                 let Some(node) = (
-                    // SAFETY: `curr` carries a validated protection (from
-                    // `load_protected` or a successful `protect_word` below)
+                    // SAFETY: `curr` carries a validated protection in `slot`
+                    // (from `load_protected` or a validated advance below)
                     // against `prev`, which is the head link or a link of the
-                    // node protected by slot HP_PREV.
+                    // predecessor protected in the other slot.
                     unsafe { curr.as_ref() }
                 ) else {
                     return Search { prev, curr };
@@ -118,11 +123,12 @@ where
                             // This thread performed the unlink, so it (and only
                             // it) retires the node — rule 3.
                             unlinked.retire(guard);
-                            // Continue from the excision: protect the successor
-                            // and re-validate against the updated link word.
-                            match guard.protect_word(HP_CURR, prev, after) {
-                                Ok(sh) => curr = sh,
-                                Err(_) => continue 'retry,
+                            // Continue from the excision: the successor takes
+                            // the excised node's slot, re-validated against the
+                            // updated link word.
+                            match Self::advance(guard, slot, pred, prev, after) {
+                                Some(sh) => curr = sh,
+                                None => continue 'retry,
                             }
                             continue;
                         }
@@ -131,22 +137,44 @@ where
                 }
                 match node.key.cmp(key) {
                     CmpOrdering::Less => {
-                        // The node that becomes the predecessor stays protected
-                        // by copying its (still live) protection into slot
-                        // HP_PREV before HP_CURR moves on.
-                        guard.protect_shared(HP_PREV, curr);
+                        // Step: `curr` becomes the predecessor, protected where
+                        // it stands; the slot of the predecessor it replaces is
+                        // free for the successor observed above, validated as
+                        // still what the new predecessor links to.
+                        pred = curr;
                         prev = &node.next;
-                        // Advance: protect the successor observed above and
-                        // validate it is still what the predecessor links to.
-                        match guard.protect_word(HP_CURR, prev, next) {
-                            Ok(sh) => curr = sh,
-                            Err(_) => continue 'retry,
+                        slot ^= 1;
+                        match Self::advance(guard, slot, pred, prev, next) {
+                            Some(sh) => curr = sh,
+                            None => continue 'retry,
                         }
                     }
                     _ => return Search { prev, curr },
                 }
             }
         }
+    }
+
+    /// [`Guard::protect_word`] in two halves, with a pause point between the
+    /// publication and the validating re-read: the window in which a
+    /// publication over the slot still holding the predecessor would let the
+    /// predecessor be freed under the re-read of its link.
+    #[inline]
+    fn advance<'g>(
+        guard: &'g Guard<'_, S::Handle>,
+        slot: usize,
+        pred: Shared<'g, Node<K>>,
+        prev: &Atomic<Node<K>>,
+        expect: Shared<'g, Node<K>>,
+    ) -> Option<Shared<'g, Node<K>>> {
+        guard.protect_shared(slot, expect);
+        crate::interleave::hit("list::search::cursor_published");
+        // The oracle's checkpoint for `pred` (nothing in other builds): the
+        // re-read below goes through its link.
+        // SAFETY: `pred` is null (`prev` is the head link) or the predecessor,
+        // protected in the slot other than `slot`.
+        let _ = unsafe { pred.as_ref() };
+        (prev.load(guard) == expect).then_some(expect)
     }
 
     /// Returns true if `key` is in the set.
@@ -191,8 +219,9 @@ where
             // removing `curr` swings `prev`'s link to `curr`'s successor;
             // removing `prev` marks `prev`'s outgoing link — and every
             // successful CAS bumps the link version, so even a pointer that
-            // ABA'd back fails the stale CAS. Slot HP_CURR keeps `curr` from
-            // being freed and re-allocated under us. The forced schedules in
+            // ABA'd back fails the stale CAS. `curr`'s slot keeps it from
+            // being freed and re-allocated under us, the other slot keeps
+            // `prev`'s node. The forced schedules in
             // `tests/interleaving_harness.rs` pin both neighbour removals.
             match s.prev.cas_link(s.curr, node) {
                 Ok(_) => return true,
@@ -255,7 +284,8 @@ where
         'retry: loop {
             let mut count = 0;
             let mut prev: &Atomic<Node<K>> = &self.head;
-            let mut curr = guard.load_protected(HP_CURR, prev);
+            let mut slot = 0;
+            let mut curr = guard.load_protected(slot, prev);
             loop {
                 // SAFETY: same protection discipline as `search`: `curr` is
                 // validated against `prev` before every dereference.
@@ -270,7 +300,7 @@ where
                     match unsafe { prev.cas_unlink(curr, next.unmarked()) } {
                         Ok((unlinked, after)) => {
                             unlinked.retire(&guard);
-                            match guard.protect_word(HP_CURR, prev, after) {
+                            match guard.protect_word(slot, prev, after) {
                                 Ok(sh) => curr = sh,
                                 Err(_) => continue 'retry,
                             }
@@ -280,9 +310,9 @@ where
                     }
                 }
                 count += 1;
-                guard.protect_shared(HP_PREV, curr);
                 prev = &node.next;
-                match guard.protect_word(HP_CURR, prev, next) {
+                slot ^= 1;
+                match guard.protect_word(slot, prev, next) {
                     Ok(sh) => curr = sh,
                     Err(_) => continue 'retry,
                 }

@@ -56,12 +56,24 @@
 //!
 //! ## Hazard-pointer budget
 //!
-//! With `MAX_HEIGHT = 16` levels, a traversal keeps one predecessor and one successor
-//! protected per level plus one cursor slot: `2 × 16 + 1 = 33` slots
-//! ([`SKIPLIST_HP_SLOTS`]). This matches the paper's observation that its skip list
-//! uses up to 35 hazard pointers per thread — and is exactly why the gap between
-//! QSense and QSBR is largest on the skip list (each protection is a store even if it
-//! is fence-free).
+//! With `MAX_HEIGHT = 16` levels a traversal owns two slots per level, plus one
+//! cursor slot for the phase-3 sweep and one slot for the node an `insert` or
+//! `remove` is working on: `2 × 16 + 2 = 34` slots ([`SKIPLIST_HP_SLOTS`]). This
+//! matches the paper's observation that its skip list uses up to 35 hazard
+//! pointers per thread — and is exactly why the gap between QSense and QSBR is
+//! largest on the skip list (each protection is a store even if it is
+//! fence-free).
+//!
+//! `find` therefore publishes each node it visits **once**: a level's two slots
+//! alternate roles hand over hand, as in Michael's list. The cursor goes into
+//! the level's *free* slot; when the walk steps onto it, the node is the new
+//! predecessor protected where it stands, and the slot that held the old
+//! predecessor becomes the free one. A slot is overwritten only when its
+//! occupant is neither the level's predecessor nor its cursor nor a retained
+//! `preds`/`succs` entry of a higher level, so `preds[l]` and `succs[l]` stay
+//! protected in one of level `l`'s two slots (a predecessor carried down
+//! without a step: in a higher level's) until the next `find` under the same
+//! guard.
 
 use crate::keyspace::KeySlot;
 use crate::tagged::{LinkWord, VersionedAtomic};
@@ -79,27 +91,28 @@ pub const MAX_HEIGHT: usize = 16;
 /// Number of protection slots a traversal needs per thread.
 pub const SKIPLIST_HP_SLOTS: usize = 2 * MAX_HEIGHT + 2;
 
-/// Slot protecting the predecessor retained for `level`.
+/// First of `level`'s two slots (`slot ^ 1` is the other one). `find` rotates
+/// its predecessor and cursor through the pair (module docs); the phase-3 sweep
+/// pins its canonical predecessor here.
 #[inline]
 fn pred_slot(level: usize) -> usize {
     2 * level
 }
 
-/// Slot protecting the successor retained for `level`. The phase-3 sweep reuses
-/// it for its equal-run walking predecessor (the successor is not retained
-/// there), so the budget stays [`SKIPLIST_HP_SLOTS`].
+/// Second of `level`'s two slots: the other half of `find`'s rotation, and the
+/// phase-3 sweep's equal-run walking predecessor.
 #[inline]
 fn succ_slot(level: usize) -> usize {
     2 * level + 1
 }
 
-/// Scratch slot protecting the traversal cursor.
+/// Scratch slot protecting the phase-3 sweep's cursor.
 const HP_CURSOR: usize = 2 * MAX_HEIGHT;
 
 /// Slot protecting the node an `insert` is currently publishing/linking, or the
 /// victim a `remove` is deleting. It must be distinct from every slot `find`
-/// uses: both operations re-run `find` (which overwrites the cursor and
-/// pred/succ slots) while they still need that node to stay unreclaimed.
+/// and `sweep` use: both operations re-run them (overwriting every level's pair
+/// and the sweep cursor) while they still need that node to stay unreclaimed.
 const HP_NODE: usize = 2 * MAX_HEIGHT + 1;
 
 struct Node<K> {
@@ -126,7 +139,10 @@ impl<K> Node<K> {
 
 /// Traversal result: per-level predecessors and successors around the search
 /// key, plus the exact pred link word each `(pred, succ)` pair was observed
-/// through — the evidence the validate-on-link CAS presents.
+/// through — the evidence the validate-on-link CAS presents. Every non-sentinel
+/// `preds[l]` and non-null `succs[l]` is protected — in one of level `l`'s two
+/// slots, or for a predecessor carried down without a step in a higher level's
+/// — until the next `find` or `sweep` under the same guard.
 struct FindResult<K> {
     preds: [*mut Node<K>; MAX_HEIGHT],
     succs: [*mut Node<K>; MAX_HEIGHT],
@@ -202,12 +218,14 @@ where
     }
 
     /// Core traversal: computes per-level predecessors/successors for `key`,
-    /// snipping every marked node it encounters, and protects each retained
-    /// reference. The returned `pred_links[level]` is the exact word
-    /// `preds[level].next[level]` held when the position was last validated
-    /// (with `ptr() == succs[level]`) — the evidence insert's validate-on-link
-    /// CAS presents. It is marked only in the deleted-pred/null-successor case
-    /// (see the loop comment below), which every CAS consumer must refuse.
+    /// snipping every marked node it encounters, and leaves each retained
+    /// reference protected — one publication per node visited (module docs,
+    /// "Hazard-pointer budget"). The returned `pred_links[level]` is the exact
+    /// word `preds[level].next[level]` held when the position was last
+    /// validated (with `ptr() == succs[level]`) — the evidence insert's
+    /// validate-on-link CAS presents. It is marked only in the
+    /// deleted-pred/null-successor case (see the loop comment below), which
+    /// every CAS consumer must refuse.
     fn find(&self, key: &K, guard: &Guard<'_, S::Handle>) -> FindResult<K> {
         let head = self.head_ptr();
         'retry: loop {
@@ -216,8 +234,12 @@ where
             let mut pred_links = [LinkWord::null(); MAX_HEIGHT];
             let mut pred = head;
             for level in (0..MAX_HEIGHT).rev() {
-                // SAFETY: `pred` is the head sentinel or a node protected in a
-                // pred slot from this or the level above.
+                // The slot of this level's pair that holds neither `pred` nor a
+                // node this traversal still needs: `pred` arrives protected in
+                // a higher level's slot (or is the sentinel), so both are free.
+                let mut free = pred_slot(level);
+                // SAFETY: `pred` is the head sentinel or a node protected in
+                // the non-free slot of this level or a slot of a level above.
                 let mut w = unsafe { &*pred }.next[level].load(Ordering::Acquire);
                 loop {
                     // `w` can be marked only on a level's first iteration (the
@@ -233,7 +255,15 @@ where
                     if curr.is_null() {
                         break;
                     }
-                    guard.protect_ptr(HP_CURSOR, curr.cast());
+                    // Overwrites the level's previous predecessor (stepped
+                    // past), a snipped node, or nothing — never `pred`.
+                    guard.protect_ptr(free, curr.cast());
+                    // Pause point: cursor published, not yet validated. A
+                    // publication over the slot still holding `pred` lets a
+                    // remove of `pred` through here free it under the
+                    // validation load below.
+                    crate::interleave::hit("skiplist::find::cursor_published");
+                    crate::oracle::check(pred, "skiplist::traversal::pred");
                     // Validate: the pred link still leads to `curr` unmarked —
                     // `curr` is reachable and the protection is sound. The
                     // *refreshed* word (same pointer, possibly newer version —
@@ -248,7 +278,7 @@ where
                     }
                     crate::oracle::check(curr, "skiplist::traversal::validated");
                     w = w2;
-                    // SAFETY: `curr` protected and validated reachable.
+                    // SAFETY: `curr` protected (in `free`) and validated reachable.
                     let cw = unsafe { &*curr }.next[level].load(Ordering::Acquire);
                     if cw.is_marked() {
                         // Physically remove the logically deleted node at this
@@ -272,20 +302,27 @@ where
                     }
                     // SAFETY: `curr` protected and validated.
                     if unsafe { &*curr }.key.cmp_key(key) == CmpOrdering::Less {
+                        // Step: the node just validated is the new predecessor,
+                        // protected where it stands; the slot of the one it
+                        // replaces (if that was this level's) is free now.
                         pred = curr;
-                        guard.protect_ptr(pred_slot(level), curr.cast());
+                        free ^= 1;
                         w = cw;
                     } else {
                         break;
                     }
                 }
+                // A non-null `w.ptr()` is the cursor the loop broke on:
+                // validated, and protected in `free`, which nothing writes
+                // again before the next traversal. `pred` likewise, in the
+                // other slot or a higher level's.
                 preds[level] = pred;
                 succs[level] = w.ptr();
                 pred_links[level] = w;
-                guard.protect_ptr(succ_slot(level), w.ptr().cast());
             }
             let found = !succs[0].is_null()
-                // SAFETY: `succs[0]` protected by `succ_slot(0)`.
+                // SAFETY: `succs[0]` is level 0's last validated cursor, still
+                // protected in that level's free slot.
                 && unsafe { &*succs[0] }.key.cmp_key(key) == CmpOrdering::Equal;
             return FindResult {
                 preds,
@@ -364,7 +401,8 @@ where
                 // SAFETY: `node` is private until the CAS below publishes it.
                 unsafe { &*node }.next[level].store_private(result.succs[level], Ordering::Relaxed);
             }
-            // SAFETY: `preds[0]` is the sentinel or protected by `pred_slot(0)`.
+            // SAFETY: `preds[0]` is the sentinel or protected by this `find`
+            // (`FindResult`): in one of level 0's slots or a higher level's.
             match unsafe { &*result.preds[0] }.next[0].compare_exchange(
                 result.pred_links[0],
                 node,
@@ -395,7 +433,9 @@ where
         // `node` stays protected in `HP_NODE` for the rest of the operation: the
         // slot was published while the node was still private and `find` never
         // touches it, so even a concurrent removal cannot get the node *freed* while
-        // we still read it (including the key borrowed from it below).
+        // we still read it (including the key borrowed from it below). Each
+        // pass below dereferences only what its own `find` returned, before
+        // the next one rotates the level pairs again.
         // SAFETY: `node` protected as described; reading its immutable key is safe.
         let key_ref: &K = match unsafe { &(*node).key } {
             KeySlot::Key(k) => k,
@@ -434,7 +474,8 @@ where
                     continue;
                 }
                 // Avoid knowingly linking to a logically deleted successor.
-                // SAFETY: `succ` is protected by `succ_slot(level)`.
+                // SAFETY: `succ` is `succs[level]` of the `find` above, protected
+                // in one of `level`'s two slots (`FindResult`).
                 if !succ.is_null()
                     && unsafe { &*succ }.next[level]
                         .load(Ordering::Acquire)
@@ -457,7 +498,8 @@ where
                 // either snipped through this very link or bumped its version in
                 // the fence pass — either way the CAS fails and the loop
                 // re-validates from scratch, observing the removal.
-                // SAFETY: `preds[level]` is the sentinel or protected.
+                // SAFETY: `preds[level]` is the sentinel or protected in a slot
+                // of `level` or a higher one by the `find` above (`FindResult`).
                 if unsafe { &*result.preds[level] }.next[level]
                     .compare_exchange(
                         result.pred_links[level],
@@ -614,6 +656,8 @@ where
                 // above (a canonical pred carried down without a Less-step at
                 // this level was protected where it was last advanced, and
                 // lower-level iterations never overwrite higher pred slots).
+                // That is `sweep`'s own discipline; no `find` — whose rotation
+                // reuses the same pairs — runs between the sweep and this CAS.
                 if unsafe { &*sweep.preds[level] }.next[level]
                     .bump_version(sweep.pred_links[level], Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
@@ -636,8 +680,8 @@ where
         // Hold the victim in the dedicated node slot for the rest of the operation:
         // `find` never touches it, so the phase-3 sweeps below cannot leave the
         // victim unprotected while this thread still dereferences it. (The
-        // protection is published while the victim is validated reachable by the
-        // find above, so scans honour it.)
+        // victim is `succs[0]`, still protected in one of level 0's slots by the
+        // find above, so scans honour it from before this publication on.)
         guard.protect_ptr(HP_NODE, victim.cast());
         // SAFETY: `victim` protected.
         let height = unsafe { &*victim }.height;
@@ -731,21 +775,23 @@ where
         let guard = Guard::new(handle);
         let mut count = 0;
         let mut prev = self.head_ptr();
-        // SAFETY: same discipline as `find`, restricted to level 0.
+        // Same rotation as `find`, restricted to level 0's pair.
+        let mut free = pred_slot(0);
+        // SAFETY: `prev` is the sentinel.
         let mut w = unsafe { &*prev }.next[0].load(Ordering::Acquire);
         loop {
             let curr = w.ptr();
             if curr.is_null() {
                 break;
             }
-            guard.protect_ptr(HP_CURSOR, curr.cast());
-            // SAFETY: the pointer was validated (or is hazard-protected) by the surrounding traversal and nodes are only freed through SMR.
+            guard.protect_ptr(free, curr.cast());
+            // SAFETY: `prev` is the sentinel or protected in the non-free slot.
             let w2 = unsafe { &*prev }.next[0].load(Ordering::Acquire);
             if w2.ptr() != curr || w2.is_marked() {
                 // Restart on interference.
                 count = 0;
                 prev = self.head_ptr();
-                // SAFETY: the pointer was validated (or is hazard-protected) by the surrounding traversal and nodes are only freed through SMR.
+                // SAFETY: `prev` is the sentinel.
                 w = unsafe { &*prev }.next[0].load(Ordering::Acquire);
                 continue;
             }
@@ -754,7 +800,7 @@ where
             if !cw.is_marked() {
                 count += 1;
                 prev = curr;
-                guard.protect_ptr(pred_slot(0), curr.cast());
+                free ^= 1;
             }
             w = cw;
         }

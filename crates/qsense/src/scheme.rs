@@ -7,8 +7,8 @@ use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
     fence, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCore, HandleTelemetry,
-    HpSlots, PtrScratch, Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, Telemetry,
+    HpSlots, OwnedSlots, PtrScratch, Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr,
+    SmrConfig, SmrHandle, Telemetry,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -359,6 +359,8 @@ impl Smr for QSense {
         record.epoch.store(epoch);
         self.note_activity(record);
         Ok(QSenseHandle {
+            // SAFETY: the handle's `Arc<QSense>` keeps the registry alive.
+            hps: unsafe { record.hps.owner() },
             scheme: Arc::clone(self),
             slot,
             core,
@@ -401,6 +403,8 @@ impl Drop for QSense {
 pub struct QSenseHandle {
     scheme: Arc<QSense>,
     slot: SlotId,
+    /// This handle's hazard pointers: the writer's view of its record's `hps`.
+    hps: OwnedSlots,
     /// Its retire counter is `free_node_later_call_count` in Algorithm 5.
     core: HandleCore<PtrScratch>,
     /// One limbo list per logical epoch (fast path); scanned as a whole by the
@@ -532,12 +536,12 @@ impl SmrHandle for QSenseHandle {
         // protections from the fast path must already be in place when the system
         // switches to the fallback path; §5.1: no fence is needed because rooster
         // wake-ups + deferred reclamation bound visibility) — exactly as in Cadence.
-        self.record().hps.set(index, ptr);
+        self.hps.set(index, ptr);
         fence::compiler_only();
     }
 
     fn clear_protections(&mut self) {
-        self.record().hps.clear_all();
+        self.hps.clear_all();
     }
 
     unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
@@ -623,7 +627,7 @@ impl SmrHandle for QSenseHandle {
 
 impl Drop for QSenseHandle {
     fn drop(&mut self) {
-        self.record().hps.clear_all();
+        self.hps.clear_all();
         self.flush();
         let mut leftovers = SegBag::new();
         for bag in &mut self.limbo {
@@ -665,12 +669,14 @@ mod tests {
     #[test]
     fn record_maintains_hps_epoch_and_presence() {
         let record = QsenseRecord::new(2);
-        record.hps.set(0, 0x10 as *mut u8);
-        record.hps.set(1, 0x20 as *mut u8);
+        // SAFETY: `record` outlives the view.
+        let hps = unsafe { record.hps.owner() };
+        hps.set(0, 0x10 as *mut u8);
+        hps.set(1, 0x20 as *mut u8);
         let mut out = Vec::new();
         record.hps.collect_into(&mut out);
         assert_eq!(out.len(), 2);
-        record.hps.clear_all();
+        hps.clear_all();
         out.clear();
         record.hps.collect_into(&mut out);
         assert!(out.is_empty());

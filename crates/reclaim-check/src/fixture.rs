@@ -15,12 +15,18 @@
 //! retired node** at level 1. The fixed production skip list defeats exactly
 //! this schedule with its versioned links; this fixture deliberately does not.
 //!
-//! The whole module is gated on `check-oracle`: driving the buggy schedule
+//! [`RotationFixture`] is the second resurrected bug: a hand-over-hand list
+//! traversal over two hazard-pointer slots that forgets to swap the slots'
+//! roles when it steps, and so publishes its cursor over the slot still holding
+//! its predecessor. `lockfree-ds`' traversals rotate; this is what the oracle
+//! says when they do not.
+//!
+//! The whole module is gated on `check-oracle`: driving the buggy schedules
 //! without the oracle's quarantine (poison-and-leak instead of real frees)
 //! would be a genuine use-after-free, not a test.
 
 use lockfree_ds::interleave;
-use reclaim_core::{drop_fn_for, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
+use reclaim_core::{drop_fn_for, Guard, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -232,25 +238,30 @@ impl<S: Smr> RelinkFixture<S> {
 
 impl<S: Smr> Drop for RelinkFixture<S> {
     fn drop(&mut self) {
-        // Exclusive access: free what is still linked at level 0. Retired
-        // nodes were already handed to the scheme and are not reachable here
-        // (the re-link bug only ever resurrects them at level 1, and the
-        // oracle has convicted the schedule before teardown in that case).
-        let mut link = self.head.next[0].load(Ordering::Acquire);
-        loop {
-            let curr = ptr_of(link);
-            if curr.is_null() {
-                break;
-            }
-            // SAFETY: teardown owns the list; each level-0 node is freed once.
-            link = unsafe { (*curr).next[0].load(Ordering::Acquire) };
-            reclaim_core::oracle::deregister(curr.cast());
-            // SAFETY: sanctioned teardown free of a node this walk unlinked.
-            #[allow(clippy::disallowed_methods)]
-            unsafe {
-                drop(Box::from_raw(curr))
-            };
+        // Retired nodes were already handed to the scheme and are not
+        // reachable here (the re-link bug only ever resurrects them at level
+        // 1, and the oracle has convicted the schedule before teardown in that
+        // case).
+        free_level0_chain(&self.head);
+    }
+}
+
+/// Teardown of a fixture list: frees what is still linked at level 0.
+fn free_level0_chain(head: &FixNode) {
+    let mut link = head.next[0].load(Ordering::Acquire);
+    loop {
+        let curr = ptr_of(link);
+        if curr.is_null() {
+            break;
         }
+        // SAFETY: teardown owns the list; each level-0 node is freed once.
+        link = unsafe { (*curr).next[0].load(Ordering::Acquire) };
+        reclaim_core::oracle::deregister(curr.cast());
+        // SAFETY: sanctioned teardown free of a node this walk unlinked.
+        #[allow(clippy::disallowed_methods)]
+        unsafe {
+            drop(Box::from_raw(curr))
+        };
     }
 }
 
@@ -286,6 +297,156 @@ pub fn relink_scenario() -> Scenario {
                 handle.flush();
                 // On the buggy schedule this read reaches the freed victim.
                 let _ = remover.keys_at_level1(&mut handle);
+            })
+    })
+}
+
+/// A sorted single-level list read hand over hand through two hazard-pointer
+/// slots. With `swap` the traversal is Michael's: the cursor goes into the slot
+/// that does not hold the predecessor, and the roles swap on every step.
+/// Without it — **the resurrected bug** — the cursor is always published into
+/// the same slot, which from the second node on still holds the predecessor:
+/// the predecessor is unprotected while the traversal re-reads its link to
+/// validate the cursor (pause point `rotation_fixture::cursor_published` sits
+/// in that window), and a remove of it that completes there gets it freed.
+pub struct RotationFixture<S: Smr> {
+    head: Box<FixNode>,
+    swap: bool,
+    smr: Arc<S>,
+}
+
+impl<S: Smr> RotationFixture<S> {
+    /// A fixture list holding `keys` (ascending).
+    pub fn with_keys(smr: Arc<S>, keys: &[u64], swap: bool) -> Self {
+        let first = keys
+            .iter()
+            .rev()
+            .fold(0, |next, &key| FixNode::alloc(key, next) as usize);
+        Self {
+            head: Box::new(FixNode {
+                key: 0,
+                next: [AtomicUsize::new(first), AtomicUsize::new(0)],
+            }),
+            swap,
+            smr,
+        }
+    }
+
+    /// Registers the calling thread with the reclamation scheme.
+    pub fn register(&self) -> S::Handle {
+        self.smr.register()
+    }
+
+    /// Membership test: protect the cursor, validate it against the
+    /// predecessor's link, step.
+    pub fn contains(&self, key: u64, handle: &mut S::Handle) -> bool {
+        let guard = Guard::new(handle);
+        'retry: loop {
+            let mut pred: *const FixNode = &*self.head;
+            let mut free = 0;
+            loop {
+                // SAFETY: `pred` is the head or a node this traversal
+                // validated; whether it is still *protected* is the bug under
+                // test, and the checkpoint below convicts before any freed
+                // node is read (the oracle quarantines, so the read itself
+                // stays in bounds either way).
+                let curr = ptr_of(unsafe { (*pred).next[0].load(Ordering::Acquire) });
+                if curr.is_null() {
+                    return false;
+                }
+                guard.protect_ptr(free, curr.cast());
+                interleave::hit("rotation_fixture::cursor_published");
+                reclaim_core::oracle::check_protected(pred.cast(), "rotation_fixture::validate");
+                // SAFETY: checkpointed just above.
+                if unsafe { (*pred).next[0].load(Ordering::Acquire) } != curr as usize {
+                    // Moved, or marked: `pred` is being removed.
+                    continue 'retry;
+                }
+                // SAFETY: `curr` is protected in `free` and validated linked.
+                let found = unsafe { (*curr).key };
+                if found >= key {
+                    return found == key;
+                }
+                pred = curr;
+                if self.swap {
+                    free ^= 1;
+                }
+            }
+        }
+    }
+
+    /// Removes `key` (mark, unlink, retire). One remover at a time: its own
+    /// walk is unprotected.
+    pub fn remove(&self, key: u64, handle: &mut S::Handle) -> bool {
+        let guard = Guard::new(handle);
+        let mut pred: *const FixNode = &*self.head;
+        loop {
+            // SAFETY: only this thread unlinks, so every node it reaches from
+            // the head is linked and live.
+            let curr = ptr_of(unsafe { (*pred).next[0].load(Ordering::Acquire) });
+            // SAFETY: as above.
+            if curr.is_null() || unsafe { (*curr).key } > key {
+                return false;
+            }
+            // SAFETY: as above.
+            if unsafe { (*curr).key } < key {
+                pred = curr;
+                continue;
+            }
+            // SAFETY: as above; sole writer of both links.
+            unsafe {
+                let succ = (*curr).next[0].load(Ordering::Acquire);
+                (*curr).next[0].store(succ | MARK, Ordering::Release);
+                (*pred).next[0].store(succ, Ordering::Release);
+            }
+            interleave::hit("rotation_fixture::remove::pre_retire");
+            // SAFETY: `curr` came from `FixNode::alloc`, was unlinked just
+            // above, and only this call retires it.
+            unsafe { guard.retire_raw(curr, NO_BIRTH_ERA) };
+            return true;
+        }
+    }
+}
+
+impl<S: Smr> Drop for RotationFixture<S> {
+    fn drop(&mut self) {
+        free_level0_chain(&self.head);
+    }
+}
+
+/// Two threads under hazard pointers with an eager scan threshold, over the
+/// list 5 → 10: thread 0 looks 10 up (stepping over 5), thread 1 removes 5 and
+/// flushes. Without the swap there is a schedule in which the flush lands
+/// between thread 0's publication of 10 — over the slot that held 5 — and its
+/// re-read of 5's link; with it, 5 stays protected and every schedule is clean.
+pub fn rotation_scenario(swap: bool) -> Scenario {
+    let name = if swap {
+        "rotation-fixture/hp/swap"
+    } else {
+        "rotation-fixture/hp/no-swap"
+    };
+    Scenario::new(name, move || {
+        let config = SmrConfig::default()
+            .with_max_threads(4)
+            .with_hp_per_thread(2)
+            .with_scan_threshold(1)
+            .with_rooster_threads(0);
+        let fixture = Arc::new(RotationFixture::with_keys(
+            hazard::Hazard::new(config),
+            &[5, 10],
+            swap,
+        ));
+        let reader = Arc::clone(&fixture);
+        let remover = Arc::clone(&fixture);
+        ScenarioRun::new()
+            .thread(move || {
+                let mut handle = reader.register();
+                assert!(reader.contains(10, &mut handle), "10 is never removed");
+            })
+            .thread(move || {
+                let mut handle = remover.register();
+                assert!(remover.remove(5, &mut handle), "5 was prefilled");
+                handle.flush();
             })
     })
 }

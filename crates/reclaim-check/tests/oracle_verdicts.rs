@@ -3,6 +3,9 @@
 //!
 //! * the explorer finds the resurrected pre-versioning skip-list re-link UAF
 //!   **without a hand-written schedule**, and the failing trace replays;
+//! * likewise a hand-over-hand traversal that publishes its cursor over the
+//!   slot still holding its predecessor (rotation without the swap), while the
+//!   same traversal with the swap explores clean;
 //! * an intentionally-seeded violation produces a panic naming the node and
 //!   a replayable schedule.
 
@@ -48,6 +51,38 @@ fn explorer_finds_the_pre_versioning_relink_uaf() {
         replayed.trace, failure.trace,
         "replay walks the identical pause-point trace"
     );
+}
+
+#[test]
+fn explorer_convicts_slot_rotation_without_the_swap() {
+    let scenario = fixture::rotation_scenario(false);
+    let report = Explorer::new().explore(&scenario);
+    let failure = report
+        .failure
+        .expect("a remove of the overwritten predecessor fits in the publish-to-validate window");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("use after free")
+            && failure.message.contains("rotation_fixture::validate"),
+        "expected the oracle to convict the predecessor's re-read, got: {}",
+        failure.message
+    );
+    assert!(
+        report.schedules > 1,
+        "run-to-completion is clean; the bug needs a preemption"
+    );
+    println!("{failure}");
+
+    let replayed = Explorer::new()
+        .replay(&scenario, &schedule_of(&failure.trace))
+        .expect_err("replaying the failing schedule reproduces the verdict");
+    assert!(replayed.message.contains("use after free"));
+    assert_eq!(replayed.trace, failure.trace);
+
+    // The swap is the whole difference: same list, same threads, same scheme.
+    Explorer::new()
+        .explore(&fixture::rotation_scenario(true))
+        .assert_exhaustive();
 }
 
 /// A scenario with a *seeded* protocol violation: the thread retires a node,

@@ -6,9 +6,16 @@
 //! unreachable. They differ only in *why the snapshot is complete*
 //! ([`SnapshotProof`]): classic HP fences every publication or, where the
 //! kernel offers an expedited `membarrier`, has the scan run that fence for its
-//! readers; Cadence and QSense wait out `T + ε`. The fence after a publication
-//! is left to the caller of [`HpSlots::set`]; what the scan owes its proof is
-//! [`hp_scan`]'s.
+//! readers; Cadence and QSense wait out `T + ε`.
+//!
+//! Who writes, who reads: the record ([`HpSlots`]) lives in the scheme's
+//! registry and is the **scan side** — [`HpSlots::collect_into`] under
+//! [`hp_scan`], from any thread. The **writer** is the one handle that claimed
+//! the registry slot, through the [`OwnedSlots`] view it takes at registration:
+//! one bounds check against a handle-local `K` and one store per protection,
+//! with no walk through scheme → registry → record → block on the way. The
+//! fence after a publication is left to the caller of [`OwnedSlots::set`]; what
+//! the scan owes its proof is [`hp_scan`]'s.
 
 use crate::clock::Nanos;
 use crate::config::SmrConfig;
@@ -52,16 +59,70 @@ impl HpSlots {
         }
     }
 
-    /// Visits the `k` slots in index order (and none of the last block's
-    /// unused tail). Runs per operation, in `clear_all`: two plain loops.
+    /// The `k` slots in index order (and none of the last block's unused
+    /// tail), as the one flat array they are.
     #[inline]
-    fn for_each_slot<'a>(&'a self, mut visit: impl FnMut(&'a AtomicPtr<u8>)) {
-        let mut remaining = self.k;
-        for block in self.blocks.iter() {
-            let used = remaining.min(BLOCK_SLOTS);
-            block[..used].iter().for_each(&mut visit);
-            remaining -= used;
+    fn slots(&self) -> &[AtomicPtr<u8>] {
+        // SAFETY: the blocks are one allocation of `blocks.len() * BLOCK_SLOTS`
+        // contiguous slots (const assert below) and `k` is at most that many.
+        unsafe { std::slice::from_raw_parts(self.blocks.as_ptr().cast(), self.k) }
+    }
+
+    /// The write-side view of this record, for the handle that claimed its
+    /// registry slot.
+    ///
+    /// # Safety
+    ///
+    /// The record must stay alive (registry not dropped) for as long as the
+    /// view is used: the view borrows nothing.
+    pub unsafe fn owner(&self) -> OwnedSlots {
+        OwnedSlots {
+            slots: self.slots(),
         }
+    }
+
+    /// A snapshot buffer sized for the `N·K` worst case — every slot of every
+    /// registered thread published — so scans never allocate.
+    pub fn snapshot_scratch(config: &SmrConfig) -> PtrScratch {
+        PtrScratch::with_capacity(config.max_threads * config.hp_per_thread)
+    }
+
+    /// Appends every non-null slot to `out` (one record's share of
+    /// [`Registry::collect_protected`]).
+    pub fn collect_into(&self, out: &mut Vec<*mut u8>) {
+        for slot in self.slots() {
+            let p = slot.load(Ordering::Acquire);
+            if !p.is_null() {
+                out.push(p);
+            }
+        }
+    }
+}
+
+// `HpSlots::slots` reads the blocks as one flat array of slots.
+const _: () = assert!(
+    std::mem::size_of::<CachePadded<[AtomicPtr<u8>; BLOCK_SLOTS]>>()
+        == BLOCK_SLOTS * std::mem::size_of::<AtomicPtr<u8>>()
+);
+
+/// The owner's write-side view of one [`HpSlots`] record ([`HpSlots::owner`]):
+/// what `protect` and `clear_protections` of HP, Cadence and QSense go through.
+pub struct OwnedSlots {
+    slots: *const [AtomicPtr<u8>],
+}
+
+// SAFETY: `slots` points into a record of the scheme's registry, which the
+// `Arc<scheme>` held by the same handle keeps alive wherever the handle moves
+// (`HpSlots::owner`'s contract); the slots are atomics, and the handle that
+// claimed the registry slot is their single writer, so moving it to another
+// thread moves the one writer with it.
+unsafe impl Send for OwnedSlots {}
+
+impl OwnedSlots {
+    #[inline]
+    fn slots(&self) -> &[AtomicPtr<u8>] {
+        // SAFETY: the record is alive by `HpSlots::owner`'s contract.
+        unsafe { &*self.slots }
     }
 
     /// Publishes `ptr` in slot `index` with a release store and **no fence**:
@@ -75,34 +136,21 @@ impl HpSlots {
     /// Panics if `index` is not below `K`.
     #[inline]
     pub fn set(&self, index: usize, ptr: *mut u8) {
+        let slots = self.slots();
         assert!(
-            index < self.k,
+            index < slots.len(),
             "hazard-pointer index {index} out of range (K = {})",
-            self.k
+            slots.len()
         );
-        self.blocks[index / BLOCK_SLOTS][index % BLOCK_SLOTS].store(ptr, Ordering::Release);
+        slots[index].store(ptr, Ordering::Release);
     }
 
-    /// A snapshot buffer sized for the `N·K` worst case — every slot of every
-    /// registered thread published — so scans never allocate.
-    pub fn snapshot_scratch(config: &SmrConfig) -> PtrScratch {
-        PtrScratch::with_capacity(config.max_threads * config.hp_per_thread)
-    }
-
-    /// Nulls every slot.
+    /// Nulls the `k` slots (and nothing of the last block's unused tail).
+    #[inline]
     pub fn clear_all(&self) {
-        self.for_each_slot(|slot| slot.store(std::ptr::null_mut(), Ordering::Release));
-    }
-
-    /// Appends every non-null slot to `out` (one record's share of
-    /// [`Registry::collect_protected`]).
-    pub fn collect_into(&self, out: &mut Vec<*mut u8>) {
-        self.for_each_slot(|slot| {
-            let p = slot.load(Ordering::Acquire);
-            if !p.is_null() {
-                out.push(p);
-            }
-        });
+        for slot in self.slots() {
+            slot.store(std::ptr::null_mut(), Ordering::Release);
+        }
     }
 }
 
@@ -216,32 +264,75 @@ mod tests {
     use crate::smr::drop_fn_for;
     use std::collections::HashSet;
 
+    /// The view a handle would take of `record` at registration.
+    fn owner_of(record: &HpSlots) -> OwnedSlots {
+        // SAFETY: every test keeps its record (or registry) alive past the view.
+        unsafe { record.owner() }
+    }
+
+    fn collected(record: &HpSlots) -> Vec<*mut u8> {
+        let mut out = Vec::new();
+        record.collect_into(&mut out);
+        out
+    }
+
     #[test]
     fn set_clear_collect_round_trip() {
         // 20 slots span two storage blocks; 15 | 16 is the boundary.
         let record = HpSlots::new(BLOCK_SLOTS + 4);
+        let view = owner_of(&record);
         let published = [0, 2, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 3];
         for index in published {
-            record.set(index, (0x10 * (index + 1)) as *mut u8);
+            view.set(index, (0x10 * (index + 1)) as *mut u8);
         }
-        let mut out = Vec::new();
-        record.collect_into(&mut out);
         let expected: Vec<_> = published
             .iter()
             .map(|index| (0x10 * (index + 1)) as *mut u8)
             .collect();
-        assert_eq!(out, expected);
-        record.clear_all();
-        out.clear();
-        record.collect_into(&mut out);
-        assert!(out.is_empty());
+        assert_eq!(collected(&record), expected);
+        view.clear_all();
+        assert!(collected(&record).is_empty());
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
+    #[should_panic(expected = "index 2 out of range (K = 2)")]
     fn set_rejects_an_out_of_range_slot() {
         // Slot 2 exists in the storage block, but not in a `K = 2` record.
-        HpSlots::new(2).set(2, std::ptr::null_mut());
+        let record = HpSlots::new(2);
+        owner_of(&record).set(2, std::ptr::null_mut());
+    }
+
+    #[test]
+    fn clear_all_stops_at_k_inside_the_last_block() {
+        // `K = 20` leaves slots 20..32 of the second block unused: a scan
+        // never reads them (`slots`), and the owner never writes them.
+        let record = HpSlots::new(BLOCK_SLOTS + 4);
+        let tail = &record.blocks[1][4..];
+        for slot in tail {
+            slot.store(0xdead as *mut u8, Ordering::Relaxed);
+        }
+        let view = owner_of(&record);
+        view.set(BLOCK_SLOTS + 3, 0x10 as *mut u8);
+        view.clear_all();
+        assert!(collected(&record).is_empty());
+        assert!(tail
+            .iter()
+            .all(|slot| slot.load(Ordering::Relaxed) == 0xdead as *mut u8));
+    }
+
+    #[test]
+    fn the_view_of_a_recycled_registry_slot_writes_the_record_scans_read() {
+        let registry = Registry::new(1, |_| HpSlots::new(BLOCK_SLOTS + 1));
+        let mut snapshot = Vec::new();
+        for tenancy in 1..=2_usize {
+            let slot = registry.try_acquire().expect("the one slot is free");
+            let view = owner_of(registry.get_mine(slot));
+            view.set(BLOCK_SLOTS, (0x100 * tenancy) as *mut u8);
+            registry.collect_protected(&mut snapshot, HpSlots::collect_into);
+            assert_eq!(snapshot, vec![(0x100 * tenancy) as *mut u8]);
+            view.clear_all();
+            registry.release(slot);
+        }
     }
 
     #[test]
@@ -250,8 +341,11 @@ mod tests {
             let registry = Registry::new(4, |_| HpSlots::new(k));
             let mut owner_of_block = HashSet::new();
             for (_, record) in registry.iter_all() {
-                let mut slots = Vec::new();
-                record.for_each_slot(|slot| slots.push(std::ptr::from_ref(slot) as usize));
+                let slots: Vec<usize> = record
+                    .slots()
+                    .iter()
+                    .map(|slot| std::ptr::from_ref(slot) as usize)
+                    .collect();
                 assert_eq!(slots.len(), k);
                 let blocks: HashSet<usize> = slots.iter().map(|slot| slot / 128).collect();
                 for block in blocks {

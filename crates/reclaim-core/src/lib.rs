@@ -94,7 +94,7 @@
 //! | frequency | work | shared-memory cost |
 //! |-----------|------|--------------------|
 //! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, an O(#buckets) bucket-age check (EBR only); one era announcement — an era load plus, on change, a fenced reservation store (HE only) | none (EBR: one relaxed store on `begin_op` and one release store on `end_op`, to one owned padded line; HE: one era store per op to an owned padded line, fenced only when the era moved) |
-//! | per node traversed (`protect`) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one release store to an owned slot in a 128-byte block no other thread's slots share ([`HpSlots`]); HE's amortized cost here is ~zero (eras advance once per [`clock::EraPacer::current_interval`] allocations, not per node) |
+//! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record ([`OwnedSlots`]), into a 128-byte block no other thread's slots share ([`HpSlots`]); HE's amortized cost here is ~zero (eras advance once per [`clock::EraPacer::current_interval`] allocations, not per node) |
 //! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every [`clock::EraPacer::current_interval`] allocations (HE only; no-op for every other scheme). The interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] — the pacer's entire allocation-side cost | one acquire load of the (mostly read-shared) era line |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one clock read for the removal-time stamp (Cadence/QSense only — the other schemes' free rules read no stamp), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
@@ -375,7 +375,7 @@ pub use clock::{
 pub use config::SmrConfig;
 pub use fence::{FenceStrategy, SnapshotProof};
 pub use guard::{Atomic, Guard, Owned, Shared, Unlinked};
-pub use hp_slots::{hp_scan, HpSlots};
+pub use hp_slots::{hp_scan, HpSlots, OwnedSlots};
 pub use leaky::{Leaky, LeakyHandle};
 pub use lease::{HandleLease, LeaseExhausted, LeasePolicy, LeasePool};
 pub use limbo::{HandleCore, Reclaim, SchemeCore};
