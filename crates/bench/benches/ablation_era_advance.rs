@@ -46,7 +46,6 @@ fn run_policy(policy: EraAdvancePolicy, spec: &StallChurnSpec) -> PolicyPoint {
     let config = SmrConfig::default()
         .with_max_threads(4)
         .with_scan_threshold(128)
-        .with_rooster_threads(0)
         .with_era_policy(policy);
     let scheme = he::He::new(config);
     let start_era = scheme.current_era();

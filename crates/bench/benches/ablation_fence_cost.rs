@@ -60,7 +60,7 @@ fn row(scheme: &str, variant: &str, ns: f64) -> JsonObject {
 
 fn main() {
     println!("Ablation A3: cost of one hazard-pointer publication");
-    let config = SmrConfig::default().with_rooster_threads(1);
+    let config = SmrConfig::default();
     let mut rows = Vec::new();
 
     for (strategy, variant) in [

@@ -75,7 +75,6 @@ fn main() {
     for k in [2usize, 6, 12, 24, 35] {
         let config = SmrConfig::default()
             .with_hp_per_thread(k)
-            .with_rooster_threads(1)
             .with_quiescence_threshold(64);
 
         let qsbr = qsbr::Qsbr::new(config.clone());

@@ -1,8 +1,10 @@
 //! **Ablation A1** (design choice of §5.1): the Cadence rooster sleep interval `T`.
 //!
-//! Deferred reclamation may only free nodes older than `T + ε`, so a larger `T`
-//! trades a longer memory tail (more nodes parked in limbo) for fewer rooster
-//! wake-ups. This sweep runs the stand-alone Cadence scheme on the linked list with
+//! Deferred reclamation may only free nodes a rooster wake-up has covered since
+//! their unlink, so a larger `T` trades a longer memory tail (more nodes parked in
+//! limbo, waiting for the next tick) for fewer wake-ups. (Where the kernel has no
+//! process-wide barrier Cadence runs reader-fenced and `T` does nothing: the
+//! report's `fence_strategy` says which protocol the numbers are of.) This sweep runs the stand-alone Cadence scheme on the linked list with
 //! several values of `T` and reports throughput and the retired-but-unreclaimed node
 //! count at the end of the run.
 //!
@@ -11,6 +13,7 @@
 //! keyed by the swept parameter (`"T_ms"`) and its value.
 
 use bench::json::{self, JsonObject};
+use reclaim_core::FenceStrategy;
 use std::sync::Arc;
 use std::time::Duration;
 use workload::{
@@ -40,8 +43,7 @@ fn main() {
     let mut rows = Vec::new();
     for interval_ms in [1_u64, 5, 20, 50, 100] {
         let config = workload::default_bench_config(threads + 2)
-            .with_rooster_interval(Duration::from_millis(interval_ms))
-            .with_rooster_epsilon(Duration::from_millis(1));
+            .with_rooster_interval(Duration::from_millis(interval_ms));
         let set = make_set(Structure::List, SchemeKind::Cadence, config);
         let experiment = Experiment {
             set: Arc::clone(&set),
@@ -67,6 +69,10 @@ fn main() {
         ("point_seconds", format!("{}", bench::point_seconds())),
         ("threads", format!("{threads}")),
         ("structure", "\"linked-list\"".to_string()),
+        (
+            "fence_strategy",
+            format!("\"{}\"", FenceStrategy::detect_rooster().name()),
+        ),
         ("unit", "\"million operations per second\"".to_string()),
     ];
     let path = json::workspace_file("BENCH_ablation_rooster.json");

@@ -243,7 +243,6 @@ fn main() {
     let config = |threads: usize, telemetry: bool| {
         SmrConfig::default()
             .with_max_threads(threads + 2)
-            .with_rooster_threads(1)
             .with_telemetry(telemetry)
     };
 

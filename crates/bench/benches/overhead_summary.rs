@@ -226,11 +226,7 @@ fn main() {
     );
     // Rooster threads are capped at 1 here: this benchmark measures worker-side
     // per-op cost, not background reclamation throughput.
-    let config = |threads: usize| {
-        SmrConfig::default()
-            .with_max_threads(threads + 2)
-            .with_rooster_threads(1)
-    };
+    let config = |threads: usize| SmrConfig::default().with_max_threads(threads + 2);
 
     // Discarded process warm-up: the first measurement in a fresh process pays
     // one-off costs (page faults, allocator arena growth) that would otherwise be

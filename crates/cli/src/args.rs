@@ -256,6 +256,20 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
         .map_err(|_| format!("{flag} expects a number, got '{value}'"))
 }
 
+/// A count, threshold or interval the library has no meaning for at zero (its
+/// builders assert; a zero rooster interval would interrupt every CPU back to
+/// back): rejected here, so the user gets usage instead of a backtrace.
+fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
+    flag: &str,
+    value: &str,
+) -> Result<T, String> {
+    let number: T = parse_number(flag, value)?;
+    if number == T::from(0) {
+        return Err(format!("{flag} must be at least 1"));
+    }
+    Ok(number)
+}
+
 fn parse_fault(value: &str) -> Result<FaultSelection, String> {
     if value == "all" {
         return Ok(FaultSelection::All);
@@ -303,7 +317,7 @@ impl CliOptions {
             match arg {
                 "--structure" => options.structure = parse_structure(&value_for(arg)?)?,
                 "--scheme" => options.schemes = parse_scheme(&value_for(arg)?)?,
-                "--threads" => options.threads = parse_number(arg, &value_for(arg)?)?,
+                "--threads" => options.threads = parse_positive(arg, &value_for(arg)?)?,
                 "--duration" => {
                     let secs: f64 = parse_number(arg, &value_for(arg)?)?;
                     if secs.is_nan() || secs <= 0.0 {
@@ -321,10 +335,10 @@ impl CliOptions {
                 "--key-range" => options.key_range = Some(parse_number(arg, &value_for(arg)?)?),
                 "--delay" => options.inject_delay = true,
                 "--timeline" => options.timeline = true,
-                "--quiescence" => options.quiescence = Some(parse_number(arg, &value_for(arg)?)?),
-                "--scan" => options.scan = Some(parse_number(arg, &value_for(arg)?)?),
-                "--fallback" => options.fallback = Some(parse_number(arg, &value_for(arg)?)?),
-                "--rooster-ms" => options.rooster_ms = Some(parse_number(arg, &value_for(arg)?)?),
+                "--quiescence" => options.quiescence = Some(parse_positive(arg, &value_for(arg)?)?),
+                "--scan" => options.scan = Some(parse_positive(arg, &value_for(arg)?)?),
+                "--fallback" => options.fallback = Some(parse_positive(arg, &value_for(arg)?)?),
+                "--rooster-ms" => options.rooster_ms = Some(parse_positive(arg, &value_for(arg)?)?),
                 "--eviction-ms" => options.eviction_ms = Some(parse_number(arg, &value_for(arg)?)?),
                 "--era-policy" => options.era_policy = Some(parse_era_policy(&value_for(arg)?)?),
                 "--fault" => options.fault = Some(parse_fault(&value_for(arg)?)?),
@@ -335,20 +349,8 @@ impl CliOptions {
                     }
                     options.server_soak = Some(sessions);
                 }
-                "--soak-slots" => {
-                    let slots: usize = parse_number(arg, &value_for(arg)?)?;
-                    if slots == 0 {
-                        return Err("--soak-slots must be at least 1".to_string());
-                    }
-                    options.soak_slots = slots;
-                }
-                "--soak-ops" => {
-                    let ops: usize = parse_number(arg, &value_for(arg)?)?;
-                    if ops == 0 {
-                        return Err("--soak-ops must be at least 1".to_string());
-                    }
-                    options.soak_ops = ops;
-                }
+                "--soak-slots" => options.soak_slots = parse_positive(arg, &value_for(arg)?)?,
+                "--soak-ops" => options.soak_ops = parse_positive(arg, &value_for(arg)?)?,
                 "--limbo-budget" => {
                     options.limbo_budget = Some(parse_bytes(arg, &value_for(arg)?)?)
                 }
@@ -369,9 +371,6 @@ impl CliOptions {
                     }
                 }
             }
-        }
-        if options.threads == 0 {
-            return Err("--threads must be at least 1".to_string());
         }
         Ok(options)
     }
@@ -586,6 +585,29 @@ mod tests {
         assert!(parse(&["--frobnicate"])
             .unwrap_err()
             .contains("unknown flag"));
+    }
+
+    #[test]
+    fn a_zero_the_library_would_panic_or_spin_on_is_rejected_with_the_flags_name() {
+        for flag in [
+            "--threads",
+            "--quiescence",
+            "--scan",
+            "--fallback",
+            "--rooster-ms",
+            "--soak-slots",
+            "--soak-ops",
+        ] {
+            let error = parse(&[flag, "0"]).unwrap_err();
+            assert_eq!(error, format!("{flag} must be at least 1"));
+            assert!(parse(&[flag, "1"]).is_ok(), "{flag} 1");
+        }
+        let options = parse(&["--quiescence", "7", "--scan", "8", "--fallback", "9"]).unwrap();
+        assert_eq!(
+            (options.quiescence, options.scan, options.fallback),
+            (Some(7), Some(8), Some(9))
+        );
+        assert_eq!(parse(&["--rooster-ms", "3"]).unwrap().rooster_ms, Some(3));
     }
 
     #[test]

@@ -133,7 +133,9 @@ impl Ebr {
             // after the barrier could only find the same. A sibling stalled
             // mid-operation thus costs its peers a shard walk per attempt, not
             // a syscall.
-            FenceStrategy::ScannerBarrier => {
+            // (EBR keeps no ledger for a rooster to raise: named `Rooster`,
+            // its advancer still pays for the compiler-fenced pins itself.)
+            FenceStrategy::ScannerBarrier | FenceStrategy::Rooster => {
                 if !all_caught_up() || !fence::scanner_barrier(orphan) {
                     return false;
                 }

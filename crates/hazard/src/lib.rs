@@ -1,4 +1,4 @@
-//! # hazard — classic hazard pointers
+//! # hazard — the hazard-pointer family
 //!
 //! The HP baseline of the QSense paper: Michael's hazard-pointer scheme
 //! (*Hazard pointers: Safe memory reclamation for lock-free objects*, IEEE TPDS 2004)
@@ -13,12 +13,14 @@
 //! Cadence/QSense exist to remove it.
 //!
 //! The protocol does not say *which side* executes the fence, only that the
-//! reader's CPU passes through one between the two accesses. This crate runs one
-//! of two forms, chosen once per process from what the kernel answers
-//! ([`FenceStrategy::detect`]) — there is no option to set:
+//! reader's CPU passes through one between the two accesses — so HP and Cadence
+//! are one scheme here ([`HpFamily`]: one record, one handle, one scan, one free
+//! rule) behind two paper-named constructors that differ in **who issues the
+//! barrier**, chosen once per process from what the kernel answers — there is no
+//! option to set. [`Hazard::new`] runs one of:
 //!
 //! * **scanner-barrier** (Linux ≥ 4.14 with `membarrier` permitted): `protect`
-//!   is a store and a compiler fence (≈ 2 ns, Cadence's cost), and every scan
+//!   is a store and a compiler fence (≈ 2 ns, Cadence's cost), and a scan
 //!   issues one `membarrier(MEMBARRIER_CMD_PRIVATE_EXPEDITED)` between its last
 //!   retire and its snapshot — the kernel runs the fence on every CPU a sibling
 //!   thread occupies. A publication is then either drained before the snapshot,
@@ -26,28 +28,34 @@
 //!   follows the barrier, sees the unlink and fails. The barrier costs the
 //!   scanner microseconds, so threshold scans run every `R ×`
 //!   [`SCANNER_BARRIER_SCAN_BATCH`](reclaim_core::fence::SCANNER_BARRIER_SCAN_BATCH)
-//!   retires (a limbo-budget crossing still forces one at once) and the
-//!   per-handle pool is pre-sized for that batch. A scan whose barrier the
-//!   kernel refuses frees nothing. `StatsSnapshot::traversal_fences` reads 0;
-//!   `heavy_barriers` counts the scans' barriers.
+//!   retires (a limbo-budget crossing still forces one at once), the
+//!   per-handle pool is pre-sized for that batch, and a scan whose newest node
+//!   a sibling's barrier already covers skips its own
+//!   ([`BarrierLedger`](reclaim_core::BarrierLedger)). A scan whose barrier the
+//!   kernel refuses frees nothing new. `StatsSnapshot::traversal_fences` reads
+//!   0; `heavy_barriers` counts the barriers scans issued.
 //! * **reader-fenced** (everywhere else — older kernels, other platforms,
 //!   seccomp profiles that filter `membarrier`, such as Docker's default): the
 //!   paper's form exactly, a `SeqCst` fence in every `protect` (≈ 9 ns) and a
 //!   scan every `R` retires. It is also the reference the tests run beside the
-//!   detected protocol ([`Hazard::with_fence_strategy`]).
+//!   detected protocol ([`HpFamily::with_fence_strategy`]).
 //!
-//! Unlike Cadence, neither form defers reclamation: a node is freed by the first
-//! scan that finds it unprotected, whatever its age. `reclaim-check`'s
-//! store-buffer litmus checks the argument for both forms, and convicts the
-//! protocol with no fence at all and with the barrier moved after the snapshot.
+//! Neither defers reclamation: a node is freed by the first scan that finds it
+//! unprotected. [`Cadence::new`] runs **rooster** — the same compiler-fenced
+//! `protect`, scans that never issue a barrier and free only what the process
+//! rooster's last completed tick covers (see the `cadence` crate) — or, where
+//! the kernel has no process-wide barrier at all, reader-fenced too.
+//! `reclaim-check`'s store-buffer litmus checks the argument for all three, and
+//! convicts the protocol with no fence at all, with the barrier moved after the
+//! snapshot, and with each near miss of the ledger rule.
 //!
 //! Layout: every registered thread owns `K` single-writer multi-reader hazard-pointer
 //! slots in a shared [`Registry`](reclaim_core::Registry), in 128-byte blocks no
 //! two threads share. Retired nodes accumulate in a thread-local segment-chain bag
 //! ([`reclaim_core::SegBag`]); every `R` retirements (times the scan batch) the
 //! owner runs [`scan`](reclaim_core::SmrHandle::flush), which snapshots all `N·K` hazard
-//! pointers and frees every retired node not present in the snapshot (Michael's
-//! wait-free scan).
+//! pointers and frees every covered retired node not present in the snapshot
+//! (Michael's wait-free scan).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -55,7 +63,7 @@
 mod scheme;
 
 pub use reclaim_core::FenceStrategy;
-pub use scheme::{Hazard, HazardHandle};
+pub use scheme::{Cadence, Hazard, HpFamily, HpHandle};
 
 #[cfg(test)]
 // Sanctioned raw-protocol site: these tests exercise the scheme's own
@@ -306,6 +314,43 @@ mod tests {
             assert_eq!(snap.heavy_barrier_failures, 0);
             assert_eq!(drops.load(Ordering::SeqCst), 1);
         });
+    }
+
+    #[test]
+    fn a_scan_shares_the_barrier_a_siblings_scan_already_paid_for() {
+        if ProcessBarrier::detected() != ProcessBarrier::Expedited {
+            println!("skipped: no expedited membarrier on this kernel");
+            return;
+        }
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme =
+            Hazard::with_fence_strategy(SmrConfig::default(), FenceStrategy::ScannerBarrier);
+        let (mut early, mut late) = (scheme.register(), scheme.register());
+        for handle in [&mut early, &mut late] {
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(handle, tracked(&drops)) };
+        }
+        late.flush();
+        assert_eq!(
+            (scheme.stats().heavy_barriers, drops.load(Ordering::SeqCst)),
+            (1, 1)
+        );
+        // That barrier started after `early`'s retire too: nothing to pay.
+        early.flush();
+        let snap = scheme.stats();
+        assert_eq!(
+            (snap.scans, snap.heavy_barriers, snap.heavy_barrier_failures),
+            (2, 1, 0)
+        );
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
+        // A retire since then is covered by no one's barrier yet.
+        // SAFETY: as above.
+        unsafe { retire_box(&mut early, tracked(&drops)) };
+        early.flush();
+        assert_eq!(
+            (scheme.stats().heavy_barriers, drops.load(Ordering::SeqCst)),
+            (2, 3)
+        );
     }
 
     #[test]

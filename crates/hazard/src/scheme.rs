@@ -1,53 +1,86 @@
-//! The hazard-pointer scheme object and per-thread handle.
+//! The hazard-pointer family's scheme object and per-thread handle.
 
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    hp_scan, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
-    HpSlots, OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, Telemetry,
+    hp_scan, BarrierLedger, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore,
+    HandleTelemetry, HpSlots, OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool,
+    SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
 };
 use std::sync::Arc;
 
-/// Classic hazard-pointer scheme (the paper's **HP** baseline).
+/// Classic hazard pointers (the paper's **HP** baseline): the fence is the
+/// reader's or, where the kernel offers an expedited `membarrier`, the
+/// scanner's ([`FenceStrategy::detect`]).
+pub type Hazard = HpFamily<false>;
+
+/// Cadence: fence-free hazard pointers behind a rooster (the paper's fallback
+/// path, usable stand-alone). The fence is a rooster's, or the reader's where
+/// the kernel has no process-wide barrier ([`FenceStrategy::detect_rooster`]).
+pub type Cadence = HpFamily<true>;
+
+/// A hazard-pointer scheme: HP and Cadence are this one protocol with
+/// different answers to "who issues the process-wide barrier" — the reader,
+/// the scanner, or a rooster (`reclaim_core::fence`).
 ///
-/// HP scans are hazard-gated and therefore safe at any point of the retire
-/// path, so a limbo-budget breach forces an immediate scan; if hazard pointers
-/// still pin the handle over budget, the retiring thread yields once.
-pub struct Hazard {
+/// Scans are hazard-gated and therefore safe at any point of the retire path,
+/// so a limbo-budget breach forces an immediate scan; if hazard pointers (or,
+/// under a rooster, barriers not yet completed) still pin the handle over
+/// budget, the retiring thread yields once. A forced scan honours the ledger
+/// like any other — bypassing it would forfeit exactly the fence-free safety
+/// argument Cadence exists for — so under a very coarse `rooster_interval` the
+/// budget can only be met by scanning more often, never by freeing uncovered
+/// nodes: a rooster tick is the only thing that makes Cadence garbage
+/// reclaimable.
+///
+/// `CADENCE` is which paper-named member this is ([`Hazard`], [`Cadence`]): it
+/// picks the name the scheme reports and the protocol `new` detects, nothing
+/// else — slots, limbo, scan and free rule exist once.
+pub struct HpFamily<const CADENCE: bool> {
     core: Arc<SchemeCore<PtrScratch>>,
     registry: Registry<HpSlots>,
-    strategy: FenceStrategy,
+    ledger: BarrierLedger,
 }
 
-impl Hazard {
-    /// Creates a hazard-pointer scheme with the given configuration, running
-    /// the protocol this process's kernel supports
-    /// ([`FenceStrategy::detect`]).
+impl<const CADENCE: bool> HpFamily<CADENCE> {
+    /// Creates the scheme with the given configuration, running the protocol
+    /// this process's kernel supports.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        Self::with_fence_strategy(config, FenceStrategy::detect())
+        let detected = if CADENCE {
+            FenceStrategy::detect_rooster()
+        } else {
+            FenceStrategy::detect()
+        };
+        Self::with_fence_strategy(config, detected)
     }
 
     /// [`new`](Self::new) with the protocol named instead of detected: for
-    /// tests, which run both on every kernel, and for the fence ablation.
-    /// Naming [`FenceStrategy::ScannerBarrier`] on a kernel without the
-    /// expedited barrier is safe and useless: every scan is refused and frees
-    /// nothing.
+    /// tests, which run every member under each protocol it can detect on
+    /// every kernel, and for the fence ablation. Naming a protocol whose
+    /// barrier the kernel lacks is safe and useless: no barrier ever
+    /// completes, so scans free nothing.
     pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
+        let ledger = BarrierLedger::new(strategy, config.rooster_interval);
+        let name = if CADENCE { "cadence" } else { "hp" };
         Arc::new(Self {
-            core: SchemeCore::with_scan_batch("hp", config, strategy.scan_batch()),
+            core: SchemeCore::with_scan_batch(name, config, strategy.scan_batch()),
             registry,
-            strategy,
+            ledger,
         })
     }
 
     /// The protocol this scheme's readers and scans run.
     pub fn fence_strategy(&self) -> FenceStrategy {
-        self.strategy
+        self.ledger.strategy()
     }
 
-    /// Creates a hazard-pointer scheme with default configuration.
+    /// The scheme's barrier ledger (diagnostics; tests tick it).
+    pub fn ledger(&self) -> &BarrierLedger {
+        &self.ledger
+    }
+
+    /// Creates the scheme with default configuration.
     pub fn with_defaults() -> Arc<Self> {
         Self::new(SmrConfig::default())
     }
@@ -58,10 +91,10 @@ impl Hazard {
     }
 }
 
-impl Smr for Hazard {
-    type Handle = HazardHandle;
+impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
+    type Handle = HpHandle<CADENCE>;
 
-    fn try_register(self: &Arc<Self>) -> Result<HazardHandle, CapacityExhausted> {
+    fn try_register(self: &Arc<Self>) -> Result<HpHandle<CADENCE>, CapacityExhausted> {
         // A fresh workspace: pool (one scan batch of retires) and snapshot
         // scratch pre-sized so that neither the first bag fill nor any scan
         // allocates.
@@ -70,15 +103,16 @@ impl Smr for Hazard {
             let pool = SegPool::for_scan_threshold(scan_every);
             (pool, HpSlots::snapshot_scratch(config))
         })?;
-        Ok(HazardHandle {
-            // SAFETY: the handle's `Arc<Hazard>` keeps the registry alive.
-            slots: unsafe { self.registry.get_mine(slot).owner() },
+        let strategy = self.ledger.strategy();
+        Ok(HpHandle {
+            // SAFETY: the handle's `Arc<HpFamily>` keeps the registry alive,
+            // and the strategy is the ledger's.
+            slots: unsafe { self.registry.get_mine(slot).owner(strategy) },
             scheme: Arc::clone(self),
             slot,
             core,
             retired: SegBag::new(),
-            strategy: self.strategy,
-            local_fences: 0,
+            newest: 0,
         })
     }
 
@@ -101,45 +135,42 @@ impl Smr for Hazard {
     }
 }
 
-/// Per-thread handle for [`Hazard`].
-pub struct HazardHandle {
-    scheme: Arc<Hazard>,
+/// Per-thread handle for [`HpFamily`].
+pub struct HpHandle<const CADENCE: bool> {
+    scheme: Arc<HpFamily<CADENCE>>,
     slot: SlotId,
     /// This handle's hazard pointers: the writer's view of `registry[slot]`.
     slots: OwnedSlots,
     core: HandleCore<PtrScratch>,
     retired: SegBag,
-    /// The scheme's protocol, by value: `protect` branches on it per node.
-    strategy: FenceStrategy,
-    /// Traversal fences issued by this thread since the last flush to shared stats
-    /// (kept local so the hot path does not add an extra shared atomic per node).
-    local_fences: u64,
+    /// An upper bound on the stamps in `retired`: what a scanner-barrier scan
+    /// needs covered before it may skip its own barrier.
+    newest: u64,
 }
 
-impl HazardHandle {
-    /// Michael's scan: free every retired node absent from a fresh snapshot
-    /// of all hazard pointers.
-    fn scan(core: &mut HandleCore<PtrScratch>, scheme: &Hazard, retired: &mut SegBag) {
-        // SAFETY: the proof is the one `protect` upholds, both read from the
-        // scheme's one `FenceStrategy` — reader-fenced: every publication is
-        // followed by a `SeqCst` fence before the caller's validation load;
-        // scanner-barrier: nothing is owed by `protect`, `hp_scan` issues the
-        // barrier itself. `retired` holds only nodes protected through this
-        // scheme's registry.
-        unsafe { hp_scan(core, &scheme.registry, retired, scheme.strategy.proof()) }
-    }
-
-    fn publish_fence_count(&mut self) {
-        if self.local_fences > 0 {
-            self.core.stats().add_traversal_fences(self.local_fences);
-            self.local_fences = 0;
-        }
+impl<const CADENCE: bool> HpHandle<CADENCE> {
+    /// Michael's scan / the paper's `scan` (Algorithm 3, lines 14–33): free
+    /// every retired node the ledger covers that is absent from a fresh
+    /// snapshot of all hazard pointers; keep the rest for a later scan.
+    fn scan(
+        core: &mut HandleCore<PtrScratch>,
+        scheme: &HpFamily<CADENCE>,
+        retired: &mut SegBag,
+        newest: u64,
+        amortise: bool,
+    ) {
+        let (registry, ledger) = (&scheme.registry, &scheme.ledger);
+        let bags = std::slice::from_mut(retired);
+        // SAFETY: `retired` holds only nodes protected through this scheme's
+        // registry by `OwnedSlots` of the ledger's strategy, each stamped
+        // from the ledger at its retire (or an adopted handle's).
+        unsafe { hp_scan(core, registry, |r| r, bags, ledger, newest, amortise) }
     }
 }
 
-impl SmrHandle for HazardHandle {
+impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
     fn begin_op(&mut self) {
-        // Classic HP has no per-operation bookkeeping.
+        // The hazard-pointer family has no per-operation bookkeeping.
     }
 
     fn end_op(&mut self) {
@@ -148,16 +179,7 @@ impl SmrHandle for HazardHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        self.slots.set(index, ptr);
-        // The paper's Algorithm 1, line 3: the store above must become visible before
-        // the caller's validation load, otherwise the interleaving of Algorithm 2
-        // frees a node the reader is about to use. Reader-fenced, that is a `SeqCst`
-        // fence here — exactly the per-node cost that Cadence removes;
-        // scanner-barrier, every scan runs that fence on this thread's CPU instead
-        // and this is a compiler fence (and no counter update).
-        if self.strategy.publication_fence() {
-            self.local_fences += 1;
-        }
+        self.slots.protect(index, ptr);
     }
 
     fn clear_protections(&mut self) {
@@ -166,19 +188,30 @@ impl SmrHandle for HazardHandle {
 
     unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
         let (scheme, retired) = (&*self.scheme, &mut self.retired);
-        // SAFETY: forwarded from the caller's contract. HP's free rule reads no stamp.
+        // The paper's `free_node_later` records `time_created` on the wrapper
+        // node; here it is the ticket of the last barrier started before now —
+        // after the caller's unlink, which is what the free rule needs.
+        let stamp = scheme.ledger.stamp();
+        self.newest = stamp;
+        // SAFETY: forwarded from the caller's contract.
         unsafe {
             self.core
-                .retire(retired, ptr, drop_fn, 0, birth_era, size_bytes)
+                .retire(retired, ptr, drop_fn, stamp, birth_era, size_bytes)
         };
         self.core
-            .after_retire(|core| Self::scan(core, scheme, retired));
+            .after_retire(|core| Self::scan(core, scheme, retired, stamp, true));
     }
 
     fn flush(&mut self) {
-        self.publish_fence_count();
+        self.slots.publish_fence_count(self.core.stats());
+        let held = self.core.in_limbo();
         self.core.adopt_parked(&mut self.retired);
-        Self::scan(&mut self.core, &self.scheme, &mut self.retired);
+        if self.core.in_limbo() != held {
+            // Adopted nodes carry other handles' stamps; none is newer than now.
+            self.newest = self.scheme.ledger.stamp();
+        }
+        let (core, retired) = (&mut self.core, &mut self.retired);
+        Self::scan(core, &self.scheme, retired, self.newest, false);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -194,14 +227,15 @@ impl SmrHandle for HazardHandle {
     }
 }
 
-impl Drop for HazardHandle {
+impl<const CADENCE: bool> Drop for HpHandle<CADENCE> {
     fn drop(&mut self) {
-        self.publish_fence_count();
+        self.slots.publish_fence_count(self.core.stats());
         // This thread is done traversing: its own protections can go away.
         self.slots.clear_all();
-        // Last chance to free what other threads no longer protect; whatever
-        // they still protect is parked on the scheme.
-        Self::scan(&mut self.core, &self.scheme, &mut self.retired);
+        // Last chance to free what the ledger covers and other threads no
+        // longer protect; the rest is parked on the scheme.
+        let (core, retired) = (&mut self.core, &mut self.retired);
+        Self::scan(core, &self.scheme, retired, self.newest, false);
         self.core.park(&mut self.retired);
         self.scheme.registry.release(self.slot);
     }
@@ -212,30 +246,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn protected_snapshot_is_sorted_and_deduplicated() {
+    fn protected_snapshot_is_sorted_deduplicated_and_merges_all_threads() {
         let scheme = Hazard::new(
             SmrConfig::default()
                 .with_max_threads(2)
                 .with_hp_per_thread(2),
         );
-        let h1 = scheme.register();
-        let h2 = scheme.register();
-        h1.slots.set(0, 0x300 as *mut u8);
-        h1.slots.set(1, 0x100 as *mut u8);
-        h2.slots.set(0, 0x300 as *mut u8);
+        let mut h1 = scheme.register();
+        let mut h2 = scheme.register();
+        h1.slots.protect(0, 0x300 as *mut u8);
+        h1.slots.protect(1, 0x100 as *mut u8);
+        h2.slots.protect(0, 0x300 as *mut u8);
+        h2.slots.protect(1, 0x200 as *mut u8);
         let mut snapshot = Vec::new();
         scheme
             .registry
             .collect_protected(&mut snapshot, HpSlots::collect_into);
-        assert_eq!(snapshot, vec![0x100 as *mut u8, 0x300 as *mut u8]);
+        assert_eq!(
+            snapshot,
+            vec![0x100 as *mut u8, 0x200 as *mut u8, 0x300 as *mut u8]
+        );
         drop(h1);
         drop(h2);
     }
 
     #[test]
-    fn scheme_name_and_config_accessors() {
-        let scheme = Hazard::with_defaults();
-        assert_eq!(scheme.name(), "hp");
-        assert!(scheme.config().hp_per_thread >= 1);
+    fn the_members_differ_in_name_and_detection_only() {
+        let (hp, cadence) = (Hazard::with_defaults(), Cadence::with_defaults());
+        assert_eq!((hp.name(), cadence.name()), ("hp", "cadence"));
+        assert_eq!(hp.fence_strategy(), FenceStrategy::detect());
+        assert_eq!(cadence.fence_strategy(), FenceStrategy::detect_rooster());
+        assert!(hp.config().hp_per_thread >= 1);
     }
 }

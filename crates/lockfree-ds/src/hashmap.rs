@@ -413,8 +413,7 @@ mod tests {
             qsense::QSense::new(
                 reclaim_core::SmrConfig::default()
                     .with_max_threads(8)
-                    .with_hp_per_thread(HASHMAP_HP_SLOTS)
-                    .with_rooster_threads(1),
+                    .with_hp_per_thread(HASHMAP_HP_SLOTS),
             ),
             256,
         ));
@@ -453,8 +452,7 @@ mod tests {
             qsense::QSense::new(
                 reclaim_core::SmrConfig::default()
                     .with_max_threads(8)
-                    .with_hp_per_thread(HASHMAP_HP_SLOTS)
-                    .with_rooster_threads(1),
+                    .with_hp_per_thread(HASHMAP_HP_SLOTS),
             ),
             16,
         ));

@@ -237,8 +237,7 @@ mod tests {
             qsense::QSense::new(
                 reclaim_core::SmrConfig::default()
                     .with_max_threads(8)
-                    .with_hp_per_thread(STACK_HP_SLOTS)
-                    .with_rooster_threads(1),
+                    .with_hp_per_thread(STACK_HP_SLOTS),
             ),
         ));
         const PER_THREAD: u64 = 2_000;

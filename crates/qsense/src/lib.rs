@@ -19,11 +19,14 @@
 //!   thread observes every registered thread active again it flips the flag back and
 //!   the scheme resumes QSBR.
 //!
-//! Crucially (paper §4.1), hazard pointers and retire timestamps are maintained *at
+//! Crucially (paper §4.1), hazard pointers and retire stamps are maintained *at
 //! all times*, even on the fast path — otherwise references acquired before a switch
 //! would be unprotected — and they are maintained **without memory fences**, which is
-//! only safe because the fallback path is Cadence (rooster threads + deferred
-//! reclamation) rather than classic HP.
+//! only safe because the fallback path is Cadence (a rooster thread + deferred
+//! reclamation, counted in completed barriers: `reclaim_core::BarrierLedger`) rather
+//! than classic HP. Where the kernel offers no process-wide barrier for a rooster to
+//! issue, the hazard pointers are fenced by their readers instead — detected, never
+//! configured ([`FenceStrategy::detect_rooster`](reclaim_core::FenceStrategy::detect_rooster)).
 //!
 //! ## Using it
 //!
@@ -31,7 +34,7 @@
 //! use qsense::QSense;
 //! use reclaim_core::{retire_box, Smr, SmrConfig, SmrHandle};
 //!
-//! let scheme = QSense::new(SmrConfig::for_list().with_rooster_threads(1));
+//! let scheme = QSense::new(SmrConfig::for_list());
 //! let mut handle = scheme.register();
 //!
 //! handle.begin_op();                    // manage_qsense_state()
@@ -57,7 +60,7 @@ pub use scheme::{QSense, QSenseHandle};
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use reclaim_core::{retire_box, Clock, ManualClock, Smr, SmrConfig, SmrHandle};
+    use reclaim_core::{retire_box, Clock, FenceStrategy, ManualClock, Smr, SmrConfig, SmrHandle};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
     use std::time::Duration;
@@ -73,151 +76,195 @@ mod tests {
         Box::into_raw(Box::new(Tracked(Arc::clone(drops))))
     }
 
-    /// Deterministic QSense: manual clock, no rooster threads, small thresholds.
-    fn test_scheme(manual: &ManualClock, c: usize, q: usize) -> Arc<QSense> {
-        QSense::new(
-            SmrConfig::default()
-                .with_clock(Clock::manual(manual.clone()))
-                .with_rooster_threads(0)
-                .with_rooster_interval(Duration::from_millis(10))
-                .with_rooster_epsilon(Duration::from_millis(1))
-                .with_quiescence_threshold(q)
-                .with_scan_threshold(4)
-                .with_fallback_threshold(c)
-                .with_max_threads(4),
-        )
+    /// Runs `case` under both protocols `QSense::new` can pick, on every
+    /// kernel.
+    fn under_both_policies(case: impl Fn(FenceStrategy)) {
+        case(FenceStrategy::Rooster);
+        case(FenceStrategy::ReaderFenced);
+    }
+
+    /// Deterministic QSense: no rooster ([`tick`] is its wake-up), small
+    /// thresholds.
+    fn test_config(c: usize, q: usize) -> SmrConfig {
+        SmrConfig::default()
+            .with_rooster_interval(Duration::MAX)
+            .with_quiescence_threshold(q)
+            .with_scan_threshold(4)
+            .with_fallback_threshold(c)
+            .with_max_threads(4)
+    }
+
+    fn test_scheme(strategy: FenceStrategy, c: usize, q: usize) -> Arc<QSense> {
+        QSense::with_fence_strategy(test_config(c, q), strategy)
+    }
+
+    /// One completed rooster wake-up, entered by hand.
+    fn tick(scheme: &QSense) {
+        // SAFETY: the deterministic tests run on one thread: no sibling's
+        // store buffer holds a publication for a barrier to drain.
+        assert!(unsafe { scheme.ledger().issue(|| true) });
+    }
+
+    /// Deterministic QSense with the eviction extension enabled: the manual
+    /// clock drives the eviction timeout, and nothing else.
+    fn eviction_scheme(
+        strategy: FenceStrategy,
+        manual: &ManualClock,
+        c: usize,
+        timeout_ms: u64,
+    ) -> Arc<QSense> {
+        let config = test_config(c, 1)
+            .with_clock(Clock::manual(manual.clone()))
+            .with_eviction_timeout(Some(Duration::from_millis(timeout_ms)));
+        QSense::with_fence_strategy(config, strategy)
+    }
+
+    /// `count` operations of `handle`, each retiring one fresh node.
+    fn retire_ops(handle: &mut QSenseHandle, drops: &Arc<AtomicUsize>, count: usize) {
+        for _ in 0..count {
+            handle.begin_op();
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(handle, tracked(drops)) };
+            handle.end_op();
+        }
     }
 
     #[test]
     fn fast_path_reclaims_like_qsbr() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = test_scheme(&manual, 1_000_000, 1);
-        let mut handle = scheme.register();
-        for _ in 0..50 {
-            handle.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut handle, tracked(&drops)) };
-            handle.end_op();
-        }
-        handle.flush();
-        assert_eq!(scheme.current_path(), Path::Fast);
-        assert_eq!(drops.load(Ordering::SeqCst), 50);
-        let snap = scheme.stats();
-        assert_eq!(snap.fallback_switches, 0);
-        assert!(snap.quiescent_states > 0);
-        assert_eq!(snap.traversal_fences, 0);
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = test_scheme(strategy, 1_000_000, 1);
+            let mut handle = scheme.register();
+            retire_ops(&mut handle, &drops, 50);
+            handle.flush();
+            assert_eq!(scheme.current_path(), Path::Fast);
+            assert_eq!(drops.load(Ordering::SeqCst), 50, "no barrier needed");
+            let snap = scheme.stats();
+            assert_eq!(snap.fallback_switches, 0);
+            assert!(snap.quiescent_states > 0);
+            assert_eq!(snap.traversal_fences, 0);
+        });
     }
 
     #[test]
     fn delayed_thread_triggers_fallback_switch() {
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            // C = 20: once a worker accumulates 20 unreclaimed nodes the switch happens.
+            let scheme = test_scheme(strategy, 20, 1);
+            let _delayed = scheme.register(); // registers, then never calls begin_op
+            let mut worker = scheme.register();
+            retire_ops(&mut worker, &drops, 30);
+            assert_eq!(
+                scheme.current_path(),
+                Path::Fallback,
+                "limbo grew past C while a thread was delayed: QSense must switch"
+            );
+            assert_eq!(scheme.stats().fallback_switches, 1);
+            // On the fallback path, covered nodes are reclaimed even though the
+            // delayed thread never quiesces — this is the robustness QSBR lacks.
+            // (A few nodes per scan: the threshold scans amortise a burst.)
+            tick(&scheme);
+            retire_ops(&mut worker, &drops, 20);
+            assert!(
+                drops.load(Ordering::SeqCst) >= 30,
+                "fallback path must reclaim covered nodes despite the delayed thread (freed = {})",
+                drops.load(Ordering::SeqCst)
+            );
+        });
+    }
+
+    #[test]
+    fn no_fallback_scan_frees_a_node_no_barrier_completed_for_since_its_retire() {
         let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        // C = 20: once a worker accumulates 20 unreclaimed nodes the switch happens.
-        let scheme = test_scheme(&manual, 20, 1);
-        let _delayed = scheme.register(); // registers, then never calls begin_op
+        let scheme = test_scheme(FenceStrategy::Rooster, 20, 1);
+        let _delayed = scheme.register();
         let mut worker = scheme.register();
-        for _ in 0..30 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
+        tick(&scheme);
+        retire_ops(&mut worker, &drops, 40);
+        worker.flush();
+        assert_eq!(scheme.current_path(), Path::Fallback);
+        assert!(scheme.stats().scans > 1, "fallback scans ran");
         assert_eq!(
-            scheme.current_path(),
-            Path::Fallback,
-            "limbo grew past C while a thread was delayed: QSense must switch"
+            drops.load(Ordering::SeqCst),
+            0,
+            "deferred reclamation: the last wake-up started before every unlink"
         );
-        assert_eq!(scheme.stats().fallback_switches, 1);
-        // On the fallback path, aged nodes are reclaimed even though the delayed
-        // thread never quiesces — this is the robustness QSBR lacks.
-        manual.advance(Duration::from_millis(100));
-        for _ in 0..10 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        assert!(
-            drops.load(Ordering::SeqCst) >= 30,
-            "fallback path must reclaim aged nodes despite the delayed thread (freed = {})",
-            drops.load(Ordering::SeqCst)
-        );
+        tick(&scheme);
+        worker.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 40);
+        assert_eq!(scheme.stats().heavy_barriers, 0, "scans never issue");
     }
 
     #[test]
     fn system_switches_back_to_fast_path_when_all_threads_are_active() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = test_scheme(&manual, 20, 1);
-        let mut delayed = scheme.register();
-        let mut worker = scheme.register();
-        // Phase 1: `delayed` is inactive; worker pushes the system into fallback.
-        for _ in 0..30 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        assert_eq!(scheme.current_path(), Path::Fallback);
-        // Phase 2: the delayed thread wakes up and both threads keep working; some
-        // thread must notice everyone is active and switch back to the fast path.
-        for _ in 0..10 {
-            delayed.begin_op();
-            delayed.end_op();
-            worker.begin_op();
-            worker.end_op();
-        }
-        assert_eq!(scheme.current_path(), Path::Fast);
-        assert_eq!(scheme.stats().fast_path_switches, 1);
-        // And reclamation proceeds normally afterwards.
-        for _ in 0..20 {
-            delayed.begin_op();
-            delayed.end_op();
-            worker.begin_op();
-            worker.end_op();
-        }
-        worker.flush();
-        delayed.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 30);
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = test_scheme(strategy, 20, 1);
+            let mut delayed = scheme.register();
+            let mut worker = scheme.register();
+            // Phase 1: `delayed` is inactive; worker pushes the system into fallback.
+            retire_ops(&mut worker, &drops, 30);
+            assert_eq!(scheme.current_path(), Path::Fallback);
+            // Phase 2: the delayed thread wakes up and both threads keep working; some
+            // thread must notice everyone is active and switch back to the fast path.
+            for _ in 0..10 {
+                delayed.begin_op();
+                delayed.end_op();
+                worker.begin_op();
+                worker.end_op();
+            }
+            assert_eq!(scheme.current_path(), Path::Fast);
+            assert_eq!(scheme.stats().fast_path_switches, 1);
+            // And reclamation proceeds normally afterwards.
+            for _ in 0..20 {
+                delayed.begin_op();
+                delayed.end_op();
+                worker.begin_op();
+                worker.end_op();
+            }
+            worker.flush();
+            delayed.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 30);
+        });
     }
 
     #[test]
-    fn fallback_respects_hazard_pointers_and_age() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = test_scheme(&manual, 5, 1);
-        let mut reader = scheme.register();
-        let mut worker = scheme.register();
+    fn fallback_respects_hazard_pointers_and_the_ledger() {
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = test_scheme(strategy, 5, 1);
+            let mut reader = scheme.register();
+            let mut worker = scheme.register();
 
-        // The reader protects one node that the worker will retire.
-        let protected = tracked(&drops);
-        reader.protect(0, protected.cast());
-        // SAFETY: the pointer was produced by `tracked`/Box::into_raw above, is no longer reachable, and is retired exactly once.
-        unsafe { retire_box(&mut worker, protected) };
+            // The reader protects one node that the worker will retire.
+            let protected = tracked(&drops);
+            reader.protect(0, protected.cast());
+            // SAFETY: the pointer was produced by `tracked`/Box::into_raw above, is no longer reachable, and is retired exactly once.
+            unsafe { retire_box(&mut worker, protected) };
 
-        // Push the worker past C so the system is in fallback mode.
-        for _ in 0..10 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        assert_eq!(scheme.current_path(), Path::Fallback);
+            // Push the worker past C so the system is in fallback mode.
+            retire_ops(&mut worker, &drops, 10);
+            assert_eq!(scheme.current_path(), Path::Fallback);
 
-        // Even after aging, the protected node must survive every scan.
-        manual.advance(Duration::from_millis(50));
-        worker.flush();
-        let freed_before_release = drops.load(Ordering::SeqCst);
-        assert!(
-            freed_before_release >= 9,
-            "unprotected aged nodes are freed"
-        );
-        assert_eq!(worker.local_in_limbo(), 11 - freed_before_release);
+            // Even once covered, the protected node must survive every scan.
+            tick(&scheme);
+            worker.flush();
+            let freed_before_release = drops.load(Ordering::SeqCst);
+            assert_eq!(
+                freed_before_release, 10,
+                "unprotected covered nodes are freed"
+            );
+            assert_eq!(worker.local_in_limbo(), 1);
 
-        reader.clear_protections();
-        worker.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 11);
+            reader.clear_protections();
+            worker.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 11);
+            // A handle's fence count reaches the shared stats when it flushes.
+            reader.flush();
+            let fences = u64::from(strategy == FenceStrategy::ReaderFenced);
+            assert_eq!(scheme.stats().traversal_fences, fences, "{strategy:?}");
+        });
     }
 
     #[test]
@@ -231,7 +278,6 @@ mod tests {
                 .with_quiescence_threshold(16)
                 .with_scan_threshold(32)
                 .with_fallback_threshold(256)
-                .with_rooster_threads(1)
                 .with_rooster_interval(Duration::from_millis(1)),
         );
         let threads: Vec<_> = (0..4)
@@ -268,150 +314,122 @@ mod tests {
     fn liveness_bound_2nc_holds_on_the_fallback_path() {
         // Property 4: with a legal C, at most 2·N·C retired nodes exist at any time.
         // We check the per-thread version (≤ 2·C) during a run where the fallback
-        // threshold is tiny and nodes age instantly.
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = test_scheme(&manual, 8, 1);
-        let _delayed = scheme.register();
-        let mut worker = scheme.register();
-        for i in 0..200 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-            // Nodes age quickly so the fallback scans can make progress.
-            manual.advance(Duration::from_millis(3));
-            assert!(
-                worker.local_in_limbo() <= 2 * 8 + 4,
-                "iteration {i}: limbo {} exceeded the 2C liveness bound",
-                worker.local_in_limbo()
-            );
-        }
-    }
-
-    /// Deterministic QSense with the eviction extension enabled.
-    fn eviction_scheme(manual: &ManualClock, c: usize, timeout_ms: u64) -> Arc<QSense> {
-        QSense::new(
-            SmrConfig::default()
-                .with_clock(Clock::manual(manual.clone()))
-                .with_rooster_threads(0)
-                .with_rooster_interval(Duration::from_millis(10))
-                .with_rooster_epsilon(Duration::from_millis(1))
-                .with_quiescence_threshold(1)
-                .with_scan_threshold(4)
-                .with_fallback_threshold(c)
-                .with_eviction_timeout(Some(Duration::from_millis(timeout_ms)))
-                .with_max_threads(4),
-        )
+        // threshold is tiny and the rooster ticks once per operation.
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = test_scheme(strategy, 8, 1);
+            let _delayed = scheme.register();
+            let mut worker = scheme.register();
+            for i in 0..200 {
+                retire_ops(&mut worker, &drops, 1);
+                // Wake-ups keep coming so the fallback scans can make progress.
+                tick(&scheme);
+                assert!(
+                    worker.local_in_limbo() <= 2 * 8 + 4,
+                    "iteration {i}: limbo {} exceeded the 2C liveness bound",
+                    worker.local_in_limbo()
+                );
+            }
+        });
     }
 
     #[test]
     fn without_eviction_a_crashed_thread_pins_the_system_in_fallback() {
         // The published behaviour (paper §5.2, last paragraph): a thread that never
         // recovers keeps QSense on the fallback path forever.
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = test_scheme(&manual, 20, 1);
-        let _crashed = scheme.register(); // never active again
-        let mut worker = scheme.register();
-        for _ in 0..200 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-            manual.advance(Duration::from_millis(5));
-        }
-        assert_eq!(scheme.current_path(), Path::Fallback);
-        assert_eq!(scheme.stats().fast_path_switches, 0);
-        assert_eq!(scheme.evicted_count(), 0, "eviction is disabled by default");
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = test_scheme(strategy, 20, 1);
+            let _crashed = scheme.register(); // never active again
+            let mut worker = scheme.register();
+            for _ in 0..200 {
+                retire_ops(&mut worker, &drops, 1);
+                tick(&scheme);
+            }
+            assert_eq!(scheme.current_path(), Path::Fallback);
+            assert_eq!(scheme.stats().fast_path_switches, 0);
+            assert_eq!(scheme.evicted_count(), 0, "eviction is disabled by default");
+        });
     }
 
     #[test]
     fn eviction_recovers_the_fast_path_after_a_permanent_thread_failure() {
         // Extension: with an eviction timeout configured, the crashed thread is
         // evicted and the system returns to (and stays on) the fast path.
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = eviction_scheme(&manual, 20, 50);
-        let _crashed = scheme.register(); // never active again
-        let mut worker = scheme.register();
-        // Phase 1: drive the system into fallback mode.
-        for _ in 0..30 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        assert_eq!(scheme.current_path(), Path::Fallback);
-        // Phase 2: let the crashed thread exceed the eviction timeout, keep working.
-        manual.advance(Duration::from_millis(100));
-        for _ in 0..20 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-            manual.advance(Duration::from_millis(5));
-        }
-        assert_eq!(
-            scheme.evicted_count(),
-            1,
-            "the silent thread must be evicted"
-        );
-        assert_eq!(
-            scheme.current_path(),
-            Path::Fast,
-            "after eviction the system must return to the fast path"
-        );
-        // The worker kept retiring during recovery, so it may have bounced through
-        // fallback more than once; what matters is that every fallback episode ended
-        // in a recovery (impossible without eviction, see the previous test).
-        let snap = scheme.stats();
-        assert!(snap.fast_path_switches >= 1);
-        assert_eq!(snap.fast_path_switches, snap.fallback_switches);
-        // Phase 3: reclamation keeps working on the fast path despite the crashed
-        // thread (grace periods no longer wait for it; frees go through the Cadence
-        // condition while it stays evicted).
-        manual.advance(Duration::from_millis(100));
-        worker.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 50);
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let manual = ManualClock::new();
+            let scheme = eviction_scheme(strategy, &manual, 20, 50);
+            let _crashed = scheme.register(); // never active again
+            let mut worker = scheme.register();
+            // Phase 1: drive the system into fallback mode.
+            retire_ops(&mut worker, &drops, 30);
+            assert_eq!(scheme.current_path(), Path::Fallback);
+            // Phase 2: let the crashed thread exceed the eviction timeout, keep
+            // working while the rooster keeps ticking.
+            manual.advance(Duration::from_millis(100));
+            for _ in 0..20 {
+                retire_ops(&mut worker, &drops, 1);
+                tick(&scheme);
+            }
+            assert_eq!(
+                scheme.evicted_count(),
+                1,
+                "the silent thread must be evicted"
+            );
+            assert_eq!(
+                scheme.current_path(),
+                Path::Fast,
+                "after eviction the system must return to the fast path"
+            );
+            // The worker kept retiring during recovery, so it may have bounced through
+            // fallback more than once; what matters is that every fallback episode ended
+            // in a recovery (impossible without eviction, see the previous test).
+            let snap = scheme.stats();
+            assert!(snap.fast_path_switches >= 1);
+            assert_eq!(snap.fast_path_switches, snap.fallback_switches);
+            // Phase 3: reclamation keeps working on the fast path despite the crashed
+            // thread (grace periods no longer wait for it; frees go through the Cadence
+            // condition while it stays evicted).
+            tick(&scheme);
+            worker.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 50);
+        });
     }
 
     #[test]
     fn an_evicted_thread_rejoins_when_it_becomes_active_again() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = eviction_scheme(&manual, 15, 30);
-        let mut sleepy = scheme.register();
-        let mut worker = scheme.register();
-        // Drive into fallback, evict the sleeper, recover the fast path.
-        for _ in 0..25 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
-        manual.advance(Duration::from_millis(60));
-        for _ in 0..10 {
-            worker.begin_op();
-            worker.end_op();
-        }
-        assert_eq!(scheme.evicted_count(), 1);
-        assert_eq!(scheme.current_path(), Path::Fast);
-        // The sleeper wakes up: its first operation boundary clears the eviction.
-        sleepy.begin_op();
-        sleepy.end_op();
-        assert_eq!(scheme.evicted_count(), 0, "activity lifts the eviction");
-        assert_eq!(scheme.current_path(), Path::Fast);
-        // With everyone participating again, plain grace periods reclaim everything.
-        manual.advance(Duration::from_millis(60));
-        for _ in 0..10 {
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let manual = ManualClock::new();
+            let scheme = eviction_scheme(strategy, &manual, 15, 30);
+            let mut sleepy = scheme.register();
+            let mut worker = scheme.register();
+            // Drive into fallback, evict the sleeper, recover the fast path.
+            retire_ops(&mut worker, &drops, 25);
+            manual.advance(Duration::from_millis(60));
+            for _ in 0..10 {
+                worker.begin_op();
+                worker.end_op();
+            }
+            assert_eq!(scheme.evicted_count(), 1);
+            assert_eq!(scheme.current_path(), Path::Fast);
+            // The sleeper wakes up: its first operation boundary clears the eviction.
             sleepy.begin_op();
             sleepy.end_op();
-            worker.begin_op();
-            worker.end_op();
-        }
-        worker.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 25);
+            assert_eq!(scheme.evicted_count(), 0, "activity lifts the eviction");
+            assert_eq!(scheme.current_path(), Path::Fast);
+            // With everyone participating again, plain grace periods reclaim
+            // everything: no wake-up has completed since the retires.
+            for _ in 0..10 {
+                sleepy.begin_op();
+                sleepy.end_op();
+                worker.begin_op();
+                worker.end_op();
+            }
+            worker.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 25);
+        });
     }
 
     #[test]
@@ -419,76 +437,100 @@ mod tests {
         // Safety of the extension: an evicted thread may in reality be alive and
         // holding a protected reference; that node must survive until the protection
         // is dropped, no matter what the eviction logic decides.
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let manual = ManualClock::new();
+            let scheme = eviction_scheme(strategy, &manual, 10, 20);
+            let mut slow_reader = scheme.register();
+            let mut worker = scheme.register();
+
+            // The slow reader protects a node, then goes silent (as a descheduled thread
+            // would, mid-operation).
+            let protected = tracked(&drops);
+            slow_reader.protect(0, protected.cast());
+            // SAFETY: the pointer was produced by `tracked`/Box::into_raw above, is no longer reachable, and is retired exactly once.
+            unsafe { retire_box(&mut worker, protected) };
+
+            // Worker drives the system into fallback, the reader gets evicted, the
+            // system returns to the fast path, and plenty of wake-ups pass.
+            retire_ops(&mut worker, &drops, 20);
+            manual.advance(Duration::from_millis(50));
+            for _ in 0..20 {
+                worker.begin_op();
+                worker.end_op();
+                tick(&scheme);
+            }
+            assert_eq!(scheme.evicted_count(), 1);
+            worker.flush();
+            // Every node except the protected one is reclaimable by now.
+            assert_eq!(
+                drops.load(Ordering::SeqCst),
+                20,
+                "the evicted thread's protected node must survive"
+            );
+            // The reader finally drops its protection; the node becomes reclaimable.
+            slow_reader.clear_protections();
+            worker.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 21);
+        });
+    }
+
+    #[test]
+    fn while_a_thread_is_evicted_the_fast_path_frees_by_the_ledger_too() {
         let drops = Arc::new(AtomicUsize::new(0));
         let manual = ManualClock::new();
-        let scheme = eviction_scheme(&manual, 10, 20);
-        let mut slow_reader = scheme.register();
+        let scheme = eviction_scheme(FenceStrategy::Rooster, &manual, 10, 20);
+        let _silent = scheme.register();
         let mut worker = scheme.register();
-
-        // The slow reader protects a node, then goes silent (as a descheduled thread
-        // would, mid-operation).
-        let protected = tracked(&drops);
-        slow_reader.protect(0, protected.cast());
-        // SAFETY: the pointer was produced by `tracked`/Box::into_raw above, is no longer reachable, and is retired exactly once.
-        unsafe { retire_box(&mut worker, protected) };
-
-        // Worker drives the system into fallback, the reader gets evicted, the
-        // system returns to the fast path, and plenty of time passes.
-        for _ in 0..20 {
-            worker.begin_op();
-            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-            unsafe { retire_box(&mut worker, tracked(&drops)) };
-            worker.end_op();
-        }
+        retire_ops(&mut worker, &drops, 20);
+        tick(&scheme);
         manual.advance(Duration::from_millis(50));
-        for _ in 0..20 {
+        for _ in 0..10 {
             worker.begin_op();
             worker.end_op();
-            manual.advance(Duration::from_millis(5));
         }
-        assert_eq!(scheme.evicted_count(), 1);
-        worker.flush();
-        // Every node except the protected one is reclaimable by now.
         assert_eq!(
-            drops.load(Ordering::SeqCst),
-            20,
-            "the evicted thread's protected node must survive"
+            (scheme.evicted_count(), scheme.current_path()),
+            (1, Path::Fast)
         );
-        // The reader finally drops its protection; the node becomes reclaimable.
-        slow_reader.clear_protections();
-        manual.advance(Duration::from_millis(50));
         worker.flush();
-        assert_eq!(drops.load(Ordering::SeqCst), 21);
+        let freed = drops.load(Ordering::SeqCst);
+        assert_eq!(freed, 20, "covered by the one wake-up");
+        // Retired on the fast path since that wake-up: grace periods pass (the
+        // evicted thread is not waited for), but no barrier has completed.
+        retire_ops(&mut worker, &drops, 5);
+        worker.flush();
+        assert_eq!(scheme.current_path(), Path::Fast);
+        assert_eq!(drops.load(Ordering::SeqCst), freed, "uncovered: kept");
+        tick(&scheme);
+        worker.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), freed + 5);
     }
 
     #[test]
     fn switch_counters_are_monotonic_and_paired() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let manual = ManualClock::new();
-        let scheme = test_scheme(&manual, 10, 1);
-        let mut delayed = scheme.register();
-        let mut worker = scheme.register();
-        for round in 0..3 {
-            // Delay phase: worker alone, drives the system into fallback.
-            for _ in 0..15 {
-                worker.begin_op();
-                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
-                unsafe { retire_box(&mut worker, tracked(&drops)) };
-                worker.end_op();
+        under_both_policies(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let scheme = test_scheme(strategy, 10, 1);
+            let mut delayed = scheme.register();
+            let mut worker = scheme.register();
+            for round in 0..3 {
+                // Delay phase: worker alone, drives the system into fallback.
+                retire_ops(&mut worker, &drops, 15);
+                assert_eq!(scheme.current_path(), Path::Fallback, "round {round}");
+                // Recovery phase: both threads active, system returns to the fast path.
+                tick(&scheme);
+                for _ in 0..10 {
+                    delayed.begin_op();
+                    delayed.end_op();
+                    worker.begin_op();
+                    worker.end_op();
+                }
+                assert_eq!(scheme.current_path(), Path::Fast, "round {round}");
             }
-            assert_eq!(scheme.current_path(), Path::Fallback, "round {round}");
-            // Recovery phase: both threads active, system returns to the fast path.
-            manual.advance(Duration::from_millis(20));
-            for _ in 0..10 {
-                delayed.begin_op();
-                delayed.end_op();
-                worker.begin_op();
-                worker.end_op();
-            }
-            assert_eq!(scheme.current_path(), Path::Fast, "round {round}");
-        }
-        let snap = scheme.stats();
-        assert_eq!(snap.fallback_switches, 3);
-        assert_eq!(snap.fast_path_switches, 3);
+            let snap = scheme.stats();
+            assert_eq!(snap.fallback_switches, 3);
+            assert_eq!(snap.fast_path_switches, 3);
+        });
     }
 }

@@ -27,7 +27,7 @@ pub enum Path {
 /// The flag is *read* on the hot path (every `retire` checks it), so the load is
 /// acquire — a plain load on x86/TSO. Acquire/release suffices for correctness
 /// because the paper's safety argument never depends on *when* a thread observes a
-/// path switch (§4.1/§5.2): hazard pointers and retire timestamps are maintained
+/// path switch (§4.1/§5.2): hazard pointers and retire stamps are maintained
 /// on **both** paths at all times, so a thread acting on a stale path value only
 /// chooses a different — equally safe — reclamation condition. The switch CASes
 /// are AcqRel so the winner's preceding state (e.g. the presence reset) is

@@ -1,22 +1,21 @@
 //! The QSense scheme object and per-thread handle (paper Algorithm 5).
 
 use crate::path::{FallbackFlag, Path, PresenceFlag};
-use cadence::Rooster;
 use qsbr::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    fence, BudgetVerdict, CachePadded, CapacityExhausted, Era, HandleCore, HandleTelemetry,
-    HpSlots, OwnedSlots, PtrScratch, Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr,
-    SmrConfig, SmrHandle, Telemetry,
+    hp_scan, BarrierLedger, BudgetVerdict, CachePadded, CapacityExhausted, Era, FenceStrategy,
+    HandleCore, HandleTelemetry, HpSlots, OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag,
+    SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Per-thread shared record: everything other threads may inspect.
 ///
 /// QSense keeps *both* schemes' per-thread state up to date at all times (paper
-/// §5.2): hazard pointers and retire timestamps are maintained even on the fast path
+/// §5.2): hazard pointers and retire stamps are maintained even on the fast path
 /// so that a switch to the fallback path finds every hazardous reference protected,
 /// and the epoch record is maintained even on the fallback path so that switching
 /// back to QSBR is immediate.
@@ -37,8 +36,8 @@ pub(crate) struct QsenseRecord {
     /// matching counter increment can still linger briefly; eviction sweeps
     /// retract dead-generation flags on vacant slots). While effective, the owner no
     /// longer counts towards the all-processes-active check or towards grace
-    /// periods, and every fast-path free falls back to the Cadence check (age +
-    /// hazard pointers) for as long as any thread is in this state.
+    /// periods, and every fast-path free falls back to the Cadence check (barrier
+    /// coverage + hazard pointers) for as long as any thread is in this state.
     evicted: AtomicU64,
 }
 
@@ -111,16 +110,28 @@ pub struct QSense {
     /// free through the always-safe Cadence check.
     evicted_threads: CachePadded<AtomicU64>,
     fallback: FallbackFlag,
-    rooster: Mutex<Rooster>,
+    /// Who issues the barrier behind the hazard pointers — a rooster, or the
+    /// readers — and when one has: what every Cadence scan frees by.
+    ledger: BarrierLedger,
 }
 
 impl QSense {
-    /// Creates a QSense scheme, spawning its rooster threads.
+    /// Creates a QSense scheme whose fallback path runs the protocol this
+    /// process's kernel supports ([`FenceStrategy::detect_rooster`]): Cadence
+    /// behind the process rooster, or — where the kernel has no process-wide
+    /// barrier for a rooster to issue — reader-fenced hazard pointers.
     pub fn new(config: SmrConfig) -> Arc<Self> {
+        Self::with_fence_strategy(config, FenceStrategy::detect_rooster())
+    }
+
+    /// [`new`](Self::new) with the protocol named instead of detected: for
+    /// tests, which run both on every kernel. (Naming scanner-barrier, which
+    /// `new` never picks, is safe and useless: one scan pays, none after.)
+    pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
         let registry = Registry::new(config.max_threads, |_| {
             QsenseRecord::new(config.hp_per_thread)
         });
-        let rooster = Rooster::spawn(config.rooster_threads, config.rooster_interval);
+        let ledger = BarrierLedger::new(strategy, config.rooster_interval);
         Arc::new(Self {
             core: SchemeCore::new("qsense", config),
             registry,
@@ -128,7 +139,7 @@ impl QSense {
             cursor: EpochCursor::new(),
             evicted_threads: CachePadded::new(AtomicU64::new(0)),
             fallback: FallbackFlag::new(),
-            rooster: Mutex::new(rooster),
+            ledger,
         })
     }
 
@@ -152,20 +163,9 @@ impl QSense {
         self.global_epoch.load()
     }
 
-    /// Total rooster wake-ups so far.
-    pub fn rooster_wakeups(&self) -> u64 {
-        self.rooster
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .wakeup_count()
-    }
-
-    /// Snapshots every published hazard pointer into `out`. Handles pass their
-    /// reusable scratch buffer, sized at registration for the `N·K` worst case,
-    /// so steady-state scans never allocate.
-    fn protected_snapshot_into(&self, out: &mut Vec<*mut u8>) {
-        self.registry
-            .collect_protected(out, |record, out| record.hps.collect_into(out));
+    /// The scheme's barrier ledger (diagnostics; tests tick it).
+    pub fn ledger(&self) -> &BarrierLedger {
+        &self.ledger
     }
 
     /// Contributes a bounded slice of the "has every registered, non-evicted
@@ -173,8 +173,8 @@ impl QSense {
     /// cooperative pass completes. Replaces the per-quiescent-state O(N) sweep.
     ///
     /// Evicted threads count as confirmed (extension): while any thread is
-    /// evicted, fast-path frees go through the Cadence check (age + hazard
-    /// pointers) instead of relying on the grace period alone — see
+    /// evicted, fast-path frees go through the Cadence check (barrier coverage
+    /// and hazard pointers) instead of relying on the grace period alone — see
     /// [`Self::any_evicted`] — so excluding them here is safe. An eviction lifted
     /// mid-pass is equally safe: lifting happens only at a reference-free
     /// operation boundary, which is precisely a quiescent point.
@@ -332,19 +332,6 @@ impl QSense {
         }
         evicted
     }
-
-    /// A Cadence-style scan over one limbo bag: free nodes that are old enough and
-    /// unprotected; keep the rest.
-    fn cadence_scan(&self, reclaim: &mut Reclaim<'_>, bag: &mut SegBag, protected: &[*mut u8]) {
-        let config = self.config();
-        let age_gate = (config.clock.now(), config.min_reclaim_age_nanos());
-        // SAFETY: identical to Cadence's scan (paper Property 1, the aged proof)
-        // — QSense maintains hazard pointers at all times, so Condition 1 holds
-        // for nodes retired on either path; old-enough + unprotected therefore
-        // implies unreachable. `protected` is a fresh snapshot and the gate is
-        // T + ε.
-        unsafe { reclaim.free_unprotected(bag, protected, Some(age_gate)) };
-    }
 }
 
 impl Smr for QSense {
@@ -359,8 +346,9 @@ impl Smr for QSense {
         record.epoch.store(epoch);
         self.note_activity(record);
         Ok(QSenseHandle {
-            // SAFETY: the handle's `Arc<QSense>` keeps the registry alive.
-            hps: unsafe { record.hps.owner() },
+            // SAFETY: the handle's `Arc<QSense>` keeps the registry alive, and
+            // the strategy is the ledger's.
+            hps: unsafe { record.hps.owner(self.ledger.strategy()) },
             scheme: Arc::clone(self),
             slot,
             core,
@@ -387,15 +375,6 @@ impl Smr for QSense {
 
     fn telemetry(&self) -> &Telemetry {
         self.core.telemetry()
-    }
-}
-
-impl Drop for QSense {
-    fn drop(&mut self) {
-        self.rooster
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .shutdown();
     }
 }
 
@@ -440,47 +419,50 @@ impl QSenseHandle {
         }
         self.record().epoch.store(global);
         self.local_epoch = global;
-        let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
-        self.core.scan(|reclaim, scratch| {
-            let bucket = &mut limbo[limbo_index(global)];
-            if scheme.any_evicted() {
-                // Eviction extension: grace periods no longer cover evicted threads,
-                // so while any thread is evicted the bucket is freed through the
-                // Cadence condition instead (old enough + not hazard-pointer
-                // protected), which covers evicted and non-evicted threads alike.
-                scheme.protected_snapshot_into(scratch);
-                scheme.cadence_scan(reclaim, bucket, scratch);
+        let bucket = &mut self.limbo[limbo_index(global)];
+        if self.scheme.any_evicted() {
+            // Eviction extension: grace periods no longer cover evicted threads,
+            // so while any thread is evicted the bucket is freed through the
+            // Cadence condition instead (covered by a completed barrier + not
+            // hazard-pointer protected), which covers evicted and non-evicted
+            // threads alike.
+            let bucket = std::slice::from_mut(bucket);
+            Self::cadence_scan(&mut self.core, &self.scheme, bucket, false);
+            return;
+        }
+        self.core.scan(|reclaim, _| {
+            if bucket.is_empty() {
+                // Nothing matured in this bucket: the grace drain passes it over.
+                reclaim.stats().add_scan_skip();
             } else {
-                if bucket.is_empty() {
-                    // Nothing matured in this bucket: the grace drain passes it over.
-                    reclaim.stats().add_scan_skip();
-                } else {
-                    // Grace-period drains free the whole bucket, no per-node tests.
-                    reclaim.stats().add_scan_wholesale();
-                }
-                // SAFETY: Lemma 3 / Property 5 of the paper — a full grace period has
-                // elapsed since the nodes in this bucket were retired (counting every
-                // registered thread, since none is evicted), so no thread holds a
-                // hazardous reference to them. Identical argument to the `qsbr` crate.
-                unsafe { reclaim.free_all(bucket) };
+                // Grace-period drains free the whole bucket, no per-node tests.
+                reclaim.stats().add_scan_wholesale();
             }
+            // SAFETY: Lemma 3 / Property 5 of the paper — a full grace period has
+            // elapsed since the nodes in this bucket were retired (counting every
+            // registered thread, since none is evicted), so no thread holds a
+            // hazardous reference to them. Identical argument to the `qsbr` crate.
+            unsafe { reclaim.free_all(bucket) };
         });
     }
 
-    /// Cadence-style scan over all three limbo lists (fallback path; paper Algorithm
-    /// 5 lines 45–47 scan every epoch's list).
-    fn cadence_scan_all(
+    /// A Cadence scan over `bags`: all three limbo lists on the fallback path
+    /// (paper Algorithm 5 lines 45–47 scan every epoch's list), one bucket on
+    /// the evicted fast path. Frees nodes a completed barrier covers and no
+    /// hazard pointer holds; keeps the rest.
+    fn cadence_scan(
         core: &mut HandleCore<PtrScratch>,
         scheme: &QSense,
-        limbo: &mut [SegBag; EPOCH_BUCKETS],
+        bags: &mut [SegBag],
+        amortise: bool,
     ) {
-        core.stats().add_scan();
-        core.scan(|reclaim, scratch| {
-            scheme.protected_snapshot_into(scratch);
-            for bag in limbo.iter_mut() {
-                scheme.cadence_scan(reclaim, bag, scratch);
-            }
-        });
+        let (registry, ledger) = (&scheme.registry, &scheme.ledger);
+        // SAFETY: QSense maintains hazard pointers at all times — through
+        // `OwnedSlots` of the ledger's strategy — and stamps every retire from
+        // the ledger, on either path, so the family's free rule holds for
+        // nodes retired on both. The strategy is never scanner-barrier, so the
+        // newest stamp is not consulted.
+        unsafe { hp_scan(core, registry, |r| &r.hps, bags, ledger, 0, amortise) }
     }
 
     /// The body of `manage_qsense_state` once the batching threshold fires
@@ -532,12 +514,11 @@ impl SmrHandle for QSenseHandle {
 
     #[inline]
     fn protect(&mut self, index: usize, ptr: *mut u8) {
-        // Hazard pointers are maintained on *both* paths, without fences (paper §4.1:
-        // protections from the fast path must already be in place when the system
-        // switches to the fallback path; §5.1: no fence is needed because rooster
-        // wake-ups + deferred reclamation bound visibility) — exactly as in Cadence.
-        self.hps.set(index, ptr);
-        fence::compiler_only();
+        // Hazard pointers are maintained on *both* paths (paper §4.1: protections
+        // from the fast path must already be in place when the system switches to
+        // the fallback path), and behind a rooster without fences (§5.1: rooster
+        // wake-ups + deferred reclamation make them visible) — exactly as in Cadence.
+        self.hps.protect(index, ptr);
     }
 
     fn clear_protections(&mut self) {
@@ -545,20 +526,21 @@ impl SmrHandle for QSenseHandle {
     }
 
     unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
-        // `free_node_later` (Algorithm 5, lines 36–61). Timestamps are recorded
-        // regardless of the current path (§5.2).
-        let now = self.core.config().clock.now();
+        // `free_node_later` (Algorithm 5, lines 36–61). The stamp — the ticket
+        // of the last barrier started before now, after the caller's unlink —
+        // is recorded regardless of the current path (§5.2).
+        let stamp = self.scheme.ledger.stamp();
         let bucket = &mut self.limbo[limbo_index(self.local_epoch)];
         // SAFETY: forwarded from the caller's contract.
         unsafe {
             self.core
-                .retire(bucket, ptr, drop_fn, now, birth_era, size_bytes)
+                .retire(bucket, ptr, drop_fn, stamp, birth_era, size_bytes)
         };
 
         let seen = self.scheme.fallback.load();
         if seen == Path::Fallback && self.core.scan_due() {
             // Running in fallback mode: all three limbo lists are scanned.
-            Self::cadence_scan_all(&mut self.core, &self.scheme, &mut self.limbo);
+            Self::cadence_scan(&mut self.core, &self.scheme, &mut self.limbo, true);
             self.prev_seen_path = Path::Fallback;
         } else if self.prev_seen_path == Path::Fallback && seen == Path::Fast {
             // Switch back to the fast path was triggered by another thread.
@@ -574,16 +556,16 @@ impl SmrHandle for QSenseHandle {
                 self.scheme.reset_presence();
             }
             self.prev_seen_path = Path::Fallback;
-            Self::cadence_scan_all(&mut self.core, &self.scheme, &mut self.limbo);
+            Self::cadence_scan(&mut self.core, &self.scheme, &mut self.limbo, true);
         } else {
             // Over the byte budget before the node-count fallback threshold C
             // fired — typically large payloads behind a stalled grace period.
             // QSense's escalation lever *is* its hybrid switch: trip the
             // fallback path early (the Cadence condition needs no cooperation
             // from a stalled thread), then scan all three lists right now. If
-            // the T + ε age gate (or live protections) keep the bytes pinned,
-            // the core sheds a little retire-side speed so limbo stops
-            // compounding while the clock catches up.
+            // barriers not yet completed (or live protections) keep the bytes
+            // pinned, the core sheds a little retire-side speed so limbo stops
+            // compounding while the rooster catches up.
             let (scheme, limbo, prev) = (&*self.scheme, &mut self.limbo, &mut self.prev_seen_path);
             self.core.enforce_budget(|core| {
                 if seen == Path::Fast && scheme.fallback.trigger_fallback() {
@@ -592,24 +574,25 @@ impl SmrHandle for QSenseHandle {
                     scheme.reset_presence();
                 }
                 *prev = Path::Fallback;
-                Self::cadence_scan_all(core, scheme, limbo)
+                Self::cadence_scan(core, scheme, limbo, true)
             });
         }
     }
 
     fn flush(&mut self) {
+        self.hps.publish_fence_count(self.core.stats());
         // Adopt limbo leftovers of exited threads into the current bucket: they
-        // were unlinked before the adoption, so both the grace-period argument and
-        // the Cadence age check cover them from here on.
+        // were unlinked before the adoption, so the grace-period argument covers
+        // them from here on, and the Cadence check by the stamps they carry.
         self.core
             .adopt_parked(&mut self.limbo[limbo_index(self.local_epoch)]);
         // Give both paths a chance: cycle quiescent states (frees whole buckets if
-        // the epoch can advance) and run one Cadence scan (frees aged, unprotected
+        // the epoch can advance) and run one Cadence scan (frees covered, unprotected
         // nodes even if it cannot).
         for _ in 0..2 * EPOCH_BUCKETS {
             self.quiescent_state();
         }
-        Self::cadence_scan_all(&mut self.core, &self.scheme, &mut self.limbo);
+        Self::cadence_scan(&mut self.core, &self.scheme, &mut self.limbo, false);
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -669,10 +652,10 @@ mod tests {
     #[test]
     fn record_maintains_hps_epoch_and_presence() {
         let record = QsenseRecord::new(2);
-        // SAFETY: `record` outlives the view.
-        let hps = unsafe { record.hps.owner() };
-        hps.set(0, 0x10 as *mut u8);
-        hps.set(1, 0x20 as *mut u8);
+        // SAFETY: `record` outlives the view; nothing scans.
+        let mut hps = unsafe { record.hps.owner(FenceStrategy::Rooster) };
+        hps.protect(0, 0x10 as *mut u8);
+        hps.protect(1, 0x20 as *mut u8);
         let mut out = Vec::new();
         record.hps.collect_into(&mut out);
         assert_eq!(out.len(), 2);
@@ -715,7 +698,7 @@ mod tests {
 
     #[test]
     fn scheme_starts_on_the_fast_path() {
-        let scheme = QSense::new(SmrConfig::default().with_rooster_threads(0));
+        let scheme = QSense::new(SmrConfig::default());
         assert_eq!(scheme.current_path(), Path::Fast);
         assert_eq!(scheme.name(), "qsense");
         assert_eq!(scheme.current_epoch(), 0);
@@ -725,11 +708,7 @@ mod tests {
 
     #[test]
     fn presence_reset_clears_every_slot() {
-        let scheme = QSense::new(
-            SmrConfig::default()
-                .with_max_threads(3)
-                .with_rooster_threads(0),
-        );
+        let scheme = QSense::new(SmrConfig::default().with_max_threads(3));
         let handles: Vec<_> = (0..3).map(|_| scheme.register()).collect();
         assert!(
             scheme.all_processes_active(),
@@ -748,7 +727,6 @@ mod tests {
         let scheme = QSense::new(
             SmrConfig::default()
                 .with_max_threads(2)
-                .with_rooster_threads(0)
                 .with_eviction_timeout(Some(Duration::from_millis(1)))
                 .with_clock(Clock::manual(manual.clone())),
         );
@@ -778,11 +756,7 @@ mod tests {
     /// balance through the successor's normal activity path.
     #[test]
     fn stale_evictor_flag_on_a_rereigstered_slot_is_rejected_and_rebalanced() {
-        let scheme = QSense::new(
-            SmrConfig::default()
-                .with_max_threads(1)
-                .with_rooster_threads(0),
-        );
+        let scheme = QSense::new(SmrConfig::default().with_max_threads(1));
         let stale_gen = {
             let first = scheme.register();
             scheme.registry.generation(first.slot.index())
@@ -837,7 +811,6 @@ mod tests {
         let scheme = QSense::new(
             SmrConfig::default()
                 .with_max_threads(1)
-                .with_rooster_threads(0)
                 .with_eviction_timeout(Some(Duration::from_millis(1)))
                 .with_clock(Clock::manual(manual.clone())),
         );
@@ -876,7 +849,6 @@ mod tests {
         let scheme = QSense::new(
             SmrConfig::default()
                 .with_max_threads(1)
-                .with_rooster_threads(0)
                 .with_eviction_timeout(Some(Duration::from_millis(1)))
                 .with_clock(Clock::manual(manual.clone())),
         );
@@ -916,7 +888,6 @@ mod tests {
         let scheme = QSense::new(
             SmrConfig::default()
                 .with_max_threads(2)
-                .with_rooster_threads(0)
                 .with_eviction_timeout(Some(Duration::from_millis(1)))
                 .with_clock(Clock::manual(manual.clone())),
         );

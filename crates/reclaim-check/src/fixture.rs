@@ -279,8 +279,7 @@ pub fn relink_scenario() -> Scenario {
             .with_hp_per_thread(2)
             .with_scan_threshold(1)
             .with_quiescence_threshold(1)
-            .with_fallback_threshold(4)
-            .with_rooster_threads(0);
+            .with_fallback_threshold(4);
         let fixture = Arc::new(RelinkFixture::new(hazard::Hazard::new(config)));
         let inserter = Arc::clone(&fixture);
         let remover = Arc::clone(&fixture);
@@ -429,8 +428,7 @@ pub fn rotation_scenario(swap: bool) -> Scenario {
         let config = SmrConfig::default()
             .with_max_threads(4)
             .with_hp_per_thread(2)
-            .with_scan_threshold(1)
-            .with_rooster_threads(0);
+            .with_scan_threshold(1);
         let fixture = Arc::new(RotationFixture::with_keys(
             hazard::Hazard::new(config),
             &[5, 10],

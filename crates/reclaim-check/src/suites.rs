@@ -24,7 +24,7 @@ use reclaim_core::{Smr, SmrConfig, SmrHandle};
 use std::sync::Arc;
 
 /// Eager-reclamation config: thresholds of 1 so every retire is immediately
-/// eligible, no rooster threads (determinism), `max_threads` with headroom
+/// eligible, no rooster (determinism), `max_threads` with headroom
 /// for prefill + 2 model threads + the post-schedule check.
 fn config(hp_slots: usize) -> SmrConfig {
     SmrConfig::default()
@@ -33,7 +33,7 @@ fn config(hp_slots: usize) -> SmrConfig {
         .with_scan_threshold(1)
         .with_quiescence_threshold(1)
         .with_fallback_threshold(4)
-        .with_rooster_threads(0)
+        .with_rooster_interval(std::time::Duration::MAX)
 }
 
 fn list_scenario<S, F>(scheme: &'static str, make: F) -> Scenario

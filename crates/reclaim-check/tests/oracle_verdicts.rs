@@ -95,8 +95,7 @@ fn seeded_uaf_scenario() -> Scenario {
             let config = SmrConfig::default()
                 .with_max_threads(2)
                 .with_hp_per_thread(1)
-                .with_scan_threshold(1)
-                .with_rooster_threads(0);
+                .with_scan_threshold(1);
             let scheme = hazard::Hazard::new(config);
             let mut handle = scheme.register();
             let node = Box::into_raw(Box::new(0u64));

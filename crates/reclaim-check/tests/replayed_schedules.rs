@@ -28,7 +28,7 @@ fn config(hp_slots: usize) -> SmrConfig {
         .with_scan_threshold(1)
         .with_quiescence_threshold(1)
         .with_fallback_threshold(4)
-        .with_rooster_threads(0)
+        .with_rooster_interval(std::time::Duration::MAX)
 }
 
 /// True if the trace contains the forced window: thread 0 parks at

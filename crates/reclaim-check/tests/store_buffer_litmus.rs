@@ -1,11 +1,14 @@
-//! Acceptance for where classic HP and EBR pay the fence behind a reservation
-//! (`reclaim_core::fence`): the four verdicts of each row of the store-buffer
-//! litmus. The two protocols the schemes run must be clean; the protocol with
-//! no fence anywhere, and the one with the scanner's barrier on the wrong side
-//! of its read of the reservations, must be convicted — so a clean verdict is
-//! not the model being unable to fail.
+//! Acceptance for where the schemes pay the fence behind a reservation
+//! (`reclaim_core::fence`). Classic HP and EBR: the four verdicts of each row
+//! of the store-buffer litmus — the two protocols the schemes run must be
+//! clean; the protocol with no fence anywhere, and the one with the scanner's
+//! barrier on the wrong side of its read of the reservations, must be
+//! convicted. The barrier ledger (Cadence, QSense, shared HP scans): the rule
+//! as shipped must be clean rooster-issued and scanner-issued, and each of its
+//! four near misses convicted — so a clean verdict is not the model being
+//! unable to fail.
 
-use reclaim_check::litmus::{self, epoch, Protocol, ScannerBarrier, Step, Verdict};
+use reclaim_check::litmus::{self, epoch, Ledger, Protocol, ScannerBarrier, Step, Verdict};
 use reclaim_core::fence::{FenceStrategy, ProcessBarrier};
 use std::fmt::Display;
 
@@ -54,9 +57,10 @@ fn the_four_fence_placements_get_their_verdicts() {
     // Which of the two clean protocols this runner's HP and EBR actually
     // execute — in the log, so a CI runner that silently falls back is visible.
     println!(
-        "this kernel: {} -> hp and ebr fence strategy: {}",
+        "this kernel: {} -> hp and ebr fence strategy: {}; cadence and qsense: {}",
         ProcessBarrier::detected().name(),
-        FenceStrategy::detect().name()
+        FenceStrategy::detect().name(),
+        FenceStrategy::detect_rooster().name()
     );
 
     let unfenced = verdict_for("hp", false, ScannerBarrier::None, litmus::check);
@@ -88,7 +92,7 @@ fn the_four_fence_placements_get_their_verdicts() {
         .expect("a barrier after the snapshot proves nothing about it");
     let position = |step| schedule.iter().position(|&s| s == step);
     assert!(
-        position(Step::Snapshot) < position(Step::Interrupt),
+        position(Step::Snapshot) < position(Step::Interrupt(litmus::By::Scanner)),
         "the snapshot missed a publication the barrier then drained: {schedule:?}"
     );
     assert_eq!(schedule.last(), Some(&Step::Use));
@@ -146,5 +150,130 @@ fn a_gap_of_two_is_convicted_under_both_shipped_protocols() {
             epoch::check(protocol, EBR_GAP - 1)
         });
         assert!(!verdict.is_clean());
+    }
+}
+
+#[test]
+fn the_ledger_rule_is_clean_as_shipped_and_each_near_miss_is_convicted() {
+    use litmus::By::{Scanner, Sibling};
+    use Step::{
+        BarrierEnter, Complete, FreeIfAbsent, Interrupt, LoadLink, LoadStamp, Publish, ReadLedger,
+        Retire, Snapshot, TakeTicket, Unlink, Use, Validate,
+    };
+
+    let verdict_for = |row: &str, protocol: Ledger| {
+        let verdict = litmus::check_ledger(protocol);
+        let outcome = if verdict.is_clean() {
+            "clean"
+        } else {
+            "CONVICTED"
+        };
+        println!(
+            "ledger, {row}: {outcome} ({} states)\n{}",
+            verdict.states,
+            verdict.schedule()
+        );
+        verdict
+    };
+    let convicted = |row: &str, protocol: Ledger| {
+        let schedule = verdict_for(row, protocol).violation;
+        let schedule = schedule.unwrap_or_else(|| panic!("{row} must be convicted"));
+        assert_eq!(schedule[schedule.len() - 2..], [FreeIfAbsent, Use], "{row}");
+        assert!(
+            !schedule.contains(&Step::Flush),
+            "{row}: the shortest schedule never lets the publication out of the buffer"
+        );
+        schedule
+    };
+    let at = |schedule: &[Step], step| {
+        let position = schedule.iter().position(|&s| s == step);
+        position.unwrap_or_else(|| panic!("no {step:?} in {schedule:?}"))
+    };
+
+    // What ships: Cadence and QSense behind the rooster; scanner-barrier HP,
+    // whose scans pay for a barrier or share a sibling's.
+    for (row, shipped) in [
+        ("rooster-issued", Ledger::rooster()),
+        ("scanner-issued or shared", Ledger::scanner()),
+    ] {
+        assert_clean_with_both_outcomes(&verdict_for(row, shipped));
+    }
+
+    // (a) The stamp read before the unlink: a barrier that started between
+    // the two counts, though its interrupt landed before the reader published
+    // — and validated against a link not yet unlinked.
+    for base in [Ledger::rooster(), Ledger::scanner()] {
+        let schedule = convicted(
+            "(a) stamp loaded before the unlink",
+            Ledger {
+                stamp_before_unlink: true,
+                ..base
+            },
+        );
+        assert!(at(&schedule, LoadStamp) < at(&schedule, TakeTicket(Sibling)));
+        assert!(at(&schedule, TakeTicket(Sibling)) < at(&schedule, Unlink));
+        assert!(at(&schedule, Interrupt(Sibling)) < at(&schedule, Publish));
+    }
+
+    // (b) `completed >= stamp`: the barrier whose ticket the stamp *is* started
+    // before the stamp was read — in the shortest schedule it is the one before
+    // the run began (ticket 0), and no barrier runs after the unlink at all.
+    for base in [Ledger::rooster(), Ledger::scanner()] {
+        let schedule = convicted(
+            "(b) the gate admits completed == stamp",
+            Ledger {
+                gate_admits_equal: true,
+                ..base
+            },
+        );
+        let after_the_stamp = &schedule[at(&schedule, LoadStamp)..];
+        let barriers = [TakeTicket(Sibling), TakeTicket(Scanner)];
+        assert!(!after_the_stamp.iter().any(|step| barriers.contains(step)));
+    }
+
+    // (c) Sharing on `started`: the sibling's barrier has a ticket past the
+    // stamp but has not interrupted anyone yet.
+    let schedule = convicted(
+        "(c) a scan shares a barrier that has only started",
+        Ledger {
+            shares_on_started: true,
+            ..Ledger::scanner()
+        },
+    );
+    assert_eq!(
+        schedule,
+        [
+            LoadLink,
+            Publish,
+            Validate,
+            Unlink,
+            LoadStamp,
+            Retire,
+            TakeTicket(Sibling),
+            ReadLedger,
+            Snapshot,
+            FreeIfAbsent,
+            Use,
+        ],
+        "the shortest schedule"
+    );
+    assert!(!schedule.contains(&TakeTicket(Scanner)), "it never paid");
+
+    // (d) `completed` raised before the barrier returns: same window, seen
+    // through the other counter.
+    for base in [Ledger::rooster(), Ledger::scanner()] {
+        let schedule = convicted(
+            "(d) completed raised before the barrier returns",
+            Ledger {
+                completes_before_return: true,
+                ..base
+            },
+        );
+        assert!(at(&schedule, Complete(Sibling)) < at(&schedule, ReadLedger));
+        assert!(
+            !schedule.contains(&BarrierEnter(Sibling))
+                && !schedule.contains(&BarrierEnter(Scanner)),
+            "no barrier was ever issued"
+        );
     }
 }

@@ -1,23 +1,23 @@
-//! Time sources for deferred reclamation.
+//! Time sources.
 //!
-//! Cadence (§5.1 of the paper) timestamps every retired node and only frees nodes that
-//! are "old enough": older than the rooster sleep interval `T` plus a tolerance `ε`.
-//! The paper reads the system clock; this module wraps that behind [`Clock`] so that
+//! The paper's Cadence (§5.1) timestamps every retired node from the system clock
+//! and frees only nodes older than the rooster sleep interval `T` plus a tolerance
+//! `ε`. Here that wait is counted in completed rooster wake-ups, not nanoseconds
+//! ([`BarrierLedger`](crate::fence::BarrierLedger)), and no retire reads a clock.
+//! What still runs on wall time — QSense's eviction timeout, the budget governor's
+//! time-over-budget stopwatch, telemetry's latency and delay histograms — reads it
+//! through [`Clock`], so that
 //!
 //! * production code uses a monotonic real-time clock ([`Clock::real`]), and
-//! * tests drive a [`ManualClock`] by hand, making the aging logic — and the QSense
-//!   path-switching protocol built on top of it — fully deterministic.
+//! * tests drive a [`ManualClock`] by hand, making eviction — and the QSense
+//!   path-switching protocol around it — fully deterministic.
 //!
 //! Timestamps are plain `u64` nanoseconds ([`Nanos`]) since an arbitrary origin
 //! (scheme creation for the real clock, zero for manual clocks).
 //!
 //! The module also holds the *logical* clock of the era/interval-based schemes:
 //! [`EraClock`], a shared monotone counter advanced on allocation batches rather
-//! than by wall time (Hazard Eras / 2GE-IBR — the `he` crate). Both clocks solve
-//! the same problem (ordering retirements against reader activity) with opposite
-//! trade-offs: real time needs no shared writes but ties reclamation latency to
-//! `T + ε`; eras need an occasional shared `fetch_add` but make the "old enough"
-//! decision exact.
+//! than by wall time (Hazard Eras / 2GE-IBR — the `he` crate).
 //!
 //! *When* the era ticks is a policy, not a constant: [`EraPacer`] co-locates
 //! the clock with an [`EraAdvancePolicy`] that either fixes the
@@ -81,8 +81,7 @@ impl Clock {
         }
     }
 
-    /// True if this clock is manually driven (used by rooster threads to decide
-    /// whether to sleep for real or to wait for manual ticks).
+    /// True if this clock is manually driven.
     pub fn is_manual(&self) -> bool {
         matches!(self.source, Source::Manual(_))
     }

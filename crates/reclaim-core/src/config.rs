@@ -1,6 +1,6 @@
 //! Configuration shared by every reclamation scheme.
 //!
-//! The paper names seven tunables; [`SmrConfig`] carries all of them so that a single
+//! The paper names seven tunables; [`SmrConfig`] carries six of them so that a single
 //! configuration value can be threaded through QSBR, Cadence, hazard pointers and the
 //! QSense hybrid. The field-to-symbol mapping is:
 //!
@@ -12,7 +12,12 @@
 //! | `R` | [`scan_threshold`](SmrConfig::scan_threshold) | retires between hazard-pointer scans |
 //! | `C` | [`fallback_threshold`](SmrConfig::fallback_threshold) | limbo-list size that triggers the fallback path |
 //! | `T` | [`rooster_interval`](SmrConfig::rooster_interval) | rooster-thread sleep interval |
-//! | `ε` | [`rooster_epsilon`](SmrConfig::rooster_epsilon) | clock-skew / oversleep tolerance |
+//!
+//! The seventh, `ε`, has no field: the paper adds it to `T` because a node's age is
+//! all a 2016 process could know about its rooster's last wake-up, and a clock can be
+//! skewed or a rooster oversleep. Here a node waits for a wake-up that *returned*
+//! after its unlink ([`BarrierLedger`](crate::fence::BarrierLedger)); a completed
+//! barrier is an event, not an estimate, and needs no tolerance.
 
 use crate::clock::{Clock, EraAdvancePolicy};
 use std::time::Duration;
@@ -38,13 +43,12 @@ pub struct SmrConfig {
     /// (QSense only). Property 4 of the paper requires
     /// `C > max(m·Q, N·K + T, (K + T + R) / 2)`.
     pub fallback_threshold: usize,
-    /// `T`: rooster-thread sleep interval (Cadence / QSense fallback path).
+    /// `T`: how often the process's rooster thread issues a process-wide barrier on
+    /// this scheme's behalf (Cadence / QSense fallback path; the shortest interval
+    /// among a process's live schemes sets the thread's pace). `Duration::MAX`
+    /// means never: the scheme's ledger then advances only when its owner issues,
+    /// which deterministic tests do.
     pub rooster_interval: Duration,
-    /// `ε`: tolerance added to `T` when deciding whether a retired node is old enough.
-    pub rooster_epsilon: Duration,
-    /// Number of rooster threads to spawn. The paper pins one per core; the default
-    /// here is one per available CPU (at least one).
-    pub rooster_threads: usize,
     /// **Extension (paper §5.2, future work).** If set, QSense *evicts* a registered
     /// thread that has shown no activity for this long: the evicted thread stops
     /// counting towards the all-processes-active check (so the system can switch back
@@ -138,21 +142,10 @@ impl SmrConfig {
         self
     }
 
-    /// Sets `T`, the rooster sleep interval.
+    /// Sets `T`, the rooster sleep interval (`Duration::MAX`: no rooster).
     pub fn with_rooster_interval(mut self, t: Duration) -> Self {
+        assert!(!t.is_zero(), "rooster_interval must be positive");
         self.rooster_interval = t;
-        self
-    }
-
-    /// Sets `ε`, the rooster tolerance.
-    pub fn with_rooster_epsilon(mut self, eps: Duration) -> Self {
-        self.rooster_epsilon = eps;
-        self
-    }
-
-    /// Sets the number of rooster threads.
-    pub fn with_rooster_threads(mut self, n: usize) -> Self {
-        self.rooster_threads = n;
         self
     }
 
@@ -232,20 +225,10 @@ impl SmrConfig {
         let k_t_r = (self.hp_per_thread + t + self.scan_threshold).div_ceil(2);
         c > m * self.quiescence_threshold && c > nk_plus_t && c > k_t_r
     }
-
-    /// `T + ε` in nanoseconds — the minimum age a retired node must reach before
-    /// Cadence may free it.
-    pub fn min_reclaim_age_nanos(&self) -> u64 {
-        crate::clock::duration_to_nanos(self.rooster_interval)
-            .saturating_add(crate::clock::duration_to_nanos(self.rooster_epsilon))
-    }
 }
 
 impl Default for SmrConfig {
     fn default() -> Self {
-        let cpus = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
         Self {
             max_threads: 64,
             hp_per_thread: 8,
@@ -253,8 +236,6 @@ impl Default for SmrConfig {
             scan_threshold: 128,
             fallback_threshold: 4096,
             rooster_interval: Duration::from_millis(10),
-            rooster_epsilon: Duration::from_millis(1),
-            rooster_threads: cpus.max(1),
             eviction_timeout: None,
             limbo_budget: None,
             era_policy: EraAdvancePolicy::default(),
@@ -275,8 +256,7 @@ mod tests {
         let cfg = SmrConfig::default();
         assert!(cfg.max_threads >= 1);
         assert!(cfg.hp_per_thread >= 1);
-        assert!(cfg.rooster_threads >= 1);
-        assert!(cfg.min_reclaim_age_nanos() > 0);
+        assert!(!cfg.rooster_interval.is_zero() && cfg.rooster_interval != Duration::MAX);
         assert!(
             cfg.eviction_timeout.is_none(),
             "eviction is an opt-in extension; the default must match the paper"
@@ -332,8 +312,6 @@ mod tests {
             .with_scan_threshold(20)
             .with_fallback_threshold(500)
             .with_rooster_interval(Duration::from_millis(5))
-            .with_rooster_epsilon(Duration::from_millis(2))
-            .with_rooster_threads(2)
             .with_eviction_timeout(Some(Duration::from_millis(50)))
             .with_limbo_budget(Some(1 << 20))
             .with_era_advance_interval(16)
@@ -346,15 +324,12 @@ mod tests {
         assert_eq!(cfg.scan_threshold, 20);
         assert_eq!(cfg.fallback_threshold, 500);
         assert_eq!(cfg.rooster_interval, Duration::from_millis(5));
-        assert_eq!(cfg.rooster_epsilon, Duration::from_millis(2));
-        assert_eq!(cfg.rooster_threads, 2);
         assert_eq!(cfg.eviction_timeout_nanos(), Some(50_000_000));
         assert_eq!(cfg.limbo_budget, Some(1 << 20));
         assert_eq!(cfg.era_policy, EraAdvancePolicy::Static(16));
         assert!(cfg.telemetry);
         assert_eq!(cfg.telemetry_sample_shift, 4);
         assert!(cfg.clock.is_manual());
-        assert_eq!(cfg.min_reclaim_age_nanos(), 7_000_000);
     }
 
     #[test]
@@ -383,6 +358,12 @@ mod tests {
     #[should_panic(expected = "must be positive")]
     fn zero_threads_rejected() {
         let _ = SmrConfig::default().with_max_threads(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "rooster_interval must be positive")]
+    fn zero_rooster_interval_rejected() {
+        let _ = SmrConfig::default().with_rooster_interval(Duration::ZERO);
     }
 
     #[test]

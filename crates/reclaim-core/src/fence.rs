@@ -9,8 +9,9 @@
 //! store and the load — on *both* sides. The scanner's is cheap (it runs once
 //! per `R` retires); the reader's is the cost the paper is about, paid once per
 //! node traversed by classic HP (Algorithm 1, line 3) and once per operation by
-//! EBR. This module holds the three ways this workspace pays it, as the reason
-//! a scan may trust what it reads ([`SnapshotProof`]):
+//! EBR. This module holds the three ways this workspace pays it — three answers
+//! to *who issues the barrier the reader's CPU passes through*
+//! ([`FenceStrategy`]):
 //!
 //! * **reader-fenced** — the paper's protocol: `SeqCst` fence after every
 //!   publication. Runs everywhere.
@@ -27,23 +28,39 @@
 //!   each protocol with the barrier moved *after* the read). Needs Linux
 //!   ≥ 4.14 and a seccomp profile that lets `membarrier` through (Docker's
 //!   default does not).
-//! * **aged `T + ε`** — Cadence and QSense: compiler fence on the reader, a
-//!   rooster thread issuing [`process_barrier`] every `T`, and a scan that only
-//!   frees nodes retired at least `T + ε` ago (paper Property 1).
+//! * **rooster** — the paper's Cadence, and QSense: compiler fence on the
+//!   reader, and the process's one rooster thread issuing [`process_barrier`]
+//!   every `T` on behalf of every subscribed scheme. Scans never issue.
 //!
-//! Classic HP and EBR choose between the first two **once per process, from
-//! what the kernel answers** ([`FenceStrategy::detect`]): no configuration
-//! field, flag, environment variable or cargo feature selects. The reader's
-//! fence, the scanner's barrier and the scan batch that amortises it are one
-//! [`FenceStrategy`] value, so they cannot disagree.
+//! The hazard-pointer family frees by **one rule** under all three, kept by a
+//! [`BarrierLedger`] per scheme instance: whoever issues a process-wide barrier
+//! on the scheme's behalf bumps `started` before it and raises `completed` to
+//! that ticket after it returns; a retire stamps its node with `started` as
+//! read *after* the unlink; a node may be freed once it is absent from a
+//! snapshot taken after `completed > stamp` — a whole barrier ran after the
+//! unlink, so every publication that could have validated against the node is
+//! visible. The paper states the same condition as a duration (`T + ε`,
+//! Property 1) because a 2016 process could not observe its rooster's wake-up;
+//! `membarrier`'s return can be observed, so no clock is read and no tolerance
+//! is needed. `reclaim-check`'s ledger litmus enumerates the rule and convicts
+//! its four near misses (stamp before the unlink, `completed ≥ stamp`, sharing
+//! on `started`, `completed` raised before the return).
+//!
+//! Every scheme chooses its strategy **once per process, from what the kernel
+//! answers** ([`FenceStrategy::detect`], [`FenceStrategy::detect_rooster`]): no
+//! configuration field, flag, environment variable or cargo feature selects.
+//! The reader's fence, the scanner's barrier and the scan batch that amortises
+//! it are one [`FenceStrategy`] value, so they cannot disagree.
 //!
 //! The syscall is issued directly (no `libc` dependency) on x86-64 and aarch64
 //! Linux; everywhere else it reports `ENOSYS` and the fallbacks run.
 
-use crate::clock::Nanos;
+use crate::pad::CachePadded;
 use crate::stats::StatStripe;
-use std::sync::atomic::{compiler_fence, fence, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{compiler_fence, fence, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// `MEMBARRIER_CMD_QUERY`: the mask of commands the kernel supports.
 const CMD_QUERY: i64 = 0;
@@ -204,9 +221,9 @@ pub fn scanner_barrier(stats: &StatStripe) -> bool {
 
 /// One process-wide barrier with the strongest mechanism that works —
 /// expedited, else global, else a `SeqCst` fence on the caller alone — and
-/// which one ran. This is the rooster's wake-up: callers that get
-/// [`ProcessBarrier::LocalFence`] back rely on the `T + ε` age bound
-/// outlasting any store buffer, as every caller in this workspace does.
+/// which one ran. This is the rooster's wake-up. A caller that gets
+/// [`ProcessBarrier::LocalFence`] back has drained no sibling's store buffer
+/// and must not enter the call in a [`BarrierLedger`] as completed.
 pub fn process_barrier() -> ProcessBarrier {
     if expedited_barrier() {
         return ProcessBarrier::Expedited;
@@ -218,12 +235,12 @@ pub fn process_barrier() -> ProcessBarrier {
     ProcessBarrier::LocalFence
 }
 
-/// The reader's half of the scanner-barrier and aged protocols: a compiler
+/// The reader's half of the scanner-barrier and rooster protocols: a compiler
 /// fence, so the publication is not reordered (by the compiler) after the
 /// caller's validation load. The hardware ordering is the scanner's barrier
 /// or the rooster's.
 #[inline]
-pub fn compiler_only() {
+fn compiler_only() {
     compiler_fence(Ordering::SeqCst);
 }
 
@@ -281,30 +298,51 @@ pub fn compiler_only() {
 /// constant would buy that 4.6 % with twice that memory again; not taken.
 pub const SCANNER_BARRIER_SCAN_BATCH: usize = 8;
 
-/// Classic HP's and EBR's protocol choice: the reader's fence, the scanner's
-/// barrier and the scan batch, as one value (module docs).
+/// Who issues the process-wide barrier behind a compiler-fenced publication —
+/// the reader's fence, the scanner's barrier and the scan batch, as one value
+/// (module docs). Classic HP and EBR run one of the first two; Cadence and
+/// QSense the third, or the first where the kernel has no process-wide barrier
+/// for a rooster to issue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FenceStrategy {
-    /// The paper's protocol (Algorithm 1): `SeqCst` fence per publication,
-    /// no barrier per scan, a scan every `scan_threshold` retires.
+    /// The paper's HP (Algorithm 1): `SeqCst` fence per publication, no
+    /// barrier to wait for, a scan every `scan_threshold` retires.
     ReaderFenced,
-    /// Compiler fence per publication, one [`scanner_barrier`] per scan, a
-    /// scan every `scan_threshold ×` [`SCANNER_BARRIER_SCAN_BATCH`] retires.
+    /// Compiler fence per publication, one [`scanner_barrier`] per scan that
+    /// no sibling's barrier already covered, a scan every `scan_threshold ×`
+    /// [`SCANNER_BARRIER_SCAN_BATCH`] retires.
     ScannerBarrier,
+    /// The paper's Cadence: compiler fence per publication, scans never issue
+    /// a barrier and free only what the process rooster's last completed tick
+    /// covers. Not a protocol of EBR, which has no ledger for a rooster to
+    /// raise.
+    Rooster,
 }
 
 impl FenceStrategy {
-    /// The protocol this process runs: scanner-barrier where the kernel
-    /// registered and ran the expedited command, the paper's everywhere else.
+    /// The protocol classic HP and EBR run in this process: scanner-barrier
+    /// where the kernel registered and ran the expedited command, the paper's
+    /// everywhere else.
     pub fn detect() -> Self {
         Self::for_barrier(ProcessBarrier::detected())
     }
 
-    /// The protocol for a process whose strongest barrier is `barrier`.
+    /// [`detect`](Self::detect) for a process whose strongest barrier is
+    /// `barrier`.
     pub fn for_barrier(barrier: ProcessBarrier) -> Self {
         match barrier {
             ProcessBarrier::Expedited => FenceStrategy::ScannerBarrier,
             ProcessBarrier::Global | ProcessBarrier::LocalFence => FenceStrategy::ReaderFenced,
+        }
+    }
+
+    /// The protocol Cadence and QSense run in this process: rooster where the
+    /// kernel offers any process-wide barrier; where it offers none a ledger
+    /// could never advance, so they run reader-fenced.
+    pub fn detect_rooster() -> Self {
+        match ProcessBarrier::detected() {
+            ProcessBarrier::Expedited | ProcessBarrier::Global => FenceStrategy::Rooster,
+            ProcessBarrier::LocalFence => FenceStrategy::ReaderFenced,
         }
     }
 
@@ -313,12 +351,13 @@ impl FenceStrategy {
         match self {
             FenceStrategy::ReaderFenced => "reader_fenced",
             FenceStrategy::ScannerBarrier => "scanner_barrier",
+            FenceStrategy::Rooster => "rooster",
         }
     }
 
     /// The fence between a publication and the publisher's next load (HP's
-    /// validation, EBR's tag). True when it was a hardware fence (what HP
-    /// counts in `traversal_fences`).
+    /// validation, EBR's tag). True when it was a hardware fence (what the
+    /// hazard-pointer family counts in `traversal_fences`).
     #[inline]
     pub fn publication_fence(self) -> bool {
         match self {
@@ -326,47 +365,242 @@ impl FenceStrategy {
                 fence(Ordering::SeqCst);
                 true
             }
-            FenceStrategy::ScannerBarrier => {
+            FenceStrategy::ScannerBarrier | FenceStrategy::Rooster => {
                 compiler_only();
                 false
             }
         }
     }
 
-    /// Why a scan under this protocol may trust its snapshot.
-    pub fn proof(self) -> SnapshotProof {
-        match self {
-            FenceStrategy::ReaderFenced => SnapshotProof::ReaderFenced,
-            FenceStrategy::ScannerBarrier => SnapshotProof::ScannerBarrier,
-        }
-    }
-
     /// Count-threshold scans run every `scan_threshold ×` this many retires.
     pub fn scan_batch(self) -> usize {
         match self {
-            FenceStrategy::ReaderFenced => 1,
+            FenceStrategy::ReaderFenced | FenceStrategy::Rooster => 1,
             FenceStrategy::ScannerBarrier => SCANNER_BARRIER_SCAN_BATCH,
         }
     }
 }
 
-/// Why a hazard-pointer snapshot is complete — why a node that was retired
-/// before the scan and is absent from the snapshot has no reader (the three
-/// visibility arguments of the module docs). [`hp_scan`](crate::hp_scan) takes
-/// one and does what it calls for.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SnapshotProof {
-    /// Every publication was followed by a `SeqCst` fence before its
-    /// validation load, so one that validated is visible to the snapshot.
-    ReaderFenced,
-    /// Publications are compiler-fenced; the scan issues
-    /// [`expedited_barrier`] after the last retire and before the snapshot,
-    /// and frees nothing if the kernel refuses it.
-    ScannerBarrier,
-    /// Publications are compiler-fenced; the scan frees only nodes retired at
-    /// least this long ago — `T + ε`, within which a rooster's
-    /// [`process_barrier`] has run.
-    Aged(Nanos),
+/// The two counters of a [`BarrierLedger`], on a line of their own: every
+/// retire of the scheme loads `started`, and each barrier writes both.
+#[derive(Default)]
+struct Tickets {
+    started: AtomicU64,
+    completed: AtomicU64,
+}
+
+impl Tickets {
+    /// Before a barrier: its ticket. `SeqCst`, so every stamp read before
+    /// this bump — and the unlink before that stamp — precedes the barrier.
+    fn start(&self) -> u64 {
+        self.started.fetch_add(1, Ordering::SeqCst) + 1
+    }
+
+    /// After the barrier with `ticket` returned. `Release`: a scan that reads
+    /// the raised counter takes its snapshot after that barrier.
+    fn complete(&self, ticket: u64) {
+        self.completed.fetch_max(ticket, Ordering::Release);
+    }
+}
+
+/// One scheme instance's record of the process-wide barriers issued on its
+/// behalf, and the hazard-pointer family's one free rule (module docs): a node
+/// stamped [`stamp`](Self::stamp) after its unlink is *covered* — every
+/// publication that validated against it is visible — once
+/// [`completed`](Self::completed) exceeds the stamp.
+///
+/// Per scheme instance, not per process: a process-wide ledger would let one
+/// scheme's scans (or, under `cargo test`, one test's) age another's nodes.
+/// Under [`FenceStrategy::Rooster`] the process rooster raises it every
+/// `rooster_interval`, from construction to drop.
+pub struct BarrierLedger {
+    strategy: FenceStrategy,
+    tickets: Arc<CachePadded<Tickets>>,
+    /// The process rooster holds a clone of `tickets`.
+    subscribed: bool,
+}
+
+impl BarrierLedger {
+    /// A ledger at ticket 0 for a scheme running `strategy`. Under
+    /// [`FenceStrategy::Rooster`] it subscribes to the process rooster at
+    /// `rooster_interval` — except at `Duration::MAX`, "never": the ledger
+    /// then advances only when its owner calls [`issue`](Self::issue), which
+    /// is how deterministic tests count ticks instead of sleeping.
+    pub fn new(strategy: FenceStrategy, rooster_interval: Duration) -> Self {
+        let tickets = Arc::<CachePadded<Tickets>>::default();
+        let subscribed = strategy == FenceStrategy::Rooster && rooster_interval != Duration::MAX;
+        if subscribed {
+            subscribe(&tickets, rooster_interval);
+        }
+        Self {
+            strategy,
+            tickets,
+            subscribed,
+        }
+    }
+
+    /// Who issues this scheme's barriers.
+    pub fn strategy(&self) -> FenceStrategy {
+        self.strategy
+    }
+
+    /// The stamp of a node retired now. Call it **after** the unlink: a
+    /// barrier counts for the node only if it started after the stamp was
+    /// read, and so after the unlink (`SeqCst`, ordered after the structures'
+    /// `SeqCst` unlink and before the issuer's `SeqCst` bump).
+    #[inline]
+    pub fn stamp(&self) -> u64 {
+        self.tickets.started.load(Ordering::SeqCst)
+    }
+
+    /// The newest ticket whose barrier has returned. `Acquire`, paired with
+    /// the issuer's `Release`: a snapshot taken after this load is taken after
+    /// that barrier.
+    pub fn completed(&self) -> u64 {
+        self.tickets.completed.load(Ordering::Acquire)
+    }
+
+    /// Whether a barrier that started after `stamp` was read has returned.
+    /// Monotonic: once true of a stamp it stays true, and it is true of every
+    /// smaller stamp.
+    pub fn covers(&self, stamp: u64) -> bool {
+        self.completed() > stamp
+    }
+
+    /// Runs `barrier` on this ledger's books: takes a ticket before it and,
+    /// if it reports success, raises `completed` to the ticket after it
+    /// returns. Returns `barrier`'s answer; a refused barrier covers nothing.
+    ///
+    /// # Safety
+    ///
+    /// `barrier` may return true only if every sibling thread of the process
+    /// passed through a full memory barrier between its call and its return
+    /// ([`expedited_barrier`], or [`process_barrier`] not answering
+    /// [`ProcessBarrier::LocalFence`]) — or if no sibling can hold a
+    /// protection published through this ledger's scheme, as in a
+    /// single-threaded test.
+    pub unsafe fn issue(&self, barrier: impl FnOnce() -> bool) -> bool {
+        let ticket = self.tickets.start();
+        let ran = barrier();
+        if ran {
+            self.tickets.complete(ticket);
+        }
+        ran
+    }
+}
+
+impl Drop for BarrierLedger {
+    fn drop(&mut self) {
+        if self.subscribed {
+            unsubscribe(&self.tickets);
+        }
+    }
+}
+
+/// One ledger the process rooster ticks.
+struct Subscriber {
+    tickets: Arc<CachePadded<Tickets>>,
+    interval: Duration,
+    /// Its ticket for the barrier in flight (the rooster's scratch).
+    ticket: u64,
+}
+
+/// The process's one rooster thread (paper §5.1: a rooster per core, each
+/// forcing a context switch; here every wake-up is already process-wide, so
+/// one thread serves every Cadence and QSense instance). It runs while any
+/// ledger is subscribed, sleeps the shortest subscribed interval and issues
+/// one [`process_barrier`] per wake-up for all of them.
+struct Rooster {
+    subscribers: Vec<Subscriber>,
+    thread: Option<JoinHandle<()>>,
+    /// Bumped when the last subscriber leaves: tells the thread of an earlier
+    /// generation to exit even if a new subscriber has arrived since.
+    generation: u64,
+}
+
+static ROOSTER: Mutex<Rooster> = Mutex::new(Rooster {
+    subscribers: Vec::new(),
+    thread: None,
+    generation: 0,
+});
+/// Signalled on every subscription change, so the sleeper re-reads the
+/// shortest interval or exits.
+static ROOSTER_WAKE: Condvar = Condvar::new();
+
+fn rooster() -> MutexGuard<'static, Rooster> {
+    // No update of the state can panic half-way, so a poisoned lock (a
+    // panicking test thread dropping its scheme) still guards a valid value.
+    ROOSTER.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn subscribe(tickets: &Arc<CachePadded<Tickets>>, interval: Duration) {
+    let mut rooster = rooster();
+    rooster.subscribers.push(Subscriber {
+        tickets: Arc::clone(tickets),
+        interval,
+        ticket: 0,
+    });
+    if rooster.thread.is_none() {
+        let generation = rooster.generation;
+        let thread = std::thread::Builder::new()
+            .name("rooster".to_string())
+            .spawn(move || rooster_loop(generation))
+            .expect("failed to spawn the rooster thread");
+        rooster.thread = Some(thread);
+    }
+    ROOSTER_WAKE.notify_all();
+}
+
+fn unsubscribe(tickets: &Arc<CachePadded<Tickets>>) {
+    let mut rooster = rooster();
+    rooster
+        .subscribers
+        .retain(|subscriber| !Arc::ptr_eq(&subscriber.tickets, tickets));
+    if !rooster.subscribers.is_empty() {
+        return;
+    }
+    rooster.generation += 1;
+    let thread = rooster.thread.take();
+    drop(rooster);
+    ROOSTER_WAKE.notify_all();
+    if let Some(thread) = thread {
+        // The loop cannot panic; a join error has nothing to report to.
+        let _ = thread.join();
+    }
+}
+
+/// The rooster thread: assumed to keep ticking while workers may be delayed
+/// arbitrarily (the synchronous part of the paper's model, assumption 3); it
+/// never touches a data structure. The lock is held across the barrier, so a
+/// ledger that has unsubscribed is never raised again.
+fn rooster_loop(generation: u64) {
+    let mut rooster = rooster();
+    let mut last_tick = Instant::now();
+    while rooster.generation == generation {
+        let intervals = rooster.subscribers.iter().map(|s| s.interval);
+        let interval = intervals.min().unwrap_or(Duration::MAX);
+        let sleep = interval.saturating_sub(last_tick.elapsed());
+        if !sleep.is_zero() {
+            // Any wake-up — timeout, subscription change, spurious — re-reads
+            // the generation, the shortest interval and the time.
+            let (guard, _) = ROOSTER_WAKE
+                .wait_timeout(rooster, sleep)
+                .unwrap_or_else(|e| e.into_inner());
+            rooster = guard;
+            continue;
+        }
+        // The wake-up: the moment the paper's context switch would occur.
+        // One barrier serves every subscriber; each gets its own ticket.
+        for subscriber in &mut rooster.subscribers {
+            subscriber.ticket = subscriber.tickets.start();
+        }
+        if process_barrier() != ProcessBarrier::LocalFence {
+            for subscriber in &rooster.subscribers {
+                subscriber.tickets.complete(subscriber.ticket);
+            }
+        }
+        last_tick = Instant::now();
+    }
 }
 
 #[cfg(test)]
@@ -416,13 +650,105 @@ mod tests {
             let strategy = FenceStrategy::for_barrier(fallback);
             assert_eq!(strategy, FenceStrategy::ReaderFenced);
             assert_eq!(strategy.scan_batch(), 1, "today's scan cadence");
-            assert_eq!(strategy.proof(), SnapshotProof::ReaderFenced);
             assert!(strategy.publication_fence(), "today's reader fence");
         }
         let barrier = FenceStrategy::ScannerBarrier;
         assert_eq!(barrier.scan_batch(), SCANNER_BARRIER_SCAN_BATCH);
-        assert_eq!(barrier.proof(), SnapshotProof::ScannerBarrier);
         assert!(!barrier.publication_fence());
+    }
+
+    #[test]
+    fn any_process_wide_barrier_selects_the_rooster_and_none_the_readers_fence() {
+        let rooster = FenceStrategy::Rooster;
+        assert_eq!(rooster.scan_batch(), 1);
+        assert!(!rooster.publication_fence());
+        // A rooster that fences only itself drains no one: the ledger could
+        // never advance, so the readers fence for themselves.
+        let fence_only = ProcessBarrier::detected() == ProcessBarrier::LocalFence;
+        let expected = if fence_only {
+            FenceStrategy::ReaderFenced
+        } else {
+            rooster
+        };
+        assert_eq!(FenceStrategy::detect_rooster(), expected);
+    }
+
+    /// A ledger no rooster ticks.
+    fn manual_ledger() -> BarrierLedger {
+        BarrierLedger::new(FenceStrategy::Rooster, Duration::MAX)
+    }
+
+    fn issue(ledger: &BarrierLedger, barrier: impl FnOnce() -> bool) -> bool {
+        // SAFETY: single-threaded tests: no sibling publishes anything.
+        unsafe { ledger.issue(barrier) }
+    }
+
+    #[test]
+    fn a_stamp_is_covered_only_by_a_barrier_that_started_after_it_and_returned() {
+        let ledger = manual_ledger();
+        let stamp = ledger.stamp();
+        assert_eq!((stamp, ledger.completed()), (0, 0));
+        assert!(!ledger.covers(stamp), "no barrier yet");
+        assert!(!issue(&ledger, || false), "refused");
+        assert!(!ledger.covers(stamp), "a refused barrier covers nothing");
+        // Started, not yet returned: neither the old stamp nor one read now
+        // is covered.
+        let mid_flight = || !ledger.covers(stamp) && !ledger.covers(ledger.stamp());
+        assert!(issue(&ledger, mid_flight));
+        assert!(ledger.covers(stamp), "ticket 2 > stamp 0");
+        let during = ledger.stamp();
+        assert_eq!((during, ledger.completed()), (2, 2));
+        assert!(
+            !ledger.covers(during),
+            "completed == stamp: that barrier started before the stamp was read"
+        );
+        assert!(issue(&ledger, || true));
+        assert!(ledger.covers(during));
+    }
+
+    #[test]
+    fn a_slow_barrier_returning_last_does_not_lower_completed() {
+        let ledger = manual_ledger();
+        issue(&ledger, || {
+            // A second barrier starts later and returns first.
+            assert!(issue(&ledger, || true));
+            assert_eq!(ledger.completed(), 2);
+            true
+        });
+        assert_eq!((ledger.stamp(), ledger.completed()), (2, 2));
+    }
+
+    #[test]
+    fn the_rooster_raises_a_subscribed_ledger_and_only_that() {
+        let manual = manual_ledger();
+        let reader_fenced =
+            BarrierLedger::new(FenceStrategy::ReaderFenced, Duration::from_millis(1));
+        let ticking = BarrierLedger::new(FenceStrategy::Rooster, Duration::from_millis(1));
+        assert!(ticking.subscribed && !manual.subscribed && !reader_fenced.subscribed);
+        if ProcessBarrier::detected() == ProcessBarrier::LocalFence {
+            println!("skipped: no process-wide barrier for a rooster to complete");
+            return;
+        }
+        // Three tickets, not three sleeps: a rooster that never ticks hangs
+        // here; one that ticks at any pace passes.
+        let stamp = ticking.stamp() + 2;
+        while !ticking.covers(stamp) {
+            std::thread::yield_now();
+        }
+        assert_eq!((manual.stamp(), reader_fenced.stamp()), (0, 0));
+    }
+
+    #[test]
+    fn leaving_the_rooster_does_not_wait_out_its_interval() {
+        let start = Instant::now();
+        drop(BarrierLedger::new(
+            FenceStrategy::Rooster,
+            Duration::from_secs(3600),
+        ));
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "unsubscribing must not wait for the sleep interval"
+        );
     }
 
     #[test]

@@ -3,29 +3,29 @@
 //! The three schemes publish protections the same way — `K` single-writer
 //! multi-reader pointer slots per registered thread — and free by the same
 //! rule: a retired node absent from a full snapshot of those slots is
-//! unreachable. They differ only in *why the snapshot is complete*
-//! ([`SnapshotProof`]): classic HP fences every publication or, where the
-//! kernel offers an expedited `membarrier`, has the scan run that fence for its
-//! readers; Cadence and QSense wait out `T + ε`.
+//! unreachable, provided the snapshot is complete. They differ only in *who
+//! issues the barrier that completes it* ([`FenceStrategy`]): the reader
+//! (a fence per publication), the scan, or the process rooster — and the
+//! scheme's [`BarrierLedger`] records when one has.
 //!
 //! Who writes, who reads: the record ([`HpSlots`]) lives in the scheme's
 //! registry and is the **scan side** — [`HpSlots::collect_into`] under
 //! [`hp_scan`], from any thread. The **writer** is the one handle that claimed
 //! the registry slot, through the [`OwnedSlots`] view it takes at registration:
-//! one bounds check against a handle-local `K` and one store per protection,
-//! with no walk through scheme → registry → record → block on the way. The
-//! fence after a publication is left to the caller of [`OwnedSlots::set`]; what
-//! the scan owes its proof is [`hp_scan`]'s.
+//! one bounds check against a handle-local `K`, one store and the strategy's
+//! fence per protection, with no walk through scheme → registry → record →
+//! block on the way.
 
-use crate::clock::Nanos;
 use crate::config::SmrConfig;
-use crate::fence::{self, SnapshotProof};
-use crate::limbo::{HandleCore, Reclaim};
+use crate::fence::{self, BarrierLedger, FenceStrategy};
+use crate::limbo::HandleCore;
 use crate::pad::CachePadded;
 use crate::registry::Registry;
 use crate::retired::RetiredPtr;
 use crate::scratch::PtrScratch;
 use crate::segbag::SegBag;
+use crate::stats::StatStripe;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Slots per storage block: 128 bytes' worth, the unit [`CachePadded`] keeps
@@ -69,15 +69,18 @@ impl HpSlots {
     }
 
     /// The write-side view of this record, for the handle that claimed its
-    /// registry slot.
+    /// registry slot, publishing under the scheme's `strategy`.
     ///
     /// # Safety
     ///
     /// The record must stay alive (registry not dropped) for as long as the
-    /// view is used: the view borrows nothing.
-    pub unsafe fn owner(&self) -> OwnedSlots {
+    /// view is used: the view borrows nothing. `strategy` must be the one the
+    /// scheme's scans run ([`hp_scan`]'s ledger).
+    pub unsafe fn owner(&self, strategy: FenceStrategy) -> OwnedSlots {
         OwnedSlots {
             slots: self.slots(),
+            strategy,
+            fences: 0,
         }
     }
 
@@ -106,16 +109,23 @@ const _: () = assert!(
 );
 
 /// The owner's write-side view of one [`HpSlots`] record ([`HpSlots::owner`]):
-/// what `protect` and `clear_protections` of HP, Cadence and QSense go through.
+/// `protect` and `clear_protections` of HP, Cadence and QSense.
 pub struct OwnedSlots {
     slots: *const [AtomicPtr<u8>],
+    /// The scheme's strategy, by value: `protect` branches on it per node.
+    strategy: FenceStrategy,
+    /// Hardware fences issued since the last [`publish_fence_count`]
+    /// (kept local so the hot path adds no shared atomic per node).
+    ///
+    /// [`publish_fence_count`]: Self::publish_fence_count
+    fences: u64,
 }
 
 // SAFETY: `slots` points into a record of the scheme's registry, which the
 // `Arc<scheme>` held by the same handle keeps alive wherever the handle moves
 // (`HpSlots::owner`'s contract); the slots are atomics, and the handle that
 // claimed the registry slot is their single writer, so moving it to another
-// thread moves the one writer with it.
+// thread moves the one writer with it. The other fields are plain values.
 unsafe impl Send for OwnedSlots {}
 
 impl OwnedSlots {
@@ -125,17 +135,21 @@ impl OwnedSlots {
         unsafe { &*self.slots }
     }
 
-    /// Publishes `ptr` in slot `index` with a release store and **no fence**:
-    /// the caller issues whatever its scheme needs before the validation load
-    /// (HP: its [`FenceStrategy`](crate::fence::FenceStrategy)'s; Cadence and
-    /// QSense: a compiler fence, with hardware visibility bounded by the
-    /// rooster).
+    /// Publishes `ptr` in slot `index` — `SmrHandle::protect` for the whole
+    /// family: a release store, then the strategy's fence before the caller's
+    /// validation load. The paper's Algorithm 1, line 3: the store must be
+    /// visible before a scan misses it, or the interleaving of Algorithm 2
+    /// frees a node the reader is about to use. Reader-fenced, that is a
+    /// `SeqCst` fence here — the per-node cost Cadence exists to remove;
+    /// otherwise a compiler fence (Algorithm 3, `assign_HP`: "no need for a
+    /// memory barrier here"), with the hardware half issued by the scan or the
+    /// rooster and waited for through the ledger.
     ///
     /// # Panics
     ///
     /// Panics if `index` is not below `K`.
     #[inline]
-    pub fn set(&self, index: usize, ptr: *mut u8) {
+    pub fn protect(&mut self, index: usize, ptr: *mut u8) {
         let slots = self.slots();
         assert!(
             index < slots.len(),
@@ -143,6 +157,9 @@ impl OwnedSlots {
             slots.len()
         );
         slots[index].store(ptr, Ordering::Release);
+        if self.strategy.publication_fence() {
+            self.fences += 1;
+        }
     }
 
     /// Nulls the `k` slots (and nothing of the last block's unused tail).
@@ -152,106 +169,116 @@ impl OwnedSlots {
             slot.store(std::ptr::null_mut(), Ordering::Release);
         }
     }
-}
 
-impl Reclaim<'_> {
-    /// Walks `bag` freeing every node absent from `protected`. With an
-    /// `age_gate` of `(now, min_age)` the walk stops at the first node younger
-    /// than `min_age`: bags are pushed in retirement order, so everything
-    /// behind it is younger still and the scan is O(aged prefix), not O(bag).
-    /// (Adopted parked chains spliced behind younger nodes are only delayed by
-    /// this, never endangered.) Counts one scan walk.
-    ///
-    /// # Safety
-    ///
-    /// `protected` must be a sorted snapshot of the scheme's hazard pointers
-    /// taken after every node in `bag` was retired, and complete by one of the
-    /// three [`SnapshotProof`]s: without an age gate, reader-fenced (every
-    /// publication fenced before its validation load) or scanner-barrier (a
-    /// successful [`fence::expedited_barrier`] between the last retire and the
-    /// snapshot); with one, aged — `min_age` at least the scheme's
-    /// store-visibility bound `T + ε`.
-    pub unsafe fn free_unprotected(
-        &mut self,
-        bag: &mut SegBag,
-        protected: &[*mut u8],
-        age_gate: Option<(Nanos, Nanos)>,
-    ) -> usize {
-        self.stats().add_scan_walk();
-        let unprotected = |node: &RetiredPtr| protected.binary_search(&node.addr()).is_err();
-        match age_gate {
-            // SAFETY: (Michael's scan argument) a node absent from the full
-            // hazard-pointer snapshot and already unlinked (guaranteed by the
-            // retire contract) is unreachable by any thread: the snapshot was
-            // taken *after* the node was retired, and a hazard pointer that
-            // validated — was published while the node was still reachable —
-            // is in it. That last step is the caller's proof. Reader-fenced:
-            // the publisher's `SeqCst` fence precedes its validation load, so
-            // the store is visible before the unlink it did not see.
-            // Scanner-barrier: the barrier drained, on every sibling, each
-            // publication issued before it; one issued after it is validated
-            // after it too, against a link the barrier's caller had already
-            // unlinked, and fails.
-            None => unsafe { self.free_walk(bag, |_| true, unprotected, |_| {}) },
-            // SAFETY: (paper Property 1, the aged proof) a node that has been
-            // retired for at least T + ε was unlinked before the most recent
-            // rooster wake-up, so any hazard pointer that could protect it
-            // (published, per Condition 1, while the node was still reachable,
-            // i.e. before it was retired) is visible to this scan. If the
-            // snapshot does not contain the node, no thread holds a hazardous
-            // reference to it and freeing is safe.
-            Some((now, min_age)) => unsafe {
-                let aged = |node: &RetiredPtr| node.is_old_enough(now, min_age);
-                self.free_walk(bag, aged, unprotected, |_| {})
-            },
+    /// Moves the local fence count into `stats` (`traversal_fences`); handles
+    /// call it at flush and drop.
+    pub fn publish_fence_count(&mut self, stats: &StatStripe) {
+        if self.fences > 0 {
+            stats.add_traversal_fences(std::mem::take(&mut self.fences));
         }
     }
 }
 
-/// One whole-bag hazard-pointer scan, as HP and Cadence run it — threshold
-/// scans, budget-forced scans, `flush` and handle `Drop` alike: count the scan,
-/// do what `proof` calls for, snapshot every published pointer into the
-/// handle's scratch (`get_protected_nodes`, Algorithm 3 / Michael's stage 1 —
-/// the buffer is sized `N·K` at registration, so steady-state scans never
-/// allocate) and free what the snapshot does not cover.
+/// How many scan intervals' worth of nodes an amortised [`hp_scan`] frees at
+/// most. A rooster's tick covers a whole interval's retires at once (7 000 a
+/// thread at `T = 5 ms` on the benchmark's queue), and freeing them in the one
+/// scan that follows is the free burst Brown's DEBRA paper warns of: against
+/// the wall-clock age gate this rule replaced, under which nodes matured a few
+/// per scan, it cost Cadence 7–10 % on a two-thread queue (`qsense-bench
+/// --structure queue --scheme cadence --threads 2 --duration 4`, eight
+/// interleaved rounds: age gate 5.53 Mops/s; unbounded 4.9–5.2; ×8 5.24;
+/// ×4 5.29; ×2 5.46). Two intervals per scan still drain a backlog twice as
+/// fast as it can grow, and never bind a scheme whose every retire the next
+/// scan can cover (HP).
+const AMORTISED_SCANS: usize = 2;
+
+/// One hazard-pointer scan over `bags`, as HP, Cadence and QSense's fallback
+/// and evicted fast path run it — threshold scans, budget-forced scans, `flush`
+/// and handle `Drop` alike: count the scan, learn from `ledger` how far its
+/// barriers have come (issuing one if this scheme's scans do), snapshot every
+/// published pointer into the handle's scratch (`get_protected_nodes`,
+/// Algorithm 3 / Michael's stage 1 — the buffer is sized `N·K` at
+/// registration, so steady-state scans never allocate) and free what the
+/// barriers cover and the snapshot does not hold.
 ///
-/// Under [`SnapshotProof::ScannerBarrier`] a pass over a non-empty bag issues
-/// exactly one [`fence::scanner_barrier`], after every retire into `bag` and
-/// before the snapshot. If the kernel refuses it the pass frees nothing:
-/// keeping the bag is always safe, and scans run in `Drop`, where there is no
-/// one to tell.
+/// Each bag is walked in retirement order and the walk stops at the first
+/// uncovered node: everything behind it was stamped later, so a rooster scan is
+/// O(covered prefix), not O(bag). (Adopted parked chains spliced behind younger
+/// nodes are only delayed by this, never endangered.) With `amortise` — the
+/// scans a retire triggers — it also stops once it has freed `scan_threshold ×`
+/// [`AMORTISED_SCANS`] nodes and leaves the rest of a burst to the next scans;
+/// `flush` and `Drop` walk everything.
+///
+/// Under [`FenceStrategy::ScannerBarrier`] a pass issues one
+/// [`fence::scanner_barrier`] through the ledger — unless the bags are empty,
+/// or a sibling's barrier already covers `newest`, the newest stamp they can
+/// hold. If the kernel refuses it the pass frees only what was covered before:
+/// keeping a node is always safe, and scans run in `Drop`, where there is no
+/// one to tell. The other strategies ignore `newest`.
 ///
 /// # Safety
 ///
-/// `proof` must be true of the scheme's `protect` (a `SeqCst` fence after every
-/// publication for `ReaderFenced`; `Aged`'s bound at least `T + ε`), and
-/// `registry` must be the one `bag`'s nodes were protected through.
-pub unsafe fn hp_scan(
+/// Every node in `bags` must have been protected through `slots` of
+/// `registry`'s records under `ledger`'s strategy ([`HpSlots::owner`]) and
+/// stamped with [`BarrierLedger::stamp`] of this `ledger` after its unlink.
+pub unsafe fn hp_scan<R>(
     core: &mut HandleCore<PtrScratch>,
-    registry: &Registry<HpSlots>,
-    bag: &mut SegBag,
-    proof: SnapshotProof,
+    registry: &Registry<R>,
+    slots: impl Fn(&R) -> &HpSlots,
+    bags: &mut [SegBag],
+    ledger: &BarrierLedger,
+    newest: u64,
+    amortise: bool,
 ) {
+    let budget = Cell::new(match amortise {
+        true => core.scan_every().saturating_mul(AMORTISED_SCANS),
+        false => usize::MAX,
+    });
     let stats = core.stats();
     stats.add_scan();
-    let age_gate = match proof {
-        SnapshotProof::ReaderFenced => None,
-        SnapshotProof::ScannerBarrier => {
-            if !bag.is_empty() && !fence::scanner_barrier(stats) {
-                return;
+    // How far the scheme's barriers have come. Read before the snapshot: the
+    // snapshot then follows the barrier that raised it.
+    let covered = match ledger.strategy() {
+        // Nothing waits on a reader's own fence.
+        FenceStrategy::ReaderFenced => u64::MAX,
+        FenceStrategy::Rooster => ledger.completed(),
+        FenceStrategy::ScannerBarrier => {
+            if !ledger.covers(newest) && bags.iter().any(|bag| !bag.is_empty()) {
+                // SAFETY: `scanner_barrier` is true only of a successful
+                // expedited `membarrier`. A refusal is counted, and covers
+                // nothing.
+                let _ = unsafe { ledger.issue(|| fence::scanner_barrier(stats)) };
             }
-            None
+            ledger.completed()
         }
-        // Read before the snapshot: an earlier `now` only makes nodes look younger.
-        SnapshotProof::Aged(min_age) => Some((core.config().clock.now(), min_age)),
     };
-    core.scan(|reclaim, scratch| {
-        registry.collect_protected(scratch, HpSlots::collect_into);
-        // SAFETY: the snapshot was taken just above, after every retire into
-        // `bag`, and is complete by `proof`: reader-fenced and aged are the
-        // caller's contract; for scanner-barrier the barrier succeeded just
-        // before the snapshot (or the bag is empty and nothing is freed).
-        unsafe { reclaim.free_unprotected(bag, scratch, age_gate) };
+    core.scan(|reclaim, protected| {
+        registry.collect_protected(protected, |record, out| slots(record).collect_into(out));
+        let due = |node: &RetiredPtr| budget.get() > 0 && node.stamp() < covered;
+        let unprotected = |node: &RetiredPtr| {
+            let free = protected.binary_search(&node.addr()).is_err();
+            budget.set(budget.get() - usize::from(free));
+            free
+        };
+        for bag in bags {
+            reclaim.stats().add_scan_walk();
+            // SAFETY: (Michael's scan argument) a node absent from a full
+            // hazard-pointer snapshot and already unlinked (the retire
+            // contract) is unreachable by any thread, if the snapshot holds
+            // every hazard pointer that validated — was published while the
+            // node was still reachable. Reader-fenced it does: the publisher's
+            // `SeqCst` fence precedes its validation load, so the store is
+            // visible before the unlink it did not see, and the snapshot was
+            // taken after the retire. Otherwise (the ledger rule; paper
+            // Property 1 with the rooster's wake-up observed, not timed) a
+            // freed node has `stamp < covered`: a process-wide barrier took
+            // its ticket after the stamp was read — so after the unlink — and
+            // returned before `covered` was read — so before the snapshot. It
+            // drained, on every sibling, each publication issued before it;
+            // one issued after it is validated after it too, against a link
+            // already unlinked, and fails.
+            unsafe { reclaim.free_walk(bag, due, unprotected, |_| {}) };
+        }
     });
 }
 
@@ -263,11 +290,13 @@ mod tests {
     use crate::segbag::SegPool;
     use crate::smr::drop_fn_for;
     use std::collections::HashSet;
+    use std::time::Duration;
 
     /// The view a handle would take of `record` at registration.
     fn owner_of(record: &HpSlots) -> OwnedSlots {
-        // SAFETY: every test keeps its record (or registry) alive past the view.
-        unsafe { record.owner() }
+        // SAFETY: every test keeps its record (or registry) alive past the
+        // view, and none frees through a scan while a slot is published.
+        unsafe { record.owner(FenceStrategy::Rooster) }
     }
 
     fn collected(record: &HpSlots) -> Vec<*mut u8> {
@@ -280,10 +309,10 @@ mod tests {
     fn set_clear_collect_round_trip() {
         // 20 slots span two storage blocks; 15 | 16 is the boundary.
         let record = HpSlots::new(BLOCK_SLOTS + 4);
-        let view = owner_of(&record);
+        let mut view = owner_of(&record);
         let published = [0, 2, BLOCK_SLOTS - 1, BLOCK_SLOTS, BLOCK_SLOTS + 3];
         for index in published {
-            view.set(index, (0x10 * (index + 1)) as *mut u8);
+            view.protect(index, (0x10 * (index + 1)) as *mut u8);
         }
         let expected: Vec<_> = published
             .iter()
@@ -296,10 +325,31 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "index 2 out of range (K = 2)")]
-    fn set_rejects_an_out_of_range_slot() {
+    fn protect_rejects_an_out_of_range_slot() {
         // Slot 2 exists in the storage block, but not in a `K = 2` record.
         let record = HpSlots::new(2);
-        owner_of(&record).set(2, std::ptr::null_mut());
+        owner_of(&record).protect(2, std::ptr::null_mut());
+    }
+
+    #[test]
+    fn only_a_reader_fenced_view_counts_fences_and_publishes_them_once() {
+        let record = HpSlots::new(1);
+        let stats = StatStripe::new();
+        for (strategy, fences) in [
+            (FenceStrategy::ReaderFenced, 3),
+            (FenceStrategy::ScannerBarrier, 0),
+            (FenceStrategy::Rooster, 0),
+        ] {
+            // SAFETY: `record` outlives the view; nothing scans.
+            let mut view = unsafe { record.owner(strategy) };
+            for _ in 0..3 {
+                view.protect(0, 0x10 as *mut u8);
+            }
+            let before = stats.snapshot().traversal_fences;
+            view.publish_fence_count(&stats);
+            view.publish_fence_count(&stats);
+            assert_eq!(stats.snapshot().traversal_fences - before, fences);
+        }
     }
 
     #[test]
@@ -311,8 +361,8 @@ mod tests {
         for slot in tail {
             slot.store(0xdead as *mut u8, Ordering::Relaxed);
         }
-        let view = owner_of(&record);
-        view.set(BLOCK_SLOTS + 3, 0x10 as *mut u8);
+        let mut view = owner_of(&record);
+        view.protect(BLOCK_SLOTS + 3, 0x10 as *mut u8);
         view.clear_all();
         assert!(collected(&record).is_empty());
         assert!(tail
@@ -326,8 +376,8 @@ mod tests {
         let mut snapshot = Vec::new();
         for tenancy in 1..=2_usize {
             let slot = registry.try_acquire().expect("the one slot is free");
-            let view = owner_of(registry.get_mine(slot));
-            view.set(BLOCK_SLOTS, (0x100 * tenancy) as *mut u8);
+            let mut view = owner_of(registry.get_mine(slot));
+            view.protect(BLOCK_SLOTS, (0x100 * tenancy) as *mut u8);
             registry.collect_protected(&mut snapshot, HpSlots::collect_into);
             assert_eq!(snapshot, vec![(0x100 * tenancy) as *mut u8]);
             view.clear_all();
@@ -359,109 +409,213 @@ mod tests {
         }
     }
 
-    /// One registered handle with `retired` nodes in its bag.
-    fn handle_with_garbage(retired: usize) -> (Registry<HpSlots>, HandleCore<PtrScratch>, SegBag) {
-        let config = SmrConfig::default().with_max_threads(2);
-        let registry = Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
-        let scheme = SchemeCore::<PtrScratch>::new("test", config);
-        let (_slot, mut core) = scheme
-            .register(&registry, |config| {
-                (SegPool::new(), HpSlots::snapshot_scratch(config))
-            })
-            .expect("two free slots");
-        let mut bag = SegBag::new();
-        for _ in 0..retired {
-            let node = Box::into_raw(Box::new(0u64));
+    /// One registered handle of a scheme running `strategy` (no rooster: the
+    /// tests issue), with a reader registered beside it.
+    struct Fixture {
+        registry: Registry<HpSlots>,
+        ledger: BarrierLedger,
+        core: HandleCore<PtrScratch>,
+        bag: SegBag,
+        reader: OwnedSlots,
+    }
+
+    impl Fixture {
+        fn new(strategy: FenceStrategy) -> Self {
+            let config = SmrConfig::default().with_max_threads(2);
+            let registry =
+                Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
+            let scheme = SchemeCore::<PtrScratch>::new("test", config);
+            let (_slot, core) = scheme
+                .register(&registry, |config| {
+                    (SegPool::new(), HpSlots::snapshot_scratch(config))
+                })
+                .expect("two free slots");
+            let reader = registry.try_acquire().expect("one free slot");
+            Self {
+                // SAFETY: the fixture keeps the registry alive beside the view.
+                reader: unsafe { registry.get_mine(reader).owner(strategy) },
+                registry,
+                ledger: BarrierLedger::new(strategy, Duration::MAX),
+                core,
+                bag: SegBag::new(),
+            }
+        }
+
+        /// Retires one fresh node, stamped now; returns its address.
+        fn retire(&mut self) -> *mut u8 {
+            let node = Box::into_raw(Box::new(0u64)).cast::<u8>();
+            let stamp = self.ledger.stamp();
             // SAFETY: freshly boxed, never linked anywhere, retired exactly once.
             unsafe {
-                core.retire(
-                    &mut bag,
-                    node.cast(),
+                self.core.retire(
+                    &mut self.bag,
+                    node,
                     drop_fn_for::<u64>(),
-                    0,
+                    stamp,
                     NO_BIRTH_ERA,
                     8,
                 )
             };
+            node
         }
-        (registry, core, bag)
-    }
 
-    fn scan(
-        core: &mut HandleCore<PtrScratch>,
-        registry: &Registry<HpSlots>,
-        bag: &mut SegBag,
-        proof: SnapshotProof,
-    ) {
-        // SAFETY: these tests never publish a slot, so any proof holds.
-        unsafe { hp_scan(core, registry, bag, proof) }
-    }
+        fn scan(&mut self, newest: u64) {
+            self.scan_as(newest, false)
+        }
 
-    #[test]
-    fn a_refused_barrier_frees_nothing_and_is_counted() {
-        let (registry, mut core, mut bag) = handle_with_garbage(5);
-        fence::REFUSE_EXPEDITED.set(true);
-        scan(
-            &mut core,
-            &registry,
-            &mut bag,
-            SnapshotProof::ScannerBarrier,
-        );
-        fence::REFUSE_EXPEDITED.set(false);
-        let stats = core.stats().snapshot();
-        assert_eq!(
+        fn scan_as(&mut self, newest: u64, amortise: bool) {
+            // SAFETY: the bag's nodes were stamped from this ledger by
+            // `retire`, and the only publications are `reader`'s, under the
+            // ledger's strategy.
+            unsafe {
+                hp_scan(
+                    &mut self.core,
+                    &self.registry,
+                    |record| record,
+                    std::slice::from_mut(&mut self.bag),
+                    &self.ledger,
+                    newest,
+                    amortise,
+                )
+            }
+        }
+
+        /// A completed barrier, as a sibling's scan or a rooster would enter it.
+        fn tick(&self) {
+            // SAFETY: a single-threaded test: no sibling's store buffer holds
+            // a publication.
+            assert!(unsafe { self.ledger.issue(|| true) });
+        }
+
+        /// (scans, barriers issued, barriers refused, scan walks, freed).
+        fn counters(&self) -> (u64, u64, u64, u64, u64) {
+            let s = self.core.stats().snapshot();
             (
-                stats.scans,
-                stats.heavy_barriers,
-                stats.heavy_barrier_failures
-            ),
-            (1, 1, 1)
-        );
-        assert_eq!((stats.freed, stats.scan_walks), (0, 0));
-        assert_eq!((core.in_limbo(), core.limbo_bytes()), (5, 40), "ledger");
-        assert_eq!(bag.len(), 5);
+                s.scans,
+                s.heavy_barriers,
+                s.heavy_barrier_failures,
+                s.scan_walks,
+                s.freed,
+            )
+        }
 
-        // The fenced proof needs no barrier and frees the lot.
-        scan(&mut core, &registry, &mut bag, SnapshotProof::ReaderFenced);
-        assert_eq!(core.stats().snapshot().freed, 5);
-        core.park(&mut bag);
+        fn finish(mut self) {
+            self.core.park(&mut self.bag);
+        }
     }
 
     #[test]
-    fn only_the_scanner_barrier_proof_issues_a_barrier_and_exactly_one_per_pass() {
-        let (registry, mut core, mut bag) = handle_with_garbage(3);
-        let barriers = |core: &HandleCore<PtrScratch>| {
-            let stats = core.stats().snapshot();
-            (stats.heavy_barriers, stats.heavy_barrier_failures)
-        };
-        scan(
-            &mut core,
-            &registry,
-            &mut bag,
-            SnapshotProof::Aged(u64::MAX),
+    fn a_rooster_scan_issues_no_barrier_and_frees_only_what_a_tick_covered() {
+        let mut f = Fixture::new(FenceStrategy::Rooster);
+        for _ in 0..3 {
+            f.retire();
+        }
+        f.scan(0);
+        assert_eq!(f.counters(), (1, 0, 0, 1, 0), "no barrier completed yet");
+        f.tick();
+        let young = f.retire();
+        let held = f.retire();
+        f.reader.protect(0, held);
+        f.scan(0);
+        assert_eq!(f.counters(), (2, 0, 0, 2, 3), "the three the tick covered");
+        assert_eq!((f.core.in_limbo(), f.core.limbo_bytes()), (2, 16), "ledger");
+        f.tick();
+        f.scan(0);
+        assert_eq!(f.counters().4, 4, "covered and unprotected: `young` goes");
+        assert_eq!(
+            f.bag.iter().map(RetiredPtr::addr).collect::<Vec<_>>(),
+            [held]
         );
-        assert_eq!((bag.len(), barriers(&core)), (3, (0, 0)), "aged: too young");
-        scan(
-            &mut core,
-            &registry,
-            &mut bag,
-            SnapshotProof::ScannerBarrier,
+        assert_ne!(young, held);
+        f.reader.clear_all();
+        f.scan(0);
+        assert_eq!(f.counters(), (4, 0, 0, 4, 5));
+        f.finish();
+    }
+
+    #[test]
+    fn an_amortised_scan_leaves_the_rest_of_a_burst_to_the_next() {
+        let mut f = Fixture::new(FenceStrategy::Rooster);
+        let batch = AMORTISED_SCANS * f.core.scan_every();
+        for _ in 0..batch + 88 {
+            f.retire();
+        }
+        f.tick();
+        f.scan_as(0, true);
+        assert_eq!(f.counters().4, batch as u64, "two scan intervals' worth");
+        f.scan_as(0, true);
+        assert_eq!((f.counters().4, f.core.in_limbo()), (batch as u64 + 88, 0));
+        // What `flush` and `Drop` run takes a burst whole.
+        for _ in 0..batch + 88 {
+            f.retire();
+        }
+        f.tick();
+        f.scan(0);
+        assert_eq!(f.core.in_limbo(), 0);
+        f.finish();
+    }
+
+    #[test]
+    fn a_reader_fenced_scan_waits_for_nothing() {
+        let mut f = Fixture::new(FenceStrategy::ReaderFenced);
+        let held = f.retire();
+        f.retire();
+        f.reader.protect(0, held);
+        f.scan(0);
+        assert_eq!(f.counters(), (1, 0, 0, 1, 1));
+        assert_eq!(f.ledger.completed(), 0, "and enters nothing in the ledger");
+        f.reader.clear_all();
+        f.scan(0);
+        assert_eq!(f.counters().4, 2);
+        f.finish();
+    }
+
+    #[test]
+    fn a_scanner_barrier_scan_issues_exactly_one_barrier_unless_a_sibling_covered_it() {
+        let mut f = Fixture::new(FenceStrategy::ScannerBarrier);
+        // With nothing to free there is nothing to prove: no barrier.
+        f.scan(f.ledger.stamp());
+        assert_eq!(f.counters(), (1, 0, 0, 1, 0));
+
+        for _ in 0..3 {
+            f.retire();
+        }
+        let newest = f.ledger.stamp();
+        // A sibling's scan (or a rooster) ran a whole barrier since the
+        // newest retire: this scan shares it.
+        f.tick();
+        f.scan(newest);
+        assert_eq!(
+            f.counters(),
+            (2, 0, 0, 2, 3),
+            "`heavy_barriers` flat, all freed"
         );
-        // Where the kernel has no expedited command, the one barrier fails.
+
+        // Nobody has since this one: the scan pays, once. Where the kernel
+        // has no expedited command that one barrier fails and frees nothing.
+        f.retire();
         let refused = u64::from(!fence::expedited_barrier());
-        assert_eq!(barriers(&core), (1, refused), "one barrier for the pass");
-        assert_eq!(bag.len(), if refused == 1 { 3 } else { 0 });
-        // With nothing left to free there is nothing to prove: no barrier.
-        scan(&mut core, &registry, &mut bag, SnapshotProof::ReaderFenced);
-        assert!(bag.is_empty());
-        scan(
-            &mut core,
-            &registry,
-            &mut bag,
-            SnapshotProof::ScannerBarrier,
-        );
-        assert_eq!(barriers(&core), (1, refused));
-        assert_eq!(core.stats().snapshot().scans, 4);
-        core.park(&mut bag);
+        f.scan(f.ledger.stamp());
+        assert_eq!(f.counters(), (3, 1, refused, 3, 4 - refused));
+        f.finish();
+    }
+
+    #[test]
+    fn a_refused_barrier_frees_nothing_it_did_not_already_have_covered() {
+        let mut f = Fixture::new(FenceStrategy::ScannerBarrier);
+        for _ in 0..2 {
+            f.retire();
+        }
+        f.tick();
+        for _ in 0..3 {
+            f.retire();
+        }
+        fence::REFUSE_EXPEDITED.set(true);
+        f.scan(f.ledger.stamp());
+        fence::REFUSE_EXPEDITED.set(false);
+        assert_eq!(f.counters(), (1, 1, 1, 1, 2), "counted, and only the two");
+        assert_eq!((f.core.in_limbo(), f.core.limbo_bytes()), (3, 24), "ledger");
+        assert_eq!(f.ledger.completed(), 1, "the refusal entered nothing");
+        f.finish();
     }
 }

@@ -285,6 +285,11 @@ impl<W: Default> HandleCore<W> {
         )
     }
 
+    /// Retires between this handle's count-threshold scans.
+    pub fn scan_every(&self) -> usize {
+        self.scan_every
+    }
+
     /// The ladder's count-threshold rung: true (and the counter restarts) once
     /// `scan_threshold` retires — times the scheme's scan batch — have
     /// accumulated.

@@ -2,14 +2,14 @@
 //!
 //! When a data structure unlinks a node it hands the node to the reclamation scheme
 //! via `retire` (the paper's `free_node_later`). The scheme must hold on to the node —
-//! together with whatever stamp its free rule consults, such as the removal time
-//! Cadence's deferred reclamation needs — until it can prove no other thread still
-//! uses it. [`RetiredPtr`] is the Rust equivalent of the paper's `timestamped_node`
+//! together with whatever stamp its free rule consults, such as the barrier ticket
+//! the hazard-pointer family's deferred reclamation needs — until it can prove no
+//! other thread still uses it. [`RetiredPtr`] is the Rust equivalent of the paper's `timestamped_node`
 //! wrapper (Algorithm 3); threads collect these wrappers in
 //! [`crate::segbag::SegBag`] segment chains (a limbo list in QSBR terms, a
 //! removed-nodes list in HP/Cadence terms).
 
-use crate::clock::{Era, Nanos};
+use crate::clock::Era;
 use std::fmt;
 
 /// A type-erased destructor: takes the pointer originally passed to `retire` and
@@ -20,10 +20,14 @@ pub type DropFn = unsafe fn(*mut u8);
 /// scheme's stamp, allocation size, and — for the interval-based schemes — the
 /// era the node was allocated in.
 ///
-/// `stamp` is **scheme-defined**: wall-clock nanoseconds at removal for the
-/// deferred-reclamation schemes (Cadence, QSense), the logical retire era for
-/// Hazard Eras, and a constant 0 for every scheme whose free rule never reads
-/// it (HP, QSBR, EBR, RefCount, Leaky) — those pay no clock read on retire.
+/// `stamp` is **scheme-defined**: for the hazard-pointer family (HP, Cadence,
+/// QSense) the barrier ticket current at removal —
+/// [`BarrierLedger::stamp`](crate::fence::BarrierLedger::stamp), read after the
+/// unlink; the node is covered once a barrier with a later ticket has returned
+/// (the paper's `time_created`, Algorithm 3, counted in wake-ups instead of
+/// nanoseconds) —, the logical retire era for Hazard Eras, and a constant 0 for
+/// every scheme whose free rule never reads it (QSBR, EBR, RefCount, Leaky).
+/// No scheme reads a clock on retire.
 /// `birth_era` is [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) unless the
 /// allocation site stamped the node through `SmrHandle::alloc_node` — the era
 /// schemes treat an unstamped node as born before every announced era, which
@@ -127,13 +131,6 @@ impl RetiredPtr {
         self.stamp
     }
 
-    /// `is_old_enough` from the paper (Algorithm 3, lines 36–39), for schemes
-    /// whose stamp is the removal time: the node may be considered for
-    /// reclamation only once `now - stamp >= min_age`, where `min_age = T + ε`.
-    pub fn is_old_enough(&self, now: Nanos, min_age: Nanos) -> bool {
-        now.saturating_sub(self.stamp) >= min_age
-    }
-
     /// Runs the destructor, consuming the wrapper.
     ///
     /// # Safety
@@ -202,30 +199,8 @@ mod tests {
         unsafe { RetiredPtr::new(raw, drop_counter, stamp, birth_era, size_bytes) }
     }
 
-    fn retire_counter(counter: &Arc<AtomicUsize>, at: Nanos) -> RetiredPtr {
-        retire_stamped(counter, at, NO_BIRTH_ERA, 0)
-    }
-
-    #[test]
-    fn is_old_enough_respects_min_age() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let node = retire_counter(&counter, 1_000);
-        assert!(!node.is_old_enough(1_500, 1_000));
-        assert!(node.is_old_enough(2_000, 1_000));
-        assert!(node.is_old_enough(2_500, 1_000));
-        // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
-        unsafe { node.reclaim() };
-        assert_eq!(counter.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn is_old_enough_handles_clock_skew_saturating() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        // Retired "in the future" relative to now: must not panic, must not be old.
-        let node = retire_counter(&counter, 5_000);
-        assert!(!node.is_old_enough(1_000, 1));
-        // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
-        unsafe { node.reclaim() };
+    fn retire_counter(counter: &Arc<AtomicUsize>, stamp: u64) -> RetiredPtr {
+        retire_stamped(counter, stamp, NO_BIRTH_ERA, 0)
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! ## Segment size
 //!
-//! A [`RetiredPtr`] is 40 bytes (pointer, destructor, timestamp, birth era,
+//! A [`RetiredPtr`] is 40 bytes (pointer, destructor, stamp, birth era,
 //! size stamp). With [`SEG_CAP`] = 12 slots plus the `next`/`len` header a
 //! segment is 496 bytes — eight cache lines, comfortably under one 512-byte
 //! allocator size class. The size is a balance: large enough that the
@@ -359,7 +359,8 @@ impl SegBag {
     ///   `keep_scanning` returns false; later nodes are not examined (and not
     ///   reclaimed) this pass. This is the age-ordered fast path for
     ///   deferred-reclamation scans (Cadence, QSense's fallback): a thread
-    ///   pushes in retirement order, so once a node is too young to free,
+    ///   pushes in retirement order, so once a node is too young to free (no
+    ///   barrier has completed since its retire),
     ///   everything behind it is younger still — the scan touches only the
     ///   reclaimable prefix plus one node, O(freed), instead of walking tens
     ///   of thousands of still-young survivors. A [`splice`](Self::splice) can

@@ -67,7 +67,7 @@ impl Error for CapacityExhausted {}
 /// A safe-memory-reclamation scheme instance.
 ///
 /// The scheme object owns all shared state (hazard-pointer registry, global epoch,
-/// fallback flag, rooster threads, …). Worker threads obtain a per-thread
+/// fallback flag, barrier ledger, …). Worker threads obtain a per-thread
 /// [`SmrHandle`] through [`register`](Smr::register) and perform every data-structure
 /// operation through that handle.
 pub trait Smr: Send + Sync + 'static {

@@ -103,18 +103,22 @@ pub struct StatsSnapshot {
     /// Quiescent states declared (QSBR / QSense fast path).
     pub quiescent_states: u64,
     /// Hardware memory fences issued by readers on the traversal path: one per
-    /// `protect` under classic HP's reader-fenced protocol, zero under its
-    /// scanner-barrier protocol (see [`crate::fence`]) and for Cadence, whose
-    /// whole point is to keep this at zero.
+    /// `protect` of the hazard-pointer family under the reader-fenced protocol
+    /// (a handle publishes its count when it flushes or drops), zero under
+    /// scanner-barrier and behind a rooster (see [`crate::fence`]) — Cadence's
+    /// and QSense's whole point is to keep this at zero.
     pub traversal_fences: u64,
-    /// Expedited `membarrier` calls issued by scans
+    /// Expedited `membarrier` calls *issued* by scans
     /// ([`fence::scanner_barrier`](crate::fence::scanner_barrier)) under the
-    /// scanner-barrier protocol: one per HP scan pass over a non-empty bag,
-    /// one per EBR epoch-advance attempt that no visible pin already blocks.
-    /// Zero under the reader-fenced protocol and for every other scheme.
+    /// scanner-barrier protocol: one per HP scan pass over a non-empty bag
+    /// whose newest node no sibling's barrier already covered (a pass that
+    /// shares one through the [`BarrierLedger`](crate::fence::BarrierLedger)
+    /// issues — and counts — none), one per EBR epoch-advance attempt that no
+    /// visible pin already blocks. Zero under the reader-fenced protocol, for
+    /// the rooster's barriers, and for every other scheme.
     pub heavy_barriers: u64,
-    /// Of those, the calls the kernel refused; such a pass frees nothing and
-    /// advances no epoch.
+    /// Of those, the calls the kernel refused; such a pass frees nothing it
+    /// did not already have covered, and advances no epoch.
     pub heavy_barrier_failures: u64,
     /// Fast-path → fallback-path switches (QSense).
     pub fallback_switches: u64,

@@ -92,9 +92,10 @@ pub struct FaultPlan {
     /// Drop and re-register the writer handle every this many episodes
     /// (0 disables churn).
     pub churn_every: usize,
-    /// Wall-clock pause after each episode, so age-gated schemes (Cadence,
-    /// QSense's fallback path) get to see nodes older than `T + ε` at the next
-    /// pass. Zero keeps the run instantaneous for schemes without age gates.
+    /// Wall-clock pause after each episode, so the rooster-gated schemes
+    /// (Cadence, QSense's fallback path) get a wake-up between an episode's
+    /// retires and the next pass. Zero keeps the run instantaneous for schemes
+    /// that wait for no rooster.
     pub episode_pause: Duration,
 }
 
@@ -318,7 +319,7 @@ pub fn run_fault<S: Smr>(scheme: &Arc<S>, plan: &FaultPlan) -> FaultResult {
 }
 
 /// The reclamation configuration the fault matrix runs under: prompt rooster
-/// ticks so age gates resolve within an episode pause, an adaptive era policy
+/// ticks so every episode pause spans a wake-up, an adaptive era policy
 /// so HE's pacer can react to limbo pressure, and the given limbo budget
 /// (without one the pacer's mark is 16 Ki payloads, far above any plan here).
 pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
@@ -328,8 +329,6 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
         .with_scan_threshold(64)
         .with_fallback_threshold(1 << 20)
         .with_rooster_interval(Duration::from_millis(1))
-        .with_rooster_epsilon(Duration::from_micros(200))
-        .with_rooster_threads(1)
         .with_era_policy(EraAdvancePolicy::Adaptive {
             min_interval: 16,
             max_interval: 256,
@@ -389,7 +388,7 @@ mod tests {
     #[test]
     fn stalled_reader_fault_matches_the_stall_churn_shape() {
         let plan = quick_plan(FaultKind::StalledReader);
-        let config = default_fault_config(None).with_rooster_threads(0);
+        let config = default_fault_config(None);
         let result = run_fault_for(SchemeKind::Qsbr, config, &plan);
         assert_eq!(result.scheme, "qsbr");
         assert_eq!(result.limbo_samples.len(), plan.episodes);
@@ -408,7 +407,7 @@ mod tests {
     #[test]
     fn silent_thread_blocks_qsbr_but_not_hp() {
         let plan = quick_plan(FaultKind::SilentThread);
-        let config = default_fault_config(None).with_rooster_threads(0);
+        let config = default_fault_config(None);
         let qsbr = run_fault_for(SchemeKind::Qsbr, config.clone(), &plan);
         assert_eq!(
             qsbr.peak_limbo(),
@@ -428,7 +427,7 @@ mod tests {
     #[test]
     fn leaked_handle_bytes_never_strand_invisibly() {
         let plan = quick_plan(FaultKind::LeakedHandle);
-        let config = default_fault_config(None).with_rooster_threads(0);
+        let config = default_fault_config(None);
         let result = run_fault_for(SchemeKind::Qsbr, config, &plan);
         // The leak happens mid-run; afterwards the survivor adopts and the
         // cleanup drains everything — nothing may be lost track of.
@@ -443,7 +442,7 @@ mod tests {
     #[test]
     fn random_delay_is_reproducible_for_a_fixed_seed() {
         let plan = quick_plan(FaultKind::RandomDelay);
-        let config = default_fault_config(None).with_rooster_threads(0);
+        let config = default_fault_config(None);
         let a = run_fault_for(SchemeKind::Qsbr, config.clone(), &plan);
         let b = run_fault_for(SchemeKind::Qsbr, config, &plan);
         assert_eq!(a.limbo_samples, b.limbo_samples, "same seed, same run");
@@ -461,9 +460,7 @@ mod tests {
         // Half an episode's bytes, with the node-count scan threshold pushed
         // out of the way so the byte budget is the binding constraint.
         let budget = plan.episode_bytes() / 2;
-        let config = default_fault_config(Some(budget))
-            .with_scan_threshold(1 << 20)
-            .with_rooster_threads(0);
+        let config = default_fault_config(Some(budget)).with_scan_threshold(1 << 20);
         let result = run_fault_for(SchemeKind::Hp, config, &plan);
         let verdict = result.verdict;
         assert_eq!(verdict.budget_bytes, budget as u64);

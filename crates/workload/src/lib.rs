@@ -45,4 +45,6 @@ pub use sampler::{percentile, LimboSampler};
 pub use server_soak::{run_server_soak, run_server_soak_with, ServerSoakResult, ServerSoakSpec};
 pub use spec::{OpMix, Structure, WorkloadSpec};
 pub use stall_churn::{run_stall_churn, StallChurnResult, StallChurnSpec};
-pub use structures::{default_bench_config, make_set, BenchSet, SchemeKind, SetSession};
+pub use structures::{
+    config_for, default_bench_config, make_set, set_over, BenchSet, SchemeKind, SetSession,
+};

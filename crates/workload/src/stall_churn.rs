@@ -163,7 +163,6 @@ mod tests {
             .with_max_threads(4)
             .with_scan_threshold(128)
             .with_quiescence_threshold(1_000_000)
-            .with_rooster_threads(0)
     }
 
     #[test]

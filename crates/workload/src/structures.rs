@@ -27,7 +27,7 @@ pub enum SchemeKind {
     /// Classic hazard pointers: a fence per node traversed, paid by the reader
     /// or, where the kernel offers an expedited `membarrier`, by the scanner.
     Hp,
-    /// Cadence stand-alone (fence-free hazard pointers + rooster threads).
+    /// Cadence stand-alone (fence-free hazard pointers behind a rooster).
     Cadence,
     /// The QSense hybrid.
     QSense,
@@ -400,11 +400,12 @@ pub fn default_bench_config(max_threads: usize) -> SmrConfig {
         .with_scan_threshold(128)
         .with_fallback_threshold(8_192)
         .with_rooster_interval(Duration::from_millis(5))
-        .with_rooster_epsilon(Duration::from_millis(1))
-        .with_rooster_threads(1)
 }
 
-fn build<S: Smr>(structure: Structure, scheme: Arc<S>) -> Arc<dyn BenchSet> {
+/// One cell of the matrix over a scheme the caller built (with
+/// [`config_for`]`(structure, ..)`) and may keep a reference to — a test that
+/// drives the scheme's barrier ledger by hand, say.
+pub fn set_over<S: Smr>(structure: Structure, scheme: Arc<S>) -> Arc<dyn BenchSet> {
     match structure {
         Structure::List => Arc::new(ListSet {
             ds: Arc::new(HarrisMichaelList::new(Arc::clone(&scheme))),
@@ -437,14 +438,14 @@ fn build<S: Smr>(structure: Structure, scheme: Arc<S>) -> Arc<dyn BenchSet> {
 pub fn make_set(structure: Structure, scheme: SchemeKind, base: SmrConfig) -> Arc<dyn BenchSet> {
     let config = config_for(structure, base);
     match scheme {
-        SchemeKind::None => build(structure, Leaky::new(config)),
-        SchemeKind::Qsbr => build(structure, qsbr::Qsbr::new(config)),
-        SchemeKind::Hp => build(structure, hazard::Hazard::new(config)),
-        SchemeKind::Cadence => build(structure, cadence::Cadence::new(config)),
-        SchemeKind::QSense => build(structure, qsense::QSense::new(config)),
-        SchemeKind::Ebr => build(structure, ebr::Ebr::new(config)),
-        SchemeKind::He => build(structure, he::He::new(config)),
-        SchemeKind::RefCount => build(structure, refcount::RefCount::new(config)),
+        SchemeKind::None => set_over(structure, Leaky::new(config)),
+        SchemeKind::Qsbr => set_over(structure, qsbr::Qsbr::new(config)),
+        SchemeKind::Hp => set_over(structure, hazard::Hazard::new(config)),
+        SchemeKind::Cadence => set_over(structure, cadence::Cadence::new(config)),
+        SchemeKind::QSense => set_over(structure, qsense::QSense::new(config)),
+        SchemeKind::Ebr => set_over(structure, ebr::Ebr::new(config)),
+        SchemeKind::He => set_over(structure, he::He::new(config)),
+        SchemeKind::RefCount => set_over(structure, refcount::RefCount::new(config)),
     }
 }
 

@@ -21,11 +21,7 @@ fn main() {
     let capacity = 50_000u64;
     let run_for = Duration::from_secs(2);
 
-    let scheme = QSense::new(
-        SmrConfig::for_bst()
-            .with_max_threads(readers + writers + 1)
-            .with_rooster_threads(1),
-    );
+    let scheme = QSense::new(SmrConfig::for_bst().with_max_threads(readers + writers + 1));
     let index = Arc::new(LockFreeBst::new(Arc::clone(&scheme)));
 
     // Warm the cache with the first half of the id space.

@@ -157,7 +157,6 @@ fn main() {
                 .with_quiescence_threshold(32)
                 .with_scan_threshold(64)
                 .with_fallback_threshold(1 << 20)
-                .with_rooster_threads(1)
                 .with_rooster_interval(Duration::from_millis(5))
                 .with_limbo_budget(Some(LIMBO_BUDGET)),
         ),

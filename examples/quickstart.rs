@@ -121,8 +121,7 @@ fn main() {
     let scheme = QSense::new(
         SmrConfig::default()
             .with_max_threads(threads + 1)
-            .with_hp_per_thread(1) // the mini stack needs one slot
-            .with_rooster_threads(1),
+            .with_hp_per_thread(1), // the mini stack needs one slot,
     );
     let stack = Arc::new(MiniStack::new(Arc::clone(&scheme)));
     thread::scope(|scope| {
@@ -150,13 +149,8 @@ fn main() {
     drop(stack);
 
     // ---- Act 2: a ready-made structure under load -------------------------
-    // `for_list()` sizes the hazard-pointer budget for the list (K = 2); one
-    // rooster thread is plenty on a small machine.
-    let scheme = QSense::new(
-        SmrConfig::for_list()
-            .with_max_threads(threads + 1)
-            .with_rooster_threads(1),
-    );
+    // `for_list()` sizes the hazard-pointer budget for the list (K = 2).
+    let scheme = QSense::new(SmrConfig::for_list().with_max_threads(threads + 1));
     let set = Arc::new(HarrisMichaelList::new(Arc::clone(&scheme)));
 
     thread::scope(|scope| {

@@ -34,8 +34,7 @@ fn main() {
     let scheme = QSense::new(
         SmrConfig::default()
             .with_hp_per_thread(qsense_repro::ds::HASHMAP_HP_SLOTS)
-            .with_max_threads(request_threads + 2)
-            .with_rooster_threads(1),
+            .with_max_threads(request_threads + 2),
     );
     let store: Arc<LockFreeHashMap<u64, Session, QSense>> =
         Arc::new(LockFreeHashMap::new(Arc::clone(&scheme)));

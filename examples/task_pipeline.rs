@@ -38,8 +38,7 @@ fn main() {
     let scheme = QSense::new(
         SmrConfig::default()
             .with_hp_per_thread(QUEUE_HP_SLOTS)
-            .with_max_threads(producers + 3)
-            .with_rooster_threads(1),
+            .with_max_threads(producers + 3),
     );
     let inbox: Arc<MichaelScottQueue<Job, QSense>> =
         Arc::new(MichaelScottQueue::new(Arc::clone(&scheme)));

@@ -25,7 +25,7 @@
 //! use qsense_repro::smr::{QSense, SmrConfig};
 //!
 //! // One QSense instance per data structure (or share one across several).
-//! let scheme = QSense::new(SmrConfig::for_list().with_rooster_threads(1));
+//! let scheme = QSense::new(SmrConfig::for_list());
 //! let set = HarrisMichaelList::new(scheme);
 //!
 //! // Each thread registers once and passes its handle to every operation.
@@ -40,15 +40,15 @@
 
 /// Safe-memory-reclamation schemes (the paper's contribution and its baselines).
 pub mod smr {
-    pub use cadence::{Cadence, CadenceHandle, Rooster};
+    pub use cadence::Cadence;
     pub use ebr::{Ebr, EbrHandle};
-    pub use hazard::{FenceStrategy, Hazard, HazardHandle};
+    pub use hazard::{FenceStrategy, Hazard, HpFamily, HpHandle};
     pub use he::{He, HeHandle};
     pub use qsbr::{Qsbr, QsbrHandle};
     pub use qsense::{Path, QSense, QSenseHandle};
     pub use reclaim_core::stats::StatsSnapshot;
     pub use reclaim_core::{
-        retire_box, retire_box_with_birth, Atomic, BudgetGovernor, BudgetVerdict,
+        retire_box, retire_box_with_birth, Atomic, BarrierLedger, BudgetGovernor, BudgetVerdict,
         CapacityExhausted, Clock, CountingAllocator, Era, EraAdvancePolicy, EraClock, EraPacer,
         Guard, HandleLease, Leaky, LeakyHandle, LeaseExhausted, LeasePolicy, LeasePool,
         LogHistogram, ManualClock, Owned, ShardedStats, Shared, Smr, SmrConfig, SmrHandle,
@@ -74,10 +74,11 @@ pub mod ds {
 pub mod bench {
     pub use workload::report;
     pub use workload::{
-        default_bench_config, default_fault_config, make_set, run_experiment, run_fault,
-        run_fault_for, run_server_soak, run_server_soak_with, run_stall_churn, BenchSet,
-        DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, LimboSampler, OpGenerator,
-        OpMix, Operation, RunResult, Sample, SchemeKind, ServerSoakResult, ServerSoakSpec,
-        SetSession, StallChurnResult, StallChurnSpec, Structure, WorkloadSpec, PAYLOAD_BYTES,
+        config_for, default_bench_config, default_fault_config, make_set, run_experiment,
+        run_fault, run_fault_for, run_server_soak, run_server_soak_with, run_stall_churn, set_over,
+        BenchSet, DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, LimboSampler,
+        OpGenerator, OpMix, Operation, RunResult, Sample, SchemeKind, ServerSoakResult,
+        ServerSoakSpec, SetSession, StallChurnResult, StallChurnSpec, Structure, WorkloadSpec,
+        PAYLOAD_BYTES,
     };
 }

@@ -20,12 +20,10 @@ use qsense_repro::smr::{
 };
 use std::sync::Arc;
 
-/// Two registry slots and no background registrations (rooster threads would
-/// claim slots of their own).
+/// Two registry slots (nothing registers in the background: the process
+/// rooster holds ledgers, not slots).
 fn tiny_config() -> SmrConfig {
-    SmrConfig::default()
-        .with_max_threads(2)
-        .with_rooster_threads(0)
+    SmrConfig::default().with_max_threads(2)
 }
 
 /// Fills the registry, asserts the overflow error's shape, then frees one

@@ -184,7 +184,6 @@ fn queue_conserves_elements_under_qsense() {
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
             .with_fallback_threshold(256)
-            .with_rooster_threads(1)
             .with_rooster_interval(std::time::Duration::from_millis(1)),
     ));
 }
@@ -293,7 +292,6 @@ fn stack_conserves_elements_under_qsense() {
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
             .with_fallback_threshold(256)
-            .with_rooster_threads(1)
             .with_rooster_interval(std::time::Duration::from_millis(1)),
     ));
 }

@@ -43,7 +43,7 @@ fn deferred_config() -> SmrConfig {
         .with_scan_threshold(1 << 30)
         .with_quiescence_threshold(1 << 30)
         .with_fallback_threshold(1 << 30)
-        .with_rooster_threads(0)
+        .with_rooster_interval(std::time::Duration::MAX)
 }
 
 /// Forces the skip-list schedule:

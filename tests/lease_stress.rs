@@ -29,8 +29,7 @@ fn m64_tasks_over_n8_handles_with_a_stalled_lessee() {
         SmrConfig::default()
             .with_max_threads(128)
             .with_hp_per_thread(qsense_repro::ds::SKIPLIST_HP_SLOTS)
-            .with_scan_threshold(32)
-            .with_rooster_threads(0),
+            .with_scan_threshold(32),
     );
     let list = Arc::new(LockFreeSkipList::<u64, _>::new(Arc::clone(&scheme)));
     let pool = LeasePool::for_scheme(&scheme, SLOTS, LeasePolicy::Wait).expect("8 of 128 slots");

@@ -15,9 +15,7 @@ fn config() -> SmrConfig {
         .with_quiescence_threshold(8)
         .with_scan_threshold(32)
         .with_fallback_threshold(256)
-        .with_rooster_threads(1)
         .with_rooster_interval(Duration::from_millis(1))
-        .with_rooster_epsilon(Duration::from_millis(1))
 }
 
 #[test]

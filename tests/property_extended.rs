@@ -26,7 +26,6 @@ fn small_config(k: usize) -> SmrConfig {
         .with_quiescence_threshold(4)
         .with_scan_threshold(8)
         .with_fallback_threshold(64)
-        .with_rooster_threads(1)
         .with_rooster_interval(std::time::Duration::from_millis(1))
 }
 

@@ -108,28 +108,32 @@ proptest! {
         check_against_reference(Structure::Bst, SchemeKind::Qsbr, &steps);
     }
 
-    /// Deferred-reclamation aging is monotonic: once a node is old enough it stays
-    /// old enough as time advances, and it is never old enough before `min_age` has
-    /// elapsed (Cadence's safety hinges on this, paper Algorithm 3 lines 36-39).
+    /// Deferred-reclamation coverage is monotonic (the hazard-pointer family's
+    /// one free rule hinges on this; paper Algorithm 3 lines 36-39 with the
+    /// rooster's wake-up counted instead of timed): `covers(stamp)` never turns
+    /// false, `covers(s)` implies `covers(s')` for every `s' < s`, and a stamp is
+    /// covered exactly when a barrier issued after it was read has succeeded.
     #[test]
-    fn is_old_enough_is_monotonic(retired_at in 0u64..1_000_000, min_age in 0u64..1_000_000, dt1 in 0u64..1_000_000, dt2 in 0u64..1_000_000) {
-        use reclaim_core::RetiredPtr;
-        let raw = Box::into_raw(Box::new(0u64));
-        // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-        #[allow(clippy::disallowed_methods)] // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-        unsafe fn drop_u64(p: *mut u8) { unsafe { drop(Box::from_raw(p.cast::<u64>())) } }
-        // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-        let node = unsafe { RetiredPtr::new(raw.cast(), drop_u64, retired_at, 0, 0) };
-        let early = retired_at.saturating_add(dt1.min(dt2));
-        let late = retired_at.saturating_add(dt1.max(dt2));
-        if node.is_old_enough(early, min_age) {
-            prop_assert!(node.is_old_enough(late, min_age), "aging must be monotonic");
+    fn barrier_ledger_coverage_is_monotonic(barriers in prop::collection::vec(any::<bool>(), 0..40)) {
+        use qsense_repro::smr::{BarrierLedger, FenceStrategy};
+        let ledger = BarrierLedger::new(FenceStrategy::Rooster, std::time::Duration::MAX);
+        // `stamps[i]` was read after `i` barriers; `covered[i]`: as last seen.
+        let mut stamps = vec![ledger.stamp()];
+        let mut covered = vec![false];
+        for (issued, &ran) in barriers.iter().enumerate() {
+            // SAFETY: a single-threaded test, no sibling publishes.
+            prop_assert_eq!(unsafe { ledger.issue(|| ran) }, ran);
+            for (read_after, (&stamp, was)) in stamps.iter().zip(&mut covered).enumerate() {
+                let now = ledger.covers(stamp);
+                prop_assert!(now || !*was, "coverage of stamp {} turned false", stamp);
+                let succeeded_since = barriers[read_after..=issued].iter().any(|&ran| ran);
+                prop_assert_eq!(now, succeeded_since, "stamp {} after {} barriers", stamp, issued + 1);
+                *was = now;
+            }
+            prop_assert!(covered.windows(2).all(|pair| pair[0] || !pair[1]), "covers(s) must imply covers(s') for s' < s: {:?}", covered);
+            stamps.push(ledger.stamp());
+            covered.push(false);
         }
-        if late < retired_at.saturating_add(min_age) {
-            prop_assert!(!node.is_old_enough(late, min_age), "never old before min_age");
-        }
-        // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
-        unsafe { node.reclaim() };
     }
 
     /// The epoch-to-limbo-bucket mapping cycles with period 3 (three logical epochs).

@@ -41,8 +41,8 @@ fn limbo_with_idle_thread<S: Smr>(scheme: Arc<S>, ops: u64) -> u64 {
         list.remove(&key, &mut worker);
     }
     worker.flush();
-    // The deferred-reclamation schemes may only free nodes older than T + ε; give
-    // the freshly retired tail time to age, then scan once more. (This does not help
+    // The deferred-reclamation schemes may only free nodes a rooster wake-up has
+    // covered; give the freshly retired tail ten rooster intervals, then scan once more. (This does not help
     // QSBR: no amount of waiting substitutes for the idle thread's quiescence.)
     thread::sleep(Duration::from_millis(10));
     worker.flush();
@@ -58,7 +58,6 @@ fn an_idle_registered_thread_blocks_qsbr_but_not_ebr_cadence_or_qsense() {
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
             .with_fallback_threshold(128)
-            .with_rooster_threads(1)
             .with_rooster_interval(Duration::from_millis(1))
     };
 
@@ -83,7 +82,7 @@ fn an_idle_registered_thread_blocks_qsbr_but_not_ebr_cadence_or_qsense() {
         he_limbo < OPS / 10,
         "HE must not be blocked by an idle (inactive-reservation) thread (limbo = {he_limbo})"
     );
-    // Cadence / QSense: robust by construction; once the tail has aged past T + ε,
+    // Cadence / QSense: robust by construction; once a wake-up has covered the tail,
     // nothing the idle thread does (or fails to do) can keep nodes in limbo.
     assert!(
         cadence_limbo < OPS / 4,
@@ -104,7 +103,6 @@ fn a_thread_stalled_inside_an_operation_blocks_ebr_but_not_qsense() {
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
             .with_fallback_threshold(128)
-            .with_rooster_threads(1)
             .with_rooster_interval(Duration::from_millis(1))
     };
 
@@ -130,7 +128,7 @@ fn a_thread_stalled_inside_an_operation_blocks_ebr_but_not_qsense() {
         "EBR must be blocked by a thread stalled inside an operation (limbo = {ebr_limbo})"
     );
 
-    // QSense: the same stall only delays reclamation until nodes age past T + ε and
+    // QSense: the same stall only delays reclamation until the next wake-up and
     // the fallback path takes over.
     let qsense = QSense::new(base());
     let qsense_limbo = {
@@ -260,7 +258,6 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
             .with_max_threads(4)
             .with_scan_threshold(128)
             .with_quiescence_threshold(1_000_000)
-            .with_rooster_threads(0)
     };
     // Same range: the static interval is the adaptive policy's idle ceiling,
     // so every difference below is the adaptation, not a smaller constant.
@@ -342,9 +339,9 @@ fn run_reader_fenced_hp(config: SmrConfig, plan: &FaultPlan) -> FaultResult {
 /// substitute for the stalled participant's quiescence).
 ///
 /// The bound is `2 bursts per retiring handle + 4x budget`: enforcement only
-/// engages *after* the estimate crosses the budget, and the age-gated schemes
-/// cannot free nodes younger than T + ε — which is wall-clock time, so under
-/// scheduler jitter two consecutive bursts can both still be young when the
+/// engages *after* the estimate crosses the budget, and the rooster-gated schemes
+/// cannot free nodes retired since the last wake-up — which comes on wall-clock
+/// time, so under scheduler jitter two consecutive bursts can both still be young when the
 /// second one peaks (and the leaked-handle fault has *two* handles retiring
 /// per episode: the writer and the leaking handle itself). That many in-flight
 /// bursts plus small enforcement headroom is the honest constant. QSBR's peak
@@ -520,7 +517,7 @@ fn qsense_with_eviction_recovers_the_fast_path_after_a_permanent_failure() {
     // End-to-end version of the extension test in the qsense crate: real clock, real
     // list, a worker thread, and a participant that registers and then never returns.
     // `C` is sized so that the initial blockage (before eviction kicks in) crosses
-    // it quickly, but the post-recovery steady state — where frees are age-gated
+    // it quickly, but the post-recovery steady state — where frees wait for a wake-up
     // because the crashed thread stays evicted — stays well below it; otherwise the
     // system would legitimately oscillate between the paths.
     let scheme = QSense::new(
@@ -529,7 +526,6 @@ fn qsense_with_eviction_recovers_the_fast_path_after_a_permanent_failure() {
             .with_quiescence_threshold(8)
             .with_scan_threshold(32)
             .with_fallback_threshold(16_384)
-            .with_rooster_threads(1)
             .with_rooster_interval(Duration::from_millis(1))
             .with_eviction_timeout(Some(Duration::from_millis(50))),
     );

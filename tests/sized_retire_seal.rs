@@ -27,7 +27,6 @@ fn config() -> SmrConfig {
         .with_quiescence_threshold(8)
         .with_scan_threshold(16)
         .with_fallback_threshold(128)
-        .with_rooster_threads(1)
         .with_rooster_interval(std::time::Duration::from_millis(1))
 }
 

@@ -32,8 +32,8 @@
 #![cfg(not(feature = "check-oracle"))]
 
 use qsense_repro::smr::{
-    Cadence, Clock, CountingAllocator, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, Leaky,
-    ManualClock, QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
+    BarrierLedger, Cadence, Clock, CountingAllocator, Ebr, EraAdvancePolicy, FenceStrategy, Hazard,
+    He, Leaky, ManualClock, QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,14 +53,21 @@ fn config(clock: &ManualClock) -> SmrConfig {
     SmrConfig::default()
         .with_max_threads(2)
         .with_hp_per_thread(PROTECTED)
-        // No background rooster threads: nothing else may touch the allocator
-        // while the steady-state window is measured.
-        .with_rooster_threads(0)
-        .with_rooster_interval(Duration::from_millis(1))
+        // No background rooster: nothing else may touch the allocator while
+        // the steady-state window is measured, and `tick` is the wake-up.
+        .with_rooster_interval(Duration::MAX)
         // High thresholds: scans happen only when the test calls flush().
         .with_quiescence_threshold(1_000_000)
         .with_scan_threshold(1_000_000)
         .with_clock(Clock::manual(clock.clone()))
+}
+
+/// One completed rooster wake-up, entered by hand: what makes the nodes a
+/// Cadence or QSense instance has retired so far reclaimable.
+fn tick(ledger: &BarrierLedger) {
+    // SAFETY: this test drives every handle from one thread: no sibling's
+    // store buffer holds a publication for a barrier to drain.
+    assert!(unsafe { ledger.issue(|| true) });
 }
 
 /// Runs `measure` (a repeatable measured region returning the allocator-bytes
@@ -127,8 +134,8 @@ const GROWTH_CYCLES: usize = 4;
 /// traffic is the retired `Box<u64>` nodes themselves (8 bytes each): all
 /// segment-chain growth must be fed by the handle's recycled pool.
 /// `before_flush` runs between the retires and the flush of every cycle (the
-/// Cadence-family schemes advance their manual clock there so the fresh nodes
-/// age past `T + ε`); it must not allocate.
+/// Cadence-family schemes tick their ledger there so the fresh nodes are
+/// covered); it must not allocate.
 fn assert_growth_allocates_nodes_only<H: SmrHandle>(
     scheme_name: &str,
     writer: &mut H,
@@ -172,8 +179,8 @@ fn assert_growth_allocates_nodes_only<H: SmrHandle>(
 /// cycles must allocate exactly the retired nodes and nothing for
 /// registration, scanning, or the drop-time hand-off. `before_flush` runs
 /// between the retires and the flush of every cycle (the Cadence-family
-/// schemes advance their manual clock there so the nodes age past `T + ε`);
-/// it must not allocate.
+/// schemes tick their ledger there so the nodes are covered); it must not
+/// allocate.
 fn churn_allocates_nodes_only<S: Smr>(
     scheme_name: &str,
     scheme: std::sync::Arc<S>,
@@ -313,8 +320,8 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         let mut reader = scheme.register();
         let mut writer = scheme.register();
         park_protected_residue(&mut reader, &mut writer);
-        // Age every node past T + ε so only protection keeps the residue alive.
-        clock.advance(Duration::from_millis(10));
+        // A wake-up covers every node, so only protection keeps the residue alive.
+        tick(scheme.ledger());
         writer.flush();
         assert_eq!(writer.local_in_limbo(), PROTECTED);
         assert_scans_do_not_allocate("cadence", &mut writer);
@@ -330,7 +337,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         let mut reader = scheme.register();
         let mut writer = scheme.register();
         park_protected_residue(&mut reader, &mut writer);
-        clock.advance(Duration::from_millis(10));
+        tick(scheme.ledger());
         // Warm up: quiescent states plus one full Cadence pass. The reader never
         // quiesces, so the epoch cannot advance during the measured window — every
         // measured flush exercises the cursor poll and the Cadence keep path.
@@ -340,10 +347,10 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         assert_scans_do_not_allocate("qsense", &mut writer);
         // Growth cycles share one pool across the three epoch-bucket bags, so
         // regrowing past the prior level recycles instead of allocating. The
-        // manual clock advances each cycle so the Cadence age check can free
-        // the fresh batch (the epoch is stuck: the reader never quiesces).
+        // rooster ticks each cycle so the Cadence check can free the fresh
+        // batch (the epoch is stuck: the reader never quiesces).
         assert_growth_allocates_nodes_only("qsense", &mut writer, PROTECTED, || {
-            clock.advance(Duration::from_millis(10));
+            tick(scheme.ledger());
         });
         reader.clear_protections();
         writer.flush();
@@ -535,15 +542,15 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     churn_allocates_nodes_only("he", He::new(config(&ManualClock::new())), || {});
     churn_allocates_nodes_only("rc", RefCount::new(config(&ManualClock::new())), || {});
     {
-        // The deferred-reclamation schemes free only nodes older than T + ε:
-        // advance their manual clock each cycle so every flush drains.
-        let clock = ManualClock::new();
-        churn_allocates_nodes_only("cadence", Cadence::new(config(&clock)), || {
-            clock.advance(Duration::from_millis(10));
+        // The deferred-reclamation schemes free only nodes a wake-up has
+        // covered: tick their ledger each cycle so every flush drains.
+        let scheme = Cadence::new(config(&ManualClock::new()));
+        churn_allocates_nodes_only("cadence", Arc::clone(&scheme), || {
+            tick(scheme.ledger());
         });
-        let clock = ManualClock::new();
-        churn_allocates_nodes_only("qsense", QSense::new(config(&clock)), || {
-            clock.advance(Duration::from_millis(10));
+        let scheme = QSense::new(config(&ManualClock::new()));
+        churn_allocates_nodes_only("qsense", Arc::clone(&scheme), || {
+            tick(scheme.ledger());
         });
     }
 
@@ -560,18 +567,19 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // the leaky baseline never drains its bag, so its amortized segment growth
     // exempts it from the cycle check too.)
     {
-        use qsense_repro::bench::{make_set, SchemeKind, SetSession, Structure};
+        use qsense_repro::bench::{
+            config_for, make_set, set_over, SchemeKind, SetSession, Structure,
+        };
 
         const CHURN_KEYS: u64 = 48;
-        fn churn_cycle(session: &mut dyn SetSession, clock: &ManualClock) {
+        fn churn_cycle(session: &mut dyn SetSession, age: &dyn Fn()) {
             for key in 0..CHURN_KEYS {
                 session.insert(key);
             }
             for key in 0..CHURN_KEYS {
                 session.remove(key);
             }
-            // Ages the Cadence-family limbo past T + ε; a no-op for the rest.
-            clock.advance(Duration::from_millis(10));
+            age();
             session.flush();
         }
 
@@ -584,12 +592,26 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             Structure::Stack,
         ] {
             for kind in SchemeKind::extended() {
-                let clock = ManualClock::new();
-                let set = make_set(structure, kind, config(&clock).with_max_threads(4));
+                let base = config(&ManualClock::new()).with_max_threads(4);
+                // `age` covers the Cadence-family limbo with a wake-up; a
+                // no-op for the rest.
+                let (set, age): (_, Box<dyn Fn()>) = match kind {
+                    SchemeKind::Cadence => {
+                        let scheme = Cadence::new(config_for(structure, base));
+                        let set = set_over(structure, Arc::clone(&scheme));
+                        (set, Box::new(move || tick(scheme.ledger())))
+                    }
+                    SchemeKind::QSense => {
+                        let scheme = QSense::new(config_for(structure, base));
+                        let set = set_over(structure, Arc::clone(&scheme));
+                        (set, Box::new(move || tick(scheme.ledger())))
+                    }
+                    _ => (make_set(structure, kind, base), Box::new(|| ())),
+                };
                 let mut session = set.session();
                 // Warm-up: reach steady-state pool/scratch capacity.
-                churn_cycle(&mut *session, &clock);
-                churn_cycle(&mut *session, &clock);
+                churn_cycle(&mut *session, &*age);
+                churn_cycle(&mut *session, &*age);
                 assert_alloc_delta(
                     &format!("{structure:?}/{kind:?}: steady-state flushes"),
                     0,
@@ -607,7 +629,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                     let mut nodes_only = u64::MAX;
                     for _ in 0..3 {
                         let before_alloc = ALLOC.allocated_bytes();
-                        churn_cycle(&mut *session, &clock);
+                        churn_cycle(&mut *session, &*age);
                         nodes_only = nodes_only.min(ALLOC.allocated_bytes() - before_alloc);
                     }
                     assert!(
@@ -619,7 +641,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                         nodes_only,
                         || {
                             let before_alloc = ALLOC.allocated_bytes();
-                            churn_cycle(&mut *session, &clock);
+                            churn_cycle(&mut *session, &*age);
                             ALLOC.allocated_bytes() - before_alloc
                         },
                     );
@@ -644,6 +666,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             scheme_name: &str,
             scheme: Arc<S>,
             clock: &ManualClock,
+            age: impl Fn(&S),
         ) {
             let mut writer = scheme.register();
             let telemetry = Smr::telemetry(&*scheme);
@@ -659,7 +682,10 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                         writer.telemetry_op_end(started);
                     }
                 }
+                // The clock feeds the retire->free delay; `age` is the wake-up
+                // Cadence's and QSense's frees wait for.
                 clock.advance(Duration::from_millis(10));
+                age(&scheme);
                 writer.flush();
                 let summary = telemetry.summary();
                 assert!(
@@ -695,19 +721,44 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                 .with_telemetry_sample_shift(0)
         };
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("hp", Hazard::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only(
+            "hp",
+            Hazard::new(tele_config(&clock)),
+            &clock,
+            |_| (),
+        );
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("qsbr", Qsbr::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only(
+            "qsbr",
+            Qsbr::new(tele_config(&clock)),
+            &clock,
+            |_| (),
+        );
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("ebr", Ebr::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only("ebr", Ebr::new(tele_config(&clock)), &clock, |_| ());
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("he", He::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only("he", He::new(tele_config(&clock)), &clock, |_| ());
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("rc", RefCount::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only(
+            "rc",
+            RefCount::new(tele_config(&clock)),
+            &clock,
+            |_| (),
+        );
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("cadence", Cadence::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only(
+            "cadence",
+            Cadence::new(tele_config(&clock)),
+            &clock,
+            |scheme| tick(scheme.ledger()),
+        );
         let clock = ManualClock::new();
-        telemetry_cycles_allocate_nodes_only("qsense", QSense::new(tele_config(&clock)), &clock);
+        telemetry_cycles_allocate_nodes_only(
+            "qsense",
+            QSense::new(tele_config(&clock)),
+            &clock,
+            |scheme| tick(scheme.ledger()),
+        );
 
         // Leaky: the op bracket and the snapshot path alone (no retires — its
         // bag would grow without bound and bill segment growth to the window).
@@ -788,11 +839,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // stripes must not allocate either. (Kept in the same #[test] so no
     // concurrently running case can disturb the process-wide counter.)
     {
-        let scheme: Arc<Hazard> = Hazard::new(
-            SmrConfig::default()
-                .with_max_threads(4)
-                .with_rooster_threads(0),
-        );
+        let scheme: Arc<Hazard> = Hazard::new(SmrConfig::default().with_max_threads(4));
         let handle = scheme.register();
         let _ = scheme.stats(); // warm-up
         assert_alloc_delta("stats snapshot", 0, || {
