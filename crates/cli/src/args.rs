@@ -9,54 +9,13 @@ use reclaim_core::EraAdvancePolicy;
 use std::time::Duration;
 use workload::{FaultKind, OpMix, SchemeKind, Structure};
 
-/// Which schemes a run compares.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SchemeSelection {
-    /// A single scheme.
-    One(SchemeKind),
-    /// The paper's legend (none, qsbr, qsense, hp, cadence).
-    Paper,
-    /// Every implemented scheme, including the related-work baselines.
-    All,
-}
-
-impl SchemeSelection {
-    /// The concrete schemes this selection expands to.
-    pub fn schemes(self) -> Vec<SchemeKind> {
-        match self {
-            SchemeSelection::One(kind) => vec![kind],
-            SchemeSelection::Paper => SchemeKind::all().to_vec(),
-            SchemeSelection::All => SchemeKind::extended().to_vec(),
-        }
-    }
-}
-
-/// Which faults a `--fault` run injects.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FaultSelection {
-    /// A single fault.
-    One(FaultKind),
-    /// The whole fault matrix.
-    All,
-}
-
-impl FaultSelection {
-    /// The concrete faults this selection expands to.
-    pub fn faults(self) -> Vec<FaultKind> {
-        match self {
-            FaultSelection::One(kind) => vec![kind],
-            FaultSelection::All => FaultKind::all().to_vec(),
-        }
-    }
-}
-
 /// Parsed command-line options.
 #[derive(Clone, Debug)]
 pub struct CliOptions {
     /// Data structure under test.
     pub structure: Structure,
-    /// Scheme or scheme set under test.
-    pub schemes: SchemeSelection,
+    /// Schemes under test, in the order they run.
+    pub schemes: Vec<SchemeKind>,
     /// Worker threads.
     pub threads: usize,
     /// Measured duration per run.
@@ -82,7 +41,7 @@ pub struct CliOptions {
     /// Era-advance policy override for the era schemes (`--scheme he`).
     pub era_policy: Option<EraAdvancePolicy>,
     /// Run the fault-injection matrix instead of the throughput experiment.
-    pub fault: Option<FaultSelection>,
+    pub fault: Option<Vec<FaultKind>>,
     /// Run the server-soak lease scenario with this many short sessions
     /// instead of the throughput experiment.
     pub server_soak: Option<usize>,
@@ -94,8 +53,11 @@ pub struct CliOptions {
     pub limbo_budget: Option<usize>,
     /// Record latency/delay histograms and print the percentile report.
     pub telemetry: bool,
-    /// Also write the telemetry report as JSON to this path (`--telemetry=PATH`).
-    pub telemetry_json: Option<String>,
+    /// Run these rows of the figure table instead of one cell (`all`, or a
+    /// comma-separated list of names).
+    pub figure: Option<String>,
+    /// Also write every measured row, with the environment block, to this path.
+    pub json: Option<String>,
     /// Print the usage text and exit.
     pub help: bool,
 }
@@ -104,7 +66,7 @@ impl Default for CliOptions {
     fn default() -> Self {
         Self {
             structure: Structure::List,
-            schemes: SchemeSelection::One(SchemeKind::QSense),
+            schemes: vec![SchemeKind::QSense],
             threads: 4,
             duration: Duration::from_secs(1),
             update_pct: 50,
@@ -123,7 +85,8 @@ impl Default for CliOptions {
             soak_ops: 64,
             limbo_budget: None,
             telemetry: false,
-            telemetry_json: None,
+            figure: None,
+            json: None,
             help: false,
         }
     }
@@ -131,7 +94,7 @@ impl Default for CliOptions {
 
 /// The usage text printed by `--help` and on parse errors.
 pub const USAGE: &str = "\
-qsense-bench — run one cell (or one comparison) of the QSense evaluation matrix
+qsense-bench — run one cell, one comparison or one figure of the QSense evaluation matrix
 
 USAGE:
     qsense-bench [OPTIONS]
@@ -141,14 +104,19 @@ OPTIONS:
                                               data structure        [default: list]
                                               (queue/stack run 100%-churn FIFO/LIFO
                                               workloads; --updates is forced to 100)
-    --scheme <none|qsbr|ebr|he|rc|hp|cadence|qsense|paper|all>
-                                              scheme or scheme set  [default: qsense]
+    --scheme <none|qsbr|ebr|he|rc|hp|cadence|qsense>[,...]
+                                              schemes to compare, run in the order given
+                                              (paper = none,qsbr,qsense,hp,cadence; all = every
+                                              scheme); overhead is reported against none for
+                                              the schemes listed after it  [default: qsense]
     --threads <N>                             worker threads        [default: 4]
     --duration <SECONDS>                      measured seconds      [default: 1]
     --updates <PCT>                           update percentage     [default: 50]
     --key-range <N>                           key range             [default: per structure]
     --delay                                   delay one thread periodically (Figure 5 bottom)
-    --timeline                                print a time series (throughput, in-limbo)
+    --timeline                                print a time series (throughput, in-limbo); with
+                                              --delay, none and qsbr abort at 300 000 unreclaimed
+                                              nodes (the paper's \"QSBR runs out of memory\")
     --quiescence <Q>                          quiescence threshold override
     --scan <R>                                scan threshold override
     --fallback <C>                            fallback threshold override
@@ -178,11 +146,18 @@ OPTIONS:
     --limbo-budget <BYTES>                    enforce a limbo byte budget (suffixes k/m ok);
                                               schemes escalate when limbo crosses it and the
                                               verdict records peak, time-over and escalations
-    --telemetry[=<PATH>]                      record latency/delay histograms and print a
+    --telemetry                               record latency/delay histograms and print a
                                               per-scheme percentile report (p50/p90/p99/p99.9
                                               of guard op latency, scan duration and the
-                                              retire->free delay) plus scan-dispatch counts;
-                                              with =PATH, also write the report as JSON
+                                              retire->free delay) plus scan-dispatch counts
+    --figure <NAME[,NAME...]|all>             run rows of the figure table below: each row is
+                                              a sweep of plain qsense-bench cells, printed as
+                                              it runs; the other arguments given here follow
+                                              every cell's own, so they win (--duration 0.05
+                                              is a smoke run of any row)
+    --json <PATH>                             also write every measured row to PATH, with the
+                                              machine it was measured on (nproc, cpu model,
+                                              kernel, rustc, git sha, detected fence strategy)
     --help                                    print this text
 ";
 
@@ -233,21 +208,32 @@ fn parse_structure(value: &str) -> Result<Structure, String> {
     }
 }
 
-fn parse_scheme(value: &str) -> Result<SchemeSelection, String> {
-    let one = |kind| Ok(SchemeSelection::One(kind));
-    match value {
-        "none" | "leaky" => one(SchemeKind::None),
-        "qsbr" => one(SchemeKind::Qsbr),
-        "ebr" => one(SchemeKind::Ebr),
-        "he" | "hazard-eras" | "ibr" => one(SchemeKind::He),
-        "rc" | "refcount" => one(SchemeKind::RefCount),
-        "hp" | "hazard" => one(SchemeKind::Hp),
-        "cadence" => one(SchemeKind::Cadence),
-        "qsense" => one(SchemeKind::QSense),
-        "paper" => Ok(SchemeSelection::Paper),
-        "all" => Ok(SchemeSelection::All),
-        other => Err(format!("unknown scheme '{other}'")),
+/// Parses `--scheme`: a comma-separated list of scheme names, run in the
+/// order given. `paper` and `all` stand for the two legends.
+fn parse_schemes(value: &str) -> Result<Vec<SchemeKind>, String> {
+    let mut schemes = Vec::new();
+    for name in value.split(',') {
+        let named = match name {
+            "none" | "leaky" => vec![SchemeKind::None],
+            "qsbr" => vec![SchemeKind::Qsbr],
+            "ebr" => vec![SchemeKind::Ebr],
+            "he" | "hazard-eras" | "ibr" => vec![SchemeKind::He],
+            "rc" | "refcount" => vec![SchemeKind::RefCount],
+            "hp" | "hazard" => vec![SchemeKind::Hp],
+            "cadence" => vec![SchemeKind::Cadence],
+            "qsense" => vec![SchemeKind::QSense],
+            "paper" => SchemeKind::all().to_vec(),
+            "all" => SchemeKind::extended().to_vec(),
+            other => return Err(format!("unknown scheme '{other}'")),
+        };
+        for kind in named {
+            if schemes.contains(&kind) {
+                return Err(format!("--scheme lists '{}' twice", kind.name()));
+            }
+            schemes.push(kind);
+        }
     }
+    Ok(schemes)
 }
 
 fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
@@ -255,6 +241,10 @@ fn parse_number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, Stri
         .parse()
         .map_err(|_| format!("{flag} expects a number, got '{value}'"))
 }
+
+/// Longest `--duration` accepted: anything beyond is a typo, and far beyond
+/// (`1e30`, `inf`) `Duration::from_secs_f64` panics.
+const MAX_DURATION_SECS: f64 = 1e6;
 
 /// A count, threshold or interval the library has no meaning for at zero (its
 /// builders assert; a zero rooster interval would interrupt every CPU back to
@@ -270,16 +260,16 @@ fn parse_positive<T: std::str::FromStr + PartialEq + From<u8>>(
     Ok(number)
 }
 
-fn parse_fault(value: &str) -> Result<FaultSelection, String> {
+fn parse_fault(value: &str) -> Result<Vec<FaultKind>, String> {
     if value == "all" {
-        return Ok(FaultSelection::All);
+        return Ok(FaultKind::all().to_vec());
     }
     FaultKind::parse(value)
-        .map(FaultSelection::One)
+        .map(|kind| vec![kind])
         .ok_or_else(|| {
             format!(
                 "unknown fault '{value}' (expected stalled-reader, silent-thread, \
-                 leaked-handle, random-delay or all)"
+             leaked-handle, random-delay or all)"
             )
         })
 }
@@ -295,7 +285,9 @@ fn parse_bytes(flag: &str, value: &str) -> Result<usize, String> {
     if count == 0 {
         return Err(format!("{flag} must be positive"));
     }
-    Ok(count * scale)
+    count
+        .checked_mul(scale)
+        .ok_or_else(|| format!("{flag} '{value}' does not fit in a byte count"))
 }
 
 impl CliOptions {
@@ -316,12 +308,15 @@ impl CliOptions {
             };
             match arg {
                 "--structure" => options.structure = parse_structure(&value_for(arg)?)?,
-                "--scheme" => options.schemes = parse_scheme(&value_for(arg)?)?,
+                "--scheme" => options.schemes = parse_schemes(&value_for(arg)?)?,
                 "--threads" => options.threads = parse_positive(arg, &value_for(arg)?)?,
                 "--duration" => {
                     let secs: f64 = parse_number(arg, &value_for(arg)?)?;
-                    if secs.is_nan() || secs <= 0.0 {
-                        return Err("--duration must be positive".to_string());
+                    // Written so that NaN fails it too.
+                    if !(secs > 0.0 && secs <= MAX_DURATION_SECS) {
+                        return Err(format!(
+                            "--duration must be positive and at most {MAX_DURATION_SECS} seconds"
+                        ));
                     }
                     options.duration = Duration::from_secs_f64(secs);
                 }
@@ -332,7 +327,7 @@ impl CliOptions {
                     }
                     options.update_pct = pct;
                 }
-                "--key-range" => options.key_range = Some(parse_number(arg, &value_for(arg)?)?),
+                "--key-range" => options.key_range = Some(parse_positive(arg, &value_for(arg)?)?),
                 "--delay" => options.inject_delay = true,
                 "--timeline" => options.timeline = true,
                 "--quiescence" => options.quiescence = Some(parse_positive(arg, &value_for(arg)?)?),
@@ -355,21 +350,10 @@ impl CliOptions {
                     options.limbo_budget = Some(parse_bytes(arg, &value_for(arg)?)?)
                 }
                 "--help" | "-h" => options.help = true,
-                // `--telemetry` takes an *optional* value, so it uses the
-                // `=PATH` form rather than a following argument (a following
-                // argument would be ambiguous with the next flag).
                 "--telemetry" => options.telemetry = true,
-                other => {
-                    if let Some(path) = other.strip_prefix("--telemetry=") {
-                        if path.is_empty() {
-                            return Err("--telemetry= expects a file path".to_string());
-                        }
-                        options.telemetry = true;
-                        options.telemetry_json = Some(path.to_string());
-                    } else {
-                        return Err(format!("unknown flag '{other}'\n\n{USAGE}"));
-                    }
-                }
+                "--figure" => options.figure = Some(value_for(arg)?),
+                "--json" => options.json = Some(value_for(arg)?),
+                other => return Err(format!("unknown flag '{other}'\n\n{USAGE}")),
             }
         }
         Ok(options)
@@ -395,6 +379,22 @@ impl CliOptions {
     }
 }
 
+/// `raw` without the two flags that belong to the front end rather than to a
+/// cell (`--figure`, `--json`, each with its value): what a figure appends to
+/// every cell it runs, and what a JSON row records as the cell's command line.
+pub fn cell_args(raw: &[String]) -> Vec<String> {
+    let mut cell = Vec::new();
+    let mut args = raw.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--figure" || arg == "--json" {
+            args.next();
+        } else {
+            cell.push(arg.clone());
+        }
+    }
+    cell
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -407,7 +407,7 @@ mod tests {
     fn defaults_match_the_documented_values() {
         let options = parse(&[]).unwrap();
         assert_eq!(options.structure, Structure::List);
-        assert_eq!(options.schemes, SchemeSelection::One(SchemeKind::QSense));
+        assert_eq!(options.schemes, [SchemeKind::QSense]);
         assert_eq!(options.threads, 4);
         assert_eq!(options.update_pct, 50);
         assert!(!options.inject_delay);
@@ -451,7 +451,7 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(options.structure, Structure::HashMap);
-        assert_eq!(options.schemes, SchemeSelection::All);
+        assert_eq!(options.schemes, SchemeKind::extended());
         assert_eq!(options.threads, 8);
         assert_eq!(options.duration, Duration::from_millis(500));
         assert_eq!(options.update_pct, 10);
@@ -500,34 +500,35 @@ mod tests {
     }
 
     #[test]
-    fn scheme_aliases_and_sets_expand_correctly() {
+    fn scheme_lists_keep_their_order_and_reject_repeats() {
+        let schemes = |value: &str| parse(&["--scheme", value]).map(|options| options.schemes);
         assert_eq!(
-            parse(&["--scheme", "rc"]).unwrap().schemes.schemes(),
-            vec![SchemeKind::RefCount]
+            schemes("none,qsense,hp,he").unwrap(),
+            [
+                SchemeKind::None,
+                SchemeKind::QSense,
+                SchemeKind::Hp,
+                SchemeKind::He
+            ]
+        );
+        assert_eq!(schemes("rc").unwrap(), [SchemeKind::RefCount]);
+        assert_eq!(
+            schemes("hazard-eras,leaky").unwrap(),
+            [SchemeKind::He, SchemeKind::None]
+        );
+        assert_eq!(schemes("paper").unwrap(), SchemeKind::all());
+        assert_eq!(schemes("all").unwrap(), SchemeKind::extended());
+        assert_eq!(schemes("paper,he").unwrap().len(), 6);
+        assert_eq!(
+            schemes("hp,qsbr,hazard").unwrap_err(),
+            "--scheme lists 'hp' twice"
         );
         assert_eq!(
-            parse(&["--scheme", "paper"])
-                .unwrap()
-                .schemes
-                .schemes()
-                .len(),
-            5
+            schemes("all,ebr").unwrap_err(),
+            "--scheme lists 'ebr' twice"
         );
-        assert_eq!(
-            parse(&["--scheme", "he"]).unwrap().schemes.schemes(),
-            vec![SchemeKind::He]
-        );
-        assert_eq!(
-            parse(&["--scheme", "hazard-eras"])
-                .unwrap()
-                .schemes
-                .schemes(),
-            vec![SchemeKind::He]
-        );
-        assert_eq!(
-            parse(&["--scheme", "all"]).unwrap().schemes.schemes().len(),
-            8
-        );
+        assert_eq!(schemes("hp,gc").unwrap_err(), "unknown scheme 'gc'");
+        assert_eq!(schemes("hp,").unwrap_err(), "unknown scheme ''");
     }
 
     #[test]
@@ -622,14 +623,13 @@ mod tests {
         for kind in FaultKind::all() {
             assert_eq!(
                 parse(&["--fault", kind.name()]).unwrap().fault,
-                Some(FaultSelection::One(kind))
+                Some(vec![kind])
             );
         }
         assert_eq!(
             parse(&["--fault", "all"]).unwrap().fault,
-            Some(FaultSelection::All)
+            Some(FaultKind::all().to_vec())
         );
-        assert_eq!(FaultSelection::All.faults().len(), 4);
         assert!(parse(&["--fault", "gremlin"])
             .unwrap_err()
             .contains("unknown fault"));
@@ -665,22 +665,78 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_flag_parses_with_and_without_a_path() {
+    fn figure_json_and_telemetry_flags_parse() {
         let options = parse(&[]).unwrap();
         assert!(!options.telemetry);
-        assert_eq!(options.telemetry_json, None);
-        let options = parse(&["--telemetry"]).unwrap();
+        assert_eq!((options.figure, options.json), (None, None));
+        let raw: Vec<String> = [
+            "--figure",
+            "fig3,fig5-delay-bst",
+            "--telemetry",
+            "--json",
+            "out.json",
+        ]
+        .map(String::from)
+        .to_vec();
+        let options = CliOptions::parse(&raw).unwrap();
         assert!(options.telemetry);
-        assert_eq!(options.telemetry_json, None);
-        let options = parse(&["--telemetry=out.json"]).unwrap();
-        assert!(options.telemetry);
-        assert_eq!(options.telemetry_json.as_deref(), Some("out.json"));
-        assert!(parse(&["--telemetry="])
+        assert_eq!(options.figure.as_deref(), Some("fig3,fig5-delay-bst"));
+        assert_eq!(options.json.as_deref(), Some("out.json"));
+        assert_eq!(
+            cell_args(&raw),
+            ["--telemetry"],
+            "what every cell of the figure gets"
+        );
+        assert!(parse(&["--json"]).unwrap_err().contains("expects a value"));
+        assert!(parse(&["--telemetry=out.json"])
             .unwrap_err()
-            .contains("expects a file path"));
-        // The bare flag must not swallow a following flag as its value.
-        let options = parse(&["--telemetry", "--timeline"]).unwrap();
-        assert!(options.telemetry && options.timeline);
+            .contains("unknown flag"));
+    }
+
+    #[test]
+    fn input_the_library_would_panic_or_wrap_on_is_rejected() {
+        for (args, complaint) in [
+            (["--key-range", "0"], "--key-range must be at least 1"),
+            (
+                ["--duration", "1e30"],
+                "--duration must be positive and at most",
+            ),
+            (
+                ["--duration", "inf"],
+                "--duration must be positive and at most",
+            ),
+            (
+                ["--duration", "NaN"],
+                "--duration must be positive and at most",
+            ),
+            (
+                ["--duration", "-1"],
+                "--duration must be positive and at most",
+            ),
+            (
+                ["--duration", "0"],
+                "--duration must be positive and at most",
+            ),
+            (
+                ["--limbo-budget", "18446744073709551615k"],
+                "does not fit in a byte count",
+            ),
+        ] {
+            let error = parse(&args).unwrap_err();
+            assert!(error.contains(complaint), "{args:?}: {error}");
+            assert!(!error.contains('\n'), "{args:?}: one line");
+        }
+        assert_eq!(parse(&["--key-range", "1"]).unwrap().key_range, Some(1));
+        assert_eq!(
+            parse(&["--duration", "1e6"]).unwrap().duration,
+            Duration::from_secs(1_000_000)
+        );
+        assert_eq!(
+            parse(&["--limbo-budget", "17592186044415m"])
+                .unwrap()
+                .limbo_budget,
+            Some(17_592_186_044_415 << 20)
+        );
     }
 
     #[test]

@@ -234,8 +234,10 @@ impl EpochChain {
 /// The limbo state is the heart of EBR's retire-path cost model. A previous
 /// revision kept one flat `Vec<(epoch, node)>` and re-examined *every* entry on
 /// *every* pin; whenever the epoch stalled (one preempted thread suffices — the
-/// single-CPU pathology behind the 8-thread retire blowup in
-/// `BENCH_overhead.json`), the list grew while each pin rescanned all of it:
+/// single-CPU pathology behind the 8-thread retire blowup the seed's overhead
+/// bench recorded; `scheme.retire_cycle_ns.ebr` in `benchmark/ --trace 1` is
+/// where the retire path is measured now), the list grew while each pin
+/// rescanned all of it:
 /// quadratic work, on top of one shared global-epoch load per retire. Nodes now
 /// land in one of [`LIMBO_BUCKETS`] per-epoch segment chains, tagged with the
 /// **pin-time** epoch the handle already holds, so `retire` touches no shared

@@ -36,7 +36,6 @@
 //! cleanup is in flight (a progress, never a safety, concern).
 
 use crate::keyspace::KeySlot;
-use rand as _; // keep the workspace dependency graph uniform; randomness is not needed here
 use reclaim_core::{Era, Guard, Smr, NO_BIRTH_ERA};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicPtr, Ordering};

@@ -77,8 +77,8 @@
 
 use crate::keyspace::KeySlot;
 use crate::tagged::{LinkWord, VersionedAtomic};
-use rand::Rng;
 use reclaim_core::{Era, Guard, Smr, NO_BIRTH_ERA};
+use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -87,6 +87,19 @@ use std::sync::Arc;
 /// tall are effectively never generated but the bound keeps the protection budget
 /// fixed.
 pub const MAX_HEIGHT: usize = 16;
+
+thread_local! {
+    /// This thread's tower-height stream: a SplitMix64 state, advanced once per
+    /// draw. Every thread starts from the same constant, so a run's towers
+    /// depend on nothing but the operations its threads perform (no clock, no
+    /// process-wide counter to contend on). Identical per-thread streams change
+    /// no expectation a skip list relies on: each draw is still geometric(1/2)
+    /// and independent of the key it lands on — which key a thread inserts next
+    /// is the workload's choice — so the expected number of towers reaching
+    /// each level, and with it the expected search path, are sums of the same
+    /// marginals as under independent streams.
+    static HEIGHT_STREAM: Cell<u64> = const { Cell::new(0x5EED_0F70_3E85_C0DE) };
+}
 
 /// Number of protection slots a traversal needs per thread.
 pub const SKIPLIST_HP_SLOTS: usize = 2 * MAX_HEIGHT + 2;
@@ -207,14 +220,18 @@ where
         (&*self.head) as *const Node<K> as *mut Node<K>
     }
 
+    /// Geometric distribution with p = 1/2, capped at MAX_HEIGHT: the run of
+    /// one-bits that ends the next SplitMix64 output of `HEIGHT_STREAM`.
     fn random_height() -> usize {
-        // Geometric distribution with p = 1/2, capped at MAX_HEIGHT.
-        let mut rng = rand::thread_rng();
-        let mut height = 1;
-        while height < MAX_HEIGHT && rng.gen_bool(0.5) {
-            height += 1;
-        }
-        height
+        HEIGHT_STREAM.with(|stream| {
+            let state = stream.get().wrapping_add(0x9E37_79B9_7F4A_7C15);
+            stream.set(state);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            (z.trailing_ones() as usize + 1).min(MAX_HEIGHT)
+        })
     }
 
     /// Core traversal: computes per-level predecessors/successors for `key`,
@@ -917,5 +934,29 @@ mod tests {
             let h = LockFreeSkipList::<u64, Leaky>::random_height();
             assert!((1..=MAX_HEIGHT).contains(&h));
         }
+    }
+
+    #[test]
+    fn random_height_is_geometric_and_the_same_on_every_thread() {
+        const DRAWS: usize = 100_000;
+        // A fresh thread, hence a stream at its seed: the draws are fixed.
+        let draw = || {
+            std::thread::spawn(|| {
+                (0..DRAWS)
+                    .map(|_| LockFreeSkipList::<u64, Leaky>::random_height())
+                    .collect::<Vec<_>>()
+            })
+            .join()
+            .unwrap()
+        };
+        let heights = draw();
+        assert_eq!(heights, draw(), "every thread draws the same stream");
+        let ones = heights.iter().filter(|&&h| h == 1).count() as f64 / DRAWS as f64;
+        let mean = heights.iter().sum::<usize>() as f64 / DRAWS as f64;
+        assert!((ones - 0.5).abs() < 0.005, "share of height 1: {ones}");
+        assert!((mean - 2.0).abs() < 0.02, "mean height: {mean}");
+        // Half as many towers on each level up.
+        let at_least = |level| heights.iter().filter(|&&h| h >= level).count() as f64;
+        assert!((at_least(4) / at_least(3) - 0.5).abs() < 0.02);
     }
 }

@@ -171,42 +171,47 @@ fn a_hash_map_bucket_walk_protects_each_visited_node_once() {
 }
 
 #[test]
-fn a_skip_list_operation_stays_under_36_protects() {
+fn a_skip_list_operation_publishes_one_protect_per_node_visited() {
     // The benchmark's `skiplist_mixed` shape: 20 000 keys, half of them
     // present, 25 % inserts / 25 % removes / 50 % lookups. The copying
     // traversal measured 64–68 protects per operation on it, the rotating one
-    // 33–34; towers are random, hence a bound with some air rather than an
-    // equality.
+    // 33–34. Tower heights come from a per-thread stream with a fixed seed, so
+    // on a thread of its own — a stream at its seed — the run is the same run
+    // every time and the count is pinned, with half a protect of air for a
+    // change that moves a boundary case.
     const KEY_RANGE: u64 = 20_000;
     const OPS: u64 = 20_000;
-    let smr = Counting::new(SmrConfig::for_skiplist());
-    let set = LockFreeSkipList::new(Arc::clone(&smr));
-    let mut h = set.register();
-    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
-    let mut present = 0;
-    while present < KEY_RANGE / 2 {
-        present += u64::from(set.insert(next() % KEY_RANGE, &mut h));
-    }
-    smr.take();
-    for _ in 0..OPS {
-        let key = next() % KEY_RANGE;
-        match next() % 4 {
-            0 => drop(set.insert(key, &mut h)),
-            1 => drop(set.remove(&key, &mut h)),
-            _ => drop(set.contains(&key, &mut h)),
+    const EXPECTED: f64 = 33.11;
+    let per_op = std::thread::spawn(|| {
+        let smr = Counting::new(SmrConfig::for_skiplist());
+        let set = LockFreeSkipList::new(Arc::clone(&smr));
+        let mut h = set.register();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let mut present = 0;
+        while present < KEY_RANGE / 2 {
+            present += u64::from(set.insert(next() % KEY_RANGE, &mut h));
         }
-    }
-    let per_op = smr.take() as f64 / OPS as f64;
+        smr.take();
+        for _ in 0..OPS {
+            let key = next() % KEY_RANGE;
+            match next() % 4 {
+                0 => drop(set.insert(key, &mut h)),
+                1 => drop(set.remove(&key, &mut h)),
+                _ => drop(set.contains(&key, &mut h)),
+            }
+        }
+        smr.take() as f64 / OPS as f64
+    })
+    .join()
+    .unwrap();
     assert!(
-        per_op <= 36.0,
-        "{per_op:.1} protects per skip-list operation (rotation: ≈ 33, copying: ≈ 65)"
+        (per_op - EXPECTED).abs() <= 0.5,
+        "{per_op:.2} protects per skip-list operation (rotation: ≈ 33, copying: ≈ 65)"
     );
-    // One publication per node visited cannot go below the search path.
-    assert!(per_op >= 20.0, "{per_op:.1}: the count is not counting");
 }

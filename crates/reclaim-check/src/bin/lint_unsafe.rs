@@ -5,7 +5,7 @@
 //! CI runs this binary and fails the build on any naked block:
 //!
 //! ```text
-//! cargo run -p bench --bin lint_unsafe
+//! cargo run --release -p reclaim-check --bin lint_unsafe
 //! ```
 //!
 //! The checker is a line scanner, not a parser, tuned to this codebase's
@@ -69,7 +69,8 @@ fn main() -> ExitCode {
 }
 
 fn workspace_root() -> PathBuf {
-    // bench lives at <root>/crates/bench; fall back to cwd when run elsewhere.
+    // This crate lives at <root>/crates/reclaim-check; fall back to cwd when
+    // run elsewhere.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()

@@ -147,9 +147,9 @@
 //!   quiesce — the histogram analog of the `retired >= freed` guarantee
 //!   [`stats::StatStripe::merge_into`] gives the counters.
 //!
-//! Disabled (the default), every record site is **one relaxed load**; the
-//! `ablation_telemetry` bench (`BENCH_ablation_telemetry.json`) holds both
-//! that and the enabled path's overhead under CI watch.
+//! Disabled (the default), every record site is **one relaxed load**;
+//! `qsense-bench --figure telemetry-off,telemetry-on` runs the same
+//! retire-bound cell both ways.
 //!
 //! Segment recycling makes the whole retire→scan→reclaim pipeline allocation-free
 //! in steady state, *including* bag growth past a single bag's previous high-water

@@ -58,7 +58,8 @@
 //! scan begin — first performs exactly **one relaxed load** of the `enabled`
 //! flag (a read-mostly cache line shared with the histogram origin) and
 //! branches away. No `Instant` is read, no stripe is touched, no stamp is
-//! written. `BENCH_ablation_telemetry.json` quantifies both paths.
+//! written. `qsense-bench --figure telemetry-off,telemetry-on` measures both
+//! paths on the retire-bound queue.
 //!
 //! ## Snapshot consistency
 //!

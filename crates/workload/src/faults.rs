@@ -338,7 +338,7 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
 }
 
 /// Runs `plan` against a freshly built scheme of the given kind under
-/// `config` — the matrix dispatch the CLI and the robustness bench share.
+/// `config` — the matrix dispatch behind `qsense-bench --fault`.
 pub fn run_fault_for(kind: SchemeKind, config: SmrConfig, plan: &FaultPlan) -> FaultResult {
     match kind {
         SchemeKind::None => run_fault(&Leaky::new(config), plan),

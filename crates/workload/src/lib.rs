@@ -20,13 +20,15 @@
 //! * [`server_soak`] — the M:N lease scenario (thousands of short sessions
 //!   borrowing few registered handles) proving the sharded registry's
 //!   scan-dispatch and the lease pool's checkout cost;
-//! * [`report`] — text tables matching the figures' series.
+//! * [`report`] — text tables matching the figures' series;
+//! * [`json`] — the same rows as a JSON report carrying the environment block.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod faults;
 pub mod generator;
+pub mod json;
 pub mod report;
 pub mod runner;
 pub mod sampler;

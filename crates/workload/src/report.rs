@@ -1,25 +1,19 @@
-//! Plain-text reporting helpers used by the benchmark binaries.
+//! Plain-text reporting helpers used by `qsense-bench`.
 //!
 //! Every figure/table of the paper is regenerated as a text table: one row per
 //! (scheme, x-value) pair for the scalability plots, one row per time sample for the
-//! delay timelines, plus aggregate overhead summaries. Keeping the output textual
-//! makes `cargo bench` logs directly comparable with the numbers quoted in the paper.
+//! delay timelines. Keeping the output textual makes a run's log directly comparable
+//! with the numbers quoted in the paper; [`json`](crate::json) is the machine-readable
+//! twin.
 
 use crate::runner::RunResult;
 
-/// Prints a header line for an experiment section.
-pub fn section(title: &str) {
-    println!();
-    println!("== {title} ==");
-}
-
-/// Formats a throughput table row: scheme, threads, Mops/s, overhead vs baseline.
-pub fn throughput_row(result: &RunResult, baseline_mops: Option<f64>) -> String {
-    let overhead = match baseline_mops {
-        Some(base) if base > 0.0 => {
-            format!("{:>8.1}%", (1.0 - result.mops() / base) * 100.0)
-        }
-        _ => "       -".to_string(),
+/// Formats a throughput table row: scheme, threads, Mops/s, overhead vs the
+/// leaky baseline in percent (when one ran), in-limbo count.
+pub fn throughput_row(result: &RunResult, overhead_pct: Option<f64>) -> String {
+    let overhead = match overhead_pct {
+        Some(pct) => format!("{pct:>8.1}%"),
+        None => "       -".to_string(),
     };
     format!(
         "{:<12} {:>3} threads  {:>9.3} Mops/s  overhead vs none: {}  in-limbo: {:>8}",
@@ -29,15 +23,6 @@ pub fn throughput_row(result: &RunResult, baseline_mops: Option<f64>) -> String 
         overhead,
         result.stats.in_limbo(),
     )
-}
-
-/// Prints a complete scalability series (one scheme, many thread counts).
-pub fn print_series(title: &str, results: &[RunResult], baseline: Option<&[RunResult]>) {
-    section(title);
-    for (i, result) in results.iter().enumerate() {
-        let base = baseline.and_then(|b| b.get(i)).map(RunResult::mops);
-        println!("{}", throughput_row(result, base));
-    }
 }
 
 /// Prints the time-series samples of a delay-injection run in a gnuplot-friendly
@@ -126,29 +111,6 @@ pub fn budget_row(result: &RunResult) -> String {
     )
 }
 
-/// Geometric-mean overhead (in percent) of `results` relative to the paired
-/// `baseline` runs, mirroring the "X% overhead on average over the leaky
-/// implementation" statements in §7.3 of the paper.
-pub fn average_overhead_pct(results: &[RunResult], baseline: &[RunResult]) -> f64 {
-    assert_eq!(results.len(), baseline.len(), "paired series required");
-    if results.is_empty() {
-        return 0.0;
-    }
-    let mut log_sum = 0.0;
-    let mut counted = 0usize;
-    for (run, base) in results.iter().zip(baseline) {
-        if run.mops() > 0.0 && base.mops() > 0.0 {
-            log_sum += (run.mops() / base.mops()).ln();
-            counted += 1;
-        }
-    }
-    if counted == 0 {
-        return 0.0;
-    }
-    let ratio = (log_sum / counted as f64).exp();
-    (1.0 - ratio) * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,18 +136,11 @@ mod tests {
     fn mops_and_rows_format() {
         let run = result("qsense", 2.5);
         assert!((run.mops() - 2.5).abs() < 1e-9);
-        let row = throughput_row(&run, Some(5.0));
+        let row = throughput_row(&run, Some(50.0));
         assert!(row.contains("qsense"));
         assert!(row.contains("50.0%"), "row = {row}");
         let row_no_base = throughput_row(&run, None);
         assert!(row_no_base.contains('-'));
-    }
-
-    #[test]
-    fn average_overhead_is_zero_against_itself() {
-        let a = vec![result("qsbr", 3.0), result("qsbr", 4.0)];
-        let overhead = average_overhead_pct(&a, &a);
-        assert!(overhead.abs() < 1e-9);
     }
 
     #[test]
@@ -235,13 +190,5 @@ mod tests {
         assert!(row.contains("4096"), "row = {row}");
         assert!(row.contains("forced-scans: 2"), "row = {row}");
         assert!(row.contains("0.250"), "row = {row}");
-    }
-
-    #[test]
-    fn average_overhead_matches_simple_ratio() {
-        let schemes = vec![result("hp", 1.0), result("hp", 2.0)];
-        let baseline = vec![result("none", 2.0), result("none", 4.0)];
-        let overhead = average_overhead_pct(&schemes, &baseline);
-        assert!((overhead - 50.0).abs() < 1e-6, "overhead = {overhead}");
     }
 }

@@ -23,8 +23,8 @@
 //!   large `max_threads` is.
 //!
 //! The scenario is deterministic per seed (splitmix64 per session) and runs on
-//! every scheme in the matrix — the `server_soak` bench records the four
-//! facade schemes (hp, cadence, qsense, he) into `BENCH_server_soak.json`.
+//! every scheme in the matrix — `qsense-bench --figure server-soak` records the
+//! four facade schemes (hp, cadence, qsense, he) into `BENCH_server_soak.json`.
 
 use crate::spec::Structure;
 use crate::structures::config_for;

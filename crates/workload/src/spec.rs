@@ -3,8 +3,8 @@
 //! Every experiment in the paper is described by three numbers: the key range, the
 //! operation mix (percentage of searches / inserts / deletes) and the number of
 //! threads; the data structure is pre-filled to half the key range before
-//! measurement. [`WorkloadSpec`] captures the first two (plus the fill factor) and
-//! provides the exact presets the paper uses.
+//! measurement. [`WorkloadSpec`] captures the first two (plus the fill factor);
+//! [`OpMix`] provides the mixes the paper uses.
 
 /// Operation mix in percent. Inserts and deletes are kept equal, as in the paper, so
 /// that the structure size stays around its initial fill during the run.
@@ -159,17 +159,6 @@ impl WorkloadSpec {
     pub fn initial_keys(&self) -> u64 {
         (self.key_range as f64 * self.initial_fill) as u64
     }
-
-    /// The paper's Figure 3 workload: linked list, 2 000 keys, 10% updates.
-    pub fn fig3_list() -> Self {
-        Self::new(Structure::List.default_key_range(), OpMix::updates_10())
-    }
-
-    /// The paper's Figure 5 scalability workload for the given structure
-    /// (50% updates, structure-specific key range).
-    pub fn fig5_scaling(structure: Structure) -> Self {
-        Self::new(structure.default_key_range(), OpMix::updates_50())
-    }
 }
 
 #[cfg(test)]
@@ -185,7 +174,7 @@ mod tests {
         assert_eq!(Structure::List.paper_key_range(), 2_000);
         assert_eq!(Structure::SkipList.paper_key_range(), 20_000);
         assert_eq!(Structure::Bst.paper_key_range(), 2_000_000);
-        let spec = WorkloadSpec::fig3_list();
+        let spec = WorkloadSpec::new(Structure::List.default_key_range(), OpMix::updates_10());
         assert_eq!(spec.key_range, 2_000);
         assert_eq!(spec.initial_keys(), 1_000);
     }

@@ -25,7 +25,7 @@
 //! deterministic (the "stall" is a handle that begins an operation and stops,
 //! exactly as in the he/ebr unit suites), so two runs differing only in policy
 //! are sample-by-sample comparable — which is what
-//! `tests/robustness_bounds.rs` and the `ablation_era_advance` bench assert.
+//! `tests/robustness_bounds.rs` asserts.
 
 use crate::sampler::{mean, peak, percentile, LimboSampler};
 use reclaim_core::{retire_box_with_birth, Smr, SmrHandle};

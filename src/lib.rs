@@ -15,8 +15,8 @@
 //! * [`ds`] — the lock-free data structures of the paper's evaluation, generic over
 //!   the scheme: [`ds::HarrisMichaelList`], [`ds::LockFreeSkipList`],
 //!   [`ds::LockFreeBst`];
-//! * [`bench`] — the workload/measurement harness used by the figure-reproduction
-//!   benchmarks and the examples.
+//! * [`bench`] — the workload/measurement harness behind `qsense-bench` (the
+//!   figure table) and `benchmark/`.
 //!
 //! ## Quick start
 //!
