@@ -3,7 +3,9 @@
 //! Cadence is the paper's novel fallback path (§5) and is also usable as a
 //! stand-alone reclamation scheme, which this crate names: [`Cadence`] is the
 //! hazard-pointer family's one scheme (`hazard::HpFamily`) with the rooster's
-//! answer to "who issues the process-wide barrier".
+//! answer to "who issues the process-wide barrier". Slots, scan and free rule
+//! are `hazard`'s (`hazard::{HpSlots, OwnedSlots, hp_scan}`); this crate holds
+//! no code of its own.
 //!
 //! Cadence keeps the hazard-pointer *interface* — per-thread protection slots, a scan
 //! that frees unprotected retired nodes — but removes the per-node memory fence that

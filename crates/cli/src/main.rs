@@ -26,14 +26,14 @@ mod args;
 mod figures;
 
 use args::{cell_args, CliOptions, USAGE};
-use reclaim_core::{CountingAllocator, SmrConfig};
+use reclaim_core::SmrConfig;
 use std::sync::Arc;
 use std::time::Duration;
 use workload::json::{self, JsonObject};
 use workload::{
     default_bench_config, default_fault_config, make_set, report, run_experiment, run_fault_for,
-    run_server_soak_with, DelaySchedule, Experiment, FaultKind, FaultPlan, RunResult, SchemeKind,
-    ServerSoakSpec, WorkloadSpec,
+    run_server_soak_with, CountingAllocator, DelaySchedule, Experiment, FaultKind, FaultPlan,
+    RunResult, SchemeKind, ServerSoakSpec, WorkloadSpec,
 };
 
 /// Heap tracking for the whole process: the experiments below report live/peak

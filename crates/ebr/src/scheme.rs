@@ -70,8 +70,15 @@ impl Ebr {
     /// tests, which run both on every kernel. Naming
     /// [`FenceStrategy::ScannerBarrier`] on a kernel without the expedited
     /// barrier is safe and useless: every advance is refused and nothing is
-    /// ever freed.
+    /// ever freed. [`FenceStrategy::Rooster`] is not a protocol of EBR, which
+    /// keeps no ledger for a rooster to raise: named, it runs — and reports,
+    /// and batches its advances as — scanner-barrier, the advancer paying for
+    /// the compiler-fenced pins itself.
     pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
+        let strategy = match strategy {
+            FenceStrategy::Rooster => FenceStrategy::ScannerBarrier,
+            other => other,
+        };
         let registry = Registry::new(config.max_threads, |_| PinRecord::new());
         Arc::new(Self {
             core: SchemeCore::with_scan_batch("ebr", config, strategy.scan_batch()),
@@ -133,8 +140,7 @@ impl Ebr {
             // after the barrier could only find the same. A sibling stalled
             // mid-operation thus costs its peers a shard walk per attempt, not
             // a syscall.
-            // (EBR keeps no ledger for a rooster to raise: named `Rooster`,
-            // its advancer still pays for the compiler-fenced pins itself.)
+            // (`Rooster` never gets here: `with_fence_strategy`.)
             FenceStrategy::ScannerBarrier | FenceStrategy::Rooster => {
                 if !all_caught_up() || !fence::scanner_barrier(orphan) {
                     return false;
@@ -529,6 +535,23 @@ mod tests {
             snap.heavy_barrier_failures,
             if works { 0 } else { snap.heavy_barriers }
         );
+    }
+
+    #[test]
+    fn naming_rooster_runs_reports_and_batches_scanner_barrier() {
+        let config = SmrConfig::default().with_scan_threshold(10);
+        let scheme = Ebr::with_fence_strategy(config, FenceStrategy::Rooster);
+        assert_eq!(scheme.fence_strategy(), FenceStrategy::ScannerBarrier);
+        let mut handle = scheme.register();
+        let batch = 10 * FenceStrategy::ScannerBarrier.scan_batch();
+        for retired in 1..=batch {
+            handle.begin_op();
+            // SAFETY: the pointer comes fresh from `Box::into_raw` and is retired exactly once.
+            unsafe { retire_box(&mut handle, Box::into_raw(Box::new(0u64))) };
+            handle.end_op();
+            let attempts = u64::from(retired == batch);
+            assert_eq!(barriers(&scheme).0, attempts, "after {retired} retires");
+        }
     }
 
     #[test]

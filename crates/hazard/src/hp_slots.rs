@@ -16,15 +16,10 @@
 //! fence per protection, with no walk through scheme → registry → record →
 //! block on the way.
 
-use crate::config::SmrConfig;
-use crate::fence::{self, BarrierLedger, FenceStrategy};
-use crate::limbo::HandleCore;
-use crate::pad::CachePadded;
-use crate::registry::Registry;
-use crate::retired::RetiredPtr;
-use crate::scratch::PtrScratch;
-use crate::segbag::SegBag;
-use crate::stats::StatStripe;
+use reclaim_core::fence::{self, BarrierLedger, FenceStrategy};
+use reclaim_core::{
+    CachePadded, HandleCore, PtrScratch, Registry, RetiredPtr, SegBag, SmrConfig, StatStripe,
+};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
@@ -285,10 +280,7 @@ pub unsafe fn hp_scan<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::NO_BIRTH_ERA;
-    use crate::limbo::SchemeCore;
-    use crate::segbag::SegPool;
-    use crate::smr::drop_fn_for;
+    use reclaim_core::{drop_fn_for, SchemeCore, SegPool, NO_BIRTH_ERA};
     use std::collections::HashSet;
     use std::time::Duration;
 

@@ -49,6 +49,11 @@
 //! convicts the protocol with no fence at all, with the barrier moved after the
 //! snapshot, and with each near miss of the ledger rule.
 //!
+//! This crate also owns the family's machinery, which QSense's fallback path
+//! imports rather than copies: the slot record and its owner's view
+//! ([`HpSlots`], [`OwnedSlots`]) and the one scan and free rule ([`hp_scan`]),
+//! which every handle of the family and of QSense calls directly.
+//!
 //! Layout: every registered thread owns `K` single-writer multi-reader hazard-pointer
 //! slots in a shared [`Registry`](reclaim_core::Registry), in 128-byte blocks no
 //! two threads share. Retired nodes accumulate in a thread-local segment-chain bag
@@ -60,8 +65,10 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod hp_slots;
 mod scheme;
 
+pub use hp_slots::{hp_scan, HpSlots, OwnedSlots};
 pub use reclaim_core::FenceStrategy;
 pub use scheme::{Cadence, Hazard, HpFamily, HpHandle};
 

@@ -1,12 +1,14 @@
 //! The hazard-pointer family's scheme object and per-thread handle.
 
+use crate::hp_slots::{hp_scan, HpSlots, OwnedSlots};
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    hp_scan, BarrierLedger, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore,
-    HandleTelemetry, HpSlots, OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
+    BarrierLedger, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore,
+    HandleTelemetry, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
+    SmrHandle, Telemetry,
 };
+use std::slice::from_mut;
 use std::sync::Arc;
 
 /// Classic hazard pointers (the paper's **HP** baseline): the fence is the
@@ -136,6 +138,11 @@ impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
 }
 
 /// Per-thread handle for [`HpFamily`].
+///
+/// `retired` holds only nodes this scheme's handles retired — this one's, or
+/// an exited one's it adopted — each protected through `OwnedSlots` of the
+/// ledger's strategy and stamped from the ledger at its retire, and `newest`
+/// bounds those stamps: [`hp_scan`]'s contract, at all three call sites.
 pub struct HpHandle<const CADENCE: bool> {
     scheme: Arc<HpFamily<CADENCE>>,
     slot: SlotId,
@@ -146,26 +153,6 @@ pub struct HpHandle<const CADENCE: bool> {
     /// An upper bound on the stamps in `retired`: what a scanner-barrier scan
     /// needs covered before it may skip its own barrier.
     newest: u64,
-}
-
-impl<const CADENCE: bool> HpHandle<CADENCE> {
-    /// Michael's scan / the paper's `scan` (Algorithm 3, lines 14–33): free
-    /// every retired node the ledger covers that is absent from a fresh
-    /// snapshot of all hazard pointers; keep the rest for a later scan.
-    fn scan(
-        core: &mut HandleCore<PtrScratch>,
-        scheme: &HpFamily<CADENCE>,
-        retired: &mut SegBag,
-        newest: u64,
-        amortise: bool,
-    ) {
-        let (registry, ledger) = (&scheme.registry, &scheme.ledger);
-        let bags = std::slice::from_mut(retired);
-        // SAFETY: `retired` holds only nodes protected through this scheme's
-        // registry by `OwnedSlots` of the ledger's strategy, each stamped
-        // from the ledger at its retire (or an adopted handle's).
-        unsafe { hp_scan(core, registry, |r| r, bags, ledger, newest, amortise) }
-    }
 }
 
 impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
@@ -198,8 +185,11 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
             self.core
                 .retire(retired, ptr, drop_fn, stamp, birth_era, size_bytes)
         };
-        self.core
-            .after_retire(|core| Self::scan(core, scheme, retired, stamp, true));
+        let (registry, ledger, bags) = (&scheme.registry, &scheme.ledger, from_mut(retired));
+        // SAFETY: `retired` and `stamp`, its newest, are as the type says.
+        let scan =
+            |core: &mut _| unsafe { hp_scan(core, registry, |r| r, bags, ledger, stamp, true) };
+        self.core.after_retire(scan);
     }
 
     fn flush(&mut self) {
@@ -210,8 +200,10 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
             // Adopted nodes carry other handles' stamps; none is newer than now.
             self.newest = self.scheme.ledger.stamp();
         }
-        let (core, retired) = (&mut self.core, &mut self.retired);
-        Self::scan(core, &self.scheme, retired, self.newest, false);
+        let (registry, ledger) = (&self.scheme.registry, &self.scheme.ledger);
+        let (core, bags) = (&mut self.core, from_mut(&mut self.retired));
+        // SAFETY: `retired` and `newest` are as the type says.
+        unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest, false) };
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -234,8 +226,10 @@ impl<const CADENCE: bool> Drop for HpHandle<CADENCE> {
         self.slots.clear_all();
         // Last chance to free what the ledger covers and other threads no
         // longer protect; the rest is parked on the scheme.
-        let (core, retired) = (&mut self.core, &mut self.retired);
-        Self::scan(core, &self.scheme, retired, self.newest, false);
+        let (registry, ledger) = (&self.scheme.registry, &self.scheme.ledger);
+        let (core, bags) = (&mut self.core, from_mut(&mut self.retired));
+        // SAFETY: `retired` and `newest` are as the type says.
+        unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest, false) };
         self.core.park(&mut self.retired);
         self.scheme.registry.release(self.slot);
     }

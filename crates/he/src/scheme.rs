@@ -1,11 +1,12 @@
 //! The Hazard-Eras scheme object and per-thread handle.
 
+use crate::clock::EraPacer;
 use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, EraPacer, HandleCore, HandleTelemetry, Registry,
-    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, Registry, SchemeCore,
+    SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;

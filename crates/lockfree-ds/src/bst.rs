@@ -1,6 +1,6 @@
 //! Lock-free external binary search tree (Natarajan–Mittal style edge marking).
 //!
-//! The third structure of the paper's evaluation (§7.1, "a binary search tree [27]"):
+//! The third structure of the paper's evaluation (§7.1, "a binary search tree \[27\]"):
 //! an *external* (leaf-oriented) BST — internal nodes only route, every element lives
 //! in a leaf — with deletion coordinated through **edge marking**: two low bits of
 //! each child pointer act as a *flag* ("the leaf below this edge is being deleted")

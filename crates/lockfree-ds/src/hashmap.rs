@@ -1,7 +1,7 @@
 //! Lock-free hash map (Michael's bucket-array of lock-free lists), generic over the
 //! reclamation scheme.
 //!
-//! Michael's SPAA 2002 paper [24] — the source of the linked list the QSense paper
+//! Michael's SPAA 2002 paper \[24\] — the source of the linked list the QSense paper
 //! evaluates — presents its list-based set precisely as the building block of a
 //! high-performance hash table: an array of buckets, each an independent lock-free
 //! ordered list. This module implements that hash table as a key → value map so

@@ -1,7 +1,7 @@
 //! Lock-free sorted linked-list set (Harris–Michael).
 //!
 //! This is the linked list the paper evaluates (§7.1, "a lock-free linked list
-//! [24]"): Michael's hazard-pointer-compatible variant of Harris's algorithm, the
+//! \[24\]"): Michael's hazard-pointer-compatible variant of Harris's algorithm, the
 //! same algorithm the paper's appendix (Algorithms 6 and 7) annotates with QSense
 //! calls. Nodes carry a logical-deletion mark in their `next` link word; removal
 //! first marks (logical delete) and then unlinks (physical delete), and traversals

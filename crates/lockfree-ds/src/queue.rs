@@ -1,7 +1,7 @@
 //! Lock-free FIFO queue (Michael–Scott) generic over the reclamation scheme.
 //!
 //! The Michael–Scott queue is the second canonical application of hazard pointers in
-//! Michael's paper [25]: `dequeue` dereferences both the dummy head and its
+//! Michael's paper \[25\]: `dequeue` dereferences both the dummy head and its
 //! successor, so two protection slots per thread are needed (`K = 2`). As with the
 //! ordered sets, every operation follows the paper's three integration rules —
 //! the RAII [`Guard`] brackets the operation, [`Guard::load_protected`] bundles

@@ -1,6 +1,6 @@
 //! Lock-free skip-list set (Fraser / Herlihy–Shavit style) on **versioned links**.
 //!
-//! The skip list the paper evaluates (§7.1, "a lock-free skip list [11]"): a tower of
+//! The skip list the paper evaluates (§7.1, "a lock-free skip list \[11\]"): a tower of
 //! Harris-style lists. Each node owns `height` forward pointers; level 0 holds every
 //! element, upper levels are express lanes. Membership is decided at level 0.
 //!

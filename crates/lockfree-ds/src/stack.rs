@@ -1,7 +1,7 @@
 //! Lock-free stack (Treiber) generic over the reclamation scheme.
 //!
 //! The stack is the canonical first example of the hazard-pointer methodology
-//! (Michael [25] uses it to introduce the technique): `pop` reads the head, must
+//! (Michael \[25\] uses it to introduce the technique): `pop` reads the head, must
 //! dereference it to find its successor, and that dereference is an access hazard —
 //! the head may have been popped and freed by a concurrent thread in the meantime.
 //! One protection slot per thread suffices (`K = 1`): only the current head is ever

@@ -1,5 +1,5 @@
 //! Epoch machinery: the global epoch counter, per-thread epoch records, and the
-//! amortized-O(1) epoch-confirmation cursor.
+//! amortized-O(1) epoch-confirmation cursor — together, the [`EpochDomain`].
 //!
 //! Epochs are monotonically increasing `u64` values; the paper's "three logical
 //! epochs" correspond to the epoch value modulo [`EPOCH_BUCKETS`] (= 3), which is also
@@ -24,7 +24,7 @@
 //! No decision here ever needs a *total* order across unrelated variables, which is
 //! the only thing `SeqCst` would add.
 
-use reclaim_core::CachePadded;
+use reclaim_core::{CachePadded, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of limbo lists per thread (and of logical epochs), as in the paper.
@@ -104,8 +104,7 @@ pub enum CursorCheck {
     Vacant,
     /// The slot — and every slot up to (but excluding) the carried index — is
     /// unclaimed: the pass jumps straight there. Produced by shard-granular
-    /// vacancy tests ([`Registry::skip_vacant_shards`]
-    /// (reclaim_core::registry::Registry::skip_vacant_shards)), which classify
+    /// vacancy tests ([`Registry::skip_vacant_shards`]), which classify
     /// a whole vacant shard on one bitmap load, so a confirmation pass over a
     /// mostly-vacant registry costs O(active shards), not O(capacity).
     /// Soundness matches `Vacant`: a slot vacant at the check can only be
@@ -239,6 +238,66 @@ impl EpochCursor {
             );
         }
         false
+    }
+}
+
+/// The scheme side of the epoch part: `Qsbr` is this plus a registry of
+/// [`EpochRecord`]s, and QSense runs it over its own records as its fast path.
+#[derive(Debug, Default)]
+pub struct EpochDomain {
+    global: GlobalEpoch,
+    /// Cooperative epoch-confirmation state: quiescent states contribute bounded
+    /// slices of the "has everyone adopted the epoch?" check instead of each
+    /// sweeping the whole registry (see [`EpochCursor`]).
+    cursor: EpochCursor,
+}
+
+impl EpochDomain {
+    /// Creates a domain at epoch 0.
+    pub fn new() -> Self {
+        Self {
+            global: GlobalEpoch::new(),
+            cursor: EpochCursor::new(),
+        }
+    }
+
+    /// The current global epoch.
+    #[inline]
+    pub fn current(&self) -> u64 {
+        self.global.load()
+    }
+
+    /// Contributes a bounded slice of the "has every registered thread adopted
+    /// `epoch`?" check and advances the global epoch once the cooperative pass
+    /// completes. Replaces the old full-registry sweep each quiescent state paid.
+    ///
+    /// `epoch_of(i, record)` is the epoch the thread in claimed slot `i` is at,
+    /// or `None` if the scheme excludes it from grace periods (it then counts
+    /// as confirmed, and `grace_drain`'s contract covers it).
+    pub fn poll_epoch_confirmation<R>(
+        &self,
+        epoch: u64,
+        registry: &Registry<R>,
+        epoch_of: impl Fn(usize, &R) -> Option<u64>,
+    ) {
+        let confirmed = self.cursor.poll(epoch, registry.capacity(), |i| {
+            // Shard-granular vacancy first: a wholly-vacant shard is classified
+            // on one bitmap load and the pass jumps straight past it, so
+            // confirmation cost tracks active shards, not capacity.
+            let next = registry.skip_vacant_shards(i);
+            if next > i {
+                CursorCheck::VacantRun(next)
+            } else if !registry.is_claimed(i) {
+                CursorCheck::Vacant
+            } else if epoch_of(i, registry.get(i)).is_none_or(|at| at == epoch) {
+                CursorCheck::Confirmed
+            } else {
+                CursorCheck::Lagging
+            }
+        });
+        if confirmed {
+            self.global.try_advance(epoch);
+        }
     }
 }
 

@@ -10,6 +10,11 @@
 //! about to reuse, safe by Lemma 3 of the paper) or, if every registered thread has
 //! already adopted the current epoch, advances the global epoch.
 //!
+//! The machinery is two parts, which [`Qsbr`] composes and QSense imports as
+//! its fast path: scheme side, the [`EpochDomain`] (global epoch and its
+//! confirmation walk); handle side, the [`EpochLimbo`] (limbo lists, local
+//! epoch, quiescence counter, `quiescent_state()`) with [`grace_drain`].
+//!
 //! The strength of QSBR is its hot path: traversals pay **nothing** — no fences, no
 //! per-node stores. Its weakness, which the paper's Figure 5 (bottom) demonstrates
 //! and this crate reproduces in its tests, is that a single delayed thread stops the
@@ -19,9 +24,11 @@
 #![warn(rust_2018_idioms)]
 
 mod epoch;
+mod limbo;
 mod scheme;
 
-pub use epoch::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
+pub use epoch::{limbo_index, EpochDomain, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
+pub use limbo::{grace_drain, EpochLimbo};
 pub use scheme::{Qsbr, QsbrHandle};
 
 #[cfg(test)]

@@ -28,6 +28,13 @@
 //! issue, the hazard pointers are fenced by their readers instead — detected, never
 //! configured ([`FenceStrategy::detect_rooster`](reclaim_core::FenceStrategy::detect_rooster)).
 //!
+//! The paper builds QSense out of two existing schemes plus a flag, and so does
+//! this crate: the fast path is `qsbr`'s epoch part (`qsbr::{EpochDomain,
+//! EpochLimbo, grace_drain}`), the fallback path `hazard`'s hazard-pointer part
+//! (`hazard::{HpSlots, OwnedSlots, hp_scan}`), both imported. Written here are
+//! Algorithm 5's switch between them ([`FallbackFlag`], [`PresenceFlag`]) and
+//! the eviction extension.
+//!
 //! ## Using it
 //!
 //! ```
@@ -144,6 +151,56 @@ mod tests {
             assert!(snap.quiescent_states > 0);
             assert_eq!(snap.traversal_fences, 0);
         });
+    }
+
+    /// The seam: QSense's fast path is `qsbr`'s code, not a copy of it. A QSense
+    /// that never reaches `C` and never evicts, and a `Qsbr`, driven through the
+    /// identical sequence — two handles taking turns, a third joining late and
+    /// leaving early, flushes in between — count the same quiescent states, the
+    /// same grace drains (wholesale and skipped), retires and frees. (No rooster
+    /// tick is ever entered, so the Cadence scan that ends a QSense flush frees
+    /// nothing: every free on either side is a grace drain.)
+    #[test]
+    fn a_qsense_that_never_leaves_the_fast_path_counts_what_qsbr_counts() {
+        fn drive<S: Smr>(scheme: &Arc<S>) -> [u64; 5] {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let mut turns = [scheme.register(), scheme.register()];
+            let mut late = None;
+            for round in 0..120 {
+                let handle = &mut turns[round % 2];
+                handle.begin_op();
+                for _ in 0..round % 3 {
+                    // SAFETY: fresh from `tracked` (Box::into_raw), retired once.
+                    unsafe { retire_box(handle, tracked(&drops)) };
+                }
+                handle.end_op();
+                match round {
+                    40 => late = Some(scheme.register()),
+                    41..80 => late.as_mut().unwrap().begin_op(),
+                    80 => late = None,
+                    _ if round % 32 == 31 => handle.flush(),
+                    _ => {}
+                }
+            }
+            drop(turns);
+            let s = scheme.stats();
+            assert_eq!(
+                (s.retired, s.freed),
+                (120, drops.load(Ordering::SeqCst) as u64)
+            );
+            [
+                s.quiescent_states,
+                s.scan_wholesale,
+                s.scan_skips,
+                s.retired,
+                s.freed,
+            ]
+        }
+        let config = test_config(1_000_000, 3);
+        let qsense = QSense::with_fence_strategy(config.clone(), FenceStrategy::Rooster);
+        assert_eq!(drive(&qsense), drive(&qsbr::Qsbr::new(config)));
+        assert_eq!(qsense.stats().fallback_switches, 0);
+        assert_eq!(qsense.evicted_count(), 0);
     }
 
     #[test]

@@ -1,13 +1,15 @@
-//! The QSense scheme object and per-thread handle (paper Algorithm 5).
+//! The QSense scheme object and per-thread handle (paper Algorithm 5): the
+//! switch between `qsbr`'s epoch part and `hazard`'s hazard-pointer part.
 
 use crate::path::{FallbackFlag, Path, PresenceFlag};
-use qsbr::{limbo_index, CursorCheck, EpochCursor, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
+use hazard::{hp_scan, HpSlots, OwnedSlots};
+use qsbr::{grace_drain, EpochDomain, EpochLimbo, EpochRecord};
 use reclaim_core::retired::DropFn;
 use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    hp_scan, BarrierLedger, BudgetVerdict, CachePadded, CapacityExhausted, Era, FenceStrategy,
-    HandleCore, HandleTelemetry, HpSlots, OwnedSlots, PtrScratch, Registry, SchemeCore, SegBag,
-    SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
+    BarrierLedger, BudgetVerdict, CachePadded, CapacityExhausted, Era, FenceStrategy, HandleCore,
+    HandleTelemetry, PtrScratch, Registry, SchemeCore, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    Telemetry,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -97,11 +99,8 @@ impl QsenseRecord {
 pub struct QSense {
     core: Arc<SchemeCore<PtrScratch>>,
     registry: Registry<QsenseRecord>,
-    global_epoch: GlobalEpoch,
-    /// Cooperative epoch-confirmation state (see [`EpochCursor`]): quiescent states
-    /// contribute bounded slices of the "everyone at the epoch?" check instead of
-    /// each sweeping the whole registry.
-    cursor: EpochCursor,
+    /// The fast path's scheme side (`qsbr`'s), run over `registry`.
+    epochs: EpochDomain,
     /// Number of currently evicted registered threads. Kept so the fast path's
     /// "may I free this bucket outright?" decision is **one load** instead of the
     /// O(N) registry sweep it used to be; the count is maintained conservatively
@@ -135,8 +134,7 @@ impl QSense {
         Arc::new(Self {
             core: SchemeCore::new("qsense", config),
             registry,
-            global_epoch: GlobalEpoch::new(),
-            cursor: EpochCursor::new(),
+            epochs: EpochDomain::new(),
             evicted_threads: CachePadded::new(AtomicU64::new(0)),
             fallback: FallbackFlag::new(),
             ledger,
@@ -160,46 +158,12 @@ impl QSense {
 
     /// The current global epoch (fast-path diagnostics).
     pub fn current_epoch(&self) -> u64 {
-        self.global_epoch.load()
+        self.epochs.current()
     }
 
     /// The scheme's barrier ledger (diagnostics; tests tick it).
     pub fn ledger(&self) -> &BarrierLedger {
         &self.ledger
-    }
-
-    /// Contributes a bounded slice of the "has every registered, non-evicted
-    /// thread adopted `epoch`?" check and advances the global epoch once the
-    /// cooperative pass completes. Replaces the per-quiescent-state O(N) sweep.
-    ///
-    /// Evicted threads count as confirmed (extension): while any thread is
-    /// evicted, fast-path frees go through the Cadence check (barrier coverage
-    /// and hazard pointers) instead of relying on the grace period alone — see
-    /// [`Self::any_evicted`] — so excluding them here is safe. An eviction lifted
-    /// mid-pass is equally safe: lifting happens only at a reference-free
-    /// operation boundary, which is precisely a quiescent point.
-    fn poll_epoch_confirmation(&self, epoch: u64) {
-        let confirmed = self.cursor.poll(epoch, self.registry.capacity(), |i| {
-            // Shard-granular fast path: if every shard from `i`'s onward up to
-            // `next` is wholly vacant, jump the cursor past the run in one
-            // bitmap probe per shard instead of one check per slot.
-            let next = self.registry.skip_vacant_shards(i);
-            if next > i {
-                CursorCheck::VacantRun(next)
-            } else if !self.registry.is_claimed(i) {
-                CursorCheck::Vacant
-            } else {
-                let record = self.registry.get(i);
-                if record.is_evicted(self.registry.generation(i)) || record.epoch.load() == epoch {
-                    CursorCheck::Confirmed
-                } else {
-                    CursorCheck::Lagging
-                }
-            }
-        });
-        if confirmed {
-            self.global_epoch.try_advance(epoch);
-        }
     }
 
     /// True if every registered, non-evicted thread has set its presence flag since
@@ -341,9 +305,8 @@ impl Smr for QSense {
         let (slot, core) = self.core.register(&self.registry, |config| {
             (SegPool::new(), HpSlots::snapshot_scratch(config))
         })?;
-        let epoch = self.global_epoch.load();
         let record = self.registry.get_mine(slot);
-        record.epoch.store(epoch);
+        let limbo = EpochLimbo::register(&self.epochs, &record.epoch);
         self.note_activity(record);
         Ok(QSenseHandle {
             // SAFETY: the handle's `Arc<QSense>` keeps the registry alive, and
@@ -352,9 +315,7 @@ impl Smr for QSense {
             scheme: Arc::clone(self),
             slot,
             core,
-            limbo: std::array::from_fn(|_| SegBag::new()),
-            local_epoch: epoch,
-            ops_since_quiescence: 0,
+            limbo,
             prev_seen_path: Path::Fast,
         })
     }
@@ -378,7 +339,13 @@ impl Smr for QSense {
     }
 }
 
-/// Per-thread handle for [`QSense`].
+/// Per-thread handle for [`QSense`]: both parts' handle sides, and a path.
+///
+/// The limbo holds only nodes this scheme's handles retired, each protected
+/// through `OwnedSlots` of the ledger's strategy and stamped from the ledger
+/// at its retire, **on either path** (§5.2): [`hp_scan`]'s contract, at all
+/// three call sites. The strategy is never scanner-barrier, so the newest
+/// stamp is not consulted.
 pub struct QSenseHandle {
     scheme: Arc<QSense>,
     slot: SlotId,
@@ -386,14 +353,10 @@ pub struct QSenseHandle {
     hps: OwnedSlots,
     /// Its retire counter is `free_node_later_call_count` in Algorithm 5.
     core: HandleCore<PtrScratch>,
-    /// One limbo list per logical epoch (fast path); scanned as a whole by the
-    /// fallback path ("QSBR's limbo_list becomes the removed_nodes_list scanned by
-    /// Cadence", paper §5.2). All three share the core's segment pool, so a
-    /// bucket growing past another's high-water mark still never allocates.
-    limbo: [SegBag; EPOCH_BUCKETS],
-    local_epoch: u64,
-    /// `call_count` in Algorithm 5.
-    ops_since_quiescence: usize,
+    /// The fast path's limbo lists, local epoch and `call_count`; scanned as a
+    /// whole by the fallback path ("QSBR's limbo_list becomes the
+    /// removed_nodes_list scanned by Cadence", paper §5.2).
+    limbo: EpochLimbo,
     /// `prev_seen_fallback_flag` in Algorithm 5.
     prev_seen_path: Path,
 }
@@ -408,61 +371,34 @@ impl QSenseHandle {
         self.prev_seen_path
     }
 
-    /// QSBR-style quiescent state (fast path): adopt the global epoch — freeing the
-    /// limbo bucket the new epoch maps to — or help advance it.
-    fn quiescent_state(&mut self) {
-        self.core.stats().add_quiescent_state();
-        let global = self.scheme.global_epoch.load();
-        if self.local_epoch == global {
-            self.scheme.poll_epoch_confirmation(global);
-            return;
-        }
-        self.record().epoch.store(global);
-        self.local_epoch = global;
-        let bucket = &mut self.limbo[limbo_index(global)];
-        if self.scheme.any_evicted() {
-            // Eviction extension: grace periods no longer cover evicted threads,
-            // so while any thread is evicted the bucket is freed through the
-            // Cadence condition instead (covered by a completed barrier + not
-            // hazard-pointer protected), which covers evicted and non-evicted
-            // threads alike.
-            let bucket = std::slice::from_mut(bucket);
-            Self::cadence_scan(&mut self.core, &self.scheme, bucket, false);
-            return;
-        }
-        self.core.scan(|reclaim, _| {
-            if bucket.is_empty() {
-                // Nothing matured in this bucket: the grace drain passes it over.
-                reclaim.stats().add_scan_skip();
-            } else {
-                // Grace-period drains free the whole bucket, no per-node tests.
-                reclaim.stats().add_scan_wholesale();
-            }
-            // SAFETY: Lemma 3 / Property 5 of the paper — a full grace period has
-            // elapsed since the nodes in this bucket were retired (counting every
-            // registered thread, since none is evicted), so no thread holds a
-            // hazardous reference to them. Identical argument to the `qsbr` crate.
-            unsafe { reclaim.free_all(bucket) };
-        });
-    }
-
-    /// A Cadence scan over `bags`: all three limbo lists on the fallback path
-    /// (paper Algorithm 5 lines 45–47 scan every epoch's list), one bucket on
-    /// the evicted fast path. Frees nodes a completed barrier covers and no
-    /// hazard pointer holds; keeps the rest.
-    fn cadence_scan(
-        core: &mut HandleCore<PtrScratch>,
-        scheme: &QSense,
-        bags: &mut [SegBag],
-        amortise: bool,
-    ) {
+    /// The fast path: `qsbr`'s quiescent state, with the two things the
+    /// eviction extension adds to it. Grace periods do not cover evicted
+    /// threads: they count as confirmed, and while any thread is evicted a
+    /// matured bucket is freed through the Cadence condition instead (covered
+    /// by a completed barrier + not hazard-pointer protected), which covers
+    /// evicted and non-evicted threads alike — so excluding them is safe. An
+    /// eviction lifted mid-pass is equally safe: lifting happens only at a
+    /// reference-free operation boundary, which is precisely a quiescent point.
+    fn fast_path(&mut self) {
+        let scheme = &*self.scheme;
         let (registry, ledger) = (&scheme.registry, &scheme.ledger);
-        // SAFETY: QSense maintains hazard pointers at all times — through
-        // `OwnedSlots` of the ledger's strategy — and stamps every retire from
-        // the ledger, on either path, so the family's free rule holds for
-        // nodes retired on both. The strategy is never scanner-barrier, so the
-        // newest stamp is not consulted.
-        unsafe { hp_scan(core, registry, |r| &r.hps, bags, ledger, 0, amortise) }
+        let mine = &registry.get_mine(self.slot).epoch;
+        let epoch_of = |i, record: &QsenseRecord| {
+            (!record.is_evicted(registry.generation(i))).then(|| record.epoch.load())
+        };
+        let (limbo, stats) = (&mut self.limbo, self.core.stats());
+        let matured = limbo.quiescent_state(stats, &scheme.epochs, mine, registry, epoch_of);
+        let Some(bucket) = matured else { return };
+        if scheme.any_evicted() {
+            let (core, bucket) = (&mut self.core, std::slice::from_mut(bucket));
+            // SAFETY: a bucket of the limbo, which is as the type says.
+            unsafe { hp_scan(core, registry, |r| &r.hps, bucket, ledger, 0, false) };
+        } else {
+            // SAFETY: the bucket just handed back, and (Property 5 of the
+            // paper) its grace period counted every registered thread, since
+            // none is evicted.
+            unsafe { grace_drain(&mut self.core, bucket) };
+        }
     }
 
     /// The body of `manage_qsense_state` once the batching threshold fires
@@ -474,7 +410,7 @@ impl QSenseHandle {
         match self.scheme.fallback.load() {
             Path::Fast => {
                 // Common case: run the fast path.
-                self.quiescent_state();
+                self.fast_path();
                 self.prev_seen_path = Path::Fast;
             }
             Path::Fallback => {
@@ -490,7 +426,7 @@ impl QSenseHandle {
                     // Start a fresh observation window for the next fallback episode.
                     self.scheme.reset_presence();
                     self.prev_seen_path = Path::Fast;
-                    self.quiescent_state();
+                    self.fast_path();
                 } else {
                     self.prev_seen_path = Path::Fallback;
                 }
@@ -503,9 +439,7 @@ impl SmrHandle for QSenseHandle {
     fn begin_op(&mut self) {
         // `manage_qsense_state`: batch the real work, once every Q calls
         // (Algorithm 5, lines 13–17).
-        self.ops_since_quiescence += 1;
-        if self.ops_since_quiescence >= self.core.config().quiescence_threshold {
-            self.ops_since_quiescence = 0;
+        if self.limbo.due(self.core.config().quiescence_threshold) {
             self.manage_state();
         }
     }
@@ -529,34 +463,41 @@ impl SmrHandle for QSenseHandle {
         // `free_node_later` (Algorithm 5, lines 36–61). The stamp — the ticket
         // of the last barrier started before now, after the caller's unlink —
         // is recorded regardless of the current path (§5.2).
-        let stamp = self.scheme.ledger.stamp();
-        let bucket = &mut self.limbo[limbo_index(self.local_epoch)];
+        let scheme = &*self.scheme;
+        let (registry, ledger) = (&scheme.registry, &scheme.ledger);
+        let stamp = ledger.stamp();
+        let bucket = self.limbo.current();
         // SAFETY: forwarded from the caller's contract.
         unsafe {
             self.core
                 .retire(bucket, ptr, drop_fn, stamp, birth_era, size_bytes)
         };
 
-        let seen = self.scheme.fallback.load();
+        // Running in fallback mode: all three limbo lists are scanned, by
+        // Cadence's rule (Algorithm 5, lines 45–47).
+        let scan_all = |core: &mut HandleCore<PtrScratch>, limbo: &mut EpochLimbo| {
+            // SAFETY: the limbo is as the type says.
+            unsafe { hp_scan(core, registry, |r| &r.hps, limbo.bags(), ledger, 0, true) }
+        };
+        let seen = scheme.fallback.load();
         if seen == Path::Fallback && self.core.scan_due() {
-            // Running in fallback mode: all three limbo lists are scanned.
-            Self::cadence_scan(&mut self.core, &self.scheme, &mut self.limbo, true);
+            scan_all(&mut self.core, &mut self.limbo);
             self.prev_seen_path = Path::Fallback;
         } else if self.prev_seen_path == Path::Fallback && seen == Path::Fast {
             // Switch back to the fast path was triggered by another thread.
-            self.quiescent_state();
+            self.fast_path();
             self.prev_seen_path = Path::Fast;
         } else if self.prev_seen_path == Path::Fast
             && self.core.in_limbo() >= self.core.config().fallback_threshold
         {
             // This thread's limbo list has grown past C: quiescence has not been
             // possible for a while, so trigger the switch to the fallback path.
-            if self.scheme.fallback.trigger_fallback() {
+            if scheme.fallback.trigger_fallback() {
                 self.core.stats().add_fallback_switch();
-                self.scheme.reset_presence();
+                scheme.reset_presence();
             }
             self.prev_seen_path = Path::Fallback;
-            Self::cadence_scan(&mut self.core, &self.scheme, &mut self.limbo, true);
+            scan_all(&mut self.core, &mut self.limbo);
         } else {
             // Over the byte budget before the node-count fallback threshold C
             // fired — typically large payloads behind a stalled grace period.
@@ -566,7 +507,7 @@ impl SmrHandle for QSenseHandle {
             // barriers not yet completed (or live protections) keep the bytes
             // pinned, the core sheds a little retire-side speed so limbo stops
             // compounding while the rooster catches up.
-            let (scheme, limbo, prev) = (&*self.scheme, &mut self.limbo, &mut self.prev_seen_path);
+            let (limbo, prev) = (&mut self.limbo, &mut self.prev_seen_path);
             self.core.enforce_budget(|core| {
                 if seen == Path::Fast && scheme.fallback.trigger_fallback() {
                     core.stats().add_fallback_switch();
@@ -574,25 +515,27 @@ impl SmrHandle for QSenseHandle {
                     scheme.reset_presence();
                 }
                 *prev = Path::Fallback;
-                Self::cadence_scan(core, scheme, limbo, true)
+                scan_all(core, limbo)
             });
         }
     }
 
     fn flush(&mut self) {
         self.hps.publish_fence_count(self.core.stats());
-        // Adopt limbo leftovers of exited threads into the current bucket: they
-        // were unlinked before the adoption, so the grace-period argument covers
-        // them from here on, and the Cadence check by the stamps they carry.
-        self.core
-            .adopt_parked(&mut self.limbo[limbo_index(self.local_epoch)]);
+        // Adopted leftovers of exited threads were unlinked before the
+        // adoption, so the grace-period argument covers them from here on, and
+        // the Cadence check by the stamps they carry.
+        self.core.adopt_parked(self.limbo.current());
         // Give both paths a chance: cycle quiescent states (frees whole buckets if
         // the epoch can advance) and run one Cadence scan (frees covered, unprotected
         // nodes even if it cannot).
-        for _ in 0..2 * EPOCH_BUCKETS {
-            self.quiescent_state();
+        for _ in 0..EpochLimbo::FLUSH_CYCLE {
+            self.fast_path();
         }
-        Self::cadence_scan(&mut self.core, &self.scheme, &mut self.limbo, false);
+        let (registry, ledger) = (&self.scheme.registry, &self.scheme.ledger);
+        let (core, bags) = (&mut self.core, self.limbo.bags());
+        // SAFETY: the limbo is as the type says.
+        unsafe { hp_scan(core, registry, |r| &r.hps, bags, ledger, 0, false) };
     }
 
     fn local_in_limbo(&self) -> usize {
@@ -612,11 +555,7 @@ impl Drop for QSenseHandle {
     fn drop(&mut self) {
         self.hps.clear_all();
         self.flush();
-        let mut leftovers = SegBag::new();
-        for bag in &mut self.limbo {
-            leftovers.splice(bag);
-        }
-        self.core.park(&mut leftovers);
+        self.core.park(&mut self.limbo.take_all());
         // Refresh activity and lift any standing eviction *while still the slot
         // owner* — the record must never be touched after `release`, because a
         // successor thread may already own it (clearing a successor's eviction

@@ -19,7 +19,7 @@
 //!   one row for the hazard-pointer publish/scan race, one for EBR's pin
 //!   against the epoch advance. It is the check behind where classic HP and
 //!   EBR pay their fence (`reclaim_core::fence`).
-//! * [`fixture`] *(feature `check-oracle`)* — the pre-versioned-link skip
+//! * `fixture` *(feature `check-oracle`)* — the pre-versioned-link skip
 //!   list linking bug resurrected in a two-level model, proving the explorer
 //!   finds the historical re-link UAF without a hand-written schedule.
 //!

@@ -10,8 +10,8 @@
 //!    ([`HandleCore`](crate::limbo::HandleCore)) at a bounded *grain*, plus a
 //!    parked counter so a dying handle's leftovers never go invisible — and
 //!    records the high-water mark ([`peak`](BudgetGovernor::peak_bytes));
-//! 2. **enforces** an optional budget ([`SmrConfig::limbo_budget`]
-//!    (crate::config::SmrConfig::limbo_budget)): when the estimate crosses it,
+//! 2. **enforces** an optional budget
+//!    ([`limbo_budget`](crate::config::SmrConfig::limbo_budget)): when the estimate crosses it,
 //!    the retire path escalates in a fixed ladder — force an immediate scan,
 //!    scheme-specific boosts (the HE era pacer, which adapts to this
 //!    estimate, ticks faster; QSense trips its fallback path early), and as a
@@ -173,7 +173,7 @@ impl BudgetGovernor {
 
     /// The scheme-wide limbo-byte estimate (stripes + parked, clamped at 0).
     /// O(#stripes) relaxed loads — report, scan-time era pacing
-    /// ([`EraPacer::adapt`](crate::clock::EraPacer::adapt)) and diagnostics.
+    /// (`he::EraPacer::adapt`) and diagnostics.
     pub fn estimate(&self) -> u64 {
         let total: i64 = self
             .stripes

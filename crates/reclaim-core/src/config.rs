@@ -76,7 +76,7 @@ pub struct SmrConfig {
     /// `epoch_freq` ballpark) or an interval that adapts to the scheme-wide
     /// limbo-byte estimate ([`EraAdvancePolicy::Adaptive`]), bounding
     /// stalled-reader garbage by bytes retired instead of a constant. See
-    /// [`crate::clock::EraPacer`].
+    /// `he::EraPacer`.
     pub era_policy: EraAdvancePolicy,
     /// **Extension (observability).** Enables the telemetry histograms
     /// ([`crate::telemetry`]): 1-in-N sampled guard-bracket op latency, scan

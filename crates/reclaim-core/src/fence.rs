@@ -174,11 +174,14 @@ impl ProcessBarrier {
     }
 }
 
-#[cfg(test)]
 thread_local! {
     /// Test hook: while set, [`expedited_barrier`] on this thread reports a
-    /// refusal without calling the kernel.
-    pub(crate) static REFUSE_EXPEDITED: std::cell::Cell<bool> =
+    /// refusal without calling the kernel. Public, and compiled always,
+    /// because the scan it refuses lives in `hazard` (`hp_scan`), whose tests
+    /// this crate's `cfg(test)` does not reach; one thread-local load per
+    /// barrier, against the microseconds the barrier costs.
+    #[doc(hidden)]
+    pub static REFUSE_EXPEDITED: std::cell::Cell<bool> =
         const { std::cell::Cell::new(false) };
 }
 
@@ -193,7 +196,6 @@ thread_local! {
 /// must free nothing on the strength of this call.
 #[must_use]
 pub fn expedited_barrier() -> bool {
-    #[cfg(test)]
     if REFUSE_EXPEDITED.get() {
         return false;
     }
@@ -206,7 +208,7 @@ pub fn expedited_barrier() -> bool {
 }
 
 /// [`expedited_barrier`] as a scan issues it — the one author of the scanner's
-/// half, for [`hp_scan`](crate::hp_scan) and EBR's epoch advance alike: counted
+/// half, for `hazard::hp_scan` and EBR's epoch advance alike: counted
 /// in `heavy_barriers` on `stats`, a refusal also in `heavy_barrier_failures`.
 /// On `false` the caller frees nothing and advances nothing.
 #[must_use]

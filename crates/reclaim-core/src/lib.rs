@@ -4,8 +4,26 @@
 //! reproducing *"Fast and Robust Memory Reclamation for Concurrent Data Structures"*
 //! (Balmau, Guerraoui, Herlihy, Zablotchi — SPAA 2016).
 //!
-//! This crate contains everything the individual schemes (`hazard`, `qsbr`, `cadence`,
-//! `qsense`) have in common:
+//! This crate contains what the individual schemes (`hazard`, `qsbr`, `qsense`,
+//! `ebr`, `he`, `refcount`) have in common, and **only what two scheme families
+//! share**: code with one customer lives in that customer's crate. The
+//! hazard-pointer slots and scan are `hazard`'s (`hazard::{HpSlots, OwnedSlots,
+//! hp_scan}`: HP, Cadence and QSense's fallback path, which imports them); the
+//! epoch domain and limbo are `qsbr`'s (`qsbr::{EpochDomain, EpochLimbo}`: QSBR
+//! and QSense's fast path); the era clock and its pacer are `he`'s; the
+//! counting allocator is `workload`'s. Three things stay here although they
+//! look like one family's:
+//!
+//! * [`fence::FenceStrategy`] — EBR's pin runs it as well as the hazard-pointer
+//!   family's `protect`;
+//! * [`fence::BarrierLedger`] and the process rooster behind it — today only
+//!   the hazard-pointer family stamps and frees by it, but it is a property of
+//!   the *process* (one rooster, however many schemes), and ROADMAP direction 3
+//!   makes EBR's advance and HE's scan its next customers;
+//! * [`scratch::PtrScratch`] — the sorted-snapshot buffer of the
+//!   hazard-pointer family is also `refcount`'s.
+//!
+//! The rest:
 //!
 //! * the [`Smr`] / [`SmrHandle`] traits — the three-function interface the paper
 //!   prescribes (`manage_qsense_state`, `assign_HP`, `free_node_later`) plus the
@@ -16,10 +34,10 @@
 //!   no-op for every other scheme;
 //! * the [`limbo`] retire pipeline every scheme shares — a [`SchemeCore`] per
 //!   scheme instance and a [`HandleCore`] per handle (see "What a scheme
-//!   implements vs what the core owns" below) — and the [`HpSlots`] record +
-//!   [`hp_scan`] the hazard-pointer family shares, with the [`fence`] module
-//!   that says where each member pays for the fence between a publication and
-//!   its validation (the reader, the scanner, or a rooster and a wait);
+//!   implements vs what the core owns" below) — with the [`fence`] module
+//!   that says where each member of the hazard-pointer family, and EBR, pays
+//!   for the fence between a publication and its validation (the reader, the
+//!   scanner, or a rooster and a wait);
 //! * a [`registry::Registry`] of per-thread slots with interior-mutable per-thread
 //!   state that other threads may scan (hazard pointers, epochs, presence flags),
 //!   striped into claim-bitmap **shards** of [`registry::SHARD_SLOTS`] so scans
@@ -38,9 +56,10 @@
 //!   segment chains recycled through a per-handle [`segbag::SegPool`], so the
 //!   steady-state retire/scan/reclaim pipeline never touches the allocator;
 //! * a [`clock::Clock`] abstraction (real, monotonic nanoseconds) with a manually
-//!   driven variant for deterministic tests, and the global [`clock::EraClock`]
-//!   logical clock of the era schemes;
-//! * low-level utilities: [`pad::CachePadded`] and [`backoff::Backoff`];
+//!   driven variant for deterministic tests, and the [`clock::Era`] type and
+//!   [`clock::EraAdvancePolicy`] of the era schemes (what [`retired::RetiredPtr`]
+//!   and [`SmrConfig`] carry; the clock itself is `he::EraClock`);
+//! * low-level utilities: [`pad::CachePadded`];
 //! * the [`leaky::Leaky`] "scheme" (no reclamation at all), the paper's *None*
 //!   baseline;
 //! * [`config::SmrConfig`] holding every tunable the paper names
@@ -67,13 +86,13 @@
 //! [`SmrHandle::local_in_limbo`] / [`SmrHandle::local_limbo_bytes`] answer
 //! from, what the handle reports to the scheme's [`BudgetGovernor`], and — via
 //! the governor's scheme-wide estimate, the only one there is — what HE's
-//! [`EraPacer`] adapts to.
+//! `he::EraPacer` adapts to.
 //!
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
-//! | its reservation record in a [`Registry`] (hazard slots — the shared [`HpSlots`] —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is [`OwnedSlots::protect`], fence included | the [`SmrConfig`], the counter stripes behind [`Smr::stats`], the budget governor, the [`Telemetry`] histograms |
+//! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes behind [`Smr::stats`], the budget governor, the [`Telemetry`] histograms |
 //! | the limbo *shape*: which [`SegBag`] a retired node goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) | the **stamp** and the ledger entry: retire/byte counters, [`RetiredPtr`] construction, the telemetry tick, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
-//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family shares both ([`hp_scan`]) and hands over only its [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed reclaim**: scan timing, retire→free delays, freed counters, the ledger debit, the post-scan budget report — [`HandleCore::scan`]; for the hazard-pointer family also the one free rule, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
+//! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed reclaim**: scan timing, retire→free delays, freed counters, the ledger debit, the post-scan budget report — [`HandleCore::scan`]; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer); an optional scan batch ([`SchemeCore::with_scan_batch`]: HP's scanner-barrier protocol scans every `8 R` retires to amortise its barrier) | the **ladder**, fed from the ledger: count threshold (`scan_threshold` × the scheme's batch, fixed per handle at attach) → forced scan on a budget crossing, wherever in the batch it lands → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
 //! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain with ledger and byte estimate conserved ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]), the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
 //!
@@ -94,16 +113,16 @@
 //! | frequency | work | shared-memory cost |
 //! |-----------|------|--------------------|
 //! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, an O(#buckets) bucket-age check (EBR only); one era announcement — an era load plus, on change, a fenced reservation store (HE only) | none (EBR: one relaxed store on `begin_op` and one release store on `end_op`, to one owned padded line; HE: one era store per op to an owned padded line, fenced only when the era moved) |
-//! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record ([`OwnedSlots`]), into a 128-byte block no other thread's slots share ([`HpSlots`]); HE's amortized cost here is ~zero (eras advance once per [`clock::EraPacer::current_interval`] allocations, not per node) |
-//! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every [`clock::EraPacer::current_interval`] allocations (HE only; no-op for every other scheme). The interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] — the pacer's entire allocation-side cost | one acquire load of the (mostly read-shared) era line |
+//! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record (`hazard::OwnedSlots`), into a 128-byte block no other thread's slots share (`hazard::HpSlots`); HE's amortized cost here is ~zero (eras advance once per `he::EraPacer::current_interval` allocations, not per node) |
+//! | per node allocated ([`smr::SmrHandle::alloc_node`]) | birth-era stamp: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme). The interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] — the pacer's entire allocation-side cost | one acquire load of the (mostly read-shared) era line |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
-//! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochCursor`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
-//! | per scan (every `R` retires; every `8 R` for HP, whose pool is pre-sized to match, and for EBR's epoch-advance attempts, under their scanner-barrier protocol) | under that protocol, first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host, which is what the ×8 amortises (measurements: [`fence::SCANNER_BARRIER_SCAN_BATCH`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge — for the hazard-pointer family's retire-triggered scans over at most two scan intervals' worth of freed nodes, so that the whole interval a rooster tick covers at once is not freed in one burst ([`hp_scan`]; `flush` and `Drop` take everything); the ledger debit and one delta report of the handle's post-scan bytes to its governor stripe ([`limbo::HandleCore::scan`]); under the adaptive era policy (HE), one more O(#stripes) read of the governor's estimate to re-choose the tick interval ([`clock::EraPacer::adapt`] — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
+//! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochDomain`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
+//! | per scan (every `R` retires; every `8 R` for HP, whose pool is pre-sized to match, and for EBR's epoch-advance attempts, under their scanner-barrier protocol) | under that protocol, first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host, which is what the ×8 amortises (measurements: [`fence::SCANNER_BARRIER_SCAN_BATCH`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::reclaim_if`]) plus at most one O(1) adjacent-segment merge — for the hazard-pointer family's retire-triggered scans over at most two scan intervals' worth of freed nodes, so that the whole interval a rooster tick covers at once is not freed in one burst (`hazard::hp_scan`; `flush` and `Drop` take everything); the ledger debit and one delta report of the handle's post-scan bytes to its governor stripe ([`limbo::HandleCore::scan`]); under the adaptive era policy (HE), one more O(#stripes) read of the governor's estimate to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches** (counted in [`stats::StatsSnapshot::shard_skips`]), so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
 //! | per `retire` (byte accounting) | stamp `size_of::<T>()` into the [`retired::RetiredPtr`] (a compile-time constant written next to the stamp the wrapper already carries; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated governor observation of the ledger ([`limbo::HandleCore::enforce_budget`]) — a comparison against the handle's last-reported figure, escalating to a striped `fetch_add` plus an O(#stripes) estimate refresh only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; the governor add touches one of 8 `CachePadded` stripes, and only once per grain of churn — **no per-retire shared write** |
-//! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's [`clock::EraPacer`] speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
+//! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per node allocated ([`guard::Owned::new`]) | one heap allocation of value + one-word birth-era header; the `alloc_node` stamp above written into the header | identical to `alloc_node` |
@@ -174,7 +193,7 @@
 //! 1. **forced scan** — a budget crossing on the retire path forces a
 //!    reclamation pass on the retiring handle, threshold counters
 //!    notwithstanding;
-//! 2. **scheme-specific pressure lever** — HE's [`clock::EraPacer`] (under the
+//! 2. **scheme-specific pressure lever** — HE's `he::EraPacer` (under the
 //!    adaptive policy) takes a quarter of the budget as its low-water mark and
 //!    tightens the era cadence; QSense trips its hybrid fallback switch
 //!    *early* (before the node-count threshold `C` would);
@@ -294,7 +313,7 @@
 //! argument (`crates/reclaim-check` drives both; neither exists in a default
 //! build):
 //!
-//! **The shadow-heap oracle** (`feature = "check-oracle"`, the [`oracle`]
+//! **The shadow-heap oracle** (`feature = "check-oracle"`, the `oracle`
 //! module) tracks every node in an address-keyed state machine —
 //! `Live → Retired → Freed`:
 //!
@@ -306,14 +325,14 @@
 //! * [`retired::RetiredPtr::reclaim`] — the single free choke point — marks
 //!   it **Freed**; under the explorer's *quarantine* mode the destructor is
 //!   skipped, the first 8 bytes of the node are overwritten with
-//!   [`oracle::CANARY`] (`0xDEAD_BEEF_5AFE_CA4E`) and the allocation is
+//!   `oracle::CANARY` (`0xDEAD_BEEF_5AFE_CA4E`) and the allocation is
 //!   leaked, so a freed address can never be reused and mask a UAF;
 //! * every validated [`guard::Guard::load_protected`] /
 //!   [`guard::Guard::protect_word`] success and every [`guard::Shared`] /
 //!   [`guard::Unlinked`] dereference is a **checkpoint**: a `Freed` verdict
 //!   panics on the spot, naming the node address, its shadow state, the
 //!   canary status and the context (scheme + schedule) the harness installed
-//!   via [`oracle::set_context`] — a reservation-coverage violation becomes a
+//!   via `oracle::set_context` — a reservation-coverage violation becomes a
 //!   deterministic verdict at the exact instruction that would have touched
 //!   freed memory.
 //!
@@ -343,14 +362,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod alloc_track;
-pub mod backoff;
 pub mod budget;
 pub mod clock;
 pub mod config;
 pub mod fence;
 pub mod guard;
-pub mod hp_slots;
 pub mod leaky;
 pub mod lease;
 pub mod limbo;
@@ -366,17 +382,13 @@ pub mod stats;
 pub mod tagged;
 pub mod telemetry;
 
-pub use alloc_track::CountingAllocator;
-pub use backoff::Backoff;
 pub use budget::{BudgetGovernor, BudgetVerdict};
 pub use clock::{
-    Clock, Era, EraAdvancePolicy, EraClock, EraPacer, ManualClock, Nanos,
-    DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA,
+    Clock, Era, EraAdvancePolicy, ManualClock, Nanos, DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA,
 };
 pub use config::SmrConfig;
 pub use fence::{BarrierLedger, FenceStrategy};
 pub use guard::{Atomic, Guard, Owned, Shared, Unlinked};
-pub use hp_slots::{hp_scan, HpSlots, OwnedSlots};
 pub use leaky::{Leaky, LeakyHandle};
 pub use lease::{HandleLease, LeaseExhausted, LeasePolicy, LeasePool};
 pub use limbo::{HandleCore, Reclaim, SchemeCore};

@@ -359,7 +359,7 @@ impl<T> Registry<T> {
 
     /// If slot `index`'s shard is wholly vacant, returns the first index of the
     /// next non-vacant shard (or `capacity` if none) — the jump target that lets
-    /// cursor walks ([`EpochCursor::poll`](../qsbr-crate) consumers) step over
+    /// cursor walks (`qsbr::EpochDomain`'s confirmation) step over
     /// vacant shards in O(#shards) instead of O(capacity). Returns `index`
     /// unchanged when its shard has any claimed slot. Skipped shards are counted
     /// in [`StatsSnapshot::shard_skips`].

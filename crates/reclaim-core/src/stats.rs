@@ -153,7 +153,7 @@ impl StatStripe {
 
     /// Records `n` nodes freed.
     ///
-    /// The release ordering pairs with the acquire load in [`merge_into`]
+    /// The release ordering pairs with the acquire load in [`merge_into`](Self::merge_into)
     /// (which reads `freed` *before* `retired`): any free observed by a snapshot
     /// carries a happens-before edge to its own retire — a node is always retired
     /// by its owner before that same owner frees it — so a snapshot can never

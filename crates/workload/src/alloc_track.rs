@@ -10,7 +10,7 @@
 //! global allocator):
 //!
 //! ```ignore
-//! use reclaim_core::alloc_track::CountingAllocator;
+//! use workload::CountingAllocator;
 //!
 //! #[global_allocator]
 //! static ALLOC: CountingAllocator = CountingAllocator::new();

@@ -1,12 +1,11 @@
 //! Seeded, deterministic fault injection: the robustness claims as runnable
 //! scenarios.
 //!
-//! [`stall_churn`](crate::stall_churn) demonstrates one failure shape (a
-//! reader stalled mid-operation). This module generalizes it into a
-//! [`FaultPlan`] — a seeded, deterministic schedule of one injected fault
-//! running against a background allocate→retire churn — so the scheme ×
-//! fault matrix the paper argues about informally becomes something the CLI
-//! and CI can execute and assert on:
+//! A [`FaultPlan`] is a seeded, deterministic schedule of one injected fault
+//! running against a background allocate→retire churn with handle churn
+//! (the writer is dropped and re-registered every few episodes, exercising
+//! the park/adopt path) — so the scheme × fault matrix the paper argues about
+//! informally becomes something the CLI and CI can execute and assert on:
 //!
 //! * [`FaultKind::StalledReader`] — a reader re-enters an operation each
 //!   episode and goes silent inside it (the paper's delay experiment, §7.2);
@@ -20,8 +19,13 @@
 //!   length land at reproducible but non-periodic points.
 //!
 //! Every retired node carries the same fixed [`PAYLOAD_BYTES`] payload, so
-//! byte budgets translate to node counts by hand and two runs differing only
-//! in scheme are sample-by-sample comparable.
+//! byte budgets translate to node counts by hand. A run is single-threaded and
+//! allocation-order deterministic (a "stall" is a handle that begins an
+//! operation and stops), so two runs differing only in scheme — or only in
+//! HE's era-advance policy, which is what the stalled reader shows best: the
+//! static policy pins up to one era interval of the burst per stall, the
+//! adaptive one less with every stall — are sample-by-sample comparable
+//! (`tests/robustness_bounds.rs`).
 
 use crate::sampler::{mean, peak, percentile, LimboSampler};
 use crate::structures::SchemeKind;
@@ -189,8 +193,7 @@ impl SplitMix64 {
 /// Runs `plan` against `scheme` and returns the sampled trajectory plus the
 /// scheme's budget verdict. Generic over [`Smr`] so era schemes (whose
 /// `alloc_node` stamps real birth eras) and the epoch schemes run the
-/// byte-identical operation sequence — the same contract as
-/// [`run_stall_churn`](crate::stall_churn::run_stall_churn).
+/// byte-identical operation sequence.
 // Sanctioned raw-protocol site: the fault injector drives the raw retire
 // pipeline below the guard layer on purpose, measuring the scheme itself.
 #[allow(clippy::disallowed_methods)]
@@ -288,7 +291,7 @@ pub fn run_fault<S: Smr>(scheme: &Arc<S>, plan: &FaultPlan) -> FaultResult {
         }
     }
 
-    // Release the fault and clean up, exactly as stall-churn does.
+    // Release the fault and clean up.
     if let Some(mut f) = faulty.take() {
         if faulty_mid_op {
             f.end_op();
@@ -402,6 +405,20 @@ mod tests {
         );
         assert_eq!(result.end_limbo, 0, "cleanup drains the limbo");
         assert_eq!(result.end_limbo_bytes, 0);
+    }
+
+    #[test]
+    fn stalled_reader_fault_samples_every_episode_and_cleans_up_under_he() {
+        let plan = quick_plan(FaultKind::StalledReader);
+        let scheme = he::He::new(default_fault_config(None).with_era_advance_interval(16));
+        let result = run_fault(&scheme, &plan);
+        assert_eq!(result.limbo_samples.len(), plan.episodes);
+        assert_eq!(result.total_retired, (plan.episodes * plan.burst) as u64);
+        assert!(result.peak_limbo() >= result.end_limbo);
+        // Once the reader is released everything must eventually free.
+        assert_eq!(result.end_limbo, 0, "cleanup drains the limbo");
+        let stats = scheme.stats();
+        assert_eq!(stats.retired, stats.freed);
     }
 
     #[test]

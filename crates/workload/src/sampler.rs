@@ -1,11 +1,9 @@
-//! Per-episode limbo sampling shared by the robustness scenarios.
+//! Per-episode limbo sampling for the robustness scenarios.
 //!
-//! [`stall_churn`](crate::stall_churn) and [`faults`](crate::faults) both run
-//! episode loops that snapshot the scheme-wide limbo after every forced
-//! reclamation pass. The sampling (and the peak/mean reductions the reports
-//! and CI assertions use) lives here so the two scenarios stay trajectory-
-//! compatible: a stalled-reader fault run and a classic stall-churn run with
-//! the same shape produce samples reduced by exactly the same code.
+//! [`faults`](crate::faults) runs episode loops that snapshot the scheme-wide
+//! limbo after every forced reclamation pass. The sampling (and the peak/mean
+//! reductions the reports and CI assertions use) lives here, so every
+//! trajectory is reduced by exactly the same code.
 
 use reclaim_core::Smr;
 use std::sync::Arc;

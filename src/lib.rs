@@ -15,7 +15,7 @@
 //! * [`ds`] — the lock-free data structures of the paper's evaluation, generic over
 //!   the scheme: [`ds::HarrisMichaelList`], [`ds::LockFreeSkipList`],
 //!   [`ds::LockFreeBst`];
-//! * [`bench`] — the workload/measurement harness behind `qsense-bench` (the
+//! * [`mod@bench`] — the workload/measurement harness behind `qsense-bench` (the
 //!   figure table) and `benchmark/`.
 //!
 //! ## Quick start
@@ -43,19 +43,19 @@ pub mod smr {
     pub use cadence::Cadence;
     pub use ebr::{Ebr, EbrHandle};
     pub use hazard::{FenceStrategy, Hazard, HpFamily, HpHandle};
-    pub use he::{He, HeHandle};
+    pub use he::{EraClock, EraPacer, He, HeHandle};
     pub use qsbr::{Qsbr, QsbrHandle};
     pub use qsense::{Path, QSense, QSenseHandle};
     pub use reclaim_core::stats::StatsSnapshot;
     pub use reclaim_core::{
         retire_box, retire_box_with_birth, Atomic, BarrierLedger, BudgetGovernor, BudgetVerdict,
-        CapacityExhausted, Clock, CountingAllocator, Era, EraAdvancePolicy, EraClock, EraPacer,
-        Guard, HandleLease, Leaky, LeakyHandle, LeaseExhausted, LeasePolicy, LeasePool,
-        LogHistogram, ManualClock, Owned, ShardedStats, Shared, Smr, SmrConfig, SmrHandle,
-        StatStripe, Telemetry, TelemetrySummary, Unlinked, DEFAULT_ERA_ADVANCE_INTERVAL,
-        NO_BIRTH_ERA, SHARD_SLOTS,
+        CapacityExhausted, Clock, Era, EraAdvancePolicy, Guard, HandleLease, Leaky, LeakyHandle,
+        LeaseExhausted, LeasePolicy, LeasePool, LogHistogram, ManualClock, Owned, ShardedStats,
+        Shared, Smr, SmrConfig, SmrHandle, StatStripe, Telemetry, TelemetrySummary, Unlinked,
+        DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA, SHARD_SLOTS,
     };
     pub use refcount::{RefCount, RefCountHandle};
+    pub use workload::CountingAllocator;
 }
 
 /// Lock-free data structures generic over the reclamation scheme.
@@ -75,10 +75,9 @@ pub mod bench {
     pub use workload::report;
     pub use workload::{
         config_for, default_bench_config, default_fault_config, make_set, run_experiment,
-        run_fault, run_fault_for, run_server_soak, run_server_soak_with, run_stall_churn, set_over,
-        BenchSet, DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, LimboSampler,
-        OpGenerator, OpMix, Operation, RunResult, Sample, SchemeKind, ServerSoakResult,
-        ServerSoakSpec, SetSession, StallChurnResult, StallChurnSpec, Structure, WorkloadSpec,
-        PAYLOAD_BYTES,
+        run_fault, run_fault_for, run_server_soak, run_server_soak_with, set_over, BenchSet,
+        DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, LimboSampler, OpGenerator,
+        OpMix, Operation, RunResult, Sample, SchemeKind, ServerSoakResult, ServerSoakSpec,
+        SetSession, Structure, WorkloadSpec, PAYLOAD_BYTES,
     };
 }

@@ -13,9 +13,9 @@
 //!   thread never comes back — end to end, with the real clock and real structures.
 
 use qsense_repro::bench::{
-    default_fault_config, make_set, run_experiment, run_fault, run_fault_for, run_stall_churn,
-    DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, OpMix, SchemeKind,
-    StallChurnSpec, Structure, WorkloadSpec, PAYLOAD_BYTES,
+    default_fault_config, make_set, run_experiment, run_fault, run_fault_for, DelaySchedule,
+    Experiment, FaultKind, FaultPlan, FaultResult, OpMix, SchemeKind, Structure, WorkloadSpec,
+    PAYLOAD_BYTES,
 };
 use qsense_repro::ds::HarrisMichaelList;
 use qsense_repro::smr::{
@@ -233,8 +233,9 @@ fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
     );
 }
 
-/// The `stall-churn` scenario (one reader repeatedly stalls mid-operation
-/// while a writer burst-allocates and handle churn runs) is where the
+/// The stall-churn scenario (the stalled-reader fault: one reader repeatedly
+/// stalls mid-operation while a writer burst-allocates and handle churn runs)
+/// is where the
 /// era-advance policy *matters*: every stall pins the allocations that share
 /// its announced era, i.e. up to one era-advance interval's worth of the
 /// burst. The static policy pins a constant per stall; the adaptive policy
@@ -248,10 +249,12 @@ fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
 /// operation sequence, so the sample-by-sample comparison is deterministic.
 #[test]
 fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
-    let spec = StallChurnSpec {
+    let spec = FaultPlan {
         episodes: 24,
         burst: 256,
         churn_every: 8,
+        episode_pause: Duration::ZERO,
+        ..FaultPlan::new(FaultKind::StalledReader)
     };
     let base = || {
         SmrConfig::for_list()
@@ -261,20 +264,20 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
     };
     // Same range: the static interval is the adaptive policy's idle ceiling,
     // so every difference below is the adaptation, not a smaller constant.
-    let static_run = run_stall_churn(
+    let static_run = run_fault(
         &He::new(base().with_era_policy(EraAdvancePolicy::Static(64))),
         &spec,
     );
-    let adaptive_run = run_stall_churn(
+    let adaptive_run = run_fault(
         &He::new(base().with_era_policy(EraAdvancePolicy::Adaptive {
             min_interval: 8,
             max_interval: 64,
-            // Four of the scenario's 8-byte nodes.
-            limbo_low_water_bytes: 32,
+            // Four of the scenario's nodes.
+            limbo_low_water_bytes: 4 * PAYLOAD_BYTES,
         })),
         &spec,
     );
-    let qsbr_run = run_stall_churn(&Qsbr::new(base()), &spec);
+    let qsbr_run = run_fault(&Qsbr::new(base()), &spec);
 
     assert_eq!(adaptive_run.total_retired, static_run.total_retired);
     assert_eq!(adaptive_run.limbo_samples.len(), spec.episodes);
