@@ -3,10 +3,9 @@
 use crate::pin::PinRecord;
 use qsbr::GlobalEpoch;
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    fence, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
-    Reclaim, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
+    fence, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry, Reclaim, Registry,
+    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -127,12 +126,14 @@ impl Ebr {
     /// schedule). A refused barrier proves nothing and advances nothing.
     pub fn try_advance(&self) -> bool {
         let global = self.global_epoch.load();
+        // An advance belongs to no handle: its barrier, its quiescent state and
+        // its walks' shard tallies go to the orphan stripe.
+        let orphan = self.core.orphan_stats();
         let all_caught_up = || {
             self.registry
-                .iter_claimed()
+                .iter_claimed(orphan)
                 .all(|(_, record)| record.permits_advance_from(global))
         };
-        let orphan = self.core.orphan_stats();
         match self.strategy {
             FenceStrategy::ReaderFenced => std::sync::atomic::fence(Ordering::SeqCst),
             // Look before the barrier: a pin that is visible now and blocks
@@ -157,6 +158,7 @@ impl Ebr {
 
 impl Smr for Ebr {
     type Handle = EbrHandle;
+    type Scratch = ();
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, CapacityExhausted> {
         let (slot, core) = self
@@ -180,22 +182,8 @@ impl Smr for Ebr {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.core.stats();
-        self.registry.merge_shard_counters(&mut snap);
-        snap
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 }
 
@@ -459,16 +447,12 @@ impl SmrHandle for EbrHandle {
         Self::collect(&mut self.core, &mut self.limbo, global);
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 

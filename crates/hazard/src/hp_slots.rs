@@ -248,7 +248,8 @@ pub unsafe fn hp_scan<R>(
         }
     };
     core.scan(|reclaim, protected| {
-        registry.collect_protected(protected, |record, out| slots(record).collect_into(out));
+        let tally = reclaim.stats();
+        registry.collect_protected(tally, protected, |r, out| slots(r).collect_into(out));
         let due = |node: &RetiredPtr| budget.get() > 0 && node.stamp() < covered;
         let unprotected = |node: &RetiredPtr| {
             let free = protected.binary_search(&node.addr()).is_err();
@@ -370,7 +371,7 @@ mod tests {
             let slot = registry.try_acquire().expect("the one slot is free");
             let mut view = owner_of(registry.get_mine(slot));
             view.protect(BLOCK_SLOTS, (0x100 * tenancy) as *mut u8);
-            registry.collect_protected(&mut snapshot, HpSlots::collect_into);
+            registry.collect_protected(&StatStripe::new(), &mut snapshot, HpSlots::collect_into);
             assert_eq!(snapshot, vec![(0x100 * tenancy) as *mut u8]);
             view.clear_all();
             registry.release(slot);

@@ -231,8 +231,9 @@ mod tests {
                 .with_limbo_budget(Some(40 * node));
             let scheme = Hazard::with_fence_strategy(config, strategy);
             let mut handle = scheme.register();
-            // The governor hears of this handle's limbo a grain (256 B = 32
-            // nodes) at a time: the report at 64 nodes is the first over 40.
+            // The handle looks at the estimate a grain (256 B = 32 nodes) of
+            // its own drift at a time: the look at 64 nodes is the first to
+            // find it over 40.
             for _ in 0..63 {
                 // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
                 unsafe { retire_box(&mut handle, tracked(&drops)) };

@@ -2,11 +2,9 @@
 
 use crate::hp_slots::{hp_scan, HpSlots, OwnedSlots};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BarrierLedger, BudgetVerdict, CapacityExhausted, Era, FenceStrategy, HandleCore,
-    HandleTelemetry, PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, Telemetry,
+    BarrierLedger, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry, PtrScratch,
+    Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::slice::from_mut;
 use std::sync::Arc;
@@ -95,6 +93,7 @@ impl<const CADENCE: bool> HpFamily<CADENCE> {
 
 impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
     type Handle = HpHandle<CADENCE>;
+    type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle<CADENCE>, CapacityExhausted> {
         // A fresh workspace: pool (one scan batch of retires) and snapshot
@@ -118,22 +117,8 @@ impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.core.stats();
-        self.registry.merge_shard_counters(&mut snap);
-        snap
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore<PtrScratch> {
+        &self.core
     }
 }
 
@@ -206,16 +191,12 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
         unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest, false) };
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 
@@ -253,9 +234,8 @@ mod tests {
         h2.slots.protect(0, 0x300 as *mut u8);
         h2.slots.protect(1, 0x200 as *mut u8);
         let mut snapshot = Vec::new();
-        scheme
-            .registry
-            .collect_protected(&mut snapshot, HpSlots::collect_into);
+        let (registry, tally) = (&scheme.registry, scheme.core.orphan_stats());
+        registry.collect_protected(tally, &mut snapshot, HpSlots::collect_into);
         assert_eq!(
             snapshot,
             vec![0x100 as *mut u8, 0x200 as *mut u8, 0x300 as *mut u8]

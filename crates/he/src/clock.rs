@@ -5,7 +5,7 @@
 //! policy, not a constant: [`EraPacer`] co-locates the clock with the
 //! scheme's [`EraAdvancePolicy`], which either fixes the allocations-per-tick
 //! interval (the classic `epoch_freq` cadence) or adapts it to the scheme-wide
-//! limbo-byte estimate the budget governor keeps — faster ticks while garbage
+//! limbo-byte estimate its counters give — faster ticks while garbage
 //! accumulates behind a stalled reader, decaying to an idle floor when scans
 //! run dry (the DEBRA/Hyaline observation that advancement should follow
 //! *reclamation pressure*, not allocation count).
@@ -64,8 +64,8 @@ impl Default for EraClock {
 /// policy's `[min_interval, max_interval]` range, re-chosen after every scan
 /// from the scheme-wide limbo-byte estimate ([`adapt`](Self::adapt)). The
 /// pacer keeps no estimate of its own — the scheme hands it the one its budget
-/// governor already maintains — and a static policy is the range `[n, n]`,
-/// which never moves and never asks.
+/// governor is handed, `SchemeCore::limbo_estimate` — and a static policy is
+/// the range `[n, n]`, which never moves and never asks.
 ///
 /// The estimate is **advisory**: it only modulates reclamation *latency*,
 /// never the free-time safety condition, so stale reads and racing interval

@@ -3,10 +3,9 @@
 use crate::clock::EraPacer;
 use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, Registry, SchemeCore,
-    SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry, NO_BIRTH_ERA,
+    CapacityExhausted, Era, HandleCore, HandleTelemetry, Registry, SchemeCore, SegBag, SegPool,
+    SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -114,8 +113,9 @@ impl EraChain {
 pub struct He {
     core: Arc<SchemeCore<Reservations>>,
     /// The global era clock plus the policy that paces its advances: a static
-    /// interval, or one adapting to the governor's scheme-wide limbo-byte
-    /// estimate (see [`EraPacer`]) — HE's pressure lever on the budget ladder.
+    /// interval, or one adapting to the scheme-wide limbo-byte estimate
+    /// ([`SchemeCore::limbo_estimate`]; see [`EraPacer`]) — HE's pressure
+    /// lever on the budget ladder.
     pacer: EraPacer,
     registry: Registry<EraRecord>,
 }
@@ -154,6 +154,7 @@ impl He {
 
 impl Smr for He {
     type Handle = HeHandle;
+    type Scratch = Reservations;
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, CapacityExhausted> {
         let (slot, core) = self.core.register(&self.registry, |config| {
@@ -180,22 +181,8 @@ impl Smr for He {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.core.stats();
-        self.registry.merge_shard_counters(&mut snap);
-        snap
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore<Reservations> {
+        &self.core
     }
 }
 
@@ -234,7 +221,7 @@ impl EraLimbo {
             // before that node's unlink — hence its slot's claim bit, set even
             // earlier, is visible to this walk (the registry's scan-skip
             // argument).
-            for (_, record) in scheme.registry.iter_claimed() {
+            for (_, record) in scheme.registry.iter_claimed(reclaim.stats()) {
                 let (lower, upper) = record.load();
                 if lower != INACTIVE_LOWER {
                     reservations.push((lower, upper));
@@ -304,14 +291,14 @@ impl EraLimbo {
                 }
             }
         });
-        // The core has just reported this handle's post-scan bytes, so the
-        // governor's estimate tracks the *residue* — the garbage reservations
-        // are actually pinning — and the pacer adapts the tick interval to it
-        // (a static policy never asks). Under an enforced budget a speed-up
-        // is an escalation and is counted as such.
-        let governor = scheme.core.governor();
-        if scheme.pacer.adapt(|| governor.estimate()) && governor.enforcing() {
-            governor.count_pacer_boost();
+        // The scan's frees are on the books, so the scheme-wide estimate is
+        // the *residue* — the garbage reservations are actually pinning — and
+        // the pacer adapts the tick interval to it (a static policy never
+        // asks). Under an enforced budget a speed-up is an escalation and is
+        // counted as such.
+        let core = &scheme.core;
+        if scheme.pacer.adapt(|| core.limbo_estimate()) && core.governor().enforcing() {
+            core.governor().count_pacer_boost();
         }
     }
 }
@@ -478,16 +465,12 @@ impl SmrHandle for HeHandle {
         self.limbo.scan(&mut self.core, &self.scheme);
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 
@@ -935,7 +918,7 @@ mod tests {
         assert_eq!(scheme.current_era(), e0 + 2);
     }
 
-    /// The governor's scheme-wide limbo-byte estimate — what the pacer adapts to.
+    /// The scheme-wide limbo-byte estimate — what the pacer adapts to.
     fn estimate(scheme: &He) -> u64 {
         scheme.budget_verdict().current_bytes
     }

@@ -7,10 +7,8 @@
 
 use lockfree_ds::{HarrisMichaelList, LockFreeHashMap, LockFreeSkipList};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, HandleTelemetry, Leaky, Smr, SmrConfig, SmrHandle,
-    Telemetry,
+    CapacityExhausted, Era, HandleTelemetry, Leaky, SchemeCore, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,6 +35,7 @@ impl Counting {
 
 impl Smr for Counting {
     type Handle = CountingHandle;
+    type Scratch = ();
 
     fn try_register(self: &Arc<Self>) -> Result<CountingHandle, CapacityExhausted> {
         Ok(CountingHandle {
@@ -45,20 +44,8 @@ impl Smr for Counting {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.inner.budget_verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.inner.telemetry()
+    fn core(&self) -> &SchemeCore {
+        self.inner.core()
     }
 }
 
@@ -100,15 +87,11 @@ impl SmrHandle for CountingHandle {
         self.inner.flush();
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.inner.local_in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        self.inner.ledger()
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.inner.local_limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
         self.inner.telemetry_cursor()
     }
 }

@@ -24,7 +24,7 @@
 //! No decision here ever needs a *total* order across unrelated variables, which is
 //! the only thing `SeqCst` would add.
 
-use reclaim_core::{CachePadded, Registry};
+use reclaim_core::{CachePadded, Registry, StatStripe};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Number of limbo lists per thread (and of logical epochs), as in the paper.
@@ -273,9 +273,11 @@ impl EpochDomain {
     ///
     /// `epoch_of(i, record)` is the epoch the thread in claimed slot `i` is at,
     /// or `None` if the scheme excludes it from grace periods (it then counts
-    /// as confirmed, and `grace_drain`'s contract covers it).
+    /// as confirmed, and `grace_drain`'s contract covers it). `stats` is the
+    /// polling handle's stripe, which takes the walk's vacant-shard tally.
     pub fn poll_epoch_confirmation<R>(
         &self,
+        stats: &StatStripe,
         epoch: u64,
         registry: &Registry<R>,
         epoch_of: impl Fn(usize, &R) -> Option<u64>,
@@ -284,7 +286,7 @@ impl EpochDomain {
             // Shard-granular vacancy first: a wholly-vacant shard is classified
             // on one bitmap load and the pass jumps straight past it, so
             // confirmation cost tracks active shards, not capacity.
-            let next = registry.skip_vacant_shards(i);
+            let next = registry.skip_vacant_shards(stats, i);
             if next > i {
                 CursorCheck::VacantRun(next)
             } else if !registry.is_claimed(i) {

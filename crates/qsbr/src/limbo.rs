@@ -95,7 +95,7 @@ impl EpochLimbo {
         stats.add_quiescent_state();
         let global = domain.current();
         if self.local_epoch == global {
-            domain.poll_epoch_confirmation(global, registry, epoch_of);
+            domain.poll_epoch_confirmation(stats, global, registry, epoch_of);
             return None;
         }
         mine.store(global);

@@ -3,10 +3,9 @@
 use crate::epoch::{EpochDomain, EpochRecord};
 use crate::limbo::{grace_drain, EpochLimbo};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, Registry, SchemeCore,
-    SegPool, SlotId, Smr, SmrConfig, SmrHandle, Telemetry,
+    CapacityExhausted, Era, HandleCore, HandleTelemetry, Registry, SchemeCore, SegPool, SlotId,
+    Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -53,6 +52,7 @@ impl Qsbr {
 
 impl Smr for Qsbr {
     type Handle = QsbrHandle;
+    type Scratch = ();
 
     fn try_register(self: &Arc<Self>) -> Result<QsbrHandle, CapacityExhausted> {
         let (slot, core) = self
@@ -66,22 +66,8 @@ impl Smr for Qsbr {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.core.stats();
-        self.registry.merge_shard_counters(&mut snap);
-        snap
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 }
 
@@ -146,16 +132,12 @@ impl SmrHandle for QsbrHandle {
         }
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 

@@ -5,11 +5,9 @@ use crate::path::{FallbackFlag, Path, PresenceFlag};
 use hazard::{hp_scan, HpSlots, OwnedSlots};
 use qsbr::{grace_drain, EpochDomain, EpochLimbo, EpochRecord};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BarrierLedger, BudgetVerdict, CachePadded, CapacityExhausted, Era, FenceStrategy, HandleCore,
-    HandleTelemetry, PtrScratch, Registry, SchemeCore, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
-    Telemetry,
+    BarrierLedger, CachePadded, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
+    PtrScratch, Registry, SchemeCore, SegPool, SlotId, Smr, SmrConfig, SmrHandle, StatStripe,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -168,9 +166,10 @@ impl QSense {
 
     /// True if every registered, non-evicted thread has set its presence flag since
     /// the last reset (paper: `all_processes_active()`). Runs only while deciding
-    /// to leave the fallback path, so the O(N) sweep is off the fast path.
-    fn all_processes_active(&self) -> bool {
-        self.registry.iter_claimed().all(|(i, record)| {
+    /// to leave the fallback path, so the O(N) sweep is off the fast path; its
+    /// shard tally goes to `tally`, the asking handle's stripe.
+    fn all_processes_active(&self, tally: &StatStripe) -> bool {
+        self.registry.iter_claimed(tally).all(|(i, record)| {
             record.is_evicted(self.registry.generation(i)) || record.presence.is_active()
         })
     }
@@ -300,6 +299,7 @@ impl QSense {
 
 impl Smr for QSense {
     type Handle = QSenseHandle;
+    type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<QSenseHandle, CapacityExhausted> {
         let (slot, core) = self.core.register(&self.registry, |config| {
@@ -320,22 +320,8 @@ impl Smr for QSense {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.core.stats();
-        self.registry.merge_shard_counters(&mut snap);
-        snap
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore<PtrScratch> {
+        &self.core
     }
 }
 
@@ -421,7 +407,9 @@ impl QSenseHandle {
                 self.scheme.evict_unresponsive();
                 // Try to switch back to the fast path if everyone (still counted) is
                 // active again.
-                if self.scheme.all_processes_active() && self.scheme.fallback.trigger_fast_path() {
+                if self.scheme.all_processes_active(self.core.stats())
+                    && self.scheme.fallback.trigger_fast_path()
+                {
                     self.core.stats().add_fast_path_switch();
                     // Start a fresh observation window for the next fallback episode.
                     self.scheme.reset_presence();
@@ -538,16 +526,12 @@ impl SmrHandle for QSenseHandle {
         unsafe { hp_scan(core, registry, |r| &r.hps, bags, ledger, 0, false) };
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 
@@ -650,11 +634,11 @@ mod tests {
         let scheme = QSense::new(SmrConfig::default().with_max_threads(3));
         let handles: Vec<_> = (0..3).map(|_| scheme.register()).collect();
         assert!(
-            scheme.all_processes_active(),
+            scheme.all_processes_active(scheme.core.orphan_stats()),
             "registration marks threads active"
         );
         scheme.reset_presence();
-        assert!(!scheme.all_processes_active());
+        assert!(!scheme.all_processes_active(scheme.core.orphan_stats()));
         drop(handles);
     }
 
@@ -721,7 +705,7 @@ mod tests {
         assert!(!record.is_evicted(gen_now));
         scheme.reset_presence();
         assert!(
-            !scheme.all_processes_active(),
+            !scheme.all_processes_active(scheme.core.orphan_stats()),
             "successor must not be excluded by a stale flag"
         );
 

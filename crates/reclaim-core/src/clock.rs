@@ -21,7 +21,7 @@
 //! [`RetiredPtr`](crate::retired::RetiredPtr) has room for, and the
 //! [`EraAdvancePolicy`] [`SmrConfig`](crate::config::SmrConfig) carries —
 //! fixed allocations-per-tick (the classic `epoch_freq` cadence), or adapted to
-//! the scheme-wide limbo-byte estimate the budget governor keeps. The counter
+//! the scheme-wide limbo-byte estimate (bytes retired and not yet freed). The counter
 //! itself and the pacer that runs the policy are `he`'s (`he::EraClock`,
 //! `he::EraPacer`), their only user.
 

@@ -59,9 +59,10 @@ pub struct SmrConfig {
     /// behaviour, where a crashed thread keeps the system in fallback mode forever.
     pub eviction_timeout: Option<Duration>,
     /// **Extension (robustness).** Scheme-wide limbo **byte** budget. When
-    /// set, every scheme tracks its limbo-byte estimate through a
-    /// [`crate::budget::BudgetGovernor`] and, on crossing the budget,
-    /// escalates along a fixed ladder on the retire path: forced scan →
+    /// set, every scheme holds its limbo-byte estimate (bytes retired and not
+    /// yet freed) against it through a [`crate::budget::BudgetGovernor`] and,
+    /// on crossing the budget, escalates along a fixed ladder on the retire
+    /// path: forced scan →
     /// scheme-specific boost (HE's era pacer ticks faster, QSense trips its
     /// fallback path early) → one bounded backpressure yield. `None` (the
     /// default) keeps byte *tracking* alive (peaks still show up in

@@ -118,7 +118,8 @@ pub struct Guard<'h, H: SmrHandle> {
     /// (raw-pointer field), and no method re-enters another.
     handle: *mut H,
     /// Telemetry op-latency sample: `Some` only for the 1-in-N ops the
-    /// scheme's telemetry chose to time ([`SmrHandle::telemetry_op_begin`]);
+    /// scheme's telemetry chose to time
+    /// ([`HandleTelemetry::op_begin`](crate::telemetry::HandleTelemetry::op_begin));
     /// the drop records the bracket's elapsed time. Always `None` — one
     /// relaxed load — when telemetry is disabled.
     op_start: Option<std::time::Instant>,
@@ -130,7 +131,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     /// use of the handle until the guard drops.
     pub fn new(handle: &'h mut H) -> Self {
         handle.begin_op();
-        let op_start = handle.telemetry_op_begin();
+        let op_start = handle.telemetry_cursor().op_begin();
         Self {
             handle,
             op_start,
@@ -250,7 +251,7 @@ impl<H: SmrHandle> Drop for Guard<'_, H> {
             h.end_op();
             // Sampled op: record the full begin→end bracket, teardown included.
             if let Some(started) = op_start {
-                h.telemetry_op_end(started);
+                h.telemetry_cursor().op_end(started);
             }
         });
     }

@@ -11,15 +11,13 @@
 //! work is done), but the benchmark process does not permanently leak the memory of
 //! every experiment it has already finished.
 
-use crate::budget::BudgetVerdict;
 use crate::clock::Era;
 use crate::config::SmrConfig;
 use crate::limbo::{HandleCore, SchemeCore};
 use crate::retired::DropFn;
 use crate::segbag::{SegBag, SegPool};
 use crate::smr::{CapacityExhausted, Smr, SmrHandle};
-use crate::stats::StatsSnapshot;
-use crate::telemetry::{HandleTelemetry, Telemetry};
+use crate::telemetry::HandleTelemetry;
 use std::sync::Arc;
 
 /// The no-reclamation scheme (paper: *None*).
@@ -57,6 +55,7 @@ impl Leaky {
 
 impl Smr for Leaky {
     type Handle = LeakyHandle;
+    type Scratch = ();
 
     // Leaky has no slot registry, so registration can never exhaust.
     fn try_register(self: &Arc<Self>) -> Result<LeakyHandle, CapacityExhausted> {
@@ -66,20 +65,8 @@ impl Smr for Leaky {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.core.stats()
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore {
+        &self.core
     }
 }
 
@@ -114,16 +101,12 @@ impl SmrHandle for LeakyHandle {
         // Leaky never reclaims while running; that is the whole point of the baseline.
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 

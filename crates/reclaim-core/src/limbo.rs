@@ -9,13 +9,19 @@
 //! [`HandleCore::adopt_parked`]) and every node that leaves it (the
 //! [`Reclaim`] of a [`HandleCore::scan`] pass, [`HandleCore::park`]), so it
 //! counts them once and no scheme sums its bags or passes a total in. The
-//! governor's mutators, the parked chain and the workspace cache are private
-//! to this crate, so the conservation invariant (`estimate == Σ live handle
-//! ledgers + parked`, exact at every scan, flush and handle drop) has one
-//! author. Everything is generic over closures and monomorphised per scheme —
-//! no `dyn` on the retire path.
+//! ledger is the handle's own view (`SmrHandle::ledger`, the count threshold,
+//! the grain gate); the scheme-wide figure is not built from ledgers but read
+//! off the same counter stripes every retire and free already writes
+//! ([`SchemeCore::limbo_estimate`]: `retired_bytes − freed_bytes`), so parking,
+//! adopting and dropping a handle move it by nothing and there is no second
+//! tally to keep in step. What stays private to this crate: the freed-side
+//! counters are credited only by [`HandleCore::scan`] and scheme drop, for
+//! nodes a [`Reclaim`] or the parked chain really freed — a scheme cannot
+//! write a free it did not perform — and the parked chain and the workspace
+//! cache, whose hand-offs must match the ledger. Everything is generic over
+//! closures and monomorphised per scheme — no `dyn` on the retire path.
 
-use crate::budget::BudgetGovernor;
+use crate::budget::{BudgetGovernor, BudgetVerdict};
 use crate::clock::Era;
 use crate::config::SmrConfig;
 use crate::pad::CachePadded;
@@ -24,7 +30,7 @@ use crate::retired::{DropFn, RetiredPtr};
 use crate::segbag::{ParkedChain, SegBag, SegPool, WorkspaceCache};
 use crate::smr::CapacityExhausted;
 use crate::stats::{ShardedStats, StatStripe, StatsSnapshot};
-use crate::telemetry::{HandleTelemetry, ScanObserver, Telemetry};
+use crate::telemetry::{CursorState, HandleTelemetry, ScanObserver, Telemetry};
 use std::sync::Arc;
 
 /// The scheme-wide half of the retire pipeline (module docs). `W` is the
@@ -46,7 +52,7 @@ pub struct SchemeCore<W = ()> {
     /// Limbo leftovers of exited handles, awaiting a survivor's flush.
     parked: ParkedChain,
     governor: BudgetGovernor,
-    telemetry: Arc<Telemetry>,
+    telemetry: Telemetry,
     /// Pools + scratch buffers of exited handles, for the next registrant.
     workspaces: WorkspaceCache<W>,
 }
@@ -71,7 +77,7 @@ impl<W: Default> SchemeCore<W> {
             orphan_stats: CachePadded::new(StatStripe::new()),
             parked: ParkedChain::new(),
             governor: BudgetGovernor::new(config.limbo_budget, config.clock.clone()),
-            telemetry: Arc::new(Telemetry::from_config(&config)),
+            telemetry: Telemetry::from_config(&config),
             workspaces: WorkspaceCache::with_capacity(config.max_threads),
             config,
         })
@@ -93,8 +99,7 @@ impl<W: Default> SchemeCore<W> {
         self.scan_every
     }
 
-    /// `Smr::stats`, short of the registry's shard counters
-    /// ([`Registry::merge_shard_counters`]).
+    /// `Smr::stats`: every stripe summed, plus the governor's peak.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
         self.orphan_stats.merge_into(&mut snap);
@@ -102,8 +107,21 @@ impl<W: Default> SchemeCore<W> {
         snap
     }
 
-    /// The budget governor's read side (`Smr::budget_verdict`), plus the two
-    /// counters that belong to scheme-specific pressure levers.
+    /// The scheme-wide limbo bytes: retired and not yet freed, whoever holds
+    /// them — a live handle, the parked chain, or a handle mid-drop
+    /// ([`ShardedStats::limbo_bytes`]). What the governor is handed, what the
+    /// verdict reports, what HE's era pacer adapts to.
+    pub fn limbo_estimate(&self) -> u64 {
+        self.stats.limbo_bytes(&self.orphan_stats)
+    }
+
+    /// `Smr::budget_verdict`: the governor's record around the estimate of now.
+    pub fn budget_verdict(&self) -> BudgetVerdict {
+        self.governor.verdict(self.limbo_estimate())
+    }
+
+    /// The budget governor: its configuration, and the two counters that
+    /// belong to scheme-specific pressure levers.
     pub fn governor(&self) -> &BudgetGovernor {
         &self.governor
     }
@@ -150,9 +168,8 @@ impl<W: Default> SchemeCore<W> {
             scratch,
             limbo_nodes: 0,
             limbo_bytes: 0,
-            budget_stripe: BudgetGovernor::stripe_for(slot.map_or(stripe, SlotId::shard)),
-            budget_reported: 0,
-            tele: HandleTelemetry::attach(&self.telemetry),
+            checked_at: 0,
+            tele: CursorState::default(),
             since_scan: 0,
             scan_every: self.scan_every,
             shared: Arc::clone(self),
@@ -168,7 +185,6 @@ impl<W> Drop for SchemeCore<W> {
         let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
         self.orphan_stats.add_freed(freed as u64);
         self.orphan_stats.add_freed_bytes(freed_bytes as u64);
-        self.governor.note_parked(-(freed_bytes as i64));
     }
 }
 
@@ -176,7 +192,8 @@ impl<W> Drop for SchemeCore<W> {
 /// recycles the pool and scratch to the scheme's next registrant.
 pub struct HandleCore<W: Default = ()> {
     shared: Arc<SchemeCore<W>>,
-    /// Index of this handle's counter stripe.
+    /// Index of this handle's stripe: its counter stripe, and — modulo their
+    /// number — its histogram stripe.
     stripe: usize,
     /// Recycled segments backing every bag of this handle.
     pool: SegPool,
@@ -187,11 +204,11 @@ pub struct HandleCore<W: Default = ()> {
     /// all of its bags.
     limbo_nodes: usize,
     limbo_bytes: usize,
-    /// This handle's governor stripe, and the bytes last pushed into it.
-    budget_stripe: usize,
-    budget_reported: usize,
-    /// The telemetry cursor behind `SmrHandle::telemetry_cursor`.
-    pub tele: HandleTelemetry,
+    /// `limbo_bytes` when this handle last took the estimate to the governor:
+    /// the grain gate's mark.
+    checked_at: usize,
+    /// What the telemetry cursor keeps between records ([`tele`](Self::tele)).
+    tele: CursorState,
     /// Retires since the count-threshold rung last fired (or a flush reset it).
     since_scan: usize,
     /// The count threshold, fixed at attach ([`SchemeCore::with_scan_batch`]).
@@ -210,13 +227,20 @@ impl<W: Default> HandleCore<W> {
         self.shared.stats.stripe(self.stripe)
     }
 
+    /// The telemetry cursor behind `SmrHandle::telemetry_cursor`: recording
+    /// into the scheme's histograms, on this handle's stripe.
+    #[inline]
+    pub fn tele(&mut self) -> HandleTelemetry<'_> {
+        HandleTelemetry::new(&self.shared.telemetry, self.stripe, &mut self.tele)
+    }
+
     /// Nodes this handle has retired (or adopted) and not yet freed or parked
-    /// — `SmrHandle::local_in_limbo`.
+    /// — the first half of `SmrHandle::ledger`.
     pub fn in_limbo(&self) -> usize {
         self.limbo_nodes
     }
 
-    /// Stamped bytes of those nodes — `SmrHandle::local_limbo_bytes`.
+    /// Stamped bytes of those nodes — the second half.
     pub fn limbo_bytes(&self) -> usize {
         self.limbo_bytes
     }
@@ -247,7 +271,7 @@ impl<W: Default> HandleCore<W> {
         }
         // SAFETY: forwarded from the caller's contract.
         let mut node = unsafe { RetiredPtr::new(ptr, drop_fn, stamp, birth_era, size_bytes) };
-        node.set_retire_tick(self.tele.retire_tick());
+        node.set_retire_tick(self.tele().retire_tick());
         bag.push(&mut self.pool, node);
         self.limbo_nodes += 1;
         self.limbo_bytes += size_bytes;
@@ -261,28 +285,25 @@ impl<W: Default> HandleCore<W> {
         self.observe();
     }
 
-    /// Reports the ledger's bytes to the governor once they have drifted a
-    /// full grain from the last report; true when that found the scheme over
+    /// Takes the estimate to the governor once the ledger's bytes have drifted
+    /// a full grain from the last look — until then, a subtraction and a
+    /// compare on handle-local words; true when that found the scheme over
     /// budget.
     #[inline]
     fn observe(&mut self) -> bool {
-        let governor = &self.shared.governor;
-        governor.observe(
-            self.budget_stripe,
-            self.limbo_bytes,
-            &mut self.budget_reported,
-        )
+        if self.limbo_bytes.abs_diff(self.checked_at) < self.shared.governor.grain() {
+            return false;
+        }
+        self.report()
     }
 
-    /// Reports the ledger's bytes to the governor unconditionally; true when
-    /// the scheme is over budget.
+    /// Takes the estimate to the governor unconditionally (scan, flush and
+    /// park boundaries, and `observe` past the grain): O(#stripes) loads and no
+    /// write but a new peak's. True when the scheme is over budget.
     fn report(&mut self) -> bool {
-        let governor = &self.shared.governor;
-        governor.report(
-            self.budget_stripe,
-            self.limbo_bytes,
-            &mut self.budget_reported,
-        )
+        self.checked_at = self.limbo_bytes;
+        let shared = &*self.shared;
+        shared.governor.refresh(shared.limbo_estimate())
     }
 
     /// Retires between this handle's count-threshold scans.
@@ -335,14 +356,15 @@ impl<W: Default> HandleCore<W> {
     /// The observed reclaim: `pass` frees from the scheme's bags through the
     /// [`Reclaim`] it is lent (with the handle's scratch). The core times the
     /// pass and each freed node's retire→free delay (telemetry on), credits
-    /// the freed counters, takes what was freed off the ledger, and reports
-    /// the post-scan bytes to the governor.
+    /// the freed counters, takes what was freed off the ledger, and takes the
+    /// post-scan estimate to the governor.
     pub fn scan(&mut self, pass: impl FnOnce(&mut Reclaim<'_>, &mut W)) {
         let shared = &*self.shared;
         let mut reclaim = Reclaim {
             pool: &mut self.pool,
             stats: shared.stats.stripe(self.stripe),
-            tele: &self.tele,
+            tele: &shared.telemetry,
+            stripe: self.stripe,
             observer: None,
             freed: 0,
             freed_bytes: 0,
@@ -362,43 +384,31 @@ impl<W: Default> HandleCore<W> {
 
     /// Flush-side adoption: splices the parked chain — leftovers of exited
     /// handles — into `into` (O(1), no allocation), enters it in the ledger
-    /// and restarts the retire counter. The bytes move from the governor's
-    /// parked counter to this handle's stripe, conserving the estimate whether
-    /// or not a scan follows.
+    /// and restarts the retire counter. The scheme-wide estimate does not
+    /// move: the adopted nodes were retired and are still not freed.
     pub fn adopt_parked(&mut self, into: &mut SegBag) {
         let (nodes_before, bytes_before) = (into.len(), into.bytes());
         self.shared.parked.adopt_into(into);
-        let adopted_bytes = into.bytes() - bytes_before;
         self.limbo_nodes += into.len() - nodes_before;
-        self.limbo_bytes += adopted_bytes;
-        if adopted_bytes != 0 {
-            let governor = &self.shared.governor;
-            governor.note_parked(-(adopted_bytes as i64));
-            // Credit exactly what left the parked counter: the hand-off moves
-            // the estimate by nothing, and any grain drift this handle has not
-            // reported yet waits for its next report as before.
-            let credited = self.budget_reported + adopted_bytes;
-            governor.report(self.budget_stripe, credited, &mut self.budget_reported);
-        }
+        self.limbo_bytes += into.bytes() - bytes_before;
         self.since_scan = 0;
     }
 
     /// Drop-side parking: `leftovers` — everything the handle still holds,
     /// spliced into one bag — moves to the parked chain (O(1)), adopted by the
-    /// next handle to flush or released at scheme drop. The governor's parked
-    /// counter takes over the retracted bytes, so a departed handle's limbo
-    /// never goes invisible. Call before releasing the registry slot.
+    /// next handle to flush or released at scheme drop. The leftovers stay in
+    /// the estimate — retired, not freed — so a departed handle's limbo never
+    /// goes invisible; the governor gets one last look, for a handle that
+    /// never drifted a grain. Call before releasing the registry slot.
     pub fn park(&mut self, leftovers: &mut SegBag) {
         debug_assert_eq!(
             (leftovers.len(), leftovers.bytes()),
             (self.limbo_nodes, self.limbo_bytes),
             "the ledger must match what the handle still holds"
         );
-        let governor = &self.shared.governor;
-        governor.note_handle_exit(self.budget_stripe, &mut self.budget_reported);
-        governor.note_parked(self.limbo_bytes as i64);
         (self.limbo_nodes, self.limbo_bytes) = (0, 0);
         self.shared.parked.park(leftovers);
+        self.report();
     }
 }
 
@@ -417,14 +427,17 @@ impl<W: Default> Drop for HandleCore<W> {
 pub struct Reclaim<'a> {
     pool: &'a mut SegPool,
     stats: &'a StatStripe,
-    tele: &'a HandleTelemetry,
+    tele: &'a Telemetry,
+    /// The scanning handle's stripe index, for the histograms.
+    stripe: usize,
     observer: Option<ScanObserver<'a>>,
     freed: usize,
     freed_bytes: usize,
 }
 
 impl Reclaim<'_> {
-    /// The scanning handle's counter stripe (scan-dispatch counters).
+    /// The scanning handle's counter stripe (scan-dispatch counters, and the
+    /// shard tally of a registry walk the pass makes).
     #[inline]
     pub fn stats(&self) -> &StatStripe {
         self.stats
@@ -448,7 +461,7 @@ impl Reclaim<'_> {
             return 0;
         }
         if self.observer.is_none() {
-            self.observer = self.tele.shared().scan_observer(self.tele.stripe());
+            self.observer = self.tele.scan_observer(self.stripe);
         }
         let observer = self.observer.as_ref();
         let bytes_before = bag.bytes();
@@ -575,14 +588,14 @@ mod tests {
     fn a_budget_crossing_forces_one_scan_and_still_over_one_yield() {
         let clock = ManualClock::new();
         let drops = Arc::new(AtomicUsize::new(0));
-        // Grain = 256 B (the floor), so every 300-byte retire reports.
+        // Grain = 256 B (the floor), so every 300-byte retire looks.
         let scheme = scheme(&clock, Some(1_000));
         let mut handle = Handle::register(&scheme, &mut 0);
         handle.pinned = true;
         for _ in 0..3 {
             handle.retire(&drops);
         }
-        let verdict = scheme.governor().verdict();
+        let verdict = scheme.budget_verdict();
         assert_eq!(handle.scans, 0, "under budget: no rung fires");
         assert_eq!(verdict.escalations(), 0);
         assert!(verdict.within_budget());
@@ -591,7 +604,7 @@ mod tests {
         // (pinned), so the ladder climbs to its last rung — once.
         handle.retire(&drops);
         clock.advance(Duration::from_millis(7));
-        let verdict = scheme.governor().verdict();
+        let verdict = scheme.budget_verdict();
         assert_eq!(handle.scans, 1, "exactly one forced scan");
         assert_eq!(verdict.forced_scans, 1);
         assert_eq!(verdict.backpressure_events, 1, "exactly one bounded yield");
@@ -603,7 +616,7 @@ mod tests {
         // one more scan, no further yield.
         handle.pinned = false;
         handle.retire(&drops);
-        let verdict = scheme.governor().verdict();
+        let verdict = scheme.budget_verdict();
         assert_eq!(handle.scans, 2);
         assert_eq!(verdict.forced_scans, 2);
         assert_eq!(verdict.backpressure_events, 1);
@@ -630,7 +643,7 @@ mod tests {
         }
         assert_eq!(handle.scans, 2, "one scan per `scan_threshold` retires");
         assert_eq!(drops.load(Ordering::SeqCst), 8);
-        assert_eq!(scheme.governor().verdict().escalations(), 0);
+        assert_eq!(scheme.budget_verdict().escalations(), 0);
     }
 
     #[test]
@@ -663,8 +676,41 @@ mod tests {
         assert_eq!(handle.scans, 0);
         handle.retire(&drops);
         assert_eq!(handle.scans, 1, "a crossing does not wait for the batch");
-        assert_eq!(scheme.governor().verdict().forced_scans, 1);
+        assert_eq!(scheme.budget_verdict().forced_scans, 1);
         assert_eq!(drops.load(Ordering::SeqCst), 32 + 21);
+    }
+
+    #[test]
+    fn the_estimate_needs_no_report_and_the_grain_gates_only_the_peak() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = scheme(&clock, Some(1 << 20));
+        assert!(2 * NODE < scheme.governor().grain());
+        let (mut a, mut b) = (
+            Handle::register(&scheme, &mut 0),
+            Handle::register(&scheme, &mut 0),
+        );
+        // Each retires less than a grain and neither scans: no handle has
+        // taken anything to the governor, and a third party already reads
+        // every byte.
+        for handle in [&mut a, &mut b] {
+            handle.retire(&drops);
+            handle.retire(&drops);
+        }
+        assert_eq!((a.scans, b.scans), (0, 0));
+        let verdict = scheme.budget_verdict();
+        assert_eq!(verdict.current_bytes, 4 * NODE as u64);
+        assert_eq!(verdict.current_bytes, scheme.stats().limbo_bytes());
+        assert_eq!(verdict.peak_bytes, 0, "nobody has looked yet");
+        // A scan is a look, whatever it frees; a free is the only thing that
+        // lowers the estimate.
+        a.pinned = true;
+        a.flush();
+        assert_eq!(scheme.budget_verdict().peak_bytes, 4 * NODE as u64);
+        assert_eq!(scheme.limbo_estimate(), 4 * NODE as u64);
+        b.flush();
+        assert_eq!(scheme.limbo_estimate(), 2 * NODE as u64);
+        assert_eq!(drops.load(Ordering::SeqCst), 2);
     }
 
     #[test]
@@ -681,18 +727,18 @@ mod tests {
                 dying.retire(&drops);
             }
             dying.flush();
-            assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
+            assert_eq!(scheme.limbo_estimate(), 3 * NODE as u64);
             assert_eq!(
                 (dying.core.in_limbo(), dying.core.limbo_bytes()),
                 (3, 3 * NODE)
             );
         } // drop: the leftovers are parked (and checked against the ledger)
         assert_eq!(
-            scheme.governor().estimate(),
+            scheme.limbo_estimate(),
             3 * NODE as u64,
             "parked limbo keeps pressing on the estimate"
         );
-        // Adoption alone — before any scan reports — already conserves it.
+        // Adoption alone — before any scan — moves it by nothing.
         assert_eq!(survivor.core.in_limbo(), 0);
         survivor.core.adopt_parked(&mut survivor.bag);
         assert_eq!(survivor.bag.len(), 3);
@@ -701,9 +747,9 @@ mod tests {
             (3, 3 * NODE),
             "adopted nodes enter the adopter's ledger"
         );
-        assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
+        assert_eq!(scheme.limbo_estimate(), 3 * NODE as u64);
         survivor.flush();
-        assert_eq!(scheme.governor().estimate(), 3 * NODE as u64);
+        assert_eq!(scheme.limbo_estimate(), 3 * NODE as u64);
         assert_eq!(
             scheme.governor().peak_bytes(),
             3 * NODE as u64,
@@ -711,7 +757,7 @@ mod tests {
         );
         survivor.retire(&drops);
         drop(survivor); // parks all four again
-        assert_eq!(scheme.governor().estimate(), 4 * NODE as u64);
+        assert_eq!(scheme.limbo_estimate(), 4 * NODE as u64);
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         let stats = scheme.stats();
         assert_eq!((stats.retired, stats.freed), (4, 0));

@@ -31,7 +31,9 @@
 //!   tracks *active shards*, not registered capacity. The
 //!   [`shard_skips`](crate::stats::StatsSnapshot::shard_skips) /
 //!   [`shard_walks`](crate::stats::StatsSnapshot::shard_walks) counters make the
-//!   skip behaviour observable.
+//!   skip behaviour observable: each walk is handed the walker's own
+//!   [`StatStripe`], tallies locally and adds once when it ends, so the
+//!   registry itself holds no counter and no line every scanner writes.
 //! * **Registration does not contend on one array.** [`acquire`](Registry::acquire)
 //!   deals a round-robin *home shard* to each registrant and CASes the lowest free
 //!   bit of that shard's bitmap, spilling linearly to the next shard only when the
@@ -53,7 +55,7 @@
 //! so missing it never frees a node that re-validated successfully.
 
 use crate::pad::CachePadded;
-use crate::stats::StatsSnapshot;
+use crate::stats::StatStripe;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -78,15 +80,6 @@ impl SlotId {
     /// The slot's index in `0..capacity`.
     pub fn index(self) -> usize {
         self.0
-    }
-
-    /// The shard this slot lives in — the natural stripe key for per-shard
-    /// auxiliary state ([`BudgetGovernor`](crate::budget::BudgetGovernor)
-    /// stripes, era-pacer stripes): handles sharing a shard already share
-    /// registration-time cache lines, so striping by shard keeps *scan* and
-    /// *accounting* locality aligned.
-    pub fn shard(self) -> usize {
-        shard_of(self.0)
     }
 }
 
@@ -134,10 +127,40 @@ pub struct Registry<T> {
     slots: Box<[CachePadded<T>]>,
     /// Round-robin home-shard seed: each `acquire` starts at a different shard.
     home_seed: CachePadded<AtomicUsize>,
-    /// Shards stepped over as wholly vacant by scans and cursor walks.
-    shard_skips: CachePadded<AtomicU64>,
-    /// Shards actually walked (at least one claimed slot at the bitmap load).
-    shard_walks: CachePadded<AtomicU64>,
+}
+
+/// One walk's shard dispatch, counted locally and added to the walker's stripe
+/// once, when the walk ends (or is dropped half-way: `iter_claimed().all(..)`).
+struct ShardTally<'a> {
+    stripe: &'a StatStripe,
+    skips: u64,
+    walks: u64,
+}
+
+impl<'a> ShardTally<'a> {
+    fn new(stripe: &'a StatStripe) -> Self {
+        Self {
+            stripe,
+            skips: 0,
+            walks: 0,
+        }
+    }
+
+    /// Classifies one shard by the claim bitmap just loaded; true = walk it.
+    fn walk(&mut self, claimed: u64) -> bool {
+        if claimed == 0 {
+            self.skips += 1;
+        } else {
+            self.walks += 1;
+        }
+        claimed != 0
+    }
+}
+
+impl Drop for ShardTally<'_> {
+    fn drop(&mut self) {
+        self.stripe.add_shard_dispatch(self.skips, self.walks);
+    }
 }
 
 impl<T> Registry<T> {
@@ -164,8 +187,6 @@ impl<T> Registry<T> {
             shards,
             slots,
             home_seed: CachePadded::new(AtomicUsize::new(0)),
-            shard_skips: CachePadded::new(AtomicU64::new(0)),
-            shard_walks: CachePadded::new(AtomicU64::new(0)),
         }
     }
 
@@ -317,36 +338,31 @@ impl<T> Registry<T> {
         &self.slots[id.0]
     }
 
-    /// Adds the registry's shard-skip/-walk counters to `snap` (the per-slot
-    /// counter stripes live in the scheme's [`SchemeCore`](crate::limbo::SchemeCore)).
-    pub fn merge_shard_counters(&self, snap: &mut StatsSnapshot) {
-        snap.shard_skips += self.shard_skips.load(Ordering::Relaxed);
-        snap.shard_walks += self.shard_walks.load(Ordering::Relaxed);
-    }
-
     /// Snapshots per-record pointer sets into `out` (cleared first), sorted and
     /// deduplicated for binary search — the shared `get_protected_nodes` step of
     /// every scanning scheme (HP, Cadence, QSense). `collect` appends one
     /// record's published pointers to the buffer.
     ///
     /// Wholly-vacant shards are stepped over on a single bitmap load (and
-    /// counted in [`StatsSnapshot::shard_skips`]); within an active shard every
-    /// slot is visited, claimed or not — unclaimed records hold null pointers,
+    /// counted, on `tally`, in
+    /// [`shard_skips`](crate::stats::StatsSnapshot::shard_skips)); within an
+    /// active shard every slot is visited, claimed or not — unclaimed records
+    /// hold null pointers,
     /// so including them is conservative, and the module docs give the argument
     /// for why excluding vacant *shards* is exact. Allocation-free whenever
     /// `out` already has capacity for the `N·K` worst case.
     pub fn collect_protected(
         &self,
+        tally: &StatStripe,
         out: &mut Vec<*mut u8>,
         mut collect: impl FnMut(&T, &mut Vec<*mut u8>),
     ) {
         out.clear();
+        let mut tally = ShardTally::new(tally);
         for (si, shard) in self.shards.iter().enumerate() {
-            if shard.control.claimed.load(Ordering::Acquire) == 0 {
-                self.shard_skips.fetch_add(1, Ordering::Relaxed);
+            if !tally.walk(shard.control.claimed.load(Ordering::Acquire)) {
                 continue;
             }
-            self.shard_walks.fetch_add(1, Ordering::Relaxed);
             let base = si * SHARD_SLOTS;
             let end = (base + SHARD_SLOTS).min(self.slots.len());
             for slot in &self.slots[base..end] {
@@ -362,8 +378,8 @@ impl<T> Registry<T> {
     /// cursor walks (`qsbr::EpochDomain`'s confirmation) step over
     /// vacant shards in O(#shards) instead of O(capacity). Returns `index`
     /// unchanged when its shard has any claimed slot. Skipped shards are counted
-    /// in [`StatsSnapshot::shard_skips`].
-    pub fn skip_vacant_shards(&self, index: usize) -> usize {
+    /// on `tally`, in [`shard_skips`](crate::stats::StatsSnapshot::shard_skips).
+    pub fn skip_vacant_shards(&self, tally: &StatStripe, index: usize) -> usize {
         let mut si = shard_of(index);
         let mut skipped = 0u64;
         while si < self.shards.len() {
@@ -376,7 +392,7 @@ impl<T> Registry<T> {
         if skipped == 0 {
             return index;
         }
-        self.shard_skips.fetch_add(skipped, Ordering::Relaxed);
+        tally.add_shard_dispatch(skipped, 0);
         (si * SHARD_SLOTS).min(self.capacity())
     }
 
@@ -386,21 +402,23 @@ impl<T> Registry<T> {
     }
 
     /// Iterates over `(index, record)` for currently claimed slots only, stepping
-    /// over wholly-vacant shards on one bitmap load each (counted in
-    /// [`StatsSnapshot::shard_skips`] / [`shard_walks`](StatsSnapshot::shard_walks)).
+    /// over wholly-vacant shards on one bitmap load each (counted on `tally`,
+    /// in [`shard_skips`](crate::stats::StatsSnapshot::shard_skips) /
+    /// [`shard_walks`](crate::stats::StatsSnapshot::shard_walks), when the
+    /// iterator is dropped).
     ///
     /// Note the inherent race: a slot may be claimed or released while the iteration
     /// is in progress. Schemes must therefore make sure that *releasing* a slot leaves
     /// its record in a state that is safe to miss (e.g. hazard pointers cleared only
     /// after the owner's retired nodes have been handed off or reclaimed).
-    pub fn iter_claimed(&self) -> impl Iterator<Item = (usize, &T)> {
+    pub fn iter_claimed<'a>(
+        &'a self,
+        tally: &'a StatStripe,
+    ) -> impl Iterator<Item = (usize, &'a T)> + 'a {
+        let mut tally = ShardTally::new(tally);
         self.shards.iter().enumerate().flat_map(move |(si, shard)| {
             let bits = shard.control.claimed.load(Ordering::Acquire);
-            if bits == 0 {
-                self.shard_skips.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.shard_walks.fetch_add(1, Ordering::Relaxed);
-            }
+            tally.walk(bits);
             let base = si * SHARD_SLOTS;
             (0..SHARD_SLOTS)
                 .filter(move |&bit| bits & (1 << bit) != 0)
@@ -409,17 +427,6 @@ impl<T> Registry<T> {
                     (i, &*self.slots[i])
                 })
         })
-    }
-
-    /// Shards stepped over as wholly vacant so far (diagnostics/tests; also
-    /// merged into [`StatsSnapshot::shard_skips`] by [`merge_shard_counters`](Self::merge_shard_counters)).
-    pub fn shard_skip_count(&self) -> u64 {
-        self.shard_skips.load(Ordering::Relaxed)
-    }
-
-    /// Shards actually walked so far (diagnostics/tests).
-    pub fn shard_walk_count(&self) -> u64 {
-        self.shard_walks.load(Ordering::Relaxed)
     }
 }
 
@@ -501,12 +508,15 @@ mod tests {
         let reg: Registry<AtomicUsize> = Registry::new(3, |_| AtomicUsize::new(0));
         let a = reg.acquire().unwrap();
         reg.get_mine(a).store(7, Ordering::Relaxed);
-        let claimed: Vec<_> = reg.iter_claimed().map(|(i, _)| i).collect();
+        let tally = StatStripe::new();
+        let claimed: Vec<_> = reg.iter_claimed(&tally).map(|(i, _)| i).collect();
         assert_eq!(claimed, vec![a.index()]);
         assert!(reg.is_claimed(a.index()));
         assert_eq!(reg.get(a.index()).load(Ordering::Relaxed), 7);
         reg.release(a);
-        assert_eq!(reg.iter_claimed().count(), 0);
+        assert_eq!(reg.iter_claimed(&tally).count(), 0);
+        let tally = tally.snapshot();
+        assert_eq!((tally.shard_walks, tally.shard_skips), (1, 1));
     }
 
     #[test]
@@ -555,7 +565,7 @@ mod tests {
         let reg: Registry<usize> = Registry::new(64, |_| 0);
         assert_eq!(reg.shard_count(), 8);
         let ids: Vec<_> = (0..8).map(|_| reg.acquire().unwrap()).collect();
-        let mut shards: Vec<_> = ids.iter().map(|id| id.shard()).collect();
+        let mut shards: Vec<_> = ids.iter().map(|id| shard_of(id.index())).collect();
         shards.sort_unstable();
         shards.dedup();
         assert_eq!(
@@ -572,10 +582,10 @@ mod tests {
         // Two registrants: at most two active shards.
         let a = reg.acquire().unwrap();
         let b = reg.acquire().unwrap();
-        let mut out = Vec::new();
-        reg.collect_protected(&mut out, |_, _| {});
-        let skips = reg.shard_skip_count();
-        let walks = reg.shard_walk_count();
+        let (tally, mut out) = (StatStripe::new(), Vec::new());
+        reg.collect_protected(&tally, &mut out, |_, _| {});
+        let scan = tally.snapshot();
+        let (skips, walks) = (scan.shard_skips, scan.shard_walks);
         assert_eq!(walks + skips, 32, "every shard classified exactly once");
         assert!(walks <= 2, "scan walks only the active shards, got {walks}");
         assert!(
@@ -585,9 +595,30 @@ mod tests {
         reg.release(a);
         reg.release(b);
         // All vacant now: a scan touches no slot lines at all.
-        let before = reg.shard_walk_count();
-        reg.collect_protected(&mut out, |_, _| panic!("no shard should be walked"));
-        assert_eq!(reg.shard_walk_count(), before);
+        reg.collect_protected(&tally, &mut out, |_, _| panic!("no shard should be walked"));
+        assert_eq!(tally.snapshot().shard_walks, walks);
+        assert_eq!(tally.snapshot().shard_skips, skips + 32);
+    }
+
+    #[test]
+    fn each_walk_lands_its_shard_tally_on_the_stripe_it_was_handed() {
+        let reg: Registry<AtomicUsize> = Registry::new(32, |_| AtomicUsize::new(0));
+        let a = reg.acquire().unwrap();
+        let (mine, theirs, mut out) = (StatStripe::new(), StatStripe::new(), Vec::new());
+        // Two handles' scans: each stripe holds its own scan's four shards and
+        // nothing of the other's.
+        reg.collect_protected(&mine, &mut out, |_, _| {});
+        let dispatch = |s: &StatStripe| (s.snapshot().shard_skips, s.snapshot().shard_walks);
+        assert_eq!((dispatch(&mine), dispatch(&theirs)), ((3, 1), (0, 0)));
+        reg.collect_protected(&theirs, &mut out, |_, _| {});
+        assert_eq!(reg.iter_claimed(&theirs).count(), 1);
+        assert_eq!((dispatch(&mine), dispatch(&theirs)), ((3, 1), (6, 2)));
+        // A walk abandoned half-way (the first registrant's home is shard 0)
+        // reports the shards it got to classify, and only those.
+        let stopped = StatStripe::new();
+        assert!(reg.iter_claimed(&stopped).any(|(i, _)| i == a.index()));
+        assert_eq!(dispatch(&stopped), (0, 1));
+        reg.release(a);
     }
 
     #[test]
@@ -596,42 +627,41 @@ mod tests {
         // Occupy only shard 5 (slots 40..48): deal homes until one lands there.
         let id = loop {
             let id = reg.acquire().unwrap();
-            if id.shard() == 5 {
+            if shard_of(id.index()) == 5 {
                 break id;
             }
             reg.release(id);
         };
-        assert_eq!(reg.skip_vacant_shards(0), 40, "jumps over shards 0..5");
-        assert_eq!(reg.skip_vacant_shards(41), 41, "active shard: no jump");
+        let tally = StatStripe::new();
         assert_eq!(
-            reg.skip_vacant_shards(48),
+            reg.skip_vacant_shards(&tally, 0),
+            40,
+            "jumps over shards 0..5"
+        );
+        assert_eq!(
+            reg.skip_vacant_shards(&tally, 41),
+            41,
+            "active shard: no jump"
+        );
+        assert_eq!(
+            reg.skip_vacant_shards(&tally, 48),
             64,
             "nothing after shard 5: jump to capacity"
         );
+        assert_eq!(tally.snapshot().shard_skips, 5 + 2);
         reg.release(id);
         assert_eq!(
-            reg.skip_vacant_shards(0),
+            reg.skip_vacant_shards(&tally, 0),
             64,
             "empty registry: one jump to the end"
         );
+        assert_eq!(tally.snapshot().shard_skips, 7 + 8);
+        assert_eq!(tally.snapshot().shard_walks, 0, "a jump walks nothing");
     }
 
     #[test]
     #[should_panic(expected = "capacity must be positive")]
     fn zero_capacity_rejected() {
         let _: Registry<u8> = Registry::new(0, |_| 0);
-    }
-
-    #[test]
-    fn merge_shard_counters_reports_skips_and_walks() {
-        let reg: Registry<AtomicUsize> = Registry::new(32, |_| AtomicUsize::new(0));
-        let a = reg.acquire().unwrap();
-        let mut out = Vec::new();
-        reg.collect_protected(&mut out, |_, _| {});
-        let mut snap = crate::stats::StatsSnapshot::default();
-        reg.merge_shard_counters(&mut snap);
-        assert_eq!(snap.shard_skips + snap.shard_walks, 4);
-        assert!(snap.shard_walks >= 1);
-        reg.release(a);
     }
 }

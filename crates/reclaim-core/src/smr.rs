@@ -26,16 +26,23 @@
 //! `alloc_node` defaults to returning
 //! [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) without touching shared state,
 //! and their `retire` ignores the stamp.
+//!
+//! ## What a scheme writes
+//!
+//! | trait | a scheme writes | provided over it |
+//! |-------|-----------------|------------------|
+//! | [`Smr`] | [`try_register`](Smr::try_register) and [`core`](Smr::core) — where its [`SchemeCore`] is (plus the two associated types) | [`register`](Smr::register), [`name`](Smr::name), [`stats`](Smr::stats), [`budget_verdict`](Smr::budget_verdict), [`telemetry`](Smr::telemetry): the same expression for every scheme, because the core's counter stripes are the only books there are |
+//! | [`SmrHandle`] | the protocol — `begin_op`, `end_op`, `protect`, `clear_protections`, `retire`, `flush` (and `alloc_node` for an era scheme) — and two one-line views of its [`HandleCore`](crate::limbo::HandleCore): [`ledger`](SmrHandle::ledger), [`telemetry_cursor`](SmrHandle::telemetry_cursor) | [`local_in_limbo`](SmrHandle::local_in_limbo), [`local_limbo_bytes`](SmrHandle::local_limbo_bytes) |
 
 use crate::budget::BudgetVerdict;
 use crate::clock::{Era, NO_BIRTH_ERA};
+use crate::limbo::SchemeCore;
 use crate::retired::DropFn;
 use crate::stats::StatsSnapshot;
 use crate::telemetry::{HandleTelemetry, Telemetry};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Error returned by [`Smr::try_register`] when every registry slot is claimed:
 /// more handles are simultaneously live than the scheme's configured
@@ -74,6 +81,10 @@ pub trait Smr: Send + Sync + 'static {
     /// The per-thread handle type.
     type Handle: SmrHandle;
 
+    /// The per-handle scan scratch of the scheme's [`SchemeCore`] (`()` for a
+    /// scheme that snapshots nothing).
+    type Scratch: Default;
+
     /// Registers the calling thread, claiming one of the `N` slots, or reports
     /// a descriptive [`CapacityExhausted`] error when more than `max_threads`
     /// handles are simultaneously live. The non-panicking twin of
@@ -94,22 +105,34 @@ pub trait Smr: Send + Sync + 'static {
         }
     }
 
+    /// The scheme's half of the shared retire pipeline: its name, counter
+    /// stripes, budget governor and telemetry, which everything below reads.
+    fn core(&self) -> &SchemeCore<Self::Scratch>;
+
     /// A short human-readable scheme name used by the benchmark harness
     /// (`"none"`, `"qsbr"`, `"hp"`, `"cadence"`, `"qsense"`).
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &'static str {
+        self.core().name()
+    }
 
     /// A snapshot of the scheme's reclamation counters.
-    fn stats(&self) -> StatsSnapshot;
+    fn stats(&self) -> StatsSnapshot {
+        self.core().stats()
+    }
 
-    /// The scheme's limbo-budget verdict so far (peak bytes, time over
-    /// budget, escalations taken). Without a configured budget it is
+    /// The scheme's limbo-budget verdict so far (current and peak bytes, time
+    /// over budget, escalations taken). Without a configured budget it is
     /// tracking-only: `budget_bytes == 0`, always within budget.
-    fn budget_verdict(&self) -> BudgetVerdict;
+    fn budget_verdict(&self) -> BudgetVerdict {
+        self.core().budget_verdict()
+    }
 
     /// The scheme's telemetry state ([`crate::telemetry`]): histograms of op
     /// latency, scan duration and retire→free delay (recording is gated on
     /// [`Telemetry::is_enabled`], off by default).
-    fn telemetry(&self) -> &Telemetry;
+    fn telemetry(&self) -> &Telemetry {
+        self.core().telemetry()
+    }
 }
 
 /// Per-thread handle to a reclamation scheme.
@@ -189,35 +212,29 @@ pub trait SmrHandle: Send {
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.
     fn flush(&mut self);
 
-    /// Number of nodes this thread has retired (or adopted from an exited
-    /// thread) but not yet freed — its limbo / removed-nodes list length, read
-    /// from the handle's [`HandleCore`](crate::limbo::HandleCore) ledger.
-    fn local_in_limbo(&self) -> usize;
+    /// The handle's [`HandleCore`](crate::limbo::HandleCore) ledger: the
+    /// nodes this thread has retired (or adopted from an exited thread) but
+    /// not yet freed, and their stamped bytes.
+    fn ledger(&self) -> (usize, usize);
 
-    /// Stamped bytes of those nodes, from the same ledger (0 for a handle
-    /// that accounts no bytes; every in-tree scheme does).
+    /// The ledger's node count — this thread's limbo / removed-nodes list
+    /// length.
+    fn local_in_limbo(&self) -> usize {
+        self.ledger().0
+    }
+
+    /// The ledger's stamped bytes.
     fn local_limbo_bytes(&self) -> usize {
-        0
+        self.ledger().1
     }
 
-    /// This handle's telemetry cursor (every in-tree scheme keeps it in its
-    /// [`HandleCore`](crate::limbo::HandleCore)); the op bracket below records
-    /// through it.
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry;
-
-    /// Telemetry op-bracket entry ([`HandleTelemetry::op_begin`]): called by
-    /// [`crate::guard::Guard`] right after [`begin_op`](Self::begin_op).
-    /// Returns the start instant for the 1-in-N sampled ops, `None` otherwise
-    /// (one relaxed load when telemetry is disabled).
-    fn telemetry_op_begin(&mut self) -> Option<Instant> {
-        self.telemetry_cursor().op_begin()
-    }
-
-    /// Telemetry op-bracket exit: records the sampled op's latency. Called by
-    /// the guard's drop with the instant `telemetry_op_begin` returned.
-    fn telemetry_op_end(&mut self, started: Instant) {
-        self.telemetry_cursor().op_end(started);
-    }
+    /// This handle's telemetry cursor
+    /// ([`HandleCore::tele`](crate::limbo::HandleCore::tele)).
+    /// [`crate::guard::Guard`] brackets every operation with its
+    /// [`op_begin`](HandleTelemetry::op_begin) /
+    /// [`op_end`](HandleTelemetry::op_end): one relaxed load when telemetry is
+    /// disabled.
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_>;
 }
 
 /// Returns the type-erased destructor for a `Box<T>`-allocated node.

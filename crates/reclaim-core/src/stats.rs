@@ -21,6 +21,15 @@
 //! [`ShardedStats`]: registry-backed schemes (QSBR, EBR, HP, Cadence, QSense, HE)
 //! key a handle's stripe by its registry slot index, registry-less schemes (Leaky,
 //! RefCount) deal stripes out round-robin at registration.
+//!
+//! The stripes are the scheme's only books. The limbo-byte estimate budgets are
+//! enforced against is `retired_bytes − freed_bytes` summed over them
+//! ([`ShardedStats::limbo_bytes`]), not a second tally kept in step with them;
+//! a scan's registry shard dispatch ([`StatsSnapshot::shard_skips`] /
+//! [`shard_walks`](StatsSnapshot::shard_walks)) lands on the scanning handle's
+//! stripe like any other counter. The one figure a snapshot carries that no
+//! stripe holds is [`StatsSnapshot::peak_limbo_bytes`]: a high-water mark is
+//! not a sum, so the scheme's governor keeps it and the scheme injects it.
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,6 +55,8 @@ pub struct StatStripe {
     scan_wholesale: AtomicU64,
     scan_skips: AtomicU64,
     scan_walks: AtomicU64,
+    shard_skips: AtomicU64,
+    shard_walks: AtomicU64,
     quiescent_states: AtomicU64,
     traversal_fences: AtomicU64,
     heavy_barriers: AtomicU64,
@@ -71,10 +82,10 @@ pub struct StatsSnapshot {
     pub retired_bytes: u64,
     /// Stamped allocation bytes actually released.
     pub freed_bytes: u64,
-    /// High-water mark of the scheme-wide limbo *byte* estimate, as tracked by
-    /// the scheme's budget governor at its reporting grain (0 when the scheme
-    /// carries no governor). Not a stripe counter: the scheme injects it at
-    /// snapshot time.
+    /// High-water mark of the scheme-wide limbo *byte* estimate, as the
+    /// scheme's budget governor saw it each time a handle looked (0 when the
+    /// scheme carries no governor). Not a stripe counter: the scheme injects
+    /// it at snapshot time.
     pub peak_limbo_bytes: u64,
     /// Hazard-pointer scans executed (HP / Cadence / QSense fallback).
     pub scans: u64,
@@ -93,12 +104,12 @@ pub struct StatsSnapshot {
     pub scan_walks: u64,
     /// Registry shards stepped over as wholly vacant by scans and cursor walks
     /// (one bitmap load, zero slot lines touched) — the counter that proves
-    /// scan cost tracks *active shards*, not registered capacity. Not a stripe
-    /// counter: the registry tracks it and injects it at merge time (see
-    /// [`crate::registry::Registry::merge_shard_counters`]).
+    /// scan cost tracks *active shards*, not registered capacity. Counted on
+    /// the stripe of the handle that ran the walk
+    /// ([`StatStripe::add_shard_dispatch`]).
     pub shard_skips: u64,
     /// Registry shards actually walked (at least one claimed slot at the
-    /// bitmap load). Registry-level, like [`shard_skips`](Self::shard_skips).
+    /// bitmap load). Counted like [`shard_skips`](Self::shard_skips).
     pub shard_walks: u64,
     /// Quiescent states declared (QSBR / QSense fast path).
     pub quiescent_states: u64,
@@ -212,6 +223,20 @@ impl StatStripe {
         self.scan_walks.fetch_add(1, R);
     }
 
+    /// Records one registry walk's shard dispatch: `skips` shards stepped over
+    /// as wholly vacant, `walks` walked (see [`StatsSnapshot::shard_skips`]).
+    /// The walk counts locally and calls this once, so a scan pays at most two
+    /// adds to its own line however many shards the registry has.
+    #[inline]
+    pub fn add_shard_dispatch(&self, skips: u64, walks: u64) {
+        if skips != 0 {
+            self.shard_skips.fetch_add(skips, R);
+        }
+        if walks != 0 {
+            self.shard_walks.fetch_add(walks, R);
+        }
+    }
+
     /// Records one quiescent state.
     #[inline]
     pub fn add_quiescent_state(&self) {
@@ -261,6 +286,8 @@ impl StatStripe {
         snap.scan_wholesale += self.scan_wholesale.load(R);
         snap.scan_skips += self.scan_skips.load(R);
         snap.scan_walks += self.scan_walks.load(R);
+        snap.shard_skips += self.shard_skips.load(R);
+        snap.shard_walks += self.shard_walks.load(R);
         snap.quiescent_states += self.quiescent_states.load(R);
         snap.traversal_fences += self.traversal_fences.load(R);
         snap.heavy_barriers += self.heavy_barriers.load(R);
@@ -322,6 +349,27 @@ impl ShardedStats {
         self.next.fetch_add(1, Ordering::Relaxed) % self.stripes.len()
     }
 
+    /// The scheme-wide limbo-byte estimate: `retired_bytes − freed_bytes` over
+    /// every stripe and `orphan` (the scheme's handle-less stripe), clamped at
+    /// 0. O(#stripes) loads, no write.
+    ///
+    /// Every `freed_bytes` is read (acquire) before any `retired_bytes`: a node
+    /// is retired on one stripe and, after a park and an adoption, may be freed
+    /// on another, so the freed-first order of [`StatStripe::merge_into`] has
+    /// to hold across stripes here. A free this sum observes happened after its
+    /// retire — on the same thread, or through the parked chain's lock — so
+    /// the retired reads that follow include it: a concurrent sum can run
+    /// ahead of the truth by retires it raced with, never below it by a free
+    /// whose retire it missed.
+    pub fn limbo_bytes(&self, orphan: &StatStripe) -> u64 {
+        let stripes = || self.stripes.iter().map(|s| &**s).chain([orphan]);
+        let freed: u64 = stripes()
+            .map(|s| s.freed_bytes.load(Ordering::Acquire))
+            .sum();
+        let retired: u64 = stripes().map(|s| s.retired_bytes.load(R)).sum();
+        retired.saturating_sub(freed)
+    }
+
     /// Sums every stripe into one consistent-enough snapshot (each counter is read
     /// atomically; the set is not a single atomic cut, which is fine for
     /// reporting — except `retired >= freed`, which *is* guaranteed; see
@@ -357,6 +405,8 @@ mod tests {
         stats.add_scan_walk();
         stats.add_scan_walk();
         stats.add_scan_walk();
+        stats.add_shard_dispatch(3, 0);
+        stats.add_shard_dispatch(2, 4);
         stats.add_quiescent_state();
         stats.add_traversal_fences(7);
         stats.add_heavy_barrier();
@@ -376,6 +426,7 @@ mod tests {
         assert_eq!(snap.scan_wholesale, 1);
         assert_eq!(snap.scan_skips, 2);
         assert_eq!(snap.scan_walks, 3);
+        assert_eq!((snap.shard_skips, snap.shard_walks), (5, 4));
         assert_eq!(snap.quiescent_states, 1);
         assert_eq!(snap.traversal_fences, 7);
         assert_eq!((snap.heavy_barriers, snap.heavy_barrier_failures), (2, 1));
@@ -406,6 +457,20 @@ mod tests {
         let snap = stats.snapshot();
         assert_eq!(snap.retired, 1 + 2 + 3 + 4);
         assert_eq!(snap.freed, 1);
+    }
+
+    #[test]
+    fn limbo_bytes_sums_across_stripes_and_the_orphan_and_clamps_at_zero() {
+        let stats = ShardedStats::new(2);
+        let orphan = StatStripe::new();
+        // Retired on stripe 0, freed — after a park and an adoption — on
+        // stripe 1 and by the orphan: no single stripe balances, the sum does.
+        stats.stripe(0).add_retired_bytes(900);
+        stats.stripe(1).add_freed_bytes(300);
+        orphan.add_freed_bytes(200);
+        assert_eq!(stats.limbo_bytes(&orphan), 400);
+        orphan.add_freed_bytes(1_000);
+        assert_eq!(stats.limbo_bytes(&orphan), 0);
     }
 
     #[test]

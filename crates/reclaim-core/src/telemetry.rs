@@ -17,9 +17,11 @@
 //!   [`RetiredPtr`](crate::retired::RetiredPtr) at retire and measured when the
 //!   scan frees the node — the paper's "bounded garbage" claim as an observable
 //!   retire→free distribution.
-//! * [`HandleTelemetry`] — the per-handle recording cursor (stripe index plus
-//!   the op-sampling counter), and [`ScanObserver`] — a per-scan probe the
-//!   schemes thread through their reclaim predicates.
+//! * [`HandleTelemetry`] — the per-handle recording cursor (a view of the
+//!   handle's op-sampling counter and tick cache, its scheme's [`Telemetry`]
+//!   and its stripe, lent by [`HandleCore::tele`](crate::limbo::HandleCore::tele)),
+//!   and [`ScanObserver`] — a per-scan probe the schemes thread through their
+//!   reclaim predicates.
 //!
 //! ## Time sources
 //!
@@ -76,16 +78,15 @@
 use crate::config::SmrConfig;
 use crate::pad::CachePadded;
 use crate::retired::RetiredPtr;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of log2 buckets per histogram: one per `u64` bit position.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Counter stripes per histogram. Handles are assigned stripes round-robin;
-/// eight padded stripes keep concurrent recorders off each other's cache
-/// lines at every thread count the benchmarks run.
+/// Counter stripes per histogram. A handle records on its counter stripe's
+/// index modulo this; eight padded stripes keep concurrent recorders off each
+/// other's cache lines at every thread count the benchmarks run.
 pub const HIST_STRIPES: usize = 8;
 
 /// One stripe: 64 buckets, 512 bytes, single cache-padded unit.
@@ -257,8 +258,9 @@ impl TelemetrySummary {
 }
 
 /// Per-scheme telemetry state: the enabled flag, the coarse-tick origin, and
-/// the three histograms. One instance lives in every scheme object (behind the
-/// scheme's `Arc`); handles record through [`HandleTelemetry`] cursors.
+/// the three histograms. One instance lives in every scheme's
+/// [`SchemeCore`](crate::limbo::SchemeCore); handles record through
+/// [`HandleTelemetry`] cursors.
 pub struct Telemetry {
     /// Read-mostly: every record site loads this (relaxed) exactly once and
     /// branches away when telemetry is off.
@@ -267,8 +269,6 @@ pub struct Telemetry {
     sample_mask: u32,
     /// Origin of the coarse tick; also the precise-clock anchor.
     origin: Instant,
-    /// Round-robin stripe assignment cursor for registering handles.
-    next_stripe: AtomicUsize,
     op_latency: LogHistogram,
     scan_duration: LogHistogram,
     reclaim_delay: LogHistogram,
@@ -288,7 +288,6 @@ impl Telemetry {
             enabled: AtomicBool::new(enabled),
             sample_mask: (1u32 << sample_shift.min(31)) - 1,
             origin: Instant::now(),
-            next_stripe: AtomicUsize::new(0),
             op_latency: LogHistogram::new(),
             scan_duration: LogHistogram::new(),
             reclaim_delay: LogHistogram::new(),
@@ -326,11 +325,6 @@ impl Telemetry {
         } else {
             t
         }
-    }
-
-    /// Assigns a histogram stripe to a registering handle (round-robin).
-    pub fn assign_stripe(&self) -> usize {
-        self.next_stripe.fetch_add(1, Ordering::Relaxed) % HIST_STRIPES
     }
 
     /// Begins observing one scan: one relaxed load when disabled, otherwise a
@@ -372,40 +366,32 @@ impl Telemetry {
 /// look *longer*, by at most the wall time those retires spanned.
 pub const TICK_REFRESH: u32 = 16;
 
-/// The per-handle recording cursor: an `Arc` to the scheme's [`Telemetry`],
-/// this handle's stripe, the 1-in-N op-sampling counter, and the amortised
-/// retire-tick cache. All methods are one relaxed load when telemetry is
-/// disabled.
-pub struct HandleTelemetry {
-    shared: Arc<Telemetry>,
-    stripe: usize,
+/// What a handle keeps between telemetry records: the 1-in-N op-sampling
+/// counter and the amortised retire-tick cache.
+#[derive(Default)]
+pub(crate) struct CursorState {
     ops: u32,
     retires: u32,
     tick_cache: u32,
 }
 
-impl HandleTelemetry {
-    /// Attaches a new per-handle cursor to the scheme's shared telemetry.
-    pub fn attach(shared: &Arc<Telemetry>) -> Self {
+/// The per-handle recording cursor: the handle's sampling counter and tick
+/// cache together with the scheme's [`Telemetry`] and the handle's stripe, all
+/// borrowed through the handle's core for the length of one call. All methods
+/// are one relaxed load when telemetry is disabled.
+pub struct HandleTelemetry<'a> {
+    shared: &'a Telemetry,
+    stripe: usize,
+    state: &'a mut CursorState,
+}
+
+impl<'a> HandleTelemetry<'a> {
+    pub(crate) fn new(shared: &'a Telemetry, stripe: usize, state: &'a mut CursorState) -> Self {
         Self {
-            stripe: shared.assign_stripe(),
-            shared: Arc::clone(shared),
-            ops: 0,
-            retires: 0,
-            tick_cache: 0,
+            shared,
+            stripe,
+            state,
         }
-    }
-
-    /// This handle's histogram stripe (pass to [`Telemetry::scan_observer`]).
-    #[inline]
-    pub fn stripe(&self) -> usize {
-        self.stripe
-    }
-
-    /// The shared telemetry this cursor records into.
-    #[inline]
-    pub fn shared(&self) -> &Telemetry {
-        &self.shared
     }
 
     /// Op-bracket entry: one relaxed load when disabled; when enabled, counts
@@ -415,12 +401,12 @@ impl HandleTelemetry {
         if !self.shared.is_enabled() {
             return None;
         }
-        let sampled = self.ops & self.shared.sample_mask == 0;
-        self.ops = self.ops.wrapping_add(1);
+        let sampled = self.state.ops & self.shared.sample_mask == 0;
+        self.state.ops = self.state.ops.wrapping_add(1);
         if sampled {
             let now = Instant::now();
             // Free tick refresh: the sample already paid for the clock read.
-            self.tick_cache = self.shared.tick_from(now);
+            self.state.tick_cache = self.shared.tick_from(now);
             Some(now)
         } else {
             None
@@ -444,11 +430,11 @@ impl HandleTelemetry {
         if !self.shared.is_enabled() {
             return 0;
         }
-        if self.retires & (TICK_REFRESH - 1) == 0 || self.tick_cache == 0 {
-            self.tick_cache = self.shared.coarse_now();
+        if self.state.retires & (TICK_REFRESH - 1) == 0 || self.state.tick_cache == 0 {
+            self.state.tick_cache = self.shared.coarse_now();
         }
-        self.retires = self.retires.wrapping_add(1);
-        self.tick_cache
+        self.state.retires = self.state.retires.wrapping_add(1);
+        self.state.tick_cache
     }
 }
 
@@ -587,8 +573,9 @@ mod tests {
 
     #[test]
     fn sampling_mask_selects_one_in_n() {
-        let tele = Arc::new(Telemetry::new(true, 3)); // 1-in-8
-        let mut cursor = HandleTelemetry::attach(&tele);
+        let tele = Telemetry::new(true, 3); // 1-in-8
+        let mut state = CursorState::default();
+        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
         let mut sampled = 0;
         for _ in 0..64 {
             if let Some(start) = cursor.op_begin() {
@@ -602,8 +589,9 @@ mod tests {
 
     #[test]
     fn disabled_paths_record_nothing() {
-        let tele = Arc::new(Telemetry::new(false, 0));
-        let mut cursor = HandleTelemetry::attach(&tele);
+        let tele = Telemetry::new(false, 0);
+        let mut state = CursorState::default();
+        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
         for _ in 0..32 {
             assert!(cursor.op_begin().is_none());
         }
@@ -649,8 +637,9 @@ mod tests {
 
     #[test]
     fn retire_tick_cache_is_monotone_and_never_zero_while_enabled() {
-        let tele = Arc::new(Telemetry::new(true, 0));
-        let mut cursor = HandleTelemetry::attach(&tele);
+        let tele = Telemetry::new(true, 0);
+        let mut state = CursorState::default();
+        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
         let mut last = 0u32;
         // One past the refresh boundary, so the final stamp below can only
         // come from the cache (not a boundary re-read).
@@ -670,20 +659,13 @@ mod tests {
 
     #[test]
     fn set_enabled_toggles_record_sites() {
-        let tele = Arc::new(Telemetry::new(false, 0));
-        let mut cursor = HandleTelemetry::attach(&tele);
+        let tele = Telemetry::new(false, 0);
+        let mut state = CursorState::default();
+        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
         assert!(cursor.op_begin().is_none());
         tele.set_enabled(true);
         assert!(cursor.op_begin().is_some());
         tele.set_enabled(false);
         assert!(cursor.op_begin().is_none());
-    }
-
-    #[test]
-    fn stripes_are_assigned_round_robin() {
-        let tele = Telemetry::new(true, 0);
-        let first: Vec<usize> = (0..HIST_STRIPES).map(|_| tele.assign_stripe()).collect();
-        assert_eq!(first, (0..HIST_STRIPES).collect::<Vec<_>>());
-        assert_eq!(tele.assign_stripe(), 0, "wraps around");
     }
 }

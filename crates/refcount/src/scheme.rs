@@ -2,10 +2,9 @@
 
 use crate::table::{CountTable, DEFAULT_BUCKETS};
 use reclaim_core::retired::DropFn;
-use reclaim_core::stats::StatsSnapshot;
 use reclaim_core::{
-    BudgetVerdict, CapacityExhausted, Era, HandleCore, HandleTelemetry, PtrScratch, RetiredPtr,
-    SchemeCore, SegBag, SegPool, Smr, SmrConfig, SmrHandle, Telemetry,
+    CapacityExhausted, Era, HandleCore, HandleTelemetry, PtrScratch, RetiredPtr, SchemeCore,
+    SegBag, SegPool, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -63,6 +62,7 @@ impl RefCount {
 
 impl Smr for RefCount {
     type Handle = RefCountHandle;
+    type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<RefCountHandle, CapacityExhausted> {
         let k = self.core.config().hp_per_thread;
@@ -83,20 +83,8 @@ impl Smr for RefCount {
         })
     }
 
-    fn name(&self) -> &'static str {
-        self.core.name()
-    }
-
-    fn stats(&self) -> StatsSnapshot {
-        self.core.stats()
-    }
-
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core.governor().verdict()
-    }
-
-    fn telemetry(&self) -> &Telemetry {
-        self.core.telemetry()
+    fn core(&self) -> &SchemeCore<PtrScratch> {
+        &self.core
     }
 }
 
@@ -194,16 +182,12 @@ impl SmrHandle for RefCountHandle {
         Self::scan(&mut self.core, &self.scheme.table, &mut self.retired);
     }
 
-    fn local_in_limbo(&self) -> usize {
-        self.core.in_limbo()
+    fn ledger(&self) -> (usize, usize) {
+        (self.core.in_limbo(), self.core.limbo_bytes())
     }
 
-    fn local_limbo_bytes(&self) -> usize {
-        self.core.limbo_bytes()
-    }
-
-    fn telemetry_cursor(&mut self) -> &mut HandleTelemetry {
-        &mut self.core.tele
+    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
+        self.core.tele()
     }
 }
 

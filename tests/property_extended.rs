@@ -6,9 +6,12 @@
 //! generated sequence across all eight schemes, pinning the full
 //! structure × scheme matrix now that every structure runs on the guard API.
 
+mod common;
+
+use common::{check_set, set_step};
 use proptest::collection::vec;
 use proptest::prelude::*;
-use qsense_repro::bench::{make_set, SchemeKind, Structure};
+use qsense_repro::bench::{SchemeKind, Structure};
 use qsense_repro::ds::{
     LockFreeHashMap, MichaelScottQueue, TreiberStack, HASHMAP_HP_SLOTS, QUEUE_HP_SLOTS,
     STACK_HP_SLOTS,
@@ -16,17 +19,12 @@ use qsense_repro::ds::{
 use qsense_repro::smr::{
     Cadence, Ebr, Hazard, He, Leaky, QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
 };
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
+/// The suites' small configuration, for a structure with `k` protection slots.
 fn small_config(k: usize) -> SmrConfig {
-    SmrConfig::default()
-        .with_max_threads(4)
-        .with_hp_per_thread(k)
-        .with_quiescence_threshold(4)
-        .with_scan_threshold(8)
-        .with_fallback_threshold(64)
-        .with_rooster_interval(std::time::Duration::from_millis(1))
+    common::small_config().with_hp_per_thread(k)
 }
 
 /// One step of a generated map workload.
@@ -144,48 +142,6 @@ proptest! {
         }
         prop_assert_eq!(stack.pop(&mut handle), None);
     }
-}
-
-/// One step of a generated set workload (for the baseline-scheme coverage).
-#[derive(Clone, Debug)]
-enum SetStep {
-    Insert(u64),
-    Remove(u64),
-    Contains(u64),
-}
-
-fn set_step(key_range: u64) -> impl Strategy<Value = SetStep> {
-    prop_oneof![
-        (0..key_range).prop_map(SetStep::Insert),
-        (0..key_range).prop_map(SetStep::Remove),
-        (0..key_range).prop_map(SetStep::Contains),
-    ]
-}
-
-fn check_set(
-    structure: Structure,
-    scheme: SchemeKind,
-    steps: &[SetStep],
-) -> Result<(), TestCaseError> {
-    let config = qsense_repro::bench::default_bench_config(4)
-        .with_quiescence_threshold(4)
-        .with_scan_threshold(8)
-        .with_fallback_threshold(64)
-        .with_rooster_interval(std::time::Duration::from_millis(1));
-    let set = make_set(structure, scheme, config);
-    let mut session = set.session();
-    let mut reference = BTreeSet::new();
-    for step in steps {
-        match *step {
-            SetStep::Insert(k) => prop_assert_eq!(session.insert(k), reference.insert(k)),
-            SetStep::Remove(k) => prop_assert_eq!(session.remove(k), reference.remove(&k)),
-            SetStep::Contains(k) => prop_assert_eq!(session.contains(k), reference.contains(&k)),
-        }
-    }
-    session.flush();
-    drop(session);
-    prop_assert_eq!(set.len(), reference.len());
-    Ok(())
 }
 
 proptest! {

@@ -2,65 +2,11 @@
 //! like a reference `BTreeSet` on arbitrary operation sequences, under every
 //! reclamation scheme; plus properties of the core reclamation invariants.
 
+mod common;
+
+use common::{check_set, set_step};
 use proptest::prelude::*;
-use qsense_repro::bench::{make_set, SchemeKind, Structure};
-use qsense_repro::smr::SmrConfig;
-use std::collections::BTreeSet;
-
-/// One step of a generated workload.
-#[derive(Clone, Debug)]
-enum Step {
-    Insert(u64),
-    Remove(u64),
-    Contains(u64),
-}
-
-fn step_strategy(key_range: u64) -> impl Strategy<Value = Step> {
-    prop_oneof![
-        (0..key_range).prop_map(Step::Insert),
-        (0..key_range).prop_map(Step::Remove),
-        (0..key_range).prop_map(Step::Contains),
-    ]
-}
-
-fn small_config() -> SmrConfig {
-    qsense_repro::bench::default_bench_config(4)
-        .with_quiescence_threshold(4)
-        .with_scan_threshold(8)
-        .with_fallback_threshold(64)
-        .with_rooster_interval(std::time::Duration::from_millis(1))
-}
-
-fn check_against_reference(structure: Structure, scheme: SchemeKind, steps: &[Step]) {
-    let set = make_set(structure, scheme, small_config());
-    let mut session = set.session();
-    let mut reference = BTreeSet::new();
-    for step in steps {
-        match *step {
-            Step::Insert(k) => assert_eq!(
-                session.insert(k),
-                reference.insert(k),
-                "{structure:?}/{scheme:?} insert({k}) diverged"
-            ),
-            Step::Remove(k) => assert_eq!(
-                session.remove(k),
-                reference.remove(&k),
-                "{structure:?}/{scheme:?} remove({k}) diverged"
-            ),
-            Step::Contains(k) => assert_eq!(
-                session.contains(k),
-                reference.contains(&k),
-                "{structure:?}/{scheme:?} contains({k}) diverged"
-            ),
-        }
-    }
-    drop(session);
-    assert_eq!(
-        set.len(),
-        reference.len(),
-        "{structure:?}/{scheme:?} final size"
-    );
-}
+use qsense_repro::bench::{SchemeKind, Structure};
 
 proptest! {
     #![proptest_config(ProptestConfig {
@@ -69,43 +15,43 @@ proptest! {
     })]
 
     #[test]
-    fn list_matches_btreeset_under_qsense(steps in prop::collection::vec(step_strategy(64), 1..400)) {
-        check_against_reference(Structure::List, SchemeKind::QSense, &steps);
+    fn list_matches_btreeset_under_qsense(steps in prop::collection::vec(set_step(64), 1..400)) {
+        check_set(Structure::List, SchemeKind::QSense, &steps)?;
     }
 
     #[test]
-    fn list_matches_btreeset_under_hp(steps in prop::collection::vec(step_strategy(64), 1..400)) {
-        check_against_reference(Structure::List, SchemeKind::Hp, &steps);
+    fn list_matches_btreeset_under_hp(steps in prop::collection::vec(set_step(64), 1..400)) {
+        check_set(Structure::List, SchemeKind::Hp, &steps)?;
     }
 
     #[test]
-    fn list_matches_btreeset_under_hazard_eras(steps in prop::collection::vec(step_strategy(64), 1..400)) {
-        check_against_reference(Structure::List, SchemeKind::He, &steps);
+    fn list_matches_btreeset_under_hazard_eras(steps in prop::collection::vec(set_step(64), 1..400)) {
+        check_set(Structure::List, SchemeKind::He, &steps)?;
     }
 
     #[test]
-    fn skiplist_matches_btreeset_under_qsense(steps in prop::collection::vec(step_strategy(64), 1..300)) {
-        check_against_reference(Structure::SkipList, SchemeKind::QSense, &steps);
+    fn skiplist_matches_btreeset_under_qsense(steps in prop::collection::vec(set_step(64), 1..300)) {
+        check_set(Structure::SkipList, SchemeKind::QSense, &steps)?;
     }
 
     #[test]
-    fn skiplist_matches_btreeset_under_hazard_eras(steps in prop::collection::vec(step_strategy(64), 1..300)) {
-        check_against_reference(Structure::SkipList, SchemeKind::He, &steps);
+    fn skiplist_matches_btreeset_under_hazard_eras(steps in prop::collection::vec(set_step(64), 1..300)) {
+        check_set(Structure::SkipList, SchemeKind::He, &steps)?;
     }
 
     #[test]
-    fn skiplist_matches_btreeset_under_cadence(steps in prop::collection::vec(step_strategy(64), 1..300)) {
-        check_against_reference(Structure::SkipList, SchemeKind::Cadence, &steps);
+    fn skiplist_matches_btreeset_under_cadence(steps in prop::collection::vec(set_step(64), 1..300)) {
+        check_set(Structure::SkipList, SchemeKind::Cadence, &steps)?;
     }
 
     #[test]
-    fn bst_matches_btreeset_under_qsense(steps in prop::collection::vec(step_strategy(64), 1..300)) {
-        check_against_reference(Structure::Bst, SchemeKind::QSense, &steps);
+    fn bst_matches_btreeset_under_qsense(steps in prop::collection::vec(set_step(64), 1..300)) {
+        check_set(Structure::Bst, SchemeKind::QSense, &steps)?;
     }
 
     #[test]
-    fn bst_matches_btreeset_under_qsbr(steps in prop::collection::vec(step_strategy(64), 1..300)) {
-        check_against_reference(Structure::Bst, SchemeKind::Qsbr, &steps);
+    fn bst_matches_btreeset_under_qsbr(steps in prop::collection::vec(set_step(64), 1..300)) {
+        check_set(Structure::Bst, SchemeKind::Qsbr, &steps)?;
     }
 
     /// Deferred-reclamation coverage is monotonic (the hazard-pointer family's

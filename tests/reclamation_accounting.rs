@@ -7,9 +7,9 @@
 //! double free would panic or over-count; a use-after-free would crash.
 //!
 //! The last test follows the *unreclaimed* side of the same books: what each
-//! handle says it holds in limbo, what the scheme's counters say is in limbo,
-//! and what the budget governor estimates, through retire, flush, handle drop
-//! and adoption.
+//! handle says it holds in limbo against what the scheme's counters say is in
+//! limbo — which is, by definition, what the budget verdict reports — through
+//! retire, flush, handle drop and adoption.
 
 use qsense_repro::ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList};
 use qsense_repro::smr::{
@@ -241,8 +241,8 @@ type Totals = (u64, u64);
 
 /// The conservation law at one step of the script: what the live handles'
 /// ledgers hold plus what sits parked is what the scheme's counters say is
-/// unreclaimed (`retired - freed`, kept independently of the ledgers) — and,
-/// whenever every report is in, what the governor estimates.
+/// unreclaimed (`retired - freed`, kept independently of the ledgers). The
+/// verdict's estimate *is* that figure, at every step, report or no report.
 fn assert_conserved<S: Smr>(step: &str, scheme: &S, live: &[&S::Handle], parked: Totals) {
     let name = scheme.name();
     let stats = scheme.stats();
@@ -256,9 +256,9 @@ fn assert_conserved<S: Smr>(step: &str, scheme: &S, live: &[&S::Handle], parked:
     assert_eq!(bytes, stats.limbo_bytes(), "{name}, {step}: bytes");
     assert_eq!(nodes * NODE_BYTES as u64, bytes, "{name}, {step}");
     assert_eq!(
-        bytes,
         scheme.budget_verdict().current_bytes,
-        "{name}, {step}: governor estimate"
+        stats.limbo_bytes(),
+        "{name}, {step}: the verdict's estimate"
     );
 }
 
@@ -296,16 +296,12 @@ fn ledger_is_conserved<S: Smr>(new: impl FnOnce(SmrConfig) -> Arc<S>, age: impl 
             .map(|_| Box::into_raw(Box::new(FatNode(Arc::clone(&drops), [0; NODE_BYTES - 8]))))
             .collect()
     };
-    // The budget is never reached (the script retires 19 nodes), but it sets
-    // the governor's reporting grain to budget / 64 = one node, so the
-    // estimate is exact after every retire and not only after a scan.
     let scheme = new(SmrConfig::default()
         .with_max_threads(4)
         .with_hp_per_thread(2)
         .with_quiescence_threshold(4)
         .with_scan_threshold(8)
-        .with_rooster_interval(Duration::MAX)
-        .with_limbo_budget(Some(64 * NODE_BYTES)));
+        .with_rooster_interval(Duration::MAX));
     let name = scheme.name();
     let mut parked: Totals = (0, 0);
 

@@ -5,76 +5,13 @@
 //! the protection / retirement protocol of any (structure, scheme) pair were wrong,
 //! and that would fail the final consistency check if operations were lost.
 
+mod common;
+
+use common::{bench_config, stress_cell};
 use qsense_repro::bench::{make_set, BenchSet, SchemeKind, Structure};
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 use std::thread;
-
-fn bench_config(threads: usize) -> reclaim_core::SmrConfig {
-    // Small thresholds so reclamation and (for QSense) path switching actually
-    // happen within a short test run.
-    qsense_repro::bench::default_bench_config(threads + 2)
-        .with_quiescence_threshold(16)
-        .with_scan_threshold(32)
-        .with_fallback_threshold(512)
-        .with_rooster_interval(std::time::Duration::from_millis(1))
-}
-
-/// Runs a mixed workload and checks that the final size matches the balance of
-/// successful inserts and removes reported by the threads themselves.
-fn stress_cell(structure: Structure, scheme: SchemeKind, threads: usize, ops: u64) {
-    let set: Arc<dyn BenchSet> = make_set(structure, scheme, bench_config(threads));
-    let balance = Arc::new(AtomicI64::new(0));
-
-    thread::scope(|scope| {
-        for t in 0..threads {
-            let set = Arc::clone(&set);
-            let balance = Arc::clone(&balance);
-            scope.spawn(move || {
-                let mut session = set.session();
-                let mut state = 0x5bd1_e995_u64.wrapping_add(t as u64);
-                let mut local: i64 = 0;
-                for _ in 0..ops {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-                    let key = (state >> 33) % 512;
-                    match state % 4 {
-                        0 | 1 => {
-                            session.contains(key);
-                        }
-                        2 => {
-                            if session.insert(key) {
-                                local += 1;
-                            }
-                        }
-                        _ => {
-                            if session.remove(key) {
-                                local -= 1;
-                            }
-                        }
-                    }
-                }
-                session.flush();
-                balance.fetch_add(local, Ordering::SeqCst);
-            });
-        }
-    });
-
-    let expected = balance.load(Ordering::SeqCst);
-    assert!(
-        expected >= 0,
-        "more successful removes than inserts is impossible"
-    );
-    assert_eq!(
-        set.len() as i64,
-        expected,
-        "{structure:?}/{scheme:?}: final size must equal successful inserts - removes"
-    );
-    let stats = set.smr_stats();
-    assert!(
-        stats.freed <= stats.retired,
-        "cannot free more than was retired"
-    );
-}
 
 /// 100%-churn workload for the FIFO/LIFO structures: every operation mutates
 /// (enqueue/push or dequeue/pop — there is no membership test), which is the

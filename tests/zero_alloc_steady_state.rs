@@ -672,14 +672,14 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             let telemetry = Smr::telemetry(&*scheme);
             let cycle = |writer: &mut S::Handle| {
                 for _ in 0..GROWTH_BATCH {
-                    let started = writer.telemetry_op_begin();
+                    let started = writer.telemetry_cursor().op_begin();
                     writer.begin_op();
                     let ptr = Box::into_raw(Box::new(0u64));
                     // SAFETY: freshly boxed, unlinked by construction, retired once.
                     unsafe { qsense_repro::smr::retire_box(writer, ptr) };
                     writer.end_op();
                     if let Some(started) = started {
-                        writer.telemetry_op_end(started);
+                        writer.telemetry_cursor().op_end(started);
                     }
                 }
                 // The clock feeds the retire->free delay; `age` is the wake-up
@@ -768,21 +768,21 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             let mut handle = scheme.register();
             let telemetry = Smr::telemetry(&*scheme);
             // Warm-up: first bracket and snapshot.
-            let started = handle.telemetry_op_begin();
+            let started = handle.telemetry_cursor().op_begin();
             handle.begin_op();
             handle.end_op();
             if let Some(started) = started {
-                handle.telemetry_op_end(started);
+                handle.telemetry_cursor().op_end(started);
             }
             let _ = telemetry.summary();
             assert_alloc_delta("none: telemetry brackets + snapshots", 0, || {
                 let before_alloc = ALLOC.allocated_bytes();
                 for _ in 0..256 {
-                    let started = handle.telemetry_op_begin();
+                    let started = handle.telemetry_cursor().op_begin();
                     handle.begin_op();
                     handle.end_op();
                     if let Some(started) = started {
-                        handle.telemetry_op_end(started);
+                        handle.telemetry_cursor().op_end(started);
                     }
                     let summary = telemetry.summary();
                     assert!(!summary.op_latency_ns.is_empty());
