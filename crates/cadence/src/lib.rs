@@ -141,10 +141,19 @@ mod tests {
             unsafe { retire_box(&mut handle, tracked(&drops)) };
             // The 5th retire triggers a scan. Behind a rooster the first four
             // nodes are covered and the fifth, retired since the wake-up,
-            // must survive; a fenced reader leaves nothing to wait for.
+            // must survive; a fenced reader leaves nothing to wait for. The
+            // scan proves and frees nothing: the next retires do, two each.
             let waiting = usize::from(strategy == FenceStrategy::Rooster);
-            assert_eq!(drops.load(Ordering::SeqCst), 5 - waiting);
-            assert_eq!(handle.local_in_limbo(), waiting);
+            let proven = 5 - waiting;
+            assert_eq!((scheme.stats().scans, drops.load(Ordering::SeqCst)), (1, 0));
+            assert_eq!(handle.local_in_limbo(), 5, "proven nodes stay on the books");
+            for retires in 1..=proven.div_ceil(2) {
+                // SAFETY: as above.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+                assert_eq!(drops.load(Ordering::SeqCst), proven.min(2 * retires));
+            }
+            assert_eq!(scheme.stats().scans, 1, "{strategy:?}: no second scan");
+            assert_eq!(handle.local_in_limbo(), waiting + proven.div_ceil(2));
         });
     }
 

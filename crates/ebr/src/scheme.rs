@@ -445,6 +445,7 @@ impl SmrHandle for EbrHandle {
         }
         let global = self.scheme.global_epoch.load();
         Self::collect(&mut self.core, &mut self.limbo, global);
+        self.core.drain_ready();
     }
 
     fn ledger(&self) -> (usize, usize) {
@@ -624,19 +625,28 @@ mod tests {
                 before,
                 "{strategy:?}: a non-empty young bucket"
             );
-            // Each moved epoch is looked at once, by the next pin.
-            for advance in 1..=SAFE_EPOCH_GAP {
+            // Each moved epoch is looked at once, by the next pin; the third
+            // drains the bucket. A pin proves: it frees nothing itself.
+            for _ in 1..=SAFE_EPOCH_GAP {
                 assert!(scheme.try_advance());
                 handle.begin_op();
                 handle.end_op();
-                let matured = advance == SAFE_EPOCH_GAP;
-                assert_eq!(drops.load(Ordering::SeqCst), if matured { 10 } else { 0 });
+                assert_eq!(drops.load(Ordering::SeqCst), 0);
             }
             let (scans, skips, wholesale) = dispatch(&scheme);
             assert_eq!(
                 (scans, skips, wholesale),
                 (before.0, before.1 + SAFE_EPOCH_GAP - 1, before.2 + 1)
             );
+            // The drained bucket reaches the allocator two nodes a retire.
+            handle.begin_op();
+            for retires in 1..=5 {
+                // SAFETY: as above.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+                assert_eq!(drops.load(Ordering::SeqCst), 2 * retires);
+            }
+            handle.end_op();
+            assert_eq!(handle.local_in_limbo(), 5);
         });
     }
 
@@ -804,12 +814,18 @@ mod tests {
                     "freed after only {expected_gap} advance(s) past the pin tag"
                 );
             }
-            // The third advance completes the grace period.
+            // The third advance completes the grace period: the next pin
+            // drains the bucket, and a flush hands what it proved to the
+            // allocator.
             assert!(scheme.try_advance());
             assert_eq!(scheme.current_epoch(), tag + SAFE_EPOCH_GAP);
             handle.begin_op();
             handle.end_op();
+            assert_eq!(scheme.stats().scan_wholesale, 1);
+            assert_eq!(handle.local_in_limbo(), 10, "proven, not yet returned");
+            handle.flush();
             assert_eq!(drops.load(Ordering::SeqCst), 10);
+            assert_eq!(handle.local_in_limbo(), 0);
         });
     }
 

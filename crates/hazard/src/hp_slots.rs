@@ -20,7 +20,6 @@ use reclaim_core::fence::{self, BarrierLedger, FenceStrategy};
 use reclaim_core::{
     CachePadded, HandleCore, PtrScratch, Registry, RetiredPtr, SegBag, SmrConfig, StatStripe,
 };
-use std::cell::Cell;
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Slots per storage block: 128 bytes' worth, the unit [`CachePadded`] keeps
@@ -174,35 +173,24 @@ impl OwnedSlots {
     }
 }
 
-/// How many scan intervals' worth of nodes an amortised [`hp_scan`] frees at
-/// most. A rooster's tick covers a whole interval's retires at once (7 000 a
-/// thread at `T = 5 ms` on the benchmark's queue), and freeing them in the one
-/// scan that follows is the free burst Brown's DEBRA paper warns of: against
-/// the wall-clock age gate this rule replaced, under which nodes matured a few
-/// per scan, it cost Cadence 7–10 % on a two-thread queue (`qsense-bench
-/// --structure queue --scheme cadence --threads 2 --duration 4`, eight
-/// interleaved rounds: age gate 5.53 Mops/s; unbounded 4.9–5.2; ×8 5.24;
-/// ×4 5.29; ×2 5.46). Two intervals per scan still drain a backlog twice as
-/// fast as it can grow, and never bind a scheme whose every retire the next
-/// scan can cover (HP).
-const AMORTISED_SCANS: usize = 2;
-
 /// One hazard-pointer scan over `bags`, as HP, Cadence and QSense's fallback
 /// and evicted fast path run it — threshold scans, budget-forced scans, `flush`
 /// and handle `Drop` alike: count the scan, learn from `ledger` how far its
 /// barriers have come (issuing one if this scheme's scans do), snapshot every
 /// published pointer into the handle's scratch (`get_protected_nodes`,
 /// Algorithm 3 / Michael's stage 1 — the buffer is sized `N·K` at
-/// registration, so steady-state scans never allocate) and free what the
+/// registration, so steady-state scans never allocate) and release what the
 /// barriers cover and the snapshot does not hold.
 ///
 /// Each bag is walked in retirement order and the walk stops at the first
 /// uncovered node: everything behind it was stamped later, so a rooster scan is
 /// O(covered prefix), not O(bag). (Adopted parked chains spliced behind younger
-/// nodes are only delayed by this, never endangered.) With `amortise` — the
-/// scans a retire triggers — it also stops once it has freed `scan_threshold ×`
-/// [`AMORTISED_SCANS`] nodes and leaves the rest of a burst to the next scans;
-/// `flush` and `Drop` walk everything.
+/// nodes are only delayed by this, never endangered.) A rooster's tick covers
+/// a whole interval's retires at once (7 000 a thread at `T = 5 ms` on the
+/// benchmark's queue); the scan releases them all and the core hands them to
+/// the allocator a few per retire (`reclaim_core::READY_FREES_PER_RETIRE`), as
+/// it does for every scheme — whole only under `flush`, `Drop` and a budget
+/// crossing.
 ///
 /// Under [`FenceStrategy::ScannerBarrier`] a pass issues one
 /// [`fence::scanner_barrier`] through the ledger — unless the bags are empty,
@@ -223,12 +211,7 @@ pub unsafe fn hp_scan<R>(
     bags: &mut [SegBag],
     ledger: &BarrierLedger,
     newest: u64,
-    amortise: bool,
 ) {
-    let budget = Cell::new(match amortise {
-        true => core.scan_every().saturating_mul(AMORTISED_SCANS),
-        false => usize::MAX,
-    });
     let stats = core.stats();
     stats.add_scan();
     // How far the scheme's barriers have come. Read before the snapshot: the
@@ -250,12 +233,8 @@ pub unsafe fn hp_scan<R>(
     core.scan(|reclaim, protected| {
         let tally = reclaim.stats();
         registry.collect_protected(tally, protected, |r, out| slots(r).collect_into(out));
-        let due = |node: &RetiredPtr| budget.get() > 0 && node.stamp() < covered;
-        let unprotected = |node: &RetiredPtr| {
-            let free = protected.binary_search(&node.addr()).is_err();
-            budget.set(budget.get() - usize::from(free));
-            free
-        };
+        let due = |node: &RetiredPtr| node.stamp() < covered;
+        let unprotected = |node: &RetiredPtr| protected.binary_search(&node.addr()).is_err();
         for bag in bags {
             reclaim.stats().add_scan_walk();
             // SAFETY: (Michael's scan argument) a node absent from a full
@@ -452,11 +431,14 @@ mod tests {
             node
         }
 
+        /// A scan as `flush` runs it: what it proves goes to the allocator.
         fn scan(&mut self, newest: u64) {
-            self.scan_as(newest, false)
+            self.prove(newest);
+            self.core.drain_ready();
         }
 
-        fn scan_as(&mut self, newest: u64, amortise: bool) {
+        /// A scan as a retire runs it: the proof alone.
+        fn prove(&mut self, newest: u64) {
             // SAFETY: the bag's nodes were stamped from this ledger by
             // `retire`, and the only publications are `reader`'s, under the
             // ledger's strategy.
@@ -468,7 +450,6 @@ mod tests {
                     std::slice::from_mut(&mut self.bag),
                     &self.ledger,
                     newest,
-                    amortise,
                 )
             }
         }
@@ -523,28 +504,6 @@ mod tests {
         f.reader.clear_all();
         f.scan(0);
         assert_eq!(f.counters(), (4, 0, 0, 4, 5));
-        f.finish();
-    }
-
-    #[test]
-    fn an_amortised_scan_leaves_the_rest_of_a_burst_to_the_next() {
-        let mut f = Fixture::new(FenceStrategy::Rooster);
-        let batch = AMORTISED_SCANS * f.core.scan_every();
-        for _ in 0..batch + 88 {
-            f.retire();
-        }
-        f.tick();
-        f.scan_as(0, true);
-        assert_eq!(f.counters().4, batch as u64, "two scan intervals' worth");
-        f.scan_as(0, true);
-        assert_eq!((f.counters().4, f.core.in_limbo()), (batch as u64 + 88, 0));
-        // What `flush` and `Drop` run takes a burst whole.
-        for _ in 0..batch + 88 {
-            f.retire();
-        }
-        f.tick();
-        f.scan(0);
-        assert_eq!(f.core.in_limbo(), 0);
         f.finish();
     }
 
@@ -604,11 +563,20 @@ mod tests {
             f.retire();
         }
         fence::REFUSE_EXPEDITED.set(true);
-        f.scan(f.ledger.stamp());
+        f.prove(f.ledger.stamp());
         fence::REFUSE_EXPEDITED.set(false);
-        assert_eq!(f.counters(), (1, 1, 1, 1, 2), "counted, and only the two");
-        assert_eq!((f.core.in_limbo(), f.core.limbo_bytes()), (3, 24), "ledger");
+        assert_eq!(
+            f.counters(),
+            (1, 1, 1, 1, 0),
+            "counted; a scan frees nothing"
+        );
+        assert_eq!(f.bag.len(), 3, "and releases only the two");
+        assert_eq!((f.core.in_limbo(), f.core.limbo_bytes()), (5, 40), "ledger");
         assert_eq!(f.ledger.completed(), 1, "the refusal entered nothing");
+        // The next retire returns both (two a retire); a flush would too.
+        f.retire();
+        assert_eq!(f.counters().4, 2);
+        assert_eq!((f.core.in_limbo(), f.core.limbo_bytes()), (4, 32), "ledger");
         f.finish();
     }
 }

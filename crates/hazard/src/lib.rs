@@ -212,12 +212,17 @@ mod tests {
             );
             // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
             unsafe { retire_box(&mut handle, tracked(&drops)) };
+            assert_eq!(scheme.stats().scans, 1, "threshold reached: scan runs");
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "it proves; retires free");
+            for retires in 1..=due / 2 {
+                // SAFETY: as above.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+                assert_eq!(drops.load(Ordering::SeqCst), 2 * retires);
+            }
             assert_eq!(
-                drops.load(Ordering::SeqCst),
-                due,
-                "threshold reached: scan runs"
+                (scheme.stats().scans, handle.local_in_limbo()),
+                (1, due / 2)
             );
-            assert_eq!(scheme.stats().scans, 1);
         });
     }
 

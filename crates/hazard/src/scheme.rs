@@ -172,8 +172,7 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
         };
         let (registry, ledger, bags) = (&scheme.registry, &scheme.ledger, from_mut(retired));
         // SAFETY: `retired` and `stamp`, its newest, are as the type says.
-        let scan =
-            |core: &mut _| unsafe { hp_scan(core, registry, |r| r, bags, ledger, stamp, true) };
+        let scan = |core: &mut _| unsafe { hp_scan(core, registry, |r| r, bags, ledger, stamp) };
         self.core.after_retire(scan);
     }
 
@@ -188,7 +187,8 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
         let (registry, ledger) = (&self.scheme.registry, &self.scheme.ledger);
         let (core, bags) = (&mut self.core, from_mut(&mut self.retired));
         // SAFETY: `retired` and `newest` are as the type says.
-        unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest, false) };
+        unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest) };
+        core.drain_ready();
     }
 
     fn ledger(&self) -> (usize, usize) {
@@ -210,7 +210,7 @@ impl<const CADENCE: bool> Drop for HpHandle<CADENCE> {
         let (registry, ledger) = (&self.scheme.registry, &self.scheme.ledger);
         let (core, bags) = (&mut self.core, from_mut(&mut self.retired));
         // SAFETY: `retired` and `newest` are as the type says.
-        unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest, false) };
+        unsafe { hp_scan(core, registry, |r| r, bags, ledger, self.newest) };
         self.core.park(&mut self.retired);
         self.scheme.registry.release(self.slot);
     }

@@ -33,7 +33,7 @@ type Reservations = Vec<(Era, Era)>;
 /// e.g. unstamped (birth-0) nodes pinned by a stalled reader — from turning
 /// every scan into an O(bag) walk. Both bounds are **recomputed from the
 /// survivors** during the walk a partial reclaim already performs
-/// ([`SegBag::reclaim_walk`]), so a chain whose survivors are all old
+/// ([`SegBag::transfer_walk`]), so a chain whose survivors are all old
 /// takes the skip fast path on the very next scan instead of re-walking the
 /// bag until it fully drains.
 struct EraChain {
@@ -291,13 +291,16 @@ impl EraLimbo {
                 }
             }
         });
-        // The scan's frees are on the books, so the scheme-wide estimate is
-        // the *residue* — the garbage reservations are actually pinning — and
-        // the pacer adapts the tick interval to it (a static policy never
-        // asks). Under an enforced budget a speed-up is an escalation and is
-        // counted as such.
+        // The scheme-wide estimate less what this pass and the ones before it
+        // proved free (still on the books until the allocator has it) is the
+        // *residue* — the garbage reservations are actually pinning — and the
+        // pacer adapts the tick interval to it (a static policy never asks).
+        // Under an enforced budget a speed-up is an escalation and is counted
+        // as such.
+        let proven = core.ready_bytes() as u64;
         let core = &scheme.core;
-        if scheme.pacer.adapt(|| core.limbo_estimate()) && core.governor().enforcing() {
+        let residue = || core.limbo_estimate().saturating_sub(proven);
+        if scheme.pacer.adapt(residue) && core.governor().enforcing() {
             core.governor().count_pacer_boost();
         }
     }
@@ -463,6 +466,7 @@ impl SmrHandle for HeHandle {
             chain.bag.splice(&mut adopted);
         }
         self.limbo.scan(&mut self.core, &self.scheme);
+        self.core.drain_ready();
     }
 
     fn ledger(&self) -> (usize, usize) {

@@ -104,7 +104,7 @@ impl EpochLimbo {
     }
 }
 
-/// Frees the whole of a matured bucket.
+/// Releases the whole of a matured bucket to the core's free stage.
 ///
 /// # Safety
 ///
@@ -225,13 +225,17 @@ mod tests {
         // SAFETY: the bucket of the epoch just adopted; the one thread there is
         // holds no reference.
         unsafe { grace_drain(core, limbo.current()) };
-        assert_eq!((f.core.in_limbo(), f.lens()), (0, [0, 0, 0]));
+        // The drain empties the bucket; its node stays on the books until the
+        // allocator has it — at the next retire, or here as `flush` ends.
+        assert_eq!((f.core.in_limbo(), f.lens()), (1, [0, 0, 0]));
         let snap = f.core.stats().snapshot();
         assert_eq!(
             (snap.scan_wholesale, snap.scan_skips, snap.freed),
-            (1, 0, 1)
+            (1, 0, 0)
         );
         assert_eq!(snap.quiescent_states, 6);
+        f.core.drain_ready();
+        assert_eq!((f.core.in_limbo(), f.core.stats().snapshot().freed), (0, 1));
     }
 
     #[test]

@@ -130,6 +130,7 @@ impl SmrHandle for QsbrHandle {
         for _ in 0..EpochLimbo::FLUSH_CYCLE {
             self.quiesce();
         }
+        self.core.drain_ready();
     }
 
     fn ledger(&self) -> (usize, usize) {

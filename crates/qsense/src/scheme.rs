@@ -378,7 +378,7 @@ impl QSenseHandle {
         if scheme.any_evicted() {
             let (core, bucket) = (&mut self.core, std::slice::from_mut(bucket));
             // SAFETY: a bucket of the limbo, which is as the type says.
-            unsafe { hp_scan(core, registry, |r| &r.hps, bucket, ledger, 0, false) };
+            unsafe { hp_scan(core, registry, |r| &r.hps, bucket, ledger, 0) };
         } else {
             // SAFETY: the bucket just handed back, and (Property 5 of the
             // paper) its grace period counted every registered thread, since
@@ -465,7 +465,7 @@ impl SmrHandle for QSenseHandle {
         // Cadence's rule (Algorithm 5, lines 45–47).
         let scan_all = |core: &mut HandleCore<PtrScratch>, limbo: &mut EpochLimbo| {
             // SAFETY: the limbo is as the type says.
-            unsafe { hp_scan(core, registry, |r| &r.hps, limbo.bags(), ledger, 0, true) }
+            unsafe { hp_scan(core, registry, |r| &r.hps, limbo.bags(), ledger, 0) }
         };
         let seen = scheme.fallback.load();
         if seen == Path::Fallback && self.core.scan_due() {
@@ -523,7 +523,8 @@ impl SmrHandle for QSenseHandle {
         let (registry, ledger) = (&self.scheme.registry, &self.scheme.ledger);
         let (core, bags) = (&mut self.core, self.limbo.bags());
         // SAFETY: the limbo is as the type says.
-        unsafe { hp_scan(core, registry, |r| &r.hps, bags, ledger, 0, false) };
+        unsafe { hp_scan(core, registry, |r| &r.hps, bags, ledger, 0) };
+        core.drain_ready();
     }
 
     fn ledger(&self) -> (usize, usize) {

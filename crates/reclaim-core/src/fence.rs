@@ -298,6 +298,10 @@ fn compiler_only() {
 /// factor multiplies a limbo three deep (`limbo_peak_kib.ebr` 131, 136, 235 →
 /// 243, 308, 317 KiB at ×8 over three traced runs of this workload). A second
 /// constant would buy that 4.6 % with twice that memory again; not taken.
+///
+/// Both tables were read while a scan freed its whole batch in one burst — a
+/// cost that itself grew with the factor — and are to be re-derived now that
+/// the core frees a few nodes a retire (`limbo`'s free stage).
 pub const SCANNER_BARRIER_SCAN_BATCH: usize = 8;
 
 /// Who issues the process-wide barrier behind a compiler-fenced publication —

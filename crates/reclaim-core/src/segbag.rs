@@ -12,10 +12,13 @@
 //!   lists of QSBR/QSense, the four of EBR), a bag can grow far past its own
 //!   previous high-water mark without allocating, as long as the handle's
 //!   segments cover it.
-//! * **reclaim** compacts survivors in place *within their segment* and
-//!   unlinks drained segments back to the pool — zero heap traffic, O(freed)
-//!   moves (survivors never migrate across segments, with one bounded
-//!   exception: at most one *adjacent-segment merge* per pass, see below).
+//! * **a scan's walk** ([`SegBag::transfer_walk`]) moves the nodes it releases
+//!   onto a second chain fed by the same pool — the allocator sees them later,
+//!   a [`pop`](SegBag::pop) at a time — compacts survivors in place *within
+//!   their segment* and unlinks drained segments back to the pool — zero heap
+//!   traffic, O(freed) moves (survivors never migrate across segments, with
+//!   one bounded exception: at most one *adjacent-segment merge* per pass, see
+//!   below).
 //! * **adjacent-segment merge**: when a pass leaves two neighbouring segments
 //!   whose combined survivors fit one segment, the later segment's survivors
 //!   are appended to the earlier one and the drained shell is pooled. At most
@@ -55,7 +58,8 @@
 //! `splice` transfers whole chains between owners, which is safe because a
 //! [`RetiredPtr`] is `Send`. Segments are manually managed `Box` allocations;
 //! the only `unsafe` is the slot bookkeeping, where the compaction's
-//! within-segment write index never passes its read index — see `reclaim_if`.
+//! within-segment write index never passes its read index — see
+//! `transfer_walk`.
 
 use crate::retired::RetiredPtr;
 use std::fmt;
@@ -70,8 +74,8 @@ pub const SEG_CAP: usize = 12;
 struct Segment {
     next: *mut Segment,
     /// Number of initialized slots. Pushes fill only the tail, but partial
-    /// segments can sit mid-chain (after a `splice`, or where `reclaim_if`
-    /// freed some of a segment's nodes); every traversal honours per-segment
+    /// segments can sit mid-chain (after a `splice`, or where `transfer_walk`
+    /// took some of a segment's nodes); every traversal honours per-segment
     /// `len`.
     len: usize,
     slots: [MaybeUninit<RetiredPtr>; SEG_CAP],
@@ -139,9 +143,11 @@ impl SegPool {
 
     /// A pool pre-warmed for a handle that scans every `scan_threshold` retires
     /// (capped: a test-sized huge `R` must not balloon registration), so even
-    /// the handle's first bag fill recycles instead of allocating.
+    /// the handle's first bag fill recycles instead of allocating — and one
+    /// segment more, for the ready chain a scan starts to fill before the bag
+    /// it drains has given its first segment back.
     pub fn for_scan_threshold(scan_threshold: usize) -> Self {
-        Self::with_node_capacity(scan_threshold.saturating_add(1).min(2048))
+        Self::with_node_capacity(scan_threshold.saturating_add(1).min(2048) + SEG_CAP)
     }
 
     /// Number of empty segments currently pooled.
@@ -291,6 +297,35 @@ impl SegBag {
         self.len += 1;
     }
 
+    /// Takes one node out of the bag — the newest of the oldest segment — and
+    /// returns that segment to `pool` once it is empty. O(1) and no survivor
+    /// moves, unlike a one-node [`transfer_walk`](Self::transfer_walk), which
+    /// would compact the rest of the segment behind it.
+    pub fn pop(&mut self, pool: &mut SegPool) -> Option<RetiredPtr> {
+        let seg = self.head;
+        if seg.is_null() {
+            return None;
+        }
+        // SAFETY: the bag exclusively owns its chain, and a linked segment is
+        // never empty (drained ones are unlinked on the spot, here and in the
+        // walk), so slot `len - 1` is initialized; it is read out exactly once.
+        let node = unsafe {
+            (*seg).len -= 1;
+            let node = (*seg).slots[(*seg).len].assume_init_read();
+            if (*seg).len == 0 {
+                self.head = (*seg).next;
+                if self.head.is_null() {
+                    self.tail = ptr::null_mut();
+                }
+                pool.put(seg);
+            }
+            node
+        };
+        self.len -= 1;
+        self.bytes -= node.size_bytes();
+        Some(node)
+    }
+
     /// Moves every node out of `other` into `self` with O(1) pointer surgery —
     /// no copy, no allocation. Used for the parked-bag hand-off at handle drop
     /// (dying handle → scheme) and for parked-chain adoption (scheme →
@@ -315,8 +350,10 @@ impl SegBag {
         other.bytes = 0;
     }
 
-    /// Reclaims every node for which `can_reclaim` returns true; nodes that are
-    /// not yet safe remain in the bag. Returns the number of nodes reclaimed.
+    /// Moves every node for which `can_move` returns true onto `into` — out of
+    /// this bag, not yet to the allocator: whoever [`pop`](Self::pop)s it from
+    /// there answers for freeing it — and keeps the rest. Both chains draw on
+    /// `pool`. Returns the number of nodes moved.
     ///
     /// Survivors are compacted **within their segment only** (a local write
     /// cursor trailing the read index), and segments left empty are unlinked
@@ -339,25 +376,11 @@ impl SegBag {
     /// Survivor order is preserved; no caller relies on it, but the tests do
     /// check it to pin the compaction down.
     ///
-    /// # Safety
-    ///
-    /// The predicate must only return `true` for nodes that no other thread can
-    /// still access (*retired* in the paper's terminology).
-    pub unsafe fn reclaim_if(
-        &mut self,
-        pool: &mut SegPool,
-        can_reclaim: impl FnMut(&RetiredPtr) -> bool,
-    ) -> usize {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.reclaim_walk(pool, |_| true, can_reclaim, |_| {}) }
-    }
-
-    /// The general form of [`reclaim_if`](Self::reclaim_if), with two extra
-    /// hooks on the same walk:
+    /// Two hooks ride on the same walk:
     ///
     /// * the walk **stops for good** at the first node for which
     ///   `keep_scanning` returns false; later nodes are not examined (and not
-    ///   reclaimed) this pass. This is the age-ordered fast path for
+    ///   moved) this pass. This is the age-ordered fast path for
     ///   deferred-reclamation scans (Cadence, QSense's fallback): a thread
     ///   pushes in retirement order, so once a node is too young to free (no
     ///   barrier has completed since its retire),
@@ -373,15 +396,12 @@ impl SegBag {
     ///   aggregate bounds (e.g. the era chains' min/max birth) that would
     ///   otherwise go stale after a partial reclaim — stale bounds cost O(bag)
     ///   walks on every later scan until the bag fully drains.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`reclaim_if`](Self::reclaim_if).
-    pub unsafe fn reclaim_walk(
+    pub fn transfer_walk(
         &mut self,
         pool: &mut SegPool,
+        into: &mut SegBag,
         mut keep_scanning: impl FnMut(&RetiredPtr) -> bool,
-        mut can_reclaim: impl FnMut(&RetiredPtr) -> bool,
+        mut can_move: impl FnMut(&RetiredPtr) -> bool,
         mut visit_survivor: impl FnMut(&RetiredPtr),
     ) -> usize {
         let mut freed = 0usize;
@@ -390,7 +410,7 @@ impl SegBag {
         let mut seg = self.head;
         let mut stopped = false;
         let mut merged = false;
-        // SAFETY: the caller vouches that nodes passing the predicate are unprotected; the bag exclusively owns its segments, and compaction moves each survivor exactly once.
+        // SAFETY: the bag exclusively owns its segments; each taken node is moved out of its slot exactly once, and compaction moves each survivor exactly once.
         unsafe {
             while !seg.is_null() && !stopped {
                 let next = (*seg).next;
@@ -403,11 +423,10 @@ impl SegBag {
                     if !stopped && !keep_scanning(node_ref) {
                         stopped = true;
                     }
-                    if !stopped && can_reclaim(node_ref) {
+                    if !stopped && can_move(node_ref) {
                         let node = (*slot).assume_init_read();
                         freed_bytes += node.size_bytes();
-                        // SAFETY: forwarded from the caller's contract.
-                        node.reclaim();
+                        into.push(pool, node);
                         freed += 1;
                     } else {
                         // Survivor (or unexamined remainder after a stop):
@@ -430,7 +449,7 @@ impl SegBag {
                 (*seg).len = write;
                 if write == 0 {
                     // Drained: unlink and recycle. SAFETY: every slot was
-                    // reclaimed above.
+                    // moved out above.
                     if prev.is_null() {
                         self.head = next;
                     } else {
@@ -479,7 +498,9 @@ impl SegBag {
         freed
     }
 
-    /// Unconditionally reclaims every node in the bag. Returns the number
+    /// Unconditionally reclaims every node in the bag, oldest first — a
+    /// scheme drop returns the leaky baseline's whole run this way, and in
+    /// retirement order the allocator's cold chunks stream. Returns the number
     /// reclaimed.
     ///
     /// # Safety
@@ -487,8 +508,24 @@ impl SegBag {
     /// Caller must guarantee that no thread can access any node in the bag
     /// (e.g. the scheme is being dropped and all handles are gone).
     pub unsafe fn reclaim_all(&mut self, pool: &mut SegPool) -> usize {
-        // SAFETY: forwarded from the caller's contract.
-        unsafe { self.reclaim_if(pool, |_| true) }
+        let nodes = self.len;
+        let mut seg = std::mem::replace(&mut self.head, ptr::null_mut());
+        (self.tail, self.len, self.bytes) = (ptr::null_mut(), 0, 0);
+        while !seg.is_null() {
+            // SAFETY: the chain, just detached, is exclusively owned; slots
+            // below `len` are initialized and each is read out exactly once,
+            // which leaves the segment drained for the pool. The frees are
+            // the caller's contract.
+            unsafe {
+                let next = (*seg).next;
+                for slot in &(&(*seg).slots)[..(*seg).len] {
+                    slot.assume_init_read().reclaim();
+                }
+                pool.put(seg);
+                seg = next;
+            }
+        }
+        nodes
     }
 
     /// Iterates over the retired nodes without reclaiming them.
@@ -727,6 +764,24 @@ mod tests {
         unsafe { RetiredPtr::new(raw, drop_counter, at, 0, size) }
     }
 
+    /// Frees what `can_reclaim` passes: the walk under test, then the
+    /// allocator, as the core's two stages do.
+    ///
+    /// # Safety
+    ///
+    /// `can_reclaim` must only pass nodes nothing protects.
+    unsafe fn reclaim_if(
+        bag: &mut SegBag,
+        pool: &mut SegPool,
+        can_reclaim: impl FnMut(&RetiredPtr) -> bool,
+    ) -> usize {
+        let mut freed = SegBag::new();
+        let moved = bag.transfer_walk(pool, &mut freed, |_| true, can_reclaim, |_| {});
+        // SAFETY: forwarded from the caller's contract.
+        unsafe { freed.reclaim_all(pool) };
+        moved
+    }
+
     #[test]
     fn segment_fits_eight_cache_lines() {
         assert!(
@@ -763,7 +818,7 @@ mod tests {
         assert_eq!(b.bytes(), 0);
         // A partial reclaim subtracts exactly the freed nodes' stamps.
         // SAFETY: the test owns every node in the bag; none is protected.
-        let freed = unsafe { a.reclaim_if(&mut pool, |node| node.stamp() < 2) };
+        let freed = unsafe { reclaim_if(&mut a, &mut pool, |node| node.stamp() < 2) };
         assert_eq!(freed, 2);
         assert_eq!(a.bytes(), total + 64 - 100 - 200);
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
@@ -825,7 +880,7 @@ mod tests {
                 |t: u64| (t.wrapping_mul(2654435761).wrapping_add(round * 97)).is_multiple_of(3);
             let expected_freed = (0..n).filter(|&t| !keep(t)).count();
             // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-            let freed = unsafe { bag.reclaim_if(&mut pool, |node| !keep(node.stamp())) };
+            let freed = unsafe { reclaim_if(&mut bag, &mut pool, |node| !keep(node.stamp())) };
             assert_eq!(freed, expected_freed, "round {round}");
             assert_eq!(counter.load(Ordering::SeqCst), expected_freed);
             assert_eq!(bag.len(), n as usize - expected_freed);
@@ -879,11 +934,13 @@ mod tests {
         // the middle segment's survivors stay in place, unmoved.
         let keep = |t: u64| (SEG_CAP as u64..2 * SEG_CAP as u64).contains(&t);
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !keep(n.stamp())) };
+        let freed = unsafe { reclaim_if(&mut bag, &mut pool, |n| !keep(n.stamp())) };
         assert_eq!(freed, 2 * SEG_CAP);
         assert_eq!(bag.len(), SEG_CAP);
         assert_eq!(bag.segments(), 1, "drained segments must be unlinked");
-        assert_eq!(pool.free_segments(), 2);
+        // Both drained segments, and the one the taken nodes' chain had to add
+        // before the first of them came back.
+        assert_eq!(pool.free_segments(), 3);
         let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         assert_eq!(
             survivors,
@@ -893,7 +950,7 @@ mod tests {
         // (now full) segment's successor, drawn from the pool.
         bag.push(&mut pool, retire_counter(&counter, 1_000));
         assert_eq!(bag.segments(), 2);
-        assert_eq!(pool.free_segments(), 1);
+        assert_eq!(pool.free_segments(), 2);
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
         unsafe { bag.reclaim_all(&mut pool) };
     }
@@ -912,7 +969,7 @@ mod tests {
         // is merged this pass. The move cost stays O(freed) + one bounded merge,
         // never O(bag).
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !n.stamp().is_multiple_of(3)) };
+        let freed = unsafe { reclaim_if(&mut bag, &mut pool, |n| !n.stamp().is_multiple_of(3)) };
         assert_eq!(freed, 2 * SEG_CAP);
         assert_eq!(bag.len(), SEG_CAP);
         assert_eq!(
@@ -920,7 +977,9 @@ mod tests {
             2,
             "exactly one adjacent pair merged this pass"
         );
-        assert_eq!(pool.free_segments(), 1, "the merged shell is recycled");
+        // The merged shell is recycled (and the two segments the taken nodes
+        // filled: no segment of the bag drained to feed them).
+        assert_eq!(pool.free_segments(), 1 + 2);
         let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         let expected: Vec<u64> = (0..3 * SEG_CAP as u64)
             .filter(|t| t.is_multiple_of(3))
@@ -931,7 +990,7 @@ mod tests {
         );
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
         unsafe { bag.reclaim_all(&mut pool) };
-        assert_eq!(pool.free_segments(), 3);
+        assert_eq!(pool.free_segments(), 3 + 2);
     }
 
     #[test]
@@ -950,14 +1009,14 @@ mod tests {
         // Keep exactly one node per segment.
         let keep = |t: u64| t.is_multiple_of(SEG_CAP as u64);
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        let freed = unsafe { bag.reclaim_if(&mut pool, |n| !keep(n.stamp())) };
+        let freed = unsafe { reclaim_if(&mut bag, &mut pool, |n| !keep(n.stamp())) };
         assert_eq!(freed, segments * (SEG_CAP - 1));
         // Pass 1 already merged one pair; every further (empty) pass merges one
         // more until a single segment remains.
         assert_eq!(bag.segments(), segments - 1);
         for remaining in (1..segments - 1).rev() {
             // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-            let freed = unsafe { bag.reclaim_if(&mut pool, |_| false) };
+            let freed = unsafe { reclaim_if(&mut bag, &mut pool, |_| false) };
             assert_eq!(freed, 0);
             assert_eq!(bag.segments(), remaining);
         }
@@ -967,18 +1026,19 @@ mod tests {
         assert_eq!(survivors, expected, "merges preserve order");
         // Converged: further passes are no-ops.
         // SAFETY: retired nodes are owned by the bag; the predicate only spares still-protected ones.
-        unsafe { bag.reclaim_if(&mut pool, |_| false) };
+        unsafe { reclaim_if(&mut bag, &mut pool, |_| false) };
         assert_eq!(bag.segments(), 1);
         // The bag is still writable after merges relocated the tail.
         bag.push(&mut pool, retire_counter(&counter, 1_000));
         assert_eq!(bag.len(), segments + 1);
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
         unsafe { bag.reclaim_all(&mut pool) };
-        assert_eq!(pool.free_segments(), segments);
+        // The bag's four are back (beside what the taken nodes' chain added).
+        assert!(pool.free_segments() >= segments);
     }
 
     #[test]
-    fn reclaim_walk_visits_every_survivor_exactly_once() {
+    fn transfer_walk_visits_every_survivor_exactly_once() {
         for round in 0..16u64 {
             let counter = Arc::new(AtomicUsize::new(0));
             let mut pool = SegPool::new();
@@ -990,15 +1050,14 @@ mod tests {
             let keep =
                 |t: u64| !(t.wrapping_mul(2654435761).wrapping_add(round * 31)).is_multiple_of(4);
             let mut visited = Vec::new();
-            // SAFETY: the test owns every node in the bag; none is protected.
-            let freed = unsafe {
-                bag.reclaim_walk(
-                    &mut pool,
-                    |_| true,
-                    |node| !keep(node.stamp()),
-                    |survivor| visited.push(survivor.stamp()),
-                )
-            };
+            let mut taken = SegBag::new();
+            let freed = bag.transfer_walk(
+                &mut pool,
+                &mut taken,
+                |_| true,
+                |node| !keep(node.stamp()),
+                |survivor| visited.push(survivor.stamp()),
+            );
             let expected: Vec<u64> = (0..n).filter(|&t| keep(t)).collect();
             assert_eq!(
                 visited, expected,
@@ -1011,13 +1070,17 @@ mod tests {
                 remaining, expected,
                 "round {round}: visited set matches the bag after merges"
             );
-            // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
-            unsafe { bag.reclaim_all(&mut pool) };
+            assert!(taken.iter().all(|node| !keep(node.stamp())));
+            // SAFETY: every node in the bags was handed over by `retire` and none is protected — the test owns them all.
+            unsafe {
+                bag.reclaim_all(&mut pool);
+                taken.reclaim_all(&mut pool);
+            }
         }
     }
 
     #[test]
-    fn reclaim_walk_stops_at_the_first_blocking_node() {
+    fn transfer_walk_stops_at_the_first_blocking_node_and_frees_nothing() {
         let counter = Arc::new(AtomicUsize::new(0));
         let mut pool = SegPool::new();
         let mut bag = SegBag::new();
@@ -1028,21 +1091,23 @@ mod tests {
         // Age cutoff mid-chain: nodes 0..cutoff are "old enough"; node 7 is
         // protected and must survive even inside the scanned prefix.
         let cutoff = SEG_CAP as u64 + 3;
-        // SAFETY: the test owns every node in the bag; none is protected.
-        let freed = unsafe {
-            bag.reclaim_walk(
-                &mut pool,
-                |node| node.stamp() < cutoff,
-                |node| node.stamp() != 7,
-                |_| {},
-            )
-        };
+        let mut taken = SegBag::new();
+        let freed = bag.transfer_walk(
+            &mut pool,
+            &mut taken,
+            |node| node.stamp() < cutoff,
+            |node| node.stamp() != 7,
+            |_| {},
+        );
         assert_eq!(
             freed,
             cutoff as usize - 1,
             "prefix minus the protected node"
         );
         assert_eq!(bag.len(), n as usize - freed);
+        assert_eq!((taken.len(), counter.load(Ordering::SeqCst)), (freed, 0));
+        // SAFETY: the test owns every node taken; none is protected.
+        unsafe { taken.reclaim_all(&mut pool) };
         // Everything at or past the cutoff was never examined; node 7 survived.
         let survivors: Vec<u64> = bag.iter().map(RetiredPtr::stamp).collect();
         let expected: Vec<u64> = std::iter::once(7).chain(cutoff..n).collect();
@@ -1053,6 +1118,43 @@ mod tests {
         let freed = unsafe { bag.reclaim_all(&mut pool) };
         assert_eq!(freed, n as usize - (cutoff as usize - 1));
         assert!(bag.is_empty());
+    }
+
+    #[test]
+    fn pop_empties_the_oldest_segment_first_and_recycles_it() {
+        let counter = Arc::new(AtomicUsize::new(0));
+        let mut pool = SegPool::new();
+        let mut bag = SegBag::new();
+        let mut other = SegBag::new();
+        assert!(bag.pop(&mut pool).is_none());
+        for t in 0..3u64 {
+            bag.push(&mut pool, retire_counter_sized(&counter, t, 10));
+        }
+        for t in 3..(SEG_CAP as u64 + 4) {
+            other.push(&mut pool, retire_counter_sized(&counter, t, 10));
+        }
+        bag.splice(&mut other); // chain: [0 1 2] -> [3 ..= 14] -> [15]
+        let total = SEG_CAP + 4;
+        let mut order = Vec::new();
+        while let Some(node) = bag.pop(&mut pool) {
+            order.push(node.stamp());
+            assert_eq!(
+                (bag.len(), bag.bytes()),
+                (total - order.len(), 10 * bag.len())
+            );
+            // SAFETY: the test owns the node; nothing protects it.
+            unsafe { node.reclaim() };
+        }
+        // Newest first within a segment, oldest segment first.
+        let expected: Vec<u64> = (0..3).rev().chain((3..15).rev()).chain([15]).collect();
+        assert_eq!(order, expected);
+        assert_eq!((bag.segments(), pool.free_segments()), (0, 3));
+        assert_eq!(counter.load(Ordering::SeqCst), total);
+        // The drained bag is writable again.
+        bag.push(&mut pool, retire_counter(&counter, 99));
+        assert_eq!((bag.len(), pool.free_segments()), (1, 2));
+        // SAFETY: the test owns every node in the bag; none is protected.
+        unsafe { bag.reclaim_all(&mut pool) };
     }
 
     #[test]
@@ -1129,7 +1231,7 @@ mod tests {
         // Keep everything: the pass must traverse the partial segment mid-chain
         // without losing, duplicating, or migrating nodes.
         // SAFETY: the test owns every node in the bag; none is protected.
-        let freed = unsafe { a.reclaim_if(&mut pool, |_| false) };
+        let freed = unsafe { reclaim_if(&mut a, &mut pool, |_| false) };
         assert_eq!(freed, 0);
         assert_eq!(a.len(), total);
         let survivors: Vec<u64> = a.iter().map(RetiredPtr::stamp).collect();

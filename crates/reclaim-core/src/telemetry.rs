@@ -15,13 +15,12 @@
 //!   duration** (nanoseconds, every scan), and **reclamation delay**
 //!   (microseconds): a coarse monotonic tick stamped into
 //!   [`RetiredPtr`](crate::retired::RetiredPtr) at retire and measured when the
-//!   scan frees the node — the paper's "bounded garbage" claim as an observable
-//!   retire→free distribution.
+//!   node reaches the allocator ([`Telemetry::note_free`]) — the paper's
+//!   "bounded garbage" claim as an observable retire→free distribution.
 //! * [`HandleTelemetry`] — the per-handle recording cursor (a view of the
 //!   handle's op-sampling counter and tick cache, its scheme's [`Telemetry`]
 //!   and its stripe, lent by [`HandleCore::tele`](crate::limbo::HandleCore::tele)),
-//!   and [`ScanObserver`] — a per-scan probe the schemes thread through their
-//!   reclaim predicates.
+//!   and [`ScanObserver`] — the per-scan timer.
 //!
 //! ## Time sources
 //!
@@ -328,10 +327,8 @@ impl Telemetry {
     }
 
     /// Begins observing one scan: one relaxed load when disabled, otherwise a
-    /// probe carrying the scan's start instant and the current coarse tick.
-    /// Schemes call [`ScanObserver::note_free`] from their reclaim predicate
-    /// for every node they free and [`ScanObserver::finish`] when the pass is
-    /// done.
+    /// probe carrying the scan's start instant, for [`ScanObserver::finish`]
+    /// to record when the pass is done.
     #[inline]
     pub fn scan_observer(&self, stripe: usize) -> Option<ScanObserver<'_>> {
         if !self.is_enabled() {
@@ -341,8 +338,24 @@ impl Telemetry {
             shared: self,
             stripe,
             start: Instant::now(),
-            now_tick: self.coarse_now(),
         })
+    }
+
+    /// Records the retire→free delay of one node on its way to the allocator,
+    /// against the coarse tick `now_tick`. A node stamped while telemetry was
+    /// disabled (tick 0) is skipped, as is every node when `now_tick` is 0. A
+    /// handle's cached tick can trail the stamp a sibling put on a node it
+    /// adopted: a `now_tick` behind the stamp reads as no delay, not as one
+    /// wrap of the counter.
+    #[inline]
+    pub fn note_free(&self, stripe: usize, now_tick: u32, node: &RetiredPtr) {
+        let tick = node.retire_tick();
+        if tick == 0 || now_tick == 0 {
+            return;
+        }
+        let delay_us = now_tick.wrapping_sub(tick);
+        let delay_us = if delay_us > u32::MAX / 2 { 0 } else { delay_us };
+        self.reclaim_delay.record(stripe, u64::from(delay_us));
     }
 
     /// Records one sampled guard-bracket op latency (nanoseconds).
@@ -438,29 +451,14 @@ impl<'a> HandleTelemetry<'a> {
     }
 }
 
-/// A per-scan probe: carries the scan's start instant and the coarse tick the
-/// delay measurements are taken against, so the per-node free path does one
-/// histogram `fetch_add` and no clock reads.
+/// A per-scan probe: carries the scan's start instant.
 pub struct ScanObserver<'a> {
     shared: &'a Telemetry,
     stripe: usize,
     start: Instant,
-    now_tick: u32,
 }
 
 impl ScanObserver<'_> {
-    /// Records the retire→free delay of one node this scan is about to free.
-    /// Nodes stamped while telemetry was disabled (tick 0) are skipped.
-    #[inline]
-    pub fn note_free(&self, node: &RetiredPtr) {
-        let tick = node.retire_tick();
-        if tick == 0 {
-            return;
-        }
-        let delay_us = u64::from(self.now_tick.wrapping_sub(tick));
-        self.shared.reclaim_delay.record(self.stripe, delay_us);
-    }
-
     /// Ends the scan, recording its duration (nanoseconds).
     pub fn finish(self) {
         let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -609,15 +607,28 @@ mod tests {
         let unstamped =
             // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
             unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0, 0, 0) };
-        obs.note_free(&unstamped);
+        tele.note_free(0, tele.coarse_now(), &unstamped);
         let mut stamped =
             // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
             unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0, 0, 0) };
-        stamped.set_retire_tick(tele.coarse_now());
-        obs.note_free(&stamped);
+        stamped.set_retire_tick(1_000);
+        tele.note_free(0, 0, &stamped);
+        assert!(
+            tele.summary().reclaim_delay_us.is_empty(),
+            "no `now`, no delay"
+        );
+        tele.note_free(0, 1_500, &stamped);
+        assert_eq!(tele.summary().reclaim_delay_us.percentile(1.0), 511);
+        // A `now` behind the stamp (a stale cached tick, an adopted node) is
+        // no delay; a stamp from before the counter wrapped is a short one.
+        tele.note_free(0, 990, &stamped);
+        stamped.set_retire_tick(u32::MAX - 5);
+        tele.note_free(0, 4, &stamped);
         obs.finish();
         let summary = tele.summary();
-        assert_eq!(summary.reclaim_delay_us.count(), 1);
+        assert_eq!(summary.reclaim_delay_us.bucket_counts()[0], 1, "0 us");
+        assert_eq!(summary.reclaim_delay_us.bucket_counts()[3], 1, "10 us");
+        assert_eq!(summary.reclaim_delay_us.count(), 3);
         assert_eq!(summary.scan_ns.count(), 1);
         // SAFETY: both nodes were retired exactly once above and nothing protects them.
         unsafe {

@@ -100,7 +100,7 @@ pub struct RefCountHandle {
 }
 
 impl RefCountHandle {
-    /// Frees every retired node whose counter bucket is currently zero.
+    /// Releases every retired node whose counter bucket is currently zero.
     fn scan(core: &mut HandleCore<PtrScratch>, table: &CountTable, retired: &mut SegBag) {
         core.stats().add_scan();
         core.scan(|reclaim, _| {
@@ -180,6 +180,7 @@ impl SmrHandle for RefCountHandle {
     fn flush(&mut self) {
         self.core.adopt_parked(&mut self.retired);
         Self::scan(&mut self.core, &self.scheme.table, &mut self.retired);
+        self.core.drain_ready();
     }
 
     fn ledger(&self) -> (usize, usize) {
@@ -279,12 +280,18 @@ mod tests {
             // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
             unsafe { retire_box(&mut handle, tracked(&drops)) };
         }
-        // The 8th retire crossed the threshold and triggered a scan.
-        assert_eq!(drops.load(Ordering::SeqCst), 8);
+        // The 8th retire crossed the threshold and triggered a scan, which
+        // released all eight; the next four retires return them, two each.
+        assert_eq!((scheme.stats().scans, drops.load(Ordering::SeqCst)), (1, 0));
+        for retires in 1..=4 {
+            // SAFETY: as above.
+            unsafe { retire_box(&mut handle, tracked(&drops)) };
+            assert_eq!(drops.load(Ordering::SeqCst), 2 * retires);
+        }
         let snap = scheme.stats();
-        assert_eq!(snap.retired, 8);
+        assert_eq!(snap.retired, 12);
         assert_eq!(snap.freed, 8);
-        assert!(snap.scans >= 1);
+        assert_eq!(snap.scans, 1);
     }
 
     #[test]

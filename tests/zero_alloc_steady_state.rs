@@ -4,7 +4,7 @@
 //! segment pool and scan scratch buffer have reached their steady-state
 //! capacity, the whole retire→scan→reclaim pipeline — pushing into the
 //! segment-chain bag, the hazard-pointer snapshot, the within-segment
-//! compaction of `SegBag::reclaim_if`, and the parked-chain hand-off at handle
+//! compaction of `SegBag::transfer_walk`, and the parked-chain hand-off at handle
 //! drop — performs **zero heap allocations**. This test pins that property
 //! with the process-wide counting allocator:
 //!
@@ -42,7 +42,7 @@ use std::time::Duration;
 static ALLOC: CountingAllocator = CountingAllocator::new();
 
 /// Number of nodes kept protected (and therefore unreclaimed) across the
-/// measured scans, so every scan exercises the keep path of `reclaim_if`.
+/// measured scans, so every scan exercises the keep path of `transfer_walk`.
 const PROTECTED: usize = 8;
 /// Nodes retired in total; the unprotected majority is freed during warm-up.
 const RETIRED: usize = 64;
@@ -272,13 +272,52 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                     // SAFETY: freshly boxed, unlinked by construction, retired once.
                     unsafe { qsense_repro::smr::retire_box(&mut handle, ptr) };
                 }
-                let delta = ALLOC.allocated_bytes() - before_alloc;
                 assert_eq!(scheme.stats().scans, 3, "{strategy:?}");
+                // The third scan released the third batch on the last retire;
+                // the retires before it had returned the first two, two each.
+                assert_eq!(handle.local_in_limbo(), retires / 3);
+                handle.flush();
                 assert_eq!(handle.local_in_limbo(), 0);
-                delta
+                ALLOC.allocated_bytes() - before_alloc
             },
         );
     }
+
+    // --- the free stage draws on the handle's pool (hazard) -----------------
+    // A scan proves and the retires that follow free, two each: between the
+    // two the proven nodes sit on the core's ready chain, whose segments come
+    // from the pool the bag's drained ones return to. With the nodes boxed
+    // ahead of the window, three scan intervals of retire → scan → trickle —
+    // from registration, no warm-up — allocate nothing at all.
+    assert_alloc_delta("hp: three scan intervals of the free stage", 0, || {
+        const R: usize = 64;
+        let config = config(&ManualClock::new()).with_scan_threshold(R);
+        let scheme = Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced);
+        let mut handle = scheme.register();
+        let nodes: Vec<*mut u64> = (0..3 * R).map(|_| Box::into_raw(Box::new(0u64))).collect();
+        let before_alloc = ALLOC.allocated_bytes();
+        for (retired, &ptr) in nodes.iter().enumerate() {
+            // SAFETY: boxed above, unlinked by construction, retired once.
+            unsafe { qsense_repro::smr::retire_box(&mut handle, ptr) };
+            // Since the last scan: `since` retires entered the bag and twice
+            // as many left the ready chain, which held a whole interval.
+            let (scans, since) = ((retired + 1) / R, (retired + 1) % R);
+            let ready = if scans == 0 {
+                0
+            } else {
+                R.saturating_sub(2 * since)
+            };
+            assert_eq!(handle.local_in_limbo(), since + ready, "retire {retired}");
+        }
+        let delta = ALLOC.allocated_bytes() - before_alloc;
+        assert_eq!(scheme.stats().scans, 3);
+        assert_eq!(
+            scheme.stats().freed,
+            2 * R as u64,
+            "the third interval waits"
+        );
+        delta
+    });
 
     // --- park / adopt hand-off (hazard) ------------------------------------
     // Dropping a handle with still-protected leftovers parks them on the scheme
