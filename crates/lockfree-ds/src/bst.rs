@@ -36,7 +36,7 @@
 //! cleanup is in flight (a progress, never a safety, concern).
 
 use crate::keyspace::KeySlot;
-use reclaim_core::{Era, Guard, Smr, NO_BIRTH_ERA};
+use reclaim_core::{drop_fn_for, Era, Guard, Smr, NO_BIRTH_ERA};
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
@@ -101,7 +101,7 @@ impl<K> Node<K> {
             left: AtomicPtr::new(std::ptr::null_mut()),
             right: AtomicPtr::new(std::ptr::null_mut()),
         }));
-        crate::oracle::register(node);
+        crate::oracle::register(node, size_of::<Node<K>>());
         node
     }
 
@@ -118,7 +118,7 @@ impl<K> Node<K> {
             left: AtomicPtr::new(left),
             right: AtomicPtr::new(right),
         }));
-        crate::oracle::register(node);
+        crate::oracle::register(node, size_of::<Node<K>>());
         node
     }
 }
@@ -352,10 +352,11 @@ where
             // (rule 3). Both are unreachable: the only edge into `parent` was just
             // replaced, and the only edge into `removed_leaf` (from `parent`) is
             // flagged, so no traversal can validate a new protection for either.
+            let (drop_fn, bytes) = (drop_fn_for::<Node<K>>(), size_of::<Node<K>>());
             // SAFETY: see above — this thread's CAS unlinked both nodes, making it the exclusive retirer, and neither can be re-protected.
             unsafe {
-                guard.retire_raw(parent, (*parent).birth_era);
-                guard.retire_raw(removed_leaf, (*removed_leaf).birth_era);
+                guard.retire_raw(parent, drop_fn, (*parent).birth_era, bytes);
+                guard.retire_raw(removed_leaf, drop_fn, (*removed_leaf).birth_era, bytes);
             }
             true
         } else {

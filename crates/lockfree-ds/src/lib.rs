@@ -53,8 +53,8 @@ pub(crate) mod interleave {
 #[cfg(feature = "check-oracle")]
 pub(crate) mod oracle {
     #[inline]
-    pub(crate) fn register<T>(ptr: *mut T) {
-        reclaim_core::oracle::register(ptr.cast(), std::mem::size_of::<T>());
+    pub(crate) fn register<T>(ptr: *mut T, size: usize) {
+        reclaim_core::oracle::register(ptr.cast(), size);
     }
     #[inline]
     pub(crate) fn deregister<T>(ptr: *mut T) {
@@ -70,7 +70,7 @@ pub(crate) mod oracle {
 #[cfg(not(feature = "check-oracle"))]
 pub(crate) mod oracle {
     #[inline(always)]
-    pub(crate) fn register<T>(_ptr: *mut T) {}
+    pub(crate) fn register<T>(_ptr: *mut T, _size: usize) {}
     #[inline(always)]
     pub(crate) fn deregister<T>(_ptr: *mut T) {}
     #[inline(always)]

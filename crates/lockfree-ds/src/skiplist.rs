@@ -12,27 +12,34 @@
 //! * **Reclamation**: the owning deleter sweeps the victim out of every level,
 //!   *fences* the upper levels (below), then retires it exactly once.
 //!
+//! ## Node layout and one search per update
+//!
+//! A tower is one allocation: a header (key, height, birth era; 32 B for `u64`
+//! keys), then exactly `height` 8-byte links, read through one accessor, `link`,
+//! that debug-asserts the level is in the tower. A height-1 node is 40 B, one of
+//! the mean height 2 is 48 B (all [`MAX_HEIGHT`] links would be 160 B), and a
+//! tower is retired at its real size. As in Fraser's and Herlihy–Shavit's
+//! lists, an update searches once: `insert` links its upper levels from the
+//! position its phase-1 `find` left protected, searching again only for a level
+//! whose CAS failed, and a height-1 `remove` unlinks its victim with one CAS on
+//! the `preds[0]` word its `find` returned, searching only if that CAS fails.
+//!
 //! ## Versioned links and the upper-level re-link race
 //!
 //! Every link is a [`VersionedAtomic`](crate::tagged::VersionedAtomic): pointer +
-//! mark + a per-link version that every successful CAS bumps. The version is what
-//! closes the classic HP-integration race this file used to document as a "known
-//! caveat":
-//!
-//! > between `insert`'s per-level validation (`succs[0] == node`, observed by a
-//! > `find`) and its `pred.next[level]` CAS, a complete `remove` — mark all
-//! > levels, sweep, retire — can slip in; the CAS then re-links a **retired**
-//! > node at an upper level, and a later traversal can validate a protection for
-//! > (and dereference) memory the scheme is free to reclaim.
-//!
-//! Pointer-equality CAS cannot see that window: the CASed link (`pred`, level
-//! `L ≥ 1`) is typically *untouched* by the remove, whose snips happen at the
-//! levels the victim is actually linked at. Two cooperating rules close it:
+//! mark + a per-link version that every successful CAS bumps. The version closes
+//! the race between the search that gives `insert` its level-`L` words and its
+//! `pred.next[L]` CAS: a complete `remove` — mark, sweep, retire — fitting in
+//! between typically leaves that link *untouched*, so a pointer-equality CAS
+//! would re-link a **retired** node, and a later traversal could validate a
+//! protection for memory the scheme is free to reclaim. Two rules close it:
 //!
 //! 1. **Validate-on-link** (`insert`, phase 2): the link CAS's expected value is
 //!    the full [`LinkWord`](crate::tagged::LinkWord) — pointer *and version* —
-//!    observed by the very traversal that validated `succs[0] == node`. The CAS
-//!    succeeds only if the pred link was never modified in between.
+//!    observed by the phase-1 `find`, before the node reached level 0, or by a
+//!    re-search that validated `succs[0] == node`; either word predates any
+//!    removal's sweep. The CAS succeeds only if the pred link was never
+//!    modified in between.
 //! 2. **Upper-level fencing** (`remove`, phase 3): one sweep pass unlinks the
 //!    victim from every level — walking *through equal-key runs*, because a
 //!    marked victim can transiently hide behind an equal-key node that a plain
@@ -78,6 +85,7 @@
 use crate::keyspace::KeySlot;
 use crate::tagged::{LinkWord, VersionedAtomic};
 use reclaim_core::{Era, Guard, Smr, NO_BIRTH_ERA};
+use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
 use std::sync::atomic::Ordering;
@@ -128,26 +136,95 @@ const HP_CURSOR: usize = 2 * MAX_HEIGHT;
 /// and the sweep cursor) while they still need that node to stay unreclaimed.
 const HP_NODE: usize = 2 * MAX_HEIGHT + 1;
 
+/// A tower's header, followed in the same allocation by its `height` links
+/// (module docs, "Node layout and one search per update").
+#[repr(C)]
 struct Node<K> {
     key: KeySlot<K>,
     height: usize,
     /// Era the node was allocated in (`SmrHandle::alloc_node`); immutable after
     /// allocation, read back by the level-0 deletion winner at the retire site.
     birth_era: Era,
-    next: [VersionedAtomic<Node<K>>; MAX_HEIGHT],
 }
 
 impl<K> Node<K> {
-    fn alloc(key: KeySlot<K>, height: usize, birth_era: Era) -> *mut Node<K> {
-        let node = Box::into_raw(Box::new(Node {
+    /// A tower of `height` levels: the header, then one link a level, which
+    /// the header's alignment covers.
+    fn layout(height: usize) -> Layout {
+        const { assert!(align_of::<Self>() >= align_of::<VersionedAtomic<Self>>()) };
+        let size = size_of::<Self>() + height * size_of::<VersionedAtomic<Self>>();
+        Layout::from_size_align(size, align_of::<Self>()).expect("tower layout")
+    }
+
+    /// Allocates a tower of `succs.len()` levels whose links point at `succs`.
+    fn alloc(key: KeySlot<K>, birth_era: Era, succs: &[*mut Node<K>]) -> *mut Node<K> {
+        let height = succs.len();
+        let layout = Self::layout(height);
+        // SAFETY: the layout is non-empty (the header alone is).
+        let node = unsafe { alloc(layout) }.cast::<Self>();
+        if node.is_null() {
+            handle_alloc_error(layout);
+        }
+        let header = Node {
             key,
             height,
             birth_era,
-            next: std::array::from_fn(|_| VersionedAtomic::new(std::ptr::null_mut())),
-        }));
-        crate::oracle::register(node);
+        };
+        // SAFETY: a fresh block of `layout`: the header, then `height` links.
+        unsafe {
+            node.write(header);
+            let links = node.add(1).cast::<VersionedAtomic<Self>>();
+            for (level, &succ) in succs.iter().enumerate() {
+                links.add(level).write(VersionedAtomic::new(succ));
+            }
+        }
+        crate::oracle::register(node, layout.size());
         node
     }
+
+    /// Frees a tower: a retired one (the scheme's destructor), the teardown
+    /// walk's, and a node an insert never published.
+    ///
+    /// # Safety
+    ///
+    /// `ptr` came from [`Node::alloc`], no thread can reach it, and it is freed
+    /// once.
+    unsafe fn free(ptr: *mut u8) {
+        let node = ptr.cast::<Self>();
+        // SAFETY: the caller's contract; the links own nothing.
+        unsafe {
+            let layout = Self::layout((*node).height);
+            std::ptr::drop_in_place(node);
+            dealloc(ptr, layout);
+        }
+    }
+}
+
+/// Level `level`'s link of the tower at `node`.
+///
+/// # Safety
+///
+/// `node` must stay allocated for `'a`: the sentinel, a private node, or one
+/// this operation protects, with `level` below its height.
+#[inline]
+unsafe fn link<'a, K>(node: *mut Node<K>, level: usize) -> &'a VersionedAtomic<Node<K>> {
+    // SAFETY: the caller's contract; `Node::alloc` put `height` links right
+    // after the header.
+    unsafe {
+        debug_assert!(level < (*node).height, "level {level} is above the tower");
+        &*node.add(1).cast::<VersionedAtomic<Node<K>>>().add(level)
+    }
+}
+
+/// `link`: `current → new`, unmarked, bumping the version — every CAS this
+/// list makes on a link but marking and fencing.
+#[inline]
+fn swing<K>(
+    link: &VersionedAtomic<Node<K>>,
+    current: LinkWord<Node<K>>,
+    new: *mut Node<K>,
+) -> Result<LinkWord<Node<K>>, LinkWord<Node<K>>> {
+    link.compare_exchange(current, new, false, Ordering::AcqRel, Ordering::Acquire)
 }
 
 /// Traversal result: per-level predecessors and successors around the search
@@ -173,7 +250,8 @@ struct SweepResult<K> {
 
 /// A lock-free sorted set backed by a skip list.
 pub struct LockFreeSkipList<K, S: Smr> {
-    head: Box<Node<K>>,
+    /// The `-∞` sentinel, a tower of [`MAX_HEIGHT`] levels freed by `Drop`.
+    head: *mut Node<K>,
     smr: Arc<S>,
 }
 
@@ -195,15 +273,12 @@ where
     /// [`SKIPLIST_HP_SLOTS`] — the protection discipline needs one slot per retained
     /// reference, exactly as the paper's methodology (§3.2, step 3) prescribes.
     pub fn new(smr: Arc<S>) -> Self {
-        Self {
-            head: Box::new(Node {
-                key: KeySlot::NegInf,
-                height: MAX_HEIGHT,
-                birth_era: NO_BIRTH_ERA,
-                next: std::array::from_fn(|_| VersionedAtomic::new(std::ptr::null_mut())),
-            }),
-            smr,
-        }
+        let head = Node::alloc(
+            KeySlot::NegInf,
+            NO_BIRTH_ERA,
+            &[std::ptr::null_mut(); MAX_HEIGHT],
+        );
+        Self { head, smr }
     }
 
     /// The reclamation scheme this skip list was created with.
@@ -214,10 +289,6 @@ where
     /// Registers the calling thread with the underlying reclamation scheme.
     pub fn register(&self) -> S::Handle {
         self.smr.register()
-    }
-
-    fn head_ptr(&self) -> *mut Node<K> {
-        (&*self.head) as *const Node<K> as *mut Node<K>
     }
 
     /// Geometric distribution with p = 1/2, capped at MAX_HEIGHT: the run of
@@ -244,7 +315,7 @@ where
     /// deleted-pred/null-successor case (see the loop comment below), which
     /// every CAS consumer must refuse.
     fn find(&self, key: &K, guard: &Guard<'_, S::Handle>) -> FindResult<K> {
-        let head = self.head_ptr();
+        let head = self.head;
         'retry: loop {
             let mut preds = [head; MAX_HEIGHT];
             let mut succs = [std::ptr::null_mut(); MAX_HEIGHT];
@@ -257,7 +328,7 @@ where
                 let mut free = pred_slot(level);
                 // SAFETY: `pred` is the head sentinel or a node protected in
                 // the non-free slot of this level or a slot of a level above.
-                let mut w = unsafe { &*pred }.next[level].load(Ordering::Acquire);
+                let mut w = unsafe { link(pred, level) }.load(Ordering::Acquire);
                 loop {
                     // `w` can be marked only on a level's first iteration (the
                     // pred carried down from above was logically deleted at this
@@ -289,27 +360,21 @@ where
                     // traffic, while the eventual CAS still demands the exact
                     // word it was handed.
                     // SAFETY: `pred` protected or sentinel as above.
-                    let w2 = unsafe { &*pred }.next[level].load(Ordering::Acquire);
+                    let w2 = unsafe { link(pred, level) }.load(Ordering::Acquire);
                     if w2.ptr() != curr || w2.is_marked() {
                         continue 'retry;
                     }
                     crate::oracle::check(curr, "skiplist::traversal::validated");
                     w = w2;
                     // SAFETY: `curr` protected (in `free`) and validated reachable.
-                    let cw = unsafe { &*curr }.next[level].load(Ordering::Acquire);
+                    let cw = unsafe { link(curr, level) }.load(Ordering::Acquire);
                     if cw.is_marked() {
                         // Physically remove the logically deleted node at this
                         // level. A successful CAS tells us the link's new word
                         // exactly; on failure some other thread moved the link and
                         // the position must be recomputed.
                         // SAFETY: `pred` protected or sentinel.
-                        match unsafe { &*pred }.next[level].compare_exchange(
-                            w,
-                            cw.ptr(),
-                            false,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
+                        match swing(unsafe { link(pred, level) }, w, cw.ptr()) {
                             Ok(new_word) => {
                                 w = new_word;
                                 continue;
@@ -376,91 +441,114 @@ where
     #[cfg(feature = "interleave")]
     pub fn level_addrs(&self, level: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        let mut curr = self.head.next[level].load(Ordering::Acquire).ptr();
+        // SAFETY: the sentinel is as tall as any level.
+        let mut curr = unsafe { link(self.head, level) }
+            .load(Ordering::Acquire)
+            .ptr();
         while !curr.is_null() {
             out.push(curr as usize);
             // SAFETY: quiescence is the caller's contract; we only read the
             // link word, never the key.
-            curr = unsafe { &*curr }.next[level].load(Ordering::Acquire).ptr();
+            curr = unsafe { link(curr, level) }.load(Ordering::Acquire).ptr();
         }
         out
     }
 
     fn insert_impl(&self, key: K, height: usize, handle: &mut S::Handle) -> bool {
         let guard = Guard::new(handle);
-        let mut key = key;
-        // Phase 1: link at level 0 (this is the linearization point of a successful
-        // insert).
-        let node = loop {
-            let result = self.find(&key, &guard);
+        let mut result = self.find(&key, &guard);
+        if result.found {
+            return false;
+        }
+        // The node's links start at the successors the traversal observed.
+        let era = guard.alloc_era();
+        let node = Node::alloc(KeySlot::Key(key), era, &result.succs[..height]);
+        // Protect the node *before* publishing it. The protection is issued
+        // while the node is still private — hence before any possible retire —
+        // so every scan that could free it is guaranteed to observe the hazard
+        // pointer (for HP via the publication fence — the reader's own, or the
+        // one the scan's barrier runs for it —, for Cadence/QSense via the
+        // rooster visibility bound, which the deferred-reclamation age always
+        // outwaits). Protecting only *after* the CAS below would leave a window
+        // in which a concurrent remover unlinks, retires and frees the node.
+        //
+        // `node` stays protected in `HP_NODE` for the rest of the operation:
+        // `find` never touches the slot, so even a concurrent removal cannot get
+        // the node *freed* while we still read it (the key borrowed below too).
+        guard.protect_ptr(HP_NODE, node.cast());
+        // SAFETY: `node` protected as described; its key is immutable.
+        let KeySlot::Key(key) = (unsafe { &(*node).key }) else {
+            unreachable!("inserted nodes always carry a real key")
+        };
+        // Phase 1: link at level 0 (this is the linearization point of a
+        // successful insert). A marked pred word means the level-0 pred was
+        // deleted under the traversal (possible only with a null successor —
+        // see `find`): re-find rather than CAS a marked link.
+        loop {
+            if !result.pred_links[0].is_marked()
+                // SAFETY: `preds[0]` is the sentinel or protected by this `find`
+                // (`FindResult`): in one of level 0's slots or a higher level's.
+                && swing(unsafe { link(result.preds[0], 0) }, result.pred_links[0], node).is_ok()
+            {
+                break;
+            }
+            result = self.find(key, &guard);
             if result.found {
+                // Never published: free it directly.
+                crate::oracle::deregister(node);
+                // SAFETY: `node` came from `Node::alloc` and was never shared.
+                unsafe { Node::<K>::free(node.cast()) };
                 return false;
             }
-            if result.pred_links[0].is_marked() {
-                // The level-0 pred was deleted under the traversal (possible
-                // only with a null successor — see `find`): re-find rather than
-                // CAS a marked link.
-                continue;
+            for (level, &succ) in result.succs[..height].iter().enumerate() {
+                // SAFETY: `node` is private until the CAS above publishes it.
+                unsafe { link(node, level) }.store_private(succ, Ordering::Relaxed);
             }
-            let node = Node::alloc(KeySlot::Key(key), height, guard.alloc_era());
-            // Protect the node *before* publishing it. The protection is issued
-            // while the node is still private — hence before any possible retire —
-            // so every scan that could free it is guaranteed to observe the hazard
-            // pointer (for HP via the publication fence — the reader's own, or the
-            // one the scan's barrier runs for it —, for Cadence/QSense via the
-            // rooster visibility bound, which the deferred-reclamation age always
-            // outwaits). Protecting only *after* the CAS below would leave a window
-            // in which a concurrent remover unlinks, retires and frees the node.
-            guard.protect_ptr(HP_NODE, node.cast());
-            // Pre-link the new node's forward pointers to the successors observed by
-            // the traversal. The node is still private, so plain stores are fine.
-            for level in 0..height {
-                // SAFETY: `node` is private until the CAS below publishes it.
-                unsafe { &*node }.next[level].store_private(result.succs[level], Ordering::Relaxed);
-            }
-            // SAFETY: `preds[0]` is the sentinel or protected by this `find`
-            // (`FindResult`): in one of level 0's slots or a higher level's.
-            match unsafe { &*result.preds[0] }.next[0].compare_exchange(
-                result.pred_links[0],
-                node,
-                false,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break node,
-                Err(_) => {
-                    // Never published: reclaim directly and retry.
-                    crate::oracle::deregister(node);
-                    // Sanctioned free path: failed-insert rollback of a private node.
-                    #[allow(clippy::disallowed_methods)]
-                    // SAFETY: `node` was never shared.
-                    let boxed = unsafe { Box::from_raw(node) };
-                    match boxed.key {
-                        KeySlot::Key(k) => key = k,
-                        _ => unreachable!("inserted nodes always carry a real key"),
-                    }
-                }
-            }
-        };
+        }
 
         // Phase 2: link the upper levels. Failures here never affect membership —
         // they only cost express-lane shortcuts — but each level is retried until it
-        // is linked or the node is observed logically deleted.
-        //
-        // `node` stays protected in `HP_NODE` for the rest of the operation: the
-        // slot was published while the node was still private and `find` never
-        // touches it, so even a concurrent removal cannot get the node *freed* while
-        // we still read it (including the key borrowed from it below). Each
-        // pass below dereferences only what its own `find` returned, before
-        // the next one rotates the level pairs again.
-        // SAFETY: `node` protected as described; reading its immutable key is safe.
-        let key_ref: &K = match unsafe { &(*node).key } {
-            KeySlot::Key(k) => k,
-            _ => unreachable!("inserted nodes always carry a real key"),
-        };
+        // is linked or the node is observed logically deleted. A level is
+        // linked from `result` — phase 1's `find`, still protected — and
+        // searched again only after its CAS fails (module docs).
         'levels: for level in 1..height {
             loop {
-                let result = self.find(key_ref, &guard);
+                // SAFETY: `node` is protected (HP_NODE); loads of its links are safe.
+                let node_link = unsafe { link(node, level) };
+                let node_w = node_link.load(Ordering::Acquire);
+                if node_w.is_marked() {
+                    // A concurrent remove already claimed the node: stop linking.
+                    break 'levels;
+                }
+                let (pred, succ) = (result.preds[level], result.succs[level]);
+                debug_assert!(succ != node, "only this loop links `node`, once a level");
+                // Never link in front of a deleted successor or through a
+                // marked pred word (see `find`); point the node at `succ` first
+                // (that CAS fails only on a concurrent marking).
+                // SAFETY: `succ` is protected in one of `level`'s slots.
+                let succ_dead = !succ.is_null()
+                    && unsafe { link(succ, level) }
+                        .load(Ordering::Acquire)
+                        .is_marked();
+                if !succ_dead
+                    && !result.pred_links[level].is_marked()
+                    && (node_w.ptr() == succ || swing(node_link, node_w, succ).is_ok())
+                {
+                    // Pause point: the remove-between-search-and-CAS window. A
+                    // complete `remove` of `node` driven through here is the
+                    // upper-level re-link race the interleaving harness forces.
+                    crate::interleave::hit("skiplist::insert::upper::pre_link_cas");
+                    // Validate-on-link (module docs): a remove that completed
+                    // since `result` read this word has snipped through it or
+                    // bumped its version in the fence pass, so the CAS fails
+                    // and the re-search below observes the removal.
+                    // SAFETY: `pred` is the sentinel or protected in a slot of
+                    // `level` or a higher one (`FindResult`).
+                    if swing(unsafe { link(pred, level) }, result.pred_links[level], node).is_ok() {
+                        break;
+                    }
+                }
+                result = self.find(key, &guard);
                 if result.succs[0] != node {
                     // The node is no longer what level 0 holds for this key: a
                     // concurrent remove unlinked it (or replaced it with a fresh
@@ -468,66 +556,6 @@ where
                     // the level-0 CAS, upper levels are only shortcuts — and never
                     // re-link a node whose removal may have begun.
                     break 'levels;
-                }
-                // SAFETY: `node` is protected (HP_NODE); loads of its links are safe.
-                let node_w = unsafe { &*node }.next[level].load(Ordering::Acquire);
-                if node_w.is_marked() {
-                    // A concurrent remove already claimed the node: stop linking.
-                    break 'levels;
-                }
-                let succ = result.succs[level];
-                if succ == node {
-                    // Already linked at this level by this loop's previous pass.
-                    break;
-                }
-                if node_w.ptr() != succ
-                    // SAFETY: the pointer was validated (or is hazard-protected) by the surrounding traversal and nodes are only freed through SMR.
-                    && unsafe { &*node }.next[level]
-                        .compare_exchange(node_w, succ, false, Ordering::AcqRel, Ordering::Acquire)
-                        .is_err()
-                {
-                    // The node's pointer changed under us (a concurrent marking);
-                    // re-evaluate.
-                    continue;
-                }
-                // Avoid knowingly linking to a logically deleted successor.
-                // SAFETY: `succ` is `succs[level]` of the `find` above, protected
-                // in one of `level`'s two slots (`FindResult`).
-                if !succ.is_null()
-                    && unsafe { &*succ }.next[level]
-                        .load(Ordering::Acquire)
-                        .is_marked()
-                {
-                    continue;
-                }
-                if result.pred_links[level].is_marked() {
-                    // Deleted pred (null-successor case, see `find`): never CAS
-                    // a marked link — re-find.
-                    continue;
-                }
-                // Pause point: the remove-between-validate-and-CAS window. A
-                // complete `remove` of `node` driven through here is the
-                // upper-level re-link race the interleaving harness forces.
-                crate::interleave::hit("skiplist::insert::upper::pre_link_cas");
-                // Validate-on-link: the expected value is the full word (pointer +
-                // version) the traversal above observed while it also validated
-                // `succs[0] == node`. A remove that completed in between has
-                // either snipped through this very link or bumped its version in
-                // the fence pass — either way the CAS fails and the loop
-                // re-validates from scratch, observing the removal.
-                // SAFETY: `preds[level]` is the sentinel or protected in a slot
-                // of `level` or a higher one by the `find` above (`FindResult`).
-                if unsafe { &*result.preds[level] }.next[level]
-                    .compare_exchange(
-                        result.pred_links[level],
-                        node,
-                        false,
-                        Ordering::AcqRel,
-                        Ordering::Acquire,
-                    )
-                    .is_ok()
-                {
-                    break;
                 }
             }
         }
@@ -555,7 +583,7 @@ where
         height: usize,
         guard: &Guard<'_, S::Handle>,
     ) -> SweepResult<K> {
-        let head = self.head_ptr();
+        let head = self.head;
         'retry: loop {
             let mut preds = [head; MAX_HEIGHT];
             let mut pred_links = [LinkWord::null(); MAX_HEIGHT];
@@ -567,7 +595,7 @@ where
                 let mut canonical: Option<(*mut Node<K>, LinkWord<Node<K>>)> = None;
                 // SAFETY: `pred` is the sentinel or protected (pred slot of this
                 // or an upper level).
-                let mut w = unsafe { &*pred }.next[level].load(Ordering::Acquire);
+                let mut w = unsafe { link(pred, level) }.load(Ordering::Acquire);
                 loop {
                     // Unlike `find`, a marked `w` (the carried-down pred was
                     // logically deleted at this level) must RESTART the sweep:
@@ -590,27 +618,21 @@ where
                     // Same refresh-on-validate as `find`: tolerate version-only
                     // traffic, report the freshest validated word.
                     // SAFETY: `pred` protected or sentinel.
-                    let w2 = unsafe { &*pred }.next[level].load(Ordering::Acquire);
+                    let w2 = unsafe { link(pred, level) }.load(Ordering::Acquire);
                     if w2.ptr() != curr || w2.is_marked() {
                         continue 'retry;
                     }
                     crate::oracle::check(curr, "skiplist::traversal::validated");
                     w = w2;
                     // SAFETY: `curr` protected and validated reachable.
-                    let cw = unsafe { &*curr }.next[level].load(Ordering::Acquire);
+                    let cw = unsafe { link(curr, level) }.load(Ordering::Acquire);
                     if cw.is_marked() {
                         // A marked node (possibly the victim itself): snip it. If
                         // the snip goes through the canonical link, the returned
                         // word is the snip's own result, so a later successful
                         // fence bump proves no re-link slipped in after it.
                         // SAFETY: `pred` protected or sentinel.
-                        match unsafe { &*pred }.next[level].compare_exchange(
-                            w,
-                            cw.ptr(),
-                            false,
-                            Ordering::AcqRel,
-                            Ordering::Acquire,
-                        ) {
+                        match swing(unsafe { link(pred, level) }, w, cw.ptr()) {
                             Ok(new_word) => {
                                 w = new_word;
                                 continue;
@@ -661,9 +683,10 @@ where
     }
 
     /// Sweep-and-fence loop of `remove`'s phase 3 for victims with upper levels
-    /// (see the narration at the call site): sweeps, then bumps every upper
-    /// level's canonical pred link against the sweep's observed words; retries
-    /// the whole pass on any interference.
+    /// (module docs, rule 2): sweeps, then bumps every upper level's canonical
+    /// pred link against the sweep's observed words; retries the whole pass on
+    /// any interference — possibly a stale re-link, which the next sweep snips.
+    /// Each stale inserter disturbs a level at most once, so the loop converges.
     fn fence(&self, key: &K, victim: *mut Node<K>, height: usize, guard: &Guard<'_, S::Handle>) {
         'fence: loop {
             let sweep = self.sweep(key, victim, height, guard);
@@ -675,7 +698,7 @@ where
                 // lower-level iterations never overwrite higher pred slots).
                 // That is `sweep`'s own discipline; no `find` — whose rotation
                 // reuses the same pairs — runs between the sweep and this CAS.
-                if unsafe { &*sweep.preds[level] }.next[level]
+                if unsafe { link(sweep.preds[level], level) }
                     .bump_version(sweep.pred_links[level], Ordering::AcqRel, Ordering::Acquire)
                     .is_err()
                 {
@@ -707,12 +730,12 @@ where
         for level in (1..height).rev() {
             loop {
                 // SAFETY: `victim` protected.
-                let w = unsafe { &*victim }.next[level].load(Ordering::Acquire);
+                let w = unsafe { link(victim, level) }.load(Ordering::Acquire);
                 if w.is_marked() {
                     break;
                 }
                 // SAFETY: `victim` protected.
-                if unsafe { &*victim }.next[level]
+                if unsafe { link(victim, level) }
                     .try_mark(w, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
@@ -725,63 +748,50 @@ where
         // whose CAS succeeds owns the deletion and is the only one to retire.
         loop {
             // SAFETY: `victim` protected.
-            let w = unsafe { &*victim }.next[0].load(Ordering::Acquire);
+            let w = unsafe { link(victim, 0) }.load(Ordering::Acquire);
             if w.is_marked() {
                 // Another remover won; this call observes the key as absent.
                 return false;
             }
             // SAFETY: `victim` protected.
-            if unsafe { &*victim }.next[0]
-                .try_mark(w, Ordering::AcqRel, Ordering::Acquire)
-                .is_err()
-            {
+            let Ok(marked) =
+                unsafe { link(victim, 0) }.try_mark(w, Ordering::AcqRel, Ordering::Acquire)
+            else {
                 continue;
-            }
+            };
             // Phase 3: physical removal, then upper-level fencing, then retire.
-            //
-            // One `sweep` pass walks every level through the whole equal-key
-            // run, snipping the (marked) victim wherever it is still linked —
-            // also when it hides behind an equal-key node that a plain `find`
-            // stops at — and, because the walk is top-down, ends with the
-            // victim's *permanent* absence from level 0 (a node is never
-            // re-linked at level 0). The fence pass then bumps the version of
-            // the canonical pred link at every upper level of the victim's
-            // tower, each CAS expecting the exact word the sweep last observed
-            // (or wrote) there. A successful bump therefore certifies the link
-            // was untouched from the sweep's visit until a moment *after* the
-            // level-0 unlink — so every stale insert capture of that link
-            // predates the bump and fails its validate-on-link CAS, while any
-            // insert validating later observes `succs[0] != node` and never
-            // CASes. A failed bump means something (possibly a stale re-link of
-            // the victim) touched the link: re-sweep — which snips any
-            // re-linked victim — and re-fence. Each stale inserter can disturb
-            // a level at most once (its next validation sees the victim gone),
-            // so the loop converges.
             if height == 1 {
                 // A level-0-only victim has no upper levels: no phase-2 link CAS
                 // for it exists anywhere, level 0 never re-links a node, and it
                 // cannot hide behind an equal-key node at level 0 (a new
                 // equal-key insert can only observe it marked, in which case its
-                // `find` snips it rather than linking in front of it). Sweeping
-                // until it leaves level 0 is therefore a complete phase 3 — no
-                // fence pass needed.
-                loop {
-                    let r = self.find(key, &guard);
-                    if r.succs[0] != victim {
-                        break;
-                    }
+                // `find` snips it rather than linking in front of it). Unlinking
+                // it from level 0 is a complete phase 3 — first directly, as the
+                // linked list does: the CAS expects the unmarked word `find`
+                // validated, so success proves the pred linked and the victim out.
+                crate::interleave::hit("skiplist::remove::pre_unlink_cas");
+                // SAFETY: `preds[0]` is the sentinel or protected by the `find`
+                // above (`FindResult`); no traversal has run since.
+                let pred = unsafe { link(result.preds[0], 0) };
+                if swing(pred, result.pred_links[0], marked.ptr()).is_err() {
+                    // The link moved first (a snip of the victim, an insert in
+                    // front of it, the predecessor's deletion): search until
+                    // the victim has left level 0.
+                    while self.find(key, &guard).succs[0] == victim {}
                 }
             } else {
                 self.fence(key, victim, height, &guard);
             }
             // Pause point: retire is now decided; audits schedule against it.
             crate::interleave::hit("skiplist::remove::pre_retire");
+            let bytes = Node::<K>::layout(height).size();
             // SAFETY: the victim is unlinked from every level reachable from the
             // head and every upper-level pred link has been version-fenced, so no
             // stale insert CAS can re-link it and no traversal can validate a new
-            // protection for it; it was allocated via `Node::alloc`, and only the
-            // level-0 winner — this thread — retires it.
-            unsafe { guard.retire_raw(victim, (*victim).birth_era) };
+            // protection for it; it was allocated via `Node::alloc`, is freed
+            // by `Node::free`, and only the level-0 winner — this thread —
+            // retires it.
+            unsafe { guard.retire_raw(victim, Node::<K>::free, (*victim).birth_era, bytes) };
             return true;
         }
     }
@@ -791,11 +801,11 @@ where
     pub fn len(&self, handle: &mut S::Handle) -> usize {
         let guard = Guard::new(handle);
         let mut count = 0;
-        let mut prev = self.head_ptr();
+        let mut prev = self.head;
         // Same rotation as `find`, restricted to level 0's pair.
         let mut free = pred_slot(0);
         // SAFETY: `prev` is the sentinel.
-        let mut w = unsafe { &*prev }.next[0].load(Ordering::Acquire);
+        let mut w = unsafe { link(prev, 0) }.load(Ordering::Acquire);
         loop {
             let curr = w.ptr();
             if curr.is_null() {
@@ -803,17 +813,17 @@ where
             }
             guard.protect_ptr(free, curr.cast());
             // SAFETY: `prev` is the sentinel or protected in the non-free slot.
-            let w2 = unsafe { &*prev }.next[0].load(Ordering::Acquire);
+            let w2 = unsafe { link(prev, 0) }.load(Ordering::Acquire);
             if w2.ptr() != curr || w2.is_marked() {
                 // Restart on interference.
                 count = 0;
-                prev = self.head_ptr();
+                prev = self.head;
                 // SAFETY: `prev` is the sentinel.
-                w = unsafe { &*prev }.next[0].load(Ordering::Acquire);
+                w = unsafe { link(prev, 0) }.load(Ordering::Acquire);
                 continue;
             }
             // SAFETY: `curr` is hazard-protected and was revalidated still linked above.
-            let cw = unsafe { &*curr }.next[0].load(Ordering::Acquire);
+            let cw = unsafe { link(curr, 0) }.load(Ordering::Acquire);
             if !cw.is_marked() {
                 count += 1;
                 prev = curr;
@@ -832,16 +842,17 @@ where
 
 impl<K, S: Smr> Drop for LockFreeSkipList<K, S> {
     fn drop(&mut self) {
-        // Exclusive access: free every node still linked at level 0. Unlinked nodes
-        // are owned by the reclamation scheme.
-        let mut curr = self.head.next[0].load(Ordering::Relaxed).ptr();
+        // Exclusive access: free the sentinel and every node still linked at
+        // level 0. Unlinked nodes are owned by the reclamation scheme.
+        let mut curr = self.head;
         while !curr.is_null() {
+            // SAFETY: exclusive access; level 0 links every live node exactly
+            // once, so each is read, then freed, once.
+            let next = unsafe { link(curr, 0) }.load(Ordering::Relaxed).ptr();
             crate::oracle::deregister(curr);
-            // Sanctioned free path: structure teardown walk under `&mut self`.
-            #[allow(clippy::disallowed_methods)]
-            // SAFETY: exclusive access; level 0 links every live node exactly once.
-            let boxed = unsafe { Box::from_raw(curr) };
-            curr = boxed.next[0].load(Ordering::Relaxed).ptr();
+            // SAFETY: as above.
+            unsafe { Node::<K>::free(curr.cast()) };
+            curr = next;
         }
     }
 }

@@ -161,10 +161,13 @@ fn a_skip_list_operation_publishes_one_protect_per_node_visited() {
     // 33–34. Tower heights come from a per-thread stream with a fixed seed, so
     // on a thread of its own — a stream at its seed — the run is the same run
     // every time and the count is pinned, with half a protect of air for a
-    // change that moves a boundary case.
+    // change that moves a boundary case. One search per update took it from
+    // 33.11 to 28.22, one saved search at a time:
+    // - insert links its upper levels from its phase-1 `find`: −3.32;
+    // - a height-1 remove unlinks with one CAS, not a snipping `find`: −1.57.
     const KEY_RANGE: u64 = 20_000;
     const OPS: u64 = 20_000;
-    const EXPECTED: f64 = 33.11;
+    const EXPECTED: f64 = 28.22;
     let per_op = std::thread::spawn(|| {
         let smr = Counting::new(SmrConfig::for_skiplist());
         let set = LockFreeSkipList::new(Arc::clone(&smr));
@@ -195,6 +198,6 @@ fn a_skip_list_operation_publishes_one_protect_per_node_visited() {
     .unwrap();
     assert!(
         (per_op - EXPECTED).abs() <= 0.5,
-        "{per_op:.2} protects per skip-list operation (rotation: ≈ 33, copying: ≈ 65)"
+        "{per_op:.2} protects per skip-list operation (one search per update: ≈ 28, rotation: ≈ 33, copying: ≈ 65)"
     );
 }

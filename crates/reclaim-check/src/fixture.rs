@@ -399,9 +399,10 @@ impl<S: Smr> RotationFixture<S> {
                 (*pred).next[0].store(succ, Ordering::Release);
             }
             interleave::hit("rotation_fixture::remove::pre_retire");
+            let bytes = std::mem::size_of::<FixNode>();
             // SAFETY: `curr` came from `FixNode::alloc`, was unlinked just
             // above, and only this call retires it.
-            unsafe { guard.retire_raw(curr, NO_BIRTH_ERA) };
+            unsafe { guard.retire_raw(curr, drop_fn_for::<FixNode>(), NO_BIRTH_ERA, bytes) };
             return true;
         }
     }

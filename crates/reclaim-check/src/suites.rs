@@ -21,6 +21,7 @@ use lockfree_ds::{
     BST_HP_SLOTS, LIST_HP_SLOTS, QUEUE_HP_SLOTS, SKIPLIST_HP_SLOTS, STACK_HP_SLOTS,
 };
 use reclaim_core::{Smr, SmrConfig, SmrHandle};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Eager-reclamation config: thresholds of 1 so every retire is immediately
@@ -95,10 +96,13 @@ where
         // Fixed heights: random heights would break prefix-replay determinism.
         assert!(set.insert_with_height(5, 1, &mut h));
         assert!(set.insert_with_height(20, 1, &mut h));
+        assert!(set.insert_with_height(30, 1, &mut h));
         drop(h);
         let inserter = Arc::clone(&set);
         let pred_remover = Arc::clone(&set);
         let self_remover = Arc::clone(&set);
+        let removed = Arc::new(AtomicBool::new(false));
+        let removed_in_check = Arc::clone(&removed);
         ScenarioRun::new()
             // Height 2: crosses `skiplist::insert::upper::pre_link_cas`, the
             // window of the historical re-link UAF...
@@ -110,10 +114,11 @@ where
                 );
                 h.flush();
             })
-            // ...while the level-0 predecessor is removed and retired...
+            // ...while its level-0 pred, then succ, go (height 1: a direct unlink CAS)...
             .thread(move || {
                 let mut h = pred_remover.register();
                 assert!(pred_remover.remove(&5, &mut h), "5 was prefilled");
+                assert!(pred_remover.remove(&20, &mut h), "20 was prefilled");
                 h.flush();
             })
             // ...and the new node itself races removal mid-link (the exact
@@ -121,17 +126,21 @@ where
             // upper-level window; success depends on the schedule).
             .thread(move || {
                 let mut h = self_remover.register();
-                let _ = self_remover.remove(&10, &mut h);
+                removed.store(self_remover.remove(&10, &mut h), Ordering::Relaxed);
                 h.flush();
             })
             .check(move || {
                 let mut h = set.register();
-                assert!(!set.contains(&5, &mut h), "remove linearized");
-                assert!(set.contains(&20, &mut h), "bystander survives");
+                assert!(!set.contains(&5, &mut h), "pred remove linearized");
+                assert!(!set.contains(&20, &mut h), "succ remove linearized");
+                // 20's unlink relinks its pred to 30: a CAS onto the wrong
+                // successor loses the bystander.
+                assert!(set.contains(&30, &mut h), "bystander survives");
                 // 10's final presence is schedule-dependent (did the remove
-                // land after the insert?); the structure must only be
-                // *consistent* about it.
+                // land after the insert?), but it is gone exactly when the
+                // remove reported removing it.
                 let present = set.contains(&10, &mut h);
+                assert_eq!(present, !removed_in_check.load(Ordering::Relaxed));
                 assert_eq!(set.len(&mut h), 1 + usize::from(present));
             })
     })

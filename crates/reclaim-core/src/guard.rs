@@ -71,6 +71,7 @@
 //! ```
 
 use crate::clock::{Era, NO_BIRTH_ERA};
+use crate::retired::DropFn;
 use crate::smr::{drop_fn_for, SmrHandle};
 use crate::tagged::{LinkWord, VersionedAtomic};
 use std::marker::PhantomData;
@@ -219,27 +220,20 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
         }
     }
 
-    /// Retires a raw typed node — the expert escape hatch paired with
-    /// [`Guard::protect_ptr`] for structures that manage their own node
-    /// layout. Stamps `size_of::<T>()`, keeping the byte accounting exact.
+    /// Retires a raw node — the expert escape hatch paired with
+    /// [`Guard::protect_ptr`] for structures with their own node layout, which
+    /// name its destructor ([`drop_fn_for`] for a `Box<T>`) and real size.
     ///
     /// # Safety
     ///
-    /// `ptr` must originate from `Box::<T>::into_raw`, be unlinked from the
-    /// structure, and never be retired twice; `birth_era` must be the node's
-    /// [`SmrHandle::alloc_node`] stamp or [`NO_BIRTH_ERA`].
-    pub unsafe fn retire_raw<T>(&self, ptr: *mut T, birth_era: Era) {
-        self.with(|h| {
-            // SAFETY: forwarded from the caller's contract.
-            unsafe {
-                h.retire(
-                    ptr.cast::<u8>(),
-                    drop_fn_for::<T>(),
-                    birth_era,
-                    std::mem::size_of::<T>(),
-                )
-            }
-        });
+    /// `ptr` must be unlinked from the structure and never retired twice;
+    /// `drop_fn(ptr)` must release exactly its allocation, of `size` bytes;
+    /// `birth_era` must be the node's [`SmrHandle::alloc_node`] stamp or
+    /// [`NO_BIRTH_ERA`].
+    pub unsafe fn retire_raw<T>(&self, ptr: *mut T, drop_fn: DropFn, birth_era: Era, size: usize) {
+        debug_assert!(size > 0, "a raw retire states the node's size");
+        // SAFETY: forwarded from the caller's contract.
+        self.with(|h| unsafe { h.retire(ptr.cast(), drop_fn, birth_era, size) });
     }
 }
 

@@ -7,9 +7,9 @@
 //! makes (or made) the window dangerous.
 //!
 //! The headline schedule is the **skip-list upper-level re-link race**: a
-//! complete `remove` (mark all levels + sweep + retire) slipped between
-//! `insert`'s per-level validation (`succs[0] == node`) and its
-//! `pred.next[level]` CAS. On the pre-versioned-link skip list this schedule
+//! complete `remove` (mark all levels + sweep + retire) slipped between the
+//! search that gave `insert` its level-`L` words and its `pred.next[L]` CAS.
+//! On the pre-versioned-link skip list this schedule
 //! re-linked a *retired* node at an upper level (the assertion below failed
 //! with the victim's address present in the level-1 chain); with versioned
 //! links + remove's upper-level bump pass the stale CAS loses its version
@@ -18,7 +18,7 @@
 //! The harness hooks are process-global, so every test here serializes on
 //! [`schedule_lock`].
 
-use lockfree_ds::interleave::Trap;
+use lockfree_ds::interleave::{Counter, Trap};
 use lockfree_ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList, SKIPLIST_HP_SLOTS};
 use reclaim_core::{Smr, SmrConfig};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
@@ -49,8 +49,9 @@ fn deferred_config() -> SmrConfig {
 /// Forces the skip-list schedule:
 ///
 /// 1. thread A runs `insert_with_height(10, 2)`: phase 1 links the node at
-///    level 0, phase 2 validates `succs[0] == node` for level 1 and parks at
-///    the pause point immediately before the `pred.next[1]` CAS;
+///    level 0, phase 2 takes level 1's words from phase 1's `find` — read
+///    before the node reached level 0 — and parks at the pause point
+///    immediately before the `pred.next[1]` CAS;
 /// 2. the main thread runs `remove(&10)` to completion — logical deletion of
 ///    every level, physical sweep, retire;
 /// 3. thread A is released and takes (or, fixed: fails) its stale CAS.
@@ -77,8 +78,9 @@ fn force_skiplist_relink_schedule<S: Smr>(scheme: Arc<S>) -> (usize, Vec<usize>)
         })
     };
 
-    // Window open: the inserter has validated `succs[0] == node` for level 1
-    // and sits right before its pred-link CAS.
+    // Window open: the inserter holds level 1's words from its phase-1
+    // `find`, read before the node reached level 0, and sits right before
+    // its pred-link CAS.
     trap.wait_for_parked();
 
     // The victim is the unique key-10 node: last in level-0 order (after 5),
@@ -141,6 +143,113 @@ fn skiplist_remove_between_validate_and_cas_is_harmless_under_he() {
 #[test]
 fn skiplist_remove_between_validate_and_cas_is_harmless_under_qsense() {
     assert_victim_not_relinked(qsense::QSense::new(deferred_config()), "qsense");
+}
+
+/// Parks a height-1 `remove(&10)` at its direct unlink — victim marked,
+/// `preds[0] = 5` and the word it read there in hand — and runs `interfere`
+/// on the main thread. Returns whether the victim was still linked at level 0
+/// when the remover was released. Either way the direct CAS must fail, a
+/// search must follow it, the victim must leave level 0 and be retired once.
+fn force_skiplist_unlink_schedule(
+    interfere: impl FnOnce(&LockFreeSkipList<u64, hazard::Hazard>, &mut <hazard::Hazard as Smr>::Handle),
+) -> bool {
+    let _serial = schedule_lock();
+    let scheme = hazard::Hazard::new(deferred_config());
+    let set = Arc::new(LockFreeSkipList::<u64, _>::new(Arc::clone(&scheme)));
+    let mut main_handle = set.register();
+    assert!(set.insert_with_height(5, 1, &mut main_handle));
+    assert!(set.insert_with_height(10, 1, &mut main_handle));
+    let victim = set.level_addrs(0)[1];
+
+    let trap = Trap::arm("skiplist::remove::pre_unlink_cas");
+    let remover = {
+        let set = Arc::clone(&set);
+        thread::spawn(move || {
+            let mut handle = set.register();
+            assert!(set.remove(&10, &mut handle), "the remover marks level 0");
+        })
+    };
+    trap.wait_for_parked();
+    interfere(&set, &mut main_handle);
+    let linked_at_release = set.level_addrs(0).contains(&victim);
+    let retired = scheme.stats().retired;
+    // A successful direct unlink retires without searching; the fallback
+    // `find` publishes a cursor for every node it visits.
+    let searches = Counter::arm("skiplist::find::cursor_published");
+    trap.release();
+    remover.join().unwrap();
+
+    assert!(
+        searches.count() > 0,
+        "the stale direct CAS must fail and search"
+    );
+    assert!(!set.level_addrs(0).contains(&victim), "victim left level 0");
+    assert_eq!(scheme.stats().retired, retired + 1, "victim retired once");
+    assert!(!set.contains(&10, &mut main_handle));
+    linked_at_release
+}
+
+#[test]
+fn skiplist_height1_remove_survives_predecessor_removed_before_its_unlink() {
+    // Removing 5 marks its link to the victim: the CAS expecting the
+    // unmarked word fails, and the fallback `find` snips the victim itself.
+    let linked = force_skiplist_unlink_schedule(|set, h| assert!(set.remove(&5, h)));
+    assert!(
+        linked,
+        "only the remover's fallback search unlinks the victim"
+    );
+}
+
+#[test]
+fn skiplist_height1_remove_survives_insert_between_before_its_unlink() {
+    // Inserting 7 between 5 and the victim moves 5's link. The insert's own
+    // search must step past the marked victim to place 7, so it snips the
+    // victim on the way; the remover's fallback `find` then only confirms.
+    let linked = force_skiplist_unlink_schedule(|set, h| {
+        assert!(set.insert_with_height(7, 1, h));
+        assert!(set.contains(&5, h) && set.contains(&7, h));
+    });
+    assert!(!linked, "the inserter's search snipped the marked victim");
+}
+
+/// Parks a height-2 `insert(10)` before its level-1 CAS, holding the
+/// phase-1 words `head.next[1] = null`, while a height-2 `insert(7)` lands
+/// between `preds[1]` (the head) and 10's position. The stale CAS fails, the
+/// re-search finds 7 as level 1's predecessor and links 10 behind it.
+#[test]
+fn skiplist_upper_link_researches_after_a_key_lands_in_front() {
+    let _serial = schedule_lock();
+    let set = Arc::new(LockFreeSkipList::<u64, _>::new(hazard::Hazard::new(
+        deferred_config(),
+    )));
+    let mut main_handle = set.register();
+    let trap = Trap::arm("skiplist::insert::upper::pre_link_cas");
+    let inserter = {
+        let set = Arc::clone(&set);
+        thread::spawn(move || {
+            let mut handle = set.register();
+            assert!(set.insert_with_height(10, 2, &mut handle));
+        })
+    };
+    trap.wait_for_parked();
+    let node = set.level_addrs(0)[0];
+    assert!(set.insert_with_height(7, 2, &mut main_handle));
+    let front = set.level_addrs(1);
+    assert_eq!(front.len(), 1, "7 is linked at level 1, 10 not yet");
+    trap.release();
+    inserter.join().unwrap();
+
+    assert!(
+        trap.arrivals() >= 3,
+        "10's first CAS must fail and its re-search retry (arrivals = {})",
+        trap.arrivals()
+    );
+    assert_eq!(
+        set.level_addrs(1),
+        vec![front[0], node],
+        "10 linked behind 7"
+    );
+    assert_eq!(set.len(&mut main_handle), 2);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,9 +12,11 @@
 
 use qsense_repro::ds::{
     HarrisMichaelList, LockFreeBst, LockFreeHashMap, LockFreeSkipList, MichaelScottQueue,
-    TreiberStack, SKIPLIST_HP_SLOTS,
+    TreiberStack, MAX_HEIGHT, SKIPLIST_HP_SLOTS,
 };
-use qsense_repro::smr::{Cadence, Ebr, Hazard, He, Leaky, QSense, Qsbr, RefCount, Smr, SmrConfig};
+use qsense_repro::smr::{
+    Cadence, Ebr, Hazard, He, Leaky, QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
+};
 use std::sync::Arc;
 
 const KEYS: u64 = 200;
@@ -125,3 +127,28 @@ seal_test!(sized_retires_only_under_qsense, QSense::new(config()));
 seal_test!(sized_retires_only_under_ebr, Ebr::new(config()));
 seal_test!(sized_retires_only_under_he, He::new(config()));
 seal_test!(sized_retires_only_under_refcount, RefCount::new(config()));
+
+/// A skip-list tower is retired at its real size — a 32-byte header for `u64`
+/// keys plus one 8-byte link a level — not at `MAX_HEIGHT` links whatever its
+/// height, so byte budgets and `limbo_peak` follow the tower.
+#[test]
+fn skiplist_towers_retire_at_their_own_size() {
+    let scheme = Qsbr::new(config());
+    let set = LockFreeSkipList::new(Arc::clone(&scheme));
+    let mut h = set.register();
+    let heights = 1..=MAX_HEIGHT as u64;
+    for height in heights.clone() {
+        assert!(set.insert_with_height(height, height as usize, &mut h));
+    }
+    for key in heights.clone() {
+        assert!(set.remove(&key, &mut h));
+    }
+    h.flush();
+    let stats = scheme.stats();
+    assert_eq!(stats.retired, MAX_HEIGHT as u64);
+    assert_eq!(
+        stats.retired_bytes,
+        heights.map(|height| 32 + 8 * height).sum::<u64>()
+    );
+    assert_eq!(stats.freed_bytes, stats.retired_bytes, "flushed");
+}
