@@ -9,16 +9,14 @@
 //! for which hazard pointers are applicable") is demonstrated on the structure the
 //! original hazard-pointer work actually targeted.
 //!
-//! Reclamation integration is identical to the linked list — and, like the list,
-//! the module is built entirely on the safe guard layer (`reclaim_core::guard`):
-//! two protection slots per thread (predecessor and current node, the roles
-//! alternating hand over hand as the walk steps: one publication per node),
-//! protect-then-revalidate via [`Guard::load_protected`] / [`Guard::protect_word`],
-//! and retirement only through the [`reclaim_core::Unlinked`] capability minted by
-//! the unlink CAS, so `K = 2` regardless of the number of buckets.
+//! Every bucket is the list's own chain ([`crate::list`]), so the map runs the
+//! list's code: its traversal, pause points and oracle checkpoints, two
+//! protection slots per thread (`K = 2` regardless of the number of buckets), and
+//! retirement only through the [`reclaim_core::Unlinked`] capability minted by the
+//! unlink CAS. The map adds the bucket array, the hasher and a size counter.
 
-use reclaim_core::{Atomic, Guard, Owned, Shared, Smr};
-use std::cmp::Ordering as CmpOrdering;
+use crate::list::Chain;
+use reclaim_core::{Guard, Smr};
 use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher, Hash};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -30,28 +28,10 @@ pub const HASHMAP_HP_SLOTS: usize = 2;
 /// the default here keeps per-bucket chains short for the examples and benchmarks).
 pub const DEFAULT_HASH_BUCKETS: usize = 1 << 12;
 
-struct Node<K, V> {
-    key: K,
-    /// Written once at allocation, never mutated afterwards, so readers may
-    /// clone it while the node is protected.
-    value: V,
-    next: Atomic<Node<K, V>>,
-}
-
-/// Result of a bucket traversal: `curr` is the validated, protected word of the
-/// first node with key ≥ the search key (or null) and `prev` the link holding it
-/// (the bucket head or the `next` link of the predecessor, which stays protected
-/// in the slot `curr` does not occupy until the next walk under the same guard).
-struct Search<'g, K, V> {
-    prev: &'g Atomic<Node<K, V>>,
-    curr: Shared<'g, Node<K, V>>,
-}
-
 /// A lock-free hash map: a fixed array of buckets, each an independent Harris–Michael
 /// ordered list.
 pub struct LockFreeHashMap<K, V, S: Smr> {
-    /// One head link per bucket; nodes hang off it in key order.
-    buckets: Box<[Atomic<Node<K, V>>]>,
+    buckets: Box<[Chain<K, V>]>,
     hasher: BuildHasherDefault<DefaultHasher>,
     /// Element count maintained on successful insert/remove.
     size: AtomicUsize,
@@ -78,12 +58,8 @@ where
     /// Creates an empty map with `buckets` buckets (rounded up to a power of two).
     pub fn with_buckets(smr: Arc<S>, buckets: usize) -> Self {
         let count = buckets.next_power_of_two().max(1);
-        let buckets = (0..count)
-            .map(|_| Atomic::null())
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
         Self {
-            buckets,
+            buckets: (0..count).map(|_| Chain::new()).collect(),
             hasher: BuildHasherDefault::default(),
             size: AtomicUsize::new(0),
             smr,
@@ -115,154 +91,34 @@ where
         self.len() == 0
     }
 
-    fn bucket_head(&self, key: &K) -> &Atomic<Node<K, V>> {
+    fn bucket(&self, key: &K) -> &Chain<K, V> {
         let index = (self.hasher.hash_one(key) as usize) & (self.buckets.len() - 1);
         &self.buckets[index]
     }
 
-    /// Bucket-local traversal, identical in structure to the linked list's
-    /// `search_and_cleanup`: positions on the first node with key ≥ `key`, unlinking
-    /// and retiring every marked node encountered on the way.
-    fn search<'g>(&'g self, key: &K, guard: &'g Guard<'_, S::Handle>) -> Search<'g, K, V> {
-        let head = self.bucket_head(key);
-        'retry: loop {
-            let mut prev: &'g Atomic<Node<K, V>> = head;
-            // The slot `curr` is protected in; the predecessor, once there is
-            // one, holds the other (`slot ^ 1`).
-            let mut slot = 0;
-            // The bucket link is rooted in `self`, so the protection validated
-            // against it is honoured from the start.
-            let mut curr = guard.load_protected(slot, prev);
-            loop {
-                let Some(node) = (
-                    // SAFETY: `curr` carries a validated protection in `slot`
-                    // against `prev` (the bucket head, or a link of the
-                    // predecessor protected in the other slot).
-                    unsafe { curr.as_ref() }
-                ) else {
-                    return Search { prev, curr };
-                };
-                let next = node.next.load(guard);
-                if next.is_marked() {
-                    // Help unlink the logically deleted node.
-                    // SAFETY: after the mark settled, `prev` is the sole path to
-                    // `curr` for new observers; the versioned CAS lets only one
-                    // helper win, minting exactly one `Unlinked`.
-                    match unsafe { prev.cas_unlink(curr, next.unmarked()) } {
-                        Ok((unlinked, after)) => {
-                            unlinked.retire(guard);
-                            match guard.protect_word(slot, prev, after) {
-                                Ok(sh) => curr = sh,
-                                Err(_) => continue 'retry,
-                            }
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-                match node.key.cmp(key) {
-                    CmpOrdering::Less => {
-                        // Step: `curr` is the predecessor now, protected
-                        // where it stands; the successor takes the slot of
-                        // the predecessor it replaces.
-                        prev = &node.next;
-                        slot ^= 1;
-                        match guard.protect_word(slot, prev, next) {
-                            Ok(sh) => curr = sh,
-                            Err(_) => continue 'retry,
-                        }
-                    }
-                    _ => return Search { prev, curr },
-                }
-            }
-        }
-    }
-
     /// True if `key` has an entry in the map.
     pub fn contains_key(&self, key: &K, handle: &mut S::Handle) -> bool {
-        let guard = Guard::new(handle);
-        let s = self.search(key, &guard);
-        // SAFETY: `s.curr` carries a validated protection from `search`.
-        match unsafe { s.curr.as_ref() } {
-            Some(node) => node.key == *key,
-            None => false,
-        }
+        self.bucket(key).get(key, &Guard::new(handle)).is_some()
     }
 
     /// Inserts `key → value`; returns false (and drops `value`) if the key is
     /// already present. Matching the set semantics of the paper's structures, an
     /// existing entry is *not* replaced.
     pub fn insert(&self, key: K, value: V, handle: &mut S::Handle) -> bool {
-        let guard = Guard::new(handle);
-        let mut key = key;
-        let mut value = value;
-        loop {
-            let s = self.search(&key, &guard);
-            // SAFETY: `s.curr` carries a validated protection from `search`.
-            if let Some(node) = unsafe { s.curr.as_ref() } {
-                if node.key == key {
-                    return false;
-                }
-            }
-            let node = Owned::new(
-                Node {
-                    key,
-                    value,
-                    next: Atomic::null(),
-                },
-                &guard,
-            );
-            node.next.store_private(s.curr);
-            // Same validate-then-CAS argument as the list: the expected value is
-            // the full word (pointer + mark + version) the search validated, so
-            // any overlapping removal fails this CAS.
-            match s.prev.cas_link(s.curr, node) {
-                Ok(_) => {
-                    self.size.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                Err((_, returned)) => {
-                    // Never shared: recover the key/value and retry.
-                    let recovered = returned.into_inner();
-                    key = recovered.key;
-                    value = recovered.value;
-                }
-            }
+        let inserted = self.bucket(&key).insert(key, value, &Guard::new(handle));
+        if inserted {
+            self.size.fetch_add(1, Ordering::Relaxed);
         }
+        inserted
     }
 
     /// Removes `key`'s entry; returns false if it was not present.
     pub fn remove(&self, key: &K, handle: &mut S::Handle) -> bool {
-        let guard = Guard::new(handle);
-        loop {
-            let s = self.search(key, &guard);
-            // SAFETY: `s.curr` carries a validated protection from `search`.
-            let Some(node) = (unsafe { s.curr.as_ref() }) else {
-                return false;
-            };
-            if node.key != *key {
-                return false;
-            }
-            let next = node.next.load(&guard);
-            if next.is_marked() {
-                continue;
-            }
-            // Logical deletion; the winner owns the removal.
-            if node.next.try_mark(next).is_err() {
-                continue;
-            }
+        let removed = self.bucket(key).remove(key, &Guard::new(handle));
+        if removed {
             self.size.fetch_sub(1, Ordering::Relaxed);
-            // Physical deletion; on failure a later traversal unlinks and retires it.
-            // SAFETY: the mark this thread won makes `prev`'s link the sole
-            // remaining path; at most one unlinker succeeds on the versioned word.
-            match unsafe { s.prev.cas_unlink(s.curr, next) } {
-                Ok((unlinked, _)) => unlinked.retire(&guard),
-                Err(_) => {
-                    let _ = self.search(key, &guard);
-                }
-            }
-            return true;
         }
+        removed
     }
 }
 
@@ -277,31 +133,7 @@ where
     /// The clone happens while the node is protected, so the read is safe even if a
     /// concurrent `remove` retires the node immediately afterwards.
     pub fn get(&self, key: &K, handle: &mut S::Handle) -> Option<V> {
-        let guard = Guard::new(handle);
-        let s = self.search(key, &guard);
-        // SAFETY: `s.curr` carries a validated protection from `search`;
-        // `value` is immutable after insertion.
-        match unsafe { s.curr.as_ref() } {
-            Some(node) if node.key == *key => Some(node.value.clone()),
-            _ => None,
-        }
-    }
-}
-
-impl<K, V, S: Smr> Drop for LockFreeHashMap<K, V, S> {
-    fn drop(&mut self) {
-        // Exclusive access: free every chained node in every bucket. Unlinked nodes
-        // are owned by the reclamation scheme.
-        // SAFETY: no concurrent operations and no outstanding protections; every
-        // chained node is taken out of exactly one link.
-        unsafe {
-            for bucket in self.buckets.iter_mut() {
-                let mut curr = bucket.take();
-                while let Some(mut node) = curr {
-                    curr = node.next.take();
-                }
-            }
-        }
+        self.bucket(key).get(key, &Guard::new(handle)).cloned()
     }
 }
 

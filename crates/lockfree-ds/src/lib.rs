@@ -1,8 +1,9 @@
 //! # lockfree-ds — the data structures of the QSense evaluation
 //!
 //! The three lock-free ordered sets the paper applies QSense to (§7.1), each generic
-//! over the reclamation scheme (`S: Smr`) so that the evaluation matrix
-//! {None, QSBR, HP, Cadence, QSense} × {list, skip list, BST} is a type parameter:
+//! over the reclamation scheme (`S: Smr`), so that which of the eight schemes
+//! (the paper's five, plus EBR, Hazard Eras and reference counting) reclaims a
+//! structure is a type parameter:
 //!
 //! * [`HarrisMichaelList`] — the sorted linked list of Michael (SPAA 2002), the
 //!   paper's appendix example (2 hazard pointers per thread);
@@ -15,7 +16,7 @@
 //! applicability claim of §4.2 (QSense applies wherever hazard pointers apply):
 //!
 //! * [`LockFreeHashMap`] — Michael's (SPAA 2002) hash table: a bucket array of
-//!   lock-free ordered lists, as a key → value map (2 hazard pointers);
+//!   the list's own chains, as a key → value map (2 hazard pointers);
 //! * [`MichaelScottQueue`] — the classic lock-free FIFO queue (2 hazard pointers);
 //! * [`TreiberStack`] — the classic lock-free LIFO stack (1 hazard pointer).
 //!

@@ -1,4 +1,5 @@
-//! Lock-free sorted linked-list set (Harris–Michael).
+//! Lock-free sorted linked-list set (Harris–Michael), and the chain every
+//! bucket of [`LockFreeHashMap`](crate::LockFreeHashMap) is.
 //!
 //! This is the linked list the paper evaluates (§7.1, "a lock-free linked list
 //! \[24\]"): Michael's hazard-pointer-compatible variant of Harris's algorithm, the
@@ -6,6 +7,11 @@
 //! calls. Nodes carry a logical-deletion mark in their `next` link word; removal
 //! first marks (logical delete) and then unlinks (physical delete), and traversals
 //! help unlink any marked node they encounter.
+//!
+//! The algorithm lives once, in a `Chain`: a head link and the sorted nodes
+//! hanging off it, each carrying a value (`()` for the set). The list is one
+//! chain; Michael's hash table is an array of them, so the map runs this very
+//! code — its pause points and oracle checkpoints included.
 //!
 //! ## Reclamation-scheme integration
 //!
@@ -27,77 +33,71 @@
 //! walk steps onto it, it *is* the predecessor — protected where it stands —
 //! and the other slot takes the next node. One publication per node visited.
 
-use reclaim_core::{Atomic, Guard, Owned, Shared, Smr};
-use std::cmp::Ordering as CmpOrdering;
+use reclaim_core::{Atomic, Guard, Owned, Shared, Smr, SmrHandle};
 use std::sync::Arc;
 
 /// Number of protection slots the list needs per thread (`K` in the paper).
 pub const LIST_HP_SLOTS: usize = 2;
 
-struct Node<K> {
+struct Node<K, V> {
     key: K,
-    next: Atomic<Node<K>>,
+    /// Written once at allocation, never mutated afterwards, so readers may
+    /// clone it while the node is protected.
+    value: V,
+    next: Atomic<Node<K, V>>,
 }
 
 /// Result of a traversal: `curr` is the (validated, protected) word of the first
-/// node with key ≥ the search key (or null at the end of the list) and `prev` is
-/// the link that holds it — the head link or the `next` link of the predecessor,
-/// which stays protected in the slot `curr` does not occupy until the next
-/// traversal under the same guard. `curr` doubles as the CAS expected value for
-/// `prev`.
-struct Search<'g, K> {
-    prev: &'g Atomic<Node<K>>,
-    curr: Shared<'g, Node<K>>,
+/// node the walk did not step past (or null at the end of the chain) and `prev`
+/// is the link that holds it — the head link or the `next` link of the
+/// predecessor, which stays protected in the slot `curr` does not occupy until
+/// the next traversal under the same guard. `curr` doubles as the CAS expected
+/// value for `prev`. `passed` counts the unmarked nodes stepped past.
+struct Search<'g, K, V> {
+    prev: &'g Atomic<Node<K, V>>,
+    curr: Shared<'g, Node<K, V>>,
+    passed: usize,
 }
 
-/// A lock-free sorted set backed by a Harris–Michael linked list.
-pub struct HarrisMichaelList<K, S: Smr> {
-    head: Atomic<Node<K>>,
-    smr: Arc<S>,
+impl<'g, K: Ord, V> Search<'g, K, V> {
+    /// The node the search stopped on, if it holds `key`.
+    fn hit(&self, key: &K) -> Option<&'g Node<K, V>> {
+        // SAFETY: `curr` carries a validated protection from the walk.
+        unsafe { self.curr.as_ref() }.filter(|node| node.key == *key)
+    }
 }
 
-// SAFETY: the list is a shared concurrent structure; all mutation happens through
-// atomics and the SMR protocol. Keys must be Send + Sync because nodes (and hence
-// keys) are dropped by whichever thread reclaims them.
-unsafe impl<K: Send + Sync, S: Smr> Send for HarrisMichaelList<K, S> {}
-unsafe impl<K: Send + Sync, S: Smr> Sync for HarrisMichaelList<K, S> {}
+/// One Harris–Michael chain: a head link and the nodes hanging off it in key
+/// order. Every operation runs under the caller's guard.
+pub(crate) struct Chain<K, V> {
+    head: Atomic<Node<K, V>>,
+}
 
-impl<K, S> HarrisMichaelList<K, S>
-where
-    K: Ord + Send + Sync + 'static,
-    S: Smr,
-{
-    /// Creates an empty list using the given reclamation scheme.
-    pub fn new(smr: Arc<S>) -> Self {
+impl<K: Ord, V> Chain<K, V> {
+    pub(crate) fn new() -> Self {
         Self {
             head: Atomic::null(),
-            smr,
         }
     }
 
-    /// The reclamation scheme this list was created with.
-    pub fn smr(&self) -> &Arc<S> {
-        &self.smr
-    }
-
-    /// Registers the calling thread with the underlying reclamation scheme and
-    /// returns the handle to pass to this list's operations.
-    pub fn register(&self) -> S::Handle {
-        self.smr.register()
-    }
-
-    /// Core traversal (the paper's `search_and_cleanup`): positions on the first
-    /// node with key ≥ `key`, unlinking (and retiring) every marked node on the way.
-    fn search<'g>(&'g self, key: &K, guard: &'g Guard<'_, S::Handle>) -> Search<'g, K> {
+    /// Core traversal (the paper's `search_and_cleanup`): steps past every node
+    /// whose key satisfies `past`, unlinking (and retiring) every marked node on
+    /// the way, and stops on the first that does not.
+    fn walk<'g, H: SmrHandle>(
+        &'g self,
+        guard: &'g Guard<'_, H>,
+        past: impl Fn(&K) -> bool,
+    ) -> Search<'g, K, V> {
         'retry: loop {
-            let mut prev: &'g Atomic<Node<K>> = &self.head;
+            let mut prev: &'g Atomic<Node<K, V>> = &self.head;
+            let mut passed = 0;
             // The node `prev` is a link of (null: the head), and the slot
             // `curr` is protected in; the predecessor holds the other
             // (`slot ^ 1`).
             let mut pred = Shared::null();
             let mut slot = 0;
-            // The head link is rooted in `self`, so the protection validated
-            // against it is honoured from the start.
+            // The head link is rooted in the structure, so the protection
+            // validated against it is honoured from the start.
             let mut curr = guard.load_protected(slot, prev);
             loop {
                 let Some(node) = (
@@ -107,7 +107,7 @@ where
                     // predecessor protected in the other slot.
                     unsafe { curr.as_ref() }
                 ) else {
-                    return Search { prev, curr };
+                    return Search { prev, curr, passed };
                 };
                 let next = node.next.load(guard);
                 if next.is_marked() {
@@ -126,7 +126,7 @@ where
                             // Continue from the excision: the successor takes
                             // the excised node's slot, re-validated against the
                             // updated link word.
-                            match Self::advance(guard, slot, pred, prev, after) {
+                            match advance(guard, slot, pred, prev, after) {
                                 Some(sh) => curr = sh,
                                 None => continue 'retry,
                             }
@@ -135,77 +135,54 @@ where
                         Err(_) => continue 'retry,
                     }
                 }
-                match node.key.cmp(key) {
-                    CmpOrdering::Less => {
-                        // Step: `curr` becomes the predecessor, protected where
-                        // it stands; the slot of the predecessor it replaces is
-                        // free for the successor observed above, validated as
-                        // still what the new predecessor links to.
-                        pred = curr;
-                        prev = &node.next;
-                        slot ^= 1;
-                        match Self::advance(guard, slot, pred, prev, next) {
-                            Some(sh) => curr = sh,
-                            None => continue 'retry,
-                        }
-                    }
-                    _ => return Search { prev, curr },
+                if !past(&node.key) {
+                    return Search { prev, curr, passed };
+                }
+                // Step: `curr` becomes the predecessor, protected where it
+                // stands; the slot of the predecessor it replaces is free for
+                // the successor observed above, validated as still what the
+                // new predecessor links to.
+                passed += 1;
+                pred = curr;
+                prev = &node.next;
+                slot ^= 1;
+                match advance(guard, slot, pred, prev, next) {
+                    Some(sh) => curr = sh,
+                    None => continue 'retry,
                 }
             }
         }
     }
 
-    /// [`Guard::protect_word`] in two halves, with a pause point between the
-    /// publication and the validating re-read: the window in which a
-    /// publication over the slot still holding the predecessor would let the
-    /// predecessor be freed under the re-read of its link.
-    #[inline]
-    fn advance<'g>(
-        guard: &'g Guard<'_, S::Handle>,
-        slot: usize,
-        pred: Shared<'g, Node<K>>,
-        prev: &Atomic<Node<K>>,
-        expect: Shared<'g, Node<K>>,
-    ) -> Option<Shared<'g, Node<K>>> {
-        guard.protect_shared(slot, expect);
-        crate::interleave::hit("list::search::cursor_published");
-        // The oracle's checkpoint for `pred` (nothing in other builds): the
-        // re-read below goes through its link.
-        // SAFETY: `pred` is null (`prev` is the head link) or the predecessor,
-        // protected in the slot other than `slot`.
-        let _ = unsafe { pred.as_ref() };
-        (prev.load(guard) == expect).then_some(expect)
+    /// Positions on the first node with key ≥ `key`.
+    fn search<'g, H: SmrHandle>(&'g self, key: &K, guard: &'g Guard<'_, H>) -> Search<'g, K, V> {
+        self.walk(guard, |k| k < key)
     }
 
-    /// Returns true if `key` is in the set.
-    pub fn contains(&self, key: &K, handle: &mut S::Handle) -> bool {
-        let guard = Guard::new(handle);
-        let s = self.search(key, &guard);
-        // SAFETY: `s.curr` carries a validated protection from `search`.
-        match unsafe { s.curr.as_ref() } {
-            Some(node) => node.key == *key,
-            None => false,
-        }
+    /// The value stored under `key`, protected for the guard's lifetime.
+    pub(crate) fn get<'g, H: SmrHandle>(
+        &'g self,
+        key: &K,
+        guard: &'g Guard<'_, H>,
+    ) -> Option<&'g V> {
+        self.search(key, guard).hit(key).map(|node| &node.value)
     }
 
-    /// Inserts `key`; returns false if it was already present.
-    pub fn insert(&self, key: K, handle: &mut S::Handle) -> bool {
-        let guard = Guard::new(handle);
-        let mut key = key;
+    /// Links `key → value`; false (dropping both) if `key` is already present.
+    pub(crate) fn insert<H: SmrHandle>(&self, key: K, value: V, guard: &Guard<'_, H>) -> bool {
+        let (mut key, mut value) = (key, value);
         loop {
-            let s = self.search(&key, &guard);
-            // SAFETY: `s.curr` carries a validated protection from `search`.
-            if let Some(node) = unsafe { s.curr.as_ref() } {
-                if node.key == key {
-                    return false;
-                }
+            let s = self.search(&key, guard);
+            if s.hit(&key).is_some() {
+                return false;
             }
             let node = Owned::new(
                 Node {
                     key,
+                    value,
                     next: Atomic::null(),
                 },
-                &guard,
+                guard,
             );
             // The new node is still private; the publishing CAS releases it.
             node.next.store_private(s.curr);
@@ -226,27 +203,24 @@ where
             match s.prev.cas_link(s.curr, node) {
                 Ok(_) => return true,
                 Err((_, returned)) => {
-                    // The node was never shared: recover the key (paper Alg. 6,
-                    // "Node was not inserted; free the node directly") and retry.
-                    key = returned.into_inner().key;
+                    // The node was never shared: recover the key and value
+                    // (paper Alg. 6, "Node was not inserted; free the node
+                    // directly") and retry.
+                    let returned = returned.into_inner();
+                    (key, value) = (returned.key, returned.value);
                 }
             }
         }
     }
 
-    /// Removes `key`; returns false if it was not present.
-    pub fn remove(&self, key: &K, handle: &mut S::Handle) -> bool {
-        let guard = Guard::new(handle);
+    /// Removes `key`; true if this thread's mark deleted it.
+    pub(crate) fn remove<H: SmrHandle>(&self, key: &K, guard: &Guard<'_, H>) -> bool {
         loop {
-            let s = self.search(key, &guard);
-            // SAFETY: `s.curr` carries a validated protection from `search`.
-            let Some(node) = (unsafe { s.curr.as_ref() }) else {
+            let s = self.search(key, guard);
+            let Some(node) = s.hit(key) else {
                 return false;
             };
-            if node.key != *key {
-                return false;
-            }
-            let next = node.next.load(&guard);
+            let next = node.next.load(guard);
             if next.is_marked() {
                 // Another thread is already deleting it; retry so the traversal
                 // can help unlink and then report "not found" or race for a
@@ -267,78 +241,120 @@ where
             // remaining path for new observers, and the versioned expected word
             // ensures at most one unlinker succeeds.
             match unsafe { s.prev.cas_unlink(s.curr, next) } {
-                Ok((unlinked, _)) => unlinked.retire(&guard),
+                Ok((unlinked, _)) => unlinked.retire(guard),
                 Err(_) => {
                     // Help physical removal along the new path.
-                    let _ = self.search(key, &guard);
+                    let _ = self.search(key, guard);
                 }
             }
             return true;
         }
     }
 
-    /// Counts the elements currently in the set. Linear, intended for tests,
-    /// examples and benchmark validation — not part of the hot path.
-    pub fn len(&self, handle: &mut S::Handle) -> usize {
-        let guard = Guard::new(handle);
-        'retry: loop {
-            let mut count = 0;
-            let mut prev: &Atomic<Node<K>> = &self.head;
-            let mut slot = 0;
-            let mut curr = guard.load_protected(slot, prev);
-            loop {
-                // SAFETY: same protection discipline as `search`: `curr` is
-                // validated against `prev` before every dereference.
-                let Some(node) = (unsafe { curr.as_ref() }) else {
-                    return count;
-                };
-                let next = node.next.load(&guard);
-                if next.is_marked() {
-                    // Help unlink so the count can proceed past the zombie
-                    // (restarting the count on any interference).
-                    // SAFETY: as in `search` — sole path after the mark.
-                    match unsafe { prev.cas_unlink(curr, next.unmarked()) } {
-                        Ok((unlinked, after)) => {
-                            unlinked.retire(&guard);
-                            match guard.protect_word(slot, prev, after) {
-                                Ok(sh) => curr = sh,
-                                Err(_) => continue 'retry,
-                            }
-                            continue;
-                        }
-                        Err(_) => continue 'retry,
-                    }
-                }
-                count += 1;
-                prev = &node.next;
-                slot ^= 1;
-                match guard.protect_word(slot, prev, next) {
-                    Ok(sh) => curr = sh,
-                    Err(_) => continue 'retry,
-                }
-            }
-        }
-    }
-
-    /// True if the set currently holds no elements (test/diagnostic helper).
-    pub fn is_empty(&self, handle: &mut S::Handle) -> bool {
-        self.len(handle) == 0
+    /// Counts the nodes in the chain: a walk that steps past every one.
+    pub(crate) fn count<H: SmrHandle>(&self, guard: &Guard<'_, H>) -> usize {
+        self.walk(guard, |_| true).passed
     }
 }
 
-impl<K, S: Smr> Drop for HarrisMichaelList<K, S> {
+/// [`Guard::protect_word`] in two halves, with a pause point between the
+/// publication and the validating re-read: the window in which a publication
+/// over the slot still holding the predecessor would let the predecessor be
+/// freed under the re-read of its link.
+#[inline]
+fn advance<'g, K, V, H: SmrHandle>(
+    guard: &'g Guard<'_, H>,
+    slot: usize,
+    pred: Shared<'g, Node<K, V>>,
+    prev: &Atomic<Node<K, V>>,
+    expect: Shared<'g, Node<K, V>>,
+) -> Option<Shared<'g, Node<K, V>>> {
+    guard.protect_shared(slot, expect);
+    crate::interleave::hit("list::search::cursor_published");
+    // The oracle's checkpoint for `pred` (nothing in other builds): the
+    // re-read below goes through its link.
+    // SAFETY: `pred` is null (`prev` is the head link) or the predecessor,
+    // protected in the slot other than `slot`.
+    let _ = unsafe { pred.as_ref() };
+    (prev.load(guard) == expect).then_some(expect)
+}
+
+impl<K, V> Drop for Chain<K, V> {
     fn drop(&mut self) {
         // Exclusive access (`&mut self`): free every node still in the chain
-        // directly. Nodes already unlinked are owned by the reclamation scheme and
-        // are freed by it, so there is no double free.
-        // SAFETY: no concurrent operations and no outstanding protections; every
-        // chained node is taken out of exactly one link.
+        // directly. Nodes already unlinked are owned by the reclamation scheme
+        // and are freed by it, so there is no double free.
+        // SAFETY: no concurrent operations and no outstanding protections;
+        // every chained node is taken out of exactly one link.
         unsafe {
             let mut curr = self.head.take();
             while let Some(mut node) = curr {
                 curr = node.next.take();
             }
         }
+    }
+}
+
+/// A lock-free sorted set backed by a Harris–Michael linked list.
+pub struct HarrisMichaelList<K, S: Smr> {
+    chain: Chain<K, ()>,
+    smr: Arc<S>,
+}
+
+// SAFETY: the list is a shared concurrent structure; all mutation happens through
+// atomics and the SMR protocol. Keys must be Send + Sync because nodes (and hence
+// keys) are dropped by whichever thread reclaims them.
+unsafe impl<K: Send + Sync, S: Smr> Send for HarrisMichaelList<K, S> {}
+unsafe impl<K: Send + Sync, S: Smr> Sync for HarrisMichaelList<K, S> {}
+
+impl<K, S> HarrisMichaelList<K, S>
+where
+    K: Ord + Send + Sync + 'static,
+    S: Smr,
+{
+    /// Creates an empty list using the given reclamation scheme.
+    pub fn new(smr: Arc<S>) -> Self {
+        Self {
+            chain: Chain::new(),
+            smr,
+        }
+    }
+
+    /// The reclamation scheme this list was created with.
+    pub fn smr(&self) -> &Arc<S> {
+        &self.smr
+    }
+
+    /// Registers the calling thread with the underlying reclamation scheme and
+    /// returns the handle to pass to this list's operations.
+    pub fn register(&self) -> S::Handle {
+        self.smr.register()
+    }
+
+    /// Returns true if `key` is in the set.
+    pub fn contains(&self, key: &K, handle: &mut S::Handle) -> bool {
+        self.chain.get(key, &Guard::new(handle)).is_some()
+    }
+
+    /// Inserts `key`; returns false if it was already present.
+    pub fn insert(&self, key: K, handle: &mut S::Handle) -> bool {
+        self.chain.insert(key, (), &Guard::new(handle))
+    }
+
+    /// Removes `key`; returns false if it was not present.
+    pub fn remove(&self, key: &K, handle: &mut S::Handle) -> bool {
+        self.chain.remove(key, &Guard::new(handle))
+    }
+
+    /// Counts the elements currently in the set. Linear, intended for tests,
+    /// examples and benchmark validation — not part of the hot path.
+    pub fn len(&self, handle: &mut S::Handle) -> usize {
+        self.chain.count(&Guard::new(handle))
+    }
+
+    /// True if the set currently holds no elements (test/diagnostic helper).
+    pub fn is_empty(&self, handle: &mut S::Handle) -> bool {
+        self.len(handle) == 0
     }
 }
 

@@ -104,6 +104,17 @@ fn visited(key: u64) -> u64 {
     (key + 1).min(N)
 }
 
+/// Asserts that `op` on `key` published one protect per node visited. `+ 1`:
+/// the null successor of the last node, when the walk runs off the end.
+fn assert_one_per_node(smr: &Counting, op: &str, key: u64) {
+    let protects = smr.take();
+    assert!(
+        (visited(key)..=visited(key) + 1).contains(&protects),
+        "{op}({key}): {protects} protects for {} nodes visited",
+        visited(key)
+    );
+}
+
 #[test]
 fn a_list_traversal_protects_each_visited_node_once() {
     let smr = Counting::new(SmrConfig::for_list());
@@ -115,14 +126,7 @@ fn a_list_traversal_protects_each_visited_node_once() {
     smr.take();
     for key in [0, 1, N / 2, N - 1, N, N + 7] {
         assert_eq!(list.contains(&key, &mut h), key < N);
-        let protects = smr.take();
-        // `+ 1`: the null successor of the last node, when the walk runs off
-        // the end.
-        assert!(
-            (visited(key)..=visited(key) + 1).contains(&protects),
-            "contains({key}): {protects} protects for {} nodes visited",
-            visited(key)
-        );
+        assert_one_per_node(&smr, "contains", key);
     }
     assert_eq!(list.len(&mut h), N as usize);
     assert_eq!(
@@ -144,12 +148,37 @@ fn a_hash_map_bucket_walk_protects_each_visited_node_once() {
     smr.take();
     for key in [0, N / 2, N - 1, N + 7] {
         assert_eq!(map.get(&key, &mut h), (key < N).then_some(key));
-        let protects = smr.take();
-        assert!(
-            (visited(key)..=visited(key) + 1).contains(&protects),
-            "get({key}): {protects} protects for {} nodes visited",
-            visited(key)
-        );
+        assert_one_per_node(&smr, "get", key);
+    }
+}
+
+#[test]
+fn list_and_hash_map_updates_protect_each_visited_node_once() {
+    // Updates run the lookups' traversal: removing key `k` visits `0..=k`,
+    // and putting it back visits `0..k` and stops on `k + 1`. A key past the
+    // end is absent for the remove and appended by the insert.
+    let smr = Counting::new(SmrConfig::for_list());
+    let list = HarrisMichaelList::new(Arc::clone(&smr));
+    let map = LockFreeHashMap::with_buckets(Arc::clone(&smr), 1);
+    let mut h = list.register();
+    for key in 0..N {
+        assert!(list.insert(key, &mut h));
+        assert!(map.insert(key, key, &mut h));
+    }
+    smr.take();
+    for key in [0, N / 2, N - 1, N + 7] {
+        assert_eq!(list.remove(&key, &mut h), key < N);
+        assert_one_per_node(&smr, "list remove", key);
+        assert!(list.insert(key, &mut h));
+        assert_one_per_node(&smr, "list insert", key);
+        assert_eq!(map.remove(&key, &mut h), key < N);
+        assert_one_per_node(&smr, "map remove", key);
+        assert!(map.insert(key, key, &mut h));
+        assert_one_per_node(&smr, "map insert", key);
+        if key >= N {
+            assert!(list.remove(&key, &mut h) && map.remove(&key, &mut h));
+            smr.take();
+        }
     }
 }
 

@@ -80,13 +80,11 @@ pub struct SmrConfig {
     /// `he::EraPacer`.
     pub era_policy: EraAdvancePolicy,
     /// **Extension (observability).** Enables the telemetry histograms
-    /// ([`crate::telemetry`]): 1-in-N sampled guard-bracket op latency, scan
+    /// ([`crate::telemetry`]): guard-bracket op latency sampled 1 op in
+    /// 2^[`OP_SAMPLE_SHIFT`](crate::telemetry::OP_SAMPLE_SHIFT), scan
     /// duration, and the retire→free delay distribution. Off by default —
     /// disabled, every record site costs exactly one relaxed load.
     pub telemetry: bool,
-    /// Telemetry op-latency sampling: sample 1 op in `2^telemetry_sample_shift`
-    /// (default 7 → 1-in-128). Only the sampled ops read the precise clock.
-    pub telemetry_sample_shift: u32,
     /// Time source; swap in a manual clock for deterministic tests.
     pub clock: Clock,
 }
@@ -200,13 +198,6 @@ impl SmrConfig {
         self
     }
 
-    /// Sets the telemetry op-latency sampling shift: sample 1 op in `2^shift`
-    /// (shift 0 samples every op; shifts above 31 are clamped at use).
-    pub fn with_telemetry_sample_shift(mut self, shift: u32) -> Self {
-        self.telemetry_sample_shift = shift;
-        self
-    }
-
     /// Replaces the time source (e.g. with a manual clock for tests).
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = clock;
@@ -241,7 +232,6 @@ impl Default for SmrConfig {
             limbo_budget: None,
             era_policy: EraAdvancePolicy::default(),
             telemetry: false,
-            telemetry_sample_shift: 7,
             clock: Clock::real(),
         }
     }
@@ -274,10 +264,6 @@ mod tests {
         assert!(
             !cfg.telemetry,
             "telemetry is opt-in; the default must keep record sites to one relaxed load"
-        );
-        assert_eq!(
-            cfg.telemetry_sample_shift, 7,
-            "default sampling is 1-in-128"
         );
     }
 
@@ -317,7 +303,6 @@ mod tests {
             .with_limbo_budget(Some(1 << 20))
             .with_era_advance_interval(16)
             .with_telemetry(true)
-            .with_telemetry_sample_shift(4)
             .with_clock(Clock::manual(manual));
         assert_eq!(cfg.max_threads, 4);
         assert_eq!(cfg.hp_per_thread, 3);
@@ -329,7 +314,6 @@ mod tests {
         assert_eq!(cfg.limbo_budget, Some(1 << 20));
         assert_eq!(cfg.era_policy, EraAdvancePolicy::Static(16));
         assert!(cfg.telemetry);
-        assert_eq!(cfg.telemetry_sample_shift, 4);
         assert!(cfg.clock.is_manual());
     }
 

@@ -134,14 +134,14 @@
 //! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool + scratch on the scheme's [`limbo::SchemeCore`]; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one relaxed load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-mostly padded line shared by all record sites |
-//! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`config::SmrConfig::telemetry_sample_shift`] sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
+//! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
 //!
 //! ## Observability
 //!
 //! The [`telemetry`] module turns the paper's *distributional* claims into
 //! measurements: a per-scheme [`telemetry::Telemetry`] holds three fixed-size
 //! striped [`telemetry::LogHistogram`]s — guard-bracket **op latency**
-//! (nanoseconds, sampled 1-in-N), **scan duration** (nanoseconds, every
+//! (nanoseconds, sampled 1-in-128), **scan duration** (nanoseconds, every
 //! pass), and **reclamation delay** (microseconds): a coarse tick stamped
 //! into [`retired::RetiredPtr`] at retire and measured when the scan frees
 //! the node, i.e. the retire→free distribution "bounded garbage" is about.
@@ -158,10 +158,10 @@
 //!   very path being measured. The cache can only *over*-report a delay, by
 //!   at most the wall time the handle's last [`telemetry::TICK_REFRESH`]
 //!   retires spanned.
-//! * **Sampling rate** — 1-in-128 by default
-//!   ([`config::SmrConfig::telemetry_sample_shift`]); percentiles of a
-//!   uniform 1-in-N sample converge on the true distribution, and the modular
-//!   counter costs one branch per op.
+//! * **Sampling rate** — 1-in-128, fixed ([`telemetry::OP_SAMPLE_SHIFT`]),
+//!   starting with each handle's first op; percentiles of a uniform 1-in-N
+//!   sample converge on the true distribution, and the modular counter costs
+//!   one branch per op.
 //! * **Histogram error** — 64 log2 buckets: any quantile is reported as its
 //!   bucket's upper bound, within 2× of the true value and never an
 //!   underestimate.

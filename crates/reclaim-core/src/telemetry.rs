@@ -28,8 +28,8 @@
 //!
 //! * **Op latency and scan duration** use [`Instant`] — the precise monotonic
 //!   clock. A `clock_gettime` pair per *sampled* op is affordable precisely
-//!   because sampling is 1-in-N ([`SmrConfig::telemetry_sample_shift`],
-//!   default 1-in-128); scans are already rare (every `R` retires).
+//!   because sampling is 1-in-128 ([`OP_SAMPLE_SHIFT`]; op 0 of every handle
+//!   is sampled); scans are already rare (every `R` retires).
 //! * **Reclamation delay** must be stamped on *every* retire, so it uses a
 //!   coarse tick instead: microseconds since the scheme's construction,
 //!   truncated to `u32` ([`Telemetry::coarse_now`]). The stamp fits the
@@ -256,6 +256,11 @@ impl TelemetrySummary {
     }
 }
 
+/// A scheme's telemetry samples the latency of 1 op in `2^OP_SAMPLE_SHIFT`
+/// (1-in-128) on each handle, starting with the handle's first op. Only the
+/// sampled ops read the precise clock.
+pub const OP_SAMPLE_SHIFT: u32 = 7;
+
 /// Per-scheme telemetry state: the enabled flag, the coarse-tick origin, and
 /// the three histograms. One instance lives in every scheme's
 /// [`SchemeCore`](crate::limbo::SchemeCore); handles record through
@@ -275,9 +280,9 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Builds telemetry state from a scheme configuration
-    /// ([`SmrConfig::telemetry`], [`SmrConfig::telemetry_sample_shift`]).
+    /// ([`SmrConfig::telemetry`]), sampling at [`OP_SAMPLE_SHIFT`].
     pub fn from_config(config: &SmrConfig) -> Self {
-        Self::new(config.telemetry, config.telemetry_sample_shift)
+        Self::new(config.telemetry, OP_SAMPLE_SHIFT)
     }
 
     /// Builds telemetry state directly: `enabled` plus the op-latency sample

@@ -1,10 +1,11 @@
 //! Uniform access to every (data structure × reclamation scheme) combination.
 //!
-//! The paper's evaluation matrix crosses three structures with four reclamation
-//! schemes (None, QSBR, HP, QSense — plus Cadence stand-alone in the fallback
-//! analysis). [`make_set`] instantiates any cell of that matrix behind the
-//! object-safe [`BenchSet`] / [`SetSession`] pair so that the benchmark runner and
-//! the examples can be written once.
+//! The matrix crosses six structures (the paper's list, skip list and BST, plus
+//! the hash map, queue and stack) with eight reclamation schemes (the paper's
+//! None, QSBR, HP, Cadence and QSense, plus EBR, Hazard Eras and reference
+//! counting). [`make_set`] instantiates any cell of it behind the object-safe
+//! [`BenchSet`] / [`SetSession`] pair, through one generic adapter, so that the
+//! benchmark runner and the examples can be written once.
 
 use lockfree_ds::{
     HarrisMichaelList, LockFreeBst, LockFreeHashMap, LockFreeSkipList, MichaelScottQueue,
@@ -122,133 +123,51 @@ pub trait BenchSet: Send + Sync {
     fn structure_name(&self) -> &'static str;
 }
 
-macro_rules! impl_bench_set {
-    ($set_ty:ident, $session_ty:ident, $ds:ident, $structure:expr) => {
-        struct $set_ty<S: Smr> {
-            ds: Arc<$ds<u64, S>>,
-            scheme: Arc<S>,
-        }
+/// What the one adapter needs of a structure: set operations on `u64` keys
+/// under a handle of the structure's scheme, and a quiescent element count.
+trait KeySet<S: Smr>: Send + Sync + 'static {
+    fn contains(&self, key: u64, handle: &mut S::Handle) -> bool;
+    fn insert(&self, key: u64, handle: &mut S::Handle) -> bool;
+    fn remove(&self, key: u64, handle: &mut S::Handle) -> bool;
+    fn len(&self) -> usize;
+}
 
-        struct $session_ty<S: Smr> {
-            ds: Arc<$ds<u64, S>>,
-            handle: S::Handle,
-        }
-
-        impl<S: Smr> SetSession for $session_ty<S> {
-            fn contains(&mut self, key: u64) -> bool {
-                self.ds.contains(&key, &mut self.handle)
+/// The ordered sets already have the set API; `len` walks under a handle of
+/// its own.
+macro_rules! ordered_set {
+    ($($ds:ident),*) => {$(
+        impl<S: Smr> KeySet<S> for $ds<u64, S> {
+            fn contains(&self, key: u64, handle: &mut S::Handle) -> bool {
+                $ds::contains(self, &key, handle)
             }
-            fn insert(&mut self, key: u64) -> bool {
-                self.ds.insert(key, &mut self.handle)
+            fn insert(&self, key: u64, handle: &mut S::Handle) -> bool {
+                $ds::insert(self, key, handle)
             }
-            fn remove(&mut self, key: u64) -> bool {
-                self.ds.remove(&key, &mut self.handle)
-            }
-            fn flush(&mut self) {
-                self.handle.flush();
-            }
-        }
-
-        impl<S: Smr> BenchSet for $set_ty<S> {
-            fn session(&self) -> Box<dyn SetSession> {
-                Box::new($session_ty {
-                    ds: Arc::clone(&self.ds),
-                    handle: self.scheme.register(),
-                })
-            }
-            fn prefill(&self, keys: &[u64]) {
-                let mut handle = self.scheme.register();
-                for &key in keys {
-                    self.ds.insert(key, &mut handle);
-                }
-                handle.flush();
+            fn remove(&self, key: u64, handle: &mut S::Handle) -> bool {
+                $ds::remove(self, &key, handle)
             }
             fn len(&self) -> usize {
-                let mut handle = self.scheme.register();
-                self.ds.len(&mut handle)
-            }
-            fn smr_stats(&self) -> StatsSnapshot {
-                Smr::stats(&*self.scheme)
-            }
-            fn budget_verdict(&self) -> BudgetVerdict {
-                Smr::budget_verdict(&*self.scheme)
-            }
-            fn telemetry_summary(&self) -> TelemetrySummary {
-                Smr::telemetry(&*self.scheme).summary()
-            }
-            fn scheme_name(&self) -> &'static str {
-                Smr::name(&*self.scheme)
-            }
-            fn structure_name(&self) -> &'static str {
-                $structure.name()
+                $ds::len(self, &mut self.register())
             }
         }
-    };
+    )*};
 }
 
-impl_bench_set!(ListSet, ListSession, HarrisMichaelList, Structure::List);
-impl_bench_set!(SkipSet, SkipSession, LockFreeSkipList, Structure::SkipList);
-impl_bench_set!(BstSet, BstSession, LockFreeBst, Structure::Bst);
+ordered_set!(HarrisMichaelList, LockFreeSkipList, LockFreeBst);
 
-/// The hash map has a map-shaped API (`contains_key`, `get`, key → value insert), so
-/// its [`BenchSet`] adapter is written out instead of generated by the macro; the
-/// benchmark simply stores the key as its own value.
-struct HashMapSet<S: Smr> {
-    ds: Arc<LockFreeHashMap<u64, u64, S>>,
-    scheme: Arc<S>,
-}
-
-struct HashMapSession<S: Smr> {
-    ds: Arc<LockFreeHashMap<u64, u64, S>>,
-    handle: S::Handle,
-}
-
-impl<S: Smr> SetSession for HashMapSession<S> {
-    fn contains(&mut self, key: u64) -> bool {
-        self.ds.contains_key(&key, &mut self.handle)
+/// The hash map stores each key as its own value.
+impl<S: Smr> KeySet<S> for LockFreeHashMap<u64, u64, S> {
+    fn contains(&self, key: u64, handle: &mut S::Handle) -> bool {
+        self.contains_key(&key, handle)
     }
-    fn insert(&mut self, key: u64) -> bool {
-        self.ds.insert(key, key, &mut self.handle)
+    fn insert(&self, key: u64, handle: &mut S::Handle) -> bool {
+        LockFreeHashMap::insert(self, key, key, handle)
     }
-    fn remove(&mut self, key: u64) -> bool {
-        self.ds.remove(&key, &mut self.handle)
-    }
-    fn flush(&mut self) {
-        self.handle.flush();
-    }
-}
-
-impl<S: Smr> BenchSet for HashMapSet<S> {
-    fn session(&self) -> Box<dyn SetSession> {
-        Box::new(HashMapSession {
-            ds: Arc::clone(&self.ds),
-            handle: self.scheme.register(),
-        })
-    }
-    fn prefill(&self, keys: &[u64]) {
-        let mut handle = self.scheme.register();
-        for &key in keys {
-            self.ds.insert(key, key, &mut handle);
-        }
-        handle.flush();
+    fn remove(&self, key: u64, handle: &mut S::Handle) -> bool {
+        LockFreeHashMap::remove(self, &key, handle)
     }
     fn len(&self) -> usize {
-        self.ds.len()
-    }
-    fn smr_stats(&self) -> StatsSnapshot {
-        Smr::stats(&*self.scheme)
-    }
-    fn budget_verdict(&self) -> BudgetVerdict {
-        Smr::budget_verdict(&*self.scheme)
-    }
-    fn telemetry_summary(&self) -> TelemetrySummary {
-        Smr::telemetry(&*self.scheme).summary()
-    }
-    fn scheme_name(&self) -> &'static str {
-        Smr::name(&*self.scheme)
-    }
-    fn structure_name(&self) -> &'static str {
-        Structure::HashMap.name()
+        LockFreeHashMap::len(self)
     }
 }
 
@@ -257,35 +176,69 @@ impl<S: Smr> BenchSet for HashMapSet<S> {
 /// when empty), and `contains` is served by an emptiness probe so that mixed
 /// workloads still run. The natural workload for them is 100% churn
 /// ([`crate::OpMix::churn`]), where `contains` never fires.
-struct QueueSet<S: Smr> {
-    ds: Arc<MichaelScottQueue<u64, S>>,
-    scheme: Arc<S>,
+impl<S: Smr> KeySet<S> for MichaelScottQueue<u64, S> {
+    fn contains(&self, _key: u64, _handle: &mut S::Handle) -> bool {
+        !self.is_empty()
+    }
+    fn insert(&self, key: u64, handle: &mut S::Handle) -> bool {
+        self.enqueue(key, handle);
+        true
+    }
+    fn remove(&self, _key: u64, handle: &mut S::Handle) -> bool {
+        self.dequeue(handle).is_some()
+    }
+    fn len(&self) -> usize {
+        MichaelScottQueue::len(self)
+    }
 }
 
-struct QueueSession<S: Smr> {
-    ds: Arc<MichaelScottQueue<u64, S>>,
+impl<S: Smr> KeySet<S> for TreiberStack<u64, S> {
+    fn contains(&self, _key: u64, _handle: &mut S::Handle) -> bool {
+        !self.is_empty()
+    }
+    fn insert(&self, key: u64, handle: &mut S::Handle) -> bool {
+        self.push(key, handle);
+        true
+    }
+    fn remove(&self, _key: u64, handle: &mut S::Handle) -> bool {
+        self.pop(handle).is_some()
+    }
+    fn len(&self) -> usize {
+        TreiberStack::len(self)
+    }
+}
+
+/// One cell of the matrix: a structure over the scheme that reclaims it.
+struct Cell<S: Smr, D> {
+    ds: Arc<D>,
+    scheme: Arc<S>,
+    structure: Structure,
+}
+
+/// A worker's session on a [`Cell`].
+struct Session<S: Smr, D> {
+    ds: Arc<D>,
     handle: S::Handle,
 }
 
-impl<S: Smr> SetSession for QueueSession<S> {
-    fn contains(&mut self, _key: u64) -> bool {
-        !self.ds.is_empty()
+impl<S: Smr, D: KeySet<S>> SetSession for Session<S, D> {
+    fn contains(&mut self, key: u64) -> bool {
+        self.ds.contains(key, &mut self.handle)
     }
     fn insert(&mut self, key: u64) -> bool {
-        self.ds.enqueue(key, &mut self.handle);
-        true
+        self.ds.insert(key, &mut self.handle)
     }
-    fn remove(&mut self, _key: u64) -> bool {
-        self.ds.dequeue(&mut self.handle).is_some()
+    fn remove(&mut self, key: u64) -> bool {
+        self.ds.remove(key, &mut self.handle)
     }
     fn flush(&mut self) {
         self.handle.flush();
     }
 }
 
-impl<S: Smr> BenchSet for QueueSet<S> {
+impl<S: Smr, D: KeySet<S>> BenchSet for Cell<S, D> {
     fn session(&self) -> Box<dyn SetSession> {
-        Box::new(QueueSession {
+        Box::new(Session::<S, D> {
             ds: Arc::clone(&self.ds),
             handle: self.scheme.register(),
         })
@@ -293,7 +246,7 @@ impl<S: Smr> BenchSet for QueueSet<S> {
     fn prefill(&self, keys: &[u64]) {
         let mut handle = self.scheme.register();
         for &key in keys {
-            self.ds.enqueue(key, &mut handle);
+            self.ds.insert(key, &mut handle);
         }
         handle.flush();
     }
@@ -313,67 +266,7 @@ impl<S: Smr> BenchSet for QueueSet<S> {
         Smr::name(&*self.scheme)
     }
     fn structure_name(&self) -> &'static str {
-        Structure::Queue.name()
-    }
-}
-
-struct StackSet<S: Smr> {
-    ds: Arc<TreiberStack<u64, S>>,
-    scheme: Arc<S>,
-}
-
-struct StackSession<S: Smr> {
-    ds: Arc<TreiberStack<u64, S>>,
-    handle: S::Handle,
-}
-
-impl<S: Smr> SetSession for StackSession<S> {
-    fn contains(&mut self, _key: u64) -> bool {
-        !self.ds.is_empty()
-    }
-    fn insert(&mut self, key: u64) -> bool {
-        self.ds.push(key, &mut self.handle);
-        true
-    }
-    fn remove(&mut self, _key: u64) -> bool {
-        self.ds.pop(&mut self.handle).is_some()
-    }
-    fn flush(&mut self) {
-        self.handle.flush();
-    }
-}
-
-impl<S: Smr> BenchSet for StackSet<S> {
-    fn session(&self) -> Box<dyn SetSession> {
-        Box::new(StackSession {
-            ds: Arc::clone(&self.ds),
-            handle: self.scheme.register(),
-        })
-    }
-    fn prefill(&self, keys: &[u64]) {
-        let mut handle = self.scheme.register();
-        for &key in keys {
-            self.ds.push(key, &mut handle);
-        }
-        handle.flush();
-    }
-    fn len(&self) -> usize {
-        self.ds.len()
-    }
-    fn smr_stats(&self) -> StatsSnapshot {
-        Smr::stats(&*self.scheme)
-    }
-    fn budget_verdict(&self) -> BudgetVerdict {
-        Smr::budget_verdict(&*self.scheme)
-    }
-    fn telemetry_summary(&self) -> TelemetrySummary {
-        Smr::telemetry(&*self.scheme).summary()
-    }
-    fn scheme_name(&self) -> &'static str {
-        Smr::name(&*self.scheme)
-    }
-    fn structure_name(&self) -> &'static str {
-        Structure::Stack.name()
+        self.structure.name()
     }
 }
 
@@ -406,31 +299,25 @@ pub fn default_bench_config(max_threads: usize) -> SmrConfig {
 /// [`config_for`]`(structure, ..)`) and may keep a reference to — a test that
 /// drives the scheme's barrier ledger by hand, say.
 pub fn set_over<S: Smr>(structure: Structure, scheme: Arc<S>) -> Arc<dyn BenchSet> {
+    fn cell<S: Smr, D: KeySet<S>>(
+        structure: Structure,
+        scheme: Arc<S>,
+        ds: D,
+    ) -> Arc<dyn BenchSet> {
+        Arc::new(Cell {
+            ds: Arc::new(ds),
+            scheme,
+            structure,
+        })
+    }
+    let smr = Arc::clone(&scheme);
     match structure {
-        Structure::List => Arc::new(ListSet {
-            ds: Arc::new(HarrisMichaelList::new(Arc::clone(&scheme))),
-            scheme,
-        }),
-        Structure::SkipList => Arc::new(SkipSet {
-            ds: Arc::new(LockFreeSkipList::new(Arc::clone(&scheme))),
-            scheme,
-        }),
-        Structure::Bst => Arc::new(BstSet {
-            ds: Arc::new(LockFreeBst::new(Arc::clone(&scheme))),
-            scheme,
-        }),
-        Structure::HashMap => Arc::new(HashMapSet {
-            ds: Arc::new(LockFreeHashMap::new(Arc::clone(&scheme))),
-            scheme,
-        }),
-        Structure::Queue => Arc::new(QueueSet {
-            ds: Arc::new(MichaelScottQueue::new(Arc::clone(&scheme))),
-            scheme,
-        }),
-        Structure::Stack => Arc::new(StackSet {
-            ds: Arc::new(TreiberStack::new(Arc::clone(&scheme))),
-            scheme,
-        }),
+        Structure::List => cell(structure, scheme, HarrisMichaelList::new(smr)),
+        Structure::SkipList => cell(structure, scheme, LockFreeSkipList::new(smr)),
+        Structure::Bst => cell(structure, scheme, LockFreeBst::new(smr)),
+        Structure::HashMap => cell(structure, scheme, LockFreeHashMap::new(smr)),
+        Structure::Queue => cell(structure, scheme, MichaelScottQueue::new(smr)),
+        Structure::Stack => cell(structure, scheme, TreiberStack::new(smr)),
     }
 }
 

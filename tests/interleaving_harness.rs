@@ -19,7 +19,9 @@
 //! [`schedule_lock`].
 
 use lockfree_ds::interleave::{Counter, Trap};
-use lockfree_ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList, SKIPLIST_HP_SLOTS};
+use lockfree_ds::{
+    HarrisMichaelList, LockFreeBst, LockFreeHashMap, LockFreeSkipList, SKIPLIST_HP_SLOTS,
+};
 use reclaim_core::{Smr, SmrConfig};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::thread;
@@ -316,6 +318,29 @@ fn list_insert_survives_predecessor_removed_in_the_window() {
     // the mark bit even though the pointer half still reads `curr` — the
     // reason the mark lives in the *outgoing* link.
     force_list_schedule(5);
+}
+
+/// The hash map's buckets are the list's chains, so every schedule above (and
+/// every explorer cell on the list) covers the map too: each map operation
+/// reaches the list's pause points.
+#[test]
+fn hash_map_operations_run_the_list_code() {
+    let _serial = schedule_lock();
+    let map =
+        LockFreeHashMap::<u64, u64, _>::with_buckets(hazard::Hazard::new(deferred_config()), 1);
+    let mut h = map.register();
+    assert!(map.insert(5, 50, &mut h));
+    let linked = Counter::arm("list::insert::pre_link_cas");
+    assert!(map.insert(10, 100, &mut h));
+    assert_eq!(linked.count(), 1, "insert links through the list's CAS");
+    // 10 sits behind 5 in the one bucket: the walk steps once.
+    let walked = Counter::arm("list::search::cursor_published");
+    assert_eq!(map.get(&10, &mut h), Some(100));
+    assert!(walked.count() > 0, "get walks the list's traversal");
+    let unlinked = Counter::arm("list::remove::pre_unlink_cas");
+    assert!(map.remove(&5, &mut h));
+    assert_eq!(unlinked.count(), 1, "remove marks through the list's code");
+    assert_eq!(map.len(), 1);
 }
 
 // ---------------------------------------------------------------------------

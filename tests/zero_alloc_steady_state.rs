@@ -690,7 +690,8 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     }
 
     // --- telemetry record + snapshot paths -----------------------------------
-    // With the observability layer live (histograms on, every op sampled), the
+    // With the observability layer live (histograms on, 1 op in 128 sampled —
+    // always a handle's first, so the warm-up records a bracket), the
     // whole record surface — the guard-bracket latency sample, the retire-tick
     // stamp, the scan observer's per-free delay records — and the
     // `Telemetry::summary()` snapshot must stay allocation-free: the
@@ -754,11 +755,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             );
         }
 
-        let tele_config = |clock: &ManualClock| {
-            config(clock)
-                .with_telemetry(true)
-                .with_telemetry_sample_shift(0)
-        };
+        let tele_config = |clock: &ManualClock| config(clock).with_telemetry(true);
         let clock = ManualClock::new();
         telemetry_cycles_allocate_nodes_only(
             "hp",
