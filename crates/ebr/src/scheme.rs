@@ -2,10 +2,9 @@
 
 use crate::pin::PinRecord;
 use qsbr::GlobalEpoch;
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    fence, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry, NodeCache, Reclaim,
-    Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    fence, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache, Reclaim,
+    Registry, RetiredPtr, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -377,7 +376,7 @@ impl SmrHandle for EbrHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         // While pinned (the normal case — retires happen inside operations),
         // tag with the cached pin-time epoch: the pin bounds the global at
         // `pin_epoch + 1`, which is exactly why [`SAFE_EPOCH_GAP`] is 3 rather
@@ -400,10 +399,7 @@ impl SmrHandle for EbrHandle {
         let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
         // SAFETY: forwarded from the caller's contract. The epoch tag lives on
         // the chain; the per-node stamp goes unread.
-        unsafe {
-            self.core
-                .retire(&mut limbo[b].bag, ptr, drop_fn, 0, birth_era, size_bytes)
-        };
+        unsafe { self.core.retire(&mut limbo[b].bag, node, 0) };
         if self.core.scan_due() {
             scheme.try_advance();
         } else {

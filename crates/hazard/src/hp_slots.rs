@@ -260,7 +260,7 @@ pub unsafe fn hp_scan<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reclaim_core::{drop_fn_for, SchemeCore, SegPool, NO_BIRTH_ERA};
+    use reclaim_core::{drop_fn_for, RetiredPtr, SchemeCore, SegPool, NO_BIRTH_ERA};
     use std::collections::HashSet;
     use std::time::Duration;
 
@@ -416,18 +416,12 @@ mod tests {
         /// Retires one fresh node, stamped now; returns its address.
         fn retire(&mut self) -> *mut u8 {
             let node = Box::into_raw(Box::new(0u64)).cast::<u8>();
-            let stamp = self.ledger.stamp();
             // SAFETY: freshly boxed, never linked anywhere, retired exactly once.
             unsafe {
-                self.core.retire(
-                    &mut self.bag,
-                    node,
-                    drop_fn_for::<u64>(),
-                    stamp,
-                    NO_BIRTH_ERA,
-                    8,
-                )
-            };
+                let retired = RetiredPtr::new(node, drop_fn_for::<u64>(), NO_BIRTH_ERA, 8);
+                self.core
+                    .retire(&mut self.bag, retired, self.ledger.stamp());
+            }
             node
         }
 

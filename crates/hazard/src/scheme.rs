@@ -1,10 +1,10 @@
 //! The hazard-pointer family's scheme object and per-thread handle.
 
 use crate::hp_slots::{hp_scan, HpSlots, OwnedSlots};
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    BarrierLedger, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry, NodeCache,
-    PtrScratch, Registry, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    BarrierLedger, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache,
+    PtrScratch, Registry, RetiredPtr, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
+    SmrHandle,
 };
 use std::slice::from_mut;
 use std::sync::Arc;
@@ -158,7 +158,7 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
         self.slots.clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         let (scheme, retired) = (&*self.scheme, &mut self.retired);
         // The paper's `free_node_later` records `time_created` on the wrapper
         // node; here it is the ticket of the last barrier started before now —
@@ -166,10 +166,7 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
         let stamp = scheme.ledger.stamp();
         self.newest = stamp;
         // SAFETY: forwarded from the caller's contract.
-        unsafe {
-            self.core
-                .retire(retired, ptr, drop_fn, stamp, birth_era, size_bytes)
-        };
+        unsafe { self.core.retire(retired, node, stamp) };
         let (registry, ledger, bags) = (&scheme.registry, &scheme.ledger, from_mut(retired));
         // SAFETY: `retired` and `stamp`, its newest, are as the type says.
         let scan = |core: &mut _| unsafe { hp_scan(core, registry, |r| r, bags, ledger, stamp) };

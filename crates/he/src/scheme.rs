@@ -2,10 +2,9 @@
 
 use crate::clock::EraPacer;
 use crate::era::{EraRecord, INACTIVE_LOWER};
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    CapacityExhausted, Era, HandleCore, HandleTelemetry, NodeCache, Registry, SchemeCore, SegBag,
-    SegPool, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
+    CapacityExhausted, Era, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr,
+    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -397,7 +396,7 @@ impl SmrHandle for HeHandle {
         self.scheme.pacer.current()
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
         // The retire era must be a *fresh* read (see the scheme docs): any
         // reader still holding this node announced its reservation before now,
@@ -406,19 +405,10 @@ impl SmrHandle for HeHandle {
         // every announced era — maximally conservative, always safe.
         let retire_era = scheme.pacer.current();
         let chain = &mut limbo.chains[(retire_era % ERA_BUCKETS as u64) as usize];
-        chain.cover(retire_era, birth_era, birth_era);
+        chain.cover(retire_era, node.birth_era(), node.birth_era());
         // SAFETY: forwarded from the caller's contract. The stamp carries the
         // logical retire era — HE never consults wall-clock age.
-        unsafe {
-            self.core.retire(
-                &mut chain.bag,
-                ptr,
-                drop_fn,
-                retire_era,
-                birth_era,
-                size_bytes,
-            )
-        };
+        unsafe { self.core.retire(&mut chain.bag, node, retire_era) };
         // Era scans are reservation-gated and safe mid-operation, so a budget
         // breach forces one; the scan's own era advance plus the pacer's
         // reaction to the estimate keep the era ticking (HE's pressure lever).
@@ -1053,10 +1043,17 @@ mod tests {
         reader.begin_op();
         // Many pinned nodes that weigh nothing: four threshold scans, all dry.
         for _ in 0..64 {
-            let ptr = tracked(&drops).cast::<u8>();
+            let drop_fn = reclaim_core::drop_fn_for::<Tracked>();
             // SAFETY: fresh from Box::into_raw, retired exactly once; a size of
             // 0 (unknown) never over-states the allocation.
-            unsafe { writer.retire(ptr, reclaim_core::drop_fn_for::<Tracked>(), NO_BIRTH_ERA, 0) };
+            unsafe {
+                writer.retire(RetiredPtr::new(
+                    tracked(&drops).cast(),
+                    drop_fn,
+                    NO_BIRTH_ERA,
+                    0,
+                ))
+            };
         }
         assert_eq!(writer.local_in_limbo(), 64);
         assert_eq!(estimate(&scheme), 0);

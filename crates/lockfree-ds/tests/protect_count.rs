@@ -6,10 +6,9 @@
 //! failing any other test.
 
 use lockfree_ds::{HarrisMichaelList, LockFreeHashMap, LockFreeSkipList};
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    CapacityExhausted, Era, HandleTelemetry, Leaky, NodeCache, SchemeCore, Smr, SmrConfig,
-    SmrHandle,
+    CapacityExhausted, Era, HandleTelemetry, Leaky, NodeCache, RetiredPtr, SchemeCore, Smr,
+    SmrConfig, SmrHandle,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -79,9 +78,9 @@ impl SmrHandle for CountingHandle {
         self.inner.alloc_node()
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         // SAFETY: forwarded from the caller's contract.
-        unsafe { self.inner.retire(ptr, drop_fn, birth_era, size_bytes) }
+        unsafe { self.inner.retire(node) }
     }
 
     fn flush(&mut self) {

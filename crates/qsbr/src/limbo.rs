@@ -133,7 +133,7 @@ pub unsafe fn grace_drain<W: Default>(core: &mut HandleCore<W>, matured: &mut Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reclaim_core::{drop_fn_for, SchemeCore, SegPool, SmrConfig, NO_BIRTH_ERA};
+    use reclaim_core::{drop_fn_for, RetiredPtr, SchemeCore, SegPool, SmrConfig, NO_BIRTH_ERA};
 
     /// A one-thread domain: its registry, and the part and core of the thread.
     struct Fixture {
@@ -162,12 +162,11 @@ mod tests {
 
         fn retire(&mut self) {
             let node = Box::into_raw(Box::new(0u64)).cast::<u8>();
-            let bag = self.limbo.current();
             // SAFETY: freshly boxed, never linked anywhere, retired exactly once.
             unsafe {
-                self.core
-                    .retire(bag, node, drop_fn_for::<u64>(), 0, NO_BIRTH_ERA, 8)
-            };
+                let node = RetiredPtr::new(node, drop_fn_for::<u64>(), NO_BIRTH_ERA, 8);
+                self.core.retire(self.limbo.current(), node, 0);
+            }
         }
 
         /// One quiescent state; the length of the bucket it handed back, if any.

@@ -2,10 +2,9 @@
 
 use crate::epoch::{EpochDomain, EpochRecord};
 use crate::limbo::{grace_drain, EpochLimbo};
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    CapacityExhausted, Era, HandleCore, HandleTelemetry, NodeCache, Registry, SchemeCore, SegPool,
-    SlotId, Smr, SmrConfig, SmrHandle,
+    CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr, SchemeCore,
+    SegPool, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -112,13 +111,9 @@ impl SmrHandle for QsbrHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
-        let bucket = self.limbo.current();
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         // SAFETY: forwarded from the caller's contract. Grace periods read no stamp.
-        unsafe {
-            self.core
-                .retire(bucket, ptr, drop_fn, 0, birth_era, size_bytes)
-        };
+        unsafe { self.core.retire(self.limbo.current(), node, 0) };
         // Never escalates: a quiescent state cannot be declared mid-operation,
         // so the only lever QSBR has is waiting — which is precisely the
         // non-robustness the verdict exists to record.

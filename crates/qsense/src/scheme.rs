@@ -4,11 +4,10 @@
 use crate::path::{FallbackFlag, Path, PresenceFlag};
 use hazard::{hp_scan, HpSlots, OwnedSlots};
 use qsbr::{grace_drain, EpochDomain, EpochLimbo, EpochRecord};
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    BarrierLedger, CachePadded, CapacityExhausted, Era, FenceStrategy, HandleCore, HandleTelemetry,
-    NodeCache, PtrScratch, Registry, SchemeCore, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
-    StatStripe,
+    BarrierLedger, CachePadded, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry,
+    NodeCache, PtrScratch, Registry, RetiredPtr, SchemeCore, SegPool, SlotId, Smr, SmrConfig,
+    SmrHandle, StatStripe,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -448,19 +447,14 @@ impl SmrHandle for QSenseHandle {
         self.hps.clear_all();
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         // `free_node_later` (Algorithm 5, lines 36–61). The stamp — the ticket
         // of the last barrier started before now, after the caller's unlink —
         // is recorded regardless of the current path (§5.2).
         let scheme = &*self.scheme;
         let (registry, ledger) = (&scheme.registry, &scheme.ledger);
-        let stamp = ledger.stamp();
-        let bucket = self.limbo.current();
         // SAFETY: forwarded from the caller's contract.
-        unsafe {
-            self.core
-                .retire(bucket, ptr, drop_fn, stamp, birth_era, size_bytes)
-        };
+        unsafe { self.core.retire(self.limbo.current(), node, ledger.stamp()) };
 
         // Running in fallback mode: all three limbo lists are scanned, by
         // Cadence's rule (Algorithm 5, lines 45–47).

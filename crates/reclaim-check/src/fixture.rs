@@ -27,7 +27,7 @@
 
 use lockfree_ds::interleave;
 use reclaim_core::node_cache::{self, Block};
-use reclaim_core::{Guard, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
+use reclaim_core::{Guard, RetiredPtr, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
 use std::alloc::Layout;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -53,17 +53,6 @@ impl FixNode {
         // SAFETY: a fresh block of `FixNode`'s layout.
         unsafe { node.write(FixNode { key, next }) };
         node
-    }
-
-    /// Frees a node: a teardown's, a rollback's, or a raw retire's destructor.
-    ///
-    /// # Safety
-    ///
-    /// `ptr` came from [`FixNode::alloc`], nothing can reach it, and it is
-    /// freed once.
-    unsafe fn free(ptr: *mut u8) {
-        // SAFETY: the caller's contract; a `FixNode` owns nothing to drop.
-        unsafe { node_cache::free_block(ptr, Self::LAYOUT) };
     }
 }
 
@@ -151,7 +140,7 @@ impl<S: Smr> RelinkFixture<S> {
             // Roll the private node back (never published).
             // SAFETY: `node` was just allocated by this thread and never
             // escaped.
-            unsafe { FixNode::free(node.cast()) };
+            unsafe { node_cache::free(node) };
             handle.end_op();
             return false;
         }
@@ -217,12 +206,9 @@ impl<S: Smr> RelinkFixture<S> {
         // resurrected bug a concurrent insert may still re-link it — which is
         // exactly the violation the oracle is here to convict.
         unsafe {
-            handle.retire(
-                target.cast(),
-                FixNode::free,
-                NO_BIRTH_ERA,
-                std::mem::size_of::<FixNode>(),
-            )
+            let drop_fn = node_cache::drop_block::<FixNode>;
+            let size = std::mem::size_of::<FixNode>();
+            handle.retire(RetiredPtr::new(target.cast(), drop_fn, NO_BIRTH_ERA, size))
         };
         handle.end_op();
         true
@@ -272,7 +258,7 @@ fn free_level0_chain(head: &FixNode) {
         // SAFETY: teardown owns the list; each level-0 node is freed once.
         link = unsafe { (*curr).next[0].load(Ordering::Acquire) };
         // SAFETY: teardown free of a node this walk unlinked.
-        unsafe { FixNode::free(curr.cast()) };
+        unsafe { node_cache::free(curr) };
     }
 }
 

@@ -12,7 +12,7 @@
 #![cfg(feature = "check-oracle")]
 
 use reclaim_check::{fixture, schedule_of, Explorer, FailureKind, Scenario, ScenarioRun};
-use reclaim_core::{drop_fn_for, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
+use reclaim_core::{drop_fn_for, RetiredPtr, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA};
 
 #[test]
 fn explorer_finds_the_pre_versioning_relink_uaf() {
@@ -104,12 +104,13 @@ fn seeded_uaf_scenario() -> Scenario {
             // exactly once — the *seeded* violation is the checkpoint below,
             // not the retire.
             unsafe {
-                handle.retire(
+                let size = std::mem::size_of::<u64>();
+                handle.retire(RetiredPtr::new(
                     node.cast(),
                     drop_fn_for::<u64>(),
                     NO_BIRTH_ERA,
-                    std::mem::size_of::<u64>(),
-                )
+                    size,
+                ))
             };
             handle.flush();
             // Seeded bug: the node is gone; any checkpointed access must panic.

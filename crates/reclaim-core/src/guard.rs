@@ -73,6 +73,7 @@
 
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::node_cache::{self, Block};
+use crate::retired::RetiredPtr;
 use crate::smr::SmrHandle;
 use crate::tagged::{LinkWord, VersionedAtomic};
 use std::alloc::Layout;
@@ -230,19 +231,25 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
 
     /// Retires a node at the start of its block
     /// ([`alloc_block`](Self::alloc_block)'s, or [`node_cache::alloc_block`]'s
-    /// for a sentinel), stamped with the block's size: once freed, the node
-    /// is dropped in place and the block goes to the freeing handle's cache —
-    /// or, aligned past 8 or larger than the cached classes, to the allocator.
+    /// for a sentinel): builds its [`RetiredPtr`] once — the block's size, the
+    /// birth era, and the block destructor, which once the node is freed drops
+    /// it in place and leaves the block to `node_cache` (the freeing handle's
+    /// cache, or the allocator).
     ///
     /// # Safety
     ///
-    /// `ptr` must be such a node, live, unlinked and never retired twice;
-    /// `birth_era` must be its stamp or [`NO_BIRTH_ERA`].
+    /// `ptr` must be such a node, live, unlinked and never retired twice, in
+    /// a structure whose operations run on this guard's scheme; `birth_era`
+    /// must be its stamp or [`NO_BIRTH_ERA`].
     pub unsafe fn retire_block<T: Block>(&self, ptr: *mut T, birth_era: Era) {
-        // SAFETY: forwarded from the caller's contract.
-        let (drop_fn, size) = unsafe { node_cache::retire_parts(ptr) };
-        // SAFETY: as above; `retire_parts` names the block's destructor.
-        self.with(|h| unsafe { h.retire(ptr.cast(), drop_fn, birth_era, size) });
+        // SAFETY: forwarded from the caller's contract; the block destructor
+        // releases a `T` at the start of its block.
+        let node = unsafe {
+            let size = node_cache::block_layout((*ptr).layout()).size();
+            RetiredPtr::new(ptr.cast(), node_cache::drop_block::<T>, birth_era, size)
+        };
+        // SAFETY: as above.
+        self.with(|h| unsafe { h.retire(node) });
     }
 }
 

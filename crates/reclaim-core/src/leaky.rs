@@ -11,11 +11,10 @@
 //! work is done), but the benchmark process does not permanently leak the memory of
 //! every experiment it has already finished.
 
-use crate::clock::Era;
 use crate::config::SmrConfig;
 use crate::limbo::{HandleCore, SchemeCore};
 use crate::node_cache::NodeCache;
-use crate::retired::DropFn;
+use crate::retired::RetiredPtr;
 use crate::segbag::{SegBag, SegPool};
 use crate::smr::{CapacityExhausted, Smr, SmrHandle};
 use crate::telemetry::HandleTelemetry;
@@ -86,12 +85,9 @@ impl SmrHandle for LeakyHandle {
 
     fn clear_protections(&mut self) {}
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         // SAFETY: forwarded directly from the caller's contract.
-        unsafe {
-            self.core
-                .retire(&mut self.bag, ptr, drop_fn, 0, birth_era, size_bytes)
-        };
+        unsafe { self.core.retire(&mut self.bag, node, 0) };
         // Track bytes (so peak/verdict are honest) but never escalate: Leaky
         // has no reclamation pass to force, and that is the point of the
         // baseline.

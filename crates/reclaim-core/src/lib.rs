@@ -29,7 +29,7 @@
 //!   prescribes (`manage_qsense_state`, `assign_HP`, `free_node_later`) plus the
 //!   plumbing a real library needs (registration, statistics, forced collection)
 //!   and an allocation-side hook ([`SmrHandle::alloc_node`], handed back as
-//!   [`SmrHandle::retire`]'s `birth_era`) that stamps nodes with the birth era
+//!   the retired node's `birth_era`) that stamps nodes with the birth era
 //!   the interval-based `he` scheme (Hazard Eras / 2GE-IBR) reasons about — a
 //!   no-op for every other scheme;
 //! * the [`limbo`] retire pipeline every scheme shares — a [`SchemeCore`] per
@@ -93,7 +93,7 @@
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
 //! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::name`], [`Smr::stats`], [`Smr::budget_verdict`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
-//! | the limbo *shape*: which [`SegBag`] a retired node goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to the allocator (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, [`RetiredPtr`] construction, the telemetry tick, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
+//! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer); an optional scan batch ([`SchemeCore::with_scan_batch`]: HP's scanner-barrier protocol scans every `8 R` retires to amortise its barrier) | the **ladder**, fed from the ledger: count threshold (`scan_threshold` × the scheme's batch, fixed per handle at attach) → forced scan on a budget crossing, wherever in the batch it lands → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
 //! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain and back into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other, the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
@@ -124,12 +124,12 @@
 //! | per scan (every `R` retires; every `8 R` for HP, whose pool is pre-sized to match, and for EBR's epoch-advance attempts, under their scanner-barrier protocol) | under that protocol, first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host, which is what the ×8 amortises (measurements: [`fence::SCANNER_BARRIER_SCAN_BATCH`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
-//! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors — a block's in place, the block then pushed on the handle's [`node_cache::NodeCache`] list of its class while the cache holds under [`NODE_CACHE_BYTES`], freed past that — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the allocator's thread cache otherwise |
+//! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under [`NODE_CACHE_BYTES`], frees it past that or when its class is none a cache keeps; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the allocator's thread cache otherwise |
 //! | per `retire` (byte accounting) | stamp the node's size into the [`retired::RetiredPtr`] (written next to the stamp the wrapper already carries: `size_of::<T>()` for guard-layer nodes, the allocation's real size for a skip-list tower; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated look ([`limbo::HandleCore::enforce_budget`]) — a comparison of the ledger against its value at the handle's last look, escalating to the O(#stripes) sum of `retired_bytes − freed_bytes` only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; a look writes nothing but a new peak — **no per-retire shared write**, and none per grain either |
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
-//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above: birth era read back from the node header (one thread-local load); size a compile-time constant for an `Unlinked`, the block's for `retire_block` (a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both | identical to [`smr::SmrHandle::retire`] |
+//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s | identical to [`smr::SmrHandle::retire`] |
 //! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool, scratch and node cache on the scheme's [`limbo::SchemeCore`]; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one relaxed load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-mostly padded line shared by all record sites |
@@ -230,8 +230,12 @@
 //!
 //! ## Pointer-level safety contract
 //!
-//! All schemes traffic in type-erased pointers (`*mut u8` plus an `unsafe fn(*mut u8)`
-//! destructor). The contract, identical to the paper's node-state machine (§2.1):
+//! All schemes traffic in type-erased pointers: a [`RetiredPtr`] is a `*mut u8`
+//! plus an `unsafe fn(*mut u8, Option<&mut NodeCache>)` destructor
+//! ([`retired::DropFn`]), which the freeing handle offers its node cache — a
+//! block's destructor decides there whether the block is cached or given
+//! back, a `Box`'s ignores it. The contract, identical to the paper's
+//! node-state machine (§2.1):
 //!
 //! 1. a node may be retired only after it has been unlinked from the data structure
 //!    (state *removed*), and only once;
@@ -334,9 +338,10 @@
 //! * every [`node_cache`] block's allocation — fresh or a cached block handed
 //!   back out, under [`guard::Owned::new`] and the expert structures' nodes —
 //!   **registers** it;
-//! * [`retired::RetiredPtr::new`] — the constructor every scheme's retire
-//!   path funnels through ([`limbo::HandleCore::retire`]) — marks it **Retired**
-//!   (double-retire and retire-after-free panic);
+//! * [`retired::RetiredPtr::new`] — which the retiring caller runs once per
+//!   retire, building the one value [`SmrHandle::retire`] takes
+//!   ([`guard::Guard::retire_block`], [`retire_box`], a raw test site) —
+//!   marks it **Retired** (double-retire and retire-after-free panic);
 //! * [`retired::RetiredPtr::reclaim`] — the single free choke point — marks
 //!   it **Freed**; under the explorer's *quarantine* mode the destructor is
 //!   skipped, the first 8 bytes of the node are overwritten with
@@ -425,21 +430,21 @@ pub use telemetry::{
 /// [`SmrHandle`].
 ///
 /// Being typed, this knows the node's `Layout` and stamps its size
-/// (`size_of::<T>()`, masked clear of the [`node_cache`] block mark, so the
-/// `Box` destructor alone frees it) into the retired record, feeding the limbo
-/// byte accounting; the birth era is left unstamped ([`NO_BIRTH_ERA`]).
+/// (`size_of::<T>()`) into the retired record, feeding the limbo byte
+/// accounting; the birth era is left unstamped ([`NO_BIRTH_ERA`]).
 ///
 /// # Safety
 ///
 /// `ptr` must have been created by `Box::into_raw`, must already be unlinked from the
 /// data structure, and must not be retired more than once.
 pub unsafe fn retire_box<T, H: SmrHandle + ?Sized>(handle: &mut H, ptr: *mut T) {
-    handle.retire(
-        ptr.cast::<u8>(),
+    let size = std::mem::size_of::<T>();
+    handle.retire(RetiredPtr::new(
+        ptr.cast(),
         drop_fn_for::<T>(),
         NO_BIRTH_ERA,
-        std::mem::size_of::<T>() & !retired::RECYCLE,
-    );
+        size,
+    ));
 }
 
 /// Convenience: retire a typed, heap-allocated pointer together with its
@@ -456,10 +461,11 @@ pub unsafe fn retire_box_with_birth<T, H: SmrHandle + ?Sized>(
     ptr: *mut T,
     birth_era: Era,
 ) {
-    handle.retire(
-        ptr.cast::<u8>(),
+    let size = std::mem::size_of::<T>();
+    handle.retire(RetiredPtr::new(
+        ptr.cast(),
         drop_fn_for::<T>(),
         birth_era,
-        std::mem::size_of::<T>() & !retired::RECYCLE,
-    );
+        size,
+    ));
 }

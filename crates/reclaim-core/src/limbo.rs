@@ -16,10 +16,10 @@
 //! through the arena bins, and return memory that went cold while it waited —
 //! the batch-free effect of Brown's DEBRA paper, cured as Singh's thesis does,
 //! by *amortised freeing* (on the benchmark's queue it was worth +14–17 % to
-//! EBR). Freeing a block ([`crate::node_cache`]) *recycles* it into the
-//! handle's [`NodeCache`], for the handle's next allocation of its class: a
-//! handle that frees as fast as it allocates keeps the allocator off its
-//! steady state.
+//! EBR). Each destructor is offered the handle's [`NodeCache`], and a block's
+//! ([`crate::node_cache`]) *recycles* the block there, for the handle's next
+//! allocation of its class: a handle that frees as fast as it allocates keeps
+//! the allocator off its steady state.
 //! `flush` ([`HandleCore::drain_ready`]), handle drop ([`HandleCore::park`])
 //! and a budget-forced scan drain the chain whole.
 //!
@@ -42,12 +42,11 @@
 //! closures and monomorphised per scheme — no `dyn` on the retire path.
 
 use crate::budget::{BudgetGovernor, BudgetVerdict};
-use crate::clock::Era;
 use crate::config::SmrConfig;
 use crate::node_cache::NodeCache;
 use crate::pad::CachePadded;
 use crate::registry::{Registry, SlotId};
-use crate::retired::{DropFn, RetiredPtr, RECYCLE};
+use crate::retired::RetiredPtr;
 use crate::segbag::{ParkedChain, SegBag, SegPool, WorkspaceCache};
 use crate::smr::CapacityExhausted;
 use crate::stats::{ShardedStats, StatStripe, StatsSnapshot};
@@ -58,6 +57,19 @@ use std::sync::Arc;
 /// constant, not a knob: above 1, so a backlog drains twice as fast as retires
 /// can grow it; as small as that allows, so every burst fits the allocator's
 /// per-thread cache.
+///
+/// With the node cache in place, freeing at the scan instead — no ready
+/// chain, a proof's blocks straight into the cache — was measured against it
+/// on `queue_churn` (2-vCPU host, alternating 30 s benchmark pairs, every
+/// check on, 0 operations failed). QSBR gained 12.0 % (4 of 4 pairs) and
+/// 4.9 % (5 of 6), HE 6.8 % and 8.6 %, QSense 6.8 % and 3.9 %; Cadence lost
+/// 10.9 % (0 of 4) with the blocks past the cap going straight to the
+/// allocator, and 7.6 % (0 of 6) with the cache giving its excess back two
+/// blocks a retire. A rooster tick proves about 7 000 nodes a handle there
+/// (`hazard::hp_scan`), more than
+/// [`NODE_CACHE_BYTES`](crate::NODE_CACHE_BYTES) holds, so the burst reaches
+/// the allocator after all. Two stays; 1 or 4 frees a retire were not
+/// measured.
 pub const READY_FREES_PER_RETIRE: usize = 2;
 
 /// The scheme-wide half of the retire pipeline (module docs). `W` is the
@@ -291,25 +303,15 @@ impl<W: Default> HandleCore<W> {
     }
 
     /// The free stage and the stamp: frees at most [`READY_FREES_PER_RETIRE`]
-    /// ready nodes, then counts the retire and its bytes,
-    /// wraps the node in a [`RetiredPtr`] carrying the scheme's `stamp` and
-    /// the telemetry tick, and pushes it into `bag` — the limbo bag the
-    /// scheme's protocol picked.
+    /// ready nodes, then counts the retire and its bytes, writes the scheme's
+    /// `stamp` and the telemetry tick into `node`, and pushes it into `bag` —
+    /// the limbo bag the scheme's protocol picked.
     ///
     /// # Safety
     ///
-    /// The `SmrHandle::retire` contract for `ptr`, `drop_fn`, `birth_era` and
-    /// `size_bytes`.
+    /// The `SmrHandle::retire` contract for `node`, on this core's scheme.
     #[inline]
-    pub unsafe fn retire(
-        &mut self,
-        bag: &mut SegBag,
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        stamp: u64,
-        birth_era: Era,
-        size_bytes: usize,
-    ) {
+    pub unsafe fn retire(&mut self, bag: &mut SegBag, mut node: RetiredPtr, stamp: u64) {
         // One tick serves both ends: it stamps the new node and dates the
         // frees (a cached tick can trail a sibling's stamp on an adopted node;
         // `Telemetry::note_free` reads that as no delay).
@@ -317,11 +319,7 @@ impl<W: Default> HandleCore<W> {
         if !self.ready.is_empty() {
             self.free_ready(READY_FREES_PER_RETIRE, tick);
         }
-        // SAFETY: forwarded from the caller's contract.
-        let mut node =
-            unsafe { RetiredPtr::new(ptr, drop_fn, stamp, birth_era, size_bytes & !RECYCLE) };
-        node.set_retire_tick(tick);
-        node.mark_block(size_bytes);
+        node.set_stamps(stamp, tick);
         let size_bytes = node.size_bytes();
         let stats = self.stats();
         stats.add_retired(1);
@@ -336,7 +334,7 @@ impl<W: Default> HandleCore<W> {
     }
 
     /// Frees up to `limit` ready nodes — the only place a handle's nodes are
-    /// freed, a block into the handle's node cache — and books each there: the freed counters,
+    /// freed, each destructor offered the handle's node cache — and books each there: the freed counters,
     /// the ledger, and the retire→free delay against `now_tick`.
     fn free_ready(&mut self, limit: usize, now_tick: u32) {
         let shared = &*self.shared;
@@ -657,15 +655,9 @@ mod tests {
             let (bag, pinned, scans) = (&mut self.bag, self.pinned, &mut self.scans);
             // SAFETY: freshly boxed, never linked anywhere, retired exactly once.
             unsafe {
-                self.core.retire(
-                    bag,
-                    node.cast(),
-                    drop_fn_for::<Node>(),
-                    0,
-                    NO_BIRTH_ERA,
-                    NODE,
-                )
-            };
+                let node = RetiredPtr::new(node.cast(), drop_fn_for::<Node>(), NO_BIRTH_ERA, NODE);
+                self.core.retire(bag, node, 0);
+            }
             self.core.after_retire(|core| {
                 *scans += 1;
                 Self::scan(core, bag, pinned)
@@ -1016,19 +1008,21 @@ mod tests {
     }
 
     /// Retires a 32-byte block the way the guard layer does: allocated from
-    /// the handle's node cache, stamped recyclable, nothing to drop.
+    /// the handle's node cache, freed by the block destructor.
     #[cfg(feature = "check-oracle")]
     fn retire_block(handle: &mut Handle) -> *mut u8 {
-        unsafe fn nothing_to_drop(_: *mut u8) {}
+        struct Block32(#[allow(dead_code)] [u64; 4]);
+        // SAFETY: allocated with its own layout, `BLOCK`.
+        unsafe impl crate::node_cache::Block for Block32 {}
         let block = handle.core.cache.alloc(BLOCK).as_ptr();
-        let (bag, size) = (&mut handle.bag, BLOCK.size() | crate::retired::RECYCLE);
-        // SAFETY: a fresh block, never linked, retired once; a `[u64; 4]`
-        // owns nothing.
+        // SAFETY: a fresh block of `Block32`'s layout, written, never linked
+        // and retired once.
         unsafe {
-            handle
-                .core
-                .retire(bag, block, nothing_to_drop, 0, NO_BIRTH_ERA, size)
-        };
+            block.cast::<Block32>().write(Block32([0; 4]));
+            let drop_fn = crate::node_cache::drop_block::<Block32>;
+            let node = RetiredPtr::new(block, drop_fn, NO_BIRTH_ERA, BLOCK.size());
+            handle.core.retire(&mut handle.bag, node, 0);
+        }
         block
     }
 

@@ -1,22 +1,30 @@
 //! Node blocks: the one allocation path of guard-layer and expert nodes, and
 //! the per-handle cache behind the free stage.
 //!
-//! The free stage ([`HandleCore`](crate::limbo::HandleCore)) drops a block's
-//! node in place and keeps the block on its handle's [`NodeCache`], a free list
-//! per 8-byte size class, for that handle's next allocation of the class
+//! Where a freed block goes is decided here and nowhere else: a retired
+//! block's destructor ([`drop_block`], the one
+//! [`Guard::retire_block`](crate::Guard::retire_block) names) drops its node in
+//! place and offers the block, with the layout read back from the node
+//! ([`Block`]), to the freeing handle's [`NodeCache`] — a free list per 8-byte
+//! size class, for that handle's next allocation of the class
 //! ([`Guard::alloc_block`](crate::Guard::alloc_block)). Blocks are sized in
 //! 8-byte steps and aligned to at least 8, so a cached block is reused only
-//! for the identical layout and stays valid to give back; a node aligned past
-//! 8 or past the largest class is never cached, and is freed with the layout
-//! read back from it ([`Block`]). Past [`NODE_CACHE_BYTES`] the free stage's
-//! ≤ 2 nodes a retire go to the allocator, never a burst. The next registrant
-//! adopts a dying handle's cache with its workspace; scheme drop frees it.
+//! for the identical layout and stays valid to give back; a block aligned past
+//! 8 or past the largest class is never cached, and is freed with its own
+//! layout. Past [`NODE_CACHE_BYTES`] the free stage's ≤ 2 nodes a retire go to
+//! the allocator, never a burst. The next registrant adopts a dying handle's
+//! cache with its workspace; scheme drop frees it.
 
-use crate::retired::{DropFn, RECYCLE};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 
-/// Bytes one handle's cache holds at most.
+/// Bytes one handle's cache holds at most. 256 KiB was measured against it
+/// (2-vCPU host, alternating 30 s benchmark pairs): it took Cadence's loss
+/// from freeing at the scan
+/// ([`READY_FREES_PER_RETIRE`](crate::READY_FREES_PER_RETIRE)) back to
+/// −0.8 % on `queue_churn` (2 of 4 pairs), but `skiplist_mixed` read
+/// −7 … −11 % on every scheme, `none` included (0 of 3 pairs; the cause was
+/// not isolated). 64 KiB stays.
 pub const NODE_CACHE_BYTES: usize = 64 << 10;
 
 const ALIGN: usize = 8;
@@ -75,66 +83,57 @@ pub unsafe fn free_block(block: *mut u8, layout: Layout) {
     unsafe { dealloc(block, block_layout(layout)) };
 }
 
-/// Drops `node` in place and frees its block: a structure's teardown, a node
-/// never published, and a retired block no cache keeps.
+/// Drops `node` in place and frees its block: a structure's teardown and a
+/// node never published.
 ///
 /// # Safety
 ///
 /// `node` is a live node at the start of its block, nothing can reach it, and
 /// it is freed once.
 pub unsafe fn free<T: Block>(node: *mut T) {
+    #[cfg(feature = "check-oracle")]
+    crate::oracle::deregister(node.cast());
+    // SAFETY: the caller's contract; no cache is offered.
+    unsafe { drop_block::<T>(node.cast(), None) }
+}
+
+/// The destructor ([`DropFn`](crate::retired::DropFn)) every block is retired
+/// with: drops the node in place and offers its block to `cache`, which keeps
+/// it if its class is one a cache keeps and the cache holds under
+/// [`NODE_CACHE_BYTES`]; otherwise, or without a cache, it is freed with its
+/// own layout.
+///
+/// # Safety
+///
+/// `ptr` is a live `T` at the start of its block, nothing can reach it, it
+/// is freed once, and the oracle no longer tracks it.
+pub unsafe fn drop_block<T: Block>(ptr: *mut u8, cache: Option<&mut NodeCache>) {
+    let node = ptr.cast::<T>();
     // SAFETY: the caller's contract; the layout is read before the drop.
     unsafe {
-        let layout = (*node).layout();
+        let layout = block_layout((*node).layout());
         std::ptr::drop_in_place(node);
-        free_block(node.cast(), layout);
+        put(cache, ptr, layout);
     }
 }
 
-/// The destructor and size `SmrHandle::retire` takes `node` with: a drop in
-/// place and the size marked [`RECYCLE`] for a block a cache keeps, else
-/// [`free`] and the bare size.
+/// Takes a block of `layout` (a [`block_layout`]) whose node is gone, as
+/// [`drop_block`] says.
 ///
 /// # Safety
 ///
-/// `node` is a live node at the start of its block.
+/// The block was allocated for `layout`, nothing can reach it, and the oracle
+/// no longer tracks it.
 #[inline]
-pub(crate) unsafe fn retire_parts<T: Block>(node: *const T) -> (DropFn, usize) {
-    unsafe fn drop_node<T>(ptr: *mut u8) {
-        // SAFETY: the retire contract: `ptr` holds a `T`, dropped once.
-        unsafe { std::ptr::drop_in_place(ptr.cast::<T>()) }
-    }
-    unsafe fn free_node<T: Block>(ptr: *mut u8) {
-        // SAFETY: the retire contract: `ptr` holds a `T`, freed once.
-        unsafe { free(ptr.cast::<T>()) }
-    }
-    // SAFETY: the caller's contract.
-    let block = block_layout(unsafe { (*node).layout() });
-    match class_of(block) {
-        Some(_) => (drop_node::<T>, block.size() | RECYCLE),
-        None => (free_node::<T>, block.size()),
-    }
-}
-
-/// Takes the block of `size` bytes (a cached class's) whose node the free
-/// stage destroyed: `cache` keeps it while it holds under
-/// [`NODE_CACHE_BYTES`]; otherwise, or without a cache, it is freed.
-///
-/// # Safety
-///
-/// Nothing can reach the block, and the oracle has seen its node freed.
-#[inline]
-pub(crate) unsafe fn put(cache: Option<&mut NodeCache>, block: *mut u8, size: usize) {
-    // SAFETY: a block size is a non-zero multiple of 8.
-    let layout = unsafe { Layout::from_size_align_unchecked(size, ALIGN) };
+unsafe fn put(cache: Option<&mut NodeCache>, block: *mut u8, layout: Layout) {
     match (cache, class_of(layout)) {
-        (Some(cache), Some(class)) if cache.bytes + size <= NODE_CACHE_BYTES => {
+        (Some(cache), Some(class)) if cache.bytes + layout.size() <= NODE_CACHE_BYTES => {
             // SAFETY: the block is ours and at least a word long.
             unsafe { block.cast::<*mut u8>().write(cache.heads[class]) };
             cache.heads[class] = block;
-            cache.bytes += size;
+            cache.bytes += layout.size();
         }
-        // SAFETY: the caller's contract; the block was allocated for `layout`.
+        // SAFETY: the caller's contract.
         _ => unsafe { dealloc(block, layout) },
     }
 }
@@ -193,9 +192,10 @@ impl NodeCache {
 impl Drop for NodeCache {
     fn drop(&mut self) {
         for class in 0..CLASSES {
+            let layout = Layout::from_size_align((class + 1) * ALIGN, ALIGN).expect("a class");
             while let Some(block) = self.pop(class) {
                 // SAFETY: a free block of its class, ours, given back once.
-                unsafe { put(None, block.as_ptr(), (class + 1) * ALIGN) };
+                unsafe { dealloc(block.as_ptr(), layout) };
             }
         }
     }
@@ -204,6 +204,8 @@ impl Drop for NodeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retired::{DropFn, RetiredPtr};
+    use crate::NO_BIRTH_ERA;
 
     /// Hands a fresh block back as the free stage would, after the oracle's
     /// free has forgotten it.
@@ -211,7 +213,7 @@ mod tests {
         #[cfg(feature = "check-oracle")]
         crate::oracle::deregister(block.as_ptr());
         // SAFETY: the block is ours, holds no node, and is handed over once.
-        unsafe { super::put(Some(cache), block.as_ptr(), block_layout(layout).size()) };
+        unsafe { super::put(Some(cache), block.as_ptr(), block_layout(layout)) };
     }
 
     #[test]
@@ -263,30 +265,54 @@ mod tests {
         assert_eq!(class(264), None);
     }
 
+    struct Small(#[allow(dead_code)] [u64; 4]);
+    struct Big(#[allow(dead_code)] [u64; 33]);
     #[repr(align(64))]
     struct Padded(u64);
-    // SAFETY: allocated with its own layout.
+    // SAFETY: each is allocated with its own layout.
+    unsafe impl Block for Small {}
+    unsafe impl Block for Big {}
     unsafe impl Block for Padded {}
 
+    /// Retires and frees `node` through `drop_fn`, as the free stage would,
+    /// offering `cache`.
+    fn retire_and_free<T>(cache: &mut NodeCache, node: *mut T, drop_fn: DropFn) {
+        // SAFETY: a live node, never linked, retired and freed once.
+        unsafe {
+            let retired = RetiredPtr::new(node.cast(), drop_fn, NO_BIRTH_ERA, 0);
+            retired.reclaim(Some(cache));
+        }
+    }
+
+    /// A live `T` in a fresh block off `cache`.
+    fn block_of<T: Block>(cache: &mut NodeCache, value: T) -> *mut T {
+        let node = cache.alloc(Layout::new::<T>()).cast::<T>().as_ptr();
+        // SAFETY: a fresh block of `T`'s layout, or a wider one.
+        unsafe { node.write(value) };
+        node
+    }
+
     #[test]
-    fn an_over_aligned_node_bypasses_the_cache_with_its_own_alignment() {
-        let layout = Layout::new::<Padded>();
-        assert_eq!(block_layout(layout), layout);
-        assert_eq!(class_of(block_layout(layout)), None, "never cached");
+    fn one_destructor_caches_a_small_block_and_frees_the_rest_with_their_own_layouts() {
         let mut cache = NodeCache::new();
-        let node = cache.alloc(layout).cast::<Padded>().as_ptr();
-        assert_eq!(node as usize % 64, 0);
-        // SAFETY: a fresh block of `Padded`'s layout.
-        unsafe { node.write(Padded(7)) };
+        let small = block_of(&mut cache, Small([0; 4]));
+        retire_and_free(&mut cache, small, drop_block::<Small>);
+        assert_eq!(cache.bytes, 32, "a 32 B block lands in the cache");
+
+        let padded = block_of(&mut cache, Padded(7));
+        assert_eq!(padded as usize % 64, 0);
         // SAFETY: written just above.
-        assert_eq!(unsafe { (*node).0 }, 7);
-        // SAFETY: a live node at the start of its block.
-        let (drop_fn, size) = unsafe { retire_parts(node) };
-        assert_eq!(size, 64, "no recycle mark: the destructor frees the block");
-        #[cfg(feature = "check-oracle")]
-        crate::oracle::deregister(node.cast());
-        // SAFETY: the node is ours, live, and freed once.
-        unsafe { drop_fn(node.cast()) };
-        assert_eq!(cache.bytes, 0);
+        assert_eq!(unsafe { (*padded).0 }, 7);
+        retire_and_free(&mut cache, padded, drop_block::<Padded>);
+        let big = block_of(&mut cache, Big([0; 33]));
+        retire_and_free(&mut cache, big, drop_block::<Big>);
+        assert_eq!(
+            cache.bytes, 32,
+            "64-aligned and 264 B blocks are never cached"
+        );
+
+        let boxed = Box::into_raw(Box::new([0u64; 4]));
+        retire_and_free(&mut cache, boxed, crate::drop_fn_for::<[u64; 4]>());
+        assert_eq!(cache.bytes, 32, "a Box's destructor ignores the cache");
     }
 }

@@ -250,9 +250,9 @@ pub fn deregister(ptr: *const u8) {
         .remove(&addr);
 }
 
-/// Records a retire (called from `RetiredPtr::new`, the choke
-/// point every scheme's `retire` funnels through). Panics on double-retire and
-/// retire-after-free.
+/// Records a retire (called from `RetiredPtr::new`, the choke point: the
+/// retiring caller builds the one value `SmrHandle::retire` takes there, once
+/// per retire). Panics on double-retire and retire-after-free.
 pub fn on_retire(ptr: *const u8, size: usize) {
     let addr = ptr as usize;
     let mut map = shard_for(addr)

@@ -10,18 +10,23 @@
 //! removed-nodes list in HP/Cadence terms).
 
 use crate::clock::Era;
-use crate::node_cache::{self, NodeCache};
+use crate::node_cache::NodeCache;
 use std::fmt;
 
-/// A type-erased destructor: takes the pointer originally passed to `retire` and
-/// releases the node's memory.
-pub type DropFn = unsafe fn(*mut u8);
+/// A type-erased destructor: takes the pointer originally passed to
+/// [`RetiredPtr::new`] and releases the node, offered the freeing handle's
+/// [`NodeCache`] (`None` where no handle frees: a parked chain at scheme drop).
+/// A [`crate::node_cache`] block's destructor decides there whether its block
+/// is cached or given back; a `Box`'s ([`crate::drop_fn_for`]) ignores it.
+pub type DropFn = unsafe fn(*mut u8, Option<&mut NodeCache>);
 
 /// A retired node awaiting reclamation: pointer, destructor, the retiring
 /// scheme's stamp, allocation size, and — for the interval-based schemes — the
-/// era the node was allocated in.
+/// era the node was allocated in. The one value `SmrHandle::retire` takes:
+/// whoever knows the node builds it, once.
 ///
-/// `stamp` is **scheme-defined**: for the hazard-pointer family (HP, Cadence,
+/// `stamp` is **scheme-defined**, written by `HandleCore::retire`: for the
+/// hazard-pointer family (HP, Cadence,
 /// QSense) the barrier ticket current at removal —
 /// [`BarrierLedger::stamp`](crate::fence::BarrierLedger::stamp), read after the
 /// unlink; the node is covered once a barrier with a later ticket has returned
@@ -37,8 +42,6 @@ pub type DropFn = unsafe fn(*mut u8);
 /// entry points always know; a zero stamp ([`SIZE_UNKNOWN`]) counts zero bytes
 /// toward limbo budgets — byte budgets are only as complete as the callers'
 /// stamping, never *over*-counted.
-/// A [`crate::node_cache`] block's size carries a recycle bit: its `drop_fn`
-/// leaves the block to the free stage.
 pub struct RetiredPtr {
     ptr: *mut u8,
     drop_fn: DropFn,
@@ -56,69 +59,48 @@ pub struct RetiredPtr {
 /// zero bytes.
 pub const SIZE_UNKNOWN: u32 = 0;
 
-/// The size bit of a block whose `drop_fn` only drops its node in place.
-const RECYCLE_BIT: u32 = 1 << 31;
-/// The same mark in `SmrHandle::retire`'s `size_bytes`, the top bit, which no
-/// allocation's size reaches: only the guard layer sets it, schemes forward it
-/// untouched to `HandleCore::retire`, and there [`RetiredPtr::mark_block`]
-/// alone reads it.
-pub(crate) const RECYCLE: usize = 1 << (usize::BITS - 1);
-
 // A RetiredPtr is just a deferred destructor call; the node it points to is already
 // unreachable from the data structure, so moving the wrapper between threads is safe
 // as long as only one thread ultimately runs the destructor (guaranteed by ownership).
 unsafe impl Send for RetiredPtr {}
 
 impl RetiredPtr {
-    /// Wraps a retired node with the scheme's `stamp`, its allocation-time
-    /// birth era and its allocation size in bytes. `size_bytes` of zero means
-    /// "unknown" ([`SIZE_UNKNOWN`]); sizes of 2 GiB and more are clamped to
-    /// 2 GiB − 1 (a single such node is outside this substrate's design
-    /// envelope; the clamp keeps the accounting bounded rather than wrapping).
-    /// No size marks the node a [`crate::node_cache`] block: `drop_fn` alone
-    /// releases it.
+    /// Wraps a retired node with its allocation-time birth era and its
+    /// allocation size in bytes; the scheme's stamp is written at retire.
+    /// `size_bytes` feeds the byte books only and should not exceed the
+    /// node's allocation: zero means "unknown" ([`SIZE_UNKNOWN`]); sizes of
+    /// 4 GiB and more are clamped to 4 GiB − 1 (a single such node is outside
+    /// this substrate's design envelope; the clamp keeps the accounting
+    /// bounded rather than wrapping).
     ///
     /// # Safety
     ///
     /// `ptr` must be a valid, unlinked node that will not be retired again, and
-    /// `drop_fn(ptr)` must correctly release it; `birth_era` must be the era
+    /// `drop_fn(ptr, _)` must correctly release it; `birth_era` must be the era
     /// stamped into the node at allocation (or `NO_BIRTH_ERA`, which the era
-    /// schemes treat maximally conservatively); `size_bytes` must not exceed
-    /// the node's actual allocation size.
-    pub unsafe fn new(
-        ptr: *mut u8,
-        drop_fn: DropFn,
-        stamp: u64,
-        birth_era: Era,
-        size_bytes: usize,
-    ) -> Self {
+    /// schemes treat maximally conservatively).
+    pub unsafe fn new(ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) -> Self {
         debug_assert!(!ptr.is_null(), "retiring a null pointer");
-        let size = u32::try_from(size_bytes).map_or(!RECYCLE_BIT, |s| s.min(!RECYCLE_BIT));
-        // Every retire path in every scheme funnels through this constructor,
-        // so this is the oracle's single retire checkpoint.
+        let size = u32::try_from(size_bytes).unwrap_or(u32::MAX);
+        // Every retire path, typed or raw, builds its node through this
+        // constructor, so this is the oracle's single retire checkpoint.
         #[cfg(feature = "check-oracle")]
         crate::oracle::on_retire(ptr, size as usize);
         Self {
             ptr,
             drop_fn,
-            stamp,
+            stamp: 0,
             birth_era,
             size,
             tick: 0,
         }
     }
 
-    /// Marks the node a block when `size_bytes`, as `SmrHandle::retire` took
-    /// it, carries [`RECYCLE`]: its `drop_fn` leaves the block to the free stage.
-    pub(crate) fn mark_block(&mut self, size_bytes: usize) {
-        self.size |= RECYCLE_BIT * u32::from(size_bytes & RECYCLE != 0);
-    }
-
-    /// Stamps the coarse telemetry tick taken at retire time
-    /// ([`crate::telemetry::HandleTelemetry::retire_tick`]); 0 (the default)
-    /// marks the node as unstamped and the free-side delay measurement skips it.
-    pub(crate) fn set_retire_tick(&mut self, tick: u32) {
-        self.tick = tick;
+    /// Writes the retiring scheme's `stamp` and the coarse telemetry `tick`
+    /// taken at retire ([`crate::telemetry::HandleTelemetry::retire_tick`]; 0
+    /// marks the node as unstamped and the free-side delay measurement skips it).
+    pub(crate) fn set_stamps(&mut self, stamp: u64, tick: u32) {
+        (self.stamp, self.tick) = (stamp, tick);
     }
 
     /// The coarse telemetry tick stamped at retire, or 0 if telemetry was
@@ -142,7 +124,7 @@ impl RetiredPtr {
     /// unknown-size nodes weigh nothing — budgets under-count, never
     /// over-count.
     pub fn size_bytes(&self) -> usize {
-        (self.size & !RECYCLE_BIT) as usize
+        self.size as usize
     }
 
     /// The retiring scheme's stamp (see the type docs for what each scheme
@@ -151,8 +133,8 @@ impl RetiredPtr {
         self.stamp
     }
 
-    /// Runs the destructor, consuming the wrapper; a block goes to `cache` (the
-    /// free stage's), or without one to the allocator.
+    /// Runs the destructor, consuming the wrapper, and offers it `cache` (the
+    /// free stage's).
     ///
     /// # Safety
     ///
@@ -167,15 +149,8 @@ impl RetiredPtr {
         if !crate::oracle::on_free(self.ptr) {
             return;
         }
-        let size = self.size_bytes();
-        // SAFETY: the caller's contract, and `new`'s: with the recycle bit set,
-        // `drop_fn` destroyed the node in place and left its block of `size`.
-        unsafe {
-            (self.drop_fn)(self.ptr);
-            if self.size & RECYCLE_BIT != 0 {
-                node_cache::put(cache, self.ptr, size);
-            }
-        }
+        // SAFETY: the caller's contract, and `new`'s.
+        unsafe { (self.drop_fn)(self.ptr, cache) }
     }
 }
 
@@ -192,49 +167,35 @@ impl fmt::Debug for RetiredPtr {
 mod tests {
     use super::*;
     use crate::clock::NO_BIRTH_ERA;
+    use crate::smr::drop_fn_for;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
-    struct DropCounter {
-        counter: Arc<AtomicUsize>,
-    }
+    struct DropCounter(Arc<AtomicUsize>);
 
     impl Drop for DropCounter {
         fn drop(&mut self) {
-            self.counter.fetch_add(1, Ordering::SeqCst);
+            self.0.fetch_add(1, Ordering::SeqCst);
         }
     }
 
-    fn retire_stamped(
-        counter: &Arc<AtomicUsize>,
-        stamp: u64,
-        birth_era: Era,
-        size_bytes: usize,
-    ) -> RetiredPtr {
-        let boxed = Box::new(DropCounter {
-            counter: Arc::clone(counter),
-        });
-        let raw = Box::into_raw(boxed).cast::<u8>();
-        unsafe fn drop_counter(ptr: *mut u8) {
-            // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-            #[allow(clippy::disallowed_methods)]
-            // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-            unsafe {
-                drop(Box::from_raw(ptr.cast::<DropCounter>()))
-            };
-        }
+    fn retire_counter(counter: &Arc<AtomicUsize>, birth_era: Era, size_bytes: usize) -> RetiredPtr {
+        let raw = Box::into_raw(Box::new(DropCounter(Arc::clone(counter))));
         // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-        unsafe { RetiredPtr::new(raw, drop_counter, stamp, birth_era, size_bytes) }
-    }
-
-    fn retire_counter(counter: &Arc<AtomicUsize>, stamp: u64) -> RetiredPtr {
-        retire_stamped(counter, stamp, NO_BIRTH_ERA, 0)
+        unsafe {
+            RetiredPtr::new(
+                raw.cast(),
+                drop_fn_for::<DropCounter>(),
+                birth_era,
+                size_bytes,
+            )
+        }
     }
 
     #[test]
     fn retired_ptr_reports_address_and_reclaims_once() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let node = retire_counter(&counter, 0);
+        let node = retire_counter(&counter, NO_BIRTH_ERA, 0);
         assert!(!node.addr().is_null());
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { node.reclaim(None) };
@@ -244,13 +205,15 @@ mod tests {
     #[test]
     fn stamp_birth_era_and_size_round_trip() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let unstamped = retire_counter(&counter, 5);
+        let unstamped = retire_counter(&counter, NO_BIRTH_ERA, 0);
+        assert_eq!(unstamped.stamp(), 0, "the scheme stamps at retire");
         assert_eq!(unstamped.birth_era(), NO_BIRTH_ERA);
         assert_eq!(unstamped.size_bytes(), SIZE_UNKNOWN as usize);
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { unstamped.reclaim(None) };
 
-        let stamped = retire_stamped(&counter, 9, 42, 256);
+        let mut stamped = retire_counter(&counter, 42, 256);
+        stamped.set_stamps(9, 0);
         assert_eq!(stamped.stamp(), 9);
         assert_eq!(stamped.birth_era(), 42);
         assert_eq!(stamped.size_bytes(), 256);
@@ -262,10 +225,10 @@ mod tests {
     #[test]
     fn retire_tick_defaults_to_unstamped_and_round_trips() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let mut node = retire_counter(&counter, 3);
+        let mut node = retire_counter(&counter, NO_BIRTH_ERA, 0);
         assert_eq!(node.retire_tick(), 0, "fresh wrappers are unstamped");
-        node.set_retire_tick(12_345);
-        assert_eq!(node.retire_tick(), 12_345);
+        node.set_stamps(3, 12_345);
+        assert_eq!((node.stamp(), node.retire_tick()), (3, 12_345));
         // The tick must fit the pre-existing padding: adding it must not have
         // grown the wrapper past its 40-byte footprint (segment geometry).
         assert_eq!(std::mem::size_of::<RetiredPtr>(), 40);
@@ -276,8 +239,8 @@ mod tests {
     #[test]
     fn oversized_stamp_clamps_instead_of_wrapping() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let huge = retire_stamped(&counter, 0, 0, usize::MAX);
-        assert_eq!(huge.size_bytes(), (u32::MAX >> 1) as usize);
+        let huge = retire_counter(&counter, 0, usize::MAX);
+        assert_eq!(huge.size_bytes(), u32::MAX as usize);
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { huge.reclaim(None) };
         assert_eq!(

@@ -735,6 +735,7 @@ impl<'a> Iterator for SegBagIter<'a> {
 mod tests {
     use super::*;
     use crate::clock::Nanos;
+    use crate::smr::drop_fn_for;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
@@ -757,16 +758,10 @@ mod tests {
             counter: Arc::clone(counter),
         });
         let raw = Box::into_raw(boxed).cast::<u8>();
-        unsafe fn drop_counter(ptr: *mut u8) {
-            // SAFETY: reconstructs the box from the pointer this test leaked via Box::into_raw; it is dropped exactly once.
-            #[allow(clippy::disallowed_methods)]
-            // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-            unsafe {
-                drop(Box::from_raw(ptr.cast::<DropCounter>()))
-            };
-        }
-        // SAFETY: `raw` was just leaked via Box::into_raw and matches `drop_counter`'s type.
-        unsafe { RetiredPtr::new(raw, drop_counter, at, 0, size) }
+        // SAFETY: `raw` was just leaked via Box::into_raw and matches the drop function's type.
+        let mut node = unsafe { RetiredPtr::new(raw, drop_fn_for::<DropCounter>(), 0, size) };
+        node.set_stamps(at, 0);
+        node
     }
 
     /// Frees what `can_reclaim` passes: the walk under test, then the

@@ -11,7 +11,7 @@
 //! |------------|--------------|--------------------|
 //! | `manage_qsense_state()` | [`SmrHandle::begin_op`] | call in states where no shared references are held — i.e. at the start of every data-structure operation |
 //! | `assign_HP(node, i)` | [`SmrHandle::protect`] | call before using a reference to a node, then re-validate the reference |
-//! | `free_node_later(node)` | [`SmrHandle::retire`] — the single retire entry point, carrying the node's birth era and allocation size | call where `free` would be called sequentially, after the node is unlinked |
+//! | `free_node_later(node)` | [`SmrHandle::retire`] — the single retire entry point, taking one [`RetiredPtr`]: the node, its destructor, its birth era and its allocation size | call where `free` would be called sequentially, after the node is unlinked |
 //!
 //! ## The allocation-side hook
 //!
@@ -21,11 +21,11 @@
 //! that its lifetime interval `[birth, retire]` can later be tested against
 //! readers' announced eras. [`SmrHandle::alloc_node`] is that hook: data
 //! structures call it at every node allocation site, store the returned stamp
-//! in the node, and pass the stamp back as [`SmrHandle::retire`]'s `birth_era`
-//! when the node is unlinked. For the seven non-era schemes both are free:
-//! `alloc_node` defaults to returning
+//! in the node, and pass the stamp back as the retired node's `birth_era`
+//! ([`RetiredPtr::new`]) when the node is unlinked. For the seven non-era
+//! schemes both are free: `alloc_node` defaults to returning
 //! [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) without touching shared state,
-//! and their `retire` ignores the stamp.
+//! and their `retire` never reads the stamp.
 //!
 //! ## What a scheme writes
 //!
@@ -38,7 +38,7 @@ use crate::budget::BudgetVerdict;
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::limbo::SchemeCore;
 use crate::node_cache::NodeCache;
-use crate::retired::DropFn;
+use crate::retired::{DropFn, RetiredPtr};
 use crate::stats::StatsSnapshot;
 use crate::telemetry::{HandleTelemetry, Telemetry};
 use std::error::Error;
@@ -177,42 +177,32 @@ pub trait SmrHandle: Send {
     /// stalled reader can pin).
     ///
     /// Data structures call this once per node allocation, store the returned
-    /// value in the node, and hand it back as [`retire`](Self::retire)'s
-    /// `birth_era` when the node is unlinked. The default implementation
+    /// value in the node, and hand it back as the `birth_era` of the node they
+    /// [`retire`](Self::retire) when it is unlinked. The default implementation
     /// returns [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) and touches
     /// nothing — the no-op for every non-era scheme.
     fn alloc_node(&mut self) -> Era {
         NO_BIRTH_ERA
     }
 
-    /// Hands an unlinked node to the scheme for deferred reclamation — the paper's
-    /// `free_node_later`, fully stamped: `birth_era` is the value
-    /// [`alloc_node`](Self::alloc_node) returned when the node was created
-    /// (era schemes use it to bound the node's lifetime interval
-    /// `[birth, retire]`; everyone else ignores it) and `size_bytes` its
-    /// allocation size, which feeds the limbo byte accounting. The typed
+    /// Hands an unlinked node to the scheme for deferred reclamation — the
+    /// paper's `free_node_later(node)`. `node` is built once by whoever knows
+    /// the node ([`RetiredPtr::new`]: its destructor, the birth era
+    /// [`alloc_node`](Self::alloc_node) returned — which era schemes use to
+    /// bound its lifetime interval `[birth, retire]` —, and its allocation
+    /// size, which feeds the limbo byte accounting): the typed
     /// [`retire_box`](crate::retire_box) /
     /// [`retire_box_with_birth`](crate::retire_box_with_birth) helpers and the
-    /// guard layer ([`crate::guard::Unlinked::retire`]) fill both in.
+    /// guard layer ([`crate::guard::Unlinked::retire`]). The scheme adds only
+    /// its stamp, its bag and its ladder.
     ///
     /// # Safety
     ///
-    /// * `ptr` must have been unlinked from the data structure before the call (the
-    ///   node is in the *removed* state);
-    /// * the same pointer must not be retired twice;
-    /// * `drop_fn(ptr)` must correctly release the node;
-    /// * `birth_era` must be the stamp `alloc_node` produced for this node, or
-    ///   [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) (always safe: the era
-    ///   schemes treat an unstamped node as born before every announced era);
-    /// * `size_bytes` must not exceed the node's actual allocation size (0 =
-    ///   unknown, never over-stated; counted in
-    ///   [`StatsSnapshot::size_unknown_retires`]) and must leave its top bit
-    ///   (`1 << (usize::BITS - 1)`, above every allocation's size) clear: that
-    ///   bit marks a [`node_cache`](crate::node_cache) block whose `drop_fn`
-    ///   leaves the block to the free stage, and only
-    ///   [`Guard::retire_block`](crate::Guard::retire_block) sets it. A scheme
-    ///   forwards `size_bytes` untouched to its `HandleCore`.
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize);
+    /// `node` meets [`RetiredPtr::new`]'s contract (unlinked, retired once,
+    /// released by its destructor), and its readers are this scheme's: every
+    /// thread that may still reach it does so inside an operation on one of
+    /// this scheme's handles, under its protections.
+    unsafe fn retire(&mut self, node: RetiredPtr);
 
     /// Forces a best-effort reclamation pass over this thread's retired nodes,
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.
@@ -250,11 +240,11 @@ pub trait SmrHandle: Send {
 /// Returns the type-erased destructor for a `Box<T>`-allocated node.
 ///
 /// The returned function reconstructs the `Box` and drops it, releasing the
-/// allocation and running `T`'s destructor.
+/// allocation and running `T`'s destructor; it ignores the node cache.
 pub fn drop_fn_for<T>() -> DropFn {
-    unsafe fn drop_box<T>(ptr: *mut u8) {
-        // SAFETY: the contract of `SmrHandle::retire` guarantees `ptr` originated
-        // from `Box::<T>::into_raw` and is dropped exactly once.
+    unsafe fn drop_box<T>(ptr: *mut u8, _: Option<&mut NodeCache>) {
+        // SAFETY: the contract of `RetiredPtr::new` guarantees `ptr`
+        // originated from `Box::<T>::into_raw` and is dropped exactly once.
         #[allow(clippy::disallowed_methods)]
         // sanctioned: drop_fn_for's generated thunk: the canonical free path
         unsafe {
@@ -288,7 +278,7 @@ mod tests {
         }));
         let f = drop_fn_for::<Tracked>();
         // SAFETY: `raw` was just leaked via Box::into_raw; the drop function matches its type and runs once.
-        unsafe { f(raw.cast()) };
+        unsafe { f(raw.cast(), None) };
         assert_eq!(counter.load(Ordering::SeqCst), 1);
     }
 

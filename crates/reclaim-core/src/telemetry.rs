@@ -474,6 +474,7 @@ impl ScanObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::smr::drop_fn_for;
     use std::sync::atomic::AtomicU64 as TestCounter;
     use std::thread;
 
@@ -609,14 +610,13 @@ mod tests {
         assert_ne!(tele.coarse_now(), 0);
         let obs = tele.scan_observer(0).expect("enabled");
         // An unstamped node (tick 0) is skipped.
-        let unstamped =
-            // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-            unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0, 0, 0) };
+        let boxed = || Box::into_raw(Box::new(7u64)).cast();
+        // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
+        let unstamped = unsafe { RetiredPtr::new(boxed(), drop_fn_for::<u64>(), 0, 0) };
         tele.note_free(0, tele.coarse_now(), &unstamped);
-        let mut stamped =
-            // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-            unsafe { RetiredPtr::new(Box::into_raw(Box::new(7u64)).cast(), drop_u64, 0, 0, 0) };
-        stamped.set_retire_tick(1_000);
+        // SAFETY: as above.
+        let mut stamped = unsafe { RetiredPtr::new(boxed(), drop_fn_for::<u64>(), 0, 0) };
+        stamped.set_stamps(0, 1_000);
         tele.note_free(0, 0, &stamped);
         assert!(
             tele.summary().reclaim_delay_us.is_empty(),
@@ -627,7 +627,7 @@ mod tests {
         // A `now` behind the stamp (a stale cached tick, an adopted node) is
         // no delay; a stamp from before the counter wrapped is a short one.
         tele.note_free(0, 990, &stamped);
-        stamped.set_retire_tick(u32::MAX - 5);
+        stamped.set_stamps(0, u32::MAX - 5);
         tele.note_free(0, 4, &stamped);
         obs.finish();
         let summary = tele.summary();
@@ -640,15 +640,6 @@ mod tests {
             unstamped.reclaim(None);
             stamped.reclaim(None);
         }
-    }
-
-    unsafe fn drop_u64(ptr: *mut u8) {
-        // SAFETY: test pointers originate from Box::into_raw::<u64>.
-        #[allow(clippy::disallowed_methods)]
-        // sanctioned: drop_fn thunk: the retire contract pairs this with Box::into_raw
-        unsafe {
-            drop(Box::from_raw(ptr.cast::<u64>()))
-        };
     }
 
     #[test]

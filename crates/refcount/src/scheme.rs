@@ -1,10 +1,9 @@
 //! The reference-counting scheme object and per-thread handle.
 
 use crate::table::{CountTable, DEFAULT_BUCKETS};
-use reclaim_core::retired::DropFn;
 use reclaim_core::{
-    CapacityExhausted, Era, HandleCore, HandleTelemetry, NodeCache, PtrScratch, RetiredPtr,
-    SchemeCore, SegBag, SegPool, Smr, SmrConfig, SmrHandle,
+    CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, PtrScratch, RetiredPtr, SchemeCore,
+    SegBag, SegPool, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -166,13 +165,10 @@ impl SmrHandle for RefCountHandle {
         }
     }
 
-    unsafe fn retire(&mut self, ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) {
+    unsafe fn retire(&mut self, node: RetiredPtr) {
         let (table, retired) = (&self.scheme.table, &mut self.retired);
         // SAFETY: forwarded from the caller's contract. RC's free rule reads no stamp.
-        unsafe {
-            self.core
-                .retire(retired, ptr, drop_fn, 0, birth_era, size_bytes)
-        };
+        unsafe { self.core.retire(retired, node, 0) };
         self.core
             .after_retire(|core| Self::scan(core, table, retired));
     }

@@ -102,4 +102,7 @@ fn main() {
         "  reclamation path switches: {} to fallback, {} back to fast",
         stats.fallback_switches, stats.fast_path_switches
     );
+    assert!(stats.freed <= stats.retired);
+    assert_eq!(stats.size_unknown_retires, 0);
+    println!("ok: reclamation accounting is consistent");
 }

@@ -2,9 +2,9 @@
 //! retires exclusively through the sized, birth-era-stamped path.
 //!
 //! The guard layer (`reclaim_core::guard`) stamps the allocation size into every
-//! retire ([`Unlinked::retire`] and [`Guard::retire_block`] both call
-//! `SmrHandle::retire` with a non-zero size), and the schemes count any retire that
-//! arrives without a size (`size_bytes == 0`) in
+//! retire ([`Unlinked::retire`] and [`Guard::retire_block`] both hand
+//! `SmrHandle::retire` a `RetiredPtr` of non-zero size), and the schemes count any
+//! retire that arrives without a size (`size_bytes == 0`) in
 //! [`StatsSnapshot::size_unknown_retires`]. These tests churn each structure on
 //! each of the eight schemes and pin that counter at zero — a regression here
 //! means some call site bypassed the sized path and byte-denominated limbo
@@ -151,4 +151,37 @@ fn skiplist_towers_retire_at_their_own_size() {
         heights.map(|height| 32 + 8 * height).sum::<u64>()
     );
     assert_eq!(stats.freed_bytes, stats.retired_bytes, "flushed");
+}
+
+/// A raw retire of any size is only a size: `usize::MAX`, handed to a real
+/// scheme's `SmrHandle::retire`, is booked as `u32::MAX` bytes (clamped, not
+/// wrapped) and its `Box` is freed exactly once, by its own destructor.
+#[test]
+fn an_oversized_raw_retire_is_clamped_and_freed_once() {
+    use reclaim_core::{drop_fn_for, RetiredPtr};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    struct Counted(Arc<AtomicUsize>);
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+    let drops = Arc::new(AtomicUsize::new(0));
+    let scheme = Hazard::new(config());
+    let mut handle = scheme.register();
+    let node = Box::into_raw(Box::new(Counted(Arc::clone(&drops))));
+    // SAFETY: fresh from Box::into_raw, never linked, retired once; the size
+    // is only booked, never used to free.
+    unsafe {
+        let drop_fn = drop_fn_for::<Counted>();
+        handle.retire(RetiredPtr::new(node.cast(), drop_fn, 0, usize::MAX));
+    }
+    handle.flush();
+    let stats = scheme.stats();
+    assert_eq!(stats.retired_bytes, u64::from(u32::MAX));
+    assert_eq!((stats.retired, stats.freed), (1, 1));
+    assert_eq!(stats.freed_bytes, u64::from(u32::MAX));
+    assert_eq!(stats.cached_bytes, 0, "a Box never reaches the cache");
+    drop((handle, scheme));
+    assert_eq!(drops.load(Ordering::SeqCst), 1, "freed exactly once");
 }
