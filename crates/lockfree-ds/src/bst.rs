@@ -408,8 +408,9 @@ where
             // subtrees up), and the seek's protection slots keep `parent` and
             // `leaf` from being freed and re-allocated under us. So clean-edge
             // equality is equivalent to "nothing happened since validation".
-            // The forced schedules in `tests/interleaving_harness.rs` pin both
-            // the leaf-removal and the sibling-removal (parent splice) cases.
+            // The explorer-found schedules replayed in
+            // `tests/interleaving_harness.rs` pin both the leaf-removal and
+            // the sibling-removal (parent splice) cases.
             // SAFETY: `record.parent` protected by the seek.
             let edge = unsafe { Self::child_edge(record.parent, &key) };
             match edge.compare_exchange(leaf, new_internal, Ordering::AcqRel, Ordering::Acquire) {

@@ -9,154 +9,47 @@
 //! validate/CAS boundaries. With the `interleave` feature disabled (the default,
 //! and always the case for release builds: the feature is only enabled by test
 //! targets), `hit` compiles to an empty inline function — zero cost, no
-//! dependencies. With the feature enabled, a test installs a hook for a point
-//! and can park the thread that reaches it, run a conflicting operation to
-//! completion on another thread, and only then let the parked thread take its
-//! CAS — forcing the exact schedule a bug report describes, every run.
+//! dependencies. With the feature enabled, [`set_scheduler`] installs a hook
+//! that observes every pause point and decides when the calling thread may go
+//! on. `crates/reclaim-check`'s explorer is that hook: it serializes model
+//! threads through the pause points and enumerates their interleavings up to a
+//! preemption bound, and a test that needs one schedule — park a thread in its
+//! window, run a conflicting operation to completion, resume — asks it for a
+//! trace with that shape and replays it.
 //!
-//! Two kinds of clients build on the pause points:
-//!
-//! - **Per-point hooks** ([`install`], [`Trap`], [`Counter`]) force *one*
-//!   hand-written schedule: park the victim thread in its window, drive the
-//!   conflicting operation to completion, resume. Installing two hooks at the
-//!   same point is a test bug (the second would silently shadow the first), so
-//!   [`install`] and [`Trap::arm`] panic on conflict; [`try_install`] returns
-//!   the conflict as an error for tests that want to handle it.
-//! - **The scheduler hook** ([`set_scheduler`]) observes *every* pause point on
-//!   participating threads. `crates/reclaim-check`'s explorer uses it to
-//!   serialize model threads and enumerate all interleavings up to a preemption
-//!   bound — the systematic generalization of the one-shot `Trap` choreography.
-//!
-//! Hooks and the scheduler are process-global (the pause points are reached deep
-//! inside data structure internals), so tests that install them must serialize
-//! themselves (e.g. with a shared `Mutex`) if they can run in the same process.
+//! The scheduler is process-global (the pause points are reached deep inside
+//! data structure internals), so its users must serialize themselves; the
+//! explorer does, behind its own lock.
 
-use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 
-/// Fast-path gate: pause points only take the hook lock while at least one hook
-/// is installed, so an instrumented binary with no active test pays one relaxed
-/// load per pause point.
-static ACTIVE_HOOKS: AtomicUsize = AtomicUsize::new(0);
-
-/// Fast-path gate for the scheduler hook, kept separate from [`ACTIVE_HOOKS`]
-/// so per-point traps and a running explorer do not interfere with each other's
-/// accounting.
+/// Fast-path gate: pause points only take the scheduler lock while one is
+/// installed, so an instrumented binary with none pays one load per point.
 static SCHEDULER_ACTIVE: AtomicBool = AtomicBool::new(false);
-
-type Hook = Arc<dyn Fn() + Send + Sync>;
 
 /// A scheduler observes every pause point (the point name is passed through);
 /// it decides when the calling thread may proceed, typically by parking it.
 type Scheduler = Arc<dyn Fn(&'static str) + Send + Sync>;
 
-/// Installed per-point hooks, keyed by pause-point name.
-fn hooks() -> &'static Mutex<HashMap<&'static str, Hook>> {
-    static HOOKS: OnceLock<Mutex<HashMap<&'static str, Hook>>> = OnceLock::new();
-    HOOKS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// The (single) installed scheduler hook.
-fn scheduler() -> &'static Mutex<Option<Scheduler>> {
-    static SCHEDULER: OnceLock<Mutex<Option<Scheduler>>> = OnceLock::new();
-    SCHEDULER.get_or_init(|| Mutex::new(None))
-}
+static SCHEDULER: Mutex<Option<Scheduler>> = Mutex::new(None);
 
 /// A pause point. Structures call this at validate/CAS boundaries; if a
-/// scheduler is set, it runs first (and may park the calling thread until it is
-/// granted a turn); if a test installed a hook for `point`, the hook then runs
-/// on the calling thread (and may block it until the test releases it).
+/// scheduler is set, it runs on the calling thread (and may park it until it
+/// is granted a turn).
 #[inline]
 pub fn hit(point: &'static str) {
-    if SCHEDULER_ACTIVE.load(Ordering::Acquire) {
-        let sched = scheduler()
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(Arc::clone);
-        if let Some(sched) = sched {
-            sched(point);
-        }
-    }
-    if ACTIVE_HOOKS.load(Ordering::Acquire) == 0 {
+    if !SCHEDULER_ACTIVE.load(Ordering::Acquire) {
         return;
     }
-    let hook = hooks()
+    let sched = SCHEDULER
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .get(point)
+        .as_ref()
         .map(Arc::clone);
-    if let Some(hook) = hook {
-        hook();
-    }
-}
-
-/// Error returned by [`try_install`] / [`try_set_scheduler`] when the slot is
-/// already taken. Two traps arming the same point in one test is always a test
-/// bug: the second hook would shadow the first and the first trap's
-/// `wait_for_parked` would hang.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArmConflict {
-    /// The contested pause point (the scheduler conflict uses `"<scheduler>"`).
-    pub point: &'static str,
-}
-
-impl fmt::Display for ArmConflict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "interleave: a hook is already installed at pause point `{}`; \
-             drop the existing HookGuard/Trap before arming another \
-             (hooks are process-global — serialize tests that share points)",
-            self.point
-        )
-    }
-}
-
-impl std::error::Error for ArmConflict {}
-
-/// Uninstalls its hook on drop.
-pub struct HookGuard {
-    point: &'static str,
-}
-
-impl Drop for HookGuard {
-    fn drop(&mut self) {
-        let mut map = hooks().lock().unwrap_or_else(|e| e.into_inner());
-        if map.remove(self.point).is_some() {
-            ACTIVE_HOOKS.fetch_sub(1, Ordering::Release);
-        }
-    }
-}
-
-/// Installs `hook` at `point`. The hook runs on whichever thread reaches the
-/// point. Returns [`ArmConflict`] if a hook is already installed there —
-/// layering hooks at one point silently breaks whichever trap armed first.
-pub fn try_install(
-    point: &'static str,
-    hook: impl Fn() + Send + Sync + 'static,
-) -> Result<HookGuard, ArmConflict> {
-    let mut map = hooks().lock().unwrap_or_else(|e| e.into_inner());
-    if map.contains_key(point) {
-        return Err(ArmConflict { point });
-    }
-    map.insert(point, Arc::new(hook));
-    ACTIVE_HOOKS.fetch_add(1, Ordering::Release);
-    Ok(HookGuard { point })
-}
-
-/// Installs `hook` at `point`, panicking if a hook is already installed there.
-///
-/// # Panics
-///
-/// Panics with a clear diagnostic on a double-install — see [`try_install`] for
-/// the fallible variant.
-pub fn install(point: &'static str, hook: impl Fn() + Send + Sync + 'static) -> HookGuard {
-    match try_install(point, hook) {
-        Ok(guard) => guard,
-        Err(conflict) => panic!("{conflict}"),
+    if let Some(sched) = sched {
+        sched(point);
     }
 }
 
@@ -167,7 +60,7 @@ pub struct SchedulerGuard {
 
 impl Drop for SchedulerGuard {
     fn drop(&mut self) {
-        let mut slot = scheduler().lock().unwrap_or_else(|e| e.into_inner());
+        let mut slot = SCHEDULER.lock().unwrap_or_else(|e| e.into_inner());
         SCHEDULER_ACTIVE.store(false, Ordering::Release);
         *slot = None;
     }
@@ -175,226 +68,30 @@ impl Drop for SchedulerGuard {
 
 /// Installs the process-global scheduler hook: `sched` is called with the point
 /// name at **every** pause point on every thread until the returned guard
-/// drops. At most one scheduler can be active; a second [`try_set_scheduler`]
-/// returns [`ArmConflict`] (explorers must serialize, exactly like traps).
-pub fn try_set_scheduler(
-    sched: impl Fn(&'static str) + Send + Sync + 'static,
-) -> Result<SchedulerGuard, ArmConflict> {
-    let mut slot = scheduler().lock().unwrap_or_else(|e| e.into_inner());
-    if slot.is_some() {
-        return Err(ArmConflict {
-            point: "<scheduler>",
-        });
-    }
+/// drops.
+///
+/// # Panics
+///
+/// Panics if a scheduler is already installed: at most one can be active, so
+/// its users must serialize.
+pub fn set_scheduler(sched: impl Fn(&'static str) + Send + Sync + 'static) -> SchedulerGuard {
+    let mut slot = SCHEDULER.lock().unwrap_or_else(|e| e.into_inner());
+    assert!(
+        slot.is_none(),
+        "interleave: a scheduler is already installed; drop its guard first"
+    );
     *slot = Some(Arc::new(sched));
     SCHEDULER_ACTIVE.store(true, Ordering::Release);
-    Ok(SchedulerGuard { _private: () })
-}
-
-/// Panicking variant of [`try_set_scheduler`].
-pub fn set_scheduler(sched: impl Fn(&'static str) + Send + Sync + 'static) -> SchedulerGuard {
-    match try_set_scheduler(sched) {
-        Ok(guard) => guard,
-        Err(conflict) => panic!("{conflict}"),
-    }
-}
-
-#[derive(Default)]
-struct TrapState {
-    /// Number of threads that have reached the point so far.
-    arrivals: usize,
-    /// True once the test has released the trap; later arrivals pass through.
-    released: bool,
-}
-
-/// A one-shot rendezvous at a pause point: the **first** thread to reach the
-/// point parks until [`release`](Trap::release); every later (or post-release)
-/// arrival passes straight through. This is the shape every forced schedule in
-/// this repo needs — park the victim thread in its window once, drive the
-/// conflicting operation to completion, resume.
-pub struct Trap {
-    state: Arc<(Mutex<TrapState>, Condvar)>,
-    _guard: HookGuard,
-}
-
-impl Trap {
-    /// Arms a one-shot trap at `point`, panicking if the point already has a
-    /// hook (see [`Trap::try_arm`]).
-    pub fn arm(point: &'static str) -> Self {
-        match Self::try_arm(point) {
-            Ok(trap) => trap,
-            Err(conflict) => panic!("{conflict}"),
-        }
-    }
-
-    /// Arms a one-shot trap at `point`; returns [`ArmConflict`] if the point
-    /// already has a hook installed.
-    pub fn try_arm(point: &'static str) -> Result<Self, ArmConflict> {
-        let state = Arc::new((Mutex::new(TrapState::default()), Condvar::new()));
-        let hook_state = Arc::clone(&state);
-        let guard = try_install(point, move || {
-            let (lock, cvar) = &*hook_state;
-            let mut s = lock.lock().unwrap_or_else(|e| e.into_inner());
-            s.arrivals += 1;
-            if s.arrivals > 1 || s.released {
-                return; // one-shot: only the first arrival parks
-            }
-            cvar.notify_all(); // wake `wait_for_parked`
-            while !s.released {
-                s = cvar.wait(s).unwrap_or_else(|e| e.into_inner());
-            }
-        })?;
-        Ok(Self {
-            state,
-            _guard: guard,
-        })
-    }
-
-    /// Blocks until a thread is parked at the point (i.e. the window is open).
-    pub fn wait_for_parked(&self) {
-        let (lock, cvar) = &*self.state;
-        let mut s = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while s.arrivals == 0 {
-            s = cvar.wait(s).unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    /// Releases the parked thread (and lets every future arrival pass through).
-    pub fn release(&self) {
-        let (lock, cvar) = &*self.state;
-        let mut s = lock.lock().unwrap_or_else(|e| e.into_inner());
-        s.released = true;
-        cvar.notify_all();
-    }
-
-    /// How many times the point has been reached so far.
-    pub fn arrivals(&self) -> usize {
-        let (lock, _) = &*self.state;
-        lock.lock().unwrap_or_else(|e| e.into_inner()).arrivals
-    }
-}
-
-/// Counts hits at a pause point without blocking anyone (for asserting that a
-/// forced schedule actually drove the code through the instrumented window).
-pub struct Counter {
-    count: Arc<AtomicUsize>,
-    _guard: HookGuard,
-}
-
-impl Counter {
-    /// Installs a counting hook at `point`, panicking on conflict like
-    /// [`install`].
-    pub fn arm(point: &'static str) -> Self {
-        let count = Arc::new(AtomicUsize::new(0));
-        let hook_count = Arc::clone(&count);
-        let guard = install(point, move || {
-            hook_count.fetch_add(1, Ordering::Relaxed);
-        });
-        Self {
-            count,
-            _guard: guard,
-        }
-    }
-
-    /// Number of times the point has been hit since arming.
-    pub fn count(&self) -> usize {
-        self.count.load(Ordering::Relaxed)
-    }
-}
-
-/// Whether any hook is currently installed (diagnostics).
-pub fn any_active() -> bool {
-    ACTIVE_HOOKS.load(Ordering::Acquire) != 0
+    SchedulerGuard { _private: () }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::thread;
-
-    // The hook registry is process-global; these unit tests use distinct point
-    // names so they can run concurrently with each other.
 
     #[test]
     fn hit_without_hooks_is_a_no_op() {
         hit("interleave::test::never-installed");
-    }
-
-    #[test]
-    fn install_and_drop_toggle_activity() {
-        let before = ACTIVE_HOOKS.load(Ordering::Acquire);
-        let guard = install("interleave::test::toggle", || {});
-        assert!(ACTIVE_HOOKS.load(Ordering::Acquire) > before);
-        drop(guard);
-        assert_eq!(ACTIVE_HOOKS.load(Ordering::Acquire), before);
-    }
-
-    #[test]
-    fn double_install_is_a_clear_error_and_first_hook_survives() {
-        let count = Arc::new(AtomicUsize::new(0));
-        let hook_count = Arc::clone(&count);
-        let first = install("interleave::test::conflict", move || {
-            hook_count.fetch_add(1, Ordering::Relaxed);
-        });
-        let err = try_install("interleave::test::conflict", || {})
-            .err()
-            .expect("second install at the same point must be rejected");
-        assert_eq!(err.point, "interleave::test::conflict");
-        assert!(err.to_string().contains("interleave::test::conflict"));
-        // The rejected install must not have disturbed the original hook.
-        hit("interleave::test::conflict");
-        assert_eq!(count.load(Ordering::Relaxed), 1, "first hook still live");
-        drop(first);
-        hit("interleave::test::conflict");
-        assert_eq!(count.load(Ordering::Relaxed), 1, "now uninstalled");
-        // The slot is free again after the guard drops.
-        let _again = install("interleave::test::conflict", || {});
-    }
-
-    #[test]
-    fn trap_arm_conflict_panics_with_point_name() {
-        let _first = Trap::arm("interleave::test::trap-conflict");
-        let second = Trap::try_arm("interleave::test::trap-conflict");
-        assert!(second.is_err());
-        let panic = std::panic::catch_unwind(|| {
-            let _ = Trap::arm("interleave::test::trap-conflict");
-        })
-        .expect_err("arming over a live trap must panic");
-        let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
-        assert!(
-            msg.contains("interleave::test::trap-conflict"),
-            "panic must name the contested point, got: {msg}"
-        );
-    }
-
-    #[test]
-    fn counter_counts_hits() {
-        let counter = Counter::arm("interleave::test::counter");
-        hit("interleave::test::counter");
-        hit("interleave::test::counter");
-        assert_eq!(counter.count(), 2);
-    }
-
-    #[test]
-    fn trap_parks_first_arrival_until_release() {
-        let trap = Trap::arm("interleave::test::trap");
-        let worker = thread::spawn(|| {
-            hit("interleave::test::trap");
-            hit("interleave::test::trap"); // second arrival passes through
-        });
-        trap.wait_for_parked();
-        assert_eq!(trap.arrivals(), 1);
-        trap.release();
-        worker.join().unwrap();
-        assert_eq!(trap.arrivals(), 2);
-    }
-
-    #[test]
-    fn released_trap_never_blocks() {
-        let trap = Trap::arm("interleave::test::released");
-        trap.release();
-        hit("interleave::test::released"); // must not deadlock
-        assert_eq!(trap.arrivals(), 1);
     }
 
     #[test]
@@ -407,7 +104,7 @@ mod tests {
                 .unwrap_or_else(|e| e.into_inner())
                 .push(point);
         });
-        assert!(try_set_scheduler(|_| {}).is_err());
+        assert!(std::panic::catch_unwind(|| set_scheduler(|_| {})).is_err());
         hit("interleave::test::sched-a");
         hit("interleave::test::sched-b");
         {

@@ -198,7 +198,7 @@ impl<K: Ord, V> Chain<K, V> {
             // successful CAS bumps the link version, so even a pointer that
             // ABA'd back fails the stale CAS. `curr`'s slot keeps it from
             // being freed and re-allocated under us, the other slot keeps
-            // `prev`'s node. The forced schedules in
+            // `prev`'s node. The explorer-found schedules replayed in
             // `tests/interleaving_harness.rs` pin both neighbour removals.
             match s.prev.cas_link(s.curr, node) {
                 Ok(_) => return true,

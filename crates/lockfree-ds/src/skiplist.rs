@@ -57,9 +57,10 @@
 //!    all of this: no upper level ever existed for them.
 //!
 //! The full interleaving argument lives in `reclaim-core`'s crate docs
-//! ("Skip-list linking safety argument"); the deterministic regression schedule
-//! lives in `tests/interleaving_harness.rs`, driven through this file's
-//! [`interleave`](crate::interleave) pause points.
+//! ("Skip-list linking safety argument"); the regression schedule, found by the
+//! `reclaim-check` explorer through this file's
+//! [`interleave`](crate::interleave) pause points and replayed, lives in
+//! `tests/interleaving_harness.rs`.
 //!
 //! ## Hazard-pointer budget
 //!
@@ -530,7 +531,8 @@ where
                 {
                     // Pause point: the remove-between-search-and-CAS window. A
                     // complete `remove` of `node` driven through here is the
-                    // upper-level re-link race the interleaving harness forces.
+                    // upper-level re-link race `tests/interleaving_harness.rs`
+                    // replays.
                     crate::interleave::hit("skiplist::insert::upper::pre_link_cas");
                     // Validate-on-link (module docs): a remove that completed
                     // since `result` read this word has snipped through it or

@@ -20,8 +20,8 @@
 //! away from a still-runnable thread more than `preemption_bound` times are
 //! skipped. Most reclamation bugs need only one or two preemptions (open a
 //! window, act inside it), so a bound of 2 explores a tiny fraction of the
-//! exponential schedule space while still covering the protocol races this
-//! repo has historically hand-forced.
+//! exponential schedule space while still covering every validate-then-CAS
+//! window `tests/interleaving_harness.rs` forces.
 //!
 //! A failing schedule is reported as a replayable [`Failure`]: the exact
 //! pause-point trace plus the thread-id sequence that [`Explorer::replay`]
@@ -352,7 +352,7 @@ fn panic_text(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// The pause-point registry and the scheduler slot are process-global, so two
+/// The scheduler slot is process-global (a second `set_scheduler` panics), so
 /// explorations must never overlap; every public entry point holds this lock.
 fn explorer_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -422,8 +422,7 @@ impl Explorer {
     }
 
     /// Like [`explore`](Self::explore), but also stops at the first *clean*
-    /// schedule whose trace satisfies `found`, returning that trace. Used to
-    /// recover historically hand-forced schedules as explorer-found traces.
+    /// schedule whose trace satisfies `found`, returning that trace.
     ///
     /// Returns `Err` on a failing schedule, `Ok(None)` if the bounded space
     /// was exhausted (or truncated) without a match.

@@ -9,7 +9,8 @@
 //!   serializes 2–3 model threads through the `lockfree_ds::interleave` pause
 //!   points and enumerates every interleaving up to a preemption bound
 //!   (default 2) by iterative DFS with prefix replay. Failures come back as
-//!   the exact pause-point schedule, replayable with [`Explorer::replay`].
+//!   the exact pause-point schedule, replayable with [`Explorer::replay`] —
+//!   how the root `tests/interleaving_harness.rs` pins each structure's window.
 //! * [`suites`] — small deterministic scenarios for every structure
 //!   (list/skiplist/bst unlink windows, queue/stack ABA windows) under every
 //!   reclamation scheme: 5 × 8 cells the CI `check` job explores clean.
@@ -21,7 +22,7 @@
 //!   EBR pay their fence (`reclaim_core::fence`).
 //! * `fixture` *(feature `check-oracle`)* — the pre-versioned-link skip
 //!   list linking bug resurrected in a two-level model, proving the explorer
-//!   finds the historical re-link UAF without a hand-written schedule.
+//!   and the oracle convict the historical re-link UAF unaided.
 //!
 //! With the `check-oracle` feature the explored schedules additionally run
 //! against `reclaim_core::oracle`'s shadow heap: every allocation, retire and

@@ -5,8 +5,8 @@
 //! `ε`. Here that wait is counted in completed rooster wake-ups, not nanoseconds
 //! ([`BarrierLedger`](crate::fence::BarrierLedger)), and no retire reads a clock.
 //! What still runs on wall time — QSense's eviction timeout, the budget governor's
-//! time-over-budget stopwatch, telemetry's latency and delay histograms — reads it
-//! through [`Clock`], so that
+//! time-over-budget stopwatch — reads it through [`Clock`] (telemetry's histograms
+//! read `Instant::now()` against their own origin, [`crate::telemetry`]), so that
 //!
 //! * production code uses a monotonic real-time clock ([`Clock::real`]), and
 //! * tests drive a [`ManualClock`] by hand, making eviction — and the QSense

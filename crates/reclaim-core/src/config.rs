@@ -83,7 +83,7 @@ pub struct SmrConfig {
     /// ([`crate::telemetry`]): guard-bracket op latency sampled 1 op in
     /// 2^[`OP_SAMPLE_SHIFT`](crate::telemetry::OP_SAMPLE_SHIFT), scan
     /// duration, and the retire→free delay distribution. Off by default —
-    /// disabled, every record site costs exactly one relaxed load.
+    /// disabled, every record site costs exactly one flag load.
     pub telemetry: bool,
     /// Time source; swap in a manual clock for deterministic tests.
     pub clock: Clock,
@@ -263,7 +263,7 @@ mod tests {
         );
         assert!(
             !cfg.telemetry,
-            "telemetry is opt-in; the default must keep record sites to one relaxed load"
+            "telemetry is opt-in; the default must keep record sites to one flag load"
         );
     }
 

@@ -128,7 +128,7 @@ pub struct Guard<'h, H: SmrHandle> {
     /// scheme's telemetry chose to time
     /// ([`HandleTelemetry::op_begin`](crate::telemetry::HandleTelemetry::op_begin));
     /// the drop records the bracket's elapsed time. Always `None` — one
-    /// relaxed load — when telemetry is disabled.
+    /// flag load — when telemetry is disabled.
     op_start: Option<std::time::Instant>,
     _marker: PhantomData<&'h mut H>,
 }

@@ -62,8 +62,8 @@
 //! * low-level utilities: [`pad::CachePadded`];
 //! * the [`leaky::Leaky`] "scheme" (no reclamation at all), the paper's *None*
 //!   baseline;
-//! * [`config::SmrConfig`] holding every tunable the paper names
-//!   (`Q`, `R`, `C`, `K`, `T`, `ε`, `N`).
+//! * [`config::SmrConfig`] holding the paper's tunables `Q`, `R`, `C`, `K`,
+//!   `T` and `N` (its seventh, `ε`, needs no field: [`config`]).
 //!
 //! The data structures in `lockfree-ds` are generic over [`Smr`], so any scheme can be
 //! plugged into any structure exactly as in the paper's evaluation.
@@ -132,7 +132,7 @@
 //! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s | identical to [`smr::SmrHandle::retire`] |
 //! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool, scratch and node cache on the scheme's [`limbo::SchemeCore`]; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
-//! | per op, telemetry **disabled** (the default) | one relaxed load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-mostly padded line shared by all record sites |
+//! | per op, telemetry **disabled** (the default) | one load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-only line shared by all record sites |
 //! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
 //!
 //! ## Observability
@@ -169,7 +169,7 @@
 //!   quiesce — the histogram analog of the `retired >= freed` guarantee
 //!   [`stats::StatStripe::merge_into`] gives the counters.
 //!
-//! Disabled (the default), every record site is **one relaxed load**;
+//! Disabled (the default), every record site is **one flag load**;
 //! `qsense-bench --figure telemetry-off,telemetry-on` runs the same
 //! retire-bound cell both ways.
 //!
@@ -321,9 +321,9 @@
 //! dangerous wrap requires one traversal to stall across ≥ 32 768 successful
 //! unlink/re-link cycles of one node its own protection keeps alive — and
 //! retired nodes, the only dangerous targets, are never re-linked at all. The
-//! deterministic regression schedule (which re-linked a retired node on the
-//! pre-versioned skip list under hp, cadence, he and qsense alike) lives in
-//! `tests/interleaving_harness.rs`.
+//! regression schedule (which re-linked a retired node on the pre-versioned
+//! skip list under hp, cadence, he and qsense alike) is found by the explorer
+//! and replayed in `tests/interleaving_harness.rs`.
 //!
 //! ## Verification
 //!
@@ -376,9 +376,10 @@
 //! `reclaim_check::litmus`). Every failure report carries the exact
 //! `thread@pause-point` schedule that produced it; to pin one as a
 //! regression, paste the trace into `reclaim_check::Explorer::replay`, which
-//! re-runs that single schedule deterministically (see
-//! `crates/reclaim-check/tests/replayed_schedules.rs` for the PR 4 races
-//! re-found this way).
+//! re-runs that single schedule deterministically. `tests/interleaving_harness.rs`
+//! pins every structure's validate-then-CAS window this way: the explorer
+//! finds a schedule crossing it (`Explorer::explore_until`), the test replays
+//! it and asserts on the trace.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -4,8 +4,8 @@
 //! The paper's QSense interface consists of exactly three functions
 //! (`manage_qsense_state`, `assign_HP`, `free_node_later`) plus the rule set in §1.3
 //! that says where to call them. This trait pair is the Rust rendering of that
-//! interface, generalized so that every scheme in the evaluation (None, QSBR, HP,
-//! Cadence, QSense) implements it and the data structures stay scheme-agnostic:
+//! interface, generalized so that all eight schemes (None, QSBR, EBR, HE, HP,
+//! Cadence, QSense, RC) implement it and the data structures stay scheme-agnostic:
 //!
 //! | paper call | trait method | rule (paper §1.3) |
 //! |------------|--------------|--------------------|
@@ -110,8 +110,8 @@ pub trait Smr: Send + Sync + 'static {
     /// stripes, budget governor and telemetry, which everything below reads.
     fn core(&self) -> &SchemeCore<Self::Scratch>;
 
-    /// A short human-readable scheme name used by the benchmark harness
-    /// (`"none"`, `"qsbr"`, `"hp"`, `"cadence"`, `"qsense"`).
+    /// A short human-readable scheme name used by the benchmark harness (`"none"`,
+    /// `"qsbr"`, `"ebr"`, `"he"`, `"hp"`, `"cadence"`, `"qsense"`, `"rc"`).
     fn name(&self) -> &'static str {
         self.core().name()
     }
@@ -228,7 +228,7 @@ pub trait SmrHandle: Send {
     /// ([`HandleCore::tele`](crate::limbo::HandleCore::tele)).
     /// [`crate::guard::Guard`] brackets every operation with its
     /// [`op_begin`](HandleTelemetry::op_begin) /
-    /// [`op_end`](HandleTelemetry::op_end): one relaxed load when telemetry is
+    /// [`op_end`](HandleTelemetry::op_end): one flag load when telemetry is
     /// disabled.
     fn telemetry_cursor(&mut self) -> HandleTelemetry<'_>;
 

@@ -56,9 +56,9 @@
 //! ## Disabled-path guarantee
 //!
 //! Telemetry is off by default. Every record site — op begin, retire stamp,
-//! scan begin — first performs exactly **one relaxed load** of the `enabled`
-//! flag (a read-mostly cache line shared with the histogram origin) and
-//! branches away. No `Instant` is read, no stripe is touched, no stamp is
+//! scan begin — first performs exactly **one load** of the `enabled` flag (a
+//! read-only field, set at construction, on the line of the histogram origin)
+//! and branches away. No `Instant` is read, no stripe is touched, no stamp is
 //! written. `qsense-bench --figure telemetry-off,telemetry-on` measures both
 //! paths on the retire-bound queue.
 //!
@@ -77,7 +77,7 @@
 use crate::config::SmrConfig;
 use crate::pad::CachePadded;
 use crate::retired::RetiredPtr;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of log2 buckets per histogram: one per `u64` bit position.
@@ -266,9 +266,9 @@ pub const OP_SAMPLE_SHIFT: u32 = 7;
 /// [`SchemeCore`](crate::limbo::SchemeCore); handles record through
 /// [`HandleTelemetry`] cursors.
 pub struct Telemetry {
-    /// Read-mostly: every record site loads this (relaxed) exactly once and
+    /// Fixed at construction: every record site reads it exactly once and
     /// branches away when telemetry is off.
-    enabled: AtomicBool,
+    enabled: bool,
     /// `ops & sample_mask == 0` selects the sampled ops: `(1 << shift) - 1`.
     sample_mask: u32,
     /// Origin of the coarse tick; also the precise-clock anchor.
@@ -289,7 +289,7 @@ impl Telemetry {
     /// shift (sample 1 op in `2^shift`; shift is clamped to 31).
     pub fn new(enabled: bool, sample_shift: u32) -> Self {
         Self {
-            enabled: AtomicBool::new(enabled),
+            enabled,
             sample_mask: (1u32 << sample_shift.min(31)) - 1,
             origin: Instant::now(),
             op_latency: LogHistogram::new(),
@@ -298,16 +298,10 @@ impl Telemetry {
         }
     }
 
-    /// Whether record sites are live. One relaxed load.
+    /// Whether record sites are live. One load.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Turns recording on or off at runtime. Record sites notice on their
-    /// next relaxed load; stamps written while enabled remain valid.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        self.enabled
     }
 
     /// The coarse monotonic tick: microseconds since scheme construction,
@@ -331,7 +325,7 @@ impl Telemetry {
         }
     }
 
-    /// Begins observing one scan: one relaxed load when disabled, otherwise a
+    /// Begins observing one scan: one flag load when disabled, otherwise a
     /// probe carrying the scan's start instant, for [`ScanObserver::finish`]
     /// to record when the pass is done.
     #[inline]
@@ -396,7 +390,7 @@ pub(crate) struct CursorState {
 /// The per-handle recording cursor: the handle's sampling counter and tick
 /// cache together with the scheme's [`Telemetry`] and the handle's stripe, all
 /// borrowed through the handle's core for the length of one call. All methods
-/// are one relaxed load when telemetry is disabled.
+/// are one flag load when telemetry is disabled.
 pub struct HandleTelemetry<'a> {
     shared: &'a Telemetry,
     stripe: usize,
@@ -412,7 +406,7 @@ impl<'a> HandleTelemetry<'a> {
         }
     }
 
-    /// Op-bracket entry: one relaxed load when disabled; when enabled, counts
+    /// Op-bracket entry: one flag load when disabled; when enabled, counts
     /// the op and reads `Instant::now()` for the 1-in-N sampled ops only.
     #[inline]
     pub fn op_begin(&mut self) -> Option<Instant> {
@@ -438,8 +432,8 @@ impl<'a> HandleTelemetry<'a> {
         self.shared.record_op_latency(self.stripe, nanos);
     }
 
-    /// The retire-time telemetry tick for a [`RetiredPtr`]: 0 (one
-    /// relaxed load) when disabled, otherwise the cached coarse tick. The
+    /// The retire-time telemetry tick for a [`RetiredPtr`]: 0 (one flag
+    /// load) when disabled, otherwise the cached coarse tick. The
     /// cache re-reads the clock every [`TICK_REFRESH`] retires (and whenever
     /// a sampled op refreshes it for free), so the per-retire cost between
     /// refreshes is the flag load, a counter bump, and one `u32` copy.
@@ -662,17 +656,5 @@ mod tests {
         let started = cursor.op_begin().expect("shift 0 samples every op");
         cursor.op_end(started);
         assert!(cursor.retire_tick() > last, "op sample advanced the cache");
-    }
-
-    #[test]
-    fn set_enabled_toggles_record_sites() {
-        let tele = Telemetry::new(false, 0);
-        let mut state = CursorState::default();
-        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
-        assert!(cursor.op_begin().is_none());
-        tele.set_enabled(true);
-        assert!(cursor.op_begin().is_some());
-        tele.set_enabled(false);
-        assert!(cursor.op_begin().is_none());
     }
 }

@@ -90,6 +90,21 @@ impl OpGenerator {
     }
 }
 
+/// SplitMix64: the small seedable generator behind the fault plans' random
+/// delays and the server soak's sessions. Statistical quality is irrelevant
+/// there — reproducibility per seed is the requirement.
+pub(crate) struct SplitMix64(pub(crate) u64);
+
+impl SplitMix64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

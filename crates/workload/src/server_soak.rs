@@ -26,6 +26,7 @@
 //! every scheme in the matrix — `qsense-bench --figure server-soak` records the
 //! four facade schemes (hp, cadence, qsense, he) into `BENCH_server_soak.json`.
 
+use crate::generator::SplitMix64;
 use crate::spec::Structure;
 use crate::structures::config_for;
 use crate::SchemeKind;
@@ -131,15 +132,6 @@ impl ServerSoakResult {
     }
 }
 
-/// splitmix64: one multiply-shift-xor chain per draw, deterministic per seed.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 fn soak<S: Smr>(scheme: Arc<S>, spec: &ServerSoakSpec) -> ServerSoakResult {
     let list = Arc::new(LockFreeSkipList::<u64, S>::new(Arc::clone(&scheme)));
     // Pre-fill to half the range with a transient handle, then release its
@@ -181,9 +173,10 @@ fn soak<S: Smr>(scheme: Arc<S>, spec: &ServerSoakSpec) -> ServerSoakResult {
                             pool.checkout().expect("wait policy never errors")
                         }
                     };
-                    let mut rng = spec.seed ^ (ticket as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93);
+                    let mut rng =
+                        SplitMix64(spec.seed ^ (ticket as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
                     for _ in 0..spec.ops_per_session {
-                        let draw = splitmix64(&mut rng);
+                        let draw = rng.next_u64();
                         let key = draw % spec.key_range;
                         match (draw >> 32) % 4 {
                             0 => {

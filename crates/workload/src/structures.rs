@@ -117,7 +117,7 @@ pub trait BenchSet: Send + Sync {
     /// Latency/delay histograms (empty when telemetry was not enabled in the
     /// config).
     fn telemetry_summary(&self) -> TelemetrySummary;
-    /// Scheme name ("none", "qsbr", "hp", "cadence", "qsense").
+    /// Scheme name ("none", "qsbr", "hp", "cadence", "qsense", "ebr", "he", "rc").
     fn scheme_name(&self) -> &'static str;
     /// Structure name ("linked-list", "skip-list", "bst").
     fn structure_name(&self) -> &'static str;
