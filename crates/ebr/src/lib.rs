@@ -21,8 +21,8 @@
 //! answers and never configured: where `membarrier(PRIVATE_EXPEDITED)` works,
 //! a pin is a plain store and a compiler fence, and the thread that tries to
 //! advance the epoch runs the hardware fence for every reader with one
-//! barrier per attempt (attempts are batched ×8 to amortise it); everywhere
-//! else a pin is a store and a `SeqCst` fence.
+//! barrier per attempt (an attempt every `R` retires, as under the other
+//! protocol); everywhere else a pin is a store and a `SeqCst` fence.
 //!
 //! Like QSBR it is *blocking* in the paper's sense — a thread delayed in the middle
 //! of an operation stops all reclamation — so it cannot replace the Cadence fallback

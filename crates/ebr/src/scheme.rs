@@ -68,10 +68,8 @@ impl Ebr {
     /// tests, which run both on every kernel. Naming
     /// [`FenceStrategy::ScannerBarrier`] on a kernel without the expedited
     /// barrier is safe and useless: every advance is refused and nothing is
-    /// ever freed. [`FenceStrategy::Rooster`] is not a protocol of EBR, which
-    /// keeps no ledger for a rooster to raise: named, it runs — and reports,
-    /// and batches its advances as — scanner-barrier, the advancer paying for
-    /// the compiler-fenced pins itself.
+    /// ever freed. [`FenceStrategy::Rooster`], not a protocol of EBR (no
+    /// ledger for a rooster to raise), runs and reports as scanner-barrier.
     pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
         let strategy = match strategy {
             FenceStrategy::Rooster => FenceStrategy::ScannerBarrier,
@@ -79,7 +77,7 @@ impl Ebr {
         };
         let registry = Registry::new(config.max_threads, |_| PinRecord::new());
         Arc::new(Self {
-            core: SchemeCore::with_scan_batch("ebr", config, strategy.scan_batch()),
+            core: SchemeCore::new("ebr", config),
             global_epoch: GlobalEpoch::new(),
             registry,
             strategy,
@@ -524,17 +522,18 @@ mod tests {
 
     #[test]
     fn naming_rooster_runs_reports_and_batches_scanner_barrier() {
-        let config = SmrConfig::default().with_scan_threshold(10);
+        const R: usize = 10;
+        let config = SmrConfig::default().with_scan_threshold(R);
         let scheme = Ebr::with_fence_strategy(config, FenceStrategy::Rooster);
         assert_eq!(scheme.fence_strategy(), FenceStrategy::ScannerBarrier);
         let mut handle = scheme.register();
-        let batch = 10 * FenceStrategy::ScannerBarrier.scan_batch();
-        for retired in 1..=batch {
+        // One attempt, and its barrier, at the `R`th retire.
+        for retired in 1..=R {
             handle.begin_op();
             // SAFETY: the pointer comes fresh from `Box::into_raw` and is retired exactly once.
             unsafe { retire_box(&mut handle, Box::into_raw(Box::new(0u64))) };
             handle.end_op();
-            let attempts = u64::from(retired == batch);
+            let attempts = u64::from(retired == R);
             assert_eq!(barriers(&scheme).0, attempts, "after {retired} retires");
         }
     }

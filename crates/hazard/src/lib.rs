@@ -25,12 +25,9 @@
 //!   retire and its snapshot — the kernel runs the fence on every CPU a sibling
 //!   thread occupies. A publication is then either drained before the snapshot,
 //!   or was issued after the barrier, in which case its validation load also
-//!   follows the barrier, sees the unlink and fails. The barrier costs the
-//!   scanner microseconds, so threshold scans run every `R ×`
-//!   [`SCANNER_BARRIER_SCAN_BATCH`](reclaim_core::fence::SCANNER_BARRIER_SCAN_BATCH)
-//!   retires (a limbo-budget crossing still forces one at once), the
-//!   per-handle pool is pre-sized for that batch, and a scan whose newest node
-//!   a sibling's barrier already covers skips its own
+//!   follows the barrier, sees the unlink and fails. Threshold scans run every
+//!   `R` retires, as under every protocol; a scan whose newest node a
+//!   sibling's barrier already covers skips its own
 //!   ([`BarrierLedger`](reclaim_core::BarrierLedger)). A scan whose barrier the
 //!   kernel refuses frees nothing new. `StatsSnapshot::traversal_fences` reads
 //!   0; `heavy_barriers` counts the barriers scans issued.
@@ -57,8 +54,8 @@
 //! Layout: every registered thread owns `K` single-writer multi-reader hazard-pointer
 //! slots in a shared [`Registry`](reclaim_core::Registry), in 128-byte blocks no
 //! two threads share. Retired nodes accumulate in a thread-local segment-chain bag
-//! ([`reclaim_core::SegBag`]); every `R` retirements (times the scan batch) the
-//! owner runs [`scan`](reclaim_core::SmrHandle::flush), which snapshots all `N·K` hazard
+//! ([`reclaim_core::SegBag`]); every `R` retirements the owner runs
+//! [`scan`](reclaim_core::SmrHandle::flush), which snapshots all `N·K` hazard
 //! pointers and frees every covered retired node not present in the snapshot
 //! (Michael's wait-free scan).
 
@@ -132,9 +129,8 @@ mod tests {
             let snap = scheme.stats();
             assert_eq!(snap.retired, 8);
             assert_eq!(snap.freed, 8);
-            // Two threshold scans and the flush, or (8 < 4 x batch) the flush alone.
-            let scans = if strategy.scan_batch() == 1 { 3 } else { 1 };
-            assert_eq!(snap.scans, scans, "{strategy:?}");
+            // Two threshold scans and the flush.
+            assert_eq!(snap.scans, 3, "{strategy:?}");
         });
     }
 
@@ -196,12 +192,12 @@ mod tests {
     fn scan_threshold_triggers_automatic_scans() {
         under_both_protocols(|strategy| {
             let drops = Arc::new(AtomicUsize::new(0));
-            let config = SmrConfig::default().with_scan_threshold(10);
+            // One scan per `R` retires, under either protocol.
+            const R: usize = 10;
+            let config = SmrConfig::default().with_scan_threshold(R);
             let scheme = Hazard::with_fence_strategy(config, strategy);
             let mut handle = scheme.register();
-            // One scan per `scan_threshold` retires, times the protocol's batch.
-            let due = 10 * strategy.scan_batch();
-            for _ in 0..due - 1 {
+            for _ in 0..R - 1 {
                 // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
                 unsafe { retire_box(&mut handle, tracked(&drops)) };
             }
@@ -214,20 +210,17 @@ mod tests {
             unsafe { retire_box(&mut handle, tracked(&drops)) };
             assert_eq!(scheme.stats().scans, 1, "threshold reached: scan runs");
             assert_eq!(drops.load(Ordering::SeqCst), 0, "it proves; retires free");
-            for retires in 1..=due / 2 {
+            for retires in 1..=R / 2 {
                 // SAFETY: as above.
                 unsafe { retire_box(&mut handle, tracked(&drops)) };
                 assert_eq!(drops.load(Ordering::SeqCst), 2 * retires);
             }
-            assert_eq!(
-                (scheme.stats().scans, handle.local_in_limbo()),
-                (1, due / 2)
-            );
+            assert_eq!((scheme.stats().scans, handle.local_in_limbo()), (1, R / 2));
         });
     }
 
     #[test]
-    fn a_budget_crossing_forces_a_scan_inside_the_amortised_batch() {
+    fn a_budget_crossing_forces_a_scan_before_the_count_threshold() {
         under_both_protocols(|strategy| {
             let drops = Arc::new(AtomicUsize::new(0));
             let node = std::mem::size_of::<Tracked>();
@@ -249,7 +242,7 @@ mod tests {
             assert_eq!(
                 (scheme.stats().scans, drops.load(Ordering::SeqCst)),
                 (1, 64),
-                "{strategy:?}: the crossing scans at once, far inside the batch"
+                "{strategy:?}: the crossing scans at once, far below the threshold"
             );
             assert_eq!(scheme.budget_verdict().forced_scans, 1);
         });
@@ -398,7 +391,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let allocated = Arc::new(AtomicUsize::new(0));
         // R = 2: the writer scans (and, scanner-side, issues a barrier) every
-        // 2 x batch retires, under the readers' feet.
+        // 2 retires, under the readers' feet.
         let config = SmrConfig::default()
             .with_max_threads(4)
             .with_scan_threshold(2);

@@ -64,7 +64,7 @@ impl<const CADENCE: bool> HpFamily<CADENCE> {
         let ledger = BarrierLedger::new(strategy, config.rooster_interval);
         let name = if CADENCE { "cadence" } else { "hp" };
         Arc::new(Self {
-            core: SchemeCore::with_scan_batch(name, config, strategy.scan_batch()),
+            core: SchemeCore::new(name, config),
             registry,
             ledger,
         })
@@ -96,12 +96,11 @@ impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
     type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle<CADENCE>, CapacityExhausted> {
-        // A fresh workspace: pool (one scan batch of retires) and snapshot
+        // A fresh workspace: pool (one scan threshold of retires) and snapshot
         // scratch pre-sized so that neither the first bag fill nor any scan
         // allocates.
-        let scan_every = self.core.scan_every();
         let (slot, core) = self.core.register(&self.registry, |config| {
-            let pool = SegPool::for_scan_threshold(scan_every);
+            let pool = SegPool::for_scan_threshold(config.scan_threshold);
             (pool, HpSlots::snapshot_scratch(config))
         })?;
         let strategy = self.ledger.strategy();

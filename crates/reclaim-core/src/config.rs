@@ -34,10 +34,8 @@ pub struct SmrConfig {
     /// (QSBR / QSense fast path).
     pub quiescence_threshold: usize,
     /// `R`: number of retired nodes accumulated before a hazard-pointer scan
-    /// (HP / Cadence / QSense fallback path). Classic HP under its
-    /// scanner-barrier protocol scans every `R ×`
-    /// [`SCANNER_BARRIER_SCAN_BATCH`](crate::fence::SCANNER_BARRIER_SCAN_BATCH)
-    /// retires instead, amortising the barrier each scan then opens with.
+    /// (HP / Cadence / QSense fallback path), an era scan (HE) or an epoch
+    /// advance attempt (EBR), under every [`FenceStrategy`](crate::FenceStrategy).
     pub scan_threshold: usize,
     /// `C`: per-thread limbo-list size that triggers the switch to the fallback path
     /// (QSense only). Property 4 of the paper requires

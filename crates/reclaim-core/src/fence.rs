@@ -49,8 +49,9 @@
 //! Every scheme chooses its strategy **once per process, from what the kernel
 //! answers** ([`FenceStrategy::detect`], [`FenceStrategy::detect_rooster`]): no
 //! configuration field, flag, environment variable or cargo feature selects.
-//! The reader's fence, the scanner's barrier and the scan batch that amortises
-//! it are one [`FenceStrategy`] value, so they cannot disagree.
+//! The reader's fence and the scanner's barrier are one [`FenceStrategy`]
+//! value, so they cannot disagree. Every strategy scans at the same cadence,
+//! every `R` retires.
 //!
 //! The syscall is issued directly (no `libc` dependency) on x86-64 and aarch64
 //! Linux; everywhere else it reports `ENOSYS` and the fallbacks run.
@@ -189,7 +190,7 @@ thread_local! {
 /// caller, then `MEMBARRIER_CMD_PRIVATE_EXPEDITED` — every sibling thread
 /// passes through a full barrier between this call's entry and its return.
 /// Costs the caller microseconds when a sibling is running (see
-/// [`SCANNER_BARRIER_SCAN_BATCH`]).
+/// [`FenceStrategy::ScannerBarrier`]).
 ///
 /// Returns `false` if the kernel refused (or the command was never available):
 /// the caller has then proved nothing about its siblings' store buffers and
@@ -246,67 +247,8 @@ fn compiler_only() {
     compiler_fence(Ordering::SeqCst);
 }
 
-/// How far [`FenceStrategy::ScannerBarrier`] stretches the count threshold: a
-/// handle scans — HP — or tries to advance the epoch — EBR — every
-/// `scan_threshold × 8` retires (a limbo-budget crossing still forces a scan
-/// at once).
-///
-/// The barrier is cheap for the machine and dear for its caller, which waits
-/// out an inter-processor interrupt. On this repository's benchmark host (2
-/// vCPUs of a virtualised Xeon, where interrupts between vCPUs are at their
-/// most expensive), 50 000 timed calls each: **0.2 µs** with every sibling
-/// parked; **14–17 µs** median (7–13 µs mean) with one sibling running; with
-/// two threads calling at once a call either finds the other's barrier in
-/// flight and takes 0.2 µs or queues behind it for 33–35 µs (p90), **12–16 µs**
-/// mean.
-///
-/// `queue_churn` (one retire per two operations, `scan_threshold` 128, two
-/// threads) is the benchmark workload that scans most and gains nothing from
-/// the cheaper `protect`, so it sized the factor — `mops.hp`, three 30 s runs
-/// per row (seeds 11–13), rows interleaved:
-///
-/// | protocol, scans every | `mops.hp`, the three runs | median | barriers / s |
-/// |---|---|---|---|
-/// | reader-fenced, `R` (parent commit) | 5.86, 5.89, 5.64 | 5.86 | — |
-/// | scanner-barrier, `R` | 5.47, 5.29, 4.97 | 5.29 | ≈ 21 000 |
-/// | scanner-barrier, `4 R` | 6.07, 6.19, 5.78 | 6.07 | ≈ 5 900 |
-/// | scanner-barrier, `8 R` | 6.29, 6.09, 6.21 | 6.21 | ≈ 3 000 |
-/// | scanner-barrier, `16 R` | 6.36, 6.37, 6.30 | 6.36 | ≈ 1 550 |
-///
-/// Un-amortised, the barrier is a tenth of the workload's throughput. At ×8 it
-/// is about 2 % of a scanning thread's time (1 500 barriers a second at 15 µs)
-/// and HP is ahead of its fenced self; ×16 can recover at most half of that
-/// 2 % — what it read here is inside the spread between runs — and doubles the
-/// unreclaimed batch and the pre-sized pool. Where interrupts are cheaper the
-/// factor matters less, not differently.
-///
-/// EBR's epoch advance took the same seam a PR later, and the same table —
-/// `mops.ebr`, same workload, seeds and interleaving, one barrier per advance
-/// attempt that no visible pin blocks:
-///
-/// | protocol, an attempt every | `mops.ebr`, the three runs | median |
-/// |---|---|---|
-/// | two `SeqCst` pin stores, `R` (parent commit) | 4.79, 4.70, 4.81 | 4.79 |
-/// | scanner-barrier, `R` | 4.11, 4.66, 4.51 | 4.51 |
-/// | scanner-barrier, `4 R` | 5.07, 4.88, 5.13 | 5.07 |
-/// | scanner-barrier, `8 R` | 5.22, 5.42, 5.25 | 5.25 |
-/// | scanner-barrier, `16 R` | 5.66, 5.35, 5.49 | 5.49 |
-///
-/// The same shape — a loss un-amortised (−6 %), ahead from ×4 — so EBR shares
-/// the constant. ×16 read 4.6 % above ×8 here (two seeds of three) where HP's
-/// read 2 %: an EBR node waits out three advances, not one scan, so the
-/// factor multiplies a limbo three deep (`limbo_peak_kib.ebr` 131, 136, 235 →
-/// 243, 308, 317 KiB at ×8 over three traced runs of this workload). A second
-/// constant would buy that 4.6 % with twice that memory again; not taken.
-///
-/// Both tables were read while a scan freed its whole batch in one burst — a
-/// cost that itself grew with the factor — and are to be re-derived now that
-/// the core frees a few nodes a retire (`limbo`'s free stage).
-pub const SCANNER_BARRIER_SCAN_BATCH: usize = 8;
-
 /// Who issues the process-wide barrier behind a compiler-fenced publication —
-/// the reader's fence, the scanner's barrier and the scan batch, as one value
-/// (module docs). Classic HP and EBR run one of the first two; Cadence and
+/// the reader's fence and the scanner's barrier, as one value (module docs). Classic HP and EBR run one of the first two; Cadence and
 /// QSense the third, or the first where the kernel has no process-wide barrier
 /// for a rooster to issue.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -315,8 +257,27 @@ pub enum FenceStrategy {
     /// barrier to wait for, a scan every `scan_threshold` retires.
     ReaderFenced,
     /// Compiler fence per publication, one [`scanner_barrier`] per scan that
-    /// no sibling's barrier already covered, a scan every `scan_threshold ×`
-    /// [`SCANNER_BARRIER_SCAN_BATCH`] retires.
+    /// no sibling's barrier already covered, a scan every `scan_threshold`
+    /// retires.
+    ///
+    /// The barrier is cheap for the machine and dear for its caller, which
+    /// waits out an inter-processor interrupt: on the benchmark host (2 vCPUs
+    /// of a virtualised Xeon), 0.2 µs with every sibling parked, 14–17 µs
+    /// median with one running. Scans once ran every `8 R` retires to amortise
+    /// it, sized on `queue_churn` while a scan still freed its whole proof in
+    /// one burst. Since the free stage and the node cache, what a handle holds
+    /// in limbo is the structure's memory footprint, which that factor
+    /// multiplied by 8 (by 24 for EBR, whose nodes wait out three advances).
+    /// Scanning every `R` instead, read on the same host (`mops.*`: medians of
+    /// 10 and 8 alternating 30 s benchmark pairs; the rest: one traced pair,
+    /// and barriers per second from `Smr::stats()` over 80 slices):
+    ///
+    /// | `list_read_mostly` ; `queue_churn`, `8 R` → `R` | HP | EBR |
+    /// |---|---|---|
+    /// | Mops/s | 0.576 → 0.684 ; 5.49 → 5.59 | 0.579 → 0.619 ; 5.59 → 5.26 |
+    /// | `limbo_peak_kib` | 47.3 → 6.0 ; 64.1 → 8.1 | 92.5 → 11.3 ; 237 → 94 |
+    /// | `freed_share` | 0.67 → 0.96 ; 0.998 → 1.000 | 0.39 → 0.92 ; 0.995 → 0.999 |
+    /// | heavy barriers / s, `queue_churn` | 2 600 → 19 900 | 2 400 → 17 400 |
     ScannerBarrier,
     /// The paper's Cadence: compiler fence per publication, scans never issue
     /// a barrier and free only what the process rooster's last completed tick
@@ -375,14 +336,6 @@ impl FenceStrategy {
                 compiler_only();
                 false
             }
-        }
-    }
-
-    /// Count-threshold scans run every `scan_threshold ×` this many retires.
-    pub fn scan_batch(self) -> usize {
-        match self {
-            FenceStrategy::ReaderFenced | FenceStrategy::Rooster => 1,
-            FenceStrategy::ScannerBarrier => SCANNER_BARRIER_SCAN_BATCH,
         }
     }
 }
@@ -655,18 +608,14 @@ mod tests {
         for fallback in [Global, LocalFence] {
             let strategy = FenceStrategy::for_barrier(fallback);
             assert_eq!(strategy, FenceStrategy::ReaderFenced);
-            assert_eq!(strategy.scan_batch(), 1, "today's scan cadence");
             assert!(strategy.publication_fence(), "today's reader fence");
         }
-        let barrier = FenceStrategy::ScannerBarrier;
-        assert_eq!(barrier.scan_batch(), SCANNER_BARRIER_SCAN_BATCH);
-        assert!(!barrier.publication_fence());
+        assert!(!FenceStrategy::ScannerBarrier.publication_fence());
     }
 
     #[test]
     fn any_process_wide_barrier_selects_the_rooster_and_none_the_readers_fence() {
         let rooster = FenceStrategy::Rooster;
-        assert_eq!(rooster.scan_batch(), 1);
         assert!(!rooster.publication_fence());
         // A rooster that fences only itself drains no one: the ledger could
         // never advance, so the readers fence for themselves.

@@ -95,7 +95,7 @@
 //! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::name`], [`Smr::stats`], [`Smr::budget_verdict`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
 //! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
-//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer); an optional scan batch ([`SchemeCore::with_scan_batch`]: HP's scanner-barrier protocol scans every `8 R` retires to amortise its barrier) | the **ladder**, fed from the ledger: count threshold (`scan_threshold` × the scheme's batch, fixed per handle at attach) → forced scan on a budget crossing, wherever in the batch it lands → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
+//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
 //! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain and back into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other, the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
 //!
 //! The freed-side counters, the parked chain and the workspace cache are
@@ -121,7 +121,7 @@
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
 //! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochDomain`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
-//! | per scan (every `R` retires; every `8 R` for HP, whose pool is pre-sized to match, and for EBR's epoch-advance attempts, under their scanner-barrier protocol) | under that protocol, first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host, which is what the ×8 amortises (measurements: [`fence::SCANNER_BARRIER_SCAN_BATCH`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
+//! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
 //! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under [`NODE_CACHE_BYTES`], frees it past that or when its class is none a cache keeps; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the allocator's thread cache otherwise |

@@ -9,9 +9,9 @@
 //! The ledger test follows the *unreclaimed* side of the same books: what each
 //! handle says it holds in limbo against what the scheme's counters say is in
 //! limbo — which is, by definition, what the budget verdict reports — through
-//! retire, flush, handle drop and adoption. The last test pins the books of a
-//! fixed queue script for every scheme, and keeps the bytes the node caches
-//! hold out of them.
+//! retire, flush, handle drop and adoption. Two tests pin the books of a fixed
+//! queue script for every scheme, keeping the bytes the node caches hold out
+//! of them, and the most one handle holds in limbo between scans.
 
 use qsense_repro::ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList, MichaelScottQueue};
 use qsense_repro::smr::{
@@ -525,5 +525,33 @@ fn a_cached_block_is_booked_freed_and_held_apart_from_limbo() {
         assert!(cached > BUDGET as u64, "{name}");
         assert!(verdict.within_budget(), "{name}: {verdict:?}");
         assert_eq!(verdict.escalations(), 0, "{name}: no rung fires");
+    }
+}
+
+/// The bound the scan cadence rests on: with nothing protected, one handle
+/// holds at most `R` nodes under classic HP — a scan every `R` retires proves
+/// them all, whichever protocol pays the fence — and EBR's exactly
+/// `3 R`: an advance every `R` retires, and a node waits out three.
+#[test]
+fn one_handle_holds_at_most_r_nodes_under_hp_and_3r_under_ebr() {
+    const R: usize = 16;
+    fn peak_in_limbo<S: Smr>(scheme: &Arc<S>) -> usize {
+        let mut handle = scheme.register();
+        let mut peak = 0;
+        for _ in 0..10 * R {
+            handle.begin_op();
+            // SAFETY: freshly boxed, never linked, retired once.
+            unsafe { retire_box(&mut handle, Box::into_raw(Box::new(0u64))) };
+            handle.end_op();
+            peak = peak.max(handle.local_in_limbo());
+        }
+        peak
+    }
+    for strategy in [FenceStrategy::detect(), FenceStrategy::ReaderFenced] {
+        let config = SmrConfig::default().with_scan_threshold(R);
+        let hp = Hazard::with_fence_strategy(config.clone(), strategy);
+        assert_eq!(peak_in_limbo(&hp), R, "hp ({})", strategy.name());
+        let ebr = Ebr::with_fence_strategy(config, strategy);
+        assert_eq!(peak_in_limbo(&ebr), 3 * R, "ebr ({})", strategy.name());
     }
 }

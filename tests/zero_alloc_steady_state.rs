@@ -261,14 +261,16 @@ fn steady_state_scans_perform_zero_heap_allocations() {
 
     // --- threshold scans on a fresh handle (hazard, both protocols) --------
     // Nothing above lets a count-threshold scan fire. Here `R = 16`, so a
-    // handle scans every 16 retires (reader-fenced) or every 16 x 8
-    // (scanner-barrier), and its pool was sized for that batch at
-    // registration: from the first retire on — no warm-up scan — three batches
-    // of retires allocate the nodes and nothing else.
+    // handle scans every 16 retires under either protocol, and its pool was
+    // sized for that at registration: from the first retire on — no warm-up
+    // scan — three thresholds of retires allocate the nodes and nothing else.
     for strategy in [FenceStrategy::detect(), FenceStrategy::ReaderFenced] {
-        let retires = 3 * 16 * strategy.scan_batch();
+        let retires = 3 * 16;
         assert_alloc_delta(
-            &format!("hp ({}): three batches from registration", strategy.name()),
+            &format!(
+                "hp ({}): three thresholds from registration",
+                strategy.name()
+            ),
             (retires * std::mem::size_of::<u64>()) as u64,
             || {
                 let config = config(&ManualClock::new()).with_scan_threshold(16);
@@ -281,7 +283,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                     unsafe { qsense_repro::smr::retire_box(&mut handle, ptr) };
                 }
                 assert_eq!(scheme.stats().scans, 3, "{strategy:?}");
-                // The third scan released the third batch on the last retire;
+                // The third scan released the third 16 on the last retire;
                 // the retires before it had returned the first two, two each.
                 assert_eq!(handle.local_in_limbo(), retires / 3);
                 handle.flush();
