@@ -155,7 +155,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     }
 
     /// Allocates a node born in this operation: a block for `layout` from the
-    /// handle's node cache, else the global allocator ([`crate::node_cache`]),
+    /// handle's node cache, else the scheme's arena ([`crate::node_cache`]),
     /// and the birth era to stamp into it ([`SmrHandle::alloc_node`]). Retire
     /// it with [`retire_block`](Self::retire_block).
     #[inline]
@@ -234,7 +234,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     /// for a sentinel): builds its [`RetiredPtr`] once — the block's size, the
     /// birth era, and the block destructor, which once the node is freed drops
     /// it in place and leaves the block to `node_cache` (the freeing handle's
-    /// cache, or the allocator).
+    /// cache, or the arena its chunk names).
     ///
     /// # Safety
     ///

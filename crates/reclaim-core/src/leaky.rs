@@ -10,6 +10,14 @@
 //! is identical to the paper's leaky baseline (nothing is ever freed, no hot-path
 //! work is done), but the benchmark process does not permanently leak the memory of
 //! every experiment it has already finished.
+//!
+//! Its nodes come from the scheme's arena like every scheme's
+//! ([`crate::node_cache`]): since nothing is freed, every allocation misses the
+//! handle's cache and takes a spare of the last refill, or a refill of
+//! [`REFILL_BLOCKS`](crate::node_cache::REFILL_BLOCKS) carved from the current
+//! chunk, and the arena takes a whole 64 KiB chunk from the allocator when that
+//! one is used up. At scheme drop the parked nodes go back to the arena, and the
+//! arena's chunks to the allocator.
 
 use crate::config::SmrConfig;
 use crate::limbo::{HandleCore, SchemeCore};

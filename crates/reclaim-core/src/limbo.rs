@@ -19,7 +19,9 @@
 //! EBR). Each destructor is offered the handle's [`NodeCache`], and a block's
 //! ([`crate::node_cache`]) *recycles* the block there, for the handle's next
 //! allocation of its class: a handle that frees as fast as it allocates keeps
-//! the allocator off its steady state.
+//! the allocator off its steady state. Past the cache's cap the block goes to
+//! the scheme's arena, which this core owns and frees last, after the parked
+//! chain and the parked caches have given their blocks back.
 //! `flush` ([`HandleCore::drain_ready`]), handle drop ([`HandleCore::park`])
 //! and a budget-forced scan drain the chain whole.
 //!
@@ -43,7 +45,7 @@
 
 use crate::budget::{BudgetGovernor, BudgetVerdict};
 use crate::config::SmrConfig;
-use crate::node_cache::NodeCache;
+use crate::node_cache::{NodeCache, SchemeArena};
 use crate::pad::CachePadded;
 use crate::registry::{Registry, SlotId};
 use crate::retired::RetiredPtr;
@@ -91,6 +93,10 @@ pub struct SchemeCore<W = ()> {
     telemetry: Telemetry,
     /// Pools + scratch buffers of exited handles, for the next registrant.
     workspaces: WorkspaceCache<W>,
+    /// Where the blocks of the scheme's nodes are carved
+    /// ([`crate::node_cache`]). Last, so it drops after the parked
+    /// workspaces have given their caches back.
+    arena: SchemeArena,
 }
 
 impl<W: Default> SchemeCore<W> {
@@ -105,6 +111,7 @@ impl<W: Default> SchemeCore<W> {
             governor: BudgetGovernor::new(config.limbo_budget, config.clock.clone()),
             telemetry: Telemetry::from_config(&config),
             workspaces: WorkspaceCache::with_capacity(config.max_threads),
+            arena: SchemeArena::new(),
             config,
         })
     }
@@ -126,6 +133,8 @@ impl<W: Default> SchemeCore<W> {
         snap.peak_limbo_bytes = self.governor.peak_bytes();
         // A cache's bytes move between stripes: a racing sum can dip below 0.
         snap.cached_bytes = u64::try_from(snap.cached_bytes as i64).unwrap_or(0);
+        let (chunks, listed) = self.arena.get().footprint();
+        (snap.arena_bytes, snap.arena_free_bytes) = (chunks as u64, listed as u64);
         snap
     }
 
@@ -184,7 +193,7 @@ impl<W: Default> SchemeCore<W> {
         let stripe = slot.map_or_else(|| self.stats.assign_stripe(), SlotId::index);
         let (pool, scratch, cache) = self.workspaces.adopt().unwrap_or_else(|| {
             let (pool, scratch) = fresh(&self.config);
-            (pool, scratch, NodeCache::new())
+            (pool, scratch, NodeCache::new(&self.arena))
         });
         HandleCore {
             stripe,
@@ -501,7 +510,7 @@ impl<W: Default> Drop for HandleCore<W> {
         let workspace = (
             std::mem::take(&mut self.pool),
             std::mem::take(&mut self.scratch),
-            std::mem::replace(&mut self.cache, NodeCache::new()),
+            std::mem::replace(&mut self.cache, NodeCache::new(&self.shared.arena)),
         );
         if !self.shared.workspaces.park(workspace) {
             self.stats().add_cached_bytes(-cached);

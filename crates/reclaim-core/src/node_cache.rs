@@ -1,5 +1,6 @@
-//! Node blocks: the one allocation path of guard-layer and expert nodes, and
-//! the per-handle cache behind the free stage.
+//! Node blocks: the one allocation path of guard-layer and expert nodes, the
+//! per-handle cache behind the free stage, and the per-scheme arena behind
+//! both.
 //!
 //! Where a freed block goes is decided here and nowhere else: a retired
 //! block's destructor ([`drop_block`], the one
@@ -10,15 +11,38 @@
 //! ([`Guard::alloc_block`](crate::Guard::alloc_block)). Blocks are sized in
 //! 8-byte steps and aligned to at least 8, so a cached block is reused only
 //! for the identical layout and stays valid to give back; a block aligned past
-//! 8 or past the largest class is never cached, and is freed with its own
-//! layout. Past [`NODE_CACHE_BYTES`] the free stage's ≤ 2 nodes a retire go to
-//! the allocator, never a burst. The next registrant adopts a dying handle's
-//! cache with its workspace; scheme drop frees it.
+//! 8 or past the largest class is never cached, and is allocated and freed
+//! with its own layout by the global allocator.
+//!
+//! **The arena.** Every block of a cached class lives in an arena: each
+//! scheme's [`SchemeCore`](crate::SchemeCore) owns one, and sentinels — the
+//! nodes no handle allocates ([`alloc_block`]) — come from one process arena.
+//! An arena owns [`CHUNK_BYTES`] chunks, each aligned to its size, whose first
+//! [`CHUNK_HEADER_BYTES`] name the owning arena; it bump-carves blocks at
+//! their class stride (the list's 24 B node packs at 24 B, where glibc spaces
+//! it at 32 B) and keeps one shared free list per class. A cache miss takes
+//! [`REFILL_BLOCKS`] of its class under one lock: off that list while it holds
+//! any, else carved. A cache past [`NODE_CACHE_BYTES`] (as many blocks at
+//! once), a structure's teardown, a never-linked node and a dropped cache hand
+//! their blocks to the arena their chunk names — never to the allocator. So a
+//! structure's nodes sit in its scheme's chunks and nowhere else, packed and
+//! fresh with the scheme: on the Fig. 3 list that decided throughput
+//! (`list_read_mostly`, 2-vCPU host, ten alternating 30 s benchmark pairs:
+//! +44 … +61 % for every scheme but RC; a process-wide arena built the same
+//! way lost QSBR, QSense and RC 2–28 % in an experimental build, because a
+//! fresh structure reused blocks earlier ones had scattered).
+//!
+//! Scheme drop frees every chunk at once, after the parked chain and the
+//! parked caches have given their blocks back. If a block is still out then
+//! (an [`Owned`](crate::Owned) kept past its scheme), the arena is leaked
+//! instead, so no block ever dangles.
 
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
+use std::sync::{Mutex, MutexGuard};
 
-/// Bytes one handle's cache holds at most. 256 KiB was measured against it
+/// Bytes one handle's cache holds at most; a freed block past it goes to its
+/// arena's shared list. 256 KiB was measured against it
 /// (2-vCPU host, alternating 30 s benchmark pairs): it took Cadence's loss
 /// from freeing at the scan
 /// ([`READY_FREES_PER_RETIRE`](crate::READY_FREES_PER_RETIRE)) back to
@@ -26,6 +50,19 @@ use std::ptr::NonNull;
 /// −7 … −11 % on every scheme, `none` included (0 of 3 pairs; the cause was
 /// not isolated). 64 KiB stays.
 pub const NODE_CACHE_BYTES: usize = 64 << 10;
+
+/// Bytes of one arena chunk, which is aligned to its size: a block's chunk is
+/// its address rounded down.
+pub const CHUNK_BYTES: usize = 64 << 10;
+
+/// The head of every chunk: the owning arena's address, then the previous
+/// chunk's. A cache line, so blocks are never carved into it.
+pub const CHUNK_HEADER_BYTES: usize = 64;
+
+/// Blocks a cache miss takes off its arena under one lock: the one it
+/// asked for and the rest for its next misses; a cache over
+/// [`NODE_CACHE_BYTES`] gives as many back.
+pub const REFILL_BLOCKS: usize = 16;
 
 const ALIGN: usize = 8;
 /// Size classes: blocks of 8, 16, …, 256 B are cached.
@@ -57,16 +94,30 @@ fn class_of(block: Layout) -> Option<usize> {
     (block.align() == ALIGN && block.size() <= CLASSES * ALIGN).then(|| block.size() / ALIGN - 1)
 }
 
-/// A fresh block for a node of `layout` from the global allocator — what a
-/// node no handle allocates takes (a structure's sentinels).
+/// A fresh block for a node no handle allocates (a structure's sentinels):
+/// off the process arena for a cached class, else from the global allocator.
 #[inline]
 pub fn alloc_block(layout: Layout) -> NonNull<u8> {
-    let layout = block_layout(layout);
+    let block = block_layout(layout);
+    let fresh = match class_of(block) {
+        Some(class) => PROCESS.lock().take(&PROCESS, class),
+        None => alloc_global(block),
+    };
+    registered(fresh, block)
+}
+
+/// A block of `block` (a [`block_layout`] of no cached class) from the global
+/// allocator.
+fn alloc_global(block: Layout) -> NonNull<u8> {
     // SAFETY: a block layout is never empty.
-    let block =
-        NonNull::new(unsafe { alloc(layout) }).unwrap_or_else(|| handle_alloc_error(layout));
+    NonNull::new(unsafe { alloc(block) }).unwrap_or_else(|| handle_alloc_error(block))
+}
+
+/// `block`, handed out for a node of `layout`: registered with the oracle.
+#[inline]
+fn registered(block: NonNull<u8>, _layout: Layout) -> NonNull<u8> {
     #[cfg(feature = "check-oracle")]
-    crate::oracle::register(block.as_ptr(), layout.size());
+    crate::oracle::register(block.as_ptr(), _layout.size());
     block
 }
 
@@ -80,7 +131,7 @@ pub unsafe fn free_block(block: *mut u8, layout: Layout) {
     #[cfg(feature = "check-oracle")]
     crate::oracle::deregister(block);
     // SAFETY: the caller's contract.
-    unsafe { dealloc(block, block_layout(layout)) };
+    unsafe { put(None, block, block_layout(layout)) };
 }
 
 /// Drops `node` in place and frees its block: a structure's teardown and a
@@ -100,8 +151,8 @@ pub unsafe fn free<T: Block>(node: *mut T) {
 /// The destructor ([`DropFn`](crate::retired::DropFn)) every block is retired
 /// with: drops the node in place and offers its block to `cache`, which keeps
 /// it if its class is one a cache keeps and the cache holds under
-/// [`NODE_CACHE_BYTES`]; otherwise, or without a cache, it is freed with its
-/// own layout.
+/// [`NODE_CACHE_BYTES`]; otherwise, or without a cache, a class-sized block
+/// goes to its arena and any other is freed with its own layout.
 ///
 /// # Safety
 ///
@@ -122,63 +173,191 @@ pub unsafe fn drop_block<T: Block>(ptr: *mut u8, cache: Option<&mut NodeCache>) 
 ///
 /// # Safety
 ///
-/// The block was allocated for `layout`, nothing can reach it, and the oracle
-/// no longer tracks it.
+/// The block came from this module for `layout`, nothing can reach it, and
+/// the oracle no longer tracks it.
 #[inline]
 unsafe fn put(cache: Option<&mut NodeCache>, block: *mut u8, layout: Layout) {
-    match (cache, class_of(layout)) {
-        (Some(cache), Some(class)) if cache.bytes + layout.size() <= NODE_CACHE_BYTES => {
+    let Some(class) = class_of(layout) else {
+        // SAFETY: the caller's contract: the allocator's, with this layout.
+        return unsafe { dealloc(block, layout) };
+    };
+    match cache {
+        Some(cache) if cache.bytes + layout.size() <= NODE_CACHE_BYTES => {
             // SAFETY: the block is ours and at least a word long.
-            unsafe { block.cast::<*mut u8>().write(cache.heads[class]) };
-            cache.heads[class] = block;
-            cache.bytes += layout.size();
+            unsafe { cache.list(block, class) };
         }
-        // SAFETY: the caller's contract.
-        _ => unsafe { dealloc(block, layout) },
+        // SAFETY: the caller's contract: a carved block of `class`.
+        Some(cache) => unsafe { cache.spill(class, block, REFILL_BLOCKS - 1) },
+        // SAFETY: as above.
+        None => unsafe { give_back(block, class) },
     }
+}
+
+/// The arena whose chunk holds `block`.
+///
+/// # Safety
+///
+/// An arena carved the block.
+unsafe fn arena_of(block: *mut u8) -> *const Arena {
+    let chunk = (block as usize & !(CHUNK_BYTES - 1)) as *const *const Arena;
+    // SAFETY: a chunk starts with its arena's address.
+    unsafe { *chunk }
+}
+
+/// Hands a free block of `class` to the arena its chunk names.
+///
+/// # Safety
+///
+/// An arena carved the block for `class`, it is free and nothing can reach
+/// it.
+unsafe fn give_back(block: *mut u8, class: usize) {
+    // SAFETY: the caller's contract, and an arena with a block out is never
+    // freed.
+    unsafe { (*arena_of(block)).lock().list(block, class) };
+}
+
+/// Links free `block` in front of the list at `head`.
+///
+/// # Safety
+///
+/// The block is free and ours, and nothing can reach it.
+#[inline]
+unsafe fn push(head: &mut *mut u8, block: *mut u8) {
+    // SAFETY: the caller's contract; a block is at least a word long.
+    unsafe { block.cast::<*mut u8>().write(*head) };
+    *head = block;
+}
+
+/// Unlinks the first block of the list at `head`, if it holds one.
+#[inline]
+fn pop(head: &mut *mut u8) -> Option<NonNull<u8>> {
+    let block = NonNull::new(*head)?;
+    // SAFETY: a listed block is free and ours; its first word links the next.
+    *head = unsafe { block.cast::<*mut u8>().read() };
+    Some(block)
 }
 
 /// One handle's cache of freed node blocks (module docs).
 pub struct NodeCache {
-    /// Each class's free list; a free block's first word links the next.
+    /// Each class's list of freed blocks; a free block's first word links the
+    /// next.
     heads: [*mut u8; CLASSES],
+    /// Bytes of those blocks: what the cap bounds and the books show.
     bytes: usize,
     /// `bytes` as last booked ([`StatsSnapshot::cached_bytes`](crate::StatsSnapshot::cached_bytes)).
     booked: usize,
+    /// Each class's spares: the rest of its last refill, not yet handed out.
+    spares: [*mut u8; CLASSES],
+    /// Where a miss refills: the scheme's arena, which outlives the cache.
+    arena: NonNull<Arena>,
 }
 
-// SAFETY: the cache owns its free blocks outright, as a `SegPool` its segments.
+// SAFETY: the cache owns its free blocks outright, as a `SegPool` its
+// segments, and its arena is `Sync`.
 unsafe impl Send for NodeCache {}
 
 impl NodeCache {
-    pub(crate) const fn new() -> Self {
+    /// An empty cache whose misses refill from `arena`.
+    pub(crate) fn new(arena: &SchemeArena) -> Self {
         Self {
             heads: [std::ptr::null_mut(); CLASSES],
             bytes: 0,
             booked: 0,
+            spares: [std::ptr::null_mut(); CLASSES],
+            arena: arena.0,
         }
     }
 
-    /// Unlinks a block of `class`, if its list holds one.
+    /// Lists a freed block of `class`.
+    ///
+    /// # Safety
+    ///
+    /// The block is free, ours, of `class`, and nothing can reach it.
+    unsafe fn list(&mut self, block: *mut u8, class: usize) {
+        // SAFETY: the caller's contract.
+        unsafe { push(&mut self.heads[class], block) };
+        self.bytes += (class + 1) * ALIGN;
+    }
+
+    /// Unlinks a freed block of `class`, if its list holds one.
     fn pop(&mut self, class: usize) -> Option<NonNull<u8>> {
-        let block = NonNull::new(self.heads[class])?;
-        // SAFETY: a listed block is free and ours; its first word links the next.
-        self.heads[class] = unsafe { block.cast::<*mut u8>().read() };
+        let block = pop(&mut self.heads[class])?;
         self.bytes -= (class + 1) * ALIGN;
         Some(block)
     }
 
-    /// A block for a node of `layout`: a cached one of its class, else a
-    /// fresh one.
+    /// A block for a node of `layout`: a freed one of its class, else a
+    /// spare, else one off the arena.
     #[inline]
     pub(crate) fn alloc(&mut self, layout: Layout) -> NonNull<u8> {
         let block = block_layout(layout);
-        let Some(cached) = class_of(block).and_then(|class| self.pop(class)) else {
-            return alloc_block(layout);
+        let fresh = match class_of(block) {
+            Some(class) => match self.pop(class) {
+                Some(cached) => cached,
+                None => pop(&mut self.spares[class]).unwrap_or_else(|| self.refill(class)),
+            },
+            None => alloc_global(block),
         };
-        #[cfg(feature = "check-oracle")]
-        crate::oracle::register(cached.as_ptr(), block.size());
-        cached
+        registered(fresh, block)
+    }
+
+    /// A miss: a block of `class` off the arena, and up to
+    /// [`REFILL_BLOCKS`] − 1 spares, all under one lock — listed ones while
+    /// the arena's list holds any, else carved ones.
+    #[cold]
+    fn refill(&mut self, class: usize) -> NonNull<u8> {
+        // SAFETY: the arena outlives the cache.
+        let arena = unsafe { &*self.arena.as_ptr() };
+        let mut carver = arena.lock();
+        let listed = !carver.heads[class].is_null();
+        let block = carver.take(arena, class);
+        for _ in 1..REFILL_BLOCKS {
+            let spare = if listed {
+                match carver.pop(class) {
+                    Some(spare) => spare,
+                    None => break,
+                }
+            } else {
+                carver.take(arena, class)
+            };
+            // SAFETY: off the arena's list or freshly carved: free and ours.
+            unsafe { push(&mut self.spares[class], spare.as_ptr()) };
+        }
+        block
+    }
+
+    /// Gives `first` and up to `more` of the class's freed blocks back to
+    /// their arenas — the cache's own under one lock, any other's (a
+    /// recycled sentinel's) block by block after it.
+    ///
+    /// # Safety
+    ///
+    /// `first` is a free block of `class` that nothing can reach.
+    #[cold]
+    unsafe fn spill(&mut self, class: usize, first: *mut u8, more: usize) {
+        // SAFETY: the arena outlives the cache.
+        let own = unsafe { &*self.arena.as_ptr() };
+        let mut foreign: *mut u8 = std::ptr::null_mut();
+        let mut carver = own.lock();
+        let (mut next, mut left) = (NonNull::new(first), more);
+        while let Some(block) = next {
+            let block = block.as_ptr();
+            // SAFETY: every block of a cached class was carved by an arena.
+            if std::ptr::eq(unsafe { arena_of(block) }, own) {
+                // SAFETY: free, of `class`, and carved by `own`.
+                unsafe { carver.list(block, class) };
+            } else {
+                // SAFETY: free and ours.
+                unsafe { push(&mut foreign, block) };
+            }
+            next = if left == 0 { None } else { self.pop(class) };
+            left = left.saturating_sub(1);
+        }
+        drop(carver);
+        while let Some(block) = pop(&mut foreign) {
+            // SAFETY: a free block of `class`, given back once.
+            unsafe { give_back(block.as_ptr(), class) };
+        }
     }
 
     /// The bytes held, and how far they moved since the last call.
@@ -192,12 +371,176 @@ impl NodeCache {
 impl Drop for NodeCache {
     fn drop(&mut self) {
         for class in 0..CLASSES {
-            let layout = Layout::from_size_align((class + 1) * ALIGN, ALIGN).expect("a class");
-            while let Some(block) = self.pop(class) {
+            while let Some(spare) = pop(&mut self.spares[class]) {
+                // SAFETY: a spare is a free block of its class, ours.
+                unsafe { self.list(spare.as_ptr(), class) };
+            }
+            if let Some(block) = self.pop(class) {
                 // SAFETY: a free block of its class, ours, given back once.
-                unsafe { dealloc(block.as_ptr(), layout) };
+                unsafe { self.spill(class, block.as_ptr(), usize::MAX) };
             }
         }
+    }
+}
+
+/// A node arena (module docs): the chunks the blocks of the cached classes are
+/// carved from, and one shared free list per class.
+pub(crate) struct Arena {
+    carver: Mutex<Carver>,
+}
+
+/// An arena's books, behind its lock.
+struct Carver {
+    /// Each class's shared free list; a free block's first word links the next.
+    heads: [*mut u8; CLASSES],
+    /// Bytes on those lists.
+    free: usize,
+    /// Bytes ever carved: each carved block is out or listed.
+    carved: usize,
+    /// The newest chunk (null before the first); its header links the rest.
+    chunk: *mut u8,
+    chunks: usize,
+    /// Where the next block is carved, and where the newest chunk ends.
+    cursor: usize,
+    end: usize,
+}
+
+// SAFETY: the carver owns its chunks and its listed blocks outright.
+unsafe impl Send for Carver {}
+
+/// The sentinels' arena (module docs), never freed.
+static PROCESS: Arena = Arena::new();
+
+/// A chunk's layout: aligned to its size.
+const CHUNK: Layout = match Layout::from_size_align(CHUNK_BYTES, CHUNK_BYTES) {
+    Ok(layout) => layout,
+    Err(_) => panic!("a chunk layout"),
+};
+
+impl Arena {
+    const fn new() -> Self {
+        Self {
+            carver: Mutex::new(Carver {
+                heads: [std::ptr::null_mut(); CLASSES],
+                free: 0,
+                carved: 0,
+                chunk: std::ptr::null_mut(),
+                chunks: 0,
+                cursor: 0,
+                end: 0,
+            }),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Carver> {
+        self.carver.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The bytes of its chunks, and of its shared lists
+    /// ([`StatsSnapshot::arena_bytes`](crate::StatsSnapshot::arena_bytes)).
+    pub(crate) fn footprint(&self) -> (usize, usize) {
+        let carver = self.lock();
+        (carver.chunks * CHUNK_BYTES, carver.free)
+    }
+}
+
+impl Carver {
+    /// A block of `class` (of `arena`, whose books these are): off the shared
+    /// list, else carved.
+    fn take(&mut self, arena: &Arena, class: usize) -> NonNull<u8> {
+        if let Some(block) = self.pop(class) {
+            return block;
+        }
+        let size = (class + 1) * ALIGN;
+        if self.end - self.cursor < size {
+            self.grow(arena);
+        }
+        let block = self.cursor as *mut u8;
+        self.cursor += size;
+        self.carved += size;
+        // SAFETY: inside a chunk, past its header.
+        unsafe { NonNull::new_unchecked(block) }
+    }
+
+    /// Unlinks a listed block of `class`, if there is one.
+    fn pop(&mut self, class: usize) -> Option<NonNull<u8>> {
+        let block = pop(&mut self.heads[class])?;
+        self.free -= (class + 1) * ALIGN;
+        Some(block)
+    }
+
+    /// Lists a free block of `class`.
+    ///
+    /// # Safety
+    ///
+    /// This arena carved the block for `class`; it is free and unreachable.
+    unsafe fn list(&mut self, block: *mut u8, class: usize) {
+        // SAFETY: the caller's contract.
+        unsafe { push(&mut self.heads[class], block) };
+        self.free += (class + 1) * ALIGN;
+    }
+
+    /// Starts a chunk of `arena`'s, named in its header.
+    fn grow(&mut self, arena: &Arena) {
+        // SAFETY: a chunk layout is not empty.
+        let chunk = unsafe { alloc(CHUNK) };
+        if chunk.is_null() {
+            handle_alloc_error(CHUNK);
+        }
+        // SAFETY: the header's two words are inside the fresh chunk.
+        unsafe {
+            chunk.cast::<*const Arena>().write(arena);
+            chunk.cast::<*mut u8>().add(1).write(self.chunk);
+        }
+        self.chunk = chunk;
+        self.chunks += 1;
+        self.cursor = chunk as usize + CHUNK_HEADER_BYTES;
+        self.end = chunk as usize + CHUNK_BYTES;
+    }
+}
+
+/// A scheme's arena, held by its [`SchemeCore`](crate::SchemeCore) and dropped
+/// after everything else there: it frees every chunk if every block came back,
+/// and leaks the arena otherwise (module docs).
+pub(crate) struct SchemeArena(NonNull<Arena>);
+
+// SAFETY: the arena is `Sync`; the owner only frees it at its own drop.
+unsafe impl Send for SchemeArena {}
+unsafe impl Sync for SchemeArena {}
+
+impl SchemeArena {
+    pub(crate) fn new() -> Self {
+        Self(NonNull::from(Box::leak(Box::new(Arena::new()))))
+    }
+
+    pub(crate) fn get(&self) -> &Arena {
+        // SAFETY: freed only by `drop`.
+        unsafe { self.0.as_ref() }
+    }
+}
+
+impl Drop for SchemeArena {
+    fn drop(&mut self) {
+        let carver = self.get().lock();
+        if carver.free != carver.carved {
+            // A block is still out, and its chunk must name a live arena.
+            return;
+        }
+        let mut chunk = carver.chunk;
+        drop(carver);
+        while !chunk.is_null() {
+            // SAFETY: every block came back, so nothing reaches a chunk any
+            // more; each is freed once, its header read first.
+            unsafe {
+                let previous = chunk.cast::<*mut u8>().add(1).read();
+                dealloc(chunk, CHUNK);
+                chunk = previous;
+            }
+        }
+        // SAFETY: leaked by `new`, freed once, and no chunk names it now.
+        // Sanctioned free path: the arena's own box, leaked by `new`.
+        #[allow(clippy::disallowed_methods)]
+        drop(unsafe { Box::from_raw(self.0.as_ptr()) });
     }
 }
 
@@ -218,9 +561,11 @@ mod tests {
 
     #[test]
     fn a_freed_block_is_reused_for_its_class_only() {
-        let mut cache = NodeCache::new();
+        let arena = SchemeArena::new();
+        let mut cache = NodeCache::new(&arena);
         let node = Layout::new::<[u64; 4]>();
         let block = cache.alloc(node);
+        assert_eq!(cache.bytes, 0, "a refill's spares are not freed bytes");
         put(&mut cache, block, node);
         assert_eq!(cache.bytes, 32);
         let other = cache.alloc(Layout::new::<[u64; 5]>());
@@ -236,7 +581,8 @@ mod tests {
 
     #[test]
     fn the_cap_and_the_largest_class_bound_what_is_kept() {
-        let mut cache = NodeCache::new();
+        let arena = SchemeArena::new();
+        let mut cache = NodeCache::new(&arena);
         let node = Layout::new::<[u64; 32]>();
         let blocks: Vec<_> = (0..NODE_CACHE_BYTES / 256 + 3)
             .map(|_| cache.alloc(node))
@@ -244,14 +590,17 @@ mod tests {
         for &block in &blocks {
             put(&mut cache, block, node);
         }
-        assert_eq!(cache.bytes, NODE_CACHE_BYTES, "three went to the allocator");
+        // The first block over the cap took 15 cached ones with it to the
+        // arena; the last two were kept.
+        let kept = NODE_CACHE_BYTES - (REFILL_BLOCKS - 1) * 256 + 2 * 256;
+        assert_eq!(cache.bytes, kept);
+        assert_eq!(arena.get().footprint().1, REFILL_BLOCKS * 256);
         let big = Layout::new::<[u64; 33]>();
         let block = cache.alloc(big);
         put(&mut cache, block, big);
-        assert_eq!(cache.bytes, NODE_CACHE_BYTES, "264 B is past the classes");
-        let full = NODE_CACHE_BYTES as i64;
-        assert_eq!(cache.book(), (NODE_CACHE_BYTES, full));
-        assert_eq!(cache.book(), (NODE_CACHE_BYTES, 0), "booked once");
+        assert_eq!(cache.bytes, kept, "264 B is past the classes");
+        assert_eq!(cache.book(), (kept, kept as i64));
+        assert_eq!(cache.book(), (kept, 0), "booked once");
     }
 
     #[test]
@@ -294,10 +643,13 @@ mod tests {
 
     #[test]
     fn one_destructor_caches_a_small_block_and_frees_the_rest_with_their_own_layouts() {
-        let mut cache = NodeCache::new();
+        let arena = SchemeArena::new();
+        let mut cache = NodeCache::new(&arena);
         let small = block_of(&mut cache, Small([0; 4]));
+        let held = cache.bytes;
         retire_and_free(&mut cache, small, drop_block::<Small>);
-        assert_eq!(cache.bytes, 32, "a 32 B block lands in the cache");
+        assert_eq!(cache.bytes, held + 32, "a 32 B block lands in the cache");
+        let held = cache.bytes;
 
         let padded = block_of(&mut cache, Padded(7));
         assert_eq!(padded as usize % 64, 0);
@@ -307,12 +659,12 @@ mod tests {
         let big = block_of(&mut cache, Big([0; 33]));
         retire_and_free(&mut cache, big, drop_block::<Big>);
         assert_eq!(
-            cache.bytes, 32,
+            cache.bytes, held,
             "64-aligned and 264 B blocks are never cached"
         );
 
         let boxed = Box::into_raw(Box::new([0u64; 4]));
         retire_and_free(&mut cache, boxed, crate::drop_fn_for::<[u64; 4]>());
-        assert_eq!(cache.bytes, 32, "a Box's destructor ignores the cache");
+        assert_eq!(cache.bytes, held, "a Box's destructor ignores the cache");
     }
 }

@@ -140,6 +140,15 @@ pub struct StatsSnapshot {
     /// Bytes of freed blocks in node caches ([`crate::node_cache`]), parked
     /// ones included, as of each handle's last look: in no limbo or budget.
     pub cached_bytes: u64,
+    /// Bytes of the chunks the scheme's arena has carved its nodes' blocks
+    /// from ([`crate::node_cache`]): the footprint of every structure over
+    /// the scheme, its caches and its limbo, sentinels and nodes past 256 B
+    /// aside. Not a stripe counter: the scheme reads it off its arena at
+    /// snapshot time.
+    pub arena_bytes: u64,
+    /// Of those, bytes of free blocks on the arena's shared lists — what a
+    /// cache miss takes before it carves.
+    pub arena_free_bytes: u64,
 }
 
 impl StatsSnapshot {

@@ -21,17 +21,20 @@
 //! Every retired node carries the same fixed [`PAYLOAD_BYTES`] payload, so
 //! byte budgets translate to node counts by hand. A run is single-threaded and
 //! allocation-order deterministic (a "stall" is a handle that begins an
-//! operation and stops), so two runs differing only in scheme — or only in
-//! HE's era-advance policy, which is what the stalled reader shows best: the
-//! static policy pins up to one era interval of the burst per stall, the
-//! adaptive one less with every stall — are sample-by-sample comparable
-//! (`tests/robustness_bounds.rs`).
+//! operation and stops), and nothing in it sleeps: the rooster schemes run
+//! without a rooster ([`default_fault_config`]) and [`run_fault`] enters one
+//! completed wake-up per episode through their ledger. So two runs differing
+//! only in scheme — or only in HE's era-advance policy, which is what the
+//! stalled reader shows best: the static policy pins up to one era interval
+//! of the burst per stall, the adaptive one less with every stall — are
+//! sample-by-sample comparable (`tests/robustness_bounds.rs`).
 
 use crate::generator::SplitMix64;
 use crate::sampler::{mean, peak, percentile, LimboSampler};
 use crate::structures::SchemeKind;
 use reclaim_core::{
-    retire_box_with_birth, BudgetVerdict, EraAdvancePolicy, Leaky, Smr, SmrConfig, SmrHandle,
+    retire_box_with_birth, BarrierLedger, BudgetVerdict, EraAdvancePolicy, Leaky, Smr, SmrConfig,
+    SmrHandle,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,11 +100,6 @@ pub struct FaultPlan {
     /// Drop and re-register the writer handle every this many episodes
     /// (0 disables churn).
     pub churn_every: usize,
-    /// Wall-clock pause after each episode, so the rooster-gated schemes
-    /// (Cadence, QSense's fallback path) get a wake-up between an episode's
-    /// retires and the next pass. Zero keeps the run instantaneous for schemes
-    /// that wait for no rooster.
-    pub episode_pause: Duration,
 }
 
 impl FaultPlan {
@@ -113,7 +111,6 @@ impl FaultPlan {
             episodes: 24,
             burst: 256,
             churn_every: 8,
-            episode_pause: Duration::from_millis(2),
         }
     }
 
@@ -175,11 +172,18 @@ impl FaultResult {
 /// Runs `plan` against `scheme` and returns the sampled trajectory plus the
 /// scheme's budget verdict. Generic over [`Smr`] so era schemes (whose
 /// `alloc_node` stamps real birth eras) and the epoch schemes run the
-/// byte-identical operation sequence.
+/// byte-identical operation sequence. `wake_up` is the ledger of a rooster
+/// scheme (Cadence, QSense): after each episode the run enters one
+/// completed wake-up there, where a rooster would have ticked, so the
+/// episode's retires are reclaimable by the next pass.
 // Sanctioned raw-protocol site: the fault injector drives the raw retire
 // pipeline below the guard layer on purpose, measuring the scheme itself.
 #[allow(clippy::disallowed_methods)]
-pub fn run_fault<S: Smr>(scheme: &Arc<S>, plan: &FaultPlan) -> FaultResult {
+pub fn run_fault<S: Smr>(
+    scheme: &Arc<S>,
+    plan: &FaultPlan,
+    wake_up: Option<&BarrierLedger>,
+) -> FaultResult {
     let mut rng = SplitMix64(plan.seed);
     let mut sampler = LimboSampler::with_capacity(plan.episodes);
     let mut total_retired = 0u64;
@@ -268,8 +272,10 @@ pub fn run_fault<S: Smr>(scheme: &Arc<S>, plan: &FaultPlan) -> FaultResult {
             writer = Some(scheme.register());
         }
         sampler.sample(scheme);
-        if !plan.episode_pause.is_zero() {
-            std::thread::sleep(plan.episode_pause);
+        if let Some(ledger) = wake_up {
+            // SAFETY: this thread drives every handle of the run, so no
+            // sibling holds a protection for a barrier to drain.
+            unsafe { ledger.issue(|| true) };
         }
     }
 
@@ -303,8 +309,8 @@ pub fn run_fault<S: Smr>(scheme: &Arc<S>, plan: &FaultPlan) -> FaultResult {
     }
 }
 
-/// The reclamation configuration the fault matrix runs under: prompt rooster
-/// ticks so every episode pause spans a wake-up, an adaptive era policy
+/// The reclamation configuration the fault matrix runs under: no rooster
+/// ([`run_fault`] enters the wake-ups), an adaptive era policy
 /// so HE's pacer can react to limbo pressure, and the given limbo budget
 /// (without one the pacer's mark is 16 Ki payloads, far above any plan here).
 pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
@@ -313,7 +319,7 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
         .with_quiescence_threshold(64)
         .with_scan_threshold(64)
         .with_fallback_threshold(1 << 20)
-        .with_rooster_interval(Duration::from_millis(1))
+        .with_rooster_interval(Duration::MAX)
         .with_era_policy(EraAdvancePolicy::Adaptive {
             min_interval: 16,
             max_interval: 256,
@@ -326,14 +332,20 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
 /// `config` — the matrix dispatch behind `qsense-bench --fault`.
 pub fn run_fault_for(kind: SchemeKind, config: SmrConfig, plan: &FaultPlan) -> FaultResult {
     match kind {
-        SchemeKind::None => run_fault(&Leaky::new(config), plan),
-        SchemeKind::Qsbr => run_fault(&qsbr::Qsbr::new(config), plan),
-        SchemeKind::Hp => run_fault(&hazard::Hazard::new(config), plan),
-        SchemeKind::Cadence => run_fault(&cadence::Cadence::new(config), plan),
-        SchemeKind::QSense => run_fault(&qsense::QSense::new(config), plan),
-        SchemeKind::Ebr => run_fault(&ebr::Ebr::new(config), plan),
-        SchemeKind::He => run_fault(&he::He::new(config), plan),
-        SchemeKind::RefCount => run_fault(&refcount::RefCount::new(config), plan),
+        SchemeKind::None => run_fault(&Leaky::new(config), plan, None),
+        SchemeKind::Qsbr => run_fault(&qsbr::Qsbr::new(config), plan, None),
+        SchemeKind::Hp => run_fault(&hazard::Hazard::new(config), plan, None),
+        SchemeKind::Cadence => {
+            let scheme = cadence::Cadence::new(config);
+            run_fault(&scheme, plan, Some(scheme.ledger()))
+        }
+        SchemeKind::QSense => {
+            let scheme = qsense::QSense::new(config);
+            run_fault(&scheme, plan, Some(scheme.ledger()))
+        }
+        SchemeKind::Ebr => run_fault(&ebr::Ebr::new(config), plan, None),
+        SchemeKind::He => run_fault(&he::He::new(config), plan, None),
+        SchemeKind::RefCount => run_fault(&refcount::RefCount::new(config), plan, None),
     }
 }
 
@@ -346,7 +358,6 @@ mod tests {
             episodes: 6,
             burst: 64,
             churn_every: 2,
-            episode_pause: Duration::ZERO,
             ..FaultPlan::new(kind)
         }
     }
@@ -402,7 +413,7 @@ mod tests {
     fn stalled_reader_fault_samples_every_episode_and_cleans_up_under_he() {
         let plan = quick_plan(FaultKind::StalledReader);
         let scheme = he::He::new(default_fault_config(None).with_era_advance_interval(16));
-        let result = run_fault(&scheme, &plan);
+        let result = run_fault(&scheme, &plan, None);
         assert_eq!(result.limbo_samples.len(), plan.episodes);
         assert_eq!(result.total_retired, (plan.episodes * plan.burst) as u64);
         assert!(result.peak_limbo() >= result.end_limbo);

@@ -253,7 +253,6 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
         episodes: 24,
         burst: 256,
         churn_every: 8,
-        episode_pause: Duration::ZERO,
         ..FaultPlan::new(FaultKind::StalledReader)
     };
     let base = || {
@@ -267,6 +266,7 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
     let static_run = run_fault(
         &He::new(base().with_era_policy(EraAdvancePolicy::Static(64))),
         &spec,
+        None,
     );
     let adaptive_run = run_fault(
         &He::new(base().with_era_policy(EraAdvancePolicy::Adaptive {
@@ -276,8 +276,9 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
             limbo_low_water_bytes: 4 * PAYLOAD_BYTES,
         })),
         &spec,
+        None,
     );
-    let qsbr_run = run_fault(&Qsbr::new(base()), &spec);
+    let qsbr_run = run_fault(&Qsbr::new(base()), &spec, None);
 
     assert_eq!(adaptive_run.total_retired, static_run.total_retired);
     assert_eq!(adaptive_run.limbo_samples.len(), spec.episodes);
@@ -330,6 +331,7 @@ fn run_reader_fenced_hp(config: SmrConfig, plan: &FaultPlan) -> FaultResult {
     run_fault(
         &Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced),
         plan,
+        None,
     )
 }
 

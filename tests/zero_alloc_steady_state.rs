@@ -22,7 +22,9 @@
 //! * guard-layer nodes cost nothing either: the free stage puts a freed node's
 //!   block in its handle's node cache and the handle's next allocation takes
 //!   it, so allocate → publish → unlink → retire cycles allocate 0 bytes on
-//!   every reclaiming scheme, and the caches give every block back when the
+//!   every reclaiming scheme; Leaky's nodes come whole chunks at a time from
+//!   its scheme's arena, and the window sees exactly those chunks; and every
+//!   block goes back to its arena, and every chunk to the allocator, when the
 //!   structure, its handles and the scheme drop.
 //!
 //! Everything runs in a single `#[test]` so no concurrent test case can disturb
@@ -41,6 +43,7 @@ use qsense_repro::smr::{
     FenceStrategy, Guard, Hazard, He, Leaky, ManualClock, Owned, QSense, Qsbr, RefCount, Shared,
     Smr, SmrConfig, SmrHandle,
 };
+use reclaim_core::node_cache::{CHUNK_BYTES, CHUNK_HEADER_BYTES, REFILL_BLOCKS};
 use reclaim_core::{RetiredPtr, SEG_CAP};
 use std::mem::size_of;
 use std::sync::Arc;
@@ -692,14 +695,26 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // handle, the scheme's scans running wherever its thresholds put them:
     // after warm-up, every node a cycle allocates is a block the free stage
     // put in the handle's node cache, so a reclaiming scheme's cycles allocate
-    // nothing at all. Leaky frees nothing: each of its cycles allocates its
-    // node, and its bag a segment every `SEG_CAP` retires.
+    // nothing at all and its arena carves nothing. Leaky frees nothing: each
+    // of its cycles takes its node from the scheme's arena, which carves
+    // them `REFILL_BLOCKS` at a time and takes a whole chunk from the
+    // allocator every `per_chunk` nodes — the window must see exactly the
+    // chunks its nodes cross into and nothing else but its bag's segment
+    // every `SEG_CAP` retires.
     {
         /// A multiple of `SEG_CAP`, so Leaky's bag crosses a whole number of
         /// segments.
         const CYCLES: usize = 100 * SEG_CAP;
         type Payload = [u64; 3];
-        fn measure<S: Smr>(name: &str, scheme: Arc<S>, age: impl Fn(&S), expected: usize) {
+        /// A node's block: the birth-era header, then the payload.
+        const NODE: usize = size_of::<Era>() + size_of::<Payload>();
+        fn measure<S: Smr>(
+            name: &str,
+            scheme: Arc<S>,
+            age: impl Fn(&S),
+            carved_per_cycle: usize,
+            expected: usize,
+        ) {
             let mut handle = scheme.register();
             let link: Atomic<Payload> = Atomic::null();
             let mut cycles = || {
@@ -719,13 +734,31 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                 }
             };
             cycles(); // warm-up: pool, scratch and cache at their steady state
+                      // A miss carves `REFILL_BLOCKS` at once.
+            let per_chunk = (CHUNK_BYTES - CHUNK_HEADER_BYTES) / NODE;
+            let chunks_for = |cycles: usize| {
+                (cycles * carved_per_cycle)
+                    .next_multiple_of(REFILL_BLOCKS)
+                    .div_ceil(per_chunk)
+            };
+            let mut run = CYCLES;
             assert_alloc_delta(
-                &format!("{name}: {CYCLES} guard-layer cycles"),
+                &format!("{name}: {CYCLES} guard-layer cycles, chunks aside"),
                 expected as u64,
                 || {
+                    let arena_before = scheme.stats().arena_bytes;
                     let before_alloc = ALLOC.allocated_bytes();
                     cycles();
-                    ALLOC.allocated_bytes() - before_alloc
+                    let delta = ALLOC.allocated_bytes() - before_alloc;
+                    let chunks = scheme.stats().arena_bytes - arena_before;
+                    let crossed = chunks_for(run + CYCLES) - chunks_for(run);
+                    run += CYCLES;
+                    assert_eq!(
+                        chunks,
+                        (crossed * CHUNK_BYTES) as u64,
+                        "{name}: the window carves exactly the chunks its nodes cross into"
+                    );
+                    delta - chunks
                 },
             );
         }
@@ -734,18 +767,28 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                 .with_scan_threshold(16)
                 .with_quiescence_threshold(8)
         };
-        measure("hp", Hazard::new(config()), |_| (), 0);
-        measure("qsbr", Qsbr::new(config()), |_| (), 0);
-        measure("ebr", Ebr::new(config()), |_| (), 0);
-        measure("he", He::new(config()), |_| (), 0);
-        measure("rc", RefCount::new(config()), |_| (), 0);
-        measure("cadence", Cadence::new(config()), |s| tick(s.ledger()), 0);
-        measure("qsense", QSense::new(config()), |s| tick(s.ledger()), 0);
+        measure("hp", Hazard::new(config()), |_| (), 0, 0);
+        measure("qsbr", Qsbr::new(config()), |_| (), 0, 0);
+        measure("ebr", Ebr::new(config()), |_| (), 0, 0);
+        measure("he", He::new(config()), |_| (), 0, 0);
+        measure("rc", RefCount::new(config()), |_| (), 0, 0);
+        measure(
+            "cadence",
+            Cadence::new(config()),
+            |s| tick(s.ledger()),
+            0,
+            0,
+        );
+        measure("qsense", QSense::new(config()), |s| tick(s.ledger()), 0, 0);
         // A segment: its `next` and `len` words, then `SEG_CAP` retired nodes.
         let segment = 2 * size_of::<usize>() + SEG_CAP * size_of::<RetiredPtr>();
-        let node = size_of::<Era>() + size_of::<Payload>();
-        let leaky = CYCLES * node + CYCLES / SEG_CAP * segment;
-        measure("none", Leaky::new(config()), |_| (), leaky);
+        measure(
+            "none",
+            Leaky::new(config()),
+            |_| (),
+            1,
+            CYCLES / SEG_CAP * segment,
+        );
     }
 
     // --- nothing leaks ------------------------------------------------------
