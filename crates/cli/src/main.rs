@@ -297,7 +297,8 @@ fn throughput_json_row(
         .int_field("freed", result.stats.freed)
         .int_field("quiescent_states", result.stats.quiescent_states)
         .int_field("fallback_switches", result.stats.fallback_switches)
-        .int_field("fast_path_switches", result.stats.fast_path_switches);
+        .int_field("fast_path_switches", result.stats.fast_path_switches)
+        .int_field("evictions", result.stats.evictions);
     if options.timeline {
         let peak = result.samples.iter().map(|s| s.in_limbo).max().unwrap_or(0);
         row = row.int_field("peak_in_limbo", peak).opt_num_field(

@@ -362,7 +362,7 @@ mod tests {
         for k in [1, 2, 6, 16, 17, 34] {
             let registry = Registry::new(4, |_| HpSlots::new(k));
             let mut owner_of_block = HashSet::new();
-            for (_, record) in registry.iter_all() {
+            for record in (0..registry.capacity()).map(|i| registry.get(i)) {
                 let slots: Vec<usize> = record
                     .slots()
                     .iter()

@@ -11,9 +11,9 @@
 //! paper's Lemma 3) only needs a happens-before chain, which acquire/release
 //! provides:
 //!
-//! 1. a thread adopting epoch `e` **release-stores** its [`EpochRecord`] at a
-//!    quiescent point, so everything it did before (all its accesses to shared
-//!    nodes) is ordered before the store;
+//! 1. a thread adopting epoch `e` **release-swaps** it into its [`EpochRecord`]
+//!    at a quiescent point, so everything it did before (all its accesses to
+//!    shared nodes) is ordered before the write;
 //! 2. the advancer **acquire-loads** every record while confirming `e`, so every
 //!    thread's pre-adoption accesses happen-before the advance;
 //! 3. the advance itself is an **AcqRel** compare-exchange on [`GlobalEpoch`], and
@@ -66,34 +66,66 @@ impl GlobalEpoch {
     }
 }
 
+/// An [`EpochRecord`] whose thread an evictor took out of grace periods (QSense).
+pub const EVICTED: u64 = u64::MAX;
+/// An [`EpochRecord`] no thread uses: its initial state, and a leaving owner's.
+pub const OFFLINE: u64 = u64::MAX - 1;
+
 /// Per-thread epoch record (`e_p` in the paper), scanned by other threads when they
-/// try to advance the global epoch.
-#[derive(Debug, Default)]
-pub struct EpochRecord {
-    local: AtomicU64,
+/// try to advance the global epoch. Its word holds an epoch, written only by the
+/// owner ([`adopt`](Self::adopt)); [`EVICTED`], written only by an evictor over an
+/// epoch ([`evict`](Self::evict)), so never on a vacant slot; or [`OFFLINE`].
+/// Grace periods count a thread in either sentinel as confirmed.
+///
+/// **The eviction counter** of a scheme that evicts is at least the number of
+/// words reading [`EVICTED`]: the evictor increments it before its CAS (and takes
+/// that back if the CAS fails), and each owner write that replaced [`EVICTED`]
+/// decrements it — registration, adoption (an evictor whose staleness check came
+/// before the owner's refresh can CAS between the owner's lift and its adoption),
+/// the lift ([`EpochLimbo::lift`](crate::EpochLimbo::lift): back to the local
+/// epoch) and leaving. A stale CAS can land on a successor registered at the same
+/// epoch (ABA): evicting a live thread is safe — the owner lifts it at its next
+/// operation boundary, and QSense frees by hazard pointers what it left ungraced.
+#[derive(Debug)]
+pub struct EpochRecord(AtomicU64);
+
+impl Default for EpochRecord {
+    /// An [`OFFLINE`] record.
+    fn default() -> Self {
+        Self(AtomicU64::new(OFFLINE))
+    }
 }
 
 impl EpochRecord {
-    /// Creates a record at epoch 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Reads this thread's local epoch (acquire: pairs with the owner's release
-    /// store, making the owner's pre-quiescence accesses visible to the advancer).
+    /// Reads the word (acquire: pairs with the owner's release, making the
+    /// owner's pre-quiescence accesses visible to the advancer).
     #[inline]
     pub fn load(&self) -> u64 {
-        self.local.load(Ordering::Acquire)
+        self.0.load(Ordering::Acquire)
     }
 
-    /// Adopts a (new) local epoch. Release suffices: the store is the owner's
-    /// quiescent point, and release orders every preceding access to shared nodes
-    /// before it — exactly the edge the grace-period argument needs (module docs).
-    /// Nothing in the protocol compares this store against *other* threads'
-    /// unrelated stores, so no total (`SeqCst`) order is required.
+    /// The thread's epoch, or `None` while it is [`EVICTED`] or [`OFFLINE`].
     #[inline]
-    pub fn store(&self, epoch: u64) {
-        self.local.store(epoch, Ordering::Release);
+    pub fn epoch(&self) -> Option<u64> {
+        Some(self.load()).filter(|&word| word < OFFLINE)
+    }
+
+    /// The owner's write of an epoch or [`OFFLINE`]: true if it replaced
+    /// [`EVICTED`]. Release orders the owner's accesses before it (module docs);
+    /// acquire, the evictor's increment before the owner's decrement.
+    #[inline]
+    pub fn adopt(&self, state: u64) -> bool {
+        debug_assert_ne!(state, EVICTED, "only an evictor writes EVICTED");
+        self.0.swap(state, Ordering::AcqRel) == EVICTED
+    }
+
+    /// The evictor's write: [`EVICTED`] over the epoch `seen`, if the word
+    /// still holds it.
+    pub fn evict(&self, seen: u64) -> bool {
+        debug_assert!(seen < OFFLINE, "an evictor only replaces an epoch");
+        self.0
+            .compare_exchange(seen, EVICTED, Ordering::Release, Ordering::Relaxed)
+            .is_ok()
     }
 }
 
@@ -111,8 +143,7 @@ pub enum CursorCheck {
     /// claimed by a thread adopting the *current* global epoch (see the
     /// confirmed-once-stays-confirmed argument on [`EpochCursor`]).
     VacantRun(usize),
-    /// The slot's thread has confirmed the epoch (adopted it, or is excluded from
-    /// grace periods, e.g. evicted in QSense's extension).
+    /// The slot's thread has confirmed the epoch (adopted it, or is a sentinel).
     Confirmed,
     /// The slot's thread has not yet adopted the epoch; the pass cannot complete.
     Lagging,
@@ -131,17 +162,15 @@ const CURSOR_POS_MASK: u64 = (1 << CURSOR_POS_BITS) - 1;
 /// Shared cursor turning the O(N) "has every thread adopted epoch `e`?" sweep into
 /// amortized-O(1) work per quiescent state.
 ///
-/// The old protocol re-scanned the whole registry on *every* quiescent state whose
-/// local epoch was current — per-Q-ops work proportional to `N`, on the fast path.
-/// The cursor instead maintains one packed word `(epoch_tag << 16) | position`:
+/// The cursor maintains one packed word `(epoch_tag << 16) | position`:
 /// each poll confirms at most [`CURSOR_BATCH`] claimed slots starting at
 /// `position`, publishes its progress with a CAS, and reports completion once the
 /// position reaches the capacity. Threads cooperate on one pass instead of each
 /// redoing it.
 ///
 /// **Why confirmed-once stays confirmed** (the invariant that makes a monotonic
-/// cursor sound): a slot is confirmed for epoch `e` only if it is vacant, excluded,
-/// or its record is *at* `e`. A record at `e` can only change by adopting a newer
+/// cursor sound): a slot is confirmed for epoch `e` only if it is vacant, its word
+/// reads [`EVICTED`] or [`OFFLINE`], or its record is *at* `e`. A record at `e` can only change by adopting a newer
 /// global epoch — but the global epoch cannot move past `e` before this very pass
 /// completes, so within a pass a confirmed record stays at `e`. A vacant slot that
 /// gets claimed mid-pass adopts the *current* global epoch at registration, i.e.
@@ -156,11 +185,6 @@ pub struct EpochCursor {
 }
 
 impl EpochCursor {
-    /// Creates a cursor positioned at the start of epoch 0's pass.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Contributes a bounded amount of confirmation work for `global`, checking
     /// slots via `check`. Returns `true` once every slot in `0..capacity` has been
     /// confirmed for `global` (the caller should then try to advance the epoch).
@@ -255,10 +279,7 @@ pub struct EpochDomain {
 impl EpochDomain {
     /// Creates a domain at epoch 0.
     pub fn new() -> Self {
-        Self {
-            global: GlobalEpoch::new(),
-            cursor: EpochCursor::new(),
-        }
+        Self::default()
     }
 
     /// The current global epoch.
@@ -269,18 +290,17 @@ impl EpochDomain {
 
     /// Contributes a bounded slice of the "has every registered thread adopted
     /// `epoch`?" check and advances the global epoch once the cooperative pass
-    /// completes. Replaces the old full-registry sweep each quiescent state paid.
+    /// completes.
     ///
-    /// `epoch_of(i, record)` is the epoch the thread in claimed slot `i` is at,
-    /// or `None` if the scheme excludes it from grace periods (it then counts
-    /// as confirmed, and `grace_drain`'s contract covers it). `stats` is the
+    /// `record` projects a slot's record onto its [`EpochRecord`] (for an
+    /// [`EVICTED`] thread, `grace_drain`'s contract answers). `stats` is the
     /// polling handle's stripe, which takes the walk's vacant-shard tally.
     pub fn poll_epoch_confirmation<R>(
         &self,
         stats: &StatStripe,
         epoch: u64,
         registry: &Registry<R>,
-        epoch_of: impl Fn(usize, &R) -> Option<u64>,
+        record: impl Fn(&R) -> &EpochRecord,
     ) {
         let confirmed = self.cursor.poll(epoch, registry.capacity(), |i| {
             // Shard-granular vacancy first: a wholly-vacant shard is classified
@@ -291,7 +311,7 @@ impl EpochDomain {
                 CursorCheck::VacantRun(next)
             } else if !registry.is_claimed(i) {
                 CursorCheck::Vacant
-            } else if epoch_of(i, registry.get(i)).is_none_or(|at| at == epoch) {
+            } else if record(registry.get(i)).epoch().is_none_or(|at| at == epoch) {
                 CursorCheck::Confirmed
             } else {
                 CursorCheck::Lagging
@@ -328,11 +348,23 @@ mod tests {
     }
 
     #[test]
-    fn epoch_record_round_trips() {
-        let r = EpochRecord::new();
-        assert_eq!(r.load(), 0);
-        r.store(7);
-        assert_eq!(r.load(), 7);
+    fn epoch_record_moves_between_its_three_states() {
+        let r = EpochRecord::default();
+        assert_eq!(
+            (r.load(), r.epoch()),
+            (OFFLINE, None),
+            "records start offline"
+        );
+        assert!(!r.evict(7), "an evictor cannot land on an offline word");
+        assert!(!r.adopt(7));
+        assert_eq!(r.epoch(), Some(7));
+        assert!(!r.evict(6), "nor on an epoch it did not see");
+        assert!(r.evict(7));
+        assert_eq!((r.load(), r.epoch()), (EVICTED, None));
+        assert!(r.adopt(8), "an adoption over EVICTED reports it");
+        assert!(r.evict(8));
+        assert!(r.adopt(OFFLINE), "and so does leaving");
+        assert_eq!(r.load(), OFFLINE);
     }
 
     #[test]
@@ -355,13 +387,13 @@ mod tests {
 
     #[test]
     fn cursor_confirms_small_registries_in_one_poll() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         assert!(cursor.poll(0, 4, |_| CursorCheck::Confirmed));
     }
 
     #[test]
     fn cursor_skips_vacant_slots_for_free() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         // 60 vacant slots around 4 confirmed ones: still one poll, because only
         // claimed slots consume the batch budget.
         assert!(cursor.poll(0, 64, |i| if i % 16 == 0 {
@@ -373,7 +405,7 @@ mod tests {
 
     #[test]
     fn cursor_jumps_vacant_runs_without_touching_their_slots() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         use std::cell::Cell;
         let checks = Cell::new(0);
         // 256 slots, only 252..256 claimed: a shard-granular vacancy test jumps
@@ -391,14 +423,14 @@ mod tests {
 
     #[test]
     fn cursor_clamps_backwards_vacant_runs_to_forward_progress() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         // A check that always reports a stale jump target must still terminate.
         assert!(cursor.poll(0, 16, |_| CursorCheck::VacantRun(0)));
     }
 
     #[test]
     fn cursor_spreads_a_full_registry_over_batched_polls() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         let capacity = 4 * CURSOR_BATCH;
         let mut polls = 0;
         while !cursor.poll(0, capacity, |_| CursorCheck::Confirmed) {
@@ -410,7 +442,7 @@ mod tests {
 
     #[test]
     fn cursor_stops_at_a_lagging_slot_and_resumes() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         let mut lagging = true;
         // Slot 2 lags: the pass cannot complete …
         for _ in 0..4 {
@@ -431,7 +463,7 @@ mod tests {
 
     #[test]
     fn cursor_ignores_stale_epoch_pollers() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         let capacity = 3 * CURSOR_BATCH;
         // Build partial progress for epoch 1.
         assert!(!cursor.poll(1, capacity, |_| CursorCheck::Confirmed));
@@ -444,7 +476,7 @@ mod tests {
 
     #[test]
     fn cursor_restarts_when_the_epoch_moves() {
-        let cursor = EpochCursor::new();
+        let cursor = EpochCursor::default();
         // Partial pass at epoch 0 over a large registry (needs > 1 poll).
         let capacity = 3 * CURSOR_BATCH;
         assert!(!cursor.poll(0, capacity, |_| CursorCheck::Confirmed));

@@ -27,7 +27,9 @@ mod epoch;
 mod limbo;
 mod scheme;
 
-pub use epoch::{limbo_index, EpochDomain, EpochRecord, GlobalEpoch, EPOCH_BUCKETS};
+pub use epoch::{
+    limbo_index, EpochDomain, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED, OFFLINE,
+};
 pub use limbo::{grace_drain, EpochLimbo};
 pub use scheme::{Qsbr, QsbrHandle};
 

@@ -2,7 +2,7 @@
 //! local epoch and quiescence counter ([`EpochLimbo`]), and the grace-period
 //! drain of a matured list ([`grace_drain`]).
 
-use crate::epoch::{limbo_index, EpochDomain, EpochRecord, EPOCH_BUCKETS};
+use crate::epoch::{limbo_index, EpochDomain, EpochRecord, EPOCH_BUCKETS, EVICTED};
 use reclaim_core::{HandleCore, Registry, SegBag, StatStripe};
 
 /// `QsbrHandle` is this plus a `HandleCore`; QSense's handle holds the same
@@ -27,18 +27,25 @@ impl EpochLimbo {
     /// allows — same as QSBR's normal behaviour under delays.)
     pub const FLUSH_CYCLE: usize = 2 * EPOCH_BUCKETS;
 
-    /// The part of a thread registering now, whose record is `mine`.
-    pub fn register(domain: &EpochDomain, mine: &EpochRecord) -> Self {
+    /// The part of a thread registering now, whose record is `mine`, and whether
+    /// that replaced [`EVICTED`] (the caller owns the decrement: [`EpochRecord`]).
+    pub fn register(domain: &EpochDomain, mine: &EpochRecord) -> (Self, bool) {
         // Adopt the current global epoch immediately: a freshly registered thread
         // holds no references, so adopting (rather than lagging at a stale value) is
         // always safe and avoids spuriously blocking epoch advancement.
         let epoch = domain.current();
-        mine.store(epoch);
-        Self {
+        let part = Self {
             bags: std::array::from_fn(|_| SegBag::new()),
             local_epoch: epoch,
             ops_since_quiescence: 0,
-        }
+        };
+        (part, mine.adopt(epoch))
+    }
+
+    /// The owner's lift: if `mine` reads [`EVICTED`], restores the local epoch
+    /// the evictor replaced, and returns true (the caller owns the decrement).
+    pub fn lift(&self, mine: &EpochRecord) -> bool {
+        mine.load() == EVICTED && mine.adopt(self.local_epoch)
     }
 
     /// Counts an operation boundary; true when a quiescent state is due. The
@@ -81,26 +88,26 @@ impl EpochLimbo {
     /// threshold. This is the paper's `quiescent_state()`:
     /// * if the local epoch lags the global epoch, adopt it and hand back the
     ///   limbo list that the new epoch maps to, for the caller to free
-    ///   ([`grace_drain`]);
+    ///   ([`grace_drain`]), and whether that replaced [`EVICTED`];
     /// * otherwise, if every thread of `registry` has adopted the global epoch,
-    ///   advance it ([`EpochDomain::poll_epoch_confirmation`], as is `epoch_of`).
+    ///   advance it ([`EpochDomain::poll_epoch_confirmation`], as is `record`).
     pub fn quiescent_state<R>(
         &mut self,
         stats: &StatStripe,
         domain: &EpochDomain,
         mine: &EpochRecord,
         registry: &Registry<R>,
-        epoch_of: impl Fn(usize, &R) -> Option<u64>,
-    ) -> Option<&mut SegBag> {
+        record: impl Fn(&R) -> &EpochRecord,
+    ) -> Option<(&mut SegBag, bool)> {
         stats.add_quiescent_state();
         let global = domain.current();
         if self.local_epoch == global {
-            domain.poll_epoch_confirmation(stats, global, registry, epoch_of);
+            domain.poll_epoch_confirmation(stats, global, registry, record);
             return None;
         }
-        mine.store(global);
+        let lifted = mine.adopt(global);
         self.local_epoch = global;
-        Some(self.current())
+        Some((self.current(), lifted))
     }
 }
 
@@ -109,8 +116,9 @@ impl EpochLimbo {
 /// # Safety
 ///
 /// `matured` must be what [`EpochLimbo::quiescent_state`] just handed `core`'s
-/// handle, and no thread `epoch_of` excluded since the bucket was last emptied
-/// may hold a reference to a node in it.
+/// handle, and its grace period must have counted every thread that may hold
+/// a reference to a node in it: a grace period skips a thread whose word reads
+/// [`EVICTED`], and proves nothing of a node retired while the caller's did.
 pub unsafe fn grace_drain<W: Default>(core: &mut HandleCore<W>, matured: &mut SegBag) {
     core.scan(|reclaim, _| {
         if matured.is_empty() {
@@ -146,12 +154,12 @@ mod tests {
     impl Fixture {
         fn new() -> Self {
             let domain = EpochDomain::new();
-            let registry = Registry::new(1, |_| EpochRecord::new());
+            let registry = Registry::new(1, |_| EpochRecord::default());
             let scheme = SchemeCore::new("test", SmrConfig::default());
             let (slot, core) = scheme
                 .register(&registry, |_| (SegPool::new(), ()))
                 .expect("one free slot");
-            let limbo = EpochLimbo::register(&domain, registry.get_mine(slot));
+            let (limbo, _) = EpochLimbo::register(&domain, registry.get_mine(slot));
             Self {
                 domain,
                 registry,
@@ -179,10 +187,8 @@ mod tests {
             } = self;
             let mine = registry.get(0);
             limbo
-                .quiescent_state(core.stats(), domain, mine, registry, |_, record| {
-                    Some(record.load())
-                })
-                .map(|matured| matured.len())
+                .quiescent_state(core.stats(), domain, mine, registry, |r| r)
+                .map(|(matured, _)| matured.len())
         }
 
         fn lens(&mut self) -> [usize; EPOCH_BUCKETS] {
@@ -219,7 +225,11 @@ mod tests {
         // Epoch 3 maps to epoch 0's bucket again: its node has matured.
         assert_eq!(f.quiesce(), None);
         assert_eq!(f.quiesce(), Some(1));
-        assert_eq!(f.registry.get(0).load(), 3, "adopted through the record");
+        assert_eq!(
+            f.registry.get(0).epoch(),
+            Some(3),
+            "adopted through the record"
+        );
         let Fixture { core, limbo, .. } = &mut f;
         // SAFETY: the bucket of the epoch just adopted; the one thread there is
         // holds no reference.

@@ -25,7 +25,7 @@ pub struct Qsbr {
 impl Qsbr {
     /// Creates a QSBR scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
-        let registry = Registry::new(config.max_threads, |_| EpochRecord::new());
+        let registry = Registry::new(config.max_threads, |_| EpochRecord::default());
         Arc::new(Self {
             core: SchemeCore::new("qsbr", config),
             epochs: EpochDomain::new(),
@@ -58,7 +58,8 @@ impl Smr for Qsbr {
             .core
             .register(&self.registry, |_| (SegPool::new(), ()))?;
         Ok(QsbrHandle {
-            limbo: EpochLimbo::register(&self.epochs, self.registry.get_mine(slot)),
+            // QSBR never evicts: no registration replaces `EVICTED`.
+            limbo: EpochLimbo::register(&self.epochs, self.registry.get_mine(slot)).0,
             scheme: Arc::clone(self),
             slot,
             core,
@@ -85,10 +86,9 @@ impl QsbrHandle {
     pub fn quiesce(&mut self) {
         let (scheme, stats) = (&*self.scheme, self.core.stats());
         let (registry, mine) = (&scheme.registry, scheme.registry.get_mine(self.slot));
-        let epoch_of = |_, record: &EpochRecord| Some(record.load());
         let limbo = &mut self.limbo;
-        let matured = limbo.quiescent_state(stats, &scheme.epochs, mine, registry, epoch_of);
-        if let Some(bucket) = matured {
+        let matured = limbo.quiescent_state(stats, &scheme.epochs, mine, registry, |r| r);
+        if let Some((bucket, _)) = matured {
             // SAFETY: the bucket just handed back; QSBR excludes no thread
             // from a grace period.
             unsafe { grace_drain(&mut self.core, bucket) };

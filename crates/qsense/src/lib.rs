@@ -15,9 +15,10 @@
 //!   e.g. a thread is stuck in I/O or descheduled), the scheme sets a shared
 //!   *fallback flag*. All threads then reclaim through Cadence scans: hazard
 //!   pointers plus deferred reclamation, robust to the delayed thread.
-//! * **Switching back.** Threads set per-thread *presence flags* as they run; once a
-//!   thread observes every registered thread active again it flips the flag back and
-//!   the scheme resumes QSBR.
+//! * **Switching back.** Each switch starts a new *episode* of the flag, and
+//!   every thread records the episode it last saw as it runs; once a thread
+//!   observes every registered thread in the current episode it flips the flag
+//!   back and the scheme resumes QSBR.
 //!
 //! Crucially (paper §4.1), hazard pointers and retire stamps are maintained *at
 //! all times*, even on the fast path — otherwise references acquired before a switch
@@ -32,8 +33,9 @@
 //! this crate: the fast path is `qsbr`'s epoch part (`qsbr::{EpochDomain,
 //! EpochLimbo, grace_drain}`), the fallback path `hazard`'s hazard-pointer part
 //! (`hazard::{HpSlots, OwnedSlots, hp_scan}`), both imported. Written here are
-//! Algorithm 5's switch between them ([`FallbackFlag`], [`PresenceFlag`]) and
-//! the eviction extension.
+//! Algorithm 5's switch between them (the fallback flag as an episode counter)
+//! and the eviction extension, whose state shares the epoch word
+//! (`qsbr::EVICTED`).
 //!
 //! ## Using it
 //!
@@ -58,7 +60,7 @@
 mod path;
 mod scheme;
 
-pub use path::{FallbackFlag, Path, PresenceFlag};
+pub use path::Path;
 pub use scheme::{QSense, QSenseHandle};
 
 #[cfg(test)]
@@ -445,6 +447,7 @@ mod tests {
             let snap = scheme.stats();
             assert!(snap.fast_path_switches >= 1);
             assert_eq!(snap.fast_path_switches, snap.fallback_switches);
+            assert_eq!(snap.evictions, 1, "one silent thread, evicted once");
             // Phase 3: reclamation keeps working on the fast path despite the crashed
             // thread (grace periods no longer wait for it; frees go through the Cadence
             // condition while it stays evicted).

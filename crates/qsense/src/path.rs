@@ -1,15 +1,16 @@
-//! Path-switching state: the fallback flag and the presence flags.
+//! Path-switching state: the fallback flag, which counts fallback episodes.
 //!
 //! QSense switches between its two modes through a single shared *fallback flag*
 //! (paper §5.2). Any worker that notices its limbo list has grown past `C` sets the
 //! flag to the fallback path; any worker that notices every registered thread has
-//! been active again sets it back to the fast path. Activity is tracked through one
-//! *presence flag* per thread, set by the owner after each batch of operations and
-//! reset collectively whenever a path switch happens (the paper only says the array
-//! is "reset periodically"; resetting at switches is the natural choice because each
-//! fallback episode needs a fresh observation window).
+//! been active again sets it back to the fast path. Each switch starts a new
+//! *episode* of the flag, and each thread records the episode it last saw at an
+//! operation boundary; a thread has been active in this fallback episode when
+//! its record holds it. Starting an episode is the reset the paper's presence
+//! array needs "periodically": every fallback episode gets a fresh observation
+//! window, and nothing has to be cleared.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Which reclamation path QSense is currently using.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,7 +21,8 @@ pub enum Path {
     Fallback,
 }
 
-/// The shared fallback flag.
+/// The shared fallback flag, as an episode counter: even is the fast path, odd
+/// the fallback path, and each switch adds one.
 ///
 /// ## Memory ordering
 ///
@@ -29,83 +31,60 @@ pub enum Path {
 /// because the paper's safety argument never depends on *when* a thread observes a
 /// path switch (§4.1/§5.2): hazard pointers and retire stamps are maintained
 /// on **both** paths at all times, so a thread acting on a stale path value only
-/// chooses a different — equally safe — reclamation condition. The switch CASes
-/// are AcqRel so the winner's preceding state (e.g. the presence reset) is
-/// visible to threads that subsequently observe the new path; no decision
-/// compares this flag against unrelated atomics, so no `SeqCst` total order is
-/// needed.
+/// chooses a different — equally safe — reclamation condition. The same holds
+/// for a stale episode: it only delays or hastens the switch back. The switch
+/// RMWs are AcqRel; no decision compares this flag against unrelated atomics,
+/// so no `SeqCst` total order is needed.
 #[derive(Debug, Default)]
-pub struct FallbackFlag {
-    /// `false` = fast path, `true` = fallback path.
-    fallback: AtomicBool,
+pub(crate) struct FallbackFlag {
+    episode: AtomicU64,
 }
 
 impl FallbackFlag {
     /// Creates a flag in the fast-path state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Reads the current path (one acquire load — the hot-path cost).
+    /// The current episode (one acquire load — the hot-path cost).
     #[inline]
-    pub fn load(&self) -> Path {
-        if self.fallback.load(Ordering::Acquire) {
-            Path::Fallback
-        } else {
-            Path::Fast
-        }
+    pub(crate) fn episode(&self) -> u64 {
+        self.episode.load(Ordering::Acquire)
+    }
+
+    /// Reads the current path.
+    #[inline]
+    pub(crate) fn load(&self) -> Path {
+        path_of(self.episode())
     }
 
     /// Attempts to switch fast → fallback. Returns `true` if this call performed the
     /// transition (so exactly one thread accounts for each switch).
-    pub fn trigger_fallback(&self) -> bool {
-        self.fallback
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok()
+    pub(crate) fn trigger_fallback(&self) -> bool {
+        self.switch_from(Path::Fast)
     }
 
     /// Attempts to switch fallback → fast. Returns `true` if this call performed the
     /// transition.
-    pub fn trigger_fast_path(&self) -> bool {
-        self.fallback
-            .compare_exchange(true, false, Ordering::AcqRel, Ordering::Acquire)
+    pub(crate) fn trigger_fast_path(&self) -> bool {
+        self.switch_from(Path::Fallback)
+    }
+
+    fn switch_from(&self, from: Path) -> bool {
+        let next = |episode| (path_of(episode) == from).then_some(episode + 1);
+        self.episode
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, next)
             .is_ok()
     }
 }
 
-/// One thread's presence flag (owned slot in the registry record).
-///
-/// Release/acquire is enough: presence only feeds *liveness* decisions (when to
-/// switch back to the fast path), never a freeing decision — a stale read can
-/// delay or hasten a path switch, both of which are safe because every node's
-/// protection state is maintained identically on both paths.
-#[derive(Debug, Default)]
-pub struct PresenceFlag {
-    active: AtomicBool,
-}
-
-impl PresenceFlag {
-    /// Creates an inactive flag.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Marks the owning thread as active (paper: `is_active(process_id)`).
-    #[inline]
-    pub fn set_active(&self) {
-        self.active.store(true, Ordering::Release);
-    }
-
-    /// Reads whether the owner has been active since the last reset.
-    #[inline]
-    pub fn is_active(&self) -> bool {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Clears the flag (done collectively at path switches).
-    #[inline]
-    pub fn reset(&self) {
-        self.active.store(false, Ordering::Release);
+/// The path an episode of the [`FallbackFlag`] runs.
+#[inline]
+fn path_of(episode: u64) -> Path {
+    if episode.is_multiple_of(2) {
+        Path::Fast
+    } else {
+        Path::Fallback
     }
 }
 
@@ -131,16 +110,6 @@ mod tests {
         assert!(flag.trigger_fast_path());
         assert!(!flag.trigger_fast_path());
         assert_eq!(flag.load(), Path::Fast);
-    }
-
-    #[test]
-    fn presence_flag_set_and_reset() {
-        let p = PresenceFlag::new();
-        assert!(!p.is_active());
-        p.set_active();
-        assert!(p.is_active());
-        p.reset();
-        assert!(!p.is_active());
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! The QSense scheme object and per-thread handle (paper Algorithm 5): the
 //! switch between `qsbr`'s epoch part and `hazard`'s hazard-pointer part.
 
-use crate::path::{FallbackFlag, Path, PresenceFlag};
+use crate::path::{FallbackFlag, Path};
 use hazard::{hp_scan, HpSlots, OwnedSlots};
-use qsbr::{grace_drain, EpochDomain, EpochLimbo, EpochRecord};
+use qsbr::{grace_drain, EpochDomain, EpochLimbo, EpochRecord, EPOCH_BUCKETS, OFFLINE};
 use reclaim_core::{
     BarrierLedger, CachePadded, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry,
     NodeCache, PtrScratch, Registry, RetiredPtr, SchemeCore, SegPool, SlotId, Smr, SmrConfig,
@@ -18,72 +18,27 @@ use std::sync::Arc;
 /// §5.2): hazard pointers and retire stamps are maintained even on the fast path
 /// so that a switch to the fallback path finds every hazardous reference protected,
 /// and the epoch record is maintained even on the fallback path so that switching
-/// back to QSBR is immediate.
+/// back to QSBR is immediate. The epoch word also holds the eviction extension's
+/// state (`qsbr::EVICTED`, whose argument `EpochRecord`'s docs give).
 pub(crate) struct QsenseRecord {
     hps: HpSlots,
     epoch: EpochRecord,
-    presence: PresenceFlag,
+    /// The fallback episode the owner last saw at an operation boundary. It
+    /// only decides when to leave the fallback path, never a free.
+    seen_episode: AtomicU64,
     /// Timestamp (scheme clock) of the owner's last sign of activity; drives the
     /// eviction extension (paper §5.2, future work).
     last_active: AtomicU64,
-    /// Eviction flag, tagged with the registry **generation** of the tenancy it
-    /// applies to: 0 means no eviction; a nonzero value is the (odd) generation
-    /// the evictor observed before its staleness check. The flag is *effective*
-    /// only while it equals the slot's current generation — a flag planted by an
-    /// evictor that raced a handle drop carries a dead generation and is ignored
-    /// by every reader, which closes the old residual window where a stranded
-    /// flag could be mistaken for an eviction of the slot's next tenant (the
-    /// matching counter increment can still linger briefly; eviction sweeps
-    /// retract dead-generation flags on vacant slots). While effective, the owner no
-    /// longer counts towards the all-processes-active check or towards grace
-    /// periods, and every fast-path free falls back to the Cadence check (barrier
-    /// coverage + hazard pointers) for as long as any thread is in this state.
-    evicted: AtomicU64,
 }
 
 impl QsenseRecord {
     fn new(k: usize) -> Self {
         Self {
             hps: HpSlots::new(k),
-            epoch: EpochRecord::new(),
-            presence: PresenceFlag::new(),
+            epoch: EpochRecord::default(),
+            seen_episode: AtomicU64::new(0),
             last_active: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
-    }
-
-    /// Marks the owner as active right now: sets the presence flag, refreshes the
-    /// activity timestamp and clears any standing eviction (only the owner ever
-    /// clears its own eviction, and only from a point where it holds no
-    /// references). Returns `true` when a standing eviction was lifted — the
-    /// caller then balances the scheme's global eviction counter.
-    ///
-    /// The common case pays one relaxed load and no shared store for the eviction
-    /// check; only when the flag is actually set does the owner issue the swap
-    /// (which also arbitrates the benign race with a concurrent evictor so the
-    /// counter moves exactly once per lifted eviction).
-    fn mark_active(&self, now: u64) -> bool {
-        self.presence.set_active();
-        self.last_active.store(now, Ordering::Release);
-        self.evicted.load(Ordering::Relaxed) != 0 && self.clear_eviction()
-    }
-
-    /// Clears the eviction flag regardless of which generation it tags; `true`
-    /// if it was set (the caller owns the matching decrement of the scheme's
-    /// eviction counter). Clearing a dead-generation flag is exactly how a
-    /// re-registered slot's owner balances the stranded increment of an evictor
-    /// that lost the race with its predecessor's drop.
-    fn clear_eviction(&self) -> bool {
-        self.evicted.swap(0, Ordering::AcqRel) != 0
-    }
-
-    /// Whether the record carries an eviction *effective for* the tenancy
-    /// identified by `gen` (the slot's current registry generation). Acquire
-    /// pairs with the evictor's release: observing the flag implies observing
-    /// the counter increment that preceded it (see
-    /// [`QSense::evict_unresponsive`]).
-    fn is_evicted(&self, gen: u64) -> bool {
-        self.evicted.load(Ordering::Acquire) == gen
     }
 }
 
@@ -99,12 +54,10 @@ pub struct QSense {
     registry: Registry<QsenseRecord>,
     /// The fast path's scheme side (`qsbr`'s), run over `registry`.
     epochs: EpochDomain,
-    /// Number of currently evicted registered threads. Kept so the fast path's
-    /// "may I free this bucket outright?" decision is **one load** instead of the
-    /// O(N) registry sweep it used to be; the count is maintained conservatively
-    /// (incremented before an eviction becomes visible, decremented after it is
-    /// cleared), so a racing reader can only over-count — which merely routes a
-    /// free through the always-safe Cadence check.
+    /// At least the number of epoch words that read `EVICTED` (`EpochRecord`'s
+    /// docs). Kept so the fast path's "may I free this bucket outright?"
+    /// decision is **one load**; a racing reader can only over-count, which
+    /// merely routes a free through the always-safe Cadence check.
     evicted_threads: CachePadded<AtomicU64>,
     fallback: FallbackFlag,
     /// Who issues the barrier behind the hazard pointers — a rooster, or the
@@ -164,20 +117,16 @@ impl QSense {
         &self.ledger
     }
 
-    /// True if every registered, non-evicted thread has set its presence flag since
-    /// the last reset (paper: `all_processes_active()`). Runs only while deciding
-    /// to leave the fallback path, so the O(N) sweep is off the fast path; its
-    /// shard tally goes to `tally`, the asking handle's stripe.
+    /// True if every registered thread still counted (its epoch word holds an
+    /// epoch) has seen the current fallback episode (paper:
+    /// `all_processes_active()`). Runs only while deciding to leave the
+    /// fallback path, so the O(N) sweep is off the fast path; its shard tally
+    /// goes to `tally`, the asking handle's stripe.
     fn all_processes_active(&self, tally: &StatStripe) -> bool {
-        self.registry.iter_claimed(tally).all(|(i, record)| {
-            record.is_evicted(self.registry.generation(i)) || record.presence.is_active()
-        })
-    }
-
-    fn reset_presence(&self) {
-        for (_, record) in self.registry.iter_all() {
-            record.presence.reset();
-        }
+        let episode = self.fallback.episode();
+        let seen = |r: &QsenseRecord| r.seen_episode.load(Ordering::Acquire) == episode;
+        let mut claimed = self.registry.iter_claimed(tally);
+        claimed.all(|(_, r)| r.epoch.epoch().is_none() || seen(r))
     }
 
     /// Number of currently evicted registered threads (extension diagnostics).
@@ -188,111 +137,54 @@ impl QSense {
     /// True if any registered thread is currently evicted.
     ///
     /// This runs on the fast path (every epoch-adoption bucket free), so it is a
-    /// single shared load of the cache-padded eviction counter — the earlier
-    /// full-registry sweep made every fast-path free O(N). Acquire (a plain load
-    /// on x86/TSO) pairs with the evictor's release so the counter can lag only
-    /// in the conservative direction: the increment is ordered *before* the
-    /// per-record flag becomes visible, and the decrement *after* it is cleared,
-    /// so any state in which a record still reads evicted is a state in which the
-    /// counter is already nonzero.
+    /// single shared load of the cache-padded eviction counter. Acquire (a plain
+    /// load on x86/TSO) pairs with the evictor's release, so the counter can lag
+    /// only in the conservative direction (`EpochRecord`'s docs).
     #[inline]
     fn any_evicted(&self) -> bool {
         self.evicted_threads.load(Ordering::Acquire) != 0
     }
 
-    /// Marks activity on `record`, balancing the eviction counter if a standing
-    /// eviction was lifted.
-    fn note_activity(&self, record: &QsenseRecord) {
-        if record.mark_active(self.config().clock.now()) {
+    /// Takes one back from the eviction counter if `owed`: an owner's write
+    /// replaced `EVICTED`, or an evictor's CAS failed.
+    fn balance(&self, owed: bool) {
+        if owed {
             self.evicted_threads.fetch_sub(1, Ordering::Release);
         }
     }
 
-    /// Eviction sweep (extension, paper §5.2 future work): marks as evicted every
+    /// Eviction sweep (extension, paper §5.2 future work): evicts every
     /// registered thread whose last sign of activity is older than the configured
-    /// eviction timeout. Called while the system is stuck on the fallback path.
+    /// eviction timeout. Called while the system is stuck on the fallback path;
+    /// its shard tally goes to `tally`, the calling handle's stripe.
     ///
     /// Evicting a thread never endangers safety — an evicted thread's references are
     /// covered by its hazard pointers plus deferred reclamation, which every free
     /// consults for as long as any thread is evicted — it only affects which threads
     /// the progress decisions wait for. Returns the number of threads newly evicted.
-    fn evict_unresponsive(&self) -> usize {
+    fn evict_unresponsive(&self, tally: &StatStripe) -> usize {
         let Some(timeout) = self.config().eviction_timeout_nanos() else {
             return 0;
         };
         let now = self.config().clock.now();
-        let mut evicted = 0;
-        for (i, record) in self.registry.iter_all() {
-            // Snapshot the slot's generation *before* the staleness check: the
-            // eviction is planted tagged with this value and re-validated after
-            // the CAS, so a handle drop (and possible re-registration) slipping
-            // into the gap is detected instead of stranding a flag.
-            let gen = self.registry.generation(i);
-            // Dead-generation flags — strands of an evictor whose plant landed
-            // between a dying owner's final `mark_active` and its release, or
-            // of an evictor that died between its plant and its own post-CAS
-            // retraction — are retracted here, flag and counter **in the same
-            // pass**, so a strand heals in exactly one sweep. This covers both
-            // a vacant slot (even `gen`) and a slot that was already re-claimed
-            // (odd `gen`, where previously only the successor's next
-            // `mark_active` would rebalance). Only values *below* the observed
-            // generation are provably dead — a value equal to an odd `gen` is a
-            // live eviction of the current tenant and must not be disturbed —
-            // and the exact-value CAS loses to any concurrent owner clear
-            // (which then owns the matching decrement).
-            let stale = record.evicted.load(Ordering::Acquire);
-            if stale != 0
-                && stale < gen
-                && record
-                    .evicted
-                    .compare_exchange(stale, 0, Ordering::AcqRel, Ordering::Relaxed)
-                    .is_ok()
-            {
-                self.evicted_threads.fetch_sub(1, Ordering::Relaxed);
-            }
-            if gen.is_multiple_of(2) {
-                // Vacant slot: nothing to evict.
-                continue;
-            }
-            if !record.is_evicted(gen)
-                && now.saturating_sub(record.last_active.load(Ordering::Acquire)) > timeout
-            {
-                // Increment the counter *before* publishing the flag: a fast-path
-                // thread that observes the flagged record (or an epoch advance
-                // justified by it) is then guaranteed to observe a nonzero counter.
-                // If another evictor wins the flag race, take the increment back —
-                // the transient over-count only routes frees through the
-                // always-safe Cadence check.
-                self.evicted_threads.fetch_add(1, Ordering::Relaxed);
-                if record
-                    .evicted
-                    .compare_exchange(0, gen, Ordering::Release, Ordering::Relaxed)
-                    .is_ok()
-                {
-                    if self.registry.generation(i) != gen {
-                        // The slot changed hands between the staleness check and
-                        // the flag CAS: the flag we just planted tags a dead
-                        // generation, so no reader will honour it. Retract it —
-                        // but only our exact value; a successor tenancy's
-                        // legitimate eviction would carry a different generation
-                        // and must not be disturbed. If the retraction CAS fails,
-                        // the new owner already cleared the flag (and decremented
-                        // the counter) through `mark_active`.
-                        if record
-                            .evicted
-                            .compare_exchange(gen, 0, Ordering::AcqRel, Ordering::Relaxed)
-                            .is_ok()
-                        {
-                            self.evicted_threads.fetch_sub(1, Ordering::Relaxed);
-                        }
-                    } else {
-                        evicted += 1;
-                    }
-                } else {
-                    self.evicted_threads.fetch_sub(1, Ordering::Relaxed);
-                }
-            }
-        }
+        let silent = |r: &QsenseRecord| now.saturating_sub(r.last_active.load(Ordering::Acquire));
+        let claimed = self.registry.iter_claimed(tally);
+        let evicted = claimed
+            .filter(|(_, r)| {
+                let seen = r.epoch.epoch();
+                seen.is_some_and(|seen| silent(r) > timeout && self.evict(r, seen))
+            })
+            .count();
+        tally.add_evictions(evicted);
+        evicted
+    }
+
+    /// One eviction: `record`'s epoch word from the epoch `seen` to `EVICTED`,
+    /// counted before the CAS and taken back if it fails.
+    fn evict(&self, record: &QsenseRecord, seen: u64) -> bool {
+        self.evicted_threads.fetch_add(1, Ordering::Relaxed);
+        let evicted = record.epoch.evict(seen);
+        self.balance(!evicted);
         evicted
     }
 }
@@ -306,9 +198,8 @@ impl Smr for QSense {
             (SegPool::new(), HpSlots::snapshot_scratch(config))
         })?;
         let record = self.registry.get_mine(slot);
-        let limbo = EpochLimbo::register(&self.epochs, &record.epoch);
-        self.note_activity(record);
-        Ok(QSenseHandle {
+        let (limbo, lifted) = EpochLimbo::register(&self.epochs, &record.epoch);
+        let mut handle = QSenseHandle {
             // SAFETY: the handle's `Arc<QSense>` keeps the registry alive, and
             // the strategy is the ledger's.
             hps: unsafe { record.hps.owner(self.ledger.strategy()) },
@@ -316,8 +207,12 @@ impl Smr for QSense {
             slot,
             core,
             limbo,
+            ungraced: 0,
             prev_seen_path: Path::Fast,
-        })
+        };
+        handle.rejoin(lifted);
+        handle.note_activity();
+        Ok(handle)
     }
 
     fn core(&self) -> &SchemeCore<PtrScratch> {
@@ -343,6 +238,10 @@ pub struct QSenseHandle {
     /// whole by the fallback path ("QSBR's limbo_list becomes the
     /// removed_nodes_list scanned by Cadence", paper §5.2).
     limbo: EpochLimbo,
+    /// Epoch adoptions left whose bucket may hold a node retired while this
+    /// thread was out of the count, so whose grace period proves nothing
+    /// ([`fast_path`](Self::fast_path)).
+    ungraced: usize,
     /// `prev_seen_fallback_flag` in Algorithm 5.
     prev_seen_path: Path,
 }
@@ -350,6 +249,27 @@ pub struct QSenseHandle {
 impl QSenseHandle {
     fn record(&self) -> &QsenseRecord {
         self.scheme.registry.get_mine(self.slot)
+    }
+
+    /// Marks this thread active in the current episode and lifts an eviction
+    /// of it. Only the owner lifts, at an operation boundary, where it holds
+    /// no references.
+    fn note_activity(&mut self) {
+        let (scheme, record) = (&*self.scheme, self.record());
+        let (episode, now) = (scheme.fallback.episode(), scheme.config().clock.now());
+        record.seen_episode.store(episode, Ordering::Release);
+        record.last_active.store(now, Ordering::Release);
+        self.rejoin(self.limbo.lift(&record.epoch));
+    }
+
+    /// Books an owner's write that replaced `EVICTED` (if `lifted`): one off
+    /// the eviction counter, and the next [`EPOCH_BUCKETS`] adoptions, one per
+    /// bucket, freed by the Cadence check instead of their grace period.
+    fn rejoin(&mut self, lifted: bool) {
+        if lifted {
+            self.scheme.balance(true);
+            self.ungraced = EPOCH_BUCKETS;
+        }
     }
 
     /// The path this handle last observed (for tests and diagnostics).
@@ -365,24 +285,39 @@ impl QSenseHandle {
     /// evicted and non-evicted threads alike — so excluding them is safe. An
     /// eviction lifted mid-pass is equally safe: lifting happens only at a
     /// reference-free operation boundary, which is precisely a quiescent point.
+    ///
+    /// A thread's *own* eviction needs more: out of the count, it kept
+    /// retiring as the epoch ran past its local one, so no grace period
+    /// proves those nodes. Its lift, or the adoption that replaced `EVICTED`,
+    /// comes before the next hand-back (`rejoin`), and the [`EPOCH_BUCKETS`]
+    /// hand-backs from there (one per bucket; an adoption that jumps epochs
+    /// follows an eviction) go through the Cadence check. What they leave was
+    /// retired before the first, so it has had a grace period when its bucket
+    /// comes round again.
     fn fast_path(&mut self) {
         let scheme = &*self.scheme;
-        let (registry, ledger) = (&scheme.registry, &scheme.ledger);
-        let mine = &registry.get_mine(self.slot).epoch;
-        let epoch_of = |i, record: &QsenseRecord| {
-            (!record.is_evicted(registry.generation(i))).then(|| record.epoch.load())
-        };
+        let mine = &scheme.registry.get_mine(self.slot).epoch;
         let (limbo, stats) = (&mut self.limbo, self.core.stats());
-        let matured = limbo.quiescent_state(stats, &scheme.epochs, mine, registry, epoch_of);
-        let Some(bucket) = matured else { return };
-        if scheme.any_evicted() {
+        let adopted =
+            limbo.quiescent_state(stats, &scheme.epochs, mine, &scheme.registry, |r| &r.epoch);
+        let Some((_, lifted)) = adopted else {
+            return;
+        };
+        self.rejoin(lifted);
+        let graced = self.ungraced == 0;
+        self.ungraced = self.ungraced.saturating_sub(1);
+        // The bucket of the local epoch is the one just handed back.
+        let (scheme, bucket) = (&*self.scheme, self.limbo.current());
+        let (registry, ledger) = (&scheme.registry, &scheme.ledger);
+        if !graced || scheme.any_evicted() {
             let (core, bucket) = (&mut self.core, std::slice::from_mut(bucket));
             // SAFETY: a bucket of the limbo, which is as the type says.
             unsafe { hp_scan(core, registry, |r| &r.hps, bucket, ledger, 0) };
         } else {
             // SAFETY: the bucket just handed back, and (Property 5 of the
             // paper) its grace period counted every registered thread, since
-            // none is evicted.
+            // none is evicted and this one has been counted since its nodes
+            // were retired.
             unsafe { grace_drain(&mut self.core, bucket) };
         }
     }
@@ -392,7 +327,7 @@ impl QSenseHandle {
     fn manage_state(&mut self) {
         // Signal that this thread is active (and lift any eviction of this thread —
         // it holds no references here, so counting it again is safe).
-        self.scheme.note_activity(self.record());
+        self.note_activity();
         match self.scheme.fallback.load() {
             Path::Fast => {
                 // Common case: run the fast path.
@@ -404,15 +339,13 @@ impl QSenseHandle {
                 // have been silent for longer than the configured timeout so that a
                 // permanently failed thread cannot pin the system in fallback mode
                 // forever (disabled unless `eviction_timeout` is set).
-                self.scheme.evict_unresponsive();
+                self.scheme.evict_unresponsive(self.core.stats());
                 // Try to switch back to the fast path if everyone (still counted) is
                 // active again.
                 if self.scheme.all_processes_active(self.core.stats())
                     && self.scheme.fallback.trigger_fast_path()
                 {
                     self.core.stats().add_fast_path_switch();
-                    // Start a fresh observation window for the next fallback episode.
-                    self.scheme.reset_presence();
                     self.prev_seen_path = Path::Fast;
                     self.fast_path();
                 } else {
@@ -477,7 +410,6 @@ impl SmrHandle for QSenseHandle {
             // possible for a while, so trigger the switch to the fallback path.
             if scheme.fallback.trigger_fallback() {
                 self.core.stats().add_fallback_switch();
-                scheme.reset_presence();
             }
             self.prev_seen_path = Path::Fallback;
             scan_all(&mut self.core, &mut self.limbo);
@@ -495,7 +427,6 @@ impl SmrHandle for QSenseHandle {
                 if seen == Path::Fast && scheme.fallback.trigger_fallback() {
                     core.stats().add_fallback_switch();
                     scheme.core.governor().count_fallback_trip();
-                    scheme.reset_presence();
                 }
                 *prev = Path::Fallback;
                 scan_all(core, limbo)
@@ -540,30 +471,9 @@ impl Drop for QSenseHandle {
         self.hps.clear_all();
         self.flush();
         self.core.park(&mut self.limbo.take_all());
-        // Refresh activity and lift any standing eviction *while still the slot
-        // owner* — the record must never be touched after `release`, because a
-        // successor thread may already own it (clearing a successor's eviction
-        // from here would let the fast path free nodes the successor still
-        // protects). The refreshed `last_active` also stops any evictor that has
-        // not yet passed its staleness check from flagging this slot during the
-        // remainder of the drop.
-        self.scheme.note_activity(self.record());
-        // Leaving the system: this thread must stop blocking both the epoch advance
-        // check and the all-processes-active check, which releasing the slot does.
-        //
-        // An evictor preempted between its staleness check and its flag CAS across
-        // this entire drop can still plant a flag around this release — but the
-        // flag carries the generation the evictor observed, which the release
-        // retires, so no reader ever honours it for a successor tenancy
-        // (`is_evicted` compares against the current generation): the *unsafe*
-        // half of the old residual window is closed exactly. The bookkeeping
-        // half is merely transient rather than exact: a plant landing after the
-        // `note_activity` above but before the release's generation bump passes
-        // the evictor's own post-CAS re-check, stranding one counter increment
-        // (conservative — fast-path frees route through the always-safe Cadence
-        // check) until the next eviction sweep's dead-flag retraction (which
-        // rebalances flag and counter in one pass, whether the slot is still
-        // vacant or already re-claimed) or the slot's next registration.
+        // Leaving the system: OFFLINE stops this slot blocking the epoch advance
+        // and the all-processes-active check, and no evictor lands on it.
+        self.scheme.balance(self.record().epoch.adopt(OFFLINE));
         self.scheme.registry.release(self.slot);
     }
 }
@@ -571,9 +481,10 @@ impl Drop for QSenseHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use qsbr::EVICTED;
 
     #[test]
-    fn record_maintains_hps_epoch_and_presence() {
+    fn record_maintains_hps_and_epoch() {
         let record = QsenseRecord::new(2);
         // SAFETY: `record` outlives the view; nothing scans.
         let mut hps = unsafe { record.hps.owner(FenceStrategy::Rooster) };
@@ -586,37 +497,29 @@ mod tests {
         out.clear();
         record.hps.collect_into(&mut out);
         assert!(out.is_empty());
-        record.epoch.store(3);
-        assert_eq!(record.epoch.load(), 3);
-        record.presence.set_active();
-        assert!(record.presence.is_active());
+        assert_eq!(record.epoch.load(), OFFLINE, "records start offline");
+        record.epoch.adopt(3);
+        assert_eq!(record.epoch.epoch(), Some(3));
     }
 
     #[test]
     fn mark_active_lifts_an_eviction_exactly_once() {
-        let record = QsenseRecord::new(1);
-        let gen = 7; // any odd (claimed) generation
-        assert!(!record.mark_active(10), "no standing eviction to lift");
-        record.evicted.store(gen, Ordering::Release);
-        assert!(record.is_evicted(gen));
-        assert!(record.mark_active(20), "standing eviction must be lifted");
-        assert!(!record.is_evicted(gen));
-        assert!(!record.mark_active(30), "second call has nothing to lift");
-        assert_eq!(record.last_active.load(Ordering::Acquire), 30);
-    }
-
-    #[test]
-    fn eviction_flags_of_dead_generations_are_ignored_but_still_liftable() {
-        let record = QsenseRecord::new(1);
-        record.evicted.store(5, Ordering::Release);
-        assert!(
-            !record.is_evicted(7),
-            "a flag tagged with a previous tenancy's generation must not be honoured"
+        let scheme = QSense::new(SmrConfig::default().with_max_threads(1));
+        let mut handle = scheme.register();
+        let record = scheme.registry.get(0);
+        handle.note_activity();
+        assert_eq!(scheme.evicted_count(), 0, "no standing eviction to lift");
+        assert!(scheme.evict(record, 0));
+        assert_eq!((record.epoch.load(), scheme.evicted_count()), (EVICTED, 1));
+        handle.note_activity();
+        assert_eq!(
+            record.epoch.epoch(),
+            Some(0),
+            "the lift restores the local epoch"
         );
-        assert!(record.is_evicted(5));
-        // The current owner can still lift it (balancing the stray counter bump).
-        assert!(record.mark_active(1));
-        assert!(!record.is_evicted(5));
+        assert_eq!(scheme.evicted_count(), 0);
+        handle.note_activity();
+        assert_eq!(scheme.evicted_count(), 0, "second call has nothing to lift");
     }
 
     #[test]
@@ -630,15 +533,19 @@ mod tests {
     }
 
     #[test]
-    fn presence_reset_clears_every_slot() {
+    fn a_new_episode_resets_every_slot() {
         let scheme = QSense::new(SmrConfig::default().with_max_threads(3));
-        let handles: Vec<_> = (0..3).map(|_| scheme.register()).collect();
-        assert!(
-            scheme.all_processes_active(scheme.core.orphan_stats()),
-            "registration marks threads active"
-        );
-        scheme.reset_presence();
-        assert!(!scheme.all_processes_active(scheme.core.orphan_stats()));
+        let mut handles: Vec<_> = (0..3).map(|_| scheme.register()).collect();
+        let all_active = || scheme.all_processes_active(scheme.core.orphan_stats());
+        assert!(all_active(), "registration marks threads active");
+        assert!(scheme.fallback.trigger_fallback());
+        assert!(!all_active(), "no thread has seen the new episode");
+        for handle in &mut handles[1..] {
+            handle.note_activity();
+        }
+        assert!(!all_active(), "one thread has still not seen it");
+        handles[0].note_activity();
+        assert!(all_active());
         drop(handles);
     }
 
@@ -653,154 +560,187 @@ mod tests {
                 .with_eviction_timeout(Some(Duration::from_millis(1)))
                 .with_clock(Clock::manual(manual.clone())),
         );
-        let idle = scheme.register();
-        let active = scheme.register();
+        let mut idle = scheme.register();
+        let mut active = scheme.register();
         // Make the idle thread stale, refresh the active one.
         manual.advance(Duration::from_millis(5));
-        scheme.note_activity(active.record());
-        assert_eq!(scheme.evict_unresponsive(), 1);
+        active.note_activity();
+        assert_eq!(scheme.evict_unresponsive(scheme.core.orphan_stats()), 1);
         assert!(scheme.any_evicted());
         assert_eq!(scheme.evicted_count(), 1);
         // A second sweep finds nothing new.
-        assert_eq!(scheme.evict_unresponsive(), 0);
+        assert_eq!(scheme.evict_unresponsive(scheme.core.orphan_stats()), 0);
         assert_eq!(scheme.evicted_count(), 1);
         // The idle thread coming back lifts its own eviction.
-        scheme.note_activity(idle.record());
+        idle.note_activity();
         assert!(!scheme.any_evicted());
         assert_eq!(scheme.evicted_count(), 0);
         drop(idle);
         drop(active);
     }
 
-    /// The residual window the generation tags close: an evictor that snapshotted
-    /// a slot's generation, then stalled across the owner's drop and a successor's
-    /// registration, plants a flag tagged with the *dead* generation. The flag
-    /// must not be honoured for the successor, and the counter must return to
-    /// balance through the successor's normal activity path.
+    /// An evictor that read an owner's epoch, then stalled across the owner's
+    /// drop, finds an OFFLINE word: its CAS fails and takes its increment back,
+    /// with no sweep to retract anything.
     #[test]
-    fn stale_evictor_flag_on_a_rereigstered_slot_is_rejected_and_rebalanced() {
+    fn a_replayed_eviction_of_a_dropped_owner_fails() {
         let scheme = QSense::new(SmrConfig::default().with_max_threads(1));
-        let stale_gen = {
-            let first = scheme.register();
-            scheme.registry.generation(first.slot.index())
-        }; // first owner deregisters here
-        let successor = scheme.register();
-        let slot = successor.slot.index();
-        let gen_now = scheme.registry.generation(slot);
-        assert_eq!(gen_now, stale_gen + 2, "same slot, next tenancy");
-
-        // Replay the stalled evictor's writes: increment, then the flag CAS with
-        // the generation it observed before the turnover. The CAS itself succeeds
-        // (the word was 0) — rejection happens at the generation comparison every
-        // reader performs.
-        scheme.evicted_threads.fetch_add(1, Ordering::Relaxed);
-        let record = scheme.registry.get(slot);
-        assert!(record
-            .evicted
-            .compare_exchange(0, stale_gen, Ordering::Release, Ordering::Relaxed)
-            .is_ok());
-
-        // No reader honours the dead-generation flag: the successor still counts
-        // towards presence and grace periods.
-        assert!(!record.is_evicted(gen_now));
-        scheme.reset_presence();
-        assert!(
-            !scheme.all_processes_active(scheme.core.orphan_stats()),
-            "successor must not be excluded by a stale flag"
-        );
-
-        // The counter transiently over-counts (conservative: frees route through
-        // the Cadence check) until the successor's next activity lifts the stray
-        // flag and rebalances it exactly.
-        assert_eq!(scheme.evicted_count(), 1);
-        scheme.note_activity(record);
-        assert_eq!(scheme.evicted_count(), 0, "counter must rebalance");
-        assert_eq!(record.evicted.load(Ordering::Acquire), 0);
-
-        // A legitimate eviction of the successor still works afterwards.
-        drop(successor);
-        assert_eq!(scheme.evicted_count(), 0);
-    }
-
-    /// The bookkeeping half of the drop race: an evictor whose plant lands
-    /// between the dying owner's final `mark_active` and the release passes its
-    /// own post-CAS generation re-check, stranding a counter increment on the
-    /// now-vacant slot. The next eviction sweep must retract it.
-    #[test]
-    fn eviction_sweep_retracts_counter_strands_on_vacant_slots() {
-        use reclaim_core::{Clock, ManualClock};
-        use std::time::Duration;
-        let manual = ManualClock::new();
-        let scheme = QSense::new(
-            SmrConfig::default()
-                .with_max_threads(1)
-                .with_eviction_timeout(Some(Duration::from_millis(1)))
-                .with_clock(Clock::manual(manual.clone())),
-        );
-        let stale_gen = {
+        let seen = {
             let handle = scheme.register();
-            scheme.registry.generation(handle.slot.index())
-        }; // owner deregisters; the slot is now vacant
-           // Replay the raced evictor's plant against the vacant slot.
-        scheme.evicted_threads.fetch_add(1, Ordering::Relaxed);
+            handle
+                .record()
+                .epoch
+                .epoch()
+                .expect("an owner holds an epoch")
+        }; // the owner drops here
         let record = scheme.registry.get(0);
-        record.evicted.store(stale_gen, Ordering::Release);
-        assert_eq!(scheme.evicted_count(), 1, "stranded over-count");
-        // The sweep evicts nobody (no claimed slots) but retracts the strand.
-        assert_eq!(scheme.evict_unresponsive(), 0);
-        assert_eq!(
-            scheme.evicted_count(),
-            0,
-            "sweep must rebalance the counter"
-        );
-        assert_eq!(record.evicted.load(Ordering::Acquire), 0);
-        // Idempotent: a second sweep changes nothing.
-        assert_eq!(scheme.evict_unresponsive(), 0);
+        assert_eq!(record.epoch.load(), OFFLINE);
+        assert!(!scheme.evict(record, seen));
         assert_eq!(scheme.evicted_count(), 0);
+        assert_eq!(record.epoch.load(), OFFLINE);
     }
 
-    /// The drop-race strand must heal in **exactly one sweep** even when the
-    /// slot has already been re-claimed by a successor: the planting evictor
-    /// died before its own retraction, the flag carries the dead generation,
-    /// and the successor has not passed an operation boundary since — the
-    /// sweep's dead-flag pass (not the successor's activity) rebalances.
+    /// The same stalled evictor against a successor registered in the slot at
+    /// the epoch it saw (ABA): the CAS lands and evicts a live thread, which is
+    /// safe, and the successor's next operation boundary lifts it.
     #[test]
-    fn eviction_sweep_retracts_counter_strands_on_reclaimed_slots_in_one_sweep() {
-        use reclaim_core::{Clock, ManualClock};
+    fn a_replayed_eviction_of_a_successor_at_the_same_epoch_is_lifted_by_it() {
+        let scheme = QSense::new(SmrConfig::default().with_max_threads(2));
+        // Registered at epoch 0 and never quiescent: the epoch stops at 1.
+        let _blocker = scheme.register();
+        let mut first = scheme.register();
+        first.flush();
+        let (slot, seen) = (first.slot, first.record().epoch.epoch());
+        assert_eq!(seen, Some(1));
+        drop(first);
+        let mut successor = scheme.register();
+        assert_eq!(successor.slot, slot, "same slot");
+        assert_eq!(successor.record().epoch.epoch(), seen, "same epoch");
+        assert!(scheme.evict(successor.record(), 1), "the CAS is honoured");
+        assert_eq!(scheme.evicted_count(), 1);
+        successor.manage_state();
+        assert_eq!(scheme.evicted_count(), 0, "the successor lifted it");
+        assert_eq!(successor.record().epoch.epoch(), seen);
+    }
+
+    /// An evictor whose staleness check came before the owner's refresh can
+    /// CAS between the owner's lift and its epoch adoption; the adoption's swap
+    /// replaces `EVICTED` and balances the counter.
+    #[test]
+    fn an_eviction_between_the_lift_and_the_adoption_is_balanced_by_the_adoption() {
+        let scheme = QSense::new(SmrConfig::default().with_max_threads(1));
+        let mut handle = scheme.register();
+        handle.fast_path(); // alone: confirms epoch 0 and advances it
+        assert_eq!(scheme.current_epoch(), 1);
+        handle.note_activity(); // the lift: nothing to lift
+        assert!(scheme.evict(handle.record(), 0));
+        assert_eq!(scheme.evicted_count(), 1);
+        handle.fast_path(); // the adoption
+        assert_eq!(handle.record().epoch.epoch(), Some(1));
+        assert_eq!(scheme.evicted_count(), 0, "the adoption balanced it");
+    }
+
+    /// A thread evicted while the epoch runs ahead keeps retiring, and no
+    /// grace period proves those nodes: a node another thread protects
+    /// survives the adoption that hands its bucket back — whether the lift or
+    /// the adoption ends the eviction, and whether that adoption or a later
+    /// one hands the bucket back.
+    #[test]
+    fn a_node_retired_while_evicted_waits_for_the_hazard_pointers() {
+        use reclaim_core::retire_box;
+        use std::sync::atomic::AtomicUsize;
         use std::time::Duration;
-        let manual = ManualClock::new();
+        struct Tracked(Arc<AtomicUsize>);
+        impl Drop for Tracked {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        for (ahead, lift_first) in [(3, false), (3, true), (2, false), (2, true)] {
+            let config = SmrConfig::default()
+                .with_max_threads(2)
+                .with_rooster_interval(Duration::MAX);
+            let scheme = QSense::with_fence_strategy(config, FenceStrategy::Rooster);
+            let (mut evicted, mut reader) = (scheme.register(), scheme.register());
+            assert!(scheme.evict(evicted.record(), 0));
+            while scheme.current_epoch() < ahead {
+                reader.fast_path();
+            }
+            let drops = Arc::new(AtomicUsize::new(0));
+            let node = Box::into_raw(Box::new(Tracked(Arc::clone(&drops))));
+            reader.hps.protect(0, node.cast());
+            // SAFETY: fresh from `Box::into_raw`, never linked, retired once.
+            unsafe { retire_box(&mut evicted, node) }; // into bucket 0
+                                                       // SAFETY: one thread: no store buffer holds a publication.
+            assert!(unsafe { scheme.ledger().issue(|| true) }, "covered");
+            if lift_first {
+                evicted.note_activity();
+            }
+            while evicted.record().epoch.epoch() != Some(3) {
+                evicted.fast_path(); // epoch 3 hands bucket 0 back
+                reader.fast_path();
+            }
+            evicted.core.drain_ready();
+            let case = format!("{ahead} epochs ahead, lift first: {lift_first}");
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "{case}");
+            assert_eq!(scheme.evicted_count(), 0, "{case}");
+            reader.hps.clear_all();
+            evicted.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 1, "{case}");
+        }
+    }
+
+    /// Handles on three threads register, work and drop in a loop while a
+    /// fourth thread evicts every claimed slot it can (1 ns timeout on the
+    /// real clock): every eviction is taken back by the owner's lift, adoption
+    /// or drop, or by the evictor itself.
+    #[test]
+    fn racing_evictions_leave_the_counter_at_zero_and_every_word_offline() {
+        use reclaim_core::retire_box;
+        use std::sync::atomic::{AtomicBool, AtomicUsize};
+        use std::time::Duration;
         let scheme = QSense::new(
             SmrConfig::default()
-                .with_max_threads(1)
-                .with_eviction_timeout(Some(Duration::from_millis(1)))
-                .with_clock(Clock::manual(manual.clone())),
+                .with_max_threads(3)
+                .with_quiescence_threshold(1)
+                .with_scan_threshold(4)
+                .with_eviction_timeout(Some(Duration::from_nanos(1))),
         );
-        let stale_gen = {
-            let handle = scheme.register();
-            scheme.registry.generation(handle.slot.index())
-        }; // first owner deregisters
-        let successor = scheme.register();
-        let slot = successor.slot.index();
-        let gen_now = scheme.registry.generation(slot);
-        assert_eq!(gen_now, stale_gen + 2, "same slot, next tenancy");
-        // Replay the dead evictor's writes against the re-claimed slot.
-        scheme.evicted_threads.fetch_add(1, Ordering::Relaxed);
-        let record = scheme.registry.get(slot);
-        record.evicted.store(stale_gen, Ordering::Release);
-        assert_eq!(scheme.evicted_count(), 1, "stranded over-count");
-        assert!(!record.is_evicted(gen_now), "dead flag is never honoured");
-        // One sweep heals both halves — without evicting the (fresh) successor.
-        assert_eq!(scheme.evict_unresponsive(), 0);
-        assert_eq!(scheme.evicted_count(), 0, "counter rebalanced in one sweep");
-        assert_eq!(record.evicted.load(Ordering::Acquire), 0, "flag retracted");
-        // The successor's tenancy is untouched: it can still be legitimately
-        // evicted afterwards.
-        manual.advance(Duration::from_millis(5));
-        assert_eq!(scheme.evict_unresponsive(), 1);
-        assert!(record.is_evicted(gen_now));
-        assert_eq!(scheme.evicted_count(), 1);
-        drop(successor);
+        let (done, evictions) = (AtomicBool::new(false), AtomicUsize::new(0));
+        std::thread::scope(|s| {
+            let workers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let mut round = 0;
+                        while round < 200 || evictions.load(Ordering::Relaxed) == 0 {
+                            let mut handle = scheme.register();
+                            for _ in 0..8 {
+                                handle.begin_op();
+                                // SAFETY: freshly boxed, never shared, retired once.
+                                unsafe { retire_box(&mut handle, Box::into_raw(Box::new(0u64))) };
+                                handle.end_op();
+                            }
+                            round += 1;
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    let evicted = scheme.evict_unresponsive(scheme.core.orphan_stats());
+                    evictions.fetch_add(evicted, Ordering::Relaxed);
+                }
+            });
+            for worker in workers {
+                worker.join().unwrap();
+            }
+            done.store(true, Ordering::Release);
+        });
+        assert!(evictions.load(Ordering::Relaxed) > 0);
         assert_eq!(scheme.evicted_count(), 0);
+        for i in 0..scheme.registry.capacity() {
+            assert_eq!(scheme.registry.get(i).epoch.load(), OFFLINE, "slot {i}");
+        }
     }
 
     #[test]
@@ -815,10 +755,10 @@ mod tests {
                 .with_clock(Clock::manual(manual.clone())),
         );
         let idle = scheme.register();
-        let active = scheme.register();
+        let mut active = scheme.register();
         manual.advance(Duration::from_millis(5));
-        scheme.note_activity(active.record());
-        assert_eq!(scheme.evict_unresponsive(), 1);
+        active.note_activity();
+        assert_eq!(scheme.evict_unresponsive(scheme.core.orphan_stats()), 1);
         assert_eq!(scheme.evicted_count(), 1);
         drop(idle);
         assert_eq!(scheme.evicted_count(), 0, "drop must lift the eviction");

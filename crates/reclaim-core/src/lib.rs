@@ -18,7 +18,7 @@
 //!   family's `protect`;
 //! * [`fence::BarrierLedger`] and the process rooster behind it — today only
 //!   the hazard-pointer family stamps and frees by it, but it is a property of
-//!   the *process* (one rooster, however many schemes), and ROADMAP direction 3
+//!   the *process* (one rooster, however many schemes), and ROADMAP direction 6
 //!   makes EBR's advance and HE's scan its next customers;
 //! * [`scratch::PtrScratch`] — the sorted-snapshot buffer of the
 //!   hazard-pointer family is also `refcount`'s.
@@ -39,14 +39,14 @@
 //!   for the fence between a publication and its validation (the reader, the
 //!   scanner, or a rooster and a wait);
 //! * a [`registry::Registry`] of per-thread slots with interior-mutable per-thread
-//!   state that other threads may scan (hazard pointers, epochs, presence flags),
+//!   state that other threads may scan (hazard pointers, epochs, the fallback
+//!   episode a QSense thread last saw),
 //!   striped into claim-bitmap **shards** of [`registry::SHARD_SLOTS`] so scans
 //!   step over wholly-vacant shards on one bitmap load (scan cost tracks active
 //!   shards, not capacity) and registration CASes a round-robin home shard
 //!   instead of contending down one array; each slot carries its own
 //!   cache-padded statistics stripe ([`stats::StatStripe`]) so hot-path counter
-//!   updates never contend, and a per-slot generation counter that lets
-//!   asynchronous actors (QSense's evictor) detect slot turnover exactly;
+//!   updates never contend;
 //! * a [`lease::LeasePool`] that time-shares `N` registered handles among `M`
 //!   short-lived tasks (checkout/checkin with wait-or-fail exhaustion policy),
 //!   so task-per-connection runtimes never register per task;
@@ -120,7 +120,7 @@
 //! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
-//! | per `Q` ops (quiescent state) | epoch adoption (one release store) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochDomain`); one eviction-counter load (QSense) | a handful of loads + at most one CAS |
+//! | per `Q` ops (quiescent state) | epoch adoption (one swap, so an eviction it replaces is counted back) or a bounded epoch-confirmation poll (amortized O(1), see `qsbr::EpochDomain`); one eviction-counter load (QSense) | a handful of loads, the adoption's swap on the owner's line + at most one CAS |
 //! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per scan, shard dispatch ([`registry::Registry::collect_protected`]) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(active shards · `SHARD_SLOTS` + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each. Epoch-confirmation walks get the same jump via [`registry::Registry::skip_vacant_shards`] | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |

@@ -1,10 +1,10 @@
 //! Cache-line padding.
 //!
-//! Shared per-thread records (hazard-pointer slots, epoch counters, presence flags,
-//! throughput counters) are written by one thread and read by many. Placing two such
-//! records on the same cache line turns every write into cross-core invalidation
-//! traffic ("false sharing"), which would distort exactly the overheads the paper
-//! measures. [`CachePadded`] aligns and pads its contents to 128 bytes — two 64-byte
+//! Shared per-thread records (hazard-pointer slots, epoch counters, fallback
+//! episodes, throughput counters) are written by one thread and read by many.
+//! Placing two such records on the same cache line turns every write into
+//! cross-core invalidation traffic ("false sharing"), which would distort exactly
+//! the overheads the paper measures. [`CachePadded`] aligns and pads its contents to 128 bytes — two 64-byte
 //! lines — because modern x86 prefetchers pull cache lines in pairs.
 
 use std::fmt;

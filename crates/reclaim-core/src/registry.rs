@@ -1,11 +1,12 @@
 //! Per-thread slot registry, sharded so scan cost tracks *active* threads.
 //!
 //! Every scheme in the paper keeps *per-process* shared records that other processes
-//! scan: hazard-pointer arrays (HP, Cadence), local epochs (QSBR), presence flags
-//! (QSense). The paper assumes a fixed set of `N` processes with no dynamic
-//! membership (§5.2, last paragraph); this registry implements exactly that model —
-//! a fixed-capacity set of slots — but lets threads claim and release slots so that
-//! worker threads can come and go between experiments, which the benchmarks need.
+//! scan: hazard-pointer arrays (HP, Cadence), local epochs (QSBR), the fallback
+//! episode each thread last saw (QSense). The paper assumes a fixed set of `N`
+//! processes with no dynamic membership (§5.2, last paragraph); this registry
+//! implements exactly that model — a fixed-capacity set of slots — but lets
+//! threads claim and release slots so that worker threads can come and go
+//! between experiments, which the benchmarks need.
 //!
 //! The registry is generic over the per-thread record `T`. Records are constructed
 //! once at registry creation and never moved, so scanners can hold references to them
@@ -15,10 +16,9 @@
 //!
 //! Slots are grouped into shards of [`SHARD_SLOTS`] (= 8). Each shard owns one
 //! cache-padded control line holding a **claim bitmap** (bit `s` set ⇔ slot `s` of
-//! the shard is claimed; its popcount is the shard's occupancy), and one
-//! cache-padded line of **generation words**. The per-slot record keeps its own
-//! padded line — that is the owner's single-writer hot-path traffic. (The
-//! owner's statistics stripe lives in the scheme's
+//! the shard is claimed; its popcount is the shard's occupancy). The per-slot
+//! record keeps its own padded line — that is the owner's single-writer
+//! hot-path traffic. (The owner's statistics stripe lives in the scheme's
 //! [`SchemeCore`](crate::limbo::SchemeCore), keyed by the slot index.)
 //!
 //! The shard layout buys two things the flat array could not provide:
@@ -61,8 +61,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Slots per shard: one `u64` bitmap word classifies this many slots in a single
-/// load, and 8 generation words fill exactly one 64-byte line. Capacities that are
-/// not a multiple simply leave the tail bits of the last shard permanently unset.
+/// load. Capacities that are not a multiple simply leave the tail bits of the last
+/// shard permanently unset.
 pub const SHARD_SLOTS: usize = 8;
 
 /// The shard a slot index belongs to.
@@ -103,27 +103,11 @@ impl fmt::Display for RegistryFull {
 
 impl Error for RegistryFull {}
 
-/// One shard's control line: the claim bitmap, written only at
-/// (de)registration.
-struct ShardControl {
-    /// Bit `s` set ⇔ slot `s` of this shard is currently claimed.
-    claimed: AtomicU64,
-}
-
-/// One shard's generation words: 8 × `u64` = one 64-byte line, padded so the
-/// (registration-time) generation traffic of one shard never bounces another's.
-struct ShardGens {
-    gens: [AtomicU64; SHARD_SLOTS],
-}
-
-struct Shard {
-    control: CachePadded<ShardControl>,
-    gens: CachePadded<ShardGens>,
-}
-
 /// Fixed-capacity, shard-striped registry of per-thread records (module docs).
 pub struct Registry<T> {
-    shards: Box<[Shard]>,
+    /// One padded claim bitmap per shard (bit `s` set ⇔ slot `s` of the shard
+    /// is claimed), written only at (de)registration.
+    shards: Box<[CachePadded<AtomicU64>]>,
     slots: Box<[CachePadded<T>]>,
     /// Round-robin home-shard seed: each `acquire` starts at a different shard.
     home_seed: CachePadded<AtomicUsize>,
@@ -169,14 +153,7 @@ impl<T> Registry<T> {
         assert!(capacity > 0, "registry capacity must be positive");
         let shard_count = capacity.div_ceil(SHARD_SLOTS);
         let shards = (0..shard_count)
-            .map(|_| Shard {
-                control: CachePadded::new(ShardControl {
-                    claimed: AtomicU64::new(0),
-                }),
-                gens: CachePadded::new(ShardGens {
-                    gens: std::array::from_fn(|_| AtomicU64::new(0)),
-                }),
-            })
+            .map(|_| CachePadded::new(AtomicU64::new(0)))
             .collect::<Vec<_>>()
             .into_boxed_slice();
         let slots = (0..capacity)
@@ -216,7 +193,7 @@ impl<T> Registry<T> {
     pub fn claimed_count(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.control.claimed.load(Ordering::Acquire).count_ones() as usize)
+            .map(|s| s.load(Ordering::Acquire).count_ones() as usize)
             .sum()
     }
 
@@ -228,8 +205,7 @@ impl<T> Registry<T> {
     /// so concurrent registrants touch different control lines. The AcqRel claim
     /// CAS pairs with the release-ordered bitmap clear in
     /// [`release`](Self::release), making everything the previous owner wrote to
-    /// the slot's record visible to the new owner. The claim bumps the slot's
-    /// generation to a fresh odd value (see [`generation`](Self::generation)).
+    /// the slot's record visible to the new owner.
     pub fn acquire(&self) -> Option<SlotId> {
         let shard_count = self.shards.len();
         let home = self.home_seed.fetch_add(1, Ordering::Relaxed) % shard_count;
@@ -252,30 +228,18 @@ impl<T> Registry<T> {
 
     /// Attempts to claim the lowest free usable bit of shard `si`.
     fn acquire_in_shard(&self, si: usize) -> Option<SlotId> {
-        let control = &self.shards[si].control;
+        let claimed = &self.shards[si];
         let mask = self.usable_mask(si);
-        let mut bits = control.claimed.load(Ordering::Relaxed);
+        let mut bits = claimed.load(Ordering::Relaxed);
         loop {
             let free = !bits & mask;
             if free == 0 {
                 return None;
             }
             let bit = free.trailing_zeros() as usize;
-            match control.claimed.compare_exchange(
-                bits,
-                bits | (1 << bit),
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => {
-                    let index = si * SHARD_SLOTS + bit;
-                    // Only the (unique) winner of the claim CAS bumps, so
-                    // generations step by exactly one per ownership transition.
-                    // Release pairs with the acquire in `generation`: an observer
-                    // that reads this generation also observes the claim.
-                    self.shards[si].gens.gens[bit].fetch_add(1, Ordering::Release);
-                    return Some(SlotId(index));
-                }
+            let claim = bits | (1 << bit);
+            match claimed.compare_exchange(bits, claim, Ordering::AcqRel, Ordering::Relaxed) {
+                Ok(_) => return Some(SlotId(si * SHARD_SLOTS + bit)),
                 Err(actual) => bits = actual,
             }
         }
@@ -285,19 +249,12 @@ impl<T> Registry<T> {
     ///
     /// The caller must have cleaned up the slot's record (cleared hazard pointers,
     /// drained limbo lists) before releasing; schemes do this in their handle `Drop`.
-    /// The release bumps the generation (back to even) *before* clearing the claim
-    /// bit, so any observer that still sees the slot claimed also sees the tenancy's
-    /// own generation — and the release-ordered bitmap clear publishes the record
-    /// cleanup to any scanner that observes the shard as (partially) vacant.
+    /// The release-ordered bitmap clear publishes the record cleanup to any
+    /// scanner that observes the shard as (partially) vacant, and to the slot's
+    /// next owner.
     pub fn release(&self, id: SlotId) {
-        let si = shard_of(id.0);
         let bit = id.0 % SHARD_SLOTS;
-        let shard = &self.shards[si];
-        shard.gens.gens[bit].fetch_add(1, Ordering::Release);
-        let was = shard
-            .control
-            .claimed
-            .fetch_and(!(1u64 << bit), Ordering::Release);
+        let was = self.shards[shard_of(id.0)].fetch_and(!(1u64 << bit), Ordering::Release);
         debug_assert!(
             was & (1 << bit) != 0,
             "releasing a slot that was not claimed"
@@ -306,21 +263,8 @@ impl<T> Registry<T> {
 
     /// Whether the given slot index is currently claimed.
     pub fn is_claimed(&self, index: usize) -> bool {
-        let bits = self.shards[shard_of(index)]
-            .control
-            .claimed
-            .load(Ordering::Acquire);
+        let bits = self.shards[shard_of(index)].load(Ordering::Acquire);
         bits & (1 << (index % SHARD_SLOTS)) != 0
-    }
-
-    /// The slot's current generation: bumped on every claim and every release, so
-    /// it is odd exactly while the slot is claimed, and no two tenancies of the
-    /// same slot share a value. Asynchronous actors (QSense's evictor) tag their
-    /// writes with the generation they observed and re-validate it afterwards to
-    /// detect that the slot changed hands underneath them.
-    #[inline]
-    pub fn generation(&self, index: usize) -> u64 {
-        self.shards[shard_of(index)].gens.gens[index % SHARD_SLOTS].load(Ordering::Acquire)
     }
 
     /// Returns the record stored in slot `index` regardless of claim state.
@@ -360,7 +304,7 @@ impl<T> Registry<T> {
         out.clear();
         let mut tally = ShardTally::new(tally);
         for (si, shard) in self.shards.iter().enumerate() {
-            if !tally.walk(shard.control.claimed.load(Ordering::Acquire)) {
+            if !tally.walk(shard.load(Ordering::Acquire)) {
                 continue;
             }
             let base = si * SHARD_SLOTS;
@@ -383,7 +327,7 @@ impl<T> Registry<T> {
         let mut si = shard_of(index);
         let mut skipped = 0u64;
         while si < self.shards.len() {
-            if self.shards[si].control.claimed.load(Ordering::Acquire) != 0 {
+            if self.shards[si].load(Ordering::Acquire) != 0 {
                 break;
             }
             skipped += 1;
@@ -394,11 +338,6 @@ impl<T> Registry<T> {
         }
         tally.add_shard_dispatch(skipped, 0);
         (si * SHARD_SLOTS).min(self.capacity())
-    }
-
-    /// Iterates over `(index, record)` for every slot, claimed or not.
-    pub fn iter_all(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.slots.iter().enumerate().map(|(i, s)| (i, &**s))
     }
 
     /// Iterates over `(index, record)` for currently claimed slots only, stepping
@@ -417,7 +356,7 @@ impl<T> Registry<T> {
     ) -> impl Iterator<Item = (usize, &'a T)> + 'a {
         let mut tally = ShardTally::new(tally);
         self.shards.iter().enumerate().flat_map(move |(si, shard)| {
-            let bits = shard.control.claimed.load(Ordering::Acquire);
+            let bits = shard.load(Ordering::Acquire);
             tally.walk(bits);
             let base = si * SHARD_SLOTS;
             (0..SHARD_SLOTS)
@@ -476,29 +415,9 @@ mod tests {
     }
 
     #[test]
-    fn generations_are_odd_while_claimed_and_unique_per_tenancy() {
-        let reg: Registry<AtomicUsize> = Registry::new(2, |_| AtomicUsize::new(0));
-        assert_eq!(reg.generation(0), 0, "vacant slots start at generation 0");
-        let a = reg.acquire().unwrap();
-        let g1 = reg.generation(a.index());
-        assert_eq!(g1 % 2, 1, "claimed slots have odd generations");
-        reg.release(a);
-        assert_eq!(reg.generation(a.index()), g1 + 1, "release bumps to even");
-        let b = reg.acquire().unwrap();
-        assert_eq!(
-            b.index(),
-            a.index(),
-            "single-shard lowest-free-bit policy reuses the slot"
-        );
-        let g2 = reg.generation(b.index());
-        assert_eq!(g2, g1 + 2, "each tenancy gets a fresh generation");
-        reg.release(b);
-    }
-
-    #[test]
     fn records_are_initialized_per_index() {
         let reg: Registry<usize> = Registry::new(4, |i| i * 10);
-        for (i, v) in reg.iter_all() {
+        for (i, v) in (0..reg.capacity()).map(|i| (i, reg.get(i))) {
             assert_eq!(*v, i * 10);
         }
     }

@@ -63,6 +63,7 @@ pub struct StatStripe {
     heavy_barrier_failures: AtomicU64,
     fallback_switches: AtomicU64,
     fast_path_switches: AtomicU64,
+    evictions: AtomicU64,
     /// Net bytes booked into node caches (wrapping: a cache moves stripes).
     cached_bytes: AtomicU64,
 }
@@ -137,6 +138,8 @@ pub struct StatsSnapshot {
     pub fallback_switches: u64,
     /// Fallback-path → fast-path switches (QSense).
     pub fast_path_switches: u64,
+    /// Threads the eviction extension took out of grace periods (QSense).
+    pub evictions: u64,
     /// Bytes of freed blocks in node caches ([`crate::node_cache`]), parked
     /// ones included, as of each handle's last look: in no limbo or budget.
     pub cached_bytes: u64,
@@ -284,6 +287,11 @@ impl StatStripe {
         self.fast_path_switches.fetch_add(1, R);
     }
 
+    /// Records `n` evictions of silent threads.
+    pub fn add_evictions(&self, n: usize) {
+        self.evictions.fetch_add(n as u64, R);
+    }
+
     /// Records `delta` bytes into (or, negative, out of) node caches.
     pub(crate) fn add_cached_bytes(&self, delta: i64) {
         self.cached_bytes.fetch_add(delta as u64, R);
@@ -313,6 +321,7 @@ impl StatStripe {
         snap.heavy_barrier_failures += self.heavy_barrier_failures.load(R);
         snap.fallback_switches += self.fallback_switches.load(R);
         snap.fast_path_switches += self.fast_path_switches.load(R);
+        snap.evictions += self.evictions.load(R);
         snap.cached_bytes = snap.cached_bytes.wrapping_add(self.cached_bytes.load(R));
     }
 
@@ -434,6 +443,7 @@ mod tests {
         stats.add_heavy_barrier_failure();
         stats.add_fallback_switch();
         stats.add_fast_path_switch();
+        stats.add_evictions(1);
         let snap = stats.snapshot();
         assert_eq!(snap.retired, 10);
         assert_eq!(snap.freed, 4);
@@ -452,6 +462,7 @@ mod tests {
         assert_eq!((snap.heavy_barriers, snap.heavy_barrier_failures), (2, 1));
         assert_eq!(snap.fallback_switches, 1);
         assert_eq!(snap.fast_path_switches, 1);
+        assert_eq!(snap.evictions, 1);
     }
 
     #[test]

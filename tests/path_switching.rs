@@ -40,7 +40,7 @@ fn stalled_worker_forces_fallback_and_recovery_restores_fast_path() {
                 while !release.load(Ordering::Relaxed) {
                     thread::sleep(Duration::from_millis(1));
                 }
-                // Back from the delay: keep operating so presence flags get set.
+                // Back from the delay: keep operating so every thread sees the episode.
                 while !stop.load(Ordering::Relaxed) {
                     for key in 0..20u64 {
                         list.contains(&key, &mut handle);
