@@ -84,8 +84,8 @@ impl HpSlots {
         PtrScratch::with_capacity(config.max_threads * config.hp_per_thread)
     }
 
-    /// Appends every non-null slot to `out` (one record's share of
-    /// [`Registry::collect_protected`]).
+    /// Appends every non-null slot to `out` (one claimed record's share of
+    /// [`hp_scan`]'s snapshot).
     pub fn collect_into(&self, out: &mut Vec<*mut u8>) {
         for slot in self.slots() {
             let p = slot.load(Ordering::Acquire);
@@ -176,11 +176,12 @@ impl OwnedSlots {
 /// One hazard-pointer scan over `bags`, as HP, Cadence and QSense's fallback
 /// and evicted fast path run it — threshold scans, budget-forced scans, `flush`
 /// and handle `Drop` alike: count the scan, learn from `ledger` how far its
-/// barriers have come (issuing one if this scheme's scans do), snapshot every
-/// published pointer into the handle's scratch (`get_protected_nodes`,
-/// Algorithm 3 / Michael's stage 1 — the buffer is sized `N·K` at
-/// registration, so steady-state scans never allocate) and release what the
-/// barriers cover and the snapshot does not hold.
+/// barriers have come (issuing one if this scheme's scans do), snapshot the
+/// claimed records' published pointers, sorted and deduplicated, into the
+/// handle's scratch (`get_protected_nodes`, Algorithm 3 / Michael's stage 1 —
+/// the buffer is sized `N·K` at registration, so steady-state scans never
+/// allocate; a vacant slot is safe to miss, [`Registry`]'s docs say why) and
+/// release what the barriers cover and the snapshot does not hold.
 ///
 /// Each bag is walked in retirement order and the walk stops at the first
 /// uncovered node: everything behind it was stamped later, so a rooster scan is
@@ -232,7 +233,12 @@ pub unsafe fn hp_scan<R>(
     };
     core.scan(|reclaim, protected| {
         let tally = reclaim.stats();
-        registry.collect_protected(tally, protected, |r, out| slots(r).collect_into(out));
+        protected.clear();
+        for (_, record) in registry.iter_claimed(tally) {
+            slots(record).collect_into(protected);
+        }
+        protected.sort_unstable();
+        protected.dedup();
         let due = |node: &RetiredPtr| node.stamp() < covered;
         let unprotected = |node: &RetiredPtr| protected.binary_search(&node.addr()).is_err();
         for bag in bags {
@@ -344,13 +350,17 @@ mod tests {
 
     #[test]
     fn the_view_of_a_recycled_registry_slot_writes_the_record_scans_read() {
-        let registry = Registry::new(1, |_| HpSlots::new(BLOCK_SLOTS + 1));
-        let mut snapshot = Vec::new();
+        let (registry, tally) = (
+            Registry::new(1, |_| HpSlots::new(BLOCK_SLOTS + 1)),
+            StatStripe::new(),
+        );
         for tenancy in 1..=2_usize {
             let slot = registry.try_acquire().expect("the one slot is free");
             let mut view = owner_of(registry.get_mine(slot));
             view.protect(BLOCK_SLOTS, (0x100 * tenancy) as *mut u8);
-            registry.collect_protected(&StatStripe::new(), &mut snapshot, HpSlots::collect_into);
+            // What `hp_scan` reads: the claimed records' published slots.
+            let claimed = registry.iter_claimed(&tally);
+            let snapshot: Vec<_> = claimed.flat_map(|(_, r)| collected(r)).collect();
             assert_eq!(snapshot, vec![(0x100 * tenancy) as *mut u8]);
             view.clear_all();
             registry.release(slot);

@@ -219,29 +219,43 @@ impl<const CADENCE: bool> Drop for HpHandle<CADENCE> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use reclaim_core::retire_box;
 
     #[test]
     fn protected_snapshot_is_sorted_deduplicated_and_merges_all_threads() {
-        let scheme = Hazard::new(
-            SmrConfig::default()
-                .with_max_threads(2)
-                .with_hp_per_thread(2),
-        );
-        let mut h1 = scheme.register();
-        let mut h2 = scheme.register();
-        h1.slots.protect(0, 0x300 as *mut u8);
-        h1.slots.protect(1, 0x100 as *mut u8);
-        h2.slots.protect(0, 0x300 as *mut u8);
-        h2.slots.protect(1, 0x200 as *mut u8);
-        let mut snapshot = Vec::new();
-        let (registry, tally) = (&scheme.registry, scheme.core.orphan_stats());
-        registry.collect_protected(tally, &mut snapshot, HpSlots::collect_into);
+        let config = SmrConfig::default()
+            .with_max_threads(3)
+            .with_hp_per_thread(2);
+        let scheme = Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced);
+        let (mut h1, mut h2, mut retirer) =
+            (scheme.register(), scheme.register(), scheme.register());
+        let nodes: Vec<*mut u64> = (0..4).map(|i| Box::into_raw(Box::new(i))).collect();
+        // Published out of address order, one node by both readers: the scan
+        // must find each in the merged snapshot by binary search.
+        h1.slots.protect(0, nodes[2].cast());
+        h1.slots.protect(1, nodes[0].cast());
+        h2.slots.protect(0, nodes[2].cast());
+        h2.slots.protect(1, nodes[1].cast());
+        for &node in nodes.iter().rev() {
+            // SAFETY: fresh from `Box::into_raw`, never linked, retired once.
+            unsafe { retire_box(&mut retirer, node) };
+        }
+        retirer.flush();
         assert_eq!(
-            snapshot,
-            vec![0x100 as *mut u8, 0x200 as *mut u8, 0x300 as *mut u8]
+            retirer.local_in_limbo(),
+            3,
+            "only the unprotected node goes"
         );
-        drop(h1);
-        drop(h2);
+        h1.slots.clear_all();
+        h2.slots.clear_all();
+        retirer.flush();
+        assert_eq!(retirer.local_in_limbo(), 0);
+        let shards = scheme.stats();
+        assert_eq!(
+            (shards.shard_walks, shards.shard_skips),
+            (2, 0),
+            "one shard, two scans"
+        );
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! already adopted the current epoch, advances the global epoch.
 //!
 //! The machinery is two parts, which [`Qsbr`] composes and QSense imports as
-//! its fast path: scheme side, the [`EpochDomain`] (global epoch and its
-//! confirmation walk); handle side, the [`EpochLimbo`] (limbo lists, local
-//! epoch, quiescence counter, `quiescent_state()`) with [`grace_drain`].
+//! its fast path: scheme side, the [`GlobalEpoch`] (EBR's too) over a registry
+//! of [`EpochRecord`]s; handle side, the [`EpochLimbo`] (limbo lists, local
+//! epoch, quiescence counter, `quiescent_state()`, whose confirmation is one
+//! walk over the registry's claimed slots) with [`grace_drain`].
 //!
 //! The strength of QSBR is its hot path: traversals pay **nothing** — no fences, no
 //! per-node stores. Its weakness, which the paper's Figure 5 (bottom) demonstrates
@@ -27,9 +28,7 @@ mod epoch;
 mod limbo;
 mod scheme;
 
-pub use epoch::{
-    limbo_index, EpochDomain, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED, OFFLINE,
-};
+pub use epoch::{limbo_index, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED, OFFLINE};
 pub use limbo::{grace_drain, EpochLimbo};
 pub use scheme::{Qsbr, QsbrHandle};
 

@@ -2,7 +2,7 @@
 //! local epoch and quiescence counter ([`EpochLimbo`]), and the grace-period
 //! drain of a matured list ([`grace_drain`]).
 
-use crate::epoch::{limbo_index, EpochDomain, EpochRecord, EPOCH_BUCKETS, EVICTED};
+use crate::epoch::{limbo_index, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED};
 use reclaim_core::{HandleCore, Registry, SegBag, StatStripe};
 
 /// `QsbrHandle` is this plus a `HandleCore`; QSense's handle holds the same
@@ -29,11 +29,11 @@ impl EpochLimbo {
 
     /// The part of a thread registering now, whose record is `mine`, and whether
     /// that replaced [`EVICTED`] (the caller owns the decrement: [`EpochRecord`]).
-    pub fn register(domain: &EpochDomain, mine: &EpochRecord) -> (Self, bool) {
+    pub fn register(global: &GlobalEpoch, mine: &EpochRecord) -> (Self, bool) {
         // Adopt the current global epoch immediately: a freshly registered thread
         // holds no references, so adopting (rather than lagging at a stale value) is
         // always safe and avoids spuriously blocking epoch advancement.
-        let epoch = domain.current();
+        let epoch = global.load();
         let part = Self {
             bags: std::array::from_fn(|_| SegBag::new()),
             local_epoch: epoch,
@@ -89,24 +89,31 @@ impl EpochLimbo {
     /// * if the local epoch lags the global epoch, adopt it and hand back the
     ///   limbo list that the new epoch maps to, for the caller to free
     ///   ([`grace_drain`]), and whether that replaced [`EVICTED`];
-    /// * otherwise, if every thread of `registry` has adopted the global epoch,
-    ///   advance it ([`EpochDomain::poll_epoch_confirmation`], as is `record`).
+    /// * otherwise, if every claimed slot of `registry` has adopted the global
+    ///   epoch, advance it: one walk over the claimed slots, stopping at the
+    ///   first laggard. `record` projects a slot's record onto its
+    ///   [`EpochRecord`] (a sentinel counts as confirmed: for an [`EVICTED`]
+    ///   thread, `grace_drain`'s contract answers); the walk's shard tally goes
+    ///   to `stats`, the caller's stripe.
     pub fn quiescent_state<R>(
         &mut self,
         stats: &StatStripe,
-        domain: &EpochDomain,
+        global: &GlobalEpoch,
         mine: &EpochRecord,
         registry: &Registry<R>,
         record: impl Fn(&R) -> &EpochRecord,
     ) -> Option<(&mut SegBag, bool)> {
         stats.add_quiescent_state();
-        let global = domain.current();
-        if self.local_epoch == global {
-            domain.poll_epoch_confirmation(stats, global, registry, record);
+        let epoch = global.load();
+        if self.local_epoch == epoch {
+            let mut claimed = registry.iter_claimed(stats);
+            if claimed.all(|(_, r)| record(r).epoch().is_none_or(|at| at == epoch)) {
+                global.try_advance(epoch);
+            }
             return None;
         }
-        let lifted = mine.adopt(global);
-        self.local_epoch = global;
+        let lifted = mine.adopt(epoch);
+        self.local_epoch = epoch;
         Some((self.current(), lifted))
     }
 }
@@ -145,7 +152,7 @@ mod tests {
 
     /// A one-thread domain: its registry, and the part and core of the thread.
     struct Fixture {
-        domain: EpochDomain,
+        global: GlobalEpoch,
         registry: Registry<EpochRecord>,
         core: HandleCore,
         limbo: EpochLimbo,
@@ -153,15 +160,15 @@ mod tests {
 
     impl Fixture {
         fn new() -> Self {
-            let domain = EpochDomain::new();
+            let global = GlobalEpoch::new();
             let registry = Registry::new(1, |_| EpochRecord::default());
             let scheme = SchemeCore::new("test", SmrConfig::default());
             let (slot, core) = scheme
                 .register(&registry, |_| (SegPool::new(), ()))
                 .expect("one free slot");
-            let (limbo, _) = EpochLimbo::register(&domain, registry.get_mine(slot));
+            let (limbo, _) = EpochLimbo::register(&global, registry.get_mine(slot));
             Self {
-                domain,
+                global,
                 registry,
                 core,
                 limbo,
@@ -180,14 +187,14 @@ mod tests {
         /// One quiescent state; the length of the bucket it handed back, if any.
         fn quiesce(&mut self) -> Option<usize> {
             let Self {
-                domain,
+                global,
                 registry,
                 core,
                 limbo,
             } = self;
             let mine = registry.get(0);
             limbo
-                .quiescent_state(core.stats(), domain, mine, registry, |r| r)
+                .quiescent_state(core.stats(), global, mine, registry, |r| r)
                 .map(|(matured, _)| matured.len())
         }
 
@@ -220,7 +227,7 @@ mod tests {
         for epoch in 1..EPOCH_BUCKETS as u64 {
             assert_eq!(f.quiesce(), None);
             assert_eq!(f.quiesce(), Some(0), "epoch {epoch}: nothing that old");
-            assert_eq!(f.domain.current(), epoch);
+            assert_eq!(f.global.load(), epoch);
         }
         // Epoch 3 maps to epoch 0's bucket again: its node has matured.
         assert_eq!(f.quiesce(), None);

@@ -30,7 +30,7 @@
 //! configured ([`FenceStrategy::detect_rooster`](reclaim_core::FenceStrategy::detect_rooster)).
 //!
 //! The paper builds QSense out of two existing schemes plus a flag, and so does
-//! this crate: the fast path is `qsbr`'s epoch part (`qsbr::{EpochDomain,
+//! this crate: the fast path is `qsbr`'s epoch part (`qsbr::{GlobalEpoch,
 //! EpochLimbo, grace_drain}`), the fallback path `hazard`'s hazard-pointer part
 //! (`hazard::{HpSlots, OwnedSlots, hp_scan}`), both imported. Written here are
 //! Algorithm 5's switch between them (the fallback flag as an episode counter)

@@ -3,7 +3,7 @@
 
 use crate::path::{FallbackFlag, Path};
 use hazard::{hp_scan, HpSlots, OwnedSlots};
-use qsbr::{grace_drain, EpochDomain, EpochLimbo, EpochRecord, EPOCH_BUCKETS, OFFLINE};
+use qsbr::{grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, OFFLINE};
 use reclaim_core::{
     BarrierLedger, CachePadded, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry,
     NodeCache, PtrScratch, Registry, RetiredPtr, SchemeCore, SegPool, SlotId, Smr, SmrConfig,
@@ -52,8 +52,8 @@ impl QsenseRecord {
 pub struct QSense {
     core: Arc<SchemeCore<PtrScratch>>,
     registry: Registry<QsenseRecord>,
-    /// The fast path's scheme side (`qsbr`'s), run over `registry`.
-    epochs: EpochDomain,
+    /// The fast path's scheme side (`qsbr`'s), confirmed over `registry`.
+    global: GlobalEpoch,
     /// At least the number of epoch words that read `EVICTED` (`EpochRecord`'s
     /// docs). Kept so the fast path's "may I free this bucket outright?"
     /// decision is **one load**; a racing reader can only over-count, which
@@ -85,7 +85,7 @@ impl QSense {
         Arc::new(Self {
             core: SchemeCore::new("qsense", config),
             registry,
-            epochs: EpochDomain::new(),
+            global: GlobalEpoch::new(),
             evicted_threads: CachePadded::new(AtomicU64::new(0)),
             fallback: FallbackFlag::new(),
             ledger,
@@ -109,7 +109,7 @@ impl QSense {
 
     /// The current global epoch (fast-path diagnostics).
     pub fn current_epoch(&self) -> u64 {
-        self.epochs.current()
+        self.global.load()
     }
 
     /// The scheme's barrier ledger (diagnostics; tests tick it).
@@ -198,7 +198,7 @@ impl Smr for QSense {
             (SegPool::new(), HpSlots::snapshot_scratch(config))
         })?;
         let record = self.registry.get_mine(slot);
-        let (limbo, lifted) = EpochLimbo::register(&self.epochs, &record.epoch);
+        let (limbo, lifted) = EpochLimbo::register(&self.global, &record.epoch);
         let mut handle = QSenseHandle {
             // SAFETY: the handle's `Arc<QSense>` keeps the registry alive, and
             // the strategy is the ledger's.
@@ -299,7 +299,7 @@ impl QSenseHandle {
         let mine = &scheme.registry.get_mine(self.slot).epoch;
         let (limbo, stats) = (&mut self.limbo, self.core.stats());
         let adopted =
-            limbo.quiescent_state(stats, &scheme.epochs, mine, &scheme.registry, |r| &r.epoch);
+            limbo.quiescent_state(stats, &scheme.global, mine, &scheme.registry, |r| &r.epoch);
         let Some((_, lifted)) = adopted else {
             return;
         };

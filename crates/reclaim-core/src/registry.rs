@@ -24,11 +24,12 @@
 //! The shard layout buys two things the flat array could not provide:
 //!
 //! * **Vacancy tests are O(1) per 8 slots.** One bitmap load classifies a whole
-//!   shard; a scan ([`collect_protected`](Registry::collect_protected),
-//!   [`iter_claimed`](Registry::iter_claimed)) or a cursor walk
-//!   ([`skip_vacant_shards`](Registry::skip_vacant_shards)) steps over a
-//!   wholly-vacant shard without touching any of its slot lines, so scan cost
-//!   tracks *active shards*, not registered capacity. The
+//!   shard, and its bits name the claimed slots in it: every walk over the
+//!   registry — a hazard-pointer snapshot, an epoch confirmation, QSense's
+//!   episode check and evictor — is one [`iter_claimed`](Registry::iter_claimed),
+//!   which steps over a wholly-vacant shard without touching any of its slot
+//!   lines and reads only the claimed records of the others, so a walk's cost
+//!   tracks *claimed slots and shards*, not registered capacity. The
 //!   [`shard_skips`](crate::stats::StatsSnapshot::shard_skips) /
 //!   [`shard_walks`](crate::stats::StatsSnapshot::shard_walks) counters make the
 //!   skip behaviour observable: each walk is handed the walker's own
@@ -40,19 +41,23 @@
 //!   home shard is full — concurrent registrants land on different cache lines
 //!   instead of racing down one array of claim flags.
 //!
-//! ## Why skipping vacant shards is safe
+//! ## Why skipping a vacant slot is safe
 //!
-//! A scanner that acquire-loads a shard bitmap as zero has synchronized with every
-//! release that cleared a bit in it: schemes neutralize a slot's record (clear
-//! hazard pointers, drain or hand off limbo) *before* calling
-//! [`release`](Registry::release), whose release-ordered bitmap clear publishes
-//! that cleanup. So "shard vacant at the bitmap load" implies "every record in it
-//! holds neutral values at that moment" — exactly the state whose inclusion the
-//! flat scan called conservative, so its *exclusion* is exact. A claim that lands
-//! after the bitmap load is the same race the per-slot scan always had: the new
-//! owner publishes protections only after the claim CAS, and a protection
-//! published after a node was unlinked fails its re-validation (Michael's step 4),
-//! so missing it never frees a node that re-validated successfully.
+//! A walker that acquire-loads a shard bitmap and finds slot `s`'s bit clear
+//! has one of two cases. Either the bit was cleared by a
+//! [`release`](Registry::release) the load synchronized with: schemes
+//! neutralize a slot's record (clear hazard pointers, write `OFFLINE` to an
+//! epoch word, drain or hand off limbo) *before* releasing, and the
+//! release-ordered clear publishes that cleanup — so the record held neutral
+//! values at the load, exactly the state whose inclusion a walk over every slot
+//! would call conservative, and its *exclusion* is exact. Or the slot's claim
+//! comes after the load: the new owner publishes anything only after its claim
+//! CAS, so this is the race every scan has with a thread that starts later — a
+//! protection published after a node was unlinked fails its re-validation
+//! (Michael's step 4), and a registrant adopts the global epoch it reads after
+//! its claim. Either way the walk misses no protection that re-validated and no
+//! thread that has not yet seen the epoch it confirms. A wholly-vacant shard is
+//! the same argument for its eight bits at once.
 
 use crate::pad::CachePadded;
 use crate::stats::StatStripe;
@@ -261,17 +266,9 @@ impl<T> Registry<T> {
         );
     }
 
-    /// Whether the given slot index is currently claimed.
-    pub fn is_claimed(&self, index: usize) -> bool {
-        let bits = self.shards[shard_of(index)].load(Ordering::Acquire);
-        bits & (1 << (index % SHARD_SLOTS)) != 0
-    }
-
-    /// Returns the record stored in slot `index` regardless of claim state.
-    ///
-    /// Scanners use this to read hazard pointers / epochs of *all* slots; records of
-    /// unclaimed slots hold neutral values (null hazard pointers, quiesced epochs), so
-    /// including them is always conservative.
+    /// Returns the record stored in slot `index` regardless of claim state
+    /// (tests and diagnostics: walks read claimed records through
+    /// [`iter_claimed`](Self::iter_claimed)).
     pub fn get(&self, index: usize) -> &T {
         &self.slots[index]
     }
@@ -282,74 +279,15 @@ impl<T> Registry<T> {
         &self.slots[id.0]
     }
 
-    /// Snapshots per-record pointer sets into `out` (cleared first), sorted and
-    /// deduplicated for binary search — the shared `get_protected_nodes` step of
-    /// every scanning scheme (HP, Cadence, QSense). `collect` appends one
-    /// record's published pointers to the buffer.
-    ///
-    /// Wholly-vacant shards are stepped over on a single bitmap load (and
-    /// counted, on `tally`, in
-    /// [`shard_skips`](crate::stats::StatsSnapshot::shard_skips)); within an
-    /// active shard every slot is visited, claimed or not — unclaimed records
-    /// hold null pointers,
-    /// so including them is conservative, and the module docs give the argument
-    /// for why excluding vacant *shards* is exact. Allocation-free whenever
-    /// `out` already has capacity for the `N·K` worst case.
-    pub fn collect_protected(
-        &self,
-        tally: &StatStripe,
-        out: &mut Vec<*mut u8>,
-        mut collect: impl FnMut(&T, &mut Vec<*mut u8>),
-    ) {
-        out.clear();
-        let mut tally = ShardTally::new(tally);
-        for (si, shard) in self.shards.iter().enumerate() {
-            if !tally.walk(shard.load(Ordering::Acquire)) {
-                continue;
-            }
-            let base = si * SHARD_SLOTS;
-            let end = (base + SHARD_SLOTS).min(self.slots.len());
-            for slot in &self.slots[base..end] {
-                collect(slot, out);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-    }
-
-    /// If slot `index`'s shard is wholly vacant, returns the first index of the
-    /// next non-vacant shard (or `capacity` if none) — the jump target that lets
-    /// cursor walks (`qsbr::EpochDomain`'s confirmation) step over
-    /// vacant shards in O(#shards) instead of O(capacity). Returns `index`
-    /// unchanged when its shard has any claimed slot. Skipped shards are counted
-    /// on `tally`, in [`shard_skips`](crate::stats::StatsSnapshot::shard_skips).
-    pub fn skip_vacant_shards(&self, tally: &StatStripe, index: usize) -> usize {
-        let mut si = shard_of(index);
-        let mut skipped = 0u64;
-        while si < self.shards.len() {
-            if self.shards[si].load(Ordering::Acquire) != 0 {
-                break;
-            }
-            skipped += 1;
-            si += 1;
-        }
-        if skipped == 0 {
-            return index;
-        }
-        tally.add_shard_dispatch(skipped, 0);
-        (si * SHARD_SLOTS).min(self.capacity())
-    }
-
     /// Iterates over `(index, record)` for currently claimed slots only, stepping
     /// over wholly-vacant shards on one bitmap load each (counted on `tally`,
     /// in [`shard_skips`](crate::stats::StatsSnapshot::shard_skips) /
     /// [`shard_walks`](crate::stats::StatsSnapshot::shard_walks), when the
     /// iterator is dropped).
     ///
-    /// Note the inherent race: a slot may be claimed or released while the iteration
-    /// is in progress. Schemes must therefore make sure that *releasing* a slot leaves
-    /// its record in a state that is safe to miss (e.g. hazard pointers cleared only
-    /// after the owner's retired nodes have been handed off or reclaimed).
+    /// A slot may be claimed or released while the walk is in progress: a
+    /// scheme neutralizes a record before releasing its slot, so that missing
+    /// it is safe (module docs, "Why skipping a vacant slot is safe").
     pub fn iter_claimed<'a>(
         &'a self,
         tally: &'a StatStripe,
@@ -430,7 +368,6 @@ mod tests {
         let tally = StatStripe::new();
         let claimed: Vec<_> = reg.iter_claimed(&tally).map(|(i, _)| i).collect();
         assert_eq!(claimed, vec![a.index()]);
-        assert!(reg.is_claimed(a.index()));
         assert_eq!(reg.get(a.index()).load(Ordering::Relaxed), 7);
         reg.release(a);
         assert_eq!(reg.iter_claimed(&tally).count(), 0);
@@ -495,26 +432,26 @@ mod tests {
     }
 
     #[test]
-    fn scans_skip_wholly_vacant_shards() {
+    fn walks_skip_wholly_vacant_shards_and_vacant_slots() {
         let reg: Registry<AtomicUsize> = Registry::new(256, |_| AtomicUsize::new(0));
         assert_eq!(reg.shard_count(), 32);
-        // Two registrants: at most two active shards.
+        // Two registrants: at most two active shards, and two records read.
         let a = reg.acquire().unwrap();
         let b = reg.acquire().unwrap();
-        let (tally, mut out) = (StatStripe::new(), Vec::new());
-        reg.collect_protected(&tally, &mut out, |_, _| {});
+        let tally = StatStripe::new();
+        let walked: Vec<_> = reg.iter_claimed(&tally).map(|(i, _)| i).collect();
+        assert_eq!(walked, [a.index().min(b.index()), a.index().max(b.index())]);
         let scan = tally.snapshot();
         let (skips, walks) = (scan.shard_skips, scan.shard_walks);
         assert_eq!(walks + skips, 32, "every shard classified exactly once");
-        assert!(walks <= 2, "scan walks only the active shards, got {walks}");
         assert!(
-            skips >= 30,
-            "vacant shards are skipped in O(1), got {skips}"
+            walks <= 2,
+            "the walk visits only the active shards, got {walks}"
         );
         reg.release(a);
         reg.release(b);
-        // All vacant now: a scan touches no slot lines at all.
-        reg.collect_protected(&tally, &mut out, |_, _| panic!("no shard should be walked"));
+        // All vacant now: a walk touches no slot lines at all.
+        assert_eq!(reg.iter_claimed(&tally).count(), 0);
         assert_eq!(tally.snapshot().shard_walks, walks);
         assert_eq!(tally.snapshot().shard_skips, skips + 32);
     }
@@ -523,13 +460,13 @@ mod tests {
     fn each_walk_lands_its_shard_tally_on_the_stripe_it_was_handed() {
         let reg: Registry<AtomicUsize> = Registry::new(32, |_| AtomicUsize::new(0));
         let a = reg.acquire().unwrap();
-        let (mine, theirs, mut out) = (StatStripe::new(), StatStripe::new(), Vec::new());
-        // Two handles' scans: each stripe holds its own scan's four shards and
+        let (mine, theirs) = (StatStripe::new(), StatStripe::new());
+        // Two handles' walks: each stripe holds its own walk's four shards and
         // nothing of the other's.
-        reg.collect_protected(&mine, &mut out, |_, _| {});
+        assert_eq!(reg.iter_claimed(&mine).count(), 1);
         let dispatch = |s: &StatStripe| (s.snapshot().shard_skips, s.snapshot().shard_walks);
         assert_eq!((dispatch(&mine), dispatch(&theirs)), ((3, 1), (0, 0)));
-        reg.collect_protected(&theirs, &mut out, |_, _| {});
+        assert_eq!(reg.iter_claimed(&theirs).count(), 1);
         assert_eq!(reg.iter_claimed(&theirs).count(), 1);
         assert_eq!((dispatch(&mine), dispatch(&theirs)), ((3, 1), (6, 2)));
         // A walk abandoned half-way (the first registrant's home is shard 0)
@@ -541,41 +478,15 @@ mod tests {
     }
 
     #[test]
-    fn skip_vacant_shards_jumps_to_the_next_active_shard() {
-        let reg: Registry<AtomicUsize> = Registry::new(64, |_| AtomicUsize::new(0));
-        // Occupy only shard 5 (slots 40..48): deal homes until one lands there.
-        let id = loop {
-            let id = reg.acquire().unwrap();
-            if shard_of(id.index()) == 5 {
-                break id;
-            }
-            reg.release(id);
-        };
+    fn a_released_slot_leaves_its_shard_walked_but_its_record_unread() {
+        let reg: Registry<AtomicUsize> = Registry::new(8, |_| AtomicUsize::new(0));
+        let (a, b) = (reg.acquire().unwrap(), reg.acquire().unwrap());
+        reg.release(a);
         let tally = StatStripe::new();
-        assert_eq!(
-            reg.skip_vacant_shards(&tally, 0),
-            40,
-            "jumps over shards 0..5"
-        );
-        assert_eq!(
-            reg.skip_vacant_shards(&tally, 41),
-            41,
-            "active shard: no jump"
-        );
-        assert_eq!(
-            reg.skip_vacant_shards(&tally, 48),
-            64,
-            "nothing after shard 5: jump to capacity"
-        );
-        assert_eq!(tally.snapshot().shard_skips, 5 + 2);
-        reg.release(id);
-        assert_eq!(
-            reg.skip_vacant_shards(&tally, 0),
-            64,
-            "empty registry: one jump to the end"
-        );
-        assert_eq!(tally.snapshot().shard_skips, 7 + 8);
-        assert_eq!(tally.snapshot().shard_walks, 0, "a jump walks nothing");
+        let walked: Vec<_> = reg.iter_claimed(&tally).map(|(i, _)| i).collect();
+        assert_eq!(walked, [b.index()], "one shard, one claim bit, one record");
+        assert_eq!(tally.snapshot().shard_walks, 1);
+        reg.release(b);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!   the `2·N·C` bound of Property 4, while QSBR's grows with the number of
 //!   retirements performed during the delay.
 //! * With the eviction extension enabled, QSense recovers the fast path even when a
-//!   thread never comes back — end to end, with the real clock and real structures.
+//!   thread never comes back — end to end, on a real structure, driven by a
+//!   manual clock and ledger ticks entered by hand.
 
 use qsense_repro::bench::{
     default_fault_config, make_set, run_experiment, run_fault, run_fault_for, DelaySchedule,
@@ -19,19 +20,25 @@ use qsense_repro::bench::{
 };
 use qsense_repro::ds::HarrisMichaelList;
 use qsense_repro::smr::{
-    Cadence, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, Path, QSense, Qsbr, Smr, SmrConfig,
-    SmrHandle,
+    BarrierLedger, Cadence, Clock, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, ManualClock,
+    Path, QSense, Qsbr, Smr, SmrConfig, SmrHandle,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::thread;
 use std::time::Duration;
+
+/// One completed barrier on `ledger`, entered by hand.
+fn tick(ledger: &BarrierLedger) {
+    // SAFETY: every handle of the ledger's scheme runs on the calling thread:
+    // no sibling's store buffer holds a publication for a barrier to drain.
+    assert!(unsafe { ledger.issue(|| true) });
+}
 
 /// Drives `ops` insert/remove pairs through a list whose scheme has one extra
 /// registered-but-idle handle, and returns the scheme's unreclaimed-node count at
 /// the end. Every remove retires a node, so a scheme that cannot make progress ends
-/// up with roughly `ops` nodes in limbo.
-fn limbo_with_idle_thread<S: Smr>(scheme: Arc<S>, ops: u64) -> u64 {
+/// up with roughly `ops` nodes in limbo. `settle` runs between the worker's two
+/// final flushes.
+fn limbo_with_idle_thread<S: Smr>(scheme: Arc<S>, ops: u64, settle: impl FnOnce(&S)) -> u64 {
     let list = Arc::new(HarrisMichaelList::<u64, S>::new(Arc::clone(&scheme)));
     let _idle = list.register(); // registered, never used again until the end
     let mut worker = list.register();
@@ -41,10 +48,11 @@ fn limbo_with_idle_thread<S: Smr>(scheme: Arc<S>, ops: u64) -> u64 {
         list.remove(&key, &mut worker);
     }
     worker.flush();
-    // The deferred-reclamation schemes may only free nodes a rooster wake-up has
-    // covered; give the freshly retired tail ten rooster intervals, then scan once more. (This does not help
-    // QSBR: no amount of waiting substitutes for the idle thread's quiescence.)
-    thread::sleep(Duration::from_millis(10));
+    // The deferred-reclamation schemes may only free nodes a completed barrier
+    // has covered: their `settle` enters one for the freshly retired tail, then
+    // the worker scans once more. (No tick helps QSBR: nothing substitutes for
+    // the idle thread's quiescence.)
+    settle(&scheme);
     worker.flush();
     scheme.stats().in_limbo()
 }
@@ -61,11 +69,11 @@ fn an_idle_registered_thread_blocks_qsbr_but_not_ebr_cadence_or_qsense() {
             .with_rooster_interval(Duration::from_millis(1))
     };
 
-    let qsbr_limbo = limbo_with_idle_thread(Qsbr::new(base()), OPS);
-    let ebr_limbo = limbo_with_idle_thread(Ebr::new(base()), OPS);
-    let he_limbo = limbo_with_idle_thread(He::new(base()), OPS);
-    let cadence_limbo = limbo_with_idle_thread(Cadence::new(base()), OPS);
-    let qsense_limbo = limbo_with_idle_thread(QSense::new(base()), OPS);
+    let qsbr_limbo = limbo_with_idle_thread(Qsbr::new(base()), OPS, |_| {});
+    let ebr_limbo = limbo_with_idle_thread(Ebr::new(base()), OPS, |_| {});
+    let he_limbo = limbo_with_idle_thread(He::new(base()), OPS, |_| {});
+    let cadence_limbo = limbo_with_idle_thread(Cadence::new(base()), OPS, |s| tick(s.ledger()));
+    let qsense_limbo = limbo_with_idle_thread(QSense::new(base()), OPS, |s| tick(s.ledger()));
 
     // QSBR: the idle thread never quiesces, so nearly everything stays in limbo.
     assert!(
@@ -141,8 +149,9 @@ fn a_thread_stalled_inside_an_operation_blocks_ebr_but_not_qsense() {
             list.insert(key, &mut worker);
             list.remove(&key, &mut worker);
             if i % 256 == 0 {
-                // Give retired nodes a chance to age past the (1 ms) rooster interval.
-                thread::sleep(Duration::from_millis(2));
+                // A completed barrier covers what was retired so far, as a
+                // rooster wake-up would.
+                tick(qsense.ledger());
             }
         }
         worker.flush();
@@ -519,43 +528,40 @@ fn qsense_limbo_respects_the_2nc_bound_under_periodic_delays() {
 
 #[test]
 fn qsense_with_eviction_recovers_the_fast_path_after_a_permanent_failure() {
-    // End-to-end version of the extension test in the qsense crate: real clock, real
-    // list, a worker thread, and a participant that registers and then never returns.
-    // `C` is sized so that the initial blockage (before eviction kicks in) crosses
-    // it quickly, but the post-recovery steady state — where frees wait for a wake-up
-    // because the crashed thread stays evicted — stays well below it; otherwise the
-    // system would legitimately oscillate between the paths.
+    // End-to-end version of the extension test in the qsense crate: a real list,
+    // a worker, and a participant that registers and then never returns. The
+    // test thread runs the worker and stands in for the rooster: one ledger tick
+    // and one millisecond of the manual clock every 64 pairs, so every run is
+    // the same run. `C` is sized so that the initial blockage (before eviction
+    // kicks in) crosses it, but the post-recovery steady state — where frees
+    // wait for a tick because the crashed thread stays evicted — stays well
+    // below it; otherwise the system would legitimately oscillate between the
+    // paths.
+    const PAIRS: u64 = 32_768;
+    let clock = ManualClock::new();
     let scheme = QSense::new(
         SmrConfig::for_list()
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(32)
             .with_fallback_threshold(16_384)
-            .with_rooster_interval(Duration::from_millis(1))
-            .with_eviction_timeout(Some(Duration::from_millis(50))),
+            .with_rooster_interval(Duration::MAX)
+            .with_eviction_timeout(Some(Duration::from_millis(50)))
+            .with_clock(Clock::manual(clock.clone())),
     );
-    let list = Arc::new(HarrisMichaelList::<u64, QSense>::new(Arc::clone(&scheme)));
+    let list = HarrisMichaelList::<u64, QSense>::new(Arc::clone(&scheme));
     let crashed = list.register(); // never participates again
-    let stop = Arc::new(AtomicBool::new(false));
-
-    thread::scope(|scope| {
-        let list_ref = Arc::clone(&list);
-        let stop_ref = Arc::clone(&stop);
-        scope.spawn(move || {
-            let mut handle = list_ref.register();
-            let mut i = 0u64;
-            while !stop_ref.load(Ordering::Relaxed) {
-                let key = i % 256;
-                list_ref.insert(key, &mut handle);
-                list_ref.remove(&key, &mut handle);
-                i += 1;
-            }
-            handle.flush();
-        });
-        // Let the worker run long enough to trigger fallback, eviction and recovery.
-        thread::sleep(Duration::from_millis(600));
-        stop.store(true, Ordering::Relaxed);
-    });
+    let mut worker = list.register();
+    for i in 0..PAIRS {
+        let key = i % 256;
+        list.insert(key, &mut worker);
+        list.remove(&key, &mut worker);
+        if i % 64 == 63 {
+            clock.advance(Duration::from_millis(1));
+            tick(scheme.ledger());
+        }
+    }
+    worker.flush();
 
     let stats = scheme.stats();
     assert!(
