@@ -7,6 +7,14 @@
 //! epoch its retirer was pinned at (three, not the textbook two, because that tag is
 //! taken at pin time and can lag the epoch at unlink time by one).
 //!
+//! The paper puts EBR in QSBR's class, differing only in where quiescent
+//! states happen, and this crate builds it that way (as Brown's DEBRA does):
+//! on `qsbr`'s epoch part, with a quiescent state at each operation boundary.
+//! A pin publishes the epoch to the thread's `qsbr::EpochRecord` and an unpin
+//! publishes `qsbr::OFFLINE`; the limbo is `qsbr::EpochLimbo`, whose three
+//! buckets are the three-epoch wait; an advance confirms the epoch with the
+//! walk QSBR's quiescent state runs, `qsbr::confirmed`.
+//!
 //! This crate exists as an additional baseline for the evaluation, sitting between
 //! the paper's two fast-path candidates:
 //!
@@ -32,10 +40,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-mod pin;
 mod scheme;
 
-pub use pin::PinRecord;
 pub use scheme::{Ebr, EbrHandle};
 
 /// Runs `case` under the protocol this kernel selects and under the

@@ -1,36 +1,17 @@
 //! The EBR scheme object and per-thread handle.
 
-use crate::pin::PinRecord;
-use qsbr::GlobalEpoch;
+use qsbr::{confirmed, grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, OFFLINE};
 use reclaim_core::{
-    fence, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache, Reclaim,
-    Registry, RetiredPtr, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    fence, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache, Registry,
+    RetiredPtr, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-/// A retired node may be freed once the global epoch has advanced this many times
-/// past its **pin-time** tag. Three, not the classic two, because the tag is the
-/// epoch the retirer observed when it *pinned*, which can lag the global epoch at
-/// unlink time by one: a node tagged `T` may have been unlinked while the global
-/// was already `T + 1`, and a reader that pinned at `T + 1` before the unlink can
-/// hold a reference without ever blocking the advances to `T + 2` (a pin at `p`
-/// only blocks advancement beyond `p + 1`). Only once the global reaches
-/// `T + 3 >= p + 2` for every possible reader pin `p <= T + 1` is each such
-/// reader guaranteed to have unpinned since the unlink. (A gap of 2 is sound
-/// only for tags taken from a fresh global load *at retire time*, which is the
-/// shared load per retire this design removes.)
-const SAFE_EPOCH_GAP: u64 = 3;
-
-/// Number of per-epoch limbo chains a handle keeps. Nodes tagged with epoch `e`
-/// land in chain `e % LIMBO_BUCKETS`; two tags can collide in a bucket only when
-/// they differ by at least `LIMBO_BUCKETS > SAFE_EPOCH_GAP` epochs, by which time
-/// the older tag's nodes are reclaimable wholesale (see `EbrHandle::retire`).
-const LIMBO_BUCKETS: usize = SAFE_EPOCH_GAP as usize + 1;
-
 /// Epoch-based reclamation with per-operation pinning (the classic epoch scheme of
 /// the paper's related work, [13, 14] — Fraser's technique, the one crossbeam-epoch
-/// popularized).
+/// popularized), run on `qsbr`'s epoch part with its quiescent states at the
+/// operation boundaries.
 ///
 /// Compared to [`qsbr::Qsbr`]:
 ///
@@ -46,14 +27,14 @@ const LIMBO_BUCKETS: usize = SAFE_EPOCH_GAP as usize + 1;
 ///   path.
 ///
 /// Unlike QSBR, EBR *can* escalate on a limbo-budget breach mid-operation —
-/// `try_advance` plus a bucket collect are safe at any point — but a thread
+/// `try_advance` plus a catch-up are safe at any point — but a thread
 /// stalled inside an operation still caps the epoch at `pin + 1`, so escalation
 /// helps against bursty load and is powerless against a mid-op stall (the
 /// verdict records which).
 pub struct Ebr {
     core: Arc<SchemeCore>,
     global_epoch: GlobalEpoch,
-    registry: Registry<PinRecord>,
+    registry: Registry<EpochRecord>,
     strategy: FenceStrategy,
 }
 
@@ -75,7 +56,7 @@ impl Ebr {
             FenceStrategy::Rooster => FenceStrategy::ScannerBarrier,
             other => other,
         };
-        let registry = Registry::new(config.max_threads, |_| PinRecord::new());
+        let registry = Registry::new(config.max_threads, |_| EpochRecord::default());
         Arc::new(Self {
             core: SchemeCore::new("ebr", config),
             global_epoch: GlobalEpoch::new(),
@@ -108,9 +89,10 @@ impl Ebr {
     /// thread has already observed the current epoch; idle (unpinned) threads are
     /// ignored — the defining difference from QSBR.
     ///
-    /// This is the scanner's half of the pin protocol ([`PinRecord::pin`] is the
-    /// reader's): **epoch load, fence, record walk, CAS**, in that order. The
-    /// fence — the advancer's own `SeqCst` fence against reader-fenced pins, one
+    /// This is the scanner's half of the pin protocol (the pin,
+    /// [`EpochRecord::publish`] and its fence, is the reader's): **epoch load,
+    /// fence, record walk ([`confirmed`]), CAS**, in that order. The fence — the
+    /// advancer's own `SeqCst` fence against reader-fenced pins, one
     /// process-wide [`fence::scanner_barrier`] against compiler-fenced ones —
     /// splits every pin in two cases. Either its store is drained before the
     /// walk, which then reads it: the advance goes through only if the pin
@@ -118,19 +100,16 @@ impl Ebr {
     /// the fence, and then so was the tag load that follows it, which therefore
     /// reads `global` or newer. Either way a successful advance leaves the epoch
     /// at most one past the tag of every operation in flight — the bound
-    /// `SAFE_EPOCH_GAP` is derived from. With the fence *after* the walk the
-    /// second case loses a step (`reclaim-check`'s epoch litmus prints the
-    /// schedule). A refused barrier proves nothing and advances nothing.
+    /// [`EbrHandle`]'s three-epoch wait is derived from. With the fence *after*
+    /// the walk the second case loses a step (`reclaim-check`'s epoch litmus
+    /// prints the schedule). A refused barrier proves nothing and advances
+    /// nothing.
     pub fn try_advance(&self) -> bool {
         let global = self.global_epoch.load();
         // An advance belongs to no handle: its barrier, its quiescent state and
         // its walks' shard tallies go to the orphan stripe.
         let orphan = self.core.orphan_stats();
-        let all_caught_up = || {
-            self.registry
-                .iter_claimed(orphan)
-                .all(|(_, record)| record.permits_advance_from(global))
-        };
+        let all_caught_up = || confirmed(&self.registry, orphan, |r| r, global);
         match self.strategy {
             FenceStrategy::ReaderFenced => std::sync::atomic::fence(Ordering::SeqCst),
             // Look before the barrier: a pin that is visible now and blocks
@@ -161,20 +140,17 @@ impl Smr for Ebr {
         let (slot, core) = self
             .core
             .register(&self.registry, |_| (SegPool::new(), ()))?;
-        // A fresh thread starts unpinned; an unpinned record never blocks advancement.
-        self.registry.get_mine(slot).unpin();
-        let epoch = self.global_epoch.load();
+        let mine = self.registry.get_mine(slot);
+        // The part adopts the epoch, but a thread announces one only while
+        // pinned: a fresh thread is offline and never blocks advancement.
+        let (limbo, _) = EpochLimbo::register(&self.global_epoch, mine);
+        mine.publish(OFFLINE);
         Ok(EbrHandle {
             scheme: Arc::clone(self),
             slot,
             core,
-            limbo: std::array::from_fn(|_| EpochChain {
-                epoch: 0,
-                bag: SegBag::new(),
-            }),
-            pin_epoch: epoch,
+            limbo,
             pinned: false,
-            collected_at: epoch,
             strategy: self.strategy,
         })
     }
@@ -184,86 +160,42 @@ impl Smr for Ebr {
     }
 }
 
-/// One per-epoch limbo chain: every node in `bag` was retired while the owner
-/// was pinned at `epoch`, so the whole chain becomes reclaimable at once when
-/// `global >= epoch + SAFE_EPOCH_GAP` — no per-node examination needed.
-struct EpochChain {
-    epoch: u64,
-    bag: SegBag,
-}
-
-impl EpochChain {
-    /// Non-empty and at least [`SAFE_EPOCH_GAP`] behind `global`.
-    fn matured(&self, global: u64) -> bool {
-        !self.bag.is_empty() && global >= self.epoch + SAFE_EPOCH_GAP
-    }
-
-    /// Frees the chain wholesale — no per-node tests.
-    ///
-    /// # Safety
-    ///
-    /// The global epoch must have reached `self.epoch + SAFE_EPOCH_GAP`.
-    unsafe fn drain(&mut self, reclaim: &mut Reclaim<'_>) {
-        reclaim.stats().add_scan_wholesale();
-        // SAFETY: every node in this bucket was unlinked while its owner
-        // was pinned at `self.epoch`, i.e. at a global epoch of at most
-        // `self.epoch + 1`. Any thread still holding a reference has
-        // been pinned continuously since before that unlink, so its pin
-        // epoch is at most `self.epoch + 1` — and a continuous pin at
-        // `p` blocks every advance beyond `p + 1`. The global having
-        // reached `self.epoch + 3 >= p + 2` therefore proves each such
-        // thread has unpinned at least once since the unlink, dropping
-        // all references obtained before it (see [`SAFE_EPOCH_GAP`] for
-        // why 3 and not the retire-time-tag gap of 2). The nodes are
-        // unreachable.
-        unsafe { reclaim.free_all(&mut self.bag) };
-    }
-}
-
 /// Per-thread handle for [`Ebr`].
 ///
-/// The limbo state is the heart of EBR's retire-path cost model. A previous
-/// revision kept one flat `Vec<(epoch, node)>` and re-examined *every* entry on
-/// *every* pin; whenever the epoch stalled (one preempted thread suffices — the
-/// single-CPU pathology behind the 8-thread retire blowup the seed's overhead
-/// bench recorded; `scheme.retire_cycle_ns.ebr` in `benchmark/ --trace 1` is
-/// where the retire path is measured now), the list grew while each pin
-/// rescanned all of it:
-/// quadratic work, on top of one shared global-epoch load per retire. Nodes now
-/// land in one of [`LIMBO_BUCKETS`] per-epoch segment chains, tagged with the
-/// **pin-time** epoch the handle already holds, so `retire` touches no shared
-/// state at all and freeing is a whole-chain drain at segment granularity: a
-/// pin that finds the epoch moved checks `LIMBO_BUCKETS` bucket tags, never
-/// individual nodes, and every other pin checks nothing.
+/// Its limbo is `qsbr`'s [`EpochLimbo`], whose local epoch is the **tag** the
+/// handle's retires enter limbo under: the epoch its pin read once the pin
+/// was published, or a fresh read for a retire outside an operation. A
+/// retire touches no shared state, and a pin that finds the epoch moved gets
+/// back one bucket ([`EpochLimbo::catch_up`]), freed whole.
+///
+/// A bucket comes back once the global epoch has reached its tag + 3
+/// ([`qsbr::EPOCH_BUCKETS`]): three, not the classic two, because the tag
+/// can lag the global epoch at unlink time by one. A node tagged `T` may
+/// have been unlinked while the global was already `T + 1`, and a reader that
+/// pinned at `T + 1` before the unlink can hold a reference without ever
+/// blocking the advance to `T + 2` (a pin at `p` only blocks advancement
+/// beyond `p + 1`). Only once the global reaches `T + 3 >= p + 2` for every
+/// possible reader pin `p <= T + 1` is each such reader guaranteed to have
+/// unpinned since the unlink. (A gap of 2 is sound only for tags taken from a
+/// fresh global load *at retire time*, a shared load per retire.)
 pub struct EbrHandle {
     scheme: Arc<Ebr>,
     slot: SlotId,
     /// Its retire counter paces `try_advance` (retires since the last attempt).
     core: HandleCore,
-    limbo: [EpochChain; LIMBO_BUCKETS],
-    /// The global epoch observed once the last pin was visible
-    /// ([`pin_at`](Self::pin_at)). While pinned, `retire` tags nodes with this
-    /// cached value instead of re-loading the (contended) global epoch: the
-    /// pin bounds the global at `pin_epoch + 1`, and the grace-period argument
-    /// below covers the difference.
-    pin_epoch: u64,
-    /// Whether the owner is currently inside an operation. Handle-local mirror
-    /// of the shared active flag: it decides, without a shared load, whether
-    /// `retire` may trust `pin_epoch` (the [`SmrHandle::retire`] contract does
-    /// not require being inside an operation, and an *unpinned* retire must
-    /// not use a stale cached tag — that would free nodes before a real grace
-    /// period).
+    limbo: EpochLimbo,
+    /// Whether the owner is currently inside an operation: it decides,
+    /// without a shared load, whether `retire` may trust the tag (the
+    /// [`SmrHandle::retire`] contract does not require being inside an
+    /// operation, and an *unpinned* retire must not use a stale tag — that
+    /// would free nodes before a real grace period).
     pinned: bool,
-    /// The epoch of the last pin-time [`collect`](Self::collect). A chain can
-    /// only mature when the epoch moves, so pins that find it unchanged skip
-    /// the bucket checks (and their skip counters) altogether.
-    collected_at: u64,
     /// The scheme's protocol, by value: `begin_op` branches on it per operation.
     strategy: FenceStrategy,
 }
 
 impl EbrHandle {
-    fn record(&self) -> &PinRecord {
+    fn record(&self) -> &EpochRecord {
         self.scheme.registry.get_mine(self.slot)
     }
 
@@ -272,86 +204,48 @@ impl EbrHandle {
     /// The two loads differ when the thread was held up between the first and
     /// the pin's store: until the pin is published nothing stops the epoch, so
     /// `observed` can be arbitrarily stale, and tagging with it would let the
-    /// very next `collect` free a node a current reader still holds. The
-    /// second load is the tag the [`SAFE_EPOCH_GAP`] argument needs — the
-    /// global stays within `pin_epoch + 1` for the whole operation — by the
-    /// case split of [`Ebr::try_advance`], one ordering per step:
+    /// very next catch-up free a node a current reader still holds. The
+    /// second load is the tag the three-epoch wait ([`EbrHandle`]) needs — the
+    /// global stays within tag + 1 for the whole operation — by the case
+    /// split of [`Ebr::try_advance`], one ordering per step
+    /// ([`EpochRecord::publish`] names all three):
     ///
-    /// * the pin's fence ([`PinRecord::pin`]) keeps the tag load after the pin
-    ///   store — **pin-before-tag**: an advance from `g` that misses the pin
-    ///   fenced before the tag load, which therefore reads `g` or newer, so
-    ///   that advance ends at most one past the tag;
+    /// * the pin's fence keeps the tag load after the pin store —
+    ///   **pin-before-tag**: an advance from `g` that misses the pin fenced
+    ///   before the tag load, which therefore reads `g` or newer, so that
+    ///   advance ends at most one past the tag;
     /// * an advance that reads the pin goes through only from `observed`, and
-    ///   `observed <= pin_epoch` because both are loads of one monotone
-    ///   counter, in program order (coherence; no ordering needed);
+    ///   `observed <= tag` because both are loads of one monotone counter, in
+    ///   program order (coherence; no ordering needed);
     /// * the tag load is `Acquire` ([`GlobalEpoch::load`]), pairing with the
     ///   advancing CAS's `Release` — **walk-before-epoch**: reading epoch `e`
     ///   makes visible every unpin the advance to `e` relied on, and with it
-    ///   (`Release` in [`PinRecord::unpin`]) every access of the operations
-    ///   those unpins ended, before this operation frees or reuses anything.
+    ///   (the unpin's `Release`: **accesses-before-unpin**) every access of
+    ///   the operations those unpins ended, before this operation frees or
+    ///   reuses anything.
     ///
     /// (The record keeps announcing the possibly stale `observed`, which merely
     /// blocks advances until `end_op`.)
     fn pin_at(&mut self, observed: u64) {
-        self.record().pin(observed, self.strategy);
-        let global = self.scheme.global_epoch.load();
-        self.pin_epoch = global;
+        self.record().publish(observed);
+        self.strategy.publication_fence();
         self.pinned = true;
-        // Pinning is also the natural point to free what previous epoch advances
-        // made safe (equivalent to crossbeam's collect-on-pin). Whatever entered
-        // limbo since the last collect is tagged with that collect's epoch or a
-        // newer one, so nothing can have matured while the epoch stood still.
-        if global != self.collected_at {
-            self.collected_at = global;
-            Self::collect(&mut self.core, &mut self.limbo, global);
-        }
+        // Crossbeam's collect-on-pin: free what previous advances made safe
+        // (a pin at an unchanged epoch gets nothing back).
+        let tag = self.scheme.global_epoch.load();
+        Self::catch_up(&mut self.core, &mut self.limbo, tag);
     }
 
-    /// Frees every limbo bucket whose tag is at least [`SAFE_EPOCH_GAP`] behind
-    /// `global`, wholesale. O([`LIMBO_BUCKETS`]) bucket checks regardless of
-    /// limbo size, and usually frees nothing: the reclaim pass (its clock reads
-    /// and budget report) runs only when some bucket has actually matured.
-    fn collect(core: &mut HandleCore, limbo: &mut [EpochChain; LIMBO_BUCKETS], global: u64) {
-        let mut any_matured = false;
-        for chain in limbo.iter() {
-            if chain.matured(global) {
-                any_matured = true;
-            } else if !chain.bag.is_empty() {
-                // Non-empty but too young: the collect passes it over unexamined.
-                core.stats().add_scan_skip();
-            }
+    /// Moves the tag to `epoch`, a global epoch read after the pin (or after
+    /// an out-of-operation unlink), and frees the bucket that hands back.
+    fn catch_up(core: &mut HandleCore, limbo: &mut EpochLimbo, epoch: u64) {
+        if let Some(bucket) = limbo.catch_up(epoch) {
+            // SAFETY: the bucket holds nodes of one tag `T <= epoch - 3`, and
+            // `epoch` was read from the global: every thread that may hold
+            // one of them has unpinned since its unlink (the three-epoch
+            // wait), and an unpinned thread holds no references.
+            unsafe { grace_drain(core, bucket) };
         }
-        if any_matured {
-            core.scan(|reclaim, _| {
-                for chain in limbo.iter_mut().filter(|chain| chain.matured(global)) {
-                    // SAFETY: `matured` checked the epoch gap.
-                    unsafe { chain.drain(reclaim) };
-                }
-            });
-        }
-    }
-
-    /// Index of the limbo bucket for nodes tagged `epoch`, retagging (and
-    /// draining) it if it still carries an older epoch's tag.
-    fn bucket_for(&mut self, epoch: u64) -> usize {
-        let b = (epoch % LIMBO_BUCKETS as u64) as usize;
-        if self.limbo[b].epoch != epoch {
-            if !self.limbo[b].bag.is_empty() {
-                // A colliding tag differs by >= LIMBO_BUCKETS epochs, and the
-                // owner's epoch tags are monotone, so the old contents are at
-                // least LIMBO_BUCKETS > SAFE_EPOCH_GAP advances old — and the
-                // global epoch has reached at least `epoch` (the owner observed
-                // it) — hence reclaimable wholesale (same argument as `collect`).
-                debug_assert!(epoch >= self.limbo[b].epoch + LIMBO_BUCKETS as u64);
-                let limbo = &mut self.limbo;
-                self.core.scan(|reclaim, _| {
-                    // SAFETY: the chain is LIMBO_BUCKETS > SAFE_EPOCH_GAP epochs behind the epoch its owner observed.
-                    unsafe { limbo[b].drain(reclaim) };
-                });
-            }
-            self.limbo[b].epoch = epoch;
-        }
-        b
     }
 }
 
@@ -363,7 +257,7 @@ impl SmrHandle for EbrHandle {
     }
 
     fn end_op(&mut self) {
-        self.record().unpin();
+        self.record().publish(OFFLINE);
         self.pinned = false;
     }
 
@@ -375,70 +269,61 @@ impl SmrHandle for EbrHandle {
     fn clear_protections(&mut self) {}
 
     unsafe fn retire(&mut self, node: RetiredPtr) {
-        // While pinned (the normal case — retires happen inside operations),
-        // tag with the cached pin-time epoch: the pin bounds the global at
-        // `pin_epoch + 1`, which is exactly why [`SAFE_EPOCH_GAP`] is 3 rather
-        // than the 2 a fresh retire-time tag would need. Re-loading the global
-        // here (as a previous revision did) put one shared acquire load on
-        // every retire, the dominant contention source at high thread counts.
+        // While pinned (the normal case), the tag is the epoch the pin read,
+        // and `retire` touches no shared state ([`EbrHandle`]'s wait).
         //
         // The `SmrHandle::retire` contract does NOT require being inside an
-        // operation, and an unpinned handle's `pin_epoch` can be arbitrarily
-        // stale — tagging with it would free nodes arbitrarily early. Unpinned
+        // operation, and an unpinned handle's tag can be arbitrarily stale —
+        // retiring under it would free nodes arbitrarily early. Unpinned
         // retires therefore pay the fresh global load: any reader still
         // holding a reference was pinned before the (earlier) unlink, so its
-        // pin epoch is at most the loaded value and the same gap covers it.
-        let epoch = if self.pinned {
-            self.pin_epoch
-        } else {
-            self.scheme.global_epoch.load()
-        };
-        let b = self.bucket_for(epoch);
-        let (scheme, limbo) = (&*self.scheme, &mut self.limbo);
-        // SAFETY: forwarded from the caller's contract. The epoch tag lives on
-        // the chain; the per-node stamp goes unread.
-        unsafe { self.core.retire(&mut limbo[b].bag, node, 0) };
+        // pin epoch is at most the loaded value and the same wait covers it.
+        let scheme = &*self.scheme;
+        if !self.pinned {
+            let epoch = scheme.global_epoch.load();
+            Self::catch_up(&mut self.core, &mut self.limbo, epoch);
+        }
+        let limbo = &mut self.limbo;
+        // SAFETY: forwarded from the caller's contract. The tag lives on the
+        // bucket; the per-node stamp goes unread.
+        unsafe { self.core.retire(limbo.current(), node, 0) };
         if self.core.scan_due() {
             scheme.try_advance();
         } else {
-            // Budget breach: push the epoch forward and collect what aged out
-            // (both are safe mid-operation). If a mid-op stall elsewhere keeps
+            // Budget breach: push the epoch forward and free what it hands
+            // back (both are safe mid-operation: the fresh read is a tag at
+            // least as new as the pin's). If a mid-op stall elsewhere keeps
             // the epoch capped and us over budget, the core takes one bounded
             // backpressure yield.
             self.core.enforce_budget(|core| {
                 scheme.try_advance();
-                Self::collect(core, limbo, scheme.global_epoch.load());
+                Self::catch_up(core, limbo, scheme.global_epoch.load());
             });
         }
     }
 
     fn flush(&mut self) {
-        // Adopt limbo leftovers of exited threads into the current-epoch bucket:
-        // they were unlinked before this adoption, so any reader still holding a
-        // reference pinned at an epoch <= global + 1, and the bucket's
-        // `SAFE_EPOCH_GAP` wait covers it.
-        let global = self.scheme.global_epoch.load();
-        let b = self.bucket_for(global);
-        self.core.adopt_parked(&mut self.limbo[b].bag);
-        // Make a best-effort attempt to push the epoch far enough forward that every
-        // limbo node becomes reclaimable, then free whatever the advances allowed.
-        // The thread must not be pinned while doing this (flush is called between
-        // operations), so unpin defensively.
-        self.record().unpin();
+        // Between operations: unpin defensively, not to hold back the advances.
+        self.record().publish(OFFLINE);
         self.pinned = false;
-        // As far as the youngest chain needs and no further: with nothing in
-        // limbo there is nothing to prove, and an advance may cost a barrier.
-        let held = self.limbo.iter().filter(|chain| !chain.bag.is_empty());
-        if let Some(youngest) = held.map(|chain| chain.epoch).max() {
-            for _ in 0..2 * SAFE_EPOCH_GAP {
-                if self.scheme.global_epoch.load() >= youngest + SAFE_EPOCH_GAP {
-                    break;
-                }
-                self.scheme.try_advance();
-            }
-        }
+        // Adopt limbo leftovers of exited threads, then tag them with an
+        // epoch read after the adoption, so after their unlink: any reader
+        // still holding one pinned at that epoch or earlier.
+        let mut parked = SegBag::new();
+        self.core.adopt_parked(&mut parked);
         let global = self.scheme.global_epoch.load();
-        Self::collect(&mut self.core, &mut self.limbo, global);
+        Self::catch_up(&mut self.core, &mut self.limbo, global);
+        self.limbo.current().splice(&mut parked);
+        // Best effort, an epoch at a time until the limbo is empty and no
+        // further: an advance may cost a barrier, and proves nothing here.
+        for _ in 0..EpochLimbo::FLUSH_CYCLE {
+            if self.limbo.bags().iter().all(SegBag::is_empty) {
+                break;
+            }
+            self.scheme.try_advance();
+            let global = self.scheme.global_epoch.load();
+            Self::catch_up(&mut self.core, &mut self.limbo, global);
+        }
         self.core.drain_ready();
     }
 
@@ -457,13 +342,10 @@ impl SmrHandle for EbrHandle {
 
 impl Drop for EbrHandle {
     fn drop(&mut self) {
+        // `flush` leaves the record offline; whatever is still too young is
+        // parked on the scheme with O(1) splices.
         self.flush();
-        // Whatever is still too young is parked on the scheme with O(1) splices.
-        let mut leftovers = SegBag::new();
-        for chain in &mut self.limbo {
-            leftovers.splice(&mut chain.bag);
-        }
-        self.core.park(&mut leftovers);
+        self.core.park(&mut self.limbo.take_all());
         self.scheme.registry.release(self.slot);
     }
 }
@@ -472,6 +354,7 @@ impl Drop for EbrHandle {
 mod tests {
     use super::*;
     use crate::under_both_protocols;
+    use qsbr::EPOCH_BUCKETS;
     use reclaim_core::retire_box;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -626,7 +509,7 @@ mod tests {
             );
             // Each moved epoch is looked at once, by the next pin; the third
             // drains the bucket. A pin proves: it frees nothing itself.
-            for _ in 1..=SAFE_EPOCH_GAP {
+            for _ in 1..=EPOCH_BUCKETS {
                 assert!(scheme.try_advance());
                 handle.begin_op();
                 handle.end_op();
@@ -635,7 +518,7 @@ mod tests {
             let (scans, skips, wholesale) = dispatch(&scheme);
             assert_eq!(
                 (scans, skips, wholesale),
-                (before.0, before.1 + SAFE_EPOCH_GAP - 1, before.2 + 1)
+                (before.0, before.1 + EPOCH_BUCKETS as u64 - 1, before.2 + 1)
             );
             // The drained bucket reaches the allocator two nodes a retire.
             handle.begin_op();
@@ -767,7 +650,7 @@ mod tests {
             }
             worker.flush();
             // The epoch can advance at most once past the stalled pin, so nothing the
-            // worker retired can have aged by the required three (`SAFE_EPOCH_GAP`).
+            // worker retired can have aged by the required three (`EPOCH_BUCKETS`).
             assert_eq!(
                 drops.load(Ordering::SeqCst),
                 0,
@@ -802,8 +685,8 @@ mod tests {
             // Nodes are tagged with the *pin-time* epoch, which can lag the global
             // at unlink time by one — so even two advances are not enough: a reader
             // pinned at `tag + 1` since before the unlink never blocks them (the
-            // use-after-free a SAFE_EPOCH_GAP of 2 would reintroduce).
-            for expected_gap in 1..SAFE_EPOCH_GAP {
+            // use-after-free a wait of two epochs would reintroduce).
+            for expected_gap in 1..EPOCH_BUCKETS {
                 assert!(scheme.try_advance());
                 handle.begin_op();
                 handle.end_op();
@@ -817,7 +700,7 @@ mod tests {
             // drains the bucket, and a flush hands what it proved to the
             // allocator.
             assert!(scheme.try_advance());
-            assert_eq!(scheme.current_epoch(), tag + SAFE_EPOCH_GAP);
+            assert_eq!(scheme.current_epoch(), tag + EPOCH_BUCKETS as u64);
             handle.begin_op();
             handle.end_op();
             assert_eq!(scheme.stats().scan_wholesale, 1);
@@ -828,8 +711,41 @@ mod tests {
         });
     }
 
+    /// A pin that finds the epoch two steps on gets back the bucket of the
+    /// epoch it reached, not the one its nodes wait in: they come back only
+    /// once the global epoch reaches their tag + 3.
+    #[test]
+    fn a_pin_two_epochs_on_frees_nothing_before_the_third() {
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let config = SmrConfig::default().with_scan_threshold(1_000_000);
+            let scheme = Ebr::with_fence_strategy(config, strategy);
+            let mut handle = scheme.register();
+            handle.begin_op();
+            let tag = scheme.current_epoch();
+            for _ in 0..10 {
+                // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+                unsafe { retire_box(&mut handle, tracked(&drops)) };
+            }
+            handle.end_op();
+            assert!(scheme.try_advance() && scheme.try_advance());
+            handle.begin_op();
+            handle.end_op();
+            assert_eq!(scheme.stats().scan_wholesale, 0, "nothing came back");
+            assert_eq!(handle.local_in_limbo(), 10);
+            assert!(scheme.try_advance());
+            assert_eq!(scheme.current_epoch(), tag + EPOCH_BUCKETS as u64);
+            assert_eq!(drops.load(Ordering::SeqCst), 0);
+            handle.begin_op();
+            handle.end_op();
+            assert_eq!(scheme.stats().scan_wholesale, 1);
+            handle.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 10);
+        });
+    }
+
     /// The `SmrHandle::retire` contract allows retiring outside an operation;
-    /// an unpinned handle must not tag such nodes with its stale cached pin
+    /// an unpinned handle must not tag such nodes with its stale pin-time
     /// epoch (which would free them while a current reader is still pinned).
     #[test]
     fn out_of_op_retires_use_a_fresh_epoch_tag() {
@@ -847,12 +763,12 @@ mod tests {
             idle.end_op();
             let stale_tag = scheme.current_epoch();
             let mut reader = scheme.register();
-            for _ in 0..SAFE_EPOCH_GAP + 1 {
+            for _ in 0..EPOCH_BUCKETS + 1 {
                 reader.begin_op();
                 reader.end_op();
                 assert!(scheme.try_advance());
             }
-            assert!(scheme.current_epoch() > stale_tag + SAFE_EPOCH_GAP);
+            assert!(scheme.current_epoch() > stale_tag + EPOCH_BUCKETS as u64);
             // The reader pins at the current epoch and keeps holding references.
             reader.begin_op();
             // Out-of-op retire on the idle handle (legal per the trait contract).
@@ -869,6 +785,38 @@ mod tests {
                 "out-of-op retire must not be freed while a current reader is pinned"
             );
             assert_eq!(idle.local_in_limbo(), 1);
+            reader.end_op();
+            idle.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
+    }
+
+    /// The out-of-operation retire again, with the epoch exactly
+    /// [`EPOCH_BUCKETS`] past the idle handle's last pin: the stale tag and
+    /// the current epoch share a bucket, so a node retired under the stale one
+    /// would come back at the very next pin.
+    #[test]
+    fn an_out_of_op_retire_a_full_rotation_on_frees_nothing_at_the_next_pin() {
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let config = SmrConfig::default()
+                .with_max_threads(2)
+                .with_scan_threshold(1_000_000);
+            let scheme = Ebr::with_fence_strategy(config, strategy);
+            let mut idle = scheme.register();
+            idle.begin_op();
+            idle.end_op();
+            for _ in 0..EPOCH_BUCKETS {
+                assert!(scheme.try_advance());
+            }
+            let mut reader = scheme.register();
+            reader.begin_op();
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(&mut idle, tracked(&drops)) };
+            idle.begin_op();
+            idle.end_op();
+            idle.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the reader");
             reader.end_op();
             idle.flush();
             assert_eq!(drops.load(Ordering::SeqCst), 1);
@@ -894,7 +842,7 @@ mod tests {
             // `late` loads the epoch and stalls; nothing is pinned, so the epoch
             // runs ahead of what it saw.
             let observed = scheme.current_epoch();
-            for _ in 0..SAFE_EPOCH_GAP + 1 {
+            for _ in 0..EPOCH_BUCKETS + 1 {
                 assert!(scheme.try_advance());
             }
             // A current reader pins and holds the node `late` then unlinks.
@@ -913,6 +861,38 @@ mod tests {
                 "freed under a reader pinned since before the unlink"
             );
             assert_eq!(late.local_in_limbo(), 1);
+            reader.end_op();
+            late.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 1);
+        });
+    }
+
+    /// The late pin again, with the epoch exactly [`EPOCH_BUCKETS`] ahead:
+    /// the stale epoch and the current one share a bucket, so a retire tagged
+    /// with the stale one would come back at the very next pin.
+    #[test]
+    fn a_late_pin_a_full_rotation_behind_frees_nothing_at_the_next_pin() {
+        under_both_protocols(|strategy| {
+            let drops = Arc::new(AtomicUsize::new(0));
+            let config = SmrConfig::default()
+                .with_max_threads(2)
+                .with_scan_threshold(1_000_000);
+            let scheme = Ebr::with_fence_strategy(config, strategy);
+            let mut late = scheme.register();
+            let mut reader = scheme.register();
+            let observed = scheme.current_epoch();
+            for _ in 0..EPOCH_BUCKETS {
+                assert!(scheme.try_advance());
+            }
+            reader.begin_op();
+            late.pin_at(observed);
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(&mut late, tracked(&drops)) };
+            late.end_op();
+            late.begin_op();
+            late.end_op();
+            late.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), 0, "freed under the reader");
             reader.end_op();
             late.flush();
             assert_eq!(drops.load(Ordering::SeqCst), 1);

@@ -26,7 +26,7 @@
 //!
 //! ## Versioned links and the upper-level re-link race
 //!
-//! Every link is a [`VersionedAtomic`](crate::tagged::VersionedAtomic): pointer +
+//! Every link is a [`VersionedAtomic`]: pointer +
 //! mark + a per-link version that every successful CAS bumps. The version closes
 //! the race between the search that gives `insert` its level-`L` words and its
 //! `pred.next[L]` CAS: a complete `remove` — mark, sweep, retire — fitting in
@@ -35,7 +35,7 @@
 //! protection for memory the scheme is free to reclaim. Two rules close it:
 //!
 //! 1. **Validate-on-link** (`insert`, phase 2): the link CAS's expected value is
-//!    the full [`LinkWord`](crate::tagged::LinkWord) — pointer *and version* —
+//!    the full [`LinkWord`] — pointer *and version* —
 //!    observed by the phase-1 `find`, before the node reached level 0, or by a
 //!    re-search that validated `succs[0] == node`; either word predates any
 //!    removal's sweep. The CAS succeeds only if the pred link was never

@@ -15,9 +15,8 @@
 //!    at a quiescent point, so everything it did before (all its accesses to
 //!    shared nodes) is ordered before the write;
 //! 2. the advancer **acquire-loads** every claimed record while confirming `e`
-//!    ([`EpochLimbo::quiescent_state`](crate::EpochLimbo::quiescent_state): one
-//!    walk over the registry's claimed slots), so every thread's pre-adoption
-//!    accesses happen-before the advance;
+//!    ([`confirmed`](crate::confirmed): one walk over the claimed slots), so every
+//!    thread's pre-adoption accesses happen-before the advance;
 //! 3. the advance itself is an **AcqRel** compare-exchange on [`GlobalEpoch`], and
 //!    any thread that later acquire-loads the advanced value inherits the whole
 //!    chain — by the time it observes epoch `e + 2` and frees a limbo bucket, every
@@ -82,9 +81,9 @@ pub const OFFLINE: u64 = u64::MAX - 1;
 
 /// Per-thread epoch record (`e_p` in the paper), scanned by other threads when they
 /// try to advance the global epoch. Its word holds an epoch, written only by the
-/// owner ([`adopt`](Self::adopt)); [`EVICTED`], written only by an evictor over an
-/// epoch ([`evict`](Self::evict)), so never on a vacant slot; or [`OFFLINE`].
-/// Grace periods count a thread in either sentinel as confirmed.
+/// owner ([`adopt`](Self::adopt), [`publish`](Self::publish)); [`EVICTED`], written
+/// only by an evictor over an epoch ([`evict`](Self::evict)), so never on a vacant
+/// slot; or [`OFFLINE`]. Grace periods count a thread in either sentinel as confirmed.
 ///
 /// **The eviction counter** of a scheme that evicts is at least the number of
 /// words reading [`EVICTED`]: the evictor increments it before its CAS (and takes
@@ -128,6 +127,22 @@ impl EpochRecord {
         self.0.swap(state, Ordering::AcqRel) == EVICTED
     }
 
+    /// The owner's write where no evictor writes: EBR's pin (the epoch it
+    /// observed, then its strategy's publication fence) and unpin ([`OFFLINE`]).
+    /// EBR's three-epoch wait rests on three orderings:
+    /// * **pin-before-tag** — the pin's fence keeps the next load, the tag,
+    ///   after this store: an advance whose walk misses the pin fenced before
+    ///   the tag load, which so reads that advance's epoch or a newer one;
+    /// * **accesses-before-unpin** — this `Release`: a walk (`Acquire`) that
+    ///   reads the unpin orders the operation's accesses before its CAS;
+    /// * **walk-before-epoch** — the CAS's `Release` and [`GlobalEpoch::load`]'s
+    ///   `Acquire`: reading `e` shows every unpin the advance to `e` relied on.
+    #[inline]
+    pub fn publish(&self, state: u64) {
+        debug_assert_ne!(state, EVICTED, "only an evictor writes EVICTED");
+        self.0.store(state, Ordering::Release);
+    }
+
     /// The evictor's write: [`EVICTED`] over the epoch `seen`, if the word
     /// still holds it.
     pub fn evict(&self, seen: u64) -> bool {
@@ -141,6 +156,8 @@ impl EpochRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::confirmed;
+    use reclaim_core::{Registry, StatStripe};
 
     #[test]
     fn limbo_index_cycles_mod_3() {
@@ -180,6 +197,42 @@ mod tests {
         assert!(r.evict(8));
         assert!(r.adopt(OFFLINE), "and so does leaving");
         assert_eq!(r.load(), OFFLINE);
+    }
+
+    /// A one-slot registry, claimed, and whether it confirms an epoch.
+    fn one_claimed_record(check: impl Fn(&EpochRecord, &dyn Fn(u64) -> bool)) {
+        let (registry, stats) = (
+            Registry::new(1, |_| EpochRecord::default()),
+            StatStripe::new(),
+        );
+        let slot = registry.try_acquire().expect("one free slot");
+        let confirms = |epoch| confirmed(&registry, &stats, |r| r, epoch);
+        check(registry.get_mine(slot), &confirms);
+    }
+
+    #[test]
+    fn a_published_epoch_zero_is_not_offline() {
+        one_claimed_record(|r, confirms| {
+            r.publish(0);
+            assert_eq!(r.epoch(), Some(0));
+            assert!(confirms(0));
+            assert!(!confirms(1), "a pin at epoch 0 blocks the advance from 1");
+        });
+    }
+
+    #[test]
+    fn an_offline_record_never_blocks_and_a_republish_moves_the_epoch() {
+        one_claimed_record(|r, confirms| {
+            assert!(confirms(0) && confirms(17), "records start offline");
+            r.publish(4);
+            assert!(confirms(4) && !confirms(5), "an older epoch blocks");
+            r.publish(OFFLINE);
+            assert_eq!(r.epoch(), None);
+            assert!(confirms(5));
+            r.publish(3);
+            assert_eq!(r.epoch(), Some(3));
+            assert!(confirms(3) && !confirms(4));
+        });
     }
 
     #[test]

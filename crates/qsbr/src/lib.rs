@@ -10,11 +10,12 @@
 //! about to reuse, safe by Lemma 3 of the paper) or, if every registered thread has
 //! already adopted the current epoch, advances the global epoch.
 //!
-//! The machinery is two parts, which [`Qsbr`] composes and QSense imports as
-//! its fast path: scheme side, the [`GlobalEpoch`] (EBR's too) over a registry
-//! of [`EpochRecord`]s; handle side, the [`EpochLimbo`] (limbo lists, local
-//! epoch, quiescence counter, `quiescent_state()`, whose confirmation is one
-//! walk over the registry's claimed slots) with [`grace_drain`].
+//! The machinery is two parts, which [`Qsbr`] composes, QSense imports as its
+//! fast path and EBR runs with a quiescent state at each operation boundary:
+//! scheme side, the [`GlobalEpoch`] over a registry of [`EpochRecord`]s and
+//! their confirmation, one walk over the claimed slots ([`confirmed`]); handle
+//! side, the [`EpochLimbo`] (limbo lists, local epoch, quiescence counter,
+//! `quiescent_state()`, `catch_up()`) with [`grace_drain`].
 //!
 //! The strength of QSBR is its hot path: traversals pay **nothing** — no fences, no
 //! per-node stores. Its weakness, which the paper's Figure 5 (bottom) demonstrates
@@ -29,7 +30,7 @@ mod limbo;
 mod scheme;
 
 pub use epoch::{limbo_index, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED, OFFLINE};
-pub use limbo::{grace_drain, EpochLimbo};
+pub use limbo::{confirmed, grace_drain, EpochLimbo};
 pub use scheme::{Qsbr, QsbrHandle};
 
 #[cfg(test)]

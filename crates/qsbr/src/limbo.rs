@@ -6,7 +6,7 @@ use crate::epoch::{limbo_index, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED
 use reclaim_core::{HandleCore, Registry, SegBag, StatStripe};
 
 /// `QsbrHandle` is this plus a `HandleCore`; QSense's handle holds the same
-/// part as its fast path.
+/// part as its fast path, EBR's with the local epoch as its retires' tag.
 pub struct EpochLimbo {
     /// One limbo list per logical epoch, as in the paper (§3.1). All three
     /// share the core's segment pool: a bucket freed on epoch adoption feeds
@@ -87,14 +87,11 @@ impl EpochLimbo {
     /// Declares a quiescent state *right now*, regardless of the batching
     /// threshold. This is the paper's `quiescent_state()`:
     /// * if the local epoch lags the global epoch, adopt it and hand back the
-    ///   limbo list that the new epoch maps to, for the caller to free
-    ///   ([`grace_drain`]), and whether that replaced [`EVICTED`];
+    ///   limbo list that the new epoch maps to ([`catch_up`](Self::catch_up)),
+    ///   and whether the adoption replaced [`EVICTED`];
     /// * otherwise, if every claimed slot of `registry` has adopted the global
-    ///   epoch, advance it: one walk over the claimed slots, stopping at the
-    ///   first laggard. `record` projects a slot's record onto its
-    ///   [`EpochRecord`] (a sentinel counts as confirmed: for an [`EVICTED`]
-    ///   thread, `grace_drain`'s contract answers); the walk's shard tally goes
-    ///   to `stats`, the caller's stripe.
+    ///   epoch ([`confirmed`], through `record`, onto the caller's stripe
+    ///   `stats`), advance it.
     pub fn quiescent_state<R>(
         &mut self,
         stats: &StatStripe,
@@ -106,25 +103,53 @@ impl EpochLimbo {
         stats.add_quiescent_state();
         let epoch = global.load();
         if self.local_epoch == epoch {
-            let mut claimed = registry.iter_claimed(stats);
-            if claimed.all(|(_, r)| record(r).epoch().is_none_or(|at| at == epoch)) {
+            if confirmed(registry, stats, record, epoch) {
                 global.try_advance(epoch);
             }
             return None;
         }
         let lifted = mine.adopt(epoch);
-        self.local_epoch = epoch;
-        Some((self.current(), lifted))
+        self.catch_up(epoch).map(|bucket| (bucket, lifted))
     }
+
+    /// Moves the local epoch to `epoch`, a global epoch read since the last
+    /// move, and hands back its bucket for the caller to free ([`grace_drain`]),
+    /// unless it is there already. Retires enter only the local epoch's bucket,
+    /// so a bucket holds one epoch's nodes and comes back once the global epoch
+    /// reaches that + [`EPOCH_BUCKETS`]; one a jump passes over waits for its
+    /// epoch to come round again.
+    #[inline]
+    pub fn catch_up(&mut self, epoch: u64) -> Option<&mut SegBag> {
+        if self.local_epoch == epoch {
+            return None;
+        }
+        self.local_epoch = epoch;
+        Some(self.current())
+    }
+}
+
+/// The confirmation of `epoch`: no claimed slot of `registry` holds another
+/// epoch in its [`EpochRecord`] (`record` projects it; a sentinel counts as
+/// confirmed — for an [`EVICTED`] thread, [`grace_drain`]'s contract answers).
+/// One walk over the claimed slots, stopping at the first laggard, tallied to
+/// `stats`, the caller's stripe.
+pub fn confirmed<R>(
+    registry: &Registry<R>,
+    stats: &StatStripe,
+    record: impl Fn(&R) -> &EpochRecord,
+    epoch: u64,
+) -> bool {
+    let mut claimed = registry.iter_claimed(stats);
+    claimed.all(|(_, r)| record(r).epoch().is_none_or(|at| at == epoch))
 }
 
 /// Releases the whole of a matured bucket to the core's free stage.
 ///
 /// # Safety
 ///
-/// `matured` must be what [`EpochLimbo::quiescent_state`] just handed `core`'s
-/// handle, and its grace period must have counted every thread that may hold
-/// a reference to a node in it: a grace period skips a thread whose word reads
+/// `matured` must be what [`EpochLimbo::catch_up`] just handed `core`'s handle,
+/// and its grace period must have counted every thread that may hold a
+/// reference to a node in it: a grace period skips a thread whose word reads
 /// [`EVICTED`], and proves nothing of a node retired while the caller's did.
 pub unsafe fn grace_drain<W: Default>(core: &mut HandleCore<W>, matured: &mut SegBag) {
     core.scan(|reclaim, _| {
@@ -198,6 +223,16 @@ mod tests {
                 .map(|(matured, _)| matured.len())
         }
 
+        /// Catches up to `epoch` and drains what comes back; its length.
+        fn catch_up(&mut self, epoch: u64) -> Option<usize> {
+            let bucket = self.limbo.catch_up(epoch)?;
+            let len = bucket.len();
+            // SAFETY: the bucket just handed back; the fixture's one thread
+            // holds no reference.
+            unsafe { grace_drain(&mut self.core, bucket) };
+            Some(len)
+        }
+
         fn lens(&mut self) -> [usize; EPOCH_BUCKETS] {
             std::array::from_fn(|i| self.limbo.bags()[i].len())
         }
@@ -252,6 +287,31 @@ mod tests {
         assert_eq!(snap.quiescent_states, 6);
         f.core.drain_ready();
         assert_eq!((f.core.in_limbo(), f.core.stats().snapshot().freed), (0, 1));
+    }
+
+    #[test]
+    fn a_jump_hands_back_only_the_new_epochs_bucket() {
+        let mut f = Fixture::new();
+        // Epoch `t` retires `t + 1` nodes, so a bucket's length names its epoch.
+        for t in 0..EPOCH_BUCKETS as u64 {
+            if t > 0 {
+                assert_eq!(f.catch_up(t), Some(0), "epoch {t}: a fresh bucket");
+            }
+            (0..=t).for_each(|_| f.retire());
+        }
+        assert_eq!((f.lens(), f.catch_up(2)), ([1, 2, 3], None));
+        // A jump of two: epoch 4's bucket (epoch 1's nodes) comes back, and
+        // epoch 3's (epoch 0's) keeps its nodes until epoch 6.
+        assert_eq!(f.catch_up(4), Some(2));
+        assert_eq!(f.lens(), [1, 0, 3]);
+        for (epoch, handed) in [(5, 3), (6, 1)] {
+            assert_eq!(f.catch_up(epoch), Some(handed));
+            let retired_at = handed as u64 - 1;
+            assert!(epoch >= retired_at + EPOCH_BUCKETS as u64);
+        }
+        assert_eq!((f.lens(), f.core.in_limbo()), ([0, 0, 0], 6));
+        f.core.drain_ready();
+        assert_eq!(f.core.in_limbo(), 0);
     }
 
     #[test]

@@ -27,12 +27,12 @@
 //! sibling's buffer, all before the call returns.
 //!
 //! [`check`] convicts a protocol if in any interleaving the reader uses the
-//! node after it was freed. With `gap = 3` (`ebr`'s `SAFE_EPOCH_GAP`) the two
-//! protocols `ebr` runs are clean; no fence anywhere, and the barrier *after*
-//! the walk — which lets an advance miss a pin published since the previous
-//! advance's barrier, one step more than the bound allows — are convicted. So
-//! is `gap = 2` under either clean protocol: the tag is read at pin time and
-//! can lag the epoch at unlink time by one.
+//! node after it was freed. With `gap = 3` (`ebr`'s wait, `qsbr::EPOCH_BUCKETS`)
+//! the two protocols `ebr` runs are clean; no fence anywhere, and the barrier
+//! *after* the walk — which lets an advance miss a pin published since the
+//! previous advance's barrier, one step more than the bound allows — are
+//! convicted. So is `gap = 2` under either clean protocol: the tag is read at
+//! pin time and can lag the epoch at unlink time by one.
 
 use super::{explore, Model, Protocol, ScannerBarrier, UseAfterFree, Verdict};
 use std::collections::VecDeque;
@@ -149,7 +149,7 @@ impl Pinner {
         }
     }
 
-    /// `PinRecord::permits_advance_from`, of the pin memory holds.
+    /// What `qsbr::confirmed` asks of a record, of the pin memory holds.
     fn permits_advance_from(&self, global: u64) -> bool {
         self.pin_in_memory.is_none_or(|epoch| epoch == global)
     }

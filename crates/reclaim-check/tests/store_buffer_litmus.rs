@@ -12,8 +12,8 @@ use reclaim_check::litmus::{self, epoch, Ledger, Protocol, ScannerBarrier, Step,
 use reclaim_core::fence::{FenceStrategy, ProcessBarrier};
 use std::fmt::Display;
 
-/// `ebr`'s `SAFE_EPOCH_GAP`.
-const EBR_GAP: u64 = 3;
+/// `ebr`'s wait: a bucket comes back `qsbr::EPOCH_BUCKETS` epochs on.
+const EBR_GAP: u64 = qsbr::EPOCH_BUCKETS as u64;
 
 /// The two placements the schemes run, by `FenceStrategy`.
 const SHIPPED: [(bool, ScannerBarrier); 2] = [

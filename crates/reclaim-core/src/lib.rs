@@ -9,8 +9,8 @@
 //! share**: code with one customer lives in that customer's crate. The
 //! hazard-pointer slots and scan are `hazard`'s (`hazard::{HpSlots, OwnedSlots,
 //! hp_scan}`: HP, Cadence and QSense's fallback path, which imports them); the
-//! epoch part is `qsbr`'s (`qsbr::{GlobalEpoch, EpochLimbo}`: QSBR
-//! and QSense's fast path); the era clock and its pacer are `he`'s; the
+//! epoch part is `qsbr`'s (`qsbr::{GlobalEpoch, EpochLimbo}`: QSBR,
+//! QSense's fast path and EBR); the era clock and its pacer are `he`'s; the
 //! counting allocator is `workload`'s. Three things stay here although they
 //! look like one family's:
 //!
@@ -92,7 +92,7 @@
 //!
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
-//! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch, era interval, pin), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::name`], [`Smr::stats`], [`Smr::budget_verdict`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
+//! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch — `qsbr::EpochRecord`, shared by QSBR, QSense and EBR, whose pin publishes it —, era interval), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::name`], [`Smr::stats`], [`Smr::budget_verdict`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
 //! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
@@ -115,7 +115,7 @@
 //!
 //! | frequency | work | shared-memory cost |
 //! |-----------|------|--------------------|
-//! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, an O(#buckets) bucket-age check (EBR only); one era announcement — an era load, a reservation store and a `SeqCst` fence on every `begin_op` (HE only: `he`'s `announce` fences whether or not the era moved) | none (EBR: one relaxed store on `begin_op` and one release store on `end_op`, to one owned padded line; HE: one era store per op to an owned padded line, then the fence) |
+//! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, one bucket hand-back (EBR only: `qsbr::EpochLimbo::catch_up`); one era announcement — an era load, a reservation store and a `SeqCst` fence on every `begin_op` (HE only: `he`'s `announce` fences whether or not the era moved) | none (EBR: one release store on `begin_op` and one on `end_op`, to one owned padded line; HE: one era store per op to an owned padded line, then the fence) |
 //! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record (`hazard::OwnedSlots`), into a 128-byte block no other thread's slots share (`hazard::HpSlots`); HE's amortized cost here is ~zero (eras advance once per `he::EraPacer::current_interval` allocations, not per node) |
 //! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |

@@ -9,7 +9,7 @@
 //!   touched only when the pool is empty, i.e. only while a thread's *total*
 //!   outstanding retired-node count exceeds everything it has seen before.
 //!   Because the pool is shared by all of a handle's bags (the three epoch limbo
-//!   lists of QSBR/QSense, the four of EBR), a bag can grow far past its own
+//!   lists of QSBR, QSense and EBR), a bag can grow far past its own
 //!   previous high-water mark without allocating, as long as the handle's
 //!   segments cover it.
 //! * **a scan's walk** ([`SegBag::transfer_walk`]) moves the nodes it releases

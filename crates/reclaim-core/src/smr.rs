@@ -24,7 +24,7 @@
 //! in the node, and pass the stamp back as the retired node's `birth_era`
 //! ([`RetiredPtr::new`]) when the node is unlinked. For the seven non-era
 //! schemes both are free: `alloc_node` defaults to returning
-//! [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) without touching shared state,
+//! [`NO_BIRTH_ERA`] without touching shared state,
 //! and their `retire` never reads the stamp.
 //!
 //! ## What a scheme writes
@@ -179,7 +179,7 @@ pub trait SmrHandle: Send {
     /// Data structures call this once per node allocation, store the returned
     /// value in the node, and hand it back as the `birth_era` of the node they
     /// [`retire`](Self::retire) when it is unlinked. The default implementation
-    /// returns [`NO_BIRTH_ERA`](crate::clock::NO_BIRTH_ERA) and touches
+    /// returns [`NO_BIRTH_ERA`] and touches
     /// nothing — the no-op for every non-era scheme.
     fn alloc_node(&mut self) -> Era {
         NO_BIRTH_ERA

@@ -35,7 +35,7 @@
 //!   successfully validate a protection acquired through it.
 //! * **Bits 47:1 — pointer.** User-space heap pointers on the supported
 //!   platforms (x86-64 and aarch64 Linux with 48-bit virtual addressing) fit in
-//!   47 bits; [`pack`] debug-asserts it. Bits 2:1 are pointer bits like any
+//!   47 bits; `pack` debug-asserts it. Bits 2:1 are pointer bits like any
 //!   other (they are zero for aligned pointers but are masked, not shifted, so
 //!   the hot path pays one AND to extract the pointer).
 //! * **Bits 63:48 — version.** Bumped (mod 2¹⁶) by every successful CAS through
@@ -60,7 +60,7 @@
 //! node that the stalled thread's own protection keeps alive; no such cycle
 //! even exists for retired nodes (a retired node is never re-linked — that is
 //! the invariant the versions enforce). The wrap arithmetic itself is exact:
-//! [`pack`] masks the version to 16 bits, so `0xFFFF + 1` rolls to `0` without
+//! `pack` masks the version to 16 bits, so `0xFFFF + 1` rolls to `0` without
 //! touching the pointer or mark bits (pinned by a unit test below).
 
 use std::marker::PhantomData;

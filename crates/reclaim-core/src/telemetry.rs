@@ -14,7 +14,7 @@
 //!   guard-bracket **op latency** (nanoseconds, 1-in-N sampled), **scan
 //!   duration** (nanoseconds, every scan), and **reclamation delay**
 //!   (microseconds): a coarse monotonic tick stamped into
-//!   [`RetiredPtr`](crate::retired::RetiredPtr) at retire and measured when the
+//!   [`RetiredPtr`] at retire and measured when the
 //!   node reaches the allocator ([`Telemetry::note_free`]) — the paper's
 //!   "bounded garbage" claim as an observable retire→free distribution.
 //! * [`HandleTelemetry`] — the per-handle recording cursor (a view of the

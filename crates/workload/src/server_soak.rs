@@ -1,6 +1,6 @@
 //! Server soak: thousands of short sessions leasing few registered handles.
 //!
-//! The sharded-registry + [`LeasePool`](reclaim_core::LeasePool) combination
+//! The sharded-registry + [`LeasePool`] combination
 //! exists for exactly one deployment shape: a server that spawns a short-lived
 //! task per request against a shared structure. Registering a handle per task
 //! would exhaust `max_threads` and bloat every scan; this scenario instead

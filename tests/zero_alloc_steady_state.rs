@@ -409,7 +409,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         assert_eq!(writer.local_in_limbo(), 0);
     }
 
-    // --- EBR (per-epoch segment chains), both protocols --------------------
+    // --- EBR (the epoch limbo lists), both protocols ----------------------
     for strategy in [FenceStrategy::detect(), FenceStrategy::ReaderFenced] {
         let ebr = &format!("ebr ({})", strategy.name());
         let clock = ManualClock::new();
@@ -417,11 +417,11 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         let mut blocker = scheme.register();
         let mut writer = scheme.register();
         // Growth cycles with a free-running epoch: every flush advances far
-        // enough to drain the chains wholesale, so the pool feeds each regrowth.
+        // enough to drain the lists wholesale, so the pool feeds each regrowth.
         assert_growth_allocates_nodes_only(ebr, &mut writer, 0, || {});
 
         // Keep path: a thread pinned at an old epoch blocks reclamation, so
-        // flushes must retain the limbo chains — checking bucket tags only,
+        // flushes must retain the limbo lists — handing back empty buckets only,
         // allocating nothing, no matter how many nodes are in limbo. Each retry
         // attempt drains the previous attempt's limbo first so the pool feeds
         // every regrowth.
