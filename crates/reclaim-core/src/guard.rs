@@ -73,7 +73,6 @@
 
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::node_cache::{self, Block};
-use crate::retired::RetiredPtr;
 use crate::smr::SmrHandle;
 use crate::tagged::{LinkWord, VersionedAtomic};
 use std::alloc::Layout;
@@ -231,10 +230,12 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
 
     /// Retires a node at the start of its block
     /// ([`alloc_block`](Self::alloc_block)'s, or [`node_cache::alloc_block`]'s
-    /// for a sentinel): builds its [`RetiredPtr`] once — the block's size, the
-    /// birth era, and the block destructor, which once the node is freed drops
-    /// it in place and leaves the block to `node_cache` (the freeing handle's
-    /// cache, or the arena its chunk names).
+    /// for a sentinel): builds its [`RetiredPtr`](crate::RetiredPtr) once —
+    /// the block's size, the birth era, and the block destructor, which once
+    /// the node is freed drops it in place and leaves the block to
+    /// `node_cache` (the freeing handle's cache, or the arena its chunk
+    /// names). A `T` with nothing to drop in a block of a cached class retires
+    /// as a plain block, with no destructor.
     ///
     /// # Safety
     ///
@@ -242,12 +243,8 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     /// a structure whose operations run on this guard's scheme; `birth_era`
     /// must be its stamp or [`NO_BIRTH_ERA`].
     pub unsafe fn retire_block<T: Block>(&self, ptr: *mut T, birth_era: Era) {
-        // SAFETY: forwarded from the caller's contract; the block destructor
-        // releases a `T` at the start of its block.
-        let node = unsafe {
-            let size = node_cache::block_layout((*ptr).layout()).size();
-            RetiredPtr::new(ptr.cast(), node_cache::drop_block::<T>, birth_era, size)
-        };
+        // SAFETY: forwarded from the caller's contract.
+        let node = unsafe { node_cache::retired(ptr, birth_era) };
         // SAFETY: as above.
         self.with(|h| unsafe { h.retire(node) });
     }

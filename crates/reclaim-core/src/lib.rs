@@ -119,7 +119,7 @@
 //! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record (`hazard::OwnedSlots`), into a 128-byte block no other thread's slots share (`hazard::HpSlots`); HE's amortized cost here is ~zero (eras advance once per `he::EraPacer::current_interval` allocations, not per node) |
 //! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only under [`clock::EraAdvancePolicy::Adaptive`] | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
-//! | per segment (every [`segbag::SEG_CAP`] retires) | pop a recycled segment from the per-handle [`segbag::SegPool`] | none — the allocator is touched only past the handle's all-time peak |
+//! | per segment (every [`segbag::SEG_CAP`] recorded retires) | pop a recycled segment from the per-handle [`segbag::SegPool`]; Leaky's pool never gets one back, so its bag takes a fresh segment from the allocator — only for the nodes it records: a plain block of its own arena it books and leaves unrecorded (`HandleCore::retire_unfreed`), and the arena frees its chunk at scheme drop | none — the allocator is touched only past the handle's all-time peak (Leaky: once per `SEG_CAP` recorded retires) |
 //! | per `Q` ops (quiescent state) | epoch adoption (one swap, so an eviction it replaces is counted back) or one walk over the claimed slots, stopping at the first laggard ([`registry::Registry::iter_claimed`]), and the advance's CAS once every claimed thread has adopted the epoch; one eviction-counter load (QSense) | one bitmap load per shard and one record load per claimed slot walked; the adoption's swap on the owner's line, or at most one CAS on the global epoch |
 //! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per registry walk, shard dispatch ([`registry::Registry::iter_claimed`]: scans, epoch confirmations, QSense's episode check and evictor) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**, and within an active shard only the claimed slots' records are read; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(claimed slots + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
@@ -129,7 +129,7 @@
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
-//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s | identical to [`smr::SmrHandle::retire`] |
+//! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s, or none for a node with nothing to drop in a block of a cached class (a plain block, freed by its recorded size) | identical to [`smr::SmrHandle::retire`] |
 //! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool, scratch and node cache on the scheme's [`limbo::SchemeCore`]; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under a mutex — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-only line shared by all record sites |
@@ -237,7 +237,9 @@
 //! plus an `unsafe fn(*mut u8, Option<&mut NodeCache>)` destructor
 //! ([`retired::DropFn`]), which the freeing handle offers its node cache — a
 //! block's destructor decides there whether the block is cached or given
-//! back, a `Box`'s ignores it. The contract, identical to the paper's
+//! back, a `Box`'s ignores it — or no destructor at all, for a plain block
+//! ([`retired`]), whose free offers its block the same way. The contract,
+//! identical to the paper's
 //! node-state machine (§2.1):
 //!
 //! 1. a node may be retired only after it has been unlinked from the data structure

@@ -53,6 +53,7 @@ use crate::segbag::{ParkedChain, SegBag, SegPool, WorkspaceCache};
 use crate::smr::CapacityExhausted;
 use crate::stats::{ShardedStats, StatStripe, StatsSnapshot};
 use crate::telemetry::{CursorState, HandleTelemetry, ScanObserver, Telemetry};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Ready nodes one [`HandleCore::retire`] hands the allocator at most. A
@@ -93,6 +94,10 @@ pub struct SchemeCore<W = ()> {
     telemetry: Telemetry,
     /// Pools + scratch buffers of exited handles, for the next registrant.
     workspaces: WorkspaceCache<W>,
+    /// Plain blocks exited handles kept with no record
+    /// ([`HandleCore::retire_unfreed`]), freed with their chunks.
+    kept_nodes: AtomicUsize,
+    kept_bytes: AtomicUsize,
     /// Where the blocks of the scheme's nodes are carved
     /// ([`crate::node_cache`]). Last, so it drops after the parked
     /// workspaces have given their caches back.
@@ -111,6 +116,8 @@ impl<W: Default> SchemeCore<W> {
             governor: BudgetGovernor::new(config.limbo_budget, config.clock.clone()),
             telemetry: Telemetry::from_config(&config),
             workspaces: WorkspaceCache::with_capacity(config.max_threads),
+            kept_nodes: AtomicUsize::new(0),
+            kept_bytes: AtomicUsize::new(0),
             arena: SchemeArena::new(),
             config,
         })
@@ -203,6 +210,7 @@ impl<W: Default> SchemeCore<W> {
             ready: SegBag::new(),
             limbo_nodes: 0,
             limbo_bytes: 0,
+            kept: (0, 0),
             checked_at: 0,
             tele: CursorState::default(),
             since_scan: 0,
@@ -218,8 +226,13 @@ impl<W> Drop for SchemeCore<W> {
         // no protection of any kind can be published and no thread can reach a
         // parked node.
         let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        self.orphan_stats.add_freed(freed as u64);
-        self.orphan_stats.add_freed_bytes(freed_bytes as u64);
+        let (kept, kept_bytes) = (*self.kept_nodes.get_mut(), *self.kept_bytes.get_mut());
+        // SAFETY: as above, and a kept block has no record anyone could free
+        // it through: its chunk goes with the arena, dropped last.
+        unsafe { self.arena.credit(kept_bytes) };
+        self.orphan_stats.add_freed((freed + kept) as u64);
+        self.orphan_stats
+            .add_freed_bytes((freed_bytes + kept_bytes) as u64);
     }
 }
 
@@ -244,6 +257,9 @@ pub struct HandleCore<W: Default = ()> {
     /// all of its bags and the ready chain.
     limbo_nodes: usize,
     limbo_bytes: usize,
+    /// Nodes and bytes of the ledger kept with no record
+    /// ([`retire_unfreed`](Self::retire_unfreed)).
+    kept: (usize, usize),
     /// `limbo_bytes` when this handle last took the estimate to the governor:
     /// the grain gate's mark.
     checked_at: usize,
@@ -312,17 +328,44 @@ impl<W: Default> HandleCore<W> {
             self.free_ready(READY_FREES_PER_RETIRE, tick);
         }
         node.set_stamps(stamp, tick);
-        let size_bytes = node.size_bytes();
+        self.book_retire(node.size_bytes());
+        bag.push(&mut self.pool, node);
+        self.since_scan += 1;
+    }
+
+    /// Counts a retire of `size_bytes` and enters it in the ledger.
+    #[inline]
+    fn book_retire(&mut self, size_bytes: usize) {
         let stats = self.stats();
         stats.add_retired(1);
         stats.add_retired_bytes(size_bytes as u64);
         if size_bytes == 0 {
             stats.add_size_unknown_retire();
         }
-        bag.push(&mut self.pool, node);
         self.limbo_nodes += 1;
         self.limbo_bytes += size_bytes;
-        self.since_scan += 1;
+    }
+
+    /// The retire of a scheme that frees nothing while it runs (Leaky): a
+    /// plain block of this scheme's arena is booked — the retired counters
+    /// and the ledger — and kept with no record, untouched until scheme drop
+    /// frees its chunk; any other node is [`retire`](Self::retire)d into
+    /// `bag` with a zero stamp.
+    ///
+    /// # Safety
+    ///
+    /// As [`retire`](Self::retire)'s, and the scheme frees none of its nodes
+    /// before it drops.
+    #[inline]
+    pub(crate) unsafe fn retire_unfreed(&mut self, bag: &mut SegBag, node: RetiredPtr) {
+        // SAFETY: a plain block is of a cached class, which an arena carved.
+        if !(node.is_plain_block() && unsafe { self.cache.owns(node.addr()) }) {
+            // SAFETY: the caller's contract.
+            return unsafe { self.retire(bag, node, 0) };
+        }
+        self.book_retire(node.size_bytes());
+        self.kept.0 += 1;
+        self.kept.1 += node.size_bytes();
     }
 
     /// Frees up to `limit` ready nodes — the only place a handle's nodes are
@@ -486,19 +529,24 @@ impl<W: Default> HandleCore<W> {
     /// Drop-side parking: the ready chain goes to the allocator, and
     /// `leftovers` — everything else the handle still holds, spliced into one
     /// bag — moves to the parked chain (O(1)), adopted by the next handle to
-    /// flush or released at scheme drop. The leftovers stay in the estimate —
-    /// retired, not freed — so a departed handle's limbo never goes invisible;
-    /// the governor gets one last look, for a handle that never drifted a
-    /// grain. Call before releasing the registry slot.
+    /// flush or released at scheme drop; the tally of kept plain blocks moves
+    /// to the scheme, which frees them with its arena. The leftovers stay in
+    /// the estimate — retired, not freed — so a departed handle's limbo never
+    /// goes invisible; the governor gets one last look, for a handle that
+    /// never drifted a grain. Call before releasing the registry slot.
     pub fn park(&mut self, leftovers: &mut SegBag) {
         self.drain_ready();
+        let (kept, kept_bytes) = std::mem::take(&mut self.kept);
         debug_assert_eq!(
-            (leftovers.len(), leftovers.bytes()),
+            (leftovers.len() + kept, leftovers.bytes() + kept_bytes),
             (self.limbo_nodes, self.limbo_bytes),
             "the ledger must match what the handle still holds"
         );
         (self.limbo_nodes, self.limbo_bytes) = (0, 0);
-        self.shared.parked.park(leftovers);
+        let shared = &*self.shared;
+        shared.kept_nodes.fetch_add(kept, Ordering::Relaxed);
+        shared.kept_bytes.fetch_add(kept_bytes, Ordering::Relaxed);
+        shared.parked.park(leftovers);
     }
 }
 

@@ -8,11 +8,14 @@
 //! place and offers the block, with the layout read back from the node
 //! ([`Block`]), to the freeing handle's [`NodeCache`] — a free list per 8-byte
 //! size class, for that handle's next allocation of the class
-//! ([`Guard::alloc_block`](crate::Guard::alloc_block)). Blocks are sized in
-//! 8-byte steps and aligned to at least 8, so a cached block is reused only
-//! for the identical layout and stays valid to give back; a block aligned past
-//! 8 or past the largest class is never cached, and is allocated and freed
-//! with its own layout by the global allocator.
+//! ([`Guard::alloc_block`](crate::Guard::alloc_block)). A node with nothing to
+//! drop in a block of a cached class retires with no destructor, as a plain
+//! block ([`RetiredPtr`]), and its free offers the block by its recorded size
+//! the same way. Blocks are sized in 8-byte steps and aligned to at least 8,
+//! so a cached block is reused only for the identical layout and stays valid
+//! to give back; a block aligned past 8 or past the largest class is never
+//! cached, and is allocated and freed with its own layout by the global
+//! allocator.
 //!
 //! **The arena.** Every block of a cached class lives in an arena: each
 //! scheme's [`SchemeCore`](crate::SchemeCore) owns one, and sentinels — the
@@ -33,10 +36,14 @@
 //! fresh structure reused blocks earlier ones had scattered).
 //!
 //! Scheme drop frees every chunk at once, after the parked chain and the
-//! parked caches have given their blocks back. If a block is still out then
-//! (an [`Owned`](crate::Owned) kept past its scheme), the arena is leaked
+//! parked caches have given their blocks back, and with them the plain
+//! blocks Leaky kept no record of ([`crate::leaky`]): their bytes are
+//! credited to the arena as given back. If a block is still out then (an
+//! [`Owned`](crate::Owned) kept past its scheme), the arena is leaked
 //! instead, so no block ever dangles.
 
+use crate::clock::Era;
+use crate::retired::{DropFn, RetiredPtr};
 use std::alloc::{alloc, dealloc, handle_alloc_error, Layout};
 use std::ptr::NonNull;
 use std::sync::{Mutex, MutexGuard};
@@ -94,6 +101,23 @@ fn class_of(block: Layout) -> Option<usize> {
     (block.align() == ALIGN && block.size() <= CLASSES * ALIGN).then(|| block.size() / ALIGN - 1)
 }
 
+/// The retire record of `node`, a node at the start of its block of this
+/// module's: a plain block when `T` has nothing to drop and the block is of a
+/// cached class, else one whose destructor is [`drop_block`].
+///
+/// # Safety
+///
+/// The [`RetiredPtr::new`] contract for `node`.
+#[inline]
+pub(crate) unsafe fn retired<T: Block>(node: *mut T, birth_era: Era) -> RetiredPtr {
+    // SAFETY: the caller's contract; the layout is read off the live node.
+    let block = unsafe { block_layout((*node).layout()) };
+    let plain = !std::mem::needs_drop::<T>() && class_of(block).is_some();
+    let drop_fn: Option<DropFn> = (!plain).then_some(drop_block::<T>);
+    // SAFETY: as above; a plain block is of a cached class, sized as one.
+    unsafe { RetiredPtr::with_drop_fn(node.cast(), drop_fn, birth_era, block.size()) }
+}
+
 /// A fresh block for a node no handle allocates (a structure's sentinels):
 /// off the process arena for a cached class, else from the global allocator.
 #[inline]
@@ -148,7 +172,7 @@ pub unsafe fn free<T: Block>(node: *mut T) {
     unsafe { drop_block::<T>(node.cast(), None) }
 }
 
-/// The destructor ([`DropFn`](crate::retired::DropFn)) every block is retired
+/// The destructor ([`DropFn`]) every block is retired
 /// with: drops the node in place and offers its block to `cache`, which keeps
 /// it if its class is one a cache keeps and the cache holds under
 /// [`NODE_CACHE_BYTES`]; otherwise, or without a cache, a class-sized block
@@ -166,6 +190,18 @@ pub unsafe fn drop_block<T: Block>(ptr: *mut u8, cache: Option<&mut NodeCache>) 
         std::ptr::drop_in_place(node);
         put(cache, ptr, layout);
     }
+}
+
+/// Frees a plain block of `size` bytes ([`retired`]) as [`drop_block`] would.
+///
+/// # Safety
+///
+/// As [`drop_block`]'s.
+#[inline]
+pub(crate) unsafe fn free_plain(block: *mut u8, size: usize, cache: Option<&mut NodeCache>) {
+    // SAFETY: a plain block is of a cached class, whose layout is `size`
+    // bytes aligned to 8; the rest is the caller's contract.
+    unsafe { put(cache, block, Layout::from_size_align_unchecked(size, ALIGN)) }
 }
 
 /// Takes a block of `layout` (a [`block_layout`]) whose node is gone, as
@@ -360,6 +396,16 @@ impl NodeCache {
         }
     }
 
+    /// Whether `block` is of this cache's arena.
+    ///
+    /// # Safety
+    ///
+    /// An arena carved the block.
+    pub(crate) unsafe fn owns(&self, block: *mut u8) -> bool {
+        // SAFETY: the caller's contract.
+        std::ptr::eq(unsafe { arena_of(block) }, self.arena.as_ptr())
+    }
+
     /// The bytes held, and how far they moved since the last call.
     pub(crate) fn book(&mut self) -> (usize, i64) {
         let delta = self.bytes as i64 - self.booked as i64;
@@ -517,6 +563,16 @@ impl SchemeArena {
         // SAFETY: freed only by `drop`.
         unsafe { self.0.as_ref() }
     }
+
+    /// Counts `bytes` of blocks as given back that go with their chunks
+    /// instead (module docs).
+    ///
+    /// # Safety
+    ///
+    /// They are out, nothing reaches them, and no one hands them back.
+    pub(crate) unsafe fn credit(&self, bytes: usize) {
+        self.get().lock().free += bytes;
+    }
 }
 
 impl Drop for SchemeArena {
@@ -526,9 +582,14 @@ impl Drop for SchemeArena {
             // A block is still out, and its chunk must name a live arena.
             return;
         }
-        let mut chunk = carver.chunk;
+        let (mut chunk, mut _carved_to) = (carver.chunk, carver.cursor);
         drop(carver);
         while !chunk.is_null() {
+            // A block the oracle never saw freed (a kept plain block) leaves
+            // its table with the chunk, so the next owner of the address
+            // starts clean.
+            #[cfg(feature = "check-oracle")]
+            crate::oracle::forget_range(chunk, _carved_to - chunk as usize);
             // SAFETY: every block came back, so nothing reaches a chunk any
             // more; each is freed once, its header read first.
             unsafe {
@@ -536,6 +597,7 @@ impl Drop for SchemeArena {
                 dealloc(chunk, CHUNK);
                 chunk = previous;
             }
+            _carved_to = chunk as usize + CHUNK_BYTES;
         }
         // SAFETY: leaked by `new`, freed once, and no chunk names it now.
         // Sanctioned free path: the arena's own box, leaked by `new`.

@@ -250,6 +250,21 @@ pub fn deregister(ptr: *const u8) {
         .remove(&addr);
 }
 
+/// Removes every address in `start .. start + len`, at 8-byte steps (a node
+/// block's alignment), from the shadow table: the memory itself leaves the
+/// protocol, a released arena chunk whose blocks were never freed one by one
+/// (Leaky's kept plain blocks).
+pub fn forget_range(start: *const u8, len: usize) {
+    let start = start as usize;
+    for addr in (start..start + len).step_by(8) {
+        shard_for(addr)
+            .map
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .remove(&addr);
+    }
+}
+
 /// Records a retire (called from `RetiredPtr::new`, the choke point: the
 /// retiring caller builds the one value `SmrHandle::retire` takes there, once
 /// per retire). Panics on double-retire and retire-after-free.
@@ -547,6 +562,26 @@ mod tests {
         register(addr, 8); // allocator reuse: legal when quarantine was off
         assert_eq!(state_of(addr), Some(NodeState::Live));
         deregister(addr);
+    }
+
+    #[test]
+    fn a_forgotten_range_drops_its_entries_and_no_other() {
+        let (start, len) = (0x1000_6000_usize, 0x100);
+        let (first, last, past) = (start, start + len - 8, start + len);
+        let before = start - 8;
+        for addr in [before, first, last, past] {
+            register(addr as *const u8, 8);
+        }
+        on_retire(last as *const u8, 8);
+        forget_range(start as *const u8, len);
+        assert_eq!(state_of(first as *const u8), None);
+        assert_eq!(state_of(last as *const u8), None, "retired, then forgotten");
+        for addr in [before, past] {
+            assert_eq!(state_of(addr as *const u8), Some(NodeState::Live));
+            deregister(addr as *const u8);
+        }
+        register(last as *const u8, 8); // the next owner starts clean
+        deregister(last as *const u8);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //! wrapper (Algorithm 3); threads collect these wrappers in
 //! [`crate::segbag::SegBag`] segment chains (a limbo list in QSBR terms, a
 //! removed-nodes list in HP/Cadence terms).
+//!
+//! A wrapper may carry no destructor: a *plain block* is a node with nothing
+//! to drop in a block of a cached class ([`crate::node_cache`]), freed by
+//! handing the block back by its recorded size. That is also what lets Leaky
+//! keep no record of one at all ([`crate::leaky`]).
 
 use crate::clock::Era;
 use crate::node_cache::NodeCache;
@@ -20,10 +25,11 @@ use std::fmt;
 /// is cached or given back; a `Box`'s ([`crate::drop_fn_for`]) ignores it.
 pub type DropFn = unsafe fn(*mut u8, Option<&mut NodeCache>);
 
-/// A retired node awaiting reclamation: pointer, destructor, the retiring
-/// scheme's stamp, allocation size, and — for the interval-based schemes — the
-/// era the node was allocated in. The one value `SmrHandle::retire` takes:
-/// whoever knows the node builds it, once.
+/// A retired node awaiting reclamation: pointer, destructor (none for a
+/// plain block: module docs), the retiring scheme's stamp, allocation size,
+/// and — for the interval-based schemes — the era the node was allocated in.
+/// The one value `SmrHandle::retire` takes: whoever knows the node builds it,
+/// once.
 ///
 /// `stamp` is **scheme-defined**, written by `HandleCore::retire`: for the
 /// hazard-pointer family (HP, Cadence,
@@ -44,7 +50,8 @@ pub type DropFn = unsafe fn(*mut u8, Option<&mut NodeCache>);
 /// stamping, never *over*-counted.
 pub struct RetiredPtr {
     ptr: *mut u8,
-    drop_fn: DropFn,
+    /// `None` for a plain block, whose `size` is its block's.
+    drop_fn: Option<DropFn>,
     stamp: u64,
     birth_era: Era,
     size: u32,
@@ -80,6 +87,23 @@ impl RetiredPtr {
     /// stamped into the node at allocation (or `NO_BIRTH_ERA`, which the era
     /// schemes treat maximally conservatively).
     pub unsafe fn new(ptr: *mut u8, drop_fn: DropFn, birth_era: Era, size_bytes: usize) -> Self {
+        // SAFETY: the caller's contract.
+        unsafe { Self::with_drop_fn(ptr, Some(drop_fn), birth_era, size_bytes) }
+    }
+
+    /// [`new`](Self::new), or with no `drop_fn` a plain block: a node with
+    /// nothing to drop at the start of a block of a cached class's size,
+    /// `size_bytes`.
+    ///
+    /// # Safety
+    ///
+    /// As [`new`](Self::new)'s; a plain block came from `node_cache`.
+    pub(crate) unsafe fn with_drop_fn(
+        ptr: *mut u8,
+        drop_fn: Option<DropFn>,
+        birth_era: Era,
+        size_bytes: usize,
+    ) -> Self {
         debug_assert!(!ptr.is_null(), "retiring a null pointer");
         let size = u32::try_from(size_bytes).unwrap_or(u32::MAX);
         // Every retire path, typed or raw, builds its node through this
@@ -133,8 +157,14 @@ impl RetiredPtr {
         self.stamp
     }
 
+    /// Whether the node is a plain block (module docs).
+    pub(crate) fn is_plain_block(&self) -> bool {
+        self.drop_fn.is_none()
+    }
+
     /// Runs the destructor, consuming the wrapper, and offers it `cache` (the
-    /// free stage's).
+    /// free stage's); a plain block goes where a block destructor would put
+    /// it.
     ///
     /// # Safety
     ///
@@ -149,8 +179,13 @@ impl RetiredPtr {
         if !crate::oracle::on_free(self.ptr) {
             return;
         }
-        // SAFETY: the caller's contract, and `new`'s.
-        unsafe { (self.drop_fn)(self.ptr, cache) }
+        // SAFETY: the caller's contract, and `with_drop_fn`'s.
+        unsafe {
+            match self.drop_fn {
+                Some(drop_fn) => drop_fn(self.ptr, cache),
+                None => crate::node_cache::free_plain(self.ptr, self.size as usize, cache),
+            }
+        }
     }
 }
 

@@ -2,14 +2,17 @@
 //! chunks leave with the scheme, a structure dropped while its scheme lives
 //! gives its blocks back to the scheme's arena, and a node kept past its
 //! scheme stays valid. On Leaky, the scheme this crate carries: its handles
-//! never free, so what it retires comes back through the parked chain at
-//! scheme drop.
+//! never free, so a node with nothing to drop that it retires off its own
+//! arena stays unrecorded until its chunk goes at scheme drop, and any other
+//! it retires — a sentinel of the process arena — comes back through the
+//! parked chain, to the arena that carved it.
 
 use reclaim_core::{Atomic, Era, Guard, Leaky, Owned, Shared, Smr, SmrHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::mem::size_of;
 use std::rc::Rc;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 thread_local! {
     /// Bytes this thread holds from the allocator: allocated less freed.
@@ -40,6 +43,16 @@ static ALLOC: PerThread = PerThread;
 
 fn live() -> isize {
     LIVE.with(Cell::get)
+}
+
+/// Held by each test for its whole run. Under `check-oracle` the shadow
+/// table is one per process, and a thread whose insert grows a shard pays for
+/// the larger table: a test running beside the measured cycle would make it
+/// hold bytes it never asked for.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A node of the smallest structure there is: a chain.
@@ -114,6 +127,7 @@ fn cycle() {
 
 #[test]
 fn a_scheme_drop_gives_every_chunk_back_to_the_allocator() {
+    let _serial = serial();
     // A first cycle grows whatever the process keeps once (the sentinels'
     // arena, the oracle's tables under `check-oracle`).
     cycle();
@@ -124,6 +138,7 @@ fn a_scheme_drop_gives_every_chunk_back_to_the_allocator() {
 
 #[test]
 fn a_dropped_structure_gives_its_blocks_back_and_the_next_prefill_reuses_them() {
+    let _serial = serial();
     let scheme = Leaky::with_defaults();
     let mut handle = scheme.register();
     let chain = prefill(&mut handle);
@@ -149,6 +164,37 @@ fn a_dropped_structure_gives_its_blocks_back_and_the_next_prefill_reuses_them() 
     teardown(chain);
 }
 
+#[test]
+fn a_sentinel_retired_through_leaky_goes_back_to_its_own_arena() {
+    let _serial = serial();
+    // The sentinel's block is the process arena's, which Leaky's scheme drop
+    // must not count as its own: its chunks would then look short of a
+    // block, and be leaked.
+    let cycle = || {
+        let scheme = Leaky::with_defaults();
+        let mut handle = scheme.register();
+        churn(&mut handle, KEYS);
+        let link = Atomic::new(Owned::sentinel(Link {
+            key: 0,
+            next: Atomic::null(),
+        }));
+        let guard = Guard::new(&mut handle);
+        let published = guard.load_protected(0, &link);
+        // SAFETY: the link is this test's own: the only path to the node.
+        let (unlinked, _) = unsafe { link.cas_unlink(published, Shared::null()) }
+            .expect("nothing else writes the link");
+        unlinked.retire(&guard);
+        drop(guard);
+        drop(handle);
+        drop(scheme);
+    };
+    // The first cycle carves the sentinel's block from the process arena.
+    cycle();
+    let before = live();
+    cycle();
+    assert_eq!(live() - before, 0, "bytes still held after the scheme drop");
+}
+
 /// Counts its drops.
 struct Tracked {
     value: [u64; 4],
@@ -163,6 +209,7 @@ impl Drop for Tracked {
 
 #[test]
 fn an_owned_node_outlives_its_guard_handle_and_scheme() {
+    let _serial = serial();
     let drops = Rc::new(Cell::new(0));
     let scheme = Leaky::with_defaults();
     let mut handle = scheme.register();

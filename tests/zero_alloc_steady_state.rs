@@ -699,16 +699,18 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // of its cycles takes its node from the scheme's arena, which carves
     // them `REFILL_BLOCKS` at a time and takes a whole chunk from the
     // allocator every `per_chunk` nodes — the window must see exactly the
-    // chunks its nodes cross into and nothing else but its bag's segment
-    // every `SEG_CAP` retires.
+    // chunks its nodes cross into and nothing else. A node with nothing to
+    // drop it keeps no record of; one with drop glue it records, so its bag
+    // takes a segment every `SEG_CAP` retires.
     {
         /// A multiple of `SEG_CAP`, so Leaky's bag crosses a whole number of
         /// segments.
         const CYCLES: usize = 100 * SEG_CAP;
+        /// Nothing to drop: every node retires as a plain block.
         type Payload = [u64; 3];
-        /// A node's block: the birth-era header, then the payload.
-        const NODE: usize = size_of::<Era>() + size_of::<Payload>();
-        fn measure<S: Smr>(
+        /// As large, with drop glue (an empty `Vec` allocates nothing).
+        type Glued = Vec<u64>;
+        fn measure<S: Smr, P: Default>(
             name: &str,
             scheme: Arc<S>,
             age: impl Fn(&S),
@@ -716,11 +718,11 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             expected: usize,
         ) {
             let mut handle = scheme.register();
-            let link: Atomic<Payload> = Atomic::null();
+            let link: Atomic<P> = Atomic::null();
             let mut cycles = || {
                 for _ in 0..CYCLES {
                     let guard = Guard::new(&mut handle);
-                    let node = Owned::new([0; 3], &guard);
+                    let node = Owned::new(P::default(), &guard);
                     link.cas_link(link.load(&guard), node)
                         .expect("nothing else writes the link");
                     let published = guard.load_protected(0, &link);
@@ -735,7 +737,9 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             };
             cycles(); // warm-up: pool, scratch and cache at their steady state
                       // A miss carves `REFILL_BLOCKS` at once.
-            let per_chunk = (CHUNK_BYTES - CHUNK_HEADER_BYTES) / NODE;
+                      // A node's block: the birth-era header, then the payload.
+            let per_chunk =
+                (CHUNK_BYTES - CHUNK_HEADER_BYTES) / (size_of::<Era>() + size_of::<P>());
             let chunks_for = |cycles: usize| {
                 (cycles * carved_per_cycle)
                     .next_multiple_of(REFILL_BLOCKS)
@@ -767,23 +771,24 @@ fn steady_state_scans_perform_zero_heap_allocations() {
                 .with_scan_threshold(16)
                 .with_quiescence_threshold(8)
         };
-        measure("hp", Hazard::new(config()), |_| (), 0, 0);
-        measure("qsbr", Qsbr::new(config()), |_| (), 0, 0);
-        measure("ebr", Ebr::new(config()), |_| (), 0, 0);
-        measure("he", He::new(config()), |_| (), 0, 0);
-        measure("rc", RefCount::new(config()), |_| (), 0, 0);
-        measure(
+        measure::<_, Payload>("hp", Hazard::new(config()), |_| (), 0, 0);
+        measure::<_, Payload>("qsbr", Qsbr::new(config()), |_| (), 0, 0);
+        measure::<_, Payload>("ebr", Ebr::new(config()), |_| (), 0, 0);
+        measure::<_, Payload>("he", He::new(config()), |_| (), 0, 0);
+        measure::<_, Payload>("rc", RefCount::new(config()), |_| (), 0, 0);
+        measure::<_, Payload>(
             "cadence",
             Cadence::new(config()),
             |s| tick(s.ledger()),
             0,
             0,
         );
-        measure("qsense", QSense::new(config()), |s| tick(s.ledger()), 0, 0);
+        measure::<_, Payload>("qsense", QSense::new(config()), |s| tick(s.ledger()), 0, 0);
+        measure::<_, Payload>("none", Leaky::new(config()), |_| (), 1, 0);
         // A segment: its `next` and `len` words, then `SEG_CAP` retired nodes.
         let segment = 2 * size_of::<usize>() + SEG_CAP * size_of::<RetiredPtr>();
-        measure(
-            "none",
+        measure::<_, Glued>(
+            "none, drop glue",
             Leaky::new(config()),
             |_| (),
             1,
