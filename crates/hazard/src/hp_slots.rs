@@ -185,7 +185,7 @@ impl OwnedSlots {
 ///
 /// Each bag is walked in retirement order and the walk stops at the first
 /// uncovered node: everything behind it was stamped later, so a rooster scan is
-/// O(covered prefix), not O(bag). (Adopted parked chains spliced behind younger
+/// O(covered prefix), not O(bag). (Adopted parked leftovers spliced behind younger
 /// nodes are only delayed by this, never endangered.) A rooster's tick covers
 /// a whole interval's retires at once (7 000 a thread at `T = 5 ms` on the
 /// benchmark's queue); the scan releases them all and the core hands them to

@@ -422,7 +422,7 @@ impl SmrHandle for HeHandle {
         // Adopt limbo leftovers of exited threads into the current era's
         // bucket, tagged with the current era — conservative for every adopted
         // node, whose true retire era can only be older. The era for the tag
-        // is read *after* taking the parked chain: the adoption's mutex
+        // is read *after* taking the parked leftovers: the adoption's mutex
         // acquire happens-after every parker's release, and coherence on the
         // monotone era counter then guarantees this load is at least every
         // retire era in the adopted chain. (Reading the era first would race:
@@ -811,7 +811,7 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 0, "parked, not freed");
         cover.end_op();
 
-        // The survivor adopts the parked chain. Only the *stalled* reader is
+        // The survivor adopts the parked leftovers. Only the *stalled* reader is
         // active, and every adopted birth is younger than its upper bound —
         // with true bounds computed while splicing, the whole chain frees
         // wholesale in O(1). (The old clamp to NO_BIRTH_ERA made the chain

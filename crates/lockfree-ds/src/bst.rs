@@ -158,8 +158,8 @@ where
     pub fn new(smr: Arc<S>) -> Self {
         // S sentinel: left = -∞ leaf (where the first real insert lands),
         // right = +∞ leaf (never reached by real keys). All four and the root
-        // are built before any handle exists.
-        let sentinel = || (node_cache::alloc_block(Node::<K>::LAYOUT), NO_BIRTH_ERA);
+        // are built before any handle exists, off the scheme's arena.
+        let sentinel = || (smr.core().alloc_block(Node::<K>::LAYOUT), NO_BIRTH_ERA);
         let leaf = |key| Node::leaf(key, sentinel());
         let (neg_inf, pos_inf) = (leaf(KeySlot::NegInf), leaf(KeySlot::PosInf));
         let s = Node::new(KeySlot::PosInf, neg_inf, pos_inf, sentinel());

@@ -73,9 +73,9 @@ where
 {
     /// Creates an empty queue using the given reclamation scheme.
     pub fn new(smr: Arc<S>) -> Self {
-        // The initial dummy is allocated before any handle exists, so it carries
-        // no birth stamp (`Owned::sentinel`); head and tail alias it.
-        let head = Atomic::new(Owned::sentinel(Node::new(None)));
+        // The initial dummy is allocated before any handle exists: no birth
+        // stamp, off the scheme's arena (`Owned::sentinel`); head and tail alias it.
+        let head = Atomic::new(Owned::sentinel(Node::new(None), &*smr));
         let tail = head.alias();
         Self {
             head,

@@ -269,7 +269,7 @@ where
     /// reference, exactly as the paper's methodology (§3.2, step 3) prescribes.
     pub fn new(smr: Arc<S>) -> Self {
         let head = Node::init(
-            node_cache::alloc_block(Node::<K>::tower(MAX_HEIGHT)),
+            smr.core().alloc_block(Node::<K>::tower(MAX_HEIGHT)),
             KeySlot::NegInf,
             NO_BIRTH_ERA,
             &[std::ptr::null_mut(); MAX_HEIGHT],

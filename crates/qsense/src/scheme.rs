@@ -272,11 +272,6 @@ impl QSenseHandle {
         }
     }
 
-    /// The path this handle last observed (for tests and diagnostics).
-    pub fn last_seen_path(&self) -> Path {
-        self.prev_seen_path
-    }
-
     /// The fast path: `qsbr`'s quiescent state, with the two things the
     /// eviction extension adds to it. Grace periods do not cover evicted
     /// threads: they count as confirmed, and while any thread is evicted a

@@ -45,10 +45,9 @@ struct FixNode {
 impl FixNode {
     const LAYOUT: Layout = Layout::new::<FixNode>();
 
-    fn alloc(key: u64, next0: usize) -> *mut FixNode {
-        let node = node_cache::alloc_block(Self::LAYOUT)
-            .cast::<FixNode>()
-            .as_ptr();
+    /// A node off `smr`'s arena, as a structure's sentinels are.
+    fn alloc<S: Smr>(smr: &S, key: u64, next0: usize) -> *mut FixNode {
+        let node: *mut FixNode = smr.core().alloc_block(Self::LAYOUT).cast().as_ptr();
         let next = [AtomicUsize::new(next0), AtomicUsize::new(0)];
         // SAFETY: a fresh block of `FixNode`'s layout.
         unsafe { node.write(FixNode { key, next }) };
@@ -124,7 +123,7 @@ impl<S: Smr> RelinkFixture<S> {
                 return false;
             }
         }
-        let node = FixNode::alloc(key, succ0 as usize);
+        let node = FixNode::alloc(&*self.smr, key, succ0 as usize);
         // SAFETY: `pred0` came from `find` under the same serialization.
         let linked = unsafe {
             (*pred0).next[0]
@@ -317,7 +316,7 @@ impl<S: Smr> RotationFixture<S> {
         let first = keys
             .iter()
             .rev()
-            .fold(0, |next, &key| FixNode::alloc(key, next) as usize);
+            .fold(0, |next, &key| FixNode::alloc(&*smr, key, next) as usize);
         Self {
             head: Box::new(FixNode {
                 key: 0,

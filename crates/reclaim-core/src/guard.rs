@@ -73,7 +73,7 @@
 
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::node_cache::{self, Block};
-use crate::smr::SmrHandle;
+use crate::smr::{Smr, SmrHandle};
 use crate::tagged::{LinkWord, VersionedAtomic};
 use std::alloc::Layout;
 use std::marker::PhantomData;
@@ -229,7 +229,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     }
 
     /// Retires a node at the start of its block
-    /// ([`alloc_block`](Self::alloc_block)'s, or [`node_cache::alloc_block`]'s
+    /// ([`alloc_block`](Self::alloc_block)'s, or [`crate::SchemeCore::alloc_block`]'s
     /// for a sentinel): builds its [`RetiredPtr`](crate::RetiredPtr) once —
     /// the block's size, the birth era, and the block destructor, which once
     /// the node is freed drops it in place and leaves the block to
@@ -568,11 +568,11 @@ impl<T> Owned<T> {
         Self::init(block, birth_era, value)
     }
 
-    /// Allocates a node with no birth stamp, for construction-time sentinels
+    /// Allocates a node with no birth stamp off `scheme`'s arena, for sentinels
     /// and dummies created before any handle exists (era schemes treat
     /// [`NO_BIRTH_ERA`] as born before every announced era — always safe).
-    pub fn sentinel(value: T) -> Self {
-        let block = node_cache::alloc_block(Layout::new::<NodeBox<T>>());
+    pub fn sentinel<S: Smr>(value: T, scheme: &S) -> Self {
+        let block = scheme.core().alloc_block(Layout::new::<NodeBox<T>>());
         Self::init(block, NO_BIRTH_ERA, value)
     }
 
@@ -682,7 +682,8 @@ mod tests {
 
     #[test]
     fn owned_round_trips_value_and_header() {
-        let node = Owned::sentinel(41_u64);
+        let scheme = Leaky::with_defaults();
+        let node = Owned::sentinel(41_u64, &*scheme);
         assert_eq!(*node, 41);
         let mut node = node;
         *node += 1;
@@ -693,7 +694,7 @@ mod tests {
     fn load_protected_returns_the_linked_node() {
         let scheme = Leaky::with_defaults();
         let mut handle = scheme.register();
-        let link = Atomic::new(Owned::sentinel(7_u64));
+        let link = Atomic::new(Owned::sentinel(7_u64, &*scheme));
         {
             let guard = Guard::new(&mut handle);
             let shared = guard.load_protected(0, &link);
@@ -712,7 +713,7 @@ mod tests {
     fn cas_link_failure_returns_the_owned_node() {
         let scheme = Leaky::with_defaults();
         let mut handle = scheme.register();
-        let link = Atomic::new(Owned::sentinel(1_u64));
+        let link = Atomic::new(Owned::sentinel(1_u64, &*scheme));
         let guard = Guard::new(&mut handle);
         let node = Owned::new(2_u64, &guard);
         // Expected word is null but the link holds a node: the CAS must fail
@@ -732,7 +733,7 @@ mod tests {
     fn unlink_mints_exactly_one_retire_capability() {
         let scheme = Leaky::with_defaults();
         let mut handle = scheme.register();
-        let link = Atomic::new(Owned::sentinel(9_u64));
+        let link = Atomic::new(Owned::sentinel(9_u64, &*scheme));
         {
             let guard = Guard::new(&mut handle);
             let shared = guard.load_protected(0, &link);

@@ -21,10 +21,11 @@
 //! one is used up. A retired plain block of that arena — a node with nothing to
 //! drop, every structure node the benchmark retires — is counted and left
 //! where it is, with no record written: the arena frees its chunk at scheme
-//! drop (`HandleCore::retire_unfreed`). Anything else — a node with drop
-//! glue, a sentinel of the process arena, a `retire_box` — is recorded and
-//! parked with the handle, and scheme drop frees it through its destructor
-//! before the arena's chunks go back to the allocator.
+//! drop (`HandleCore::retire_unfreed`); a structure's sentinels come from
+//! the same arena, so a retired one is no exception. Anything else — a node
+//! with drop glue, a `retire_box` — is recorded and parked with the handle,
+//! and scheme drop frees it through its destructor before the arena's chunks
+//! go back to the allocator.
 
 use crate::config::SmrConfig;
 use crate::limbo::{HandleCore, SchemeCore};
@@ -41,7 +42,7 @@ use std::sync::Arc;
 /// only what the arena cannot free (module docs). Its whole state is the
 /// shared [`SchemeCore`] — per-handle counter stripes (so `retire` accounting
 /// adds none of the cacheline contention the other schemes are measured
-/// against), the parked chain dying handles splice into, a tracking-only byte
+/// against), the parked store dying handles splice into, a tracking-only byte
 /// estimate (so `peak_limbo_bytes` and the verdict honestly report the
 /// unbounded growth the baseline exists to demonstrate), and telemetry whose
 /// retire→free histogram stays honestly empty (garbage is never reclaimed,

@@ -96,12 +96,11 @@
 //! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
-//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**: leftovers to the parked chain and back into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other, the pool + scan scratch back to the next registrant (`HandleCore`'s own `Drop`), the parked chain drained at scheme drop |
+//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**, all through one store behind one lock on the [`SchemeCore`]: leftovers and the tally of kept plain blocks in, leftovers back out into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other —, the pool + scan scratch to the next registrant and the node cache's blocks back to the arena (`HandleCore`'s own `Drop`), the store drained at scheme drop |
 //!
-//! The freed-side counters, the parked chain and the workspace cache are
-//! private to this crate: a scheme cannot book a free, park or recycle except
-//! through the calls above. A new scheme is a `Registry<Record>`, a limbo
-//! shape, a scan pass, [`Smr::try_register`] and [`Smr::core`], and an
+//! The freed-side counters and the parked store are private to this crate:
+//! a scheme cannot book a free, park or recycle except through the calls
+//! above. A new scheme is a `Registry<Record>`, a limbo shape, a scan pass, [`Smr::try_register`] and [`Smr::core`], and an
 //! [`SmrHandle`] impl of a dozen short methods (see `hazard` for the smallest
 //! complete one).
 //!
@@ -130,7 +129,7 @@
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s, or none for a node with nothing to drop in a block of a cached class (a plain block, freed by its recorded size) | identical to [`smr::SmrHandle::retire`] |
-//! | per handle drop | splice leftovers into the scheme's parked chain ([`segbag::SegBag::splice`]); park the pool, scratch and node cache on the scheme's [`limbo::SchemeCore`]; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under a mutex — no allocation |
+//! | per handle drop | splice leftovers into the scheme's parked store ([`segbag::SegBag::splice`]) and add the kept tally there; give the node cache's listed blocks and spares back to the arena (under the arena's lock, one class at a time); leave the pool and scratch in the parked store; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under the store's mutex, taken twice at most; the arena's lock once per class the cache holds — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-only line shared by all record sites |
 //! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
@@ -175,12 +174,14 @@
 //!
 //! Segment recycling makes the whole retire→scan→reclaim pipeline allocation-free
 //! in steady state, *including* bag growth past a single bag's previous high-water
-//! mark (the per-handle pool backs all of a handle's bags) and the parked-bag
-//! hand-off at handle drop (an O(1) chain splice; surviving handles re-adopt the
-//! parked chain on their next flush). Handle registration itself allocates only
-//! on the *first* wave: a dying handle parks its pool, scratch buffers and
-//! [`node_cache::NodeCache`] on the scheme's [`limbo::SchemeCore`] and the next
-//! registrant adopts them, so thread-pool churn (register → work → drop,
+//! mark (the per-handle pool backs all of a handle's bags) and the hand-off
+//! at handle drop (an O(1) chain splice; surviving handles re-adopt the
+//! parked leftovers on their next flush). Handle registration itself
+//! allocates only on the *first* wave: a dying handle parks its pool and
+//! scratch buffers on the scheme's [`limbo::SchemeCore`] and the next
+//! registrant adopts them, while its [`node_cache::NodeCache`] gives its
+//! blocks back to the scheme's arena and the next registrant's empty cache
+//! refills from there, so thread-pool churn (register → work → drop,
 //! repeatedly) is allocation-free after the pool's first generation of handles.
 //! Nodes allocated as blocks ([`guard::Owned`], skip-list towers, BST nodes)
 //! come back through the free stage too: a handle that frees as fast as it

@@ -21,7 +21,7 @@
 //! allocation of its class: a handle that frees as fast as it allocates keeps
 //! the allocator off its steady state. Past the cache's cap the block goes to
 //! the scheme's arena, which this core owns and frees last, after the parked
-//! chain and the parked caches have given their blocks back.
+//! leftovers have given their blocks back.
 //! `flush` ([`HandleCore::drain_ready`]), handle drop ([`HandleCore::park`])
 //! and a budget-forced scan drain the chain whole.
 //!
@@ -38,10 +38,15 @@
 //! adopting and dropping a handle move it by nothing and there is no second
 //! tally to keep in step. What stays private to this crate: the freed-side
 //! counters are credited only where a node reaches the allocator — off the
-//! ready chain, or off the parked chain at scheme drop; a scheme cannot
-//! write a free it did not perform — and the parked chain and the workspace
-//! cache, whose hand-offs must match the ledger. Everything is generic over
-//! closures and monomorphised per scheme — no `dyn` on the retire path.
+//! ready chain, or off the parked leftovers at scheme drop; a scheme cannot
+//! write a free it did not perform — and the `Parked` store, whose
+//! hand-offs must match the ledger. Everything is generic over closures and
+//! monomorphised per scheme — no `dyn` on the retire path.
+//!
+//! **What a departing handle leaves** has one owner, the scheme's `Parked`
+//! store, behind one lock — its limbo leftovers, its tally of kept plain
+//! blocks, its pool and scratch — which scheme drop drains in one place; its
+//! node cache's blocks go back to the arena.
 
 use crate::budget::{BudgetGovernor, BudgetVerdict};
 use crate::config::SmrConfig;
@@ -49,12 +54,13 @@ use crate::node_cache::{NodeCache, SchemeArena};
 use crate::pad::CachePadded;
 use crate::registry::{Registry, SlotId};
 use crate::retired::RetiredPtr;
-use crate::segbag::{ParkedChain, SegBag, SegPool, WorkspaceCache};
+use crate::segbag::{SegBag, SegPool};
 use crate::smr::CapacityExhausted;
 use crate::stats::{ShardedStats, StatStripe, StatsSnapshot};
 use crate::telemetry::{CursorState, HandleTelemetry, ScanObserver, Telemetry};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::alloc::Layout;
+use std::ptr::NonNull;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Ready nodes one [`HandleCore::retire`] hands the allocator at most. A
 /// constant, not a knob: above 1, so a backlog drains twice as fast as retires
@@ -85,23 +91,52 @@ pub struct SchemeCore<W = ()> {
     /// One counter stripe per handle: keyed by registry slot index, or dealt
     /// round-robin for registry-less schemes.
     stats: ShardedStats,
-    /// Counter stripe for events with no owning handle (parked-chain frees at
-    /// scheme drop, EBR's successful epoch advances).
+    /// Counter stripe for events with no owning handle (frees of parked
+    /// leftovers at scheme drop, EBR's successful epoch advances).
     orphan_stats: CachePadded<StatStripe>,
-    /// Limbo leftovers of exited handles, awaiting a survivor's flush.
-    parked: ParkedChain,
+    /// What exited handles left behind.
+    parked: Mutex<Parked<W>>,
     governor: BudgetGovernor,
     telemetry: Telemetry,
-    /// Pools + scratch buffers of exited handles, for the next registrant.
-    workspaces: WorkspaceCache<W>,
-    /// Plain blocks exited handles kept with no record
-    /// ([`HandleCore::retire_unfreed`]), freed with their chunks.
-    kept_nodes: AtomicUsize,
-    kept_bytes: AtomicUsize,
     /// Where the blocks of the scheme's nodes are carved
     /// ([`crate::node_cache`]). Last, so it drops after the parked
-    /// workspaces have given their caches back.
+    /// leftovers have given their blocks back.
     arena: SchemeArena,
+}
+
+/// Everything exited handles left behind (module docs), behind one lock.
+pub(crate) struct Parked<W> {
+    /// Limbo leftovers, awaiting a survivor's flush.
+    leftovers: SegBag,
+    /// Segment pools and scan scratch for the next registrants, LIFO. Sized
+    /// up front at `max_threads`, as many as can be in use, so parking one
+    /// never touches the allocator.
+    workspaces: Vec<(SegPool, W)>,
+    /// Nodes and bytes of the plain blocks kept with no record
+    /// ([`HandleCore::retire_unfreed`]), freed with their chunks.
+    kept: (usize, usize),
+}
+
+impl<W> Parked<W> {
+    fn new(max_threads: usize) -> Self {
+        Self {
+            leftovers: SegBag::new(),
+            workspaces: Vec::with_capacity(max_threads),
+            kept: (0, 0),
+        }
+    }
+
+    /// Frees every leftover; returns the nodes and bytes freed.
+    ///
+    /// # Safety
+    ///
+    /// No thread can reach any of them: the scheme is dropping.
+    unsafe fn free_leftovers(&mut self) -> (usize, usize) {
+        let bytes = self.leftovers.bytes();
+        // SAFETY: the caller's contract.
+        let nodes = unsafe { self.leftovers.reclaim_all(&mut SegPool::new()) };
+        (nodes, bytes)
+    }
 }
 
 impl<W: Default> SchemeCore<W> {
@@ -112,12 +147,9 @@ impl<W: Default> SchemeCore<W> {
             name,
             stats: ShardedStats::new(config.max_threads),
             orphan_stats: CachePadded::new(StatStripe::new()),
-            parked: ParkedChain::new(),
+            parked: Mutex::new(Parked::new(config.max_threads)),
             governor: BudgetGovernor::new(config.limbo_budget, config.clock.clone()),
             telemetry: Telemetry::from_config(&config),
-            workspaces: WorkspaceCache::with_capacity(config.max_threads),
-            kept_nodes: AtomicUsize::new(0),
-            kept_bytes: AtomicUsize::new(0),
             arena: SchemeArena::new(),
             config,
         })
@@ -146,7 +178,7 @@ impl<W: Default> SchemeCore<W> {
     }
 
     /// The scheme-wide limbo bytes: retired and not yet freed, whoever holds
-    /// them — a live handle, the parked chain, or a handle mid-drop
+    /// them — a live handle, the parked leftovers, or a handle mid-drop
     /// ([`ShardedStats::limbo_bytes`]). What the governor is handed, what the
     /// verdict reports, what HE's era pacer adapts to.
     pub fn limbo_estimate(&self) -> u64 {
@@ -174,6 +206,16 @@ impl<W: Default> SchemeCore<W> {
         &self.orphan_stats
     }
 
+    /// A fresh block off this scheme's arena for a node no handle allocates:
+    /// a structure's sentinels, which its `Drop` frees while it holds the scheme.
+    pub fn alloc_block(&self, layout: Layout) -> NonNull<u8> {
+        self.arena.alloc(layout)
+    }
+
+    fn parked(&self) -> MutexGuard<'_, Parked<W>> {
+        self.parked.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Registers a handle of a registry-backed scheme: claims a slot (a full
     /// registry becomes the scheme's [`CapacityExhausted`]) and keys the core
     /// by it. `fresh` builds the workspace when no previous tenant's is parked.
@@ -198,15 +240,13 @@ impl<W: Default> SchemeCore<W> {
         fresh: impl FnOnce(&SmrConfig) -> (SegPool, W),
     ) -> HandleCore<W> {
         let stripe = slot.map_or_else(|| self.stats.assign_stripe(), SlotId::index);
-        let (pool, scratch, cache) = self.workspaces.adopt().unwrap_or_else(|| {
-            let (pool, scratch) = fresh(&self.config);
-            (pool, scratch, NodeCache::new(&self.arena))
-        });
+        let workspace = self.parked().workspaces.pop();
+        let (pool, scratch) = workspace.unwrap_or_else(|| fresh(&self.config));
         HandleCore {
             stripe,
             pool,
             scratch,
-            cache,
+            cache: NodeCache::new(&self.arena),
             ready: SegBag::new(),
             limbo_nodes: 0,
             limbo_bytes: 0,
@@ -222,11 +262,15 @@ impl<W: Default> SchemeCore<W> {
 
 impl<W> Drop for SchemeCore<W> {
     fn drop(&mut self) {
+        let parked = self
+            .parked
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner);
         // SAFETY: all handles are gone (each holds an `Arc` to this core), so
         // no protection of any kind can be published and no thread can reach a
         // parked node.
-        let (freed, freed_bytes) = unsafe { self.parked.drain_all() };
-        let (kept, kept_bytes) = (*self.kept_nodes.get_mut(), *self.kept_bytes.get_mut());
+        let (freed, freed_bytes) = unsafe { parked.free_leftovers() };
+        let (kept, kept_bytes) = parked.kept;
         // SAFETY: as above, and a kept block has no record anyone could free
         // it through: its chunk goes with the arena, dropped last.
         unsafe { self.arena.credit(kept_bytes) };
@@ -237,7 +281,8 @@ impl<W> Drop for SchemeCore<W> {
 }
 
 /// The per-handle half of the retire pipeline (module docs). Dropping it
-/// recycles the pool, scratch and node cache to the scheme's next registrant.
+/// gives the node cache's blocks back to the arena and leaves the pool and
+/// scratch to the scheme's next registrant.
 pub struct HandleCore<W: Default = ()> {
     shared: Arc<SchemeCore<W>>,
     /// Index of this handle's stripe: its counter stripe, and — modulo their
@@ -358,11 +403,17 @@ impl<W: Default> HandleCore<W> {
     /// before it drops.
     #[inline]
     pub(crate) unsafe fn retire_unfreed(&mut self, bag: &mut SegBag, node: RetiredPtr) {
-        // SAFETY: a plain block is of a cached class, which an arena carved.
-        if !(node.is_plain_block() && unsafe { self.cache.owns(node.addr()) }) {
+        if !node.is_plain_block() {
             // SAFETY: the caller's contract.
             return unsafe { self.retire(bag, node, 0) };
         }
+        // Kept, the block is credited to this arena at scheme drop: one of
+        // another arena's would make it free its chunks with a block out.
+        // SAFETY: a plain block is of a cached class, which an arena carved.
+        assert!(
+            unsafe { self.cache.owns(node.addr()) },
+            "a node of another scheme's structure"
+        );
         self.book_retire(node.size_bytes());
         self.kept.0 += 1;
         self.kept.1 += node.size_bytes();
@@ -514,13 +565,13 @@ impl<W: Default> HandleCore<W> {
         self.report();
     }
 
-    /// Flush-side adoption: splices the parked chain — leftovers of exited
-    /// handles — into `into` (O(1), no allocation), enters it in the ledger
-    /// and restarts the retire counter. The scheme-wide estimate does not
-    /// move: the adopted nodes were retired and are still not freed.
+    /// Flush-side adoption: splices the parked leftovers of exited handles
+    /// into `into` (O(1), no allocation), enters them in the ledger and
+    /// restarts the retire counter. The scheme-wide estimate does not move:
+    /// the adopted nodes were retired and are still not freed.
     pub fn adopt_parked(&mut self, into: &mut SegBag) {
         let (nodes_before, bytes_before) = (into.len(), into.bytes());
-        self.shared.parked.adopt_into(into);
+        into.splice(&mut self.shared.parked().leftovers);
         self.limbo_nodes += into.len() - nodes_before;
         self.limbo_bytes += into.bytes() - bytes_before;
         self.since_scan = 0;
@@ -528,9 +579,9 @@ impl<W: Default> HandleCore<W> {
 
     /// Drop-side parking: the ready chain goes to the allocator, and
     /// `leftovers` — everything else the handle still holds, spliced into one
-    /// bag — moves to the parked chain (O(1)), adopted by the next handle to
-    /// flush or released at scheme drop; the tally of kept plain blocks moves
-    /// to the scheme, which frees them with its arena. The leftovers stay in
+    /// bag — moves to the scheme's `Parked` store (O(1)), adopted by the
+    /// next handle to flush or released at scheme drop, with the tally of
+    /// kept plain blocks, which go with the arena. The leftovers stay in
     /// the estimate — retired, not freed — so a departed handle's limbo never
     /// goes invisible; the governor gets one last look, for a handle that
     /// never drifted a grain. Call before releasing the registry slot.
@@ -543,26 +594,30 @@ impl<W: Default> HandleCore<W> {
             "the ledger must match what the handle still holds"
         );
         (self.limbo_nodes, self.limbo_bytes) = (0, 0);
-        let shared = &*self.shared;
-        shared.kept_nodes.fetch_add(kept, Ordering::Relaxed);
-        shared.kept_bytes.fetch_add(kept_bytes, Ordering::Relaxed);
-        shared.parked.park(leftovers);
+        if leftovers.is_empty() && kept == 0 {
+            return;
+        }
+        let mut parked = self.shared.parked();
+        parked.leftovers.splice(leftovers);
+        parked.kept.0 += kept;
+        parked.kept.1 += kept_bytes;
     }
 }
 
 impl<W: Default> Drop for HandleCore<W> {
     fn drop(&mut self) {
-        // A parked cache stays on the books; one dropped past `max_threads`
-        // leaves them.
-        let cached = self.book_cache() as i64;
+        // The cache's blocks go back to the arena, and off the books, before
+        // `shared` drops: it may hold the last reference to the arena.
+        let booked = self.cache.release() as i64;
+        self.stats().add_cached_bytes(-booked);
         let workspace = (
             std::mem::take(&mut self.pool),
             std::mem::take(&mut self.scratch),
-            std::mem::replace(&mut self.cache, NodeCache::new(&self.shared.arena)),
         );
-        if !self.shared.workspaces.park(workspace) {
-            self.stats().add_cached_bytes(-cached);
-        }
+        let mut parked = self.shared.parked();
+        if parked.workspaces.len() < parked.workspaces.capacity() {
+            parked.workspaces.push(workspace);
+        } // else dropped, after the lock
     }
 }
 
@@ -989,7 +1044,7 @@ mod tests {
         assert_eq!(
             drops.load(Ordering::SeqCst),
             4,
-            "scheme drop drains the parked chain"
+            "scheme drop drains the parked leftovers"
         );
     }
 
@@ -1030,6 +1085,28 @@ mod tests {
             .map(|_| Handle::register(&scheme, &mut fresh_calls))
             .collect();
         assert_eq!(fresh_calls, 4, "two adopted, the third rebuilt");
+    }
+
+    #[test]
+    fn the_parked_store_reports_and_drains_bytes() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut pool = SegPool::new();
+        let mut leftovers = SegBag::new();
+        for _ in 0..4 {
+            let node = Box::into_raw(Box::new(Node(Arc::clone(&drops), [0; 300 - 8])));
+            // SAFETY: freshly boxed, never linked anywhere, retired once.
+            let node =
+                unsafe { RetiredPtr::new(node.cast(), drop_fn_for::<Node>(), NO_BIRTH_ERA, NODE) };
+            leftovers.push(&mut pool, node);
+        }
+        let mut parked = Parked::<()>::new(2);
+        parked.leftovers.splice(&mut leftovers);
+        assert_eq!(parked.leftovers.bytes(), 4 * NODE);
+        // SAFETY: the test owns the parked nodes; no scan is concurrent.
+        let (nodes, bytes) = unsafe { parked.free_leftovers() };
+        assert_eq!((nodes, bytes), (4, 4 * NODE));
+        assert_eq!(parked.leftovers.bytes(), 0);
+        assert_eq!(drops.load(Ordering::SeqCst), 4);
     }
 
     /// Retires a 32-byte block the way the guard layer does: allocated from

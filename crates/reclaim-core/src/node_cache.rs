@@ -18,29 +18,30 @@
 //! allocator.
 //!
 //! **The arena.** Every block of a cached class lives in an arena: each
-//! scheme's [`SchemeCore`](crate::SchemeCore) owns one, and sentinels — the
-//! nodes no handle allocates ([`alloc_block`]) — come from one process arena.
+//! scheme's [`SchemeCore`](crate::SchemeCore) owns one, which carves a
+//! structure's sentinels too ([`crate::SchemeCore::alloc_block`]).
 //! An arena owns [`CHUNK_BYTES`] chunks, each aligned to its size, whose first
 //! [`CHUNK_HEADER_BYTES`] name the owning arena; it bump-carves blocks at
 //! their class stride (the list's 24 B node packs at 24 B, where glibc spaces
 //! it at 32 B) and keeps one shared free list per class. A cache miss takes
 //! [`REFILL_BLOCKS`] of its class under one lock: off that list while it holds
 //! any, else carved. A cache past [`NODE_CACHE_BYTES`] (as many blocks at
-//! once), a structure's teardown, a never-linked node and a dropped cache hand
-//! their blocks to the arena their chunk names — never to the allocator. So a
-//! structure's nodes sit in its scheme's chunks and nowhere else, packed and
-//! fresh with the scheme: on the Fig. 3 list that decided throughput
-//! (`list_read_mostly`, 2-vCPU host, ten alternating 30 s benchmark pairs:
-//! +44 … +61 % for every scheme but RC; a process-wide arena built the same
-//! way lost QSBR, QSense and RC 2–28 % in an experimental build, because a
-//! fresh structure reused blocks earlier ones had scattered).
+//! once), a structure's teardown, a never-linked node and a departing
+//! handle's cache hand their blocks to the arena their chunk names — never to
+//! the allocator. So a structure's nodes, sentinels included, sit in its
+//! scheme's chunks and nowhere else, packed and fresh with the scheme: on the
+//! Fig. 3 list that decided throughput (`list_read_mostly`, 2-vCPU host, ten
+//! alternating 30 s benchmark pairs: +44 … +61 % for every scheme but RC; a
+//! process-wide arena built the same way lost QSBR, QSense and RC 2–28 % in an
+//! experimental build, because a fresh structure reused blocks earlier ones
+//! had scattered).
 //!
-//! Scheme drop frees every chunk at once, after the parked chain and the
-//! parked caches have given their blocks back, and with them the plain
-//! blocks Leaky kept no record of ([`crate::leaky`]): their bytes are
-//! credited to the arena as given back. If a block is still out then (an
-//! [`Owned`](crate::Owned) kept past its scheme), the arena is leaked
-//! instead, so no block ever dangles.
+//! Scheme drop frees every chunk at once, after the parked leftovers have
+//! given their blocks back, and with them the plain blocks Leaky kept no
+//! record of ([`crate::leaky`]): their bytes are credited to the arena as
+//! given back. A structure's `Drop` frees its sentinels while it holds its
+//! scheme. If a block is still out then (an [`Owned`](crate::Owned) kept past
+//! its scheme), the arena is leaked instead, so no block ever dangles.
 
 use crate::clock::Era;
 use crate::retired::{DropFn, RetiredPtr};
@@ -116,18 +117,6 @@ pub(crate) unsafe fn retired<T: Block>(node: *mut T, birth_era: Era) -> RetiredP
     let drop_fn: Option<DropFn> = (!plain).then_some(drop_block::<T>);
     // SAFETY: as above; a plain block is of a cached class, sized as one.
     unsafe { RetiredPtr::with_drop_fn(node.cast(), drop_fn, birth_era, block.size()) }
-}
-
-/// A fresh block for a node no handle allocates (a structure's sentinels):
-/// off the process arena for a cached class, else from the global allocator.
-#[inline]
-pub fn alloc_block(layout: Layout) -> NonNull<u8> {
-    let block = block_layout(layout);
-    let fresh = match class_of(block) {
-        Some(class) => PROCESS.lock().take(&PROCESS, class),
-        None => alloc_global(block),
-    };
-    registered(fresh, block)
 }
 
 /// A block of `block` (a [`block_layout`] of no cached class) from the global
@@ -362,9 +351,8 @@ impl NodeCache {
         block
     }
 
-    /// Gives `first` and up to `more` of the class's freed blocks back to
-    /// their arenas — the cache's own under one lock, any other's (a
-    /// recycled sentinel's) block by block after it.
+    /// Gives `first` and up to `more` of the class's freed blocks back to the
+    /// arena, under one lock.
     ///
     /// # Safety
     ///
@@ -372,27 +360,14 @@ impl NodeCache {
     #[cold]
     unsafe fn spill(&mut self, class: usize, first: *mut u8, more: usize) {
         // SAFETY: the arena outlives the cache.
-        let own = unsafe { &*self.arena.as_ptr() };
-        let mut foreign: *mut u8 = std::ptr::null_mut();
-        let mut carver = own.lock();
+        let mut carver = unsafe { &*self.arena.as_ptr() }.lock();
         let (mut next, mut left) = (NonNull::new(first), more);
         while let Some(block) = next {
-            let block = block.as_ptr();
-            // SAFETY: every block of a cached class was carved by an arena.
-            if std::ptr::eq(unsafe { arena_of(block) }, own) {
-                // SAFETY: free, of `class`, and carved by `own`.
-                unsafe { carver.list(block, class) };
-            } else {
-                // SAFETY: free and ours.
-                unsafe { push(&mut foreign, block) };
-            }
+            // SAFETY: free, of `class`, and a block of this scheme's: carved
+            // by the cache's arena, sentinels included.
+            unsafe { carver.list(block.as_ptr(), class) };
             next = if left == 0 { None } else { self.pop(class) };
             left = left.saturating_sub(1);
-        }
-        drop(carver);
-        while let Some(block) = pop(&mut foreign) {
-            // SAFETY: a free block of `class`, given back once.
-            unsafe { give_back(block.as_ptr(), class) };
         }
     }
 
@@ -412,10 +387,11 @@ impl NodeCache {
         self.booked = self.bytes;
         (self.bytes, delta)
     }
-}
 
-impl Drop for NodeCache {
-    fn drop(&mut self) {
+    /// Gives every listed block and every spare back to the arena — a cache
+    /// dropped without it leaks them, with the arena; returns the bytes its
+    /// last booking showed, which leave the books with them.
+    pub(crate) fn release(&mut self) -> usize {
         for class in 0..CLASSES {
             while let Some(spare) = pop(&mut self.spares[class]) {
                 // SAFETY: a spare is a free block of its class, ours.
@@ -426,6 +402,7 @@ impl Drop for NodeCache {
                 unsafe { self.spill(class, block.as_ptr(), usize::MAX) };
             }
         }
+        std::mem::take(&mut self.booked)
     }
 }
 
@@ -454,9 +431,6 @@ struct Carver {
 // SAFETY: the carver owns its chunks and its listed blocks outright.
 unsafe impl Send for Carver {}
 
-/// The sentinels' arena (module docs), never freed.
-static PROCESS: Arena = Arena::new();
-
 /// A chunk's layout: aligned to its size.
 const CHUNK: Layout = match Layout::from_size_align(CHUNK_BYTES, CHUNK_BYTES) {
     Ok(layout) => layout,
@@ -464,7 +438,7 @@ const CHUNK: Layout = match Layout::from_size_align(CHUNK_BYTES, CHUNK_BYTES) {
 };
 
 impl Arena {
-    const fn new() -> Self {
+    fn new() -> Self {
         Self {
             carver: Mutex::new(Carver {
                 heads: [std::ptr::null_mut(); CLASSES],
@@ -562,6 +536,18 @@ impl SchemeArena {
     pub(crate) fn get(&self) -> &Arena {
         // SAFETY: freed only by `drop`.
         unsafe { self.0.as_ref() }
+    }
+
+    /// A fresh block for a node of `layout` that no handle allocates: carved
+    /// or off the shared list for a cached class, else from the global
+    /// allocator.
+    pub(crate) fn alloc(&self, layout: Layout) -> NonNull<u8> {
+        let block = block_layout(layout);
+        let fresh = match class_of(block) {
+            Some(class) => self.get().lock().take(self.get(), class),
+            None => alloc_global(block),
+        };
+        registered(fresh, block)
     }
 
     /// Counts `bytes` of blocks as given back that go with their chunks

@@ -20,7 +20,7 @@ use std::fmt;
 
 /// A type-erased destructor: takes the pointer originally passed to
 /// [`RetiredPtr::new`] and releases the node, offered the freeing handle's
-/// [`NodeCache`] (`None` where no handle frees: a parked chain at scheme drop).
+/// [`NodeCache`] (`None` where no handle frees: parked leftovers at scheme drop).
 /// A [`crate::node_cache`] block's destructor decides there whether its block
 /// is cached or given back; a `Box`'s ([`crate::drop_fn_for`]) ignores it.
 pub type DropFn = unsafe fn(*mut u8, Option<&mut NodeCache>);

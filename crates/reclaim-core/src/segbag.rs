@@ -27,10 +27,10 @@
 //!   hazard-pointer residue — from pinning one near-empty segment each: every
 //!   scan shrinks such a chain by one segment until the survivors share one.
 //! * **splice** moves another bag's entire chain in O(1) pointer surgery. This
-//!   is what makes the parked-bag hand-off at handle drop allocation-free: the
-//!   scheme keeps one parked chain and dying handles splice their leftovers
-//!   into it; surviving handles adopt the parked chain back (another splice) on
-//!   their next flush.
+//!   is what makes the hand-off at handle drop allocation-free: a dying
+//!   handle splices its leftovers into its scheme's parked store
+//!   ([`crate::limbo`]), and a surviving handle splices them back out on its
+//!   next flush.
 //!
 //! ## Segment size
 //!
@@ -61,12 +61,10 @@
 //! within-segment write index never passes its read index — see
 //! `transfer_walk`.
 
-use crate::node_cache::NodeCache;
 use crate::retired::RetiredPtr;
 use std::fmt;
 use std::mem::MaybeUninit;
 use std::ptr;
-use std::sync::Mutex;
 
 /// Retired nodes per segment (see the module docs for the size rationale).
 pub const SEG_CAP: usize = 12;
@@ -579,129 +577,6 @@ impl Drop for SegBag {
     }
 }
 
-/// Scheme-level parking lot for the limbo leftovers of exited threads.
-///
-/// A dying handle [`park`](Self::park)s whatever its final scan could not free
-/// (an O(1) chain splice under the lock, no allocation); the next surviving
-/// handle to flush [`adopt`](Self::adopt_into)s the whole chain back into its
-/// own bag, where the nodes rejoin normal scanning; anything never adopted is
-/// [`drain`](Self::drain_all)ed when the scheme itself drops. Every
-/// [`SchemeCore`](crate::limbo::SchemeCore) embeds one of these and is the only
-/// way in: scheme crates park and adopt through their
-/// [`HandleCore`](crate::limbo::HandleCore), which keeps the byte accounting
-/// in step.
-pub(crate) struct ParkedChain {
-    chain: Mutex<SegBag>,
-}
-
-impl ParkedChain {
-    /// Creates an empty parking lot.
-    pub fn new() -> Self {
-        Self {
-            chain: Mutex::new(SegBag::new()),
-        }
-    }
-
-    /// Splices `leftovers` into the parked chain. O(1); skips the lock when
-    /// there is nothing to park.
-    pub fn park(&self, leftovers: &mut SegBag) {
-        if leftovers.is_empty() {
-            return;
-        }
-        self.chain
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .splice(leftovers);
-    }
-
-    /// Splices the entire parked chain into `into`. O(1).
-    pub fn adopt_into(&self, into: &mut SegBag) {
-        let mut parked = self.chain.lock().unwrap_or_else(|e| e.into_inner());
-        into.splice(&mut parked);
-    }
-
-    /// Stamped bytes currently sitting in the parking lot (takes the lock).
-    #[cfg(test)]
-    pub fn parked_bytes(&self) -> usize {
-        self.chain
-            .lock()
-            .map(|chain| chain.bytes())
-            .unwrap_or_default()
-    }
-
-    /// Unconditionally frees every parked node, returning `(nodes, bytes)`
-    /// freed. The drained segments are released to the allocator (via a
-    /// throwaway pool) — this runs at scheme drop, not on any hot path.
-    ///
-    /// # Safety
-    ///
-    /// Caller must guarantee no thread can access any parked node (e.g. the
-    /// scheme is being dropped and every handle is gone).
-    pub unsafe fn drain_all(&self) -> (usize, usize) {
-        let mut parked = self.chain.lock().unwrap_or_else(|e| e.into_inner());
-        let mut pool = SegPool::new();
-        let bytes = parked.bytes();
-        // SAFETY: forwarded from the caller's contract.
-        let nodes = unsafe { parked.reclaim_all(&mut pool) };
-        (nodes, bytes - parked.bytes())
-    }
-}
-
-impl Default for ParkedChain {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl fmt::Debug for ParkedChain {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let len = self
-            .chain
-            .lock()
-            .map(|chain| chain.len())
-            .unwrap_or_default();
-        f.debug_struct("ParkedChain").field("len", &len).finish()
-    }
-}
-
-/// A handle's workspace: segment pool, the scheme's scan scratch, node cache.
-pub(crate) type Workspace<W> = (SegPool, W, NodeCache);
-
-/// Scheme-level cache of exited handles' workspaces — the resource-side twin of
-/// [`ParkedChain`]: the chain moves the *work* of a dying handle, this moves
-/// its *workspace* to the next registrant, so after the first wave of handles
-/// registration allocates nothing. LIFO keeps the hottest segments in
-/// circulation. The backing storage is allocated up front at the scheme's
-/// `max_threads` — more workspaces could never be in use — so parking, which
-/// runs on the handle-drop path, never touches the allocator either.
-pub(crate) struct WorkspaceCache<W> {
-    parked: Mutex<Vec<Workspace<W>>>,
-}
-
-impl<W> WorkspaceCache<W> {
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            parked: Mutex::new(Vec::with_capacity(capacity)),
-        }
-    }
-
-    /// Takes the most recently parked workspace, if any.
-    pub fn adopt(&self) -> Option<Workspace<W>> {
-        self.parked.lock().unwrap_or_else(|e| e.into_inner()).pop()
-    }
-
-    /// Parks a dying handle's workspace; past the pre-allocated capacity it
-    /// would be dead weight and is dropped (false), outside the lock.
-    pub fn park(&self, workspace: Workspace<W>) -> bool {
-        let mut parked = self.parked.lock().unwrap_or_else(|e| e.into_inner());
-        let room = parked.len() < parked.capacity();
-        if room {
-            parked.push(workspace);
-        }
-        room
-    }
-}
-
 /// Borrowing iterator over a [`SegBag`]'s nodes, segment by segment.
 pub struct SegBagIter<'a> {
     seg: *mut Segment,
@@ -824,24 +699,6 @@ mod tests {
         // SAFETY: every node in the bag was handed over by `retire` and none is protected — the test owns them all.
         unsafe { a.reclaim_all(&mut pool) };
         assert_eq!(a.bytes(), 0);
-    }
-
-    #[test]
-    fn parked_chain_reports_and_drains_bytes() {
-        let counter = Arc::new(AtomicUsize::new(0));
-        let mut pool = SegPool::new();
-        let mut leftovers = SegBag::new();
-        for t in 0..4u64 {
-            leftovers.push(&mut pool, retire_counter_sized(&counter, t, 50));
-        }
-        let parked = ParkedChain::new();
-        parked.park(&mut leftovers);
-        assert_eq!(parked.parked_bytes(), 200);
-        // SAFETY: the test owns the parked nodes; no scan is concurrent.
-        let (nodes, bytes) = unsafe { parked.drain_all() };
-        assert_eq!((nodes, bytes), (4, 200));
-        assert_eq!(parked.parked_bytes(), 0);
-        assert_eq!(counter.load(Ordering::SeqCst), 4);
     }
 
     #[test]

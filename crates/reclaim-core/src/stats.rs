@@ -140,14 +140,13 @@ pub struct StatsSnapshot {
     pub fast_path_switches: u64,
     /// Threads the eviction extension took out of grace periods (QSense).
     pub evictions: u64,
-    /// Bytes of freed blocks in node caches ([`crate::node_cache`]), parked
-    /// ones included, as of each handle's last look: in no limbo or budget.
+    /// Bytes of freed blocks in live handles' node caches
+    /// ([`crate::node_cache`]) as of each one's last look: in no limbo or budget.
     pub cached_bytes: u64,
     /// Bytes of the chunks the scheme's arena has carved its nodes' blocks
     /// from ([`crate::node_cache`]): the footprint of every structure over
-    /// the scheme, its caches and its limbo, sentinels and nodes past 256 B
-    /// aside. Not a stripe counter: the scheme reads it off its arena at
-    /// snapshot time.
+    /// the scheme, its caches and its limbo, nodes past 256 B aside. Not a
+    /// stripe counter: the scheme reads it off its arena at snapshot time.
     pub arena_bytes: u64,
     /// Of those, bytes of free blocks on the arena's shared lists — what a
     /// cache miss takes before it carves.
@@ -386,7 +385,7 @@ impl ShardedStats {
     /// is retired on one stripe and, after a park and an adoption, may be freed
     /// on another, so the freed-first order of [`StatStripe::merge_into`] has
     /// to hold across stripes here. A free this sum observes happened after its
-    /// retire — on the same thread, or through the parked chain's lock — so
+    /// retire — on the same thread, or through the parked store's lock — so
     /// the retired reads that follow include it: a concurrent sum can run
     /// ahead of the truth by retires it raced with, never below it by a free
     /// whose retire it missed.

@@ -2,10 +2,9 @@
 //! chunks leave with the scheme, a structure dropped while its scheme lives
 //! gives its blocks back to the scheme's arena, and a node kept past its
 //! scheme stays valid. On Leaky, the scheme this crate carries: its handles
-//! never free, so a node with nothing to drop that it retires off its own
-//! arena stays unrecorded until its chunk goes at scheme drop, and any other
-//! it retires — a sentinel of the process arena — comes back through the
-//! parked chain, to the arena that carved it.
+//! never free, so a node with nothing to drop that it retires — a sentinel
+//! included, carved from the same arena — stays unrecorded until its chunk
+//! goes at scheme drop.
 
 use reclaim_core::{Atomic, Era, Guard, Leaky, Owned, Shared, Smr, SmrHandle};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -128,8 +127,8 @@ fn cycle() {
 #[test]
 fn a_scheme_drop_gives_every_chunk_back_to_the_allocator() {
     let _serial = serial();
-    // A first cycle grows whatever the process keeps once (the sentinels'
-    // arena, the oracle's tables under `check-oracle`).
+    // A first cycle grows whatever the process keeps once (the oracle's
+    // tables under `check-oracle`).
     cycle();
     let before = live();
     cycle();
@@ -167,17 +166,18 @@ fn a_dropped_structure_gives_its_blocks_back_and_the_next_prefill_reuses_them() 
 #[test]
 fn a_sentinel_retired_through_leaky_goes_back_to_its_own_arena() {
     let _serial = serial();
-    // The sentinel's block is the process arena's, which Leaky's scheme drop
-    // must not count as its own: its chunks would then look short of a
-    // block, and be leaked.
+    // The sentinel's block is Leaky's own, carved before any handle was
+    // registered: retired, it is a plain block kept with no record, and its
+    // chunk must still go at scheme drop rather than look short of a block.
     let cycle = || {
         let scheme = Leaky::with_defaults();
         let mut handle = scheme.register();
         churn(&mut handle, KEYS);
-        let link = Atomic::new(Owned::sentinel(Link {
+        let sentinel = Link {
             key: 0,
             next: Atomic::null(),
-        }));
+        };
+        let link = Atomic::new(Owned::sentinel(sentinel, &*scheme));
         let guard = Guard::new(&mut handle);
         let published = guard.load_protected(0, &link);
         // SAFETY: the link is this test's own: the only path to the node.
@@ -188,7 +188,7 @@ fn a_sentinel_retired_through_leaky_goes_back_to_its_own_arena() {
         drop(handle);
         drop(scheme);
     };
-    // The first cycle carves the sentinel's block from the process arena.
+    // A first cycle grows whatever the process keeps once.
     cycle();
     let before = live();
     cycle();

@@ -30,7 +30,7 @@
 //! sample-by-sample comparable (`tests/robustness_bounds.rs`).
 
 use crate::generator::SplitMix64;
-use crate::sampler::{mean, peak, percentile, LimboSampler};
+use crate::sampler::{peak, LimboSampler};
 use crate::structures::SchemeKind;
 use reclaim_core::{
     retire_box_with_birth, BarrierLedger, BudgetVerdict, EraAdvancePolicy, Leaky, Smr, SmrConfig,
@@ -150,22 +150,6 @@ impl FaultResult {
     /// The highest sampled in-limbo node count.
     pub fn peak_limbo(&self) -> u64 {
         peak(&self.limbo_samples)
-    }
-
-    /// The arithmetic mean of the sampled in-limbo node counts.
-    pub fn mean_limbo(&self) -> f64 {
-        mean(&self.limbo_samples)
-    }
-
-    /// Exact percentile (`0.0 < p <= 1.0`) of the sampled in-limbo node
-    /// counts (see [`crate::sampler::percentile`]).
-    pub fn limbo_percentile(&self, p: f64) -> u64 {
-        percentile(&self.limbo_samples, p)
-    }
-
-    /// Exact percentile of the sampled in-limbo byte counts.
-    pub fn limbo_bytes_percentile(&self, p: f64) -> u64 {
-        percentile(&self.limbo_byte_samples, p)
     }
 }
 

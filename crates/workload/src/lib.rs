@@ -45,7 +45,7 @@ pub use faults::{
 };
 pub use generator::{OpGenerator, Operation};
 pub use runner::{run_experiment, DelaySchedule, Experiment, RunResult, Sample};
-pub use sampler::{percentile, LimboSampler};
+pub use sampler::LimboSampler;
 pub use server_soak::{run_server_soak, run_server_soak_with, ServerSoakResult, ServerSoakSpec};
 pub use spec::{OpMix, Structure, WorkloadSpec};
 pub use structures::{

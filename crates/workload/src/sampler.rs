@@ -1,8 +1,8 @@
 //! Per-episode limbo sampling for the robustness scenarios.
 //!
 //! [`faults`](crate::faults) runs episode loops that snapshot the scheme-wide
-//! limbo after every forced reclamation pass. The sampling (and the peak/mean
-//! reductions the reports and CI assertions use) lives here, so every
+//! limbo after every forced reclamation pass. The sampling (and the peak
+//! reduction the reports and CI assertions use) lives here, so every
 //! trajectory is reduced by exactly the same code.
 
 use reclaim_core::Smr;
@@ -54,28 +54,6 @@ pub fn peak(samples: &[u64]) -> u64 {
     samples.iter().copied().max().unwrap_or(0)
 }
 
-/// The value at percentile `p` (`0.0 < p <= 1.0`) of a sampled trajectory,
-/// computed exactly over a sorted copy (unlike the log-bucketed
-/// [`reclaim_core::HistSnapshot::percentile`], which trades accuracy for a
-/// fixed-size lock-free representation). Returns 0 for an empty trajectory.
-pub fn percentile(samples: &[u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// The arithmetic mean, or 0.0 for an empty trajectory.
-pub fn mean(samples: &[u64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    samples.iter().sum::<u64>() as f64 / samples.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,22 +61,7 @@ mod tests {
     #[test]
     fn reductions_handle_empty_and_filled_trajectories() {
         assert_eq!(peak(&[]), 0);
-        assert_eq!(mean(&[]), 0.0);
         assert_eq!(peak(&[3, 9, 4]), 9);
-        assert!((mean(&[2, 4]) - 3.0).abs() < f64::EPSILON);
-    }
-
-    #[test]
-    fn percentile_is_exact_over_the_sorted_trajectory() {
-        assert_eq!(percentile(&[], 0.5), 0);
-        let samples: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&samples, 0.50), 50);
-        assert_eq!(percentile(&samples, 0.99), 99);
-        assert_eq!(percentile(&samples, 1.0), 100);
-        // Order must not matter.
-        let shuffled = [9u64, 1, 5, 3, 7];
-        assert_eq!(percentile(&shuffled, 0.5), 5);
-        assert_eq!(percentile(&shuffled, 1.0), 9);
     }
 
     #[test]

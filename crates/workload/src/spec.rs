@@ -118,12 +118,6 @@ impl Structure {
             Structure::Stack => 10_000,
         }
     }
-
-    /// The three structures of the paper's evaluation matrix (§7.1), in the order the
-    /// figures present them.
-    pub fn paper_structures() -> [Structure; 3] {
-        [Structure::List, Structure::SkipList, Structure::Bst]
-    }
 }
 
 /// A complete workload description.
@@ -133,31 +127,21 @@ pub struct WorkloadSpec {
     pub key_range: u64,
     /// Operation mix.
     pub mix: OpMix,
-    /// Fraction of the key range inserted before measurement starts (paper: 0.5).
-    pub initial_fill: f64,
 }
+
+/// Fraction of the key range inserted before measurement starts (paper: half).
+const INITIAL_FILL: f64 = 0.5;
 
 impl WorkloadSpec {
     /// Creates a workload specification.
     pub fn new(key_range: u64, mix: OpMix) -> Self {
         assert!(key_range > 0, "key range must be positive");
-        Self {
-            key_range,
-            mix,
-            initial_fill: 0.5,
-        }
-    }
-
-    /// Overrides the initial fill fraction.
-    pub fn with_initial_fill(mut self, fill: f64) -> Self {
-        assert!((0.0..=1.0).contains(&fill), "fill must be within [0, 1]");
-        self.initial_fill = fill;
-        self
+        Self { key_range, mix }
     }
 
     /// Number of keys inserted before measurement.
     pub fn initial_keys(&self) -> u64 {
-        (self.key_range as f64 * self.initial_fill) as u64
+        (self.key_range as f64 * INITIAL_FILL) as u64
     }
 }
 

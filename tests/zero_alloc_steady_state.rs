@@ -350,7 +350,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         assert_eq!(dying.local_in_limbo(), PROTECTED);
 
         let before_alloc = ALLOC.allocated_bytes();
-        drop(dying); // park: splice into the scheme's parked chain
+        drop(dying); // park: splice into the scheme's parked store
         survivor.flush(); // adopt: splice back and scan (residue still protected)
         let delta = ALLOC.allocated_bytes() - before_alloc;
 
@@ -585,7 +585,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // --- handle churn (register / drop / register) --------------------------
     // Thread-pool pattern: each cycle registers a fresh handle, retires a
     // batch, flushes and drops the handle. After the unmeasured first wave has
-    // stocked the scheme's workspace cache, every later registration adopts the
+    // stocked the scheme's parked store, every later registration adopts the
     // parked pool (+ scratch), so churn cycles allocate only the retired nodes
     // themselves.
     churn_allocates_nodes_only("hp", Hazard::new(config(&ManualClock::new())), || {});
@@ -798,11 +798,12 @@ fn steady_state_scans_perform_zero_heap_allocations() {
 
     // --- nothing leaks ------------------------------------------------------
     // Node caches hold freed blocks past their nodes' frees, so the books must
-    // close when everything drops: the structure, its sessions — a third one
-    // on the registry-less schemes, whose workspace finds the scheme's cache
-    // full at `max_threads` (2) and is dropped with its node cache — and the
-    // scheme, which frees the parked workspaces. The allocator's live bytes
-    // then stand where they started.
+    // close when everything drops: the structure, its sessions — each giving
+    // its node cache back to the arena; a third one on the registry-less
+    // schemes, whose workspace finds the scheme's parked store full at
+    // `max_threads` (2) and is dropped — and the scheme, which frees the
+    // parked workspaces and the arena. The allocator's live bytes then stand
+    // where they started.
     {
         use qsense_repro::bench::{make_set, SchemeKind, Structure};
 
