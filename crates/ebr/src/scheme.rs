@@ -3,7 +3,7 @@
 use qsbr::{confirmed, grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, OFFLINE};
 use reclaim_core::{
     fence, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache, Registry,
-    RetiredPtr, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    RetiredPtr, SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -134,12 +134,9 @@ impl Ebr {
 
 impl Smr for Ebr {
     type Handle = EbrHandle;
-    type Scratch = ();
 
     fn try_register(self: &Arc<Self>) -> Result<EbrHandle, CapacityExhausted> {
-        let (slot, core) = self
-            .core
-            .register(&self.registry, |_| (SegPool::new(), ()))?;
+        let (slot, core) = self.core.register(&self.registry, 0)?;
         let mine = self.registry.get_mine(slot);
         // The part adopts the epoch, but a thread announces one only while
         // pinned: a fresh thread is offline and never blocks advancement.

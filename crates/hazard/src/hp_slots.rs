@@ -17,9 +17,7 @@
 //! block on the way.
 
 use reclaim_core::fence::{self, BarrierLedger, FenceStrategy};
-use reclaim_core::{
-    CachePadded, HandleCore, PtrScratch, Registry, RetiredPtr, SegBag, SmrConfig, StatStripe,
-};
+use reclaim_core::{CachePadded, HandleCore, Registry, RetiredPtr, SegBag, StatStripe};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Slots per storage block: 128 bytes' worth, the unit [`CachePadded`] keeps
@@ -78,19 +76,13 @@ impl HpSlots {
         }
     }
 
-    /// A snapshot buffer sized for the `N·K` worst case — every slot of every
-    /// registered thread published — so scans never allocate.
-    pub fn snapshot_scratch(config: &SmrConfig) -> PtrScratch {
-        PtrScratch::with_capacity(config.max_threads * config.hp_per_thread)
-    }
-
-    /// Appends every non-null slot to `out` (one claimed record's share of
-    /// [`hp_scan`]'s snapshot).
-    pub fn collect_into(&self, out: &mut Vec<*mut u8>) {
+    /// Appends the address of every non-null slot to `out` (one claimed
+    /// record's share of [`hp_scan`]'s snapshot).
+    pub fn collect_into(&self, out: &mut Vec<u64>) {
         for slot in self.slots() {
             let p = slot.load(Ordering::Acquire);
             if !p.is_null() {
-                out.push(p);
+                out.push(p as usize as u64);
             }
         }
     }
@@ -177,11 +169,13 @@ impl OwnedSlots {
 /// and evicted fast path run it — threshold scans, budget-forced scans, `flush`
 /// and handle `Drop` alike: count the scan, learn from `ledger` how far its
 /// barriers have come (issuing one if this scheme's scans do), snapshot the
-/// claimed records' published pointers, sorted and deduplicated, into the
+/// claimed records' published addresses, sorted and deduplicated, into the
 /// handle's scratch (`get_protected_nodes`, Algorithm 3 / Michael's stage 1 —
-/// the buffer is sized `N·K` at registration, so steady-state scans never
-/// allocate; a vacant slot is safe to miss, [`Registry`]'s docs say why) and
-/// release what the barriers cover and the snapshot does not hold.
+/// the scheme sizes the scratch at `N·K` words at registration, so
+/// steady-state scans never allocate; a vacant slot is safe to miss,
+/// [`Registry`]'s docs say why) and release what the barriers cover and the
+/// snapshot does not hold. The snapshot holds addresses as integers, only
+/// ever compared: none is dereferenced.
 ///
 /// Each bag is walked in retirement order and the walk stops at the first
 /// uncovered node: everything behind it was stamped later, so a rooster scan is
@@ -206,7 +200,7 @@ impl OwnedSlots {
 /// `registry`'s records under `ledger`'s strategy ([`HpSlots::owner`]) and
 /// stamped with [`BarrierLedger::stamp`] of this `ledger` after its unlink.
 pub unsafe fn hp_scan<R>(
-    core: &mut HandleCore<PtrScratch>,
+    core: &mut HandleCore,
     registry: &Registry<R>,
     slots: impl Fn(&R) -> &HpSlots,
     bags: &mut [SegBag],
@@ -240,7 +234,11 @@ pub unsafe fn hp_scan<R>(
         protected.sort_unstable();
         protected.dedup();
         let due = |node: &RetiredPtr| node.stamp() < covered;
-        let unprotected = |node: &RetiredPtr| protected.binary_search(&node.addr()).is_err();
+        let unprotected = |node: &RetiredPtr| {
+            protected
+                .binary_search(&(node.addr() as usize as u64))
+                .is_err()
+        };
         for bag in bags {
             reclaim.stats().add_scan_walk();
             // SAFETY: (Michael's scan argument) a node absent from a full
@@ -266,7 +264,7 @@ pub unsafe fn hp_scan<R>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reclaim_core::{drop_fn_for, RetiredPtr, SchemeCore, SegPool, NO_BIRTH_ERA};
+    use reclaim_core::{drop_fn_for, RetiredPtr, SchemeCore, SmrConfig, NO_BIRTH_ERA};
     use std::collections::HashSet;
     use std::time::Duration;
 
@@ -277,7 +275,7 @@ mod tests {
         unsafe { record.owner(FenceStrategy::Rooster) }
     }
 
-    fn collected(record: &HpSlots) -> Vec<*mut u8> {
+    fn collected(record: &HpSlots) -> Vec<u64> {
         let mut out = Vec::new();
         record.collect_into(&mut out);
         out
@@ -294,7 +292,7 @@ mod tests {
         }
         let expected: Vec<_> = published
             .iter()
-            .map(|index| (0x10 * (index + 1)) as *mut u8)
+            .map(|&index| 0x10 * (index as u64 + 1))
             .collect();
         assert_eq!(collected(&record), expected);
         view.clear_all();
@@ -361,7 +359,7 @@ mod tests {
             // What `hp_scan` reads: the claimed records' published slots.
             let claimed = registry.iter_claimed(&tally);
             let snapshot: Vec<_> = claimed.flat_map(|(_, r)| collected(r)).collect();
-            assert_eq!(snapshot, vec![(0x100 * tenancy) as *mut u8]);
+            assert_eq!(snapshot, vec![0x100 * tenancy as u64]);
             view.clear_all();
             registry.release(slot);
         }
@@ -396,7 +394,7 @@ mod tests {
     struct Fixture {
         registry: Registry<HpSlots>,
         ledger: BarrierLedger,
-        core: HandleCore<PtrScratch>,
+        core: HandleCore,
         bag: SegBag,
         reader: OwnedSlots,
     }
@@ -406,12 +404,9 @@ mod tests {
             let config = SmrConfig::default().with_max_threads(2);
             let registry =
                 Registry::new(config.max_threads, |_| HpSlots::new(config.hp_per_thread));
-            let scheme = SchemeCore::<PtrScratch>::new("test", config);
-            let (_slot, core) = scheme
-                .register(&registry, |config| {
-                    (SegPool::new(), HpSlots::snapshot_scratch(config))
-                })
-                .expect("two free slots");
+            let words = config.max_threads * config.hp_per_thread;
+            let scheme = SchemeCore::new("test", config);
+            let (_slot, core) = scheme.register(&registry, words).expect("two free slots");
             let reader = registry.try_acquire().expect("one free slot");
             Self {
                 // SAFETY: the fixture keeps the registry alive beside the view.

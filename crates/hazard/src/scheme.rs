@@ -3,8 +3,7 @@
 use crate::hp_slots::{hp_scan, HpSlots, OwnedSlots};
 use reclaim_core::{
     BarrierLedger, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache,
-    PtrScratch, Registry, RetiredPtr, SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle,
+    Registry, RetiredPtr, SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::slice::from_mut;
 use std::sync::Arc;
@@ -37,7 +36,7 @@ pub type Cadence = HpFamily<true>;
 /// picks the name the scheme reports and the protocol `new` detects, nothing
 /// else — slots, limbo, scan and free rule exist once.
 pub struct HpFamily<const CADENCE: bool> {
-    core: Arc<SchemeCore<PtrScratch>>,
+    core: Arc<SchemeCore>,
     registry: Registry<HpSlots>,
     ledger: BarrierLedger,
 }
@@ -93,16 +92,12 @@ impl<const CADENCE: bool> HpFamily<CADENCE> {
 
 impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
     type Handle = HpHandle<CADENCE>;
-    type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<HpHandle<CADENCE>, CapacityExhausted> {
-        // A fresh workspace: pool (one scan threshold of retires) and snapshot
-        // scratch pre-sized so that neither the first bag fill nor any scan
-        // allocates.
-        let (slot, core) = self.core.register(&self.registry, |config| {
-            let pool = SegPool::for_scan_threshold(config.scan_threshold);
-            (pool, HpSlots::snapshot_scratch(config))
-        })?;
+        // The snapshot's worst case: every slot of every registered thread.
+        let config = self.core.config();
+        let words = config.max_threads * config.hp_per_thread;
+        let (slot, core) = self.core.register(&self.registry, words)?;
         let strategy = self.ledger.strategy();
         Ok(HpHandle {
             // SAFETY: the handle's `Arc<HpFamily>` keeps the registry alive,
@@ -116,7 +111,7 @@ impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {
         })
     }
 
-    fn core(&self) -> &SchemeCore<PtrScratch> {
+    fn core(&self) -> &SchemeCore {
         &self.core
     }
 }
@@ -132,7 +127,7 @@ pub struct HpHandle<const CADENCE: bool> {
     slot: SlotId,
     /// This handle's hazard pointers: the writer's view of `registry[slot]`.
     slots: OwnedSlots,
-    core: HandleCore<PtrScratch>,
+    core: HandleCore,
     retired: SegBag,
     /// An upper bound on the stamps in `retired`: what a scanner-barrier scan
     /// needs covered before it may skip its own barrier.

@@ -4,7 +4,7 @@ use crate::clock::EraPacer;
 use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::{
     CapacityExhausted, Era, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr,
-    SchemeCore, SegBag, SegPool, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
+    SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -16,11 +16,6 @@ use std::sync::Arc;
 /// bucket count; more buckets only make the wholesale-free fast path finer
 /// grained.
 const ERA_BUCKETS: usize = 8;
-
-/// The per-handle scan scratch: a snapshot buffer for the `N` era
-/// reservations, sized at registration (or adopted from a previous tenant) so
-/// scans never allocate.
-type Reservations = Vec<(Era, Era)>;
 
 /// One limbo chain: every node in `bag` was retired at an era `<= tag`, so the
 /// chain's conservative lifetime interval is `[birth_of_each_node, tag]`.
@@ -104,13 +99,16 @@ impl EraChain {
 ///   reservation that reaches the chain (`birth > max{upper : lower <= tag}`),
 ///   O(1) per node after the O(N) precomputation.
 ///
-/// The retire path flows through the same [`SegBag`]/[`SegPool`] segment chains
-/// as every other scheme, so steady-state retire/scan/reclaim is
-/// allocation-free, parked leftovers of dying handles are adopted by survivors,
-/// and the pool + reservation scratch are recycled to the next registrant
-/// through the shared [`SchemeCore`].
+/// The retire path flows through the same [`SegBag`]/[`reclaim_core::SegPool`]
+/// segment chains as every other scheme, so steady-state retire/scan/reclaim
+/// is allocation-free, parked leftovers of dying handles are adopted by
+/// survivors, and the pool and scratch are recycled to the next registrant
+/// through the shared [`SchemeCore`]. A scan's snapshot is the handle's
+/// scratch: each active reservation as two words, `lower` then `upper`, `2·N`
+/// words at most, the capacity the scheme registers with — so scans never
+/// allocate.
 pub struct He {
-    core: Arc<SchemeCore<Reservations>>,
+    core: Arc<SchemeCore>,
     /// The global era clock plus the policy that paces its advances: a static
     /// interval, or one adapting to the scheme-wide limbo-byte estimate
     /// ([`SchemeCore::limbo_estimate`]; see [`EraPacer`]) — HE's pressure
@@ -153,13 +151,11 @@ impl He {
 
 impl Smr for He {
     type Handle = HeHandle;
-    type Scratch = Reservations;
 
     fn try_register(self: &Arc<Self>) -> Result<HeHandle, CapacityExhausted> {
-        let (slot, core) = self.core.register(&self.registry, |config| {
-            let pool = SegPool::for_scan_threshold(config.scan_threshold);
-            (pool, Vec::with_capacity(config.max_threads))
-        })?;
+        // The snapshot's worst case: an era pair for every registered thread.
+        let words = 2 * self.core.config().max_threads;
+        let (slot, core) = self.core.register(&self.registry, words)?;
         // A fresh tenant must not inherit the previous tenant's reservation.
         self.registry.get_mine(slot).deactivate();
         Ok(HeHandle {
@@ -180,7 +176,7 @@ impl Smr for He {
         })
     }
 
-    fn core(&self) -> &SchemeCore<Reservations> {
+    fn core(&self) -> &SchemeCore {
         &self.core
     }
 }
@@ -198,7 +194,7 @@ impl EraLimbo {
     /// One reclamation pass: snapshot the reservations, then walk the era
     /// buckets freeing whatever no reservation can still reach (see the scheme
     /// docs for the overlap argument).
-    fn scan(&mut self, core: &mut HandleCore<Reservations>, scheme: &He) {
+    fn scan(&mut self, core: &mut HandleCore, scheme: &He) {
         core.stats().add_scan();
         // Advance the era so the generation the current reservations announce
         // can age out even in allocation-free (pure-remove) workloads; without
@@ -223,7 +219,7 @@ impl EraLimbo {
             for (_, record) in scheme.registry.iter_claimed(reclaim.stats()) {
                 let (lower, upper) = record.load();
                 if lower != INACTIVE_LOWER {
-                    reservations.push((lower, upper));
+                    reservations.extend([lower, upper]);
                 }
             }
             for chain in chains.iter_mut().filter(|chain| !chain.bag.is_empty()) {
@@ -233,7 +229,8 @@ impl EraLimbo {
                 // [birth, tag] then overlaps no reservation.
                 let mut reached = false;
                 let mut max_upper: Era = 0;
-                for &(lower, upper) in reservations.iter() {
+                for pair in reservations.chunks_exact(2) {
+                    let (lower, upper) = (pair[0], pair[1]);
                     if lower <= chain.tag {
                         reached = true;
                         max_upper = max_upper.max(upper);
@@ -309,7 +306,7 @@ impl EraLimbo {
 pub struct HeHandle {
     scheme: Arc<He>,
     slot: SlotId,
-    core: HandleCore<Reservations>,
+    core: HandleCore,
     limbo: EraLimbo,
     /// Whether the owner is inside an operation (handle-local mirror of the
     /// shared reservation, so `protect` can skip the shared load path cheaply
@@ -492,7 +489,7 @@ impl Drop for HeHandle {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use reclaim_core::{retire_box, retire_box_with_birth};
+    use reclaim_core::{retire_box, retire_box_with_birth, EraAdvancePolicy};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Tracked(Arc<AtomicUsize>);
@@ -519,7 +516,7 @@ mod tests {
         SmrConfig::default()
             .with_max_threads(4)
             .with_scan_threshold(8)
-            .with_era_advance_interval(4)
+            .with_era_policy(EraAdvancePolicy::Static(4))
     }
 
     #[test]
@@ -627,7 +624,7 @@ mod tests {
 
     #[test]
     fn alloc_node_ticks_the_global_era_every_interval() {
-        let scheme = He::new(small_config().with_era_advance_interval(4));
+        let scheme = He::new(small_config().with_era_policy(EraAdvancePolicy::Static(4)));
         let mut handle = scheme.register();
         let start = scheme.current_era();
         let mut births = Vec::new();
@@ -654,7 +651,7 @@ mod tests {
             SmrConfig::default()
                 .with_max_threads(4)
                 .with_scan_threshold(16)
-                .with_era_advance_interval(8),
+                .with_era_policy(EraAdvancePolicy::Static(8)),
         );
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -839,7 +836,7 @@ mod tests {
     fn flush_resets_the_partial_allocation_tick_exactly() {
         let scheme = He::new(
             small_config()
-                .with_era_advance_interval(4)
+                .with_era_policy(EraAdvancePolicy::Static(4))
                 .with_scan_threshold(1_000_000),
         );
         let mut handle = scheme.register();
@@ -889,7 +886,7 @@ mod tests {
         // threshold, flush, drop) behaves alike.
         let scheme = He::new(
             small_config()
-                .with_era_advance_interval(4)
+                .with_era_policy(EraAdvancePolicy::Static(4))
                 .with_scan_threshold(2),
         );
         let mut handle = scheme.register();
@@ -923,8 +920,8 @@ mod tests {
 
     const TRACKED: u64 = std::mem::size_of::<Tracked>() as u64;
 
-    fn adaptive(limbo_low_water_bytes: usize) -> reclaim_core::EraAdvancePolicy {
-        reclaim_core::EraAdvancePolicy::Adaptive {
+    fn adaptive(limbo_low_water_bytes: usize) -> EraAdvancePolicy {
+        EraAdvancePolicy::Adaptive {
             min_interval: 2,
             max_interval: 16,
             limbo_low_water_bytes,

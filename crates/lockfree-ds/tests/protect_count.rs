@@ -35,7 +35,6 @@ impl Counting {
 
 impl Smr for Counting {
     type Handle = CountingHandle;
-    type Scratch = ();
 
     fn try_register(self: &Arc<Self>) -> Result<CountingHandle, CapacityExhausted> {
         Ok(CountingHandle {

@@ -151,7 +151,7 @@ pub fn confirmed<R>(
 /// and its grace period must have counted every thread that may hold a
 /// reference to a node in it: a grace period skips a thread whose word reads
 /// [`EVICTED`], and proves nothing of a node retired while the caller's did.
-pub unsafe fn grace_drain<W: Default>(core: &mut HandleCore<W>, matured: &mut SegBag) {
+pub unsafe fn grace_drain(core: &mut HandleCore, matured: &mut SegBag) {
     core.scan(|reclaim, _| {
         if matured.is_empty() {
             // Nothing matured in this bucket: the grace drain passes it over.
@@ -173,7 +173,7 @@ pub unsafe fn grace_drain<W: Default>(core: &mut HandleCore<W>, matured: &mut Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reclaim_core::{drop_fn_for, RetiredPtr, SchemeCore, SegPool, SmrConfig, NO_BIRTH_ERA};
+    use reclaim_core::{drop_fn_for, RetiredPtr, SchemeCore, SmrConfig, NO_BIRTH_ERA};
 
     /// A one-thread domain: its registry, and the part and core of the thread.
     struct Fixture {
@@ -188,9 +188,7 @@ mod tests {
             let global = GlobalEpoch::new();
             let registry = Registry::new(1, |_| EpochRecord::default());
             let scheme = SchemeCore::new("test", SmrConfig::default());
-            let (slot, core) = scheme
-                .register(&registry, |_| (SegPool::new(), ()))
-                .expect("one free slot");
+            let (slot, core) = scheme.register(&registry, 0).expect("one free slot");
             let (limbo, _) = EpochLimbo::register(&global, registry.get_mine(slot));
             Self {
                 global,

@@ -4,7 +4,7 @@ use crate::epoch::{EpochRecord, GlobalEpoch, OFFLINE};
 use crate::limbo::{grace_drain, EpochLimbo};
 use reclaim_core::{
     CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr, SchemeCore,
-    SegPool, SlotId, Smr, SmrConfig, SmrHandle,
+    SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -51,12 +51,9 @@ impl Qsbr {
 
 impl Smr for Qsbr {
     type Handle = QsbrHandle;
-    type Scratch = ();
 
     fn try_register(self: &Arc<Self>) -> Result<QsbrHandle, CapacityExhausted> {
-        let (slot, core) = self
-            .core
-            .register(&self.registry, |_| (SegPool::new(), ()))?;
+        let (slot, core) = self.core.register(&self.registry, 0)?;
         Ok(QsbrHandle {
             // QSBR never evicts: no registration replaces `EVICTED`.
             limbo: EpochLimbo::register(&self.global, self.registry.get_mine(slot)).0,

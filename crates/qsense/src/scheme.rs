@@ -6,8 +6,7 @@ use hazard::{hp_scan, HpSlots, OwnedSlots};
 use qsbr::{grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, OFFLINE};
 use reclaim_core::{
     BarrierLedger, CachePadded, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry,
-    NodeCache, PtrScratch, Registry, RetiredPtr, SchemeCore, SegPool, SlotId, Smr, SmrConfig,
-    SmrHandle, StatStripe,
+    NodeCache, Registry, RetiredPtr, SchemeCore, SlotId, Smr, SmrConfig, SmrHandle, StatStripe,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -50,7 +49,7 @@ impl QsenseRecord {
 /// thread stalls, and the Cadence scan the fallback path runs needs no
 /// cooperation.
 pub struct QSense {
-    core: Arc<SchemeCore<PtrScratch>>,
+    core: Arc<SchemeCore>,
     registry: Registry<QsenseRecord>,
     /// The fast path's scheme side (`qsbr`'s), confirmed over `registry`.
     global: GlobalEpoch,
@@ -191,12 +190,12 @@ impl QSense {
 
 impl Smr for QSense {
     type Handle = QSenseHandle;
-    type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<QSenseHandle, CapacityExhausted> {
-        let (slot, core) = self.core.register(&self.registry, |config| {
-            (SegPool::new(), HpSlots::snapshot_scratch(config))
-        })?;
+        // The fallback scan's snapshot, at its worst case: `N·K` addresses.
+        let config = self.core.config();
+        let words = config.max_threads * config.hp_per_thread;
+        let (slot, core) = self.core.register(&self.registry, words)?;
         let record = self.registry.get_mine(slot);
         let (limbo, lifted) = EpochLimbo::register(&self.global, &record.epoch);
         let mut handle = QSenseHandle {
@@ -215,7 +214,7 @@ impl Smr for QSense {
         Ok(handle)
     }
 
-    fn core(&self) -> &SchemeCore<PtrScratch> {
+    fn core(&self) -> &SchemeCore {
         &self.core
     }
 }
@@ -233,7 +232,7 @@ pub struct QSenseHandle {
     /// This handle's hazard pointers: the writer's view of its record's `hps`.
     hps: OwnedSlots,
     /// Its retire counter is `free_node_later_call_count` in Algorithm 5.
-    core: HandleCore<PtrScratch>,
+    core: HandleCore,
     /// The fast path's limbo lists, local epoch and `call_count`; scanned as a
     /// whole by the fallback path ("QSBR's limbo_list becomes the
     /// removed_nodes_list scanned by Cadence", paper §5.2).
@@ -386,7 +385,7 @@ impl SmrHandle for QSenseHandle {
 
         // Running in fallback mode: all three limbo lists are scanned, by
         // Cadence's rule (Algorithm 5, lines 45–47).
-        let scan_all = |core: &mut HandleCore<PtrScratch>, limbo: &mut EpochLimbo| {
+        let scan_all = |core: &mut HandleCore, limbo: &mut EpochLimbo| {
             // SAFETY: the limbo is as the type says.
             unsafe { hp_scan(core, registry, |r| &r.hps, limbo.bags(), ledger, 0) }
         };

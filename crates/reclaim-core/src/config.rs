@@ -172,15 +172,6 @@ impl SmrConfig {
         self
     }
 
-    /// Sets a *static* era-advance interval (allocations per global era tick)
-    /// — shorthand for `with_era_policy(EraAdvancePolicy::Static(allocs))`,
-    /// kept for every caller that predates the adaptive policy.
-    pub fn with_era_advance_interval(mut self, allocs: usize) -> Self {
-        assert!(allocs > 0, "era_advance_interval must be positive");
-        self.era_policy = EraAdvancePolicy::Static(allocs);
-        self
-    }
-
     /// Sets the era-advance policy of the era schemes (see
     /// [`SmrConfig::era_policy`]).
     pub fn with_era_policy(mut self, policy: EraAdvancePolicy) -> Self {
@@ -269,11 +260,11 @@ mod tests {
     fn era_policy_builder_accepts_both_shapes() {
         let cfg = SmrConfig::default().with_era_policy(EraAdvancePolicy::adaptive());
         assert_eq!(cfg.era_policy, EraAdvancePolicy::adaptive());
-        let cfg = cfg.with_era_advance_interval(32);
+        let cfg = cfg.with_era_policy(EraAdvancePolicy::Static(32));
         assert_eq!(
             cfg.era_policy,
             EraAdvancePolicy::Static(32),
-            "the interval shorthand overwrites the policy"
+            "a static policy overwrites an adaptive one"
         );
     }
 
@@ -299,7 +290,7 @@ mod tests {
             .with_rooster_interval(Duration::from_millis(5))
             .with_eviction_timeout(Some(Duration::from_millis(50)))
             .with_limbo_budget(Some(1 << 20))
-            .with_era_advance_interval(16)
+            .with_era_policy(EraAdvancePolicy::Static(16))
             .with_telemetry(true)
             .with_clock(Clock::manual(manual));
         assert_eq!(cfg.max_threads, 4);

@@ -31,7 +31,7 @@ use crate::config::SmrConfig;
 use crate::limbo::{HandleCore, SchemeCore};
 use crate::node_cache::NodeCache;
 use crate::retired::RetiredPtr;
-use crate::segbag::{SegBag, SegPool};
+use crate::segbag::SegBag;
 use crate::smr::{CapacityExhausted, Smr, SmrHandle};
 use crate::telemetry::HandleTelemetry;
 use std::sync::Arc;
@@ -72,12 +72,11 @@ impl Leaky {
 
 impl Smr for Leaky {
     type Handle = LeakyHandle;
-    type Scratch = ();
 
     // Leaky has no slot registry, so registration can never exhaust.
     fn try_register(self: &Arc<Self>) -> Result<LeakyHandle, CapacityExhausted> {
         Ok(LeakyHandle {
-            core: self.core.attach(None, |_| (SegPool::new(), ())),
+            core: self.core.attach(None, 0),
             bag: SegBag::new(),
         })
     }

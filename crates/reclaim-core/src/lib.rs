@@ -11,7 +11,7 @@
 //! hp_scan}`: HP, Cadence and QSense's fallback path, which imports them); the
 //! epoch part is `qsbr`'s (`qsbr::{GlobalEpoch, EpochLimbo}`: QSBR,
 //! QSense's fast path and EBR); the era clock and its pacer are `he`'s; the
-//! counting allocator is `workload`'s. Three things stay here although they
+//! counting allocator is `workload`'s. Two things stay here although they
 //! look like one family's:
 //!
 //! * [`fence::FenceStrategy`] — EBR's pin runs it as well as the hazard-pointer
@@ -19,9 +19,7 @@
 //! * [`fence::BarrierLedger`] and the process rooster behind it — today only
 //!   the hazard-pointer family stamps and frees by it, but it is a property of
 //!   the *process* (one rooster, however many schemes), and ROADMAP direction 6
-//!   makes EBR's advance and HE's scan its next customers;
-//! * [`scratch::PtrScratch`] — the sorted-snapshot buffer of the
-//!   hazard-pointer family is also `refcount`'s.
+//!   makes EBR's advance and HE's scan its next customers.
 //!
 //! The rest:
 //!
@@ -96,7 +94,7 @@
 //! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
-//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**, all through one store behind one lock on the [`SchemeCore`]: leftovers and the tally of kept plain blocks in, leftovers back out into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other —, the pool + scan scratch to the next registrant and the node cache's blocks back to the arena (`HandleCore`'s own `Drop`), the store drained at scheme drop |
+//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**, all through one store behind one lock on the [`SchemeCore`]: leftovers and the tally of kept plain blocks in, leftovers back out into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other —, the pool + scan scratch to the next registrant and the node cache's blocks back to the arena (`HandleCore`'s own `Drop`), the store drained at scheme drop; with none parked, the one **workspace rule** for every scheme ([`SchemeCore::attach`]): a pool pre-warmed for `R` ([`SegPool::for_scan_threshold`]) and a scratch of the word count the scheme names — its largest snapshot, `N·K` addresses (HP, Cadence, QSense), `2·N` era words (HE), `K` announced addresses (RC), none (QSBR, EBR, Leaky) |
 //!
 //! The freed-side counters and the parked store are private to this crate:
 //! a scheme cannot book a free, park or recycle except through the calls
@@ -120,7 +118,7 @@
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] recorded retires) | pop a recycled segment from the per-handle [`segbag::SegPool`]; Leaky's pool never gets one back, so its bag takes a fresh segment from the allocator — only for the nodes it records: a plain block of its own arena it books and leaves unrecorded (`HandleCore::retire_unfreed`), and the arena frees its chunk at scheme drop | none — the allocator is touched only past the handle's all-time peak (Leaky: once per `SEG_CAP` recorded retires) |
 //! | per `Q` ops (quiescent state) | epoch adoption (one swap, so an eviction it replaces is counted back) or one walk over the claimed slots, stopping at the first laggard ([`registry::Registry::iter_claimed`]), and the advance's CAS once every claimed thread has adopted the epoch; one eviction-counter load (QSense) | one bitmap load per shard and one record load per claimed slot walked; the adoption's swap on the owner's line, or at most one CAS on the global epoch |
-//! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers into a **reusable** scratch buffer (HP/Cadence/QSense) or all `N` era reservations — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
+//! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers as address words into the handle's **reusable** scratch, sized at registration for all of them (HP/Cadence/QSense), or all `N` era reservations, two words each — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under the adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a static policy never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per registry walk, shard dispatch ([`registry::Registry::iter_claimed`]: scans, epoch confirmations, QSense's episode check and evictor) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**, and within an active shard only the claimed slots' records are read; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(claimed slots + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
 //! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under [`NODE_CACHE_BYTES`]; past that it hands the block, with 15 more of the class, to the arena its chunk names under one lock; a block of no cached class it frees; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the arena's lock per 16 blocks over the cap, the allocator's thread cache for a `Box` |
@@ -129,7 +127,7 @@
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`] / [`guard::Guard::protect_word`]) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s, or none for a node with nothing to drop in a block of a cached class (a plain block, freed by its recorded size) | identical to [`smr::SmrHandle::retire`] |
-//! | per handle drop | splice leftovers into the scheme's parked store ([`segbag::SegBag::splice`]) and add the kept tally there; give the node cache's listed blocks and spares back to the arena (under the arena's lock, one class at a time); leave the pool and scratch in the parked store; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under the store's mutex, taken twice at most; the arena's lock once per class the cache holds — no allocation |
+//! | per handle drop | splice leftovers into the scheme's parked store ([`segbag::SegBag::splice`]) and add the kept tally there; give the node cache back to the arena: each class's spares (at most [`node_cache::REFILL_BLOCKS`] − 1) onto its list, then one splice a class, by the list's tail, under one lock of the arena; leave the pool and scratch in the parked store; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under the store's mutex, taken twice at most; the arena's lock once, O(size classes) under it, however many blocks the cache holds — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-only line shared by all record sites |
 //! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
@@ -404,7 +402,6 @@ pub mod oracle;
 pub mod pad;
 pub mod registry;
 pub mod retired;
-pub mod scratch;
 pub mod segbag;
 pub mod smr;
 pub mod stats;
@@ -425,7 +422,6 @@ pub use node_cache::{NodeCache, NODE_CACHE_BYTES};
 pub use pad::CachePadded;
 pub use registry::{Registry, RegistryFull, SlotId, SHARD_SLOTS};
 pub use retired::RetiredPtr;
-pub use scratch::PtrScratch;
 pub use segbag::{SegBag, SegPool, SEG_CAP};
 pub use smr::{drop_fn_for, CapacityExhausted, Smr, SmrHandle};
 pub use stats::{ShardedStats, StatStripe, StatsSnapshot};

@@ -46,7 +46,11 @@
 //! **What a departing handle leaves** has one owner, the scheme's `Parked`
 //! store, behind one lock — its limbo leftovers, its tally of kept plain
 //! blocks, its pool and scratch — which scheme drop drains in one place; its
-//! node cache's blocks go back to the arena.
+//! node cache's blocks go back to the arena. **What a new handle is built
+//! from** is decided here once too ([`SchemeCore::attach`]): the last parked
+//! workspace, else a pool pre-warmed for the scan threshold and a scan
+//! scratch of 64-bit words, as many as the scheme's largest snapshot — the
+//! scheme names only that count.
 
 use crate::budget::{BudgetGovernor, BudgetVerdict};
 use crate::config::SmrConfig;
@@ -81,11 +85,9 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 /// measured.
 pub const READY_FREES_PER_RETIRE: usize = 2;
 
-/// The scheme-wide half of the retire pipeline (module docs). `W` is the
-/// scheme's per-handle scan scratch (a hazard-pointer or era-reservation
-/// snapshot buffer, `()` for schemes that snapshot nothing); it is recycled
-/// between handle generations together with the segment pool.
-pub struct SchemeCore<W = ()> {
+/// The scheme-wide half of the retire pipeline (module docs), which builds
+/// every handle's workspace by one rule ([`attach`](Self::attach)).
+pub struct SchemeCore {
     name: &'static str,
     config: SmrConfig,
     /// One counter stripe per handle: keyed by registry slot index, or dealt
@@ -95,7 +97,7 @@ pub struct SchemeCore<W = ()> {
     /// leftovers at scheme drop, EBR's successful epoch advances).
     orphan_stats: CachePadded<StatStripe>,
     /// What exited handles left behind.
-    parked: Mutex<Parked<W>>,
+    parked: Mutex<Parked>,
     governor: BudgetGovernor,
     telemetry: Telemetry,
     /// Where the blocks of the scheme's nodes are carved
@@ -105,19 +107,19 @@ pub struct SchemeCore<W = ()> {
 }
 
 /// Everything exited handles left behind (module docs), behind one lock.
-pub(crate) struct Parked<W> {
+pub(crate) struct Parked {
     /// Limbo leftovers, awaiting a survivor's flush.
     leftovers: SegBag,
     /// Segment pools and scan scratch for the next registrants, LIFO. Sized
     /// up front at `max_threads`, as many as can be in use, so parking one
     /// never touches the allocator.
-    workspaces: Vec<(SegPool, W)>,
+    workspaces: Vec<(SegPool, Vec<u64>)>,
     /// Nodes and bytes of the plain blocks kept with no record
     /// ([`HandleCore::retire_unfreed`]), freed with their chunks.
     kept: (usize, usize),
 }
 
-impl<W> Parked<W> {
+impl Parked {
     fn new(max_threads: usize) -> Self {
         Self {
             leftovers: SegBag::new(),
@@ -139,7 +141,7 @@ impl<W> Parked<W> {
     }
 }
 
-impl<W: Default> SchemeCore<W> {
+impl SchemeCore {
     /// Creates the core for a scheme reporting itself as `name`, whose handles
     /// scan every `scan_threshold` retires.
     pub fn new(name: &'static str, config: SmrConfig) -> Arc<Self> {
@@ -212,36 +214,40 @@ impl<W: Default> SchemeCore<W> {
         self.arena.alloc(layout)
     }
 
-    fn parked(&self) -> MutexGuard<'_, Parked<W>> {
+    fn parked(&self) -> MutexGuard<'_, Parked> {
         self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers a handle of a registry-backed scheme: claims a slot (a full
     /// registry becomes the scheme's [`CapacityExhausted`]) and keys the core
-    /// by it. `fresh` builds the workspace when no previous tenant's is parked.
+    /// by it; `words` sizes a fresh scratch, as [`attach`](Self::attach) says.
     pub fn register<R>(
         self: &Arc<Self>,
         registry: &Registry<R>,
-        fresh: impl FnOnce(&SmrConfig) -> (SegPool, W),
-    ) -> Result<(SlotId, HandleCore<W>), CapacityExhausted> {
+        words: usize,
+    ) -> Result<(SlotId, HandleCore), CapacityExhausted> {
         let slot = registry.try_acquire().map_err(|e| CapacityExhausted {
             scheme: self.name,
             capacity: e.capacity,
         })?;
-        Ok((slot, self.attach(Some(slot), fresh)))
+        Ok((slot, self.attach(Some(slot), words)))
     }
 
     /// Attaches a handle core: keyed by `slot`, or — for the registry-less
     /// schemes (Leaky, RefCount), whose registration never exhausts — by a
-    /// counter stripe dealt round-robin and shared past `max_threads`.
-    pub fn attach(
-        self: &Arc<Self>,
-        slot: Option<SlotId>,
-        fresh: impl FnOnce(&SmrConfig) -> (SegPool, W),
-    ) -> HandleCore<W> {
+    /// counter stripe dealt round-robin and shared past `max_threads`. It
+    /// adopts the last parked workspace; with none parked it builds one by
+    /// the one rule for every scheme: a pool pre-warmed for the scan
+    /// threshold ([`SegPool::for_scan_threshold`]) and a scratch of `words`
+    /// capacity, the scheme's largest snapshot, so neither the first bag
+    /// fill nor any scan allocates.
+    pub fn attach(self: &Arc<Self>, slot: Option<SlotId>, words: usize) -> HandleCore {
         let stripe = slot.map_or_else(|| self.stats.assign_stripe(), SlotId::index);
         let workspace = self.parked().workspaces.pop();
-        let (pool, scratch) = workspace.unwrap_or_else(|| fresh(&self.config));
+        let (pool, scratch) = workspace.unwrap_or_else(|| {
+            let pool = SegPool::for_scan_threshold(self.config.scan_threshold);
+            (pool, Vec::with_capacity(words))
+        });
         HandleCore {
             stripe,
             pool,
@@ -260,7 +266,7 @@ impl<W: Default> SchemeCore<W> {
     }
 }
 
-impl<W> Drop for SchemeCore<W> {
+impl Drop for SchemeCore {
     fn drop(&mut self) {
         let parked = self
             .parked
@@ -283,16 +289,18 @@ impl<W> Drop for SchemeCore<W> {
 /// The per-handle half of the retire pipeline (module docs). Dropping it
 /// gives the node cache's blocks back to the arena and leaves the pool and
 /// scratch to the scheme's next registrant.
-pub struct HandleCore<W: Default = ()> {
-    shared: Arc<SchemeCore<W>>,
+pub struct HandleCore {
+    shared: Arc<SchemeCore>,
     /// Index of this handle's stripe: its counter stripe, and — modulo their
     /// number — its histogram stripe.
     stripe: usize,
     /// Recycled segments backing every bag of this handle.
     pool: SegPool,
     /// The scheme's reusable scan scratch, lent to every [`scan`](Self::scan)
-    /// pass; the next registrant adopts whatever it holds at handle drop.
-    pub scratch: W,
+    /// pass: 64-bit words — snapshot addresses (HP, Cadence, QSense), era
+    /// pairs (HE) or announced addresses (RC) — none ever dereferenced. The
+    /// next registrant adopts whatever it holds at handle drop.
+    pub scratch: Vec<u64>,
     /// Blocks the free stage freed, for this handle's next allocations
     /// (`SmrHandle::node_cache`).
     pub cache: NodeCache,
@@ -318,7 +326,7 @@ pub struct HandleCore<W: Default = ()> {
     scan_threshold: usize,
 }
 
-impl<W: Default> HandleCore<W> {
+impl HandleCore {
     /// The scheme's configuration.
     pub fn config(&self) -> &SmrConfig {
         &self.shared.config
@@ -548,7 +556,7 @@ impl<W: Default> HandleCore<W> {
     /// and the estimate hold a ready node until the allocator has it. The core
     /// times the pass (telemetry on) and takes the estimate, at its highest
     /// just now, to the governor.
-    pub fn scan(&mut self, pass: impl FnOnce(&mut Reclaim<'_>, &mut W)) {
+    pub fn scan(&mut self, pass: impl FnOnce(&mut Reclaim<'_>, &mut Vec<u64>)) {
         let shared = &*self.shared;
         let mut reclaim = Reclaim {
             pool: &mut self.pool,
@@ -604,7 +612,7 @@ impl<W: Default> HandleCore<W> {
     }
 }
 
-impl<W: Default> Drop for HandleCore<W> {
+impl Drop for HandleCore {
     fn drop(&mut self) {
         // The cache's blocks go back to the arena, and off the books, before
         // `shared` drops: it may hold the last reference to the arena.
@@ -714,28 +722,26 @@ mod tests {
     /// The trivial in-test protocol: one bag, and a free rule of "everything,
     /// unless the test has pinned it".
     struct Handle {
-        core: HandleCore<Vec<u8>>,
+        core: HandleCore,
         bag: SegBag,
         pinned: bool,
         scans: usize,
     }
 
+    /// The scratch words a fresh workspace is built with.
+    const WORDS: usize = 4;
+
     impl Handle {
-        fn register(scheme: &Arc<SchemeCore<Vec<u8>>>, fresh_calls: &mut usize) -> Self {
-            let core = scheme.attach(None, |config| {
-                *fresh_calls += 1;
-                let pool = SegPool::for_scan_threshold(config.scan_threshold);
-                (pool, Vec::with_capacity(64))
-            });
+        fn register(scheme: &Arc<SchemeCore>) -> Self {
             Self {
-                core,
+                core: scheme.attach(None, WORDS),
                 bag: SegBag::new(),
                 pinned: false,
                 scans: 0,
             }
         }
 
-        fn scan(core: &mut HandleCore<Vec<u8>>, bag: &mut SegBag, pinned: bool) {
+        fn scan(core: &mut HandleCore, bag: &mut SegBag, pinned: bool) {
             core.scan(|reclaim, _| {
                 if !pinned {
                     // SAFETY: the test owns every node and holds no reference to any.
@@ -771,7 +777,7 @@ mod tests {
         }
     }
 
-    fn scheme(clock: &ManualClock, budget: Option<usize>) -> Arc<SchemeCore<Vec<u8>>> {
+    fn scheme(clock: &ManualClock, budget: Option<usize>) -> Arc<SchemeCore> {
         let config = SmrConfig::default()
             .with_max_threads(2)
             .with_scan_threshold(1_000_000)
@@ -786,7 +792,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         // Grain = 256 B (the floor), so every 300-byte retire looks.
         let scheme = scheme(&clock, Some(1_000));
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let mut handle = Handle::register(&scheme);
         handle.pinned = true;
         for _ in 0..3 {
             handle.retire(&drops);
@@ -834,7 +840,7 @@ mod tests {
         let clock = ManualClock::new();
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = scheme(&clock, None);
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let mut handle = Handle::register(&scheme);
         const N: usize = 7;
         for _ in 0..N {
             handle.retire(&drops);
@@ -864,7 +870,7 @@ mod tests {
         let clock = ManualClock::new();
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = scheme(&clock, None);
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let mut handle = Handle::register(&scheme);
         for _ in 0..3 {
             handle.retire(&drops);
         }
@@ -891,7 +897,7 @@ mod tests {
         let clock = ManualClock::new();
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = scheme(&clock, None);
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let mut handle = Handle::register(&scheme);
         let prove_five = |handle: &mut Handle| {
             for _ in 0..5 {
                 handle.retire(&drops);
@@ -923,8 +929,8 @@ mod tests {
         let config = SmrConfig::default()
             .with_scan_threshold(4)
             .with_clock(Clock::manual(clock.clone()));
-        let scheme = SchemeCore::<Vec<u8>>::new("test", config);
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let scheme = SchemeCore::new("test", config);
+        let mut handle = Handle::register(&scheme);
         for _ in 0..9 {
             handle.retire(&drops);
         }
@@ -945,8 +951,8 @@ mod tests {
             .with_scan_threshold(32)
             .with_limbo_budget(Some(20 * NODE))
             .with_clock(Clock::manual(clock.clone()));
-        let scheme = SchemeCore::<Vec<u8>>::new("test", config);
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let scheme = SchemeCore::new("test", config);
+        let mut handle = Handle::register(&scheme);
         // Under a 20-node budget the 21st retire crosses it: the forced scan
         // runs at once, 11 retires short of the count threshold.
         for _ in 0..20 {
@@ -965,10 +971,7 @@ mod tests {
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = scheme(&clock, Some(1 << 20));
         assert!(2 * NODE < scheme.governor().grain());
-        let (mut a, mut b) = (
-            Handle::register(&scheme, &mut 0),
-            Handle::register(&scheme, &mut 0),
-        );
+        let (mut a, mut b) = (Handle::register(&scheme), Handle::register(&scheme));
         // Each retires less than a grain and neither scans: no handle has
         // taken anything to the governor, and a third party already reads
         // every byte.
@@ -997,10 +1000,10 @@ mod tests {
         let clock = ManualClock::new();
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = scheme(&clock, None);
-        let mut survivor = Handle::register(&scheme, &mut 0);
+        let mut survivor = Handle::register(&scheme);
         survivor.pinned = true;
         {
-            let mut dying = Handle::register(&scheme, &mut 0);
+            let mut dying = Handle::register(&scheme);
             dying.pinned = true;
             for _ in 0..3 {
                 dying.retire(&drops);
@@ -1053,38 +1056,45 @@ mod tests {
         let clock = ManualClock::new();
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = scheme(&clock, None);
-        let mut fresh_calls = 0;
-        let (segments, capacity) = {
-            let mut first = Handle::register(&scheme, &mut fresh_calls);
-            for _ in 0..100 {
+        let built = SegPool::for_scan_threshold(scheme.config().scan_threshold).free_segments();
+        let workspace = |handle: &Handle| {
+            let core = &handle.core;
+            (core.pool.free_segments(), core.scratch.capacity())
+        };
+        // A handle grows its pool past the pre-warmed one, and its scratch
+        // past `WORDS`, so an adopted workspace tells itself apart from a
+        // built one.
+        let grown = {
+            let mut first = Handle::register(&scheme);
+            assert_eq!(workspace(&first), (built, WORDS), "built by the one rule");
+            for _ in 0..(built + 10) * crate::segbag::SEG_CAP {
                 first.retire(&drops);
             }
             first.flush();
             first.core.scratch.reserve(1_000);
-            (
-                first.core.pool.free_segments(),
-                first.core.scratch.capacity(),
-            )
+            workspace(&first)
         };
-        assert_eq!(fresh_calls, 1);
-        assert!(segments >= 100 / crate::segbag::SEG_CAP);
-        let second = Handle::register(&scheme, &mut fresh_calls);
+        assert!(grown.0 > built && grown.1 >= 1_000);
+        let second = Handle::register(&scheme);
         assert_eq!(
-            fresh_calls, 1,
+            workspace(&second),
+            grown,
             "the parked workspace was adopted, not rebuilt"
         );
-        assert_eq!(second.core.pool.free_segments(), segments);
-        assert_eq!(second.core.scratch.capacity(), capacity);
-        // With the cache empty, further registrants build anew; and workspaces
-        // past `max_threads` (2) are dropped at exit, not hoarded.
-        let third = Handle::register(&scheme, &mut fresh_calls);
-        let fourth = Handle::register(&scheme, &mut fresh_calls);
-        assert_eq!(fresh_calls, 3);
+        // With the store empty, further registrants build anew; and
+        // workspaces past `max_threads` (2) are dropped at exit, not hoarded.
+        let (mut third, fourth) = (Handle::register(&scheme), Handle::register(&scheme));
+        assert_eq!(workspace(&third), (built, WORDS));
+        assert_eq!(workspace(&fourth), (built, WORDS));
+        third.core.scratch.reserve(500);
+        let marked = workspace(&third);
         drop((second, third, fourth));
-        let _next_wave: Vec<Handle> = (0..3)
-            .map(|_| Handle::register(&scheme, &mut fresh_calls))
-            .collect();
-        assert_eq!(fresh_calls, 4, "two adopted, the third rebuilt");
+        let next_wave: Vec<Handle> = (0..3).map(|_| Handle::register(&scheme)).collect();
+        assert_eq!(
+            next_wave.iter().map(workspace).collect::<Vec<_>>(),
+            [marked, grown, (built, WORDS)],
+            "two adopted, the third rebuilt"
+        );
     }
 
     #[test]
@@ -1099,7 +1109,7 @@ mod tests {
                 unsafe { RetiredPtr::new(node.cast(), drop_fn_for::<Node>(), NO_BIRTH_ERA, NODE) };
             leftovers.push(&mut pool, node);
         }
-        let mut parked = Parked::<()>::new(2);
+        let mut parked = Parked::new(2);
         parked.leftovers.splice(&mut leftovers);
         assert_eq!(parked.leftovers.bytes(), 4 * NODE);
         // SAFETY: the test owns the parked nodes; no scan is concurrent.
@@ -1137,7 +1147,7 @@ mod tests {
         use crate::node_cache::free_block;
         use crate::oracle::{self, NodeState, QuarantineGuard};
         let scheme = scheme(&ManualClock::new(), None);
-        let mut handle = Handle::register(&scheme, &mut 0);
+        let mut handle = Handle::register(&scheme);
         // A real free: the oracle forgets the node, the free stage caches its
         // block, and the next allocation of the class takes it back —
         // registered afresh, which the oracle accepts as allocator reuse.

@@ -212,7 +212,7 @@ unsafe fn put(cache: Option<&mut NodeCache>, block: *mut u8, layout: Layout) {
             unsafe { cache.list(block, class) };
         }
         // SAFETY: the caller's contract: a carved block of `class`.
-        Some(cache) => unsafe { cache.spill(class, block, REFILL_BLOCKS - 1) },
+        Some(cache) => unsafe { cache.spill(class, block) },
         // SAFETY: as above.
         None => unsafe { give_back(block, class) },
     }
@@ -267,6 +267,9 @@ pub struct NodeCache {
     /// Each class's list of freed blocks; a free block's first word links the
     /// next.
     heads: [*mut u8; CLASSES],
+    /// Each class's last listed block, while its list holds any: where
+    /// [`release`](Self::release) splices the list onto the arena's.
+    tails: [*mut u8; CLASSES],
     /// Bytes of those blocks: what the cap bounds and the books show.
     bytes: usize,
     /// `bytes` as last booked ([`StatsSnapshot::cached_bytes`](crate::StatsSnapshot::cached_bytes)).
@@ -286,6 +289,7 @@ impl NodeCache {
     pub(crate) fn new(arena: &SchemeArena) -> Self {
         Self {
             heads: [std::ptr::null_mut(); CLASSES],
+            tails: [std::ptr::null_mut(); CLASSES],
             bytes: 0,
             booked: 0,
             spares: [std::ptr::null_mut(); CLASSES],
@@ -299,6 +303,9 @@ impl NodeCache {
     ///
     /// The block is free, ours, of `class`, and nothing can reach it.
     unsafe fn list(&mut self, block: *mut u8, class: usize) {
+        if self.heads[class].is_null() {
+            self.tails[class] = block;
+        }
         // SAFETY: the caller's contract.
         unsafe { push(&mut self.heads[class], block) };
         self.bytes += (class + 1) * ALIGN;
@@ -351,17 +358,17 @@ impl NodeCache {
         block
     }
 
-    /// Gives `first` and up to `more` of the class's freed blocks back to the
-    /// arena, under one lock.
+    /// Gives `first` and up to [`REFILL_BLOCKS`] − 1 of the class's freed
+    /// blocks back to the arena, under one lock.
     ///
     /// # Safety
     ///
     /// `first` is a free block of `class` that nothing can reach.
     #[cold]
-    unsafe fn spill(&mut self, class: usize, first: *mut u8, more: usize) {
+    unsafe fn spill(&mut self, class: usize, first: *mut u8) {
         // SAFETY: the arena outlives the cache.
         let mut carver = unsafe { &*self.arena.as_ptr() }.lock();
-        let (mut next, mut left) = (NonNull::new(first), more);
+        let (mut next, mut left) = (NonNull::new(first), REFILL_BLOCKS - 1);
         while let Some(block) = next {
             // SAFETY: free, of `class`, and a block of this scheme's: carved
             // by the cache's arena, sentinels included.
@@ -390,17 +397,32 @@ impl NodeCache {
 
     /// Gives every listed block and every spare back to the arena — a cache
     /// dropped without it leaks them, with the arena; returns the bytes its
-    /// last booking showed, which leave the books with them.
+    /// last booking showed, which leave the books with them. The spares (a
+    /// refill's rest, at most [`REFILL_BLOCKS`] − 1 a class) join their
+    /// lists, and each list goes onto the arena's in one splice, under one
+    /// lock.
     pub(crate) fn release(&mut self) -> usize {
         for class in 0..CLASSES {
             while let Some(spare) = pop(&mut self.spares[class]) {
                 // SAFETY: a spare is a free block of its class, ours.
                 unsafe { self.list(spare.as_ptr(), class) };
             }
-            if let Some(block) = self.pop(class) {
-                // SAFETY: a free block of its class, ours, given back once.
-                unsafe { self.spill(class, block.as_ptr(), usize::MAX) };
+        }
+        if self.bytes > 0 {
+            // SAFETY: the arena outlives the cache.
+            let mut carver = unsafe { &*self.arena.as_ptr() }.lock();
+            for class in 0..CLASSES {
+                let head = std::mem::replace(&mut self.heads[class], std::ptr::null_mut());
+                if !head.is_null() {
+                    let tail = self.tails[class].cast::<*mut u8>();
+                    // SAFETY: the list runs from `head` to `tail`, every block
+                    // of it free, of `class` and of this arena; the tail's
+                    // first word links the arena's list behind it.
+                    unsafe { tail.write(carver.heads[class]) };
+                    carver.heads[class] = head;
+                }
             }
+            carver.free += std::mem::take(&mut self.bytes);
         }
         std::mem::take(&mut self.booked)
     }

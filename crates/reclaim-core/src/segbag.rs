@@ -127,26 +127,21 @@ impl SegPool {
         }
     }
 
-    /// Creates a pool pre-warmed with enough segments to hold `nodes` retired
-    /// nodes, so a handle that knows its scan threshold never allocates on the
-    /// retire path at all — not even the first time its bag fills up.
-    pub fn with_node_capacity(nodes: usize) -> Self {
-        let mut pool = Self::new();
-        for _ in 0..nodes.div_ceil(SEG_CAP) {
-            let seg = Segment::alloc();
-            // SAFETY: freshly allocated, empty.
-            unsafe { pool.put(seg) };
-        }
-        pool
-    }
-
     /// A pool pre-warmed for a handle that scans every `scan_threshold` retires
     /// (capped: a test-sized huge `R` must not balloon registration), so even
     /// the handle's first bag fill recycles instead of allocating — and one
     /// segment more, for the ready chain a scan starts to fill before the bag
-    /// it drains has given its first segment back.
+    /// it drains has given its first segment back. The one pool rule every
+    /// scheme's fresh workspace is built by
+    /// ([`SchemeCore::attach`](crate::SchemeCore::attach)).
     pub fn for_scan_threshold(scan_threshold: usize) -> Self {
-        Self::with_node_capacity(scan_threshold.saturating_add(1).min(2048) + SEG_CAP)
+        let mut pool = Self::new();
+        let nodes = scan_threshold.saturating_add(1).min(2048) + SEG_CAP;
+        for _ in 0..nodes.div_ceil(SEG_CAP) {
+            // SAFETY: freshly allocated, empty.
+            unsafe { pool.put(Segment::alloc()) };
+        }
+        pool
     }
 
     /// Number of empty segments currently pooled.
@@ -1065,10 +1060,11 @@ mod tests {
 
     #[test]
     fn pool_prewarm_covers_the_requested_node_count() {
-        let pool = SegPool::with_node_capacity(3 * SEG_CAP + 1);
-        assert_eq!(pool.free_segments(), 4);
-        let empty = SegPool::with_node_capacity(0);
-        assert_eq!(empty.free_segments(), 0);
+        // `R` retires, the one that triggers the scan, and a ready segment.
+        let pool = SegPool::for_scan_threshold(3 * SEG_CAP);
+        assert_eq!(pool.free_segments(), 5);
+        let capped = SegPool::for_scan_threshold(usize::MAX);
+        assert_eq!(capped.free_segments(), (2048 + SEG_CAP).div_ceil(SEG_CAP));
     }
 
     #[test]

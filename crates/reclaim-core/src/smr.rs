@@ -31,7 +31,7 @@
 //!
 //! | trait | a scheme writes | provided over it |
 //! |-------|-----------------|------------------|
-//! | [`Smr`] | [`try_register`](Smr::try_register) and [`core`](Smr::core) — where its [`SchemeCore`] is (plus the two associated types) | [`register`](Smr::register), [`name`](Smr::name), [`stats`](Smr::stats), [`budget_verdict`](Smr::budget_verdict), [`telemetry`](Smr::telemetry): the same expression for every scheme, because the core's counter stripes are the only books there are |
+//! | [`Smr`] | [`try_register`](Smr::try_register) and [`core`](Smr::core) — where its [`SchemeCore`] is (plus the associated [`Handle`](Smr::Handle) type) | [`register`](Smr::register), [`name`](Smr::name), [`stats`](Smr::stats), [`budget_verdict`](Smr::budget_verdict), [`telemetry`](Smr::telemetry): the same expression for every scheme, because the core's counter stripes are the only books there are |
 //! | [`SmrHandle`] | the protocol — `begin_op`, `end_op`, `protect`, `clear_protections`, `retire`, `flush` (and `alloc_node` for an era scheme) — and three one-line views of its [`HandleCore`](crate::limbo::HandleCore): [`ledger`](SmrHandle::ledger), [`telemetry_cursor`](SmrHandle::telemetry_cursor), [`node_cache`](SmrHandle::node_cache) | [`local_in_limbo`](SmrHandle::local_in_limbo), [`local_limbo_bytes`](SmrHandle::local_limbo_bytes) |
 
 use crate::budget::BudgetVerdict;
@@ -82,10 +82,6 @@ pub trait Smr: Send + Sync + 'static {
     /// The per-thread handle type.
     type Handle: SmrHandle;
 
-    /// The per-handle scan scratch of the scheme's [`SchemeCore`] (`()` for a
-    /// scheme that snapshots nothing).
-    type Scratch: Default;
-
     /// Registers the calling thread, claiming one of the `N` slots, or reports
     /// a descriptive [`CapacityExhausted`] error when more than `max_threads`
     /// handles are simultaneously live. The non-panicking twin of
@@ -108,7 +104,7 @@ pub trait Smr: Send + Sync + 'static {
 
     /// The scheme's half of the shared retire pipeline: its name, counter
     /// stripes, budget governor and telemetry, which everything below reads.
-    fn core(&self) -> &SchemeCore<Self::Scratch>;
+    fn core(&self) -> &SchemeCore;
 
     /// A short human-readable scheme name used by the benchmark harness (`"none"`,
     /// `"qsbr"`, `"ebr"`, `"he"`, `"hp"`, `"cadence"`, `"qsense"`, `"rc"`).

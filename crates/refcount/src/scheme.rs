@@ -2,8 +2,8 @@
 
 use crate::table::{CountTable, DEFAULT_BUCKETS};
 use reclaim_core::{
-    CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, PtrScratch, RetiredPtr, SchemeCore,
-    SegBag, SegPool, Smr, SmrConfig, SmrHandle,
+    CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, RetiredPtr, SchemeCore, SegBag, Smr,
+    SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ use std::sync::Arc;
 /// retire-side backpressure while a referenced (or colliding) node keeps its
 /// bucket pinned above the budget.
 pub struct RefCount {
-    core: Arc<SchemeCore<PtrScratch>>,
+    core: Arc<SchemeCore>,
     table: CountTable,
 }
 
@@ -61,20 +61,16 @@ impl RefCount {
 
 impl Smr for RefCount {
     type Handle = RefCountHandle;
-    type Scratch = PtrScratch;
 
     fn try_register(self: &Arc<Self>) -> Result<RefCountHandle, CapacityExhausted> {
         let k = self.core.config().hp_per_thread;
-        let mut core = self.core.attach(None, |config| {
-            let pool = SegPool::for_scan_threshold(config.scan_threshold);
-            (pool, PtrScratch::with_capacity(k))
-        });
-        // The scratch is this handle's announced-pointer table. Fresh buffers
-        // are empty; adopted ones are already all-null with the right length
+        let mut core = self.core.attach(None, k);
+        // The scratch is this handle's announced-address table. Fresh buffers
+        // are empty; adopted ones are already all-zero with the right length
         // (the previous owner's drop ran `clear_protections`). Either way this
         // is in-capacity and allocation-free.
         core.scratch.clear();
-        core.scratch.resize(k, std::ptr::null_mut());
+        core.scratch.resize(k, 0);
         Ok(RefCountHandle {
             scheme: Arc::clone(self),
             core,
@@ -82,25 +78,26 @@ impl Smr for RefCount {
         })
     }
 
-    fn core(&self) -> &SchemeCore<PtrScratch> {
+    fn core(&self) -> &SchemeCore {
         &self.core
     }
 }
 
 /// Per-thread handle for [`RefCount`].
 ///
-/// The core's scratch buffer holds the pointer currently announced through
-/// each protection slot (so the matching decrement can be issued when the slot
-/// is overwritten or cleared); it is all-null whenever it changes hands.
+/// The core's scratch holds the address currently announced through each
+/// protection slot, 0 for none, so the matching decrement can be issued when
+/// the slot is overwritten or cleared. The table only hashes an address, so
+/// none is dereferenced; the scratch is all-zero whenever it changes hands.
 pub struct RefCountHandle {
     scheme: Arc<RefCount>,
-    core: HandleCore<PtrScratch>,
+    core: HandleCore,
     retired: SegBag,
 }
 
 impl RefCountHandle {
     /// Releases every retired node whose counter bucket is currently zero.
-    fn scan(core: &mut HandleCore<PtrScratch>, table: &CountTable, retired: &mut SegBag) {
+    fn scan(core: &mut HandleCore, table: &CountTable, retired: &mut SegBag) {
         core.stats().add_scan();
         core.scan(|reclaim, _| {
             // Every sweep tests each node's counter bucket individually.
@@ -140,8 +137,8 @@ impl SmrHandle for RefCountHandle {
             "protection index {index} out of range (K = {})",
             slots.len()
         );
-        let old = slots[index];
-        if old == ptr {
+        let (old, new) = (slots[index], ptr as usize as u64);
+        if old == new {
             return;
         }
         if !ptr.is_null() {
@@ -150,17 +147,18 @@ impl SmrHandle for RefCountHandle {
             // covered.
             self.scheme.table.acquire(ptr);
         }
-        if !old.is_null() {
-            self.scheme.table.release(old);
+        if old != 0 {
+            self.scheme.table.release(old as usize as *mut u8);
         }
-        slots[index] = ptr;
+        slots[index] = new;
     }
 
     fn clear_protections(&mut self) {
         for slot in self.core.scratch.iter_mut() {
-            if !slot.is_null() {
-                self.scheme.table.release(*slot);
-                *slot = std::ptr::null_mut();
+            if *slot != 0 {
+                self.scheme
+                    .table
+                    .release(std::mem::take(slot) as usize as *mut u8);
             }
         }
     }

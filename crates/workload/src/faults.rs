@@ -396,7 +396,8 @@ mod tests {
     #[test]
     fn stalled_reader_fault_samples_every_episode_and_cleans_up_under_he() {
         let plan = quick_plan(FaultKind::StalledReader);
-        let scheme = he::He::new(default_fault_config(None).with_era_advance_interval(16));
+        let scheme =
+            he::He::new(default_fault_config(None).with_era_policy(EraAdvancePolicy::Static(16)));
         let result = run_fault(&scheme, &plan, None);
         assert_eq!(result.limbo_samples.len(), plan.episodes);
         assert_eq!(result.total_retired, (plan.episodes * plan.burst) as u64);

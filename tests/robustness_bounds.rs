@@ -180,7 +180,7 @@ fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
-            .with_era_advance_interval(16)
+            .with_era_policy(EraAdvancePolicy::Static(16))
     };
 
     // HE: stall a reader inside an operation (announced reservation), then churn.

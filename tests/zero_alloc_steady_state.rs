@@ -114,6 +114,18 @@ fn park_protected_residue<H: SmrHandle>(reader: &mut H, writer: &mut H) {
     }
 }
 
+/// Publishes every one of the `k` slots of every handle, each a distinct
+/// address no node lives at: a scan's snapshot then holds all `N·K`.
+// Sanctioned raw-protocol site: the snapshot is the pipeline under test.
+#[allow(clippy::disallowed_methods)]
+fn publish_every_slot<H: SmrHandle>(handles: &mut [H], k: usize) {
+    for (h, handle) in handles.iter_mut().enumerate() {
+        for slot in 0..k {
+            handle.protect(slot, ((h * k + slot + 1) * 64) as *mut u8);
+        }
+    }
+}
+
 /// Runs `MEASURED_SCANS` flushes and asserts the allocator counter stands still.
 fn assert_scans_do_not_allocate<H: SmrHandle>(scheme_name: &str, writer: &mut H) {
     assert_alloc_delta(
@@ -329,6 +341,60 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             2 * R as u64,
             "the third interval waits"
         );
+        delta
+    });
+
+    // --- full snapshots, from registration (hazard, Hazard Eras) ----------
+    // Every handle protects all it can, the scanning one included, so the
+    // threshold scan its retires run fills the snapshot to the word count
+    // the scheme registered its scratch with — `N·K` addresses for HP, an
+    // era pair for each of the `N` reservations for HE. A count one short
+    // would regrow the scratch inside the window.
+    assert_alloc_delta("hp: a threshold scan over all N·K slots", 0, || {
+        const R: usize = 16;
+        let config = config(&ManualClock::new()).with_scan_threshold(R);
+        let (n, k) = (config.max_threads, config.hp_per_thread);
+        let scheme = Hazard::with_fence_strategy(config, FenceStrategy::ReaderFenced);
+        let mut handles: Vec<_> = (0..n).map(|_| scheme.register()).collect();
+        publish_every_slot(&mut handles, k);
+        let nodes: Vec<*mut u64> = (0..R).map(|_| Box::into_raw(Box::new(0u64))).collect();
+        let before_alloc = ALLOC.allocated_bytes();
+        for &ptr in &nodes {
+            // SAFETY: boxed above, unlinked by construction, retired once.
+            unsafe { qsense_repro::smr::retire_box(&mut handles[0], ptr) };
+        }
+        let delta = ALLOC.allocated_bytes() - before_alloc;
+        assert_eq!(scheme.stats().scans, 1, "hp: the threshold scan ran");
+        assert_eq!(handles[0].local_in_limbo(), R, "hp: proven, not yet freed");
+        delta
+    });
+    assert_alloc_delta("he: a threshold scan over all N reservations", 0, || {
+        const R: usize = 16;
+        let config = config(&ManualClock::new()).with_scan_threshold(R);
+        let scheme = He::new(config);
+        let n = scheme.config().max_threads;
+        let mut handles: Vec<_> = (0..n).map(|_| scheme.register()).collect();
+        for handle in &mut handles {
+            handle.begin_op();
+        }
+        let nodes: Vec<*mut u64> = (0..R).map(|_| Box::into_raw(Box::new(0u64))).collect();
+        let before_alloc = ALLOC.allocated_bytes();
+        for &ptr in &nodes {
+            // SAFETY: boxed above, unlinked by construction, retired once.
+            unsafe { qsense_repro::smr::retire_box(&mut handles[0], ptr) };
+        }
+        let delta = ALLOC.allocated_bytes() - before_alloc;
+        assert_eq!(scheme.stats().scans, 1, "he: the threshold scan ran");
+        assert_eq!(
+            handles[0].local_in_limbo(),
+            R,
+            "he: the reservations pin every unstamped node"
+        );
+        for handle in &mut handles {
+            handle.end_op();
+        }
+        handles[0].flush();
+        assert_eq!(handles[0].local_in_limbo(), 0);
         delta
     });
 
