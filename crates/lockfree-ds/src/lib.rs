@@ -24,10 +24,20 @@
 //! (`manage_qsense_state`) at operation start, `protect` + re-validate before using a
 //! node reference, and retire (`free_node_later`) exactly once when a node is
 //! physically unlinked.
+//!
+//! The list and the skip list also take a batch of keys at once
+//! ([`HarrisMichaelList::insert_batch`], [`LockFreeSkipList::insert_batch`]),
+//! which is how the benchmark prefills them. A batch allocates its nodes in
+//! the keys' given order, so the memory layout is the one sequential inserts
+//! leave, and links them in descending key order, so every search stops at
+//! the head. The BST takes no batch: it is unbalanced, and keys linked in
+//! sorted order would build a path, not the tree the keys' random order
+//! builds.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod batch;
 pub mod bst;
 pub mod hashmap;
 #[cfg(feature = "interleave")]

@@ -24,6 +24,19 @@
 //! whose CAS failed, and a height-1 `remove` unlinks its victim with one CAS on
 //! the `preds[0]` word its `find` returned, searching only if that CAS fails.
 //!
+//! ## Batch insert
+//!
+//! [`LockFreeSkipList::insert_batch`] inserts many keys, as `insert` would one
+//! by one, in two passes. It draws every key's tower height and allocates its
+//! tower in the keys' given order, so each tower gets the height and the
+//! block sequential inserts would have given it. It then links the towers in
+//! descending key order, each through `find` and the link loop `insert` uses.
+//! A `find` for a key smaller than every key linked so far stops at the
+//! head's first node on every level: at most `MAX_HEIGHT + 1` protections a
+//! key (the last for the tower itself) instead of a full descent. When no key
+//! of the batch was present and nothing runs concurrently, the result is
+//! tower for tower the skip list sequential inserts build.
+//!
 //! ## Versioned links and the upper-level re-link race
 //!
 //! Every link is a [`VersionedAtomic`]: pointer +
@@ -86,7 +99,7 @@
 use crate::keyspace::KeySlot;
 use crate::tagged::{LinkWord, VersionedAtomic};
 use reclaim_core::node_cache::{self, Block};
-use reclaim_core::{Era, Guard, Smr, NO_BIRTH_ERA};
+use reclaim_core::{Era, Guard, Smr, SmrHandle, NO_BIRTH_ERA};
 use std::alloc::Layout;
 use std::cell::Cell;
 use std::cmp::Ordering as CmpOrdering;
@@ -159,16 +172,10 @@ impl<K> Node<K> {
         Layout::from_size_align(size, align_of::<Self>()).expect("tower layout")
     }
 
-    /// Writes a tower of `succs.len()` levels whose links point at `succs`
-    /// into `block`, a node block of its [`tower`](Self::tower) layout.
-    fn init(
-        block: NonNull<u8>,
-        key: KeySlot<K>,
-        birth_era: Era,
-        succs: &[*mut Node<K>],
-    ) -> *mut Node<K> {
+    /// Writes a tower of `height` null links into `block`, a node block of
+    /// its [`tower`](Self::tower) layout.
+    fn init(block: NonNull<u8>, key: KeySlot<K>, birth_era: Era, height: usize) -> *mut Node<K> {
         let node = block.as_ptr().cast::<Self>();
-        let height = succs.len();
         // SAFETY: a fresh block of the tower's layout: the header, then
         // `height` links.
         unsafe {
@@ -178,11 +185,20 @@ impl<K> Node<K> {
                 birth_era,
             });
             let links = node.add(1).cast::<VersionedAtomic<Self>>();
-            for (level, &succ) in succs.iter().enumerate() {
-                links.add(level).write(VersionedAtomic::new(succ));
+            for level in 0..height {
+                links
+                    .add(level)
+                    .write(VersionedAtomic::new(std::ptr::null_mut()));
             }
         }
         node
+    }
+
+    /// A private tower of `height` levels for `key`, born in `guard`'s
+    /// operation.
+    fn carve<H: SmrHandle>(key: K, height: usize, guard: &Guard<'_, H>) -> *mut Node<K> {
+        let (block, era) = guard.alloc_block(Self::tower(height));
+        Self::init(block, KeySlot::Key(key), era, height)
     }
 }
 
@@ -272,7 +288,7 @@ where
             smr.core().alloc_block(Node::<K>::tower(MAX_HEIGHT)),
             KeySlot::NegInf,
             NO_BIRTH_ERA,
-            &[std::ptr::null_mut(); MAX_HEIGHT],
+            MAX_HEIGHT,
         );
         Self { head, smr }
     }
@@ -452,13 +468,48 @@ where
 
     fn insert_impl(&self, key: K, height: usize, handle: &mut S::Handle) -> bool {
         let guard = Guard::new(handle);
-        let mut result = self.find(&key, &guard);
+        let result = self.find(&key, &guard);
         if result.found {
             return false;
         }
-        // The node's links start at the successors the traversal observed.
-        let (block, era) = guard.alloc_block(Node::<K>::tower(height));
-        let node = Node::init(block, KeySlot::Key(key), era, &result.succs[..height]);
+        self.link_tower(Node::carve(key, height, &guard), result, &guard)
+    }
+
+    /// Inserts every key of `keys`, as [`insert`](Self::insert) would one by
+    /// one, under one guard; returns how many were absent. Each key draws its
+    /// tower height in the keys' order, a repeat included, as `insert` draws
+    /// before it searches; the towers are allocated in the keys' order and
+    /// linked in descending key order (module docs, "Batch insert").
+    pub fn insert_batch(&self, keys: impl IntoIterator<Item = K>, handle: &mut S::Handle) -> usize {
+        let keys: Vec<K> = keys.into_iter().collect();
+        let heights: Vec<usize> = keys.iter().map(|_| Self::random_height()).collect();
+        let guard = Guard::new(handle);
+        crate::batch::insert_batch(
+            keys,
+            |i, key| Node::carve(key, heights[i], &guard),
+            |node| {
+                // SAFETY: `node` is private until `link_tower` publishes it.
+                let KeySlot::Key(key) = (unsafe { &(*node).key }) else {
+                    unreachable!("carved nodes always carry a real key")
+                };
+                let result = self.find(key, &guard);
+                self.link_tower(node, result, &guard)
+            },
+        )
+    }
+
+    /// Links the private tower `node` from `result`, a `find` for its key:
+    /// level 0 first, searching again after a failed CAS, then the upper
+    /// levels. False if the key is found present, and then the never-published
+    /// node is freed directly. `insert` and the batch insert link through here.
+    fn link_tower(
+        &self,
+        node: *mut Node<K>,
+        mut result: FindResult<K>,
+        guard: &Guard<'_, S::Handle>,
+    ) -> bool {
+        // SAFETY: `node` is private; its header is immutable.
+        let height = unsafe { (*node).height };
         // Protect the node *before* publishing it. The protection is issued
         // while the node is still private — hence before any possible retire —
         // so every scan that could free it is guaranteed to observe the hazard
@@ -477,18 +528,11 @@ where
             unreachable!("inserted nodes always carry a real key")
         };
         // Phase 1: link at level 0 (this is the linearization point of a
-        // successful insert). A marked pred word means the level-0 pred was
+        // successful insert), the node's links starting at the successors the
+        // traversal observed. A marked pred word means the level-0 pred was
         // deleted under the traversal (possible only with a null successor —
         // see `find`): re-find rather than CAS a marked link.
         loop {
-            if !result.pred_links[0].is_marked()
-                // SAFETY: `preds[0]` is the sentinel or protected by this `find`
-                // (`FindResult`): in one of level 0's slots or a higher level's.
-                && swing(unsafe { link(result.preds[0], 0) }, result.pred_links[0], node).is_ok()
-            {
-                break;
-            }
-            result = self.find(key, &guard);
             if result.found {
                 // Never published: free it directly.
                 // SAFETY: `node` came from `Node::init` and was never shared.
@@ -496,9 +540,17 @@ where
                 return false;
             }
             for (level, &succ) in result.succs[..height].iter().enumerate() {
-                // SAFETY: `node` is private until the CAS above publishes it.
+                // SAFETY: `node` is private until the CAS below publishes it.
                 unsafe { link(node, level) }.store_private(succ, Ordering::Relaxed);
             }
+            if !result.pred_links[0].is_marked()
+                // SAFETY: `preds[0]` is the sentinel or protected by this `find`
+                // (`FindResult`): in one of level 0's slots or a higher level's.
+                && swing(unsafe { link(result.preds[0], 0) }, result.pred_links[0], node).is_ok()
+            {
+                break;
+            }
+            result = self.find(key, guard);
         }
 
         // Phase 2: link the upper levels. Failures here never affect membership —
@@ -544,7 +596,7 @@ where
                         break;
                     }
                 }
-                result = self.find(key, &guard);
+                result = self.find(key, guard);
                 if result.succs[0] != node {
                     // The node is no longer what level 0 holds for this key: a
                     // concurrent remove unlinked it (or replaced it with a fresh
@@ -853,7 +905,9 @@ impl<K, S: Smr> Drop for LockFreeSkipList<K, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use reclaim_core::{Leaky, SmrConfig};
+    use crate::batch::{shuffled, tagged};
+    use reclaim_core::node_cache::CHUNK_BYTES;
+    use reclaim_core::{EraAdvancePolicy, Leaky, SmrConfig};
     use std::collections::BTreeSet;
 
     fn leaky_skiplist() -> LockFreeSkipList<u64, Leaky> {
@@ -962,5 +1016,140 @@ mod tests {
         // Half as many towers on each level up.
         let at_least = |level| heights.iter().filter(|&&h| h >= level).count() as f64;
         assert!((at_least(4) / at_least(3) - 0.5).abs() < 0.02);
+    }
+
+    /// Every tower's key, height, birth era and offset in its chunk, in
+    /// level-0 order, and the keys of every level.
+    type Layout<K> = (Vec<(K, usize, Era, usize)>, Vec<Vec<K>>);
+
+    /// What a build leaves. Nothing may run concurrently, and nothing may
+    /// have been removed: every linked tower is then live.
+    fn layout<K: Ord + Copy + Send + Sync + 'static, S: Smr>(
+        sl: &LockFreeSkipList<K, S>,
+    ) -> Layout<K> {
+        let level = |level| {
+            let mut towers = Vec::new();
+            // SAFETY: the sentinel is as tall as any level.
+            let mut curr = unsafe { link(sl.head, level) }
+                .load(Ordering::Relaxed)
+                .ptr();
+            while !curr.is_null() {
+                towers.push(curr);
+                // SAFETY: a live tower, linked at `level`, so that tall.
+                curr = unsafe { link(curr, level) }.load(Ordering::Relaxed).ptr();
+            }
+            towers
+        };
+        // SAFETY: a live tower's header.
+        let key = |node: *mut Node<K>| *unsafe { &(*node).key }.as_key().unwrap();
+        let towers = level(0)
+            .into_iter()
+            .map(|node| {
+                // SAFETY: as above.
+                let (height, era) = unsafe { ((*node).height, (*node).birth_era) };
+                (key(node), height, era, node as usize % CHUNK_BYTES)
+            })
+            .collect();
+        let levels = (0..MAX_HEIGHT)
+            .map(|l| level(l).into_iter().map(key).collect())
+            .collect();
+        (towers, levels)
+    }
+
+    /// Builds a skip list of `keys` over a fresh `scheme` on a fresh thread —
+    /// a height stream at its seed — by the batch or by sequential inserts:
+    /// its layout and how many keys went in.
+    fn build<K, S>(scheme: Arc<S>, keys: Vec<K>, batch: bool) -> (Layout<K>, usize)
+    where
+        K: Ord + Copy + Send + Sync + 'static,
+        S: Smr,
+    {
+        std::thread::spawn(move || {
+            let sl = LockFreeSkipList::new(scheme);
+            let mut h = sl.register();
+            let inserted = if batch {
+                sl.insert_batch(keys, &mut h)
+            } else {
+                keys.into_iter().filter(|&k| sl.insert(k, &mut h)).count()
+            };
+            assert_eq!(sl.len(&mut h), inserted);
+            assert_eq!(Smr::stats(&**sl.smr()).retired, 0, "nothing is retired");
+            (layout(&sl), inserted)
+        })
+        .join()
+        .unwrap()
+    }
+
+    #[test]
+    fn a_batch_builds_the_skip_list_sequential_inserts_build() {
+        // 600 draws of 0..1000: repeats included, every tower class, more
+        // blocks than one cache refill. HE ticks its era every 4 allocations,
+        // so a tower allocated out of turn carries another birth era too.
+        let keys = shuffled(600, 1_000);
+        let config = || SmrConfig::for_skiplist().with_max_threads(8);
+        let leaky = || Leaky::new(config());
+        let he = || he::He::new(config().with_era_policy(EraAdvancePolicy::Static(4)));
+        for (name, batch, sequential) in [
+            (
+                "leaky",
+                build(leaky(), keys.clone(), true),
+                build(leaky(), keys.clone(), false),
+            ),
+            (
+                "he",
+                build(he(), keys.clone(), true),
+                build(he(), keys.clone(), false),
+            ),
+        ] {
+            assert_eq!(
+                batch.1,
+                keys.iter().collect::<BTreeSet<_>>().len(),
+                "{name}"
+            );
+            assert_eq!(
+                batch, sequential,
+                "{name}: levels, heights, birth eras, chunk offsets"
+            );
+        }
+        let (towers, levels) = build(he(), keys, true).0;
+        let eras: BTreeSet<Era> = towers.iter().map(|t| t.2).collect();
+        assert!(eras.len() > 50, "HE stamps many eras: {}", eras.len());
+        assert!(
+            levels[3].len() > 10,
+            "towers reach level 3: {}",
+            levels[3].len()
+        );
+    }
+
+    #[test]
+    fn a_batch_inserts_a_repeated_key_by_its_first_occurrence() {
+        let keys = tagged(&[5, 3, 5, 9, 3, 5]);
+        let config = || SmrConfig::for_skiplist().with_max_threads(8);
+        let (layout, inserted) = build(Leaky::new(config()), keys.clone(), true);
+        assert_eq!(inserted, 3);
+        let firsts: Vec<(u64, usize)> = layout
+            .0
+            .iter()
+            .map(|(k, ..)| (k.key, k.occurrence))
+            .collect();
+        assert_eq!(firsts, [(3, 1), (5, 0), (9, 3)]);
+        // The repeats drew their heights too: the towers match.
+        assert_eq!(layout, build(Leaky::new(config()), keys, false).0);
+    }
+
+    #[test]
+    fn a_batch_frees_the_tower_of_a_key_already_present() {
+        let sl = leaky_skiplist();
+        let mut h = sl.register();
+        assert!(sl.insert(7, &mut h));
+        let given_back = Smr::stats(&**sl.smr()).arena_free_bytes;
+        assert_eq!(sl.insert_batch([3, 7, 11], &mut h), 2);
+        assert_eq!(sl.len(&mut h), 3);
+        // The never-published tower goes back to the arena, as `insert`'s
+        // does, and is not retired.
+        let stats = Smr::stats(&**sl.smr());
+        assert!(stats.arena_free_bytes > given_back, "{stats:?}");
+        assert_eq!(stats.retired, 0);
+        assert_eq!(sl.insert_batch(Vec::new(), &mut h), 0, "an empty batch");
     }
 }

@@ -5,7 +5,7 @@
 //! goes back to copying halves their throughput on the long walks without
 //! failing any other test.
 
-use lockfree_ds::{HarrisMichaelList, LockFreeHashMap, LockFreeSkipList};
+use lockfree_ds::{HarrisMichaelList, LockFreeHashMap, LockFreeSkipList, MAX_HEIGHT};
 use reclaim_core::{
     CapacityExhausted, Era, HandleTelemetry, Leaky, NodeCache, RetiredPtr, SchemeCore, Smr,
     SmrConfig, SmrHandle,
@@ -231,5 +231,82 @@ fn a_skip_list_operation_publishes_one_protect_per_node_visited() {
     assert!(
         (per_op - EXPECTED).abs() <= 0.5,
         "{per_op:.2} protects per skip-list operation (one search per update: ≈ 28, rotation: ≈ 33, copying: ≈ 65)"
+    );
+}
+
+#[test]
+fn a_batch_publishes_one_search_at_the_head_per_key() {
+    // The benchmark's prefills: half of each key range, in a fixed random
+    // order. A per-key insert walks to its key; the batch links largest key
+    // first, so each search stops at the head's first node: one protection a
+    // key on the list, and on the skip list one per non-empty level plus one
+    // for the tower itself.
+    fn keys(range: u64) -> Vec<u64> {
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut seen = std::collections::BTreeSet::new();
+        let mut keys = Vec::new();
+        while keys.len() < (range / 2) as usize {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (state >> 33) % range;
+            if seen.insert(key) {
+                keys.push(key);
+            }
+        }
+        keys
+    }
+    let list_keys = keys(2_000);
+    let n = list_keys.len() as u64;
+    let list_counts = [true, false].map(|batch| {
+        let smr = Counting::new(SmrConfig::for_list());
+        let list = HarrisMichaelList::new(Arc::clone(&smr));
+        let mut h = list.register();
+        if batch {
+            assert_eq!(
+                list.insert_batch(list_keys.iter().copied(), &mut h),
+                n as usize
+            );
+        } else {
+            list_keys
+                .iter()
+                .for_each(|&k| assert!(list.insert(k, &mut h)));
+        }
+        smr.take()
+    });
+    println!(
+        "list, {n} keys: {} protects batched, {} one by one",
+        list_counts[0], list_counts[1]
+    );
+    assert_eq!(list_counts[0], n, "one protection a key");
+
+    let sl_keys = keys(20_000);
+    let n = sl_keys.len() as u64;
+    let sl_counts = [true, false].map(|batch| {
+        let sl_keys = sl_keys.clone();
+        std::thread::spawn(move || {
+            let smr = Counting::new(SmrConfig::for_skiplist());
+            let sl = LockFreeSkipList::new(Arc::clone(&smr));
+            let mut h = sl.register();
+            if batch {
+                assert_eq!(sl.insert_batch(sl_keys, &mut h), n as usize);
+            } else {
+                sl_keys
+                    .into_iter()
+                    .for_each(|k| assert!(sl.insert(k, &mut h)));
+            }
+            smr.take()
+        })
+        .join()
+        .unwrap()
+    });
+    println!(
+        "skip list, {n} keys: {} protects batched, {} one by one",
+        sl_counts[0], sl_counts[1]
+    );
+    assert!(
+        sl_counts[0] <= n * (MAX_HEIGHT as u64 + 1),
+        "{:.2} protections a key",
+        sl_counts[0] as f64 / n as f64
     );
 }

@@ -547,6 +547,18 @@ impl<'g, T> Shared<'g, T> {
         // be freed while the guard lives.
         unsafe { self.word.ptr().as_ref().map(|node| &node.value) }
     }
+
+    /// The birth era [`Owned::new`] stamped into the node ([`NO_BIRTH_ERA`]
+    /// under a scheme without eras): for tests and diagnostics that compare
+    /// two builds of a structure, which itself never reads it.
+    ///
+    /// # Safety
+    ///
+    /// As for [`as_ref`](Self::as_ref), and the `Shared` is not null.
+    pub unsafe fn birth_era(self) -> Era {
+        // SAFETY: per the caller's contract the node is protected and live.
+        unsafe { (*self.word.ptr()).birth_era }
+    }
 }
 
 /// An owned, not-yet-linked node: the only way to allocate into the guard

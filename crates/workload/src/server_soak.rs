@@ -134,14 +134,10 @@ impl ServerSoakResult {
 
 fn soak<S: Smr>(scheme: Arc<S>, spec: &ServerSoakSpec) -> ServerSoakResult {
     let list = Arc::new(LockFreeSkipList::<u64, S>::new(Arc::clone(&scheme)));
-    // Pre-fill to half the range with a transient handle, then release its
-    // slot so the steady state holds exactly the `slots` leased registrations.
-    {
-        let mut handle = scheme.register();
-        for key in (0..spec.key_range).step_by(2) {
-            list.insert(key, &mut handle);
-        }
-    }
+    // Pre-fill to half the range, in one batch, with a transient handle, then
+    // release its slot so the steady state holds exactly the `slots` leased
+    // registrations.
+    list.insert_batch((0..spec.key_range).step_by(2), &mut scheme.register());
     let pool = LeasePool::for_scheme(&scheme, spec.slots, LeasePolicy::Wait)
         .expect("soak slots must fit the registry");
     let tickets = AtomicUsize::new(0);

@@ -102,7 +102,12 @@ pub trait SetSession: Send {
 pub trait BenchSet: Send + Sync {
     /// Opens a per-thread session (registers with the reclamation scheme).
     fn session(&self) -> Box<dyn SetSession>;
-    /// Inserts `keys` (used for the pre-fill phase).
+    /// Inserts `keys` (used for the pre-fill phase) on a handle of its own,
+    /// as one batch on the list and the skip list: their nodes are allocated
+    /// in the keys' order, so the layout is the one sequential inserts leave,
+    /// and linked in descending key order, so every search stops at the head.
+    /// The BST inserts the keys one by one, in the given order (a sorted batch
+    /// would build it as a path); the hash map, the queue and the stack too.
     fn prefill(&self, keys: &[u64]);
     /// Number of elements (quiescent-only; used to sanity-check experiments).
     fn len(&self) -> usize;
@@ -130,12 +135,20 @@ trait KeySet<S: Smr>: Send + Sync + 'static {
     fn insert(&self, key: u64, handle: &mut S::Handle) -> bool;
     fn remove(&self, key: u64, handle: &mut S::Handle) -> bool;
     fn len(&self) -> usize;
+    /// Inserts `keys`, as `insert` would one by one.
+    fn insert_batch(&self, keys: &[u64], handle: &mut S::Handle) {
+        for &key in keys {
+            self.insert(key, handle);
+        }
+    }
 }
 
 /// The ordered sets already have the set API; `len` walks under a handle of
-/// its own.
+/// its own. The list and the skip list bring their own batch insert; the BST
+/// keeps the per-key loop, since an unbalanced tree built from sorted keys is
+/// a path.
 macro_rules! ordered_set {
-    ($($ds:ident),*) => {$(
+    ($($ds:ident $(: $batch:ident)?),*) => {$(
         impl<S: Smr> KeySet<S> for $ds<u64, S> {
             fn contains(&self, key: u64, handle: &mut S::Handle) -> bool {
                 $ds::contains(self, &key, handle)
@@ -149,11 +162,18 @@ macro_rules! ordered_set {
             fn len(&self) -> usize {
                 $ds::len(self, &mut self.register())
             }
+            $(fn insert_batch(&self, keys: &[u64], handle: &mut S::Handle) {
+                $ds::$batch(self, keys.iter().copied(), handle);
+            })?
         }
     )*};
 }
 
-ordered_set!(HarrisMichaelList, LockFreeSkipList, LockFreeBst);
+ordered_set!(
+    HarrisMichaelList: insert_batch,
+    LockFreeSkipList: insert_batch,
+    LockFreeBst
+);
 
 /// The hash map stores each key as its own value.
 impl<S: Smr> KeySet<S> for LockFreeHashMap<u64, u64, S> {
@@ -245,9 +265,7 @@ impl<S: Smr, D: KeySet<S>> BenchSet for Cell<S, D> {
     }
     fn prefill(&self, keys: &[u64]) {
         let mut handle = self.scheme.register();
-        for &key in keys {
-            self.ds.insert(key, &mut handle);
-        }
+        self.ds.insert_batch(keys, &mut handle);
         handle.flush();
     }
     fn len(&self) -> usize {
