@@ -167,7 +167,7 @@ fn parse_era_policy(value: &str) -> Result<EraAdvancePolicy, String> {
         if interval == 0 {
             return Err("--era-policy static interval must be positive".to_string());
         }
-        return Ok(EraAdvancePolicy::Static(interval));
+        return Ok(EraAdvancePolicy::fixed(interval));
     }
     if value == "adaptive" {
         return Ok(EraAdvancePolicy::adaptive());
@@ -185,7 +185,7 @@ fn parse_era_policy(value: &str) -> Result<EraAdvancePolicy, String> {
         if min_interval == 0 || min_interval > max_interval {
             return Err("--era-policy adaptive requires 0 < MIN <= MAX".to_string());
         }
-        return Ok(EraAdvancePolicy::Adaptive {
+        return Ok(EraAdvancePolicy {
             min_interval,
             max_interval,
             limbo_low_water_bytes,
@@ -465,7 +465,7 @@ mod tests {
         assert_eq!(options.eviction_ms, Some(100));
         assert_eq!(
             options.era_policy,
-            Some(EraAdvancePolicy::Adaptive {
+            Some(EraAdvancePolicy {
                 min_interval: 4,
                 max_interval: 256,
                 limbo_low_water_bytes: 512,
@@ -478,7 +478,7 @@ mod tests {
     fn era_policy_flag_parses_every_shape() {
         assert_eq!(
             parse(&["--era-policy", "static:32"]).unwrap().era_policy,
-            Some(EraAdvancePolicy::Static(32))
+            Some(EraAdvancePolicy::fixed(32))
         );
         assert_eq!(
             parse(&["--era-policy", "adaptive"]).unwrap().era_policy,

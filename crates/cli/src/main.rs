@@ -348,8 +348,8 @@ fn run_throughput(options: &CliOptions, tag: &JsonObject, rows: &mut Vec<JsonObj
         if options.inject_delay { ", periodic delay injected" } else { "" },
         if options.eviction_ms.is_some() { ", eviction extension on" } else { "" },
         match options.era_policy {
-            Some(reclaim_core::EraAdvancePolicy::Static(_)) => ", era policy: static",
-            Some(reclaim_core::EraAdvancePolicy::Adaptive { .. }) => ", era policy: adaptive",
+            Some(policy) if policy.min_interval == policy.max_interval => ", era policy: static",
+            Some(_) => ", era policy: adaptive",
             None => "",
         },
     );

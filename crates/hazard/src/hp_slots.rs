@@ -240,7 +240,6 @@ pub unsafe fn hp_scan<R>(
                 .is_err()
         };
         for bag in bags {
-            reclaim.stats().add_scan_walk();
             // SAFETY: (Michael's scan argument) a node absent from a full
             // hazard-pointer snapshot and already unlinked (the retire
             // contract) is unreachable by any thread, if the snapshot holds

@@ -1,38 +1,71 @@
 //! The logical clock of the era schemes, and what paces it.
 //!
-//! [`EraClock`] is a shared monotone counter advanced on allocation batches
+//! [`EraPacer`] holds a shared monotone counter advanced on allocation batches
 //! rather than by wall time (Hazard Eras / 2GE-IBR). *When* it ticks is a
-//! policy, not a constant: [`EraPacer`] co-locates the clock with the
-//! scheme's [`EraAdvancePolicy`], which either fixes the allocations-per-tick
-//! interval (the classic `epoch_freq` cadence) or adapts it to the scheme-wide
-//! limbo-byte estimate its counters give — faster ticks while garbage
-//! accumulates behind a stalled reader, decaying to an idle floor when scans
-//! run dry (the DEBRA/Hyaline observation that advancement should follow
-//! *reclamation pressure*, not allocation count).
+//! policy, not a constant: the scheme's [`EraAdvancePolicy`] is a range of
+//! allocations-per-tick intervals, inside which the pacer adapts to the
+//! scheme-wide limbo-byte estimate its counters give — faster ticks while
+//! garbage accumulates behind a stalled reader, decaying to an idle floor when
+//! scans run dry (the DEBRA/Hyaline observation that advancement should follow
+//! *reclamation pressure*, not allocation count). A point range is the classic
+//! fixed `epoch_freq` cadence.
 
 use reclaim_core::{CachePadded, Era, EraAdvancePolicy};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// The global era counter of the interval-based schemes.
+/// The global era clock of the interval-based schemes, plus the policy state
+/// that decides *when* it ticks.
 ///
-/// A single cache-padded monotone `u64`, read on every allocation / retirement
-/// of an era scheme and advanced once per allocation batch (the interval the
-/// scheme's [`EraPacer`] currently dictates) plus once per scan. Reads are
-/// acquire and
-/// the advance is AcqRel so that observing era `e` also observes everything the
-/// advancer did before publishing `e` — the same pairing `GlobalEpoch` uses.
+/// The clock is a single cache-padded monotone `u64`, read on every
+/// allocation / retirement of an era scheme and advanced once per allocation
+/// batch plus once per scan. Reads are acquire and the advance is AcqRel so
+/// that observing era `e` also observes everything the advancer did before
+/// publishing `e` — the same pairing `GlobalEpoch` uses.
+///
+/// The batch is an interval inside the policy's `[min_interval,
+/// max_interval]` range, re-chosen after every scan from the scheme-wide
+/// limbo-byte estimate ([`adapt`](Self::adapt)). The pacer keeps no estimate
+/// of its own — the scheme hands it the one its budget governor is handed,
+/// `SchemeCore::limbo_estimate` — and a fixed policy is the range `[n, n]`,
+/// which never moves and never asks.
+///
+/// The estimate is **advisory**: it only modulates reclamation *latency*,
+/// never the free-time safety condition, so stale reads and racing interval
+/// stores are harmless.
 #[derive(Debug)]
-pub struct EraClock {
+pub struct EraPacer {
     era: CachePadded<AtomicU64>,
+    policy: EraAdvancePolicy,
+    /// Scheme-wide limbo bytes above which the interval halves.
+    low_water_bytes: u64,
+    /// Current allocations-per-tick interval (read on every `alloc_node`;
+    /// written only by scans, and only when the range is not a point).
+    interval: CachePadded<AtomicUsize>,
 }
 
-impl EraClock {
-    /// Creates a clock at era 1 (era 0 is reserved, see
-    /// [`NO_BIRTH_ERA`](reclaim_core::NO_BIRTH_ERA)).
-    pub fn new() -> Self {
+impl EraPacer {
+    /// Creates a pacer at era 1 (era 0 is reserved, see
+    /// [`NO_BIRTH_ERA`](reclaim_core::NO_BIRTH_ERA)), running `policy` under
+    /// the scheme's `limbo_budget`. With a budget, the low-water mark is a
+    /// quarter of it (the pacer is the era schemes' lever on the budget
+    /// ladder); without one, the policy's own `limbo_low_water_bytes`. The
+    /// interval starts at `min_interval` (the robust end): a fresh scheme
+    /// cannot know whether a reader is about to stall, and the idle decay
+    /// recovers the cheap cadence within a few dry scans.
+    pub fn new(policy: EraAdvancePolicy, limbo_budget: Option<usize>) -> Self {
+        policy.validate();
         Self {
             era: CachePadded::new(AtomicU64::new(1)),
+            policy,
+            low_water_bytes: limbo_budget.map_or(policy.limbo_low_water_bytes, |budget| budget / 4)
+                as u64,
+            interval: CachePadded::new(AtomicUsize::new(policy.min_interval)),
         }
+    }
+
+    /// The policy this pacer runs.
+    pub fn policy(&self) -> EraAdvancePolicy {
+        self.policy
     }
 
     /// The current era.
@@ -49,73 +82,6 @@ impl EraClock {
     pub fn advance(&self) -> Era {
         self.era.fetch_add(1, Ordering::AcqRel)
     }
-}
-
-impl Default for EraClock {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// The era clock plus the policy state that decides *when* it ticks.
-///
-/// [`EraClock`] answers "what era is it"; `EraPacer` co-locates the answer to
-/// "how often should allocations move it forward": an interval inside the
-/// policy's `[min_interval, max_interval]` range, re-chosen after every scan
-/// from the scheme-wide limbo-byte estimate ([`adapt`](Self::adapt)). The
-/// pacer keeps no estimate of its own — the scheme hands it the one its budget
-/// governor is handed, `SchemeCore::limbo_estimate` — and a static policy is
-/// the range `[n, n]`, which never moves and never asks.
-///
-/// The estimate is **advisory**: it only modulates reclamation *latency*,
-/// never the free-time safety condition, so stale reads and racing interval
-/// stores are harmless.
-#[derive(Debug)]
-pub struct EraPacer {
-    clock: EraClock,
-    policy: EraAdvancePolicy,
-    /// Scheme-wide limbo bytes above which the interval halves.
-    low_water_bytes: u64,
-    /// Current allocations-per-tick interval (read on every `alloc_node`;
-    /// written only by scans, and only when the range is not a point).
-    interval: CachePadded<AtomicUsize>,
-}
-
-impl EraPacer {
-    /// Creates a pacer at era 1, running `policy` under the scheme's
-    /// `limbo_budget`. With a budget, the low-water mark is a quarter of it
-    /// (the pacer is the era schemes' lever on the budget ladder); without
-    /// one, the policy's own `limbo_low_water_bytes`. The interval starts at
-    /// `min_interval` (the robust end): a fresh scheme cannot know whether a
-    /// reader is about to stall, and the idle decay recovers the cheap cadence
-    /// within a few dry scans.
-    pub fn new(policy: EraAdvancePolicy, limbo_budget: Option<usize>) -> Self {
-        policy.validate();
-        let (min_interval, _, policy_mark) = policy.bounds();
-        Self {
-            clock: EraClock::new(),
-            policy,
-            low_water_bytes: limbo_budget.map_or(policy_mark, |budget| budget / 4) as u64,
-            interval: CachePadded::new(AtomicUsize::new(min_interval)),
-        }
-    }
-
-    /// The policy this pacer runs.
-    pub fn policy(&self) -> EraAdvancePolicy {
-        self.policy
-    }
-
-    /// The current era (delegates to the inner [`EraClock`]).
-    #[inline]
-    pub fn current(&self) -> Era {
-        self.clock.current()
-    }
-
-    /// Advances the era by one (delegates to the inner [`EraClock`]).
-    #[inline]
-    pub fn advance(&self) -> Era {
-        self.clock.advance()
-    }
 
     /// The current allocations-per-tick interval. One relaxed load of a
     /// read-mostly padded line — the only pacer cost on the allocation path.
@@ -130,7 +96,11 @@ impl EraPacer {
     /// estimate tracks the *residue* — the garbage reservations are actually
     /// pinning. Returns `true` when this call sped the pacer up.
     pub fn adapt(&self, limbo_estimate: impl FnOnce() -> u64) -> bool {
-        let (min_interval, max_interval, _) = self.policy.bounds();
+        let EraAdvancePolicy {
+            min_interval,
+            max_interval,
+            ..
+        } = self.policy;
         if min_interval == max_interval {
             return false;
         }
@@ -164,22 +134,22 @@ mod tests {
     use std::thread;
 
     #[test]
-    fn era_clock_starts_past_the_reserved_era_and_advances() {
-        let clock = EraClock::new();
-        assert!(clock.current() > NO_BIRTH_ERA, "era 0 is reserved");
-        assert_eq!(clock.current(), 1);
-        assert_eq!(clock.advance(), 1, "advance returns the pre-advance era");
-        assert_eq!(clock.current(), 2);
+    fn the_era_starts_past_the_reserved_era_and_advances() {
+        let pacer = EraPacer::new(EraAdvancePolicy::default(), None);
+        assert!(pacer.current() > NO_BIRTH_ERA, "era 0 is reserved");
+        assert_eq!(pacer.current(), 1);
+        assert_eq!(pacer.advance(), 1, "advance returns the pre-advance era");
+        assert_eq!(pacer.current(), 2);
     }
 
     #[test]
     fn a_point_range_never_moves_and_never_reads_the_estimate() {
         let point_ranges = [
-            EraAdvancePolicy::Static(32),
-            EraAdvancePolicy::Adaptive {
+            EraAdvancePolicy::fixed(32),
+            EraAdvancePolicy {
                 min_interval: 32,
                 max_interval: 32,
-                limbo_low_water_bytes: 0,
+                limbo_low_water_bytes: 1 << 10,
             },
         ];
         for policy in point_ranges {
@@ -190,16 +160,13 @@ mod tests {
                 assert!(!pacer.adapt(|| panic!("a point range has nothing to decide")));
                 assert_eq!(pacer.current_interval(), 32);
             }
-            assert_eq!(pacer.current(), 1);
-            pacer.advance();
-            assert_eq!(pacer.current(), 2, "clock delegation works");
         }
     }
 
     #[test]
     fn adaptive_pacer_speeds_up_under_pressure_and_decays_when_dry() {
         let pacer = EraPacer::new(
-            EraAdvancePolicy::Adaptive {
+            EraAdvancePolicy {
                 min_interval: 4,
                 max_interval: 64,
                 limbo_low_water_bytes: 100,
@@ -238,7 +205,7 @@ mod tests {
     #[test]
     fn a_limbo_budget_puts_the_low_water_mark_at_a_quarter_of_it() {
         let pacer = EraPacer::new(
-            EraAdvancePolicy::Adaptive {
+            EraAdvancePolicy {
                 min_interval: 4,
                 max_interval: 64,
                 limbo_low_water_bytes: 1_000_000,
@@ -257,7 +224,7 @@ mod tests {
 
     #[test]
     fn pacer_interval_stays_inside_policy_bounds_under_concurrent_scans() {
-        let policy = EraAdvancePolicy::Adaptive {
+        let policy = EraAdvancePolicy {
             min_interval: 2,
             max_interval: 128,
             limbo_low_water_bytes: 10,
@@ -284,7 +251,7 @@ mod tests {
     #[should_panic(expected = "min_interval must not exceed max_interval")]
     fn inverted_adaptive_bounds_are_rejected() {
         EraPacer::new(
-            EraAdvancePolicy::Adaptive {
+            EraAdvancePolicy {
                 min_interval: 64,
                 max_interval: 8,
                 limbo_low_water_bytes: 0,
@@ -295,13 +262,13 @@ mod tests {
 
     #[test]
     fn concurrent_era_advances_all_land() {
-        let clock = Arc::new(EraClock::new());
+        let pacer = Arc::new(EraPacer::new(EraAdvancePolicy::default(), None));
         let handles: Vec<_> = (0..4)
             .map(|_| {
-                let clock = Arc::clone(&clock);
+                let pacer = Arc::clone(&pacer);
                 thread::spawn(move || {
                     for _ in 0..1_000 {
-                        clock.advance();
+                        pacer.advance();
                     }
                 })
             })
@@ -309,6 +276,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(clock.current(), 1 + 4 * 1_000);
+        assert_eq!(pacer.current(), 1 + 4 * 1_000);
     }
 }

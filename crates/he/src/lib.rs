@@ -7,8 +7,8 @@
 //! * Nodes are stamped with a **birth era** at allocation (through the
 //!   [`reclaim_core::SmrHandle::alloc_node`] hook) and a **retire era** at
 //!   retirement, bounding each node's lifetime to the interval
-//!   `[birth, retire]` of the global logical [`EraClock`], paced by an
-//!   [`EraPacer`] — both this crate's, their only user.
+//!   `[birth, retire]` of the global logical era clock, an [`EraPacer`] —
+//!   this crate's, its only user.
 //! * Readers announce the **era interval of their current operation** in their
 //!   registry slot — one store (plus fence) per operation, extended only when
 //!   the global era advances mid-operation.
@@ -34,6 +34,6 @@ pub mod clock;
 pub mod era;
 pub mod scheme;
 
-pub use clock::{EraClock, EraPacer};
+pub use clock::EraPacer;
 pub use era::EraRecord;
 pub use scheme::{He, HeHandle};

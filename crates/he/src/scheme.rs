@@ -68,10 +68,10 @@ impl EraChain {
 ///   per operation (a store to an owned padded line plus one fence) instead of
 ///   one fenced store per node traversed; mid-operation the announcement is
 ///   refreshed only when the global era actually advanced, which happens once
-///   per era-advance interval of allocations — a constant under
-///   [`reclaim_core::EraAdvancePolicy::Static`], limbo-adaptive under
-///   [`reclaim_core::EraAdvancePolicy::Adaptive`] (see [`EraPacer`]) — not
-///   per node.
+///   per era-advance interval of allocations — limbo-adaptive inside the
+///   range of the [`reclaim_core::EraAdvancePolicy`], a constant when the
+///   range is a point ([`reclaim_core::EraAdvancePolicy::fixed`]; see
+///   [`EraPacer`]) — not per node.
 ///
 /// ## Protocol
 ///
@@ -109,10 +109,10 @@ impl EraChain {
 /// allocate.
 pub struct He {
     core: Arc<SchemeCore>,
-    /// The global era clock plus the policy that paces its advances: a static
-    /// interval, or one adapting to the scheme-wide limbo-byte estimate
-    /// ([`SchemeCore::limbo_estimate`]; see [`EraPacer`]) — HE's pressure
-    /// lever on the budget ladder.
+    /// The global era clock plus the policy that paces its advances: an
+    /// interval adapting, inside the policy's range, to the scheme-wide
+    /// limbo-byte estimate ([`SchemeCore::limbo_estimate`]; see
+    /// [`EraPacer`]) — HE's pressure lever on the budget ladder.
     pacer: EraPacer,
     registry: Registry<EraRecord>,
 }
@@ -248,7 +248,6 @@ impl EraLimbo {
                     // Either no active reservation starts at or below this chain's
                     // newest retire era, or even the chain's *oldest* birth clears
                     // every reachable upper bound: the whole chain is unreachable.
-                    reclaim.stats().add_scan_wholesale();
                     // SAFETY: the era scan above proved no reservation can cover any node in this chain; every node is unreachable.
                     unsafe { reclaim.free_all(&mut chain.bag) };
                 } else if chain.max_birth <= max_upper {
@@ -264,7 +263,6 @@ impl EraLimbo {
                     // of re-walking until it fully drains (stale bounds also
                     // blocked the wholesale dispatch when the true survivor
                     // minimum had risen past every reachable upper bound).
-                    reclaim.stats().add_scan_walk();
                     let mut new_min = Era::MAX;
                     let mut new_max = 0;
                     // SAFETY: the bag owns the nodes; one is freed only when its birth era lies above every reachable reservation upper bound.
@@ -290,7 +288,7 @@ impl EraLimbo {
         // The scheme-wide estimate less what this pass and the ones before it
         // proved free (still on the books until the allocator has it) is the
         // *residue* — the garbage reservations are actually pinning — and the
-        // pacer adapts the tick interval to it (a static policy never asks).
+        // pacer adapts the tick interval to it (a fixed policy never asks).
         // Under an enforced budget a speed-up is an escalation and is counted
         // as such.
         let proven = core.ready_bytes() as u64;
@@ -380,9 +378,10 @@ impl SmrHandle for HeHandle {
 
     fn alloc_node(&mut self) -> Era {
         self.limbo.allocs_since_tick += 1;
-        // The interval is the pacer's current allocations-per-tick: a policy
-        // constant (static) or tracking the scheme-wide limbo estimate
-        // (adaptive) — one relaxed load of a read-mostly padded line.
+        // The interval is the pacer's current allocations-per-tick: tracking
+        // the scheme-wide limbo estimate inside the policy's range, a constant
+        // when the range is a point — one relaxed load of a read-mostly
+        // padded line.
         if self.limbo.allocs_since_tick >= self.scheme.pacer.current_interval() {
             self.limbo.allocs_since_tick = 0;
             self.scheme.pacer.advance();
@@ -516,7 +515,7 @@ mod tests {
         SmrConfig::default()
             .with_max_threads(4)
             .with_scan_threshold(8)
-            .with_era_policy(EraAdvancePolicy::Static(4))
+            .with_era_policy(EraAdvancePolicy::fixed(4))
     }
 
     #[test]
@@ -624,7 +623,7 @@ mod tests {
 
     #[test]
     fn alloc_node_ticks_the_global_era_every_interval() {
-        let scheme = He::new(small_config().with_era_policy(EraAdvancePolicy::Static(4)));
+        let scheme = He::new(small_config().with_era_policy(EraAdvancePolicy::fixed(4)));
         let mut handle = scheme.register();
         let start = scheme.current_era();
         let mut births = Vec::new();
@@ -651,7 +650,7 @@ mod tests {
             SmrConfig::default()
                 .with_max_threads(4)
                 .with_scan_threshold(16)
-                .with_era_policy(EraAdvancePolicy::Static(8)),
+                .with_era_policy(EraAdvancePolicy::fixed(8)),
         );
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -836,7 +835,7 @@ mod tests {
     fn flush_resets_the_partial_allocation_tick_exactly() {
         let scheme = He::new(
             small_config()
-                .with_era_policy(EraAdvancePolicy::Static(4))
+                .with_era_policy(EraAdvancePolicy::fixed(4))
                 .with_scan_threshold(1_000_000),
         );
         let mut handle = scheme.register();
@@ -886,7 +885,7 @@ mod tests {
         // threshold, flush, drop) behaves alike.
         let scheme = He::new(
             small_config()
-                .with_era_policy(EraAdvancePolicy::Static(4))
+                .with_era_policy(EraAdvancePolicy::fixed(4))
                 .with_scan_threshold(2),
         );
         let mut handle = scheme.register();
@@ -921,7 +920,7 @@ mod tests {
     const TRACKED: u64 = std::mem::size_of::<Tracked>() as u64;
 
     fn adaptive(limbo_low_water_bytes: usize) -> EraAdvancePolicy {
-        EraAdvancePolicy::Adaptive {
+        EraAdvancePolicy {
             min_interval: 2,
             max_interval: 16,
             limbo_low_water_bytes,

@@ -147,6 +147,9 @@ pub struct LockFreeBst<K, S: Smr> {
 
 // SAFETY: shared mutation is atomic; reclamation follows the SMR protocol.
 unsafe impl<K: Send + Sync, S: Smr> Send for LockFreeBst<K, S> {}
+// SAFETY: `&self` operations read keys only by shared reference (`K: Sync`)
+// and change the tree only by CAS on its edges; `root` is written once, at
+// construction, and freed only by `Drop`, which holds `&mut self`.
 unsafe impl<K: Send + Sync, S: Smr> Sync for LockFreeBst<K, S> {}
 
 impl<K, S> LockFreeBst<K, S>
@@ -302,6 +305,7 @@ where
         } = *record;
         // SAFETY: `parent` is protected by the seek that produced the record.
         let mut removed_edge = unsafe { Self::child_edge(parent, key) };
+        // SAFETY: the same `parent`, internal: the seek stepped through it.
         let mut survivor_edge = unsafe { Self::sibling_edge(parent, key) };
         // If the flag is not on the key-side edge, this call is helping a delete that
         // targets the *other* child: swap roles.

@@ -42,6 +42,9 @@ pub struct LockFreeHashMap<K, V, S: Smr> {
 // SMR protocol. K and V must be Send + Sync because nodes are dropped by whichever
 // thread reclaims them and values are read (cloned) by any reader.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Smr> Send for LockFreeHashMap<K, V, S> {}
+// SAFETY: `&self` operations read keys and values only by shared reference
+// (`K: Sync`, `V: Sync`; a `get` clones), and change a bucket's chain only by
+// CAS; a node is freed only once its scheme proves no guard still protects it.
 unsafe impl<K: Send + Sync, V: Send + Sync, S: Smr> Sync for LockFreeHashMap<K, V, S> {}
 
 impl<K, V, S> LockFreeHashMap<K, V, S>

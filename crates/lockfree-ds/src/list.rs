@@ -20,9 +20,9 @@
 //! as types:
 //!
 //! 1. the RAII [`Guard`] brackets every operation (`manage_qsense_state`);
-//! 2. [`Guard::load_protected`] / [`Guard::protect_word`] publish a protection
-//!    (`assign_HP`) and re-validate that the predecessor still links to the
-//!    node — a [`Shared`] only exists validated;
+//! 2. [`Guard::load_protected`] (at the head) and `advance` (at each step)
+//!    publish a protection (`assign_HP`) and re-validate that the predecessor
+//!    still links to the node — a [`Shared`] only exists validated;
 //! 3. the node is retired (`free_node_later`) exactly once, through the
 //!    [`reclaim_core::Unlinked`] capability minted by whichever thread wins the
 //!    physical unlink CAS.
@@ -283,10 +283,12 @@ impl<K: Ord, V> Chain<K, V> {
     }
 }
 
-/// [`Guard::protect_word`] in two halves, with a pause point between the
-/// publication and the validating re-read: the window in which a publication
-/// over the slot still holding the predecessor would let the predecessor be
-/// freed under the re-read of its link.
+/// One step of the walk: publishes `expect` (read from `prev`, the link of
+/// `pred`) in `slot` and re-reads `prev`, `Some(expect)` if the link still
+/// holds exactly that word (pointer, mark *and* version). A pause point sits
+/// between the publication and the re-read: the window in which a
+/// publication over the slot still holding the predecessor would let the
+/// predecessor be freed under the re-read of its link.
 #[inline]
 fn advance<'g, K, V, H: SmrHandle>(
     guard: &'g Guard<'_, H>,
@@ -331,6 +333,9 @@ pub struct HarrisMichaelList<K, S: Smr> {
 // atomics and the SMR protocol. Keys must be Send + Sync because nodes (and hence
 // keys) are dropped by whichever thread reclaims them.
 unsafe impl<K: Send + Sync, S: Smr> Send for HarrisMichaelList<K, S> {}
+// SAFETY: `&self` operations read keys only by shared reference (`K: Sync`)
+// and change links only by CAS; a node is freed only once its scheme proves
+// no guard still protects it.
 unsafe impl<K: Send + Sync, S: Smr> Sync for HarrisMichaelList<K, S> {}
 
 impl<K, S> HarrisMichaelList<K, S>
@@ -527,7 +532,7 @@ mod tests {
         // cache refill. HE ticks its era every 4 allocations, so a node
         // allocated out of turn carries another birth era too.
         let keys = shuffled(600, 1_000);
-        let he = || he::He::new(SmrConfig::for_list().with_era_policy(EraAdvancePolicy::Static(4)));
+        let he = || he::He::new(SmrConfig::for_list().with_era_policy(EraAdvancePolicy::fixed(4)));
         for (name, batch, sequential) in [
             (
                 "leaky",

@@ -64,6 +64,10 @@ pub struct MichaelScottQueue<V, S: Smr> {
 // SAFETY: shared concurrent structure; all mutation goes through atomics and the SMR
 // protocol. V: Send because values move between threads via the queue.
 unsafe impl<V: Send, S: Smr> Send for MichaelScottQueue<V, S> {}
+// SAFETY: `&self` operations change `head` and `tail` only by CAS, and no
+// thread ever holds a shared reference to a value: only the winner of a
+// dequeue's head CAS touches the value, and it moves it out (`V: Send`
+// suffices).
 unsafe impl<V: Send, S: Smr> Sync for MichaelScottQueue<V, S> {}
 
 impl<V, S> MichaelScottQueue<V, S>
@@ -169,9 +173,10 @@ where
                     // retire the old dummy.
                     // SAFETY: `next` is protected (slot HP_SECOND) and was
                     // re-validated as the successor of the then-head, so it
-                    // cannot have been reclaimed; only the CAS winner takes its
-                    // value, so the `UnsafeCell` access is exclusive.
+                    // cannot have been reclaimed.
                     let next_node = unsafe { next.as_ref() }.expect("successor is non-null");
+                    // SAFETY: only the CAS winner takes `next`'s value, so the
+                    // `UnsafeCell` access is exclusive.
                     let value = unsafe { (*next_node.value.get()).take() };
                     debug_assert!(
                         value.is_some(),

@@ -269,6 +269,9 @@ pub struct LockFreeSkipList<K, S: Smr> {
 // SAFETY: same argument as for the linked list — all shared mutation is atomic and
 // reclamation follows the SMR protocol.
 unsafe impl<K: Send + Sync, S: Smr> Send for LockFreeSkipList<K, S> {}
+// SAFETY: `&self` operations read keys only by shared reference (`K: Sync`)
+// and change links only by CAS; `head` is written once, at construction, and
+// freed only by `Drop`, which holds `&mut self`.
 unsafe impl<K: Send + Sync, S: Smr> Sync for LockFreeSkipList<K, S> {}
 
 impl<K, S> LockFreeSkipList<K, S>
@@ -1088,7 +1091,7 @@ mod tests {
         let keys = shuffled(600, 1_000);
         let config = || SmrConfig::for_skiplist().with_max_threads(8);
         let leaky = || Leaky::new(config());
-        let he = || he::He::new(config().with_era_policy(EraAdvancePolicy::Static(4)));
+        let he = || he::He::new(config().with_era_policy(EraAdvancePolicy::fixed(4)));
         for (name, batch, sequential) in [
             (
                 "leaky",

@@ -56,6 +56,9 @@ pub struct TreiberStack<V, S: Smr> {
 // values) move between threads; Sync is not required of V because no thread ever
 // holds a shared reference to a value another thread can reach.
 unsafe impl<V: Send, S: Smr> Send for TreiberStack<V, S> {}
+// SAFETY: `&self` operations change the stack only by CAS on its head, and the
+// winner of a pop's CAS alone moves the value out, so no two threads reach a
+// value at once (`V: Send` suffices).
 unsafe impl<V: Send, S: Smr> Sync for TreiberStack<V, S> {}
 
 impl<V, S> TreiberStack<V, S>

@@ -153,13 +153,6 @@ pub fn confirmed<R>(
 /// [`EVICTED`], and proves nothing of a node retired while the caller's did.
 pub unsafe fn grace_drain(core: &mut HandleCore, matured: &mut SegBag) {
     core.scan(|reclaim, _| {
-        if matured.is_empty() {
-            // Nothing matured in this bucket: the grace drain passes it over.
-            reclaim.stats().add_scan_skip();
-        } else {
-            // Grace-period drains free the whole bucket without per-node tests.
-            reclaim.stats().add_scan_wholesale();
-        }
         // SAFETY: (Lemma 3 of the paper) every node in this bucket was retired three
         // local-epoch transitions ago; the global epoch has advanced at least twice
         // since, and each advance requires every registered thread to have passed

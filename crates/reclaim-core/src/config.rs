@@ -70,12 +70,12 @@ pub struct SmrConfig {
     pub limbo_budget: Option<usize>,
     /// **Extension (era schemes).** How the global era clock is paced relative
     /// to allocation and reclamation activity (Hazard Eras / 2GE-IBR, the `he`
-    /// crate): a fixed allocations-per-tick interval
-    /// ([`EraAdvancePolicy::Static`], the default — the IBR literature's
-    /// `epoch_freq` ballpark) or an interval that adapts to the scheme-wide
-    /// limbo-byte estimate ([`EraAdvancePolicy::Adaptive`]), bounding
-    /// stalled-reader garbage by bytes retired instead of a constant. See
-    /// `he::EraPacer`.
+    /// crate): an allocations-per-tick interval that adapts, inside the
+    /// policy's `[min_interval, max_interval]`, to the scheme-wide limbo-byte
+    /// estimate ([`EraAdvancePolicy::adaptive`]), bounding stalled-reader
+    /// garbage by bytes retired instead of a constant, or the point range of
+    /// a fixed interval ([`EraAdvancePolicy::fixed`]; the default, at the IBR
+    /// literature's `epoch_freq` ballpark). See `he::EraPacer`.
     pub era_policy: EraAdvancePolicy,
     /// **Extension (observability).** Enables the telemetry histograms
     /// ([`crate::telemetry`]): guard-bracket op latency sampled 1 op in
@@ -247,8 +247,8 @@ mod tests {
         );
         assert_eq!(
             cfg.era_policy,
-            EraAdvancePolicy::Static(crate::clock::DEFAULT_ERA_ADVANCE_INTERVAL),
-            "the era policy defaults to the pre-policy static cadence"
+            EraAdvancePolicy::fixed(crate::clock::DEFAULT_ERA_ADVANCE_INTERVAL),
+            "the era policy defaults to the pre-policy fixed cadence"
         );
         assert!(
             !cfg.telemetry,
@@ -260,18 +260,18 @@ mod tests {
     fn era_policy_builder_accepts_both_shapes() {
         let cfg = SmrConfig::default().with_era_policy(EraAdvancePolicy::adaptive());
         assert_eq!(cfg.era_policy, EraAdvancePolicy::adaptive());
-        let cfg = cfg.with_era_policy(EraAdvancePolicy::Static(32));
+        let cfg = cfg.with_era_policy(EraAdvancePolicy::fixed(32));
         assert_eq!(
             cfg.era_policy,
-            EraAdvancePolicy::Static(32),
-            "a static policy overwrites an adaptive one"
+            EraAdvancePolicy::fixed(32),
+            "a fixed policy overwrites an adaptive one"
         );
     }
 
     #[test]
     #[should_panic(expected = "min_interval must not exceed max_interval")]
     fn incoherent_era_policy_is_rejected_at_the_builder() {
-        let _ = SmrConfig::default().with_era_policy(EraAdvancePolicy::Adaptive {
+        let _ = SmrConfig::default().with_era_policy(EraAdvancePolicy {
             min_interval: 9,
             max_interval: 3,
             limbo_low_water_bytes: 0,
@@ -290,7 +290,7 @@ mod tests {
             .with_rooster_interval(Duration::from_millis(5))
             .with_eviction_timeout(Some(Duration::from_millis(50)))
             .with_limbo_budget(Some(1 << 20))
-            .with_era_policy(EraAdvancePolicy::Static(16))
+            .with_era_policy(EraAdvancePolicy::fixed(16))
             .with_telemetry(true)
             .with_clock(Clock::manual(manual));
         assert_eq!(cfg.max_threads, 4);
@@ -301,7 +301,7 @@ mod tests {
         assert_eq!(cfg.rooster_interval, Duration::from_millis(5));
         assert_eq!(cfg.eviction_timeout_nanos(), Some(50_000_000));
         assert_eq!(cfg.limbo_budget, Some(1 << 20));
-        assert_eq!(cfg.era_policy, EraAdvancePolicy::Static(16));
+        assert_eq!(cfg.era_policy, EraAdvancePolicy::fixed(16));
         assert!(cfg.telemetry);
         assert!(cfg.clock.is_manual());
     }

@@ -12,7 +12,7 @@
 //! |---------------|----------------------|
 //! | `begin_op` / `end_op` bracket every operation | [`Guard`] is RAII: construction calls `begin_op`, drop clears every protection slot and calls `end_op` |
 //! | no shared reference outlives the operation | [`Shared<'g, T>`] borrows the guard; the borrow checker rejects any `Shared` outliving its `Guard` (see the `compile_fail` test on [`Guard`]) |
-//! | protect, then re-validate reachability | [`Guard::load_protected`] and [`Guard::protect_word`] bundle the publish + re-read + full-word compare; a `Shared` handed out by them was validated under protection |
+//! | protect, then re-validate reachability | [`Guard::load_protected`] bundles the publish + re-read + full-word compare; a `Shared` handed out by it was validated under protection (a traversal that advances on its own publishes with [`Guard::protect_shared`] and re-reads the link itself) |
 //! | stamp the birth era at allocation | [`Owned::new`] routes through [`Guard::alloc_block`] — a block from the handle's node cache, and [`SmrHandle::alloc_node`]'s stamp, stored in a private header — structures never see eras |
 //! | retire only what you unlinked, exactly once | [`Unlinked`] is produced **only** by a successful unlink CAS ([`Atomic::cas_unlink`]) and is the only type with a `retire`; retiring consumes it |
 //! | byte budgets stay exact | [`Unlinked::retire`] always hands [`SmrHandle::retire`] the node's real size and birth era — a size-unknown (0-byte) retire is unreachable from here |
@@ -29,8 +29,8 @@
 //! system cannot discharge:
 //!
 //! * [`Shared::as_ref`] — the caller asserts the `Shared` came from a
-//!   *validated* protection (a `load_protected`/`protect_word` success, or a
-//!   word whose reachability was re-validated after publication);
+//!   *validated* protection (a `load_protected` result, or a word whose
+//!   reachability was re-validated after publication);
 //! * [`Atomic::cas_unlink`] — the caller asserts this link is the **sole**
 //!   remaining path to the victim, so success makes the node unreachable and
 //!   no second `Unlinked` can be minted for it elsewhere.
@@ -198,33 +198,6 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
                 return Shared::from_word(word);
             }
             word = reread;
-        }
-    }
-
-    /// Seeded protect-and-validate: publishes protection for `expect`'s
-    /// pointer in `slot`, then re-reads `link`. `Ok(expect)` means the link
-    /// still holds exactly the observed word (pointer, mark *and* version) —
-    /// the protection is validated. `Err` returns the word actually observed;
-    /// the protection in `slot` covers the *expected* pointer and must not be
-    /// trusted for the returned one.
-    ///
-    /// This is the single-attempt variant traversals use to advance: the
-    /// expected word came from the predecessor's link, so a mismatch means the
-    /// neighborhood changed and the traversal restarts.
-    pub fn protect_word<'g, T>(
-        &'g self,
-        slot: usize,
-        link: &Atomic<T>,
-        expect: Shared<'g, T>,
-    ) -> Result<Shared<'g, T>, Shared<'g, T>> {
-        self.protect_ptr(slot, expect.word.ptr().cast());
-        let reread = link.inner.load(Ordering::Acquire);
-        if reread == expect.word {
-            #[cfg(feature = "check-oracle")]
-            crate::oracle::check_protected(expect.word.ptr().cast(), "Guard::protect_word");
-            Ok(expect)
-        } else {
-            Err(Shared::from_word(reread))
         }
     }
 
@@ -536,10 +509,9 @@ impl<'g, T> Shared<'g, T> {
     /// # Safety
     ///
     /// The `Shared` must carry a **validated** protection: it came from
-    /// [`Guard::load_protected`] / a successful [`Guard::protect_word`] on a
-    /// rooted link (or its reachability was re-validated after
-    /// [`Guard::protect_shared`]), and that protection slot has not since been
-    /// overwritten with a different pointer.
+    /// [`Guard::load_protected`] on a rooted link (or its reachability was
+    /// re-validated after [`Guard::protect_shared`]), and that protection slot
+    /// has not since been overwritten with a different pointer.
     pub unsafe fn as_ref(self) -> Option<&'g T> {
         #[cfg(feature = "check-oracle")]
         crate::oracle::check_protected(self.word.ptr().cast(), "Shared::as_ref");

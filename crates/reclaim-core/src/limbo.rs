@@ -418,10 +418,8 @@ impl HandleCore {
         // Kept, the block is credited to this arena at scheme drop: one of
         // another arena's would make it free its chunks with a block out.
         // SAFETY: a plain block is of a cached class, which an arena carved.
-        assert!(
-            unsafe { self.cache.owns(node.addr()) },
-            "a node of another scheme's structure"
-        );
+        let owned = unsafe { self.cache.owns(node.addr()) };
+        assert!(owned, "a node of another scheme's structure");
         self.book_retire(node.size_bytes());
         self.kept.0 += 1;
         self.kept.1 += node.size_bytes();
@@ -644,8 +642,10 @@ pub struct Reclaim<'a> {
 }
 
 impl Reclaim<'_> {
-    /// The scanning handle's counter stripe (scan-dispatch counters, and the
-    /// shard tally of a registry walk the pass makes).
+    /// The scanning handle's counter stripe: the shard tally of a registry
+    /// walk the pass makes, and a skip that frees nothing (HE's blocked
+    /// chains); [`free_walk`](Self::free_walk) and
+    /// [`free_all`](Self::free_all) count their own dispatch.
     #[inline]
     pub fn stats(&self) -> &StatStripe {
         self.stats
@@ -660,7 +660,8 @@ impl Reclaim<'_> {
 
     /// Walks `bag` ([`SegBag::transfer_walk`]): stops for good at the first
     /// node failing `keep_scanning`, releases every node before that passing
-    /// `can_free` to the ready chain, visits each survivor once.
+    /// `can_free` to the ready chain, visits each survivor once. Counted as a
+    /// walk, an empty bag's included.
     ///
     /// # Safety
     ///
@@ -673,6 +674,7 @@ impl Reclaim<'_> {
         can_free: impl FnMut(&RetiredPtr) -> bool,
         visit_survivor: impl FnMut(&RetiredPtr),
     ) {
+        self.stats.add_scan_walk();
         if !bag.is_empty() {
             self.observe();
             bag.transfer_walk(
@@ -686,7 +688,8 @@ impl Reclaim<'_> {
     }
 
     /// Releases the whole of `bag`, no per-node test and no per-node work: one
-    /// splice (grace-period drains, unreachable era chains).
+    /// splice (grace-period drains, unreachable era chains). Counted as a
+    /// wholesale drain, or as a skip when the bag is empty.
     ///
     /// # Safety
     ///
@@ -694,7 +697,10 @@ impl Reclaim<'_> {
     /// without asking again.
     #[inline]
     pub unsafe fn free_all(&mut self, bag: &mut SegBag) {
-        if !bag.is_empty() {
+        if bag.is_empty() {
+            self.stats.add_scan_skip();
+        } else {
+            self.stats.add_scan_wholesale();
             self.observe();
             self.ready.splice(bag);
         }

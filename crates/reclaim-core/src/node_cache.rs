@@ -548,6 +548,8 @@ pub(crate) struct SchemeArena(NonNull<Arena>);
 
 // SAFETY: the arena is `Sync`; the owner only frees it at its own drop.
 unsafe impl Send for SchemeArena {}
+// SAFETY: a shared `SchemeArena` hands out only `&Arena`, which is `Sync`
+// (its books sit behind one `Mutex`), and no `&self` method frees it.
 unsafe impl Sync for SchemeArena {}
 
 impl SchemeArena {
@@ -690,7 +692,9 @@ mod tests {
     struct Padded(u64);
     // SAFETY: each is allocated with its own layout.
     unsafe impl Block for Small {}
+    // SAFETY: as `Small`'s: the tests allocate it as `Layout::new::<Big>()`.
     unsafe impl Block for Big {}
+    // SAFETY: as `Small`'s, its 64 B alignment included.
     unsafe impl Block for Padded {}
 
     /// Retires and frees `node` through `drop_fn`, as the free stage would,

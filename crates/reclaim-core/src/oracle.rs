@@ -19,9 +19,9 @@
 //!             (removed)                 └ free without retire ✗    │ retire: retire-after-free ✗
 //! ```
 //!
-//! Checkpoints: every validated [`crate::Guard::load_protected`] /
-//! [`crate::Guard::protect_word`] success and every [`crate::Shared`] /
-//! [`crate::Unlinked`] dereference calls [`check_protected`]; a `Freed` verdict
+//! Checkpoints: every validated [`crate::Guard::load_protected`] and every
+//! [`crate::Shared`] / [`crate::Unlinked`] dereference calls
+//! [`check_protected`]; a `Freed` verdict
 //! panics on the spot — at the exact instruction that would have touched freed
 //! memory — instead of letting the heap corrupt.
 //!

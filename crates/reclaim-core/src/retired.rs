@@ -66,9 +66,10 @@ pub struct RetiredPtr {
 /// zero bytes.
 pub const SIZE_UNKNOWN: u32 = 0;
 
-// A RetiredPtr is just a deferred destructor call; the node it points to is already
-// unreachable from the data structure, so moving the wrapper between threads is safe
-// as long as only one thread ultimately runs the destructor (guaranteed by ownership).
+// SAFETY: a RetiredPtr is just a deferred destructor call; the node it points
+// to is already unreachable from the data structure, so moving the wrapper
+// between threads is safe as long as only one thread ultimately runs the
+// destructor (guaranteed by ownership).
 unsafe impl Send for RetiredPtr {}
 
 impl RetiredPtr {

@@ -192,10 +192,13 @@ impl Drop for SegPool {
     fn drop(&mut self) {
         let mut seg = self.free;
         while !seg.is_null() {
-            // SAFETY: free-list segments are empty and owned by the pool.
-            let next = unsafe { (*seg).next };
-            unsafe { Segment::dealloc(seg) };
-            seg = next;
+            // SAFETY: free-list segments are empty and owned by the pool, and
+            // `seg` is read before it is freed.
+            seg = unsafe {
+                let next = (*seg).next;
+                Segment::dealloc(seg);
+                next
+            };
         }
     }
 }
@@ -562,12 +565,15 @@ impl Drop for SegBag {
         );
         let mut seg = self.head;
         while !seg.is_null() {
-            // SAFETY: the chain is uniquely owned; any still-initialized
-            // RetiredPtr slots carry no Drop impl of their own (the pointed-to
-            // nodes leak deliberately, see above).
-            let next = unsafe { (*seg).next };
-            unsafe { Segment::dealloc(seg) };
-            seg = next;
+            // SAFETY: the chain is uniquely owned, and `seg` is read before it
+            // is freed; any still-initialized RetiredPtr slots carry no Drop
+            // impl of their own (the pointed-to nodes leak deliberately, see
+            // above).
+            seg = unsafe {
+                let next = (*seg).next;
+                Segment::dealloc(seg);
+                next
+            };
         }
     }
 }

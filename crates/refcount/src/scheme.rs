@@ -100,8 +100,6 @@ impl RefCountHandle {
     fn scan(core: &mut HandleCore, table: &CountTable, retired: &mut SegBag) {
         core.stats().add_scan();
         core.scan(|reclaim, _| {
-            // Every sweep tests each node's counter bucket individually.
-            reclaim.stats().add_scan_walk();
             // SAFETY: a retired node is already unlinked. If its counter bucket is zero
             // then no thread currently announces a reference that could cover it; a
             // thread announcing a reference *after* this load must re-validate the node's
@@ -290,6 +288,35 @@ mod tests {
         assert_eq!(snap.retired, 12);
         assert_eq!(snap.freed, 8);
         assert_eq!(snap.scans, 1);
+    }
+
+    #[test]
+    fn every_sweep_is_one_walk_an_empty_bag_included() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = RefCount::new(
+            SmrConfig::default()
+                .with_hp_per_thread(1)
+                .with_scan_threshold(1_000),
+        );
+        let mut handle = scheme.register();
+        let dispatch = |scheme: &RefCount| {
+            let snap = scheme.stats();
+            (
+                snap.scans,
+                snap.scan_walks,
+                snap.scan_wholesale,
+                snap.scan_skips,
+            )
+        };
+        handle.flush();
+        assert_eq!(dispatch(&scheme), (1, 1, 0, 0), "an empty bag is walked");
+        for _ in 0..3 {
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(&mut handle, tracked(&drops)) };
+        }
+        handle.flush();
+        assert_eq!(dispatch(&scheme), (2, 2, 0, 0));
+        assert_eq!(drops.load(Ordering::SeqCst), 3);
     }
 
     #[test]

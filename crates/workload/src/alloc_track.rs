@@ -159,6 +159,8 @@ mod tests {
         let layout = Layout::from_size_align(64, 8).unwrap();
         // SAFETY: `layout` has non-zero size; the returned pointer is only used while the tracker lives.
         let ptr = unsafe { tracker.alloc(layout) };
+        // SAFETY: `ptr` came from this tracker's `alloc` with `layout`, and the
+        // new size is non-zero.
         let grown = unsafe { tracker.realloc(ptr, layout, 512) };
         assert!(!grown.is_null());
         assert_eq!(tracker.live_bytes(), 512);

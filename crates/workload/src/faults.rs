@@ -304,7 +304,7 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
         .with_scan_threshold(64)
         .with_fallback_threshold(1 << 20)
         .with_rooster_interval(Duration::MAX)
-        .with_era_policy(EraAdvancePolicy::Adaptive {
+        .with_era_policy(EraAdvancePolicy {
             min_interval: 16,
             max_interval: 256,
             limbo_low_water_bytes: (1 << 14) * PAYLOAD_BYTES,
@@ -397,7 +397,7 @@ mod tests {
     fn stalled_reader_fault_samples_every_episode_and_cleans_up_under_he() {
         let plan = quick_plan(FaultKind::StalledReader);
         let scheme =
-            he::He::new(default_fault_config(None).with_era_policy(EraAdvancePolicy::Static(16)));
+            he::He::new(default_fault_config(None).with_era_policy(EraAdvancePolicy::fixed(16)));
         let result = run_fault(&scheme, &plan, None);
         assert_eq!(result.limbo_samples.len(), plan.episodes);
         assert_eq!(result.total_retired, (plan.episodes * plan.burst) as u64);

@@ -43,7 +43,7 @@ pub mod smr {
     pub use cadence::Cadence;
     pub use ebr::{Ebr, EbrHandle};
     pub use hazard::{FenceStrategy, Hazard, HpFamily, HpHandle};
-    pub use he::{EraClock, EraPacer, He, HeHandle};
+    pub use he::{EraPacer, He, HeHandle};
     pub use qsbr::{Qsbr, QsbrHandle};
     pub use qsense::{Path, QSense, QSenseHandle};
     pub use reclaim_core::stats::StatsSnapshot;

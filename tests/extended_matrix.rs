@@ -156,7 +156,7 @@ fn queue_conserves_elements_under_hazard_eras() {
             .with_max_threads(8)
             .with_hp_per_thread(QUEUE_HP_SLOTS)
             .with_scan_threshold(16)
-            .with_era_policy(EraAdvancePolicy::Static(16)),
+            .with_era_policy(EraAdvancePolicy::fixed(16)),
     ));
 }
 
@@ -254,7 +254,7 @@ fn stack_conserves_elements_under_hazard_eras() {
             .with_max_threads(8)
             .with_hp_per_thread(STACK_HP_SLOTS)
             .with_scan_threshold(16)
-            .with_era_policy(EraAdvancePolicy::Static(16)),
+            .with_era_policy(EraAdvancePolicy::fixed(16)),
     ));
 }
 

@@ -180,7 +180,7 @@ fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
-            .with_era_policy(EraAdvancePolicy::Static(16))
+            .with_era_policy(EraAdvancePolicy::fixed(16))
     };
 
     // HE: stall a reader inside an operation (announced reservation), then churn.
@@ -273,12 +273,12 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
     // Same range: the static interval is the adaptive policy's idle ceiling,
     // so every difference below is the adaptation, not a smaller constant.
     let static_run = run_fault(
-        &He::new(base().with_era_policy(EraAdvancePolicy::Static(64))),
+        &He::new(base().with_era_policy(EraAdvancePolicy::fixed(64))),
         &spec,
         None,
     );
     let adaptive_run = run_fault(
-        &He::new(base().with_era_policy(EraAdvancePolicy::Adaptive {
+        &He::new(base().with_era_policy(EraAdvancePolicy {
             min_interval: 8,
             max_interval: 64,
             // Four of the scenario's nodes.

@@ -594,7 +594,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // limbo far past the low-water mark) still allocate nothing at all.
     {
         let clock = ManualClock::new();
-        let scheme = He::new(config(&clock).with_era_policy(EraAdvancePolicy::Adaptive {
+        let scheme = He::new(config(&clock).with_era_policy(EraAdvancePolicy {
             min_interval: 8,
             max_interval: 64,
             // 32 of this test's 8-byte nodes.
