@@ -2,8 +2,8 @@
 
 use qsbr::{confirmed, grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, OFFLINE};
 use reclaim_core::{
-    fence, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache, Registry,
-    RetiredPtr, SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
+    fence, CapacityExhausted, Counter, FenceStrategy, HandleCore, HandleTelemetry, NodeCache,
+    Registry, RetiredPtr, SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -125,7 +125,7 @@ impl Ebr {
             }
         }
         if all_caught_up() && self.global_epoch.try_advance(global) {
-            orphan.add_quiescent_state();
+            orphan.add(Counter::QuiescentStates, 1);
             return true;
         }
         false

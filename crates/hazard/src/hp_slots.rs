@@ -17,7 +17,7 @@
 //! block on the way.
 
 use reclaim_core::fence::{self, BarrierLedger, FenceStrategy};
-use reclaim_core::{CachePadded, HandleCore, Registry, RetiredPtr, SegBag, StatStripe};
+use reclaim_core::{CachePadded, Counter, HandleCore, Registry, RetiredPtr, SegBag, StatStripe};
 use std::sync::atomic::{AtomicPtr, Ordering};
 
 /// Slots per storage block: 128 bytes' worth, the unit [`CachePadded`] keeps
@@ -160,7 +160,7 @@ impl OwnedSlots {
     /// call it at flush and drop.
     pub fn publish_fence_count(&mut self, stats: &StatStripe) {
         if self.fences > 0 {
-            stats.add_traversal_fences(std::mem::take(&mut self.fences));
+            stats.add(Counter::TraversalFences, std::mem::take(&mut self.fences));
         }
     }
 }
@@ -208,7 +208,7 @@ pub unsafe fn hp_scan<R>(
     newest: u64,
 ) {
     let stats = core.stats();
-    stats.add_scan();
+    stats.add(Counter::Scans, 1);
     // How far the scheme's barriers have come. Read before the snapshot: the
     // snapshot then follows the barrier that raised it.
     let covered = match ledger.strategy() {

@@ -3,7 +3,7 @@
 use crate::clock::EraPacer;
 use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::{
-    CapacityExhausted, Era, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr,
+    CapacityExhausted, Counter, Era, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr,
     SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
@@ -195,7 +195,7 @@ impl EraLimbo {
     /// buckets freeing whatever no reservation can still reach (see the scheme
     /// docs for the overlap argument).
     fn scan(&mut self, core: &mut HandleCore, scheme: &He) {
-        core.stats().add_scan();
+        core.stats().add(Counter::Scans, 1);
         // Advance the era so the generation the current reservations announce
         // can age out even in allocation-free (pure-remove) workloads; without
         // this, a retire-only phase would never see `lower > tag` become true.
@@ -255,7 +255,7 @@ impl EraLimbo {
                     // reservation: nothing can free this pass. Skipping the walk
                     // keeps a blocked bag O(1) per scan instead of O(bag) — the
                     // Cadence early-stop analogue for era intervals.
-                    reclaim.stats().add_scan_skip();
+                    reclaim.stats().add(Counter::ScanSkips, 1);
                 } else {
                     // Partial reclaim: recompute both birth bounds from the
                     // survivors the walk already touches, so a chain whose

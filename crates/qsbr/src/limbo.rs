@@ -3,7 +3,7 @@
 //! drain of a matured list ([`grace_drain`]).
 
 use crate::epoch::{limbo_index, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, EVICTED};
-use reclaim_core::{HandleCore, Registry, SegBag, StatStripe};
+use reclaim_core::{Counter, HandleCore, Registry, SegBag, StatStripe};
 
 /// `QsbrHandle` is this plus a `HandleCore`; QSense's handle holds the same
 /// part as its fast path, EBR's with the local epoch as its retires' tag.
@@ -100,7 +100,7 @@ impl EpochLimbo {
         registry: &Registry<R>,
         record: impl Fn(&R) -> &EpochRecord,
     ) -> Option<(&mut SegBag, bool)> {
-        stats.add_quiescent_state();
+        stats.add(Counter::QuiescentStates, 1);
         let epoch = global.load();
         if self.local_epoch == epoch {
             if confirmed(registry, stats, record, epoch) {

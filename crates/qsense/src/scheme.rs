@@ -5,8 +5,9 @@ use crate::path::{FallbackFlag, Path};
 use hazard::{hp_scan, HpSlots, OwnedSlots};
 use qsbr::{grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, OFFLINE};
 use reclaim_core::{
-    BarrierLedger, CachePadded, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry,
-    NodeCache, Registry, RetiredPtr, SchemeCore, SlotId, Smr, SmrConfig, SmrHandle, StatStripe,
+    BarrierLedger, CachePadded, CapacityExhausted, Counter, FenceStrategy, HandleCore,
+    HandleTelemetry, NodeCache, Registry, RetiredPtr, SchemeCore, SlotId, Smr, SmrConfig,
+    SmrHandle, StatStripe,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -174,7 +175,7 @@ impl QSense {
                 seen.is_some_and(|seen| silent(r) > timeout && self.evict(r, seen))
             })
             .count();
-        tally.add_evictions(evicted);
+        tally.add(Counter::Evictions, evicted as u64);
         evicted
     }
 
@@ -339,7 +340,7 @@ impl QSenseHandle {
                 if self.scheme.all_processes_active(self.core.stats())
                     && self.scheme.fallback.trigger_fast_path()
                 {
-                    self.core.stats().add_fast_path_switch();
+                    self.core.stats().add(Counter::FastPathSwitches, 1);
                     self.prev_seen_path = Path::Fast;
                     self.fast_path();
                 } else {
@@ -403,7 +404,7 @@ impl SmrHandle for QSenseHandle {
             // This thread's limbo list has grown past C: quiescence has not been
             // possible for a while, so trigger the switch to the fallback path.
             if scheme.fallback.trigger_fallback() {
-                self.core.stats().add_fallback_switch();
+                self.core.stats().add(Counter::FallbackSwitches, 1);
             }
             self.prev_seen_path = Path::Fallback;
             scan_all(&mut self.core, &mut self.limbo);
@@ -419,7 +420,7 @@ impl SmrHandle for QSenseHandle {
             let (limbo, prev) = (&mut self.limbo, &mut self.prev_seen_path);
             self.core.enforce_budget(|core| {
                 if seen == Path::Fast && scheme.fallback.trigger_fallback() {
-                    core.stats().add_fallback_switch();
+                    core.stats().add(Counter::FallbackSwitches, 1);
                     scheme.core.governor().count_fallback_trip();
                 }
                 *prev = Path::Fallback;

@@ -57,7 +57,7 @@
 //! Linux; everywhere else it reports `ENOSYS` and the fallbacks run.
 
 use crate::pad::CachePadded;
-use crate::stats::StatStripe;
+use crate::stats::{Counter, StatStripe};
 use std::sync::atomic::{compiler_fence, fence, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
@@ -214,10 +214,10 @@ pub fn expedited_barrier() -> bool {
 /// On `false` the caller frees nothing and advances nothing.
 #[must_use]
 pub fn scanner_barrier(stats: &StatStripe) -> bool {
-    stats.add_heavy_barrier();
+    stats.add(Counter::HeavyBarriers, 1);
     let ran = expedited_barrier();
     if !ran {
-        stats.add_heavy_barrier_failure();
+        stats.add(Counter::HeavyBarrierFailures, 1);
     }
     ran
 }

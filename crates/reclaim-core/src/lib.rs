@@ -164,7 +164,7 @@
 //! * **Consistency** — records are single relaxed `fetch_add`s (no lost
 //!   counts); snapshots are bucket-wise monotone and exact after recorders
 //!   quiesce — the histogram analog of the `retired >= freed` guarantee
-//!   [`stats::StatStripe::merge_into`] gives the counters.
+//!   the counters' freed-first sum gives ([`stats::Counter::Freed`]).
 //!
 //! Disabled (the default), every record site is **one flag load**;
 //! `qsense-bench --figure telemetry-off,telemetry-on` runs the same
@@ -423,7 +423,7 @@ pub use registry::{Registry, RegistryFull, SlotId, SHARD_SLOTS};
 pub use retired::RetiredPtr;
 pub use segbag::{SegBag, SegPool, SEG_CAP};
 pub use smr::{drop_fn_for, CapacityExhausted, Smr, SmrHandle};
-pub use stats::{ShardedStats, StatStripe, StatsSnapshot};
+pub use stats::{Counter, StatStripe, StatsSnapshot};
 pub use telemetry::{
     HandleTelemetry, HistSnapshot, LogHistogram, ScanObserver, Telemetry, TelemetrySummary,
 };

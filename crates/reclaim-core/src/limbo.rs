@@ -55,12 +55,11 @@
 use crate::budget::{BudgetGovernor, BudgetVerdict};
 use crate::config::SmrConfig;
 use crate::node_cache::{NodeCache, SchemeArena};
-use crate::pad::CachePadded;
 use crate::registry::{Registry, SlotId};
 use crate::retired::RetiredPtr;
 use crate::segbag::{SegBag, SegPool};
 use crate::smr::CapacityExhausted;
-use crate::stats::{ShardedStats, StatStripe, StatsSnapshot};
+use crate::stats::{Counter, ShardedStats, StatStripe, StatsSnapshot};
 use crate::telemetry::{CursorState, HandleTelemetry, ScanObserver, Telemetry};
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -90,12 +89,9 @@ pub const READY_FREES_PER_RETIRE: usize = 2;
 pub struct SchemeCore {
     name: &'static str,
     config: SmrConfig,
-    /// One counter stripe per handle: keyed by registry slot index, or dealt
-    /// round-robin for registry-less schemes.
+    /// One counter stripe per handle — keyed by registry slot index, or dealt
+    /// round-robin for registry-less schemes — and the orphan stripe last.
     stats: ShardedStats,
-    /// Counter stripe for events with no owning handle (frees of parked
-    /// leftovers at scheme drop, EBR's successful epoch advances).
-    orphan_stats: CachePadded<StatStripe>,
     /// What exited handles left behind.
     parked: Mutex<Parked>,
     governor: BudgetGovernor,
@@ -148,7 +144,6 @@ impl SchemeCore {
         Arc::new(Self {
             name,
             stats: ShardedStats::new(config.max_threads),
-            orphan_stats: CachePadded::new(StatStripe::new()),
             parked: Mutex::new(Parked::new(config.max_threads)),
             governor: BudgetGovernor::new(config.limbo_budget, config.clock.clone()),
             telemetry: Telemetry::from_config(&config),
@@ -170,7 +165,6 @@ impl SchemeCore {
     /// `Smr::stats`: every stripe summed, plus the governor's peak.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
-        self.orphan_stats.merge_into(&mut snap);
         snap.peak_limbo_bytes = self.governor.peak_bytes();
         // A cache's bytes move between stripes: a racing sum can dip below 0.
         snap.cached_bytes = u64::try_from(snap.cached_bytes as i64).unwrap_or(0);
@@ -180,11 +174,12 @@ impl SchemeCore {
     }
 
     /// The scheme-wide limbo bytes: retired and not yet freed, whoever holds
-    /// them — a live handle, the parked leftovers, or a handle mid-drop
-    /// ([`ShardedStats::limbo_bytes`]). What the governor is handed, what the
-    /// verdict reports, what HE's era pacer adapts to.
+    /// them — a live handle, the parked leftovers, or a handle mid-drop:
+    /// `retired_bytes − freed_bytes` over every stripe, the orphan's
+    /// included, freed first, clamped at 0. What the governor is handed, what
+    /// the verdict reports, what HE's era pacer adapts to.
     pub fn limbo_estimate(&self) -> u64 {
-        self.stats.limbo_bytes(&self.orphan_stats)
+        self.stats.limbo_bytes()
     }
 
     /// `Smr::budget_verdict`: the governor's record around the estimate of now.
@@ -203,9 +198,11 @@ impl SchemeCore {
         &self.telemetry
     }
 
-    /// The counter stripe for scheme-level events no handle owns.
+    /// The counter stripe for scheme-level events no handle owns (frees of
+    /// parked leftovers at scheme drop, EBR's epoch advances): the last row
+    /// of the scheme's table, which no handle is dealt and every sum covers.
     pub fn orphan_stats(&self) -> &StatStripe {
-        &self.orphan_stats
+        self.stats.orphan()
     }
 
     /// A fresh block off this scheme's arena for a node no handle allocates:
@@ -280,9 +277,9 @@ impl Drop for SchemeCore {
         // SAFETY: as above, and a kept block has no record anyone could free
         // it through: its chunk goes with the arena, dropped last.
         unsafe { self.arena.credit(kept_bytes) };
-        self.orphan_stats.add_freed((freed + kept) as u64);
-        self.orphan_stats
-            .add_freed_bytes((freed_bytes + kept_bytes) as u64);
+        let orphan = self.stats.orphan();
+        orphan.add(Counter::Freed, (freed + kept) as u64);
+        orphan.add(Counter::FreedBytes, (freed_bytes + kept_bytes) as u64);
     }
 }
 
@@ -332,8 +329,10 @@ impl HandleCore {
         &self.shared.config
     }
 
-    /// This handle's counter stripe, for the protocol's own counters
-    /// (quiescent states, traversal fences, path switches, scan dispatch).
+    /// This handle's row of the scheme's counter table, for the protocol's
+    /// own counters (quiescent states, traversal fences, path switches, scan
+    /// dispatch): `stats().add(Counter::X, n)` is one `fetch_add` on a line
+    /// no other handle writes.
     pub fn stats(&self) -> &StatStripe {
         self.shared.stats.stripe(self.stripe)
     }
@@ -390,10 +389,10 @@ impl HandleCore {
     #[inline]
     fn book_retire(&mut self, size_bytes: usize) {
         let stats = self.stats();
-        stats.add_retired(1);
-        stats.add_retired_bytes(size_bytes as u64);
+        stats.add(Counter::Retired, 1);
+        stats.add(Counter::RetiredBytes, size_bytes as u64);
         if size_bytes == 0 {
-            stats.add_size_unknown_retire();
+            stats.add(Counter::SizeUnknownRetires, 1);
         }
         self.limbo_nodes += 1;
         self.limbo_bytes += size_bytes;
@@ -444,8 +443,8 @@ impl HandleCore {
             unsafe { node.reclaim(Some(&mut self.cache)) };
         }
         let stats = shared.stats.stripe(self.stripe);
-        stats.add_freed(nodes as u64);
-        stats.add_freed_bytes(bytes as u64);
+        stats.add(Counter::Freed, nodes as u64);
+        stats.add(Counter::FreedBytes, bytes as u64);
         self.limbo_nodes -= nodes;
         self.limbo_bytes -= bytes;
     }
@@ -501,7 +500,7 @@ impl HandleCore {
     fn book_cache(&mut self) -> usize {
         let (bytes, delta) = self.cache.book();
         if delta != 0 {
-            self.stats().add_cached_bytes(delta);
+            self.stats().add(Counter::CachedBytes, delta as u64);
         }
         bytes
     }
@@ -615,7 +614,7 @@ impl Drop for HandleCore {
         // The cache's blocks go back to the arena, and off the books, before
         // `shared` drops: it may hold the last reference to the arena.
         let booked = self.cache.release() as i64;
-        self.stats().add_cached_bytes(-booked);
+        self.stats().add(Counter::CachedBytes, -booked as u64);
         let workspace = (
             std::mem::take(&mut self.pool),
             std::mem::take(&mut self.scratch),
@@ -674,7 +673,7 @@ impl Reclaim<'_> {
         can_free: impl FnMut(&RetiredPtr) -> bool,
         visit_survivor: impl FnMut(&RetiredPtr),
     ) {
-        self.stats.add_scan_walk();
+        self.stats.add(Counter::ScanWalks, 1);
         if !bag.is_empty() {
             self.observe();
             bag.transfer_walk(
@@ -698,9 +697,9 @@ impl Reclaim<'_> {
     #[inline]
     pub unsafe fn free_all(&mut self, bag: &mut SegBag) {
         if bag.is_empty() {
-            self.stats.add_scan_skip();
+            self.stats.add(Counter::ScanSkips, 1);
         } else {
-            self.stats.add_scan_wholesale();
+            self.stats.add(Counter::ScanWholesale, 1);
             self.observe();
             self.ready.splice(bag);
         }

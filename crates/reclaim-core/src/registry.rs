@@ -60,7 +60,7 @@
 //! the same argument for its eight bits at once.
 
 use crate::pad::CachePadded;
-use crate::stats::StatStripe;
+use crate::stats::{Counter, StatStripe};
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -147,8 +147,17 @@ impl<'a> ShardTally<'a> {
 }
 
 impl Drop for ShardTally<'_> {
+    /// Adds what the walk counted, skipping a zero.
+    #[inline]
     fn drop(&mut self) {
-        self.stripe.add_shard_dispatch(self.skips, self.walks);
+        for (c, n) in [
+            (Counter::ShardSkips, self.skips),
+            (Counter::ShardWalks, self.walks),
+        ] {
+            if n != 0 {
+                self.stripe.add(c, n);
+            }
+        }
     }
 }
 

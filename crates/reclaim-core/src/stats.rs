@@ -6,6 +6,14 @@
 //! memory fences were issued on the traversal path (the quantity the paper's whole
 //! design revolves around), and — for QSense — how often the system switched paths.
 //!
+//! ## One list
+//!
+//! Each counter is one line of the `counters!` list below, and nothing else
+//! names it: the list generates the [`Counter`] enum, the stripe's width
+//! ([`Counter::COUNT`]), and the [`StatsSnapshot`] field it sums into. A writer
+//! calls [`StatStripe::add`] with a `Counter`; a snapshot reads every counter
+//! in list order.
+//!
 //! ## Why stripes
 //!
 //! The counters are bumped on the *measured hot path*: every `retire` and every
@@ -13,115 +21,133 @@
 //! in one shared struct — one cache line that every worker thread `fetch_add`ed on
 //! every operation, i.e. a built-in contention floor of exactly the kind the paper's
 //! design (and DEBRA's / Hyaline's "keep bookkeeping per-thread") warns about. The
-//! counters now live in [`StatStripe`]s — one cache-padded stripe per writer — and
-//! are only summed when somebody asks for a [`StatsSnapshot`]. Writers touch their
-//! own line; readers pay O(#stripes) per snapshot, which is off the measured path.
+//! counters now live in [`StatStripe`]s — `[AtomicU64; Counter::COUNT]`, one
+//! cache-padded stripe per writer (19 counters, 152 B of a 256 B padded pair) —
+//! and are only summed when somebody asks for a [`StatsSnapshot`]. Writers touch
+//! their own line; readers pay O(#stripes) per snapshot, which is off the
+//! measured path.
 //!
-//! Every scheme's [`SchemeCore`](crate::limbo::SchemeCore) holds one
-//! [`ShardedStats`]: registry-backed schemes (QSBR, EBR, HP, Cadence, QSense, HE)
-//! key a handle's stripe by its registry slot index, registry-less schemes (Leaky,
-//! RefCount) deal stripes out round-robin at registration.
+//! Every scheme's [`SchemeCore`](crate::limbo::SchemeCore) holds one table of
+//! stripes, a row per handle: registry-backed schemes (QSBR, EBR, HP, Cadence,
+//! QSense, HE) key a handle's row by its registry slot index, registry-less
+//! schemes (Leaky, RefCount) deal rows out round-robin at registration. The
+//! table's last row is the scheme's *orphan* stripe, for events no handle owns
+//! (frees of parked leftovers at scheme drop, EBR's epoch advances); no handle
+//! is ever dealt it, and every sum covers it like any other row.
 //!
 //! The stripes are the scheme's only books. The limbo-byte estimate budgets are
 //! enforced against is `retired_bytes − freed_bytes` summed over them
-//! ([`ShardedStats::limbo_bytes`]), not a second tally kept in step with them;
-//! a scan's registry shard dispatch ([`StatsSnapshot::shard_skips`] /
-//! [`shard_walks`](StatsSnapshot::shard_walks)) lands on the scanning handle's
-//! stripe like any other counter. The one figure a snapshot carries that no
-//! stripe holds is [`StatsSnapshot::peak_limbo_bytes`]: a high-water mark is
-//! not a sum, so the scheme's governor keeps it and the scheme injects it.
+//! ([`SchemeCore::limbo_estimate`](crate::limbo::SchemeCore::limbo_estimate)),
+//! not a second tally kept in step with them; a scan's registry shard dispatch
+//! ([`StatsSnapshot::shard_skips`] / [`shard_walks`](StatsSnapshot::shard_walks))
+//! lands on the scanning handle's stripe like any other counter. A snapshot
+//! carries three figures no stripe holds — [`StatsSnapshot::peak_limbo_bytes`]
+//! (a high-water mark is not a sum, so the scheme's governor keeps it) and the
+//! arena's two footprints — and the scheme fills them in.
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
-/// Relaxed ordering is sufficient for most counters: they are monotonic
-/// diagnostics, never used for synchronization decisions. The exception is the
-/// `freed`/`retired` pair — see [`StatStripe::add_freed`].
-const R: Ordering = Ordering::Relaxed;
+/// Generates [`Counter`], its width and [`StatsSnapshot`] from one list of
+/// `Variant => field` lines, each under the doc of its snapshot field.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])+ $variant:ident => $field:ident,)+) => {
+        /// One stripe counter: a slot of every [`StatStripe`] and a field of
+        /// [`StatsSnapshot`], in the order of the module's list.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum Counter {
+            $(
+                #[doc = concat!("Sums into [`StatsSnapshot::", stringify!($field), "`].")]
+                $variant,
+            )+
+        }
 
-/// One cache-padded stripe of monotonic reclamation counters, written by a single
-/// logical owner (a registry slot or a round-robin shard) and summed lazily.
-///
-/// All methods take `&self`; writes are single-writer in practice but remain safe
-/// under arbitrary sharing.
-#[derive(Debug, Default)]
-pub struct StatStripe {
-    retired: AtomicU64,
-    freed: AtomicU64,
-    size_unknown_retires: AtomicU64,
-    retired_bytes: AtomicU64,
-    freed_bytes: AtomicU64,
-    scans: AtomicU64,
-    scan_wholesale: AtomicU64,
-    scan_skips: AtomicU64,
-    scan_walks: AtomicU64,
-    shard_skips: AtomicU64,
-    shard_walks: AtomicU64,
-    quiescent_states: AtomicU64,
-    traversal_fences: AtomicU64,
-    heavy_barriers: AtomicU64,
-    heavy_barrier_failures: AtomicU64,
-    fallback_switches: AtomicU64,
-    fast_path_switches: AtomicU64,
-    evictions: AtomicU64,
-    /// Net bytes booked into node caches (wrapping: a cache moves stripes).
-    cached_bytes: AtomicU64,
+        impl Counter {
+            /// Every counter, in list order.
+            const ALL: &'static [Counter] = &[$(Counter::$variant),+];
+            /// The number of counters: a stripe's width.
+            pub const COUNT: usize = Self::ALL.len();
+        }
+
+        /// A plain snapshot of a scheme's counters at one instant.
+        #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+        pub struct StatsSnapshot {
+            $($(#[doc = $doc])+ pub $field: u64,)+
+            /// High-water mark of the scheme-wide limbo *byte* estimate, as the
+            /// scheme's budget governor saw it each time a handle looked (0 when the
+            /// scheme carries no governor). Not a stripe counter: the scheme injects
+            /// it at snapshot time.
+            pub peak_limbo_bytes: u64,
+            /// Bytes of the chunks the scheme's arena has carved its nodes' blocks
+            /// from ([`crate::node_cache`]): the footprint of every structure over
+            /// the scheme, its caches and its limbo, nodes past 256 B aside. Not a
+            /// stripe counter: the scheme reads it off its arena at snapshot time.
+            pub arena_bytes: u64,
+            /// Of those, bytes of free blocks on the arena's shared lists — what a
+            /// cache miss takes before it carves.
+            pub arena_free_bytes: u64,
+        }
+
+        impl StatsSnapshot {
+            /// The snapshot whose counter fields are `read(counter)`, called in
+            /// list order; the figures no stripe holds are left at 0.
+            fn read(mut read: impl FnMut(Counter) -> u64) -> Self {
+                Self {
+                    $($field: read(Counter::$variant),)+
+                    ..Self::default()
+                }
+            }
+        }
+    };
 }
 
-/// A plain snapshot of a scheme's counters at one instant.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Nodes handed to `retire` (the paper's `free_node_later`).
-    pub retired: u64,
+counters! {
     /// Nodes whose destructor has actually run.
-    pub freed: u64,
+    Freed => freed,
+    /// Stamped allocation bytes actually released.
+    FreedBytes => freed_bytes,
+    /// Nodes handed to `retire` (the paper's `free_node_later`).
+    Retired => retired,
+    /// Stamped allocation bytes handed to `retire` (size-unknown nodes add
+    /// zero; see `RetiredPtr::size_bytes`).
+    RetiredBytes => retired_bytes,
     /// Retires that reached the scheme without a byte size (`size_bytes == 0`,
     /// the sealed legacy path). The guard layer always stamps sizes, so every
     /// structure built on it pins this at zero; a non-zero value means some
     /// call site bypassed the sized birth-era-stamped path.
-    pub size_unknown_retires: u64,
-    /// Stamped allocation bytes handed to `retire` (size-unknown nodes add
-    /// zero; see `RetiredPtr::size_bytes`).
-    pub retired_bytes: u64,
-    /// Stamped allocation bytes actually released.
-    pub freed_bytes: u64,
-    /// High-water mark of the scheme-wide limbo *byte* estimate, as the
-    /// scheme's budget governor saw it each time a handle looked (0 when the
-    /// scheme carries no governor). Not a stripe counter: the scheme injects
-    /// it at snapshot time.
-    pub peak_limbo_bytes: u64,
+    SizeUnknownRetires => size_unknown_retires,
     /// Hazard-pointer scans executed (HP / Cadence / QSense fallback).
-    pub scans: u64,
+    Scans => scans,
     /// Scan-dispatch decisions that freed a whole batch (a bag, chain or era
     /// bucket) without testing its nodes individually — the cheapest cost
     /// class (QSBR grace-period drains, EBR safe buckets, QSense fast-path
     /// drains, HE wholesale chains).
-    pub scan_wholesale: u64,
+    ScanWholesale => scan_wholesale,
     /// Scan-dispatch decisions that skipped a whole batch unexamined (bucket
     /// still covered by a reservation, epoch not yet safe, nothing old
     /// enough) — zero per-node work, zero frees.
-    pub scan_skips: u64,
+    ScanSkips => scan_skips,
     /// Scan-dispatch decisions that walked a batch node by node, testing each
     /// against protections or ages — the expensive cost class (HP/Cadence
     /// scans, QSense fallback, HE boundary chains, RefCount sweeps).
-    pub scan_walks: u64,
+    ScanWalks => scan_walks,
     /// Registry shards stepped over as wholly vacant by scans and cursor walks
     /// (one bitmap load, zero slot lines touched) — the counter that proves
     /// scan cost tracks *active shards*, not registered capacity. Counted on
-    /// the stripe of the handle that ran the walk
-    /// ([`StatStripe::add_shard_dispatch`]).
-    pub shard_skips: u64,
+    /// the stripe of the handle that ran the walk, once per walk
+    /// ([`Registry::iter_claimed`](crate::registry::Registry::iter_claimed)).
+    ShardSkips => shard_skips,
     /// Registry shards actually walked (at least one claimed slot at the
     /// bitmap load). Counted like [`shard_skips`](Self::shard_skips).
-    pub shard_walks: u64,
+    ShardWalks => shard_walks,
     /// Quiescent states declared (QSBR / QSense fast path).
-    pub quiescent_states: u64,
+    QuiescentStates => quiescent_states,
     /// Hardware memory fences issued by readers on the traversal path: one per
     /// `protect` of the hazard-pointer family under the reader-fenced protocol
     /// (a handle publishes its count when it flushes or drops), zero under
     /// scanner-barrier and behind a rooster (see [`crate::fence`]) — Cadence's
     /// and QSense's whole point is to keep this at zero.
-    pub traversal_fences: u64,
+    TraversalFences => traversal_fences,
     /// Expedited `membarrier` calls *issued* by scans
     /// ([`fence::scanner_barrier`](crate::fence::scanner_barrier)) under the
     /// scanner-barrier protocol: one per HP scan pass over a non-empty bag
@@ -130,27 +156,81 @@ pub struct StatsSnapshot {
     /// issues — and counts — none), one per EBR epoch-advance attempt that no
     /// visible pin already blocks. Zero under the reader-fenced protocol, for
     /// the rooster's barriers, and for every other scheme.
-    pub heavy_barriers: u64,
+    HeavyBarriers => heavy_barriers,
     /// Of those, the calls the kernel refused; such a pass frees nothing it
     /// did not already have covered, and advances no epoch.
-    pub heavy_barrier_failures: u64,
+    HeavyBarrierFailures => heavy_barrier_failures,
     /// Fast-path → fallback-path switches (QSense).
-    pub fallback_switches: u64,
+    FallbackSwitches => fallback_switches,
     /// Fallback-path → fast-path switches (QSense).
-    pub fast_path_switches: u64,
+    FastPathSwitches => fast_path_switches,
     /// Threads the eviction extension took out of grace periods (QSense).
-    pub evictions: u64,
+    Evictions => evictions,
     /// Bytes of freed blocks in live handles' node caches
-    /// ([`crate::node_cache`]) as of each one's last look: in no limbo or budget.
-    pub cached_bytes: u64,
-    /// Bytes of the chunks the scheme's arena has carved its nodes' blocks
-    /// from ([`crate::node_cache`]): the footprint of every structure over
-    /// the scheme, its caches and its limbo, nodes past 256 B aside. Not a
-    /// stripe counter: the scheme reads it off its arena at snapshot time.
-    pub arena_bytes: u64,
-    /// Of those, bytes of free blocks on the arena's shared lists — what a
-    /// cache miss takes before it carves.
-    pub arena_free_bytes: u64,
+    /// ([`crate::node_cache`]) as of each one's last look: in no limbo or
+    /// budget. A stripe adds a negative delta as its two's complement, and
+    /// every sum wraps: a cache moves stripes, so only the total is a count.
+    CachedBytes => cached_bytes,
+}
+
+impl Counter {
+    /// `Freed` and `FreedBytes` are added with `Release` and read with
+    /// `Acquire`, first in the list and so before `Retired` and
+    /// `RetiredBytes` by every sum: a node is retired before it is freed — on
+    /// the same thread, or through the parked store's lock when another
+    /// handle adopts it — so every free a sum observes carries a
+    /// happens-before edge to its retire, and the retired reads that follow
+    /// include it. A snapshot can run ahead of the truth by retires it raced
+    /// with, never report `freed > retired` (or `freed_bytes > retired_bytes`).
+    /// Every other counter is a relaxed diagnostic.
+    const fn publishes(self) -> bool {
+        matches!(self, Counter::Freed | Counter::FreedBytes)
+    }
+}
+
+/// One cache-padded stripe of reclamation counters, one slot per [`Counter`],
+/// written by a single logical owner (a handle, or the scheme's orphan row)
+/// and summed lazily. Writes are single-writer in practice but remain safe
+/// under arbitrary sharing.
+#[derive(Debug)]
+pub struct StatStripe([AtomicU64; Counter::COUNT]);
+
+impl Default for StatStripe {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl StatStripe {
+    /// Creates a zeroed stripe.
+    pub const fn new() -> Self {
+        Self([const { AtomicU64::new(0) }; Counter::COUNT])
+    }
+
+    /// Adds `n` to counter `c`: one `fetch_add` on this stripe's own line.
+    #[inline]
+    pub fn add(&self, c: Counter, n: u64) {
+        let order = if c.publishes() {
+            Ordering::Release
+        } else {
+            Ordering::Relaxed
+        };
+        self.0[c as usize].fetch_add(n, order);
+    }
+
+    fn load(&self, c: Counter) -> u64 {
+        let order = if c.publishes() {
+            Ordering::Acquire
+        } else {
+            Ordering::Relaxed
+        };
+        self.0[c as usize].load(order)
+    }
+
+    /// Snapshot of this stripe alone (tests and diagnostics).
+    pub fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot::read(|c| self.load(c))
+    }
 }
 
 impl StatsSnapshot {
@@ -166,248 +246,76 @@ impl StatsSnapshot {
     }
 }
 
-impl StatStripe {
-    /// Creates a zeroed stripe.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records `n` nodes retired.
-    #[inline]
-    pub fn add_retired(&self, n: u64) {
-        self.retired.fetch_add(n, R);
-    }
-
-    /// Records `n` nodes freed.
-    ///
-    /// The release ordering pairs with the acquire load in [`merge_into`](Self::merge_into)
-    /// (which reads `freed` *before* `retired`): any free observed by a snapshot
-    /// carries a happens-before edge to its own retire — a node is always retired
-    /// by its owner before that same owner frees it — so a snapshot can never
-    /// report `freed > retired`.
-    #[inline]
-    pub fn add_freed(&self, n: u64) {
-        self.freed.fetch_add(n, Ordering::Release);
-    }
-
-    /// Records `n` stamped bytes retired.
-    #[inline]
-    pub fn add_retired_bytes(&self, n: u64) {
-        self.retired_bytes.fetch_add(n, R);
-    }
-
-    /// Records one retire that arrived without a byte size (the sealed
-    /// size-unknown path; see [`StatsSnapshot::size_unknown_retires`]).
-    #[inline]
-    pub(crate) fn add_size_unknown_retire(&self) {
-        self.size_unknown_retires.fetch_add(1, R);
-    }
-
-    /// Records `n` stamped bytes freed. Release for the same reason as
-    /// [`add_freed`](Self::add_freed): paired with the acquire freed-first
-    /// read in [`merge_into`](Self::merge_into), a snapshot can never report
-    /// `freed_bytes > retired_bytes`.
-    #[inline]
-    pub fn add_freed_bytes(&self, n: u64) {
-        self.freed_bytes.fetch_add(n, Ordering::Release);
-    }
-
-    /// Records one hazard-pointer scan.
-    #[inline]
-    pub fn add_scan(&self) {
-        self.scans.fetch_add(1, R);
-    }
-
-    /// Records one wholesale scan-dispatch decision (a whole batch freed with
-    /// no per-node tests; see [`StatsSnapshot::scan_wholesale`]).
-    #[inline]
-    pub fn add_scan_wholesale(&self) {
-        self.scan_wholesale.fetch_add(1, R);
-    }
-
-    /// Records one skipped batch (examined and passed over whole; see
-    /// [`StatsSnapshot::scan_skips`]).
-    #[inline]
-    pub fn add_scan_skip(&self) {
-        self.scan_skips.fetch_add(1, R);
-    }
-
-    /// Records one per-node walk over a batch (see
-    /// [`StatsSnapshot::scan_walks`]).
-    #[inline]
-    pub fn add_scan_walk(&self) {
-        self.scan_walks.fetch_add(1, R);
-    }
-
-    /// Records one registry walk's shard dispatch: `skips` shards stepped over
-    /// as wholly vacant, `walks` walked (see [`StatsSnapshot::shard_skips`]).
-    /// The walk counts locally and calls this once, so a scan pays at most two
-    /// adds to its own line however many shards the registry has.
-    #[inline]
-    pub fn add_shard_dispatch(&self, skips: u64, walks: u64) {
-        if skips != 0 {
-            self.shard_skips.fetch_add(skips, R);
-        }
-        if walks != 0 {
-            self.shard_walks.fetch_add(walks, R);
-        }
-    }
-
-    /// Records one quiescent state.
-    #[inline]
-    pub fn add_quiescent_state(&self) {
-        self.quiescent_states.fetch_add(1, R);
-    }
-
-    /// Records `n` traversal-path memory fences.
-    #[inline]
-    pub fn add_traversal_fences(&self, n: u64) {
-        self.traversal_fences.fetch_add(n, R);
-    }
-
-    /// Records one scan-side expedited barrier.
-    #[inline]
-    pub fn add_heavy_barrier(&self) {
-        self.heavy_barriers.fetch_add(1, R);
-    }
-
-    /// Records that the kernel refused a scan-side barrier.
-    pub fn add_heavy_barrier_failure(&self) {
-        self.heavy_barrier_failures.fetch_add(1, R);
-    }
-
-    /// Records a switch to the fallback path.
-    pub fn add_fallback_switch(&self) {
-        self.fallback_switches.fetch_add(1, R);
-    }
-
-    /// Records a switch back to the fast path.
-    pub fn add_fast_path_switch(&self) {
-        self.fast_path_switches.fetch_add(1, R);
-    }
-
-    /// Records `n` evictions of silent threads.
-    pub fn add_evictions(&self, n: usize) {
-        self.evictions.fetch_add(n as u64, R);
-    }
-
-    /// Records `delta` bytes into (or, negative, out of) node caches.
-    pub(crate) fn add_cached_bytes(&self, delta: i64) {
-        self.cached_bytes.fetch_add(delta as u64, R);
-    }
-
-    /// Accumulates this stripe into `snap`.
-    ///
-    /// `freed` is read first (acquire): every free it observes happened-after the
-    /// matching retire on the same stripe, so the subsequent `retired` read is
-    /// guaranteed to include that retire. This keeps the aggregate
-    /// `retired >= freed` invariant visible to concurrent snapshots.
-    pub fn merge_into(&self, snap: &mut StatsSnapshot) {
-        snap.freed += self.freed.load(Ordering::Acquire);
-        snap.retired += self.retired.load(R);
-        snap.size_unknown_retires += self.size_unknown_retires.load(R);
-        snap.freed_bytes += self.freed_bytes.load(Ordering::Acquire);
-        snap.retired_bytes += self.retired_bytes.load(R);
-        snap.scans += self.scans.load(R);
-        snap.scan_wholesale += self.scan_wholesale.load(R);
-        snap.scan_skips += self.scan_skips.load(R);
-        snap.scan_walks += self.scan_walks.load(R);
-        snap.shard_skips += self.shard_skips.load(R);
-        snap.shard_walks += self.shard_walks.load(R);
-        snap.quiescent_states += self.quiescent_states.load(R);
-        snap.traversal_fences += self.traversal_fences.load(R);
-        snap.heavy_barriers += self.heavy_barriers.load(R);
-        snap.heavy_barrier_failures += self.heavy_barrier_failures.load(R);
-        snap.fallback_switches += self.fallback_switches.load(R);
-        snap.fast_path_switches += self.fast_path_switches.load(R);
-        snap.evictions += self.evictions.load(R);
-        snap.cached_bytes = snap.cached_bytes.wrapping_add(self.cached_bytes.load(R));
-    }
-
-    /// Snapshot of this stripe alone (tests and diagnostics).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        self.merge_into(&mut snap);
-        snap
-    }
-}
-
-/// A scheme's sharded counters: a fixed array of cache-padded stripes, one per
-/// handle — indexed by registry slot, or dealt out round-robin by
-/// [`assign_stripe`](Self::assign_stripe) for schemes with no slot registry.
-#[derive(Debug)]
-pub struct ShardedStats {
-    stripes: Box<[CachePadded<StatStripe>]>,
+/// A scheme's counter table: one cache-padded stripe per handle — indexed by
+/// registry slot, or dealt out round-robin by
+/// [`assign_stripe`](Self::assign_stripe) for schemes with no slot registry —
+/// and the orphan stripe last.
+pub(crate) struct ShardedStats {
+    rows: Box<[CachePadded<StatStripe>]>,
     next: AtomicUsize,
 }
 
 impl ShardedStats {
-    /// Creates `shards` zeroed stripes (at least one).
-    pub fn new(shards: usize) -> Self {
-        let shards = shards.max(1);
+    /// Creates a row for each of `max_threads` handles (at least one), and
+    /// the orphan's.
+    pub(crate) fn new(max_threads: usize) -> Self {
         Self {
-            stripes: (0..shards)
+            rows: (0..max_threads.max(1) + 1)
                 .map(|_| CachePadded::new(StatStripe::new()))
                 .collect(),
             next: AtomicUsize::new(0),
         }
     }
 
-    /// Number of stripes.
-    pub fn shards(&self) -> usize {
-        self.stripes.len()
-    }
-
-    /// The stripe for shard `index`, which must be in range — handles pass the
-    /// index [`assign_stripe`](Self::assign_stripe) gave them. Direct indexing
-    /// (no modulo): this runs on every `retire` of the registry-less schemes,
-    /// including the Leaky throughput *baseline*, where even an integer division
-    /// would inflate the floor every overhead number is measured against.
+    /// The stripe for row `index`, which must be in range — handles pass the
+    /// index [`assign_stripe`](Self::assign_stripe) or their registry slot
+    /// gave them. Direct indexing (no modulo): this runs on every `retire` of
+    /// the registry-less schemes, including the Leaky throughput *baseline*,
+    /// where even an integer division would inflate the floor every overhead
+    /// number is measured against.
     #[inline]
-    pub fn stripe(&self, index: usize) -> &StatStripe {
-        &self.stripes[index]
+    pub(crate) fn stripe(&self, index: usize) -> &StatStripe {
+        &self.rows[index]
     }
 
-    /// Deals out the next stripe index round-robin. Handles grab one at
-    /// registration; two handles never share a line as long as no more handles
-    /// are **ever registered** than there are stripes (the counter does not
-    /// reclaim stripes of dropped handles, so under handle churn assignments
-    /// wrap and sharing — harmless but contended — can recur).
-    pub fn assign_stripe(&self) -> usize {
-        self.next.fetch_add(1, Ordering::Relaxed) % self.stripes.len()
+    /// The last row: the stripe for scheme-level events no handle owns.
+    pub(crate) fn orphan(&self) -> &StatStripe {
+        &self.rows[self.rows.len() - 1]
+    }
+
+    /// Deals out the next handle row round-robin, never the orphan's. Handles
+    /// grab one at registration; two handles never share a line as long as no
+    /// more handles are **ever registered** than there are handle rows (the
+    /// counter does not reclaim rows of dropped handles, so under handle churn
+    /// assignments wrap and sharing — harmless but contended — can recur).
+    pub(crate) fn assign_stripe(&self) -> usize {
+        self.next.fetch_add(1, Ordering::Relaxed) % (self.rows.len() - 1)
+    }
+
+    /// Counter `c` summed over every row (wrapping; see [`Counter::CachedBytes`]).
+    fn sum(&self, c: Counter) -> u64 {
+        self.rows
+            .iter()
+            .fold(0, |sum, row| sum.wrapping_add(row.load(c)))
     }
 
     /// The scheme-wide limbo-byte estimate: `retired_bytes − freed_bytes` over
-    /// every stripe and `orphan` (the scheme's handle-less stripe), clamped at
-    /// 0. O(#stripes) loads, no write.
-    ///
-    /// Every `freed_bytes` is read (acquire) before any `retired_bytes`: a node
-    /// is retired on one stripe and, after a park and an adoption, may be freed
-    /// on another, so the freed-first order of [`StatStripe::merge_into`] has
-    /// to hold across stripes here. A free this sum observes happened after its
-    /// retire — on the same thread, or through the parked store's lock — so
-    /// the retired reads that follow include it: a concurrent sum can run
-    /// ahead of the truth by retires it raced with, never below it by a free
-    /// whose retire it missed.
-    pub fn limbo_bytes(&self, orphan: &StatStripe) -> u64 {
-        let stripes = || self.stripes.iter().map(|s| &**s).chain([orphan]);
-        let freed: u64 = stripes()
-            .map(|s| s.freed_bytes.load(Ordering::Acquire))
-            .sum();
-        let retired: u64 = stripes().map(|s| s.retired_bytes.load(R)).sum();
-        retired.saturating_sub(freed)
+    /// every row, clamped at 0. O(#rows) loads, no write. Every row's
+    /// `freed_bytes` is read before any `retired_bytes`: a node retired on one
+    /// row may be freed on another after a park and an adoption, so the
+    /// freed-first order ([`Counter::FreedBytes`]) has to hold across rows.
+    pub(crate) fn limbo_bytes(&self) -> u64 {
+        let freed = self.sum(Counter::FreedBytes);
+        self.sum(Counter::RetiredBytes).saturating_sub(freed)
     }
 
-    /// Sums every stripe into one consistent-enough snapshot (each counter is read
-    /// atomically; the set is not a single atomic cut, which is fine for
-    /// reporting — except `retired >= freed`, which *is* guaranteed; see
-    /// [`StatStripe::add_freed`]).
-    pub fn snapshot(&self) -> StatsSnapshot {
-        let mut snap = StatsSnapshot::default();
-        for stripe in self.stripes.iter() {
-            stripe.merge_into(&mut snap);
-        }
-        snap
+    /// Sums every row, counter by counter in list order, into one
+    /// consistent-enough snapshot (each counter is read atomically; the set is
+    /// not a single atomic cut, which is fine for reporting — except
+    /// `retired >= freed`, which *is* guaranteed across rows, as for
+    /// [`limbo_bytes`](Self::limbo_bytes)).
+    pub(crate) fn snapshot(&self) -> StatsSnapshot {
+        StatsSnapshot::read(|c| self.sum(c))
     }
 }
 
@@ -417,51 +325,38 @@ mod tests {
     use std::sync::Arc;
     use std::thread;
 
+    /// A distinct value into every counter, in list order: each lands in its
+    /// own snapshot field and nowhere else, so a new counter is covered by
+    /// its one line in the list.
+    #[test]
+    fn every_counter_lands_in_its_own_field() {
+        let stripe = StatStripe::new();
+        for &c in Counter::ALL {
+            stripe.add(c, c as u64 + 1);
+        }
+        let snap = stripe.snapshot();
+        assert_eq!(snap, StatsSnapshot::read(|c| c as u64 + 1));
+        assert_eq!((snap.freed, snap.retired, snap.peak_limbo_bytes), (1, 3, 0));
+    }
+
     #[test]
     fn stripe_counters_accumulate() {
-        let stats = StatStripe::new();
-        stats.add_retired(10);
-        stats.add_freed(4);
-        stats.add_size_unknown_retire();
-        stats.add_retired_bytes(640);
-        stats.add_freed_bytes(256);
-        stats.add_scan();
-        stats.add_scan();
-        stats.add_scan_wholesale();
-        stats.add_scan_skip();
-        stats.add_scan_skip();
-        stats.add_scan_walk();
-        stats.add_scan_walk();
-        stats.add_scan_walk();
-        stats.add_shard_dispatch(3, 0);
-        stats.add_shard_dispatch(2, 4);
-        stats.add_quiescent_state();
-        stats.add_traversal_fences(7);
-        stats.add_heavy_barrier();
-        stats.add_heavy_barrier();
-        stats.add_heavy_barrier_failure();
-        stats.add_fallback_switch();
-        stats.add_fast_path_switch();
-        stats.add_evictions(1);
-        let snap = stats.snapshot();
-        assert_eq!(snap.retired, 10);
-        assert_eq!(snap.freed, 4);
-        assert_eq!(snap.size_unknown_retires, 1);
+        let stripe = StatStripe::new();
+        stripe.add(Counter::Retired, 10);
+        stripe.add(Counter::Freed, 4);
+        stripe.add(Counter::RetiredBytes, 640);
+        stripe.add(Counter::FreedBytes, 256);
+        for (skips, walks) in [(3, 0), (2, 4)] {
+            stripe.add(Counter::ShardSkips, skips);
+            stripe.add(Counter::ShardWalks, walks);
+        }
+        stripe.add(Counter::CachedBytes, 64);
+        stripe.add(Counter::CachedBytes, -16i64 as u64);
+        let snap = stripe.snapshot();
         assert_eq!(snap.in_limbo(), 6);
-        assert_eq!(snap.retired_bytes, 640);
-        assert_eq!(snap.freed_bytes, 256);
         assert_eq!(snap.limbo_bytes(), 384);
-        assert_eq!(snap.scans, 2);
-        assert_eq!(snap.scan_wholesale, 1);
-        assert_eq!(snap.scan_skips, 2);
-        assert_eq!(snap.scan_walks, 3);
         assert_eq!((snap.shard_skips, snap.shard_walks), (5, 4));
-        assert_eq!(snap.quiescent_states, 1);
-        assert_eq!(snap.traversal_fences, 7);
-        assert_eq!((snap.heavy_barriers, snap.heavy_barrier_failures), (2, 1));
-        assert_eq!(snap.fallback_switches, 1);
-        assert_eq!(snap.fast_path_switches, 1);
-        assert_eq!(snap.evictions, 1);
+        assert_eq!(snap.cached_bytes, 48);
     }
 
     #[test]
@@ -478,44 +373,47 @@ mod tests {
     }
 
     #[test]
-    fn sharded_snapshot_merges_all_stripes() {
+    fn sharded_snapshot_merges_all_stripes_and_the_orphan() {
         let stats = ShardedStats::new(4);
         for i in 0..4 {
-            stats.stripe(i).add_retired(i as u64 + 1);
+            stats.stripe(i).add(Counter::Retired, i as u64 + 1);
         }
-        stats.stripe(0).add_freed(1);
+        stats.stripe(0).add(Counter::Freed, 1);
+        stats.orphan().add(Counter::Freed, 2);
         let snap = stats.snapshot();
         assert_eq!(snap.retired, 1 + 2 + 3 + 4);
-        assert_eq!(snap.freed, 1);
+        assert_eq!(snap.freed, 1 + 2);
     }
 
     #[test]
     fn limbo_bytes_sums_across_stripes_and_the_orphan_and_clamps_at_zero() {
         let stats = ShardedStats::new(2);
-        let orphan = StatStripe::new();
         // Retired on stripe 0, freed — after a park and an adoption — on
         // stripe 1 and by the orphan: no single stripe balances, the sum does.
-        stats.stripe(0).add_retired_bytes(900);
-        stats.stripe(1).add_freed_bytes(300);
-        orphan.add_freed_bytes(200);
-        assert_eq!(stats.limbo_bytes(&orphan), 400);
-        orphan.add_freed_bytes(1_000);
-        assert_eq!(stats.limbo_bytes(&orphan), 0);
+        stats.stripe(0).add(Counter::RetiredBytes, 900);
+        stats.stripe(1).add(Counter::FreedBytes, 300);
+        stats.orphan().add(Counter::FreedBytes, 200);
+        assert_eq!(stats.limbo_bytes(), 400);
+        stats.orphan().add(Counter::FreedBytes, 1_000);
+        assert_eq!(stats.limbo_bytes(), 0);
     }
 
     #[test]
-    fn stripe_assignment_round_robins() {
+    fn stripe_assignment_round_robins_and_never_deals_the_orphan() {
         let stats = ShardedStats::new(3);
         let dealt: Vec<_> = (0..6).map(|_| stats.assign_stripe()).collect();
-        assert_eq!(dealt, vec![0, 1, 2, 0, 1, 2]);
+        assert_eq!(dealt, [0, 1, 2, 0, 1, 2]);
+        assert!(std::ptr::eq(stats.orphan(), stats.stripe(3)));
     }
 
     #[test]
     fn zero_shards_clamps_to_one() {
         let stats = ShardedStats::new(0);
-        assert_eq!(stats.shards(), 1);
-        stats.stripe(stats.assign_stripe()).add_retired(1);
-        assert_eq!(stats.snapshot().retired, 1);
+        assert_eq!([stats.assign_stripe(), stats.assign_stripe()], [0, 0]);
+        stats.stripe(0).add(Counter::Retired, 1);
+        stats.orphan().add(Counter::Retired, 1);
+        assert!(!std::ptr::eq(stats.orphan(), stats.stripe(0)));
+        assert_eq!(stats.snapshot().retired, 2);
     }
 
     /// Satellite requirement: concurrent updates across stripes must never lose
@@ -529,11 +427,11 @@ mod tests {
             .map(|_| {
                 let stats = Arc::clone(&stats);
                 thread::spawn(move || {
-                    let shard = stats.assign_stripe();
+                    let stripe = stats.stripe(stats.assign_stripe());
                     for _ in 0..OPS {
-                        stats.stripe(shard).add_retired(1);
-                        stats.stripe(shard).add_freed(1);
-                        stats.stripe(shard).add_quiescent_state();
+                        stripe.add(Counter::Retired, 1);
+                        stripe.add(Counter::Freed, 1);
+                        stripe.add(Counter::QuiescentStates, 1);
                     }
                 })
             })
@@ -560,11 +458,12 @@ mod tests {
                 let stats = Arc::clone(&stats);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
+                    let stripe = stats.stripe(shard);
                     while !stop.load(Ordering::Relaxed) {
-                        stats.stripe(shard).add_retired(1);
-                        stats.stripe(shard).add_retired_bytes(64);
-                        stats.stripe(shard).add_freed(1);
-                        stats.stripe(shard).add_freed_bytes(64);
+                        stripe.add(Counter::Retired, 1);
+                        stripe.add(Counter::RetiredBytes, 64);
+                        stripe.add(Counter::Freed, 1);
+                        stripe.add(Counter::FreedBytes, 64);
                     }
                 })
             })

@@ -2,8 +2,8 @@
 
 use crate::table::{CountTable, DEFAULT_BUCKETS};
 use reclaim_core::{
-    CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, RetiredPtr, SchemeCore, SegBag, Smr,
-    SmrConfig, SmrHandle,
+    CapacityExhausted, Counter, HandleCore, HandleTelemetry, NodeCache, RetiredPtr, SchemeCore,
+    SegBag, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -98,7 +98,7 @@ pub struct RefCountHandle {
 impl RefCountHandle {
     /// Releases every retired node whose counter bucket is currently zero.
     fn scan(core: &mut HandleCore, table: &CountTable, retired: &mut SegBag) {
-        core.stats().add_scan();
+        core.stats().add(Counter::Scans, 1);
         core.scan(|reclaim, _| {
             // SAFETY: a retired node is already unlinked. If its counter bucket is zero
             // then no thread currently announces a reference that could cover it; a

@@ -50,8 +50,8 @@ pub mod smr {
     pub use reclaim_core::{
         retire_box, retire_box_with_birth, Atomic, BarrierLedger, BudgetGovernor, BudgetVerdict,
         CapacityExhausted, Clock, Era, EraAdvancePolicy, Guard, HandleLease, Leaky, LeakyHandle,
-        LeaseExhausted, LeasePolicy, LeasePool, LogHistogram, ManualClock, Owned, ShardedStats,
-        Shared, Smr, SmrConfig, SmrHandle, StatStripe, Telemetry, TelemetrySummary, Unlinked,
+        LeaseExhausted, LeasePolicy, LeasePool, LogHistogram, ManualClock, Owned, Shared, Smr,
+        SmrConfig, SmrHandle, StatStripe, Telemetry, TelemetrySummary, Unlinked,
         DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA, SHARD_SLOTS,
     };
     pub use refcount::{RefCount, RefCountHandle};

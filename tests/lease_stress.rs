@@ -14,7 +14,7 @@ use qsense_repro::ds::LockFreeSkipList;
 use qsense_repro::smr::{Hazard, LeasePolicy, LeasePool, Smr, SmrConfig};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const TASKS: usize = 64;
 const SLOTS: usize = 8;
@@ -36,14 +36,22 @@ fn m64_tasks_over_n8_handles_with_a_stalled_lessee() {
     let turns = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
-        // The stalled lessee: checks a handle out and keeps it through most of
-        // the storm — the other 63 tasks must make progress on 7 handles.
+        // The stalled lessee: checks a handle out and keeps it until the other
+        // 63 tasks have finished every turn — which they must do on 7 handles.
         scope.spawn(|| {
             let mut lease = pool.checkout().expect("wait policy never errors");
             for key in 0..OPS_PER_TURN {
                 list.insert(key, &mut *lease);
             }
-            std::thread::sleep(Duration::from_millis(100));
+            let others = ((TASKS - 1) * TURNS_PER_TASK) as u64;
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while turns.load(Ordering::Relaxed) < others {
+                assert!(
+                    Instant::now() < deadline,
+                    "the other tasks stopped short of their turns behind a held lease"
+                );
+                std::thread::yield_now();
+            }
             for key in 0..OPS_PER_TURN {
                 list.remove(&key, &mut *lease);
             }
