@@ -108,23 +108,21 @@ fn run_fault_matrix(
         for &fault in faults {
             let config = build_config(options, default_fault_config(options.limbo_budget));
             let result = run_fault_for(scheme, config, &FaultPlan::new(fault));
-            let verdict = result.verdict;
-            let over_ms = verdict.time_over_budget.as_secs_f64() * 1e3;
+            let stats = result.stats;
+            let over_ms = stats.time_over_budget.as_secs_f64() * 1e3;
             let bounded = match options.limbo_budget {
                 None => "n/a",
-                Some(budget) if result.peak_limbo_bytes <= BOUNDED_HEADROOM * budget as u64 => {
-                    "yes"
-                }
+                Some(budget) if stats.peak_limbo_bytes <= BOUNDED_HEADROOM * budget as u64 => "yes",
                 Some(_) => "no",
             };
             println!(
                 "{:<8} {:<15} {:>12.1} {:>12} {:>12} {:>10} {:>12.2} {:>8}",
                 result.scheme,
                 fault.name(),
-                result.peak_limbo_bytes as f64 / 1024.0,
-                result.total_retired,
-                result.end_limbo,
-                verdict.escalations(),
+                stats.peak_limbo_bytes as f64 / 1024.0,
+                stats.retired,
+                stats.in_limbo(),
+                stats.escalations(),
                 over_ms,
                 bounded,
             );
@@ -132,20 +130,20 @@ fn run_fault_matrix(
                 tag.clone()
                     .str_field("scheme", result.scheme)
                     .str_field("fault", fault.name())
-                    .int_field("total_retired", result.total_retired)
-                    .int_field("peak_limbo_bytes", result.peak_limbo_bytes)
-                    .int_field("end_limbo_nodes", result.end_limbo)
-                    .int_field("end_limbo_bytes", result.end_limbo_bytes)
-                    .int_field("forced_scans", verdict.forced_scans)
-                    .int_field("pacer_boosts", verdict.pacer_boosts)
-                    .int_field("fallback_trips", verdict.fallback_trips)
-                    .int_field("backpressure_events", verdict.backpressure_events)
+                    .int_field("total_retired", stats.retired)
+                    .int_field("peak_limbo_bytes", stats.peak_limbo_bytes)
+                    .int_field("end_limbo_nodes", stats.in_limbo())
+                    .int_field("end_limbo_bytes", stats.limbo_bytes())
+                    .int_field("forced_scans", stats.forced_scans)
+                    .int_field("pacer_boosts", stats.pacer_boosts)
+                    .int_field("fallback_trips", stats.fallback_trips)
+                    .int_field("backpressure_events", stats.backpressure_events)
                     .num_field("time_over_budget_ms", over_ms, 2)
                     .opt_num_field(
                         "peak_over_budget_ratio",
                         options
                             .limbo_budget
-                            .map(|budget| result.peak_limbo_bytes as f64 / budget as f64),
+                            .map(|budget| stats.peak_limbo_bytes as f64 / budget as f64),
                         3,
                     )
                     .str_field("bounded", bounded),

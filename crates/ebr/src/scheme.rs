@@ -75,11 +75,6 @@ impl Ebr {
         Self::new(SmrConfig::default())
     }
 
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
-
     /// The current global epoch (exposed for tests and diagnostics).
     pub fn current_epoch(&self) -> u64 {
         self.global_epoch.load()

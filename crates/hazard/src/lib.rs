@@ -244,7 +244,7 @@ mod tests {
                 (1, 64),
                 "{strategy:?}: the crossing scans at once, far below the threshold"
             );
-            assert_eq!(scheme.budget_verdict().forced_scans, 1);
+            assert_eq!(scheme.stats().forced_scans, 1);
         });
     }
 

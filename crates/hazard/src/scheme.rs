@@ -83,11 +83,6 @@ impl<const CADENCE: bool> HpFamily<CADENCE> {
     pub fn with_defaults() -> Arc<Self> {
         Self::new(SmrConfig::default())
     }
-
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
 }
 
 impl<const CADENCE: bool> Smr for HpFamily<CADENCE> {

@@ -132,11 +132,6 @@ impl He {
         Self::new(SmrConfig::default())
     }
 
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
-
     /// The current global era (tests and diagnostics).
     pub fn current_era(&self) -> Era {
         self.pacer.current()
@@ -292,10 +287,10 @@ impl EraLimbo {
         // Under an enforced budget a speed-up is an escalation and is counted
         // as such.
         let proven = core.ready_bytes() as u64;
-        let core = &scheme.core;
-        let residue = || core.limbo_estimate().saturating_sub(proven);
-        if scheme.pacer.adapt(residue) && core.governor().enforcing() {
-            core.governor().count_pacer_boost();
+        let shared = &scheme.core;
+        let residue = || shared.limbo_estimate().saturating_sub(proven);
+        if scheme.pacer.adapt(residue) && shared.governor().enforcing() {
+            core.stats().add(Counter::PacerBoosts, 1);
         }
     }
 }
@@ -914,7 +909,7 @@ mod tests {
 
     /// The scheme-wide limbo-byte estimate — what the pacer adapts to.
     fn estimate(scheme: &He) -> u64 {
-        scheme.budget_verdict().current_bytes
+        scheme.stats().limbo_bytes()
     }
 
     const TRACKED: u64 = std::mem::size_of::<Tracked>() as u64;
@@ -1007,7 +1002,7 @@ mod tests {
             scheme.pacer().current_interval()
         );
         assert_eq!(
-            scheme.budget_verdict().pacer_boosts,
+            scheme.stats().pacer_boosts,
             0,
             "no budget, no escalation to count"
         );

@@ -79,11 +79,6 @@ where
         self.smr.register()
     }
 
-    /// Number of buckets.
-    pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
-    }
-
     /// Number of key-value pairs currently in the map (maintained counter).
     pub fn len(&self) -> usize {
         self.size.load(Ordering::Relaxed)
@@ -219,13 +214,6 @@ mod tests {
             }
         }
         assert_eq!(map.len(), reference.len());
-    }
-
-    #[test]
-    fn bucket_count_rounds_to_power_of_two() {
-        let map: LockFreeHashMap<u64, u64, Leaky> =
-            LockFreeHashMap::with_buckets(Leaky::with_defaults(), 100);
-        assert_eq!(map.bucket_count(), 128);
     }
 
     #[test]

@@ -38,11 +38,6 @@ impl Qsbr {
         Self::new(SmrConfig::default())
     }
 
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
-
     /// The current global epoch (exposed for tests and diagnostics).
     pub fn current_epoch(&self) -> u64 {
         self.global.load()

@@ -97,11 +97,6 @@ impl QSense {
         Self::new(SmrConfig::default())
     }
 
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
-
     /// Which path the scheme is currently on.
     pub fn current_path(&self) -> Path {
         self.fallback.load()
@@ -420,8 +415,9 @@ impl SmrHandle for QSenseHandle {
             let (limbo, prev) = (&mut self.limbo, &mut self.prev_seen_path);
             self.core.enforce_budget(|core| {
                 if seen == Path::Fast && scheme.fallback.trigger_fallback() {
-                    core.stats().add(Counter::FallbackSwitches, 1);
-                    scheme.core.governor().count_fallback_trip();
+                    let stats = core.stats();
+                    stats.add(Counter::FallbackSwitches, 1);
+                    stats.add(Counter::FallbackTrips, 1);
                 }
                 *prev = Path::Fallback;
                 scan_all(core, limbo)

@@ -17,10 +17,13 @@
 //!    scheme-specific boosts (the HE era pacer, which adapts to this
 //!    estimate, ticks faster; QSense trips its fallback path early), and as a
 //!    last resort one bounded retire-side backpressure yield — with every
-//!    rung counted;
-//! 3. **answers** for itself: [`BudgetGovernor::verdict`] returns a
-//!    [`BudgetVerdict`] (peak bytes, time spent over budget, escalations
-//!    taken) that benches, the CLI fault matrix and CI assert against.
+//!    rung counted on the stripe of the handle that pulled it
+//!    ([`Counter::ForcedScans`](crate::stats::Counter::ForcedScans) and the
+//!    three after it);
+//! 3. **reports** through the scheme's one snapshot: `Smr::stats` carries the
+//!    rung counts, the peak, the budget and the time spent over it, and
+//!    [`StatsSnapshot::within_budget`](crate::stats::StatsSnapshot::within_budget)
+//!    is what benches, the CLI fault matrix and CI assert against.
 //!
 //! ## What enforcement can and cannot promise
 //!
@@ -29,7 +32,7 @@
 //! HP, Cadence, QSense, HE, EBR and RefCount can all free garbage the moment
 //! the budget trips. QSBR cannot — declaring a quiescent state mid-operation
 //! would be unsound, and no scan exists — so under a stalled reader QSBR
-//! *exceeds* its budget and the verdict records exactly that. This asymmetry
+//! *exceeds* its budget and its snapshot records exactly that. This asymmetry
 //! is the point: the budget turns the paper's robust/non-robust distinction
 //! into a pass/fail verdict instead of a plot a human eyeballs.
 //!
@@ -51,44 +54,6 @@ use crate::clock::{Clock, Nanos};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// Queryable outcome of running a scheme under a limbo budget: the evidence a
-/// robustness verdict is made of.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BudgetVerdict {
-    /// The configured budget in bytes; 0 means tracking-only (no enforcement).
-    pub budget_bytes: u64,
-    /// The limbo-byte estimate at the moment the verdict was taken.
-    pub current_bytes: u64,
-    /// High-water mark of the limbo-byte estimate over the scheme's lifetime.
-    pub peak_bytes: u64,
-    /// Total wall-clock time the estimate spent above the budget.
-    pub time_over_budget: Duration,
-    /// Escalation rung 1: scans forced on the retire path by a budget breach.
-    pub forced_scans: u64,
-    /// Escalation rung 2a: era-pacer speed-ups under an enforced budget (HE
-    /// only).
-    pub pacer_boosts: u64,
-    /// Escalation rung 2b: early fallback-path trips (QSense only).
-    pub fallback_trips: u64,
-    /// Escalation rung 3: bounded retire-side backpressure yields taken after
-    /// a forced scan failed to get back under budget.
-    pub backpressure_events: u64,
-}
-
-impl BudgetVerdict {
-    /// True when the scheme never exceeded its budget (vacuously true without
-    /// one). This is the bit CI asserts for the robust schemes.
-    pub fn within_budget(&self) -> bool {
-        self.budget_bytes == 0 || self.peak_bytes <= self.budget_bytes
-    }
-
-    /// Total escalations of any kind — "did graceful degradation actually
-    /// engage, or was the run never under pressure".
-    pub fn escalations(&self) -> u64 {
-        self.forced_scans + self.pacer_boosts + self.fallback_trips + self.backpressure_events
-    }
-}
-
 /// Budget-enforcement state over a limbo-byte estimate it is handed, never
 /// keeps. One per scheme instance; handles bring it the estimate at a bounded
 /// grain. See the module docs for the design.
@@ -106,10 +71,6 @@ pub struct BudgetGovernor {
     over_since: AtomicU64,
     /// Accumulated nanoseconds spent over budget across completed excursions.
     over_nanos: AtomicU64,
-    forced_scans: AtomicU64,
-    pacer_boosts: AtomicU64,
-    fallback_trips: AtomicU64,
-    backpressure_events: AtomicU64,
 }
 
 impl BudgetGovernor {
@@ -129,16 +90,17 @@ impl BudgetGovernor {
             peak: AtomicU64::new(0),
             over_since: AtomicU64::new(0),
             over_nanos: AtomicU64::new(0),
-            forced_scans: AtomicU64::new(0),
-            pacer_boosts: AtomicU64::new(0),
-            fallback_trips: AtomicU64::new(0),
-            backpressure_events: AtomicU64::new(0),
         }
     }
 
     /// True when a budget is set and breaches escalate.
     pub fn enforcing(&self) -> bool {
         self.budget > 0
+    }
+
+    /// The budget in bytes; 0 = tracking-only.
+    pub fn budget_bytes(&self) -> u64 {
+        self.budget
     }
 
     /// Bytes a handle's limbo drifts between two looks at the estimate.
@@ -189,47 +151,16 @@ impl BudgetGovernor {
         over
     }
 
-    /// Counts a forced retire-path scan (ladder rung 1).
-    pub(crate) fn count_forced_scan(&self) {
-        self.forced_scans.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an era-pacer speed-up under an enforced budget (ladder rung 2a,
-    /// HE).
-    pub fn count_pacer_boost(&self) {
-        self.pacer_boosts.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts an early fallback-path trip (ladder rung 2b, QSense).
-    pub fn count_fallback_trip(&self) {
-        self.fallback_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one bounded retire-side backpressure yield (ladder rung 3).
-    pub(crate) fn count_backpressure(&self) {
-        self.backpressure_events.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Snapshot of the run so far, around the `estimate` of now. If the scheme
-    /// is over budget right now the in-flight excursion is included in
-    /// `time_over_budget`.
-    pub fn verdict(&self, estimate: u64) -> BudgetVerdict {
+    /// Total time the estimate spent over budget, the excursion in flight
+    /// (if the scheme is over budget right now) included.
+    pub fn time_over_budget(&self) -> Duration {
         let mut over = Duration::from_nanos(self.over_nanos.load(Ordering::Relaxed));
         let mark = self.over_since.load(Ordering::Relaxed);
         if mark != 0 {
             let now: Nanos = self.clock.now();
             over += Duration::from_nanos(now.saturating_sub(mark - 1));
         }
-        BudgetVerdict {
-            budget_bytes: self.budget,
-            current_bytes: estimate,
-            peak_bytes: self.peak_bytes(),
-            time_over_budget: over,
-            forced_scans: self.forced_scans.load(Ordering::Relaxed),
-            pacer_boosts: self.pacer_boosts.load(Ordering::Relaxed),
-            fallback_trips: self.fallback_trips.load(Ordering::Relaxed),
-            backpressure_events: self.backpressure_events.load(Ordering::Relaxed),
-        }
+        over
     }
 }
 
@@ -254,11 +185,8 @@ mod tests {
         assert_eq!(gov.peak_bytes(), 1 << 20);
         assert!(!gov.refresh(0));
         assert_eq!(gov.peak_bytes(), 1 << 20, "peak is a high-water mark");
-        let verdict = gov.verdict(0);
-        assert_eq!(verdict.current_bytes, 0, "the verdict keeps no estimate");
-        assert!(verdict.within_budget());
-        assert_eq!(verdict.escalations(), 0);
-        assert_eq!(verdict.time_over_budget, Duration::ZERO);
+        assert_eq!(gov.budget_bytes(), 0);
+        assert_eq!(gov.time_over_budget(), Duration::ZERO);
     }
 
     #[test]
@@ -278,43 +206,19 @@ mod tests {
         clock.advance(Duration::from_millis(1));
         assert!(gov.refresh(1_500), "estimate over budget");
         clock.advance(Duration::from_millis(5));
-        // Still over: the in-flight excursion shows up in the verdict.
-        assert!(gov.verdict(1_500).time_over_budget >= Duration::from_millis(5));
-        assert!(!gov.verdict(1_500).within_budget());
+        // Still over: the in-flight excursion counts.
+        assert!(gov.time_over_budget() >= Duration::from_millis(5));
         // Recovery closes the stopwatch.
         assert!(!gov.refresh(100));
-        let settled = gov.verdict(100).time_over_budget;
+        let settled = gov.time_over_budget();
         assert!(settled >= Duration::from_millis(5));
         clock.advance(Duration::from_millis(10));
         assert_eq!(
-            gov.verdict(100).time_over_budget,
+            gov.time_over_budget(),
             settled,
             "stopwatch stops while under budget"
         );
-        assert_eq!(gov.verdict(100).peak_bytes, 1_500);
-    }
-
-    #[test]
-    fn escalation_counters_land_in_the_verdict() {
-        let (gov, _clock) = governor(Some(10));
-        gov.count_forced_scan();
-        gov.count_forced_scan();
-        gov.count_pacer_boost();
-        gov.count_fallback_trip();
-        gov.count_backpressure();
-        let verdict = gov.verdict(0);
-        assert_eq!(verdict.forced_scans, 2);
-        assert_eq!(verdict.pacer_boosts, 1);
-        assert_eq!(verdict.fallback_trips, 1);
-        assert_eq!(verdict.backpressure_events, 1);
-        assert_eq!(verdict.escalations(), 5);
-    }
-
-    #[test]
-    fn verdict_without_budget_is_vacuously_within() {
-        let (gov, _clock) = governor(None);
-        gov.refresh(u64::MAX / 2);
-        assert!(gov.verdict(u64::MAX / 2).within_budget());
-        assert_eq!(gov.verdict(0).budget_bytes, 0);
+        assert_eq!(gov.peak_bytes(), 1_500);
+        assert_eq!(gov.budget_bytes(), 1_000);
     }
 }

@@ -39,7 +39,8 @@ pub struct SmrConfig {
     pub scan_threshold: usize,
     /// `C`: per-thread limbo-list size that triggers the switch to the fallback path
     /// (QSense only). Property 4 of the paper requires
-    /// `C > max(m·Q, N·K + T, (K + T + R) / 2)`.
+    /// `C > max(m·Q, N·K + T, (K + T + R) / 2)`, with `m` the most nodes one
+    /// operation removes and `T` the removals one rooster interval allows.
     pub fallback_threshold: usize,
     /// `T`: how often the process's rooster thread issues a process-wide barrier on
     /// this scheme's behalf (Cadence / QSense fallback path; the shortest interval
@@ -192,20 +193,6 @@ impl SmrConfig {
         self.clock = clock;
         self
     }
-
-    /// Checks the legality condition on `C` from Property 4 of the paper,
-    /// `C > max(m·Q, N·K + T, (K + T + R)/2)`, where `m` is the maximum number of
-    /// nodes a single operation can remove and `T` is expressed — as in the paper's
-    /// proof, which counts "at most one removal per time unit" — as the number of
-    /// nodes removable during one rooster interval, approximated here by the caller
-    /// via `removals_per_interval`.
-    pub fn fallback_threshold_is_legal(&self, m: usize, removals_per_interval: usize) -> bool {
-        let c = self.fallback_threshold;
-        let t = removals_per_interval;
-        let nk_plus_t = self.max_threads * self.hp_per_thread + t;
-        let k_t_r = (self.hp_per_thread + t + self.scan_threshold).div_ceil(2);
-        c > m * self.quiescence_threshold && c > nk_plus_t && c > k_t_r
-    }
 }
 
 impl Default for SmrConfig {
@@ -311,21 +298,6 @@ mod tests {
         assert_eq!(SmrConfig::for_list().hp_per_thread, 2);
         assert_eq!(SmrConfig::for_bst().hp_per_thread, 6);
         assert_eq!(SmrConfig::for_skiplist().hp_per_thread, 35);
-    }
-
-    #[test]
-    fn legality_condition_matches_property_4() {
-        let cfg = SmrConfig::default()
-            .with_max_threads(8)
-            .with_hp_per_thread(2)
-            .with_quiescence_threshold(100)
-            .with_scan_threshold(128)
-            .with_fallback_threshold(4096);
-        // m = 1 removal per op, ~1000 removals per rooster interval.
-        assert!(cfg.fallback_threshold_is_legal(1, 1000));
-        // A tiny C violates the condition.
-        let tiny = cfg.clone().with_fallback_threshold(10);
-        assert!(!tiny.fallback_threshold_is_legal(1, 1000));
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl Leaky {
     pub fn with_defaults() -> Arc<Self> {
         Self::new(SmrConfig::default())
     }
-
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
 }
 
 impl Smr for Leaky {

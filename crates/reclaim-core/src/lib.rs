@@ -86,14 +86,15 @@
 //! it is `retired_bytes − freed_bytes` over the counter stripes every retire
 //! and free already writes ([`SchemeCore::limbo_estimate`]) — the one set of
 //! books — and it is what the scheme's [`BudgetGovernor`] is handed, what
-//! [`Smr::budget_verdict`] reports and what HE's `he::EraPacer` adapts to.
+//! [`Smr::stats`] reports ([`StatsSnapshot::limbo_bytes`]) and what HE's
+//! `he::EraPacer` adapts to.
 //!
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
-//! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch — `qsbr::EpochRecord`, shared by QSBR, QSense and EBR, whose pin publishes it —, era interval), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::name`], [`Smr::stats`], [`Smr::budget_verdict`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
+//! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch — `qsbr::EpochRecord`, shared by QSBR, QSense and EBR, whose pin publishes it —, era interval), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::config`], [`Smr::name`], [`Smr::stats`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
 //! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
-//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted in the [`BudgetVerdict`] — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
+//! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted on the handle's own stripe ([`StatsSnapshot::forced_scans`] and the three after it) — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
 //! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**, all through one store behind one lock on the [`SchemeCore`]: leftovers and the tally of kept plain blocks in, leftovers back out into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other —, the pool + scan scratch to the next registrant and the node cache's blocks back to the arena (`HandleCore`'s own `Drop`), the store drained at scheme drop; with none parked, the one **workspace rule** for every scheme ([`SchemeCore::attach`]): a pool pre-warmed for `R` ([`SegPool::for_scan_threshold`]) and a scratch of the word count the scheme names — its largest snapshot, `N·K` addresses (HP, Cadence, QSense), `2·N` era words (HE), `K` announced addresses (RC), none (QSBR, EBR, Leaky) |
 //!
 //! The freed-side counters and the parked store are private to this crate:
@@ -123,7 +124,7 @@
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
 //! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under [`NODE_CACHE_BYTES`]; past that it hands the block, with 15 more of the class, to the arena its chunk names under one lock; a block of no cached class it frees; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the arena's lock per 16 blocks over the cap, the allocator's thread cache for a `Box` |
 //! | per `retire` (byte accounting) | stamp the node's size into the [`retired::RetiredPtr`] (written next to the stamp the wrapper already carries: `size_of::<T>()` for guard-layer nodes, the allocation's real size for a skip-list tower; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated look ([`limbo::HandleCore::enforce_budget`]) — a comparison of the ledger against its value at the handle's last look, escalating to the O(#stripes) sum of `retired_bytes − freed_bytes` only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; a look writes nothing but a new peak — **no per-retire shared write**, and none per grain either |
-//! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is counted in the queryable [`budget::BudgetVerdict`] |
+//! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is one add to the pulling handle's own stripe, summed into [`Smr::stats`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`], or [`guard::Guard::protect_shared`] and the caller's re-read) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s, or none for a node with nothing to drop in a block of a cached class (a plain block, freed by its recorded size) | identical to [`smr::SmrHandle::retire`] |
@@ -194,9 +195,9 @@
 //! limbo *bytes* (stamped at retire, counted retired and freed on the
 //! handles' stripes, whose difference is the estimate) against the same
 //! [`budget::BudgetGovernor`], and answers
-//! for the run through [`Smr::budget_verdict`]: the peak byte estimate, the
-//! wall-clock time spent over budget, and a counter per escalation rung
-//! actually pulled. The ladder, in order:
+//! for the run in its one snapshot, [`Smr::stats`]: the peak byte estimate,
+//! the budget, the wall-clock time spent over it, and a counter per
+//! escalation rung actually pulled. The ladder, in order:
 //!
 //! 1. **forced scan** — a budget crossing on the retire path forces a
 //!    reclamation pass on the retiring handle, threshold counters
@@ -213,7 +214,7 @@
 //!
 //! Enforcement engages only *after* the estimate crosses the budget, so an
 //! enforcing scheme legitimately peaks slightly above it —
-//! [`budget::BudgetVerdict::within_budget`] is the strict check; CI's
+//! [`StatsSnapshot::within_budget`] is the strict check; CI's
 //! robustness verdicts instead allow constant headroom (in-flight young
 //! bursts + 4× budget) and require `escalations() > 0`. What the ladder can
 //! and cannot bound, per scheme family:
@@ -407,7 +408,7 @@ pub mod stats;
 pub mod tagged;
 pub mod telemetry;
 
-pub use budget::{BudgetGovernor, BudgetVerdict};
+pub use budget::BudgetGovernor;
 pub use clock::{
     Clock, Era, EraAdvancePolicy, ManualClock, Nanos, DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA,
 };

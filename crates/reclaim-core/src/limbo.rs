@@ -52,7 +52,7 @@
 //! scratch of 64-bit words, as many as the scheme's largest snapshot — the
 //! scheme names only that count.
 
-use crate::budget::{BudgetGovernor, BudgetVerdict};
+use crate::budget::BudgetGovernor;
 use crate::config::SmrConfig;
 use crate::node_cache::{NodeCache, SchemeArena};
 use crate::registry::{Registry, SlotId};
@@ -162,10 +162,14 @@ impl SchemeCore {
         &self.config
     }
 
-    /// `Smr::stats`: every stripe summed, plus the governor's peak.
+    /// `Smr::stats`: every stripe summed, plus the governor's peak, budget and
+    /// stopwatch and the arena's footprints.
     pub fn stats(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
-        snap.peak_limbo_bytes = self.governor.peak_bytes();
+        let governor = &self.governor;
+        snap.peak_limbo_bytes = governor.peak_bytes();
+        snap.budget_bytes = governor.budget_bytes();
+        snap.time_over_budget = governor.time_over_budget();
         // A cache's bytes move between stripes: a racing sum can dip below 0.
         snap.cached_bytes = u64::try_from(snap.cached_bytes as i64).unwrap_or(0);
         let (chunks, listed) = self.arena.get().footprint();
@@ -177,18 +181,12 @@ impl SchemeCore {
     /// them — a live handle, the parked leftovers, or a handle mid-drop:
     /// `retired_bytes − freed_bytes` over every stripe, the orphan's
     /// included, freed first, clamped at 0. What the governor is handed, what
-    /// the verdict reports, what HE's era pacer adapts to.
+    /// [`StatsSnapshot::limbo_bytes`] reports, what HE's era pacer adapts to.
     pub fn limbo_estimate(&self) -> u64 {
         self.stats.limbo_bytes()
     }
 
-    /// `Smr::budget_verdict`: the governor's record around the estimate of now.
-    pub fn budget_verdict(&self) -> BudgetVerdict {
-        self.governor.verdict(self.limbo_estimate())
-    }
-
-    /// The budget governor: its configuration, and the two counters that
-    /// belong to scheme-specific pressure levers.
+    /// The budget governor: its budget, grain, peak and stopwatch.
     pub fn governor(&self) -> &BudgetGovernor {
         &self.governor
     }
@@ -522,15 +520,15 @@ impl HandleCore {
     /// (rung 1) — and what it proved goes to the allocator at once, not two a
     /// retire. If still over budget, the retiring thread yields once, so
     /// stalled readers get CPU time instead of this thread piling garbage ever
-    /// faster (rung 3). Both are counted.
+    /// faster (rung 3). Both are counted on this handle's stripe.
     #[inline]
     pub fn enforce_budget(&mut self, forced_scan: impl FnOnce(&mut Self)) {
         if self.observe() {
-            self.shared.governor.count_forced_scan();
+            self.stats().add(Counter::ForcedScans, 1);
             self.since_scan = 0;
             forced_scan(self);
             if self.drain_ready() {
-                self.shared.governor.count_backpressure();
+                self.stats().add(Counter::BackpressureEvents, 1);
                 std::thread::yield_now();
             }
         }
@@ -802,42 +800,64 @@ mod tests {
         for _ in 0..3 {
             handle.retire(&drops);
         }
-        let verdict = scheme.budget_verdict();
+        let stats = scheme.stats();
         assert_eq!(handle.scans, 0, "under budget: no rung fires");
-        assert_eq!(verdict.escalations(), 0);
-        assert!(verdict.within_budget());
+        assert_eq!(stats.escalations(), 0);
+        assert!(stats.within_budget());
 
         // The fourth retire crosses the budget. The forced scan frees nothing
         // (pinned), so the ladder climbs to its last rung — once.
         handle.retire(&drops);
         clock.advance(Duration::from_millis(7));
-        let verdict = scheme.budget_verdict();
+        let stats = scheme.stats();
         assert_eq!(handle.scans, 1, "exactly one forced scan");
-        assert_eq!(verdict.forced_scans, 1);
-        assert_eq!(verdict.backpressure_events, 1, "exactly one bounded yield");
-        assert_eq!(verdict.current_bytes, 4 * NODE as u64);
-        assert!(!verdict.within_budget());
-        assert!(verdict.time_over_budget >= Duration::from_millis(7));
+        assert_eq!(stats.forced_scans, 1);
+        assert_eq!(stats.backpressure_events, 1, "exactly one bounded yield");
+        assert_eq!(stats.limbo_bytes(), 4 * NODE as u64);
+        assert!(!stats.within_budget());
+        assert!(stats.time_over_budget >= Duration::from_millis(7));
 
         // Unpinned, the next crossing's forced scan gets back under budget:
         // one more scan, no further yield.
         handle.pinned = false;
         handle.retire(&drops);
-        let verdict = scheme.budget_verdict();
+        let stats = scheme.stats();
         assert_eq!(handle.scans, 2);
-        assert_eq!(verdict.forced_scans, 2);
-        assert_eq!(verdict.backpressure_events, 1);
-        assert_eq!(verdict.current_bytes, 0);
+        assert_eq!(stats.forced_scans, 2);
+        assert_eq!(stats.backpressure_events, 1);
+        assert_eq!(stats.limbo_bytes(), 0);
         assert_eq!((handle.core.in_limbo(), handle.core.limbo_bytes()), (0, 0));
         assert_eq!(drops.load(Ordering::SeqCst), 5);
         assert!(
             handle.core.ready.is_empty(),
             "a forced scan's proof is freed whole"
         );
-        let stats = scheme.stats();
         assert_eq!((stats.retired, stats.freed), (5, 5));
         assert_eq!(stats.freed_bytes, 5 * NODE as u64);
         assert_eq!(stats.size_unknown_retires, 0);
+    }
+
+    #[test]
+    fn the_rungs_a_dropped_handle_pulled_stay_in_the_schemes_snapshot() {
+        let clock = ManualClock::new();
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = scheme(&clock, Some(1_000));
+        let bystander = Handle::register(&scheme);
+        let mut retirer = Handle::register(&scheme);
+        retirer.pinned = true;
+        for _ in 0..4 {
+            retirer.retire(&drops);
+        }
+        clock.advance(Duration::from_millis(7));
+        let rungs = |s: StatsSnapshot| (s.forced_scans, s.backpressure_events);
+        assert_eq!(rungs(retirer.core.stats().snapshot()), (1, 1));
+        assert_eq!(rungs(bystander.core.stats().snapshot()), (0, 0));
+        drop(retirer);
+        let stats = scheme.stats();
+        assert_eq!(rungs(stats), (1, 1), "counted where the handle pulled them");
+        assert_eq!(stats.budget_bytes, 1_000);
+        assert!(stats.time_over_budget >= Duration::from_millis(7));
+        assert!(!stats.within_budget());
     }
 
     #[test]
@@ -888,10 +908,10 @@ mod tests {
             (3, 3 * NODE)
         );
         assert_eq!(handle.core.ready_bytes(), 3 * NODE);
-        let (stats, verdict) = (scheme.stats(), scheme.budget_verdict());
+        let stats = scheme.stats();
         assert_eq!((stats.freed, stats.freed_bytes), (0, 0));
-        assert_eq!(verdict.current_bytes, 3 * NODE as u64);
-        assert_eq!(verdict.peak_bytes, 3 * NODE as u64, "the scan looked");
+        assert_eq!(stats.limbo_bytes(), 3 * NODE as u64);
+        assert_eq!(stats.peak_limbo_bytes, 3 * NODE as u64, "the scan looked");
         drop(handle);
         assert_eq!(drops.load(Ordering::SeqCst), 3);
         assert_eq!(scheme.limbo_estimate(), 0);
@@ -943,7 +963,7 @@ mod tests {
         // Each scan released four; the retires since returned two apiece
         // (retires 5 and 6 the first four, retire 9 two of the second).
         assert_eq!(drops.load(Ordering::SeqCst), 6);
-        assert_eq!(scheme.budget_verdict().escalations(), 0);
+        assert_eq!(scheme.stats().escalations(), 0);
         handle.flush();
         assert_eq!((handle.scans, drops.load(Ordering::SeqCst)), (2, 9));
     }
@@ -966,7 +986,7 @@ mod tests {
         assert_eq!(handle.scans, 0);
         handle.retire(&drops);
         assert_eq!(handle.scans, 1, "a crossing does not wait for the count");
-        assert_eq!(scheme.budget_verdict().forced_scans, 1);
+        assert_eq!(scheme.stats().forced_scans, 1);
         assert_eq!(drops.load(Ordering::SeqCst), 21);
     }
 
@@ -985,15 +1005,15 @@ mod tests {
             handle.retire(&drops);
         }
         assert_eq!((a.scans, b.scans), (0, 0));
-        let verdict = scheme.budget_verdict();
-        assert_eq!(verdict.current_bytes, 4 * NODE as u64);
-        assert_eq!(verdict.current_bytes, scheme.stats().limbo_bytes());
-        assert_eq!(verdict.peak_bytes, 0, "nobody has looked yet");
+        let stats = scheme.stats();
+        assert_eq!(scheme.limbo_estimate(), 4 * NODE as u64);
+        assert_eq!(stats.limbo_bytes(), 4 * NODE as u64);
+        assert_eq!(stats.peak_limbo_bytes, 0, "nobody has looked yet");
         // A scan is a look, whatever it frees; a free is the only thing that
         // lowers the estimate.
         a.pinned = true;
         a.flush();
-        assert_eq!(scheme.budget_verdict().peak_bytes, 4 * NODE as u64);
+        assert_eq!(scheme.stats().peak_limbo_bytes, 4 * NODE as u64);
         assert_eq!(scheme.limbo_estimate(), 4 * NODE as u64);
         b.flush();
         assert_eq!(scheme.limbo_estimate(), 2 * NODE as u64);

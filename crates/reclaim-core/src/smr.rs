@@ -31,11 +31,11 @@
 //!
 //! | trait | a scheme writes | provided over it |
 //! |-------|-----------------|------------------|
-//! | [`Smr`] | [`try_register`](Smr::try_register) and [`core`](Smr::core) — where its [`SchemeCore`] is (plus the associated [`Handle`](Smr::Handle) type) | [`register`](Smr::register), [`name`](Smr::name), [`stats`](Smr::stats), [`budget_verdict`](Smr::budget_verdict), [`telemetry`](Smr::telemetry): the same expression for every scheme, because the core's counter stripes are the only books there are |
+//! | [`Smr`] | [`try_register`](Smr::try_register) and [`core`](Smr::core) — where its [`SchemeCore`] is (plus the associated [`Handle`](Smr::Handle) type) | [`register`](Smr::register), [`config`](Smr::config), [`name`](Smr::name), [`stats`](Smr::stats), [`telemetry`](Smr::telemetry): the same expression for every scheme, because the core's counter stripes are the only books there are |
 //! | [`SmrHandle`] | the protocol — `begin_op`, `end_op`, `protect`, `clear_protections`, `retire`, `flush` (and `alloc_node` for an era scheme) — and three one-line views of its [`HandleCore`](crate::limbo::HandleCore): [`ledger`](SmrHandle::ledger), [`telemetry_cursor`](SmrHandle::telemetry_cursor), [`node_cache`](SmrHandle::node_cache) | [`local_in_limbo`](SmrHandle::local_in_limbo), [`local_limbo_bytes`](SmrHandle::local_limbo_bytes) |
 
-use crate::budget::BudgetVerdict;
 use crate::clock::{Era, NO_BIRTH_ERA};
+use crate::config::SmrConfig;
 use crate::limbo::SchemeCore;
 use crate::node_cache::NodeCache;
 use crate::retired::{DropFn, RetiredPtr};
@@ -102,9 +102,15 @@ pub trait Smr: Send + Sync + 'static {
         }
     }
 
-    /// The scheme's half of the shared retire pipeline: its name, counter
-    /// stripes, budget governor and telemetry, which everything below reads.
+    /// The scheme's half of the shared retire pipeline: its configuration,
+    /// name, counter stripes, budget governor and telemetry, which everything
+    /// below reads.
     fn core(&self) -> &SchemeCore;
+
+    /// The configuration the scheme was created with.
+    fn config(&self) -> &SmrConfig {
+        self.core().config()
+    }
 
     /// A short human-readable scheme name used by the benchmark harness (`"none"`,
     /// `"qsbr"`, `"ebr"`, `"he"`, `"hp"`, `"cadence"`, `"qsense"`, `"rc"`).
@@ -112,16 +118,11 @@ pub trait Smr: Send + Sync + 'static {
         self.core().name()
     }
 
-    /// A snapshot of the scheme's reclamation counters.
+    /// A snapshot of the scheme's reclamation counters, its budget ladder's
+    /// among them, and of its budget: the limbo-byte peak, the budget and the
+    /// time spent over it ([`StatsSnapshot::within_budget`]).
     fn stats(&self) -> StatsSnapshot {
         self.core().stats()
-    }
-
-    /// The scheme's limbo-budget verdict so far (current and peak bytes, time
-    /// over budget, escalations taken). Without a configured budget it is
-    /// tracking-only: `budget_bytes == 0`, always within budget.
-    fn budget_verdict(&self) -> BudgetVerdict {
-        self.core().budget_verdict()
     }
 
     /// The scheme's telemetry state ([`crate::telemetry`]): histograms of op

@@ -4,7 +4,8 @@
 //! memory behaviour uniformly: how many nodes have been retired, how many actually
 //! freed, how many hazard-pointer scans and quiescent states were executed, how many
 //! memory fences were issued on the traversal path (the quantity the paper's whole
-//! design revolves around), and — for QSense — how often the system switched paths.
+//! design revolves around), for QSense how often the system switched paths, and
+//! how often the budget ladder ([`crate::budget`]) pulled each of its rungs.
 //!
 //! ## One list
 //!
@@ -22,7 +23,7 @@
 //! every operation, i.e. a built-in contention floor of exactly the kind the paper's
 //! design (and DEBRA's / Hyaline's "keep bookkeeping per-thread") warns about. The
 //! counters now live in [`StatStripe`]s — `[AtomicU64; Counter::COUNT]`, one
-//! cache-padded stripe per writer (19 counters, 152 B of a 256 B padded pair) —
+//! cache-padded stripe per writer (23 counters, 184 B of a 256 B padded pair) —
 //! and are only summed when somebody asks for a [`StatsSnapshot`]. Writers touch
 //! their own line; readers pay O(#stripes) per snapshot, which is off the
 //! measured path.
@@ -40,13 +41,17 @@
 //! ([`SchemeCore::limbo_estimate`](crate::limbo::SchemeCore::limbo_estimate)),
 //! not a second tally kept in step with them; a scan's registry shard dispatch
 //! ([`StatsSnapshot::shard_skips`] / [`shard_walks`](StatsSnapshot::shard_walks))
-//! lands on the scanning handle's stripe like any other counter. A snapshot
-//! carries three figures no stripe holds — [`StatsSnapshot::peak_limbo_bytes`]
-//! (a high-water mark is not a sum, so the scheme's governor keeps it) and the
-//! arena's two footprints — and the scheme fills them in.
+//! lands on the scanning handle's stripe like any other counter, and so does
+//! each budget-ladder rung, on the stripe of the handle that pulled it. A
+//! snapshot carries five figures no stripe holds — the governor's three
+//! ([`StatsSnapshot::peak_limbo_bytes`]: a high-water mark is not a sum;
+//! [`budget_bytes`](StatsSnapshot::budget_bytes) and
+//! [`time_over_budget`](StatsSnapshot::time_over_budget)) and the arena's two
+//! footprints — and the scheme fills them in.
 
 use crate::pad::CachePadded;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::time::Duration;
 
 /// Generates [`Counter`], its width and [`StatsSnapshot`] from one list of
 /// `Variant => field` lines, each under the doc of its snapshot field.
@@ -78,6 +83,13 @@ macro_rules! counters {
             /// scheme carries no governor). Not a stripe counter: the scheme injects
             /// it at snapshot time.
             pub peak_limbo_bytes: u64,
+            /// The configured limbo budget in bytes; 0 means tracking-only (no
+            /// enforcement). Not a stripe counter, like the peak.
+            pub budget_bytes: u64,
+            /// Total wall-clock time the limbo-byte estimate spent above the
+            /// budget, the excursion in flight at snapshot time included. Not a
+            /// stripe counter, like the peak.
+            pub time_over_budget: Duration,
             /// Bytes of the chunks the scheme's arena has carved its nodes' blocks
             /// from ([`crate::node_cache`]): the footprint of every structure over
             /// the scheme, its caches and its limbo, nodes past 256 B aside. Not a
@@ -171,6 +183,16 @@ counters! {
     /// budget. A stripe adds a negative delta as its two's complement, and
     /// every sum wraps: a cache moves stripes, so only the total is a count.
     CachedBytes => cached_bytes,
+    /// Budget ladder rung 1: scans forced on the retire path by a budget
+    /// breach ([`crate::budget`]).
+    ForcedScans => forced_scans,
+    /// Rung 2a: era-pacer speed-ups under an enforced budget (HE only).
+    PacerBoosts => pacer_boosts,
+    /// Rung 2b: early fallback-path trips (QSense only).
+    FallbackTrips => fallback_trips,
+    /// Rung 3: bounded retire-side backpressure yields taken after a forced
+    /// scan failed to get back under budget.
+    BackpressureEvents => backpressure_events,
 }
 
 impl Counter {
@@ -243,6 +265,18 @@ impl StatsSnapshot {
     /// total the budget subsystem enforces against.
     pub fn limbo_bytes(&self) -> u64 {
         self.retired_bytes.saturating_sub(self.freed_bytes)
+    }
+
+    /// True when the scheme never exceeded its budget (vacuously true without
+    /// one). This is the bit CI asserts for the robust schemes.
+    pub fn within_budget(&self) -> bool {
+        self.budget_bytes == 0 || self.peak_limbo_bytes <= self.budget_bytes
+    }
+
+    /// Budget-ladder rungs pulled, of any kind — "did graceful degradation
+    /// actually engage, or was the run never under pressure".
+    pub fn escalations(&self) -> u64 {
+        self.forced_scans + self.pacer_boosts + self.fallback_trips + self.backpressure_events
     }
 }
 
@@ -370,6 +404,19 @@ mod tests {
         };
         assert_eq!(snap.in_limbo(), 0);
         assert_eq!(snap.limbo_bytes(), 0);
+    }
+
+    #[test]
+    fn within_budget_is_vacuous_without_one_and_compares_the_peak() {
+        let mut snap = StatsSnapshot {
+            peak_limbo_bytes: u64::MAX / 2,
+            ..Default::default()
+        };
+        assert!(snap.within_budget());
+        snap.budget_bytes = 1_000;
+        assert!(!snap.within_budget());
+        snap.peak_limbo_bytes = 1_000;
+        assert!(snap.within_budget());
     }
 
     #[test]

@@ -48,11 +48,6 @@ impl RefCount {
         Self::new(SmrConfig::default())
     }
 
-    /// The configuration this scheme was created with.
-    pub fn config(&self) -> &SmrConfig {
-        self.core.config()
-    }
-
     /// The shared counter table (exposed for tests).
     pub fn table(&self) -> &CountTable {
         &self.table

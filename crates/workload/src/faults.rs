@@ -33,8 +33,8 @@ use crate::generator::SplitMix64;
 use crate::sampler::{peak, LimboSampler};
 use crate::structures::SchemeKind;
 use reclaim_core::{
-    retire_box_with_birth, BarrierLedger, BudgetVerdict, EraAdvancePolicy, Leaky, Smr, SmrConfig,
-    SmrHandle,
+    retire_box_with_birth, BarrierLedger, EraAdvancePolicy, Leaky, Smr, SmrConfig, SmrHandle,
+    StatsSnapshot,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -122,28 +122,23 @@ impl FaultPlan {
 }
 
 /// What one fault run produced: the limbo trajectory plus the scheme's own
-/// budget verdict.
+/// snapshot at its end.
 #[derive(Clone, Debug)]
 pub struct FaultResult {
     /// Scheme name ("qsbr", "hp", ...), as reported by the scheme itself.
     pub scheme: &'static str,
     /// The injected fault.
     pub fault: FaultKind,
-    /// Nodes retired over the whole run (background churn + the fault's own).
-    pub total_retired: u64,
     /// Scheme-wide in-limbo node count after each episode's reclamation pass.
     pub limbo_samples: Vec<u64>,
     /// Scheme-wide in-limbo byte count, sampled at the same instants.
     pub limbo_byte_samples: Vec<u64>,
-    /// The governor's high-water byte mark — unlike the episode samples this
-    /// also sees the peak *inside* an episode, before the flush.
-    pub peak_limbo_bytes: u64,
-    /// In-limbo node count after the final cleanup flush.
-    pub end_limbo: u64,
-    /// In-limbo byte count after the final cleanup flush.
-    pub end_limbo_bytes: u64,
-    /// The scheme's budget verdict.
-    pub verdict: BudgetVerdict,
+    /// The scheme's snapshot after the final cleanup flush: `retired` counts
+    /// the whole run (background churn + the fault's own), `in_limbo()` and
+    /// `limbo_bytes()` what the cleanup left, and `peak_limbo_bytes` — unlike
+    /// the episode samples — also the peak *inside* an episode, before the
+    /// flush; with the budget, the time over it and every escalation taken.
+    pub stats: StatsSnapshot,
 }
 
 impl FaultResult {
@@ -154,7 +149,7 @@ impl FaultResult {
 }
 
 /// Runs `plan` against `scheme` and returns the sampled trajectory plus the
-/// scheme's budget verdict. Generic over [`Smr`] so era schemes (whose
+/// scheme's closing snapshot. Generic over [`Smr`] so era schemes (whose
 /// `alloc_node` stamps real birth eras) and the epoch schemes run the
 /// byte-identical operation sequence. `wake_up` is the ledger of a rooster
 /// scheme (Cadence, QSense): after each episode the run enters one
@@ -170,7 +165,6 @@ pub fn run_fault<S: Smr>(
 ) -> FaultResult {
     let mut rng = SplitMix64(plan.seed);
     let mut sampler = LimboSampler::with_capacity(plan.episodes);
-    let mut total_retired = 0u64;
 
     // The faulty participant and the background writer.
     let mut faulty = Some(scheme.register());
@@ -212,7 +206,6 @@ pub fn run_fault<S: Smr>(
                         // SAFETY: freshly boxed, unlinked by construction,
                         // retired once.
                         unsafe { retire_box_with_birth(f, ptr, birth) };
-                        total_retired += 1;
                     }
                 }
                 if episode + 1 == plan.episodes / 2 {
@@ -245,7 +238,6 @@ pub fn run_fault<S: Smr>(
             let ptr = Box::into_raw(Box::new([0u8; PAYLOAD_BYTES]));
             // SAFETY: freshly boxed, unlinked by construction, retired once.
             unsafe { retire_box_with_birth(w, ptr, birth) };
-            total_retired += 1;
             w.end_op();
         }
         // One forced reclamation pass per episode, so the samples measure the
@@ -278,18 +270,13 @@ pub fn run_fault<S: Smr>(
     cleaner.flush();
     drop(cleaner);
 
-    let snap = scheme.stats();
     let (limbo_samples, limbo_byte_samples) = sampler.into_samples();
     FaultResult {
         scheme: scheme.name(),
         fault: plan.kind,
-        total_retired,
         limbo_samples,
         limbo_byte_samples,
-        peak_limbo_bytes: snap.peak_limbo_bytes,
-        end_limbo: snap.in_limbo(),
-        end_limbo_bytes: snap.limbo_bytes(),
-        verdict: scheme.budget_verdict(),
+        stats: scheme.stats(),
     }
 }
 
@@ -384,13 +371,13 @@ mod tests {
         assert_eq!(result.limbo_byte_samples.len(), plan.episodes);
         // The stalled participant blocks every grace period: limbo tracks the
         // total number of retirements, in nodes and in bytes.
-        assert_eq!(result.peak_limbo(), result.total_retired);
+        assert_eq!(result.peak_limbo(), result.stats.retired);
         assert_eq!(
             peak(&result.limbo_byte_samples),
-            result.total_retired * PAYLOAD_BYTES as u64
+            result.stats.retired * PAYLOAD_BYTES as u64
         );
-        assert_eq!(result.end_limbo, 0, "cleanup drains the limbo");
-        assert_eq!(result.end_limbo_bytes, 0);
+        assert_eq!(result.stats.in_limbo(), 0, "cleanup drains the limbo");
+        assert_eq!(result.stats.limbo_bytes(), 0);
     }
 
     #[test]
@@ -400,11 +387,11 @@ mod tests {
             he::He::new(default_fault_config(None).with_era_policy(EraAdvancePolicy::fixed(16)));
         let result = run_fault(&scheme, &plan, None);
         assert_eq!(result.limbo_samples.len(), plan.episodes);
-        assert_eq!(result.total_retired, (plan.episodes * plan.burst) as u64);
-        assert!(result.peak_limbo() >= result.end_limbo);
+        let stats = result.stats;
+        assert_eq!(stats.retired, (plan.episodes * plan.burst) as u64);
+        assert!(result.peak_limbo() >= stats.in_limbo());
         // Once the reader is released everything must eventually free.
-        assert_eq!(result.end_limbo, 0, "cleanup drains the limbo");
-        let stats = scheme.stats();
+        assert_eq!(stats.in_limbo(), 0, "cleanup drains the limbo");
         assert_eq!(stats.retired, stats.freed);
     }
 
@@ -415,17 +402,17 @@ mod tests {
         let qsbr = run_fault_for(SchemeKind::Qsbr, config.clone(), &plan);
         assert_eq!(
             qsbr.peak_limbo(),
-            qsbr.total_retired,
+            qsbr.stats.retired,
             "a silent registered thread pins every QSBR grace period"
         );
         let hp = run_fault_for(SchemeKind::Hp, config, &plan);
         assert!(
-            hp.peak_limbo() < hp.total_retired / 2,
+            hp.peak_limbo() < hp.stats.retired / 2,
             "hazard pointers ignore silent threads (peak {} of {})",
             hp.peak_limbo(),
-            hp.total_retired
+            hp.stats.retired
         );
-        assert_eq!(hp.end_limbo, 0);
+        assert_eq!(hp.stats.in_limbo(), 0);
     }
 
     #[test]
@@ -435,11 +422,15 @@ mod tests {
         let result = run_fault_for(SchemeKind::Qsbr, config, &plan);
         // The leak happens mid-run; afterwards the survivor adopts and the
         // cleanup drains everything — nothing may be lost track of.
-        assert_eq!(result.end_limbo, 0, "parked leftovers must be adopted");
-        assert_eq!(result.end_limbo_bytes, 0);
         assert_eq!(
-            result.verdict.current_bytes, 0,
-            "the governor's estimate must conserve bytes across the leak"
+            result.stats.in_limbo(),
+            0,
+            "parked leftovers must be adopted"
+        );
+        assert_eq!(
+            result.stats.limbo_bytes(),
+            0,
+            "the estimate must conserve bytes across the leak"
         );
     }
 
@@ -454,7 +445,7 @@ mod tests {
         other.seed ^= 0xdead_beef;
         let c = run_fault_for(SchemeKind::Qsbr, default_fault_config(None), &other);
         // Different seed, same totals — only the stall schedule moves.
-        assert_eq!(c.total_retired, a.total_retired);
+        assert_eq!(c.stats.retired, a.stats.retired);
     }
 
     #[test]
@@ -465,17 +456,16 @@ mod tests {
         // out of the way so the byte budget is the binding constraint.
         let budget = plan.episode_bytes() / 2;
         let config = default_fault_config(Some(budget)).with_scan_threshold(1 << 20);
-        let result = run_fault_for(SchemeKind::Hp, config, &plan);
-        let verdict = result.verdict;
-        assert_eq!(verdict.budget_bytes, budget as u64);
+        let stats = run_fault_for(SchemeKind::Hp, config, &plan).stats;
+        assert_eq!(stats.budget_bytes, budget as u64);
         assert!(
-            verdict.escalations() > 0,
-            "crossing the budget must engage the ladder: {verdict:?}"
+            stats.escalations() > 0,
+            "crossing the budget must engage the ladder: {stats:?}"
         );
         assert!(
-            result.peak_limbo_bytes <= 4 * budget as u64,
+            stats.peak_limbo_bytes <= 4 * budget as u64,
             "hp must degrade gracefully (peak {} vs budget {budget})",
-            result.peak_limbo_bytes,
+            stats.peak_limbo_bytes,
         );
     }
 }

@@ -97,17 +97,17 @@ pub fn dispatch_row(result: &RunResult) -> String {
 /// Formats the limbo-budget verdict line. Printed by the CLI whenever a
 /// `--limbo-budget` is set.
 pub fn budget_row(result: &RunResult) -> String {
-    let verdict = &result.budget_verdict;
+    let stats = &result.stats;
     format!(
         "{:<12} budget {:>10} B  peak: {:>10} B  over-budget: {:>8.3}s  forced-scans: {}  pacer-boosts: {}  fallback-trips: {}  backpressure: {}",
         result.scheme,
-        verdict.budget_bytes,
-        verdict.peak_bytes,
-        verdict.time_over_budget.as_secs_f64(),
-        verdict.forced_scans,
-        verdict.pacer_boosts,
-        verdict.fallback_trips,
-        verdict.backpressure_events,
+        stats.budget_bytes,
+        stats.peak_limbo_bytes,
+        stats.time_over_budget.as_secs_f64(),
+        stats.forced_scans,
+        stats.pacer_boosts,
+        stats.fallback_trips,
+        stats.backpressure_events,
     )
 }
 
@@ -126,7 +126,6 @@ mod tests {
             elapsed: Duration::from_secs(1),
             samples: Vec::new(),
             stats: StatsSnapshot::default(),
-            budget_verdict: Default::default(),
             telemetry: Default::default(),
             aborted_at: None,
         }
@@ -176,15 +175,14 @@ mod tests {
         assert!(row.contains('7') && row.contains('3'), "row = {row}");
         assert!(row.contains("shard-skips:"), "row = {row}");
         assert!(row.contains("31"), "row = {row}");
-        run.budget_verdict = reclaim_core::BudgetVerdict {
+        run.stats = StatsSnapshot {
             budget_bytes: 4096,
-            current_bytes: 128,
-            peak_bytes: 8192,
+            peak_limbo_bytes: 8192,
             time_over_budget: Duration::from_millis(250),
             forced_scans: 2,
             pacer_boosts: 1,
-            fallback_trips: 0,
             backpressure_events: 1,
+            ..run.stats
         };
         let row = budget_row(&run);
         assert!(row.contains("4096"), "row = {row}");

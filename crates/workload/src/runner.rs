@@ -94,10 +94,9 @@ pub struct RunResult {
     pub elapsed: Duration,
     /// Throughput time series (empty unless sampling was requested).
     pub samples: Vec<Sample>,
-    /// Reclamation counters at the end of the run.
+    /// Reclamation counters at the end of the run, with the limbo budget's
+    /// figures: the peak, the time over budget and every escalation taken.
     pub stats: reclaim_core::stats::StatsSnapshot,
-    /// The scheme's limbo-budget verdict at the end of the run.
-    pub budget_verdict: reclaim_core::BudgetVerdict,
     /// Latency/delay histograms at the end of the run (empty histograms
     /// unless the configuration enabled telemetry).
     pub telemetry: reclaim_core::TelemetrySummary,
@@ -242,7 +241,6 @@ pub fn run_experiment(experiment: &Experiment) -> RunResult {
         elapsed,
         samples,
         stats,
-        budget_verdict: set.budget_verdict(),
         telemetry: set.telemetry_summary(),
         aborted_at: if aborted.load(Ordering::Relaxed) {
             abort_time

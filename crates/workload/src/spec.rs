@@ -91,21 +91,6 @@ impl Structure {
         }
     }
 
-    /// The key range the paper uses for this structure. The hash map does not appear
-    /// in the paper; its "paper" range is the extension default.
-    pub fn paper_key_range(&self) -> u64 {
-        match self {
-            Structure::List => 2_000,
-            Structure::SkipList => 20_000,
-            Structure::Bst => 2_000_000,
-            Structure::HashMap => 1_000_000,
-            // The FIFO/LIFO structures are not keyed; the "range" only sizes the
-            // value stream and the pre-fill.
-            Structure::Queue => 10_000,
-            Structure::Stack => 10_000,
-        }
-    }
-
     /// The key range this reproduction uses by default (the BST is scaled down so
     /// that initialization fits the container).
     pub fn default_key_range(&self) -> u64 {
@@ -155,9 +140,6 @@ mod tests {
         assert_eq!(OpMix::updates_50(), OpMix::new(50, 25, 25));
         assert_eq!(OpMix::updates_10().update_pct(), 10);
         assert_eq!(OpMix::updates_50().update_pct(), 50);
-        assert_eq!(Structure::List.paper_key_range(), 2_000);
-        assert_eq!(Structure::SkipList.paper_key_range(), 20_000);
-        assert_eq!(Structure::Bst.paper_key_range(), 2_000_000);
         let spec = WorkloadSpec::new(Structure::List.default_key_range(), OpMix::updates_10());
         assert_eq!(spec.key_range, 2_000);
         assert_eq!(spec.initial_keys(), 1_000);

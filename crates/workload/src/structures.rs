@@ -12,7 +12,7 @@ use lockfree_ds::{
     TreiberStack, HASHMAP_HP_SLOTS, SKIPLIST_HP_SLOTS,
 };
 use reclaim_core::stats::StatsSnapshot;
-use reclaim_core::{BudgetVerdict, Leaky, Smr, SmrConfig, SmrHandle, TelemetrySummary};
+use reclaim_core::{Leaky, Smr, SmrConfig, SmrHandle, TelemetrySummary};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -115,10 +115,9 @@ pub trait BenchSet: Send + Sync {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-    /// Reclamation counters of the underlying scheme.
+    /// Reclamation counters of the underlying scheme, its budget ladder's and
+    /// budget figures included.
     fn smr_stats(&self) -> StatsSnapshot;
-    /// The scheme's limbo-budget verdict.
-    fn budget_verdict(&self) -> BudgetVerdict;
     /// Latency/delay histograms (empty when telemetry was not enabled in the
     /// config).
     fn telemetry_summary(&self) -> TelemetrySummary;
@@ -273,9 +272,6 @@ impl<S: Smr, D: KeySet<S>> BenchSet for Cell<S, D> {
     }
     fn smr_stats(&self) -> StatsSnapshot {
         Smr::stats(&*self.scheme)
-    }
-    fn budget_verdict(&self) -> BudgetVerdict {
-        Smr::budget_verdict(&*self.scheme)
     }
     fn telemetry_summary(&self) -> TelemetrySummary {
         Smr::telemetry(&*self.scheme).summary()

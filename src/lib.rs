@@ -48,7 +48,7 @@ pub mod smr {
     pub use qsense::{Path, QSense, QSenseHandle};
     pub use reclaim_core::stats::StatsSnapshot;
     pub use reclaim_core::{
-        retire_box, retire_box_with_birth, Atomic, BarrierLedger, BudgetGovernor, BudgetVerdict,
+        retire_box, retire_box_with_birth, Atomic, BarrierLedger, BudgetGovernor,
         CapacityExhausted, Clock, Era, EraAdvancePolicy, Guard, HandleLease, Leaky, LeakyHandle,
         LeaseExhausted, LeasePolicy, LeasePool, LogHistogram, ManualClock, Owned, Shared, Smr,
         SmrConfig, SmrHandle, StatStripe, Telemetry, TelemetrySummary, Unlinked,

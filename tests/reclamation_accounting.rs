@@ -8,15 +8,15 @@
 //!
 //! The ledger test follows the *unreclaimed* side of the same books: what each
 //! handle says it holds in limbo against what the scheme's counters say is in
-//! limbo — which is, by definition, what the budget verdict reports — through
+//! limbo — which is, by definition, the estimate the budget is held to — through
 //! retire, flush, handle drop and adoption. Two tests pin the books of a fixed
 //! queue script for every scheme, keeping the bytes the node caches hold out
 //! of them, and the most one handle holds in limbo between scans.
 
 use qsense_repro::ds::{HarrisMichaelList, LockFreeBst, LockFreeSkipList, MichaelScottQueue};
 use qsense_repro::smr::{
-    retire_box, BarrierLedger, BudgetVerdict, Cadence, Ebr, FenceStrategy, Hazard, He, Leaky,
-    QSense, Qsbr, RefCount, Smr, SmrConfig, SmrHandle,
+    retire_box, BarrierLedger, Cadence, Ebr, FenceStrategy, Hazard, He, Leaky, QSense, Qsbr,
+    RefCount, Smr, SmrConfig, SmrHandle, StatsSnapshot,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -244,7 +244,7 @@ type Totals = (u64, u64);
 /// The conservation law at one step of the script: what the live handles'
 /// ledgers hold plus what sits parked is what the scheme's counters say is
 /// unreclaimed (`retired - freed`, kept independently of the ledgers). The
-/// verdict's estimate *is* that figure, at every step, report or no report.
+/// budget's estimate *is* that figure, at every step, report or no report.
 fn assert_conserved<S: Smr>(step: &str, scheme: &S, live: &[&S::Handle], parked: Totals) {
     let name = scheme.name();
     let stats = scheme.stats();
@@ -258,9 +258,9 @@ fn assert_conserved<S: Smr>(step: &str, scheme: &S, live: &[&S::Handle], parked:
     assert_eq!(bytes, stats.limbo_bytes(), "{name}, {step}: bytes");
     assert_eq!(nodes * NODE_BYTES as u64, bytes, "{name}, {step}");
     assert_eq!(
-        scheme.budget_verdict().current_bytes,
+        scheme.core().limbo_estimate(),
         stats.limbo_bytes(),
-        "{name}, {step}: the verdict's estimate"
+        "{name}, {step}: the budget's estimate"
     );
 }
 
@@ -364,7 +364,7 @@ fn ledger_is_conserved<S: Smr>(new: impl FnOnce(SmrConfig) -> Arc<S>, age: impl 
     drop_and_park(&*scheme, b, &mut parked);
     drop_and_park(&*scheme, c, &mut parked);
     assert_conserved("all handles gone", &*scheme, &[], parked);
-    assert_eq!(scheme.budget_verdict().escalations(), 0, "{name}");
+    assert_eq!(scheme.stats().escalations(), 0, "{name}");
     drop(scheme);
     assert_eq!(drops.load(Ordering::SeqCst), 19, "{name}: nothing leaked");
 }
@@ -396,19 +396,19 @@ fn the_limbo_ledger_is_conserved_through_retire_flush_drop_and_adoption() {
     ledger_is_conserved(RefCount::new, |_| ());
 }
 
-/// `retired`, `retired_bytes`, `freed`, `freed_bytes` and the verdict's
-/// limbo estimate, at one checkpoint.
+/// `retired`, `retired_bytes`, `freed`, `freed_bytes` and the limbo
+/// estimate, at one checkpoint.
 type Books = (u64, u64, u64, u64, u64);
 
 /// A fixed single-handle script on a queue of 24-byte nodes: a burst of 200
 /// enqueues and 150 dequeues, a flush, 300 rounds of an enqueue and (two in
 /// three) a dequeue, two flushes. Returns the books at those three points,
-/// and the cached-bytes figure and the budget verdict at the end.
+/// and the scheme's snapshot at the end.
 fn queue_script<S: Smr>(
     new: impl FnOnce(SmrConfig) -> Arc<S>,
     budget: Option<usize>,
     age: impl Fn(&S),
-) -> ([Books; 3], u64, BudgetVerdict) {
+) -> ([Books; 3], StatsSnapshot) {
     let scheme = new(SmrConfig::default()
         .with_max_threads(4)
         .with_hp_per_thread(2)
@@ -418,13 +418,12 @@ fn queue_script<S: Smr>(
         .with_limbo_budget(budget));
     let books = || {
         let stats = scheme.stats();
-        let limbo = scheme.budget_verdict().current_bytes;
         (
             stats.retired,
             stats.retired_bytes,
             stats.freed,
             stats.freed_bytes,
-            limbo,
+            stats.limbo_bytes(),
         )
     };
     let queue: MichaelScottQueue<u32, S> = MichaelScottQueue::new(Arc::clone(&scheme));
@@ -449,8 +448,7 @@ fn queue_script<S: Smr>(
     }
     handle.flush();
     handle.flush();
-    let cached = scheme.stats().cached_bytes;
-    ([burst, flushed, books()], cached, scheme.budget_verdict())
+    ([burst, flushed, books()], scheme.stats())
 }
 
 /// A freed node whose block the free stage keeps in its handle's node cache
@@ -512,8 +510,9 @@ fn a_cached_block_is_booked_freed_and_held_apart_from_limbo() {
         ("qsense", after_burst_freed(127)),
         ("rc", after_burst_freed(143)),
     ];
-    for ((books, cached, verdict), (name, want)) in runs.into_iter().zip(expected) {
+    for ((books, end), (name, want)) in runs.into_iter().zip(expected) {
         assert_eq!(books, want, "{name}: the books");
+        let cached = end.cached_bytes;
         if name == "none" {
             assert_eq!(cached, 0, "Leaky frees nothing, so caches nothing");
             continue;
@@ -521,10 +520,10 @@ fn a_cached_block_is_booked_freed_and_held_apart_from_limbo() {
         // 350 nodes freed, and the 300 enqueues after the first flush each
         // took a block back: 50 stay cached.
         assert_eq!(cached, 50 * 24, "{name}: cached bytes");
-        assert_eq!(verdict.current_bytes, 0, "{name}: no cached byte is limbo");
+        assert_eq!(end.limbo_bytes(), 0, "{name}: no cached byte is limbo");
         assert!(cached > BUDGET as u64, "{name}");
-        assert!(verdict.within_budget(), "{name}: {verdict:?}");
-        assert_eq!(verdict.escalations(), 0, "{name}: no rung fires");
+        assert!(end.within_budget(), "{name}: {end:?}");
+        assert_eq!(end.escalations(), 0, "{name}: no rung fires");
     }
 }
 

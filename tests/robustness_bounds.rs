@@ -289,7 +289,7 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
     );
     let qsbr_run = run_fault(&Qsbr::new(base()), &spec, None);
 
-    assert_eq!(adaptive_run.total_retired, static_run.total_retired);
+    assert_eq!(adaptive_run.stats.retired, static_run.stats.retired);
     assert_eq!(adaptive_run.limbo_samples.len(), spec.episodes);
     for (episode, (adaptive, fixed)) in adaptive_run
         .limbo_samples
@@ -314,7 +314,7 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
     // the total retirement count, far above either HE bound.
     assert_eq!(
         qsbr_run.peak_limbo(),
-        qsbr_run.total_retired,
+        qsbr_run.stats.retired,
         "the stalled reader must block QSBR outright"
     );
     assert!(
@@ -330,8 +330,8 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
         qsbr_run.peak_limbo()
     );
     // Releasing the reader drains both HE runs completely.
-    assert_eq!(static_run.end_limbo, 0);
-    assert_eq!(adaptive_run.end_limbo, 0);
+    assert_eq!(static_run.stats.in_limbo(), 0);
+    assert_eq!(adaptive_run.stats.in_limbo(), 0);
 }
 
 /// HP's row of the fault matrix under the paper's reader-fenced protocol;
@@ -381,22 +381,22 @@ fn byte_budgets_bound_the_robust_schemes_but_not_qsbr_under_faults() {
         .map(|scheme| run_fault_for(scheme, default_fault_config(Some(BUDGET)), &plan));
         let fenced_hp = run_reader_fenced_hp(default_fault_config(Some(BUDGET)), &plan);
         for result in robust.into_iter().chain([fenced_hp]) {
-            let verdict = result.verdict;
+            let stats = result.stats;
             assert!(
-                verdict.escalations() > 0,
-                "{} under {}: crossing the budget must be answered by escalation ({verdict:?})",
+                stats.escalations() > 0,
+                "{} under {}: crossing the budget must be answered by escalation ({stats:?})",
                 result.scheme,
                 fault.name()
             );
             assert!(
-                result.peak_limbo_bytes <= bound,
+                stats.peak_limbo_bytes <= bound,
                 "{} under {}: peak {} bytes must stay within the young-burst bound {bound}",
                 result.scheme,
                 fault.name(),
-                result.peak_limbo_bytes
+                stats.peak_limbo_bytes
             );
             assert_eq!(
-                result.end_limbo,
+                stats.in_limbo(),
                 0,
                 "{} under {}: releasing the fault must drain the limbo",
                 result.scheme,
@@ -406,15 +406,15 @@ fn byte_budgets_bound_the_robust_schemes_but_not_qsbr_under_faults() {
             // budget must trip the Cadence fallback before the node-count C.
             if result.scheme == "qsense" {
                 assert!(
-                    verdict.fallback_trips >= 1,
-                    "QSense under {}: the budget breach must trip the fallback early ({verdict:?})",
+                    stats.fallback_trips >= 1,
+                    "QSense under {}: the budget breach must trip the fallback early ({stats:?})",
                     fault.name()
                 );
             }
         }
 
-        let qsbr = run_fault_for(SchemeKind::Qsbr, default_fault_config(Some(BUDGET)), &plan);
-        let total_bytes = qsbr.total_retired * PAYLOAD_BYTES as u64;
+        let qsbr = run_fault_for(SchemeKind::Qsbr, default_fault_config(Some(BUDGET)), &plan).stats;
+        let total_bytes = qsbr.retired * PAYLOAD_BYTES as u64;
         assert!(
             qsbr.peak_limbo_bytes > bound,
             "QSBR under {}: the robust schemes' bound {bound} must NOT hold (peak {})",
@@ -436,14 +436,15 @@ fn byte_budgets_bound_the_robust_schemes_but_not_qsbr_under_faults() {
     // verdict, asserted rather than skipped.
     let plan = FaultPlan::new(FaultKind::LeakedHandle);
     let bound = (4 * plan.episode_bytes() + 4 * BUDGET) as u64;
-    let ebr = run_fault_for(SchemeKind::Ebr, default_fault_config(Some(BUDGET)), &plan);
+    let ebr = run_fault_for(SchemeKind::Ebr, default_fault_config(Some(BUDGET)), &plan).stats;
     assert!(
         ebr.peak_limbo_bytes > bound,
         "EBR under leaked-handle: the robust bound {bound} must NOT hold (peak {})",
         ebr.peak_limbo_bytes
     );
     assert_eq!(
-        ebr.end_limbo, 0,
+        ebr.in_limbo(),
+        0,
         "EBR under leaked-handle: once the leak is adopted, everything drains"
     );
 }
@@ -462,29 +463,24 @@ fn a_leaked_handle_strands_no_bytes_in_any_scheme() {
         .into_iter()
         .map(|scheme| run_fault_for(scheme, default_fault_config(None), &plan))
         .chain([run_reader_fenced_hp(default_fault_config(None), &plan)]);
-    for result in matrix {
-        if result.scheme == "none" {
+    for FaultResult { scheme, stats, .. } in matrix {
+        if scheme == "none" {
             assert_eq!(
-                result.end_limbo, result.total_retired,
+                stats.in_limbo(),
+                stats.retired,
                 "the leaky baseline frees nothing until scheme drop"
             );
             continue;
         }
         assert_eq!(
-            result.end_limbo, 0,
-            "{}: leaked-handle cleanup must drain every node",
-            result.scheme
+            stats.in_limbo(),
+            0,
+            "{scheme}: leaked-handle cleanup must drain every node"
         );
         assert_eq!(
-            result.end_limbo_bytes, 0,
-            "{}: leaked-handle cleanup must drain every byte",
-            result.scheme
-        );
-        let verdict = result.verdict;
-        assert_eq!(
-            verdict.current_bytes, 0,
-            "{}: the governor's estimate must agree that nothing is stranded ({verdict:?})",
-            result.scheme
+            stats.limbo_bytes(),
+            0,
+            "{scheme}: leaked-handle cleanup must drain every byte, by the governor's estimate too ({stats:?})"
         );
     }
 }

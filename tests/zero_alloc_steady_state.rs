@@ -635,7 +635,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             },
         );
         assert!(
-            scheme.budget_verdict().current_bytes >= node_bytes,
+            scheme.stats().limbo_bytes() >= node_bytes,
             "the measured scans reported the limbo pressure"
         );
         assert_eq!(
