@@ -1,26 +1,36 @@
-//! The two passes of a batch insert, shared by the list and the skip list.
+//! The batch insert the list and the skip list share: into an empty set, one
+//! private build and one publication; otherwise one search a key.
 
-/// Inserts `keys` as `insert` would one by one, in two passes, and returns
-/// how many were inserted.
+/// Inserts `keys` as `insert` would one by one, and returns how many were
+/// inserted.
 ///
 /// 1. `carve(i, key)` allocates the node of `keys[i]`, in the keys' order, so
 ///    the allocator hands out the blocks sequential inserts would have been
 ///    given. A key repeated in the batch is carved and inserted once, at its
 ///    first occurrence: a repeat's `insert` finds the key and allocates
 ///    nothing.
-/// 2. `link(node)` links the nodes largest key first: a search for a key
-///    smaller than every key linked so far stops at the head's first node.
-///    It returns false for a key the structure already held, whose node it
-///    frees as `insert` frees a node it never published.
+/// 2. `publish(nodes)` gets the nodes in ascending key order and reads the
+///    structure's head once. If the set is empty, it chains the nodes
+///    privately and makes every one a member with one CAS on the head, the
+///    batch's linearization point. If the set is not empty, or that CAS
+///    fails, it hands the nodes back unpublished.
+/// 3. Nodes handed back go to `link(node)` largest key first: a search for a
+///    key smaller than every key linked so far stops at the head's first
+///    node. It returns false for a key the structure already held, whose
+///    node it frees as `insert` frees a node it never published.
 pub(crate) fn insert_batch<K: Ord, N>(
     keys: Vec<K>,
     mut carve: impl FnMut(usize, K) -> N,
-    mut link: impl FnMut(N) -> bool,
+    publish: impl FnOnce(Vec<N>) -> Result<(), Vec<N>>,
+    link: impl FnMut(N) -> bool,
 ) -> usize {
     // First occurrences, ascending by key.
     let mut order: Vec<usize> = (0..keys.len()).collect();
     order.sort_unstable_by(|&a, &b| keys[a].cmp(&keys[b]).then(a.cmp(&b)));
     order.dedup_by(|repeat, first| keys[*repeat] == keys[*first]);
+    if order.is_empty() {
+        return 0;
+    }
     let mut carved = vec![false; keys.len()];
     for &i in &order {
         carved[i] = true;
@@ -30,11 +40,20 @@ pub(crate) fn insert_batch<K: Ord, N>(
         .enumerate()
         .map(|(i, key)| carved[i].then(|| carve(i, key)))
         .collect();
-    order
+    let ascending: Vec<N> = order
         .iter()
-        .rev()
-        .filter(|&&i| link(nodes[i].take().expect("every first occurrence is carved")))
-        .count()
+        .map(|&i| nodes[i].take().expect("every first occurrence is carved"))
+        .collect();
+    let n = ascending.len();
+    match publish(ascending) {
+        Ok(()) => n,
+        Err(ascending) => ascending
+            .into_iter()
+            .rev()
+            .map(link)
+            .filter(|&linked| linked)
+            .count(),
+    }
 }
 
 /// The test keys the list's and the skip list's batch tests share.
@@ -97,6 +116,7 @@ mod tests {
     fn carves_first_occurrences_in_input_order_and_links_largest_first() {
         let keys = vec![5_u64, 3, 5, 9, 1, 3, 7];
         let mut carved = Vec::new();
+        let mut offered = Vec::new();
         let mut linked = Vec::new();
         let inserted = insert_batch(
             keys,
@@ -104,13 +124,29 @@ mod tests {
                 carved.push(i);
                 key
             },
+            |nodes| {
+                offered.clone_from(&nodes);
+                Err(nodes)
+            },
             |key| {
                 linked.push(key);
                 key != 9
             },
         );
         assert_eq!(carved, [0, 1, 3, 4, 6], "a repeat is never carved");
+        assert_eq!(offered, [1, 3, 5, 7, 9], "publication sees ascending keys");
         assert_eq!(linked, [9, 7, 5, 3, 1]);
         assert_eq!(inserted, 4, "what `link` refused is not counted");
+    }
+
+    #[test]
+    fn a_published_batch_links_nothing_one_by_one() {
+        let link = |_: u64| -> bool { panic!("a published batch is not linked again") };
+        assert_eq!(
+            insert_batch(vec![4_u64, 2, 4], |_, key| key, |_| Ok(()), link),
+            2
+        );
+        let publish = |_: Vec<u64>| -> Result<(), Vec<u64>> { panic!("nothing to publish") };
+        assert_eq!(insert_batch(Vec::new(), |_, key| key, publish, link), 0);
     }
 }

@@ -29,8 +29,10 @@
 //! ([`HarrisMichaelList::insert_batch`], [`LockFreeSkipList::insert_batch`]),
 //! which is how the benchmark prefills them. A batch allocates its nodes in
 //! the keys' given order, so the memory layout is the one sequential inserts
-//! leave, and links them in descending key order, so every search stops at
-//! the head. The BST takes no batch: it is unbalanced, and keys linked in
+//! leave. Into an empty set it chains them privately and publishes them with
+//! one CAS on the head (a CAS a level on the skip list): no search, and no
+//! protection. Into a non-empty set it links them in descending key order,
+//! so every search stops at the head. The BST takes no batch: it is unbalanced, and keys linked in
 //! sorted order would build a path, not the tree the keys' random order
 //! builds.
 

@@ -36,16 +36,23 @@
 //! ## Batch insert
 //!
 //! [`HarrisMichaelList::insert_batch`] inserts many keys, as `insert` would
-//! one by one, in two passes. It allocates every node first, in the keys'
-//! given order, so each node gets the block sequential inserts would have
-//! given it. It then links the nodes in descending key order, each through
-//! the search and the link loop `insert` uses. A search for a key smaller
-//! than every key linked so far stops at the head's first node: one
-//! protection a key instead of a walk over half the list, and an
-//! `O(n log n)` build (the sort) instead of `O(n²)`. When no key of the batch
-//! was present and nothing runs concurrently, the result is node for node
-//! the list sequential inserts build; otherwise each key is still linked by
-//! one validated CAS, as in `insert`.
+//! one by one. It allocates every node first, in the keys' given order, so
+//! each node gets the block sequential inserts would have given it, and an
+//! `O(n log n)` build (the sort) replaces an `O(n²)` one.
+//!
+//! * **Into an empty list** — the head read null — it chains the nodes
+//!   privately in ascending order and publishes the chain with one CAS on
+//!   the head, expecting the word it read: that CAS is the batch's
+//!   linearization point. No search runs and no protection is published; no
+//!   node is read once another thread can reach it.
+//! * **Otherwise**, or if that CAS fails, it links the nodes in descending
+//!   key order, each through the search and the link loop `insert` uses. A
+//!   search for a key smaller than every key linked so far stops at the
+//!   head's first node: one protection a key instead of a walk over half the
+//!   list, and each key is linked by one validated CAS, as in `insert`.
+//!
+//! When no key of the batch was present and nothing runs concurrently, either
+//! way builds node for node the list sequential inserts build.
 
 use reclaim_core::{Atomic, Guard, Owned, Shared, Smr, SmrHandle};
 use std::sync::Arc;
@@ -239,6 +246,45 @@ impl<K: Ord, V> Chain<K, V> {
         }
     }
 
+    /// The batch's publication (`batch::insert_batch`, step 2). If the chain
+    /// is empty, chains `nodes` (ascending) privately and publishes them all
+    /// with one CAS on the head; otherwise, or if that CAS fails, hands them
+    /// back unchained. It publishes no protection: it reads no node another
+    /// thread can reach.
+    fn publish_batch<H: SmrHandle>(
+        &self,
+        nodes: Vec<Owned<Node<K, V>>>,
+        guard: &Guard<'_, H>,
+    ) -> Result<(), Vec<Owned<Node<K, V>>>> {
+        let head = self.head.load(guard);
+        if !head.is_null() || head.is_marked() {
+            return Err(nodes);
+        }
+        // Largest key first: each node takes the chain built so far.
+        let first = nodes
+            .into_iter()
+            .rev()
+            .reduce(|next, mut node| {
+                node.next = Atomic::new(next);
+                node
+            })
+            .expect("a batch publishes at least one node");
+        match self.head.cas_link(head, first) {
+            Ok(_) => Ok(()),
+            Err((_, first)) => {
+                let mut nodes = Vec::new();
+                let mut next = Some(first);
+                while let Some(mut node) = next {
+                    // SAFETY: the failed CAS shared nothing: the chain is
+                    // this thread's alone, and each link is taken once.
+                    next = unsafe { node.next.take() };
+                    nodes.push(node);
+                }
+                Err(nodes)
+            }
+        }
+    }
+
     /// Removes `key`; true if this thread's mark deleted it.
     pub(crate) fn remove<H: SmrHandle>(&self, key: &K, guard: &Guard<'_, H>) -> bool {
         loop {
@@ -374,13 +420,15 @@ where
 
     /// Inserts every key of `keys`, as [`insert`](Self::insert) would one by
     /// one, under one guard; returns how many were absent. The nodes are
-    /// allocated in the keys' order and linked in descending key order
-    /// (module docs, "Batch insert").
+    /// allocated in the keys' order; into an empty list they are chained
+    /// privately and published with one CAS, otherwise linked in descending
+    /// key order (module docs, "Batch insert").
     pub fn insert_batch(&self, keys: impl IntoIterator<Item = K>, handle: &mut S::Handle) -> usize {
         let guard = Guard::new(handle);
         crate::batch::insert_batch(
             keys.into_iter().collect(),
             |_, key| Owned::new(Node::new(key, ()), &guard),
+            |nodes| self.chain.publish_batch(nodes, &guard),
             |node| {
                 let s = self.chain.search(&node.key, &guard);
                 self.chain.link(node, s, &guard)
@@ -504,8 +552,15 @@ mod tests {
     }
 
     /// Builds a list of `keys` over a fresh `scheme` on a fresh thread, by the
-    /// batch or by sequential inserts: its layout and how many keys went in.
-    fn build<K, S>(scheme: Arc<S>, keys: Vec<K>, batch: bool) -> (Vec<(K, usize, Era)>, usize)
+    /// batch or by sequential inserts, after inserting `present` (a key
+    /// outside the batch's, so a batch takes the fallback): its layout and
+    /// how many of `keys` went in.
+    fn build<K, S>(
+        scheme: Arc<S>,
+        keys: Vec<K>,
+        batch: bool,
+        present: Option<K>,
+    ) -> (Vec<(K, usize, Era)>, usize)
     where
         K: Ord + Copy + Send + Sync + 'static,
         S: Smr,
@@ -513,12 +568,15 @@ mod tests {
         std::thread::spawn(move || {
             let list = HarrisMichaelList::new(scheme);
             let mut h = list.register();
+            if let Some(key) = present {
+                assert!(list.insert(key, &mut h));
+            }
             let inserted = if batch {
                 list.insert_batch(keys, &mut h)
             } else {
                 keys.into_iter().filter(|&k| list.insert(k, &mut h)).count()
             };
-            assert_eq!(list.len(&mut h), inserted);
+            assert_eq!(list.len(&mut h), inserted + usize::from(present.is_some()));
             assert_eq!(Smr::stats(&**list.smr()).retired, 0, "nothing is retired");
             (layout(&list), inserted)
         })
@@ -530,43 +588,51 @@ mod tests {
     fn a_batch_builds_the_list_sequential_inserts_build() {
         // 600 draws of 0..1000: repeats included, and more blocks than one
         // cache refill. HE ticks its era every 4 allocations, so a node
-        // allocated out of turn carries another birth era too.
+        // allocated out of turn carries another birth era too. Into an empty
+        // list the batch is published at once; past a key above its range it
+        // takes the fallback, a search a key.
         let keys = shuffled(600, 1_000);
         let he = || he::He::new(SmrConfig::for_list().with_era_policy(EraAdvancePolicy::fixed(4)));
-        for (name, batch, sequential) in [
-            (
-                "leaky",
-                build(Leaky::with_defaults(), keys.clone(), true),
-                build(Leaky::with_defaults(), keys.clone(), false),
-            ),
-            (
-                "he",
-                build(he(), keys.clone(), true),
-                build(he(), keys.clone(), false),
-            ),
-        ] {
-            assert_eq!(
-                batch.1,
-                keys.iter().collect::<BTreeSet<_>>().len(),
-                "{name}"
-            );
-            assert_eq!(
-                batch, sequential,
-                "{name}: key order, chunk offsets and birth eras"
-            );
+        for present in [None, Some(1_000)] {
+            for (name, batch, sequential) in [
+                (
+                    "leaky",
+                    build(Leaky::with_defaults(), keys.clone(), true, present),
+                    build(Leaky::with_defaults(), keys.clone(), false, present),
+                ),
+                (
+                    "he",
+                    build(he(), keys.clone(), true, present),
+                    build(he(), keys.clone(), false, present),
+                ),
+            ] {
+                assert_eq!(
+                    batch.1,
+                    keys.iter().collect::<BTreeSet<_>>().len(),
+                    "{name}"
+                );
+                assert_eq!(
+                    batch, sequential,
+                    "{name}, {present:?} present: key order, chunk offsets and birth eras"
+                );
+            }
         }
-        let eras: BTreeSet<Era> = build(he(), keys, true).0.iter().map(|n| n.2).collect();
+        let eras: BTreeSet<Era> = build(he(), keys, true, None)
+            .0
+            .iter()
+            .map(|n| n.2)
+            .collect();
         assert!(eras.len() > 50, "HE stamps many eras: {}", eras.len());
     }
 
     #[test]
     fn a_batch_inserts_a_repeated_key_by_its_first_occurrence() {
         let keys = tagged(&[5, 3, 5, 9, 3, 5]);
-        let (nodes, inserted) = build(Leaky::with_defaults(), keys.clone(), true);
+        let (nodes, inserted) = build(Leaky::with_defaults(), keys.clone(), true, None);
         assert_eq!(inserted, 3);
         let firsts: Vec<(u64, usize)> = nodes.iter().map(|(k, ..)| (k.key, k.occurrence)).collect();
         assert_eq!(firsts, [(3, 1), (5, 0), (9, 3)]);
-        assert_eq!(nodes, build(Leaky::with_defaults(), keys, false).0);
+        assert_eq!(nodes, build(Leaky::with_defaults(), keys, false, None).0);
     }
 
     #[test]

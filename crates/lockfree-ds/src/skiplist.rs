@@ -27,15 +27,32 @@
 //! ## Batch insert
 //!
 //! [`LockFreeSkipList::insert_batch`] inserts many keys, as `insert` would one
-//! by one, in two passes. It draws every key's tower height and allocates its
-//! tower in the keys' given order, so each tower gets the height and the
-//! block sequential inserts would have given it. It then links the towers in
-//! descending key order, each through `find` and the link loop `insert` uses.
-//! A `find` for a key smaller than every key linked so far stops at the
-//! head's first node on every level: at most `MAX_HEIGHT + 1` protections a
-//! key (the last for the tower itself) instead of a full descent. When no key
-//! of the batch was present and nothing runs concurrently, the result is
-//! tower for tower the skip list sequential inserts build.
+//! by one. It draws every key's tower height and allocates its tower in the
+//! keys' given order, so each tower gets the height and the block sequential
+//! inserts would have given it.
+//!
+//! * **Into an empty skip list** — every sentinel link read null and
+//!   unmarked — it links the towers privately in one ascending pass, each
+//!   behind the last tower to reach each of its levels. One CAS on the
+//!   sentinel's level 0, expecting the word it read, makes the whole batch a
+//!   member: the batch's linearization point. It then publishes each upper
+//!   level bottom-up, one versioned CAS from the word read at the start, and
+//!   stops at the first failure, since upper levels are shortcuts. A failure
+//!   means a concurrent insert linked at that level, or a concurrent remove's
+//!   fence (rule 2 below) bumped the word; the bump is what keeps a batch
+//!   tower removed and retired after level 0's CAS from being published at
+//!   an upper level. No search runs and no protection is published: the
+//!   batch reads no tower once another thread can reach it, and CASes only
+//!   the sentinel's links, with pointer values.
+//! * **Otherwise**, or if level 0's CAS fails, it links the towers in
+//!   descending key order, each through `find` and the link loop `insert`
+//!   uses. A `find` for a key smaller than every key linked so far stops at
+//!   the head's first node on every level: at most `MAX_HEIGHT + 1`
+//!   protections a key (the last for the tower itself) instead of a full
+//!   descent.
+//!
+//! When no key of the batch was present and nothing runs concurrently, either
+//! way builds tower for tower the skip list sequential inserts build.
 //!
 //! ## Versioned links and the upper-level re-link race
 //!
@@ -83,7 +100,9 @@
 //! matches the paper's observation that its skip list uses up to 35 hazard
 //! pointers per thread — and is exactly why the gap between QSense and QSBR is
 //! largest on the skip list (each protection is a store even if it is
-//! fence-free).
+//! fence-free). A batch into an empty skip list publishes none ("Batch
+//! insert"); one into a non-empty skip list publishes one search's worth a
+//! key.
 //!
 //! `find` therefore publishes each node it visits **once**: a level's two slots
 //! alternate roles hand over hand, as in Michael's list. The cursor goes into
@@ -236,6 +255,20 @@ fn swing<K>(
     new: *mut Node<K>,
 ) -> Result<LinkWord<Node<K>>, LinkWord<Node<K>>> {
     link.compare_exchange(current, new, false, Ordering::AcqRel, Ordering::Acquire)
+}
+
+/// Publishes one upper level of a batch into an empty skip list: a versioned
+/// CAS of the sentinel's link `head` from `read`, the word it held before the
+/// batch's level-0 CAS, to the batch's first tower at that level. It fails if
+/// an insert linked at that level since, or a remove's fence (module docs,
+/// rule 2) bumped the word, which keeps a batch tower removed and retired
+/// after level 0's CAS from being published here.
+fn cas_upper_level<K>(
+    head: &VersionedAtomic<Node<K>>,
+    read: LinkWord<Node<K>>,
+    first: *mut Node<K>,
+) -> bool {
+    swing(head, read, first).is_ok()
 }
 
 /// Traversal result: per-level predecessors and successors around the search
@@ -481,15 +514,63 @@ where
     /// Inserts every key of `keys`, as [`insert`](Self::insert) would one by
     /// one, under one guard; returns how many were absent. Each key draws its
     /// tower height in the keys' order, a repeat included, as `insert` draws
-    /// before it searches; the towers are allocated in the keys' order and
-    /// linked in descending key order (module docs, "Batch insert").
+    /// before it searches, and the towers are allocated in the keys' order.
+    /// Into an empty skip list they are built privately and published with
+    /// one CAS a level; otherwise they are linked in descending key order
+    /// (module docs, "Batch insert").
     pub fn insert_batch(&self, keys: impl IntoIterator<Item = K>, handle: &mut S::Handle) -> usize {
         let keys: Vec<K> = keys.into_iter().collect();
-        let heights: Vec<usize> = keys.iter().map(|_| Self::random_height()).collect();
+        let heights = keys.iter().map(|_| Self::random_height()).collect();
+        self.insert_towers(keys, heights, cas_upper_level, handle)
+    }
+
+    /// Test-only: a batch with forced tower heights, one per key, so
+    /// deterministic interleaving schedules can rely on towers with upper
+    /// levels.
+    #[cfg(feature = "interleave")]
+    pub fn insert_batch_with_heights(
+        &self,
+        keys: Vec<K>,
+        heights: Vec<usize>,
+        handle: &mut S::Handle,
+    ) -> usize {
+        assert_eq!(keys.len(), heights.len(), "one height a key");
+        assert!(heights.iter().all(|h| (1..=MAX_HEIGHT).contains(h)));
+        self.insert_towers(keys, heights, cas_upper_level, handle)
+    }
+
+    /// Test-only: [`insert_batch_with_heights`](Self::insert_batch_with_heights)
+    /// with each upper level published by a plain store, not a versioned CAS:
+    /// the mutant the `reclaim-check` explorer must convict. A store cannot
+    /// see a remove's fence, so it publishes a retired tower.
+    #[cfg(all(feature = "interleave", feature = "check-oracle"))]
+    pub fn insert_batch_storing_upper_levels(
+        &self,
+        keys: Vec<K>,
+        heights: Vec<usize>,
+        handle: &mut S::Handle,
+    ) -> usize {
+        let store = |head: &VersionedAtomic<Node<K>>, _, first| {
+            head.store_private(first, Ordering::Release);
+            true
+        };
+        self.insert_towers(keys, heights, store, handle)
+    }
+
+    /// The batch insert, given each key's height and how an upper level is
+    /// published ([`cas_upper_level`] in every shipped build).
+    fn insert_towers(
+        &self,
+        keys: Vec<K>,
+        heights: Vec<usize>,
+        publish_level: impl Fn(&VersionedAtomic<Node<K>>, LinkWord<Node<K>>, *mut Node<K>) -> bool,
+        handle: &mut S::Handle,
+    ) -> usize {
         let guard = Guard::new(handle);
         crate::batch::insert_batch(
             keys,
             |i, key| Node::carve(key, heights[i], &guard),
+            |towers| self.publish_batch(towers, publish_level),
             |node| {
                 // SAFETY: `node` is private until `link_tower` publishes it.
                 let KeySlot::Key(key) = (unsafe { &(*node).key }) else {
@@ -499,6 +580,58 @@ where
                 self.link_tower(node, result, &guard)
             },
         )
+    }
+
+    /// The batch's publication (`batch::insert_batch`, step 2; module docs,
+    /// "Batch insert"). If every sentinel link is null and unmarked, links
+    /// `towers` (ascending) privately, each behind the last tower to reach
+    /// each of its levels, and publishes level 0 with one CAS. Then it
+    /// publishes the upper levels bottom-up by `publish_level`, from the words
+    /// read before that CAS, and stops at the first failure. It reads no tower
+    /// after level 0's CAS: each may be retired and freed by then. If the set
+    /// was not empty, or level 0's CAS fails, it hands the towers back for
+    /// `link_tower`, which rewrites every link of a tower before publishing it.
+    fn publish_batch(
+        &self,
+        towers: Vec<*mut Node<K>>,
+        publish_level: impl Fn(&VersionedAtomic<Node<K>>, LinkWord<Node<K>>, *mut Node<K>) -> bool,
+    ) -> Result<(), Vec<*mut Node<K>>> {
+        // SAFETY: the sentinel is as tall as any level.
+        let words: [LinkWord<Node<K>>; MAX_HEIGHT] =
+            std::array::from_fn(|level| unsafe { link(self.head, level) }.load(Ordering::Acquire));
+        if words.iter().any(|w| !w.ptr().is_null() || w.is_marked()) {
+            return Err(towers);
+        }
+        let mut firsts = [std::ptr::null_mut(); MAX_HEIGHT];
+        let mut lasts = [std::ptr::null_mut(); MAX_HEIGHT];
+        for &tower in &towers {
+            // SAFETY: every tower is private; its header is immutable.
+            let height = unsafe { (*tower).height };
+            for level in 0..height {
+                let last = std::mem::replace(&mut lasts[level], tower);
+                if last.is_null() {
+                    firsts[level] = tower;
+                } else {
+                    // SAFETY: `last` is private and reaches `level`.
+                    unsafe { link(last, level) }.store_private(tower, Ordering::Relaxed);
+                }
+            }
+        }
+        crate::interleave::hit("skiplist::batch::pre_publish_cas");
+        // The batch's linearization point; the release publishes the chain.
+        // SAFETY: the sentinel.
+        if swing(unsafe { link(self.head, 0) }, words[0], firsts[0]).is_err() {
+            return Err(towers);
+        }
+        for level in (1..MAX_HEIGHT).take_while(|&level| !firsts[level].is_null()) {
+            crate::interleave::hit("skiplist::batch::pre_upper_cas");
+            // SAFETY: the sentinel is as tall as any level.
+            let head = unsafe { link(self.head, level) };
+            if !publish_level(head, words[level], firsts[level]) {
+                break;
+            }
+        }
+        Ok(())
     }
 
     /// Links the private tower `node` from `result`, a `find` for its key:
@@ -1060,9 +1193,15 @@ mod tests {
     }
 
     /// Builds a skip list of `keys` over a fresh `scheme` on a fresh thread —
-    /// a height stream at its seed — by the batch or by sequential inserts:
-    /// its layout and how many keys went in.
-    fn build<K, S>(scheme: Arc<S>, keys: Vec<K>, batch: bool) -> (Layout<K>, usize)
+    /// a height stream at its seed — by the batch or by sequential inserts,
+    /// after inserting `present` (a key outside the batch's, so a batch takes
+    /// the fallback): its layout and how many of `keys` went in.
+    fn build<K, S>(
+        scheme: Arc<S>,
+        keys: Vec<K>,
+        batch: bool,
+        present: Option<K>,
+    ) -> (Layout<K>, usize)
     where
         K: Ord + Copy + Send + Sync + 'static,
         S: Smr,
@@ -1070,12 +1209,15 @@ mod tests {
         std::thread::spawn(move || {
             let sl = LockFreeSkipList::new(scheme);
             let mut h = sl.register();
+            if let Some(key) = present {
+                assert!(sl.insert(key, &mut h));
+            }
             let inserted = if batch {
                 sl.insert_batch(keys, &mut h)
             } else {
                 keys.into_iter().filter(|&k| sl.insert(k, &mut h)).count()
             };
-            assert_eq!(sl.len(&mut h), inserted);
+            assert_eq!(sl.len(&mut h), inserted + usize::from(present.is_some()));
             assert_eq!(Smr::stats(&**sl.smr()).retired, 0, "nothing is retired");
             (layout(&sl), inserted)
         })
@@ -1088,33 +1230,38 @@ mod tests {
         // 600 draws of 0..1000: repeats included, every tower class, more
         // blocks than one cache refill. HE ticks its era every 4 allocations,
         // so a tower allocated out of turn carries another birth era too.
+        // Into an empty skip list the batch is built privately and published
+        // a level at a time; past a key above its range it takes the
+        // fallback, a `find` a key.
         let keys = shuffled(600, 1_000);
         let config = || SmrConfig::for_skiplist().with_max_threads(8);
         let leaky = || Leaky::new(config());
         let he = || he::He::new(config().with_era_policy(EraAdvancePolicy::fixed(4)));
-        for (name, batch, sequential) in [
-            (
-                "leaky",
-                build(leaky(), keys.clone(), true),
-                build(leaky(), keys.clone(), false),
-            ),
-            (
-                "he",
-                build(he(), keys.clone(), true),
-                build(he(), keys.clone(), false),
-            ),
-        ] {
-            assert_eq!(
-                batch.1,
-                keys.iter().collect::<BTreeSet<_>>().len(),
-                "{name}"
-            );
-            assert_eq!(
-                batch, sequential,
-                "{name}: levels, heights, birth eras, chunk offsets"
-            );
+        for present in [None, Some(1_000)] {
+            for (name, batch, sequential) in [
+                (
+                    "leaky",
+                    build(leaky(), keys.clone(), true, present),
+                    build(leaky(), keys.clone(), false, present),
+                ),
+                (
+                    "he",
+                    build(he(), keys.clone(), true, present),
+                    build(he(), keys.clone(), false, present),
+                ),
+            ] {
+                assert_eq!(
+                    batch.1,
+                    keys.iter().collect::<BTreeSet<_>>().len(),
+                    "{name}"
+                );
+                assert_eq!(
+                    batch, sequential,
+                    "{name}, {present:?} present: levels, heights, birth eras, chunk offsets"
+                );
+            }
         }
-        let (towers, levels) = build(he(), keys, true).0;
+        let (towers, levels) = build(he(), keys, true, None).0;
         let eras: BTreeSet<Era> = towers.iter().map(|t| t.2).collect();
         assert!(eras.len() > 50, "HE stamps many eras: {}", eras.len());
         assert!(
@@ -1128,7 +1275,7 @@ mod tests {
     fn a_batch_inserts_a_repeated_key_by_its_first_occurrence() {
         let keys = tagged(&[5, 3, 5, 9, 3, 5]);
         let config = || SmrConfig::for_skiplist().with_max_threads(8);
-        let (layout, inserted) = build(Leaky::new(config()), keys.clone(), true);
+        let (layout, inserted) = build(Leaky::new(config()), keys.clone(), true, None);
         assert_eq!(inserted, 3);
         let firsts: Vec<(u64, usize)> = layout
             .0
@@ -1137,7 +1284,7 @@ mod tests {
             .collect();
         assert_eq!(firsts, [(3, 1), (5, 0), (9, 3)]);
         // The repeats drew their heights too: the towers match.
-        assert_eq!(layout, build(Leaky::new(config()), keys, false).0);
+        assert_eq!(layout, build(Leaky::new(config()), keys, false, None).0);
     }
 
     #[test]
@@ -1154,5 +1301,71 @@ mod tests {
         assert!(stats.arena_free_bytes > given_back, "{stats:?}");
         assert_eq!(stats.retired, 0);
         assert_eq!(sl.insert_batch(Vec::new(), &mut h), 0, "an empty batch");
+    }
+
+    #[test]
+    fn a_batch_into_an_empty_skip_list_races_inserts_and_removes() {
+        // The batch takes the even keys of 100..200. A second thread inserts
+        // odd keys of 50..250 and a third removes keys of 50..250, both from
+        // the batch's start until 64 operations after its end: in some rounds
+        // the batch finds the set empty and publishes itself, in others an
+        // insert lands first and it takes the fallback. HE, scanning at every
+        // retire, frees removed towers while the batch publishes.
+        const KEYS: usize = 256;
+        let batched = |key: usize| (100..200).contains(&key) && key.is_multiple_of(2);
+        for round in 0..200_u64 {
+            let config = SmrConfig::for_skiplist()
+                .with_max_threads(8)
+                .with_scan_threshold(1);
+            let sl = LockFreeSkipList::new(he::He::new(config));
+            let start = std::sync::Barrier::new(3);
+            let batch_done = std::sync::atomic::AtomicBool::new(false);
+            // Inserts or removes random keys; the successes a key.
+            let churn = |insert: bool| {
+                let mut h = sl.register();
+                let mut successes = vec![0_i64; KEYS];
+                let mut state = 2 * round + u64::from(insert);
+                start.wait();
+                let mut after = 0;
+                while after < 64 {
+                    after += usize::from(batch_done.load(Ordering::Acquire));
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let key = 50 + (state >> 33) % 200;
+                    let (key, done) = if insert {
+                        (key | 1, sl.insert(key | 1, &mut h))
+                    } else {
+                        (key, sl.remove(&key, &mut h))
+                    };
+                    successes[key as usize] += i64::from(done);
+                }
+                successes
+            };
+            let (inserted, removed) = std::thread::scope(|s| {
+                s.spawn(|| {
+                    let mut h = sl.register();
+                    start.wait();
+                    assert_eq!(sl.insert_batch((100..200).step_by(2), &mut h), 50);
+                    batch_done.store(true, Ordering::Release);
+                });
+                let inserter = s.spawn(|| churn(true));
+                let remover = s.spawn(|| churn(false));
+                (inserter.join().unwrap(), remover.join().unwrap())
+            });
+            let mut h = sl.register();
+            let mut present = 0;
+            for key in 0..KEYS {
+                let balance = i64::from(batched(key)) + inserted[key] - removed[key];
+                assert!(
+                    balance == 0 || balance == 1,
+                    "round {round}, key {key}: {balance}"
+                );
+                let member = sl.contains(&(key as u64), &mut h);
+                assert_eq!(member, balance == 1, "round {round}, key {key}");
+                present += usize::from(member);
+            }
+            assert_eq!(sl.len(&mut h), present, "round {round}");
+        }
     }
 }

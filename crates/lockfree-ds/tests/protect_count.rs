@@ -234,79 +234,84 @@ fn a_skip_list_operation_publishes_one_protect_per_node_visited() {
     );
 }
 
-#[test]
-fn a_batch_publishes_one_search_at_the_head_per_key() {
-    // The benchmark's prefills: half of each key range, in a fixed random
-    // order. A per-key insert walks to its key; the batch links largest key
-    // first, so each search stops at the head's first node: one protection a
-    // key on the list, and on the skip list one per non-empty level plus one
-    // for the tower itself.
-    fn keys(range: u64) -> Vec<u64> {
-        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut seen = std::collections::BTreeSet::new();
-        let mut keys = Vec::new();
-        while keys.len() < (range / 2) as usize {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let key = (state >> 33) % range;
-            if seen.insert(key) {
-                keys.push(key);
-            }
+/// Half of `0..range`, distinct, in a fixed random order: the benchmark's
+/// prefills.
+fn prefill_keys(range: u64) -> Vec<u64> {
+    let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+    let mut seen = std::collections::BTreeSet::new();
+    let mut keys = Vec::new();
+    while keys.len() < (range / 2) as usize {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        let key = (state >> 33) % range;
+        if seen.insert(key) {
+            keys.push(key);
         }
-        keys
     }
-    let list_keys = keys(2_000);
-    let n = list_keys.len() as u64;
-    let list_counts = [true, false].map(|batch| {
-        let smr = Counting::new(SmrConfig::for_list());
-        let list = HarrisMichaelList::new(Arc::clone(&smr));
-        let mut h = list.register();
-        if batch {
-            assert_eq!(
-                list.insert_batch(list_keys.iter().copied(), &mut h),
-                n as usize
-            );
-        } else {
-            list_keys
-                .iter()
-                .for_each(|&k| assert!(list.insert(k, &mut h)));
-        }
-        smr.take()
-    });
-    println!(
-        "list, {n} keys: {} protects batched, {} one by one",
-        list_counts[0], list_counts[1]
-    );
-    assert_eq!(list_counts[0], n, "one protection a key");
+    keys
+}
 
-    let sl_keys = keys(20_000);
-    let n = sl_keys.len() as u64;
-    let sl_counts = [true, false].map(|batch| {
-        let sl_keys = sl_keys.clone();
-        std::thread::spawn(move || {
-            let smr = Counting::new(SmrConfig::for_skiplist());
-            let sl = LockFreeSkipList::new(Arc::clone(&smr));
-            let mut h = sl.register();
-            if batch {
-                assert_eq!(sl.insert_batch(sl_keys, &mut h), n as usize);
-            } else {
-                sl_keys
-                    .into_iter()
-                    .for_each(|k| assert!(sl.insert(k, &mut h)));
-            }
-            smr.take()
-        })
-        .join()
-        .unwrap()
-    });
-    println!(
-        "skip list, {n} keys: {} protects batched, {} one by one",
-        sl_counts[0], sl_counts[1]
-    );
+/// Protections a batch of `keys` publishes, on the list and on the skip list
+/// (on a thread of its own: a height stream at its seed), each holding
+/// `present` beforehand. Every key is inserted.
+fn batch_protects(keys: &[u64], present: Option<u64>) -> [u64; 2] {
+    let n = keys.len();
+    let smr = Counting::new(SmrConfig::for_list());
+    let list = HarrisMichaelList::new(Arc::clone(&smr));
+    let mut h = list.register();
+    if let Some(key) = present {
+        assert!(list.insert(key, &mut h));
+    }
+    smr.take();
+    assert_eq!(list.insert_batch(keys.iter().copied(), &mut h), n);
+    let list_protects = smr.take();
+    let keys = keys.to_vec();
+    let skip_list_protects = std::thread::spawn(move || {
+        let smr = Counting::new(SmrConfig::for_skiplist());
+        let sl = LockFreeSkipList::new(Arc::clone(&smr));
+        let mut h = sl.register();
+        if let Some(key) = present {
+            assert!(sl.insert(key, &mut h));
+        }
+        smr.take();
+        assert_eq!(sl.insert_batch(keys, &mut h), n);
+        smr.take()
+    })
+    .join()
+    .unwrap();
+    [list_protects, skip_list_protects]
+}
+
+#[test]
+fn a_batch_into_an_empty_set_publishes_no_protection() {
+    // The benchmark's prefills. The batch is built privately and published
+    // with one CAS a level; no thread can reach a node before that, and the
+    // batch reads none after it.
+    for range in [2_000, 20_000] {
+        assert_eq!(
+            batch_protects(&prefill_keys(range), None),
+            [0, 0],
+            "{range}"
+        );
+    }
+}
+
+#[test]
+fn a_batch_into_a_non_empty_set_publishes_one_search_at_the_head_per_key() {
+    // A key above the batch's range is present, so the batch takes the
+    // fallback: it links largest key first, and each search stops at the
+    // head's first node — one protection a key on the list, and on the skip
+    // list one per non-empty level plus one for the tower itself. A per-key
+    // insert would walk to its key.
+    let keys = prefill_keys(20_000);
+    let n = keys.len() as u64;
+    let [list, skip_list] = batch_protects(&keys, Some(20_000));
+    println!("{n} keys: {list} protects on the list, {skip_list} on the skip list");
+    assert_eq!(list, n, "one protection a key");
     assert!(
-        sl_counts[0] <= n * (MAX_HEIGHT as u64 + 1),
+        skip_list <= n * (MAX_HEIGHT as u64 + 1),
         "{:.2} protections a key",
-        sl_counts[0] as f64 / n as f64
+        skip_list as f64 / n as f64
     );
 }

@@ -1,4 +1,4 @@
-//! Explores every suite cell (5 structures × 8 schemes) at the default
+//! Explores every suite cell (6 scenarios × 8 schemes) at the default
 //! preemption bound and prints one line per cell — the CI `check` job runs
 //! this for a human-readable coverage table in the job log. With
 //! `check-oracle` it then explores the resurrected-bug fixtures, which must be
@@ -17,7 +17,7 @@ fn main() {
     let explorer = Explorer::new();
     let mut failed = false;
     println!(
-        "{:<20} {:>9} {:>13} {:>9}  verdict",
+        "{:<24} {:>9} {:>13} {:>9}  verdict",
         "scenario", "schedules", "max-decisions", "truncated"
     );
     for scenario in suites::all_scenarios() {
@@ -28,7 +28,7 @@ fn main() {
             (None, false) => "clean",
         };
         println!(
-            "{:<20} {:>9} {:>13} {:>9}  {verdict}",
+            "{:<24} {:>9} {:>13} {:>9}  {verdict}",
             scenario.name(),
             report.schedules,
             report.max_decisions,
@@ -44,6 +44,7 @@ fn main() {
     for scenario in [
         reclaim_check::fixture::relink_scenario(),
         reclaim_check::fixture::rotation_scenario(false),
+        reclaim_check::fixture::batch_store_scenario(),
     ] {
         let report = explorer.explore(&scenario);
         match &report.failure {

@@ -21,6 +21,13 @@
 //! its predecessor. `lockfree-ds`' traversals rotate; this is what the oracle
 //! says when they do not.
 //!
+//! [`batch_store_scenario`] is the third, and the only one that runs the
+//! shipped structure: the skip list's batch insert with its upper levels
+//! published by plain stores instead of versioned CASes
+//! (`LockFreeSkipList::insert_batch_storing_upper_levels`, a `check-oracle`
+//! variant of the shipped publication). A store cannot see the version bump
+//! of a remove's fence, so it publishes a tower already retired.
+//!
 //! The whole module is gated on `check-oracle`: driving the buggy schedules
 //! without the oracle's quarantine (poison-and-leak instead of real frees)
 //! would be a genuine use-after-free, not a test.
@@ -443,4 +450,18 @@ pub fn rotation_scenario(swap: bool) -> Scenario {
                 handle.flush();
             })
     })
+}
+
+/// The suite's skip-list batch scenario (`suites`, `skiplist-batch/*`) under
+/// hazard pointers, with the batch's upper levels published by stores. There
+/// is a one-preemption schedule in which the batch publishes level 0, the
+/// remover removes, fences and frees tower 20, and the batch then stores 20
+/// at level 1: the next search on level 1 (the inserter's, or the check's
+/// lookups) reaches the freed tower, and the oracle convicts.
+pub fn batch_store_scenario() -> Scenario {
+    crate::suites::batch_scenario(
+        "batch-store-fixture/hp".to_string(),
+        hazard::Hazard::new,
+        lockfree_ds::LockFreeSkipList::insert_batch_storing_upper_levels,
+    )
 }

@@ -12,8 +12,9 @@
 //!   the exact pause-point schedule, replayable with [`Explorer::replay`] —
 //!   how the root `tests/interleaving_harness.rs` pins each structure's window.
 //! * [`suites`] — small deterministic scenarios for every structure
-//!   (list/skiplist/bst unlink windows, queue/stack ABA windows) under every
-//!   reclamation scheme: 5 × 8 cells the CI `check` job explores clean.
+//!   (list/skiplist/bst unlink windows, the skip-list batch's publication,
+//!   queue/stack ABA windows) under every reclamation scheme: 6 × 8 cells the
+//!   CI `check` job explores clean.
 //! * [`litmus`] — what the explorer, sequentially consistent as it is, cannot
 //!   see: the race between publishing a reservation and the scan that reads
 //!   it, on abstract machines with store buffers, enumerated exhaustively —
@@ -21,8 +22,10 @@
 //!   against the epoch advance. It is the check behind where classic HP and
 //!   EBR pay their fence (`reclaim_core::fence`).
 //! * `fixture` *(feature `check-oracle`)* — the pre-versioned-link skip
-//!   list linking bug resurrected in a two-level model, proving the explorer
-//!   and the oracle convict the historical re-link UAF unaided.
+//!   list linking bug resurrected in a two-level model, a traversal that
+//!   forgets its slot rotation, and the skip-list batch with its upper levels
+//!   stored instead of CASed: proof that the explorer and the oracle convict
+//!   each use-after-free unaided.
 //!
 //! With the `check-oracle` feature the explored schedules additionally run
 //! against `reclaim_core::oracle`'s shadow heap: every allocation, retire and

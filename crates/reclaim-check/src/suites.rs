@@ -1,17 +1,18 @@
 //! Protocol scenario suites: every structure's unlink/ABA window, under every
 //! reclamation scheme, as small deterministic [`Scenario`]s for the explorer.
 //!
-//! Each scenario is two model threads crossing the structure's documented
-//! danger window (insert's validate→CAS against a concurrent remove of a
-//! neighbour; the queue/stack head windows against a concurrent producer),
-//! plus a post-schedule membership check. Thread bodies end with a handle
+//! Each scenario is two or three model threads crossing the structure's
+//! documented danger window (insert's validate→CAS against a concurrent
+//! remove of a neighbour; the skip-list batch's publication, a CAS a level,
+//! against a remove of one of its towers; the queue/stack head windows
+//! against a concurrent producer), plus a post-schedule membership check. Thread bodies end with a handle
 //! flush so retirement → free actually happens *inside* the explored
 //! schedules (scan/quiescence thresholds are set to 1 for the same reason) —
 //! under `check-oracle` every traversal and guard checkpoint then validates
 //! live-or-protected against the shadow heap.
 //!
 //! Determinism rules (prefix replay depends on them): the skip list only ever
-//! uses `insert_with_height`, no scenario reads clocks or RNG, and rooster
+//! uses `insert_with_height` and `insert_batch_with_heights`, no scenario reads clocks or RNG, and rooster
 //! threads are disabled (they would free at wall-clock times, which is
 //! invisible to the pause-point schedule but noisy for leak accounting).
 
@@ -142,6 +143,80 @@ where
                 let present = set.contains(&10, &mut h);
                 assert_eq!(present, !removed_in_check.load(Ordering::Relaxed));
                 assert_eq!(set.len(&mut h), 1 + usize::from(present));
+            })
+    })
+}
+
+fn skiplist_batch_scenario<S, F>(scheme: &'static str, make: F) -> Scenario
+where
+    S: Smr,
+    F: Fn(SmrConfig) -> Arc<S> + Send + Sync + 'static,
+{
+    batch_scenario(
+        format!("skiplist-batch/{scheme}"),
+        make,
+        LockFreeSkipList::insert_batch_with_heights,
+    )
+}
+
+/// A skip-list batch insert with one forced height a key: the shipped one,
+/// or a mutant of it.
+pub(crate) type BatchInsert<S> =
+    fn(&LockFreeSkipList<u64, S>, Vec<u64>, Vec<usize>, &mut <S as Smr>::Handle) -> usize;
+
+/// A skip-list batch into an empty set, inserted by `batch` (the shipped
+/// publication, or under `check-oracle` a mutant of it), against a remove
+/// of one of its towers and an insert in front of it.
+pub(crate) fn batch_scenario<S, F>(name: String, make: F, batch: BatchInsert<S>) -> Scenario
+where
+    S: Smr,
+    F: Fn(SmrConfig) -> Arc<S> + Send + Sync + 'static,
+{
+    Scenario::new(name, move || {
+        let set = Arc::new(LockFreeSkipList::<u64, S>::new(make(config(
+            SKIPLIST_HP_SLOTS,
+        ))));
+        let batcher = Arc::clone(&set);
+        let remover = Arc::clone(&set);
+        let inserter = Arc::clone(&set);
+        let removed = Arc::new(AtomicBool::new(false));
+        let removed_in_check = Arc::clone(&removed);
+        ScenarioRun::new()
+            // Builds 10 → 20 → 30 privately (20 and 30 reach level 1) and
+            // crosses `skiplist::batch::pre_publish_cas`, then
+            // `skiplist::batch::pre_upper_cas` between its level-0 and
+            // level-1 CASes...
+            .thread(move || {
+                let mut h = batcher.register();
+                let inserted = batch(&batcher, vec![30, 10, 20], vec![2, 1, 2], &mut h);
+                assert_eq!(inserted, 3, "no batch key is inserted elsewhere");
+                h.flush();
+            })
+            // ...while a tower it publishes at level 1 is removed, fenced
+            // and freed: a level-1 publication after that fence would link
+            // a freed tower (the remove finds 20 only once it is linked)...
+            .thread(move || {
+                let mut h = remover.register();
+                removed.store(remover.remove(&20, &mut h), Ordering::Relaxed);
+                h.flush();
+            })
+            // ...and a key lands in front of the batch on levels 0 and 1:
+            // before the batch reads the head (the fallback), between that
+            // read and its CAS, or between its level-0 and level-1 CASes.
+            .thread(move || {
+                let mut h = inserter.register();
+                assert!(inserter.insert_with_height(5, 2, &mut h), "5 is unclaimed");
+                h.flush();
+            })
+            .check(move || {
+                let mut h = set.register();
+                // The lookups walk level 1, where a freed tower would sit.
+                for key in [5, 10, 30] {
+                    assert!(set.contains(&key, &mut h), "{key} is never removed");
+                }
+                let present = set.contains(&20, &mut h);
+                assert_eq!(present, !removed_in_check.load(Ordering::Relaxed));
+                assert_eq!(set.len(&mut h), 3 + usize::from(present));
             })
     })
 }
@@ -293,8 +368,8 @@ macro_rules! across_schemes {
     }};
 }
 
-/// The scenarios for one structure (`"list"`, `"skiplist"`, `"bst"`,
-/// `"queue"`, `"stack"`), one per scheme.
+/// The scenarios for one structure (`"list"`, `"skiplist"`,
+/// `"skiplist-batch"`, `"bst"`, `"queue"`, `"stack"`), one per scheme.
 ///
 /// # Panics
 ///
@@ -304,6 +379,7 @@ pub fn scenarios_for(structure: &str) -> Vec<Scenario> {
     match structure {
         "list" => across_schemes!(out, list_scenario),
         "skiplist" => across_schemes!(out, skiplist_scenario),
+        "skiplist-batch" => across_schemes!(out, skiplist_batch_scenario),
         "bst" => across_schemes!(out, bst_scenario),
         "queue" => across_schemes!(out, queue_scenario),
         "stack" => across_schemes!(out, stack_scenario),
@@ -312,10 +388,18 @@ pub fn scenarios_for(structure: &str) -> Vec<Scenario> {
     out
 }
 
-/// Every suite scenario: 5 structures × 8 schemes.
+/// Every suite scenario: 6 scenarios (the skip list's batch besides the five
+/// structures' windows) × 8 schemes.
 pub fn all_scenarios() -> Vec<Scenario> {
-    ["list", "skiplist", "bst", "queue", "stack"]
-        .into_iter()
-        .flat_map(scenarios_for)
-        .collect()
+    [
+        "list",
+        "skiplist",
+        "skiplist-batch",
+        "bst",
+        "queue",
+        "stack",
+    ]
+    .into_iter()
+    .flat_map(scenarios_for)
+    .collect()
 }

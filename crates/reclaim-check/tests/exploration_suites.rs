@@ -31,6 +31,11 @@ fn skiplist_explores_clean_under_every_scheme() {
 }
 
 #[test]
+fn skiplist_batch_explores_clean_under_every_scheme() {
+    explore_structure("skiplist-batch");
+}
+
+#[test]
 fn bst_explores_clean_under_every_scheme() {
     explore_structure("bst");
 }

@@ -6,6 +6,9 @@
 //! * likewise a hand-over-hand traversal that publishes its cursor over the
 //!   slot still holding its predecessor (rotation without the swap), while the
 //!   same traversal with the swap explores clean;
+//! * the skip list's shipped batch insert, with its upper levels published
+//!   by stores instead of versioned CASes, publishes a freed tower — while
+//!   the shipped publication explores clean (`skiplist-batch/*`);
 //! * an intentionally-seeded violation produces a panic naming the node and
 //!   a replayable schedule.
 
@@ -83,6 +86,36 @@ fn explorer_convicts_slot_rotation_without_the_swap() {
     Explorer::new()
         .explore(&fixture::rotation_scenario(true))
         .assert_exhaustive();
+}
+
+#[test]
+fn explorer_convicts_a_batch_that_stores_its_upper_levels() {
+    let scenario = fixture::batch_store_scenario();
+    let report = Explorer::new().explore(&scenario);
+    let failure = report
+        .failure
+        .expect("a store at level 1 after a remove's fence publishes the freed tower");
+    assert_eq!(failure.kind, FailureKind::Panic);
+    assert!(
+        failure.message.contains("use after free")
+            && failure.message.contains("skiplist::traversal::validated"),
+        "expected the oracle to convict a level-1 search, got: {}",
+        failure.message
+    );
+    assert!(
+        failure
+            .trace
+            .iter()
+            .any(|step| step.point == "skiplist::batch::pre_upper_cas"),
+        "the window is the batch's upper-level publication: {failure}"
+    );
+    println!("{failure}");
+
+    let replayed = Explorer::new()
+        .replay(&scenario, &schedule_of(&failure.trace))
+        .expect_err("replaying the failing schedule reproduces the verdict");
+    assert!(replayed.message.contains("use after free"));
+    assert_eq!(replayed.trace, failure.trace);
 }
 
 /// A scenario with a *seeded* protocol violation: the thread retires a node,

@@ -105,7 +105,7 @@ pub trait BenchSet: Send + Sync {
     /// Inserts `keys` (used for the pre-fill phase) on a handle of its own,
     /// as one batch on the list and the skip list: their nodes are allocated
     /// in the keys' order, so the layout is the one sequential inserts leave,
-    /// and linked in descending key order, so every search stops at the head.
+    /// and built privately and published once when the set is empty.
     /// The BST inserts the keys one by one, in the given order (a sorted batch
     /// would build it as a path); the hash map, the queue and the stack too.
     fn prefill(&self, keys: &[u64]);
