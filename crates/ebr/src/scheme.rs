@@ -2,8 +2,8 @@
 
 use qsbr::{confirmed, grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, OFFLINE};
 use reclaim_core::{
-    fence, CapacityExhausted, Counter, FenceStrategy, HandleCore, HandleTelemetry, NodeCache,
-    Registry, RetiredPtr, SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
+    fence, CapacityExhausted, CoreToken, Counter, FenceStrategy, HandleCore, Registry, RetiredPtr,
+    SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -319,16 +319,12 @@ impl SmrHandle for EbrHandle {
         self.core.drain_ready();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 

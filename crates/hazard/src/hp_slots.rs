@@ -352,7 +352,7 @@ mod tests {
             StatStripe::new(),
         );
         for tenancy in 1..=2_usize {
-            let slot = registry.try_acquire().expect("the one slot is free");
+            let slot = registry.acquire().expect("the one slot is free");
             let mut view = owner_of(registry.get_mine(slot));
             view.protect(BLOCK_SLOTS, (0x100 * tenancy) as *mut u8);
             // What `hp_scan` reads: the claimed records' published slots.
@@ -406,7 +406,7 @@ mod tests {
             let words = config.max_threads * config.hp_per_thread;
             let scheme = SchemeCore::new("test", config);
             let (_slot, core) = scheme.register(&registry, words).expect("two free slots");
-            let reader = registry.try_acquire().expect("one free slot");
+            let reader = registry.acquire().expect("one free slot");
             Self {
                 // SAFETY: the fixture keeps the registry alive beside the view.
                 reader: unsafe { registry.get_mine(reader).owner(strategy) },

@@ -2,8 +2,8 @@
 
 use crate::hp_slots::{hp_scan, HpSlots, OwnedSlots};
 use reclaim_core::{
-    BarrierLedger, CapacityExhausted, FenceStrategy, HandleCore, HandleTelemetry, NodeCache,
-    Registry, RetiredPtr, SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
+    BarrierLedger, CapacityExhausted, CoreToken, FenceStrategy, HandleCore, Registry, RetiredPtr,
+    SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle,
 };
 use std::slice::from_mut;
 use std::sync::Arc;
@@ -177,16 +177,12 @@ impl<const CADENCE: bool> SmrHandle for HpHandle<CADENCE> {
         core.drain_ready();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 

@@ -3,8 +3,8 @@
 use crate::clock::EraPacer;
 use crate::era::{EraRecord, INACTIVE_LOWER};
 use reclaim_core::{
-    CapacityExhausted, Counter, Era, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr,
-    SchemeCore, SegBag, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
+    CapacityExhausted, CoreToken, Counter, Era, HandleCore, Registry, RetiredPtr, SchemeCore,
+    SegBag, SlotId, Smr, SmrConfig, SmrHandle, NO_BIRTH_ERA,
 };
 use std::sync::atomic::{fence, Ordering};
 use std::sync::Arc;
@@ -450,16 +450,12 @@ impl SmrHandle for HeHandle {
         self.core.drain_ready();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 

@@ -551,7 +551,11 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn leaky_bst() -> LockFreeBst<u64, Leaky> {
-        LockFreeBst::new(Leaky::new(SmrConfig::for_bst().with_max_threads(8)))
+        LockFreeBst::new(Leaky::new(
+            SmrConfig::default()
+                .with_hp_per_thread(BST_HP_SLOTS)
+                .with_max_threads(8),
+        ))
     }
 
     #[test]
@@ -643,7 +647,9 @@ mod tests {
 
     #[test]
     fn works_with_clonable_non_copy_keys() {
-        let bst: LockFreeBst<String, Leaky> = LockFreeBst::new(Leaky::new(SmrConfig::for_bst()));
+        let bst: LockFreeBst<String, Leaky> = LockFreeBst::new(Leaky::new(
+            SmrConfig::default().with_hp_per_thread(BST_HP_SLOTS),
+        ));
         let mut h = bst.register();
         assert!(bst.insert("m".to_string(), &mut h));
         assert!(bst.insert("a".to_string(), &mut h));

@@ -592,7 +592,13 @@ mod tests {
         // list the batch is published at once; past a key above its range it
         // takes the fallback, a search a key.
         let keys = shuffled(600, 1_000);
-        let he = || he::He::new(SmrConfig::for_list().with_era_policy(EraAdvancePolicy::fixed(4)));
+        let he = || {
+            he::He::new(
+                SmrConfig::default()
+                    .with_hp_per_thread(LIST_HP_SLOTS)
+                    .with_era_policy(EraAdvancePolicy::fixed(4)),
+            )
+        };
         for present in [None, Some(1_000)] {
             for (name, batch, sequential) in [
                 (

@@ -1047,7 +1047,11 @@ mod tests {
     use std::collections::BTreeSet;
 
     fn leaky_skiplist() -> LockFreeSkipList<u64, Leaky> {
-        LockFreeSkipList::new(Leaky::new(SmrConfig::for_skiplist().with_max_threads(8)))
+        LockFreeSkipList::new(Leaky::new(
+            SmrConfig::default()
+                .with_hp_per_thread(SKIPLIST_HP_SLOTS)
+                .with_max_threads(8),
+        ))
     }
 
     #[test]
@@ -1234,7 +1238,11 @@ mod tests {
         // a level at a time; past a key above its range it takes the
         // fallback, a `find` a key.
         let keys = shuffled(600, 1_000);
-        let config = || SmrConfig::for_skiplist().with_max_threads(8);
+        let config = || {
+            SmrConfig::default()
+                .with_hp_per_thread(SKIPLIST_HP_SLOTS)
+                .with_max_threads(8)
+        };
         let leaky = || Leaky::new(config());
         let he = || he::He::new(config().with_era_policy(EraAdvancePolicy::fixed(4)));
         for present in [None, Some(1_000)] {
@@ -1274,7 +1282,11 @@ mod tests {
     #[test]
     fn a_batch_inserts_a_repeated_key_by_its_first_occurrence() {
         let keys = tagged(&[5, 3, 5, 9, 3, 5]);
-        let config = || SmrConfig::for_skiplist().with_max_threads(8);
+        let config = || {
+            SmrConfig::default()
+                .with_hp_per_thread(SKIPLIST_HP_SLOTS)
+                .with_max_threads(8)
+        };
         let (layout, inserted) = build(Leaky::new(config()), keys.clone(), true, None);
         assert_eq!(inserted, 3);
         let firsts: Vec<(u64, usize)> = layout
@@ -1314,7 +1326,8 @@ mod tests {
         const KEYS: usize = 256;
         let batched = |key: usize| (100..200).contains(&key) && key.is_multiple_of(2);
         for round in 0..200_u64 {
-            let config = SmrConfig::for_skiplist()
+            let config = SmrConfig::default()
+                .with_hp_per_thread(SKIPLIST_HP_SLOTS)
                 .with_max_threads(8)
                 .with_scan_threshold(1);
             let sl = LockFreeSkipList::new(he::He::new(config));

@@ -5,10 +5,13 @@
 //! goes back to copying halves their throughput on the long walks without
 //! failing any other test.
 
-use lockfree_ds::{HarrisMichaelList, LockFreeHashMap, LockFreeSkipList, MAX_HEIGHT};
+use lockfree_ds::{
+    HarrisMichaelList, LockFreeHashMap, LockFreeSkipList, LIST_HP_SLOTS, MAX_HEIGHT,
+    SKIPLIST_HP_SLOTS,
+};
 use reclaim_core::{
-    CapacityExhausted, Era, HandleTelemetry, Leaky, NodeCache, RetiredPtr, SchemeCore, Smr,
-    SmrConfig, SmrHandle,
+    CapacityExhausted, CoreToken, Era, HandleCore, Leaky, RetiredPtr, SchemeCore, Smr, SmrConfig,
+    SmrHandle,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,16 +89,12 @@ impl SmrHandle for CountingHandle {
         self.inner.flush();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        self.inner.ledger()
+    fn core(&self, token: CoreToken) -> &HandleCore {
+        self.inner.core(token)
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.inner.telemetry_cursor()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        self.inner.node_cache()
+    fn core_mut(&mut self, token: CoreToken) -> &mut HandleCore {
+        self.inner.core_mut(token)
     }
 }
 
@@ -120,7 +119,7 @@ fn assert_one_per_node(smr: &Counting, op: &str, key: u64) {
 
 #[test]
 fn a_list_traversal_protects_each_visited_node_once() {
-    let smr = Counting::new(SmrConfig::for_list());
+    let smr = Counting::new(SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS));
     let list = HarrisMichaelList::new(Arc::clone(&smr));
     let mut h = list.register();
     for key in 0..N {
@@ -141,7 +140,7 @@ fn a_list_traversal_protects_each_visited_node_once() {
 
 #[test]
 fn a_hash_map_bucket_walk_protects_each_visited_node_once() {
-    let smr = Counting::new(SmrConfig::for_list());
+    let smr = Counting::new(SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS));
     // One bucket: the walk is the list's.
     let map = LockFreeHashMap::with_buckets(Arc::clone(&smr), 1);
     let mut h = map.register();
@@ -160,7 +159,7 @@ fn list_and_hash_map_updates_protect_each_visited_node_once() {
     // Updates run the lookups' traversal: removing key `k` visits `0..=k`,
     // and putting it back visits `0..k` and stops on `k + 1`. A key past the
     // end is absent for the remove and appended by the insert.
-    let smr = Counting::new(SmrConfig::for_list());
+    let smr = Counting::new(SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS));
     let list = HarrisMichaelList::new(Arc::clone(&smr));
     let map = LockFreeHashMap::with_buckets(Arc::clone(&smr), 1);
     let mut h = list.register();
@@ -201,7 +200,7 @@ fn a_skip_list_operation_publishes_one_protect_per_node_visited() {
     const OPS: u64 = 20_000;
     const EXPECTED: f64 = 28.22;
     let per_op = std::thread::spawn(|| {
-        let smr = Counting::new(SmrConfig::for_skiplist());
+        let smr = Counting::new(SmrConfig::default().with_hp_per_thread(SKIPLIST_HP_SLOTS));
         let set = LockFreeSkipList::new(Arc::clone(&smr));
         let mut h = set.register();
         let mut state = 0x9e37_79b9_7f4a_7c15_u64;
@@ -257,7 +256,7 @@ fn prefill_keys(range: u64) -> Vec<u64> {
 /// `present` beforehand. Every key is inserted.
 fn batch_protects(keys: &[u64], present: Option<u64>) -> [u64; 2] {
     let n = keys.len();
-    let smr = Counting::new(SmrConfig::for_list());
+    let smr = Counting::new(SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS));
     let list = HarrisMichaelList::new(Arc::clone(&smr));
     let mut h = list.register();
     if let Some(key) = present {
@@ -268,7 +267,7 @@ fn batch_protects(keys: &[u64], present: Option<u64>) -> [u64; 2] {
     let list_protects = smr.take();
     let keys = keys.to_vec();
     let skip_list_protects = std::thread::spawn(move || {
-        let smr = Counting::new(SmrConfig::for_skiplist());
+        let smr = Counting::new(SmrConfig::default().with_hp_per_thread(SKIPLIST_HP_SLOTS));
         let sl = LockFreeSkipList::new(Arc::clone(&smr));
         let mut h = sl.register();
         if let Some(key) = present {

@@ -205,7 +205,7 @@ mod tests {
             Registry::new(1, |_| EpochRecord::default()),
             StatStripe::new(),
         );
-        let slot = registry.try_acquire().expect("one free slot");
+        let slot = registry.acquire().expect("one free slot");
         let confirms = |epoch| confirmed(&registry, &stats, |r| r, epoch);
         check(registry.get_mine(slot), &confirms);
     }

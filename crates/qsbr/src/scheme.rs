@@ -3,8 +3,8 @@
 use crate::epoch::{EpochRecord, GlobalEpoch, OFFLINE};
 use crate::limbo::{grace_drain, EpochLimbo};
 use reclaim_core::{
-    CapacityExhausted, HandleCore, HandleTelemetry, NodeCache, Registry, RetiredPtr, SchemeCore,
-    SlotId, Smr, SmrConfig, SmrHandle,
+    CapacityExhausted, CoreToken, HandleCore, Registry, RetiredPtr, SchemeCore, SlotId, Smr,
+    SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -120,16 +120,12 @@ impl SmrHandle for QsbrHandle {
         self.core.drain_ready();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 

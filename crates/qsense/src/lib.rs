@@ -43,7 +43,8 @@
 //! use qsense::QSense;
 //! use reclaim_core::{retire_box, Smr, SmrConfig, SmrHandle};
 //!
-//! let scheme = QSense::new(SmrConfig::for_list());
+//! // K = 2 hazard pointers a thread, as a linked list needs.
+//! let scheme = QSense::new(SmrConfig::default().with_hp_per_thread(2));
 //! let mut handle = scheme.register();
 //!
 //! handle.begin_op();                    // manage_qsense_state()

@@ -5,9 +5,8 @@ use crate::path::{FallbackFlag, Path};
 use hazard::{hp_scan, HpSlots, OwnedSlots};
 use qsbr::{grace_drain, EpochLimbo, EpochRecord, GlobalEpoch, EPOCH_BUCKETS, OFFLINE};
 use reclaim_core::{
-    BarrierLedger, CachePadded, CapacityExhausted, Counter, FenceStrategy, HandleCore,
-    HandleTelemetry, NodeCache, Registry, RetiredPtr, SchemeCore, SlotId, Smr, SmrConfig,
-    SmrHandle, StatStripe,
+    BarrierLedger, CachePadded, CapacityExhausted, CoreToken, Counter, FenceStrategy, HandleCore,
+    Registry, RetiredPtr, SchemeCore, SlotId, Smr, SmrConfig, SmrHandle, StatStripe,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -444,16 +443,12 @@ impl SmrHandle for QSenseHandle {
         core.drain_ready();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 

@@ -7,7 +7,7 @@
 //! | paper symbol | field | meaning |
 //! |--------------|-------|---------|
 //! | `N` | [`max_threads`](SmrConfig::max_threads) | maximum number of worker threads |
-//! | `K` | [`hp_per_thread`](SmrConfig::hp_per_thread) | hazard pointers per thread |
+//! | `K` | [`hp_per_thread`](SmrConfig::hp_per_thread) | hazard pointers per thread, sized to the structure (`lockfree_ds`'s `*_HP_SLOTS`) |
 //! | `Q` | [`quiescence_threshold`](SmrConfig::quiescence_threshold) | operations batched per quiescent state |
 //! | `R` | [`scan_threshold`](SmrConfig::scan_threshold) | retires between hazard-pointer scans |
 //! | `C` | [`fallback_threshold`](SmrConfig::fallback_threshold) | limbo-list size that triggers the fallback path |
@@ -27,8 +27,9 @@ use std::time::Duration;
 pub struct SmrConfig {
     /// `N`: maximum number of concurrently registered worker threads.
     pub max_threads: usize,
-    /// `K`: number of hazard-pointer slots per thread. The paper uses 2 for the
-    /// linked list, 6 for the BST and up to 35 for the skip list.
+    /// `K`: number of hazard-pointer slots per thread. Each structure names its
+    /// own (`lockfree_ds::LIST_HP_SLOTS` = 2, `BST_HP_SLOTS` = 6,
+    /// `SKIPLIST_HP_SLOTS` = 34; the paper gives up to 35 for its skip list).
     pub hp_per_thread: usize,
     /// `Q`: number of `begin_op` calls batched before a quiescent state is declared
     /// (QSBR / QSense fast path).
@@ -89,22 +90,6 @@ pub struct SmrConfig {
 }
 
 impl SmrConfig {
-    /// Configuration matching the paper's linked-list experiments
-    /// (`K = 2` hazard pointers).
-    pub fn for_list() -> Self {
-        Self::default().with_hp_per_thread(2)
-    }
-
-    /// Configuration matching the paper's BST experiments (`K = 6`).
-    pub fn for_bst() -> Self {
-        Self::default().with_hp_per_thread(6)
-    }
-
-    /// Configuration matching the paper's skip-list experiments (up to `K = 35`).
-    pub fn for_skiplist() -> Self {
-        Self::default().with_hp_per_thread(35)
-    }
-
     /// Sets `N`, the maximum number of worker threads.
     pub fn with_max_threads(mut self, n: usize) -> Self {
         assert!(n > 0, "max_threads must be positive");
@@ -291,13 +276,6 @@ mod tests {
         assert_eq!(cfg.era_policy, EraAdvancePolicy::fixed(16));
         assert!(cfg.telemetry);
         assert!(cfg.clock.is_manual());
-    }
-
-    #[test]
-    fn dataset_presets_match_paper_hp_counts() {
-        assert_eq!(SmrConfig::for_list().hp_per_thread, 2);
-        assert_eq!(SmrConfig::for_bst().hp_per_thread, 6);
-        assert_eq!(SmrConfig::for_skiplist().hp_per_thread, 35);
     }
 
     #[test]

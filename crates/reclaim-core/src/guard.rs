@@ -73,7 +73,7 @@
 
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::node_cache::{self, Block};
-use crate::smr::{Smr, SmrHandle};
+use crate::smr::{CoreToken, Smr, SmrHandle};
 use crate::tagged::{LinkWord, VersionedAtomic};
 use std::alloc::Layout;
 use std::marker::PhantomData;
@@ -124,10 +124,9 @@ pub struct Guard<'h, H: SmrHandle> {
     /// (raw-pointer field), and no method re-enters another.
     handle: *mut H,
     /// Telemetry op-latency sample: `Some` only for the 1-in-N ops the
-    /// scheme's telemetry chose to time
-    /// ([`HandleTelemetry::op_begin`](crate::telemetry::HandleTelemetry::op_begin));
-    /// the drop records the bracket's elapsed time. Always `None` — one
-    /// flag load — when telemetry is disabled.
+    /// handle's core chose to time ([`HandleCore`](crate::limbo::HandleCore)
+    /// keeps the sampling counter); the drop records the bracket's elapsed
+    /// time. Always `None` — one flag load — when telemetry is disabled.
     op_start: Option<std::time::Instant>,
     _marker: PhantomData<&'h mut H>,
 }
@@ -137,7 +136,7 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     /// use of the handle until the guard drops.
     pub fn new(handle: &'h mut H) -> Self {
         handle.begin_op();
-        let op_start = handle.telemetry_cursor().op_begin();
+        let op_start = handle.core_mut(CoreToken(())).op_begin();
         Self {
             handle,
             op_start,
@@ -159,7 +158,10 @@ impl<'h, H: SmrHandle> Guard<'h, H> {
     /// it with [`retire_block`](Self::retire_block).
     #[inline]
     pub fn alloc_block(&self, layout: Layout) -> (NonNull<u8>, Era) {
-        self.with(|h| (h.node_cache().alloc(layout), h.alloc_node()))
+        self.with(|h| {
+            let block = h.core_mut(CoreToken(())).cache.alloc(layout);
+            (block, h.alloc_node())
+        })
     }
 
     /// Publishes a protection for a raw pointer in `slot` — the expert escape
@@ -231,7 +233,7 @@ impl<H: SmrHandle> Drop for Guard<'_, H> {
             h.end_op();
             // Sampled op: record the full begin→end bracket, teardown included.
             if let Some(started) = op_start {
-                h.telemetry_cursor().op_end(started);
+                h.core(CoreToken(())).op_end(started);
             }
         });
     }

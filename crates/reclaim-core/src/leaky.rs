@@ -29,11 +29,9 @@
 
 use crate::config::SmrConfig;
 use crate::limbo::{HandleCore, SchemeCore};
-use crate::node_cache::NodeCache;
 use crate::retired::RetiredPtr;
 use crate::segbag::SegBag;
-use crate::smr::{CapacityExhausted, Smr, SmrHandle};
-use crate::telemetry::HandleTelemetry;
+use crate::smr::{CapacityExhausted, CoreToken, Smr, SmrHandle};
 use std::sync::Arc;
 
 /// The no-reclamation scheme (paper: *None*).
@@ -110,16 +108,12 @@ impl SmrHandle for LeakyHandle {
         // Leaky never reclaims while running; that is the whole point of the baseline.
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 
@@ -163,7 +157,10 @@ mod tests {
             retire_node(&mut handle, key);
         }
         // A `u64` behind the birth-era header: a 16 B block, nothing to drop.
-        assert_eq!(handle.ledger(), (64, 64 * 16));
+        assert_eq!(
+            (handle.local_in_limbo(), handle.local_limbo_bytes()),
+            (64, 64 * 16)
+        );
         assert!(handle.bag.is_empty(), "no record was written");
         let stats = scheme.stats();
         assert_eq!((stats.retired, stats.retired_bytes), (64, 64 * 16));

@@ -81,7 +81,8 @@
 //! **ledger** — node and byte totals, [`HandleCore::in_limbo`] /
 //! [`HandleCore::limbo_bytes`] — and no scheme sums its bags, passes a total
 //! into the core or returns one from a scan. The ledger is what
-//! [`SmrHandle::ledger`] answers from and what gates how often the handle
+//! [`SmrHandle::local_in_limbo`] and [`SmrHandle::local_limbo_bytes`] answer
+//! from and what gates how often the handle
 //! looks at the scheme-wide figure. That figure is not summed from ledgers:
 //! it is `retired_bytes − freed_bytes` over the counter stripes every retire
 //! and free already writes ([`SchemeCore::limbo_estimate`]) — the one set of
@@ -92,6 +93,7 @@
 //! | the scheme crate implements | the core owns |
 //! |-----------------------------|---------------|
 //! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch — `qsbr::EpochRecord`, shared by QSBR, QSense and EBR, whose pin publishes it —, era interval), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::config`], [`Smr::name`], [`Smr::stats`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
+//! | where each handle's [`HandleCore`] is: [`SmrHandle::core`] / [`SmrHandle::core_mut`], each `&self.core` | everything a handle offers beyond the protocol: the ledger's readers ([`SmrHandle::local_in_limbo`], [`SmrHandle::local_limbo_bytes`]), the node cache [`guard::Guard::alloc_block`] takes from, and the telemetry the guard's op bracket and the retire stamp record (the sampling counter and the tick cache are the core's) — sealed by a [`CoreToken`] only this crate builds, so a data structure reaches a core only through [`guard::Guard`] and can never `park`, `scan` or `adopt_parked` it |
 //! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted on the handle's own stripe ([`StatsSnapshot::forced_scans`] and the three after it) — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
@@ -99,8 +101,11 @@
 //!
 //! The freed-side counters and the parked store are private to this crate:
 //! a scheme cannot book a free, park or recycle except through the calls
-//! above. A new scheme is a `Registry<Record>`, a limbo shape, a scan pass, [`Smr::try_register`] and [`Smr::core`], and an
-//! [`SmrHandle`] impl of a dozen short methods (see `hazard` for the smallest
+//! above. A new scheme is a `Registry<Record>`, a limbo shape, a scan pass,
+//! [`Smr::try_register`] and [`Smr::core`], and an [`SmrHandle`] impl that
+//! writes its protocol — `begin_op`, `end_op`, `protect`,
+//! `clear_protections`, `retire`, `flush`, and `alloc_node` for an era
+//! scheme — plus `core` and `core_mut` (see `hazard` for the smallest
 //! complete one).
 //!
 //! ## Hot-path cost model
@@ -125,13 +130,13 @@
 //! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under [`NODE_CACHE_BYTES`]; past that it hands the block, with 15 more of the class, to the arena its chunk names under one lock; a block of no cached class it frees; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the arena's lock per 16 blocks over the cap, the allocator's thread cache for a `Box` |
 //! | per `retire` (byte accounting) | stamp the node's size into the [`retired::RetiredPtr`] (written next to the stamp the wrapper already carries: `size_of::<T>()` for guard-layer nodes, the allocation's real size for a skip-list tower; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated look ([`limbo::HandleCore::enforce_budget`]) — a comparison of the ledger against its value at the handle's last look, escalating to the O(#stripes) sum of `retired_bytes − freed_bytes` only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; a look writes nothing but a new peak — **no per-retire shared write**, and none per grain either |
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is one add to the pulling handle's own stripe, summed into [`Smr::stats`] |
-//! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below; the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
+//! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below, recorded through the handle's core ([`SmrHandle::core_mut`]); the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
 //! | per protected load ([`guard::Guard::load_protected`], or [`guard::Guard::protect_shared`] and the caller's re-read) | the `protect` store above plus one acquire re-read of the link word (looping only while the word moves) — the same publish + re-validate pattern the hand-written protocol used, priced identically | identical to raw `protect` + re-read |
 //! | per retire ([`guard::Unlinked::retire`] / [`guard::Guard::retire_block`]) | exactly the retire above, handed one [`RetiredPtr`] built here once: birth era read back from the node header (one thread-local load); size the block's (a compile-time constant for an `Unlinked`; a skip-list tower: its 32-byte header plus 8 B a level, one multiply-add) — a size-unknown (0-byte) retire is unreachable from both; the destructor the block one, [`node_cache`]'s, or none for a node with nothing to drop in a block of a cached class (a plain block, freed by its recorded size) | identical to [`smr::SmrHandle::retire`] |
 //! | per handle drop | splice leftovers into the scheme's parked store ([`segbag::SegBag::splice`]) and add the kept tally there; give the node cache back to the arena: each class's spares (at most [`node_cache::REFILL_BLOCKS`] − 1) onto its list, then one splice a class, by the list's tail, under one lock of the arena; leave the pool and scratch in the parked store; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under the store's mutex, taken twice at most; the arena's lock once, O(size classes) under it, however many blocks the cache holds — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-only line shared by all record sites |
-//! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes skip the observer entirely) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
+//! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes read no clock) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
 //!
 //! ## Observability
 //!
@@ -420,14 +425,12 @@ pub use lease::{HandleLease, LeaseExhausted, LeasePolicy, LeasePool};
 pub use limbo::{HandleCore, Reclaim, SchemeCore, READY_FREES_PER_RETIRE};
 pub use node_cache::{NodeCache, NODE_CACHE_BYTES};
 pub use pad::CachePadded;
-pub use registry::{Registry, RegistryFull, SlotId, SHARD_SLOTS};
+pub use registry::{Registry, SlotId, SHARD_SLOTS};
 pub use retired::RetiredPtr;
 pub use segbag::{SegBag, SegPool, SEG_CAP};
-pub use smr::{drop_fn_for, CapacityExhausted, Smr, SmrHandle};
+pub use smr::{drop_fn_for, CapacityExhausted, CoreToken, Smr, SmrHandle};
 pub use stats::{Counter, StatStripe, StatsSnapshot};
-pub use telemetry::{
-    HandleTelemetry, HistSnapshot, LogHistogram, ScanObserver, Telemetry, TelemetrySummary,
-};
+pub use telemetry::{HistSnapshot, LogHistogram, Telemetry, TelemetrySummary};
 
 /// Convenience: retire a typed, heap-allocated (`Box`-originated) pointer through any
 /// [`SmrHandle`].

@@ -31,8 +31,8 @@
 //! allocator off the ready chain, or [`HandleCore::park`]), so it
 //! counts them once and no scheme sums its bags or passes a total in. Ready
 //! nodes stay in it, and in `retired − freed`, until the allocator has them. The
-//! ledger is the handle's own view (`SmrHandle::ledger`, the count threshold,
-//! the grain gate); the scheme-wide figure is not built from ledgers but read
+//! ledger is the handle's own view (`SmrHandle::local_in_limbo`, the count
+//! threshold, the grain gate); the scheme-wide figure is not built from ledgers but read
 //! off the same counter stripes every retire and free already writes
 //! ([`SchemeCore::limbo_estimate`]: `retired_bytes − freed_bytes`), so parking,
 //! adopting and dropping a handle move it by nothing and there is no second
@@ -60,10 +60,11 @@ use crate::retired::RetiredPtr;
 use crate::segbag::{SegBag, SegPool};
 use crate::smr::CapacityExhausted;
 use crate::stats::{Counter, ShardedStats, StatStripe, StatsSnapshot};
-use crate::telemetry::{CursorState, HandleTelemetry, ScanObserver, Telemetry};
+use crate::telemetry::{CursorState, Telemetry, OP_SAMPLE_SHIFT, TICK_REFRESH};
 use std::alloc::Layout;
 use std::ptr::NonNull;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// Ready nodes one [`HandleCore::retire`] hands the allocator at most. A
 /// constant, not a knob: above 1, so a backlog drains twice as fast as retires
@@ -221,9 +222,9 @@ impl SchemeCore {
         registry: &Registry<R>,
         words: usize,
     ) -> Result<(SlotId, HandleCore), CapacityExhausted> {
-        let slot = registry.try_acquire().map_err(|e| CapacityExhausted {
+        let slot = registry.acquire().ok_or(CapacityExhausted {
             scheme: self.name,
-            capacity: e.capacity,
+            capacity: registry.capacity(),
         })?;
         Ok((slot, self.attach(Some(slot), words)))
     }
@@ -253,7 +254,7 @@ impl SchemeCore {
             limbo_bytes: 0,
             kept: (0, 0),
             checked_at: 0,
-            tele: CursorState::default(),
+            cursor: CursorState::default(),
             since_scan: 0,
             scan_threshold: self.config.scan_threshold,
             shared: Arc::clone(self),
@@ -297,7 +298,7 @@ pub struct HandleCore {
     /// next registrant adopts whatever it holds at handle drop.
     pub scratch: Vec<u64>,
     /// Blocks the free stage freed, for this handle's next allocations
-    /// (`SmrHandle::node_cache`).
+    /// ([`crate::guard::Guard::alloc_block`]).
     pub cache: NodeCache,
     /// Nodes a scan proved unreachable, awaiting the allocator (module docs).
     ready: SegBag,
@@ -311,8 +312,9 @@ pub struct HandleCore {
     /// `limbo_bytes` when this handle last took the estimate to the governor:
     /// the grain gate's mark.
     checked_at: usize,
-    /// What the telemetry cursor keeps between records ([`tele`](Self::tele)).
-    tele: CursorState,
+    /// What the op bracket and the retire stamp keep between telemetry
+    /// records.
+    cursor: CursorState,
     /// Retires since the count-threshold rung last fired (or a flush reset it).
     since_scan: usize,
     /// `config.scan_threshold`, copied at attach so the rung reads the handle.
@@ -335,15 +337,53 @@ impl HandleCore {
         self.shared.stats.stripe(self.stripe)
     }
 
-    /// The telemetry cursor behind `SmrHandle::telemetry_cursor`: recording
-    /// into the scheme's histograms, on this handle's stripe.
+    /// The op bracket's entry ([`crate::guard::Guard::new`]): one flag load
+    /// when telemetry is off; when on, counts the op and reads
+    /// `Instant::now()` for the 1-in-2^[`OP_SAMPLE_SHIFT`] sampled ops only,
+    /// refreshing the retire-tick cache for free.
     #[inline]
-    pub fn tele(&mut self) -> HandleTelemetry<'_> {
-        HandleTelemetry::new(&self.shared.telemetry, self.stripe, &mut self.tele)
+    pub(crate) fn op_begin(&mut self) -> Option<Instant> {
+        let telemetry = &self.shared.telemetry;
+        if !telemetry.is_enabled() {
+            return None;
+        }
+        let sampled = self.cursor.ops & ((1 << OP_SAMPLE_SHIFT) - 1) == 0;
+        self.cursor.ops = self.cursor.ops.wrapping_add(1);
+        if !sampled {
+            return None;
+        }
+        let now = Instant::now();
+        self.cursor.tick_cache = telemetry.tick_from(now);
+        Some(now)
+    }
+
+    /// The op bracket's exit for a sampled op: records its latency.
+    #[inline]
+    pub(crate) fn op_end(&self, started: Instant) {
+        self.shared.telemetry.record_op(self.stripe, started);
+    }
+
+    /// The retire-time telemetry tick: 0 (one flag load) when telemetry is
+    /// off, otherwise the cached coarse tick, re-read every
+    /// [`TICK_REFRESH`] retires (and whenever a sampled op refreshes it), so
+    /// a retire between refreshes pays the flag load, a counter bump and one
+    /// `u32` copy.
+    #[inline]
+    pub(crate) fn retire_tick(&mut self) -> u32 {
+        let telemetry = &self.shared.telemetry;
+        if !telemetry.is_enabled() {
+            return 0;
+        }
+        let cursor = &mut self.cursor;
+        if cursor.retires & (TICK_REFRESH - 1) == 0 || cursor.tick_cache == 0 {
+            cursor.tick_cache = telemetry.coarse_now();
+        }
+        cursor.retires = cursor.retires.wrapping_add(1);
+        cursor.tick_cache
     }
 
     /// Nodes this handle has retired (or adopted) and not yet freed or parked
-    /// — the first half of `SmrHandle::ledger`.
+    /// — the first half of the ledger (`SmrHandle::local_in_limbo`).
     pub fn in_limbo(&self) -> usize {
         self.limbo_nodes
     }
@@ -373,7 +413,7 @@ impl HandleCore {
         // One tick serves both ends: it stamps the new node and dates the
         // frees (a cached tick can trail a sibling's stamp on an adopted node;
         // `Telemetry::note_free` reads that as no delay).
-        let tick = self.tele().retire_tick();
+        let tick = self.retire_tick();
         if !self.ready.is_empty() {
             self.free_ready(READY_FREES_PER_RETIRE, tick);
         }
@@ -558,12 +598,11 @@ impl HandleCore {
             ready: &mut self.ready,
             stats: shared.stats.stripe(self.stripe),
             tele: &shared.telemetry,
-            stripe: self.stripe,
-            observer: None,
+            started: None,
         };
         pass(&mut reclaim, &mut self.scratch);
-        if let Some(observer) = reclaim.observer.take() {
-            observer.finish();
+        if let Some(started) = reclaim.started {
+            shared.telemetry.record_scan(self.stripe, started);
         }
         self.report();
     }
@@ -626,16 +665,16 @@ impl Drop for HandleCore {
 
 /// The proving side of one [`HandleCore::scan`] pass: moves the nodes the
 /// scheme's predicate releases onto the handle's ready chain, which the retire
-/// path then frees (module docs). The observer (scan timer) is created at the
-/// first non-empty bag, so passes with nothing to examine pay no clock read.
+/// path then frees (module docs). With telemetry on, the scan's clock starts
+/// at the first non-empty bag, so passes with nothing to examine pay no clock
+/// read.
 pub struct Reclaim<'a> {
     pool: &'a mut SegPool,
     ready: &'a mut SegBag,
     stats: &'a StatStripe,
     tele: &'a Telemetry,
-    /// The scanning handle's stripe index, for the histograms.
-    stripe: usize,
-    observer: Option<ScanObserver<'a>>,
+    /// When the scan met its first non-empty bag, if telemetry times it.
+    started: Option<Instant>,
 }
 
 impl Reclaim<'_> {
@@ -650,8 +689,8 @@ impl Reclaim<'_> {
 
     /// Starts the scan timer at the first bag that holds anything.
     fn observe(&mut self) {
-        if self.observer.is_none() {
-            self.observer = self.tele.scan_observer(self.stripe);
+        if self.started.is_none() && self.tele.is_enabled() {
+            self.started = Some(Instant::now());
         }
     }
 
@@ -1142,6 +1181,111 @@ mod tests {
         assert_eq!((nodes, bytes), (4, 4 * NODE));
         assert_eq!(parked.leftovers.bytes(), 0);
         assert_eq!(drops.load(Ordering::SeqCst), 4);
+    }
+
+    /// A scheme whose telemetry is `on` or off, scanning only when told.
+    fn telemetry_scheme(on: bool) -> Arc<SchemeCore> {
+        let config = SmrConfig::default()
+            .with_scan_threshold(1_000_000)
+            .with_telemetry(on);
+        SchemeCore::new("test", config)
+    }
+
+    #[test]
+    fn sampling_mask_selects_one_in_n() {
+        let mut core = telemetry_scheme(true).attach(None, WORDS);
+        let mut sampled = 0;
+        for _ in 0..1024 {
+            if let Some(start) = core.op_begin() {
+                core.op_end(start);
+                sampled += 1;
+            }
+        }
+        assert_eq!(
+            sampled,
+            1024 >> OP_SAMPLE_SHIFT,
+            "1 op in 2^OP_SAMPLE_SHIFT"
+        );
+        assert_eq!(core.shared.telemetry.summary().op_latency_ns.count(), 8);
+    }
+
+    #[test]
+    fn disabled_paths_record_nothing() {
+        let scheme = telemetry_scheme(false);
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut handle = Handle::register(&scheme);
+        for _ in 0..32 {
+            assert!(handle.core.op_begin().is_none());
+        }
+        assert_eq!(handle.core.retire_tick(), 0);
+        // A scan over a non-empty bag starts no clock, and its free no delay.
+        handle.retire(&drops);
+        handle.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        assert!(scheme.telemetry().summary().is_empty());
+    }
+
+    #[test]
+    fn coarse_now_is_never_zero_and_delay_measures_tick_gap() {
+        let scheme = telemetry_scheme(true);
+        let tele = scheme.telemetry();
+        assert_ne!(tele.coarse_now(), 0);
+        // An unstamped node (tick 0) is skipped.
+        let boxed = || Box::into_raw(Box::new(7u64)).cast();
+        // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
+        let unstamped = unsafe { RetiredPtr::new(boxed(), drop_fn_for::<u64>(), 0, 0) };
+        tele.note_free(0, tele.coarse_now(), &unstamped);
+        // SAFETY: as above.
+        let mut stamped = unsafe { RetiredPtr::new(boxed(), drop_fn_for::<u64>(), 0, 0) };
+        stamped.set_stamps(0, 1_000);
+        tele.note_free(0, 0, &stamped);
+        assert!(
+            tele.summary().reclaim_delay_us.is_empty(),
+            "no `now`, no delay"
+        );
+        tele.note_free(0, 1_500, &stamped);
+        assert_eq!(tele.summary().reclaim_delay_us.percentile(1.0), 511);
+        // A `now` behind the stamp (a stale cached tick, an adopted node) is
+        // no delay; a stamp from before the counter wrapped is a short one.
+        tele.note_free(0, 990, &stamped);
+        stamped.set_stamps(0, u32::MAX - 5);
+        tele.note_free(0, 4, &stamped);
+        // One scan over a non-empty bag is timed; its node stays on the ready
+        // chain, unfreed, until the handle drops.
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mut handle = Handle::register(&scheme);
+        handle.retire(&drops);
+        Handle::scan(&mut handle.core, &mut handle.bag, false);
+        let summary = tele.summary();
+        assert_eq!(summary.reclaim_delay_us.bucket_counts()[0], 1, "0 us");
+        assert_eq!(summary.reclaim_delay_us.bucket_counts()[3], 1, "10 us");
+        assert_eq!(summary.reclaim_delay_us.count(), 3);
+        assert_eq!(summary.scan_ns.count(), 1);
+        // SAFETY: both nodes were retired exactly once above and nothing protects them.
+        unsafe {
+            unstamped.reclaim(None);
+            stamped.reclaim(None);
+        }
+    }
+
+    #[test]
+    fn retire_tick_cache_is_monotone_and_never_zero_while_enabled() {
+        let mut core = telemetry_scheme(true).attach(None, WORDS);
+        let mut last = 0u32;
+        // One past the refresh boundary, so the final stamp below can only
+        // come from the cache (not a boundary re-read).
+        for _ in 0..(TICK_REFRESH * 4 + 1) {
+            let tick = core.retire_tick();
+            assert_ne!(tick, 0, "enabled stamps are never the disabled marker");
+            assert!(tick >= last, "cached ticks never run backwards");
+            last = tick;
+        }
+        // A sampled op refreshes the cache without waiting for the next
+        // refresh boundary.
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let started = core.op_begin().expect("a handle's first op is sampled");
+        core.op_end(started);
+        assert!(core.retire_tick() > last, "op sample advanced the cache");
     }
 
     /// Retires a 32-byte block the way the guard layer does: allocated from

@@ -61,7 +61,6 @@
 
 use crate::pad::CachePadded;
 use crate::stats::{Counter, StatStripe};
-use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -87,26 +86,6 @@ impl SlotId {
         self.0
     }
 }
-
-/// Error returned by [`Registry::try_acquire`] when every usable slot is claimed.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RegistryFull {
-    /// The registry's fixed capacity (`N`, the scheme's `max_threads`).
-    pub capacity: usize,
-}
-
-impl fmt::Display for RegistryFull {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "all {} registry slots are claimed; raise SmrConfig::max_threads or \
-             lease existing handles instead of registering new ones",
-            self.capacity
-        )
-    }
-}
-
-impl Error for RegistryFull {}
 
 /// Fixed-capacity, shard-striped registry of per-thread records (module docs).
 pub struct Registry<T> {
@@ -211,8 +190,9 @@ impl<T> Registry<T> {
             .sum()
     }
 
-    /// Claims a free slot, returning its id, or `None` if all `N` slots are taken.
-    /// (See [`try_acquire`](Self::try_acquire) for the error-carrying variant.)
+    /// Claims a free slot, returning its id, or `None` if all `N` slots are
+    /// taken ([`SchemeCore::register`](crate::SchemeCore::register) turns that
+    /// into the scheme's [`CapacityExhausted`](crate::CapacityExhausted)).
     ///
     /// Registration is dealt a round-robin **home shard** and CASes the lowest
     /// free bit of its bitmap, spilling to subsequent shards only on overflow —
@@ -230,14 +210,6 @@ impl<T> Registry<T> {
             }
         }
         None
-    }
-
-    /// Like [`acquire`](Self::acquire), but reports exhaustion as a descriptive
-    /// [`RegistryFull`] error carrying the configured capacity.
-    pub fn try_acquire(&self) -> Result<SlotId, RegistryFull> {
-        self.acquire().ok_or(RegistryFull {
-            capacity: self.capacity(),
-        })
     }
 
     /// Attempts to claim the lowest free usable bit of shard `si`.
@@ -342,11 +314,6 @@ mod tests {
         let b = reg.acquire().unwrap();
         assert_ne!(a, b);
         assert!(reg.acquire().is_none(), "registry should be full");
-        assert_eq!(
-            reg.try_acquire().unwrap_err(),
-            RegistryFull { capacity: 2 },
-            "try_acquire names the exhausted capacity"
-        );
         assert_eq!(reg.claimed_count(), 2);
         reg.release(a);
         assert_eq!(reg.claimed_count(), 1);

@@ -122,7 +122,7 @@ impl RetiredPtr {
     }
 
     /// Writes the retiring scheme's `stamp` and the coarse telemetry `tick`
-    /// taken at retire ([`crate::telemetry::HandleTelemetry::retire_tick`]; 0
+    /// taken at retire ([`HandleCore::retire_tick`](crate::limbo::HandleCore::retire_tick); 0
     /// marks the node as unstamped and the free-side delay measurement skips it).
     pub(crate) fn set_stamps(&mut self, stamp: u64, tick: u32) {
         (self.stamp, self.tick) = (stamp, tick);

@@ -32,15 +32,15 @@
 //! | trait | a scheme writes | provided over it |
 //! |-------|-----------------|------------------|
 //! | [`Smr`] | [`try_register`](Smr::try_register) and [`core`](Smr::core) — where its [`SchemeCore`] is (plus the associated [`Handle`](Smr::Handle) type) | [`register`](Smr::register), [`config`](Smr::config), [`name`](Smr::name), [`stats`](Smr::stats), [`telemetry`](Smr::telemetry): the same expression for every scheme, because the core's counter stripes are the only books there are |
-//! | [`SmrHandle`] | the protocol — `begin_op`, `end_op`, `protect`, `clear_protections`, `retire`, `flush` (and `alloc_node` for an era scheme) — and three one-line views of its [`HandleCore`](crate::limbo::HandleCore): [`ledger`](SmrHandle::ledger), [`telemetry_cursor`](SmrHandle::telemetry_cursor), [`node_cache`](SmrHandle::node_cache) | [`local_in_limbo`](SmrHandle::local_in_limbo), [`local_limbo_bytes`](SmrHandle::local_limbo_bytes) |
+//! | [`SmrHandle`] | the protocol — `begin_op`, `end_op`, `protect`, `clear_protections`, `retire`, `flush` (and `alloc_node` for an era scheme) — and where its [`HandleCore`] is: [`core`](SmrHandle::core) and [`core_mut`](SmrHandle::core_mut), sealed by a [`CoreToken`] only this crate can build | [`local_in_limbo`](SmrHandle::local_in_limbo), [`local_limbo_bytes`](SmrHandle::local_limbo_bytes); [`crate::guard::Guard`] reaches the node cache and the telemetry bracket through `core_mut` |
 
 use crate::clock::{Era, NO_BIRTH_ERA};
 use crate::config::SmrConfig;
-use crate::limbo::SchemeCore;
+use crate::limbo::{HandleCore, SchemeCore};
 use crate::node_cache::NodeCache;
 use crate::retired::{DropFn, RetiredPtr};
 use crate::stats::StatsSnapshot;
-use crate::telemetry::{HandleTelemetry, Telemetry};
+use crate::telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
@@ -205,34 +205,41 @@ pub trait SmrHandle: Send {
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.
     fn flush(&mut self);
 
-    /// The handle's [`HandleCore`](crate::limbo::HandleCore) ledger: the
-    /// nodes this thread has retired (or adopted from an exited thread) but
-    /// not yet freed, and their stamped bytes.
-    fn ledger(&self) -> (usize, usize);
+    /// The handle's [`HandleCore`]. Only this crate can build the
+    /// [`CoreToken`], so a data structure, which sees only `SmrHandle`,
+    /// cannot call it.
+    fn core(&self, _: CoreToken) -> &HandleCore;
 
-    /// The ledger's node count — this thread's limbo / removed-nodes list
-    /// length.
+    /// The handle's [`HandleCore`], mutably: what [`crate::guard::Guard`]
+    /// allocates from and brackets an operation's telemetry through.
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore;
+
+    /// The nodes this thread has retired (or adopted from an exited thread)
+    /// but not yet freed — its limbo / removed-nodes list length.
     fn local_in_limbo(&self) -> usize {
-        self.ledger().0
+        self.core(CoreToken(())).in_limbo()
     }
 
-    /// The ledger's stamped bytes.
+    /// The stamped bytes of those nodes.
     fn local_limbo_bytes(&self) -> usize {
-        self.ledger().1
+        self.core(CoreToken(())).limbo_bytes()
     }
-
-    /// This handle's telemetry cursor
-    /// ([`HandleCore::tele`](crate::limbo::HandleCore::tele)).
-    /// [`crate::guard::Guard`] brackets every operation with its
-    /// [`op_begin`](HandleTelemetry::op_begin) /
-    /// [`op_end`](HandleTelemetry::op_end): one flag load when telemetry is
-    /// disabled.
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_>;
-
-    /// This handle's [`NodeCache`] (its `HandleCore`'s), which
-    /// [`crate::guard::Guard::alloc_block`] takes a block from first.
-    fn node_cache(&mut self) -> &mut NodeCache;
 }
+
+/// The seal on [`SmrHandle::core`] and [`SmrHandle::core_mut`]: a scheme
+/// implements them, but only this crate can call them. A structure can
+/// allocate and bracket an operation through [`crate::guard::Guard`] and read
+/// the ledger, but it cannot `park`, `scan` or `adopt_parked` a handle's core:
+///
+/// ```compile_fail
+/// use reclaim_core::{CoreToken, Leaky, Smr, SmrHandle};
+///
+/// let scheme = Leaky::with_defaults();
+/// let mut handle = scheme.register();
+/// // ERROR: `CoreToken`'s field is private to reclaim-core.
+/// let core = handle.core_mut(CoreToken(()));
+/// ```
+pub struct CoreToken(pub(crate) ());
 
 /// Returns the type-erased destructor for a `Box<T>`-allocated node.
 ///

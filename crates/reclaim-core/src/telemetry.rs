@@ -17,10 +17,11 @@
 //!   [`RetiredPtr`] at retire and measured when the
 //!   node reaches the allocator ([`Telemetry::note_free`]) — the paper's
 //!   "bounded garbage" claim as an observable retire→free distribution.
-//! * [`HandleTelemetry`] — the per-handle recording cursor (a view of the
-//!   handle's op-sampling counter and tick cache, its scheme's [`Telemetry`]
-//!   and its stripe, lent by [`HandleCore::tele`](crate::limbo::HandleCore::tele)),
-//!   and [`ScanObserver`] — the per-scan timer.
+//!
+//! A handle records through its [`HandleCore`](crate::limbo::HandleCore),
+//! which keeps the op-sampling counter and the retire-tick cache and knows
+//! its stripe: the guard's op bracket, the retire stamp and the scan timer
+//! are the core's, in one place for every scheme.
 //!
 //! ## Time sources
 //!
@@ -263,14 +264,12 @@ pub const OP_SAMPLE_SHIFT: u32 = 7;
 
 /// Per-scheme telemetry state: the enabled flag, the coarse-tick origin, and
 /// the three histograms. One instance lives in every scheme's
-/// [`SchemeCore`](crate::limbo::SchemeCore); handles record through
-/// [`HandleTelemetry`] cursors.
+/// [`SchemeCore`](crate::limbo::SchemeCore); handles record through their
+/// [`HandleCore`](crate::limbo::HandleCore).
 pub struct Telemetry {
     /// Fixed at construction: every record site reads it exactly once and
     /// branches away when telemetry is off.
     enabled: bool,
-    /// `ops & sample_mask == 0` selects the sampled ops: `(1 << shift) - 1`.
-    sample_mask: u32,
     /// Origin of the coarse tick; also the precise-clock anchor.
     origin: Instant,
     op_latency: LogHistogram,
@@ -280,17 +279,15 @@ pub struct Telemetry {
 
 impl Telemetry {
     /// Builds telemetry state from a scheme configuration
-    /// ([`SmrConfig::telemetry`]), sampling at [`OP_SAMPLE_SHIFT`].
+    /// ([`SmrConfig::telemetry`]).
     pub fn from_config(config: &SmrConfig) -> Self {
-        Self::new(config.telemetry, OP_SAMPLE_SHIFT)
+        Self::new(config.telemetry)
     }
 
-    /// Builds telemetry state directly: `enabled` plus the op-latency sample
-    /// shift (sample 1 op in `2^shift`; shift is clamped to 31).
-    pub fn new(enabled: bool, sample_shift: u32) -> Self {
+    /// Builds telemetry state directly, recording when `enabled`.
+    pub fn new(enabled: bool) -> Self {
         Self {
             enabled,
-            sample_mask: (1u32 << sample_shift.min(31)) - 1,
             origin: Instant::now(),
             op_latency: LogHistogram::new(),
             scan_duration: LogHistogram::new(),
@@ -316,28 +313,13 @@ impl Telemetry {
     /// The coarse tick a known instant corresponds to — lets a caller that
     /// already read the clock derive the tick without a second read.
     #[inline]
-    fn tick_from(&self, now: Instant) -> u32 {
+    pub(crate) fn tick_from(&self, now: Instant) -> u32 {
         let t = now.saturating_duration_since(self.origin).as_micros() as u32;
         if t == 0 {
             1
         } else {
             t
         }
-    }
-
-    /// Begins observing one scan: one flag load when disabled, otherwise a
-    /// probe carrying the scan's start instant, for [`ScanObserver::finish`]
-    /// to record when the pass is done.
-    #[inline]
-    pub fn scan_observer(&self, stripe: usize) -> Option<ScanObserver<'_>> {
-        if !self.is_enabled() {
-            return None;
-        }
-        Some(ScanObserver {
-            shared: self,
-            stripe,
-            start: Instant::now(),
-        })
     }
 
     /// Records the retire→free delay of one node on its way to the allocator,
@@ -357,10 +339,15 @@ impl Telemetry {
         self.reclaim_delay.record(stripe, u64::from(delay_us));
     }
 
-    /// Records one sampled guard-bracket op latency (nanoseconds).
+    /// Records one sampled guard bracket that began at `started`.
     #[inline]
-    fn record_op_latency(&self, stripe: usize, nanos: u64) {
-        self.op_latency.record(stripe, nanos);
+    pub(crate) fn record_op(&self, stripe: usize, started: Instant) {
+        self.op_latency.record(stripe, nanos_since(started));
+    }
+
+    /// Records one scan that began at `started`.
+    pub(crate) fn record_scan(&self, stripe: usize, started: Instant) {
+        self.scan_duration.record(stripe, nanos_since(started));
     }
 
     /// Snapshots all three histograms into a plain, mergeable summary.
@@ -382,93 +369,19 @@ pub const TICK_REFRESH: u32 = 16;
 /// counter and the amortised retire-tick cache.
 #[derive(Default)]
 pub(crate) struct CursorState {
-    ops: u32,
-    retires: u32,
-    tick_cache: u32,
+    pub(crate) ops: u32,
+    pub(crate) retires: u32,
+    pub(crate) tick_cache: u32,
 }
 
-/// The per-handle recording cursor: the handle's sampling counter and tick
-/// cache together with the scheme's [`Telemetry`] and the handle's stripe, all
-/// borrowed through the handle's core for the length of one call. All methods
-/// are one flag load when telemetry is disabled.
-pub struct HandleTelemetry<'a> {
-    shared: &'a Telemetry,
-    stripe: usize,
-    state: &'a mut CursorState,
-}
-
-impl<'a> HandleTelemetry<'a> {
-    pub(crate) fn new(shared: &'a Telemetry, stripe: usize, state: &'a mut CursorState) -> Self {
-        Self {
-            shared,
-            stripe,
-            state,
-        }
-    }
-
-    /// Op-bracket entry: one flag load when disabled; when enabled, counts
-    /// the op and reads `Instant::now()` for the 1-in-N sampled ops only.
-    #[inline]
-    pub fn op_begin(&mut self) -> Option<Instant> {
-        if !self.shared.is_enabled() {
-            return None;
-        }
-        let sampled = self.state.ops & self.shared.sample_mask == 0;
-        self.state.ops = self.state.ops.wrapping_add(1);
-        if sampled {
-            let now = Instant::now();
-            // Free tick refresh: the sample already paid for the clock read.
-            self.state.tick_cache = self.shared.tick_from(now);
-            Some(now)
-        } else {
-            None
-        }
-    }
-
-    /// Op-bracket exit for a sampled op: records the elapsed nanoseconds.
-    #[inline]
-    pub fn op_end(&mut self, started: Instant) {
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.shared.record_op_latency(self.stripe, nanos);
-    }
-
-    /// The retire-time telemetry tick for a [`RetiredPtr`]: 0 (one flag
-    /// load) when disabled, otherwise the cached coarse tick. The
-    /// cache re-reads the clock every [`TICK_REFRESH`] retires (and whenever
-    /// a sampled op refreshes it for free), so the per-retire cost between
-    /// refreshes is the flag load, a counter bump, and one `u32` copy.
-    #[inline]
-    pub fn retire_tick(&mut self) -> u32 {
-        if !self.shared.is_enabled() {
-            return 0;
-        }
-        if self.state.retires & (TICK_REFRESH - 1) == 0 || self.state.tick_cache == 0 {
-            self.state.tick_cache = self.shared.coarse_now();
-        }
-        self.state.retires = self.state.retires.wrapping_add(1);
-        self.state.tick_cache
-    }
-}
-
-/// A per-scan probe: carries the scan's start instant.
-pub struct ScanObserver<'a> {
-    shared: &'a Telemetry,
-    stripe: usize,
-    start: Instant,
-}
-
-impl ScanObserver<'_> {
-    /// Ends the scan, recording its duration (nanoseconds).
-    pub fn finish(self) {
-        let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.shared.scan_duration.record(self.stripe, nanos);
-    }
+/// Nanoseconds since `started`, saturated.
+fn nanos_since(started: Instant) -> u64 {
+    u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::smr::drop_fn_for;
     use std::sync::atomic::AtomicU64 as TestCounter;
     use std::thread;
 
@@ -567,94 +480,5 @@ mod tests {
             (THREADS as u64) * PER_THREAD,
             "post-join snapshot must be exact — no lost counts"
         );
-    }
-
-    #[test]
-    fn sampling_mask_selects_one_in_n() {
-        let tele = Telemetry::new(true, 3); // 1-in-8
-        let mut state = CursorState::default();
-        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
-        let mut sampled = 0;
-        for _ in 0..64 {
-            if let Some(start) = cursor.op_begin() {
-                cursor.op_end(start);
-                sampled += 1;
-            }
-        }
-        assert_eq!(sampled, 8);
-        assert_eq!(tele.summary().op_latency_ns.count(), 8);
-    }
-
-    #[test]
-    fn disabled_paths_record_nothing() {
-        let tele = Telemetry::new(false, 0);
-        let mut state = CursorState::default();
-        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
-        for _ in 0..32 {
-            assert!(cursor.op_begin().is_none());
-        }
-        assert_eq!(cursor.retire_tick(), 0);
-        assert!(tele.scan_observer(0).is_none());
-        assert!(tele.summary().is_empty());
-    }
-
-    #[test]
-    fn coarse_now_is_never_zero_and_delay_measures_tick_gap() {
-        let tele = Telemetry::new(true, 0);
-        assert_ne!(tele.coarse_now(), 0);
-        let obs = tele.scan_observer(0).expect("enabled");
-        // An unstamped node (tick 0) is skipped.
-        let boxed = || Box::into_raw(Box::new(7u64)).cast();
-        // SAFETY: the pointer was just produced by Box::into_raw and matches the drop function's type.
-        let unstamped = unsafe { RetiredPtr::new(boxed(), drop_fn_for::<u64>(), 0, 0) };
-        tele.note_free(0, tele.coarse_now(), &unstamped);
-        // SAFETY: as above.
-        let mut stamped = unsafe { RetiredPtr::new(boxed(), drop_fn_for::<u64>(), 0, 0) };
-        stamped.set_stamps(0, 1_000);
-        tele.note_free(0, 0, &stamped);
-        assert!(
-            tele.summary().reclaim_delay_us.is_empty(),
-            "no `now`, no delay"
-        );
-        tele.note_free(0, 1_500, &stamped);
-        assert_eq!(tele.summary().reclaim_delay_us.percentile(1.0), 511);
-        // A `now` behind the stamp (a stale cached tick, an adopted node) is
-        // no delay; a stamp from before the counter wrapped is a short one.
-        tele.note_free(0, 990, &stamped);
-        stamped.set_stamps(0, u32::MAX - 5);
-        tele.note_free(0, 4, &stamped);
-        obs.finish();
-        let summary = tele.summary();
-        assert_eq!(summary.reclaim_delay_us.bucket_counts()[0], 1, "0 us");
-        assert_eq!(summary.reclaim_delay_us.bucket_counts()[3], 1, "10 us");
-        assert_eq!(summary.reclaim_delay_us.count(), 3);
-        assert_eq!(summary.scan_ns.count(), 1);
-        // SAFETY: both nodes were retired exactly once above and nothing protects them.
-        unsafe {
-            unstamped.reclaim(None);
-            stamped.reclaim(None);
-        }
-    }
-
-    #[test]
-    fn retire_tick_cache_is_monotone_and_never_zero_while_enabled() {
-        let tele = Telemetry::new(true, 0);
-        let mut state = CursorState::default();
-        let mut cursor = HandleTelemetry::new(&tele, 0, &mut state);
-        let mut last = 0u32;
-        // One past the refresh boundary, so the final stamp below can only
-        // come from the cache (not a boundary re-read).
-        for _ in 0..(TICK_REFRESH * 4 + 1) {
-            let tick = cursor.retire_tick();
-            assert_ne!(tick, 0, "enabled stamps are never the disabled marker");
-            assert!(tick >= last, "cached ticks never run backwards");
-            last = tick;
-        }
-        // A sampled op refreshes the cache without waiting for the next
-        // refresh boundary.
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let started = cursor.op_begin().expect("shift 0 samples every op");
-        cursor.op_end(started);
-        assert!(cursor.retire_tick() > last, "op sample advanced the cache");
     }
 }

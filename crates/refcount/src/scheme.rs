@@ -2,8 +2,8 @@
 
 use crate::table::{CountTable, DEFAULT_BUCKETS};
 use reclaim_core::{
-    CapacityExhausted, Counter, HandleCore, HandleTelemetry, NodeCache, RetiredPtr, SchemeCore,
-    SegBag, Smr, SmrConfig, SmrHandle,
+    CapacityExhausted, CoreToken, Counter, HandleCore, RetiredPtr, SchemeCore, SegBag, Smr,
+    SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 
@@ -170,16 +170,12 @@ impl SmrHandle for RefCountHandle {
         self.core.drain_ready();
     }
 
-    fn ledger(&self) -> (usize, usize) {
-        (self.core.in_limbo(), self.core.limbo_bytes())
+    fn core(&self, _: CoreToken) -> &HandleCore {
+        &self.core
     }
 
-    fn telemetry_cursor(&mut self) -> HandleTelemetry<'_> {
-        self.core.tele()
-    }
-
-    fn node_cache(&mut self) -> &mut NodeCache {
-        &mut self.core.cache
+    fn core_mut(&mut self, _: CoreToken) -> &mut HandleCore {
+        &mut self.core
     }
 }
 

@@ -285,7 +285,7 @@ impl<S: Smr, D: KeySet<S>> BenchSet for Cell<S, D> {
 }
 
 /// The reclamation configuration an experiment uses for `structure`: hazard-pointer
-/// budget sized to the structure (2 / 33+ / 6, as in the paper), everything else
+/// budget sized to the structure (its `*_HP_SLOTS` constant), everything else
 /// from the caller's base configuration.
 pub fn config_for(structure: Structure, base: SmrConfig) -> SmrConfig {
     match structure {

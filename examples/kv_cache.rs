@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example kv_cache`
 
-use qsense_repro::ds::LockFreeBst;
+use qsense_repro::ds::{LockFreeBst, BST_HP_SLOTS};
 use qsense_repro::smr::{QSense, Smr, SmrConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +21,11 @@ fn main() {
     let capacity = 50_000u64;
     let run_for = Duration::from_secs(2);
 
-    let scheme = QSense::new(SmrConfig::for_bst().with_max_threads(readers + writers + 1));
+    let scheme = QSense::new(
+        SmrConfig::default()
+            .with_hp_per_thread(BST_HP_SLOTS)
+            .with_max_threads(readers + writers + 1),
+    );
     let index = Arc::new(LockFreeBst::new(Arc::clone(&scheme)));
 
     // Warm the cache with the first half of the id space.

@@ -14,7 +14,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use qsense_repro::ds::HarrisMichaelList;
+use qsense_repro::ds::{HarrisMichaelList, LIST_HP_SLOTS};
 use qsense_repro::smr::{Atomic, Guard, Owned, QSense, Smr, SmrConfig};
 use std::sync::Arc;
 use std::thread;
@@ -149,8 +149,9 @@ fn main() {
     drop(stack);
 
     // ---- Act 2: a ready-made structure under load -------------------------
-    // `for_list()` sizes the hazard-pointer budget for the list (K = 2).
-    let scheme = QSense::new(SmrConfig::for_list().with_max_threads(threads + 1));
+    // The hazard-pointer budget is the list's (K = `LIST_HP_SLOTS`).
+    let config = SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS);
+    let scheme = QSense::new(config.with_max_threads(threads + 1));
     let set = Arc::new(HarrisMichaelList::new(Arc::clone(&scheme)));
 
     thread::scope(|scope| {

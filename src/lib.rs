@@ -21,11 +21,12 @@
 //! ## Quick start
 //!
 //! ```
-//! use qsense_repro::ds::HarrisMichaelList;
+//! use qsense_repro::ds::{HarrisMichaelList, LIST_HP_SLOTS};
 //! use qsense_repro::smr::{QSense, SmrConfig};
 //!
-//! // One QSense instance per data structure (or share one across several).
-//! let scheme = QSense::new(SmrConfig::for_list());
+//! // One QSense instance per data structure (or share one across several),
+//! // with the structure's hazard-pointer budget K.
+//! let scheme = QSense::new(SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS));
 //! let set = HarrisMichaelList::new(scheme);
 //!
 //! // Each thread registers once and passes its handle to every operation.

@@ -4,7 +4,7 @@
 //! back there, off the books, so the next registrant starts with an empty
 //! cache and still allocates nothing.
 
-use qsense_repro::ds::{LockFreeBst, LockFreeSkipList, MichaelScottQueue};
+use qsense_repro::ds::{LockFreeBst, LockFreeSkipList, MichaelScottQueue, SKIPLIST_HP_SLOTS};
 use qsense_repro::smr::{
     Atomic, Era, FenceStrategy, Guard, Hazard, Leaky, Owned, Shared, Smr, SmrConfig, SmrHandle,
 };
@@ -43,7 +43,9 @@ static ALLOC: PerThread = PerThread;
 fn structures_carve_their_sentinels_from_their_schemes_arena() {
     let queue = MichaelScottQueue::<u64, _>::new(Leaky::with_defaults());
     let bst = LockFreeBst::<u64, _>::new(Leaky::with_defaults());
-    let skiplist = LockFreeSkipList::<u64, _>::new(Leaky::new(SmrConfig::for_skiplist()));
+    let skiplist = LockFreeSkipList::<u64, _>::new(Leaky::new(
+        SmrConfig::default().with_hp_per_thread(SKIPLIST_HP_SLOTS),
+    ));
     let footprints = [
         ("queue", queue.smr().stats()),
         ("bst", bst.smr().stats()),

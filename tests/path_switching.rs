@@ -2,7 +2,7 @@
 //! real worker threads, a really stalled thread — the scenario of Figure 5 (bottom)
 //! at test scale.
 
-use qsense_repro::ds::HarrisMichaelList;
+use qsense_repro::ds::{HarrisMichaelList, LIST_HP_SLOTS};
 use qsense_repro::smr::{Path, QSense, Smr, SmrConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -10,7 +10,8 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 fn config() -> SmrConfig {
-    SmrConfig::for_list()
+    SmrConfig::default()
+        .with_hp_per_thread(LIST_HP_SLOTS)
         .with_max_threads(6)
         .with_quiescence_threshold(8)
         .with_scan_threshold(32)

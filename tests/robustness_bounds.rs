@@ -18,7 +18,7 @@ use qsense_repro::bench::{
     Experiment, FaultKind, FaultPlan, FaultResult, OpMix, SchemeKind, Structure, WorkloadSpec,
     PAYLOAD_BYTES,
 };
-use qsense_repro::ds::HarrisMichaelList;
+use qsense_repro::ds::{HarrisMichaelList, LIST_HP_SLOTS};
 use qsense_repro::smr::{
     BarrierLedger, Cadence, Clock, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, ManualClock,
     Path, QSense, Qsbr, Smr, SmrConfig, SmrHandle,
@@ -61,7 +61,8 @@ fn limbo_with_idle_thread<S: Smr>(scheme: Arc<S>, ops: u64, settle: impl FnOnce(
 fn an_idle_registered_thread_blocks_qsbr_but_not_ebr_cadence_or_qsense() {
     const OPS: u64 = 4_000;
     let base = || {
-        SmrConfig::for_list()
+        SmrConfig::default()
+            .with_hp_per_thread(LIST_HP_SLOTS)
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
@@ -106,7 +107,8 @@ fn an_idle_registered_thread_blocks_qsbr_but_not_ebr_cadence_or_qsense() {
 fn a_thread_stalled_inside_an_operation_blocks_ebr_but_not_qsense() {
     const OPS: u64 = 3_000;
     let base = || {
-        SmrConfig::for_list()
+        SmrConfig::default()
+            .with_hp_per_thread(LIST_HP_SLOTS)
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
@@ -176,7 +178,8 @@ fn a_thread_stalled_inside_an_operation_blocks_ebr_but_not_qsense() {
 fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
     const OPS: u64 = 4_000;
     let base = || {
-        SmrConfig::for_list()
+        SmrConfig::default()
+            .with_hp_per_thread(LIST_HP_SLOTS)
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
@@ -265,7 +268,8 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
         ..FaultPlan::new(FaultKind::StalledReader)
     };
     let base = || {
-        SmrConfig::for_list()
+        SmrConfig::default()
+            .with_hp_per_thread(LIST_HP_SLOTS)
             .with_max_threads(4)
             .with_scan_threshold(128)
             .with_quiescence_threshold(1_000_000)
@@ -536,7 +540,8 @@ fn qsense_with_eviction_recovers_the_fast_path_after_a_permanent_failure() {
     const PAIRS: u64 = 32_768;
     let clock = ManualClock::new();
     let scheme = QSense::new(
-        SmrConfig::for_list()
+        SmrConfig::default()
+            .with_hp_per_thread(LIST_HP_SLOTS)
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(32)

@@ -912,11 +912,12 @@ fn steady_state_scans_perform_zero_heap_allocations() {
     // With the observability layer live (histograms on, 1 op in 128 sampled —
     // always a handle's first, so the warm-up records a bracket), the
     // whole record surface — the guard-bracket latency sample, the retire-tick
-    // stamp, the scan observer's per-free delay records — and the
+    // stamp, the scan timer, the per-free delay records — and the
     // `Telemetry::summary()` snapshot must stay allocation-free: the
-    // histograms are fixed inline arrays and the per-handle cursor is plain
-    // fields. Each scheme runs warmed-up retire→flush cycles under the full
-    // telemetry bracket and must allocate exactly the retired nodes; the
+    // histograms are fixed inline arrays and the handle core's sampling
+    // counter and tick cache are plain fields. Each scheme runs warmed-up
+    // guard-bracketed retire→flush cycles and must allocate exactly the
+    // retired nodes; the
     // leaky baseline (whose bag never drains, so its amortized segment growth
     // breaks the exact-delta assertion) runs the op bracket and snapshot loop
     // alone.
@@ -931,15 +932,13 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             let telemetry = Smr::telemetry(&*scheme);
             let cycle = |writer: &mut S::Handle| {
                 for _ in 0..GROWTH_BATCH {
-                    let started = writer.telemetry_cursor().op_begin();
-                    writer.begin_op();
+                    // The guard holds the handle while it lives, so the
+                    // retire follows the bracketed op (the retire contract
+                    // allows one between operations).
+                    drop(Guard::new(&mut *writer));
                     let ptr = Box::into_raw(Box::new(0u64));
                     // SAFETY: freshly boxed, unlinked by construction, retired once.
                     unsafe { qsense_repro::smr::retire_box(writer, ptr) };
-                    writer.end_op();
-                    if let Some(started) = started {
-                        writer.telemetry_cursor().op_end(started);
-                    }
                 }
                 // The clock feeds the retire->free delay; `age` is the wake-up
                 // Cadence's and QSense's frees wait for.
@@ -1023,22 +1022,12 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             let mut handle = scheme.register();
             let telemetry = Smr::telemetry(&*scheme);
             // Warm-up: first bracket and snapshot.
-            let started = handle.telemetry_cursor().op_begin();
-            handle.begin_op();
-            handle.end_op();
-            if let Some(started) = started {
-                handle.telemetry_cursor().op_end(started);
-            }
+            drop(Guard::new(&mut handle));
             let _ = telemetry.summary();
             assert_alloc_delta("none: telemetry brackets + snapshots", 0, || {
                 let before_alloc = ALLOC.allocated_bytes();
                 for _ in 0..256 {
-                    let started = handle.telemetry_cursor().op_begin();
-                    handle.begin_op();
-                    handle.end_op();
-                    if let Some(started) = started {
-                        handle.telemetry_cursor().op_end(started);
-                    }
+                    drop(Guard::new(&mut handle));
                     let summary = telemetry.summary();
                     assert!(!summary.op_latency_ns.is_empty());
                 }
