@@ -65,18 +65,9 @@ impl Ebr {
         })
     }
 
-    /// The protocol this scheme's pins and epoch advances run.
-    pub fn fence_strategy(&self) -> FenceStrategy {
-        self.strategy
-    }
-
-    /// Creates an EBR scheme with default configuration.
-    pub fn with_defaults() -> Arc<Self> {
-        Self::new(SmrConfig::default())
-    }
-
-    /// The current global epoch (exposed for tests and diagnostics).
-    pub fn current_epoch(&self) -> u64 {
+    /// The current global epoch.
+    #[cfg(test)]
+    pub(crate) fn current_epoch(&self) -> u64 {
         self.global_epoch.load()
     }
 
@@ -99,7 +90,7 @@ impl Ebr {
     /// the walk the second case loses a step (`reclaim-check`'s epoch litmus
     /// prints the schedule). A refused barrier proves nothing and advances
     /// nothing.
-    pub fn try_advance(&self) -> bool {
+    pub(crate) fn try_advance(&self) -> bool {
         let global = self.global_epoch.load();
         // An advance belongs to no handle: its barrier, its quiescent state and
         // its walks' shard tallies go to the orphan stripe.
@@ -365,9 +356,9 @@ mod tests {
 
     #[test]
     fn new_runs_the_detected_protocol() {
-        let scheme = Ebr::with_defaults();
-        println!("ebr fence strategy: {}", scheme.fence_strategy().name());
-        assert_eq!(scheme.fence_strategy(), FenceStrategy::detect());
+        let scheme = Ebr::new(SmrConfig::default());
+        println!("ebr fence strategy: {}", scheme.strategy.name());
+        assert_eq!(scheme.strategy, FenceStrategy::detect());
     }
 
     #[test]
@@ -396,7 +387,7 @@ mod tests {
         const R: usize = 10;
         let config = SmrConfig::default().with_scan_threshold(R);
         let scheme = Ebr::with_fence_strategy(config, FenceStrategy::Rooster);
-        assert_eq!(scheme.fence_strategy(), FenceStrategy::ScannerBarrier);
+        assert_eq!(scheme.strategy, FenceStrategy::ScannerBarrier);
         let mut handle = scheme.register();
         // One attempt, and its barrier, at the `R`th retire.
         for retired in 1..=R {

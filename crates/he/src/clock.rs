@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 ///
 /// The batch is an interval inside the policy's `[min_interval,
 /// max_interval]` range, re-chosen after every scan from the scheme-wide
-/// limbo-byte estimate ([`adapt`](Self::adapt)). The pacer keeps no estimate
+/// limbo-byte estimate (`adapt`). The pacer keeps no estimate
 /// of its own — the scheme hands it the one its budget governor is handed,
 /// `SchemeCore::limbo_estimate` — and a fixed policy is the range `[n, n]`,
 /// which never moves and never asks.
@@ -52,7 +52,7 @@ impl EraPacer {
     /// interval starts at `min_interval` (the robust end): a fresh scheme
     /// cannot know whether a reader is about to stall, and the idle decay
     /// recovers the cheap cadence within a few dry scans.
-    pub fn new(policy: EraAdvancePolicy, limbo_budget: Option<usize>) -> Self {
+    pub(crate) fn new(policy: EraAdvancePolicy, limbo_budget: Option<usize>) -> Self {
         policy.validate();
         Self {
             era: CachePadded::new(AtomicU64::new(1)),
@@ -63,14 +63,9 @@ impl EraPacer {
         }
     }
 
-    /// The policy this pacer runs.
-    pub fn policy(&self) -> EraAdvancePolicy {
-        self.policy
-    }
-
     /// The current era.
     #[inline]
-    pub fn current(&self) -> Era {
+    pub(crate) fn current(&self) -> Era {
         self.era.load(Ordering::Acquire)
     }
 
@@ -79,7 +74,7 @@ impl EraPacer {
     /// depends on readers having caught up, only on the free-time interval
     /// overlap check, so concurrent advances merely skip numbers.
     #[inline]
-    pub fn advance(&self) -> Era {
+    pub(crate) fn advance(&self) -> Era {
         self.era.fetch_add(1, Ordering::AcqRel)
     }
 
@@ -95,7 +90,7 @@ impl EraPacer {
     /// leaves a choice. Call after the scan's frees were reported, so the
     /// estimate tracks the *residue* — the garbage reservations are actually
     /// pinning. Returns `true` when this call sped the pacer up.
-    pub fn adapt(&self, limbo_estimate: impl FnOnce() -> u64) -> bool {
+    pub(crate) fn adapt(&self, limbo_estimate: impl FnOnce() -> u64) -> bool {
         let EraAdvancePolicy {
             min_interval,
             max_interval,
@@ -154,7 +149,7 @@ mod tests {
         ];
         for policy in point_ranges {
             let pacer = EraPacer::new(policy, Some(1 << 20));
-            assert_eq!(pacer.policy(), policy);
+            assert_eq!(pacer.policy, policy);
             assert_eq!(pacer.current_interval(), 32);
             for _ in 0..3 {
                 assert!(!pacer.adapt(|| panic!("a point range has nothing to decide")));

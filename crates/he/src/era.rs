@@ -21,15 +21,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `lower` of an inactive reservation. Greater than every real era, so the
 /// overlap test `lower <= retire` fails without a special case.
-pub const INACTIVE_LOWER: Era = u64::MAX;
+pub(crate) const INACTIVE_LOWER: Era = u64::MAX;
 
 /// `upper` of an inactive reservation. Smaller than every real birth era the
 /// stamping path produces (eras start at 1), so `birth <= upper` fails too.
-pub const INACTIVE_UPPER: Era = 0;
+pub(crate) const INACTIVE_UPPER: Era = 0;
 
 /// One thread's announced era interval (single writer, many readers).
 #[derive(Debug)]
-pub struct EraRecord {
+pub(crate) struct EraRecord {
     lower: AtomicU64,
     upper: AtomicU64,
 }
@@ -52,7 +52,7 @@ impl EraRecord {
     /// is covered by the publication-fence-then-revalidate argument in
     /// `HeHandle::protect`.
     #[inline]
-    pub fn activate(&self, era: Era) {
+    pub(crate) fn activate(&self, era: Era) {
         self.upper.store(era, Ordering::Release);
         self.lower.store(era, Ordering::Release);
     }
@@ -61,7 +61,7 @@ impl EraRecord {
     /// the owner is mid-operation). `lower` keeps protecting the references
     /// acquired earlier in the operation.
     #[inline]
-    pub fn extend_upper(&self, era: Era) {
+    pub(crate) fn extend_upper(&self, era: Era) {
         self.upper.store(era, Ordering::Release);
     }
 
@@ -69,7 +69,7 @@ impl EraRecord {
     /// so a torn read is again an empty interval — and the owner holds no
     /// references at this point either way.
     #[inline]
-    pub fn deactivate(&self) {
+    pub(crate) fn deactivate(&self) {
         self.lower.store(INACTIVE_LOWER, Ordering::Release);
         self.upper.store(INACTIVE_UPPER, Ordering::Release);
     }
@@ -87,8 +87,8 @@ impl EraRecord {
     }
 
     /// True when the reservation currently blocks nothing.
-    #[inline]
-    pub fn is_inactive(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_inactive(&self) -> bool {
         self.lower.load(Ordering::Acquire) == INACTIVE_LOWER
     }
 }

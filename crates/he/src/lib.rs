@@ -35,5 +35,4 @@ pub mod era;
 pub mod scheme;
 
 pub use clock::EraPacer;
-pub use era::EraRecord;
 pub use scheme::{He, HeHandle};

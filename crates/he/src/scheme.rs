@@ -99,8 +99,8 @@ impl EraChain {
 ///   reservation that reaches the chain (`birth > max{upper : lower <= tag}`),
 ///   O(1) per node after the O(N) precomputation.
 ///
-/// The retire path flows through the same [`SegBag`]/[`reclaim_core::SegPool`]
-/// segment chains as every other scheme, so steady-state retire/scan/reclaim
+/// The retire path flows through the same [`SegBag`] segment chains as every
+/// other scheme, so steady-state retire/scan/reclaim
 /// is allocation-free, parked leftovers of dying handles are adopted by
 /// survivors, and the pool and scratch are recycled to the next registrant
 /// through the shared [`SchemeCore`]. A scan's snapshot is the handle's
@@ -127,13 +127,9 @@ impl He {
         })
     }
 
-    /// Creates a Hazard-Eras scheme with default configuration.
-    pub fn with_defaults() -> Arc<Self> {
-        Self::new(SmrConfig::default())
-    }
-
-    /// The current global era (tests and diagnostics).
-    pub fn current_era(&self) -> Era {
+    /// The current global era.
+    #[cfg(test)]
+    pub(crate) fn current_era(&self) -> Era {
         self.pacer.current()
     }
 
@@ -1066,7 +1062,7 @@ mod tests {
 
     #[test]
     fn scheme_reports_name_and_config() {
-        let scheme = He::with_defaults();
+        let scheme = He::new(SmrConfig::default());
         assert_eq!(scheme.name(), "he");
         assert!(scheme.config().max_threads >= 1);
         assert!(scheme.current_era() >= 1);

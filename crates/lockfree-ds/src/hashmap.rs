@@ -26,7 +26,7 @@ pub const HASHMAP_HP_SLOTS: usize = 2;
 
 /// Default number of buckets (Michael's evaluation uses a load factor close to one;
 /// the default here keeps per-bucket chains short for the examples and benchmarks).
-pub const DEFAULT_HASH_BUCKETS: usize = 1 << 12;
+pub(crate) const DEFAULT_HASH_BUCKETS: usize = 1 << 12;
 
 /// A lock-free hash map: a fixed array of buckets, each an independent Harris–Michael
 /// ordered list.

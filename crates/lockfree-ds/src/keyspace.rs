@@ -9,7 +9,7 @@ use std::cmp::Ordering;
 
 /// A key or a sentinel endpoint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum KeySlot<K> {
+pub(crate) enum KeySlot<K> {
     /// Compares below every real key (head sentinels).
     NegInf,
     /// A real key.
@@ -20,7 +20,8 @@ pub enum KeySlot<K> {
 
 impl<K> KeySlot<K> {
     /// Returns the real key, if this slot holds one.
-    pub fn as_key(&self) -> Option<&K> {
+    #[cfg(test)]
+    pub(crate) fn as_key(&self) -> Option<&K> {
         match self {
             KeySlot::Key(k) => Some(k),
             _ => None,
@@ -28,14 +29,14 @@ impl<K> KeySlot<K> {
     }
 
     /// True if this is a sentinel rather than a real key.
-    pub fn is_sentinel(&self) -> bool {
+    pub(crate) fn is_sentinel(&self) -> bool {
         !matches!(self, KeySlot::Key(_))
     }
 }
 
 impl<K: Ord> KeySlot<K> {
     /// Compares this slot against a real key.
-    pub fn cmp_key(&self, key: &K) -> Ordering {
+    pub(crate) fn cmp_key(&self, key: &K) -> Ordering {
         match self {
             KeySlot::NegInf => Ordering::Less,
             KeySlot::Key(k) => k.cmp(key),

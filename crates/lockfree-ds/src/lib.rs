@@ -44,7 +44,7 @@ pub mod bst;
 pub mod hashmap;
 #[cfg(feature = "interleave")]
 pub mod interleave;
-pub mod keyspace;
+mod keyspace;
 pub mod list;
 pub mod queue;
 pub mod skiplist;
@@ -80,8 +80,7 @@ pub(crate) mod oracle {
 }
 
 pub use bst::{LockFreeBst, BST_HP_SLOTS};
-pub use hashmap::{LockFreeHashMap, DEFAULT_HASH_BUCKETS, HASHMAP_HP_SLOTS};
-pub use keyspace::KeySlot;
+pub use hashmap::{LockFreeHashMap, HASHMAP_HP_SLOTS};
 pub use list::{HarrisMichaelList, LIST_HP_SLOTS};
 pub use queue::{MichaelScottQueue, QUEUE_HP_SLOTS};
 pub use skiplist::{LockFreeSkipList, MAX_HEIGHT, SKIPLIST_HP_SLOTS};

@@ -89,7 +89,7 @@
 //! The full interleaving argument lives in `reclaim-core`'s crate docs
 //! ("Skip-list linking safety argument"); the regression schedule, found by the
 //! `reclaim-check` explorer through this file's
-//! [`interleave`](crate::interleave) pause points and replayed, lives in
+//! `interleave` pause points (the `interleave` feature) and replayed, lives in
 //! `tests/interleaving_harness.rs`.
 //!
 //! ## Hazard-pointer budget

@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn stats_report_scheme_name() {
-        let scheme = Qsbr::with_defaults();
+        let scheme = Qsbr::new(SmrConfig::default());
         assert_eq!(scheme.name(), "qsbr");
     }
 }

@@ -33,13 +33,9 @@ impl Qsbr {
         })
     }
 
-    /// Creates a QSBR scheme with default configuration.
-    pub fn with_defaults() -> Arc<Self> {
-        Self::new(SmrConfig::default())
-    }
-
-    /// The current global epoch (exposed for tests and diagnostics).
-    pub fn current_epoch(&self) -> u64 {
+    /// The current global epoch.
+    #[cfg(test)]
+    pub(crate) fn current_epoch(&self) -> u64 {
         self.global.load()
     }
 }
@@ -75,7 +71,7 @@ impl QsbrHandle {
     /// Declares a quiescent state *right now*, regardless of the batching
     /// threshold ([`EpochLimbo::quiescent_state`]), freeing the limbo list an
     /// adopted epoch hands back.
-    pub fn quiesce(&mut self) {
+    pub(crate) fn quiesce(&mut self) {
         let (scheme, stats) = (&*self.scheme, self.core.stats());
         let (registry, mine) = (&scheme.registry, scheme.registry.get_mine(self.slot));
         let limbo = &mut self.limbo;

@@ -139,6 +139,14 @@ mod tests {
         }
     }
 
+    /// Its scans name no newest stamp, so under scanner-barrier one barrier
+    /// would cover every later scan and the fallback path would stop freeing.
+    #[test]
+    #[should_panic(expected = "never scanner-barrier")]
+    fn scanner_barrier_is_refused() {
+        let _ = test_scheme(FenceStrategy::ScannerBarrier, 16, 4);
+    }
+
     #[test]
     fn fast_path_reclaims_like_qsbr() {
         under_both_policies(|strategy| {

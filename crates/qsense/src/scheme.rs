@@ -74,9 +74,19 @@ impl QSense {
     }
 
     /// [`new`](Self::new) with the protocol named instead of detected: for
-    /// tests, which run both on every kernel. (Naming scanner-barrier, which
-    /// `new` never picks, is safe and useless: one scan pays, none after.)
+    /// tests, which run both on every kernel.
+    ///
+    /// # Panics
+    ///
+    /// On [`FenceStrategy::ScannerBarrier`], which `new` never picks. QSense's
+    /// scans hand `hp_scan` no newest stamp, so once one barrier completes
+    /// the ledger covers every later scan, none issues another, and a node
+    /// retired after that barrier is never freed.
     pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
+        assert!(
+            strategy != FenceStrategy::ScannerBarrier,
+            "QSense runs behind a rooster or reader-fenced, never scanner-barrier"
+        );
         let registry = Registry::new(config.max_threads, |_| {
             QsenseRecord::new(config.hp_per_thread)
         });
@@ -91,18 +101,14 @@ impl QSense {
         })
     }
 
-    /// Creates a QSense scheme with default configuration.
-    pub fn with_defaults() -> Arc<Self> {
-        Self::new(SmrConfig::default())
-    }
-
     /// Which path the scheme is currently on.
     pub fn current_path(&self) -> Path {
         self.fallback.load()
     }
 
-    /// The current global epoch (fast-path diagnostics).
-    pub fn current_epoch(&self) -> u64 {
+    /// The current global epoch.
+    #[cfg(test)]
+    pub(crate) fn current_epoch(&self) -> u64 {
         self.global.load()
     }
 

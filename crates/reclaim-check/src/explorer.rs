@@ -40,7 +40,7 @@ use std::time::Duration;
 ///
 /// Parking all threads at spawn before the first decision makes the schedule
 /// the *only* source of ordering: OS spawn latency never leaks into a trace.
-pub const SPAWN_POINT: &str = "<spawn>";
+pub(crate) const SPAWN_POINT: &str = "<spawn>";
 
 type Body = Box<dyn FnOnce() + Send + 'static>;
 
@@ -180,28 +180,24 @@ pub struct Report {
     pub schedules: usize,
     /// Decisions in the longest schedule (tree depth).
     pub max_decisions: usize,
-    /// True if `max_schedules` was reached before the bounded space was
-    /// exhausted.
+    /// True if the schedule cap (20 000) was reached before the bounded space
+    /// was exhausted.
     pub truncated: bool,
     /// The first failing schedule, if any (exploration stops at the first).
     pub failure: Option<Failure>,
 }
 
 impl Report {
-    /// Panics with the full replayable failure if any schedule failed.
-    pub fn assert_clean(&self) {
+    /// Panics with the full replayable failure if any schedule failed, and
+    /// unless the bounded schedule space was fully enumerated (not cut off by
+    /// the schedule cap).
+    pub fn assert_exhaustive(&self) {
         if let Some(failure) = &self.failure {
             panic!("{failure}");
         }
-    }
-
-    /// [`assert_clean`](Self::assert_clean) plus: the bounded schedule space
-    /// was fully enumerated (not cut off by the schedule cap).
-    pub fn assert_exhaustive(&self) {
-        self.assert_clean();
         assert!(
             !self.truncated,
-            "scenario `{}`: exploration truncated at {} schedules — raise max_schedules",
+            "scenario `{}`: exploration truncated at {} schedules — raise MAX_SCHEDULES",
             self.scenario, self.schedules
         );
     }
@@ -367,22 +363,26 @@ struct ScheduleOutcome {
     failure: Option<Failure>,
 }
 
+/// The most schedules one exploration runs; hitting the cap sets
+/// [`Report::truncated`].
+const MAX_SCHEDULES: usize = 20_000;
+
+/// The no-progress timeout that turns a stuck schedule into a
+/// [`FailureKind::Hang`].
+const STEP_TIMEOUT: Duration = Duration::from_secs(10);
+
 /// The schedule enumerator. `Default` gives the configuration the CI `check`
-/// job runs: preemption bound 2, at most 20 000 schedules per scenario, 10 s
-/// progress timeout.
+/// job runs: preemption bound 2; every explorer runs at most 20 000 schedules
+/// per scenario, with a 10 s progress timeout.
 #[derive(Clone, Debug)]
 pub struct Explorer {
     preemption_bound: usize,
-    max_schedules: usize,
-    step_timeout: Duration,
 }
 
 impl Default for Explorer {
     fn default() -> Self {
         Self {
             preemption_bound: 2,
-            max_schedules: 20_000,
-            step_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -395,22 +395,9 @@ impl Explorer {
 
     /// Sets the preemption bound (default 2): the maximum number of times a
     /// schedule may switch away from a still-runnable thread.
-    pub fn with_preemption_bound(mut self, bound: usize) -> Self {
+    #[cfg(test)]
+    fn with_preemption_bound(mut self, bound: usize) -> Self {
         self.preemption_bound = bound;
-        self
-    }
-
-    /// Caps the number of schedules per exploration (default 20 000); hitting
-    /// the cap sets [`Report::truncated`].
-    pub fn with_max_schedules(mut self, max: usize) -> Self {
-        self.max_schedules = max;
-        self
-    }
-
-    /// Sets the no-progress timeout that turns a stuck schedule into a
-    /// [`FailureKind::Hang`].
-    pub fn with_step_timeout(mut self, timeout: Duration) -> Self {
-        self.step_timeout = timeout;
         self
     }
 
@@ -465,7 +452,7 @@ impl Explorer {
         let mut schedules = 0;
         let mut max_decisions = 0;
         loop {
-            if schedules == self.max_schedules {
+            if schedules == MAX_SCHEDULES {
                 return (
                     Report {
                         scenario: scenario.name.clone(),
@@ -589,7 +576,7 @@ impl Explorer {
             while !(inner.grant.is_none() && inner.parked.len() + inner.finished_count == state.n) {
                 let (guard, result) = state
                     .cv
-                    .wait_timeout(inner, self.step_timeout)
+                    .wait_timeout(inner, STEP_TIMEOUT)
                     .unwrap_or_else(|e| e.into_inner());
                 inner = guard;
                 if result.timed_out() {
@@ -612,7 +599,7 @@ impl Explorer {
                     schedule_index,
                     message: format!(
                         "no scheduling progress for {:?}; parked: [{}] — a model thread is blocked outside a pause point",
-                        self.step_timeout,
+                        STEP_TIMEOUT,
                         parked.join(", ")
                     ),
                     trace: trace.clone(),

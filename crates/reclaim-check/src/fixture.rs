@@ -15,7 +15,7 @@
 //! retired node** at level 1. The fixed production skip list defeats exactly
 //! this schedule with its versioned links; this fixture deliberately does not.
 //!
-//! [`RotationFixture`] is the second resurrected bug: a hand-over-hand list
+//! `RotationFixture` is the second resurrected bug: a hand-over-hand list
 //! traversal over two hazard-pointer slots that forgets to swap the slots'
 //! roles when it steps, and so publishes its cursor over the slot still holding
 //! its predecessor. `lockfree-ds`' traversals rotate; this is what the oracle
@@ -73,7 +73,7 @@ fn ptr_of(link: usize) -> *mut FixNode {
 /// reclamation scheme (the suite drives it under hazard pointers: the victim
 /// is unprotected at its free, so HP legitimately frees it — the bug is in
 /// the structure, not the scheme).
-pub struct RelinkFixture<S: Smr> {
+pub(crate) struct RelinkFixture<S: Smr> {
     head: Box<FixNode>,
     smr: Arc<S>,
 }
@@ -120,7 +120,7 @@ impl<S: Smr> RelinkFixture<S> {
 
     /// Inserts `key` with height 2. Level 0 first (the linearization point),
     /// then the **buggy** validate-then-CAS at level 1.
-    pub fn insert2(&self, key: u64, handle: &mut S::Handle) -> bool {
+    pub(crate) fn insert2(&self, key: u64, handle: &mut S::Handle) -> bool {
         handle.begin_op();
         let (pred0, succ0) = self.find(0, key);
         if !succ0.is_null() {
@@ -222,7 +222,7 @@ impl<S: Smr> RelinkFixture<S> {
 
     /// Reads the level-1 chain, checkpointing every node against the oracle —
     /// the read that turns the re-linked retired node into a UAF verdict.
-    pub fn keys_at_level1(&self, handle: &mut S::Handle) -> Vec<u64> {
+    pub(crate) fn keys_at_level1(&self, handle: &mut S::Handle) -> Vec<u64> {
         handle.begin_op();
         let mut keys = Vec::new();
         let mut link = self.head.next[1].load(Ordering::Acquire);
@@ -311,7 +311,7 @@ pub fn relink_scenario() -> Scenario {
 /// the predecessor is unprotected while the traversal re-reads its link to
 /// validate the cursor (pause point `rotation_fixture::cursor_published` sits
 /// in that window), and a remove of it that completes there gets it freed.
-pub struct RotationFixture<S: Smr> {
+pub(crate) struct RotationFixture<S: Smr> {
     head: Box<FixNode>,
     swap: bool,
     smr: Arc<S>,
@@ -319,7 +319,7 @@ pub struct RotationFixture<S: Smr> {
 
 impl<S: Smr> RotationFixture<S> {
     /// A fixture list holding `keys` (ascending).
-    pub fn with_keys(smr: Arc<S>, keys: &[u64], swap: bool) -> Self {
+    pub(crate) fn with_keys(smr: Arc<S>, keys: &[u64], swap: bool) -> Self {
         let first = keys
             .iter()
             .rev()

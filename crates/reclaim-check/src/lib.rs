@@ -44,5 +44,5 @@ pub mod litmus;
 pub mod suites;
 
 pub use explorer::{
-    schedule_of, Explorer, Failure, FailureKind, Report, Scenario, ScenarioRun, Step, SPAWN_POINT,
+    schedule_of, Explorer, Failure, FailureKind, Report, Scenario, ScenarioRun, Step,
 };

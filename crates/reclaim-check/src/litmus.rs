@@ -5,7 +5,7 @@
 //! pointers — and epoch pins — are built around: a publication still sitting
 //! in the reader's store buffer when the scanner reads the reservations. This
 //! module checks that window on abstract machines instead, all under total
-//! store order. This file holds the driver ([`Model`], [`explore`]) and the
+//! store order. This file holds the driver (`Model`, `explore`) and the
 //! hazard-pointer machine — one node, a reader and a scanner:
 //!
 //! ```text
@@ -217,11 +217,11 @@ impl fmt::Display for Step {
 /// The violation every row looks for: the reader dereferenced the node after it
 /// was freed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct UseAfterFree;
+pub(crate) struct UseAfterFree;
 
 /// An abstract machine [`explore`] can enumerate: a state, the steps
 /// schedulable in it, and the two outcomes a verdict counts.
-pub trait Model: Clone + Eq + Hash {
+pub(crate) trait Model: Clone + Eq + Hash {
     /// One schedulable step.
     type Step: Copy;
 
@@ -536,7 +536,7 @@ pub fn check_ledger(ledger: Ledger) -> Verdict {
     explore(Machine::start(protocol, Some(ledger)))
 }
 
-/// What [`explore`] found.
+/// What `explore` found.
 #[derive(Clone, Debug)]
 pub struct Verdict<S = Step> {
     /// Distinct machine states reached.
@@ -568,7 +568,7 @@ impl<S: fmt::Display> Verdict<S> {
 }
 
 /// Enumerates every schedule of `start`'s machine.
-pub fn explore<M: Model>(start: M) -> Verdict<M::Step> {
+pub(crate) fn explore<M: Model>(start: M) -> Verdict<M::Step> {
     // Breadth-first, with the predecessor and step that first reached each
     // state, so a violation's schedule can be read back and is a shortest one.
     let mut seen: HashSet<M> = HashSet::from([start.clone()]);

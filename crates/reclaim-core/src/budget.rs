@@ -10,7 +10,7 @@
 //!    ([`SchemeCore::limbo_estimate`](crate::limbo::SchemeCore::limbo_estimate)),
 //!    which a dying handle's parked leftovers stay in because they are retired
 //!    and not freed — whenever a handle looks, and records the high-water mark
-//!    of what it was handed ([`peak`](BudgetGovernor::peak_bytes));
+//!    of what it was handed (`peak`);
 //! 2. **enforces** an optional budget
 //!    ([`limbo_budget`](crate::config::SmrConfig::limbo_budget)): when the estimate crosses it,
 //!    the retire path escalates in a fixed ladder — force an immediate scan,
@@ -40,7 +40,7 @@
 //!
 //! The estimate trails nothing: every retire and every free lands in its
 //! handle's stripe before the call returns, so whoever sums the stripes reads
-//! the current figure. The [`grain`](BudgetGovernor::grain) bounds how *often*
+//! the current figure. The grain bounds how *often*
 //! a handle looks — once per grain of drift in its own limbo, and at every
 //! scan, flush and park — so a crossing is acted on, and the peak and the
 //! stopwatch are brought up to date, at most `handles × grain` bytes late. The
@@ -99,17 +99,17 @@ impl BudgetGovernor {
     }
 
     /// The budget in bytes; 0 = tracking-only.
-    pub fn budget_bytes(&self) -> u64 {
+    pub(crate) fn budget_bytes(&self) -> u64 {
         self.budget
     }
 
     /// Bytes a handle's limbo drifts between two looks at the estimate.
-    pub fn grain(&self) -> usize {
+    pub(crate) fn grain(&self) -> usize {
         self.grain
     }
 
     /// High-water mark of the estimate so far.
-    pub fn peak_bytes(&self) -> u64 {
+    pub(crate) fn peak_bytes(&self) -> u64 {
         self.peak.load(Ordering::Relaxed)
     }
 
@@ -153,7 +153,7 @@ impl BudgetGovernor {
 
     /// Total time the estimate spent over budget, the excursion in flight
     /// (if the scheme is over budget right now) included.
-    pub fn time_over_budget(&self) -> Duration {
+    pub(crate) fn time_over_budget(&self) -> Duration {
         let mut over = Duration::from_nanos(self.over_nanos.load(Ordering::Relaxed));
         let mark = self.over_since.load(Ordering::Relaxed);
         if mark != 0 {

@@ -8,7 +8,7 @@
 //! time-over-budget stopwatch — reads it through [`Clock`] (telemetry's histograms
 //! read `Instant::now()` against their own origin, [`crate::telemetry`]), so that
 //!
-//! * production code uses a monotonic real-time clock ([`Clock::real`]), and
+//! * production code uses a monotonic real-time clock (`Clock::real`), and
 //! * tests drive a [`ManualClock`] by hand, making eviction — and the QSense
 //!   path-switching protocol around it — fully deterministic.
 //!
@@ -50,7 +50,7 @@ enum Source {
 
 impl Clock {
     /// A real, monotonic clock starting at zero now.
-    pub fn real() -> Self {
+    pub(crate) fn real() -> Self {
         Self {
             source: Source::Real {
                 origin: Instant::now(),
@@ -77,11 +77,6 @@ impl Clock {
             Source::Manual(manual) => manual.now(),
         }
     }
-
-    /// True if this clock is manually driven.
-    pub fn is_manual(&self) -> bool {
-        matches!(self.source, Source::Manual(_))
-    }
 }
 
 impl Default for Clock {
@@ -103,7 +98,7 @@ impl ManualClock {
     }
 
     /// Current manual time.
-    pub fn now(&self) -> Nanos {
+    pub(crate) fn now(&self) -> Nanos {
         self.nanos.load(Ordering::Acquire)
     }
 
@@ -112,17 +107,10 @@ impl ManualClock {
         let delta = delta.as_nanos().min(u128::from(u64::MAX)) as u64;
         self.nanos.fetch_add(delta, Ordering::AcqRel);
     }
-
-    /// Sets the clock to an absolute value. Panics if this would move time backwards,
-    /// since every consumer assumes monotonicity.
-    pub fn set(&self, now: Nanos) {
-        let prev = self.nanos.swap(now, Ordering::AcqRel);
-        assert!(prev <= now, "ManualClock must not move backwards");
-    }
 }
 
 /// Converts a [`Duration`] to [`Nanos`], saturating on overflow.
-pub fn duration_to_nanos(d: Duration) -> Nanos {
+pub(crate) fn duration_to_nanos(d: Duration) -> Nanos {
     d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
@@ -171,7 +159,7 @@ pub struct EraAdvancePolicy {
 
 /// The allocation count of the default fixed cadence (the IBR literature's
 /// `epoch_freq` ballpark).
-pub const DEFAULT_ERA_ADVANCE_INTERVAL: usize = 64;
+pub(crate) const DEFAULT_ERA_ADVANCE_INTERVAL: usize = 64;
 
 impl EraAdvancePolicy {
     /// A fixed cadence: one tick every `interval` allocations, the range
@@ -210,7 +198,7 @@ impl EraAdvancePolicy {
 }
 
 impl Default for EraAdvancePolicy {
-    /// The fixed cadence at [`DEFAULT_ERA_ADVANCE_INTERVAL`].
+    /// The fixed cadence of one era tick per 64 allocations.
     fn default() -> Self {
         Self::fixed(DEFAULT_ERA_ADVANCE_INTERVAL)
     }
@@ -228,7 +216,6 @@ mod tests {
         thread::sleep(Duration::from_millis(2));
         let b = clock.now();
         assert!(b > a, "expected time to advance: {a} -> {b}");
-        assert!(!clock.is_manual());
     }
 
     #[test]
@@ -240,7 +227,6 @@ mod tests {
         assert_eq!(clock.now(), 5_000);
         manual.advance(Duration::from_nanos(1));
         assert_eq!(clock.now(), 5_001);
-        assert!(clock.is_manual());
     }
 
     #[test]
@@ -249,22 +235,6 @@ mod tests {
         let other = manual.clone();
         manual.advance(Duration::from_secs(1));
         assert_eq!(other.now(), 1_000_000_000);
-    }
-
-    #[test]
-    fn manual_set_accepts_equal_time() {
-        let manual = ManualClock::new();
-        manual.set(10);
-        manual.set(10);
-        assert_eq!(manual.now(), 10);
-    }
-
-    #[test]
-    #[should_panic(expected = "must not move backwards")]
-    fn manual_set_rejects_backwards_jump() {
-        let manual = ManualClock::new();
-        manual.set(10);
-        manual.set(9);
     }
 
     #[test]

@@ -80,9 +80,8 @@ pub struct SmrConfig {
     /// literature's `epoch_freq` ballpark). See `he::EraPacer`.
     pub era_policy: EraAdvancePolicy,
     /// **Extension (observability).** Enables the telemetry histograms
-    /// ([`crate::telemetry`]): guard-bracket op latency sampled 1 op in
-    /// 2^[`OP_SAMPLE_SHIFT`](crate::telemetry::OP_SAMPLE_SHIFT), scan
-    /// duration, and the retire→free delay distribution. Off by default —
+    /// ([`crate::telemetry`]): guard-bracket op latency sampled 1 op in 128,
+    /// scan duration, and the retire→free delay distribution. Off by default —
     /// disabled, every record site costs exactly one flag load.
     pub telemetry: bool,
     /// Time source; swap in a manual clock for deterministic tests.
@@ -264,7 +263,7 @@ mod tests {
             .with_limbo_budget(Some(1 << 20))
             .with_era_policy(EraAdvancePolicy::fixed(16))
             .with_telemetry(true)
-            .with_clock(Clock::manual(manual));
+            .with_clock(Clock::manual(manual.clone()));
         assert_eq!(cfg.max_threads, 4);
         assert_eq!(cfg.hp_per_thread, 3);
         assert_eq!(cfg.quiescence_threshold, 10);
@@ -275,7 +274,8 @@ mod tests {
         assert_eq!(cfg.limbo_budget, Some(1 << 20));
         assert_eq!(cfg.era_policy, EraAdvancePolicy::fixed(16));
         assert!(cfg.telemetry);
-        assert!(cfg.clock.is_manual());
+        manual.advance(Duration::from_nanos(7));
+        assert_eq!(cfg.clock.now(), 7, "the configured clock is the manual one");
     }
 
     #[test]

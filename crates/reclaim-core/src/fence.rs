@@ -29,7 +29,7 @@
 //!   ≥ 4.14 and a seccomp profile that lets `membarrier` through (Docker's
 //!   default does not).
 //! * **rooster** — the paper's Cadence, and QSense: compiler fence on the
-//!   reader, and the process's one rooster thread issuing [`process_barrier`]
+//!   reader, and the process's one rooster thread issuing `process_barrier`
 //!   every `T` on behalf of every subscribed scheme. Scans never issue.
 //!
 //! The hazard-pointer family frees by **one rule** under all three, kept by a
@@ -227,7 +227,7 @@ pub fn scanner_barrier(stats: &StatStripe) -> bool {
 /// which one ran. This is the rooster's wake-up. A caller that gets
 /// [`ProcessBarrier::LocalFence`] back has drained no sibling's store buffer
 /// and must not enter the call in a [`BarrierLedger`] as completed.
-pub fn process_barrier() -> ProcessBarrier {
+pub(crate) fn process_barrier() -> ProcessBarrier {
     if expedited_barrier() {
         return ProcessBarrier::Expedited;
     }
@@ -434,7 +434,7 @@ impl BarrierLedger {
     ///
     /// `barrier` may return true only if every sibling thread of the process
     /// passed through a full memory barrier between its call and its return
-    /// ([`expedited_barrier`], or [`process_barrier`] not answering
+    /// ([`expedited_barrier`], or `process_barrier` not answering
     /// [`ProcessBarrier::LocalFence`]) — or if no sibling can hold a
     /// protection published through this ledger's scheme, as in a
     /// single-threaded test.
@@ -468,7 +468,7 @@ struct Subscriber {
 /// forcing a context switch; here every wake-up is already process-wide, so
 /// one thread serves every Cadence and QSense instance). It runs while any
 /// ledger is subscribed, sleeps the shortest subscribed interval and issues
-/// one [`process_barrier`] per wake-up for all of them.
+/// one `process_barrier` per wake-up for all of them.
 struct Rooster {
     subscribers: Vec<Subscriber>,
     thread: Option<JoinHandle<()>>,

@@ -87,8 +87,7 @@ impl Error for LeaseExhausted {}
 
 /// A fixed pool of `N` registered scheme handles time-shared by `M` tasks
 /// (module docs). Generic over the handle type; build one with
-/// [`for_scheme`](Self::for_scheme) or adopt pre-built handles with
-/// [`new`](Self::new).
+/// [`for_scheme`](Self::for_scheme).
 pub struct LeasePool<H> {
     /// Idle handles, LIFO. Capacity is reserved for all `N` up front so
     /// checkin never allocates.
@@ -106,7 +105,7 @@ impl<H> LeasePool<H> {
     ///
     /// Panics if `handles` is empty — a zero-handle pool could never serve a
     /// checkout.
-    pub fn new(handles: Vec<H>, policy: LeasePolicy) -> Self {
+    pub(crate) fn new(handles: Vec<H>, policy: LeasePolicy) -> Self {
         assert!(!handles.is_empty(), "lease pool needs at least one handle");
         let slots = handles.len();
         let mut idle = Vec::with_capacity(slots);
@@ -137,11 +136,6 @@ impl<H> LeasePool<H> {
             handles.push(scheme.try_register()?);
         }
         Ok(Self::new(handles, policy))
-    }
-
-    /// The pool's fixed handle count (`N`).
-    pub fn slots(&self) -> usize {
-        self.slots
     }
 
     /// Handles currently idle (diagnostics/tests).
@@ -257,7 +251,7 @@ mod tests {
     #[test]
     fn checkout_checkin_is_lifo_and_conserves_handles() {
         let pool = LeasePool::new(vec![1u32, 2, 3], LeasePolicy::Fail);
-        assert_eq!(pool.slots(), 3);
+        assert_eq!(pool.slots, 3);
         assert_eq!(pool.idle_count(), 3);
         let a = pool.checkout().unwrap();
         assert_eq!(*a, 3, "LIFO hands out the most recently idle handle");

@@ -51,7 +51,7 @@
 //! * [`retired::RetiredPtr`] — the stamped retired-node wrapper (the paper's
 //!   `timestamped_node`, Algorithm 3; the stamp is scheme-defined — a barrier
 //!   ticket, an era, or nothing — and never a clock reading) — collected in [`segbag::SegBag`]
-//!   segment chains recycled through a per-handle [`segbag::SegPool`], so the
+//!   segment chains recycled through a per-handle `segbag::SegPool`, so the
 //!   steady-state retire/scan/reclaim pipeline never touches the allocator;
 //! * a [`clock::Clock`] abstraction (real, monotonic nanoseconds) with a manually
 //!   driven variant for deterministic tests, and the [`clock::Era`] type and
@@ -94,10 +94,10 @@
 //! |-----------------------------|---------------|
 //! | its reservation record in a [`Registry`] (hazard slots — `hazard::HpSlots`, shared by the family and QSense —, epoch — `qsbr::EpochRecord`, shared by QSBR, QSense and EBR, whose pin publishes it —, era interval), how `protect`/`begin_op` publish and clear it, and the fence behind a publication: for the hazard-pointer family and EBR's pin one of [`fence`]'s three, named by a [`FenceStrategy`] (detected, never configured) — the hazard-pointer family's `protect` is `hazard::OwnedSlots::protect`, fence included | the [`SmrConfig`], the counter stripes — one per handle, whose index also picks the handle's histogram stripe and takes the shard tally of its registry walks —, the budget governor and the [`Telemetry`] histograms, and over them [`Smr::config`], [`Smr::name`], [`Smr::stats`] and [`Smr::telemetry`]: the scheme says only where its core is ([`Smr::core`]) |
 //! | where each handle's [`HandleCore`] is: [`SmrHandle::core`] / [`SmrHandle::core_mut`], each `&self.core` | everything a handle offers beyond the protocol: the ledger's readers ([`SmrHandle::local_in_limbo`], [`SmrHandle::local_limbo_bytes`]), the node cache [`guard::Guard::alloc_block`] takes from, and the telemetry the guard's op bracket and the retire stamp record (the sampling counter and the tick cache are the core's) — sealed by a [`CoreToken`] only this crate builds, so a data structure reaches a core only through [`guard::Guard`] and can never `park`, `scan` or `adopt_parked` it |
-//! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most [`READY_FREES_PER_RETIRE`] nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's [`SegPool`] — [`HandleCore::retire`] |
+//! | the limbo *shape*: which [`SegBag`] the [`RetiredPtr`] its `retire` is handed goes into (one bag, three epoch buckets, eight era chains) and the scheme-defined `stamp` it carries (the ledger's barrier ticket for HP/Cadence/QSense, retire era for HE, nothing for the rest) — never where a freed node's memory goes, which its destructor decides ([`node_cache`]) | the **free stage**, the **stamp** and the ledger entry: at most `READY_FREES_PER_RETIRE` nodes off the handle's ready chain to their destructors (freed counters, ledger debit and retire→free delay booked there), then retire/byte counters, the scheme's stamp and the telemetry tick written into the [`RetiredPtr`] the retiring caller built, the push through the handle's `SegPool` — [`HandleCore::retire`] |
 //! | the snapshot and the **free rule**: the predicate handed to [`Reclaim::free_walk`] / [`Reclaim::free_all`], with its `// SAFETY:` argument. The hazard-pointer family and QSense share both (`hazard::hp_scan`) and hand over only their [`fence::BarrierLedger`] — which names who issues the barrier that makes a snapshot complete (reader, scanner, rooster) and records when one has | the **observed proof**: a [`Reclaim`] that moves what the rule released onto the handle's ready chain and frees nothing (so no scheme hands the allocator a burst), scan timing, the look at the estimate — [`HandleCore::scan`]; the chain drained whole where trickling would be wrong — every scheme's `flush` ends in [`HandleCore::drain_ready`], [`HandleCore::park`] and a budget-forced scan call it themselves; the hazard-pointer family's one free rule is `hazard`'s, in one place for threshold scans, forced scans, `flush` and `Drop`: absent from a snapshot taken after a barrier that started after the node's stamp has returned; under scanner-barrier the scan issues that barrier itself unless a sibling's already covers its newest stamp, and a refusal frees nothing new |
 //! | an optional pressure lever run inside the forced scan (QSense's early fallback trip, EBR's `try_advance`, HE's era pacer) | the **ladder**, fed from the ledger: count threshold (every `scan_threshold` retires, for every scheme and protocol) → forced scan on a budget crossing, however few retires since the last → one bounded `yield_now`, every rung counted on the handle's own stripe ([`StatsSnapshot::forced_scans`] and the three after it) — [`HandleCore::after_retire`], or its two rungs [`HandleCore::scan_due`] / [`HandleCore::enforce_budget`] ([`HandleCore::track`] for the two schemes with no lever) |
-//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**, all through one store behind one lock on the [`SchemeCore`]: leftovers and the tally of kept plain blocks in, leftovers back out into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other —, the pool + scan scratch to the next registrant and the node cache's blocks back to the arena (`HandleCore`'s own `Drop`), the store drained at scheme drop; with none parked, the one **workspace rule** for every scheme ([`SchemeCore::attach`]): a pool pre-warmed for `R` ([`SegPool::for_scan_threshold`]) and a scratch of the word count the scheme names — its largest snapshot, `N·K` addresses (HP, Cadence, QSense), `2·N` era words (HE), `K` announced addresses (RC), none (QSBR, EBR, Leaky) |
+//! | splicing its bags into one and clearing its record and releasing its registry slot at handle drop | **park / adopt / recycle**, all through one store behind one lock on the [`SchemeCore`]: leftovers and the tally of kept plain blocks in, leftovers back out into a ledger ([`HandleCore::park`], which checks the leftovers against the ledger in debug builds; [`HandleCore::adopt_parked`]) — the byte estimate has nothing to conserve, parked nodes being retired and not freed like any other —, the pool + scan scratch to the next registrant and the node cache's blocks back to the arena (`HandleCore`'s own `Drop`), the store drained at scheme drop; with none parked, the one **workspace rule** for every scheme ([`SchemeCore::attach`]): a pool pre-warmed for `R` and a scratch of the word count the scheme names — its largest snapshot, `N·K` addresses (HP, Cadence, QSense), `2·N` era words (HE), `K` announced addresses (RC), none (QSBR, EBR, Leaky) |
 //!
 //! The freed-side counters and the parked store are private to this crate:
 //! a scheme cannot book a free, park or recycle except through the calls
@@ -122,12 +122,12 @@
 //! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record (`hazard::OwnedSlots`), into a 128-byte block no other thread's slots share (`hazard::HpSlots`); HE's amortized cost here is ~zero (eras advance once per `he::EraPacer::current_interval` allocations, not per node) |
 //! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only when the [`clock::EraAdvancePolicy`] is a range, not a point | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
-//! | per segment (every [`segbag::SEG_CAP`] recorded retires) | pop a recycled segment from the per-handle [`segbag::SegPool`]; Leaky's pool never gets one back, so its bag takes a fresh segment from the allocator — only for the nodes it records: a plain block of its own arena it books and leaves unrecorded (`HandleCore::retire_unfreed`), and the arena frees its chunk at scheme drop | none — the allocator is touched only past the handle's all-time peak (Leaky: once per `SEG_CAP` recorded retires) |
+//! | per segment (every [`segbag::SEG_CAP`] recorded retires) | pop a recycled segment from the per-handle `segbag::SegPool`; Leaky's pool never gets one back, so its bag takes a fresh segment from the allocator — only for the nodes it records: a plain block of its own arena it books and leaves unrecorded (`HandleCore::retire_unfreed`), and the arena frees its chunk at scheme drop | none — the allocator is touched only past the handle's all-time peak (Leaky: once per `SEG_CAP` recorded retires) |
 //! | per `Q` ops (quiescent state) | epoch adoption (one swap, so an eviction it replaces is counted back) or one walk over the claimed slots, stopping at the first laggard ([`registry::Registry::iter_claimed`]), and the advance's CAS once every claimed thread has adopted the epoch; one eviction-counter load (QSense) | one bitmap load per shard and one record load per claimed slot walked; the adoption's swap on the owner's line, or at most one CAS on the global epoch |
-//! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers as address words into the handle's **reusable** scratch, sized at registration for all of them (HP/Cadence/QSense), or all `N` era reservations, two words each — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain ([`segbag::SegBag::transfer_walk`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under an adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a fixed policy, a point range, never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
+//! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers as address words into the handle's **reusable** scratch, sized at registration for all of them (HP/Cadence/QSense), or all `N` era reservations, two words each — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain (a crate-private walk of the [`segbag::SegBag`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under an adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a fixed policy, a point range, never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per registry walk, shard dispatch ([`registry::Registry::iter_claimed`]: scans, epoch confirmations, QSense's episode check and evictor) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**, and within an active shard only the claimed slots' records are read; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(claimed slots + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
 //! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
-//! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most [`READY_FREES_PER_RETIRE`] = 2 nodes off its oldest segment (O(1), no survivor moves — [`segbag::SegBag::pop`]) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under [`NODE_CACHE_BYTES`]; past that it hands the block, with 15 more of the class, to the arena its chunk names under one lock; a block of no cached class it frees; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the arena's lock per 16 blocks over the cap, the allocator's thread cache for a `Box` |
+//! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most 2 nodes (`limbo`'s `READY_FREES_PER_RETIRE`) off its oldest segment (O(1), no survivor moves — `segbag::SegBag::pop`) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under 64 KiB; past that it hands the block, with 15 more of the class, to the arena its chunk names under one lock; a block of no cached class it frees; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the arena's lock per 16 blocks over the cap, the allocator's thread cache for a `Box` |
 //! | per `retire` (byte accounting) | stamp the node's size into the [`retired::RetiredPtr`] (written next to the stamp the wrapper already carries: `size_of::<T>()` for guard-layer nodes, the allocation's real size for a skip-list tower; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated look ([`limbo::HandleCore::enforce_budget`]) — a comparison of the ledger against its value at the handle's last look, escalating to the O(#stripes) sum of `retired_bytes − freed_bytes` only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; a look writes nothing but a new peak — **no per-retire shared write**, and none per grain either |
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is one add to the pulling handle's own stripe, summed into [`Smr::stats`] |
 //! | per op, guard layer ([`guard::Guard`] bracket) | `begin_op` at construction; `clear_protections` + `end_op` at drop — the per-op scheme costs above plus the telemetry rows below, recorded through the handle's core ([`SmrHandle::core_mut`]); the guard itself is a pointer and an (almost always empty) latency-sample slot, never allocated | none beyond the wrapped calls |
@@ -136,7 +136,7 @@
 //! | per handle drop | splice leftovers into the scheme's parked store ([`segbag::SegBag::splice`]) and add the kept tally there; give the node cache back to the arena: each class's spares (at most [`node_cache::REFILL_BLOCKS`] − 1) onto its list, then one splice a class, by the list's tail, under one lock of the arena; leave the pool and scratch in the parked store; one last look at the estimate for the governor, which the hand-off itself does not move (leaked bytes stay visible, never stranded: they are retired and not freed) | O(1) pointer surgery under the store's mutex, taken twice at most; the arena's lock once, O(size classes) under it, however many blocks the cache holds — no allocation |
 //! | per snapshot (`Smr::stats`) | sum all counter stripes | O(N) loads — diagnostic path, never on the hot path |
 //! | per op, telemetry **disabled** (the default) | one load of the `enabled` flag at each record site — op begin ([`guard::Guard`] bracket), retire stamp, scan begin — then a branch away; no clock read, no stamp, no histogram touch | one read-only line shared by all record sites |
-//! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-2^[`telemetry::OP_SAMPLE_SHIFT`] (1-in-128) sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every [`telemetry::TICK_REFRESH`] retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes read no clock) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
+//! | per op, telemetry **enabled** ([`config::SmrConfig::with_telemetry`]) | op bracket: a counter bump, plus an `Instant` pair and one relaxed histogram `fetch_add` for the 1-in-128 sampled ops; retire: the handle's *cached* coarse tick stamped into the [`retired::RetiredPtr`] padding — the clock is re-read only every 16 retires (and for free on sampled ops, reusing their `Instant`), so a stale stamp can only over-report a delay, by at most the wall time those retires spanned; free: one relaxed `fetch_add` to the scanning handle's [`telemetry::LogHistogram`] stripe per freed node; scan: one `Instant` pair per pass that frees anything (empty passes read no clock) | relaxed adds to one of 8 cache-padded stripes — no shared read-modify-write on the unsampled path |
 //!
 //! ## Observability
 //!
@@ -155,12 +155,12 @@
 //!   (wraps ~71.6 min; correct across one wrap) that fits the wrapper's
 //!   existing padding, so segment geometry and the retire path's single-writer
 //!   discipline are untouched. Each handle caches the tick and re-reads the
-//!   clock every [`telemetry::TICK_REFRESH`] retires — even a vDSO clock read
+//!   clock every 16 retires — even a vDSO clock read
 //!   is a third of a QSBR retire, so paying it per retire would distort the
 //!   very path being measured. The cache can only *over*-report a delay, by
-//!   at most the wall time the handle's last [`telemetry::TICK_REFRESH`]
+//!   at most the wall time the handle's last 16
 //!   retires spanned.
-//! * **Sampling rate** — 1-in-128, fixed ([`telemetry::OP_SAMPLE_SHIFT`]),
+//! * **Sampling rate** — 1-in-128, fixed,
 //!   starting with each handle's first op; percentiles of a uniform 1-in-N
 //!   sample converge on the true distribution, and the modular counter costs
 //!   one branch per op.
@@ -352,7 +352,7 @@
 //!   retire, building the one value [`SmrHandle::retire`] takes
 //!   ([`guard::Guard::retire_block`], [`retire_box`], a raw test site) —
 //!   marks it **Retired** (double-retire and retire-after-free panic);
-//! * [`retired::RetiredPtr::reclaim`] — the single free choke point — marks
+//! * `retired::RetiredPtr::reclaim` — the single free choke point — marks
 //!   it **Freed**; under the explorer's *quarantine* mode the destructor is
 //!   skipped, the first 8 bytes of the node are overwritten with
 //!   `oracle::CANARY` (`0xDEAD_BEEF_5AFE_CA4E`) and the allocation is
@@ -414,20 +414,18 @@ pub mod tagged;
 pub mod telemetry;
 
 pub use budget::BudgetGovernor;
-pub use clock::{
-    Clock, Era, EraAdvancePolicy, ManualClock, Nanos, DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA,
-};
+pub use clock::{Clock, Era, EraAdvancePolicy, ManualClock, Nanos, NO_BIRTH_ERA};
 pub use config::SmrConfig;
 pub use fence::{BarrierLedger, FenceStrategy};
 pub use guard::{Atomic, Guard, Owned, Shared, Unlinked};
 pub use leaky::{Leaky, LeakyHandle};
 pub use lease::{HandleLease, LeaseExhausted, LeasePolicy, LeasePool};
-pub use limbo::{HandleCore, Reclaim, SchemeCore, READY_FREES_PER_RETIRE};
-pub use node_cache::{NodeCache, NODE_CACHE_BYTES};
+pub use limbo::{HandleCore, Reclaim, SchemeCore};
+pub use node_cache::NodeCache;
 pub use pad::CachePadded;
 pub use registry::{Registry, SlotId, SHARD_SLOTS};
 pub use retired::RetiredPtr;
-pub use segbag::{SegBag, SegPool, SEG_CAP};
+pub use segbag::{SegBag, SEG_CAP};
 pub use smr::{drop_fn_for, CapacityExhausted, CoreToken, Smr, SmrHandle};
 pub use stats::{Counter, StatStripe, StatsSnapshot};
 pub use telemetry::{HistSnapshot, LogHistogram, Telemetry, TelemetrySummary};

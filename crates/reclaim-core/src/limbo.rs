@@ -9,7 +9,7 @@
 //! moves what the scheme's rule passed onto the handle's **ready chain** (an
 //! O(1) splice for wholesale drains, a push through the handle's own pool for
 //! per-node walks) and calls no destructor. [`HandleCore::retire`] *frees*: at
-//! most [`READY_FREES_PER_RETIRE`] ready nodes are freed before the new one is
+//! most `READY_FREES_PER_RETIRE` ready nodes are freed before the new one is
 //! stamped. A scan or an epoch drain proves 500–1 000 nodes at once; handed
 //! over in one burst they overflow the allocator's per-thread cache (glibc's
 //! holds 7 a size class), push those frees and the allocations that follow
@@ -80,10 +80,10 @@ use std::time::Instant;
 /// allocator, and 7.6 % (0 of 6) with the cache giving its excess back two
 /// blocks a retire. A rooster tick proves about 7 000 nodes a handle there
 /// (`hazard::hp_scan`), more than
-/// [`NODE_CACHE_BYTES`](crate::NODE_CACHE_BYTES) holds, so the burst reaches
+/// `NODE_CACHE_BYTES` holds, so the burst reaches
 /// the allocator after all. Two stays; 1 or 4 frees a retire were not
 /// measured.
-pub const READY_FREES_PER_RETIRE: usize = 2;
+pub(crate) const READY_FREES_PER_RETIRE: usize = 2;
 
 /// The scheme-wide half of the retire pipeline (module docs), which builds
 /// every handle's workspace by one rule ([`attach`](Self::attach)).
@@ -154,7 +154,7 @@ impl SchemeCore {
     }
 
     /// The scheme's short name (`Smr::name`).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
@@ -165,7 +165,7 @@ impl SchemeCore {
 
     /// `Smr::stats`: every stripe summed, plus the governor's peak, budget and
     /// stopwatch and the arena's footprints.
-    pub fn stats(&self) -> StatsSnapshot {
+    pub(crate) fn stats(&self) -> StatsSnapshot {
         let mut snap = self.stats.snapshot();
         let governor = &self.governor;
         snap.peak_limbo_bytes = governor.peak_bytes();
@@ -193,7 +193,7 @@ impl SchemeCore {
     }
 
     /// `Smr::telemetry`.
-    pub fn telemetry(&self) -> &Telemetry {
+    pub(crate) fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
 
@@ -234,7 +234,7 @@ impl SchemeCore {
     /// counter stripe dealt round-robin and shared past `max_threads`. It
     /// adopts the last parked workspace; with none parked it builds one by
     /// the one rule for every scheme: a pool pre-warmed for the scan
-    /// threshold ([`SegPool::for_scan_threshold`]) and a scratch of `words`
+    /// threshold (`SegPool::for_scan_threshold`) and a scratch of `words`
     /// capacity, the scheme's largest snapshot, so neither the first bag
     /// fill nor any scan allocates.
     pub fn attach(self: &Arc<Self>, slot: Option<SlotId>, words: usize) -> HandleCore {
@@ -400,7 +400,7 @@ impl HandleCore {
         self.ready.bytes()
     }
 
-    /// The free stage and the stamp: frees at most [`READY_FREES_PER_RETIRE`]
+    /// The free stage and the stamp: frees at most `READY_FREES_PER_RETIRE`
     /// ready nodes, then counts the retire and its bytes, writes the scheme's
     /// `stamp` and the telemetry tick into `node`, and pushes it into `bag` —
     /// the limbo bag the scheme's protocol picked.
@@ -694,7 +694,7 @@ impl Reclaim<'_> {
         }
     }
 
-    /// Walks `bag` ([`SegBag::transfer_walk`]): stops for good at the first
+    /// Walks `bag` (`SegBag::transfer_walk`): stops for good at the first
     /// node failing `keep_scanning`, releases every node before that passing
     /// `can_free` to the ready chain, visits each survivor once. Counted as a
     /// walk, an empty bag's included.

@@ -25,7 +25,7 @@
 //! their class stride (the list's 24 B node packs at 24 B, where glibc spaces
 //! it at 32 B) and keeps one shared free list per class. A cache miss takes
 //! [`REFILL_BLOCKS`] of its class under one lock: off that list while it holds
-//! any, else carved. A cache past [`NODE_CACHE_BYTES`] (as many blocks at
+//! any, else carved. A cache past `NODE_CACHE_BYTES` (as many blocks at
 //! once), a structure's teardown, a never-linked node and a departing
 //! handle's cache hand their blocks to the arena their chunk names — never to
 //! the allocator. So a structure's nodes, sentinels included, sit in its
@@ -53,11 +53,11 @@ use std::sync::{Mutex, MutexGuard};
 /// arena's shared list. 256 KiB was measured against it
 /// (2-vCPU host, alternating 30 s benchmark pairs): it took Cadence's loss
 /// from freeing at the scan
-/// ([`READY_FREES_PER_RETIRE`](crate::READY_FREES_PER_RETIRE)) back to
+/// (`READY_FREES_PER_RETIRE`) back to
 /// −0.8 % on `queue_churn` (2 of 4 pairs), but `skiplist_mixed` read
 /// −7 … −11 % on every scheme, `none` included (0 of 3 pairs; the cause was
 /// not isolated). 64 KiB stays.
-pub const NODE_CACHE_BYTES: usize = 64 << 10;
+pub(crate) const NODE_CACHE_BYTES: usize = 64 << 10;
 
 /// Bytes of one arena chunk, which is aligned to its size: a block's chunk is
 /// its address rounded down.
@@ -69,7 +69,7 @@ pub const CHUNK_HEADER_BYTES: usize = 64;
 
 /// Blocks a cache miss takes off its arena under one lock: the one it
 /// asked for and the rest for its next misses; a cache over
-/// [`NODE_CACHE_BYTES`] gives as many back.
+/// `NODE_CACHE_BYTES` gives as many back.
 pub const REFILL_BLOCKS: usize = 16;
 
 const ALIGN: usize = 8;
@@ -140,7 +140,7 @@ fn registered(block: NonNull<u8>, _layout: Layout) -> NonNull<u8> {
 ///
 /// `block` came from this module for `layout`, holds no live node, nothing
 /// can reach it, and it is freed once.
-pub unsafe fn free_block(block: *mut u8, layout: Layout) {
+pub(crate) unsafe fn free_block(block: *mut u8, layout: Layout) {
     #[cfg(feature = "check-oracle")]
     crate::oracle::deregister(block);
     // SAFETY: the caller's contract.
@@ -164,7 +164,7 @@ pub unsafe fn free<T: Block>(node: *mut T) {
 /// The destructor ([`DropFn`]) every block is retired
 /// with: drops the node in place and offers its block to `cache`, which keeps
 /// it if its class is one a cache keeps and the cache holds under
-/// [`NODE_CACHE_BYTES`]; otherwise, or without a cache, a class-sized block
+/// `NODE_CACHE_BYTES`; otherwise, or without a cache, a class-sized block
 /// goes to its arena and any other is freed with its own layout.
 ///
 /// # Safety
@@ -649,6 +649,8 @@ mod tests {
             free_block(block.as_ptr(), node);
             free_block(other.as_ptr(), Layout::new::<[u64; 5]>());
         }
+        // Every block back in the arena, or the arena leaks its chunks.
+        cache.release();
     }
 
     #[test]
@@ -673,6 +675,8 @@ mod tests {
         assert_eq!(cache.bytes, kept, "264 B is past the classes");
         assert_eq!(cache.book(), (kept, kept as i64));
         assert_eq!(cache.book(), (kept, 0), "booked once");
+        // Every block back in the arena, or the arena leaks its chunks.
+        cache.release();
     }
 
     #[test]
@@ -740,5 +744,7 @@ mod tests {
         let boxed = Box::into_raw(Box::new([0u64; 4]));
         retire_and_free(&mut cache, boxed, crate::drop_fn_for::<[u64; 4]>());
         assert_eq!(cache.bytes, held, "a Box's destructor ignores the cache");
+        // Every block back in the arena, or the arena leaks its chunks.
+        cache.release();
     }
 }

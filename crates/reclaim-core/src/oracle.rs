@@ -28,8 +28,8 @@
 //! **Quarantine.** With real deallocation the allocator — or the freeing
 //! handle's node cache — can hand a freed address straight back to the next
 //! `Owned::new`, masking a UAF as a fresh registration. [`QuarantineGuard`]
-//! (the schedule explorer's) makes [`on_free`] *skip* the destructor and leak
-//! the allocation instead: the header is overwritten with [`CANARY`] and the
+//! (the schedule explorer's) makes `on_free` *skip* the destructor and leak
+//! the allocation instead: the header is overwritten with `CANARY` and the
 //! address can never be reused, so a later dereference is always caught and
 //! the canary check tells "freed and poisoned" from wild pointers. Quarantine
 //! defaults **off** so destructor-counting unit tests keep their semantics.
@@ -41,7 +41,6 @@
 //! catching UAFs on nodes it never saw allocated.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 /// Poison pattern written over the first 8 bytes of a node freed while
@@ -49,13 +48,13 @@ use std::sync::{Mutex, OnceLock};
 /// `Freed` reads the header back: `canary intact` in the panic message means
 /// the stale pointer genuinely reached reclaimed memory (as opposed to a
 /// corrupted shadow table or a wild pointer).
-pub const CANARY: u64 = 0xDEAD_BEEF_5AFE_CA4E;
+pub(crate) const CANARY: u64 = 0xDEAD_BEEF_5AFE_CA4E;
 
 const SHARDS: usize = 64;
 
 /// Shadow state of one node address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeState {
+pub(crate) enum NodeState {
     /// Registered at allocation (or assumed live), not yet retired.
     Live,
     /// Retired to a scheme's limbo; memory still valid.
@@ -133,37 +132,8 @@ thread_local! {
     static QUARANTINE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Counters for tests and reports.
-static REGISTERED: AtomicU64 = AtomicU64::new(0);
-static RETIRED: AtomicU64 = AtomicU64::new(0);
-static FREED: AtomicU64 = AtomicU64::new(0);
-static CHECKS: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the oracle's lifetime counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OracleStats {
-    /// Allocations registered through the guard layer / structure allocators.
-    pub registered: u64,
-    /// Retires observed at the `RetiredPtr` choke point.
-    pub retired: u64,
-    /// Frees observed at `RetiredPtr::reclaim`.
-    pub freed: u64,
-    /// Protect-validation / dereference checkpoints evaluated.
-    pub checks: u64,
-}
-
-/// Current counter snapshot.
-pub fn stats() -> OracleStats {
-    OracleStats {
-        registered: REGISTERED.load(Ordering::Relaxed),
-        retired: RETIRED.load(Ordering::Relaxed),
-        freed: FREED.load(Ordering::Relaxed),
-        checks: CHECKS.load(Ordering::Relaxed),
-    }
-}
-
-/// While alive, [`on_free`] calls *on this thread* skip destructors, poison
-/// headers with [`CANARY`] and leak the memory so freed addresses can never be
+/// While alive, `on_free` calls *on this thread* skip destructors, poison
+/// headers with `CANARY` and leak the memory so freed addresses can never be
 /// reused (see module docs). Restores the previous mode on drop. `!Send` by
 /// construction: quarantine is per-thread state.
 pub struct QuarantineGuard {
@@ -190,7 +160,7 @@ impl Drop for QuarantineGuard {
 }
 
 /// Whether quarantine is active on the calling thread.
-pub fn quarantine_active() -> bool {
+pub(crate) fn quarantine_active() -> bool {
     QUARANTINE.with(|q| q.get())
 }
 
@@ -208,7 +178,7 @@ fn oracle_panic(kind: &str, addr: usize, entry: Option<Entry>, detail: &str) -> 
 /// Records an allocation entering the reclamation protocol (every
 /// `node_cache` block, fresh or reused). Panics if the shadow table believes the
 /// address is still tracked — that means some free path bypassed the oracle (a
-/// missing [`deregister`]), not an application bug: entries are removed at real
+/// missing `deregister`), not an application bug: entries are removed at real
 /// dealloc precisely so allocator reuse can never reach this arm, and
 /// quarantined memory is leaked and cannot come back from the allocator.
 pub fn register(ptr: *const u8, size: usize) {
@@ -235,13 +205,12 @@ pub fn register(ptr: *const u8, size: usize) {
             size,
         },
     );
-    REGISTERED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Removes an address from the shadow table: the node left the reclamation
 /// protocol through a synchronous owned free (`Owned::into_inner`/`Drop`,
 /// structure teardown, failed-insert rollback) rather than retire→reclaim.
-pub fn deregister(ptr: *const u8) {
+pub(crate) fn deregister(ptr: *const u8) {
     let addr = ptr as usize;
     shard_for(addr)
         .map
@@ -254,7 +223,7 @@ pub fn deregister(ptr: *const u8) {
 /// block's alignment), from the shadow table: the memory itself leaves the
 /// protocol, a released arena chunk whose blocks were never freed one by one
 /// (Leaky's kept plain blocks).
-pub fn forget_range(start: *const u8, len: usize) {
+pub(crate) fn forget_range(start: *const u8, len: usize) {
     let start = start as usize;
     for addr in (start..start + len).step_by(8) {
         shard_for(addr)
@@ -268,7 +237,7 @@ pub fn forget_range(start: *const u8, len: usize) {
 /// Records a retire (called from `RetiredPtr::new`, the choke point: the
 /// retiring caller builds the one value `SmrHandle::retire` takes there, once
 /// per retire). Panics on double-retire and retire-after-free.
-pub fn on_retire(ptr: *const u8, size: usize) {
+pub(crate) fn on_retire(ptr: *const u8, size: usize) {
     let addr = ptr as usize;
     let mut map = shard_for(addr)
         .map
@@ -317,7 +286,6 @@ pub fn on_retire(ptr: *const u8, size: usize) {
             }
         },
     }
-    RETIRED.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records a reclamation (called from `RetiredPtr::reclaim`, the single free
@@ -325,7 +293,7 @@ pub fn on_retire(ptr: *const u8, size: usize) {
 /// `false` when quarantine is active (the oracle poisoned the header and the
 /// allocation is leaked so the address can never be reused). Panics on
 /// free-without-retire and double-free.
-pub fn on_free(ptr: *const u8) -> bool {
+pub(crate) fn on_free(ptr: *const u8) -> bool {
     let addr = ptr as usize;
     let quarantine = quarantine_active();
     let mut map = shard_for(addr)
@@ -366,7 +334,6 @@ pub fn on_free(ptr: *const u8) -> bool {
                 );
             }
             NodeState::Retired => {
-                FREED.fetch_add(1, Ordering::Relaxed);
                 if quarantine && entry.registered {
                     map.insert(
                         addr,
@@ -432,7 +399,6 @@ pub fn check_protected(ptr: *const u8, checkpoint: &str) {
     if ptr.is_null() {
         return;
     }
-    CHECKS.fetch_add(1, Ordering::Relaxed);
     let addr = ptr as usize;
     let entry = shard_for(addr)
         .map
@@ -453,8 +419,9 @@ pub fn check_protected(ptr: *const u8, checkpoint: &str) {
     }
 }
 
-/// Current shadow state of an address, if tracked (tests and reports).
-pub fn state_of(ptr: *const u8) -> Option<NodeState> {
+/// Current shadow state of an address, if tracked.
+#[cfg(test)]
+pub(crate) fn state_of(ptr: *const u8) -> Option<NodeState> {
     let addr = ptr as usize;
     shard_for(addr)
         .map

@@ -22,11 +22,6 @@ impl<T> CachePadded<T> {
     pub const fn new(value: T) -> Self {
         Self { value }
     }
-
-    /// Consumes the padding wrapper, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.value
-    }
 }
 
 impl<T> Deref for CachePadded<T> {
@@ -86,7 +81,6 @@ mod tests {
         let mut padded = CachePadded::new(41_u64);
         *padded += 1;
         assert_eq!(*padded, 42);
-        assert_eq!(padded.into_inner(), 42);
     }
 
     #[test]

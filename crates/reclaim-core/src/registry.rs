@@ -166,7 +166,7 @@ impl<T> Registry<T> {
     }
 
     /// Number of shards ([`capacity`](Self::capacity) / [`SHARD_SLOTS`], rounded up).
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.shards.len()
     }
 

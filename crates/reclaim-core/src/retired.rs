@@ -45,7 +45,7 @@ pub type DropFn = unsafe fn(*mut u8, Option<&mut NodeCache>);
 /// schemes treat an unstamped node as born before every announced era, which
 /// is conservative (wider lifetime interval, never freed early). `size` is the
 /// node's allocation size in bytes, which the typed `retire_box*` / guard
-/// entry points always know; a zero stamp ([`SIZE_UNKNOWN`]) counts zero bytes
+/// entry points always know; a zero stamp (size unknown) counts zero bytes
 /// toward limbo budgets — byte budgets are only as complete as the callers'
 /// stamping, never *over*-counted.
 pub struct RetiredPtr {
@@ -61,11 +61,6 @@ pub struct RetiredPtr {
     tick: u32,
 }
 
-/// The size stamp of a node whose retire path did not know its size (also the
-/// honest stamp for zero-sized types). Budget accounting treats these nodes as
-/// zero bytes.
-pub const SIZE_UNKNOWN: u32 = 0;
-
 // SAFETY: a RetiredPtr is just a deferred destructor call; the node it points
 // to is already unreachable from the data structure, so moving the wrapper
 // between threads is safe as long as only one thread ultimately runs the
@@ -76,7 +71,7 @@ impl RetiredPtr {
     /// Wraps a retired node with its allocation-time birth era and its
     /// allocation size in bytes; the scheme's stamp is written at retire.
     /// `size_bytes` feeds the byte books only and should not exceed the
-    /// node's allocation: zero means "unknown" ([`SIZE_UNKNOWN`]); sizes of
+    /// node's allocation: zero means "unknown"; sizes of
     /// 4 GiB and more are clamped to 4 GiB − 1 (a single such node is outside
     /// this substrate's design envelope; the clamp keeps the accounting
     /// bounded rather than wrapping).
@@ -130,7 +125,7 @@ impl RetiredPtr {
 
     /// The coarse telemetry tick stamped at retire, or 0 if telemetry was
     /// disabled when the node was retired.
-    pub fn retire_tick(&self) -> u32 {
+    pub(crate) fn retire_tick(&self) -> u32 {
         self.tick
     }
 
@@ -144,11 +139,11 @@ impl RetiredPtr {
         self.birth_era
     }
 
-    /// The node's allocation size in bytes, or 0 ([`SIZE_UNKNOWN`]) when the
+    /// The node's allocation size in bytes, or 0 when the
     /// retire path did not know it. Byte-budget accounting sums this, so
     /// unknown-size nodes weigh nothing — budgets under-count, never
     /// over-count.
-    pub fn size_bytes(&self) -> usize {
+    pub(crate) fn size_bytes(&self) -> usize {
         self.size as usize
     }
 
@@ -172,7 +167,7 @@ impl RetiredPtr {
     /// No thread may hold a hazardous reference to the node (this is exactly what the
     /// scheme's scan / grace-period logic establishes before calling this).
     #[inline]
-    pub unsafe fn reclaim(self, cache: Option<&mut NodeCache>) {
+    pub(crate) unsafe fn reclaim(self, cache: Option<&mut NodeCache>) {
         // The single free checkpoint: the oracle flips the node to Freed and —
         // under quarantine — poisons the header and vetoes the destructor so
         // the address can never be reused, nor cached (see `crate::oracle`).
@@ -244,7 +239,7 @@ mod tests {
         let unstamped = retire_counter(&counter, NO_BIRTH_ERA, 0);
         assert_eq!(unstamped.stamp(), 0, "the scheme stamps at retire");
         assert_eq!(unstamped.birth_era(), NO_BIRTH_ERA);
-        assert_eq!(unstamped.size_bytes(), SIZE_UNKNOWN as usize);
+        assert_eq!(unstamped.size_bytes(), 0, "size unknown");
         // SAFETY: the node was retired exactly once above and nothing protects it; reclaim drops it here.
         unsafe { unstamped.reclaim(None) };
 

@@ -5,16 +5,16 @@
 //! allocates or copies:
 //!
 //! * **push** writes into the tail segment; when it fills, the next segment is
-//!   popped from a per-handle free list ([`SegPool`]) in O(1). The allocator is
+//!   popped from a per-handle free list (`SegPool`) in O(1). The allocator is
 //!   touched only when the pool is empty, i.e. only while a thread's *total*
 //!   outstanding retired-node count exceeds everything it has seen before.
 //!   Because the pool is shared by all of a handle's bags (the three epoch limbo
 //!   lists of QSBR, QSense and EBR), a bag can grow far past its own
 //!   previous high-water mark without allocating, as long as the handle's
 //!   segments cover it.
-//! * **a scan's walk** ([`SegBag::transfer_walk`]) moves the nodes it releases
+//! * **a scan's walk** (`SegBag::transfer_walk`) moves the nodes it releases
 //!   onto a second chain fed by the same pool — the allocator sees them later,
-//!   a [`pop`](SegBag::pop) at a time — compacts survivors in place *within
+//!   a `pop` at a time — compacts survivors in place *within
 //!   their segment* and unlinks drained segments back to the pool — zero heap
 //!   traffic, O(freed) moves (survivors never migrate across segments, with
 //!   one bounded exception: at most one *adjacent-segment merge* per pass, see
@@ -46,10 +46,10 @@
 //! ## Byte accounting
 //!
 //! Every bag maintains a running total of its nodes' stamped allocation sizes
-//! ([`SegBag::bytes`]), updated on push, splice and reclaim, so "how much
+//! (`SegBag::bytes`), updated on push, splice and reclaim, so "how much
 //! memory does this limbo list pin" is an O(1) read — the primitive the
 //! scheme-wide limbo *byte* budgets are built on. Nodes retired through the
-//! size-unknown raw path weigh zero (see [`RetiredPtr::size_bytes`]): the
+//! size-unknown raw path weigh zero (see `RetiredPtr::size_bytes`): the
 //! total under-counts, never over-counts.
 //!
 //! ## Safety model
@@ -109,7 +109,7 @@ impl Segment {
 /// all-time peak segment count — the classic high-water-mark retention that
 /// makes the steady state allocation-free. It is deliberately a separate type
 /// (not embedded in [`SegBag`]) so one handle's pool can back several bags.
-pub struct SegPool {
+pub(crate) struct SegPool {
     free: *mut Segment,
     free_len: usize,
 }
@@ -134,7 +134,7 @@ impl SegPool {
     /// it drains has given its first segment back. The one pool rule every
     /// scheme's fresh workspace is built by
     /// ([`SchemeCore::attach`](crate::SchemeCore::attach)).
-    pub fn for_scan_threshold(scan_threshold: usize) -> Self {
+    pub(crate) fn for_scan_threshold(scan_threshold: usize) -> Self {
         let mut pool = Self::new();
         let nodes = scan_threshold.saturating_add(1).min(2048) + SEG_CAP;
         for _ in 0..nodes.div_ceil(SEG_CAP) {
@@ -145,7 +145,8 @@ impl SegPool {
     }
 
     /// Number of empty segments currently pooled.
-    pub fn free_segments(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_segments(&self) -> usize {
         self.free_len
     }
 
@@ -251,7 +252,7 @@ impl SegBag {
 
     /// Total stamped allocation bytes awaiting reclamation in this bag. O(1);
     /// nodes whose retire path did not stamp a size count zero.
-    pub fn bytes(&self) -> usize {
+    pub(crate) fn bytes(&self) -> usize {
         self.bytes
     }
 
@@ -261,7 +262,7 @@ impl SegBag {
     }
 
     /// Number of segments currently linked into the chain (diagnostics/tests).
-    pub fn segments(&self) -> usize {
+    pub(crate) fn segments(&self) -> usize {
         let mut count = 0;
         let mut seg = self.head;
         while !seg.is_null() {
@@ -273,7 +274,7 @@ impl SegBag {
     }
 
     /// Adds a retired node, drawing a segment from `pool` if the tail is full.
-    pub fn push(&mut self, pool: &mut SegPool, node: RetiredPtr) {
+    pub(crate) fn push(&mut self, pool: &mut SegPool, node: RetiredPtr) {
         self.bytes += node.size_bytes();
         // SAFETY: `head`/`tail` segments come from `pool.get` and are exclusively owned by this bag.
         unsafe {
@@ -296,9 +297,9 @@ impl SegBag {
 
     /// Takes one node out of the bag — the newest of the oldest segment — and
     /// returns that segment to `pool` once it is empty. O(1) and no survivor
-    /// moves, unlike a one-node [`transfer_walk`](Self::transfer_walk), which
+    /// moves, unlike a one-node `transfer_walk`, which
     /// would compact the rest of the segment behind it.
-    pub fn pop(&mut self, pool: &mut SegPool) -> Option<RetiredPtr> {
+    pub(crate) fn pop(&mut self, pool: &mut SegPool) -> Option<RetiredPtr> {
         let seg = self.head;
         if seg.is_null() {
             return None;
@@ -393,7 +394,7 @@ impl SegBag {
     ///   aggregate bounds (e.g. the era chains' min/max birth) that would
     ///   otherwise go stale after a partial reclaim — stale bounds cost O(bag)
     ///   walks on every later scan until the bag fully drains.
-    pub fn transfer_walk(
+    pub(crate) fn transfer_walk(
         &mut self,
         pool: &mut SegPool,
         into: &mut SegBag,
@@ -504,7 +505,7 @@ impl SegBag {
     ///
     /// Caller must guarantee that no thread can access any node in the bag
     /// (e.g. the scheme is being dropped and all handles are gone).
-    pub unsafe fn reclaim_all(&mut self, pool: &mut SegPool) -> usize {
+    pub(crate) unsafe fn reclaim_all(&mut self, pool: &mut SegPool) -> usize {
         let nodes = self.len;
         let mut seg = std::mem::replace(&mut self.head, ptr::null_mut());
         (self.tail, self.len, self.bytes) = (ptr::null_mut(), 0, 0);

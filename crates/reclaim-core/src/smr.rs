@@ -127,7 +127,8 @@ pub trait Smr: Send + Sync + 'static {
 
     /// The scheme's telemetry state ([`crate::telemetry`]): histograms of op
     /// latency, scan duration and retire→free delay (recording is gated on
-    /// [`Telemetry::is_enabled`], off by default).
+    /// [`SmrConfig::with_telemetry`](crate::SmrConfig::with_telemetry), off by
+    /// default).
     fn telemetry(&self) -> &Telemetry {
         self.core().telemetry()
     }

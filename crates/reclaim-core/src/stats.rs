@@ -11,7 +11,7 @@
 //!
 //! Each counter is one line of the `counters!` list below, and nothing else
 //! names it: the list generates the [`Counter`] enum, the stripe's width
-//! ([`Counter::COUNT`]), and the [`StatsSnapshot`] field it sums into. A writer
+//! (`Counter::COUNT`), and the [`StatsSnapshot`] field it sums into. A writer
 //! calls [`StatStripe::add`] with a `Counter`; a snapshot reads every counter
 //! in list order.
 //!
@@ -71,7 +71,7 @@ macro_rules! counters {
             /// Every counter, in list order.
             const ALL: &'static [Counter] = &[$(Counter::$variant),+];
             /// The number of counters: a stripe's width.
-            pub const COUNT: usize = Self::ALL.len();
+            pub(crate) const COUNT: usize = Self::ALL.len();
         }
 
         /// A plain snapshot of a scheme's counters at one instant.

@@ -70,7 +70,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 const MARK: usize = 1;
 
 /// Number of version bits in a [`LinkWord`].
-pub const VERSION_BITS: u32 = 16;
+pub(crate) const VERSION_BITS: u32 = 16;
 /// Bit position of the version field.
 const VERSION_SHIFT: u32 = 64 - VERSION_BITS;
 /// Mask of the version field's value range.
@@ -153,7 +153,7 @@ impl<T> LinkWord<T> {
 
     /// The link's version at observation time.
     #[inline]
-    pub fn version(self) -> u64 {
+    pub(crate) fn version(self) -> u64 {
         self.raw >> VERSION_SHIFT
     }
 
@@ -162,7 +162,7 @@ impl<T> LinkWord<T> {
     /// a deleted node's successor unmarked); it is never meaningful as a CAS
     /// *expected* value — expected words must be observed, not synthesized.
     #[inline]
-    pub fn with_mark(self, mark: bool) -> Self {
+    pub(crate) fn with_mark(self, mark: bool) -> Self {
         Self::from_raw((self.raw & !(MARK as u64)) | (mark as u64))
     }
 }

@@ -15,7 +15,7 @@
 //!   duration** (nanoseconds, every scan), and **reclamation delay**
 //!   (microseconds): a coarse monotonic tick stamped into
 //!   [`RetiredPtr`] at retire and measured when the
-//!   node reaches the allocator ([`Telemetry::note_free`]) — the paper's
+//!   node reaches the allocator (`Telemetry::note_free`) — the paper's
 //!   "bounded garbage" claim as an observable retire→free distribution.
 //!
 //! A handle records through its [`HandleCore`](crate::limbo::HandleCore),
@@ -29,18 +29,18 @@
 //!
 //! * **Op latency and scan duration** use [`Instant`] — the precise monotonic
 //!   clock. A `clock_gettime` pair per *sampled* op is affordable precisely
-//!   because sampling is 1-in-128 ([`OP_SAMPLE_SHIFT`]; op 0 of every handle
+//!   because sampling is 1-in-128 (`OP_SAMPLE_SHIFT`; op 0 of every handle
 //!   is sampled); scans are already rare (every `R` retires).
 //! * **Reclamation delay** must be stamped on *every* retire, so it uses a
 //!   coarse tick instead: microseconds since the scheme's construction,
-//!   truncated to `u32` ([`Telemetry::coarse_now`]). The stamp fits the
+//!   truncated to `u32` (`Telemetry::coarse_now`). The stamp fits the
 //!   existing padding hole in `RetiredPtr` (the wrapper stays 40 bytes, so
 //!   segment geometry is untouched) and wraps after ~71.6 minutes; the
 //!   free-side `wrapping_sub` stays correct across a single wrap, which no
 //!   realistic retire→free delay outlives. Even a coarse clock read is too
 //!   expensive to pay per retire on the cheapest schemes (a `clock_gettime`
 //!   costs a third of a QSBR retire), so each handle *caches* the tick and
-//!   refreshes it every [`TICK_REFRESH`] retires — and for free on every
+//!   refreshes it every `TICK_REFRESH` retires — and for free on every
 //!   sampled op, reusing the `Instant` the latency sample already took. A
 //!   stale cache only ever *over*-reports a delay, by at most the wall time
 //!   the handle took to issue the last `TICK_REFRESH` retires (sub-µs in the
@@ -82,7 +82,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Number of log2 buckets per histogram: one per `u64` bit position.
-pub const HIST_BUCKETS: usize = 64;
+pub(crate) const HIST_BUCKETS: usize = 64;
 
 /// Counter stripes per histogram. A handle records on its counter stripe's
 /// index modulo this; eight padded stripes keep concurrent recorders off each
@@ -180,15 +180,9 @@ impl HistSnapshot {
 
     /// Per-bucket counts (bucket `i` covers values in `[2^i, 2^(i+1))`,
     /// with bucket 0 also absorbing value 0).
-    pub fn bucket_counts(&self) -> &[u64; HIST_BUCKETS] {
+    #[cfg(test)]
+    pub(crate) fn bucket_counts(&self) -> &[u64; HIST_BUCKETS] {
         &self.buckets
-    }
-
-    /// Adds `other`'s counts into `self`.
-    pub fn merge(&mut self, other: &HistSnapshot) {
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *mine += theirs;
-        }
     }
 
     /// Inclusive upper bound of bucket `i`: the largest value it can hold.
@@ -244,15 +238,9 @@ pub struct TelemetrySummary {
 }
 
 impl TelemetrySummary {
-    /// Adds `other`'s counts into `self`, histogram by histogram.
-    pub fn merge(&mut self, other: &TelemetrySummary) {
-        self.op_latency_ns.merge(&other.op_latency_ns);
-        self.scan_ns.merge(&other.scan_ns);
-        self.reclaim_delay_us.merge(&other.reclaim_delay_us);
-    }
-
     /// True when no histogram holds any record.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.op_latency_ns.is_empty() && self.scan_ns.is_empty() && self.reclaim_delay_us.is_empty()
     }
 }
@@ -260,7 +248,7 @@ impl TelemetrySummary {
 /// A scheme's telemetry samples the latency of 1 op in `2^OP_SAMPLE_SHIFT`
 /// (1-in-128) on each handle, starting with the handle's first op. Only the
 /// sampled ops read the precise clock.
-pub const OP_SAMPLE_SHIFT: u32 = 7;
+pub(crate) const OP_SAMPLE_SHIFT: u32 = 7;
 
 /// Per-scheme telemetry state: the enabled flag, the coarse-tick origin, and
 /// the three histograms. One instance lives in every scheme's
@@ -280,12 +268,12 @@ pub struct Telemetry {
 impl Telemetry {
     /// Builds telemetry state from a scheme configuration
     /// ([`SmrConfig::telemetry`]).
-    pub fn from_config(config: &SmrConfig) -> Self {
+    pub(crate) fn from_config(config: &SmrConfig) -> Self {
         Self::new(config.telemetry)
     }
 
     /// Builds telemetry state directly, recording when `enabled`.
-    pub fn new(enabled: bool) -> Self {
+    pub(crate) fn new(enabled: bool) -> Self {
         Self {
             enabled,
             origin: Instant::now(),
@@ -297,7 +285,7 @@ impl Telemetry {
 
     /// Whether record sites are live. One load.
     #[inline]
-    pub fn is_enabled(&self) -> bool {
+    pub(crate) fn is_enabled(&self) -> bool {
         self.enabled
     }
 
@@ -306,7 +294,7 @@ impl Telemetry {
     /// `wrapping_sub` is correct across one wrap). Never returns 0, so a zero
     /// stamp in a retired node always means "stamped while disabled".
     #[inline]
-    pub fn coarse_now(&self) -> u32 {
+    pub(crate) fn coarse_now(&self) -> u32 {
         self.tick_from(Instant::now())
     }
 
@@ -329,7 +317,7 @@ impl Telemetry {
     /// adopted: a `now_tick` behind the stamp reads as no delay, not as one
     /// wrap of the counter.
     #[inline]
-    pub fn note_free(&self, stripe: usize, now_tick: u32, node: &RetiredPtr) {
+    pub(crate) fn note_free(&self, stripe: usize, now_tick: u32, node: &RetiredPtr) {
         let tick = node.retire_tick();
         if tick == 0 || now_tick == 0 {
             return;
@@ -363,7 +351,7 @@ impl Telemetry {
 /// A handle refreshes its cached retire tick every this many retires (must be
 /// a power of two). Between refreshes the cached tick can only make delays
 /// look *longer*, by at most the wall time those retires spanned.
-pub const TICK_REFRESH: u32 = 16;
+pub(crate) const TICK_REFRESH: u32 = 16;
 
 /// What a handle keeps between telemetry records: the 1-in-N op-sampling
 /// counter and the amortised retire-tick cache.
@@ -422,20 +410,6 @@ mod tests {
         let snap = HistSnapshot::default();
         assert!(snap.is_empty());
         assert_eq!(snap.percentile(0.99), 0);
-    }
-
-    #[test]
-    fn merge_adds_bucket_wise() {
-        let a = LogHistogram::new();
-        let b = LogHistogram::new();
-        a.record(0, 10);
-        b.record(5, 10);
-        b.record(5, 1 << 40);
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged.count(), 3);
-        assert_eq!(merged.bucket_counts()[3], 2);
-        assert_eq!(merged.bucket_counts()[40], 1);
     }
 
     #[test]

@@ -13,17 +13,16 @@
 //! that it can be dropped into the same benchmarks as the paper's schemes. Because
 //! the interface is type-erased (nodes carry no scheme-specific fields), the
 //! per-node counters are kept in a shared address-indexed table rather than inside
-//! the nodes; see [`table`] for why this preserves both the safety argument and the
+//! the nodes; see `table` for why this preserves both the safety argument and the
 //! cost profile.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 mod scheme;
-pub mod table;
+mod table;
 
 pub use scheme::{RefCount, RefCountHandle};
-pub use table::CountTable;
 
 #[cfg(test)]
 // Sanctioned raw-protocol site: these tests exercise the scheme's own

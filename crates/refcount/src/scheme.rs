@@ -12,7 +12,7 @@ use std::sync::Arc;
 ///
 /// Every protected node access performs an atomic increment on a shared counter and
 /// every hand-over-hand step performs the matching decrement; a retired node may be
-/// freed once its counter is zero. The counters live in a shared [`CountTable`]
+/// freed once its counter is zero. The counters live in a shared `CountTable`
 /// indexed by node address rather than inside the nodes (see that module's docs for
 /// why the substitution is faithful). The scheme exists to reproduce the related-work
 /// claim that RC's per-access read-modify-write makes it the slowest of the classic
@@ -36,21 +36,11 @@ impl RefCount {
 
     /// Creates a scheme with an explicit counter-table size (tests use small tables
     /// to exercise collisions).
-    pub fn with_buckets(config: SmrConfig, buckets: usize) -> Arc<Self> {
+    pub(crate) fn with_buckets(config: SmrConfig, buckets: usize) -> Arc<Self> {
         Arc::new(Self {
             core: SchemeCore::new("rc", config),
             table: CountTable::new(buckets),
         })
-    }
-
-    /// Creates a scheme with default configuration.
-    pub fn with_defaults() -> Arc<Self> {
-        Self::new(SmrConfig::default())
-    }
-
-    /// The shared counter table (exposed for tests).
-    pub fn table(&self) -> &CountTable {
-        &self.table
     }
 }
 
@@ -216,17 +206,17 @@ mod tests {
         let b = 0x2000 as *mut u8;
         handle.protect(0, a);
         handle.protect(1, b);
-        assert_eq!(scheme.table().count(a), 1);
-        assert_eq!(scheme.table().count(b), 1);
+        assert_eq!(scheme.table.count(a), 1);
+        assert_eq!(scheme.table.count(b), 1);
         // Re-protecting the same pointer is idempotent.
         handle.protect(0, a);
-        assert_eq!(scheme.table().count(a), 1);
+        assert_eq!(scheme.table.count(a), 1);
         // Moving a slot to a new pointer releases the old one.
         handle.protect(0, b);
-        assert!(scheme.table().is_unreferenced(a));
-        assert_eq!(scheme.table().count(b), 2);
+        assert!(scheme.table.is_unreferenced(a));
+        assert_eq!(scheme.table.count(b), 2);
         handle.clear_protections();
-        assert!(scheme.table().is_unreferenced(b));
+        assert!(scheme.table.is_unreferenced(b));
     }
 
     #[test]
@@ -367,7 +357,7 @@ mod tests {
 
     #[test]
     fn scheme_reports_name() {
-        let scheme = RefCount::with_defaults();
+        let scheme = RefCount::new(SmrConfig::default());
         assert_eq!(scheme.name(), "rc");
         assert!(scheme.config().hp_per_thread >= 1);
     }

@@ -18,11 +18,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// does not need to be sized to the data structure; it needs to be large enough that
 /// the handful of pointers simultaneously protected by the worker threads rarely
 /// collide.
-pub const DEFAULT_BUCKETS: usize = 1 << 14;
+pub(crate) const DEFAULT_BUCKETS: usize = 1 << 14;
 
 /// A table of shared reference counters indexed by pointer address.
 #[derive(Debug)]
-pub struct CountTable {
+pub(crate) struct CountTable {
     buckets: Box<[CachePadded<AtomicU64>]>,
     mask: usize,
 }
@@ -37,16 +37,6 @@ impl CountTable {
                 .collect(),
             mask: size - 1,
         }
-    }
-
-    /// Number of counter buckets.
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// True if the table has no buckets (never the case after construction).
-    pub fn is_empty(&self) -> bool {
-        self.buckets.is_empty()
     }
 
     /// Maps a pointer to its bucket index (Fibonacci hashing on the address).
@@ -67,7 +57,7 @@ impl CountTable {
     /// classic hazard-pointer protocol (and costing roughly the same, which is why
     /// the paper's related work dismisses RC for read-mostly workloads).
     #[inline]
-    pub fn acquire(&self, ptr: *mut u8) -> usize {
+    pub(crate) fn acquire(&self, ptr: *mut u8) -> usize {
         let index = self.index(ptr);
         self.buckets[index].fetch_add(1, Ordering::SeqCst);
         index
@@ -75,7 +65,7 @@ impl CountTable {
 
     /// Decrements the counter covering `ptr`.
     #[inline]
-    pub fn release(&self, ptr: *mut u8) {
+    pub(crate) fn release(&self, ptr: *mut u8) {
         let index = self.index(ptr);
         let previous = self.buckets[index].fetch_sub(1, Ordering::SeqCst);
         debug_assert!(previous > 0, "reference-count underflow");
@@ -83,7 +73,7 @@ impl CountTable {
 
     /// Current count of the bucket covering `ptr`.
     #[inline]
-    pub fn count(&self, ptr: *mut u8) -> u64 {
+    pub(crate) fn count(&self, ptr: *mut u8) -> u64 {
         self.buckets[self.index(ptr)].load(Ordering::SeqCst)
     }
 
@@ -91,7 +81,7 @@ impl CountTable {
     /// bucket. Collisions make this conservative: a `false` answer may be caused by a
     /// different pointer, which only delays reclamation.
     #[inline]
-    pub fn is_unreferenced(&self, ptr: *mut u8) -> bool {
+    pub(crate) fn is_unreferenced(&self, ptr: *mut u8) -> bool {
         self.count(ptr) == 0
     }
 }
@@ -119,10 +109,9 @@ mod tests {
 
     #[test]
     fn table_size_is_a_power_of_two() {
-        assert_eq!(CountTable::new(100).len(), 128);
-        assert_eq!(CountTable::new(128).len(), 128);
-        assert_eq!(CountTable::new(1).len(), 2);
-        assert!(!CountTable::new(1).is_empty());
+        assert_eq!(CountTable::new(100).buckets.len(), 128);
+        assert_eq!(CountTable::new(128).buckets.len(), 128);
+        assert_eq!(CountTable::new(1).buckets.len(), 2);
     }
 
     #[test]

@@ -52,7 +52,7 @@ impl CountingAllocator {
     }
 
     /// Total bytes ever freed.
-    pub fn freed_bytes(&self) -> u64 {
+    pub(crate) fn freed_bytes(&self) -> u64 {
         self.freed.load(Ordering::Relaxed)
     }
 

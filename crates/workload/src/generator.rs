@@ -24,14 +24,16 @@ pub enum Operation {
 
 impl Operation {
     /// The key this operation targets.
-    pub fn key(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn key(&self) -> u64 {
         match *self {
             Operation::Contains(k) | Operation::Insert(k) | Operation::Remove(k) => k,
         }
     }
 
     /// True if the operation can modify the structure.
-    pub fn is_update(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_update(&self) -> bool {
         !matches!(self, Operation::Contains(_))
     }
 }
@@ -53,11 +55,6 @@ impl OpGenerator {
             // SmallRng streams.
             rng: SmallRng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1)),
         }
-    }
-
-    /// The workload this generator draws from.
-    pub fn spec(&self) -> &WorkloadSpec {
-        &self.spec
     }
 
     /// Draws the next operation.

@@ -14,7 +14,7 @@
 //!   thread, leaked handle, random delays) that the CLI and CI run against
 //!   byte budgets; its stalled reader with handle churn is also the
 //!   era-advance policy's showcase;
-//! * [`sampler`] — the per-episode limbo sampling the robustness scenarios
+//! * `sampler` — the per-episode limbo sampling the robustness scenarios
 //!   share;
 //! * [`server_soak`] — the M:N lease scenario (thousands of short sessions
 //!   borrowing few registered handles) proving the sharded registry's
@@ -33,7 +33,7 @@ pub mod generator;
 pub mod json;
 pub mod report;
 pub mod runner;
-pub mod sampler;
+mod sampler;
 pub mod server_soak;
 pub mod spec;
 pub mod structures;
@@ -45,8 +45,7 @@ pub use faults::{
 };
 pub use generator::{OpGenerator, Operation};
 pub use runner::{run_experiment, DelaySchedule, Experiment, RunResult, Sample};
-pub use sampler::LimboSampler;
-pub use server_soak::{run_server_soak, run_server_soak_with, ServerSoakResult, ServerSoakSpec};
+pub use server_soak::{run_server_soak_with, ServerSoakResult, ServerSoakSpec};
 pub use spec::{OpMix, Structure, WorkloadSpec};
 pub use structures::{
     config_for, default_bench_config, make_set, set_over, BenchSet, SchemeKind, SetSession,

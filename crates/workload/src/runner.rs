@@ -37,7 +37,7 @@ impl DelaySchedule {
     }
 
     /// True if the victim should be sleeping at `elapsed` time into the run.
-    pub fn is_delayed_at(&self, elapsed: Duration) -> bool {
+    pub(crate) fn is_delayed_at(&self, elapsed: Duration) -> bool {
         let period = self.period.as_secs_f64();
         let active = period - self.delay.as_secs_f64();
         if period <= 0.0 {

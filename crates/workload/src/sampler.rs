@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 /// Collects one node-count and one byte-count limbo sample per episode.
 #[derive(Clone, Debug, Default)]
-pub struct LimboSampler {
+pub(crate) struct LimboSampler {
     node_samples: Vec<u64>,
     byte_samples: Vec<u64>,
 }
@@ -33,24 +33,14 @@ impl LimboSampler {
         self.byte_samples.push(snap.limbo_bytes());
     }
 
-    /// The node-count samples, one per episode.
-    pub fn node_samples(&self) -> &[u64] {
-        &self.node_samples
-    }
-
-    /// The byte-count samples, one per episode.
-    pub fn byte_samples(&self) -> &[u64] {
-        &self.byte_samples
-    }
-
     /// Consumes the sampler, returning `(node_samples, byte_samples)`.
-    pub fn into_samples(self) -> (Vec<u64>, Vec<u64>) {
+    pub(crate) fn into_samples(self) -> (Vec<u64>, Vec<u64>) {
         (self.node_samples, self.byte_samples)
     }
 }
 
 /// The highest sample, or 0 for an empty trajectory.
-pub fn peak(samples: &[u64]) -> u64 {
+pub(crate) fn peak(samples: &[u64]) -> u64 {
     samples.iter().copied().max().unwrap_or(0)
 }
 
@@ -75,9 +65,9 @@ mod tests {
         unsafe { retire_box(&mut handle, Box::into_raw(Box::new([0u8; 64]))) };
         handle.flush();
         sampler.sample(&scheme);
-        assert_eq!(sampler.node_samples(), &[0, 1], "leaky never frees");
-        assert_eq!(sampler.byte_samples(), &[0, 64]);
         let (nodes, bytes) = sampler.into_samples();
+        assert_eq!(nodes, [0, 1], "leaky never frees");
+        assert_eq!(bytes, [0, 64]);
         assert_eq!(peak(&nodes), 1);
         assert_eq!(peak(&bytes), 64);
     }

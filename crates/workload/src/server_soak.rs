@@ -78,8 +78,9 @@ impl ServerSoakSpec {
         }
     }
 
-    /// A fast variant for CI smokes and unit tests.
-    pub fn smoke(scheme: SchemeKind) -> Self {
+    /// A fast variant for unit tests.
+    #[cfg(test)]
+    pub(crate) fn smoke(scheme: SchemeKind) -> Self {
         Self {
             sessions: 200,
             workers: 8,
@@ -207,16 +208,10 @@ fn soak<S: Smr>(scheme: Arc<S>, spec: &ServerSoakSpec) -> ServerSoakResult {
     }
 }
 
-/// Runs the soak for `spec.scheme`, building the scheme from the shared bench
-/// configuration (skip-list hazard budget, `spec.max_threads` registry slots).
-pub fn run_server_soak(spec: &ServerSoakSpec) -> ServerSoakResult {
-    run_server_soak_with(spec, crate::default_bench_config(spec.max_threads))
-}
-
-/// Like [`run_server_soak`], but with an explicit base reclamation
-/// configuration. The soak always runs against a skip list, so the hazard
-/// budget is forced to the skip list's (as is `max_threads`, to the spec's
-/// registry capacity) — everything else is the caller's.
+/// Runs the soak for `spec.scheme` on the base reclamation configuration
+/// `config`. The soak always runs against a skip list, so the hazard budget
+/// is forced to the skip list's (as is `max_threads`, to the spec's registry
+/// capacity) — everything else is the caller's.
 pub fn run_server_soak_with(spec: &ServerSoakSpec, config: SmrConfig) -> ServerSoakResult {
     assert!(spec.slots > 0 && spec.workers > 0 && spec.ops_per_session > 0);
     assert!(spec.key_range > 0, "key range must be non-empty");
@@ -240,6 +235,11 @@ pub fn run_server_soak_with(spec: &ServerSoakSpec, config: SmrConfig) -> ServerS
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The soak on the shared bench configuration.
+    fn run_server_soak(spec: &ServerSoakSpec) -> ServerSoakResult {
+        run_server_soak_with(spec, crate::default_bench_config(spec.max_threads))
+    }
 
     #[test]
     fn smoke_soak_completes_every_session_on_the_facade_schemes() {

@@ -125,7 +125,7 @@ impl WorkloadSpec {
     }
 
     /// Number of keys inserted before measurement.
-    pub fn initial_keys(&self) -> u64 {
+    pub(crate) fn initial_keys(&self) -> u64 {
         (self.key_range as f64 * INITIAL_FILL) as u64
     }
 }

@@ -42,29 +42,26 @@
 /// Safe-memory-reclamation schemes (the paper's contribution and its baselines).
 pub mod smr {
     pub use cadence::Cadence;
-    pub use ebr::{Ebr, EbrHandle};
-    pub use hazard::{FenceStrategy, Hazard, HpFamily, HpHandle};
-    pub use he::{EraPacer, He, HeHandle};
-    pub use qsbr::{Qsbr, QsbrHandle};
-    pub use qsense::{Path, QSense, QSenseHandle};
+    pub use ebr::Ebr;
+    pub use hazard::{FenceStrategy, Hazard};
+    pub use he::He;
+    pub use qsbr::Qsbr;
+    pub use qsense::{Path, QSense};
     pub use reclaim_core::stats::StatsSnapshot;
     pub use reclaim_core::{
-        retire_box, retire_box_with_birth, Atomic, BarrierLedger, BudgetGovernor,
-        CapacityExhausted, Clock, Era, EraAdvancePolicy, Guard, HandleLease, Leaky, LeakyHandle,
-        LeaseExhausted, LeasePolicy, LeasePool, LogHistogram, ManualClock, Owned, Shared, Smr,
-        SmrConfig, SmrHandle, StatStripe, Telemetry, TelemetrySummary, Unlinked,
-        DEFAULT_ERA_ADVANCE_INTERVAL, NO_BIRTH_ERA, SHARD_SLOTS,
+        retire_box, Atomic, BarrierLedger, Clock, Era, EraAdvancePolicy, Guard, Leaky, LeasePolicy,
+        LeasePool, ManualClock, Owned, Shared, Smr, SmrConfig, SmrHandle,
     };
-    pub use refcount::{RefCount, RefCountHandle};
+    pub use refcount::RefCount;
     pub use workload::CountingAllocator;
 }
 
 /// Lock-free data structures generic over the reclamation scheme.
 pub mod ds {
     pub use lockfree_ds::{
-        HarrisMichaelList, KeySlot, LockFreeBst, LockFreeHashMap, LockFreeSkipList,
-        MichaelScottQueue, TreiberStack, BST_HP_SLOTS, DEFAULT_HASH_BUCKETS, HASHMAP_HP_SLOTS,
-        LIST_HP_SLOTS, MAX_HEIGHT, QUEUE_HP_SLOTS, SKIPLIST_HP_SLOTS, STACK_HP_SLOTS,
+        HarrisMichaelList, LockFreeBst, LockFreeHashMap, LockFreeSkipList, MichaelScottQueue,
+        TreiberStack, BST_HP_SLOTS, HASHMAP_HP_SLOTS, LIST_HP_SLOTS, MAX_HEIGHT, QUEUE_HP_SLOTS,
+        SKIPLIST_HP_SLOTS, STACK_HP_SLOTS,
     };
 }
 
@@ -73,12 +70,10 @@ pub mod ds {
 /// turns the byte-budget robustness claims into verdicts — the CLI exposes it
 /// as `qsense-bench --scheme all --fault all --limbo-budget 256k`.
 pub mod bench {
-    pub use workload::report;
     pub use workload::{
         config_for, default_bench_config, default_fault_config, make_set, run_experiment,
-        run_fault, run_fault_for, run_server_soak, run_server_soak_with, set_over, BenchSet,
-        DelaySchedule, Experiment, FaultKind, FaultPlan, FaultResult, LimboSampler, OpGenerator,
-        OpMix, Operation, RunResult, Sample, SchemeKind, ServerSoakResult, ServerSoakSpec,
-        SetSession, Structure, WorkloadSpec, PAYLOAD_BYTES,
+        run_fault, run_fault_for, set_over, BenchSet, DelaySchedule, Experiment, FaultKind,
+        FaultPlan, FaultResult, OpMix, SchemeKind, SetSession, Structure, WorkloadSpec,
+        PAYLOAD_BYTES,
     };
 }

@@ -39,7 +39,7 @@ fn stalled_worker_forces_fallback_and_recovery_restores_fast_path() {
                     list.insert(key, &mut handle);
                 }
                 while !release.load(Ordering::Relaxed) {
-                    thread::sleep(Duration::from_millis(1));
+                    thread::yield_now();
                 }
                 // Back from the delay: keep operating so every thread sees the episode.
                 while !stop.load(Ordering::Relaxed) {
@@ -77,14 +77,18 @@ fn stalled_worker_forces_fallback_and_recovery_restores_fast_path() {
                 Instant::now() < deadline,
                 "QSense never switched to the fallback path despite a stalled worker"
             );
-            thread::sleep(Duration::from_millis(5));
+            thread::yield_now();
         }
         assert!(scheme.stats().fallback_switches >= 1);
 
         // While on the fallback path, reclamation must still make progress.
         let before = scheme.stats().freed;
-        thread::sleep(Duration::from_millis(100));
-        let after = scheme.stats().freed;
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut after = before;
+        while after <= before && Instant::now() < deadline {
+            thread::yield_now();
+            after = scheme.stats().freed;
+        }
         assert!(
             after > before,
             "fallback path must keep reclaiming while a worker is stalled ({before} -> {after})"
@@ -98,7 +102,7 @@ fn stalled_worker_forces_fallback_and_recovery_restores_fast_path() {
                 Instant::now() < deadline,
                 "QSense never returned to the fast path after every worker became active"
             );
-            thread::sleep(Duration::from_millis(5));
+            thread::yield_now();
         }
         assert!(scheme.stats().fast_path_switches >= 1);
 
