@@ -8,13 +8,18 @@
 //! free-time condition of Hazard Eras (Ramalhete & Correia, DISC 2017) in its
 //! two-global-eras / IBR formulation (Wen et al., PPoPP 2018).
 //!
-//! The reservation grows only at the top: `lower` is pinned when the owner
-//! begins an operation, and `upper` is bumped whenever the owner observes that
-//! the global era advanced mid-operation (see `HeHandle::protect`). That is
-//! what lets one record protect arbitrarily many nodes at once — every
-//! reference the owner holds was acquired at some era inside `[lower, upper]`,
-//! so the overlap check covers all of them with two loads per thread instead
-//! of `K` pointer compares.
+//! Within an operation the reservation grows only at the top: `lower` is
+//! pinned when the owner begins an operation, and `upper` is bumped whenever
+//! the owner observes that the global era advanced mid-operation (see
+//! `HeHandle::protect`). That is what lets one record protect arbitrarily many
+//! nodes at once — every reference the owner holds was acquired at some era
+//! inside `[lower, upper]`, so the overlap check covers all of them with two
+//! loads per thread instead of `K` pointer compares.
+//!
+//! Between operations the record stays published: the next operation at the
+//! same era runs under it as it is (no store, no fence), one at a newer era
+//! re-activates the record (one fence). Only the owner's `flush`, drop and
+//! `go_idle` deactivate it.
 
 use reclaim_core::Era;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,7 +48,8 @@ impl EraRecord {
         }
     }
 
-    /// Announces the point interval `[era, era]` (operation start).
+    /// Announces the point interval `[era, era]` (an operation starts at an era
+    /// the record does not yet reach).
     ///
     /// `upper` is written before `lower`: a concurrent scanner that catches the
     /// record mid-activation reads `(INACTIVE_LOWER, era)` — an empty interval.
@@ -65,9 +71,9 @@ impl EraRecord {
         self.upper.store(era, Ordering::Release);
     }
 
-    /// Withdraws the reservation (operation end). `lower` is neutralized first,
-    /// so a torn read is again an empty interval — and the owner holds no
-    /// references at this point either way.
+    /// Withdraws the reservation (`flush`, handle drop, `go_idle`). `lower` is neutralized
+    /// first, so a torn read is again an empty interval — and the owner holds
+    /// no references at this point either way.
     #[inline]
     pub(crate) fn deactivate(&self) {
         self.lower.store(INACTIVE_LOWER, Ordering::Release);

@@ -10,8 +10,11 @@
 //!   `[birth, retire]` of the global logical era clock, an [`EraPacer`] —
 //!   this crate's, its only user.
 //! * Readers announce the **era interval of their current operation** in their
-//!   registry slot — one store (plus fence) per operation, extended only when
-//!   the global era advances mid-operation.
+//!   registry slot — one store plus a fence per era, not per operation: the
+//!   reservation stays published between operations (withdrawn by `flush`,
+//!   handle drop and `go_idle`), an operation at an unchanged era runs under
+//!   it as it is, and it is extended when the global era advances
+//!   mid-operation.
 //! * A retired node is freed once its lifetime interval **overlaps no announced
 //!   reservation** — checked per scan with O(N) era reads (against the
 //!   HP family's O(N·K) pointer snapshot), with whole era-bucket chains freed

@@ -64,21 +64,29 @@ impl EraChain {
 ///   interval, i.e. roughly the nodes that already existed when it stalled;
 ///   nodes allocated afterwards keep getting freed (QSBR/EBR, by contrast, stop
 ///   reclaiming *everything*);
-/// * like the epoch schemes it **amortizes protection** — one era announcement
-///   per operation (a store to an owned padded line plus one fence) instead of
-///   one fenced store per node traversed; mid-operation the announcement is
-///   refreshed only when the global era actually advanced, which happens once
-///   per era-advance interval of allocations — limbo-adaptive inside the
-///   range of the [`reclaim_core::EraAdvancePolicy`], a constant when the
-///   range is a point ([`reclaim_core::EraAdvancePolicy::fixed`]; see
-///   [`EraPacer`]) — not per node.
+/// * like the epoch schemes it **amortizes protection** — one fenced era
+///   announcement per era, not per node traversed nor per operation: the
+///   reservation stays published between operations, and `begin_op` and
+///   `protect` refresh it only when the global era actually advanced, which
+///   happens once per era-advance interval of allocations — limbo-adaptive
+///   inside the range of the [`reclaim_core::EraAdvancePolicy`], a constant
+///   when the range is a point ([`reclaim_core::EraAdvancePolicy::fixed`]; see
+///   [`EraPacer`]).
 ///
 /// ## Protocol
 ///
 /// * **allocation** ([`SmrHandle::alloc_node`]): stamp the node with the
 ///   current era (its *birth era*); every [`EraPacer::current_interval`]
 ///   allocations, advance the global era clock.
-/// * **begin_op**: announce the point reservation `[e, e]` (one fenced store).
+/// * **begin_op**: at the era the handle last published, nothing: its
+///   reservation `[lower, e]` has been visible since the fence that published
+///   `e`. At a newer era, or with no reservation published, announce the
+///   point reservation `[e, e]` (two stores and one fence).
+/// * **end_op** / **clear_protections**: nothing. The reservation outlives
+///   the operation; `flush`, handle drop and [`SmrHandle::go_idle`] (a lease
+///   checked back into its pool) withdraw it. A handle between operations
+///   pins at most the nodes alive during its last operation's interval — what
+///   a reader stalled at the end of that operation pins.
 /// * **protect**: if the global era moved since the announcement, extend the
 ///   reservation's upper bound and fence; the caller then re-validates the
 ///   reference as usual. The fence-then-revalidate pairing is exactly classic
@@ -164,6 +172,7 @@ impl Smr for He {
             },
             active: false,
             announced_upper: 0,
+            fences: 0,
         })
     }
 
@@ -297,13 +306,15 @@ pub struct HeHandle {
     slot: SlotId,
     core: HandleCore,
     limbo: EraLimbo,
-    /// Whether the owner is inside an operation (handle-local mirror of the
-    /// shared reservation, so `protect` can skip the shared load path cheaply
-    /// and `retire` never confuses an out-of-op state for an announced one).
+    /// Whether the reservation is published (handle-local mirror of the
+    /// shared record, kept from one operation to the next).
     active: bool,
-    /// The era last published as the reservation's upper bound; `protect`
-    /// re-publishes only when the global era moved past it.
+    /// The era last published as the reservation's upper bound; `begin_op`
+    /// and `protect` re-announce only when the global era moved past it.
     announced_upper: Era,
+    /// `announce` fences not yet added to `traversal_fences`; published at
+    /// flush and drop.
+    fences: u64,
 }
 
 impl HeHandle {
@@ -323,26 +334,39 @@ impl HeHandle {
             self.active = true;
         }
         fence(Ordering::SeqCst);
+        self.fences += 1;
         self.announced_upper = era;
     }
 
-    /// Withdraws the reservation.
+    /// Withdraws the reservation and publishes the fence count.
     fn withdraw(&mut self) {
         self.record().deactivate();
         self.active = false;
+        if self.fences > 0 {
+            let fences = std::mem::take(&mut self.fences);
+            self.core.stats().add(Counter::TraversalFences, fences);
+        }
     }
 }
 
 impl SmrHandle for HeHandle {
     fn begin_op(&mut self) {
-        // One era announcement per operation: HE's whole hot-path protection
-        // cost (plus the fence inside `announce`).
+        // At an unchanged era `[lower, e]` has been visible since the fence
+        // that published `e`: the operation runs under it, with no fence.
+        // Only a newer era pays one, for a fresh point reservation.
         let era = self.scheme.pacer.current();
-        self.active = false; // a fresh op narrows the reservation to a point
-        self.announce(era);
+        if !self.active || era != self.announced_upper {
+            self.active = false;
+            self.announce(era);
+        }
     }
 
     fn end_op(&mut self) {
+        // The reservation outlives the operation; `flush`, drop and
+        // `go_idle` withdraw it.
+    }
+
+    fn go_idle(&mut self) {
         self.withdraw();
     }
 
@@ -361,10 +385,8 @@ impl SmrHandle for HeHandle {
     }
 
     fn clear_protections(&mut self) {
-        // Dropping every protection = withdrawing the reservation. Data
-        // structures call this when they hold no more shared references
-        // (just before `end_op`), which is exactly when it is safe.
-        self.withdraw();
+        // The reservation is the only protection, and it outlives the
+        // operation (see `end_op`).
     }
 
     fn alloc_node(&mut self) -> Era {
@@ -475,7 +497,9 @@ impl Drop for HeHandle {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use reclaim_core::{retire_box, retire_box_with_birth, EraAdvancePolicy};
+    use reclaim_core::{
+        retire_box, retire_box_with_birth, EraAdvancePolicy, LeasePolicy, LeasePool,
+    };
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Tracked(Arc<AtomicUsize>);
@@ -565,8 +589,10 @@ mod tests {
         );
         assert_eq!(writer.local_in_limbo(), 1, "the old node is still pinned");
 
-        // Releasing the reservation frees the rest.
+        // Withdrawing the reservation frees the rest: it outlives `end_op`,
+        // and the reader's flush withdraws it.
         reader.end_op();
+        reader.flush();
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 2);
         assert_eq!(writer.local_in_limbo(), 0);
@@ -586,6 +612,7 @@ mod tests {
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         reader.end_op();
+        reader.flush();
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 1);
     }
@@ -605,7 +632,106 @@ mod tests {
         assert_eq!(lower2, lower, "lower is pinned for the whole operation");
         assert_eq!(upper2, scheme.current_era(), "upper follows the era");
         reader.end_op();
+        reader.flush();
         assert!(reader.record().is_inactive());
+    }
+
+    #[test]
+    fn a_reservation_outlives_end_op_and_is_withdrawn_by_flush_go_idle_and_drop() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = He::new(small_config().with_scan_threshold(1_000_000));
+        let mut writer = scheme.register();
+        for withdraw in ["flush", "go_idle", "drop"] {
+            let mut reader = scheme.register();
+            reader.begin_op();
+            reader.clear_protections();
+            reader.end_op();
+            let era = scheme.current_era();
+            assert_eq!(reader.record().load(), (era, era), "still published");
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box_with_birth(&mut writer, tracked(&drops), era) };
+            writer.flush();
+            let freed = drops.load(Ordering::SeqCst);
+            assert_eq!(writer.local_in_limbo(), 1, "an idle reader pins its era");
+            match withdraw {
+                "flush" => reader.flush(),
+                "go_idle" => reader.go_idle(),
+                _ => drop(reader),
+            }
+            writer.flush();
+            assert_eq!(drops.load(Ordering::SeqCst), freed + 1);
+            assert_eq!(writer.local_in_limbo(), 0);
+        }
+    }
+
+    #[test]
+    fn begin_op_keeps_the_last_interval_at_an_unchanged_era_and_renews_it_at_a_newer_one() {
+        let scheme = He::new(small_config());
+        let mut reader = scheme.register();
+        reader.begin_op();
+        let start = scheme.current_era();
+        scheme.pacer.advance();
+        reader.protect(0, std::ptr::null_mut());
+        reader.end_op();
+        let era = scheme.current_era();
+        assert_eq!(reader.record().load(), (start, era), "the op's interval");
+        reader.begin_op();
+        assert_eq!(reader.record().load(), (start, era), "kept as it is");
+        assert_eq!(reader.fences, 2, "no fence at an unchanged era");
+        reader.end_op();
+        scheme.pacer.advance();
+        reader.begin_op();
+        let newer = scheme.current_era();
+        assert_eq!(reader.record().load(), (newer, newer), "a fresh point");
+        assert_eq!(reader.fences, 3, "a newer era pays one fence");
+    }
+
+    #[test]
+    fn a_checked_in_lease_pins_nothing_retired_after_checkin() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = He::new(small_config().with_scan_threshold(1_000_000));
+        let pool = LeasePool::for_scheme(&scheme, 1, LeasePolicy::Fail).unwrap();
+        let mut writer = scheme.register();
+        {
+            let mut lease = pool.checkout().unwrap();
+            lease.begin_op();
+            lease.end_op();
+            let era = scheme.current_era();
+            assert_eq!(lease.record().load(), (era, era), "kept past end_op");
+        }
+        let era = scheme.current_era();
+        // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+        unsafe { retire_box_with_birth(&mut writer, tracked(&drops), era) };
+        writer.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 1, "checkin withdrew it");
+        assert_eq!(writer.local_in_limbo(), 0);
+    }
+
+    #[test]
+    fn announce_fences_once_per_era_not_once_per_operation() {
+        let scheme = He::new(small_config().with_scan_threshold(1_000_000));
+        let mut handle = scheme.register();
+        let op = |handle: &mut HeHandle| {
+            handle.begin_op();
+            handle.protect(0, std::ptr::null_mut());
+            handle.clear_protections();
+            handle.end_op();
+        };
+        for _ in 0..1_000 {
+            op(&mut handle);
+        }
+        assert_eq!(handle.fences, 1, "1 000 operations at one era");
+        scheme.pacer.advance();
+        op(&mut handle);
+        op(&mut handle);
+        assert_eq!(handle.fences, 2, "one era advance adds exactly one");
+        assert_eq!(scheme.stats().traversal_fences, 0, "not yet published");
+        handle.flush();
+        assert_eq!(scheme.stats().traversal_fences, 2, "published at flush");
+        // The flush withdrew the reservation: the next op announces afresh.
+        op(&mut handle);
+        drop(handle);
+        assert_eq!(scheme.stats().traversal_fences, 3, "published at drop");
     }
 
     #[test]
@@ -682,6 +808,13 @@ mod tests {
         reader.end_op();
         survivor.flush();
         assert_eq!(
+            survivor.local_in_limbo(),
+            1,
+            "adopted, and still pinned by the reservation that outlives end_op"
+        );
+        reader.flush();
+        survivor.flush();
+        assert_eq!(
             drops.load(Ordering::SeqCst),
             1,
             "the survivor adopts and frees the parked node"
@@ -748,8 +881,9 @@ mod tests {
         assert_eq!(skips_after, skips_before + 1, "skip fast path taken");
         assert_eq!(drops.load(Ordering::SeqCst), 3);
 
-        // Releasing the reservation frees the rest wholesale.
+        // Withdrawing the reservation frees the rest wholesale.
         reader.end_op();
+        reader.flush();
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 6);
         let (wholesale, _, walks_final) = dispatch(&writer);
@@ -794,21 +928,23 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 0, "parked, not freed");
         cover.end_op();
 
-        // The survivor adopts the parked leftovers. Only the *stalled* reader is
-        // active, and every adopted birth is younger than its upper bound —
-        // with true bounds computed while splicing, the whole chain frees
-        // wholesale in O(1). (The old clamp to NO_BIRTH_ERA made the chain
-        // look born-before-every-era: one churn event under a stalled reader
-        // degraded it to an O(bag) walk on every scan.)
-        let mut survivor = scheme.register();
-        let (wholesale_before, _, walks_before) = dispatch(&survivor);
+        // The cover's flush withdraws its reservation (which outlives
+        // `end_op`), then adopts the parked leftovers as the survivor. Only
+        // the *stalled* reader is active, and every adopted birth is younger
+        // than its upper bound — with true bounds computed while splicing,
+        // the whole chain frees wholesale in O(1). (The old clamp to
+        // NO_BIRTH_ERA made the chain look born-before-every-era: one churn
+        // event under a stalled reader degraded it to an O(bag) walk on
+        // every scan.)
+        let survivor = &mut cover;
+        let (wholesale_before, _, walks_before) = dispatch(survivor);
         survivor.flush();
         assert_eq!(
             drops.load(Ordering::SeqCst),
             3,
             "young adopted nodes must free despite the stalled reader"
         );
-        let (wholesale, _, walks) = dispatch(&survivor);
+        let (wholesale, _, walks) = dispatch(survivor);
         assert_eq!(
             wholesale,
             wholesale_before + 1,
@@ -954,6 +1090,7 @@ mod tests {
             "still at the fast end"
         );
         reader.end_op();
+        reader.flush();
         survivor.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 32);
         assert_eq!(estimate(&scheme), 0);
@@ -1000,6 +1137,7 @@ mod tests {
         );
         // Draining the limbo decays the cadence back to the idle floor.
         reader.end_op();
+        reader.flush();
         for _ in 0..8 {
             writer.flush();
         }
@@ -1055,6 +1193,7 @@ mod tests {
         assert_eq!(estimate(&scheme), 3 * 512);
         assert_eq!(scheme.pacer().current_interval(), 8);
         reader.end_op();
+        reader.flush();
         writer.flush();
         assert_eq!(drops.load(Ordering::SeqCst), 64);
         assert_eq!(estimate(&scheme), 0);

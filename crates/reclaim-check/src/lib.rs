@@ -19,8 +19,9 @@
 //!   see: the race between publishing a reservation and the scan that reads
 //!   it, on abstract machines with store buffers, enumerated exhaustively —
 //!   one row for the hazard-pointer publish/scan race, one for EBR's pin
-//!   against the epoch advance. It is the check behind where classic HP and
-//!   EBR pay their fence (`reclaim_core::fence`).
+//!   against the epoch advance, one for HE's era reservation kept across
+//!   operations. It is the check behind where classic HP and EBR pay their
+//!   fence (`reclaim_core::fence`) and when HE pays its own.
 //! * `fixture` *(feature `check-oracle`)* — the pre-versioned-link skip
 //!   list linking bug resurrected in a two-level model, a traversal that
 //!   forgets its slot rotation, and the skip-list batch with its upper levels

@@ -35,7 +35,8 @@
 //! scan, whose barrier this scan may share instead of paying for its own. It
 //! runs two, so that one can straddle the unlink and the next count.
 //!
-//! [`epoch`] holds EBR's pin/advance row.
+//! [`epoch`] holds EBR's pin/advance row, [`era`] HE's interval reservation
+//! kept across operations.
 //!
 //! The reader has a FIFO store buffer: a store enters it and reaches memory in
 //! a later, separately schedulable *flush* step; loads read memory (no thread
@@ -58,6 +59,7 @@
 //! the code issues the instructions the model says it does.
 
 pub mod epoch;
+pub mod era;
 
 use std::collections::{HashSet, VecDeque};
 use std::fmt;

@@ -6,9 +6,11 @@
 //! convicted. The barrier ledger (Cadence, QSense, shared HP scans): the rule
 //! as shipped must be clean rooster-issued and scanner-issued, and each of its
 //! four near misses convicted — so a clean verdict is not the model being
-//! unable to fail.
+//! unable to fail. HE's era reservation, kept published between operations:
+//! the rule `he` runs must be clean, and a `begin_op` that skips the
+//! re-announcement of a moved era, or makes it without the fence, convicted.
 
-use reclaim_check::litmus::{self, epoch, Ledger, Protocol, ScannerBarrier, Step, Verdict};
+use reclaim_check::litmus::{self, epoch, era, Ledger, Protocol, ScannerBarrier, Step, Verdict};
 use reclaim_core::fence::{FenceStrategy, ProcessBarrier};
 use std::fmt::Display;
 
@@ -274,6 +276,56 @@ fn the_ledger_rule_is_clean_as_shipped_and_each_near_miss_is_convicted() {
             !schedule.contains(&BarrierEnter(Sibling))
                 && !schedule.contains(&BarrierEnter(Scanner)),
             "no barrier was ever issued"
+        );
+    }
+}
+
+#[test]
+fn the_era_rule_is_clean_as_shipped_and_both_near_misses_are_convicted() {
+    use era::Step::{BeginOp, Fence, Flush, FreeIfUncovered, LoadLower, Use};
+    let verdict_for = |rule: era::Rule| {
+        let verdict = era::check(rule);
+        let outcome = if verdict.is_clean() {
+            "clean"
+        } else {
+            "CONVICTED"
+        };
+        println!(
+            "he, {rule:?}: {outcome} ({} states)\n{}",
+            verdict.states,
+            verdict.schedule()
+        );
+        verdict
+    };
+    assert_clean_with_both_outcomes(&verdict_for(era::Rule::Shipped));
+
+    for rule in [era::Rule::SkipReannounce, era::Rule::ReannounceWithoutFence] {
+        let schedule = verdict_for(rule).violation;
+        let schedule = schedule.unwrap_or_else(|| panic!("{rule:?} must be convicted"));
+        assert_eq!(
+            schedule[schedule.len() - 2..],
+            [FreeIfUncovered, Use],
+            "{rule:?}"
+        );
+        // The second operation began at the moved era, used the node under
+        // the reservation its first one announced, and no fence ran between.
+        let begins: Vec<usize> = (0..schedule.len())
+            .filter(|&i| schedule[i] == BeginOp)
+            .collect();
+        assert_eq!(begins.len(), 2, "{rule:?}: {schedule:?}");
+        let second_op = &schedule[begins[1]..];
+        assert!(
+            !second_op.contains(&Fence),
+            "{rule:?}: the second op, its protect included, fenced nothing: {schedule:?}"
+        );
+        let snapshot = schedule.iter().position(|&step| step == LoadLower);
+        let flushes_before_snapshot = schedule[begins[1]..snapshot.expect("a scan")]
+            .iter()
+            .filter(|&&step| step == Flush)
+            .count();
+        assert_eq!(
+            flushes_before_snapshot, 0,
+            "{rule:?}: the shortest schedule reads the first op's reservation: {schedule:?}"
         );
     }
 }

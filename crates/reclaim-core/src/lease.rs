@@ -43,10 +43,13 @@
 //! Checkout/checkin is one uncontended mutex lock plus a `Vec` pop/push into
 //! storage preallocated at construction — allocation-free after warm-up (the
 //! `zero_alloc_steady_state` suite pins this) and O(1) regardless of `M`.
+//! Checkin first calls [`SmrHandle::go_idle`], so a pooled handle protects
+//! nothing (HE withdraws the era reservation it keeps between operations; no
+//! other scheme does any work there).
 //! LIFO reuse keeps the hottest handle's pool segments and scratch in cache,
 //! mirroring the scheme core's workspace-recycling policy.
 
-use crate::smr::{CapacityExhausted, Smr};
+use crate::smr::{CapacityExhausted, Smr, SmrHandle};
 use std::error::Error;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -95,6 +98,9 @@ pub struct LeasePool<H> {
     available: Condvar,
     policy: LeasePolicy,
     slots: usize,
+    /// Run on a handle as it is checked in: [`SmrHandle::go_idle`] for a
+    /// scheme's handles.
+    on_checkin: fn(&mut H),
 }
 
 impl<H> LeasePool<H> {
@@ -115,6 +121,7 @@ impl<H> LeasePool<H> {
             available: Condvar::new(),
             policy,
             slots,
+            on_checkin: |_| {},
         }
     }
 
@@ -129,13 +136,17 @@ impl<H> LeasePool<H> {
     ) -> Result<Self, CapacityExhausted>
     where
         S: Smr<Handle = H>,
+        H: SmrHandle,
     {
         assert!(slots > 0, "lease pool needs at least one handle");
         let mut handles = Vec::with_capacity(slots);
         for _ in 0..slots {
             handles.push(scheme.try_register()?);
         }
-        Ok(Self::new(handles, policy))
+        Ok(Self {
+            on_checkin: H::go_idle,
+            ..Self::new(handles, policy)
+        })
     }
 
     /// Handles currently idle (diagnostics/tests).
@@ -176,9 +187,11 @@ impl<H> LeasePool<H> {
             })
     }
 
-    /// Returns a handle to the idle set and wakes one waiter. Push never
-    /// allocates: the storage was reserved for all `N` at construction.
-    fn checkin(&self, handle: H) {
+    /// Takes a handle offline ([`on_checkin`](Self::on_checkin)), returns it
+    /// to the idle set and wakes one waiter. Push never allocates: the
+    /// storage was reserved for all `N` at construction.
+    fn checkin(&self, mut handle: H) {
+        (self.on_checkin)(&mut handle);
         let mut idle = self.idle.lock().unwrap_or_else(|e| e.into_inner());
         debug_assert!(idle.len() < self.slots, "more checkins than handles");
         idle.push(handle);

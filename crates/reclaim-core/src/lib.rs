@@ -118,7 +118,7 @@
 //!
 //! | frequency | work | shared-memory cost |
 //! |-----------|------|--------------------|
-//! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, one bucket hand-back (EBR only: `qsbr::EpochLimbo::catch_up`); one era announcement — an era load, a reservation store and a `SeqCst` fence on every `begin_op` (HE only: `he`'s `announce` fences whether or not the era moved) | none (EBR: one release store on `begin_op` and one on `end_op`, to one owned padded line; HE: one era store per op to an owned padded line, then the fence) |
+//! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, one bucket hand-back (EBR only: `qsbr::EpochLimbo::catch_up`); one era load and, only when the era moved since the handle last announced, a fresh announcement — two reservation stores and a `SeqCst` fence (HE only: its reservation stays published between operations, and `end_op` does nothing) | none (EBR: one release store on `begin_op` and one on `end_op`, to one owned padded line; HE: two stores to an owned padded line and the fence, once per era) |
 //! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record (`hazard::OwnedSlots`), into a 128-byte block no other thread's slots share (`hazard::HpSlots`); HE's amortized cost here is ~zero (eras advance once per `he::EraPacer::current_interval` allocations, not per node) |
 //! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only when the [`clock::EraAdvancePolicy`] is a range, not a point | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
@@ -126,7 +126,7 @@
 //! | per `Q` ops (quiescent state) | epoch adoption (one swap, so an eviction it replaces is counted back) or one walk over the claimed slots, stopping at the first laggard ([`registry::Registry::iter_claimed`]), and the advance's CAS once every claimed thread has adopted the epoch; one eviction-counter load (QSense) | one bitmap load per shard and one record load per claimed slot walked; the adoption's swap on the owner's line, or at most one CAS on the global epoch |
 //! | per scan (every `R` retires — HP's scans and EBR's epoch-advance attempts included, under either protocol) | under the scanner-barrier protocol (HP, EBR), first one expedited `membarrier` ([`fence::scanner_barrier`]) — the readers' fence, run for them on every CPU a sibling occupies; 0.2 µs with siblings idle, ≈ 15 µs with one running on the 2-vCPU benchmark host (measurements: [`fence::FenceStrategy::ScannerBarrier`]; counted in [`stats::StatsSnapshot::heavy_barriers`]), skipped when HP's bag is empty, when a sibling's barrier already covers HP's newest stamp ([`fence::BarrierLedger`]), or when a pin EBR can already see blocks the advance; then snapshot all `N·K` hazard pointers as address words into the handle's **reusable** scratch, sized at registration for all of them (HP/Cadence/QSense), or all `N` era reservations, two words each — O(N) era reads, not O(N·K) (HE); two-cursor compaction of the segment chain (a crate-private walk of the [`segbag::SegBag`]) plus at most one O(1) adjacent-segment merge — which *frees nothing*: released nodes move to the handle's ready chain (one [`segbag::SegBag::splice`] for a wholesale drain, a push through the same pool per node walked), so the 500–1 000 nodes a scan, an epoch drain or a rooster tick proves at once never reach the allocator in one burst ([`limbo`]; `flush`, `Drop` and a budget-forced scan drain the chain whole); one look at the scheme-wide estimate for the governor ([`limbo::HandleCore::scan`]: two loads per counter stripe, `max_threads + 1` of them, freed before retired, and no write but a new peak's — the governor reads its peak before it `fetch_max`es); under an adaptive era policy (HE), one more such sum to re-choose the tick interval (`he::EraPacer::adapt` — a fixed policy, a point range, never reads it) | O(N·K) loads (O(N) for HE), zero heap allocations in steady state |
 //! | per registry walk, shard dispatch ([`registry::Registry::iter_claimed`]: scans, epoch confirmations, QSense's episode check and evictor) | one acquire bitmap load per shard of [`registry::SHARD_SLOTS`] slots; wholly-vacant shards are stepped over with **zero slot-line touches**, and within an active shard only the claimed slots' records are read; skips and walks are tallied in locals and added once per walk to the scanning handle's own [`stats::StatStripe`] ([`stats::StatsSnapshot::shard_skips`] / [`stats::StatsSnapshot::shard_walks`]; EBR's handle-less epoch advance: the scheme's orphan stripe) — the registry holds no counter, so the flat model's O(capacity) sweep becomes O(claimed slots + total shards) — with 8 handles in a 256-slot registry, 8 of 32 shards are walked and the other 24 cost one load each | one read-mostly padded line per shard, and at most two adds to a line the scanner owns; vacant shards' record lines never enter the scanner's cache |
-//! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
+//! | per lease checkout/checkin ([`lease::LeasePool`]) | one uncontended mutex lock + a `Vec` pop (checkout) or [`smr::SmrHandle::go_idle`] (HE: two stores withdrawing its era reservation; a no-op elsewhere) + push-into-reserved-capacity + one condvar notify (checkin) — O(1) in `M` and `N`, allocation-free after construction; registration/scan costs are **not** re-paid per task, that is the point | one mutex word; contended only when tasks outnumber idle handles |
 //! | per `retire` (free stage) | while the handle's ready chain holds anything: pop at most 2 nodes (`limbo`'s `READY_FREES_PER_RETIRE`) off its oldest segment (O(1), no survivor moves — `segbag::SegBag::pop`) and run their destructors, each offered the handle's [`node_cache::NodeCache`] — a block's drops its node in place and pushes the block on the cache's list of its class while the cache holds under 64 KiB; past that it hands the block, with 15 more of the class, to the arena its chunk names under one lock; a block of no cached class it frees; a `Box`'s ignores the cache — bump the freed and freed-bytes stripes and debit the ledger; one length check otherwise. Two, so a backlog drains twice as fast as retires can grow it and every burst fits the allocator's per-thread cache (glibc's holds 7 a size class): on the benchmark's queue the bursts cost EBR 14–17 %; recycling the blocks took the allocator off that queue's steady state | two adds to the handle's own stripe; handle-local words for a cached block, the arena's lock per 16 blocks over the cap, the allocator's thread cache for a `Box` |
 //! | per `retire` (byte accounting) | stamp the node's size into the [`retired::RetiredPtr`] (written next to the stamp the wrapper already carries: `size_of::<T>()` for guard-layer nodes, the allocation's real size for a skip-list tower; a 0 size is counted as size-unknown); bump the handle's retired-bytes stripe and its ledger (two thread-local adds — no per-retire sum over the handle's bags); one grain-gated look ([`limbo::HandleCore::enforce_budget`]) — a comparison of the ledger against its value at the handle's last look, escalating to the O(#stripes) sum of `retired_bytes − freed_bytes` only when this handle's limbo moved a full grain (budget/64, clamped to [256 B, 64 KiB]) | single-writer padded lines; a look writes nothing but a new peak — **no per-retire shared write**, and none per grain either |
 //! | per budget crossing ([`budget::BudgetGovernor`] escalation) | rung 1: a forced scan on the retiring handle; rung 2: the scheme's own pressure lever — HE's `he::EraPacer` speeding up against a mark of budget/4, QSense's early fallback trip; rung 3: one bounded `yield_now` of retire-side backpressure when the forced scan failed to get back under budget | nothing new — every rung reuses the scan/switch machinery above, and every pull is one add to the pulling handle's own stripe, summed into [`Smr::stats`] |

@@ -148,7 +148,11 @@ pub trait SmrHandle: Send {
     fn begin_op(&mut self);
 
     /// Declares the end of a data-structure operation. The thread must again hold no
-    /// references to shared nodes. Schemes use it to drop protections eagerly.
+    /// references to shared nodes. Schemes use it to drop protections eagerly —
+    /// except HE, whose era reservation stays published until the next
+    /// `begin_op` at a newer era, [`go_idle`](Self::go_idle),
+    /// [`flush`](Self::flush) or handle drop, so an operation at an unchanged
+    /// era pays no fence.
     fn end_op(&mut self);
 
     /// Publishes a protection (hazard pointer) for `ptr` in slot `index` — the
@@ -164,7 +168,9 @@ pub trait SmrHandle: Send {
     /// up to date even on the fast path (paper §4.1).
     fn protect(&mut self, index: usize, ptr: *mut u8);
 
-    /// Clears every protection slot of this thread.
+    /// Clears every protection slot of this thread. HE's one protection, its
+    /// era reservation, is the exception: it outlives the operation (see
+    /// [`end_op`](Self::end_op)).
     fn clear_protections(&mut self);
 
     /// Allocation-side hook: returns the **birth era** to stamp into a node the
@@ -201,6 +207,13 @@ pub trait SmrHandle: Send {
     /// thread that may still reach it does so inside an operation on one of
     /// this scheme's handles, under its protections.
     unsafe fn retire(&mut self, node: RetiredPtr);
+
+    /// Declares the handle idle until its next `begin_op` (a lease checked
+    /// back into its [`LeasePool`](crate::lease::LeasePool)): it withdraws
+    /// whatever protection the scheme keeps between operations, without a
+    /// scan. The thread must hold no references to shared nodes. HE withdraws
+    /// its era reservation; the default, every other scheme's, does nothing.
+    fn go_idle(&mut self) {}
 
     /// Forces a best-effort reclamation pass over this thread's retired nodes,
     /// regardless of thresholds. Useful at the end of a benchmark phase and in tests.

@@ -155,10 +155,11 @@ counters! {
     /// Quiescent states declared (QSBR / QSense fast path).
     QuiescentStates => quiescent_states,
     /// Hardware memory fences issued by readers on the traversal path: one per
-    /// `protect` of the hazard-pointer family under the reader-fenced protocol
-    /// (a handle publishes its count when it flushes or drops), zero under
-    /// scanner-barrier and behind a rooster (see [`crate::fence`]) — Cadence's
-    /// and QSense's whole point is to keep this at zero.
+    /// `protect` of the hazard-pointer family under the reader-fenced protocol,
+    /// zero under scanner-barrier and behind a rooster (see [`crate::fence`]) —
+    /// Cadence's and QSense's whole point is to keep this at zero; for HE, one
+    /// per era announcement, which `begin_op` and `protect` pay only when the
+    /// era moved. A handle publishes its count when it flushes or drops.
     TraversalFences => traversal_fences,
     /// Expedited `membarrier` calls *issued* by scans
     /// ([`fence::scanner_barrier`](crate::fence::scanner_barrier)) under the

@@ -390,8 +390,10 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             R,
             "he: the reservations pin every unstamped node"
         );
+        // A reservation outlives `end_op`; a flush withdraws it.
         for handle in &mut handles {
             handle.end_op();
+            handle.flush();
         }
         handles[0].flush();
         assert_eq!(handles[0].local_in_limbo(), 0);
@@ -551,6 +553,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             node_bytes,
             || {
                 blocker.end_op();
+                blocker.flush(); // withdraws the reservation `end_op` leaves
                 writer.flush();
                 assert_eq!(writer.local_in_limbo(), 0);
                 blocker.begin_op();
@@ -576,6 +579,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             },
         );
         blocker.end_op();
+        blocker.flush(); // withdraws the reservation `end_op` leaves
         writer.flush();
         assert_eq!(
             writer.local_in_limbo(),
@@ -610,6 +614,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             node_bytes,
             || {
                 blocker.end_op();
+                blocker.flush(); // withdraws the reservation `end_op` leaves
                 writer.flush();
                 assert_eq!(writer.local_in_limbo(), 0);
                 blocker.begin_op();
@@ -644,6 +649,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
             "pressure drove the interval to the fast end without allocating"
         );
         blocker.end_op();
+        blocker.flush(); // withdraws the reservation `end_op` leaves
         writer.flush();
         assert_eq!(writer.local_in_limbo(), 0);
     }
