@@ -5,7 +5,6 @@
 //! parameter (`Q`, `R`, `C`, `T`, key range, update percentage) or to an experiment
 //! shape (scalability point, delay timeline, scheme comparison).
 
-use reclaim_core::EraAdvancePolicy;
 use std::time::Duration;
 use workload::{FaultKind, OpMix, SchemeKind, Structure};
 
@@ -38,17 +37,11 @@ pub struct CliOptions {
     pub rooster_ms: Option<u64>,
     /// Eviction timeout override, in milliseconds (enables the extension).
     pub eviction_ms: Option<u64>,
-    /// Era-advance policy override for the era schemes (`--scheme he`).
-    pub era_policy: Option<EraAdvancePolicy>,
     /// Run the fault-injection matrix instead of the throughput experiment.
     pub fault: Option<Vec<FaultKind>>,
     /// Run the server-soak lease scenario with this many short sessions
     /// instead of the throughput experiment.
     pub server_soak: Option<usize>,
-    /// Leased handles (`N`) the server-soak pool registers.
-    pub soak_slots: usize,
-    /// Operations each soak session performs while holding its lease.
-    pub soak_ops: usize,
     /// Limbo budget in bytes (enables byte-budget enforcement and verdicts).
     pub limbo_budget: Option<usize>,
     /// Record latency/delay histograms and print the percentile report.
@@ -78,11 +71,8 @@ impl Default for CliOptions {
             fallback: None,
             rooster_ms: None,
             eviction_ms: None,
-            era_policy: None,
             fault: None,
             server_soak: None,
-            soak_slots: 8,
-            soak_ops: 64,
             limbo_budget: None,
             telemetry: false,
             figure: None,
@@ -122,12 +112,6 @@ OPTIONS:
     --fallback <C>                            fallback threshold override
     --rooster-ms <T>                          rooster interval override (milliseconds)
     --eviction-ms <MS>                        enable the eviction extension with this timeout
-    --era-policy <static:N | adaptive[:MIN,MAX,LOW]>
-                                              era-advance policy of the era schemes (he):
-                                              a fixed allocations-per-tick interval, or an
-                                              interval adapting between MIN and MAX, faster
-                                              while more than LOW bytes sit in limbo (a
-                                              quarter of --limbo-budget when that is set)
     --fault <stalled-reader|silent-thread|leaked-handle|random-delay|all>
                                               run the fault-injection matrix instead of a
                                               throughput experiment: inject this fault (or
@@ -136,16 +120,17 @@ OPTIONS:
     --server-soak <SESSIONS>                  run the M:N lease scenario instead of a
                                               throughput experiment: SESSIONS short sessions
                                               (spread over --threads workers) each check one
-                                              of --soak-slots pooled handles out of a
-                                              LeasePool, run --soak-ops skip-list operations,
-                                              and check it back in; reports throughput,
-                                              session p50/p99/p99.9, lease waits, peak limbo
-                                              and the registry shard skip/walk counters
-    --soak-slots <N>                          leased handles in the soak pool [default: 8]
-    --soak-ops <N>                            operations per soak session     [default: 64]
+                                              of 8 pooled handles out of a LeasePool, run 64
+                                              skip-list operations, and check it back in;
+                                              reports throughput, session p50/p99/p99.9, lease
+                                              waits, peak limbo and the registry shard
+                                              skip/walk counters
     --limbo-budget <BYTES>                    enforce a limbo byte budget (suffixes k/m ok);
                                               schemes escalate when limbo crosses it and the
-                                              verdict records peak, time-over and escalations
+                                              verdict records peak, time-over and escalations;
+                                              he's era then ticks faster (every 64 down to 16
+                                              allocations) while more than a quarter of it
+                                              sits in limbo
     --telemetry                               record latency/delay histograms and print a
                                               per-scheme percentile report (p50/p90/p99/p99.9
                                               of guard op latency, scan duration and the
@@ -160,41 +145,6 @@ OPTIONS:
                                               kernel, rustc, git sha, detected fence strategy)
     --help                                    print this text
 ";
-
-fn parse_era_policy(value: &str) -> Result<EraAdvancePolicy, String> {
-    if let Some(interval) = value.strip_prefix("static:") {
-        let interval: usize = parse_number("--era-policy static", interval)?;
-        if interval == 0 {
-            return Err("--era-policy static interval must be positive".to_string());
-        }
-        return Ok(EraAdvancePolicy::fixed(interval));
-    }
-    if value == "adaptive" {
-        return Ok(EraAdvancePolicy::adaptive());
-    }
-    if let Some(params) = value.strip_prefix("adaptive:") {
-        let parts: Vec<&str> = params.split(',').collect();
-        if parts.len() != 3 {
-            return Err(format!(
-                "--era-policy adaptive expects MIN,MAX,LOW — got '{params}'"
-            ));
-        }
-        let min_interval: usize = parse_number("--era-policy adaptive MIN", parts[0])?;
-        let max_interval: usize = parse_number("--era-policy adaptive MAX", parts[1])?;
-        let limbo_low_water_bytes: usize = parse_number("--era-policy adaptive LOW", parts[2])?;
-        if min_interval == 0 || min_interval > max_interval {
-            return Err("--era-policy adaptive requires 0 < MIN <= MAX".to_string());
-        }
-        return Ok(EraAdvancePolicy {
-            min_interval,
-            max_interval,
-            limbo_low_water_bytes,
-        });
-    }
-    Err(format!(
-        "unknown era policy '{value}' (expected static:N, adaptive, or adaptive:MIN,MAX,LOW)"
-    ))
-}
 
 fn parse_structure(value: &str) -> Result<Structure, String> {
     match value {
@@ -335,7 +285,6 @@ impl CliOptions {
                 "--fallback" => options.fallback = Some(parse_positive(arg, &value_for(arg)?)?),
                 "--rooster-ms" => options.rooster_ms = Some(parse_positive(arg, &value_for(arg)?)?),
                 "--eviction-ms" => options.eviction_ms = Some(parse_number(arg, &value_for(arg)?)?),
-                "--era-policy" => options.era_policy = Some(parse_era_policy(&value_for(arg)?)?),
                 "--fault" => options.fault = Some(parse_fault(&value_for(arg)?)?),
                 "--server-soak" => {
                     let sessions: usize = parse_number(arg, &value_for(arg)?)?;
@@ -344,8 +293,6 @@ impl CliOptions {
                     }
                     options.server_soak = Some(sessions);
                 }
-                "--soak-slots" => options.soak_slots = parse_positive(arg, &value_for(arg)?)?,
-                "--soak-ops" => options.soak_ops = parse_positive(arg, &value_for(arg)?)?,
                 "--limbo-budget" => {
                     options.limbo_budget = Some(parse_bytes(arg, &value_for(arg)?)?)
                 }
@@ -446,8 +393,6 @@ mod tests {
             "5",
             "--eviction-ms",
             "100",
-            "--era-policy",
-            "adaptive:4,256,512",
         ])
         .unwrap();
         assert_eq!(options.structure, Structure::HashMap);
@@ -463,40 +408,7 @@ mod tests {
         assert_eq!(options.fallback, Some(1_024));
         assert_eq!(options.rooster_ms, Some(5));
         assert_eq!(options.eviction_ms, Some(100));
-        assert_eq!(
-            options.era_policy,
-            Some(EraAdvancePolicy {
-                min_interval: 4,
-                max_interval: 256,
-                limbo_low_water_bytes: 512,
-            })
-        );
         assert_eq!(options.effective_key_range(), 5_000);
-    }
-
-    #[test]
-    fn era_policy_flag_parses_every_shape() {
-        assert_eq!(
-            parse(&["--era-policy", "static:32"]).unwrap().era_policy,
-            Some(EraAdvancePolicy::fixed(32))
-        );
-        assert_eq!(
-            parse(&["--era-policy", "adaptive"]).unwrap().era_policy,
-            Some(EraAdvancePolicy::adaptive())
-        );
-        assert_eq!(parse(&[]).unwrap().era_policy, None);
-        assert!(parse(&["--era-policy", "static:0"])
-            .unwrap_err()
-            .contains("positive"));
-        assert!(parse(&["--era-policy", "adaptive:9,3,0"])
-            .unwrap_err()
-            .contains("MIN <= MAX"));
-        assert!(parse(&["--era-policy", "adaptive:1,2"])
-            .unwrap_err()
-            .contains("MIN,MAX,LOW"));
-        assert!(parse(&["--era-policy", "sometimes"])
-            .unwrap_err()
-            .contains("unknown era policy"));
     }
 
     #[test]
@@ -596,8 +508,6 @@ mod tests {
             "--scan",
             "--fallback",
             "--rooster-ms",
-            "--soak-slots",
-            "--soak-ops",
         ] {
             let error = parse(&[flag, "0"]).unwrap_err();
             assert_eq!(error, format!("{flag} must be at least 1"));
@@ -637,31 +547,14 @@ mod tests {
 
     #[test]
     fn server_soak_flags_parse_with_defaults_and_overrides() {
-        let options = parse(&[]).unwrap();
-        assert_eq!(options.server_soak, None);
-        assert_eq!(options.soak_slots, 8);
-        assert_eq!(options.soak_ops, 64);
-        let options = parse(&[
-            "--server-soak",
-            "2000",
-            "--soak-slots",
-            "4",
-            "--soak-ops",
-            "128",
-        ])
-        .unwrap();
-        assert_eq!(options.server_soak, Some(2_000));
-        assert_eq!(options.soak_slots, 4);
-        assert_eq!(options.soak_ops, 128);
+        assert_eq!(parse(&[]).unwrap().server_soak, None);
+        assert_eq!(
+            parse(&["--server-soak", "2000"]).unwrap().server_soak,
+            Some(2_000)
+        );
         assert!(parse(&["--server-soak", "0"])
             .unwrap_err()
             .contains("at least one session"));
-        assert!(parse(&["--soak-slots", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
-        assert!(parse(&["--soak-ops", "0"])
-            .unwrap_err()
-            .contains("at least 1"));
     }
 
     #[test]

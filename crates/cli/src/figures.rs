@@ -92,12 +92,6 @@ pub const FIGURES: &[Figure] = &[
         sweep: Some(("--rooster-ms", &["1", "5", "20", "50", "100"])),
     },
     Figure {
-        name: "era-advance",
-        about: "Ablation: Hazard Eras' era-advance policy against a stalled reader; peak limbo, pacer boosts",
-        base: &["--scheme", "he", "--fault", "stalled-reader"],
-        sweep: Some(("--era-policy", &["static:8", "static:64", "static:512", "adaptive:8,512,16384"])),
-    },
-    Figure {
         name: "telemetry-off",
         about: "Ablation: the retire-bound queue with the telemetry layer compiled in but off",
         base: &["--structure", "queue", "--scheme", "all", "--threads", "4", "--duration", "0.3"],
@@ -118,7 +112,7 @@ pub const FIGURES: &[Figure] = &[
     Figure {
         name: "server-soak",
         about: "2 000 short sessions leasing 8 handles from 16 workers; session percentiles, shard dispatch",
-        base: &["--scheme", "hp,cadence,qsense,he", "--server-soak", "2000", "--threads", "16", "--soak-slots", "8", "--soak-ops", "64", "--key-range", "512"],
+        base: &["--scheme", "hp,cadence,qsense,he", "--server-soak", "2000", "--threads", "16", "--key-range", "512"],
         sweep: None,
     },
 ];

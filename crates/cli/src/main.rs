@@ -73,9 +73,6 @@ fn build_config(options: &CliOptions, base: SmrConfig) -> SmrConfig {
     if let Some(ms) = options.eviction_ms {
         config = config.with_eviction_timeout(Some(Duration::from_millis(ms)));
     }
-    if let Some(policy) = options.era_policy {
-        config = config.with_era_policy(policy);
-    }
     if options.telemetry {
         config = config.with_telemetry(true);
     }
@@ -163,8 +160,8 @@ fn run_server_soak_matrix(
     rows: &mut Vec<JsonObject>,
 ) {
     println!(
-        "qsense-bench: server soak, {:?}, {} sessions over {} leased slots, {} workers, {} ops/session",
-        options.schemes, sessions, options.soak_slots, options.threads, options.soak_ops,
+        "qsense-bench: server soak, {:?}, {} sessions, {} workers",
+        options.schemes, sessions, options.threads,
     );
     println!(
         "{:<8} {:>9} {:>6} {:>7} {:>10} {:>11} {:>10} {:>10} {:>10} {:>11} {:>12} {:>12}",
@@ -185,12 +182,7 @@ fn run_server_soak_matrix(
         let spec = ServerSoakSpec {
             sessions,
             workers: options.threads,
-            slots: options.soak_slots,
-            ops_per_session: options.soak_ops,
             key_range: options.effective_key_range(),
-            // Keep the registry much larger than the pool: the whole point of
-            // the sharded dispatch is that the capacity is cheap.
-            max_threads: (options.soak_slots + 2).max(64),
             ..ServerSoakSpec::new(scheme)
         };
         let config = build_config(options, default_bench_config(spec.max_threads));
@@ -334,7 +326,7 @@ fn throughput_json_row(
 fn run_throughput(options: &CliOptions, tag: &JsonObject, rows: &mut Vec<JsonObject>) {
     let mix = options.op_mix();
     println!(
-        "qsense-bench: {} / {:?}, {} threads, {:.1}s, {}% reads / {}% inserts / {}% deletes, key range {}{}{}{}",
+        "qsense-bench: {} / {:?}, {} threads, {:.1}s, {}% reads / {}% inserts / {}% deletes, key range {}{}{}",
         options.structure.name(),
         options.schemes,
         options.threads,
@@ -345,11 +337,6 @@ fn run_throughput(options: &CliOptions, tag: &JsonObject, rows: &mut Vec<JsonObj
         options.effective_key_range(),
         if options.inject_delay { ", periodic delay injected" } else { "" },
         if options.eviction_ms.is_some() { ", eviction extension on" } else { "" },
-        match options.era_policy {
-            Some(policy) if policy.min_interval == policy.max_interval => ", era policy: static",
-            Some(_) => ", era policy: adaptive",
-            None => "",
-        },
     );
 
     let mut baseline_mops = None;
@@ -648,7 +635,7 @@ mod tests {
                 "unknown figure 'fig9' (expected all or one of: fig3, fig5-scaling-list, \
                   fig5-scaling-skiplist, fig5-scaling-bst, fig5-delay-list, fig5-delay-skiplist, \
                   fig5-delay-bst, threshold-q, threshold-c, scan-threshold, rooster-interval, \
-                  era-advance, telemetry-off, telemetry-on, robustness-matrix, server-soak)"
+                  telemetry-off, telemetry-on, robustness-matrix, server-soak)"
             )
         );
     }

@@ -49,13 +49,13 @@ impl Ebr {
     /// tests, which run both on every kernel. Naming
     /// [`FenceStrategy::ScannerBarrier`] on a kernel without the expedited
     /// barrier is safe and useless: every advance is refused and nothing is
-    /// ever freed. [`FenceStrategy::Rooster`], not a protocol of EBR (no
-    /// ledger for a rooster to raise), runs and reports as scanner-barrier.
+    /// ever freed. Panics on [`FenceStrategy::Rooster`], not a protocol of
+    /// EBR (no ledger for a rooster to raise).
     pub fn with_fence_strategy(config: SmrConfig, strategy: FenceStrategy) -> Arc<Self> {
-        let strategy = match strategy {
-            FenceStrategy::Rooster => FenceStrategy::ScannerBarrier,
-            other => other,
-        };
+        assert!(
+            strategy != FenceStrategy::Rooster,
+            "EBR runs scanner-barrier or reader-fenced, never behind a rooster"
+        );
         let registry = Registry::new(config.max_threads, |_| EpochRecord::default());
         Arc::new(Self {
             core: SchemeCore::new("ebr", config),
@@ -103,12 +103,12 @@ impl Ebr {
             // after the barrier could only find the same. A sibling stalled
             // mid-operation thus costs its peers a shard walk per attempt, not
             // a syscall.
-            // (`Rooster` never gets here: `with_fence_strategy`.)
-            FenceStrategy::ScannerBarrier | FenceStrategy::Rooster => {
+            FenceStrategy::ScannerBarrier => {
                 if !all_caught_up() || !fence::scanner_barrier(orphan) {
                     return false;
                 }
             }
+            FenceStrategy::Rooster => unreachable!("refused by `with_fence_strategy`"),
         }
         if all_caught_up() && self.global_epoch.try_advance(global) {
             orphan.add(Counter::QuiescentStates, 1);
@@ -383,11 +383,16 @@ mod tests {
     }
 
     #[test]
-    fn naming_rooster_runs_reports_and_batches_scanner_barrier() {
+    #[should_panic(expected = "never behind a rooster")]
+    fn naming_rooster_is_refused() {
+        Ebr::with_fence_strategy(SmrConfig::default(), FenceStrategy::Rooster);
+    }
+
+    #[test]
+    fn scanner_barrier_attempts_one_advance_per_r_retires() {
         const R: usize = 10;
         let config = SmrConfig::default().with_scan_threshold(R);
-        let scheme = Ebr::with_fence_strategy(config, FenceStrategy::Rooster);
-        assert_eq!(scheme.strategy, FenceStrategy::ScannerBarrier);
+        let scheme = Ebr::with_fence_strategy(config, FenceStrategy::ScannerBarrier);
         let mut handle = scheme.register();
         // One attempt, and its barrier, at the `R`th retire.
         for retired in 1..=R {

@@ -68,10 +68,9 @@ impl EraChain {
 ///   announcement per era, not per node traversed nor per operation: the
 ///   reservation stays published between operations, and `begin_op` and
 ///   `protect` refresh it only when the global era actually advanced, which
-///   happens once per era-advance interval of allocations — limbo-adaptive
-///   inside the range of the [`reclaim_core::EraAdvancePolicy`], a constant
-///   when the range is a point ([`reclaim_core::EraAdvancePolicy::fixed`]; see
-///   [`EraPacer`]).
+///   happens once per era-advance interval of allocations — 64 without a
+///   limbo budget, adapting inside [16, 64] to the limbo residue under one
+///   (see [`EraPacer`]).
 ///
 /// ## Protocol
 ///
@@ -117,10 +116,10 @@ impl EraChain {
 /// allocate.
 pub struct He {
     core: Arc<SchemeCore>,
-    /// The global era clock plus the policy that paces its advances: an
-    /// interval adapting, inside the policy's range, to the scheme-wide
-    /// limbo-byte estimate ([`SchemeCore::limbo_estimate`]; see
-    /// [`EraPacer`]) — HE's pressure lever on the budget ladder.
+    /// The global era clock plus what paces its advances: under a limbo
+    /// budget, an interval adapting to the scheme-wide limbo-byte estimate
+    /// ([`SchemeCore::limbo_estimate`]; see [`EraPacer`]) — HE's pressure
+    /// lever on the budget ladder.
     pacer: EraPacer,
     registry: Registry<EraRecord>,
 }
@@ -129,7 +128,7 @@ impl He {
     /// Creates a Hazard-Eras scheme with the given configuration.
     pub fn new(config: SmrConfig) -> Arc<Self> {
         Arc::new(Self {
-            pacer: EraPacer::new(config.era_policy, config.limbo_budget),
+            pacer: EraPacer::new(config.limbo_budget),
             registry: Registry::new(config.max_threads, |_| EraRecord::new()),
             core: SchemeCore::new("he", config),
         })
@@ -204,7 +203,7 @@ impl EraLimbo {
         // count so the next allocation tick needs a full interval again.
         // Without the reset, every scan (threshold-triggered, flush or drop)
         // is followed by a phantom near-complete allocation tick and the era
-        // cadence drifts away from the policy.
+        // cadence drifts away from the pacer's interval.
         self.allocs_since_tick = 0;
         let chains = &mut self.chains;
         core.scan(|reclaim, reservations| {
@@ -287,14 +286,14 @@ impl EraLimbo {
         });
         // The scheme-wide estimate less what this pass and the ones before it
         // proved free (still on the books until the allocator has it) is the
-        // *residue* — the garbage reservations are actually pinning — and the
-        // pacer adapts the tick interval to it (a fixed policy never asks).
-        // Under an enforced budget a speed-up is an escalation and is counted
-        // as such.
+        // *residue* — the garbage reservations are actually pinning — and,
+        // under a budget, the pacer adapts the tick interval to it (without
+        // one it never asks). A speed-up is an escalation and is counted as
+        // such.
         let proven = core.ready_bytes() as u64;
         let shared = &scheme.core;
         let residue = || shared.limbo_estimate().saturating_sub(proven);
-        if scheme.pacer.adapt(residue) && shared.governor().enforcing() {
+        if scheme.pacer.adapt(residue) {
             core.stats().add(Counter::PacerBoosts, 1);
         }
     }
@@ -392,9 +391,8 @@ impl SmrHandle for HeHandle {
     fn alloc_node(&mut self) -> Era {
         self.limbo.allocs_since_tick += 1;
         // The interval is the pacer's current allocations-per-tick: tracking
-        // the scheme-wide limbo estimate inside the policy's range, a constant
-        // when the range is a point — one relaxed load of a read-mostly
-        // padded line.
+        // the scheme-wide limbo residue under a budget, a constant without
+        // one — one relaxed load of a read-mostly padded line.
         if self.limbo.allocs_since_tick >= self.scheme.pacer.current_interval() {
             self.limbo.allocs_since_tick = 0;
             self.scheme.pacer.advance();
@@ -497,9 +495,7 @@ impl Drop for HeHandle {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use reclaim_core::{
-        retire_box, retire_box_with_birth, EraAdvancePolicy, LeasePolicy, LeasePool,
-    };
+    use reclaim_core::{retire_box, retire_box_with_birth, LeasePolicy, LeasePool};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     struct Tracked(Arc<AtomicUsize>);
@@ -526,7 +522,6 @@ mod tests {
         SmrConfig::default()
             .with_max_threads(4)
             .with_scan_threshold(8)
-            .with_era_policy(EraAdvancePolicy::fixed(4))
     }
 
     #[test]
@@ -736,17 +731,19 @@ mod tests {
 
     #[test]
     fn alloc_node_ticks_the_global_era_every_interval() {
-        let scheme = He::new(small_config().with_era_policy(EraAdvancePolicy::fixed(4)));
+        let scheme = He::new(small_config());
         let mut handle = scheme.register();
+        let interval = scheme.pacer().current_interval();
+        assert_eq!(interval, 64, "no budget: one tick per 64 allocations");
         let start = scheme.current_era();
         let mut births = Vec::new();
-        for _ in 0..8 {
+        for _ in 0..2 * interval {
             births.push(handle.alloc_node());
         }
         assert_eq!(
             scheme.current_era(),
             start + 2,
-            "8 allocations at interval 4 advance the era twice"
+            "two intervals of allocations advance the era twice"
         );
         assert!(
             births.windows(2).all(|w| w[0] <= w[1]),
@@ -762,8 +759,7 @@ mod tests {
         let scheme = He::new(
             SmrConfig::default()
                 .with_max_threads(4)
-                .with_scan_threshold(16)
-                .with_era_policy(EraAdvancePolicy::fixed(8)),
+                .with_scan_threshold(16),
         );
         let threads: Vec<_> = (0..4)
             .map(|_| {
@@ -956,14 +952,11 @@ mod tests {
 
     #[test]
     fn flush_resets_the_partial_allocation_tick_exactly() {
-        let scheme = He::new(
-            small_config()
-                .with_era_policy(EraAdvancePolicy::fixed(4))
-                .with_scan_threshold(1_000_000),
-        );
+        let scheme = He::new(small_config().with_scan_threshold(1_000_000));
+        let partial = scheme.pacer().current_interval() - 1;
         let mut handle = scheme.register();
         let start = scheme.current_era();
-        for _ in 0..3 {
+        for _ in 0..partial {
             handle.alloc_node(); // partial interval: no tick
         }
         assert_eq!(scheme.current_era(), start);
@@ -971,9 +964,10 @@ mod tests {
         let after_flush = scheme.current_era();
         assert_eq!(after_flush, start + 1);
         // The partial count must not survive the flush: the next tick needs a
-        // full interval again (without the reset, the 4th allocation below
-        // would fire a phantom tick inherited from before the flush).
-        for _ in 0..3 {
+        // full interval again (without the reset, the next allocation would
+        // complete the interval and fire a phantom tick inherited from before
+        // the flush).
+        for _ in 0..partial {
             handle.alloc_node();
         }
         assert_eq!(
@@ -991,7 +985,7 @@ mod tests {
         drop(handle);
         assert_eq!(scheme.current_era(), e0 + 1, "drop = one flush tick");
         let mut next = scheme.register();
-        for _ in 0..3 {
+        for _ in 0..partial {
             next.alloc_node();
         }
         assert_eq!(
@@ -1006,14 +1000,10 @@ mod tests {
         // Threshold-driven scans reset the partial count too: the reset lives
         // in scan() next to the era advance, so every scan trigger (retire
         // threshold, flush, drop) behaves alike.
-        let scheme = He::new(
-            small_config()
-                .with_era_policy(EraAdvancePolicy::fixed(4))
-                .with_scan_threshold(2),
-        );
+        let scheme = He::new(small_config().with_scan_threshold(2));
         let mut handle = scheme.register();
         let e0 = scheme.current_era();
-        for _ in 0..3 {
+        for _ in 0..partial {
             handle.alloc_node(); // partial interval
         }
         assert_eq!(scheme.current_era(), e0);
@@ -1023,7 +1013,7 @@ mod tests {
             unsafe { retire_box(&mut handle, tracked(&Arc::new(AtomicUsize::new(0)))) };
         }
         assert_eq!(scheme.current_era(), e0 + 1, "one scan tick");
-        for _ in 0..3 {
+        for _ in 0..partial {
             handle.alloc_node();
         }
         assert_eq!(
@@ -1042,12 +1032,31 @@ mod tests {
 
     const TRACKED: u64 = std::mem::size_of::<Tracked>() as u64;
 
-    fn adaptive(limbo_low_water_bytes: usize) -> EraAdvancePolicy {
-        EraAdvancePolicy {
-            min_interval: 2,
-            max_interval: 16,
-            limbo_low_water_bytes,
+    /// A limbo budget whose pacer mark (a quarter of it) is `mark` bytes.
+    fn budget_with_mark(mark: usize) -> Option<usize> {
+        Some(4 * mark)
+    }
+
+    #[test]
+    fn without_a_budget_a_stalled_reader_leaves_the_interval_at_64() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let scheme = He::new(small_config().with_scan_threshold(16));
+        let mut reader = scheme.register();
+        let mut writer = scheme.register();
+        reader.begin_op();
+        // Unstamped retires the stalled reader pins: 64 scans' worth of
+        // limbo, far past any mark a budget could set.
+        for _ in 0..1_024 {
+            // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
+            unsafe { retire_box(&mut writer, tracked(&drops)) };
         }
+        assert_eq!(drops.load(Ordering::SeqCst), 0);
+        assert_eq!(estimate(&scheme), 1_024 * TRACKED);
+        assert_eq!(scheme.pacer().current_interval(), 64, "no budget, no pace");
+        assert_eq!(scheme.stats().pacer_boosts, 0);
+        reader.flush();
+        writer.flush();
+        assert_eq!(drops.load(Ordering::SeqCst), 1_024);
     }
 
     #[test]
@@ -1056,7 +1065,7 @@ mod tests {
         let scheme = He::new(
             small_config()
                 .with_scan_threshold(1_000_000)
-                .with_era_policy(adaptive(8 * TRACKED as usize)),
+                .with_limbo_budget(budget_with_mark(8 * TRACKED as usize)),
         );
         let mut reader = scheme.register();
         reader.begin_op();
@@ -1086,7 +1095,7 @@ mod tests {
         );
         assert_eq!(
             scheme.pacer().current_interval(),
-            2,
+            16,
             "still at the fast end"
         );
         reader.end_op();
@@ -1096,28 +1105,29 @@ mod tests {
         assert_eq!(estimate(&scheme), 0);
         assert_eq!(
             scheme.pacer().current_interval(),
-            4,
+            32,
             "dry: creeping back up"
         );
     }
 
     #[test]
-    fn adaptive_policy_ticks_faster_under_limbo_pressure() {
+    fn a_budget_ticks_faster_under_limbo_pressure_and_counts_each_boost() {
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = He::new(
             small_config()
                 .with_scan_threshold(16)
-                .with_era_policy(adaptive(8 * TRACKED as usize)),
+                .with_limbo_budget(budget_with_mark(8 * TRACKED as usize)),
         );
         let mut reader = scheme.register();
         let mut writer = scheme.register();
-        // Idle decay: dry scans creep the interval up to the floor.
+        // Idle decay: dry scans creep the interval up to the idle cadence.
         for _ in 0..8 {
             writer.flush();
         }
-        assert_eq!(scheme.pacer().current_interval(), 16, "idle floor");
-        // A stalled reader pins unstamped retires; once the reported limbo
-        // passes the low-water mark, the interval halves toward the fast end.
+        assert_eq!(scheme.pacer().current_interval(), 64, "idle cadence");
+        // A stalled reader pins unstamped retires; once the residue passes
+        // the mark, each threshold scan halves the interval toward the fast
+        // end.
         reader.begin_op();
         for _ in 0..64 {
             // SAFETY: the pointer comes fresh from `tracked` (Box::into_raw) and is retired exactly once.
@@ -1125,17 +1135,13 @@ mod tests {
         }
         assert_eq!(drops.load(Ordering::SeqCst), 0);
         assert_eq!(estimate(&scheme), 64 * TRACKED, "pressure reported");
-        assert!(
-            scheme.pacer().current_interval() <= 4,
-            "interval shrank under pressure (got {})",
-            scheme.pacer().current_interval()
-        );
+        assert_eq!(scheme.pacer().current_interval(), 16, "64 → 32 → 16");
         assert_eq!(
             scheme.stats().pacer_boosts,
-            0,
-            "no budget, no escalation to count"
+            2,
+            "each speed-up is an escalation"
         );
-        // Draining the limbo decays the cadence back to the idle floor.
+        // Draining the limbo decays the cadence back to the idle one.
         reader.end_op();
         reader.flush();
         for _ in 0..8 {
@@ -1143,24 +1149,24 @@ mod tests {
         }
         assert_eq!(drops.load(Ordering::SeqCst), 64);
         assert_eq!(estimate(&scheme), 0);
-        assert_eq!(scheme.pacer().current_interval(), 16);
+        assert_eq!(scheme.pacer().current_interval(), 64);
     }
 
     #[test]
-    fn adaptive_without_a_budget_reacts_to_bytes_not_node_counts() {
+    fn a_budget_paces_by_bytes_not_node_counts() {
         struct Fat(#[allow(dead_code)] [u8; 512]);
         let drops = Arc::new(AtomicUsize::new(0));
         let scheme = He::new(
             small_config()
                 .with_scan_threshold(16)
-                .with_era_policy(adaptive(1_024)),
+                .with_limbo_budget(budget_with_mark(1_024)),
         );
         let mut reader = scheme.register();
         let mut writer = scheme.register();
         for _ in 0..8 {
             writer.flush();
         }
-        assert_eq!(scheme.pacer().current_interval(), 16, "idle floor");
+        assert_eq!(scheme.pacer().current_interval(), 64, "idle cadence");
         reader.begin_op();
         // Many pinned nodes that weigh nothing: four threshold scans, all dry.
         for _ in 0..64 {
@@ -1180,7 +1186,7 @@ mod tests {
         assert_eq!(estimate(&scheme), 0);
         assert_eq!(
             scheme.pacer().current_interval(),
-            16,
+            64,
             "a node count alone is no pressure"
         );
         // Three fat ones cross the byte mark: the next scan speeds up.
@@ -1191,7 +1197,7 @@ mod tests {
         }
         writer.flush();
         assert_eq!(estimate(&scheme), 3 * 512);
-        assert_eq!(scheme.pacer().current_interval(), 8);
+        assert_eq!(scheme.pacer().current_interval(), 32);
         reader.end_op();
         reader.flush();
         writer.flush();

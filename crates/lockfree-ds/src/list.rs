@@ -458,7 +458,7 @@ mod tests {
     use super::*;
     use crate::batch::{shuffled, tagged};
     use reclaim_core::node_cache::CHUNK_BYTES;
-    use reclaim_core::{Era, EraAdvancePolicy, Leaky, SmrConfig};
+    use reclaim_core::{Era, Leaky, SmrConfig};
     use std::collections::BTreeSet;
 
     fn leaky_list() -> HarrisMichaelList<u64, Leaky> {
@@ -587,18 +587,13 @@ mod tests {
     #[test]
     fn a_batch_builds_the_list_sequential_inserts_build() {
         // 600 draws of 0..1000: repeats included, and more blocks than one
-        // cache refill. HE ticks its era every 4 allocations, so a node
-        // allocated out of turn carries another birth era too. Into an empty
-        // list the batch is published at once; past a key above its range it
-        // takes the fallback, a search a key.
+        // cache refill. HE ticks its era every 64 allocations, seven times
+        // over the batch, so a node allocated out of turn across a tick
+        // carries another birth era too. Into an empty list the batch is
+        // published at once; past a key above its range it takes the
+        // fallback, a search a key.
         let keys = shuffled(600, 1_000);
-        let he = || {
-            he::He::new(
-                SmrConfig::default()
-                    .with_hp_per_thread(LIST_HP_SLOTS)
-                    .with_era_policy(EraAdvancePolicy::fixed(4)),
-            )
-        };
+        let he = || he::He::new(SmrConfig::default().with_hp_per_thread(LIST_HP_SLOTS));
         for present in [None, Some(1_000)] {
             for (name, batch, sequential) in [
                 (
@@ -628,7 +623,7 @@ mod tests {
             .iter()
             .map(|n| n.2)
             .collect();
-        assert!(eras.len() > 50, "HE stamps many eras: {}", eras.len());
+        assert!(eras.len() > 5, "HE stamps several eras: {}", eras.len());
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl BudgetGovernor {
         }
     }
 
-    /// True when a budget is set and breaches escalate.
-    pub fn enforcing(&self) -> bool {
-        self.budget > 0
-    }
-
     /// The budget in bytes; 0 = tracking-only.
     pub(crate) fn budget_bytes(&self) -> u64 {
         self.budget
@@ -180,7 +175,6 @@ mod tests {
     #[test]
     fn tracking_only_governor_records_peak_but_never_escalates() {
         let (gov, _clock) = governor(None);
-        assert!(!gov.enforcing());
         assert!(!gov.refresh(1 << 20));
         assert_eq!(gov.peak_bytes(), 1 << 20);
         assert!(!gov.refresh(0));

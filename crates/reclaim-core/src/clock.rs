@@ -18,12 +18,11 @@
 //! The module also names the *logical* time of the era/interval-based schemes:
 //! [`Era`], a tick of a shared monotone counter advanced on allocation batches
 //! rather than by wall time (Hazard Eras / 2GE-IBR), which every
-//! [`RetiredPtr`](crate::retired::RetiredPtr) has room for, and the
-//! [`EraAdvancePolicy`] [`SmrConfig`](crate::config::SmrConfig) carries — a
-//! range of allocations-per-tick intervals, adapted inside it to the
-//! scheme-wide limbo-byte estimate (bytes retired and not yet freed); a fixed
-//! cadence (the classic `epoch_freq`) is the range `[n, n]`. The counter and
-//! the policy that paces it live in `he::EraPacer`, their only user.
+//! [`RetiredPtr`](crate::retired::RetiredPtr) has room for. The counter and
+//! what paces it — one tick per 64 allocations, or under
+//! [`SmrConfig::limbo_budget`](crate::config::SmrConfig::limbo_budget) an
+//! interval adapted to the scheme-wide limbo-byte estimate — live in
+//! `he::EraPacer`, their only user.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -124,86 +123,6 @@ pub type Era = u64;
 /// the interval overlap check.
 pub const NO_BIRTH_ERA: Era = 0;
 
-/// How the era schemes pace advances of their global era clock relative to
-/// allocation and reclamation activity (run by `he::EraPacer`).
-///
-/// The interval is the number of node allocations between era ticks. A smaller
-/// interval bounds the garbage a stalled reader pins more tightly — fewer nodes
-/// share its announced era — at the cost of more shared `fetch_add` traffic.
-///
-/// The era advances once per interval of allocations (plus once per scan), the
-/// interval kept inside `[min_interval, max_interval]` by the scheme-wide
-/// limbo-byte estimate: after each scan it adapts AIMD-style — it *halves*
-/// (down to `min_interval`) while the estimate sits above the low-water mark,
-/// and creeps back up by `min_interval` per dry scan (up to `max_interval`,
-/// the idle floor). The asymmetry reacts to a stall within one scan but does
-/// not forget it within one quiet episode. Stalled-reader garbage is then
-/// bounded by *bytes retired*, not by an allocation count: the more limbo
-/// accumulates, the faster fresh allocations age past any stalled
-/// reservation. A point range `[n, n]` ([`fixed`](Self::fixed)) is the
-/// original Hazard-Eras / IBR `epoch_freq` cadence, which bounds that garbage
-/// only as tightly as `n`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EraAdvancePolicy {
-    /// Fastest tick: era advances at least every `min_interval` allocations
-    /// under limbo pressure.
-    pub min_interval: usize,
-    /// Idle floor: with no limbo pressure the interval decays up to this,
-    /// bounding steady-state shared `fetch_add` traffic.
-    pub max_interval: usize,
-    /// Scheme-wide in-limbo bytes above which the pacer speeds up. Under an
-    /// enforced `limbo_budget` a quarter of the budget takes its place, so the
-    /// cadence tightens well before the budget trips.
-    pub limbo_low_water_bytes: usize,
-}
-
-/// The allocation count of the default fixed cadence (the IBR literature's
-/// `epoch_freq` ballpark).
-pub(crate) const DEFAULT_ERA_ADVANCE_INTERVAL: usize = 64;
-
-impl EraAdvancePolicy {
-    /// A fixed cadence: one tick every `interval` allocations, the range
-    /// `[interval, interval]`, whose mark is moot.
-    pub fn fixed(interval: usize) -> Self {
-        Self {
-            min_interval: interval,
-            max_interval: interval,
-            limbo_low_water_bytes: 0,
-        }
-    }
-
-    /// The adaptive policy with default bounds: ticks between every 8 and
-    /// every 512 allocations, speeding up once more than 64 KiB sit in limbo
-    /// scheme-wide.
-    pub fn adaptive() -> Self {
-        Self {
-            min_interval: 8,
-            max_interval: 512,
-            limbo_low_water_bytes: 64 * 1024,
-        }
-    }
-
-    /// Panics unless the policy's parameters are coherent (positive intervals,
-    /// `min <= max`). Called by `he::EraPacer::new` and the config builder.
-    pub fn validate(&self) {
-        assert!(
-            self.min_interval > 0,
-            "era advance interval must be positive"
-        );
-        assert!(
-            self.min_interval <= self.max_interval,
-            "min_interval must not exceed max_interval"
-        );
-    }
-}
-
-impl Default for EraAdvancePolicy {
-    /// The fixed cadence of one era tick per 64 allocations.
-    fn default() -> Self {
-        Self::fixed(DEFAULT_ERA_ADVANCE_INTERVAL)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,14 +160,5 @@ mod tests {
     fn duration_conversion() {
         assert_eq!(duration_to_nanos(Duration::from_millis(3)), 3_000_000);
         assert_eq!(duration_to_nanos(Duration::ZERO), 0);
-    }
-
-    #[test]
-    fn default_policy_is_the_compatible_fixed_cadence() {
-        assert_eq!(
-            EraAdvancePolicy::default(),
-            EraAdvancePolicy::fixed(DEFAULT_ERA_ADVANCE_INTERVAL)
-        );
-        EraAdvancePolicy::adaptive().validate();
     }
 }

@@ -19,7 +19,7 @@
 //! after its unlink ([`BarrierLedger`](crate::fence::BarrierLedger)); a completed
 //! barrier is an event, not an estimate, and needs no tolerance.
 
-use crate::clock::{Clock, EraAdvancePolicy};
+use crate::clock::Clock;
 use std::time::Duration;
 
 /// Tunable parameters for all schemes in the QSense family.
@@ -64,21 +64,15 @@ pub struct SmrConfig {
     /// on crossing the budget, escalates along a fixed ladder on the retire
     /// path: forced scan →
     /// scheme-specific boost (HE's era pacer ticks faster, QSense trips its
-    /// fallback path early) → one bounded backpressure yield. `None` (the
+    /// fallback path early) → one bounded backpressure yield. The budget also
+    /// paces HE's era clock: a quarter of it is the limbo residue above which
+    /// the pacer halves its allocations-per-tick interval, inside [16, 64];
+    /// without a budget the era ticks every 64 allocations. `None` (the
     /// default) keeps byte *tracking* alive (peaks still show up in
     /// [`crate::stats::StatsSnapshot::peak_limbo_bytes`]) but never escalates.
     /// Schemes without a safe retire-path lever (QSBR; Leaky by design) will
     /// exceed a budget under a delinquent thread — the verdict records it.
     pub limbo_budget: Option<usize>,
-    /// **Extension (era schemes).** How the global era clock is paced relative
-    /// to allocation and reclamation activity (Hazard Eras / 2GE-IBR, the `he`
-    /// crate): an allocations-per-tick interval that adapts, inside the
-    /// policy's `[min_interval, max_interval]`, to the scheme-wide limbo-byte
-    /// estimate ([`EraAdvancePolicy::adaptive`]), bounding stalled-reader
-    /// garbage by bytes retired instead of a constant, or the point range of
-    /// a fixed interval ([`EraAdvancePolicy::fixed`]; the default, at the IBR
-    /// literature's `epoch_freq` ballpark). See `he::EraPacer`.
-    pub era_policy: EraAdvancePolicy,
     /// **Extension (observability).** Enables the telemetry histograms
     /// ([`crate::telemetry`]): guard-bracket op latency sampled 1 op in 128,
     /// scan duration, and the retire→free delay distribution. Off by default —
@@ -157,14 +151,6 @@ impl SmrConfig {
         self
     }
 
-    /// Sets the era-advance policy of the era schemes (see
-    /// [`SmrConfig::era_policy`]).
-    pub fn with_era_policy(mut self, policy: EraAdvancePolicy) -> Self {
-        policy.validate();
-        self.era_policy = policy;
-        self
-    }
-
     /// Enables or disables the telemetry histograms (see
     /// [`telemetry`](Self::telemetry)).
     pub fn with_telemetry(mut self, enabled: bool) -> Self {
@@ -190,7 +176,6 @@ impl Default for SmrConfig {
             rooster_interval: Duration::from_millis(10),
             eviction_timeout: None,
             limbo_budget: None,
-            era_policy: EraAdvancePolicy::default(),
             telemetry: false,
             clock: Clock::real(),
         }
@@ -216,37 +201,10 @@ mod tests {
             cfg.limbo_budget.is_none(),
             "budgets are opt-in; the default must not change retire-path behaviour"
         );
-        assert_eq!(
-            cfg.era_policy,
-            EraAdvancePolicy::fixed(crate::clock::DEFAULT_ERA_ADVANCE_INTERVAL),
-            "the era policy defaults to the pre-policy fixed cadence"
-        );
         assert!(
             !cfg.telemetry,
             "telemetry is opt-in; the default must keep record sites to one flag load"
         );
-    }
-
-    #[test]
-    fn era_policy_builder_accepts_both_shapes() {
-        let cfg = SmrConfig::default().with_era_policy(EraAdvancePolicy::adaptive());
-        assert_eq!(cfg.era_policy, EraAdvancePolicy::adaptive());
-        let cfg = cfg.with_era_policy(EraAdvancePolicy::fixed(32));
-        assert_eq!(
-            cfg.era_policy,
-            EraAdvancePolicy::fixed(32),
-            "a fixed policy overwrites an adaptive one"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "min_interval must not exceed max_interval")]
-    fn incoherent_era_policy_is_rejected_at_the_builder() {
-        let _ = SmrConfig::default().with_era_policy(EraAdvancePolicy {
-            min_interval: 9,
-            max_interval: 3,
-            limbo_low_water_bytes: 0,
-        });
     }
 
     #[test]
@@ -261,7 +219,6 @@ mod tests {
             .with_rooster_interval(Duration::from_millis(5))
             .with_eviction_timeout(Some(Duration::from_millis(50)))
             .with_limbo_budget(Some(1 << 20))
-            .with_era_policy(EraAdvancePolicy::fixed(16))
             .with_telemetry(true)
             .with_clock(Clock::manual(manual.clone()));
         assert_eq!(cfg.max_threads, 4);
@@ -272,7 +229,6 @@ mod tests {
         assert_eq!(cfg.rooster_interval, Duration::from_millis(5));
         assert_eq!(cfg.eviction_timeout_nanos(), Some(50_000_000));
         assert_eq!(cfg.limbo_budget, Some(1 << 20));
-        assert_eq!(cfg.era_policy, EraAdvancePolicy::fixed(16));
         assert!(cfg.telemetry);
         manual.advance(Duration::from_nanos(7));
         assert_eq!(cfg.clock.now(), 7, "the configured clock is the manual one");

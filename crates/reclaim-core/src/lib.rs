@@ -54,9 +54,9 @@
 //!   segment chains recycled through a per-handle `segbag::SegPool`, so the
 //!   steady-state retire/scan/reclaim pipeline never touches the allocator;
 //! * a [`clock::Clock`] abstraction (real, monotonic nanoseconds) with a manually
-//!   driven variant for deterministic tests, and the [`clock::Era`] type and
-//!   [`clock::EraAdvancePolicy`] of the era schemes (what [`retired::RetiredPtr`]
-//!   and [`SmrConfig`] carry; the clock itself is `he::EraPacer`);
+//!   driven variant for deterministic tests, and the [`clock::Era`] type of the
+//!   era schemes (what [`retired::RetiredPtr`] carries; the clock itself, paced
+//!   by [`SmrConfig::limbo_budget`], is `he::EraPacer`);
 //! * low-level utilities: [`pad::CachePadded`];
 //! * the [`leaky::Leaky`] "scheme" (no reclamation at all), the paper's *None*
 //!   baseline;
@@ -120,7 +120,7 @@
 //! |-----------|------|--------------------|
 //! | per op (`begin_op`) | a local counter bump (QSBR/QSense batching); a pin store and the fence its [`FenceStrategy`] owes — a compiler fence where the kernel offers an expedited `membarrier`, a `SeqCst` fence elsewhere — plus, only when the epoch moved since the last pin, one bucket hand-back (EBR only: `qsbr::EpochLimbo::catch_up`); one era load and, only when the era moved since the handle last announced, a fresh announcement — two reservation stores and a `SeqCst` fence (HE only: its reservation stays published between operations, and `end_op` does nothing) | none (EBR: one release store on `begin_op` and one on `end_op`, to one owned padded line; HE: two stores to an owned padded line and the fence, once per era) |
 //! | per node traversed (`protect` — **once** per node: `lockfree-ds`' traversals rotate a level's two slots hand over hand instead of publishing the cursor and then copying it into a predecessor slot) | hazard-pointer store (HP/Cadence/QSense) and the fence its scheme owes ([`fence`]): a compiler fence for Cadence, QSense and — where the kernel offers an expedited `membarrier` — classic HP (≈ 2 ns), the `SeqCst` fence the paper is about for classic HP everywhere else (≈ 9 ns, counted in [`stats::StatsSnapshot::traversal_fences`]); era re-announcement only when the global era advanced mid-operation (HE) | one bounds check against the handle's own `K` and one release store through the owner's flat view of its record (`hazard::OwnedSlots`), into a 128-byte block no other thread's slots share (`hazard::HpSlots`); HE's amortized cost here is ~zero (eras advance once per `he::EraPacer::current_interval` allocations, not per node) |
-//! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only when the [`clock::EraAdvancePolicy`] is a range, not a point | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
+//! | per node allocated ([`guard::Guard::alloc_block`], under [`guard::Owned::new`] and the skip list's and BST's allocations) | a block off the handle's [`node_cache::NodeCache`] list of the node's 8-byte size class — a load and two stores to handle-local words — or, on a miss (always, for Leaky: its cache stays empty), a spare of the class's last refill, or a refill: one lock of the scheme's arena, which hands over [`node_cache::REFILL_BLOCKS`] blocks off its shared list of the class or *carves* them at their class stride from its current chunk — a global allocation only once per 64 KiB chunk; then the birth-era stamp ([`smr::SmrHandle::alloc_node`]) written into the node: one era load, plus one shared `fetch_add` every `he::EraPacer::current_interval` allocations (HE only; no-op for every other scheme) — the interval is one relaxed load of a read-mostly padded line, which only scans write and only under a [`SmrConfig::limbo_budget`] | handle-local words; one acquire load of the (mostly read-shared) era line (HE); the arena's lock once per refill, the allocator once per chunk |
 //! | per `retire` | write into the tail segment of the thread-local [`segbag::SegBag`], bump the handle's [`stats::StatStripe`], one load of the scheme's [`fence::BarrierLedger`] for the barrier-ticket stamp (HP/Cadence/QSense — a read-mostly line the issuer writes once per barrier; no scheme reads a clock), one acquire load of the fallback flag (QSense) or of the era clock (HE — the retire-era stamp must be fresh, see `he`) | single-writer padded lines only — **no shared `fetch_add`**, no shared epoch load (EBR tags with its pin-time epoch) |
 //! | per segment (every [`segbag::SEG_CAP`] recorded retires) | pop a recycled segment from the per-handle `segbag::SegPool`; Leaky's pool never gets one back, so its bag takes a fresh segment from the allocator — only for the nodes it records: a plain block of its own arena it books and leaves unrecorded (`HandleCore::retire_unfreed`), and the arena frees its chunk at scheme drop | none — the allocator is touched only past the handle's all-time peak (Leaky: once per `SEG_CAP` recorded retires) |
 //! | per `Q` ops (quiescent state) | epoch adoption (one swap, so an eviction it replaces is counted back) or one walk over the claimed slots, stopping at the first laggard ([`registry::Registry::iter_claimed`]), and the advance's CAS once every claimed thread has adopted the epoch; one eviction-counter load (QSense) | one bitmap load per shard and one record load per claimed slot walked; the adoption's swap on the owner's line, or at most one CAS on the global epoch |
@@ -414,7 +414,7 @@ pub mod tagged;
 pub mod telemetry;
 
 pub use budget::BudgetGovernor;
-pub use clock::{Clock, Era, EraAdvancePolicy, ManualClock, Nanos, NO_BIRTH_ERA};
+pub use clock::{Clock, Era, ManualClock, Nanos, NO_BIRTH_ERA};
 pub use config::SmrConfig;
 pub use fence::{BarrierLedger, FenceStrategy};
 pub use guard::{Atomic, Guard, Owned, Shared, Unlinked};

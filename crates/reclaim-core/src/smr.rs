@@ -176,9 +176,9 @@ pub trait SmrHandle: Send {
     /// Allocation-side hook: returns the **birth era** to stamp into a node the
     /// caller is about to allocate, and lets the scheme account for the
     /// allocation (the era schemes advance their global era clock once per
-    /// era-advance interval of allocations — a constant or limbo-adaptive,
-    /// per `SmrConfig::era_policy` — which is what bounds the garbage a
-    /// stalled reader can pin).
+    /// era-advance interval of allocations — 64, or adapted to the limbo
+    /// residue under `SmrConfig::limbo_budget` — which is what bounds the
+    /// garbage a stalled reader can pin).
     ///
     /// Data structures call this once per node allocation, store the returned
     /// value in the node, and hand it back as the `birth_era` of the node they

@@ -24,17 +24,16 @@
 //! operation and stops), and nothing in it sleeps: the rooster schemes run
 //! without a rooster ([`default_fault_config`]) and [`run_fault`] enters one
 //! completed wake-up per episode through their ledger. So two runs differing
-//! only in scheme — or only in HE's era-advance policy, which is what the
-//! stalled reader shows best: the static policy pins up to one era interval
-//! of the burst per stall, the adaptive one less with every stall — are
-//! sample-by-sample comparable (`tests/robustness_bounds.rs`).
+//! only in scheme — or only in whether HE runs under a limbo budget, which is
+//! what the stalled reader shows best: unbudgeted, HE pins up to one 64-node
+//! era interval of the burst per stall, budgeted its pacer ticks faster with
+//! every stall — are sample-by-sample comparable (`tests/robustness_bounds.rs`).
 
 use crate::generator::SplitMix64;
 use crate::sampler::{peak, LimboSampler};
 use crate::structures::SchemeKind;
 use reclaim_core::{
-    retire_box_with_birth, BarrierLedger, EraAdvancePolicy, Leaky, Smr, SmrConfig, SmrHandle,
-    StatsSnapshot,
+    retire_box_with_birth, BarrierLedger, Leaky, Smr, SmrConfig, SmrHandle, StatsSnapshot,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -281,9 +280,9 @@ pub fn run_fault<S: Smr>(
 }
 
 /// The reclamation configuration the fault matrix runs under: no rooster
-/// ([`run_fault`] enters the wake-ups), an adaptive era policy
-/// so HE's pacer can react to limbo pressure, and the given limbo budget
-/// (without one the pacer's mark is 16 Ki payloads, far above any plan here).
+/// ([`run_fault`] enters the wake-ups) and the given limbo budget, which also
+/// lets HE's era pacer react to limbo pressure (without one, HE's era ticks
+/// every 64 allocations).
 pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
     SmrConfig::default()
         .with_max_threads(8)
@@ -291,11 +290,6 @@ pub fn default_fault_config(budget: Option<usize>) -> SmrConfig {
         .with_scan_threshold(64)
         .with_fallback_threshold(1 << 20)
         .with_rooster_interval(Duration::MAX)
-        .with_era_policy(EraAdvancePolicy {
-            min_interval: 16,
-            max_interval: 256,
-            limbo_low_water_bytes: (1 << 14) * PAYLOAD_BYTES,
-        })
         .with_limbo_budget(budget)
 }
 
@@ -383,8 +377,7 @@ mod tests {
     #[test]
     fn stalled_reader_fault_samples_every_episode_and_cleans_up_under_he() {
         let plan = quick_plan(FaultKind::StalledReader);
-        let scheme =
-            he::He::new(default_fault_config(None).with_era_policy(EraAdvancePolicy::fixed(16)));
+        let scheme = he::He::new(default_fault_config(None));
         let result = run_fault(&scheme, &plan, None);
         assert_eq!(result.limbo_samples.len(), plan.episodes);
         let stats = result.stats;

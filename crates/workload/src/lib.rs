@@ -12,8 +12,8 @@
 //! * [`runner`] — the measurement loop, delay injection and memory-cap abort;
 //! * [`faults`] — the seeded fault-injection matrix (stalled reader, silent
 //!   thread, leaked handle, random delays) that the CLI and CI run against
-//!   byte budgets; its stalled reader with handle churn is also the
-//!   era-advance policy's showcase;
+//!   byte budgets; its stalled reader with handle churn is also where a
+//!   budget's pacing of HE's era shows;
 //! * `sampler` — the per-episode limbo sampling the robustness scenarios
 //!   share;
 //! * [`server_soak`] — the M:N lease scenario (thousands of short sessions

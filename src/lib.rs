@@ -49,8 +49,8 @@ pub mod smr {
     pub use qsense::{Path, QSense};
     pub use reclaim_core::stats::StatsSnapshot;
     pub use reclaim_core::{
-        retire_box, Atomic, BarrierLedger, Clock, Era, EraAdvancePolicy, Guard, Leaky, LeasePolicy,
-        LeasePool, ManualClock, Owned, Shared, Smr, SmrConfig, SmrHandle,
+        retire_box, Atomic, BarrierLedger, Clock, Era, Guard, Leaky, LeasePolicy, LeasePool,
+        ManualClock, Owned, Shared, Smr, SmrConfig, SmrHandle,
     };
     pub use refcount::RefCount;
     pub use workload::CountingAllocator;

@@ -14,7 +14,7 @@ mod common;
 use common::{bench_config, stress_cell};
 use qsense_repro::bench::{make_set, SchemeKind, Structure};
 use qsense_repro::ds::{MichaelScottQueue, TreiberStack, QUEUE_HP_SLOTS, STACK_HP_SLOTS};
-use qsense_repro::smr::{Ebr, EraAdvancePolicy, Hazard, He, QSense, Smr, SmrConfig, SmrHandle};
+use qsense_repro::smr::{Ebr, Hazard, He, QSense, Smr, SmrConfig, SmrHandle};
 use std::collections::HashSet;
 use std::sync::Arc;
 use std::thread;
@@ -155,8 +155,7 @@ fn queue_conserves_elements_under_hazard_eras() {
         SmrConfig::default()
             .with_max_threads(8)
             .with_hp_per_thread(QUEUE_HP_SLOTS)
-            .with_scan_threshold(16)
-            .with_era_policy(EraAdvancePolicy::fixed(16)),
+            .with_scan_threshold(16),
     ));
 }
 
@@ -253,8 +252,7 @@ fn stack_conserves_elements_under_hazard_eras() {
         SmrConfig::default()
             .with_max_threads(8)
             .with_hp_per_thread(STACK_HP_SLOTS)
-            .with_scan_threshold(16)
-            .with_era_policy(EraAdvancePolicy::fixed(16)),
+            .with_scan_threshold(16),
     ));
 }
 

@@ -20,8 +20,8 @@ use qsense_repro::bench::{
 };
 use qsense_repro::ds::{HarrisMichaelList, LIST_HP_SLOTS};
 use qsense_repro::smr::{
-    BarrierLedger, Cadence, Clock, Ebr, EraAdvancePolicy, FenceStrategy, Hazard, He, ManualClock,
-    Path, QSense, Qsbr, Smr, SmrConfig, SmrHandle,
+    BarrierLedger, Cadence, Clock, Ebr, FenceStrategy, Hazard, He, ManualClock, Path, QSense, Qsbr,
+    Smr, SmrConfig, SmrHandle,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -183,7 +183,6 @@ fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
             .with_max_threads(4)
             .with_quiescence_threshold(8)
             .with_scan_threshold(16)
-            .with_era_policy(EraAdvancePolicy::fixed(16))
     };
 
     // HE: stall a reader inside an operation (announced reservation), then churn.
@@ -247,15 +246,15 @@ fn a_stalled_reader_bounds_he_garbage_by_eras_but_not_qsbr() {
 
 /// The stall-churn scenario (the stalled-reader fault: one reader repeatedly
 /// stalls mid-operation while a writer burst-allocates and handle churn runs)
-/// is where the
-/// era-advance policy *matters*: every stall pins the allocations that share
-/// its announced era, i.e. up to one era-advance interval's worth of the
-/// burst. The static policy pins a constant per stall; the adaptive policy
-/// reacts to the limbo the first stalls pin and keeps the cadence fast for as
-/// long as pressure persists — so with the same interval range its limbo
-/// trajectory sits at or below the static one at **every** sampled point,
-/// its peak strictly below, and both sit orders of magnitude below QSBR,
-/// which the same stall blocks outright.
+/// is where the era cadence *matters*: every stall pins the allocations that
+/// share its announced era, i.e. up to one era-advance interval's worth of
+/// the burst. Without a limbo budget HE ticks every 64 allocations and pins a
+/// constant per stall; with one, its pacer reacts to the limbo the first
+/// stalls pin and keeps the cadence fast (down to every 16 allocations) for
+/// as long as pressure persists — so the budgeted limbo trajectory sits at or
+/// below the unbudgeted one at **every** sampled point, its peak strictly
+/// below, and both sit orders of magnitude below QSBR, which the same stall
+/// blocks outright.
 ///
 /// The scenario is single-threaded and the two HE runs execute the identical
 /// operation sequence, so the sample-by-sample comparison is deterministic.
@@ -274,45 +273,44 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
             .with_scan_threshold(128)
             .with_quiescence_threshold(1_000_000)
     };
-    // Same range: the static interval is the adaptive policy's idle ceiling,
-    // so every difference below is the adaptation, not a smaller constant.
-    let static_run = run_fault(
-        &He::new(base().with_era_policy(EraAdvancePolicy::fixed(64))),
-        &spec,
-        None,
-    );
-    let adaptive_run = run_fault(
-        &He::new(base().with_era_policy(EraAdvancePolicy {
-            min_interval: 8,
-            max_interval: 64,
-            // Four of the scenario's nodes.
-            limbo_low_water_bytes: 4 * PAYLOAD_BYTES,
-        })),
+    // The unbudgeted interval is the budgeted pacer's idle cadence, so every
+    // difference below is the budget's doing, not a smaller constant.
+    let unbudgeted = run_fault(&He::new(base()), &spec, None);
+    let budgeted = run_fault(
+        // The pacer's mark, a quarter of the budget: four of the scenario's
+        // nodes.
+        &He::new(base().with_limbo_budget(Some(16 * PAYLOAD_BYTES))),
         &spec,
         None,
     );
     let qsbr_run = run_fault(&Qsbr::new(base()), &spec, None);
 
-    assert_eq!(adaptive_run.stats.retired, static_run.stats.retired);
-    assert_eq!(adaptive_run.limbo_samples.len(), spec.episodes);
-    for (episode, (adaptive, fixed)) in adaptive_run
+    assert_eq!(budgeted.stats.retired, unbudgeted.stats.retired);
+    assert_eq!(budgeted.limbo_samples.len(), spec.episodes);
+    assert!(
+        budgeted.stats.pacer_boosts > 0,
+        "the budgeted pacer must have sped up: {:?}",
+        budgeted.stats
+    );
+    assert_eq!(unbudgeted.stats.pacer_boosts, 0, "no budget, no pace");
+    for (episode, (with, without)) in budgeted
         .limbo_samples
         .iter()
-        .zip(&static_run.limbo_samples)
+        .zip(&unbudgeted.limbo_samples)
         .enumerate()
     {
         assert!(
-            adaptive <= fixed,
-            "episode {episode}: adaptive limbo {adaptive} above static {fixed}          (adaptive {:?} vs static {:?})",
-            adaptive_run.limbo_samples,
-            static_run.limbo_samples
+            with <= without,
+            "episode {episode}: budgeted limbo {with} above unbudgeted {without}          (budgeted {:?} vs unbudgeted {:?})",
+            budgeted.limbo_samples,
+            unbudgeted.limbo_samples
         );
     }
     assert!(
-        adaptive_run.peak_limbo() < static_run.peak_limbo(),
-        "adaptive peak {} must be strictly below static peak {}",
-        adaptive_run.peak_limbo(),
-        static_run.peak_limbo()
+        budgeted.peak_limbo() < unbudgeted.peak_limbo(),
+        "budgeted peak {} must be strictly below unbudgeted peak {}",
+        budgeted.peak_limbo(),
+        unbudgeted.peak_limbo()
     );
     // QSBR cannot reclaim at all while the reader stalls: its limbo tracks
     // the total retirement count, far above either HE bound.
@@ -322,20 +320,20 @@ fn stall_churn_adaptive_era_policy_tightens_the_static_limbo_bound() {
         "the stalled reader must block QSBR outright"
     );
     assert!(
-        static_run.peak_limbo() < qsbr_run.peak_limbo() / 4,
-        "static HE ({}) must stay far below QSBR ({})",
-        static_run.peak_limbo(),
+        unbudgeted.peak_limbo() < qsbr_run.peak_limbo() / 4,
+        "unbudgeted HE ({}) must stay far below QSBR ({})",
+        unbudgeted.peak_limbo(),
         qsbr_run.peak_limbo()
     );
     assert!(
-        adaptive_run.peak_limbo() < qsbr_run.peak_limbo() / 8,
-        "adaptive HE ({}) must stay farther below QSBR ({})",
-        adaptive_run.peak_limbo(),
+        budgeted.peak_limbo() < qsbr_run.peak_limbo() / 8,
+        "budgeted HE ({}) must stay farther below QSBR ({})",
+        budgeted.peak_limbo(),
         qsbr_run.peak_limbo()
     );
     // Releasing the reader drains both HE runs completely.
-    assert_eq!(static_run.stats.in_limbo(), 0);
-    assert_eq!(adaptive_run.stats.in_limbo(), 0);
+    assert_eq!(unbudgeted.stats.in_limbo(), 0);
+    assert_eq!(budgeted.stats.in_limbo(), 0);
 }
 
 /// HP's row of the fault matrix under the paper's reader-fenced protocol;

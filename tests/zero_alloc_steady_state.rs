@@ -39,9 +39,9 @@
 #![cfg(not(feature = "check-oracle"))]
 
 use qsense_repro::smr::{
-    Atomic, BarrierLedger, Cadence, Clock, CountingAllocator, Ebr, Era, EraAdvancePolicy,
-    FenceStrategy, Guard, Hazard, He, Leaky, ManualClock, Owned, QSense, Qsbr, RefCount, Shared,
-    Smr, SmrConfig, SmrHandle,
+    Atomic, BarrierLedger, Cadence, Clock, CountingAllocator, Ebr, Era, FenceStrategy, Guard,
+    Hazard, He, Leaky, ManualClock, Owned, QSense, Qsbr, RefCount, Shared, Smr, SmrConfig,
+    SmrHandle,
 };
 use reclaim_core::node_cache::{CHUNK_BYTES, CHUNK_HEADER_BYTES, REFILL_BLOCKS};
 use reclaim_core::{RetiredPtr, SEG_CAP};
@@ -588,22 +588,21 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         );
     }
 
-    // --- Hazard Eras, adaptive era policy ------------------------------------
+    // --- Hazard Eras, paced by a limbo budget --------------------------------
     // The pacer's machinery — the governor-estimate read each scan makes, the
     // interval adaptation, the per-alloc interval load — touches only state
-    // built at scheme creation, so switching HE to the adaptive policy must
-    // add exactly zero steady-state allocations: growth cycles
+    // built at scheme creation, so giving HE a budget (which turns the pacer
+    // on) must add exactly zero steady-state allocations: growth cycles
     // still allocate the nodes alone, and keep-path scans under a stalled
     // reservation (the exact state that drives the adaptation hardest, with
-    // limbo far past the low-water mark) still allocate nothing at all.
+    // limbo far past the pacer's mark and the budget) still allocate nothing
+    // at all.
     {
         let clock = ManualClock::new();
-        let scheme = He::new(config(&clock).with_era_policy(EraAdvancePolicy {
-            min_interval: 8,
-            max_interval: 64,
-            // 32 of this test's 8-byte nodes.
-            limbo_low_water_bytes: 32 * std::mem::size_of::<u64>(),
-        }));
+        // The pacer's mark, a quarter of the budget: 32 of this test's
+        // 8-byte nodes.
+        let budget = 4 * 32 * std::mem::size_of::<u64>();
+        let scheme = He::new(config(&clock).with_limbo_budget(Some(budget)));
         let mut blocker = scheme.register();
         let mut writer = scheme.register();
         assert_growth_allocates_nodes_only("he-adaptive", &mut writer, 0, || {});
@@ -645,7 +644,7 @@ fn steady_state_scans_perform_zero_heap_allocations() {
         );
         assert_eq!(
             scheme.pacer().current_interval(),
-            8,
+            16,
             "pressure drove the interval to the fast end without allocating"
         );
         blocker.end_op();
